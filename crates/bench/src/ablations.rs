@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use immortaldb::Value;
+use immortaldb_btree::VersionCursor;
 use immortaldb_mobgen::Generator;
 
 use crate::harness::{print_table, time, BenchDb, Mode};

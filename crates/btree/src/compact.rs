@@ -162,10 +162,10 @@ impl BTree {
         let mut in_edges: HashMap<PageId, u32> = HashMap::new();
         let mut chains: Vec<Vec<PageId>> = Vec::new();
         let mut visited: HashSet<PageId> = HashSet::new();
-        for (leaf_id, _) in &leaves {
+        for leaf in &leaves {
             let mut chain = Vec::new();
             let mut h = {
-                let f = self.pool.fetch(*leaf_id)?;
+                let f = self.pool.fetch(leaf.id)?;
                 let g = f.read();
                 g.history_page()
             };
@@ -316,9 +316,9 @@ impl BTree {
         let _s = self.structure.read();
         let leaves = self.leaves_with_bounds()?;
         let mut visited: HashSet<PageId> = HashSet::new();
-        for (leaf_id, _) in &leaves {
+        for leaf in &leaves {
             let mut h = {
-                let f = self.pool.fetch(*leaf_id)?;
+                let f = self.pool.fetch(leaf.id)?;
                 let g = f.read();
                 g.history_page()
             };

@@ -17,6 +17,7 @@
 //! experiments of the paper; latch crabbing would be the next step.
 
 mod compact;
+mod cursor;
 mod read;
 mod split;
 mod tree;
@@ -24,10 +25,11 @@ mod tree;
 pub use compact::{
     pack_history_pages, page_has_tid_marked, page_used_bytes, CompactionStats, HistoryStats,
 };
-pub use read::{
-    collect_chain_window, trim_version_window, HistoryVersion, ScanItem, StorageStats,
-    TemporalVersion,
+pub use cursor::{
+    visit_page, Flow, HistoryVersion, KeyRange, Query, ScanItem, Stamp, TemporalVersion, Version,
+    VersionBuffer, VersionCursor, Visitor,
 };
+pub use read::StorageStats;
 pub use tree::{BTree, FixedSplitTime, HeadVersion, SplitTimeSource, MAX_RECORD};
 
 #[cfg(test)]

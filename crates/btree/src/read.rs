@@ -1,27 +1,26 @@
-//! Read paths: current reads, AS OF point lookups, AS OF full scans and
-//! per-key time travel.
+//! Read paths: the key × time cursor of the page-chain index, current
+//! reads with the stamping read trigger, and the leaf enumeration that
+//! scans and maintenance share.
 //!
-//! The AS OF algorithm is the paper's §4.2: descend the *current* B-tree
-//! by key; compare the requested time with the page's split time (its
-//! `start_ts`). If the request is later, the answer is in the current
-//! page's version chains; otherwise follow the history-page chain back to
-//! the page whose `[start_ts, end_ts)` range contains the request — the
-//! split-time check is what lets us skip pages that cannot contain the
-//! version.
+//! The cursor is the paper's §4.2 algorithm: descend the *current*
+//! B-tree by key; compare the requested time with the page's split time
+//! (its `start_ts`). If the request is later, the answer is in the
+//! current page's version chains; otherwise follow the history-page
+//! chain back to the page whose `[start_ts, end_ts)` range contains the
+//! request — the split-time check is what lets us skip pages that cannot
+//! contain the version, and it needs only each page's header
+//! ([`immortaldb_storage::buffer::Frame::peek_header`]).
 
 use immortaldb_common::{PageId, Result, Tid, Timestamp};
-use immortaldb_storage::page::{Page, PageType};
+use immortaldb_storage::buffer::FrameRef;
+use immortaldb_storage::page::PageType;
 use immortaldb_storage::version::{self, Visible};
 use immortaldb_storage::TimestampResolver;
 
+use crate::cursor::{
+    visit_page, Flow, KeyRange, Query, ScanItem, VersionBuffer, VersionCursor, Visitor,
+};
 use crate::tree::BTree;
-
-/// One row produced by a scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanItem {
-    pub key: Vec<u8>,
-    pub data: Vec<u8>,
-}
 
 /// Storage shape of a versioned tree (see [`BTree::storage_stats`]).
 #[derive(Debug, Clone, Copy)]
@@ -35,101 +34,39 @@ pub struct StorageStats {
     pub history_pages: usize,
 }
 
-/// One entry of a record's version history (newest first).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryVersion {
-    /// Commit timestamp; `None` while the owning transaction is active.
-    pub ts: Option<Timestamp>,
-    /// TID for uncommitted versions.
-    pub tid: Option<Tid>,
-    /// `None` marks a delete stub.
-    pub data: Option<Vec<u8>>,
+/// A current leaf and the key region `[low, upper)` the index routes to
+/// it (`low` empty / `upper` `None` = unbounded). History pages are
+/// shared between the leaves a key split made, so a leaf's chain is
+/// always read through these bounds.
+pub(crate) struct LeafSpan {
+    pub id: PageId,
+    pub low: Vec<u8>,
+    pub upper: Option<Vec<u8>>,
 }
 
-/// One committed version emitted by a time-range scan
-/// (`versions_between`). Uncommitted versions never appear.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TemporalVersion {
-    pub key: Vec<u8>,
-    /// Commit timestamp of this version.
-    pub ts: Timestamp,
-    /// `None` marks a delete tombstone.
-    pub data: Option<Vec<u8>>,
-}
-
-/// Collect the committed versions of slot `i` relevant to the time
-/// window `[lo, hi]`: every version with `lo <= ts <= hi`, plus the
-/// newest version below `lo` (the *base* — the state a reader at `lo`
-/// would see). Chains are newest-first, so the walk stops at the first
-/// below-window version. Unresolved (still-active) versions are skipped.
-/// Walks with a [`version::ChainWalker`] so delta-encoded records in
-/// historical pages materialize; returns the number of delta folds.
-pub fn collect_chain_window(
-    page: &Page,
-    i: usize,
-    lo: Timestamp,
-    hi: Timestamp,
-    resolver: &dyn TimestampResolver,
-    out: &mut Vec<TemporalVersion>,
-) -> Result<u64> {
-    let key = page.rec_key(page.slot(i)).to_vec();
-    let mut walker = version::ChainWalker::new(page, i);
-    while let Some(off) = walker.step()? {
-        let ts = if page.rec_is_tid_marked(off) {
-            match resolver.resolve(page.rec_tid(off)) {
-                Some(ts) => ts,
-                None => continue, // uncommitted: invisible to temporal reads
-            }
-        } else {
-            page.rec_timestamp(off)
-        };
-        if ts > hi {
-            continue;
+impl VersionCursor for BTree {
+    fn cursor(
+        &self,
+        q: &Query<'_>,
+        resolver: &dyn TimestampResolver,
+        visit: &mut Visitor<'_>,
+    ) -> Result<()> {
+        debug_assert!(self.versioned);
+        let _s = self.structure.read();
+        if let Some(key) = q.keys.as_point() {
+            let leaf = self.descend(key)?;
+            self.walk_leaf(leaf, (&[], None), q, resolver, visit)?;
+            return Ok(());
         }
-        out.push(TemporalVersion {
-            key: key.clone(),
-            ts,
-            data: if page.rec_is_stub(off) {
-                None
-            } else {
-                Some(walker.data().to_vec())
-            },
-        });
-        if ts < lo {
-            break; // base version collected; older ones are irrelevant
-        }
-    }
-    Ok(walker.folds)
-}
-
-/// Normalise raw time-range scan output: sort by `(key, ts)`, remove
-/// spanning duplicates (time splits copy the boundary version into both
-/// the history and the current page), and trim each key's below-window
-/// versions to just the newest one (the base). Result is key-ascending,
-/// oldest version first within a key.
-pub fn trim_version_window(mut raw: Vec<TemporalVersion>, lo: Timestamp) -> Vec<TemporalVersion> {
-    raw.sort_by(|a, b| a.key.cmp(&b.key).then(b.ts.cmp(&a.ts)));
-    raw.dedup_by(|a, b| a.key == b.key && a.ts == b.ts);
-    let mut out = Vec::with_capacity(raw.len());
-    let mut i = 0;
-    while i < raw.len() {
-        let start = i;
-        while i < raw.len() && raw[i].key == raw[start].key {
-            i += 1;
-        }
-        // Newest-first group: keep in-window versions and one base.
-        let mut kept: Vec<TemporalVersion> = Vec::new();
-        for v in &raw[start..i] {
-            let below = v.ts < lo;
-            kept.push(v.clone());
-            if below {
+        for span in self.leaves_in(&q.keys)? {
+            let leaf = self.pool.fetch(span.id)?;
+            let bounds = (span.low.as_slice(), span.upper.as_deref());
+            if self.walk_leaf(leaf, bounds, q, resolver, visit)? == Flow::Stop {
                 break;
             }
         }
-        kept.reverse();
-        out.extend(kept);
+        Ok(())
     }
-    out
 }
 
 impl BTree {
@@ -181,73 +118,6 @@ impl BTree {
                 Visible::Deleted | Visible::NotHere => None,
             }
         }))
-    }
-
-    /// Read the version of `key` current AS OF `as_of`. Historical (AS OF)
-    /// queries pass `own_tid = None`; snapshot-isolation reads pass their
-    /// TID so their own uncommitted writes stay visible.
-    pub fn get_as_of(
-        &self,
-        key: &[u8],
-        as_of: Timestamp,
-        own_tid: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>> {
-        debug_assert!(self.versioned);
-        let metrics = self.pool.metrics();
-        let _s = self.structure.read();
-        let frame = self.descend(key)?;
-        // One optimistic step per page of the chain. `Hop` carries the
-        // next history page to follow; `Done` the answer. Errors ride in
-        // `Done` so a torn optimistic observation (which can make delta
-        // folding fail spuriously) is discarded by seqlock validation
-        // before it can surface.
-        enum Step {
-            Done(Result<Option<(Vec<u8>, u64)>>),
-            Hop(PageId),
-        }
-        let step = frame.read_optimistic(metrics, |g| {
-            // Own uncommitted versions live ONLY in the current page (time
-            // splits keep them there, case 4), so an own write must be
-            // found here even when a concurrent time split pushed the
-            // page's start past the reader's snapshot.
-            if let Some(own) = own_tid {
-                if let Ok(i) = g.find_slot(key) {
-                    if chain_has_own(g, i, own) {
-                        return Step::Done(lookup_in_page(g, key, as_of, own_tid, resolver));
-                    }
-                }
-            }
-            if as_of >= g.start_ts() {
-                return Step::Done(lookup_in_page(g, key, as_of, own_tid, resolver));
-            }
-            Step::Hop(g.history_page())
-        });
-        let mut hist = match step {
-            Step::Done(r) => return r.map(|v| count_folds(metrics, v)),
-            Step::Hop(h) => h,
-        };
-        // History pages are near-immutable once carved off by a time
-        // split — only the background compactor (which excludes readers
-        // via the structure write latch) ever rewrites one — so
-        // optimistic reads here essentially never retry.
-        while hist.is_valid() {
-            metrics.tree.asof_hops.inc();
-            let hframe = self.pool.fetch(hist)?;
-            let step = hframe.read_optimistic(metrics, |hg| {
-                if as_of >= hg.start_ts() {
-                    Step::Done(lookup_in_page(hg, key, as_of, own_tid, resolver))
-                } else {
-                    Step::Hop(hg.history_page())
-                }
-            });
-            match step {
-                Step::Done(r) => return r.map(|v| count_folds(metrics, v)),
-                Step::Hop(h) => hist = h,
-            }
-        }
-        // Requested time precedes all recorded history.
-        Ok(None)
     }
 
     /// Eager-timestamping baseline: stamp all of `tid`'s versions in
@@ -306,35 +176,6 @@ impl BTree {
         Ok(n)
     }
 
-    /// Full AS OF table scan. Leaves are enumerated with their *true* low
-    /// separators (from the index structure) so that history pages shared
-    /// between sibling leaves after key splits contribute each key exactly
-    /// once.
-    pub fn scan_as_of(
-        &self,
-        as_of: Timestamp,
-        own_tid: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<ScanItem>> {
-        let _s = self.structure.read();
-        let leaves = self.leaves_with_bounds()?;
-        let mut out = Vec::new();
-        for (idx, (leaf_id, low)) in leaves.iter().enumerate() {
-            let upper: Option<&[u8]> = leaves.get(idx + 1).map(|(_, k)| k.as_slice());
-            self.emit_leaf_as_of(*leaf_id, as_of, low, upper, own_tid, resolver, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// Scan current data (versioned tree).
-    pub fn scan_current(
-        &self,
-        own_tid: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<ScanItem>> {
-        self.scan_as_of(Timestamp::MAX, own_tid, resolver)
-    }
-
     /// Scan a conventional (unversioned) table.
     pub fn u_scan(&self) -> Result<Vec<ScanItem>> {
         debug_assert!(!self.versioned);
@@ -359,119 +200,6 @@ impl BTree {
         }
     }
 
-    /// Complete version history of `key`, newest first, across the
-    /// current page and its entire history chain. Spanning versions
-    /// (copied redundantly by time splits) are deduplicated by timestamp.
-    pub fn history_of(
-        &self,
-        key: &[u8],
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<HistoryVersion>> {
-        debug_assert!(self.versioned);
-        let _s = self.structure.read();
-        let frame = self.descend(key)?;
-        let mut out: Vec<HistoryVersion> = Vec::new();
-        let mut page_id = frame.page_id();
-        let mut last_ts: Option<Timestamp> = None;
-        loop {
-            let f = self.pool.fetch(page_id)?;
-            let g = f.read();
-            if let Ok(i) = g.find_slot(key) {
-                let mut walker = version::ChainWalker::new(&g, i);
-                while let Some(off) = walker.step()? {
-                    let (ts, tid) = if g.rec_is_tid_marked(off) {
-                        match resolver.resolve(g.rec_tid(off)) {
-                            Some(ts) => (Some(ts), None),
-                            None => (None, Some(g.rec_tid(off))),
-                        }
-                    } else {
-                        (Some(g.rec_timestamp(off)), None)
-                    };
-                    if ts.is_some() && ts == last_ts {
-                        continue; // spanning duplicate
-                    }
-                    if let Some(t) = ts {
-                        last_ts = Some(t);
-                    }
-                    out.push(HistoryVersion {
-                        ts,
-                        tid,
-                        data: if g.rec_is_stub(off) {
-                            None
-                        } else {
-                            Some(walker.data().to_vec())
-                        },
-                    });
-                }
-                if walker.folds > 0 {
-                    self.pool.metrics().version.delta_folds.add(walker.folds);
-                }
-            }
-            let hist = g.history_page();
-            if !hist.is_valid() {
-                self.pool
-                    .metrics()
-                    .tree
-                    .version_chain_len
-                    .observe(out.len() as u64);
-                return Ok(out);
-            }
-            page_id = hist;
-        }
-    }
-
-    /// Time-range scan over the page chains: every committed version with
-    /// a commit timestamp in `[lo, hi]`, plus each key's base version
-    /// (newest below `lo`), across the whole tree. Each leaf's history
-    /// chain is walked once, stopping at the first page whose time range
-    /// covers `lo` — pages older than that cannot contribute.
-    pub fn versions_between(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<TemporalVersion>> {
-        debug_assert!(self.versioned);
-        let _s = self.structure.read();
-        let leaves = self.leaves_with_bounds()?;
-        let mut raw = Vec::new();
-        for (idx, (leaf_id, low)) in leaves.iter().enumerate() {
-            let upper: Option<&[u8]> = leaves.get(idx + 1).map(|(_, k)| k.as_slice());
-            let mut page_id = *leaf_id;
-            loop {
-                let frame = self.pool.fetch(page_id)?;
-                let g = frame.read();
-                for i in 0..g.slot_count() {
-                    let off = g.slot(i);
-                    let key = g.rec_key(off);
-                    if key < low.as_slice() {
-                        continue;
-                    }
-                    if let Some(up) = upper {
-                        if key >= up {
-                            break;
-                        }
-                    }
-                    let folds = collect_chain_window(&g, i, lo, hi, resolver, &mut raw)?;
-                    if folds > 0 {
-                        self.pool.metrics().version.delta_folds.add(folds);
-                    }
-                }
-                // The page covering `lo` holds every base version; older
-                // chain pages cannot contribute to the window.
-                let done = g.start_ts() <= lo;
-                let hist = g.history_page();
-                drop(g);
-                if done || !hist.is_valid() {
-                    break;
-                }
-                self.pool.metrics().tree.asof_hops.inc();
-                page_id = hist;
-            }
-        }
-        Ok(trim_version_window(raw, lo))
-    }
-
     /// Storage statistics over the *current* leaves, for the
     /// utilization-vs-threshold ablation (the §3.3 claim that a key-split
     /// threshold *T* yields single-time-slice utilization ≈ T·ln 2).
@@ -481,8 +209,8 @@ impl BTree {
         let mut util_sum = 0.0;
         let mut slice_bytes = 0usize;
         let mut history = std::collections::HashSet::new();
-        for (leaf_id, _) in &leaves {
-            let frame = self.pool.fetch(*leaf_id)?;
+        for leaf in &leaves {
+            let frame = self.pool.fetch(leaf.id)?;
             let g = frame.read();
             util_sum += g.utilization();
             // The "current time slice": the newest live version of each
@@ -522,8 +250,8 @@ impl BTree {
         let _s = self.structure.read();
         let leaves = self.leaves_with_bounds()?;
         let mut stamped = 0u64;
-        for (leaf_id, _) in leaves {
-            let frame = self.pool.fetch(leaf_id)?;
+        for leaf in leaves {
+            let frame = self.pool.fetch(leaf.id)?;
             let mut g = frame.write();
             let counts = version::stamp_committed(&mut g, resolver);
             if !counts.is_empty() {
@@ -538,11 +266,16 @@ impl BTree {
         Ok(stamped)
     }
 
-    /// All current leaves, left to right, each with its true low
-    /// separator key (empty = unbounded).
-    pub(crate) fn leaves_with_bounds(&self) -> Result<Vec<(PageId, Vec<u8>)>> {
+    /// All current leaves, left to right.
+    pub(crate) fn leaves_with_bounds(&self) -> Result<Vec<LeafSpan>> {
+        self.leaves_in(&KeyRange::ALL)
+    }
+
+    /// The current leaves whose key region can hold a key of `keys`,
+    /// left to right.
+    fn leaves_in(&self, keys: &KeyRange<'_>) -> Result<Vec<LeafSpan>> {
         let mut out = Vec::new();
-        self.collect_leaves(self.root(), Vec::new(), &mut out)?;
+        self.collect_leaves(self.root(), Vec::new(), None, keys, &mut out)?;
         Ok(out)
     }
 
@@ -550,27 +283,42 @@ impl BTree {
         &self,
         page_id: PageId,
         low: Vec<u8>,
-        out: &mut Vec<(PageId, Vec<u8>)>,
+        upper: Option<Vec<u8>>,
+        keys: &KeyRange<'_>,
+        out: &mut Vec<LeafSpan>,
     ) -> Result<()> {
         let frame = self.pool.fetch(page_id)?;
         let g = frame.read();
         match g.page_type()? {
             PageType::Leaf => {
-                out.push((page_id, low));
+                out.push(LeafSpan {
+                    id: page_id,
+                    low,
+                    upper,
+                });
                 Ok(())
             }
             PageType::Index => {
+                // Child `i` covers [its entry key (the node's low for the
+                // first), the next entry's key (the node's upper for the
+                // last)).
                 let n = g.slot_count();
-                let children: Vec<(Vec<u8>, PageId)> = (0..n)
-                    .map(|i| {
-                        let off = g.slot(i);
-                        (g.rec_key(off).to_vec(), BTree::index_child(&g, i))
-                    })
-                    .collect();
+                let entry_key = |i: usize| g.rec_key(g.slot(i)).to_vec();
+                let mut children = Vec::new();
+                for i in 0..n {
+                    let child_low = if i == 0 { low.clone() } else { entry_key(i) };
+                    let child_upper = if i + 1 < n {
+                        Some(entry_key(i + 1))
+                    } else {
+                        upper.clone()
+                    };
+                    if keys.overlaps(&child_low, child_upper.as_deref()) {
+                        children.push((BTree::index_child(&g, i), child_low, child_upper));
+                    }
+                }
                 drop(g);
-                for (i, (entry_key, child)) in children.into_iter().enumerate() {
-                    let child_low = if i == 0 { low.clone() } else { entry_key };
-                    self.collect_leaves(child, child_low, out)?;
+                for (child, child_low, child_upper) in children {
+                    self.collect_leaves(child, child_low, child_upper, keys, out)?;
                 }
                 Ok(())
             }
@@ -580,142 +328,67 @@ impl BTree {
         }
     }
 
-    /// Emit all keys of `leaf` (or the history page covering `as_of`)
-    /// within `[low, upper)` that have a visible version at `as_of`.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_leaf_as_of(
+    /// The cursor over one leaf's history chain, for the keys of
+    /// `bounds`. Seeks by header peek to the newest page whose time
+    /// range reaches `q.hi`, then reads pages until one reaches back to
+    /// `q.lo`: the pages whose `[start_ts, end_ts)` intersect the window.
+    fn walk_leaf(
         &self,
-        leaf_id: PageId,
-        as_of: Timestamp,
-        low: &[u8],
-        upper: Option<&[u8]>,
-        own_tid: Option<Tid>,
+        leaf: FrameRef,
+        bounds: (&[u8], Option<&[u8]>),
+        q: &Query<'_>,
         resolver: &dyn TimestampResolver,
-        out: &mut Vec<ScanItem>,
-    ) -> Result<()> {
-        // Keys whose OWN uncommitted version (visible regardless of the
-        // page time range) was already emitted from the current leaf.
-        let mut own_emitted: Vec<Vec<u8>> = Vec::new();
-        if let Some(own) = own_tid {
-            let frame = self.pool.fetch(leaf_id)?;
-            let g = frame.read();
-            if as_of < g.start_ts() {
-                // The scan will route to history below; surface own
-                // writes (and own deletes) from the current page first.
-                for i in 0..g.slot_count() {
-                    let off = g.slot(i);
-                    let key = g.rec_key(off);
-                    if key < low {
-                        continue;
-                    }
-                    if let Some(up) = upper {
-                        if key >= up {
-                            break;
-                        }
-                    }
-                    if chain_has_own(&g, i, own) {
-                        own_emitted.push(key.to_vec());
-                        if let Visible::Version(voff) =
-                            version::visible_as_of(&g, i, as_of, own_tid, resolver)
-                        {
-                            out.push(ScanItem {
-                                key: key.to_vec(),
-                                data: g.rec_data(voff).to_vec(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let mut page_id = leaf_id;
-        loop {
-            let frame = self.pool.fetch(page_id)?;
-            let g = frame.read();
-            if as_of >= g.start_ts() {
-                for i in 0..g.slot_count() {
-                    let off = g.slot(i);
-                    let key = g.rec_key(off);
-                    if key < low {
-                        continue;
-                    }
-                    if let Some(up) = upper {
-                        if key >= up {
-                            break;
-                        }
-                    }
-                    if own_emitted.iter().any(|k| k.as_slice() == key) {
-                        continue;
-                    }
-                    if let Visible::Version(voff) =
-                        version::visible_as_of(&g, i, as_of, own_tid, resolver)
-                    {
-                        let (data, folds) = version::materialize_at(&g, i, voff)?;
-                        if folds > 0 {
-                            self.pool.metrics().version.delta_folds.add(folds);
-                        }
-                        out.push(ScanItem {
-                            key: key.to_vec(),
-                            data,
-                        });
-                    }
-                }
-                // Keep key order deterministic when the own-write pass
-                // prepended items.
-                if !own_emitted.is_empty() {
-                    out.sort_by(|a, b| a.key.cmp(&b.key));
-                }
-                return Ok(());
-            }
-            let hist = g.history_page();
+        visit: &mut Visitor<'_>,
+    ) -> Result<Flow> {
+        let metrics = self.pool.metrics();
+        let mut hdr = leaf.peek_header(metrics);
+        // Uncommitted versions live ONLY in the current page (time splits
+        // keep them there, case 4), so a reader that wants them consults
+        // the leaf even when the window lies wholly in its history.
+        let leaf_for_uncommitted = q.uncommitted && q.hi < hdr.start_ts();
+        let mut page = Some(leaf.clone());
+        while q.hi < hdr.start_ts() {
+            let hist = hdr.history_page();
             if !hist.is_valid() {
-                if !own_emitted.is_empty() {
-                    out.sort_by(|a, b| a.key.cmp(&b.key));
-                }
-                return Ok(()); // nothing recorded this far back
+                page = None; // the window precedes all recorded history
+                break;
             }
-            self.pool.metrics().tree.asof_hops.inc();
-            page_id = hist;
+            metrics.tree.asof_hops.inc();
+            let frame = self.pool.fetch(hist)?;
+            hdr = frame.peek_header(metrics);
+            page = Some(frame);
         }
-    }
-}
-
-/// Does the chain at slot `i` contain a version TID-marked by `own`?
-fn chain_has_own(page: &Page, i: usize, own: Tid) -> bool {
-    version::chain_offsets(page, i)
-        .iter()
-        .any(|&off| page.rec_is_tid_marked(off) && page.rec_tid(off) == own)
-}
-
-/// Point lookup within a single (current or historical) page. Returns
-/// the materialized data plus the number of delta folds the
-/// materialization performed (0 for full records).
-fn lookup_in_page(
-    page: &Page,
-    key: &[u8],
-    as_of: Timestamp,
-    own_tid: Option<Tid>,
-    resolver: &dyn TimestampResolver,
-) -> Result<Option<(Vec<u8>, u64)>> {
-    let Ok(i) = page.find_slot(key) else {
-        return Ok(None);
-    };
-    match version::visible_as_of(page, i, as_of, own_tid, resolver) {
-        Visible::Version(off) => Some(version::materialize_at(page, i, off)).transpose(),
-        Visible::Deleted | Visible::NotHere => Ok(None),
-    }
-}
-
-/// Record delta folds from a [`lookup_in_page`] result and strip the
-/// fold count off. (Recorded outside the optimistic closure so retried
-/// attempts don't double-count.)
-fn count_folds(
-    metrics: &immortaldb_obs::MetricsRegistry,
-    v: Option<(Vec<u8>, u64)>,
-) -> Option<Vec<u8>> {
-    v.map(|(data, folds)| {
-        if folds > 0 {
-            metrics.version.delta_folds.add(folds);
+        // One page answers (every instant read, and a window a single
+        // page spans): stream from it. `hdr` is stable under the
+        // structure latch — only splits and compaction rewrite headers.
+        let reaches_lo = hdr.start_ts() <= q.lo || !hdr.history_page().is_valid();
+        match &page {
+            Some(frame) if reaches_lo && !leaf_for_uncommitted => {
+                return frame.read_optimistic(metrics, |g| {
+                    visit_page(g, q, bounds, true, resolver, metrics, visit)
+                });
+            }
+            _ => {}
         }
-        data
-    })
+        // Several pages hold versions of the same keys: gather, then
+        // replay in cursor order.
+        let mut buf = VersionBuffer::default();
+        if leaf_for_uncommitted {
+            leaf.read_optimistic(metrics, |g| {
+                visit_page(g, q, bounds, false, resolver, metrics, &mut buf.collect())
+            })?;
+        }
+        while let Some(frame) = page {
+            let (start, hist) = frame.read_optimistic(metrics, |g| {
+                visit_page(g, q, bounds, true, resolver, metrics, &mut buf.collect())
+                    .map(|_| (g.start_ts(), g.history_page()))
+            })?;
+            if start <= q.lo || !hist.is_valid() {
+                break;
+            }
+            metrics.tree.asof_hops.inc();
+            page = Some(self.pool.fetch(hist)?);
+        }
+        buf.replay(q.lo, visit)
+    }
 }

@@ -12,6 +12,7 @@ use immortaldb_storage::disk::DiskManager;
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
+use crate::cursor::{KeyRange, VersionCursor};
 use crate::tree::{BTree, HeadVersion, SplitTimeSource};
 
 /// Resolver + split-time source for tests: commits are registered
@@ -271,7 +272,9 @@ fn key_splits_preserve_order_and_content() {
     }
     let (_, key_splits) = t.split_counts();
     assert!(key_splits > 0, "expected key splits for 300 x 300B records");
-    let items = t.scan_current(None, env.auth.as_ref()).unwrap();
+    let items = t
+        .scan_current(KeyRange::ALL, None, env.auth.as_ref())
+        .unwrap();
     assert_eq!(items.len(), n as usize);
     for w in items.windows(2) {
         assert!(w[0].key < w[1].key, "scan must be key-ordered");
@@ -343,18 +346,24 @@ fn scan_as_of_reconstructs_past_states() {
         .unwrap();
     }
     // As of time 15.5: keys 0..=14 exist with "a" values.
-    let items = t.scan_as_of(ts(15, 5), None, env.auth.as_ref()).unwrap();
+    let items = t
+        .scan_as_of(KeyRange::ALL, ts(15, 5), None, env.auth.as_ref())
+        .unwrap();
     assert_eq!(items.len(), 15);
     for (i, item) in items.iter().enumerate() {
         assert_eq!(item.data, format!("a{i}").into_bytes());
     }
     // As of time 114.5: all 30 keys, first 15 updated.
-    let items = t.scan_as_of(ts(114, 5), None, env.auth.as_ref()).unwrap();
+    let items = t
+        .scan_as_of(KeyRange::ALL, ts(114, 5), None, env.auth.as_ref())
+        .unwrap();
     assert_eq!(items.len(), 30);
     assert_eq!(items[14].data, b"b14".to_vec());
     assert_eq!(items[15].data, b"a15".to_vec());
     // Current state: all "b".
-    let items = t.scan_current(None, env.auth.as_ref()).unwrap();
+    let items = t
+        .scan_current(KeyRange::ALL, None, env.auth.as_ref())
+        .unwrap();
     assert_eq!(items.len(), 30);
     assert!(items
         .iter()
@@ -414,7 +423,12 @@ fn scan_as_of_with_shared_history_after_key_splits() {
     // As of the end of the insert phase: every key with its "i" value,
     // exactly once.
     let items = t
-        .scan_as_of(ts(t_after_insert, 5), None, env.auth.as_ref())
+        .scan_as_of(
+            KeyRange::ALL,
+            ts(t_after_insert, 5),
+            None,
+            env.auth.as_ref(),
+        )
         .unwrap();
     assert_eq!(items.len(), n as usize);
     let mut seen = std::collections::HashSet::new();
@@ -425,7 +439,7 @@ fn scan_as_of_with_shared_history_after_key_splits() {
     // As of round-3 completion.
     let t_round3 = t_after_insert + 4 * n;
     let items = t
-        .scan_as_of(ts(t_round3, 5), None, env.auth.as_ref())
+        .scan_as_of(KeyRange::ALL, ts(t_round3, 5), None, env.auth.as_ref())
         .unwrap();
     assert_eq!(items.len(), n as usize);
     for (i, item) in items.iter().enumerate() {
@@ -562,16 +576,21 @@ fn leaves_with_bounds_are_ordered_separators() {
     }
     let leaves = t.leaves_with_bounds().unwrap();
     assert!(leaves.len() > 1);
-    assert!(leaves[0].1.is_empty(), "first leaf unbounded below");
+    assert!(leaves[0].low.is_empty(), "first leaf unbounded below");
+    assert!(
+        leaves.last().unwrap().upper.is_none(),
+        "last unbounded above"
+    );
     for w in leaves.windows(2) {
-        assert!(w[0].1 < w[1].1, "separators strictly increasing");
+        assert!(w[0].low < w[1].low, "separators strictly increasing");
+        assert_eq!(w[0].upper.as_ref(), Some(&w[1].low), "regions tile");
     }
     // Each leaf's first key >= its separator.
-    for (id, low) in &leaves {
-        let frame = env.pool.fetch(*id).unwrap();
+    for leaf in &leaves {
+        let frame = env.pool.fetch(leaf.id).unwrap();
         let g = frame.read();
         if g.slot_count() > 0 {
-            assert!(g.rec_key(g.slot(0)) >= low.as_slice());
+            assert!(g.rec_key(g.slot(0)) >= leaf.low.as_slice());
         }
     }
 }
@@ -630,7 +649,9 @@ fn model_check_as_of_queries() {
             assert_eq!(got.as_ref(), snap.get(&k), "key {k} as of step {step}");
         }
         // Full scan must equal the model exactly.
-        let items = t.scan_as_of(as_of, None, env.auth.as_ref()).unwrap();
+        let items = t
+            .scan_as_of(KeyRange::ALL, as_of, None, env.auth.as_ref())
+            .unwrap();
         assert_eq!(items.len(), snap.len(), "scan size as of step {step}");
         for item in items {
             let k = immortaldb_common::codec::u64_from_key(&item.key).unwrap();
@@ -689,7 +710,7 @@ fn own_writes_survive_concurrent_time_split() {
     assert_eq!(got, Some(b"mine".to_vec()), "own write visible after split");
     // And through a scan.
     let items = t
-        .scan_as_of(snapshot, Some(Tid(500)), env.auth.as_ref())
+        .scan_as_of(KeyRange::ALL, snapshot, Some(Tid(500)), env.auth.as_ref())
         .unwrap();
     let mine = items
         .iter()

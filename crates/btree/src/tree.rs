@@ -235,19 +235,19 @@ impl BTree {
         let mut page_id = self.root();
         loop {
             let frame = self.pool.fetch(page_id)?;
-            // Optimistic step: validate the version counter around a
-            // latch-free copy; a racing split retries or falls back.
-            let step = frame.read_optimistic(metrics, |g| match g.page_type()? {
-                PageType::Leaf => Ok(None),
-                PageType::Index => Ok(Some(Self::pick_child(g, key)?)),
-                other => Err(Error::Corruption(format!(
-                    "descent hit {other:?} page {page_id:?}"
-                ))),
-            })?;
-            match step {
-                None => return Ok(frame),
-                Some(child) => page_id = child,
-            }
+            // The header says whether this is the leaf; only an index
+            // page is worth the full optimistic copy (validate the
+            // version counter around a latch-free copy; a racing split
+            // retries or falls back).
+            page_id = match frame.peek_header(metrics).page_type()? {
+                PageType::Leaf => return Ok(frame),
+                PageType::Index => frame.read_optimistic(metrics, |g| Self::pick_child(g, key))?,
+                other => {
+                    return Err(Error::Corruption(format!(
+                        "descent hit {other:?} page {page_id:?}"
+                    )))
+                }
+            };
         }
     }
 

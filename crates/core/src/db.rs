@@ -9,7 +9,10 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use immortaldb_btree::{BTree, CompactionStats, HeadVersion, HistoryStats, SplitTimeSource};
+use immortaldb_btree::{
+    BTree, CompactionStats, Flow, HeadVersion, HistoryStats, KeyRange, Query, SplitTimeSource,
+    TemporalVersion, VersionCursor,
+};
 use immortaldb_common::{
     Clock, Error, Lsn, PageId, Result, SystemClock, Tid, Timestamp, TreeId, NULL_LSN,
 };
@@ -28,11 +31,9 @@ use immortaldb_txn::{
 
 use crate::catalog::{snapshot_key, SnapshotDef, TableDef, TableKind, SNAPSHOT_KEY_PREFIX};
 use crate::index::{IndexKind, TableIndex};
-use crate::row::{Schema, Value};
-use crate::temporal::{self, DiffRow};
+use crate::row::{PkBounds, Pushdown, Schema, Value};
+use crate::temporal::{self, DiffOp, DiffRow};
 use crate::txn::{Isolation, TimestampingMode, Transaction};
-
-use immortaldb_btree::TemporalVersion;
 
 /// Engine configuration.
 pub struct DbConfig {
@@ -1213,69 +1214,141 @@ impl Database {
         pk: &Value,
     ) -> Result<Option<Vec<Value>>> {
         let def = self.table(table)?;
-        let pk = pk.coerce(def.schema.columns[def.schema.pk].ctype)?;
-        let key = crate::row::encode_key(&pk)?;
-        let handle = self.tree_handle(def.tree)?;
-        let data = if let Some(as_of) = txn.as_of {
-            self.check_as_of_allowed(&def)?;
-            handle.get_as_of(&key, as_of, None, self.resolver.as_ref())?
-        } else if def.kind.is_versioned() {
-            match txn.isolation {
-                Isolation::Serializable => {
-                    self.locks.lock_read(txn.tid, def.tree, &key)?;
-                    handle.get_current(&key, Some(txn.tid), self.resolver.as_ref())?
-                }
-                Isolation::Snapshot => {
-                    handle.get_as_of(&key, txn.snapshot, Some(txn.tid), self.resolver.as_ref())?
-                }
-            }
-        } else {
-            if txn.isolation == Isolation::Serializable {
-                self.locks.lock_read(txn.tid, def.tree, &key)?;
-            }
-            handle.u_get(&key)?
-        };
-        if def.kind.is_versioned() && (txn.as_of.is_some() || txn.isolation == Isolation::Snapshot)
-        {
-            self.tap_read(txn, def.tree, &key, data.as_deref());
-        }
-        data.map(|d| def.schema.decode_row(&d)).transpose()
+        let bounds = PkBounds::point(&def.schema, pk)?;
+        let mut row = None;
+        self.visit_table_rows(txn, &def, &bounds, &mut |r| {
+            row = Some(r);
+            Ok(())
+        })?;
+        Ok(row)
     }
 
     /// Full-table scan (current, snapshot, or AS OF depending on the
     /// transaction).
     pub fn scan_rows(&self, txn: &mut Transaction, table: &str) -> Result<Vec<Vec<Value>>> {
+        self.scan_rows_in(txn, table, &PkBounds::all())
+    }
+
+    /// The rows of `table` visible to `txn` whose primary key lies in
+    /// `bounds`, key-ordered.
+    pub fn scan_rows_in(
+        &self,
+        txn: &mut Transaction,
+        table: &str,
+        bounds: &PkBounds,
+    ) -> Result<Vec<Vec<Value>>> {
+        let mut rows = Vec::new();
+        self.visit_rows(txn, table, bounds, &mut |r| {
+            rows.push(r);
+            Ok(())
+        })?;
+        Ok(rows)
+    }
+
+    /// Feed `visit` every row of `table` visible to `txn` (current,
+    /// snapshot, or AS OF depending on the transaction) whose primary key
+    /// lies in `bounds`, key-ordered, each decoded straight from the
+    /// record the index cursor stands on. Work is proportional to the
+    /// keys in `bounds`, not to the table.
+    pub fn visit_rows(
+        &self,
+        txn: &mut Transaction,
+        table: &str,
+        bounds: &PkBounds,
+        visit: &mut dyn FnMut(Vec<Value>) -> Result<()>,
+    ) -> Result<()> {
         let def = self.table(table)?;
+        self.visit_table_rows(txn, &def, bounds, visit)
+    }
+
+    fn visit_table_rows(
+        &self,
+        txn: &mut Transaction,
+        def: &TableDef,
+        bounds: &PkBounds,
+        visit: &mut dyn FnMut(Vec<Value>) -> Result<()>,
+    ) -> Result<()> {
         let handle = self.tree_handle(def.tree)?;
-        let items = if let Some(as_of) = txn.as_of {
-            self.check_as_of_allowed(&def)?;
-            handle.scan_as_of(as_of, None, self.resolver.as_ref())?
-        } else if def.kind.is_versioned() {
-            match txn.isolation {
-                Isolation::Serializable => {
-                    self.locks.lock_scan(txn.tid, def.tree)?;
-                    handle.scan_current(Some(txn.tid), self.resolver.as_ref())?
-                }
-                Isolation::Snapshot => {
-                    handle.scan_as_of(txn.snapshot, Some(txn.tid), self.resolver.as_ref())?
-                }
+        let keys = bounds.as_range();
+        self.count_pushdown(bounds);
+        let versioned = def.kind.is_versioned();
+        // What the transaction reads: an instant, plus its own writes.
+        let (at, own) = match (txn.as_of, txn.isolation) {
+            (Some(as_of), _) => {
+                self.check_as_of_allowed(def)?;
+                (as_of, None)
             }
-        } else {
-            if txn.isolation == Isolation::Serializable {
-                self.locks.lock_scan(txn.tid, def.tree)?;
+            (None, Isolation::Snapshot) if versioned => (txn.snapshot, Some(txn.tid)),
+            (None, isolation) => {
+                if isolation == Isolation::Serializable {
+                    match keys.as_point() {
+                        Some(key) => self.locks.lock_read(txn.tid, def.tree, key)?,
+                        None => self.locks.lock_scan(txn.tid, def.tree)?,
+                    }
+                }
+                (Timestamp::MAX, Some(txn.tid))
             }
-            handle.u_scan()?
         };
-        if def.kind.is_versioned() && (txn.as_of.is_some() || txn.isolation == Isolation::Snapshot)
-        {
-            for item in &items {
-                self.tap_read(txn, def.tree, &item.key, Some(&item.data));
+        // Snapshot-governed reads feed the sentinel; serializable reads
+        // observe the locked current state, which the begin snapshot says
+        // nothing about.
+        let tapped = versioned && (txn.as_of.is_some() || txn.isolation == Isolation::Snapshot);
+        let mut found = false;
+        let mut emit = |key: &[u8], data: &[u8]| -> Result<()> {
+            found = true;
+            if tapped {
+                self.tap_read(txn, def.tree, key, Some(data));
+            }
+            visit(def.schema.decode_row(data)?)
+        };
+        match keys.as_point() {
+            Some(key) if !versioned => {
+                if let Some(data) = handle.u_get(key)? {
+                    emit(key, &data)?;
+                }
+            }
+            // A serializable point read is the paper's read trigger: it
+            // may stamp the chain head, which the cursor never does.
+            Some(key) if at == Timestamp::MAX => {
+                if let Some(data) = handle.get_current(key, own, self.resolver.as_ref())? {
+                    emit(key, &data)?;
+                }
+            }
+            _ if !versioned => {
+                for item in handle.u_scan()? {
+                    if keys.contains(&item.key) {
+                        emit(&item.key, &item.data)?;
+                    }
+                }
+            }
+            _ => {
+                let q = Query::instant(keys, at, own);
+                handle.cursor(&q, self.resolver.as_ref(), &mut |v| {
+                    if !v.governs(own) {
+                        return Ok(Flow::Continue);
+                    }
+                    if let Some(data) = v.data {
+                        emit(v.key, data)?;
+                    }
+                    Ok(Flow::NextKey)
+                })?;
             }
         }
-        items
-            .into_iter()
-            .map(|item| def.schema.decode_row(&item.data))
-            .collect()
+        if let Some(key) = keys.as_point() {
+            if tapped && !found {
+                self.tap_read(txn, def.tree, key, None);
+            }
+        }
+        Ok(())
+    }
+
+    fn count_pushdown(&self, bounds: &PkBounds) {
+        let m = &self.metrics().temporal;
+        match bounds.pushdown() {
+            Pushdown::Point => m.pushdown_point.inc(),
+            Pushdown::Range => m.pushdown_range.inc(),
+            Pushdown::None => m.pushdown_none.inc(),
+        }
     }
 
     fn check_as_of_allowed(&self, def: &TableDef) -> Result<()> {
@@ -1299,11 +1372,12 @@ impl Database {
     ) -> Result<Vec<(Option<Timestamp>, Option<Vec<Value>>)>> {
         let def = self.table(table)?;
         self.check_as_of_allowed(&def)?;
-        let pk = pk.coerce(def.schema.columns[def.schema.pk].ctype)?;
-        let key = crate::row::encode_key(&pk)?;
+        let bounds = PkBounds::point(&def.schema, pk)?;
+        self.count_pushdown(&bounds);
+        let key = bounds.as_range().as_point().expect("point bounds");
         let handle = self.tree_handle(def.tree)?;
         handle
-            .history_of(&key, self.resolver.as_ref())?
+            .history_of(key, self.resolver.as_ref())?
             .into_iter()
             .map(|v| {
                 let row = v.data.map(|d| def.schema.decode_row(&d)).transpose()?;
@@ -1314,19 +1388,31 @@ impl Database {
 
     /// `SELECT … VERSIONS BETWEEN`: every committed version of `table`
     /// whose timestamp falls in `[lo, hi]`, key-ascending then
-    /// timestamp-ascending, delete tombstones included. Executes as one
-    /// time-range index walk — on a TSB table the walk prunes key-time
-    /// rectangles against the window and visits each historical page
-    /// once; it is not a replay of per-timestamp AS OF lookups.
+    /// timestamp-ascending, delete tombstones included.
     pub fn versions_between(
         &self,
         table: &str,
         lo: Timestamp,
         hi: Timestamp,
     ) -> Result<Vec<TemporalVersion>> {
-        let (def, lo, hi) = self.temporal_window(table, lo, hi)?;
-        let handle = self.tree_handle(def.tree)?;
-        let out = temporal::in_window(handle.versions_between(lo, hi, self.resolver.as_ref())?, lo);
+        self.versions_between_in(table, &PkBounds::all(), lo, hi)
+    }
+
+    /// [`Self::versions_between`] for the primary keys in `bounds` only.
+    /// Executes as one key × time cursor walk: the TSB-tree prunes its
+    /// rectangles on both dimensions, the chain index reads only the
+    /// covering leaves' chain pages that intersect the window. It is not
+    /// a replay of per-timestamp AS OF lookups, and its cost does not
+    /// depend on the keys outside `bounds`.
+    pub fn versions_between_in(
+        &self,
+        table: &str,
+        bounds: &PkBounds,
+        lo: Timestamp,
+        hi: Timestamp,
+    ) -> Result<Vec<TemporalVersion>> {
+        let (versions, lo) = self.window_versions(table, bounds, lo, hi)?;
+        let out = temporal::in_window(versions, lo);
         self.metrics()
             .temporal
             .versions_returned
@@ -1335,15 +1421,43 @@ impl Database {
     }
 
     /// `DIFF TABLE … BETWEEN t1 AND t2`: the net change set between the
-    /// table's states at the two instants, folded from the same single
-    /// version-range walk `VERSIONS BETWEEN` uses.
+    /// table's states at the two instants, folded from the same cursor
+    /// walk `VERSIONS BETWEEN` uses.
     pub fn diff_table(&self, table: &str, t1: Timestamp, t2: Timestamp) -> Result<Vec<DiffRow>> {
-        let (def, t1, t2) = self.temporal_window(table, t1, t2)?;
-        let handle = self.tree_handle(def.tree)?;
-        let versions = handle.versions_between(t1, t2, self.resolver.as_ref())?;
+        self.diff_table_in(table, &PkBounds::all(), t1, t2)
+    }
+
+    /// [`Self::diff_table`] for the primary keys in `bounds` only.
+    pub fn diff_table_in(
+        &self,
+        table: &str,
+        bounds: &PkBounds,
+        t1: Timestamp,
+        t2: Timestamp,
+    ) -> Result<Vec<DiffRow>> {
+        let (versions, t1) = self.window_versions(table, bounds, t1, t2)?;
         let out = temporal::fold_diff(&versions, t1);
         self.metrics().temporal.diff_rows.add(out.len() as u64);
         Ok(out)
+    }
+
+    /// The cursor walk behind the temporal read surface: the versions of
+    /// `bounds` committed in `(lo, hi]` plus each key's state at `lo`,
+    /// after [`Self::temporal_window`] validated and clamped the window.
+    /// Also returns the effective `lo`.
+    fn window_versions(
+        &self,
+        table: &str,
+        bounds: &PkBounds,
+        lo: Timestamp,
+        hi: Timestamp,
+    ) -> Result<(Vec<TemporalVersion>, Timestamp)> {
+        let (def, lo, hi) = self.temporal_window(table, lo, hi)?;
+        self.count_pushdown(bounds);
+        let handle = self.tree_handle(def.tree)?;
+        let versions =
+            handle.versions_between(bounds.as_range(), lo, hi, self.resolver.as_ref())?;
+        Ok((versions, lo))
     }
 
     /// Shared validation for the temporal read surface: the table must
@@ -1618,38 +1732,32 @@ impl Database {
         let handle = self.tree_handle(def.tree)?;
         // Whole-table lock: the diff and the writes must see one state.
         self.locks.lock_scan(txn.tid, def.tree)?;
-        let old: HashMap<Vec<u8>, Vec<u8>> = handle
-            .scan_as_of(as_of, None, self.resolver.as_ref())?
-            .into_iter()
-            .map(|item| (item.key, item.data))
-            .collect();
-        let current = handle.scan_current(Some(txn.tid), self.resolver.as_ref())?;
-        let mut changed = 0;
-        let mut live_keys = std::collections::HashSet::new();
-        for item in &current {
-            live_keys.insert(item.key.clone());
-            match old.get(&item.key) {
-                Some(data) if *data == item.data => {}
-                Some(data) => {
-                    let values = def.schema.decode_row(data)?;
-                    self.update_row(txn, &def.name, values)?;
-                    changed += 1;
-                }
+        // Restoring is undoing the net change since `as_of`: one window
+        // walk from then to now, folded like DIFF, applied in reverse.
+        let versions = handle.versions_between(
+            KeyRange::ALL,
+            as_of,
+            Timestamp::MAX,
+            self.resolver.as_ref(),
+        )?;
+        let changes = temporal::fold_diff(&versions, as_of);
+        for change in &changes {
+            match &change.before {
                 None => {
-                    let row = def.schema.decode_row(&item.data)?;
-                    self.delete_row(txn, &def.name, &row[def.schema.pk])?;
-                    changed += 1;
+                    let pk = crate::row::decode_key(&change.key)?;
+                    self.delete_row(txn, &def.name, &pk)?;
+                }
+                Some(then) => {
+                    let values = def.schema.decode_row(then)?;
+                    if change.op == DiffOp::Delete {
+                        self.insert_row(txn, &def.name, values)?;
+                    } else {
+                        self.update_row(txn, &def.name, values)?;
+                    }
                 }
             }
         }
-        for (key, data) in &old {
-            if !live_keys.contains(key) {
-                let values = def.schema.decode_row(data)?;
-                self.insert_row(txn, &def.name, values)?;
-                changed += 1;
-            }
-        }
-        Ok(changed)
+        Ok(changes.len())
     }
 
     /// Flush everything and fsync (clean shutdown).

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use immortaldb_btree::{
-    BTree, CompactionStats, HeadVersion, HistoryStats, HistoryVersion, ScanItem, TemporalVersion,
+    BTree, CompactionStats, HistoryStats, Query, ScanItem, VersionCursor, Visitor,
 };
 use immortaldb_common::{Error, Lsn, PageId, Result, Tid, Timestamp, TreeId};
 use immortaldb_storage::TimestampResolver;
@@ -25,6 +25,24 @@ pub enum IndexKind {
 pub enum TableIndex {
     Chain(Arc<BTree>),
     Tsb(Arc<TsbTree>),
+}
+
+/// Versioned reads: both index structures answer through the one key ×
+/// time cursor, so every adapter of [`VersionCursor`] (`get_as_of`,
+/// `scan_as_of`, `versions_between`, `history_of`, `head_version`, …)
+/// works on a table handle.
+impl VersionCursor for TableIndex {
+    fn cursor(
+        &self,
+        q: &Query<'_>,
+        r: &dyn TimestampResolver,
+        visit: &mut Visitor<'_>,
+    ) -> Result<()> {
+        match self {
+            TableIndex::Chain(t) => t.cursor(q, r, visit),
+            TableIndex::Tsb(t) => t.cursor(q, r, visit),
+        }
+    }
 }
 
 impl TableIndex {
@@ -126,8 +144,9 @@ impl TableIndex {
         }
     }
 
-    // -- versioned reads ------------------------------------------------------
-
+    /// Current version of `key` as `own` sees it; on the chain index this
+    /// is also the paper's read trigger for lazy timestamping. Every
+    /// other versioned read goes through [`VersionCursor`].
     pub fn get_current(
         &self,
         key: &[u8],
@@ -137,74 +156,6 @@ impl TableIndex {
         match self {
             TableIndex::Chain(t) => t.get_current(key, own, r),
             TableIndex::Tsb(t) => t.get_current(key, own, r),
-        }
-    }
-
-    pub fn get_as_of(
-        &self,
-        key: &[u8],
-        as_of: Timestamp,
-        own: Option<Tid>,
-        r: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>> {
-        match self {
-            TableIndex::Chain(t) => t.get_as_of(key, as_of, own, r),
-            TableIndex::Tsb(t) => t.get_as_of(key, as_of, own, r),
-        }
-    }
-
-    pub fn scan_as_of(
-        &self,
-        as_of: Timestamp,
-        own: Option<Tid>,
-        r: &dyn TimestampResolver,
-    ) -> Result<Vec<ScanItem>> {
-        match self {
-            TableIndex::Chain(t) => t.scan_as_of(as_of, own, r),
-            TableIndex::Tsb(t) => Ok(t
-                .scan_as_of(as_of, own, r)?
-                .into_iter()
-                .map(|(key, data)| ScanItem { key, data })
-                .collect()),
-        }
-    }
-
-    pub fn scan_current(
-        &self,
-        own: Option<Tid>,
-        r: &dyn TimestampResolver,
-    ) -> Result<Vec<ScanItem>> {
-        self.scan_as_of(Timestamp::MAX, own, r)
-    }
-
-    pub fn head_version(&self, key: &[u8], r: &dyn TimestampResolver) -> Result<HeadVersion> {
-        match self {
-            TableIndex::Chain(t) => t.head_version(key, r),
-            TableIndex::Tsb(t) => t.head_version(key, r),
-        }
-    }
-
-    /// Time-range scan: every committed version with a timestamp in
-    /// `[lo, hi]` plus each key's base version (newest below `lo`). On a
-    /// TSB table this is ONE rectangle-filtered index walk that visits
-    /// each historical page once; on a chain table each leaf's history
-    /// chain is walked once.
-    pub fn versions_between(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-        r: &dyn TimestampResolver,
-    ) -> Result<Vec<TemporalVersion>> {
-        match self {
-            TableIndex::Chain(t) => t.versions_between(lo, hi, r),
-            TableIndex::Tsb(t) => t.versions_between(lo, hi, r),
-        }
-    }
-
-    pub fn history_of(&self, key: &[u8], r: &dyn TimestampResolver) -> Result<Vec<HistoryVersion>> {
-        match self {
-            TableIndex::Chain(t) => t.history_of(key, r),
-            TableIndex::Tsb(t) => t.history_of(key, r),
         }
     }
 

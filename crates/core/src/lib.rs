@@ -58,7 +58,7 @@ mod tests;
 pub use catalog::{SnapshotDef, TableDef, TableKind};
 pub use db::{Database, DbConfig};
 pub use index::{IndexKind, TableIndex};
-pub use row::{ColType, Column, Schema, Value};
+pub use row::{ColType, Column, PkBounds, Schema, Value};
 pub use sql::{QueryResult, Session};
 pub use temporal::{DiffOp, DiffRow};
 pub use txn::{Isolation, TimestampingMode, Transaction};

@@ -1,7 +1,9 @@
 //! Row values, schemas, and the memcomparable key / row-image codecs.
 
 use std::fmt;
+use std::ops::Bound;
 
+use immortaldb_btree::KeyRange;
 use immortaldb_common::codec::{Reader, Writer};
 use immortaldb_common::{Error, Result};
 
@@ -221,6 +223,107 @@ pub fn encode_key(v: &Value) -> Result<Vec<u8>> {
         }
     }
     Ok(out)
+}
+
+/// Bounds on a table's primary key, in memcomparable key bytes: what a
+/// read hands the index cursor so it touches only the keys asked for.
+/// Built from literals by [`PkBounds::point`] / [`PkBounds::tighten`]
+/// (the SQL planner feeds it a predicate's primary-key conditions).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PkBounds {
+    lo: Bound<Vec<u8>>,
+    hi: Bound<Vec<u8>>,
+}
+
+/// How much of a read's predicate reached the cursor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pushdown {
+    Point,
+    Range,
+    None,
+}
+
+impl PkBounds {
+    /// Every key: a whole-table read.
+    pub fn all() -> PkBounds {
+        PkBounds {
+            lo: Bound::Unbounded,
+            hi: Bound::Unbounded,
+        }
+    }
+
+    /// Exactly the key of `pk`, coerced to the primary-key column's type.
+    pub fn point(schema: &Schema, pk: &Value) -> Result<PkBounds> {
+        let mut b = PkBounds::all();
+        b.tighten(schema, std::cmp::Ordering::Equal, true, pk)?;
+        Ok(b)
+    }
+
+    /// Intersect with `pk <ord> value`: `Equal` pins the key, `Less`
+    /// (`Greater`) bounds it above (below), `inclusive` admitting
+    /// `value` itself. Fails if `value` does not coerce to the key type.
+    pub fn tighten(
+        &mut self,
+        schema: &Schema,
+        ord: std::cmp::Ordering,
+        inclusive: bool,
+        value: &Value,
+    ) -> Result<()> {
+        use std::cmp::Ordering::*;
+        let key = encode_key(&value.coerce(schema.columns[schema.pk].ctype)?)?;
+        let bound = |k: Vec<u8>| {
+            if inclusive {
+                Bound::Included(k)
+            } else {
+                Bound::Excluded(k)
+            }
+        };
+        // Of two bounds on the same side keep the tighter: the greater
+        // low / lesser high key, and at equal keys the exclusive one.
+        let tighter = |old: &Bound<Vec<u8>>, new: &Bound<Vec<u8>>, want: std::cmp::Ordering| {
+            let (Bound::Included(o) | Bound::Excluded(o)) = old else {
+                return true;
+            };
+            let (Bound::Included(n) | Bound::Excluded(n)) = new else {
+                return false;
+            };
+            match n.cmp(o) {
+                Equal => matches!(new, Bound::Excluded(_)),
+                ord => ord == want,
+            }
+        };
+        if ord != Less {
+            let new = bound(key.clone());
+            if tighter(&self.lo, &new, Greater) {
+                self.lo = new;
+            }
+        }
+        if ord != Greater {
+            let new = bound(key);
+            if tighter(&self.hi, &new, Less) {
+                self.hi = new;
+            }
+        }
+        Ok(())
+    }
+
+    /// The borrowed form the index cursor takes.
+    pub fn as_range(&self) -> KeyRange<'_> {
+        KeyRange {
+            lo: self.lo.as_ref().map(Vec::as_slice),
+            hi: self.hi.as_ref().map(Vec::as_slice),
+        }
+    }
+
+    pub fn pushdown(&self) -> Pushdown {
+        if self.as_range().as_point().is_some() {
+            Pushdown::Point
+        } else if *self == PkBounds::all() {
+            Pushdown::None
+        } else {
+            Pushdown::Range
+        }
+    }
 }
 
 /// Inverse of [`encode_key`]: recover the key value from its

@@ -115,12 +115,14 @@ pub enum Statement {
         t2: AsOfSpec,
         predicate: Predicate,
     },
-    /// `DIFF TABLE t BETWEEN a AND b` — the net change set between the
-    /// table's states at the two instants.
+    /// `DIFF TABLE t BETWEEN a AND b [WHERE pk …]` — the net change set
+    /// between the table's states at the two instants, optionally for a
+    /// primary-key range only.
     DiffTable {
         table: String,
         t1: AsOfSpec,
         t2: AsOfSpec,
+        predicate: Predicate,
     },
     /// `CREATE SNAPSHOT s [AS OF …]` — pin a timestamp under a name.
     CreateSnapshot {

@@ -5,6 +5,7 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
+pub mod plan;
 
 use immortaldb_common::{Error, Result, Timestamp};
 
@@ -14,6 +15,7 @@ use crate::txn::{Isolation, Transaction};
 
 use ast::{AsOfSpec, Predicate, Statement};
 use parser::Parser;
+use plan::Filter;
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -377,23 +379,14 @@ impl<'a> Session<'a> {
             } => {
                 let def = self.db.table(&table)?;
                 let rows = self.matching_rows(txn, &table, &predicate)?;
-                let (names, idxs): (Vec<String>, Vec<usize>) = match columns {
-                    None => (
-                        def.schema.columns.iter().map(|c| c.name.clone()).collect(),
-                        (0..def.schema.columns.len()).collect(),
-                    ),
-                    Some(cols) => {
-                        let idxs: Vec<usize> = cols
-                            .iter()
-                            .map(|c| def.schema.col_index(c))
-                            .collect::<Result<_>>()?;
-                        (cols, idxs)
-                    }
+                let (names, idxs) = projection(&def.schema, columns)?;
+                let rows = match idxs {
+                    None => rows, // `*`: the decoded rows are the result
+                    Some(idxs) => rows
+                        .into_iter()
+                        .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
+                        .collect(),
                 };
-                let rows = rows
-                    .into_iter()
-                    .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
-                    .collect::<Vec<Vec<Value>>>();
                 let n = rows.len();
                 Ok(QueryResult {
                     columns: names,
@@ -454,20 +447,11 @@ impl<'a> Session<'a> {
                 let def = self.db.table(&table)?;
                 let lo = self.window_lo_ts(&t1)?;
                 let hi = self.point_ts(&t2)?;
-                let versions = self.db.versions_between(&table, lo, hi)?;
-                let (names, idxs): (Vec<String>, Vec<usize>) = match columns {
-                    None => (
-                        def.schema.columns.iter().map(|c| c.name.clone()).collect(),
-                        (0..def.schema.columns.len()).collect(),
-                    ),
-                    Some(cols) => {
-                        let idxs: Vec<usize> = cols
-                            .iter()
-                            .map(|c| def.schema.col_index(c))
-                            .collect::<Result<_>>()?;
-                        (cols, idxs)
-                    }
-                };
+                let filter = Filter::compile(&def.schema, &predicate)?;
+                let bounds = filter.pk_bounds(&def.schema)?;
+                let versions = self.db.versions_between_in(&table, &bounds, lo, hi)?;
+                let (names, idxs) = projection(&def.schema, columns)?;
+                let idxs = idxs.unwrap_or_else(|| (0..def.schema.columns.len()).collect());
                 // A key matches when any live version of it inside the
                 // window satisfies the predicate; every version of a
                 // matching key (tombstones included) is then returned.
@@ -480,7 +464,7 @@ impl<'a> Session<'a> {
                     }
                     let group = &versions[i..j];
                     i = j;
-                    let mut matched = predicate.is_empty();
+                    let mut matched = filter.is_empty();
                     let mut decoded: Vec<Option<Vec<Value>>> = Vec::with_capacity(group.len());
                     for v in group {
                         let row = v
@@ -489,9 +473,7 @@ impl<'a> Session<'a> {
                             .map(|d| def.schema.decode_row(d))
                             .transpose()?;
                         if let Some(r) = &row {
-                            if !matched && eval_predicate(&def.schema, &predicate, r)? {
-                                matched = true;
-                            }
+                            matched = matched || filter.matches(r);
                         }
                         decoded.push(row);
                     }
@@ -537,11 +519,18 @@ impl<'a> Session<'a> {
                     message: format!("{n} versions"),
                 })
             }
-            Statement::DiffTable { table, t1, t2 } => {
+            Statement::DiffTable {
+                table,
+                t1,
+                t2,
+                predicate,
+            } => {
                 let def = self.db.table(&table)?;
                 let a = self.point_ts(&t1)?;
                 let b = self.point_ts(&t2)?;
-                let diff = self.db.diff_table(&table, a, b)?;
+                let bounds =
+                    Filter::compile(&def.schema, &predicate)?.pk_bounds_only(&def.schema)?;
+                let diff = self.db.diff_table_in(&table, &bounds, a, b)?;
                 let mut cols = vec![
                     "_op".to_string(),
                     "_commit_ms".to_string(),
@@ -581,8 +570,9 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Rows of `table` visible to `txn` that satisfy `predicate`. Uses a
-    /// primary-key point lookup when the predicate pins the key.
+    /// Rows of `table` visible to `txn` that satisfy `predicate`. The
+    /// predicate's primary-key bounds go to the index cursor, so the read
+    /// touches only those keys; the rest is evaluated on each row.
     fn matching_rows(
         &self,
         txn: &mut Transaction,
@@ -590,43 +580,38 @@ impl<'a> Session<'a> {
         predicate: &Predicate,
     ) -> Result<Vec<Vec<Value>>> {
         let def = self.db.table(table)?;
-        // Point lookup if some condition is `pk = literal`.
-        let pk_name = &def.schema.columns[def.schema.pk].name;
-        if let Some(cond) = predicate
-            .iter()
-            .find(|c| c.op == ast::CmpOp::Eq && c.column.eq_ignore_ascii_case(pk_name))
-        {
-            let row = self.db.get_row(txn, table, &cond.value)?;
-            return Ok(row
-                .into_iter()
-                .filter(|r| eval_predicate(&def.schema, predicate, r).unwrap_or(false))
-                .collect());
-        }
-        let rows = self.db.scan_rows(txn, table)?;
+        let filter = Filter::compile(&def.schema, predicate)?;
+        let bounds = filter.pk_bounds(&def.schema)?;
         let mut out = Vec::new();
-        for r in rows {
-            if eval_predicate(&def.schema, predicate, &r)? {
-                out.push(r);
+        self.db.visit_rows(txn, table, &bounds, &mut |row| {
+            if filter.matches(&row) {
+                out.push(row);
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 }
 
-/// Evaluate a conjunctive predicate against a row.
-fn eval_predicate(schema: &Schema, predicate: &Predicate, row: &[Value]) -> Result<bool> {
-    for cond in predicate {
-        let idx = schema.col_index(&cond.column)?;
-        let lhs = &row[idx];
-        let rhs = cond.value.coerce(schema.columns[idx].ctype)?;
-        let ord = lhs
-            .partial_cmp(&rhs)
-            .ok_or_else(|| Error::Sql("incomparable values".into()))?;
-        if !cond.op.eval(ord) {
-            return Ok(false);
+/// Output column names of a select list, and the schema positions to
+/// project (`None` for `*`: rows pass through whole).
+fn projection(
+    schema: &Schema,
+    columns: Option<Vec<String>>,
+) -> Result<(Vec<String>, Option<Vec<usize>>)> {
+    match columns {
+        None => Ok((
+            schema.columns.iter().map(|c| c.name.clone()).collect(),
+            None,
+        )),
+        Some(cols) => {
+            let idxs = cols
+                .iter()
+                .map(|c| schema.col_index(c))
+                .collect::<Result<_>>()?;
+            Ok((cols, Some(idxs)))
         }
     }
-    Ok(true)
 }
 
 /// Convert a clock-valued AS OF spec to milliseconds since the UNIX

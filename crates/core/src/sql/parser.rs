@@ -347,7 +347,13 @@ impl Parser {
         let table = self.ident()?;
         self.expect_kw("BETWEEN")?;
         let (t1, t2) = self.window_bounds()?;
-        Ok(Statement::DiffTable { table, t1, t2 })
+        let predicate = self.opt_where()?;
+        Ok(Statement::DiffTable {
+            table,
+            t1,
+            t2,
+            predicate,
+        })
     }
 
     /// `time AND time` after BETWEEN. Rejects a reversed window at
@@ -695,6 +701,7 @@ mod tests {
                 table: "t".into(),
                 t1: AsOfSpec::DateTime("1/1/1970 00:00:01".into()),
                 t2: AsOfSpec::Snapshot("end".into()),
+                predicate: vec![],
             }
         );
         assert_eq!(

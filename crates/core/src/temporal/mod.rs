@@ -2,11 +2,12 @@
 //! `VERSIONS BETWEEN` and `DIFF TABLE`, and the fold that turns one
 //! version-range walk into a net change set.
 //!
-//! Both query shapes execute as a **single** time-range index walk
-//! ([`crate::index::TableIndex::versions_between`]): the TSB-tree prunes
-//! its key-time rectangles against the window and visits each historical
-//! page once; the page-chain B+tree walks each leaf's history chain once.
-//! Neither replays per-timestamp `AS OF` point lookups.
+//! Both query shapes execute as a **single** walk of the index's key ×
+//! time cursor ([`immortaldb_btree::VersionCursor::versions_between`]):
+//! the TSB-tree prunes its key-time rectangles against the window and
+//! the key bounds; the page-chain B+tree reads, for the leaves covering
+//! the keys, the chain pages whose time range meets the window. Neither
+//! replays per-timestamp `AS OF` point lookups.
 //!
 //! Window semantics (DESIGN.md §10):
 //!
@@ -37,9 +38,10 @@ pub fn window_hi(ms: u64) -> Timestamp {
     Timestamp::as_of_clock(ms)
 }
 
-/// Drop the per-key base versions a range walk carries (newest version
-/// *below* the window, kept for DIFF's before-state), leaving only the
-/// versions that committed inside `[lo, hi]`.
+/// Drop the per-key base versions a window walk carries (the state at
+/// `lo`, kept for DIFF's before-state — it is in the window only when it
+/// committed exactly at `lo`), leaving the versions that committed
+/// inside `[lo, hi]`.
 pub fn in_window(versions: Vec<TemporalVersion>, lo: Timestamp) -> Vec<TemporalVersion> {
     versions.into_iter().filter(|v| v.ts >= lo).collect()
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 use immortaldb::{Isolation, Value};
 use immortaldb_common::{Error, ErrorCode, Result, Timestamp};
 
-use crate::proto::{self, AsOfTarget, Reply, Request, WalBatch, VERSION};
+use crate::proto::{self, AsOfTarget, FrameBuffer, Reply, Request, WalBatch, VERSION};
 
 /// A decoded non-error server response.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +31,8 @@ pub struct Response {
 /// One connection to an `immortaldb-server`.
 pub struct Client {
     stream: TcpStream,
+    /// Bytes received and not yet decoded; reused across replies.
+    inbox: FrameBuffer,
     txn_open: bool,
     /// Requests sent but not yet answered (pipelining depth).
     in_flight: usize,
@@ -43,6 +45,7 @@ impl Client {
         stream.set_nodelay(true)?;
         let mut client = Client {
             stream,
+            inbox: FrameBuffer::new(),
             txn_open: false,
             in_flight: 0,
         };
@@ -101,9 +104,9 @@ impl Client {
     /// [`Error::ServerBusy`] or [`Error::Remote`] (with the typed code
     /// and, for parse errors, the byte offset).
     pub fn recv_response(&mut self) -> Result<Response> {
-        let (op, payload) = proto::read_frame(&mut self.stream)?;
+        let reply = self.inbox.read_frame(&mut self.stream, Reply::decode)?;
         self.in_flight = self.in_flight.saturating_sub(1);
-        match Reply::decode(op, &payload)? {
+        match reply? {
             Reply::Ok {
                 txn_open,
                 ts,
@@ -209,6 +212,7 @@ impl Client {
         proto::write_frame(&mut self.stream, op, &payload)?;
         Ok(WalSubscription {
             stream: self.stream,
+            inbox: self.inbox,
         })
     }
 }
@@ -216,14 +220,14 @@ impl Client {
 /// The receiving end of a WAL subscription (see [`Client::subscribe_wal`]).
 pub struct WalSubscription {
     stream: TcpStream,
+    inbox: FrameBuffer,
 }
 
 impl WalSubscription {
     /// Block until the next pushed batch arrives (or the read timeout
     /// expires, surfacing the I/O error).
     pub fn next_batch(&mut self) -> Result<WalBatch> {
-        let (op, payload) = proto::read_frame(&mut self.stream)?;
-        WalBatch::decode(op, &payload)
+        self.inbox.read_frame(&mut self.stream, WalBatch::decode)?
     }
 
     /// Report how far this follower has applied (informational; the

@@ -94,24 +94,6 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result
     w.flush()
 }
 
-/// Read one frame, blocking until it is complete (client side).
-pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
-    let mut hdr = [0u8; 4];
-    r.read_exact(&mut hdr)?;
-    let len = u32::from_le_bytes(hdr);
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame length {len}"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let opcode = body[0];
-    body.remove(0);
-    Ok((opcode, body))
-}
-
 /// Incremental frame parser for the server's polled reads: bytes arrive
 /// in arbitrary chunks (with read timeouts between them) and complete
 /// frames are peeled off the front. This is what makes pipelining work —
@@ -134,24 +116,68 @@ impl FrameBuffer {
 
     /// Pop the next complete frame, if one is buffered.
     pub fn next_frame(&mut self) -> io::Result<Option<(u8, Vec<u8>)>> {
-        if self.buf.len() < 4 {
+        self.take_frame(|opcode, payload| (opcode, payload.to_vec()))
+    }
+
+    /// Consume the next complete frame, if one is buffered, handing `f`
+    /// its opcode and payload in place — no copy of the payload is made.
+    pub fn take_frame<R>(&mut self, f: impl FnOnce(u8, &[u8]) -> R) -> io::Result<Option<R>> {
+        let Some(total) = self.frame_len()?.filter(|&total| self.buf.len() >= total) else {
             return Ok(None);
+        };
+        let out = f(self.buf[4], &self.buf[5..total]);
+        self.buf.drain(..total);
+        Ok(Some(out))
+    }
+
+    /// Block until a whole frame is buffered, then consume it like
+    /// [`Self::take_frame`] (client side). Reads go straight into the
+    /// buffer, sized to what the frame still lacks: a reply that arrives
+    /// in one segment costs one `read`, and anything read past it stays
+    /// buffered for the next call.
+    pub fn read_frame<R>(
+        &mut self,
+        r: &mut impl Read,
+        f: impl FnOnce(u8, &[u8]) -> R,
+    ) -> io::Result<R> {
+        const CHUNK: usize = 4096;
+        loop {
+            let want = match self.frame_len()? {
+                Some(total) if self.buf.len() >= total => break,
+                Some(total) => (total - self.buf.len()).max(CHUNK),
+                None => CHUNK,
+            };
+            let filled = self.buf.len();
+            self.buf.resize(filled + want, 0);
+            let read = r.read(&mut self.buf[filled..]);
+            // Keep exactly what arrived, also when the read failed (a
+            // timeout must not lose the part of a frame already here).
+            self.buf.truncate(filled + *read.as_ref().unwrap_or(&0));
+            match read {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+        Ok(self.take_frame(f)?.expect("a whole frame is buffered"))
+    }
+
+    /// Total length (header included) of the frame at the front of the
+    /// buffer, once its length field has arrived. A zero or oversized
+    /// length is a corrupt or hostile stream.
+    fn frame_len(&self) -> io::Result<Option<usize>> {
+        let Some(hdr) = self.buf.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*hdr);
         if len == 0 || len > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("bad frame length {len}"),
             ));
         }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let opcode = self.buf[4];
-        let payload = self.buf[5..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some((opcode, payload)))
+        Ok(Some(4 + len as usize))
     }
 
     /// Whether at least one complete frame is buffered, without consuming
@@ -159,17 +185,9 @@ impl FrameBuffer {
     /// (`next_frame`: [`FrameBuffer::next_frame`]), so a reactor can
     /// reject a bad connection before scheduling any work for it.
     pub fn has_complete_frame(&self) -> io::Result<bool> {
-        if self.buf.len() < 4 {
-            return Ok(false);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len == 0 || len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad frame length {len}"),
-            ));
-        }
-        Ok(self.buf.len() >= 4 + len as usize)
+        Ok(self
+            .frame_len()?
+            .is_some_and(|total| self.buf.len() >= total))
     }
 
     /// Bytes buffered but not yet consumed (partial-frame residue).
@@ -765,6 +783,50 @@ mod tests {
         assert!(fb.next_frame().unwrap().is_some());
         assert!(fb.next_frame().unwrap().is_some());
         assert!(fb.next_frame().unwrap().is_none());
+    }
+
+    /// A reader that hands out at most `step` bytes per `read`.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.len().min(self.1).min(buf.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_blocks_for_whole_frames_and_keeps_what_it_over_reads() {
+        let big = vec![7u8; 20_000];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, op::OK, b"first").unwrap();
+        write_frame(&mut wire, op::ROWS, &big).unwrap();
+        write_frame(&mut wire, op::OK, b"").unwrap();
+        let owned = |op: u8, payload: &[u8]| (op, payload.to_vec());
+        for step in [1, 7, 4096, usize::MAX] {
+            let mut r = Trickle(&wire, step);
+            let mut fb = FrameBuffer::new();
+            assert_eq!(
+                fb.read_frame(&mut r, owned).unwrap(),
+                (op::OK, b"first".to_vec())
+            );
+            assert_eq!(
+                fb.read_frame(&mut r, owned).unwrap(),
+                (op::ROWS, big.clone())
+            );
+            assert_eq!(fb.read_frame(&mut r, owned).unwrap(), (op::OK, vec![]));
+            assert_eq!(fb.buffered(), 0);
+            // End of stream, also in the middle of a frame, is an error.
+            let eof = fb.read_frame(&mut r, owned).unwrap_err();
+            assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
+        }
+        let mut fb = FrameBuffer::new();
+        let cut = fb
+            .read_frame(&mut Trickle(&wire[..7], 2), owned)
+            .unwrap_err();
+        assert_eq!(cut.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -11,8 +11,13 @@ use std::time::{Duration, Instant};
 
 use immortaldb::{Database, DbConfig, Durability, Isolation, Session, Value};
 use immortaldb_common::{Error, ErrorCode};
-use immortaldb_net::proto::{self, Reply, Request, VERSION};
+use immortaldb_net::proto::{self, FrameBuffer, Reply, Request, VERSION};
 use immortaldb_net::{Client, Server, ServerConfig, ServerModel};
+
+/// The one reply a raw connection is owed for the request it just sent.
+fn read_reply(raw: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
+    FrameBuffer::new().read_frame(raw, |op, payload| (op, payload.to_vec()))
+}
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("immortal-net-{name}-{}", std::process::id()));
@@ -287,7 +292,7 @@ fn hello_is_required_and_version_checked() {
     let mut raw = TcpStream::connect(addr).unwrap();
     let (op, payload) = Request::Query("SELECT 1".into()).encode();
     proto::write_frame(&mut raw, op, &payload).unwrap();
-    let (op, payload) = proto::read_frame(&mut raw).unwrap();
+    let (op, payload) = read_reply(&mut raw).unwrap();
     match Reply::decode(op, &payload).unwrap() {
         Reply::Error { message, .. } => assert!(message.contains("HELLO"), "{message}"),
         other => panic!("expected error, got {other:?}"),
@@ -300,7 +305,7 @@ fn hello_is_required_and_version_checked() {
     }
     .encode();
     proto::write_frame(&mut raw, op, &payload).unwrap();
-    let (op, payload) = proto::read_frame(&mut raw).unwrap();
+    let (op, payload) = read_reply(&mut raw).unwrap();
     match Reply::decode(op, &payload).unwrap() {
         Reply::Error { message, .. } => {
             assert!(message.contains("version mismatch"), "{message}")
@@ -414,7 +419,7 @@ fn oversized_frame_is_rejected_and_others_keep_serving() {
     let huge: u32 = 64 * 1024 * 1024;
     hostile.write_all(&huge.to_le_bytes()).unwrap();
     hostile.write_all(&[0x02u8; 32]).unwrap();
-    match proto::read_frame(&mut hostile) {
+    match read_reply(&mut hostile) {
         Err(_) => {}
         Ok(f) => panic!("expected hangup for oversized frame, got {f:?}"),
     }
@@ -456,7 +461,7 @@ fn mid_frame_disconnect_releases_the_session() {
     ] {
         let (op, payload) = req.encode();
         proto::write_frame(&mut dying, op, &payload).unwrap();
-        proto::read_frame(&mut dying).unwrap();
+        read_reply(&mut dying).unwrap();
     }
     // Half a frame (header promises 16 bytes, only 3 arrive), then FIN:
     // the server must drop the partial bytes and roll the txn back.

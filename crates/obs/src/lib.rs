@@ -448,13 +448,19 @@ pub struct CompactionMetrics {
 /// named snapshots).
 #[derive(Debug, Default)]
 pub struct TemporalMetrics {
-    /// Pages visited by TSB-tree time-range scans (index + leaf +
-    /// history pages, each counted once per scan).
+    /// Pages visited by TSB-tree time-window walks (index + leaf +
+    /// history pages, each counted once per walk).
     pub range_scan_pages: Counter,
     /// Versions emitted by VERSIONS BETWEEN queries.
     pub versions_returned: Counter,
     /// Net change rows emitted by DIFF queries.
     pub diff_rows: Counter,
+    /// Reads whose primary-key predicate reached the index cursor as a
+    /// single key / as a key range / not at all (a whole-table walk
+    /// filtered afterwards). One of the three counts per read.
+    pub pushdown_point: Counter,
+    pub pushdown_range: Counter,
+    pub pushdown_none: Counter,
     /// Named snapshots currently registered in the catalog.
     pub snapshots: Gauge,
 }

@@ -206,6 +206,18 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
             m.temporal.versions_returned.get(),
         ),
         ("temporal.diff_rows".into(), m.temporal.diff_rows.get()),
+        (
+            "temporal.pushdown_point".into(),
+            m.temporal.pushdown_point.get(),
+        ),
+        (
+            "temporal.pushdown_range".into(),
+            m.temporal.pushdown_range.get(),
+        ),
+        (
+            "temporal.pushdown_none".into(),
+            m.temporal.pushdown_none.get(),
+        ),
         ("catalog.snapshots".into(), m.temporal.snapshots.get()),
         ("check.events".into(), m.check.events.get()),
         ("check.dropped".into(), m.check.dropped_gauge.get()),
@@ -403,7 +415,13 @@ mod tests {
         r.temporal.versions_returned.add(40);
         r.temporal.diff_rows.add(7);
         r.temporal.snapshots.set(2);
+        r.temporal.pushdown_point.add(3);
+        r.temporal.pushdown_range.add(2);
+        r.temporal.pushdown_none.inc();
         let s = r.snapshot();
+        assert_eq!(s.get("temporal.pushdown_point"), Some(3));
+        assert_eq!(s.get("temporal.pushdown_range"), Some(2));
+        assert_eq!(s.get("temporal.pushdown_none"), Some(1));
         assert_eq!(s.get("tsb.range_scan_pages"), Some(12));
         assert_eq!(s.get("temporal.versions_returned"), Some(40));
         assert_eq!(s.get("temporal.diff_rows"), Some(7));

@@ -36,12 +36,12 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
-use immortaldb_common::{Lsn, PageId, Result, NULL_LSN};
+use immortaldb_common::{Lsn, PageId, Result, NULL_LSN, PAGE_SIZE};
 use immortaldb_obs::MetricsRegistry;
 
 use crate::disk::DiskManager;
 use crate::logrec::LogRecord;
-use crate::page::{Page, PageType};
+use crate::page::{Page, PageHeader, PageType, HEADER_SIZE};
 use crate::wal::{Durability, Wal};
 
 use immortaldb_common::{Error, Tid};
@@ -82,8 +82,8 @@ pub struct Frame {
 }
 
 // The UnsafeCell is only written under the exclusive latch; racy reads
-// happen only in `try_read_optimistic`, which validates the version
-// counter before the copy is used.
+// happen only in `try_copy`, whose callers use the copy only after the
+// version counter validated it.
 unsafe impl Send for Frame {}
 unsafe impl Sync for Frame {}
 
@@ -177,39 +177,49 @@ impl Frame {
         self.version.load(Ordering::Acquire)
     }
 
+    /// One latch-free copy attempt of the first `N` bytes of the page
+    /// image into `dst`; `true` iff the version counter proves no writer
+    /// interleaved, i.e. `dst` now holds `N` initialized, untorn bytes.
+    fn try_copy<const N: usize>(&self, dst: *mut u8) -> bool {
+        let v1 = self.version.load(Ordering::Acquire);
+        if v1 & 1 != 0 {
+            return false; // writer active right now
+        }
+        // SAFETY: the frame owns PAGE_SIZE >= N readable bytes and `dst`
+        // points at N writable ones (both callers pass a local buffer).
+        // The copy may race a writer mutating the image; the possibly
+        // torn bytes are never observed — validation below rejects them.
+        unsafe { std::ptr::copy_nonoverlapping(self.page.get() as *const u8, dst, N) };
+        // Order the copy before the validating load.
+        fence(Ordering::Acquire);
+        self.version.load(Ordering::Relaxed) == v1
+    }
+
     /// One optimistic read attempt: copy the page image without taking
     /// the latch and run `f` on the copy only if the version counter
     /// proves no writer interleaved. Returns `None` on conflict.
     pub fn try_read_optimistic<R>(&self, f: impl FnOnce(&Page) -> R) -> Option<R> {
-        let v1 = self.version.load(Ordering::Acquire);
-        if v1 & 1 != 0 {
-            return None; // writer active right now
+        let mut copy = std::mem::MaybeUninit::<Page>::uninit();
+        if !self.try_copy::<PAGE_SIZE>(copy.as_mut_ptr() as *mut u8) {
+            return None;
         }
-        // Racy copy: a writer may be mutating the image while we copy.
-        // The torn copy is never observed — validation below rejects it.
-        let copy = unsafe {
-            let mut copy = std::mem::MaybeUninit::<Page>::uninit();
-            std::ptr::copy_nonoverlapping(self.page.get() as *const Page, copy.as_mut_ptr(), 1);
-            copy.assume_init()
-        };
-        // Order the copy before the validating load.
-        fence(Ordering::Acquire);
-        if self.version.load(Ordering::Relaxed) != v1 {
-            return None; // a writer interleaved; copy may be torn
-        }
-        Some(f(&copy))
+        // SAFETY: a validated `try_copy` initialized all PAGE_SIZE bytes
+        // of the copy, and every byte pattern is a valid `Page`.
+        Some(f(unsafe { copy.assume_init_ref() }))
     }
 
     /// Read the page via the optimistic protocol: up to
     /// [`OPTIMISTIC_RETRIES`] latch-free attempts, then a pessimistic
-    /// shared-latch fallback. `f` runs on a validated (never torn) page
-    /// image either way.
-    pub fn read_optimistic<R>(&self, metrics: &MetricsRegistry, f: impl Fn(&Page) -> R) -> R {
+    /// shared-latch fallback. `f` runs exactly once, on a validated
+    /// (never torn) page image either way — so it may have side effects.
+    pub fn read_optimistic<R>(&self, metrics: &MetricsRegistry, f: impl FnOnce(&Page) -> R) -> R {
         self.referenced.store(true, Ordering::Relaxed);
+        let mut copy = std::mem::MaybeUninit::<Page>::uninit();
         for _ in 0..OPTIMISTIC_RETRIES {
-            if let Some(r) = self.try_read_optimistic(&f) {
+            if self.try_copy::<PAGE_SIZE>(copy.as_mut_ptr() as *mut u8) {
                 metrics.latch.optimistic_reads.inc();
-                return r;
+                // SAFETY: as in `try_read_optimistic`.
+                return f(unsafe { copy.assume_init_ref() });
             }
             metrics.latch.optimistic_retries.inc();
             std::hint::spin_loop();
@@ -217,6 +227,27 @@ impl Frame {
         metrics.latch.pessimistic_fallbacks.inc();
         let g = self.read();
         f(&g)
+    }
+
+    /// Read only the fixed page header, by the same seqlock protocol as
+    /// [`Frame::read_optimistic`] but copying [`HEADER_SIZE`] bytes
+    /// instead of the whole image. A history-chain walk peeks every page
+    /// it passes and pays the full copy once, on the page that answers.
+    pub fn peek_header(&self, metrics: &MetricsRegistry) -> PageHeader {
+        self.referenced.store(true, Ordering::Relaxed);
+        let mut hdr = [0u8; HEADER_SIZE];
+        for _ in 0..OPTIMISTIC_RETRIES {
+            if self.try_copy::<HEADER_SIZE>(hdr.as_mut_ptr()) {
+                metrics.latch.optimistic_reads.inc();
+                return PageHeader::from_bytes(hdr);
+            }
+            metrics.latch.optimistic_retries.inc();
+            std::hint::spin_loop();
+        }
+        metrics.latch.pessimistic_fallbacks.inc();
+        let g = self.read();
+        hdr.copy_from_slice(&g.as_bytes()[..HEADER_SIZE]);
+        PageHeader::from_bytes(hdr)
     }
 
     /// Record that a logged mutation at `lsn` dirtied this page. Callers

@@ -96,6 +96,45 @@ impl PageType {
     }
 }
 
+fn ts_at(bytes: &[u8], ttime_off: usize, sn_off: usize) -> Timestamp {
+    Timestamp {
+        ttime: get_u64(bytes, ttime_off),
+        sn: get_u32(bytes, sn_off),
+    }
+}
+
+/// A copy of just the fixed page header: what a history-chain walk needs
+/// to decide whether a page covers a time (its `[start_ts, end_ts)`
+/// range) and where the chain continues, without the 8 KiB image behind
+/// it. Produced by [`crate::buffer::Frame::peek_header`].
+#[derive(Clone, Copy)]
+pub struct PageHeader([u8; HEADER_SIZE]);
+
+impl PageHeader {
+    pub(crate) fn from_bytes(bytes: [u8; HEADER_SIZE]) -> PageHeader {
+        PageHeader(bytes)
+    }
+
+    pub fn page_type(&self) -> Result<PageType> {
+        PageType::from_u8(self.0[OFF_TYPE])
+    }
+
+    /// See [`Page::start_ts`].
+    pub fn start_ts(&self) -> Timestamp {
+        ts_at(&self.0, OFF_START_TTIME, OFF_START_SN)
+    }
+
+    /// See [`Page::end_ts`].
+    pub fn end_ts(&self) -> Timestamp {
+        ts_at(&self.0, OFF_END_TTIME, OFF_END_SN)
+    }
+
+    /// See [`Page::history_page`].
+    pub fn history_page(&self) -> PageId {
+        PageId(get_u32(&self.0, OFF_HISTORY))
+    }
+}
+
 /// An in-memory page image. Always exactly [`PAGE_SIZE`] bytes.
 ///
 /// The byte array is stored inline (not boxed) so that a whole-struct
@@ -104,7 +143,10 @@ impl PageType {
 /// pool's optimistic (seqlock-style) readers, which may race a copy of
 /// the frame's page image against a writer and rely on version
 /// validation (not pointer liveness) to discard torn copies.
+/// `repr(transparent)`: those readers copy the image — or just its first
+/// [`HEADER_SIZE`] bytes — as raw bytes from the start of the struct.
 #[derive(Clone)]
+#[repr(transparent)]
 pub struct Page {
     bytes: [u8; PAGE_SIZE],
 }
@@ -242,10 +284,7 @@ impl Page {
     /// field). Versions living in this page all have lifetimes
     /// intersecting `[start_ts, end_ts)`.
     pub fn start_ts(&self) -> Timestamp {
-        Timestamp {
-            ttime: get_u64(&self.bytes[..], OFF_START_TTIME),
-            sn: get_u32(&self.bytes[..], OFF_START_SN),
-        }
+        ts_at(&self.bytes, OFF_START_TTIME, OFF_START_SN)
     }
 
     pub fn set_start_ts(&mut self, ts: Timestamp) {
@@ -256,10 +295,7 @@ impl Page {
     /// End of this page's time range: `Timestamp::MAX` for current pages,
     /// the split time for historical pages.
     pub fn end_ts(&self) -> Timestamp {
-        Timestamp {
-            ttime: get_u64(&self.bytes[..], OFF_END_TTIME),
-            sn: get_u32(&self.bytes[..], OFF_END_SN),
-        }
+        ts_at(&self.bytes, OFF_END_TTIME, OFF_END_SN)
     }
 
     pub fn set_end_ts(&mut self, ts: Timestamp) {

@@ -97,11 +97,15 @@ pub fn apply_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>> {
 
 /// Cursor over one version chain (newest first) that materializes each
 /// version's data incrementally, folding deltas from the nearest newer
-/// anchor as it walks. Amortized O(1) fold work per step.
+/// anchor as it walks. Amortized O(1) fold work per step; a full record
+/// is served straight from the page, never copied.
 pub struct ChainWalker<'a> {
     page: &'a Page,
     next: Option<usize>,
-    data: Vec<u8>,
+    /// Heap offset of the current version when it is a full record;
+    /// `None` when its data is the folded image in `folded`.
+    full: Option<usize>,
+    folded: Vec<u8>,
     /// Number of delta folds performed so far (feeds `version.delta_folds`).
     pub folds: u64,
 }
@@ -111,7 +115,8 @@ impl<'a> ChainWalker<'a> {
         ChainWalker {
             page,
             next: Some(page.slot(slot_i)),
-            data: Vec::new(),
+            full: None,
+            folded: Vec::new(),
             folds: 0,
         }
     }
@@ -124,11 +129,11 @@ impl<'a> ChainWalker<'a> {
             return Ok(None);
         };
         if self.page.rec_is_delta(off) {
-            self.data = apply_delta(&self.data, self.page.rec_data(off))?;
+            self.folded = apply_delta(self.data(), self.page.rec_data(off))?;
+            self.full = None;
             self.folds += 1;
         } else {
-            self.data.clear();
-            self.data.extend_from_slice(self.page.rec_data(off));
+            self.full = Some(off);
         }
         let vp = self.page.rec_vp(off);
         self.next = if vp == 0 { None } else { Some(vp) };
@@ -138,27 +143,11 @@ impl<'a> ChainWalker<'a> {
     /// Materialized data of the version most recently returned by
     /// [`Self::step`].
     pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-/// Materialize the data of the chain record at heap offset `target` on the
-/// chain anchored at slot `slot_i`. Full records return their bytes
-/// directly; delta records fold from the nearest newer anchor. Returns the
-/// data and the number of delta folds performed.
-pub fn materialize_at(page: &Page, slot_i: usize, target: usize) -> Result<(Vec<u8>, u64)> {
-    if !page.rec_is_delta(target) {
-        return Ok((page.rec_data(target).to_vec(), 0));
-    }
-    let mut w = ChainWalker::new(page, slot_i);
-    while let Some(off) = w.step()? {
-        if off == target {
-            return Ok((w.data, w.folds));
+        match self.full {
+            Some(off) => self.page.rec_data(off),
+            None => &self.folded,
         }
     }
-    Err(Error::Corruption(
-        "delta record unreachable from its slot head".into(),
-    ))
 }
 
 /// One fully materialized version, carried between pages during packing.
@@ -1079,15 +1068,7 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, depth);
-        assert!(w.folds > 0);
-
-        // materialize_at agrees for a mid-chain delta record.
-        let chain = chain_offsets(&hist, i);
-        let target = chain[3];
-        assert!(hist.rec_is_delta(target));
-        let (data, folds) = materialize_at(&hist, i, target).unwrap();
-        assert_eq!(data, big(9, 3));
-        assert!(folds >= 3 && folds < DELTA_ANCHOR_EVERY as u64);
+        assert_eq!(w.folds as usize, depth - expect_anchors);
     }
 
     #[test]

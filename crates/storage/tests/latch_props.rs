@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use immortaldb_common::{PageId, Timestamp};
 use immortaldb_storage::buffer::{BufferPool, FrameRef, OPTIMISTIC_RETRIES};
 use immortaldb_storage::disk::DiskManager;
 use immortaldb_storage::page::PageType;
@@ -49,12 +50,16 @@ fn uniform_frame(pool: &BufferPool, len: usize) -> FrameRef {
 }
 
 /// Seeded multi-threaded stress: a writer rewrites the record's bytes to
-/// a new uniform value under the write latch while readers copy it via
-/// the optimistic protocol. A torn copy that survived validation would
-/// show up as a record with mixed byte values.
+/// a new uniform value — and the header's time range and history pointer
+/// to three renderings of one counter — under the write latch while
+/// readers copy the page, or peek just its header, via the optimistic
+/// protocol. A torn copy that survived validation would show up as a
+/// record with mixed byte values, or a header from a half-written page
+/// as fields that disagree.
 fn torn_read_stress(seed: u64, writes: u32, readers: usize, len: usize) {
     let (pool, db, wal) = setup(&format!("torn-{seed}"), 16);
     let frame = uniform_frame(&pool, len);
+    frame.write().set_end_ts(Timestamp::ZERO); // all three fields render 0
     let metrics = pool.metrics().clone();
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -63,10 +68,15 @@ fn torn_read_stress(seed: u64, writes: u32, readers: usize, len: usize) {
         let metrics = &metrics;
         scope.spawn(move || {
             let mut v = seed as u8;
-            for _ in 0..writes {
+            for n in 1..=writes {
                 let mut g = frame.write();
+                // Header fields first and last, the record in between:
+                // the widest spread a racing copy could straddle.
+                g.set_start_ts(Timestamp::new(u64::from(n), n));
                 let off = g.slot(0);
                 g.rec_data_mut(off).fill(v);
+                g.set_history_page(PageId(n));
+                g.set_end_ts(Timestamp::new(u64::from(n), n));
                 v = v.wrapping_add(1);
             }
             done.store(true, Ordering::Release);
@@ -79,6 +89,14 @@ fn torn_read_stress(seed: u64, writes: u32, readers: usize, len: usize) {
                         d.iter().all(|b| *b == d[0])
                     });
                     assert!(uniform, "optimistic read observed a torn record");
+                    let h = frame.peek_header(metrics);
+                    let n = h.history_page().0;
+                    let stamp = Timestamp::new(u64::from(n), n);
+                    assert_eq!(
+                        (h.start_ts(), h.end_ts()),
+                        (stamp, stamp),
+                        "header peek observed a half-written header (history page {n})"
+                    );
                 }
             });
         }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use immortaldb_btree::SplitTimeSource;
+use immortaldb_btree::{KeyRange, ScanItem, SplitTimeSource, VersionCursor};
 use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
 use immortaldb_storage::disk::DiskManager;
@@ -204,14 +204,16 @@ fn wide_keyspace_key_splits_and_scans() {
     let (_, ksplits) = t.split_counts();
     assert!(ksplits > 0);
     let items = t
-        .scan_as_of(Timestamp::MAX, None, env.auth.as_ref())
+        .scan_as_of(KeyRange::ALL, Timestamp::MAX, None, env.auth.as_ref())
         .unwrap();
     assert_eq!(items.len(), n as usize);
     for w in items.windows(2) {
-        assert!(w[0].0 < w[1].0, "scan key-ordered");
+        assert!(w[0].key < w[1].key, "scan key-ordered");
     }
     // Mid-load scan: only the first half existed.
-    let items = t.scan_as_of(ts(n / 2, 5), None, env.auth.as_ref()).unwrap();
+    let items = t
+        .scan_as_of(KeyRange::ALL, ts(n / 2, 5), None, env.auth.as_ref())
+        .unwrap();
     assert_eq!(items.len(), (n / 2) as usize);
 }
 
@@ -285,9 +287,11 @@ fn model_check_against_btree_and_map() {
             assert_eq!(via_tsb.as_ref(), snap.get(&k), "tsb key {k} @ {step}");
             assert_eq!(via_tsb, via_btree, "tsb vs btree key {k} @ {step}");
         }
-        let items = tsb.scan_as_of(as_of, None, env.auth.as_ref()).unwrap();
+        let items = tsb
+            .scan_as_of(KeyRange::ALL, as_of, None, env.auth.as_ref())
+            .unwrap();
         assert_eq!(items.len(), snap.len(), "tsb scan size @ {step}");
-        for (kb, data) in items {
+        for ScanItem { key: kb, data } in items {
             let k = immortaldb_common::codec::u64_from_key(&kb).unwrap();
             assert_eq!(Some(&data), snap.get(&k), "tsb scan content @ {step}");
         }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use immortaldb_btree::{
-    pack_history_pages, page_has_tid_marked, page_used_bytes, CompactionStats, HistoryStats,
-    SplitTimeSource,
+    pack_history_pages, page_has_tid_marked, page_used_bytes, visit_page, CompactionStats, Flow,
+    HistoryStats, Query, SplitTimeSource, Version, VersionBuffer, VersionCursor, Visitor,
 };
 use immortaldb_common::codec::{get_u32, get_u64, put_u32, put_u64};
 use immortaldb_common::{Error, Lsn, PageId, Result, Tid, Timestamp, TreeId, NULL_LSN};
@@ -16,7 +16,7 @@ use immortaldb_storage::buffer::{BufferPool, FrameRef};
 use immortaldb_storage::logrec::LogRecord;
 use immortaldb_storage::meta::MetaView;
 use immortaldb_storage::page::{Page, PageType, FLAG_HISTORICAL, FLAG_VERSIONED, REC_HDR};
-use immortaldb_storage::version::{self, Visible};
+use immortaldb_storage::version;
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
@@ -53,22 +53,49 @@ impl Entry {
     fn encoded(&self) -> [u8; ENTRY_DATA] {
         encode_entry(self.t_low, self.t_high, self.child)
     }
+}
 
-    /// Whether the time range contains `t` (`MAX` = open range, also
-    /// containing current-time queries at `MAX`).
-    fn covers(&self, t: Timestamp) -> bool {
-        t >= self.t_low && (self.is_open() || t < self.t_high)
+/// An index entry read in place: like [`Entry`] with a borrowed key.
+struct EntryView<'a> {
+    key_low: &'a [u8],
+    t_low: Timestamp,
+    t_high: Timestamp,
+    child: PageId,
+}
+
+impl EntryView<'_> {
+    /// Whether the rectangle's time range `[t_low, t_high)` meets the
+    /// inclusive range `[lo, hi]` — contains `t` when both are `t`. An
+    /// open range (`t_high == MAX`) meets everything later, current-time
+    /// queries at `MAX` included.
+    fn meets(&self, lo: Timestamp, hi: Timestamp) -> bool {
+        self.t_low <= hi && (self.t_high == Timestamp::MAX || self.t_high > lo)
+    }
+
+    /// Whether the two rectangles' time ranges share an instant.
+    fn overlaps_time(&self, other: &EntryView<'_>) -> bool {
+        self.t_low < other.t_high && other.t_low < self.t_high
+    }
+}
+
+fn view_entry(page: &Page, slot: usize) -> EntryView<'_> {
+    let off = page.slot(slot);
+    let d = page.rec_data(off);
+    EntryView {
+        key_low: page.rec_key(off),
+        t_low: Timestamp::new(get_u64(d, 0), get_u32(d, 8)),
+        t_high: Timestamp::new(get_u64(d, 12), get_u32(d, 20)),
+        child: PageId(get_u32(d, 24)),
     }
 }
 
 fn decode_entry(page: &Page, slot: usize) -> Entry {
-    let off = page.slot(slot);
-    let d = page.rec_data(off);
+    let v = view_entry(page, slot);
     Entry {
-        key_low: page.rec_key(off).to_vec(),
-        t_low: Timestamp::new(get_u64(d, 0), get_u32(d, 8)),
-        t_high: Timestamp::new(get_u64(d, 12), get_u32(d, 20)),
-        child: PageId(get_u32(d, 24)),
+        key_low: v.key_low.to_vec(),
+        t_low: v.t_low,
+        t_high: v.t_high,
+        child: v.child,
     }
 }
 
@@ -227,7 +254,7 @@ impl TsbTree {
             }
             Err(pos) => pos,
         };
-        (0..start).rev().find(|&i| decode_entry(page, i).covers(t))
+        (0..start).rev().find(|&i| view_entry(page, i).meets(t, t))
     }
 
     /// Descend to the data page covering `(key, t)`, recording the path.
@@ -237,98 +264,39 @@ impl TsbTree {
         let mut page_id = self.root();
         loop {
             let frame = self.pool.fetch(page_id)?;
-            // Optimistic step: validate the version counter around a
-            // latch-free copy; a racing split retries or falls back.
-            let step = frame.read_optimistic(metrics, |g| match g.page_type()? {
-                PageType::Leaf => Ok(None),
-                PageType::Index => {
-                    let i = Self::pick_entry(g, key, t).ok_or_else(|| {
-                        Error::Corruption(format!(
-                            "TSB index {page_id:?} has no entry covering the key/time"
-                        ))
-                    })?;
-                    let e = decode_entry(g, i);
-                    Ok(Some((
-                        Step {
-                            node: page_id,
-                            slot: i,
-                            entry_t_low: e.t_low,
-                        },
-                        e.child,
+            // The header says whether this is the data page; only an
+            // index node is worth the full optimistic copy (validate the
+            // version counter around a latch-free copy; a racing split
+            // retries or falls back).
+            match frame.peek_header(metrics).page_type()? {
+                PageType::Leaf => return Ok((frame, steps)),
+                PageType::Index => {}
+                other => {
+                    return Err(Error::Corruption(format!(
+                        "TSB descent hit {other:?} page {page_id:?}"
                     )))
                 }
-                other => Err(Error::Corruption(format!(
-                    "TSB descent hit {other:?} page {page_id:?}"
-                ))),
-            })?;
-            match step {
-                None => return Ok((frame, steps)),
-                Some((s, child)) => {
-                    steps.push(s);
-                    page_id = child;
-                }
             }
+            let (step, child) = frame.read_optimistic(metrics, |g| {
+                let i = Self::pick_entry(g, key, t).ok_or_else(|| {
+                    Error::Corruption(format!(
+                        "TSB index {page_id:?} has no entry covering the key/time"
+                    ))
+                })?;
+                let e = view_entry(g, i);
+                let step = Step {
+                    node: page_id,
+                    slot: i,
+                    entry_t_low: e.t_low,
+                };
+                Ok::<_, Error>((step, e.child))
+            })?;
+            steps.push(step);
+            page_id = child;
         }
     }
 
     // -- reads ---------------------------------------------------------------
-
-    /// Version of `key` current AS OF `as_of` — one index descent, no
-    /// page-chain walk (the point of the TSB-tree).
-    pub fn get_as_of(
-        &self,
-        key: &[u8],
-        as_of: Timestamp,
-        own_tid: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>> {
-        let _s = self.structure.read();
-        // Own uncommitted versions live only in the CURRENT data page
-        // (time splits keep them there); a temporal descent at `as_of`
-        // would route past them after a concurrent time split, so check
-        // the current page first when reading on behalf of a transaction.
-        let metrics = self.pool.metrics();
-        if let Some(own) = own_tid {
-            let (frame, _) = self.descend(key, Timestamp::MAX)?;
-            let own_read = frame.read_optimistic(metrics, |g| {
-                let i = g.find_slot(key).ok()?;
-                let has_own = version::chain_offsets(g, i)
-                    .iter()
-                    .any(|&off| g.rec_is_tid_marked(off) && g.rec_tid(off) == own);
-                if !has_own {
-                    return None;
-                }
-                Some(
-                    match version::visible_as_of(g, i, as_of, own_tid, resolver) {
-                        Visible::Version(off) => Some(g.rec_data(off).to_vec()),
-                        Visible::Deleted | Visible::NotHere => None,
-                    },
-                )
-            });
-            if let Some(r) = own_read {
-                return Ok(r);
-            }
-        }
-        let (frame, _) = self.descend(key, as_of)?;
-        // Errors ride inside the closure result: a torn optimistic
-        // observation can make delta folding fail spuriously, and seqlock
-        // validation discards it before it can surface.
-        let r = frame.read_optimistic(metrics, |g| -> Result<Option<(Vec<u8>, u64)>> {
-            let Ok(i) = g.find_slot(key) else {
-                return Ok(None);
-            };
-            match version::visible_as_of(g, i, as_of, own_tid, resolver) {
-                Visible::Version(off) => Some(version::materialize_at(g, i, off)).transpose(),
-                Visible::Deleted | Visible::NotHere => Ok(None),
-            }
-        })?;
-        Ok(r.map(|(data, folds)| {
-            if folds > 0 {
-                metrics.version.delta_folds.add(folds);
-            }
-            data
-        }))
-    }
 
     /// Current version of `key`.
     pub fn get_current(
@@ -340,304 +308,118 @@ impl TsbTree {
         self.get_as_of(key, Timestamp::MAX, own_tid, resolver)
     }
 
-    /// Full scan AS OF `as_of`, key-ordered.
-    pub fn scan_as_of(
+    /// The cursor for one key at one instant: one index descent to the
+    /// page covering `(key, q.hi)`, no page-chain walk (the point of the
+    /// TSB-tree).
+    fn walk_point(
         &self,
-        as_of: Timestamp,
-        own_tid: Option<Tid>,
+        key: &[u8],
+        q: &Query<'_>,
         resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let _s = self.structure.read();
-        let mut out = Vec::new();
-        self.scan_node(self.root(), as_of, &[], None, own_tid, resolver, &mut out)?;
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scan_node(
-        &self,
-        page_id: PageId,
-        as_of: Timestamp,
-        low: &[u8],
-        upper: Option<&[u8]>,
-        own_tid: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-        out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+        visit: &mut Visitor<'_>,
     ) -> Result<()> {
-        let frame = self.pool.fetch(page_id)?;
-        let g = frame.read();
-        match g.page_type()? {
-            PageType::Leaf => {
-                for i in 0..g.slot_count() {
-                    let off = g.slot(i);
-                    let key = g.rec_key(off);
-                    if key < low {
-                        continue;
-                    }
-                    if let Some(up) = upper {
-                        if key >= up {
-                            break;
-                        }
-                    }
-                    if let Visible::Version(voff) =
-                        version::visible_as_of(&g, i, as_of, own_tid, resolver)
-                    {
-                        let (data, folds) = version::materialize_at(&g, i, voff)?;
-                        if folds > 0 {
-                            self.pool.metrics().version.delta_folds.add(folds);
-                        }
-                        out.push((key.to_vec(), data));
-                    }
-                }
-                Ok(())
+        let metrics = self.pool.metrics();
+        if q.uncommitted {
+            // Uncommitted versions live only in the CURRENT data page
+            // (time splits keep them there); a temporal descent at `hi`
+            // routes past them after a time split, so visit that page
+            // first — for them alone if it lies after `hi`. They sort
+            // before every committed version, so this is cursor order.
+            let (current, _) = self.descend(key, Timestamp::MAX)?;
+            let mut settled = false;
+            let reaches_hi = current.read_optimistic(metrics, |g| {
+                let reaches_hi = g.start_ts() <= q.hi;
+                let mut visit = |v: &Version<'_>| {
+                    let flow = visit(v)?;
+                    settled = flow != Flow::Continue;
+                    Ok(flow)
+                };
+                visit_page(g, q, (&[], None), reaches_hi, resolver, metrics, &mut visit)
+                    .map(|_| reaches_hi)
+            })?;
+            if reaches_hi || settled {
+                return Ok(());
             }
-            PageType::Index => {
-                // Entries covering `as_of`, in key order, partition this
-                // node's key region for that time slice.
-                let matching: Vec<Entry> = entries(&g)
-                    .into_iter()
-                    .filter(|e| e.covers(as_of))
-                    .collect();
-                drop(g);
-                for (i, e) in matching.iter().enumerate() {
-                    let child_low: &[u8] = if e.key_low.as_slice() > low {
-                        &e.key_low
-                    } else {
-                        low
-                    };
-                    let next_low = matching.get(i + 1).map(|n| n.key_low.as_slice());
-                    let child_upper = match (next_low, upper) {
-                        (Some(a), Some(b)) => Some(if a < b { a } else { b }),
-                        (Some(a), None) => Some(a),
-                        (None, b) => b,
-                    };
-                    self.scan_node(
-                        e.child,
-                        as_of,
-                        child_low,
-                        child_upper,
-                        own_tid,
-                        resolver,
-                        out,
-                    )?;
-                }
-                Ok(())
-            }
-            other => Err(Error::Corruption(format!(
-                "TSB scan hit {other:?} page {page_id:?}"
-            ))),
         }
+        let (frame, _) = self.descend(key, q.hi)?;
+        frame.read_optimistic(metrics, |g| {
+            visit_page(g, q, (&[], None), true, resolver, metrics, visit)
+        })?;
+        Ok(())
     }
 
-    /// Time-range scan: every committed version with a commit timestamp
-    /// in `[lo, hi]`, plus each key's base version (newest below `lo`),
-    /// across the whole key space — in ONE index walk. Index entries are
-    /// filtered by rectangle-intersects-window, so each historical page
-    /// is visited once instead of once per AS OF replay; visited pages
-    /// feed the `tsb.range_scan_pages` counter.
-    pub fn versions_between(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<immortaldb_btree::TemporalVersion>> {
-        let _s = self.structure.read();
-        let mut raw = Vec::new();
-        let mut pages = std::collections::HashSet::new();
-        self.range_node(
-            self.root(),
-            lo,
-            hi,
-            &[],
-            None,
-            resolver,
-            &mut pages,
-            &mut raw,
-        )?;
-        self.pool
-            .metrics()
-            .temporal
-            .range_scan_pages
-            .add(pages.len() as u64);
-        Ok(immortaldb_btree::trim_version_window(raw, lo))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn range_node(
+    /// The cursor's rectangle walk: visit the data pages under `page_id`
+    /// whose key-time rectangle meets `q`, each read through the key
+    /// region `[low, upper)` its index entry spans. Open rectangles are
+    /// also followed when uncommitted versions are wanted. Visited pages
+    /// are collected in `pages` (feeds `tsb.range_scan_pages`).
+    fn walk_node(
         &self,
         page_id: PageId,
-        lo: Timestamp,
-        hi: Timestamp,
-        low: &[u8],
-        upper: Option<&[u8]>,
+        (low, upper): (&[u8], Option<&[u8]>),
+        q: &Query<'_>,
         resolver: &dyn TimestampResolver,
-        pages: &mut std::collections::HashSet<PageId>,
-        out: &mut Vec<immortaldb_btree::TemporalVersion>,
-    ) -> Result<()> {
+        pages: &mut HashSet<PageId>,
+        visit: &mut Visitor<'_>,
+    ) -> Result<Flow> {
+        enum Node {
+            Leaf(Flow),
+            /// Children to walk, each with its key region.
+            Index(Vec<(PageId, Vec<u8>, Option<Vec<u8>>)>),
+        }
+        let metrics = self.pool.metrics();
         let frame = self.pool.fetch(page_id)?;
         pages.insert(page_id);
-        let g = frame.read();
-        match g.page_type()? {
+        let node = frame.read_optimistic(metrics, |g| match g.page_type()? {
             PageType::Leaf => {
-                for i in 0..g.slot_count() {
-                    let off = g.slot(i);
-                    let key = g.rec_key(off);
-                    if key < low {
-                        continue;
-                    }
-                    if let Some(up) = upper {
-                        if key >= up {
-                            break;
-                        }
-                    }
-                    let folds =
-                        immortaldb_btree::collect_chain_window(&g, i, lo, hi, resolver, out)?;
-                    if folds > 0 {
-                        self.pool.metrics().version.delta_folds.add(folds);
-                    }
-                }
-                Ok(())
+                let committed = g.start_ts() <= q.hi;
+                visit_page(g, q, (low, upper), committed, resolver, metrics, visit).map(Node::Leaf)
             }
             PageType::Index => {
-                // Entries whose rectangles intersect `[lo, hi]`, in key
-                // order. A page covering `lo` also matches, so each key's
-                // base version is reached. Unlike the point-time scan,
-                // SEVERAL time slices of one key boundary may match, so
-                // the key partition uses the next DISTINCT boundary.
-                let matching: Vec<Entry> = entries(&g)
-                    .into_iter()
-                    .filter(|e| e.t_low <= hi && (e.is_open() || e.t_high > lo))
-                    .collect();
-                drop(g);
-                for (i, e) in matching.iter().enumerate() {
-                    let child_low: &[u8] = if e.key_low.as_slice() > low {
-                        &e.key_low
-                    } else {
-                        low
-                    };
-                    let next_low = matching[i + 1..]
-                        .iter()
-                        .map(|n| n.key_low.as_slice())
-                        .find(|k| *k > e.key_low.as_slice());
+                let n = g.slot_count();
+                let mut children = Vec::new();
+                for i in 0..n {
+                    let e = view_entry(g, i);
+                    let wanted =
+                        e.meets(q.lo, q.hi) || (q.uncommitted && e.t_high == Timestamp::MAX);
+                    if !wanted || q.keys.is_above(e.key_low) {
+                        continue;
+                    }
+                    // The rectangle ends where the next one over the same
+                    // times begins: several time slices may share a key
+                    // boundary, and an older slice may span boundaries
+                    // that later key splits introduced.
+                    let next_low = (i + 1..n)
+                        .map(|j| view_entry(g, j))
+                        .find(|o| o.key_low > e.key_low && o.overlaps_time(&e))
+                        .map(|o| o.key_low);
+                    let child_low = e.key_low.max(low);
                     let child_upper = match (next_low, upper) {
-                        (Some(a), Some(b)) => Some(if a < b { a } else { b }),
-                        (Some(a), None) => Some(a),
-                        (None, b) => b,
+                        (Some(a), Some(b)) => Some(a.min(b)),
+                        (a, b) => a.or(b),
                     };
-                    self.range_node(
-                        e.child,
-                        lo,
-                        hi,
-                        child_low,
-                        child_upper,
-                        resolver,
-                        pages,
-                        out,
-                    )?;
+                    if q.keys.overlaps(child_low, child_upper) {
+                        let upper = child_upper.map(<[u8]>::to_vec);
+                        children.push((e.child, child_low.to_vec(), upper));
+                    }
                 }
-                Ok(())
+                Ok(Node::Index(children))
             }
             other => Err(Error::Corruption(format!(
-                "TSB range scan hit {other:?} page {page_id:?}"
+                "TSB walk hit {other:?} page {page_id:?}"
             ))),
-        }
-    }
-
-    /// State of the newest version of `key` (for first-committer-wins
-    /// checks; mirrors `BTree::head_version`).
-    pub fn head_version(
-        &self,
-        key: &[u8],
-        resolver: &dyn TimestampResolver,
-    ) -> Result<immortaldb_btree::HeadVersion> {
-        use immortaldb_btree::HeadVersion;
-        let _s = self.structure.read();
-        let (frame, _) = self.descend(key, Timestamp::MAX)?;
-        let g = frame.read();
-        let Ok(i) = g.find_slot(key) else {
-            return Ok(HeadVersion::NotFound);
+        })?;
+        let children = match node {
+            Node::Leaf(flow) => return Ok(flow),
+            Node::Index(children) => children,
         };
-        let off = g.slot(i);
-        let stub = g.rec_is_stub(off);
-        if g.rec_is_tid_marked(off) {
-            let owner = g.rec_tid(off);
-            match resolver.resolve(owner) {
-                Some(ts) => Ok(HeadVersion::Committed { ts, stub }),
-                None => Ok(HeadVersion::Uncommitted { tid: owner, stub }),
+        for (child, low, upper) in children {
+            let bounds = (low.as_slice(), upper.as_deref());
+            if self.walk_node(child, bounds, q, resolver, pages, visit)? == Flow::Stop {
+                return Ok(Flow::Stop);
             }
-        } else {
-            Ok(HeadVersion::Committed {
-                ts: g.rec_timestamp(off),
-                stub,
-            })
         }
-    }
-
-    /// Complete version history of `key`, newest first, gathered by
-    /// repeated temporal descents (one per time slice of the key's
-    /// region). Spanning duplicates are removed by timestamp.
-    pub fn history_of(
-        &self,
-        key: &[u8],
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<immortaldb_btree::HistoryVersion>> {
-        use immortaldb_btree::HistoryVersion;
-        let _s = self.structure.read();
-        let mut out: Vec<HistoryVersion> = Vec::new();
-        let mut last_ts: Option<Timestamp> = None;
-        let mut t = Timestamp::MAX;
-        let mut visited = std::collections::HashSet::new();
-        loop {
-            let (frame, _) = self.descend(key, t)?;
-            let g = frame.read();
-            if !visited.insert(g.page_id()) {
-                break; // same page again: no older slice exists
-            }
-            if let Ok(i) = g.find_slot(key) {
-                let mut walker = version::ChainWalker::new(&g, i);
-                while let Some(off) = walker.step()? {
-                    let (ts, tid) = if g.rec_is_tid_marked(off) {
-                        match resolver.resolve(g.rec_tid(off)) {
-                            Some(ts) => (Some(ts), None),
-                            None => (None, Some(g.rec_tid(off))),
-                        }
-                    } else {
-                        (Some(g.rec_timestamp(off)), None)
-                    };
-                    if ts.is_some() && ts == last_ts {
-                        continue; // spanning duplicate
-                    }
-                    if let Some(stamp) = ts {
-                        last_ts = Some(stamp);
-                    }
-                    out.push(HistoryVersion {
-                        ts,
-                        tid,
-                        data: if g.rec_is_stub(off) {
-                            None
-                        } else {
-                            Some(walker.data().to_vec())
-                        },
-                    });
-                }
-                if walker.folds > 0 {
-                    self.pool.metrics().version.delta_folds.add(walker.folds);
-                }
-            }
-            // Step into the previous time slice of this key's region.
-            let start = g.start_ts();
-            if start == Timestamp::ZERO {
-                break;
-            }
-            t = if start.sn > 0 {
-                Timestamp::new(start.ttime, start.sn - 1)
-            } else if start.ttime > 0 {
-                Timestamp::new(start.ttime - 1, immortaldb_common::time::SN_TID_MARK - 1)
-            } else {
-                break;
-            };
-        }
-        Ok(out)
+        Ok(Flow::Continue)
     }
 
     /// Eager-timestamping baseline support (mirrors `BTree::eager_stamp`):
@@ -1428,6 +1210,47 @@ impl TsbTree {
         if let Some(root_id) = new_root {
             self.root.store(root_id.0, Ordering::SeqCst);
         }
+        Ok(())
+    }
+}
+
+impl VersionCursor for TsbTree {
+    fn cursor(
+        &self,
+        q: &Query<'_>,
+        resolver: &dyn TimestampResolver,
+        visit: &mut Visitor<'_>,
+    ) -> Result<()> {
+        let _s = self.structure.read();
+        if let (Some(key), true) = (q.keys.as_point(), q.is_instant()) {
+            return self.walk_point(key, q, resolver, visit);
+        }
+        let root_region = (&[][..], None);
+        let mut pages = HashSet::new();
+        // An instant is answered by one page per key region and the walk
+        // meets regions in key order, so it streams — unless uncommitted
+        // versions are wanted and may sit in a second (current) page.
+        if q.is_instant() && (!q.uncommitted || q.hi == Timestamp::MAX) {
+            self.walk_node(self.root(), root_region, q, resolver, &mut pages, visit)?;
+            return Ok(());
+        }
+        // Otherwise several time slices hold versions of the same keys,
+        // in regions that need not line up: gather, then replay in cursor
+        // order.
+        let mut buf = VersionBuffer::default();
+        self.walk_node(
+            self.root(),
+            root_region,
+            q,
+            resolver,
+            &mut pages,
+            &mut buf.collect(),
+        )?;
+        if !q.is_instant() {
+            let m = self.pool.metrics();
+            m.temporal.range_scan_pages.add(pages.len() as u64);
+        }
+        buf.replay(q.lo, visit)?;
         Ok(())
     }
 }

@@ -16,7 +16,8 @@
 //! shard acquisitions are counted in `locks.shard_conflicts`. Deadlock
 //! detection is the one cross-shard operation: the would-be waiter
 //! releases its shard, takes every shard in index order, and walks the
-//! combined wait-for graph.
+//! combined wait-for graph. Release is not: the manager remembers which
+//! shards a transaction touched and visits only those.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -115,9 +116,15 @@ struct Shard {
 /// The lock manager.
 pub struct LockManager {
     shards: Vec<Shard>,
+    /// Per transaction, a bit for every shard it holds a lock or waits
+    /// in, so release visits only those. Split by TID like the lock
+    /// table is by target: a transaction only ever meets its own entry.
+    touched: Vec<Mutex<HashMap<Tid, u16>>>,
     timeout: Duration,
     metrics: MetricsRegistry,
 }
+
+const _: () = assert!(LOCK_SHARDS <= u16::BITS as usize);
 
 impl Default for LockManager {
     fn default() -> Self {
@@ -135,9 +142,14 @@ impl LockManager {
     pub fn with_metrics(timeout: Duration, metrics: MetricsRegistry) -> LockManager {
         LockManager {
             shards: (0..LOCK_SHARDS).map(|_| Shard::default()).collect(),
+            touched: (0..LOCK_SHARDS).map(|_| Mutex::default()).collect(),
             timeout,
             metrics,
         }
+    }
+
+    fn touched_by(&self, tid: Tid) -> &Mutex<HashMap<Tid, u16>> {
+        &self.touched[tid.0 as usize & (LOCK_SHARDS - 1)]
     }
 
     /// Shard index of a target: fibonacci-spread hash, top bits.
@@ -191,7 +203,9 @@ impl LockManager {
                     .observe(t0.elapsed().as_nanos() as u64);
             }
         };
-        let shard = &self.shards[Self::shard_of(&target)];
+        let shard_idx = Self::shard_of(&target);
+        *self.touched_by(tid).lock().entry(tid).or_default() |= 1 << shard_idx;
+        let shard = &self.shards[shard_idx];
         let mut table = match shard.table.try_lock() {
             Some(g) => g,
             None => {
@@ -270,10 +284,16 @@ impl LockManager {
         self.lock(tid, LockTarget::Table(tree), LockMode::Shared)
     }
 
-    /// Release every lock of `tid` and wake waiters (all shards: a
-    /// transaction's locks spread across them).
+    /// Release every lock of `tid` and wake who waits for them. Visits
+    /// only the shards the transaction holds or waits in, and notifies a
+    /// shard only when someone is parked there: a transaction that never
+    /// took a lock (every AS OF read) touches no shard and makes no
+    /// system call.
     pub fn release_all(&self, tid: Tid) {
-        for shard in &self.shards {
+        let mut mask = self.touched_by(tid).lock().remove(&tid).unwrap_or(0);
+        while mask != 0 {
+            let shard = &self.shards[mask.trailing_zeros() as usize];
+            mask &= mask - 1;
             let mut table = shard.table.lock();
             if let Some(targets) = table.held.remove(&tid) {
                 for target in targets {
@@ -286,8 +306,13 @@ impl LockManager {
                 }
             }
             table.waiting.remove(&tid);
+            // A parked waiter published its wait edge under this latch
+            // before parking, so an empty map means nobody to wake.
+            let parked = !table.waiting.is_empty();
             drop(table);
-            shard.cond.notify_all();
+            if parked {
+                shard.cond.notify_all();
+            }
         }
     }
 
@@ -457,6 +482,42 @@ mod tests {
         assert!(used.len() > 1, "hash must spread targets across shards");
         lm.release_all(t(1));
         assert_eq!(lm.locked_targets(), 0);
+    }
+
+    #[test]
+    fn release_wakes_a_parked_waiter_and_a_lock_free_release_touches_no_shard() {
+        use std::sync::mpsc;
+        let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
+        lm.lock(t(1), key(b"k"), LockMode::Exclusive).unwrap();
+        let (lm2, (tx, rx)) = (Arc::clone(&lm), mpsc::channel());
+        let waiter = thread::spawn(move || {
+            lm2.lock(t(2), key(b"k"), LockMode::Exclusive).unwrap();
+            tx.send(()).unwrap();
+            lm2.release_all(t(2));
+        });
+        // The waiter publishes its wait edge before it parks.
+        let shard = &lm.shards[LockManager::shard_of(&key(b"k"))];
+        while !shard.table.lock().waiting.contains_key(&t(2)) {
+            thread::yield_now();
+        }
+        lm.release_all(t(1));
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the holder's release wakes the parked waiter");
+        waiter.join().unwrap();
+        assert_eq!(lm.locked_targets(), 0);
+
+        // With every shard latched by this thread, a release that visited
+        // any shard would block; a lock-free transaction's must return.
+        let guards: Vec<_> = lm.shards.iter().map(|s| s.table.lock()).collect();
+        let (lm2, (tx, rx)) = (Arc::clone(&lm), mpsc::channel());
+        let releaser = thread::spawn(move || {
+            lm2.release_all(t(9));
+            tx.send(()).unwrap();
+        });
+        let returned = rx.recv_timeout(Duration::from_secs(10));
+        drop(guards);
+        releaser.join().unwrap();
+        returned.expect("a lock-free release touches no shard");
     }
 
     #[test]

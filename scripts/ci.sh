@@ -4,7 +4,7 @@
 # Mirrors .github/workflows/ci.yml so the same checks run locally:
 #
 #   scripts/ci.sh          # everything
-#   scripts/ci.sh fmt      # one stage: fmt | clippy | test | chaos | serve | serve-scale | repl | temporal | history | read-scaling
+#   scripts/ci.sh fmt      # one stage: fmt | clippy | test | ledger | chaos | serve | serve-scale | repl | temporal | history | read-scaling
 #
 # The build environment has no route to crates.io (external deps come
 # from shims/), so everything runs offline.
@@ -33,6 +33,15 @@ run_test() {
     cargo test -q
     echo "== full workspace tests =="
     cargo test --workspace -q
+}
+
+run_ledger() {
+    echo "== ledger (the benchmark's own workspace: unit tests + 3 s smoke of all five workloads) =="
+    # ledger/ is a cargo workspace of its own (path deps on crates/{core,
+    # net,obs}); an engine signature change that breaks the benchmark's
+    # build, or an answer its oracle rejects, fails here and not in the
+    # benchmark pipeline.
+    cargo test --release --offline --manifest-path ledger/Cargo.toml
 }
 
 run_chaos() {
@@ -163,6 +172,7 @@ case "$stage" in
     fmt) run_fmt ;;
     clippy) run_clippy ;;
     test) run_test ;;
+    ledger) run_ledger ;;
     chaos) run_chaos ;;
     serve) run_serve ;;
     serve-scale) run_serve_scale ;;
@@ -174,6 +184,7 @@ case "$stage" in
         run_fmt
         run_clippy
         run_test
+        run_ledger
         run_chaos
         run_serve
         run_serve_scale
@@ -183,7 +194,7 @@ case "$stage" in
         run_read_scaling
         ;;
     *)
-        echo "usage: scripts/ci.sh [fmt|clippy|test|all|chaos|serve|serve-scale|repl|temporal|history|read-scaling]" >&2
+        echo "usage: scripts/ci.sh [fmt|clippy|test|ledger|all|chaos|serve|serve-scale|repl|temporal|history|read-scaling]" >&2
         exit 2
         ;;
 esac

@@ -1,0 +1,541 @@
+//! The key × time cursor against brute force, on both indexes.
+//!
+//! A deterministic history with deletes and re-inserts
+//! (`mobgen::temporal_history`, rows padded so pages fill) is replayed
+//! until leaves have time-split and key-split — sibling leaves then share
+//! the history pages carved off before their split. Random key × time
+//! boxes are checked three ways: the bounded read must equal (a) the
+//! answer recomputed from a shadow log of every commit and (b) the
+//! unbounded walk filtered afterwards; and (c) it must *cost what it
+//! touches* — `buffer.fetches` proportional to the covering leaves'
+//! chains, with the push-down visible in `temporal.pushdown_*`. The same
+//! boxes are re-checked after `compact_history` and inside a snapshot
+//! transaction holding uncommitted writes of its own.
+
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use immortaldb::row::encode_key;
+use immortaldb::{
+    Database, DbConfig, DiffRow, Isolation, PkBounds, Session, SimClock, TemporalVersion,
+    Transaction, Value,
+};
+use immortaldb_common::Timestamp;
+use immortaldb_mobgen::{temporal_history, TemporalOp};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const OBJECTS: u32 = 60;
+const STEPS: u32 = 2_400;
+const TABLE: &str = "obj";
+
+/// One committed change: `(commit ts, oid, Some((x, y)) | None = delete)`.
+type Log = Vec<(Timestamp, i32, Option<(i32, i32)>)>;
+/// A `VERSIONS BETWEEN` answer in result order: `(oid, commit ts, state)`.
+type Versions = Vec<(i32, Timestamp, Option<(i32, i32)>)>;
+
+struct Fixture {
+    db: Arc<Database>,
+    clock: Arc<SimClock>,
+    log: Log,
+    /// Every commit timestamp, ascending.
+    stamps: Vec<Timestamp>,
+    dir: std::path::PathBuf,
+}
+
+impl Drop for Fixture {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn row(oid: i32, x: i32, y: i32) -> Vec<Value> {
+    // The padding makes a version ~200 bytes, so a leaf holds a few
+    // dozen and the history splits pages in both dimensions.
+    let pad = format!("{:0>170}", x as i64 * 31 + y as i64);
+    vec![
+        Value::Int(oid),
+        Value::Int(x),
+        Value::Int(y),
+        Value::Varchar(pad),
+    ]
+}
+
+fn xy(row: &[Value]) -> (i32, (i32, i32)) {
+    match row {
+        [Value::Int(oid), Value::Int(x), Value::Int(y), _] => (*oid, (*x, *y)),
+        other => panic!("unexpected row {other:?}"),
+    }
+}
+
+fn build(tag: &str, using_tsb: bool, seed: u64, objects: u32, steps: u32) -> Fixture {
+    // Time splits leave history unpacked (every test of this binary says
+    // so, the switch being process-wide): the boxes then run over plain
+    // chains first and over delta-packed ones after `compact_history`.
+    immortaldb_storage::version::set_history_packing(false);
+    let dir = std::env::temp_dir().join(format!("cursor-eq-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let clock = Arc::new(SimClock::new(7_000_000));
+    let db = Arc::new(Database::open(DbConfig::new(&dir).clock(clock.clone())).unwrap());
+    let ddl = format!(
+        "CREATE IMMORTAL TABLE {TABLE} (Oid INT PRIMARY KEY, X INT, Y INT, Pad VARCHAR(200)){}",
+        if using_tsb { " USING TSB" } else { "" }
+    );
+    Session::new(&db).execute(&ddl).unwrap();
+    let mut fx = Fixture {
+        db,
+        clock,
+        log: Vec::new(),
+        stamps: Vec::new(),
+        dir,
+    };
+    // Transactions of up to five operations on distinct oids.
+    let ops = temporal_history(seed, objects, steps);
+    let mut i = 0;
+    while i < ops.len() {
+        let mut batch: Vec<TemporalOp> = Vec::new();
+        while i < ops.len() && batch.len() < 5 && !batch.iter().any(|o| o.oid() == ops[i].oid()) {
+            batch.push(ops[i]);
+            i += 1;
+        }
+        fx.commit(&batch);
+    }
+    let (time_splits, key_splits) = fx.db.split_counts();
+    assert!(time_splits > 10, "history must time-split ({time_splits})");
+    assert!(key_splits > 2, "history must key-split ({key_splits})");
+    fx
+}
+
+impl Fixture {
+    fn commit(&mut self, batch: &[TemporalOp]) {
+        let db = &self.db;
+        let mut txn = db.begin(Isolation::Serializable);
+        apply(db, &mut txn, batch);
+        let ts = db.commit(&mut txn).unwrap();
+        for op in batch {
+            self.log.push(match *op {
+                TemporalOp::Insert { oid, x, y } | TemporalOp::Update { oid, x, y } => {
+                    (ts, oid as i32, Some((x, y)))
+                }
+                TemporalOp::Delete { oid } => (ts, oid as i32, None),
+            });
+        }
+        self.stamps.push(ts);
+        self.clock.advance(20);
+    }
+
+    fn state_at(&self, ts: Timestamp) -> BTreeMap<i32, (i32, i32)> {
+        let mut m = BTreeMap::new();
+        for (cts, oid, val) in &self.log {
+            if *cts <= ts {
+                match val {
+                    Some(v) => m.insert(*oid, *v),
+                    None => m.remove(oid),
+                };
+            }
+        }
+        m
+    }
+
+    /// A random box: key bounds of every shape, a window between two
+    /// commit timestamps (sometimes one instant, sometimes off a commit).
+    fn random_box(&self, rng: &mut StdRng) -> (Keys, Timestamp, Timestamp) {
+        let schema = &self.db.table(TABLE).unwrap().schema;
+        let keys = Keys::random(schema, rng);
+        let pick = |rng: &mut StdRng| {
+            let ts = self.stamps[rng.gen_range(0..self.stamps.len())];
+            match rng.gen_range(0..4) {
+                0 => Timestamp::new(ts.ttime, ts.sn + 1),
+                1 if ts.sn > 0 => Timestamp::new(ts.ttime, ts.sn - 1),
+                _ => ts,
+            }
+        };
+        let (a, b) = (pick(rng), pick(rng));
+        (
+            keys,
+            a.min(b),
+            if rng.gen_range(0..5) == 0 {
+                a.min(b)
+            } else {
+                a.max(b)
+            },
+        )
+    }
+}
+
+fn apply(db: &Database, txn: &mut Transaction, batch: &[TemporalOp]) {
+    for op in batch {
+        match *op {
+            TemporalOp::Insert { oid, x, y } => db.insert_row(txn, TABLE, row(oid as i32, x, y)),
+            TemporalOp::Update { oid, x, y } => db.update_row(txn, TABLE, row(oid as i32, x, y)),
+            TemporalOp::Delete { oid } => db.delete_row(txn, TABLE, &Value::Int(oid as i32)),
+        }
+        .unwrap();
+    }
+}
+
+/// Primary-key bounds plus a way to test an oid against them.
+struct Keys(PkBounds);
+
+impl Keys {
+    fn random(schema: &immortaldb::Schema, rng: &mut StdRng) -> Keys {
+        let mut b = PkBounds::all();
+        let oid = |rng: &mut StdRng| Value::Int(rng.gen_range(-3..OBJECTS as i32 + 3));
+        match rng.gen_range(0..6) {
+            0 => b = PkBounds::point(schema, &oid(rng)).unwrap(),
+            1 => {}
+            shape => {
+                let (lo, width) = (rng.gen_range(-3..OBJECTS as i32), rng.gen_range(0..25));
+                if shape != 2 {
+                    let incl = rng.gen_range(0..2) == 0;
+                    b.tighten(schema, Ordering::Greater, incl, &Value::Int(lo))
+                        .unwrap();
+                }
+                if shape != 3 {
+                    let incl = rng.gen_range(0..2) == 0;
+                    b.tighten(schema, Ordering::Less, incl, &Value::Int(lo + width))
+                        .unwrap();
+                }
+            }
+        }
+        Keys(b)
+    }
+
+    fn holds(&self, oid: i32) -> bool {
+        let key = encode_key(&Value::Int(oid)).unwrap();
+        self.0.as_range().contains(&key)
+    }
+
+    fn holds_key(&self, key: &[u8]) -> bool {
+        self.0.as_range().contains(key)
+    }
+}
+
+fn rows_in(db: &Database, txn: &mut Transaction, keys: &Keys) -> Vec<(i32, (i32, i32))> {
+    let rows = db.scan_rows_in(txn, TABLE, &keys.0).unwrap();
+    rows.iter().map(|r| xy(r)).collect()
+}
+
+/// One box, three oracles.
+fn check_box(fx: &Fixture, keys: &Keys, lo: Timestamp, hi: Timestamp, ctx: &str) {
+    let db = &fx.db;
+    // -- the window: VERSIONS BETWEEN and DIFF ------------------------------
+    let bounded: Vec<TemporalVersion> = db.versions_between_in(TABLE, &keys.0, lo, hi).unwrap();
+    let filtered: Vec<TemporalVersion> = db
+        .versions_between(TABLE, lo, hi)
+        .unwrap()
+        .into_iter()
+        .filter(|v| keys.holds_key(&v.key))
+        .collect();
+    assert_eq!(bounded, filtered, "{ctx}: versions vs filtered full walk");
+    let mut expect: Versions = fx
+        .log
+        .iter()
+        .filter(|(ts, oid, _)| *ts >= lo && *ts <= hi && keys.holds(*oid))
+        .map(|(ts, oid, v)| (*oid, *ts, *v))
+        .collect();
+    expect.sort();
+    let schema = &db.table(TABLE).unwrap().schema;
+    let got: Versions = bounded
+        .iter()
+        .map(|v| {
+            let oid = match immortaldb::row::decode_key(&v.key).unwrap() {
+                Value::Int(oid) => oid,
+                other => panic!("{other:?}"),
+            };
+            let state = v
+                .data
+                .as_ref()
+                .map(|d| xy(&schema.decode_row(d).unwrap()).1);
+            (oid, v.ts, state)
+        })
+        .collect();
+    assert_eq!(got, expect, "{ctx}: versions vs shadow log");
+
+    let bounded: Vec<DiffRow> = db.diff_table_in(TABLE, &keys.0, lo, hi).unwrap();
+    let filtered: Vec<DiffRow> = db
+        .diff_table(TABLE, lo, hi)
+        .unwrap()
+        .into_iter()
+        .filter(|d| keys.holds_key(&d.key))
+        .collect();
+    assert_eq!(bounded, filtered, "{ctx}: diff vs filtered full fold");
+    let (then, now) = (fx.state_at(lo), fx.state_at(hi));
+    let changed = (-3..OBJECTS as i32 + 3)
+        .filter(|oid| keys.holds(*oid) && then.get(oid) != now.get(oid))
+        .count();
+    assert_eq!(bounded.len(), changed, "{ctx}: diff vs shadow states");
+
+    // -- the instant: AS OF scans and point reads ---------------------------
+    let mut txn = db.begin_as_of_ts(lo);
+    let bounded = rows_in(db, &mut txn, keys);
+    let full = rows_in(db, &mut txn, &Keys(PkBounds::all()));
+    let filtered: Vec<_> = full
+        .iter()
+        .filter(|(oid, _)| keys.holds(*oid))
+        .copied()
+        .collect();
+    assert_eq!(bounded, filtered, "{ctx}: AS OF scan vs filtered full scan");
+    let expect: Vec<_> = then
+        .iter()
+        .filter(|(oid, _)| keys.holds(**oid))
+        .map(|(o, v)| (*o, *v))
+        .collect();
+    assert_eq!(bounded, expect, "{ctx}: AS OF scan vs shadow state");
+    db.commit(&mut txn).unwrap();
+
+    // -- one key, all time: HISTORY OF ---------------------------------------
+    let oid = (lo.ttime % (OBJECTS as u64 + 2)) as i32 - 1;
+    let history: Vec<_> = db
+        .history_rows(TABLE, &Value::Int(oid))
+        .unwrap()
+        .into_iter()
+        .map(|(ts, row)| (ts.expect("all committed"), row.map(|r| xy(&r).1)))
+        .collect();
+    let mut expect: Vec<_> = fx
+        .log
+        .iter()
+        .filter(|e| e.1 == oid)
+        .map(|e| (e.0, e.2))
+        .collect();
+    expect.reverse();
+    assert_eq!(history, expect, "{ctx}: history of {oid} vs shadow log");
+}
+
+fn check_boxes(fx: &Fixture, seed: u64, rounds: usize, phase: &str) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for round in 0..rounds {
+        let (keys, lo, hi) = fx.random_box(&mut rng);
+        let ctx = format!("{phase} box {round}: {:?} × [{lo:?}, {hi:?}]", keys.0);
+        check_box(fx, &keys, lo, hi, &ctx);
+    }
+}
+
+/// A snapshot transaction with uncommitted writes of its own, whose
+/// leaves time-split under it (its snapshot then predates their start,
+/// while its writes stay in them): bounded reads must still equal the
+/// filtered full scan and the shadow state overlaid with its writes.
+fn check_own_writes(fx: &mut Fixture, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let db = fx.db.clone();
+    let mut snap = db.begin(Isolation::Snapshot);
+    let mut expect = fx.state_at(*fx.stamps.last().unwrap());
+    let mut mine = Vec::new();
+    for oid in (0..OBJECTS as i32).step_by(3) {
+        let op = match (expect.contains_key(&oid), rng.gen_range(0..3)) {
+            (false, _) => TemporalOp::Insert {
+                oid: oid as u32,
+                x: -oid,
+                y: 1,
+            },
+            (true, 0) => TemporalOp::Delete { oid: oid as u32 },
+            (true, _) => TemporalOp::Update {
+                oid: oid as u32,
+                x: -oid,
+                y: 2,
+            },
+        };
+        match op {
+            TemporalOp::Delete { .. } => expect.remove(&oid),
+            _ => expect.insert(oid, (-oid, if expect.contains_key(&oid) { 2 } else { 1 })),
+        };
+        mine.push(op);
+    }
+    apply(&db, &mut snap, &mine);
+    // Other transactions churn the keys in between until leaves split.
+    let (splits_before, _) = db.split_counts();
+    let mut x = 0;
+    while db.split_counts().0 < splits_before + 6 {
+        let others: Vec<TemporalOp> = (0..OBJECTS)
+            .filter(|oid| {
+                oid % 3 == 1
+                    && fx
+                        .state_at(*fx.stamps.last().unwrap())
+                        .contains_key(&(*oid as i32))
+            })
+            .take(5)
+            .map(|oid| TemporalOp::Update { oid, x, y: 9 })
+            .collect();
+        fx.commit(&others);
+        x += 1;
+    }
+    for round in 0..40 {
+        let keys = Keys::random(&db.table(TABLE).unwrap().schema, &mut rng);
+        let bounded = rows_in(&db, &mut snap, &keys);
+        let full = rows_in(&db, &mut snap, &Keys(PkBounds::all()));
+        let filtered: Vec<_> = full
+            .iter()
+            .filter(|(oid, _)| keys.holds(*oid))
+            .copied()
+            .collect();
+        assert_eq!(bounded, filtered, "own writes, box {round} {:?}", keys.0);
+        let want: Vec<_> = expect
+            .iter()
+            .filter(|(oid, _)| keys.holds(**oid))
+            .map(|(o, v)| (*o, *v))
+            .collect();
+        assert_eq!(
+            bounded, want,
+            "own writes vs shadow, box {round} {:?}",
+            keys.0
+        );
+    }
+    db.rollback(&mut snap).unwrap();
+}
+
+fn battery(tag: &str, using_tsb: bool, seed: u64) {
+    let mut fx = build(tag, using_tsb, seed, OBJECTS, STEPS);
+    check_boxes(&fx, seed ^ 1, 60, "after splits");
+    let stats = fx.db.compact_history().unwrap();
+    assert!(stats.pages_rewritten > 0, "compaction must rewrite pages");
+    check_boxes(&fx, seed ^ 2, 60, "after compact_history");
+    check_own_writes(&mut fx, seed ^ 3);
+}
+
+#[test]
+fn chain_cursor_equals_brute_force() {
+    battery("chain-a", false, 11);
+    battery("chain-b", false, 12);
+}
+
+#[test]
+fn tsb_cursor_equals_brute_force() {
+    battery("tsb-a", true, 11);
+    battery("tsb-b", true, 12);
+}
+
+// -- cost what you touch ------------------------------------------------------
+
+fn fetches(db: &Database) -> u64 {
+    db.metrics().buffer.fetches.get()
+}
+
+/// `buffer.fetches` spent by `f`.
+fn fetch_cost<R>(db: &Database, f: impl FnOnce() -> R) -> (u64, R) {
+    let before = fetches(db);
+    let out = f();
+    (fetches(db) - before, out)
+}
+
+#[test]
+fn keyed_temporal_reads_cost_what_they_touch() {
+    let fx = build("cost", false, 21, 4 * OBJECTS, 3 * STEPS);
+    let db = &fx.db;
+    // Stamp everything so no read resolves a timestamp through PTT pages.
+    db.vacuum().unwrap();
+    let schema = db.table(TABLE).unwrap().schema.clone();
+    let oldest = fx.stamps[0];
+    let (lo, hi) = (fx.stamps[fx.stamps.len() / 2], *fx.stamps.last().unwrap());
+    let point_read = |oid: i32, ts: Timestamp| {
+        let mut txn = db.begin_as_of_ts(ts);
+        let cost = fetch_cost(db, || {
+            db.get_row(&mut txn, TABLE, &Value::Int(oid)).unwrap()
+        })
+        .0;
+        db.commit(&mut txn).unwrap();
+        cost
+    };
+    let pushed = |name: &str| db.metrics_snapshot().get(name).unwrap();
+
+    // A point read at the oldest time walks its leaf's whole chain: the
+    // descent plus one fetch per chain page.
+    let oid = 17;
+    let whole_chain = point_read(oid, oldest);
+    assert!(whole_chain > 8, "deep history expected, got {whole_chain}");
+
+    // Single-key VERSIONS BETWEEN over half the history: within that.
+    let key = PkBounds::point(&schema, &Value::Int(oid)).unwrap();
+    let (points, nones) = (
+        pushed("temporal.pushdown_point"),
+        pushed("temporal.pushdown_none"),
+    );
+    let (keyed, versions) = fetch_cost(db, || db.versions_between_in(TABLE, &key, lo, hi).unwrap());
+    assert!(!versions.is_empty());
+    assert!(
+        keyed <= whole_chain,
+        "single-key window: {keyed} fetches > chain + height {whole_chain}"
+    );
+    let (unkeyed, _) = fetch_cost(db, || db.versions_between(TABLE, lo, hi).unwrap());
+    assert!(
+        keyed * 4 < unkeyed,
+        "keyed {keyed} vs whole-table {unkeyed}"
+    );
+    assert_eq!(pushed("temporal.pushdown_point"), points + 1);
+    assert_eq!(pushed("temporal.pushdown_none"), nones + 1);
+
+    // The same through SQL: the planner must push `Oid = k` down.
+    let mut s = Session::new(db);
+    let sql = format!(
+        "SELECT * FROM {TABLE} VERSIONS BETWEEN ms({}) AND ms({}) WHERE Oid = {oid} AND X >= 0",
+        lo.ttime, hi.ttime
+    );
+    let (via_sql, r) = fetch_cost(db, || s.execute(&sql).unwrap());
+    assert!(!r.rows.is_empty());
+    assert!(via_sql <= whole_chain, "SQL window: {via_sql} fetches");
+    assert_eq!(pushed("temporal.pushdown_point"), points + 2);
+
+    // A keyed AS OF range touches only the covering leaves' chains: no
+    // more than reading each of its keys alone, far less than the table.
+    let range = 10..22;
+    s.begin_as_of_ts(lo).unwrap();
+    let ranges = pushed("temporal.pushdown_range");
+    let sql = format!(
+        "SELECT * FROM {TABLE} WHERE Oid >= {} AND Oid < {}",
+        range.start, range.end
+    );
+    let (ranged, r) = fetch_cost(db, || s.execute(&sql).unwrap());
+    assert_eq!(pushed("temporal.pushdown_range"), ranges + 1);
+    let (full, all) = fetch_cost(db, || s.execute(&format!("SELECT * FROM {TABLE}")).unwrap());
+    s.commit().unwrap();
+    let alive = fx.state_at(lo);
+    assert_eq!(
+        r.rows.len(),
+        range.clone().filter(|o| alive.contains_key(o)).count()
+    );
+    assert_eq!(all.rows.len(), alive.len());
+    let one_by_one: u64 = range.map(|oid| point_read(oid, lo)).sum();
+    assert!(
+        ranged <= one_by_one,
+        "range {ranged} vs point reads {one_by_one}"
+    );
+    assert!(ranged * 4 < full, "range {ranged} vs full scan {full}");
+
+    // UPDATE and DELETE find their rows through the same bounds.
+    let (ranges, nones) = (
+        pushed("temporal.pushdown_range"),
+        pushed("temporal.pushdown_none"),
+    );
+    s.execute(&format!(
+        "UPDATE {TABLE} SET Y = 5 WHERE Oid > 40 AND Oid <= 44"
+    ))
+    .unwrap();
+    s.execute(&format!("DELETE FROM {TABLE} WHERE Oid >= 238"))
+        .unwrap();
+    assert_eq!(pushed("temporal.pushdown_range"), ranges + 2);
+    s.execute(&format!("UPDATE {TABLE} SET Y = 6 WHERE X = 123456"))
+        .unwrap();
+    assert_eq!(pushed("temporal.pushdown_none"), nones + 1);
+}
+
+#[test]
+fn tsb_keyed_window_prunes_rectangles_on_keys() {
+    let fx = build("tsb-cost", true, 21, 4 * OBJECTS, 3 * STEPS);
+    let db = &fx.db;
+    let schema = db.table(TABLE).unwrap().schema.clone();
+    let (lo, hi) = (fx.stamps[fx.stamps.len() / 2], *fx.stamps.last().unwrap());
+    let pages = || db.metrics().temporal.range_scan_pages.get();
+    let key = PkBounds::point(&schema, &Value::Int(17)).unwrap();
+    let before = pages();
+    assert!(!db
+        .versions_between_in(TABLE, &key, lo, hi)
+        .unwrap()
+        .is_empty());
+    let keyed = pages() - before;
+    db.versions_between(TABLE, lo, hi).unwrap();
+    let unkeyed = pages() - before - keyed;
+    assert!(
+        keyed > 0 && keyed * 4 < unkeyed,
+        "keyed {keyed} vs whole-table {unkeyed} pages"
+    );
+}
