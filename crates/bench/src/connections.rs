@@ -1,37 +1,36 @@
-//! Connection scaling: thread-per-connection vs the readiness reactor.
+//! Connection scaling on the leader/followers server.
 //!
-//! For each fleet size (64 / 256 / 1024 connections, ≥90% idle) both
-//! serving models hold the whole fleet while the active minority drives
+//! For each fleet size (64 / 256 / 1024 connections, ≥90% idle) the
+//! server holds the whole fleet while the active minority drives
 //! autocommit commits. Measured per configuration:
 //!
 //! * **process threads** while the fleet is parked — the headline
-//!   number. Thread-per-connection must hold one worker thread per open
-//!   connection (its `workers` knob *is* its connection capacity), so
-//!   its thread count tracks the fleet; the reactor holds every fleet on
-//!   the same fixed budget (one event loop + `REACTOR_WORKERS` cores).
-//! * resident memory with the fleet parked (thread stacks are the
-//!   dominant per-connection cost of the baseline),
+//!   number: the same fixed budget (`SERVER_WORKERS + 1` serving threads)
+//!   whatever the fleet size,
+//! * resident memory with the fleet parked,
 //! * commit throughput and client-observed p50/p99 from the active
-//!   clients — idle fleets must not tax the hot path in either model.
+//!   clients — an idle fleet must not tax the hot path,
+//! * how often the poll loop changed hands, and why.
 //!
-//! Client-side load threads are identical across models, so the
+//! Client-side load threads are identical across rows, so the
 //! thread/RSS deltas between rows isolate the server's share.
+//! (EXPERIMENTS.md keeps the thread-per-connection rows this sweep was
+//! first run against, as history.)
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use immortaldb::{Database, DbConfig, Durability, EventTap, Sentinel, Session};
-use immortaldb_net::{Client, Server, ServerConfig, ServerModel};
+use immortaldb_net::{Client, Server, ServerConfig};
 
 use crate::harness::print_table;
 
-/// Execution cores for the reactor model — fixed across fleet sizes.
-const REACTOR_WORKERS: usize = 4;
+/// `ServerConfig::workers` — fixed across fleet sizes.
+const SERVER_WORKERS: usize = 4;
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
 pub struct ConnRow {
-    pub model: &'static str,
     pub conns: usize,
     pub active: usize,
     /// `Threads:` from /proc/self/status with the fleet parked
@@ -43,6 +42,8 @@ pub struct ConnRow {
     pub secs: f64,
     pub p50_us: u64,
     pub p99_us: u64,
+    /// `server.loop_handoffs_{wait,long,batch}` over the run.
+    pub handoffs: [u64; 3],
 }
 
 impl ConnRow {
@@ -76,26 +77,12 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
     sorted_us[((sorted_us.len() - 1) as f64 * p).round() as usize]
 }
 
-fn run_one(model: ServerModel, conns: usize, commits_per_active: u64) -> ConnRow {
-    let (name, cfg) = match model {
-        ServerModel::Reactor => (
-            "reactor",
-            ServerConfig::new("127.0.0.1:0")
-                .workers(REACTOR_WORKERS)
-                .max_connections(conns + 16),
-        ),
-        ServerModel::ThreadPerConn => (
-            // The baseline can only hold a connection by parking a
-            // worker thread on it, so its pool must cover the fleet.
-            "thread-per-conn",
-            ServerConfig::new("127.0.0.1:0")
-                .model(ServerModel::ThreadPerConn)
-                .workers(conns + 16)
-                .accept_queue(16),
-        ),
-    };
+fn run_one(conns: usize, commits_per_active: u64) -> ConnRow {
+    let cfg = ServerConfig::new("127.0.0.1:0")
+        .workers(SERVER_WORKERS)
+        .max_connections(conns + 16);
     let active = (conns / 16).max(2); // ≤ 6.25% active, ≥ 90% idle
-    let dir = scratch_dir(&format!("{name}-{conns}"));
+    let dir = scratch_dir(&format!("fleet-{conns}"));
     let db = Arc::new(
         Database::open(
             DbConfig::new(&dir)
@@ -149,8 +136,13 @@ fn run_one(model: ServerModel, conns: usize, commits_per_active: u64) -> ConnRow
     let mut latencies: Vec<u64> = results.into_iter().flatten().collect();
     let commits = latencies.len() as u64;
     latencies.sort_unstable();
+    let sm = &db.metrics().server;
     let row = ConnRow {
-        model: name,
+        handoffs: [
+            sm.loop_handoffs_wait.get(),
+            sm.loop_handoffs_long.get(),
+            sm.loop_handoffs_batch.get(),
+        ],
         conns,
         active,
         threads,
@@ -168,8 +160,8 @@ fn run_one(model: ServerModel, conns: usize, commits_per_active: u64) -> ConnRow
     row
 }
 
-/// The idle-fleet-tax experiment (the PR's acceptance numbers): the
-/// reactor serving 8 active commit clients, measured alone, with a
+/// The idle-fleet-tax experiment (PR 9's acceptance numbers): the
+/// server with 8 active commit clients, measured alone, with a
 /// 1016-connection idle fleet parked beside them, and with the fleet
 /// AND the isolation sentinel armed. The fleet must not tax the hot
 /// path (within 10%) and the sentinel must cost < 5%.
@@ -214,7 +206,7 @@ fn run_tax(label: &'static str, idle: usize, arm: bool, commits_per_active: u64)
     let server = Server::start(
         Arc::clone(&db),
         ServerConfig::new("127.0.0.1:0")
-            .workers(REACTOR_WORKERS)
+            .workers(SERVER_WORKERS)
             .max_connections(idle + TAX_ACTIVE + 16),
     )
     .expect("start server");
@@ -324,7 +316,7 @@ pub fn report_idle_tax(rows: &[IdleTaxRow]) {
         })
         .collect();
     print_table(
-        "connections — idle-fleet tax on the reactor hot path (8 active clients)",
+        "connections — idle-fleet tax on the hot path (8 active clients)",
         &[
             "configuration",
             "idle",
@@ -371,24 +363,21 @@ pub fn idle_tax_json(rows: &[IdleTaxRow]) -> String {
     format!("[{}]", items.join(","))
 }
 
-/// The fleet sweep, both models.
+/// The fleet sweep.
 pub fn run(quick: bool) -> Vec<ConnRow> {
     let per_active: u64 = if quick { 150 } else { 600 };
-    let mut rows = Vec::new();
-    for &conns in &[64usize, 256, 1024] {
-        for model in [ServerModel::ThreadPerConn, ServerModel::Reactor] {
-            rows.push(run_one(model, conns, per_active));
-        }
-    }
-    rows
+    [64usize, 256, 1024]
+        .iter()
+        .map(|&conns| run_one(conns, per_active))
+        .collect()
 }
 
 pub fn report(rows: &[ConnRow]) {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
+            let [wait, long, batch] = r.handoffs;
             vec![
-                r.model.to_string(),
                 r.conns.to_string(),
                 r.active.to_string(),
                 r.threads.to_string(),
@@ -396,13 +385,13 @@ pub fn report(rows: &[ConnRow]) {
                 format!("{:.0}", r.throughput()),
                 r.p50_us.to_string(),
                 r.p99_us.to_string(),
+                format!("{wait}/{long}/{batch}"),
             ]
         })
         .collect();
     print_table(
-        "connections — fleet scaling, thread-per-conn vs reactor",
+        "connections — fleet scaling on a fixed thread budget",
         &[
-            "model",
             "conns",
             "active",
             "threads",
@@ -410,26 +399,10 @@ pub fn report(rows: &[ConnRow]) {
             "commits/s",
             "p50 us",
             "p99 us",
+            "handoffs wait/long/batch",
         ],
         &table,
     );
-    for &conns in &[64usize, 256, 1024] {
-        let tpc = rows
-            .iter()
-            .find(|r| r.model == "thread-per-conn" && r.conns == conns);
-        let rea = rows
-            .iter()
-            .find(|r| r.model == "reactor" && r.conns == conns);
-        if let (Some(t), Some(r)) = (tpc, rea) {
-            println!(
-                "  {conns:>4} conns: {} vs {} threads ({:.0}x fewer), throughput {:.2}x of baseline",
-                t.threads,
-                r.threads,
-                t.threads as f64 / (r.threads.max(1)) as f64,
-                r.throughput() / t.throughput().max(1e-9),
-            );
-        }
-    }
 }
 
 pub fn rows_json(rows: &[ConnRow]) -> String {
@@ -437,10 +410,10 @@ pub fn rows_json(rows: &[ConnRow]) -> String {
         .iter()
         .map(|r| {
             format!(
-                "{{\"model\":\"{}\",\"conns\":{},\"active\":{},\"threads\":{},\
+                "{{\"conns\":{},\"active\":{},\"threads\":{},\
                  \"rss_kib\":{},\"commits\":{},\"secs\":{:.6},\"commits_per_sec\":{:.1},\
-                 \"p50_us\":{},\"p99_us\":{}}}",
-                r.model,
+                 \"p50_us\":{},\"p99_us\":{},\"handoffs_wait\":{},\"handoffs_long\":{},\
+                 \"handoffs_batch\":{}}}",
                 r.conns,
                 r.active,
                 r.threads,
@@ -449,7 +422,10 @@ pub fn rows_json(rows: &[ConnRow]) -> String {
                 r.secs,
                 r.throughput(),
                 r.p50_us,
-                r.p99_us
+                r.p99_us,
+                r.handoffs[0],
+                r.handoffs[1],
+                r.handoffs[2]
             )
         })
         .collect();

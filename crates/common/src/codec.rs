@@ -54,6 +54,13 @@ pub struct Writer {
     buf: Vec<u8>,
 }
 
+/// Keep appending to bytes already written (`finish` hands them back).
+impl From<Vec<u8>> for Writer {
+    fn from(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+}
+
 impl Writer {
     pub fn new() -> Self {
         Writer { buf: Vec::new() }

@@ -10,6 +10,7 @@
 //! transaction committing within the same 20 ms tick still receives a
 //! unique, correctly ordered timestamp.
 
+pub mod blocking;
 pub mod codec;
 pub mod error;
 pub mod ids;

@@ -14,7 +14,7 @@ use immortaldb_btree::{
     TemporalVersion, VersionCursor,
 };
 use immortaldb_common::{
-    Clock, Error, Lsn, PageId, Result, SystemClock, Tid, Timestamp, TreeId, NULL_LSN,
+    blocking, Clock, Error, Lsn, PageId, Result, SystemClock, Tid, Timestamp, TreeId, NULL_LSN,
 };
 use immortaldb_obs::{MetricsRegistry, MetricsSnapshot};
 use immortaldb_storage::buffer::BufferPool;
@@ -1499,6 +1499,7 @@ impl Database {
             // instead of maintaining a redo scan start.
             return Ok(0);
         }
+        blocking::about_to_run_long();
         {
             let meta = self.pool.fetch(PageId(0))?;
             let mut g = meta.write();
@@ -1532,6 +1533,7 @@ impl Database {
         if self.replica {
             return Err(Error::ReplicaReadOnly);
         }
+        blocking::about_to_run_long();
         // Snapshot the reclaim set first: entries appearing *after* this
         // point belong to transactions committing during the sweep, whose
         // records may be stamped lazily later.
@@ -1568,6 +1570,7 @@ impl Database {
         if self.replica {
             return Err(Error::ReplicaReadOnly);
         }
+        blocking::about_to_run_long();
         let handles: Vec<TableIndex> = self.trees.read().values().cloned().collect();
         compaction_pass(&handles, self.metrics())
     }
@@ -1708,6 +1711,7 @@ impl Database {
     pub fn restore_table_as_of(&self, table: &str, as_of: Timestamp) -> Result<(usize, Timestamp)> {
         let def = self.table(table)?;
         self.check_as_of_allowed(&def)?;
+        blocking::about_to_run_long();
         let as_of = as_of.min(self.visible_horizon());
         let mut txn = self.begin(Isolation::Serializable);
         match self.restore_diff(&mut txn, &def, as_of) {

@@ -7,10 +7,10 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 
-use immortaldb_common::{Error, Result, Timestamp};
+use immortaldb_common::{blocking, Error, Result, Timestamp};
 
 use crate::db::Database;
-use crate::row::{Column, Schema, Value};
+use crate::row::{Column, PkBounds, Pushdown, Schema, Value};
 use crate::txn::{Isolation, Transaction};
 
 use ast::{AsOfSpec, Predicate, Statement};
@@ -448,7 +448,7 @@ impl<'a> Session<'a> {
                 let lo = self.window_lo_ts(&t1)?;
                 let hi = self.point_ts(&t2)?;
                 let filter = Filter::compile(&def.schema, &predicate)?;
-                let bounds = filter.pk_bounds(&def.schema)?;
+                let bounds = read_bounds(filter.pk_bounds(&def.schema)?);
                 let versions = self.db.versions_between_in(&table, &bounds, lo, hi)?;
                 let (names, idxs) = projection(&def.schema, columns)?;
                 let idxs = idxs.unwrap_or_else(|| (0..def.schema.columns.len()).collect());
@@ -528,8 +528,9 @@ impl<'a> Session<'a> {
                 let def = self.db.table(&table)?;
                 let a = self.point_ts(&t1)?;
                 let b = self.point_ts(&t2)?;
-                let bounds =
-                    Filter::compile(&def.schema, &predicate)?.pk_bounds_only(&def.schema)?;
+                let bounds = read_bounds(
+                    Filter::compile(&def.schema, &predicate)?.pk_bounds_only(&def.schema)?,
+                );
                 let diff = self.db.diff_table_in(&table, &bounds, a, b)?;
                 let mut cols = vec![
                     "_op".to_string(),
@@ -581,7 +582,7 @@ impl<'a> Session<'a> {
     ) -> Result<Vec<Vec<Value>>> {
         let def = self.db.table(table)?;
         let filter = Filter::compile(&def.schema, predicate)?;
-        let bounds = filter.pk_bounds(&def.schema)?;
+        let bounds = read_bounds(filter.pk_bounds(&def.schema)?);
         let mut out = Vec::new();
         self.db.visit_rows(txn, table, &bounds, &mut |row| {
             if filter.matches(&row) {
@@ -591,6 +592,16 @@ impl<'a> Session<'a> {
         })?;
         Ok(out)
     }
+}
+
+/// The bounds a statement is about to read under. Anything wider than a
+/// single key costs what the table holds, not what the statement says, so
+/// a thread with other work to look after is told first.
+fn read_bounds(bounds: PkBounds) -> PkBounds {
+    if bounds.pushdown() != Pushdown::Point {
+        blocking::about_to_run_long();
+    }
+    bounds
 }
 
 /// Output column names of a select list, and the schema positions to

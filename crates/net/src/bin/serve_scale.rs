@@ -1,7 +1,7 @@
 //! `serve-scale` — the CI connection-scaling stage, in one process.
 //!
-//! Opens a fresh store, starts the reactor-model server on a small fixed
-//! worker-core pool, then connects 500 clients (override with
+//! Opens a fresh store, starts the server on a small fixed thread
+//! budget, then connects 500 clients (override with
 //! `SCALE_CONNS`) of which ≥90% sit idle while the rest drive a mixed
 //! load (autocommit writes, explicit transactions, snapshot reads, AS OF
 //! reads). The isolation sentinel is armed for the whole run.
@@ -9,8 +9,10 @@
 //! The run FAILS if:
 //! * any connection is shed or errors (the cap is set above the fleet),
 //! * any parked connection stops answering when poked at the end,
-//! * the process thread count ever implies thread-per-connection
-//!   (threads must stay far below the connection count),
+//! * the server runs on anything but its fixed budget of `WORKERS + 1`
+//!   serving threads, or the process thread count grows with the fleet,
+//! * the poll loop never changed hands (every commit here waits for an
+//!   fsync, so it must have),
 //! * resident memory exceeds a hard bound,
 //! * the sentinel confirms a single isolation violation, or saw nothing.
 
@@ -40,6 +42,17 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Threads of this process whose name starts with `prefix`.
+fn threads_named(prefix: &str) -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with(prefix))
+        .count()
 }
 
 /// Read a numeric field (kB for VmRSS) from /proc/self/status.
@@ -80,14 +93,16 @@ fn run() -> immortaldb_common::Result<()> {
             .max_connections(conns * 2),
     )?;
     let addr = server.local_addr();
-    println!("serve-scale: serving on {addr} ({WORKERS} worker cores)");
+    println!(
+        "serve-scale: serving on {addr} ({WORKERS} workers, {} serving threads)",
+        WORKERS + 1
+    );
 
     let mut admin = Client::connect(addr)?;
     admin.query("CREATE IMMORTAL TABLE scale (id INT PRIMARY KEY, worker INT, v BIGINT)")?;
 
-    // The idle fleet: connect, handshake, park. Under a
-    // thread-per-connection server this alone would need `conns`
-    // threads; the reactor must hold them all on its fixed budget.
+    // The idle fleet: connect, handshake, park. The server must hold
+    // them all on its fixed thread budget.
     let mut idle = Vec::with_capacity(conns - ACTIVE);
     for _ in 0..conns.saturating_sub(ACTIVE) {
         idle.push(Client::connect(addr)?);
@@ -103,8 +118,15 @@ fn run() -> immortaldb_common::Result<()> {
     println!("serve-scale: {open} connections open, {threads} process threads");
     if threads > MAX_THREADS {
         return Err(Error::Internal(format!(
-            "{threads} threads for {open} connections — that is thread-per-conn scaling \
+            "{threads} threads for {open} connections — threads scale with the fleet \
              (bound: {MAX_THREADS})"
+        )));
+    }
+    let serving = threads_named("imdb-serve-");
+    if serving != WORKERS + 1 && std::path::Path::new("/proc/self/task").exists() {
+        return Err(Error::Internal(format!(
+            "{serving} serving threads, the budget is workers + 1 = {}",
+            WORKERS + 1
         )));
     }
 
@@ -158,13 +180,26 @@ fn run() -> immortaldb_common::Result<()> {
 
     let rss_kib = proc_status("VmRSS").unwrap_or(0);
     let threads = proc_status("Threads").unwrap_or(0);
+    let snap = db.metrics_snapshot();
+    let handoffs = snap.get("server.loop_handoffs").unwrap_or(0);
     println!(
-        "serve-scale: after load: RSS {} MiB, {} threads, shed {} conns / {} reqs",
+        "serve-scale: after load: RSS {} MiB, {} threads, shed {} conns / {} reqs, \
+         {} of {} requests inline, {handoffs} loop hand-offs (wait {} / long {} / batch {})",
         rss_kib / 1024,
         threads,
         db.metrics().server.shed_connections.get(),
         db.metrics().server.shed_requests.get(),
+        snap.get("server.requests_inline").unwrap_or(0),
+        snap.get("server.requests").unwrap_or(0),
+        snap.get("server.loop_handoffs_wait").unwrap_or(0),
+        snap.get("server.loop_handoffs_long").unwrap_or(0),
+        snap.get("server.loop_handoffs_batch").unwrap_or(0),
     );
+    if handoffs == 0 {
+        return Err(Error::Internal(
+            "server.loop_handoffs = 0: fsync commits ran without the loop changing hands".into(),
+        ));
+    }
     if rss_kib / 1024 > MAX_RSS_MIB {
         return Err(Error::Internal(format!(
             "RSS {} MiB exceeds the {MAX_RSS_MIB} MiB bound",

@@ -12,6 +12,11 @@
 //! every snapshot/AS OF read streams through the event tap, and the run
 //! FAILS if the checker confirms a single snapshot-isolation violation.
 //! Exits non-zero on any failure.
+//!
+//! `SMOKE_WORKERS` sets `ServerConfig::workers` (default: one per
+//! client). CI runs the mix a second time with `SMOKE_WORKERS=1` — two
+//! serving threads, the tightest case for the loop's hand-off rules —
+//! under a wall-clock timeout.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -61,12 +66,16 @@ fn run() -> immortaldb_common::Result<()> {
             .sentinel(Arc::clone(&tap)),
     )?);
     let sentinel = Sentinel::spawn(Arc::clone(&tap), db.metrics().clone());
+    let workers = std::env::var("SMOKE_WORKERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(CLIENTS);
     let server = Server::start(
         Arc::clone(&db),
-        ServerConfig::new("127.0.0.1:0").workers(CLIENTS),
+        ServerConfig::new("127.0.0.1:0").workers(workers),
     )?;
     let addr = server.local_addr();
-    println!("net-smoke: serving on {addr}");
+    println!("net-smoke: serving on {addr} (workers = {workers})");
 
     let mut admin = Client::connect(addr)?;
     admin.query("CREATE IMMORTAL TABLE smoke (id INT PRIMARY KEY, worker INT, v VARCHAR(32))")?;
@@ -149,8 +158,10 @@ fn run() -> immortaldb_common::Result<()> {
     };
     let expect_rows = (CLIENTS as i64) * (ROWS_PER_CLIENT as i64);
     println!(
-        "net-smoke: {} requests, {} group commits, {} fsyncs",
+        "net-smoke: {} requests ({} inline, {} loop hand-offs), {} group commits, {} fsyncs",
         metric("server.requests"),
+        metric("server.requests_inline"),
+        metric("server.loop_handoffs"),
         metric("wal.group_commits"),
         metric("wal.fsyncs"),
     );

@@ -4,18 +4,21 @@
 //! [`Client::query`] runs one statement per round trip, and the typed
 //! [`Client::begin`] / [`Client::commit`] / [`Client::rollback`] /
 //! [`Client::begin_as_of_ms`] calls return real timestamps instead of
-//! parsing messages. For pipelining, [`Client::send_query`] writes a
-//! request without waiting and [`Client::recv_response`] collects the
-//! replies in order — the server executes pipelined requests
-//! back-to-back, letting group commit batch across connections.
+//! parsing messages. [`Client::query_as_of`] is a whole historical read —
+//! begin, statement, commit — in one round trip. For pipelining,
+//! [`Client::send_query`] writes a request without waiting and
+//! [`Client::recv_response`] collects the replies in order — the server
+//! executes pipelined requests back-to-back, letting group commit batch
+//! across connections.
 
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use immortaldb::{Isolation, Value};
 use immortaldb_common::{Error, ErrorCode, Result, Timestamp};
 
-use crate::proto::{self, AsOfTarget, FrameBuffer, Reply, Request, WalBatch, VERSION};
+use crate::proto::{AsOfTarget, FrameBuffer, Reply, Request, WalBatch, VERSION};
 
 /// A decoded non-error server response.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +36,9 @@ pub struct Client {
     stream: TcpStream,
     /// Bytes received and not yet decoded; reused across replies.
     inbox: FrameBuffer,
+    /// The frames of the call in hand, encoded here and sent in one
+    /// `write`; reused across requests.
+    outbox: Vec<u8>,
     txn_open: bool,
     /// Requests sent but not yet answered (pipelining depth).
     in_flight: usize,
@@ -46,6 +52,7 @@ impl Client {
         let mut client = Client {
             stream,
             inbox: FrameBuffer::new(),
+            outbox: Vec::new(),
             txn_open: false,
             in_flight: 0,
         };
@@ -87,6 +94,37 @@ impl Client {
         self.round_trip_ts(&Request::Commit)
     }
 
+    /// Run one statement `AS OF ts` as a read-only transaction of its own,
+    /// in a single round trip: BEGIN_AS_OF, QUERY and COMMIT leave in one
+    /// `write` and the server answers the three back to back. Returns the
+    /// statement's result with `ts` set to the effective timestamp (`ts`
+    /// clamped to the server's visibility horizon). The first error among
+    /// the three replies is returned; either way no transaction is left
+    /// open. Refused while a transaction is open, since the frames would
+    /// run inside it and commit it. `sql` must be a read: if the server
+    /// refuses the BEGIN (SERVER_BUSY), the statement still arrives and
+    /// runs against the current state.
+    pub fn query_as_of(&mut self, ts: Timestamp, sql: &str) -> Result<Response> {
+        if self.txn_open {
+            return Err(Error::Sql(
+                "query_as_of needs a session with no open transaction".into(),
+            ));
+        }
+        self.send_all(&[
+            Request::BeginAsOf(AsOfTarget::Exact(ts)),
+            Request::Query(sql.into()),
+            Request::Commit,
+        ])?;
+        let begun = self.recv_response();
+        let rows = self.recv_response();
+        let committed = self.recv_response();
+        let effective = begun?.ts;
+        let mut rows = rows?;
+        committed?;
+        rows.ts = effective;
+        Ok(rows)
+    }
+
     /// Roll back the open transaction.
     pub fn rollback(&mut self) -> Result<()> {
         self.send(&Request::Rollback)?;
@@ -97,7 +135,7 @@ impl Client {
     /// each call with one [`Client::recv_response`]; replies arrive in
     /// request order.
     pub fn send_query(&mut self, sql: &str) -> Result<()> {
-        self.send(&Request::Query(sql.to_string()))
+        self.send(&Request::Query(sql.into()))
     }
 
     /// Receive the next pending response. Error frames are surfaced as
@@ -118,7 +156,7 @@ impl Client {
                     columns: Vec::new(),
                     rows: Vec::new(),
                     affected,
-                    message,
+                    message: message.into_owned(),
                     ts,
                 })
             }
@@ -133,7 +171,7 @@ impl Client {
                     columns,
                     rows,
                     affected: 0,
-                    message,
+                    message: message.into_owned(),
                     ts: None,
                 })
             }
@@ -151,7 +189,7 @@ impl Client {
                     Err(Error::Remote {
                         code,
                         offset,
-                        message,
+                        message: message.into_owned(),
                     })
                 }
             }
@@ -189,14 +227,22 @@ impl Client {
         self.in_flight
     }
 
-    fn send(&mut self, req: &Request) -> Result<()> {
-        let (op, payload) = req.encode();
-        proto::write_frame(&mut self.stream, op, &payload)?;
-        self.in_flight += 1;
+    fn send(&mut self, req: &Request<'_>) -> Result<()> {
+        self.send_all(std::slice::from_ref(req))
+    }
+
+    /// Send `reqs` in one `write`; each is owed one reply, in order.
+    fn send_all(&mut self, reqs: &[Request<'_>]) -> Result<()> {
+        self.outbox.clear();
+        for req in reqs {
+            req.encode_into(&mut self.outbox);
+        }
+        self.stream.write_all(&self.outbox)?;
+        self.in_flight += reqs.len();
         Ok(())
     }
 
-    fn round_trip_ts(&mut self, req: &Request) -> Result<Timestamp> {
+    fn round_trip_ts(&mut self, req: &Request<'_>) -> Result<Timestamp> {
         self.send(req)?;
         let resp = self.recv_response()?;
         resp.ts
@@ -208,8 +254,7 @@ impl Client {
     /// server pushes [`WalBatch`] frames; ordinary requests are no longer
     /// possible, so the `Client` is consumed.
     pub fn subscribe_wal(mut self, from_lsn: u64) -> Result<WalSubscription> {
-        let (op, payload) = Request::SubscribeWal { from_lsn }.encode();
-        proto::write_frame(&mut self.stream, op, &payload)?;
+        self.send(&Request::SubscribeWal { from_lsn })?;
         Ok(WalSubscription {
             stream: self.stream,
             inbox: self.inbox,
@@ -233,8 +278,9 @@ impl WalSubscription {
     /// Report how far this follower has applied (informational; the
     /// primary uses it for observability, not retention).
     pub fn ack(&mut self, applied_lsn: u64) -> Result<()> {
-        let (op, payload) = Request::ReplAck { applied_lsn }.encode();
-        proto::write_frame(&mut self.stream, op, &payload)?;
+        let mut frame = Vec::new();
+        Request::ReplAck { applied_lsn }.encode_into(&mut frame);
+        self.stream.write_all(&frame)?;
         Ok(())
     }
 

@@ -10,22 +10,22 @@
 //!   OK, ROWS and ERROR. ERROR frames carry the engine's stable
 //!   [`ErrorCode`](immortaldb_common::ErrorCode) plus the byte offset of
 //!   parse errors, never matched-on strings.
-//! * [`server`] — a TCP server owning one [`Database`](immortaldb::Database).
-//!   Each connection gets a session wrapping the SQL
+//! * [`reactor`] — [`Server`]: a TCP server owning one
+//!   [`Database`](immortaldb::Database), on unix targets. Each
+//!   connection gets a session wrapping the SQL
 //!   [`Session`](immortaldb::Session) (one open transaction, explicit or
 //!   autocommit; AS OF sessions route through `Database::begin_as_of_ts`).
-//!   Two serving models share one wire behavior: the default
-//!   [`ServerModel::Reactor`] multiplexes all connections over a
-//!   readiness event loop ([`sys`] + [`reactor`]) with a fixed pool of
-//!   execution cores — idle connections cost no thread — while
-//!   [`ServerModel::ThreadPerConn`] keeps the classic
-//!   one-worker-per-connection baseline. Overload is shed with a typed
-//!   SERVER_BUSY error carrying a `retry_after_ms` back-off hint
-//!   (connection-level and, under the reactor, per-request). Idle
-//!   sessions are rolled back from timer-wheel ticks; shutdown drains
-//!   in-flight commits before the final WAL force. Requests are read
-//!   through a streaming frame buffer, so pipelined clients are served
-//!   back-to-back and group commit batches across connections.
+//!   `workers + 1` threads share one readiness loop ([`sys`]) in the
+//!   leader/followers pattern: a request executes on the thread that
+//!   read it, and the loop moves to a parked thread when that request is
+//!   about to wait — idle connections cost no thread. Overload is shed
+//!   with a typed SERVER_BUSY error carrying a `retry_after_ms` back-off
+//!   hint (per connection and per request). Idle sessions are rolled
+//!   back from timer-wheel ticks; shutdown drains in-flight commits
+//!   before the final WAL force. Requests are read through a streaming
+//!   frame buffer, so pipelined clients are served back-to-back and
+//!   group commit batches across connections. [`server`] holds the
+//!   configuration and the request execution the loop calls.
 //! * [`client`] — [`Client`]: connect/handshake, `query()` with typed row
 //!   decoding, native BEGIN/COMMIT/ROLLBACK returning real
 //!   [`Timestamp`](immortaldb_common::Timestamp)s, and a split
@@ -47,4 +47,6 @@ pub mod server;
 pub mod sys;
 
 pub use client::{Client, Response, WalSubscription};
-pub use server::{Server, ServerConfig, ServerModel};
+#[cfg(unix)]
+pub use reactor::Server;
+pub use server::ServerConfig;

@@ -45,7 +45,8 @@
 //! Row values are tagged: `1` SMALLINT (`i16`), `2` INT (`i32`),
 //! `3` BIGINT (`i64`), `4` VARCHAR (`u32 len + bytes`).
 
-use std::io::{self, Read, Write};
+use std::borrow::Cow;
+use std::io::{self, Read};
 
 use immortaldb::{Isolation, Value};
 use immortaldb_common::codec::{Reader, Writer};
@@ -82,22 +83,24 @@ pub mod op {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Write one frame (single `write_all`, so frames are never interleaved
-/// even if the caller races — each connection has one writer anyway).
-pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result<()> {
-    let len = 1 + payload.len();
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.push(opcode);
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)?;
-    w.flush()
+/// Append one frame to `out`: the length, `opcode`, then whatever `body`
+/// writes. Every encoder goes through here, so a message is built once,
+/// in the buffer it is sent from; several frames appended to one buffer
+/// leave in one `write`.
+pub fn put_frame(out: &mut Vec<u8>, opcode: u8, body: impl FnOnce(&mut Writer)) {
+    let start = out.len();
+    let mut w = Writer::from(std::mem::take(out));
+    w.u32(0).u8(opcode);
+    body(&mut w);
+    *out = w.finish();
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Incremental frame parser for the server's polled reads: bytes arrive
 /// in arbitrary chunks (with read timeouts between them) and complete
 /// frames are peeled off the front. This is what makes pipelining work —
-/// a burst of requests parses into frames one `next_frame` call at a
+/// a burst of requests parses into frames one `take_frame` call at a
 /// time with no further socket reads.
 #[derive(Default)]
 pub struct FrameBuffer {
@@ -112,11 +115,6 @@ impl FrameBuffer {
     /// Feed raw bytes received from the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pop the next complete frame, if one is buffered.
-    pub fn next_frame(&mut self) -> io::Result<Option<(u8, Vec<u8>)>> {
-        self.take_frame(|opcode, payload| (opcode, payload.to_vec()))
     }
 
     /// Consume the next complete frame, if one is buffered, handing `f`
@@ -181,9 +179,9 @@ impl FrameBuffer {
     }
 
     /// Whether at least one complete frame is buffered, without consuming
-    /// it. Surfaces the same hostile-length error as [`next_frame`]
-    /// (`next_frame`: [`FrameBuffer::next_frame`]), so a reactor can
-    /// reject a bad connection before scheduling any work for it.
+    /// it. Surfaces the same hostile-length error as
+    /// [`FrameBuffer::take_frame`], so the server can reject a bad
+    /// connection before scheduling any work for it.
     pub fn has_complete_frame(&self) -> io::Result<bool> {
         Ok(self
             .frame_len()?
@@ -210,13 +208,14 @@ pub enum AsOfTarget {
     Exact(Timestamp),
 }
 
-/// A decoded request frame.
+/// A decoded request frame. The SQL text of a QUERY is borrowed from the
+/// frame it was decoded from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<'a> {
     Hello {
         version: u16,
     },
-    Query(String),
+    Query(Cow<'a, str>),
     Begin(Isolation),
     BeginAsOf(AsOfTarget),
     Commit,
@@ -233,54 +232,43 @@ pub enum Request {
     },
 }
 
-impl Request {
-    /// Encode to `(opcode, payload)`.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
+impl<'a> Request<'a> {
+    /// Append this request to `out` as one frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Request::Hello { version } => {
-                let mut w = Writer::new();
+            Request::Hello { version } => put_frame(out, op::HELLO, |w| {
                 w.raw(MAGIC).u16(*version);
-                (op::HELLO, w.finish())
-            }
-            Request::Query(sql) => (op::QUERY, sql.as_bytes().to_vec()),
-            Request::Begin(iso) => {
-                let b = match iso {
-                    Isolation::Serializable => 0u8,
-                    Isolation::Snapshot => 1u8,
-                };
-                (op::BEGIN, vec![b])
-            }
-            Request::BeginAsOf(target) => {
-                let mut w = Writer::new();
+            }),
+            Request::Query(sql) => put_frame(out, op::QUERY, |w| {
+                w.raw(sql.as_bytes());
+            }),
+            Request::Begin(iso) => put_frame(out, op::BEGIN, |w| {
+                w.u8(match iso {
+                    Isolation::Serializable => 0,
+                    Isolation::Snapshot => 1,
+                });
+            }),
+            Request::BeginAsOf(target) => put_frame(out, op::BEGIN_AS_OF, |w| {
                 match target {
-                    AsOfTarget::ClockMs(ms) => {
-                        w.u8(0).u64(*ms).u32(0);
-                    }
-                    AsOfTarget::Exact(ts) => {
-                        w.u8(1).u64(ts.ttime).u32(ts.sn);
-                    }
-                }
-                (op::BEGIN_AS_OF, w.finish())
-            }
-            Request::Commit => (op::COMMIT, Vec::new()),
-            Request::Rollback => (op::ROLLBACK, Vec::new()),
-            Request::SubscribeWal { from_lsn } => {
-                let mut w = Writer::new();
+                    AsOfTarget::ClockMs(ms) => w.u8(0).u64(*ms).u32(0),
+                    AsOfTarget::Exact(ts) => w.u8(1).u64(ts.ttime).u32(ts.sn),
+                };
+            }),
+            Request::Commit => put_frame(out, op::COMMIT, |_| {}),
+            Request::Rollback => put_frame(out, op::ROLLBACK, |_| {}),
+            Request::SubscribeWal { from_lsn } => put_frame(out, op::SUBSCRIBE_WAL, |w| {
                 w.u64(*from_lsn);
-                (op::SUBSCRIBE_WAL, w.finish())
-            }
-            Request::ReplAck { applied_lsn } => {
-                let mut w = Writer::new();
+            }),
+            Request::ReplAck { applied_lsn } => put_frame(out, op::REPL_ACK, |w| {
                 w.u64(*applied_lsn);
-                (op::REPL_ACK, w.finish())
-            }
+            }),
         }
     }
 
     /// Decode from `(opcode, payload)`. Malformed payloads surface as
     /// [`Error::Corruption`] (the server answers with an ERROR frame and
     /// drops the connection).
-    pub fn decode(opcode: u8, payload: &[u8]) -> Result<Request> {
+    pub fn decode(opcode: u8, payload: &'a [u8]) -> Result<Request<'a>> {
         match opcode {
             op::HELLO => {
                 let mut r = Reader::new(payload);
@@ -294,7 +282,7 @@ impl Request {
             op::QUERY => {
                 let sql = std::str::from_utf8(payload)
                     .map_err(|_| Error::Corruption("QUERY payload is not UTF-8".into()))?;
-                Ok(Request::Query(sql.to_string()))
+                Ok(Request::Query(Cow::Borrowed(sql)))
             }
             op::BEGIN => {
                 let mut r = Reader::new(payload);
@@ -363,13 +351,14 @@ impl WalBatch {
         self.start_lsn + self.bytes.len() as u64
     }
 
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut w = Writer::new();
-        w.u64(self.start_lsn)
-            .u64(self.horizon.ttime)
-            .u32(self.horizon.sn)
-            .bytes(&self.bytes);
-        (op::WAL_BATCH, w.finish())
+    /// Append this batch to `out` as one frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_frame(out, op::WAL_BATCH, |w| {
+            w.u64(self.start_lsn)
+                .u64(self.horizon.ttime)
+                .u32(self.horizon.sn)
+                .bytes(&self.bytes);
+        });
     }
 
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<WalBatch> {
@@ -402,20 +391,21 @@ pub enum Reply {
         /// Commit timestamp (COMMIT) or begin snapshot (BEGIN variants).
         ts: Option<Timestamp>,
         affected: u64,
-        message: String,
+        /// Constant for most replies, so not a `String` built per reply.
+        message: Cow<'static, str>,
     },
     Rows {
         txn_open: bool,
         columns: Vec<String>,
         rows: Vec<Vec<Value>>,
-        message: String,
+        message: Cow<'static, str>,
     },
     Error {
         txn_open: bool,
         code: ErrorCode,
         /// Byte offset into the statement for parse errors.
         offset: Option<u32>,
-        message: String,
+        message: Cow<'static, str>,
         /// Back-off hint for `Busy`-coded sheds: how long the client
         /// should wait before retrying. Encoded as a trailing extension
         /// so old peers interoperate.
@@ -460,77 +450,59 @@ fn get_value(r: &mut Reader<'_>) -> Result<Value> {
 }
 
 impl Reply {
-    /// Encode to `(opcode, payload)`.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
+    /// Append this reply to `out` as one frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Reply::Ok {
                 txn_open,
                 ts,
                 affected,
                 message,
-            } => {
-                let mut w = Writer::new();
+            } => put_frame(out, op::OK, |w| {
                 w.u8(*txn_open as u8);
                 match ts {
-                    Some(ts) => {
-                        w.u8(1).u64(ts.ttime).u32(ts.sn);
-                    }
-                    None => {
-                        w.u8(0);
-                    }
-                }
+                    Some(ts) => w.u8(1).u64(ts.ttime).u32(ts.sn),
+                    None => w.u8(0),
+                };
                 w.u64(*affected);
-                put_str(&mut w, message);
-                (op::OK, w.finish())
-            }
+                put_str(w, message);
+            }),
             Reply::Rows {
                 txn_open,
                 columns,
                 rows,
                 message,
-            } => {
-                let mut w = Writer::new();
+            } => put_frame(out, op::ROWS, |w| {
                 w.u8(*txn_open as u8).u16(columns.len() as u16);
                 for c in columns {
-                    put_str(&mut w, c);
+                    put_str(w, c);
                 }
                 w.u32(rows.len() as u32);
                 for row in rows {
                     for v in row {
-                        put_value(&mut w, v);
+                        put_value(w, v);
                     }
                 }
-                put_str(&mut w, message);
-                (op::ROWS, w.finish())
-            }
+                put_str(w, message);
+            }),
             Reply::Error {
                 txn_open,
                 code,
                 offset,
                 message,
                 retry_after_ms,
-            } => {
-                let mut w = Writer::new();
+            } => put_frame(out, op::ERROR, |w| {
                 w.u8(*txn_open as u8).u8(*code as u8);
                 match offset {
-                    Some(o) => {
-                        w.u8(1).u32(*o);
-                    }
-                    None => {
-                        w.u8(0);
-                    }
-                }
-                put_str(&mut w, message);
+                    Some(o) => w.u8(1).u32(*o),
+                    None => w.u8(0),
+                };
+                put_str(w, message);
                 match retry_after_ms {
-                    Some(ms) => {
-                        w.u8(1).u32(*ms);
-                    }
-                    None => {
-                        w.u8(0);
-                    }
-                }
-                (op::ERROR, w.finish())
-            }
+                    Some(ms) => w.u8(1).u32(*ms),
+                    None => w.u8(0),
+                };
+            }),
         }
     }
 
@@ -546,7 +518,7 @@ impl Reply {
                     None
                 };
                 let affected = r.u64()?;
-                let message = get_str(&mut r)?;
+                let message = get_str(&mut r)?.into();
                 Ok(Reply::Ok {
                     txn_open,
                     ts,
@@ -570,7 +542,7 @@ impl Reply {
                     }
                     rows.push(row);
                 }
-                let message = get_str(&mut r)?;
+                let message = get_str(&mut r)?.into();
                 Ok(Reply::Rows {
                     txn_open,
                     columns,
@@ -582,7 +554,7 @@ impl Reply {
                 let txn_open = r.u8()? != 0;
                 let code = ErrorCode::from_u8(r.u8()?);
                 let offset = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-                let message = get_str(&mut r)?;
+                let message = get_str(&mut r)?.into();
                 // Trailing retry-hint extension: absent entirely in
                 // frames from older peers.
                 let retry_after_ms = if r.remaining() > 0 && r.u8()? != 0 {
@@ -610,7 +582,7 @@ impl Reply {
             txn_open,
             code: e.code(),
             offset: e.parse_offset(),
-            message: e.to_string(),
+            message: e.to_string().into(),
             retry_after_ms: match e {
                 Error::ServerBusy { retry_after_ms } => *retry_after_ms,
                 _ => None,
@@ -622,6 +594,19 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn owned(op: u8, payload: &[u8]) -> (u8, Vec<u8>) {
+        (op, payload.to_vec())
+    }
+
+    /// The one frame `wire` holds, whole.
+    fn sole_frame(wire: &[u8]) -> (u8, Vec<u8>) {
+        let mut fb = FrameBuffer::new();
+        fb.extend(wire);
+        let frame = fb.take_frame(owned).unwrap().expect("a whole frame");
+        assert_eq!(fb.buffered(), 0);
+        frame
+    }
 
     #[test]
     fn request_roundtrip() {
@@ -639,7 +624,9 @@ mod tests {
                 applied_lsn: 1 << 40,
             },
         ] {
-            let (op, payload) = req.encode();
+            let mut wire = Vec::new();
+            req.encode_into(&mut wire);
+            let (op, payload) = sole_frame(&wire);
             assert_eq!(Request::decode(op, &payload).unwrap(), req);
         }
     }
@@ -659,7 +646,9 @@ mod tests {
                 bytes: Vec::new(),
             },
         ] {
-            let (op, payload) = batch.encode();
+            let mut wire = Vec::new();
+            batch.encode_into(&mut wire);
+            let (op, payload) = sole_frame(&wire);
             assert_eq!(op, super::op::WAL_BATCH);
             let got = WalBatch::decode(op, &payload).unwrap();
             assert_eq!(got, batch);
@@ -681,7 +670,7 @@ mod tests {
                 txn_open: false,
                 ts: None,
                 affected: 0,
-                message: String::new(),
+                message: "".into(),
             },
             Reply::Rows {
                 txn_open: false,
@@ -707,7 +696,9 @@ mod tests {
                 retry_after_ms: Some(40),
             },
         ] {
-            let (op, payload) = reply.encode();
+            let mut wire = Vec::new();
+            reply.encode_into(&mut wire);
+            let (op, payload) = sole_frame(&wire);
             assert_eq!(Reply::decode(op, &payload).unwrap(), reply);
         }
     }
@@ -726,14 +717,16 @@ mod tests {
         }
         // And an old decoder (which stops after the message) stays
         // correct on extended frames because the tail is appended.
-        let (op, extended) = Reply::Error {
+        let mut wire = Vec::new();
+        Reply::Error {
             txn_open: false,
             code: ErrorCode::Busy,
             offset: None,
             message: "server busy".into(),
             retry_after_ms: Some(25),
         }
-        .encode();
+        .encode_into(&mut wire);
+        let (op, extended) = sole_frame(&wire);
         assert_eq!(op, op::ERROR);
         assert!(extended.len() == legacy.len() + 5);
         assert_eq!(&extended[..legacy.len()], &legacy[..]);
@@ -754,24 +747,22 @@ mod tests {
 
     #[test]
     fn frame_buffer_reassembles_split_and_pipelined_frames() {
-        let (op1, p1) = Request::Query("SELECT 1".into()).encode();
-        let (op2, p2) = Request::Commit.encode();
         let mut wire = Vec::new();
-        write_frame(&mut wire, op1, &p1).unwrap();
-        write_frame(&mut wire, op2, &p2).unwrap();
+        Request::Query("SELECT 1".into()).encode_into(&mut wire);
+        Request::Commit.encode_into(&mut wire);
 
         // Feed a byte at a time: frames pop exactly when complete.
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
         for b in &wire {
             fb.extend(std::slice::from_ref(b));
-            while let Some(f) = fb.next_frame().unwrap() {
+            while let Some(f) = fb.take_frame(owned).unwrap() {
                 got.push(f);
             }
         }
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, op1);
-        assert_eq!(got[1].0, op2);
+        assert_eq!(got[0].0, op::QUERY);
+        assert_eq!(got[1].0, op::COMMIT);
         assert_eq!(
             Request::decode(got[0].0, &got[0].1).unwrap(),
             Request::Query("SELECT 1".into())
@@ -780,9 +771,9 @@ mod tests {
         // Feeding everything at once pipelines both frames.
         let mut fb = FrameBuffer::new();
         fb.extend(&wire);
-        assert!(fb.next_frame().unwrap().is_some());
-        assert!(fb.next_frame().unwrap().is_some());
-        assert!(fb.next_frame().unwrap().is_none());
+        assert!(fb.take_frame(owned).unwrap().is_some());
+        assert!(fb.take_frame(owned).unwrap().is_some());
+        assert!(fb.take_frame(owned).unwrap().is_none());
     }
 
     /// A reader that hands out at most `step` bytes per `read`.
@@ -801,10 +792,13 @@ mod tests {
     fn read_frame_blocks_for_whole_frames_and_keeps_what_it_over_reads() {
         let big = vec![7u8; 20_000];
         let mut wire = Vec::new();
-        write_frame(&mut wire, op::OK, b"first").unwrap();
-        write_frame(&mut wire, op::ROWS, &big).unwrap();
-        write_frame(&mut wire, op::OK, b"").unwrap();
-        let owned = |op: u8, payload: &[u8]| (op, payload.to_vec());
+        put_frame(&mut wire, op::OK, |w| {
+            w.raw(b"first");
+        });
+        put_frame(&mut wire, op::ROWS, |w| {
+            w.raw(&big);
+        });
+        put_frame(&mut wire, op::OK, |_| {});
         for step in [1, 7, 4096, usize::MAX] {
             let mut r = Trickle(&wire, step);
             let mut fb = FrameBuffer::new();
@@ -833,9 +827,9 @@ mod tests {
     fn frame_buffer_rejects_hostile_lengths() {
         let mut fb = FrameBuffer::new();
         fb.extend(&(MAX_FRAME + 1).to_le_bytes());
-        assert!(fb.next_frame().is_err());
+        assert!(fb.take_frame(owned).is_err());
         let mut fb = FrameBuffer::new();
         fb.extend(&0u32.to_le_bytes());
-        assert!(fb.next_frame().is_err());
+        assert!(fb.take_frame(owned).is_err());
     }
 }

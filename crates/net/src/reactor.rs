@@ -1,51 +1,69 @@
-//! Readiness-based connection reactor: one event-loop thread multiplexes
-//! every connection over [`sys::Poller`] (epoll on Linux), and a fixed
-//! worker-core pool executes only connections that have a complete
-//! request buffered. Idle connections cost a registration and a few
-//! hundred bytes — no thread, no stack — so thousands of mostly-idle
-//! sessions fit on a fixed thread budget.
+//! The serving runtime: a leader/followers loop over [`sys::Poller`].
 //!
-//! Life of a request:
+//! `workers + 1` identical threads share one poll loop. Exactly one of
+//! them, the *leader*, holds the poll role at a time: it waits for
+//! readiness, reads a ready connection, serves every buffered frame
+//! through [`serve_buffered`] **itself**, writes the reply and goes back
+//! to waiting. A request never moves to another thread; only the *loop*
+//! does. A resident point statement therefore costs three system calls
+//! (`epoll_wait`, `read`, `write`), no wake-up and no `epoll_ctl`.
 //!
-//! 1. The reactor reads readable sockets into each connection's
-//!    [`FrameBuffer`] (bounded burst per event, so one firehose client
-//!    cannot starve the loop).
-//! 2. When a connection holds a complete frame it is *dispatched*: its
-//!    poll interest drops to silent, the token goes on the bounded work
-//!    queue, and a worker drains every buffered frame through the
-//!    session — which is what lets group commit batch across
-//!    connections, exactly as in the thread-per-connection model.
-//! 3. The worker flushes what it can, then posts a completion; the
-//!    reactor re-arms the socket (read-, write-, or both-interest
-//!    depending on the unflushed tail).
+//! The leader hands the loop to a parked peer — one condvar wake, after
+//! taking the connection in hand out of the poller with one `epoll_ctl`
+//! — in exactly two situations:
 //!
-//! Admission control is two-level and typed: beyond `max_connections`
-//! new sockets get one SERVER_BUSY frame carrying a `retry_after_ms`
-//! hint and are closed; beyond `max_inflight` dispatched connections,
-//! buffered requests are answered SERVER_BUSY *per frame* without being
-//! decoded (`server.shed_requests`). Backpressure is per-session: a
-//! connection whose reply backlog passes [`OUT_CAP`] stops being read
-//! until the peer drains it.
+//! * **the request is about to wait or run long.** The engine says so
+//!   through [`immortaldb_common::blocking`] (lock wait, group-commit
+//!   barrier, fsync, page miss, scan, checkpoint, …) and
+//!   [`on_engine_signal`] gives the role away before the thread parks.
+//!   A pipelined burst longer than [`INLINE_FRAMES`] counts as long.
+//! * **the poll batch holds other ready connections and a CPU is free**
+//!   to serve them in parallel (`threads − parked < CPUs`): the role goes
+//!   on *before* the request runs. On one CPU this never fires; on more
+//!   it keeps short requests from serialising onto one core.
 //!
-//! Idle sessions are reaped from a coarse timer wheel advanced on the
-//! reactor tick — an abandoned transaction is rolled back (releasing
-//! its locks) within one tick of the deadline, never waiting on a
-//! blocked read. `SUBSCRIBE_WAL` hands the socket off to a dedicated
-//! blocking shipper thread, since replication is a long-lived push
-//! stream that would otherwise squat a worker core.
+//! Either way the old leader finishes its request as a follower, puts the
+//! connection back into the poller itself ([`rearm`]) and parks; the rest
+//! of its poll batch is dropped — the poller is level-triggered, so the
+//! new leader is told again.
+//!
+//! The last unparked thread never executes: with no peer to take the loop
+//! over it would stall on the first wait. It leaves the frames buffered,
+//! takes the connection out of the poller and puts it on the *ready
+//! queue*, which every finishing thread drains before it competes for the
+//! role again. So `workers` requests may block at once, the loop never
+//! stalls, and what exceeds `max_inflight` is answered SERVER_BUSY per
+//! frame without being decoded (`server.shed_requests`); beyond
+//! `max_connections` new sockets get one SERVER_BUSY frame carrying a
+//! `retry_after_ms` hint and are closed.
+//!
+//! A connection is either in the poller (the leader owns it) or out of it
+//! (`Interest::None`: the thread serving it owns it, or it waits on the
+//! ready queue). The loop never blocks on a connection's mutex —
+//! `try_lock` and skip; level-triggered polling retries.
+//!
+//! Backpressure is per session: a connection whose reply backlog passes
+//! [`OUT_CAP`] stops being read until the peer drains it. Idle sessions
+//! are reaped from a coarse timer wheel advanced on the leader's tick —
+//! an abandoned transaction is rolled back (releasing its locks) within
+//! one tick of the deadline. `SUBSCRIBE_WAL` hands the socket off to a
+//! dedicated blocking shipper thread, since replication is a long-lived
+//! push stream that would otherwise squat a thread.
 
 #![cfg(unix)]
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use immortaldb::{Database, Session};
+use immortaldb_common::blocking::{self, Cause};
 use immortaldb_common::{Error, Result};
 
 use crate::proto::{FrameBuffer, Reply, Request, VERSION};
@@ -56,42 +74,51 @@ const TOK_WAKER: u64 = 0;
 const TOK_LISTENER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Reply bytes a connection may buffer before the reactor stops reading
+/// Reply bytes a connection may buffer before the loop stops reading
 /// from it (per-session backpressure ahead of the group-commit barrier).
 const OUT_CAP: usize = 4 * 1024 * 1024;
 
 /// Max bytes read from one socket per readiness event (fairness bound).
 const READ_BURST: usize = 256 * 1024;
 
-/// Per-connection state. The mutex is held by the reactor for socket
-/// I/O and by exactly one worker while the connection is dispatched;
-/// the two never contend because a dispatched connection's poll
-/// interest is silent until the worker's completion is processed.
+/// Bytes asked of the socket per `read`.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Frames of one burst the leader serves before it treats the rest as
+/// long work and hands the loop on (a historical read is three).
+const INLINE_FRAMES: usize = 4;
+
+/// Per-connection state, behind a mutex held by whichever thread owns
+/// the connection right now (see the module docs).
 struct Conn {
+    token: u64,
     stream: TcpStream,
     frames: FrameBuffer,
     /// Unflushed reply bytes (encoded frames).
     out: Vec<u8>,
-    /// Open transaction parked between dispatches.
+    /// Open transaction parked between requests.
     txn: Option<immortaldb::Transaction>,
     greeted: bool,
     last_activity: Instant,
-    /// Owned by a worker right now (poll interest is silent).
-    dispatched: bool,
-    /// Close as soon as `out` flushes; no further reads or dispatches.
+    /// Close as soon as `out` flushes; no further reads or requests.
     closing: bool,
     /// Peer sent FIN: serve what is buffered, then close.
     eof: bool,
-    /// Set by a worker on SUBSCRIBE_WAL: hand off to a shipper thread.
+    /// Set by SUBSCRIBE_WAL: the leader hands off to a shipper thread.
     subscribe: Option<u64>,
+    /// The poller registration; `Interest::None` = not registered.
     interest: Interest,
 }
 
+type ConnRef = Arc<Mutex<Conn>>;
+
 impl Conn {
+    /// What the poller should watch once the connection is back with the
+    /// loop. Whatever only the leader can finish (close, subscription
+    /// hand-off) asks for writability, which an idle socket reports at
+    /// once.
     fn desired_interest(&self) -> Interest {
-        if self.dispatched {
-            Interest::None
-        } else if self.closing || (self.eof && !self.out.is_empty()) {
+        if self.closing || self.eof || self.subscribe.is_some() {
             Interest::Write
         } else if self.out.is_empty() {
             Interest::Read
@@ -103,59 +130,89 @@ impl Conn {
     }
 }
 
-/// What [`Reactor::settle`] decided about a connection.
-#[derive(PartialEq)]
-enum Settled {
-    Keep,
-    Close,
-}
-
-/// Append one encoded reply frame to a connection's output buffer.
-fn append_reply(out: &mut Vec<u8>, reply: &Reply) {
-    let (op, payload) = reply.encode();
-    let len = (payload.len() + 1) as u32;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(op);
-    out.extend_from_slice(&payload);
-}
-
 /// Write as much of `out` as the socket accepts right now.
 /// `Ok(true)` = fully flushed, `Ok(false)` = kernel buffer full.
 fn flush_out(c: &mut Conn) -> std::io::Result<bool> {
-    while !c.out.is_empty() {
-        match (&c.stream).write(&c.out) {
-            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero)),
-            Ok(n) => {
-                c.out.drain(..n);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    let mut sent = 0;
+    let res = loop {
+        if sent == c.out.len() {
+            break Ok(true);
         }
+        match (&c.stream).write(&c.out[sent..]) {
+            Ok(0) => break Err(std::io::Error::from(ErrorKind::WriteZero)),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break Ok(false),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+    };
+    // Nothing moves on the usual full flush; only a full kernel buffer
+    // pays for shifting the unsent tail down.
+    if sent == c.out.len() {
+        c.out.clear();
+    } else {
+        c.out.drain(..sent);
     }
-    Ok(true)
+    res
 }
 
-/// State shared between the reactor thread, the worker cores and the
-/// public [`ReactorServer`] handle.
-struct RShared {
+/// Move a connection's poller registration to `want`.
+fn arm(poller: &sys::Poller, c: &mut Conn, want: Interest) {
+    if want == c.interest {
+        return;
+    }
+    let fd = c.stream.as_raw_fd();
+    // Deregistering, not masking: hang-up and error cannot be masked, and
+    // a reset on a connection some thread is blocked on would otherwise
+    // be re-reported for as long as the wait lasts. A failed call leaves
+    // the connection to the idle reaper.
+    let _ = match (c.interest, want) {
+        (Interest::None, _) => poller.add(fd, c.token, want),
+        (_, Interest::None) => poller.delete(fd),
+        _ => poller.modify(fd, c.token, want),
+    };
+    c.interest = want;
+}
+
+/// What the threads take turns at, under one mutex so that "is a peer
+/// parked?" and "is a connection waiting?" cannot disagree.
+struct Turn {
+    /// The poll role, while no thread holds it.
+    role: Option<Box<Loop>>,
+    /// Connections with buffered requests that arrived while every other
+    /// thread was executing.
+    ready: VecDeque<ConnRef>,
+    /// Threads parked in [`Shared::next_turn`].
+    parked: usize,
+}
+
+/// State shared by the serving threads and the [`Server`] handle.
+struct Shared {
     db: Arc<Database>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
-    conns: Mutex<HashMap<u64, Arc<Mutex<Conn>>>>,
-    /// Tokens with buffered requests, awaiting a worker core.
-    work: Mutex<VecDeque<u64>>,
-    work_cv: Condvar,
-    /// Dispatched-but-unfinished connections (admission-control gauge).
-    inflight: AtomicUsize,
-    /// Tokens whose worker finished; drained by the reactor on wake.
-    completions: Mutex<Vec<u64>>,
+    poller: sys::Poller,
+    /// Wakes the leader out of its poll at shutdown.
     waker: sys::Waker,
+    /// CPUs this process may run on, at most one per serving thread;
+    /// sampled at start.
+    cpus: usize,
+    turn: Mutex<Turn>,
+    turn_cv: Condvar,
+    /// Copy of `Turn::parked` the leader reads without the mutex.
+    parked: AtomicUsize,
+    /// Connections with requests executing or queued (admission gauge).
+    inflight: AtomicUsize,
     /// WAL shipper threads spawned from SUBSCRIBE_WAL hand-offs.
     shippers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl RShared {
+enum Work {
+    Lead(Box<Loop>),
+    Serve(ConnRef),
+}
+
+impl Shared {
     fn max_inflight(&self) -> usize {
         if self.cfg.max_inflight == 0 {
             self.cfg.workers * 16
@@ -163,20 +220,90 @@ impl RShared {
             self.cfg.max_inflight
         }
     }
+
+    fn admit(&self) {
+        let now = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.db.metrics().server.active_sessions.set(now as u64);
+    }
+
+    fn release(&self) {
+        let now = self.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
+        self.db.metrics().server.active_sessions.set(now as u64);
+    }
+
+    /// What a thread with nothing in hand does next: a queued connection
+    /// first, else the poll role if it is free, else park. `None` once the
+    /// server is shutting down and the queue is drained.
+    fn next_turn(&self) -> Option<Work> {
+        let mut t = self.turn.lock().expect("turn mutex");
+        loop {
+            if let Some(conn) = t.ready.pop_front() {
+                let depth = t.ready.len() as u64;
+                self.db.metrics().server.ready_queue_depth.set(depth);
+                return Some(Work::Serve(conn));
+            }
+            if self.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Some(lp) = t.role.take() {
+                return Some(Work::Lead(lp));
+            }
+            t.parked += 1;
+            self.parked.store(t.parked, Ordering::SeqCst);
+            t = self.turn_cv.wait(t).expect("turn mutex");
+            t.parked -= 1;
+            self.parked.store(t.parked, Ordering::SeqCst);
+        }
+    }
 }
 
-/// The reactor-model server: one event-loop thread plus `cfg.workers`
-/// worker cores. Constructed through `Server::start` when
-/// `ServerConfig::model` is `ServerModel::Reactor` (the default).
-pub(crate) struct ReactorServer {
-    shared: Arc<RShared>,
+thread_local! {
+    /// The poll role, kept here while its holder serves a request inline
+    /// so that [`on_engine_signal`] can give it away from inside the
+    /// engine. Empty on a thread that does not hold the role.
+    static HELD: Cell<Option<Box<Loop>>> = const { Cell::new(None) };
+}
+
+fn holds_role() -> bool {
+    let held = HELD.take();
+    let holds = held.is_some();
+    HELD.set(held);
+    holds
+}
+
+/// Put the poll role up for the next thread and wake one parked peer.
+fn hand_on(lp: Box<Loop>) {
+    let sh = Arc::clone(&lp.sh);
+    sh.turn.lock().expect("turn mutex").role = Some(lp);
+    sh.turn_cv.notify_one();
+}
+
+/// The engine's [`blocking`] hook on serving threads: the request in hand
+/// is about to wait or run long. If this thread holds the poll role, take
+/// the connection out of the poller and hand the loop on.
+fn on_engine_signal(cause: Cause) {
+    let Some(lp) = HELD.take() else { return };
+    let _ = lp.sh.poller.delete(lp.serving);
+    let m = &lp.sh.db.metrics().server;
+    match cause {
+        Cause::Wait => m.loop_handoffs_wait.inc(),
+        Cause::Long => m.loop_handoffs_long.inc(),
+    }
+    hand_on(lp);
+}
+
+/// A running wire-protocol server. Dropping it without calling
+/// [`Server::shutdown`] leaves its threads running (the test harness
+/// should always shut down).
+pub struct Server {
+    shared: Arc<Shared>,
     local_addr: SocketAddr,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-impl ReactorServer {
-    pub(crate) fn start(db: Arc<Database>, cfg: ServerConfig) -> Result<ReactorServer> {
+impl Server {
+    /// Bind `cfg.addr` and start serving on `cfg.workers + 1` threads.
+    pub fn start(db: Arc<Database>, cfg: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -189,199 +316,209 @@ impl ReactorServer {
             .add(listener.as_raw_fd(), TOK_LISTENER, Interest::Read)
             .map_err(Error::Io)?;
 
-        let shared = Arc::new(RShared {
+        let threads = cfg.workers + 1;
+        let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+        let shared = Arc::new(Shared {
             db,
             cfg,
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
-            work: Mutex::new(VecDeque::new()),
-            work_cv: Condvar::new(),
-            inflight: AtomicUsize::new(0),
-            completions: Mutex::new(Vec::new()),
+            poller,
             waker,
+            cpus: cpus.min(threads),
+            turn: Mutex::new(Turn {
+                role: None,
+                ready: VecDeque::new(),
+                parked: 0,
+            }),
+            turn_cv: Condvar::new(),
+            parked: AtomicUsize::new(0),
+            inflight: AtomicUsize::new(0),
             shippers: Mutex::new(Vec::new()),
         });
+        let lp = Loop::new(Arc::clone(&shared), listener);
+        shared.turn.lock().expect("turn mutex").role = Some(lp);
 
-        let mut workers = Vec::with_capacity(shared.cfg.workers);
-        for i in 0..shared.cfg.workers {
-            let sh = Arc::clone(&shared);
-            workers.push(
+        let handles = (0..threads)
+            .map(|i| {
+                let sh = Arc::clone(&shared);
                 thread::Builder::new()
-                    .name(format!("imdb-core-{i}"))
-                    .spawn(move || worker_loop(&sh))
-                    .map_err(Error::Io)?,
-            );
-        }
-        let sh = Arc::clone(&shared);
-        let reactor = thread::Builder::new()
-            .name("imdb-reactor".into())
-            .spawn(move || Reactor::new(sh, poller, listener).run())
-            .map_err(Error::Io)?;
+                    .name(format!("imdb-serve-{i}"))
+                    .spawn(move || serve_thread(&sh))
+                    .map_err(Error::Io)
+            })
+            .collect::<Result<Vec<_>>>()?;
 
-        Ok(ReactorServer {
+        Ok(Server {
             shared,
             local_addr,
-            reactor: Some(reactor),
-            workers,
+            threads: handles,
         })
     }
 
-    pub(crate) fn local_addr(&self) -> SocketAddr {
+    /// The bound address (useful with an ephemeral port).
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
-    /// Graceful shutdown: stop the event loop, let worker cores drain
-    /// every already-dispatched connection (in-flight commits finish and
-    /// their replies flush), roll back abandoned transactions, then
-    /// close the database — the final WAL force.
-    pub(crate) fn shutdown(mut self) -> Result<()> {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.waker.wake();
-        if let Some(r) = self.reactor.take() {
-            let _ = r.join();
+    /// Graceful shutdown: stop polling, let every thread finish the
+    /// request it is executing and drain the ready queue (in-flight
+    /// commits finish and their replies flush), roll back abandoned
+    /// transactions, then close the database — the final WAL force. The
+    /// store is cleanly recoverable afterwards: reopening it replays no
+    /// log and does not count as a crash recovery.
+    pub fn shutdown(mut self) -> Result<()> {
+        let sh = &self.shared;
+        // Under the mutex, so no thread parks between its check of the
+        // flag and the notify.
+        {
+            let _t = sh.turn.lock().expect("turn mutex");
+            sh.shutdown.store(true, Ordering::SeqCst);
         }
-        // Workers drain the remaining queue before exiting.
-        self.shared.work_cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        sh.turn_cv.notify_all();
+        sh.waker.wake();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
-        for s in self.shared.shippers.lock().unwrap().drain(..) {
+        for s in sh.shippers.lock().expect("shippers mutex").drain(..) {
             let _ = s.join();
         }
         // Abandon whatever connections remain: locks and uncommitted
         // versions must not outlive the server.
-        let conns: Vec<_> = self.shared.conns.lock().unwrap().drain().collect();
-        for (_, conn) in conns {
-            let mut c = conn.lock().unwrap();
+        let lp = sh.turn.lock().expect("turn mutex").role.take();
+        let m = &sh.db.metrics().server;
+        for (_, conn) in lp.into_iter().flat_map(|lp| lp.conns) {
+            let mut c = conn.lock().unwrap_or_else(|e| e.into_inner());
             let _ = flush_out(&mut c);
             if let Some(mut txn) = c.txn.take() {
-                let _ = self.shared.db.rollback(&mut txn);
+                let _ = sh.db.rollback(&mut txn);
             }
-            self.shared.db.metrics().server.connections_closed.inc();
+            m.connections_closed.inc();
         }
-        self.shared.db.metrics().server.open_connections.set(0);
-        self.shared.db.close()
+        m.open_connections.set(0);
+        sh.db.close()
     }
 }
 
-fn worker_loop(sh: &Arc<RShared>) {
-    loop {
-        let token = {
-            let mut q = sh.work.lock().unwrap();
-            loop {
-                if let Some(t) = q.pop_front() {
-                    break t;
+fn serve_thread(sh: &Arc<Shared>) {
+    blocking::set_thread_hook(on_engine_signal);
+    while let Some(work) = sh.next_turn() {
+        match work {
+            Work::Lead(lp) => lp.lead(),
+            Work::Serve(conn) => {
+                let mut c = conn.lock().expect("connection mutex");
+                serve_buffered(sh, &mut c);
+                rearm(sh, c);
+            }
+        }
+    }
+}
+
+/// A thread that does not hold the poll role is done with `c`, which is
+/// out of the poller: flush what the socket takes and put the connection
+/// back in. Closing and subscription hand-off are the leader's; the
+/// interest asked for brings the connection to its attention.
+fn rearm(sh: &Shared, mut c: MutexGuard<'_, Conn>) {
+    if flush_out(&mut c).is_err() {
+        c.closing = true;
+    }
+    sh.release();
+    let (fd, token, want) = (c.stream.as_raw_fd(), c.token, c.desired_interest());
+    c.interest = want;
+    // Unlock, then register. The client may have answered the reply
+    // already, so the leader can be told the moment the socket is back;
+    // were the mutex still held it would skip the event and be told again
+    // and again, spinning against the very thread that has to let go — on
+    // one CPU, for that thread's whole wait to be scheduled. Nothing can
+    // take the descriptor away in between: the caller still holds the
+    // connection.
+    drop(c);
+    let _ = sh.poller.add(fd, token, want);
+}
+
+/// Drain every complete frame buffered on a connection through its
+/// session, appending replies to `out`: HELLO gating, version check,
+/// hostile-framing hangup, SUBSCRIBE_WAL interception. Each request is
+/// decoded where it lies in the frame buffer and answered straight into
+/// the output buffer.
+fn serve_buffered(sh: &Shared, c: &mut Conn) {
+    let db = sh.db.as_ref();
+    let m = &db.metrics().server;
+    let Conn {
+        frames,
+        out,
+        txn,
+        greeted,
+        closing,
+        subscribe,
+        ..
+    } = c;
+    let mut session = Session::attach(db, txn.take());
+    let mut served = 0;
+    while !*closing && subscribe.is_none() {
+        let frame = frames.take_frame(|opcode, payload| {
+            m.requests.inc();
+            let timer = m.request_ns.start_timer();
+            // A reply that ends the conversation: answer, then hang up —
+            // the stream state is untrustworthy.
+            let mut refuse = |e: Error, txn_open: bool| {
+                *closing = true;
+                Reply::from_error(&e, txn_open)
+            };
+            let reply = match Request::decode(opcode, payload) {
+                Ok(Request::Hello { version }) if !*greeted => {
+                    if version == VERSION {
+                        *greeted = true;
+                        Reply::Ok {
+                            txn_open: false,
+                            ts: None,
+                            affected: 0,
+                            message: format!("immortaldb protocol {VERSION}").into(),
+                        }
+                    } else {
+                        refuse(
+                            Error::Sql(format!(
+                                "protocol version mismatch: client {version}, server {VERSION}"
+                            )),
+                            false,
+                        )
+                    }
                 }
-                if sh.shutdown.load(Ordering::SeqCst) {
+                Ok(_) if !*greeted => refuse(Error::Sql("expected HELLO first".into()), false),
+                Ok(Request::SubscribeWal { from_lsn }) => {
+                    // The connection leaves the loop: the leader hands the
+                    // socket to a blocking shipper thread.
+                    *subscribe = Some(from_lsn);
                     return;
                 }
-                q = sh.work_cv.wait(q).unwrap();
-            }
-        };
-        let conn = sh.conns.lock().unwrap().get(&token).cloned();
-        if let Some(conn) = conn {
-            let mut c = conn.lock().unwrap();
-            serve_buffered(sh, &mut c);
-            let _ = flush_out(&mut c);
-            c.dispatched = false;
-        }
-        let now = sh.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-        sh.db.metrics().server.active_sessions.set(now as u64);
-        sh.completions.lock().unwrap().push(token);
-        sh.waker.wake();
-    }
-}
-
-/// Drain every complete frame buffered on a dispatched connection
-/// through its session, appending replies to `out`. Mirrors the
-/// thread-per-connection serve loop's semantics exactly (HELLO gating,
-/// version check, hostile-framing hangup, SUBSCRIBE_WAL interception).
-fn serve_buffered(sh: &RShared, c: &mut Conn) {
-    let m = &sh.db.metrics().server;
-    let mut session = Session::attach(sh.db.as_ref(), c.txn.take());
-    loop {
-        if c.closing || c.subscribe.is_some() {
-            break;
-        }
-        let (opcode, payload) = match c.frames.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            Err(_) => {
-                // Hostile framing: hang up without a reply — the stream
-                // state is untrustworthy.
-                c.closing = true;
-                break;
-            }
-        };
-        m.requests.inc();
-        let timer = m.request_ns.start_timer();
-        let reply = match Request::decode(opcode, &payload) {
-            Ok(Request::Hello { version }) if !c.greeted => {
-                if version == VERSION {
-                    c.greeted = true;
-                    Reply::Ok {
-                        txn_open: false,
-                        ts: None,
-                        affected: 0,
-                        message: format!("immortaldb protocol {VERSION}"),
-                    }
-                } else {
-                    let e = Error::Sql(format!(
-                        "protocol version mismatch: client {version}, server {VERSION}"
-                    ));
-                    m.errors.inc();
-                    append_reply(&mut c.out, &Reply::from_error(&e, false));
-                    c.closing = true;
-                    break;
-                }
-            }
-            Ok(Request::SubscribeWal { from_lsn }) => {
-                if !c.greeted {
-                    m.errors.inc();
-                    append_reply(
-                        &mut c.out,
-                        &Reply::from_error(&Error::Sql("expected HELLO first".into()), false),
-                    );
-                    c.closing = true;
-                    break;
-                }
-                // The connection leaves the reactor: the completion
-                // handler hands the socket to a blocking shipper thread.
-                c.subscribe = Some(from_lsn);
-                break;
-            }
-            Ok(req) => {
-                if !c.greeted {
-                    m.errors.inc();
-                    append_reply(
-                        &mut c.out,
-                        &Reply::from_error(&Error::Sql("expected HELLO first".into()), false),
-                    );
-                    c.closing = true;
-                    break;
-                }
-                handle_request(sh.db.as_ref(), &mut session, req)
-            }
-            Err(e) => {
-                // Undecodable payload: answer, then hang up.
+                Ok(req) => handle_request(db, &mut session, req),
+                Err(e) => refuse(e, session.in_transaction()),
+            };
+            timer.stop();
+            if matches!(reply, Reply::Error { .. }) {
                 m.errors.inc();
-                append_reply(&mut c.out, &Reply::from_error(&e, session.in_transaction()));
-                c.closing = true;
-                break;
             }
-        };
-        timer.stop();
-        if matches!(reply, Reply::Error { .. }) {
-            m.errors.inc();
+            reply.encode_into(out);
+            if holds_role() {
+                m.requests_inline.inc();
+            }
+        });
+        match frame {
+            Ok(Some(())) => {}
+            Ok(None) => break,
+            // Hostile framing: hang up without a reply.
+            Err(_) => *closing = true,
         }
-        append_reply(&mut c.out, &reply);
+        served += 1;
+        if served == INLINE_FRAMES && frames.has_complete_frame().unwrap_or(false) {
+            on_engine_signal(Cause::Long);
+        }
     }
-    c.txn = session.into_txn();
+    *txn = session.into_txn();
 }
 
-/// Coarse hashed timer wheel advanced once per reactor tick. Deadlines
-/// are lazy: expiry re-checks `last_activity` and reschedules the
-/// remainder, so activity never has to remove a timer.
+/// Coarse hashed timer wheel advanced once per tick. Deadlines are lazy:
+/// expiry re-checks `last_activity` and reschedules the remainder, so
+/// activity never has to remove a timer.
 struct TimerWheel {
     slots: Vec<Vec<u64>>,
     cursor: usize,
@@ -409,65 +546,80 @@ impl TimerWheel {
     }
 }
 
-struct Reactor {
-    sh: Arc<RShared>,
-    poller: sys::Poller,
+/// The poll role: everything only the leader touches. It is *moved* from
+/// thread to thread through [`Turn::role`], never locked, so a leader
+/// that blocks after handing it on holds nothing the next one needs.
+struct Loop {
+    sh: Arc<Shared>,
     listener: TcpListener,
+    conns: HashMap<u64, ConnRef>,
     next_token: u64,
     wheel: TimerWheel,
     idle_ticks: usize,
+    next_tick: Instant,
+    events: Vec<sys::Event>,
+    /// Where socket reads land before the frame buffer takes them.
+    scratch: Vec<u8>,
+    /// Socket of the connection being served inline, for the hook.
+    serving: RawFd,
 }
 
-impl Reactor {
-    fn new(sh: Arc<RShared>, poller: sys::Poller, listener: TcpListener) -> Reactor {
+impl Loop {
+    fn new(sh: Arc<Shared>, listener: TcpListener) -> Box<Loop> {
         let tick = sh.cfg.tick;
         let idle = sh.cfg.idle_timeout;
-        let idle_ticks = (idle.as_millis() / tick.as_millis().max(1)) as usize + 1;
-        Reactor {
+        Box::new(Loop {
             wheel: TimerWheel::new(idle, tick),
+            idle_ticks: (idle.as_millis() / tick.as_millis().max(1)) as usize + 1,
+            next_tick: Instant::now() + tick,
+            serving: -1,
             sh,
-            poller,
             listener,
+            conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
-            idle_ticks,
-        }
+            events: Vec::new(),
+            scratch: vec![0; READ_CHUNK],
+        })
     }
 
-    fn run(mut self) {
-        let tick = self.sh.cfg.tick;
-        let mut events: Vec<sys::Event> = Vec::new();
-        let mut next_tick = Instant::now() + tick;
+    /// Poll and serve until the role goes to another thread (this thread
+    /// has then finished its request as a follower) or the server stops.
+    fn lead(mut self: Box<Self>) {
         loop {
             if self.sh.shutdown.load(Ordering::SeqCst) {
-                return;
+                return hand_on(self);
             }
-            let timeout = next_tick.saturating_duration_since(Instant::now());
-            if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                return;
-            }
+            let timeout = self.next_tick.saturating_duration_since(Instant::now());
+            let mut batch = std::mem::take(&mut self.events);
+            self.sh
+                .poller
+                .wait(&mut batch, Some(timeout))
+                .expect("waiting on the server's own poller");
             if self.sh.shutdown.load(Ordering::SeqCst) {
-                return;
+                return hand_on(self);
             }
-            let batch = std::mem::take(&mut events);
-            for ev in &batch {
+            for (i, ev) in batch.iter().enumerate() {
                 match ev.token {
                     TOK_WAKER => self.sh.waker.drain(),
                     TOK_LISTENER => self.accept_ready(),
-                    token => self.conn_event(token, ev),
+                    token => {
+                        let more_ready = batch[i + 1..].iter().any(|e| e.token >= FIRST_CONN_TOKEN);
+                        match self.conn_event(token, ev, more_ready) {
+                            Some(lp) => self = lp,
+                            // Handed on mid-batch: the rest is the new
+                            // leader's, who is told again.
+                            None => return,
+                        }
+                    }
                 }
             }
-            events = batch;
-            self.apply_completions();
+            self.events = batch;
             let now = Instant::now();
-            while now >= next_tick {
+            while now >= self.next_tick {
                 self.advance_timers();
-                next_tick += tick;
+                self.next_tick += self.sh.cfg.tick;
             }
         }
-    }
-
-    fn conn(&self, token: u64) -> Option<Arc<Mutex<Conn>>> {
-        self.sh.conns.lock().unwrap().get(&token).cloned()
     }
 
     fn accept_ready(&mut self) {
@@ -480,8 +632,7 @@ impl Reactor {
             };
             let m = &self.sh.db.metrics().server;
             m.connections_accepted.inc();
-            let open = self.sh.conns.lock().unwrap().len();
-            if open >= self.sh.cfg.max_connections {
+            if self.conns.len() >= self.sh.cfg.max_connections {
                 m.shed_connections.inc();
                 crate::server::shed(stream, Some(self.sh.cfg.shed_retry_ms));
                 continue;
@@ -489,72 +640,86 @@ impl Reactor {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
+            // Replies must not sit in Nagle's buffer waiting for ACKs.
             let _ = stream.set_nodelay(true);
-            let fd = stream.as_raw_fd();
             let token = self.next_token;
+            if self
+                .sh
+                .poller
+                .add(stream.as_raw_fd(), token, Interest::Read)
+                .is_err()
+            {
+                continue;
+            }
             self.next_token += 1;
             let conn = Arc::new(Mutex::new(Conn {
+                token,
                 stream,
                 frames: FrameBuffer::new(),
                 out: Vec::new(),
                 txn: None,
                 greeted: false,
                 last_activity: Instant::now(),
-                dispatched: false,
                 closing: false,
                 eof: false,
                 subscribe: None,
                 interest: Interest::Read,
             }));
-            let mut conns = self.sh.conns.lock().unwrap();
-            conns.insert(token, conn);
-            if self.poller.add(fd, token, Interest::Read).is_err() {
-                conns.remove(&token);
-                continue;
-            }
-            m.open_connections.set(conns.len() as u64);
-            drop(conns);
+            self.conns.insert(token, conn);
+            m.open_connections.set(self.conns.len() as u64);
             self.wheel.schedule(token, self.idle_ticks);
         }
     }
 
-    fn conn_event(&mut self, token: u64, ev: &sys::Event) {
-        let Some(conn) = self.conn(token) else { return };
-        let mut c = conn.lock().unwrap();
-        if c.dispatched {
-            return; // stale event raced a dispatch; the completion re-arms
+    /// One readiness event on a connection. Returns the role unless it
+    /// went to another thread while the connection's requests ran.
+    fn conn_event(
+        mut self: Box<Self>,
+        token: u64,
+        ev: &sys::Event,
+        more_ready: bool,
+    ) -> Option<Box<Self>> {
+        let Some(conn) = self.conns.get(&token).map(Arc::clone) else {
+            return Some(self);
+        };
+        // Only the leader locks a connection that is in the poller, so
+        // this fails at most for an event reported before the connection
+        // left it. Never wait here: the holder may be in a lock wait.
+        let Ok(mut c) = conn.try_lock() else {
+            return Some(self);
+        };
+        if c.interest == Interest::None {
+            return Some(self); // reported before it left the poller
         }
         if ev.writable || (c.closing && ev.closed) {
             match flush_out(&mut c) {
-                Ok(true) => {
-                    if c.closing || (c.eof && c.frames.buffered() == 0) {
-                        drop(c);
-                        self.close_conn(token);
-                        return;
-                    }
+                Ok(true) if c.closing || (c.eof && c.frames.buffered() == 0) => {
+                    self.close_conn(&mut c);
+                    return Some(self);
                 }
-                Ok(false) => {}
+                Ok(_) => {}
                 Err(_) => {
-                    drop(c);
-                    self.close_conn(token);
-                    return;
+                    self.close_conn(&mut c);
+                    return Some(self);
                 }
             }
         }
         if ev.readable && !c.closing {
-            let mut chunk = [0u8; 16 * 1024];
             let mut total = 0;
             loop {
-                match (&c.stream).read(&mut chunk) {
+                match (&c.stream).read(&mut self.scratch) {
                     Ok(0) => {
                         c.eof = true;
                         break;
                     }
                     Ok(n) => {
-                        c.frames.extend(&chunk[..n]);
+                        c.frames.extend(&self.scratch[..n]);
                         total += n;
-                        if total >= READ_BURST {
-                            break; // fairness: level-triggered epoll re-fires
+                        // A short read emptied the socket, and past the
+                        // burst others get their turn; either way the
+                        // level-triggered poller reports what is left.
+                        if n < self.scratch.len() || total >= READ_BURST {
+                            break;
                         }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -571,69 +736,116 @@ impl Reactor {
         } else if ev.closed && !ev.readable {
             c.eof = true;
         }
-        let settled = self.settle(token, &mut c);
-        drop(c);
-        if settled == Settled::Close {
-            self.close_conn(token);
-        }
+        self.settle(&conn, c, more_ready)
     }
 
-    /// Decide a non-dispatched connection's fate: dispatch it, shed its
-    /// requests, update its poll interest, or ask the caller to close it
-    /// (the caller drops the conn lock first — `close_conn` re-locks).
-    fn settle(&mut self, token: u64, c: &mut Conn) -> Settled {
-        debug_assert!(!c.dispatched);
+    /// Decide the fate of a connection the leader holds: run or shed its
+    /// requests, hand it to a shipper, close it, or update its interest.
+    fn settle(
+        mut self: Box<Self>,
+        conn: &ConnRef,
+        mut c: MutexGuard<'_, Conn>,
+        more_ready: bool,
+    ) -> Option<Box<Self>> {
         let has_frame = match c.frames.has_complete_frame() {
             Ok(b) => b,
             // Hostile framing noticed before any work was scheduled.
-            Err(_) => return Settled::Close,
+            Err(_) => {
+                self.close_conn(&mut c);
+                return Some(self);
+            }
         };
-        if has_frame && !c.closing {
+        if has_frame && !c.closing && c.subscribe.is_none() {
             if self.sh.inflight.load(Ordering::SeqCst) >= self.sh.max_inflight() {
-                self.shed_requests(c);
+                self.shed_requests(&mut c);
             } else {
-                c.dispatched = true;
-                c.last_activity = Instant::now();
-                let now = self.sh.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-                self.sh.db.metrics().server.active_sessions.set(now as u64);
-                self.update_interest(token, c);
-                let mut q = self.sh.work.lock().unwrap();
-                q.push_back(token);
-                drop(q);
-                self.sh.work_cv.notify_one();
-                return Settled::Keep;
+                (self, c) = self.run(conn, c, more_ready)?;
+                if c.interest == Interest::None {
+                    return Some(self); // queued: a finishing thread has it
+                }
             }
         }
-        if flush_out(c).is_err() {
-            return Settled::Close;
+        if let Some(from_lsn) = c.subscribe.take() {
+            self.hand_off_subscription(&mut c, from_lsn);
+            return Some(self);
         }
         let has_frame = c.frames.has_complete_frame().unwrap_or(false);
-        if (c.closing || (c.eof && !has_frame)) && c.out.is_empty() {
-            return Settled::Close;
+        if flush_out(&mut c).is_err() || ((c.closing || (c.eof && !has_frame)) && c.out.is_empty())
+        {
+            self.close_conn(&mut c);
+        } else {
+            let want = c.desired_interest();
+            arm(&self.sh.poller, &mut c, want);
         }
-        self.update_interest(token, c);
-        Settled::Keep
+        Some(self)
+    }
+
+    /// Serve the requests buffered on `c`, on this thread, under the
+    /// hand-off rules of the module docs — or, as the last unparked
+    /// thread, queue the connection (leaving it out of the poller).
+    /// Returns the role and the connection if this thread still holds
+    /// them; if not, the connection is already back in the poller and the
+    /// caller has nothing left to do.
+    fn run<'c>(
+        mut self: Box<Self>,
+        conn: &ConnRef,
+        mut c: MutexGuard<'c, Conn>,
+        more_ready: bool,
+    ) -> Option<(Box<Self>, MutexGuard<'c, Conn>)> {
+        let sh = Arc::clone(&self.sh);
+        c.last_activity = Instant::now();
+        sh.admit();
+        let parked = sh.parked.load(Ordering::SeqCst);
+        if parked == 0 {
+            // Every other thread is executing. Decide under the mutex: a
+            // peer that parks first is seen here, one that parks after
+            // sees the queue.
+            let mut t = sh.turn.lock().expect("turn mutex");
+            if t.parked == 0 {
+                arm(&sh.poller, &mut c, Interest::None);
+                t.ready.push_back(Arc::clone(conn));
+                let depth = t.ready.len() as u64;
+                sh.db.metrics().server.ready_queue_depth.set(depth);
+                return Some((self, c));
+            }
+        }
+        // Threads not parked are running: this one and the followers.
+        if more_ready && sh.cfg.workers + 1 - parked < sh.cpus {
+            arm(&sh.poller, &mut c, Interest::None);
+            sh.db.metrics().server.loop_handoffs_batch.inc();
+            hand_on(self);
+            serve_buffered(&sh, &mut c);
+            rearm(&sh, c);
+            return None;
+        }
+        self.serving = c.stream.as_raw_fd();
+        HELD.set(Some(self));
+        serve_buffered(&sh, &mut c);
+        match HELD.take() {
+            Some(lp) => {
+                sh.release();
+                Some((lp, c))
+            }
+            None => {
+                // `on_engine_signal` took the socket out of the poller.
+                c.interest = Interest::None;
+                rearm(&sh, c);
+                None
+            }
+        }
     }
 
     /// Over the in-flight cap: answer every buffered frame SERVER_BUSY
     /// (with the retry hint) without decoding or scheduling anything.
     fn shed_requests(&self, c: &mut Conn) {
         let m = &self.sh.db.metrics().server;
-        let busy = Reply::Error {
-            txn_open: c.txn.is_some(),
-            code: immortaldb_common::ErrorCode::Busy,
-            offset: None,
-            message: Error::ServerBusy {
-                retry_after_ms: Some(self.sh.cfg.shed_retry_ms),
-            }
-            .to_string(),
-            retry_after_ms: Some(self.sh.cfg.shed_retry_ms),
-        };
+        let retry_after_ms = Some(self.sh.cfg.shed_retry_ms);
+        let busy = Reply::from_error(&Error::ServerBusy { retry_after_ms }, c.txn.is_some());
         loop {
-            match c.frames.next_frame() {
-                Ok(Some(_)) => {
+            match c.frames.take_frame(|_, _| ()) {
+                Ok(Some(())) => {
                     m.shed_requests.inc();
-                    append_reply(&mut c.out, &busy);
+                    busy.encode_into(&mut c.out);
                 }
                 Ok(None) => break,
                 Err(_) => {
@@ -644,58 +856,19 @@ impl Reactor {
         }
     }
 
-    fn update_interest(&self, token: u64, c: &mut Conn) {
-        let want = c.desired_interest();
-        if want != c.interest {
-            c.interest = want;
-            let _ = self.poller.modify(c.stream.as_raw_fd(), token, want);
-        }
-    }
-
-    fn apply_completions(&mut self) {
-        let done: Vec<u64> = std::mem::take(&mut *self.sh.completions.lock().unwrap());
-        for token in done {
-            let Some(conn) = self.conn(token) else {
-                continue;
-            };
-            let mut c = conn.lock().unwrap();
-            if c.dispatched {
-                continue; // already re-dispatched (shouldn't happen)
-            }
-            if let Some(from_lsn) = c.subscribe.take() {
-                drop(c);
-                self.hand_off_subscription(token, from_lsn);
-                continue;
-            }
-            let settled = self.settle(token, &mut c);
-            drop(c);
-            if settled == Settled::Close {
-                self.close_conn(token);
-            }
-        }
-    }
-
-    /// Move a SUBSCRIBE_WAL connection out of the reactor onto a
-    /// dedicated blocking shipper thread (replication is a long-lived
-    /// push stream; parking it on a worker core would squat the pool).
-    fn hand_off_subscription(&mut self, token: u64, from_lsn: u64) {
-        let Some(conn) = self.sh.conns.lock().unwrap().remove(&token) else {
+    /// Move a SUBSCRIBE_WAL connection out of the loop onto a dedicated
+    /// blocking shipper thread.
+    fn hand_off_subscription(&mut self, c: &mut Conn, from_lsn: u64) {
+        self.conns.remove(&c.token);
+        arm(&self.sh.poller, c, Interest::None);
+        let m = &self.sh.db.metrics().server;
+        m.open_connections.set(self.conns.len() as u64);
+        // The shipper owns a dup; the loop's descriptor closes with the
+        // connection, once the caller lets go of it.
+        let Ok(stream) = c.stream.try_clone() else {
+            m.connections_closed.inc();
             return;
         };
-        let m = &self.sh.db.metrics().server;
-        m.open_connections
-            .set(self.sh.conns.lock().unwrap().len() as u64);
-        let c = conn.lock().unwrap();
-        let _ = self.poller.delete(c.stream.as_raw_fd());
-        let stream = match c.stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => {
-                m.connections_closed.inc();
-                return;
-            }
-        };
-        drop(c);
-        drop(conn); // closes the reactor's fd; the shipper owns the dup
         if stream.set_nonblocking(false).is_err()
             || stream.set_read_timeout(Some(self.sh.cfg.tick)).is_err()
         {
@@ -704,63 +877,55 @@ impl Reactor {
         }
         let sh = Arc::clone(&self.sh);
         let handle = thread::Builder::new()
-            .name(format!("imdb-shipper-{token}"))
+            .name(format!("imdb-shipper-{}", c.token))
             .spawn(move || {
                 ship_wal(sh.db.as_ref(), &sh.shutdown, &stream, from_lsn);
                 sh.db.metrics().server.connections_closed.inc();
             });
         match handle {
-            Ok(h) => self.sh.shippers.lock().unwrap().push(h),
+            Ok(h) => self.sh.shippers.lock().expect("shippers mutex").push(h),
             Err(_) => m.connections_closed.inc(),
         }
     }
 
-    fn close_conn(&mut self, token: u64) {
-        let Some(conn) = self.sh.conns.lock().unwrap().remove(&token) else {
-            return;
-        };
-        let mut c = conn.lock().unwrap();
-        let _ = self.poller.delete(c.stream.as_raw_fd());
+    /// Forget a connection the leader holds; the socket closes when the
+    /// caller lets go of it.
+    fn close_conn(&mut self, c: &mut Conn) {
+        self.conns.remove(&c.token);
+        arm(&self.sh.poller, c, Interest::None);
         if let Some(mut txn) = c.txn.take() {
             let _ = self.sh.db.rollback(&mut txn);
         }
         let m = &self.sh.db.metrics().server;
         m.connections_closed.inc();
-        m.open_connections
-            .set(self.sh.conns.lock().unwrap().len() as u64);
+        m.open_connections.set(self.conns.len() as u64);
     }
 
     /// One tick: expire due timers. Deadlines are lazy — a timer firing
     /// for a recently-active connection just reschedules the remainder.
     fn advance_timers(&mut self) {
         let due = self.wheel.advance();
-        if due.is_empty() {
-            return;
-        }
         let idle_timeout = self.sh.cfg.idle_timeout;
         let tick_ms = self.sh.cfg.tick.as_millis().max(1);
         for token in due {
-            let Some(conn) = self.conn(token) else {
+            let Some(conn) = self.conns.get(&token).map(Arc::clone) else {
                 continue;
             };
-            // A dispatched connection's lock is held by its worker; it
-            // is by definition not idle. Skip without blocking.
-            let Ok(c) = conn.try_lock() else {
-                self.wheel.schedule(token, self.idle_ticks);
-                continue;
+            // A connection some thread is serving, or one waiting on the
+            // ready queue, is by definition not idle.
+            let mut c = match conn.try_lock() {
+                Ok(c) if c.interest != Interest::None => c,
+                _ => {
+                    self.wheel.schedule(token, self.idle_ticks);
+                    continue;
+                }
             };
-            if c.dispatched {
-                self.wheel.schedule(token, self.idle_ticks);
-                continue;
-            }
             let idle = c.last_activity.elapsed();
             if idle >= idle_timeout {
                 if c.txn.is_some() {
                     self.sh.db.metrics().server.idle_rollbacks.inc();
                 }
-                drop(c);
-                drop(conn);
-                self.close_conn(token);
+                self.close_conn(&mut c);
             } else {
                 let remaining = idle_timeout - idle;
                 let ticks = (remaining.as_millis() / tick_ms) as usize + 1;

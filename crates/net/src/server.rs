@@ -1,87 +1,44 @@
-//! TCP server front door with two serving models behind one config:
-//!
-//! * [`ServerModel::Reactor`] (default) — a readiness-based event loop
-//!   ([`crate::reactor`]): one reactor thread multiplexes every
-//!   connection over epoll/poll and a fixed worker-core pool executes
-//!   only connections with a complete request buffered. Idle
-//!   connections cost no thread, so thousands of mostly-idle sessions
-//!   run on a fixed thread budget. Admission control is two-level
-//!   (`max_connections` at accept, `max_inflight` per request) and shed
-//!   replies carry a `retry_after_ms` hint.
-//! * [`ServerModel::ThreadPerConn`] — the original design, kept as the
-//!   comparison baseline for `immortaldb-bench connections`: one
-//!   acceptor pushes connections into a bounded queue and `workers`
-//!   threads serve one connection each, shedding when the pool and
-//!   queue are both full.
-//!
-//! Both models share the request execution path ([`handle_request`]),
-//! the WAL-subscription shipper ([`ship_wal`]) and the framing layer,
-//! so wire behavior is identical; they differ only in how sockets are
-//! waited on. In both, pipelined requests (many frames in one burst)
-//! are served back-to-back, which is what lets group commit batch log
-//! forces across connections.
-//!
-//! Shutdown is graceful in both models: accepting stops, buffered
-//! requests drain (in-flight commits finish), abandoned transactions
-//! are rolled back, and finally [`Database::close`] forces the WAL so a
-//! subsequent open replays nothing.
+//! What the serving runtime ([`crate::reactor`]) is configured with and
+//! what it runs: [`ServerConfig`], request execution against a session
+//! ([`handle_request`]), the WAL-subscription shipper ([`ship_wal`]) and
+//! the one-frame refusal ([`shed`]).
 
-use std::collections::VecDeque;
-use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use immortaldb::{Database, Session};
 use immortaldb_common::{Error, Lsn, Result};
 
-use crate::proto::{self, FrameBuffer, Reply, Request, WalBatch, VERSION};
+use crate::proto::{self, FrameBuffer, Reply, Request, WalBatch};
 
 /// Upper bound on the WAL bytes in one replication batch. Record
 /// boundaries are respected, so a single oversized record still ships
 /// alone.
 const SHIP_BATCH_BYTES: usize = 256 * 1024;
 
-/// How the server waits on its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerModel {
-    /// Readiness-based reactor (default): one event-loop thread plus
-    /// `workers` execution cores; idle connections cost no thread.
-    Reactor,
-    /// One worker thread per concurrently-served connection (the
-    /// original model; kept as the scaling-comparison baseline).
-    ThreadPerConn,
-}
-
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// Connection-waiting strategy (see [`ServerModel`]).
-    pub model: ServerModel,
-    /// Fixed number of worker threads. Under [`ServerModel::Reactor`]
-    /// this is the execution-core count (connections can far exceed
-    /// it); under [`ServerModel::ThreadPerConn`] it is also the max
-    /// number of concurrently served connections.
+    /// Requests that may execute (and so block) at once. The server runs
+    /// `workers + 1` threads: one always holds the poll loop.
+    /// Connections can far exceed it.
     pub workers: usize,
-    /// ThreadPerConn only: connections allowed to wait for a worker
-    /// before new ones are shed with SERVER_BUSY.
-    pub accept_queue: usize,
-    /// Reactor only: open-connection cap; accepts beyond it are shed
-    /// with one SERVER_BUSY frame (`server.shed_connections`).
+    /// Open-connection cap; accepts beyond it are shed with one
+    /// SERVER_BUSY frame (`server.shed_connections`).
     pub max_connections: usize,
-    /// Reactor only: dispatched-connection cap; buffered requests
-    /// beyond it are answered SERVER_BUSY without being decoded
+    /// Cap on connections with requests executing or queued; buffered
+    /// requests beyond it are answered SERVER_BUSY without being decoded
     /// (`server.shed_requests`). `0` = auto (`workers * 16`).
     pub max_inflight: usize,
     /// Back-off hint carried in SERVER_BUSY replies (`retry_after_ms`).
     pub shed_retry_ms: u32,
     /// Sessions idle longer than this are rolled back and disconnected.
     pub idle_timeout: Duration,
-    /// Poll granularity for shutdown/idle checks between frames.
+    /// Granularity of the idle-session timer wheel.
     pub tick: Duration,
 }
 
@@ -89,9 +46,7 @@ impl ServerConfig {
     pub fn new(addr: impl Into<String>) -> ServerConfig {
         ServerConfig {
             addr: addr.into(),
-            model: ServerModel::Reactor,
             workers: 8,
-            accept_queue: 16,
             max_connections: 4096,
             max_inflight: 0,
             shed_retry_ms: 25,
@@ -100,18 +55,8 @@ impl ServerConfig {
         }
     }
 
-    pub fn model(mut self, m: ServerModel) -> Self {
-        self.model = m;
-        self
-    }
-
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    pub fn accept_queue(mut self, n: usize) -> Self {
-        self.accept_queue = n;
         self
     }
 
@@ -141,318 +86,13 @@ impl ServerConfig {
     }
 }
 
-/// State shared by the acceptor and the workers.
-struct Shared {
-    db: Arc<Database>,
-    cfg: ServerConfig,
-    queue: Mutex<VecDeque<TcpStream>>,
-    queued: Condvar,
-    active: AtomicUsize,
-    shutdown: AtomicBool,
-}
-
-impl Shared {
-    fn set_active(&self, delta: isize) {
-        let prev = if delta > 0 {
-            self.active.fetch_add(delta as usize, Ordering::Relaxed) + delta as usize
-        } else {
-            self.active.fetch_sub((-delta) as usize, Ordering::Relaxed) - (-delta) as usize
-        };
-        self.db.metrics().server.active_sessions.set(prev as u64);
-    }
-}
-
-/// A running wire-protocol server (either [`ServerModel`]). Dropping it
-/// without calling [`Server::shutdown`] aborts the threads
-/// non-gracefully (the test harness should always shut down).
-pub struct Server {
-    local_addr: SocketAddr,
-    inner: Inner,
-}
-
-enum Inner {
-    Threaded {
-        shared: Arc<Shared>,
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(unix)]
-    Reactor(crate::reactor::ReactorServer),
-}
-
-impl Server {
-    /// Bind `cfg.addr` and start serving under the configured model.
-    /// (On non-unix targets `ServerModel::Reactor` falls back to the
-    /// thread-per-connection model.)
-    pub fn start(db: Arc<Database>, cfg: ServerConfig) -> Result<Server> {
-        #[cfg(unix)]
-        if cfg.model == ServerModel::Reactor {
-            let r = crate::reactor::ReactorServer::start(db, cfg)?;
-            return Ok(Server {
-                local_addr: r.local_addr(),
-                inner: Inner::Reactor(r),
-            });
-        }
-        Server::start_threaded(db, cfg)
-    }
-
-    fn start_threaded(db: Arc<Database>, cfg: ServerConfig) -> Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            db,
-            cfg,
-            queue: Mutex::new(VecDeque::new()),
-            queued: Condvar::new(),
-            active: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-
-        let mut workers = Vec::with_capacity(shared.cfg.workers);
-        for i in 0..shared.cfg.workers {
-            let sh = Arc::clone(&shared);
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("imdb-worker-{i}"))
-                    .spawn(move || worker_loop(&sh))
-                    .map_err(Error::Io)?,
-            );
-        }
-        let sh = Arc::clone(&shared);
-        let acceptor = thread::Builder::new()
-            .name("imdb-acceptor".into())
-            .spawn(move || accept_loop(&sh, listener))
-            .map_err(Error::Io)?;
-
-        Ok(Server {
-            local_addr,
-            inner: Inner::Threaded {
-                shared,
-                acceptor: Some(acceptor),
-                workers,
-            },
-        })
-    }
-
-    /// The bound address (useful with an ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Graceful shutdown: stop accepting, let workers drain the requests
-    /// already buffered on their connections (rolling back abandoned
-    /// transactions), then close the database — the final WAL force. The
-    /// store is cleanly recoverable afterwards: reopening it replays no
-    /// log and does not count as a crash recovery.
-    pub fn shutdown(self) -> Result<()> {
-        match self.inner {
-            Inner::Threaded {
-                shared,
-                mut acceptor,
-                mut workers,
-            } => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                // Wake the acceptor out of `accept()` with a throwaway
-                // connection.
-                let _ = TcpStream::connect(self.local_addr);
-                if let Some(a) = acceptor.take() {
-                    let _ = a.join();
-                }
-                shared.queued.notify_all();
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                shared.db.close()
-            }
-            #[cfg(unix)]
-            Inner::Reactor(r) => r.shutdown(),
-        }
-    }
-}
-
-fn accept_loop(sh: &Shared, listener: TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                if sh.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if sh.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let m = &sh.db.metrics().server;
-        m.connections_accepted.inc();
-        let mut q = sh.queue.lock().unwrap();
-        let busy = sh.active.load(Ordering::Relaxed) >= sh.cfg.workers;
-        if busy && q.len() >= sh.cfg.accept_queue {
-            drop(q);
-            m.connections_rejected.inc();
-            m.shed_connections.inc();
-            shed(stream, Some(sh.cfg.shed_retry_ms));
-            continue;
-        }
-        q.push_back(stream);
-        drop(q);
-        sh.queued.notify_one();
-    }
-}
-
 /// Tell an overflowing connection to go away, politely and in one frame
 /// carrying the back-off hint.
 pub(crate) fn shed(stream: TcpStream, retry_after_ms: Option<u32>) {
-    let reply = Reply::Error {
-        txn_open: false,
-        code: immortaldb_common::ErrorCode::Busy,
-        offset: None,
-        message: Error::ServerBusy { retry_after_ms }.to_string(),
-        retry_after_ms,
-    };
-    let (op, payload) = reply.encode();
-    let _ = proto::write_frame(&mut &stream, op, &payload);
+    let mut frame = Vec::new();
+    Reply::from_error(&Error::ServerBusy { retry_after_ms }, false).encode_into(&mut frame);
+    let _ = (&stream).write_all(&frame);
     // Dropping the stream closes it.
-}
-
-fn worker_loop(sh: &Shared) {
-    loop {
-        let stream = {
-            let mut q = sh.queue.lock().unwrap();
-            loop {
-                if sh.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                match q.pop_front() {
-                    Some(s) => break s,
-                    None => q = sh.queued.wait(q).unwrap(),
-                }
-            }
-        };
-        sh.set_active(1);
-        serve_connection(sh, stream);
-        sh.set_active(-1);
-        sh.db.metrics().server.connections_closed.inc();
-    }
-}
-
-/// Serve one connection until disconnect, idle timeout, protocol error
-/// or shutdown.
-fn serve_connection(sh: &Shared, stream: TcpStream) {
-    let m = &sh.db.metrics().server;
-    // Replies must not sit in Nagle's buffer waiting for ACKs: pipelined
-    // clients have several requests outstanding, and a delayed reply
-    // stalls their whole window.
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(sh.cfg.tick)).is_err() {
-        return;
-    }
-    let mut session = Session::new(sh.db.as_ref());
-    let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut reader = &stream;
-    let mut greeted = false;
-    let mut last_activity = Instant::now();
-
-    'conn: loop {
-        // Drain every complete frame already buffered before touching the
-        // socket again: this is the pipelining path.
-        loop {
-            let (opcode, payload) = match frames.next_frame() {
-                Ok(Some(f)) => f,
-                Ok(None) => break,
-                Err(_) => break 'conn, // hostile framing: hang up
-            };
-            m.requests.inc();
-            let timer = m.request_ns.start_timer();
-            let reply = match Request::decode(opcode, &payload) {
-                Ok(Request::Hello { version }) if !greeted => {
-                    if version == VERSION {
-                        greeted = true;
-                        Reply::Ok {
-                            txn_open: false,
-                            ts: None,
-                            affected: 0,
-                            message: format!("immortaldb protocol {VERSION}"),
-                        }
-                    } else {
-                        let e = Error::Sql(format!(
-                            "protocol version mismatch: client {version}, server {VERSION}"
-                        ));
-                        let r = Reply::from_error(&e, false);
-                        m.errors.inc();
-                        send(&stream, &r);
-                        break 'conn;
-                    }
-                }
-                Ok(Request::SubscribeWal { from_lsn }) => {
-                    if !greeted {
-                        m.errors.inc();
-                        send(
-                            &stream,
-                            &Reply::from_error(&Error::Sql("expected HELLO first".into()), false),
-                        );
-                        break 'conn;
-                    }
-                    // The connection becomes a one-way push stream (it
-                    // keeps this worker until the subscriber goes away).
-                    ship_wal(sh.db.as_ref(), &sh.shutdown, &stream, from_lsn);
-                    break 'conn;
-                }
-                Ok(req) => {
-                    if !greeted {
-                        m.errors.inc();
-                        send(
-                            &stream,
-                            &Reply::from_error(&Error::Sql("expected HELLO first".into()), false),
-                        );
-                        break 'conn;
-                    }
-                    handle_request(sh.db.as_ref(), &mut session, req)
-                }
-                Err(e) => {
-                    // Undecodable payload: answer, then hang up — the
-                    // stream state is untrustworthy.
-                    m.errors.inc();
-                    send(&stream, &Reply::from_error(&e, session.in_transaction()));
-                    break 'conn;
-                }
-            };
-            timer.stop();
-            if matches!(reply, Reply::Error { .. }) {
-                m.errors.inc();
-            }
-            if !send(&stream, &reply) {
-                break 'conn;
-            }
-        }
-
-        if sh.shutdown.load(Ordering::SeqCst) {
-            break; // buffered requests were drained above
-        }
-
-        match reader.read(&mut chunk) {
-            Ok(0) => break, // client disconnected
-            Ok(n) => {
-                frames.extend(&chunk[..n]);
-                last_activity = Instant::now();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if last_activity.elapsed() >= sh.cfg.idle_timeout {
-                    if session.in_transaction() {
-                        m.idle_rollbacks.inc();
-                    }
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    // Whatever path got us here: abandon the session so its locks and
-    // uncommitted versions disappear.
-    session.reset();
 }
 
 /// Stream WAL batches to a subscribed replica until it disconnects or
@@ -465,10 +105,7 @@ fn serve_connection(sh: &Shared, stream: TcpStream) {
 /// bytes read afterwards — the follower may safely serve `AS OF ts` for
 /// any `ts ≤` that horizon once the batch is applied. An empty batch is
 /// still sent when only the horizon moved (the idle-primary heartbeat).
-///
-/// Shared by both serving models: the thread-per-connection worker calls
-/// it in place, the reactor hands the socket to a dedicated shipper
-/// thread first.
+/// Runs on a shipper thread of its own, on a blocking socket.
 pub(crate) fn ship_wal(db: &Database, shutdown: &AtomicBool, stream: &TcpStream, from_lsn: u64) {
     let m = &db.metrics().repl;
     let mut from = from_lsn;
@@ -479,6 +116,7 @@ pub(crate) fn ship_wal(db: &Database, shutdown: &AtomicBool, stream: &TcpStream,
     let mut caught_up_signalled = false;
     let mut acks = FrameBuffer::new();
     let mut chunk = [0u8; 4 * 1024];
+    let mut frame = Vec::new();
     let mut reader = stream;
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -503,12 +141,14 @@ pub(crate) fn ship_wal(db: &Database, shutdown: &AtomicBool, stream: &TcpStream,
                 horizon,
                 bytes,
             };
-            let (op, payload) = batch.encode();
-            if proto::write_frame(&mut &*stream, op, &payload).is_err() {
+            frame.clear();
+            batch.encode_into(&mut frame);
+            if (&*stream).write_all(&frame).is_err() {
                 return;
             }
             m.batches_shipped.inc();
-            m.bytes_shipped.add(payload.len() as u64);
+            // The payload: the frame less its length and opcode.
+            m.bytes_shipped.add(frame.len() as u64 - 5);
             last_horizon = Some(horizon);
             from = next.0;
         }
@@ -518,20 +158,18 @@ pub(crate) fn ship_wal(db: &Database, shutdown: &AtomicBool, stream: &TcpStream,
             Ok(0) => return, // subscriber went away
             Ok(n) => {
                 acks.extend(&chunk[..n]);
+                // Acks are informational; anything else on a subscribed
+                // connection is a protocol error.
                 loop {
-                    match acks.next_frame() {
-                        Ok(Some((opcode, payload))) => {
-                            // Acks are informational; anything else on a
-                            // subscribed connection is a protocol error.
-                            if Request::decode(opcode, &payload)
-                                .map(|r| !matches!(r, Request::ReplAck { .. }))
-                                .unwrap_or(true)
-                            {
-                                return;
-                            }
-                        }
+                    match acks.take_frame(|opcode, payload| {
+                        matches!(
+                            Request::decode(opcode, payload),
+                            Ok(Request::ReplAck { .. })
+                        )
+                    }) {
+                        Ok(Some(true)) => {}
                         Ok(None) => break,
-                        Err(_) => return,
+                        Ok(Some(false)) | Err(_) => return,
                     }
                 }
             }
@@ -542,14 +180,8 @@ pub(crate) fn ship_wal(db: &Database, shutdown: &AtomicBool, stream: &TcpStream,
     }
 }
 
-fn send(stream: &TcpStream, reply: &Reply) -> bool {
-    let (op, payload) = reply.encode();
-    proto::write_frame(&mut &*stream, op, &payload).is_ok()
-}
-
-/// Execute one request against the connection's session (shared by both
-/// serving models).
-pub(crate) fn handle_request(db: &Database, session: &mut Session<'_>, req: Request) -> Reply {
+/// Execute one request against the connection's session.
+pub(crate) fn handle_request(db: &Database, session: &mut Session<'_>, req: Request<'_>) -> Reply {
     let m = &db.metrics().server;
     let result: Result<Reply> = (|| match req {
         Request::Hello { .. } => Err(Error::Sql("unexpected HELLO".into())),
@@ -569,14 +201,14 @@ pub(crate) fn handle_request(db: &Database, session: &mut Session<'_>, req: Requ
                     txn_open,
                     ts: None,
                     affected: res.affected as u64,
-                    message: res.message,
+                    message: res.message.into(),
                 })
             } else {
                 Ok(Reply::Rows {
                     txn_open,
                     columns: res.columns,
                     rows: res.rows,
-                    message: res.message,
+                    message: res.message.into(),
                 })
             }
         }
@@ -610,7 +242,7 @@ pub(crate) fn handle_request(db: &Database, session: &mut Session<'_>, req: Requ
                 txn_open: false,
                 ts: Some(ts),
                 affected: 0,
-                message: format!("committed at {}.{}", ts.ttime, ts.sn),
+                message: format!("committed at {}.{}", ts.ttime, ts.sn).into(),
             })
         }
         Request::Rollback => {
@@ -622,7 +254,7 @@ pub(crate) fn handle_request(db: &Database, session: &mut Session<'_>, req: Requ
                 message: "rolled back".into(),
             })
         }
-        // Subscriptions are intercepted in `serve_connection` (they take
+        // Subscriptions are intercepted by the serving loop (they take
         // over the whole connection); an ack outside one is a protocol
         // error.
         Request::SubscribeWal { .. } | Request::ReplAck { .. } => Err(Error::Sql(

@@ -1,13 +1,14 @@
-//! Minimal readiness-polling layer for the reactor: raw `epoll` on
+//! Minimal readiness-polling layer for the serving loop: raw `epoll` on
 //! Linux, POSIX `poll` elsewhere on unix. Declared directly against the
-//! system C library — no external crate — because the reactor needs
+//! system C library — no external crate — because the loop needs
 //! exactly four calls and nothing else.
 //!
 //! The [`Poller`] is level-triggered everywhere: an event keeps firing
-//! while the condition holds, so the reactor may stop reading a socket
-//! mid-burst (fairness, backpressure) and pick the rest up on the next
-//! wait. Only the reactor thread touches a `Poller`; cross-thread
-//! wake-ups go through the [`Waker`] pipe it has registered.
+//! while the condition holds, so the loop may stop reading a socket
+//! mid-burst (fairness, backpressure) or drop the rest of a batch, and
+//! pick it up on the next wait. One thread at a time waits on a
+//! `Poller` (the loop's leader); any thread may change registrations.
+//! The [`Waker`] pipe registered with it gets the leader out of a wait.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -17,7 +18,8 @@ use std::time::Duration;
 /// What a registration wants to be told about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interest {
-    /// Registered but silent (a connection parked while a worker owns it).
+    /// Nothing but hang-up and error, which cannot be masked. The serving
+    /// loop deregisters instead, and uses this to mean "not registered".
     None,
     Read,
     Write,
@@ -283,8 +285,8 @@ mod imp {
 pub use imp::Poller;
 
 /// Cross-thread wake-up for a [`Poller`]: a socketpair whose read end is
-/// registered like any connection. `wake` writes one byte; the reactor
-/// drains on readability. Writes into a full pipe are dropped — a wake
+/// registered like any connection. `wake` writes one byte; the waiting
+/// thread drains on readability. Writes into a full pipe are dropped — a wake
 /// is already pending, which is all a wake means.
 pub struct Waker {
     tx: UnixStream,
@@ -310,7 +312,7 @@ impl Waker {
         let _ = (&self.tx).write(&[1u8]);
     }
 
-    /// Consume pending wake bytes (reactor side, on readability).
+    /// Consume pending wake bytes (waiting side, on readability).
     pub fn drain(&self) {
         use std::io::Read;
         let mut buf = [0u8; 64];

@@ -1,7 +1,9 @@
 //! Integration tests for the wire-protocol server: round trips, typed
 //! errors, backpressure shedding, idle-session rollback, pipelining,
-//! graceful shutdown, and the adversarial-client battery (slow loris,
-//! oversized frames, mid-frame disconnects) against the reactor.
+//! graceful shutdown, the adversarial-client battery (slow loris,
+//! oversized frames, mid-frame disconnects), and the hand-off rules of
+//! the leader/followers loop (who executes, when the loop moves, what
+//! queues and what is shed).
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -10,9 +12,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use immortaldb::{Database, DbConfig, Durability, Isolation, Session, Value};
-use immortaldb_common::{Error, ErrorCode};
-use immortaldb_net::proto::{self, FrameBuffer, Reply, Request, VERSION};
-use immortaldb_net::{Client, Server, ServerConfig, ServerModel};
+use immortaldb_common::{Error, ErrorCode, Timestamp};
+use immortaldb_net::proto::{FrameBuffer, Reply, Request, VERSION};
+use immortaldb_net::{Client, Server, ServerConfig};
+
+/// Send one request on a raw connection.
+fn write_request(raw: &mut TcpStream, req: &Request<'_>) {
+    let mut frame = Vec::new();
+    req.encode_into(&mut frame);
+    raw.write_all(&frame).unwrap();
+}
 
 /// The one reply a raw connection is owed for the request it just sent.
 fn read_reply(raw: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
@@ -26,10 +35,41 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn start(name: &str, cfg: ServerConfig) -> (Arc<Database>, Server, PathBuf) {
+    start_on(name, cfg, |db| db.durability(Durability::Fsync))
+}
+
+fn start_on(
+    name: &str,
+    cfg: ServerConfig,
+    db_cfg: impl FnOnce(DbConfig) -> DbConfig,
+) -> (Arc<Database>, Server, PathBuf) {
     let dir = scratch(name);
-    let db = Arc::new(Database::open(DbConfig::new(&dir).durability(Durability::Fsync)).unwrap());
+    let db = Arc::new(Database::open(db_cfg(DbConfig::new(&dir))).unwrap());
     let server = Server::start(Arc::clone(&db), cfg).unwrap();
     (db, server, dir)
+}
+
+fn stop(db: Arc<Database>, server: Server, dir: PathBuf) {
+    server.shutdown().unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `server.*` / `wal.*` / `locks.*` value by its `SHOW STATS` name.
+fn stat(db: &Database, name: &str) -> u64 {
+    db.metrics_snapshot()
+        .get(name)
+        .unwrap_or_else(|| panic!("no metric {name}"))
+}
+
+/// Poll until `cond` holds; the interleavings below are forced by
+/// waiting on the server's own counters, never by sleeping a guess.
+fn wait_for(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 #[test]
@@ -113,53 +153,6 @@ fn parse_errors_carry_code_and_offset() {
     }
 
     drop(c);
-    server.shutdown().unwrap();
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn overload_is_shed_with_server_busy() {
-    // Thread-per-connection baseline: one worker, no queue — the second
-    // concurrent connection is shed.
-    let (db, server, dir) = start(
-        "busy",
-        ServerConfig::new("127.0.0.1:0")
-            .model(ServerModel::ThreadPerConn)
-            .workers(1)
-            .accept_queue(0),
-    );
-    let addr = server.local_addr();
-
-    // First client occupies the only worker (its handshake completed, so
-    // the worker is pinned to this connection).
-    let c1 = Client::connect(addr).unwrap();
-
-    match Client::connect(addr) {
-        Err(Error::ServerBusy { retry_after_ms }) => {
-            assert!(retry_after_ms.is_some(), "shed reply must carry a hint");
-        }
-        Err(e) => panic!("expected SERVER_BUSY, got error {e}"),
-        Ok(_) => panic!("expected SERVER_BUSY, got a connection"),
-    }
-    assert_eq!(db.metrics().server.connections_rejected.get(), 1);
-    assert_eq!(db.metrics().server.shed_connections.get(), 1);
-
-    // Capacity frees up when the first client leaves.
-    drop(c1);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut c3 = loop {
-        match Client::connect(addr) {
-            Ok(c) => break c,
-            Err(Error::ServerBusy { .. }) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20))
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-        }
-    };
-    c3.query("SHOW STATS").unwrap();
-
-    drop(c3);
     server.shutdown().unwrap();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
@@ -290,8 +283,7 @@ fn hello_is_required_and_version_checked() {
     // Skipping HELLO: first real request is refused and the connection
     // closed.
     let mut raw = TcpStream::connect(addr).unwrap();
-    let (op, payload) = Request::Query("SELECT 1".into()).encode();
-    proto::write_frame(&mut raw, op, &payload).unwrap();
+    write_request(&mut raw, &Request::Query("SELECT 1".into()));
     let (op, payload) = read_reply(&mut raw).unwrap();
     match Reply::decode(op, &payload).unwrap() {
         Reply::Error { message, .. } => assert!(message.contains("HELLO"), "{message}"),
@@ -300,11 +292,12 @@ fn hello_is_required_and_version_checked() {
 
     // Wrong protocol version: typed refusal.
     let mut raw = TcpStream::connect(addr).unwrap();
-    let (op, payload) = Request::Hello {
-        version: VERSION + 1,
-    }
-    .encode();
-    proto::write_frame(&mut raw, op, &payload).unwrap();
+    write_request(
+        &mut raw,
+        &Request::Hello {
+            version: VERSION + 1,
+        },
+    );
     let (op, payload) = read_reply(&mut raw).unwrap();
     match Reply::decode(op, &payload).unwrap() {
         Reply::Error { message, .. } => {
@@ -459,8 +452,7 @@ fn mid_frame_disconnect_releases_the_session() {
         Request::Begin(Isolation::Serializable),
         Request::Query("INSERT INTO t VALUES (7, 7)".into()),
     ] {
-        let (op, payload) = req.encode();
-        proto::write_frame(&mut dying, op, &payload).unwrap();
+        write_request(&mut dying, &req);
         read_reply(&mut dying).unwrap();
     }
     // Half a frame (header promises 16 bytes, only 3 arrive), then FIN:
@@ -580,4 +572,378 @@ fn many_idle_connections_on_a_tiny_core_pool() {
     server.shutdown().unwrap();
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// One round trip per historical read.
+// ---------------------------------------------------------------------
+
+#[test]
+fn query_as_of_is_one_round_trip_and_leaves_no_transaction() {
+    let (db, server, dir) = start("query-as-of", ServerConfig::new("127.0.0.1:0"));
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v VARCHAR(8))")
+        .unwrap();
+    c.query("INSERT INTO t VALUES (1, 'old')").unwrap();
+    let before = c.begin(Isolation::Serializable).unwrap();
+    c.query("UPDATE t SET v = 'new' WHERE id = 1").unwrap();
+    let updated = c.commit().unwrap();
+
+    // Happy path: three frames, three replies, the row as of then.
+    let requests = stat(&db, "server.requests");
+    let r = c
+        .query_as_of(before, "SELECT v FROM t WHERE id = 1")
+        .unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Varchar("old".into())]]);
+    assert_eq!(r.ts, Some(before));
+    assert!(!c.in_transaction());
+    assert_eq!(stat(&db, "server.requests"), requests + 3);
+    assert_eq!(c.pending(), 0);
+
+    // A parse error in the middle frame is the error returned, and the
+    // COMMIT behind it still closes the transaction the BEGIN opened.
+    match c.query_as_of(before, "SELECT v FORM t") {
+        Err(Error::Remote { code, offset, .. }) => {
+            assert_eq!(code, ErrorCode::Parse);
+            assert_eq!(offset, Some(9));
+        }
+        other => panic!("expected the statement's parse error, got {other:?}"),
+    }
+    assert!(!c.in_transaction());
+    assert_eq!(c.pending(), 0);
+    assert_eq!(
+        c.query("SELECT v FROM t WHERE id = 1").unwrap().rows,
+        vec![vec![Value::Varchar("new".into())]]
+    );
+
+    // A timestamp past the visibility horizon is clamped to it: the
+    // effective timestamp comes back, and the read sees the present.
+    let future = Timestamp::new(updated.ttime + 3_600_000, 0);
+    let r = c
+        .query_as_of(future, "SELECT v FROM t WHERE id = 1")
+        .unwrap();
+    let effective = r.ts.expect("effective timestamp");
+    assert!(updated <= effective && effective < future, "{effective:?}");
+    assert_eq!(r.rows, vec![vec![Value::Varchar("new".into())]]);
+
+    // Inside an open transaction the three frames would run in it, and
+    // commit it: refused before anything is sent.
+    c.begin(Isolation::Serializable).unwrap();
+    assert!(matches!(
+        c.query_as_of(before, "SELECT v FROM t"),
+        Err(Error::Sql(_))
+    ));
+    assert!(c.in_transaction());
+    c.rollback().unwrap();
+
+    drop(c);
+    stop(db, server, dir);
+}
+
+// ---------------------------------------------------------------------
+// The hand-off rules. `workers(1)` is two threads — the tightest case:
+// one request may execute, and the thread left polling never does.
+// ---------------------------------------------------------------------
+
+/// (i) A lock holder makes progress while a waiter blocks: the waiter
+/// hands the loop on before it parks, so the holder's COMMIT is read and
+/// served. Needs two requests in execution at once (the wait and the
+/// COMMIT), so `workers(2)` is the smallest pool it can hold on.
+#[test]
+fn lock_holder_commits_while_a_waiter_blocks() {
+    for workers in [2, 4] {
+        let (db, server, dir) = start(
+            &format!("holder-{workers}"),
+            ServerConfig::new("127.0.0.1:0").workers(workers),
+        );
+        let addr = server.local_addr();
+        let mut a = Client::connect(addr).unwrap();
+        a.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        a.query("INSERT INTO t VALUES (1, 0)").unwrap();
+        a.begin(Isolation::Serializable).unwrap();
+        a.query("UPDATE t SET v = 1 WHERE id = 1").unwrap();
+
+        let started = Instant::now();
+        let waits = stat(&db, "locks.waits");
+        let b = std::thread::spawn(move || {
+            let mut b = Client::connect(addr).unwrap();
+            b.query("UPDATE t SET v = 2 WHERE id = 1")
+        });
+        wait_for("B to park in the lock manager", || {
+            stat(&db, "locks.waits") > waits
+        });
+        assert!(stat(&db, "server.loop_handoffs_wait") > 0);
+
+        a.commit()
+            .expect("the holder's COMMIT is served while B waits");
+        assert_eq!(b.join().unwrap().expect("B's update").affected, 1);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "took {:?}: B sat out its lock timeout",
+            started.elapsed()
+        );
+        assert_eq!(
+            a.query("SELECT v FROM t WHERE id = 1").unwrap().rows,
+            vec![vec![Value::Int(2)]]
+        );
+        drop(a);
+        stop(db, server, dir);
+    }
+}
+
+/// (ii) Group commit still batches across connections: a committer gives
+/// the loop away before it parks in the barrier, so the next connection's
+/// commit is read while the first one's fsync runs. A batch needs
+/// committers that overlap, so the pools are the ones with room for three.
+#[test]
+fn group_commit_batches_across_connections() {
+    for workers in [4, 8] {
+        let (db, server, dir) = start(
+            &format!("group-{workers}"),
+            ServerConfig::new("127.0.0.1:0").workers(workers),
+        );
+        let addr = server.local_addr();
+        let mut admin = Client::connect(addr).unwrap();
+        admin
+            .query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        let (fsyncs, batches) = (stat(&db, "wal.fsyncs"), stat(&db, "wal.batch_size.count"));
+        let batched = stat(&db, "wal.batch_size.sum");
+
+        const CLIENTS: u64 = 8;
+        const INSERTS: u64 = 50;
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|w| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    for i in 0..INSERTS {
+                        let id = w * 1000 + i;
+                        c.query(&format!("INSERT INTO t VALUES ({id}, {w})"))
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().for_each(|h| h.join().unwrap());
+
+        let fsyncs = stat(&db, "wal.fsyncs") - fsyncs;
+        let batches = stat(&db, "wal.batch_size.count") - batches;
+        let batched = stat(&db, "wal.batch_size.sum") - batched;
+        assert!(
+            fsyncs < CLIENTS * INSERTS,
+            "workers({workers}): {fsyncs} fsyncs for {} commits",
+            CLIENTS * INSERTS
+        );
+        assert!(
+            batched > batches,
+            "workers({workers}): {batches} batches covered {batched} commits"
+        );
+        drop(admin);
+        stop(db, server, dir);
+    }
+}
+
+/// (iii) The loop changes hands when the code says a request will wait or
+/// run long, and only then: resident point statements all run inline.
+#[test]
+fn only_waits_and_long_statements_move_the_loop() {
+    for workers in [1, 4] {
+        let handoffs = |db: &Database| {
+            (
+                stat(db, "server.loop_handoffs_wait"),
+                stat(db, "server.loop_handoffs_long"),
+            )
+        };
+
+        // Everything resident, nothing forced to disk.
+        let (db, server, dir) = start_on(
+            &format!("inline-{workers}"),
+            ServerConfig::new("127.0.0.1:0").workers(workers),
+            |db| db.durability(Durability::Buffered),
+        );
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        // Load first: the first statements read the table's root and the
+        // timestamp table from disk, and a page that fills up splits into
+        // one that is read back. Resident means after that.
+        let mut ts = None;
+        for i in 0..40 {
+            c.query(&format!("INSERT INTO t VALUES ({i}, 0)")).unwrap();
+            c.begin(Isolation::Serializable).unwrap();
+            c.query(&format!("UPDATE t SET v = 1 WHERE id = {i}"))
+                .unwrap();
+            ts = Some(c.commit().unwrap());
+        }
+        let ts = ts.unwrap();
+        let (requests, inline, misses) = (
+            stat(&db, "server.requests"),
+            stat(&db, "server.requests_inline"),
+            stat(&db, "buffer.misses"),
+        );
+        let before = handoffs(&db);
+        for i in 0..40 {
+            c.query(&format!("UPDATE t SET v = 2 WHERE id = {i}"))
+                .unwrap();
+            let now = c.query(&format!("SELECT v FROM t WHERE id = {i}"));
+            assert_eq!(now.unwrap().rows, vec![vec![Value::Int(2)]]);
+            let then = c.query_as_of(ts, &format!("SELECT v FROM t WHERE id = {i}"));
+            assert_eq!(then.unwrap().rows, vec![vec![Value::Int(1)]]);
+        }
+        assert_eq!(stat(&db, "buffer.misses"), misses, "the run left the pool");
+        assert_eq!(
+            handoffs(&db),
+            before,
+            "a resident point statement moved the loop"
+        );
+        assert_eq!(
+            stat(&db, "server.requests_inline") - inline,
+            stat(&db, "server.requests") - requests
+        );
+
+        // One full-table AS OF scan: long.
+        assert_eq!(c.query_as_of(ts, "SELECT * FROM t").unwrap().rows.len(), 40);
+        let after = handoffs(&db);
+        assert_eq!((after.0, after.1), (before.0, before.1 + 1));
+        drop(c);
+        stop(db, server, dir);
+
+        // A table many times the pool: a cold point read waits for disk.
+        let (db, server, dir) = start_on(
+            &format!("spill-{workers}"),
+            ServerConfig::new("127.0.0.1:0").workers(workers),
+            |db| db.durability(Durability::Buffered).pool_pages(16),
+        );
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v VARCHAR(200))")
+            .unwrap();
+        let filler = "x".repeat(200);
+        for i in 0..2_000 {
+            c.query(&format!("INSERT INTO t VALUES ({i}, '{filler}')"))
+                .unwrap();
+        }
+        let before = (handoffs(&db), stat(&db, "buffer.misses"));
+        for i in (0..2_000).step_by(97) {
+            assert_eq!(
+                c.query(&format!("SELECT id FROM t WHERE id = {i}"))
+                    .unwrap()
+                    .rows
+                    .len(),
+                1
+            );
+        }
+        assert!(
+            stat(&db, "buffer.misses") > before.1,
+            "the reads never left the pool"
+        );
+        assert!(
+            handoffs(&db).0 > before.0 .0,
+            "a page miss did not move the loop"
+        );
+        drop(c);
+        stop(db, server, dir);
+    }
+}
+
+/// (iv) `workers` requests may block at once and the loop stays alive:
+/// below that, other connections are served; at it, the next request
+/// queues; past `max_inflight`, the loop itself answers SERVER_BUSY.
+#[test]
+fn blocked_requests_queue_then_shed_and_the_loop_stays_alive() {
+    for workers in [1, 4] {
+        let (db, server, dir) = start_on(
+            &format!("blocked-{workers}"),
+            ServerConfig::new("127.0.0.1:0")
+                .workers(workers)
+                .max_inflight(workers + 1)
+                .shed_retry_ms(3),
+            |db| db.durability(Durability::Buffered),
+        );
+        let addr = server.local_addr();
+        let mut reader = Client::connect(addr).unwrap();
+        reader
+            .query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+            .unwrap();
+        reader.query("INSERT INTO t VALUES (2, 0)").unwrap();
+        // Connect everyone first: a handshake is a request like any other.
+        let mut waiters: Vec<Client> = (0..workers)
+            .map(|_| Client::connect(addr).unwrap())
+            .collect();
+        let mut extra = Client::connect(addr).unwrap();
+
+        // The holder is in-process: it needs no server thread to commit.
+        // A row per waiter, so the waiters conflict with it and not with
+        // each other.
+        let mut holder = Session::new(&db);
+        holder.begin(Isolation::Serializable).unwrap();
+        for row in 0..workers {
+            let sql = format!("INSERT INTO t VALUES ({}, 0)", 10 + row);
+            holder.execute(&sql).unwrap();
+        }
+
+        // `workers - 1` requests parked in the lock manager: a thread is
+        // still free beside the leader, so point reads are served.
+        let parked = stat(&db, "locks.waits");
+        let park = |c: &mut Client, row: usize| {
+            c.send_query(&format!("UPDATE t SET v = 5 WHERE id = {}", 10 + row))
+                .unwrap();
+            wait_for("a waiter to park", || {
+                stat(&db, "locks.waits") > parked + row as u64
+            });
+        };
+        let (last, rest) = waiters.split_last_mut().unwrap();
+        for (row, w) in rest.iter_mut().enumerate() {
+            park(w, row);
+        }
+        for _ in 0..50 {
+            assert_eq!(
+                reader.query("SELECT v FROM t WHERE id = 2").unwrap().rows,
+                vec![vec![Value::Int(0)]]
+            );
+        }
+
+        // One more: `workers` blocked, only the leader is left. It does
+        // not execute; the next request waits on the ready queue…
+        park(last, workers - 1);
+        reader.send_query("SELECT v FROM t WHERE id = 2").unwrap();
+        wait_for("the read to queue", || {
+            stat(&db, "server.ready_queue_depth") == 1
+        });
+        assert_eq!(stat(&db, "server.active_sessions"), workers as u64 + 1);
+
+        // …and past `max_inflight` the loop answers by itself, at once.
+        let shed = stat(&db, "server.shed_requests");
+        match extra.query("SELECT v FROM t WHERE id = 2") {
+            Err(Error::ServerBusy { retry_after_ms }) => assert_eq!(retry_after_ms, Some(3)),
+            other => panic!("expected SERVER_BUSY from the loop, got {other:?}"),
+        }
+        assert_eq!(stat(&db, "server.shed_requests"), shed + 1);
+
+        // The holder lets go: every waiter gets the lock in turn, the
+        // queued read is served, and the shed client is welcome again.
+        holder.commit().unwrap();
+        for w in &mut waiters {
+            assert_eq!(w.recv_response().expect("waiter's update").affected, 1);
+        }
+        assert_eq!(
+            reader.recv_response().unwrap().rows,
+            vec![vec![Value::Int(0)]]
+        );
+        assert_eq!(
+            extra
+                .query_with_backoff("SELECT v FROM t WHERE id = 2", 8)
+                .unwrap()
+                .rows
+                .len(),
+            1
+        );
+        wait_for("the queue to drain", || {
+            stat(&db, "server.active_sessions") == 0
+        });
+        assert_eq!(stat(&db, "server.ready_queue_depth"), 0);
+
+        drop((reader, waiters, extra, holder));
+        stop(db, server, dir);
+    }
 }

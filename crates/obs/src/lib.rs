@@ -471,24 +471,34 @@ pub struct TemporalMetrics {
 pub struct ServerMetrics {
     /// TCP connections accepted (including ones later shed).
     pub connections_accepted: Counter,
-    /// Connections shed with SERVER_BUSY by accept-queue backpressure.
-    pub connections_rejected: Counter,
     /// Connections closed (client disconnect, idle timeout, shutdown).
     pub connections_closed: Counter,
-    /// Connections shed at accept by the connection cap (reactor
-    /// admission control; disjoint from `connections_rejected`, which
-    /// counts the thread-per-connection accept-queue path).
+    /// Connections shed with SERVER_BUSY at accept by the connection cap.
     pub shed_connections: Counter,
     /// Individual request frames answered SERVER_BUSY because the
     /// in-flight request cap was hit (the connection stays open).
     pub shed_requests: Counter,
-    /// Connections currently registered with the reactor (idle or
-    /// active).
+    /// Connections currently open (idle or active).
     pub open_connections: Gauge,
-    /// Sessions currently being served by a worker.
+    /// Connections with requests executing or queued for a thread.
     pub active_sessions: Gauge,
+    /// Connections with buffered requests waiting for a thread to finish
+    /// (every other thread was executing when they arrived).
+    pub ready_queue_depth: Gauge,
     /// Request frames processed (all opcodes).
     pub requests: Counter,
+    /// Requests that ran start to finish on the thread holding the poll
+    /// loop, which then went back to polling (no hand-off, no wake-up).
+    pub requests_inline: Counter,
+    /// Times the poll loop was handed to a parked thread because the
+    /// request in hand was about to wait (lock, fsync, page miss).
+    pub loop_handoffs_wait: Counter,
+    /// … because it was about to run long (scan, checkpoint, a long
+    /// pipelined burst).
+    pub loop_handoffs_long: Counter,
+    /// … because the same poll batch held other ready connections and a
+    /// CPU was free to serve them in parallel.
+    pub loop_handoffs_batch: Counter,
     /// Requests answered with an ERROR frame.
     pub errors: Counter,
     /// Open transactions rolled back by the idle-session timeout.

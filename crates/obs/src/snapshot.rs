@@ -164,10 +164,6 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
             m.server.connections_accepted.get(),
         ),
         (
-            "server.connections.rejected".into(),
-            m.server.connections_rejected.get(),
-        ),
-        (
             "server.connections.closed".into(),
             m.server.connections_closed.get(),
         ),
@@ -184,7 +180,33 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
             "server.active_sessions".into(),
             m.server.active_sessions.get(),
         ),
+        (
+            "server.ready_queue_depth".into(),
+            m.server.ready_queue_depth.get(),
+        ),
         ("server.requests".into(), m.server.requests.get()),
+        (
+            "server.requests_inline".into(),
+            m.server.requests_inline.get(),
+        ),
+        (
+            "server.loop_handoffs".into(),
+            m.server.loop_handoffs_wait.get()
+                + m.server.loop_handoffs_long.get()
+                + m.server.loop_handoffs_batch.get(),
+        ),
+        (
+            "server.loop_handoffs_wait".into(),
+            m.server.loop_handoffs_wait.get(),
+        ),
+        (
+            "server.loop_handoffs_long".into(),
+            m.server.loop_handoffs_long.get(),
+        ),
+        (
+            "server.loop_handoffs_batch".into(),
+            m.server.loop_handoffs_batch.get(),
+        ),
         ("server.errors".into(), m.server.errors.get()),
         (
             "server.idle_rollbacks".into(),
@@ -379,7 +401,7 @@ mod tests {
         assert_eq!(s.get("buffer.fetches"), Some(10));
         assert_eq!(s.get("faults.torn_writes"), Some(1));
         assert_eq!(s.get("server.connections.accepted"), Some(2));
-        assert_eq!(s.get("server.connections.rejected"), Some(0));
+        assert_eq!(s.get("server.loop_handoffs"), Some(0));
         assert_eq!(s.get("server.request_ns.count"), Some(1));
         assert_eq!(s.get("recovery.versions_restamped"), Some(3));
         assert_eq!(s.get("recovery.crash_recoveries"), Some(0));

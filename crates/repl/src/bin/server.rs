@@ -3,18 +3,15 @@
 //!
 //! ```text
 //! immortaldb-server [--dir DIR] [--addr HOST:PORT] [--workers N]
-//!                   [--thread-per-conn] [--max-connections N]
-//!                   [--accept-queue N] [--idle-timeout-secs N] [--buffered]
-//!                   [--sentinel] [--replica-of HOST:PORT]
+//!                   [--max-connections N] [--idle-timeout-secs N]
+//!                   [--buffered] [--sentinel] [--replica-of HOST:PORT]
 //! ```
 //!
 //! Commits are fsync-durable by default (group commit amortizes the log
 //! forces across connections); `--buffered` trades durability for speed.
 //!
-//! The default serving model is the readiness reactor (thousands of
-//! mostly-idle connections on `--workers` execution cores);
-//! `--thread-per-conn` selects the classic one-thread-per-connection
-//! baseline.
+//! Thousands of mostly-idle connections share `--workers + 1` threads:
+//! `--workers` is how many requests may execute (and block) at once.
 //!
 //! `--sentinel` arms the always-on isolation checker: every commit and
 //! snapshot read streams through a lock-free tap into an online checker
@@ -38,18 +35,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use immortaldb::{Database, DbConfig, Durability, EventTap, Sentinel};
-use immortaldb_net::{Server, ServerConfig, ServerModel};
+use immortaldb_net::{Server, ServerConfig};
 use immortaldb_repl::{Replica, ReplicaConfig};
 
 fn main() -> ExitCode {
     let mut dir = "immortal-data".to_string();
     let mut addr = "127.0.0.1:5433".to_string();
     let mut workers = 8usize;
-    let mut accept_queue = 16usize;
     let mut max_connections = 4096usize;
     let mut idle_secs = 300u64;
     let mut durability = Durability::Fsync;
-    let mut model = ServerModel::Reactor;
     let mut arm_sentinel = false;
     let mut replica_of: Option<String> = None;
 
@@ -63,11 +58,6 @@ fn main() -> ExitCode {
             "--dir" => dir = take("--dir"),
             "--addr" => addr = take("--addr"),
             "--workers" => workers = take("--workers").parse().expect("--workers: number"),
-            "--accept-queue" => {
-                accept_queue = take("--accept-queue")
-                    .parse()
-                    .expect("--accept-queue: number")
-            }
             "--idle-timeout-secs" => {
                 idle_secs = take("--idle-timeout-secs")
                     .parse()
@@ -78,15 +68,13 @@ fn main() -> ExitCode {
                     .parse()
                     .expect("--max-connections: number")
             }
-            "--thread-per-conn" => model = ServerModel::ThreadPerConn,
             "--buffered" => durability = Durability::Buffered,
             "--sentinel" => arm_sentinel = true,
             "--replica-of" => replica_of = Some(take("--replica-of")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: immortaldb-server [--dir DIR] [--addr HOST:PORT] [--workers N] \
-                     [--thread-per-conn] [--max-connections N] [--accept-queue N] \
-                     [--idle-timeout-secs N] [--buffered] [--sentinel] \
+                     [--max-connections N] [--idle-timeout-secs N] [--buffered] [--sentinel] \
                      [--replica-of HOST:PORT]"
                 );
                 return ExitCode::SUCCESS;
@@ -132,9 +120,7 @@ fn main() -> ExitCode {
         .map(|tap| Sentinel::spawn(Arc::clone(tap), db.metrics().clone()));
 
     let cfg = ServerConfig::new(addr)
-        .model(model)
         .workers(workers)
-        .accept_queue(accept_queue)
         .max_connections(max_connections)
         .idle_timeout(Duration::from_secs(idle_secs));
     let server = match Server::start(db, cfg) {

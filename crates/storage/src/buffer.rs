@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
-use immortaldb_common::{Lsn, PageId, Result, NULL_LSN, PAGE_SIZE};
+use immortaldb_common::{blocking, Lsn, PageId, Result, NULL_LSN, PAGE_SIZE};
 use immortaldb_obs::MetricsRegistry;
 
 use crate::disk::DiskManager;
@@ -451,6 +451,7 @@ impl BufferPool {
                 if !waited {
                     self.metrics.buffer.singleflight_waits.inc();
                     waited = true;
+                    blocking::about_to_block();
                 }
                 shard.loaded.wait(&mut state);
                 continue;
@@ -462,6 +463,7 @@ impl BufferPool {
         drop(state);
         self.metrics.buffer.misses.inc();
         self.metrics.disk.reads.inc();
+        blocking::about_to_block();
         let loaded = self.disk.read_page(id);
         let mut state = self.lock_shard(shard);
         state.inflight.remove(&id);
@@ -601,6 +603,7 @@ impl BufferPool {
         if !frame.is_dirty() {
             return Ok(());
         }
+        blocking::about_to_block();
         let mut guard = frame.write();
         // Lazy timestamping trigger: stamp committed records on the way
         // out (only meaningful for versioned leaf pages; the hook checks).

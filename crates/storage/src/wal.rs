@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use immortaldb_common::codec::crc32;
-use immortaldb_common::{Error, Lsn, Result, Tid};
+use immortaldb_common::{blocking, Error, Lsn, Result, Tid};
 use immortaldb_obs::MetricsRegistry;
 
 use crate::logrec::LogRecord;
@@ -274,6 +274,9 @@ impl Wal {
     /// torn) write leaves it intact, and the positioned rewrite at
     /// `buf_start` on the next flush is idempotent.
     pub fn flush(&self, durability: Durability) -> Result<()> {
+        if durability == Durability::Fsync {
+            blocking::about_to_block();
+        }
         let mut inner = self.inner.lock();
         if !inner.buf.is_empty() {
             let start = inner.buf_start;
@@ -336,6 +339,10 @@ impl Wal {
         if self.durable_lsn.load(Ordering::SeqCst) >= upto.0 {
             return Ok(());
         }
+        // Before parking in the barrier, not inside it: whoever takes
+        // over this thread's other work may bring the next commit of the
+        // same batch.
+        blocking::about_to_block();
         self.commit_waiters.fetch_add(1, Ordering::SeqCst);
         let res = self.commit_barrier(upto);
         self.commit_waiters.fetch_sub(1, Ordering::SeqCst);

@@ -252,6 +252,7 @@ impl LockManager {
             if wait_start.is_none() {
                 wait_start = Some(Instant::now());
                 self.metrics.locks.waits.inc();
+                immortaldb_common::blocking::about_to_block();
             }
             let timed_out = shard.cond.wait_for(&mut table, self.timeout).timed_out();
             if timed_out {

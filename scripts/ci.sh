@@ -74,16 +74,21 @@ run_serve() {
     # writes, explicit transactions and AS OF reads; then a graceful
     # shutdown and a reopen that must NOT count as a crash recovery.
     cargo run --release -q -p immortaldb-net --bin net-smoke
+    echo "== serve smoke, workers(1): two serving threads, the tightest case for the hand-off rules =="
+    # One request may execute while the other thread polls and queues the
+    # rest. A loop that stalls here fails as a timeout, not as a hang.
+    SMOKE_WORKERS=1 timeout 300 cargo run --release -q -p immortaldb-net --bin net-smoke
 }
 
 run_serve_scale() {
-    echo "== serve scale (500 mostly-idle connections on a fixed core pool, sentinel armed) =="
-    # Reactor model: 500 connections (>= 90% idle) over 4 worker cores;
+    echo "== serve scale (500 mostly-idle connections on a fixed thread budget, sentinel armed) =="
+    # 500 connections (>= 90% idle) on workers(4) = 5 serving threads;
     # 50 active clients drive autocommit writes, snapshot transactions
     # and AS OF reads while the isolation sentinel checks every commit
     # and read online. Fails on any shed connection, any unanswered idle
-    # connection, thread-per-conn thread counts, unbounded RSS, or a
-    # single confirmed isolation violation.
+    # connection, a serving-thread count other than workers + 1, a poll
+    # loop that never changed hands (server.loop_handoffs = 0), unbounded
+    # RSS, or a single confirmed isolation violation.
     cargo run --release -q -p immortaldb-net --bin serve-scale
 }
 
