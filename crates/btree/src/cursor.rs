@@ -26,7 +26,7 @@
 //! |---|---|---|---|
 //! | [`get_as_of`](VersionCursor::get_as_of) | one | instant | first governing version, stop |
 //! | [`scan_as_of`](VersionCursor::scan_as_of) / `scan_current` | range | instant / `MAX` | first governing version per key |
-//! | [`versions_between`](VersionCursor::versions_between) | range | window | collect |
+//! | [`versions_by_key`](VersionCursor::versions_by_key) / `versions_between` | range | window | collect per key / all |
 //! | [`history_of`](VersionCursor::history_of) | one | all time, uncommitted | collect |
 //! | [`head_version`](VersionCursor::head_version) | one | `MAX`, uncommitted | first version, stop |
 
@@ -191,6 +191,13 @@ pub enum Flow {
 
 pub type Visitor<'v> = dyn FnMut(&Version<'_>) -> Result<Flow> + 'v;
 
+/// Visitor of one key's versions at a time, oldest first
+/// ([`VersionCursor::versions_by_key`]); it may take them.
+pub type KeyVisitor<'v> = dyn FnMut(&mut Vec<TemporalVersion>) -> Result<Flow> + 'v;
+
+/// Visitor of the `(key, data)` records of an unversioned tree.
+pub type RecordVisitor<'v> = dyn FnMut(&[u8], &[u8]) -> Result<Flow> + 'v;
+
 /// One row produced by a scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanItem {
@@ -297,15 +304,42 @@ pub trait VersionCursor {
         hi: Timestamp,
         resolver: &dyn TimestampResolver,
     ) -> Result<Vec<TemporalVersion>> {
-        let mut out: Vec<TemporalVersion> = Vec::new();
-        let mut key_start = 0;
+        let mut out = Vec::new();
+        self.versions_by_key(keys, lo, hi, resolver, &mut |group| {
+            out.append(group);
+            Ok(Flow::Continue)
+        })?;
+        Ok(out)
+    }
+
+    /// [`Self::versions_between`] one key at a time: `visit` is handed
+    /// each key's versions (oldest first, base included) and may take
+    /// them; [`Flow::Stop`] ends the walk after that key.
+    fn versions_by_key(
+        &self,
+        keys: KeyRange<'_>,
+        lo: Timestamp,
+        hi: Timestamp,
+        resolver: &dyn TimestampResolver,
+        visit: &mut KeyVisitor<'_>,
+    ) -> Result<()> {
+        let mut group: Vec<TemporalVersion> = Vec::new();
+        let mut close = |group: &mut Vec<TemporalVersion>| {
+            group.reverse();
+            let flow = visit(group);
+            group.clear();
+            flow
+        };
+        let mut stopped = false;
         self.cursor(&Query::window(keys, lo, hi), resolver, &mut |v| {
-            if out.last().is_some_and(|last| last.key != v.key) {
-                out[key_start..].reverse();
-                key_start = out.len();
+            if group.last().is_some_and(|last| last.key != v.key)
+                && close(&mut group)? == Flow::Stop
+            {
+                stopped = true;
+                return Ok(Flow::Stop);
             }
             if let Stamp::Committed(ts) = v.stamp {
-                out.push(TemporalVersion {
+                group.push(TemporalVersion {
                     key: v.key.to_vec(),
                     ts,
                     data: v.data.map(<[u8]>::to_vec),
@@ -313,8 +347,10 @@ pub trait VersionCursor {
             }
             Ok(Flow::Continue)
         })?;
-        out[key_start..].reverse();
-        Ok(out)
+        if !stopped && !group.is_empty() {
+            close(&mut group)?;
+        }
+        Ok(())
     }
 
     /// Complete version history of `key`, newest first, uncommitted

@@ -26,8 +26,8 @@ pub use compact::{
     pack_history_pages, page_has_tid_marked, page_used_bytes, CompactionStats, HistoryStats,
 };
 pub use cursor::{
-    visit_page, Flow, HistoryVersion, KeyRange, Query, ScanItem, Stamp, TemporalVersion, Version,
-    VersionBuffer, VersionCursor, Visitor,
+    visit_page, Flow, HistoryVersion, KeyRange, KeyVisitor, Query, RecordVisitor, ScanItem, Stamp,
+    TemporalVersion, Version, VersionBuffer, VersionCursor, Visitor,
 };
 pub use read::StorageStats;
 pub use tree::{BTree, FixedSplitTime, HeadVersion, SplitTimeSource, MAX_RECORD};

@@ -18,7 +18,8 @@ use immortaldb_storage::version::{self, Visible};
 use immortaldb_storage::TimestampResolver;
 
 use crate::cursor::{
-    visit_page, Flow, KeyRange, Query, ScanItem, VersionBuffer, VersionCursor, Visitor,
+    visit_page, Flow, KeyRange, Query, RecordVisitor, ScanItem, VersionBuffer, VersionCursor,
+    Visitor,
 };
 use crate::tree::BTree;
 
@@ -58,13 +59,13 @@ impl VersionCursor for BTree {
             self.walk_leaf(leaf, (&[], None), q, resolver, visit)?;
             return Ok(());
         }
-        for span in self.leaves_in(&q.keys)? {
+        // Leaf by leaf, left to right, so a visitor that stops early has
+        // paid for the leaves it saw and the descent to the first.
+        self.walk_leaves(self.root(), Vec::new(), None, &q.keys, &mut |span| {
             let leaf = self.pool.fetch(span.id)?;
             let bounds = (span.low.as_slice(), span.upper.as_deref());
-            if self.walk_leaf(leaf, bounds, q, resolver, visit)? == Flow::Stop {
-                break;
-            }
-        }
+            self.walk_leaf(leaf, bounds, q, resolver, visit)
+        })?;
         Ok(())
     }
 }
@@ -178,23 +179,45 @@ impl BTree {
 
     /// Scan a conventional (unversioned) table.
     pub fn u_scan(&self) -> Result<Vec<ScanItem>> {
+        let mut out = Vec::new();
+        self.u_scan_in(&KeyRange::ALL, &mut |key, data| {
+            out.push(ScanItem {
+                key: key.to_vec(),
+                data: data.to_vec(),
+            });
+            Ok(Flow::Continue)
+        })?;
+        Ok(out)
+    }
+
+    /// Feed `visit` the `(key, data)` records of a conventional table
+    /// whose key lies in `keys`, ascending, until it answers
+    /// [`Flow::Stop`]: one descent to the low key, then along the leaf
+    /// chain.
+    pub fn u_scan_in(&self, keys: &KeyRange<'_>, visit: &mut RecordVisitor<'_>) -> Result<()> {
         debug_assert!(!self.versioned);
         let _s = self.structure.read();
-        let mut out = Vec::new();
-        let mut frame = self.leftmost_leaf()?;
+        let mut frame = self.descend(keys.seek_key())?;
         loop {
             let g = frame.read();
-            for i in 0..g.slot_count() {
+            let first = g.find_slot(keys.seek_key()).unwrap_or_else(|pos| pos);
+            for i in first..g.slot_count() {
                 let off = g.slot(i);
-                out.push(ScanItem {
-                    key: g.rec_key(off).to_vec(),
-                    data: g.rec_data(off).to_vec(),
-                });
+                let key = g.rec_key(off);
+                if keys.is_above(key) {
+                    return Ok(());
+                }
+                if keys.is_below(key) {
+                    continue; // an excluded low bound
+                }
+                if visit(key, g.rec_data(off))? == Flow::Stop {
+                    return Ok(());
+                }
             }
             let next = g.next_leaf();
             drop(g);
             if !next.is_valid() {
-                return Ok(out);
+                return Ok(());
             }
             frame = self.pool.fetch(next)?;
         }
@@ -275,28 +298,34 @@ impl BTree {
     /// left to right.
     fn leaves_in(&self, keys: &KeyRange<'_>) -> Result<Vec<LeafSpan>> {
         let mut out = Vec::new();
-        self.collect_leaves(self.root(), Vec::new(), None, keys, &mut out)?;
+        self.walk_leaves(self.root(), Vec::new(), None, keys, &mut |span| {
+            out.push(span);
+            Ok(Flow::Continue)
+        })?;
         Ok(out)
     }
 
-    fn collect_leaves(
+    /// Hand `visit` the leaves under `page_id` (which covers keys
+    /// `[low, upper)`) whose key region can hold a key of `keys`, left to
+    /// right, until it answers [`Flow::Stop`].
+    fn walk_leaves(
         &self,
         page_id: PageId,
         low: Vec<u8>,
         upper: Option<Vec<u8>>,
         keys: &KeyRange<'_>,
-        out: &mut Vec<LeafSpan>,
-    ) -> Result<()> {
+        visit: &mut dyn FnMut(LeafSpan) -> Result<Flow>,
+    ) -> Result<Flow> {
         let frame = self.pool.fetch(page_id)?;
         let g = frame.read();
         match g.page_type()? {
             PageType::Leaf => {
-                out.push(LeafSpan {
+                drop(g);
+                visit(LeafSpan {
                     id: page_id,
                     low,
                     upper,
-                });
-                Ok(())
+                })
             }
             PageType::Index => {
                 // Child `i` covers [its entry key (the node's low for the
@@ -318,9 +347,11 @@ impl BTree {
                 }
                 drop(g);
                 for (child, child_low, child_upper) in children {
-                    self.collect_leaves(child, child_low, child_upper, keys, out)?;
+                    if self.walk_leaves(child, child_low, child_upper, keys, visit)? == Flow::Stop {
+                        return Ok(Flow::Stop);
+                    }
                 }
-                Ok(())
+                Ok(Flow::Continue)
             }
             other => Err(immortaldb_common::Error::Corruption(format!(
                 "scan hit {other:?} page {page_id:?}"

@@ -202,10 +202,9 @@ impl BTree {
                 **g = image;
                 meta_frame.mark_dirty(lsn);
             } else {
-                let frame = self.pool.fetch(id)?;
-                let mut g = frame.write();
-                *g = image;
-                frame.mark_dirty(lsn);
+                // Not `fetch`: for the pages this split allocated that
+                // would read the zero page back from disk.
+                self.pool.install(image, lsn);
             }
         }
         if let Some(root_id) = new_root {

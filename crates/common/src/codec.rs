@@ -72,29 +72,35 @@ impl Writer {
         }
     }
 
+    #[inline]
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
         self
     }
+    #[inline]
     pub fn u16(&mut self, v: u16) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
+    #[inline]
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
+    #[inline]
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
     /// Length-prefixed byte string (u32 length).
+    #[inline]
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
         self
     }
     /// Raw bytes with no length prefix.
+    #[inline]
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
         self
@@ -104,6 +110,7 @@ impl Writer {
         self.buf
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -126,30 +133,44 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    // The accessors are `#[inline]`: a row crossing the wire goes through
+    // a dozen of them, and a call into this crate per integer was most of
+    // what encoding and decoding it cost.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(Error::Corruption(format!(
-                "truncated payload: need {n} bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            )));
+        match self.buf.get(self.pos..).and_then(|rest| rest.get(..n)) {
+            Some(s) => {
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(self.truncated(n)),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
 
+    #[cold]
+    fn truncated(&self, n: usize) -> Error {
+        Error::Corruption(format!(
+            "truncated payload: need {n} bytes at offset {} of {}",
+            self.pos,
+            self.buf.len()
+        ))
+    }
+
+    #[inline]
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
+    #[inline]
     pub fn u16(&mut self) -> Result<u16> {
         let s = self.take(2)?;
         Ok(u16::from_le_bytes([s[0], s[1]]))
     }
+    #[inline]
     pub fn u32(&mut self) -> Result<u32> {
         let s = self.take(4)?;
         Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
+    #[inline]
     pub fn u64(&mut self) -> Result<u64> {
         let s = self.take(8)?;
         let mut b = [0u8; 8];
@@ -157,6 +178,7 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(b))
     }
     /// Length-prefixed byte string written by [`Writer::bytes`].
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)

@@ -10,8 +10,8 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use immortaldb_btree::{
-    BTree, CompactionStats, Flow, HeadVersion, HistoryStats, KeyRange, Query, SplitTimeSource,
-    TemporalVersion, VersionCursor,
+    BTree, CompactionStats, Flow, HeadVersion, HistoryStats, KeyRange, KeyVisitor, Query,
+    SplitTimeSource, TemporalVersion, VersionCursor,
 };
 use immortaldb_common::{
     blocking, Clock, Error, Lsn, PageId, Result, SystemClock, Tid, Timestamp, TreeId, NULL_LSN,
@@ -31,7 +31,7 @@ use immortaldb_txn::{
 
 use crate::catalog::{snapshot_key, SnapshotDef, TableDef, TableKind, SNAPSHOT_KEY_PREFIX};
 use crate::index::{IndexKind, TableIndex};
-use crate::row::{PkBounds, Pushdown, Schema, Value};
+use crate::row::{PkBounds, Pushdown, RowVisitor, Schema, Value};
 use crate::temporal::{self, DiffOp, DiffRow};
 use crate::txn::{Isolation, TimestampingMode, Transaction};
 
@@ -1216,9 +1216,9 @@ impl Database {
         let def = self.table(table)?;
         let bounds = PkBounds::point(&def.schema, pk)?;
         let mut row = None;
-        self.visit_table_rows(txn, &def, &bounds, &mut |r| {
-            row = Some(r);
-            Ok(())
+        self.visit_table_rows(txn, &def, &bounds, &mut |_, r| {
+            row = Some(std::mem::take(r));
+            Ok(Flow::Continue)
         })?;
         Ok(row)
     }
@@ -1238,35 +1238,40 @@ impl Database {
         bounds: &PkBounds,
     ) -> Result<Vec<Vec<Value>>> {
         let mut rows = Vec::new();
-        self.visit_rows(txn, table, bounds, &mut |r| {
-            rows.push(r);
-            Ok(())
+        self.visit_rows(txn, table, bounds, &mut |_, r| {
+            rows.push(std::mem::take(r));
+            Ok(Flow::Continue)
         })?;
         Ok(rows)
     }
 
     /// Feed `visit` every row of `table` visible to `txn` (current,
     /// snapshot, or AS OF depending on the transaction) whose primary key
-    /// lies in `bounds`, key-ordered, each decoded straight from the
-    /// record the index cursor stands on. Work is proportional to the
-    /// keys in `bounds`, not to the table.
+    /// lies in `bounds`, key-ordered, until it answers [`Flow::Stop`].
+    /// Each record is decoded where the index cursor stands on it, into
+    /// one scratch row handed over with its index key: a visitor that
+    /// keeps rows takes them (`std::mem::take`), one that does not costs
+    /// no allocation. Work is proportional to the keys visited, not to
+    /// the table: a visitor that stopped resumes with another call under
+    /// [`PkBounds::resume_after`] the last key it saw — the transaction's
+    /// snapshot, AS OF instant or scan lock make the two calls one scan.
     pub fn visit_rows(
         &self,
         txn: &mut Transaction,
         table: &str,
         bounds: &PkBounds,
-        visit: &mut dyn FnMut(Vec<Value>) -> Result<()>,
+        visit: &mut RowVisitor<'_>,
     ) -> Result<()> {
         let def = self.table(table)?;
         self.visit_table_rows(txn, &def, bounds, visit)
     }
 
-    fn visit_table_rows(
+    pub(crate) fn visit_table_rows(
         &self,
         txn: &mut Transaction,
         def: &TableDef,
         bounds: &PkBounds,
-        visit: &mut dyn FnMut(Vec<Value>) -> Result<()>,
+        visit: &mut RowVisitor<'_>,
     ) -> Result<()> {
         let handle = self.tree_handle(def.tree)?;
         let keys = bounds.as_range();
@@ -1294,12 +1299,14 @@ impl Database {
         // nothing about.
         let tapped = versioned && (txn.as_of.is_some() || txn.isolation == Isolation::Snapshot);
         let mut found = false;
-        let mut emit = |key: &[u8], data: &[u8]| -> Result<()> {
+        let mut row = Vec::new();
+        let mut emit = |key: &[u8], data: &[u8]| -> Result<Flow> {
             found = true;
             if tapped {
                 self.tap_read(txn, def.tree, key, Some(data));
             }
-            visit(def.schema.decode_row(data)?)
+            def.schema.decode_row_into(data, &mut row)?;
+            visit(key, &mut row)
         };
         match keys.as_point() {
             Some(key) if !versioned => {
@@ -1314,23 +1321,17 @@ impl Database {
                     emit(key, &data)?;
                 }
             }
-            _ if !versioned => {
-                for item in handle.u_scan()? {
-                    if keys.contains(&item.key) {
-                        emit(&item.key, &item.data)?;
-                    }
-                }
-            }
+            _ if !versioned => handle.u_scan_in(&keys, &mut emit)?,
             _ => {
                 let q = Query::instant(keys, at, own);
                 handle.cursor(&q, self.resolver.as_ref(), &mut |v| {
                     if !v.governs(own) {
                         return Ok(Flow::Continue);
                     }
-                    if let Some(data) = v.data {
-                        emit(v.key, data)?;
+                    match v.data {
+                        Some(data) if emit(v.key, data)? == Flow::Stop => Ok(Flow::Stop),
+                        _ => Ok(Flow::NextKey),
                     }
-                    Ok(Flow::NextKey)
                 })?;
             }
         }
@@ -1411,13 +1412,43 @@ impl Database {
         lo: Timestamp,
         hi: Timestamp,
     ) -> Result<Vec<TemporalVersion>> {
-        let (versions, lo) = self.window_versions(table, bounds, lo, hi)?;
-        let out = temporal::in_window(versions, lo);
-        self.metrics()
-            .temporal
-            .versions_returned
-            .add(out.len() as u64);
+        let (def, lo, hi) = self.temporal_window(table, lo, hi)?;
+        let mut out = Vec::new();
+        self.visit_versions(&def, bounds, lo, hi, &mut |group| {
+            out.append(group);
+            Ok(Flow::Continue)
+        })?;
         Ok(out)
+    }
+
+    /// The streaming form of [`Self::versions_between_in`], over a window
+    /// [`Self::temporal_window`] has already clamped: `visit` gets the
+    /// window's versions one key at a time (oldest first; it may take
+    /// them) until it answers [`Flow::Stop`], and resumes like
+    /// [`Self::visit_rows`]. The window is resolved once per statement,
+    /// not here, because the horizon it is clamped to moves.
+    pub(crate) fn visit_versions(
+        &self,
+        def: &TableDef,
+        bounds: &PkBounds,
+        lo: Timestamp,
+        hi: Timestamp,
+        visit: &mut KeyVisitor<'_>,
+    ) -> Result<()> {
+        self.count_pushdown(bounds);
+        let handle = self.tree_handle(def.tree)?;
+        let keys = bounds.as_range();
+        handle.versions_by_key(keys, lo, hi, self.resolver.as_ref(), &mut |group| {
+            // The walk carries each key's state at `lo` (DIFF's before-
+            // state); it is in the window only if it committed at `lo`.
+            group.retain(|v| v.ts >= lo);
+            if group.is_empty() {
+                return Ok(Flow::Continue);
+            }
+            let m = &self.metrics().temporal;
+            m.versions_returned.add(group.len() as u64);
+            visit(group)
+        })
     }
 
     /// `DIFF TABLE … BETWEEN t1 AND t2`: the net change set between the
@@ -1465,7 +1496,7 @@ impl Database {
     /// to the visibility horizon — on a replica that is the replication
     /// horizon, so a follower answers from the history it has instead
     /// of erroring, mirroring `BEGIN TRAN AS OF` clamping.
-    fn temporal_window(
+    pub(crate) fn temporal_window(
         &self,
         table: &str,
         lo: Timestamp,

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use immortaldb_btree::{
-    BTree, CompactionStats, HistoryStats, Query, ScanItem, VersionCursor, Visitor,
+    BTree, CompactionStats, HistoryStats, KeyRange, Query, RecordVisitor, ScanItem, VersionCursor,
+    Visitor,
 };
 use immortaldb_common::{Error, Lsn, PageId, Result, Tid, Timestamp, TreeId};
 use immortaldb_storage::TimestampResolver;
@@ -224,6 +225,10 @@ impl TableIndex {
 
     pub fn u_scan(&self) -> Result<Vec<ScanItem>> {
         self.chain()?.u_scan()
+    }
+
+    pub fn u_scan_in(&self, keys: &KeyRange<'_>, visit: &mut RecordVisitor<'_>) -> Result<()> {
+        self.chain()?.u_scan_in(keys, visit)
     }
 
     pub fn u_count(&self) -> Result<usize> {

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::Bound;
 
-use immortaldb_btree::KeyRange;
+use immortaldb_btree::{Flow, KeyRange};
 use immortaldb_common::codec::{Reader, Writer};
 use immortaldb_common::{Error, Result};
 
@@ -159,43 +159,98 @@ impl Schema {
     pub fn encode_row(&self, values: &[Value]) -> Vec<u8> {
         let mut w = Writer::new();
         for v in values {
-            match v {
-                Value::SmallInt(x) => {
-                    w.u8(1).u16(*x as u16);
-                }
-                Value::Int(x) => {
-                    w.u8(2).u32(*x as u32);
-                }
-                Value::BigInt(x) => {
-                    w.u8(3).u64(*x as u64);
-                }
-                Value::Varchar(s) => {
-                    w.u8(4).bytes(s.as_bytes());
-                }
-            }
+            v.encode(&mut w);
         }
         w.finish()
     }
 
     /// Decode a row image.
     pub fn decode_row(&self, data: &[u8]) -> Result<Vec<Value>> {
-        let mut r = Reader::new(data);
         let mut out = Vec::with_capacity(self.columns.len());
-        for _ in &self.columns {
-            let tag = r.u8()?;
-            out.push(match tag {
-                1 => Value::SmallInt(r.u16()? as i16),
-                2 => Value::Int(r.u32()? as i32),
-                3 => Value::BigInt(r.u64()? as i64),
-                4 => Value::Varchar(
-                    String::from_utf8(r.bytes()?.to_vec())
-                        .map_err(|_| Error::Corruption("non-UTF8 varchar".into()))?,
-                ),
-                t => return Err(Error::Corruption(format!("bad value tag {t}"))),
-            });
-        }
-        r.expect_end()?;
+        self.decode_row_into(data, &mut out)?;
         Ok(out)
+    }
+
+    /// Decode a row image over `out` (see [`decode_values_into`]): a scan
+    /// decodes every record into one scratch row.
+    pub fn decode_row_into(&self, data: &[u8], out: &mut Vec<Value>) -> Result<()> {
+        let mut r = Reader::new(data);
+        decode_values_into(&mut r, self.columns.len(), out)?;
+        r.expect_end()
+    }
+}
+
+impl Value {
+    /// Append this value in its tagged form — `1` SMALLINT (`i16`), `2`
+    /// INT (`i32`), `3` BIGINT (`i64`), `4` VARCHAR (`u32` length +
+    /// bytes), integers little-endian — the form row images are stored
+    /// in and rows cross the wire in.
+    pub fn encode(&self, w: &mut Writer) {
+        match self {
+            Value::SmallInt(x) => w.u8(1).u16(*x as u16),
+            Value::Int(x) => w.u8(2).u32(*x as u32),
+            Value::BigInt(x) => w.u8(3).u64(*x as u64),
+            Value::Varchar(s) => w.u8(4).bytes(s.as_bytes()),
+        };
+    }
+}
+
+/// Decode `n` tagged values (see [`Value::encode`]) over `out` — the
+/// previous row of the same shape, or empty — so that decoding a run of
+/// rows into one scratch row allocates nothing for integers and reuses
+/// the buffer of each string it replaces.
+pub fn decode_values_into(r: &mut Reader<'_>, n: usize, out: &mut Vec<Value>) -> Result<()> {
+    out.truncate(n);
+    out.reserve_exact(n - out.len());
+    for i in 0..n {
+        let value = match r.u8()? {
+            1 => Value::SmallInt(r.u16()? as i16),
+            2 => Value::Int(r.u32()? as i32),
+            3 => Value::BigInt(r.u64()? as i64),
+            4 => {
+                let text = std::str::from_utf8(r.bytes()?)
+                    .map_err(|_| Error::Corruption("non-UTF8 varchar".into()))?;
+                if let Some(Value::Varchar(old)) = out.get_mut(i) {
+                    old.clear();
+                    old.push_str(text);
+                    continue;
+                }
+                Value::Varchar(text.to_owned())
+            }
+            t => return Err(Error::Corruption(format!("bad value tag {t}"))),
+        };
+        match out.get_mut(i) {
+            Some(slot) => *slot = value,
+            None => out.push(value),
+        }
+    }
+    Ok(())
+}
+
+/// Visitor of a scan's rows ([`crate::Database::visit_rows`]): the index
+/// key and the row, decoded into a scratch row the visitor may take.
+pub type RowVisitor<'v> = dyn FnMut(&[u8], &mut Vec<Value>) -> Result<Flow> + 'v;
+
+/// Where a row-returning statement writes its result: the column names
+/// once, then every row as it is produced, out of one scratch row the
+/// producer decodes into — so nothing is collected unless the sink
+/// collects. The engine calls a sink with no latch held except inside
+/// [`RowSink::row`], which must therefore not block.
+pub trait RowSink {
+    /// The result's column names; called once, before the first row.
+    fn columns(&mut self, names: Vec<String>) -> Result<()>;
+
+    /// One result row. A sink that keeps rows takes this one
+    /// (`std::mem::take`); one that encodes or counts them leaves it, and
+    /// the producer decodes the next row over it. [`Flow::Stop`] says the
+    /// sink is full: this row is in, and the producer calls
+    /// [`RowSink::flush`] — from where it holds no latch — before the
+    /// next one.
+    fn row(&mut self, row: &mut Vec<Value>) -> Result<Flow>;
+
+    /// Make room after a [`Flow::Stop`]; this is where a sink may wait.
+    fn flush(&mut self) -> Result<()> {
+        Ok(())
     }
 }
 
@@ -305,6 +360,12 @@ impl PkBounds {
             }
         }
         Ok(())
+    }
+
+    /// Drop every key up to and including `key`: where a scan that
+    /// stopped at `key` picks up again.
+    pub fn resume_after(&mut self, key: Vec<u8>) {
+        self.lo = Bound::Excluded(key);
     }
 
     /// The borrowed form the index cursor takes.

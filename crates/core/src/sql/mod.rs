@@ -7,18 +7,20 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 
+use immortaldb_btree::{Flow, TemporalVersion};
 use immortaldb_common::{blocking, Error, Result, Timestamp};
 
 use crate::db::Database;
-use crate::row::{Column, PkBounds, Pushdown, Schema, Value};
+use crate::row::{Column, PkBounds, Pushdown, RowSink, Schema, Value};
 use crate::txn::{Isolation, Transaction};
 
 use ast::{AsOfSpec, Predicate, Statement};
 use parser::Parser;
 use plan::Filter;
 
-/// Result of executing one statement.
-#[derive(Debug, Clone, PartialEq)]
+/// Result of executing one statement, collected: what
+/// [`Session::execute`] returns. As a [`RowSink`] it keeps every row.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
     pub columns: Vec<String>,
     pub rows: Vec<Vec<Value>>,
@@ -28,24 +30,51 @@ pub struct QueryResult {
     pub message: String,
 }
 
-impl QueryResult {
-    fn message(msg: impl Into<String>) -> QueryResult {
-        QueryResult {
-            columns: Vec::new(),
-            rows: Vec::new(),
-            affected: 0,
-            message: msg.into(),
-        }
+impl RowSink for QueryResult {
+    fn columns(&mut self, names: Vec<String>) -> Result<()> {
+        self.columns = names;
+        Ok(())
     }
 
-    fn affected(n: usize, msg: impl Into<String>) -> QueryResult {
-        QueryResult {
-            columns: Vec::new(),
-            rows: Vec::new(),
+    fn row(&mut self, row: &mut Vec<Value>) -> Result<Flow> {
+        self.rows.push(std::mem::take(row));
+        Ok(Flow::Continue)
+    }
+}
+
+/// What a statement leaves behind besides the rows it wrote to its sink.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outcome {
+    /// Rows inserted/updated/deleted.
+    pub affected: usize,
+    /// Human-readable outcome (`"3 rows"`, `"committed at …"`).
+    pub message: String,
+}
+
+impl Outcome {
+    fn message(msg: impl Into<String>) -> Outcome {
+        Outcome::affected(0, msg)
+    }
+
+    fn affected(n: usize, msg: impl Into<String>) -> Outcome {
+        Outcome {
             affected: n,
             message: msg.into(),
         }
     }
+}
+
+/// Hand a sink one row of a result that is already in memory: a sink that
+/// fills up is flushed on the spot, the caller holding no latch.
+fn put(sink: &mut dyn RowSink, mut row: Vec<Value>) -> Result<()> {
+    if sink.row(&mut row)? == Flow::Stop {
+        sink.flush()?;
+    }
+    Ok(())
+}
+
+fn names(columns: &[&str]) -> Vec<String> {
+    columns.iter().map(|c| c.to_string()).collect()
 }
 
 /// A SQL session: owns the current explicit transaction, autocommits
@@ -167,8 +196,22 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Execute one statement.
+    /// Execute one statement and collect its result: the adapter over
+    /// [`Session::execute_into`] for callers that want the rows in hand.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
+        let mut result = QueryResult::default();
+        let Outcome { affected, message } = self.execute_into(sql, &mut result)?;
+        result.affected = affected;
+        result.message = message;
+        Ok(result)
+    }
+
+    /// Execute one statement, writing the rows it returns (if it returns
+    /// any: then `sink` is given the column names first) to `sink` as
+    /// they are read. A scan the sink stops is picked up after a
+    /// [`RowSink::flush`] made with no latch held, at the key after the
+    /// last one sent, so neither side holds the result whole.
+    pub fn execute_into(&mut self, sql: &str, sink: &mut dyn RowSink) -> Result<Outcome> {
         let stmt = Parser::parse(sql)?;
         match stmt {
             Statement::Begin { as_of, isolation } => {
@@ -179,18 +222,18 @@ impl<'a> Session<'a> {
                     }
                     None => self.begin(isolation)?,
                 };
-                Ok(QueryResult::message("transaction started"))
+                Ok(Outcome::message("transaction started"))
             }
             Statement::Commit => {
                 let ts = self.commit()?;
-                Ok(QueryResult::message(format!(
+                Ok(Outcome::message(format!(
                     "committed at {}.{}",
                     ts.ttime, ts.sn
                 )))
             }
             Statement::Rollback => {
                 self.rollback()?;
-                Ok(QueryResult::message("rolled back"))
+                Ok(Outcome::message("rolled back"))
             }
             Statement::CreateTable {
                 name,
@@ -207,11 +250,11 @@ impl<'a> Session<'a> {
                     pk,
                 )?;
                 self.db.create_table_with(&name, schema, kind, index)?;
-                Ok(QueryResult::message(format!("table {name} created")))
+                Ok(Outcome::message(format!("table {name} created")))
             }
             Statement::AlterEnableSnapshot { table } => {
                 self.db.enable_snapshot(&table)?;
-                Ok(QueryResult::message(format!(
+                Ok(Outcome::message(format!(
                     "snapshot versioning enabled on {table}"
                 )))
             }
@@ -224,7 +267,7 @@ impl<'a> Session<'a> {
                 }
                 let restore_ts = self.point_ts(&as_of)?;
                 let (n, ts) = self.db.restore_table_as_of(&table, restore_ts)?;
-                Ok(QueryResult::affected(
+                Ok(Outcome::affected(
                     n,
                     format!(
                         "restored {table} to {}.{} ({n} rows changed)",
@@ -234,81 +277,67 @@ impl<'a> Session<'a> {
             }
             Statement::Checkpoint => {
                 let reclaimed = self.db.checkpoint()?;
-                Ok(QueryResult::message(format!(
+                Ok(Outcome::message(format!(
                     "checkpoint complete, {reclaimed} PTT entries reclaimed"
                 )))
             }
             Statement::Vacuum => {
                 let reclaimed = self.db.vacuum()?;
-                Ok(QueryResult::message(format!(
+                Ok(Outcome::message(format!(
                     "vacuum complete, {reclaimed} PTT entries reclaimed"
                 )))
             }
             Statement::CreateSnapshot { name, as_of } => {
                 let ts = as_of.map(|s| self.point_ts(&s)).transpose()?;
                 let def = self.db.create_named_snapshot(&name, ts)?;
-                Ok(QueryResult::message(format!(
+                Ok(Outcome::message(format!(
                     "snapshot {name} created at {}.{}",
                     def.ts.ttime, def.ts.sn
                 )))
             }
             Statement::DropSnapshot { name } => {
                 self.db.drop_named_snapshot(&name)?;
-                Ok(QueryResult::message(format!("snapshot {name} dropped")))
+                Ok(Outcome::message(format!("snapshot {name} dropped")))
             }
             Statement::ShowSnapshots => {
-                let rows: Vec<Vec<Value>> = self
-                    .db
-                    .list_snapshots()
-                    .into_iter()
-                    .map(|s| {
-                        vec![
-                            Value::Varchar(s.name),
-                            Value::BigInt(s.ts.ttime as i64),
-                            Value::Int(s.ts.sn as i32),
-                            Value::BigInt(s.created_ms as i64),
-                        ]
-                    })
-                    .collect();
-                let n = rows.len();
-                Ok(QueryResult {
-                    columns: ["name", "_ts_ms", "_ts_sn", "created_ms"]
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect(),
-                    rows,
-                    affected: 0,
-                    message: format!("{n} snapshots"),
-                })
+                let snapshots = self.db.list_snapshots();
+                sink.columns(names(&["name", "_ts_ms", "_ts_sn", "created_ms"]))?;
+                for s in &snapshots {
+                    let row = vec![
+                        Value::Varchar(s.name.clone()),
+                        Value::BigInt(s.ts.ttime as i64),
+                        Value::Int(s.ts.sn as i32),
+                        Value::BigInt(s.created_ms as i64),
+                    ];
+                    put(sink, row)?;
+                }
+                Ok(Outcome::message(format!("{} snapshots", snapshots.len())))
             }
             Statement::ShowStats => {
-                let snap = self.db.metrics_snapshot();
-                let rows: Vec<Vec<Value>> = snap
-                    .entries()
-                    .into_iter()
-                    .map(|(name, value)| vec![Value::Varchar(name), Value::BigInt(value as i64)])
-                    .collect();
-                let n = rows.len();
-                Ok(QueryResult {
-                    columns: vec!["metric".to_string(), "value".to_string()],
-                    rows,
-                    affected: 0,
-                    message: format!("{n} metrics"),
-                })
+                let entries = self.db.metrics_snapshot().entries();
+                sink.columns(names(&["metric", "value"]))?;
+                let n = entries.len();
+                for (name, value) in entries {
+                    put(
+                        sink,
+                        vec![Value::Varchar(name), Value::BigInt(value as i64)],
+                    )?;
+                }
+                Ok(Outcome::message(format!("{n} metrics")))
             }
-            dml => self.run_dml(dml),
+            dml => self.run_dml(dml, sink),
         }
     }
 
     /// Run a DML/query statement, autocommitting when no explicit
     /// transaction is open, and rolling back doomed transactions.
-    fn run_dml(&mut self, stmt: Statement) -> Result<QueryResult> {
+    fn run_dml(&mut self, stmt: Statement, sink: &mut dyn RowSink) -> Result<Outcome> {
         let implicit = self.current.is_none();
         if implicit {
             self.current = Some(self.db.begin(Isolation::Serializable));
         }
         let mut txn = self.current.take().expect("transaction present");
-        let result = self.exec_stmt(&mut txn, stmt);
+        let result = self.exec_stmt(&mut txn, stmt, sink);
         match result {
             Ok(res) => {
                 if implicit {
@@ -332,14 +361,19 @@ impl<'a> Session<'a> {
         }
     }
 
-    fn exec_stmt(&self, txn: &mut Transaction, stmt: Statement) -> Result<QueryResult> {
+    fn exec_stmt(
+        &self,
+        txn: &mut Transaction,
+        stmt: Statement,
+        sink: &mut dyn RowSink,
+    ) -> Result<Outcome> {
         match stmt {
             Statement::Insert { table, rows } => {
                 let n = rows.len();
                 for row in rows {
                     self.db.insert_row(txn, &table, row)?;
                 }
-                Ok(QueryResult::affected(n, format!("{n} rows inserted")))
+                Ok(Outcome::affected(n, format!("{n} rows inserted")))
             }
             Statement::Update {
                 table,
@@ -360,7 +394,7 @@ impl<'a> Session<'a> {
                     self.db.update_row(txn, &table, row)?;
                     n += 1;
                 }
-                Ok(QueryResult::affected(n, format!("{n} rows updated")))
+                Ok(Outcome::affected(n, format!("{n} rows updated")))
             }
             Statement::Delete { table, predicate } => {
                 let def = self.db.table(&table)?;
@@ -370,7 +404,7 @@ impl<'a> Session<'a> {
                     self.db.delete_row(txn, &table, &row[def.schema.pk])?;
                     n += 1;
                 }
-                Ok(QueryResult::affected(n, format!("{n} rows deleted")))
+                Ok(Outcome::affected(n, format!("{n} rows deleted")))
             }
             Statement::Select {
                 table,
@@ -378,40 +412,52 @@ impl<'a> Session<'a> {
                 predicate,
             } => {
                 let def = self.db.table(&table)?;
-                let rows = self.matching_rows(txn, &table, &predicate)?;
+                let filter = Filter::compile(&def.schema, &predicate)?;
+                let mut bounds = read_bounds(filter.pk_bounds(&def.schema)?);
                 let (names, idxs) = projection(&def.schema, columns)?;
-                let rows = match idxs {
-                    None => rows, // `*`: the decoded rows are the result
-                    Some(idxs) => rows
-                        .into_iter()
-                        .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
-                        .collect(),
-                };
-                let n = rows.len();
-                Ok(QueryResult {
-                    columns: names,
-                    rows,
-                    affected: 0,
-                    message: format!("{n} rows"),
-                })
+                sink.columns(names)?;
+                let mut n = 0usize;
+                let mut projected = Vec::new();
+                loop {
+                    // One cursor call sends rows until the sink is full;
+                    // the next starts after the key that one got to.
+                    let mut stopped_at = None;
+                    self.db
+                        .visit_table_rows(txn, &def, &bounds, &mut |key, row| {
+                            if !filter.matches(row) {
+                                return Ok(Flow::Continue);
+                            }
+                            n += 1;
+                            let flow = match &idxs {
+                                None => sink.row(row)?,
+                                Some(idxs) => {
+                                    projected.clear();
+                                    projected.extend(idxs.iter().map(|&i| row[i].clone()));
+                                    sink.row(&mut projected)?
+                                }
+                            };
+                            if flow == Flow::Stop {
+                                stopped_at = Some(key.to_vec());
+                            }
+                            Ok(flow)
+                        })?;
+                    let Some(last) = stopped_at else { break };
+                    sink.flush()?;
+                    bounds.resume_after(last);
+                }
+                Ok(Outcome::message(format!("{n} rows")))
             }
             Statement::History { table, pk } => {
                 let def = self.db.table(&table)?;
                 let history = self.db.history_rows(&table, &pk)?;
-                let mut columns = vec![
-                    "_commit_ms".to_string(),
-                    "_commit_sn".to_string(),
-                    "_op".to_string(),
-                ];
+                let mut columns = names(&["_commit_ms", "_commit_sn", "_op"]);
                 columns.extend(def.schema.columns.iter().map(|c| c.name.clone()));
-                let mut rows = Vec::new();
+                sink.columns(columns)?;
+                let n = history.len();
                 for (ts, row) in history {
+                    let op = if row.is_some() { "WRITE" } else { "DELETE" };
                     let mut out = match ts {
-                        Some(t) => vec![
-                            Value::BigInt(t.ttime as i64),
-                            Value::Int(t.sn as i32),
-                            Value::Varchar(if row.is_some() { "WRITE" } else { "DELETE" }.into()),
-                        ],
+                        Some(t) => version_lead(t, op),
                         None => vec![
                             Value::BigInt(-1),
                             Value::Int(-1),
@@ -427,15 +473,9 @@ impl<'a> Session<'a> {
                                 .map(|_| Value::Varchar(String::new())),
                         ),
                     }
-                    rows.push(out);
+                    put(sink, out)?;
                 }
-                let n = rows.len();
-                Ok(QueryResult {
-                    columns,
-                    rows,
-                    affected: 0,
-                    message: format!("{n} versions"),
-                })
+                Ok(Outcome::message(format!("{n} versions")))
             }
             Statement::VersionsBetween {
                 table,
@@ -444,80 +484,64 @@ impl<'a> Session<'a> {
                 t2,
                 predicate,
             } => {
-                let def = self.db.table(&table)?;
                 let lo = self.window_lo_ts(&t1)?;
                 let hi = self.point_ts(&t2)?;
+                // Clamped to the horizon once: the chunks of one result
+                // must not see it move.
+                let (def, lo, hi) = self.db.temporal_window(&table, lo, hi)?;
                 let filter = Filter::compile(&def.schema, &predicate)?;
-                let bounds = read_bounds(filter.pk_bounds(&def.schema)?);
-                let versions = self.db.versions_between_in(&table, &bounds, lo, hi)?;
-                let (names, idxs) = projection(&def.schema, columns)?;
+                let mut bounds = read_bounds(filter.pk_bounds(&def.schema)?);
+                let (selected, idxs) = projection(&def.schema, columns)?;
                 let idxs = idxs.unwrap_or_else(|| (0..def.schema.columns.len()).collect());
-                // A key matches when any live version of it inside the
-                // window satisfies the predicate; every version of a
-                // matching key (tombstones included) is then returned.
-                let mut rows = Vec::new();
-                let mut i = 0;
-                while i < versions.len() {
-                    let mut j = i;
-                    while j < versions.len() && versions[j].key == versions[i].key {
-                        j += 1;
-                    }
-                    let group = &versions[i..j];
-                    i = j;
-                    let mut matched = filter.is_empty();
-                    let mut decoded: Vec<Option<Vec<Value>>> = Vec::with_capacity(group.len());
-                    for v in group {
-                        let row = v
-                            .data
-                            .as_deref()
-                            .map(|d| def.schema.decode_row(d))
-                            .transpose()?;
-                        if let Some(r) = &row {
-                            matched = matched || filter.matches(r);
-                        }
-                        decoded.push(row);
-                    }
-                    if !matched {
-                        continue;
-                    }
-                    for (v, row) in group.iter().zip(decoded) {
-                        let mut out = vec![
-                            Value::BigInt(v.ts.ttime as i64),
-                            Value::Int(v.ts.sn as i32),
-                            Value::Varchar(if row.is_some() { "WRITE" } else { "DELETE" }.into()),
-                        ];
-                        match row {
-                            Some(vals) => out.extend(idxs.iter().map(|&k| vals[k].clone())),
-                            // A tombstone has no row image; recover the
-                            // primary key from the index key so the row
-                            // still says *what* was deleted.
-                            None => {
-                                let pk = crate::row::decode_key(&v.key)?;
-                                for &k in &idxs {
-                                    out.push(if k == def.schema.pk {
-                                        pk.clone()
-                                    } else {
-                                        Value::Varchar(String::new())
-                                    });
+                let mut cols = names(&["_commit_ms", "_commit_sn", "_op"]);
+                cols.extend(selected);
+                sink.columns(cols)?;
+                let mut n = 0usize;
+                let mut send = |sink: &mut dyn RowSink, v: &KeyVersion| -> Result<Flow> {
+                    n += 1;
+                    sink.row(&mut v.result_row(&def.schema, &idxs)?)
+                };
+                loop {
+                    // Like SELECT, except that a sink filling up in the
+                    // middle of a key leaves that key's remaining
+                    // versions to be sent once the cursor has returned.
+                    let mut stopped = None;
+                    self.db
+                        .visit_versions(&def, &bounds, lo, hi, &mut |group| {
+                            // A key matches when any live version of it
+                            // inside the window satisfies the predicate;
+                            // every version of a matching key (tombstones
+                            // included) is then returned.
+                            let mut matched = filter.is_empty();
+                            let mut versions = Vec::with_capacity(group.len());
+                            for v in group.drain(..) {
+                                let v = KeyVersion::decode(&def.schema, v)?;
+                                matched =
+                                    matched || v.row.as_ref().is_some_and(|r| filter.matches(r));
+                                versions.push(v);
+                            }
+                            if !matched {
+                                return Ok(Flow::Continue);
+                            }
+                            let mut versions = versions.into_iter();
+                            while let Some(v) = versions.next() {
+                                if send(sink, &v)? == Flow::Stop {
+                                    stopped = Some((v.key, versions.collect::<Vec<_>>()));
+                                    return Ok(Flow::Stop);
                                 }
                             }
+                            Ok(Flow::Continue)
+                        })?;
+                    let Some((key, rest)) = stopped else { break };
+                    sink.flush()?;
+                    for v in &rest {
+                        if send(sink, v)? == Flow::Stop {
+                            sink.flush()?;
                         }
-                        rows.push(out);
                     }
+                    bounds.resume_after(key);
                 }
-                let mut cols = vec![
-                    "_commit_ms".to_string(),
-                    "_commit_sn".to_string(),
-                    "_op".to_string(),
-                ];
-                cols.extend(names);
-                let n = rows.len();
-                Ok(QueryResult {
-                    columns: cols,
-                    rows,
-                    affected: 0,
-                    message: format!("{n} versions"),
-                })
+                Ok(Outcome::message(format!("{n} versions")))
             }
             Statement::DiffTable {
                 table,
@@ -532,19 +556,16 @@ impl<'a> Session<'a> {
                     Filter::compile(&def.schema, &predicate)?.pk_bounds_only(&def.schema)?,
                 );
                 let diff = self.db.diff_table_in(&table, &bounds, a, b)?;
-                let mut cols = vec![
-                    "_op".to_string(),
-                    "_commit_ms".to_string(),
-                    "_commit_sn".to_string(),
-                ];
+                let mut cols = names(&["_op", "_commit_ms", "_commit_sn"]);
                 for c in &def.schema.columns {
                     cols.push(format!("old_{}", c.name));
                 }
                 for c in &def.schema.columns {
                     cols.push(format!("new_{}", c.name));
                 }
+                sink.columns(cols)?;
                 let ncols = def.schema.columns.len();
-                let mut rows = Vec::new();
+                let n = diff.len();
                 for d in diff {
                     let mut out = vec![
                         Value::Varchar(d.op.name().into()),
@@ -557,15 +578,9 @@ impl<'a> Session<'a> {
                             None => out.extend((0..ncols).map(|_| Value::Varchar(String::new()))),
                         }
                     }
-                    rows.push(out);
+                    put(sink, out)?;
                 }
-                let n = rows.len();
-                Ok(QueryResult {
-                    columns: cols,
-                    rows,
-                    affected: 0,
-                    message: format!("{n} changes"),
-                })
+                Ok(Outcome::message(format!("{n} changes")))
             }
             other => Err(Error::Sql(format!("not a DML statement: {other:?}"))),
         }
@@ -584,12 +599,71 @@ impl<'a> Session<'a> {
         let filter = Filter::compile(&def.schema, predicate)?;
         let bounds = read_bounds(filter.pk_bounds(&def.schema)?);
         let mut out = Vec::new();
-        self.db.visit_rows(txn, table, &bounds, &mut |row| {
-            if filter.matches(&row) {
-                out.push(row);
+        self.db
+            .visit_table_rows(txn, &def, &bounds, &mut |_, row| {
+                if filter.matches(row) {
+                    out.push(std::mem::take(row));
+                }
+                Ok(Flow::Continue)
+            })?;
+        Ok(out)
+    }
+}
+
+/// The three columns that lead a `VERSIONS BETWEEN` / `HISTORY OF` row.
+fn version_lead(ts: Timestamp, op: &str) -> Vec<Value> {
+    vec![
+        Value::BigInt(ts.ttime as i64),
+        Value::Int(ts.sn as i32),
+        Value::Varchar(op.into()),
+    ]
+}
+
+/// One version of a `VERSIONS BETWEEN` window with its row image decoded.
+struct KeyVersion {
+    key: Vec<u8>,
+    ts: Timestamp,
+    /// `None` marks a delete tombstone.
+    row: Option<Vec<Value>>,
+}
+
+impl KeyVersion {
+    fn decode(schema: &Schema, v: TemporalVersion) -> Result<KeyVersion> {
+        let row = v
+            .data
+            .as_deref()
+            .map(|d| schema.decode_row(d))
+            .transpose()?;
+        Ok(KeyVersion {
+            key: v.key,
+            ts: v.ts,
+            row,
+        })
+    }
+
+    /// The result row: commit time, operation, then the columns `idxs`.
+    fn result_row(&self, schema: &Schema, idxs: &[usize]) -> Result<Vec<Value>> {
+        let op = if self.row.is_some() {
+            "WRITE"
+        } else {
+            "DELETE"
+        };
+        let mut out = version_lead(self.ts, op);
+        match &self.row {
+            Some(vals) => out.extend(idxs.iter().map(|&k| vals[k].clone())),
+            // A tombstone has no row image; recover the primary key from
+            // the index key so the row still says *what* was deleted.
+            None => {
+                let pk = crate::row::decode_key(&self.key)?;
+                out.extend(idxs.iter().map(|&k| {
+                    if k == schema.pk {
+                        pk.clone()
+                    } else {
+                        Value::Varchar(String::new())
+                    }
+                }));
             }
-            Ok(())
-        })?;
+        }
         Ok(out)
     }
 }

@@ -38,14 +38,6 @@ pub fn window_hi(ms: u64) -> Timestamp {
     Timestamp::as_of_clock(ms)
 }
 
-/// Drop the per-key base versions a window walk carries (the state at
-/// `lo`, kept for DIFF's before-state — it is in the window only when it
-/// committed exactly at `lo`), leaving the versions that committed
-/// inside `[lo, hi]`.
-pub fn in_window(versions: Vec<TemporalVersion>, lo: Timestamp) -> Vec<TemporalVersion> {
-    versions.into_iter().filter(|v| v.ts >= lo).collect()
-}
-
 /// Net effect of a window on one key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffOp {
@@ -210,14 +202,5 @@ mod tests {
         let t1 = Timestamp::new(100, 0);
         let versions = vec![v(1, 80, None), v(1, 120, Some("a")), v(1, 140, None)];
         assert!(fold_diff(&versions, t1).is_empty());
-    }
-
-    #[test]
-    fn in_window_drops_base_versions() {
-        let lo = Timestamp::new(100, 0);
-        let versions = vec![v(1, 80, Some("a")), v(1, 120, Some("b"))];
-        let w = in_window(versions, lo);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w[0].ts, Timestamp::new(120, 0));
     }
 }

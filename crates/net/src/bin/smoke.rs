@@ -3,7 +3,8 @@
 //! Opens a fresh store, starts the wire server on an ephemeral port,
 //! drives a mixed workload from several concurrent `net::Client`s
 //! (autocommit writes, explicit transactions, AS OF reads, a parse error
-//! checking the byte offset), shuts the server down gracefully, then
+//! checking the byte offset, a scan streamed in several chunks and checked
+//! against the in-process answer), shuts the server down gracefully, then
 //! reopens the store and verifies the shutdown was clean: recovery must
 //! replay nothing (`recovery.crash_recoveries` stays 0) and the data must
 //! survive.
@@ -28,6 +29,8 @@ use immortaldb_net::{Client, Server, ServerConfig};
 
 const CLIENTS: usize = 4;
 const ROWS_PER_CLIENT: i32 = 25;
+/// Rows of the table scanned in chunks: some 270 KB of result.
+const WIDE_ROWS: i32 = 150;
 
 fn main() -> ExitCode {
     match run() {
@@ -171,6 +174,45 @@ fn run() -> immortaldb_common::Result<()> {
         return Err(Error::Internal(format!(
             "expected {expect_rows} rows before shutdown, found {}",
             count.rows.len()
+        )));
+    }
+
+    // A result of several chunks reaches the client frame by frame and
+    // is, row for row, what the engine answers in-process.
+    let fold = |(n, sum): (u64, u64), row: &[Value]| {
+        // FNV-1a over the row's text.
+        let text = row.iter().map(|v| format!("{v}|")).collect::<String>();
+        let sum = text
+            .bytes()
+            .fold(sum, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+        (n + 1, sum)
+    };
+    let start = (0, 0xcbf2_9ce4_8422_2325);
+    admin.query("CREATE IMMORTAL TABLE wide (id INT PRIMARY KEY, pad VARCHAR(1800))")?;
+    let values: Vec<String> = (0..WIDE_ROWS)
+        .map(|id| format!("({id}, '{id:x>1800}')"))
+        .collect();
+    admin.query(&format!("INSERT INTO wide VALUES {}", values.join(", ")))?;
+    let chunks = |db: &Database| db.metrics_snapshot().get("server.row_chunks").unwrap_or(0);
+    let chunks_before = chunks(&db);
+    let mut streamed = start;
+    admin.query_rows("SELECT * FROM wide", |row| streamed = fold(streamed, row))?;
+    let chunks = chunks(&db) - chunks_before;
+    let local = Session::new(&db).execute("SELECT * FROM wide")?;
+    let expected = local.rows.iter().fold(start, |acc, row| fold(acc, row));
+    println!(
+        "net-smoke: {} rows streamed in {chunks} chunks, checksum {:016x}",
+        streamed.0, streamed.1
+    );
+    if streamed != expected || streamed.0 != WIDE_ROWS as u64 {
+        return Err(Error::Internal(format!(
+            "streamed scan {streamed:?} differs from the in-process answer {expected:?}"
+        )));
+    }
+    if chunks <= 1 {
+        return Err(Error::Internal(format!(
+            "a {}-row scan of wide rows left in {chunks} chunk(s)",
+            streamed.0
         )));
     }
 

@@ -1,7 +1,9 @@
 //! Blocking client for the Immortal DB wire protocol.
 //!
 //! [`Client::connect`] performs the HELLO handshake; after that,
-//! [`Client::query`] runs one statement per round trip, and the typed
+//! [`Client::query`] runs one statement per round trip — or
+//! [`Client::query_rows`], which hands each row of the result over as it
+//! is decoded instead of collecting them — and the typed
 //! [`Client::begin`] / [`Client::commit`] / [`Client::rollback`] /
 //! [`Client::begin_as_of_ms`] calls return real timestamps instead of
 //! parsing messages. [`Client::query_as_of`] is a whole historical read —
@@ -18,7 +20,7 @@ use std::time::Duration;
 use immortaldb::{Isolation, Value};
 use immortaldb_common::{Error, ErrorCode, Result, Timestamp};
 
-use crate::proto::{AsOfTarget, FrameBuffer, Reply, Request, WalBatch, VERSION};
+use crate::proto::{op, AsOfTarget, FrameBuffer, Reply, Request, RowsFrame, WalBatch, VERSION};
 
 /// A decoded non-error server response.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,11 +33,39 @@ pub struct Response {
     pub ts: Option<Timestamp>,
 }
 
+/// Where the rows of a reply go as they are decoded, each out of one
+/// row the decoder reuses unless the target takes it.
+trait RowTarget {
+    /// `n` rows are about to arrive (one frame's worth).
+    fn expect(&mut self, _n: usize) {}
+    fn row(&mut self, row: &mut Vec<Value>);
+}
+
+impl<F: FnMut(&[Value])> RowTarget for F {
+    fn row(&mut self, row: &mut Vec<Value>) {
+        self(row)
+    }
+}
+
+/// Collecting: room is reserved a frame ahead and each row is kept as
+/// decoded, at its exact size.
+impl RowTarget for Vec<Vec<Value>> {
+    fn expect(&mut self, n: usize) {
+        self.reserve(n);
+    }
+
+    fn row(&mut self, row: &mut Vec<Value>) {
+        self.push(std::mem::take(row));
+    }
+}
+
 /// One connection to an `immortaldb-server`.
 pub struct Client {
     stream: TcpStream,
     /// Bytes received and not yet decoded; reused across replies.
     inbox: FrameBuffer,
+    /// The row being decoded; reused across rows.
+    row: Vec<Value>,
     /// The frames of the call in hand, encoded here and sent in one
     /// `write`; reused across requests.
     outbox: Vec<u8>,
@@ -52,6 +82,7 @@ impl Client {
         let mut client = Client {
             stream,
             inbox: FrameBuffer::new(),
+            row: Vec::new(),
             outbox: Vec::new(),
             txn_open: false,
             in_flight: 0,
@@ -70,6 +101,16 @@ impl Client {
     pub fn query(&mut self, sql: &str) -> Result<Response> {
         self.send_query(sql)?;
         self.recv_response()
+    }
+
+    /// Execute one SQL statement, handing `on_row` each row of its result
+    /// as it arrives: a result of any size passes through one frame's
+    /// worth of memory. The returned [`Response`] has everything but the
+    /// rows. If the statement fails after rows have been handed over, the
+    /// error is returned all the same.
+    pub fn query_rows(&mut self, sql: &str, mut on_row: impl FnMut(&[Value])) -> Result<Response> {
+        self.send_query(sql)?;
+        self.recv_into(&mut on_row)
     }
 
     /// Begin an explicit transaction; returns its begin snapshot.
@@ -138,13 +179,60 @@ impl Client {
         self.send(&Request::Query(sql.into()))
     }
 
-    /// Receive the next pending response. Error frames are surfaced as
-    /// [`Error::ServerBusy`] or [`Error::Remote`] (with the typed code
-    /// and, for parse errors, the byte offset).
+    /// Receive the next pending response, its rows collected. Error
+    /// frames are surfaced as [`Error::ServerBusy`] or [`Error::Remote`]
+    /// (with the typed code and, for parse errors, the byte offset).
     pub fn recv_response(&mut self) -> Result<Response> {
-        let reply = self.inbox.read_frame(&mut self.stream, Reply::decode)?;
+        let mut rows = Vec::new();
+        let mut resp = self.recv_into(&mut rows)?;
+        resp.rows = rows;
+        Ok(resp)
+    }
+
+    /// Receive the next pending response, passing the rows of a result
+    /// set to `rows` frame by frame as its chunks arrive.
+    fn recv_into(&mut self, rows: &mut impl RowTarget) -> Result<Response> {
+        // The column names, once the first frame of a result has come.
+        let mut columns: Option<Vec<String>> = None;
+        let row = &mut self.row;
+        let reply = loop {
+            let frame = self
+                .inbox
+                .read_frame(&mut self.stream, |opcode, payload| {
+                    if opcode != op::ROWS {
+                        // An ERROR may cut a result short; nothing else may.
+                        return match Reply::decode(opcode, payload)? {
+                            Reply::Ok { .. } if columns.is_some() => {
+                                Err(Error::Corruption("OK frame inside a result".into()))
+                            }
+                            reply => Ok(Some(reply)),
+                        };
+                    }
+                    let mut frame = RowsFrame::decode(payload)?;
+                    match (frame.columns.take(), &columns) {
+                        (Some(names), None) => columns = Some(names),
+                        (None, Some(_)) => {}
+                        _ => return Err(Error::Corruption("ROWS frame out of sequence".into())),
+                    }
+                    rows.expect(frame.rows_left);
+                    while frame.next_row(row)? {
+                        rows.row(row);
+                    }
+                    // The last frame ends the reply the way an OK does.
+                    let txn_open = frame.txn_open;
+                    Ok(frame.message()?.map(|message| Reply::Ok {
+                        txn_open,
+                        ts: None,
+                        affected: 0,
+                        message: message.into(),
+                    }))
+                })??;
+            if let Some(reply) = frame {
+                break reply;
+            }
+        };
         self.in_flight = self.in_flight.saturating_sub(1);
-        match reply? {
+        match reply {
             Reply::Ok {
                 txn_open,
                 ts,
@@ -153,26 +241,11 @@ impl Client {
             } => {
                 self.txn_open = txn_open;
                 Ok(Response {
-                    columns: Vec::new(),
+                    columns: columns.unwrap_or_default(),
                     rows: Vec::new(),
                     affected,
                     message: message.into_owned(),
                     ts,
-                })
-            }
-            Reply::Rows {
-                txn_open,
-                columns,
-                rows,
-                message,
-            } => {
-                self.txn_open = txn_open;
-                Ok(Response {
-                    columns,
-                    rows,
-                    affected: 0,
-                    message: message.into_owned(),
-                    ts: None,
                 })
             }
             Reply::Error {

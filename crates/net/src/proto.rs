@@ -34,20 +34,32 @@
 //! | op | name  | payload |
 //! |----|-------|---------|
 //! | 80 | OK    | `u8 txn_open` + `u8 has_ts` \[+ `u64 ttime` + `u32 sn`\] + `u64 affected` + `str message` |
-//! | 81 | ROWS  | `u8 txn_open` + `u16 ncols` + cols + `u32 nrows` + rows + `str message` |
+//! | 81 | ROWS  | `u8 txn_open` + `u8 flags` + `u16 ncols` \[+ cols\] + `u32 nrows` + rows \[+ `str message`\] |
 //! | 82 | ERROR | `u8 txn_open` + `u8 code` + `u8 has_offset` \[+ `u32 offset`\] + `str message` \[+ `u8 has_retry` + `u32 retry_after_ms`\] |
+//!
+//! A result set is one or more ROWS frames (version 2). `flags` bit 0
+//! ([`ROWS_MORE`]) says another frame of the same result follows; bit 1
+//! ([`ROWS_CONT`]) says this frame continues one. The first frame (no
+//! `ROWS_CONT`) carries the column names, the last (no `ROWS_MORE`) the
+//! message and the session's final `txn_open`; a result that fits one
+//! chunk is one frame with `flags = 0`. The server closes a frame once it
+//! holds a chunk's worth of rows, so no frame outgrows a chunk by more
+//! than a row and a result of any size stays under [`MAX_FRAME`]. A
+//! statement that fails after frames have left ends its result with an
+//! ERROR frame where the next ROWS frame would have been.
 //!
 //! The trailing retry-hint on ERROR is a protocol-compatible extension:
 //! strings are length-prefixed, so a version-1 decoder stops after
 //! `message` and ignores the extra bytes, while the extended decoder
 //! treats a missing tail as "no hint".
 //!
-//! Row values are tagged: `1` SMALLINT (`i16`), `2` INT (`i32`),
-//! `3` BIGINT (`i64`), `4` VARCHAR (`u32 len + bytes`).
+//! Row values are tagged ([`Value::encode`]): `1` SMALLINT (`i16`),
+//! `2` INT (`i32`), `3` BIGINT (`i64`), `4` VARCHAR (`u32 len + bytes`).
 
 use std::borrow::Cow;
 use std::io::{self, Read};
 
+use immortaldb::row::decode_values_into;
 use immortaldb::{Isolation, Value};
 use immortaldb_common::codec::{Reader, Writer};
 use immortaldb_common::{Error, ErrorCode, Result, Timestamp};
@@ -55,7 +67,7 @@ use immortaldb_common::{Error, ErrorCode, Result, Timestamp};
 /// Handshake magic: first bytes of every HELLO payload.
 pub const MAGIC: &[u8; 4] = b"IMDB";
 /// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Upper bound on a frame's `len` field; anything larger is a corrupt or
 /// hostile stream and the connection is dropped.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -383,7 +395,9 @@ impl WalBatch {
 // Responses
 // ---------------------------------------------------------------------
 
-/// A decoded response frame.
+/// A decoded OK or ERROR response frame. Result sets do not pass through
+/// here: they are written by a [`RowsEncoder`] and read frame by frame
+/// as [`RowsFrame`]s, so that neither side holds one whole.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     Ok {
@@ -392,12 +406,6 @@ pub enum Reply {
         ts: Option<Timestamp>,
         affected: u64,
         /// Constant for most replies, so not a `String` built per reply.
-        message: Cow<'static, str>,
-    },
-    Rows {
-        txn_open: bool,
-        columns: Vec<String>,
-        rows: Vec<Vec<Value>>,
         message: Cow<'static, str>,
     },
     Error {
@@ -422,33 +430,6 @@ fn get_str(r: &mut Reader<'_>) -> Result<String> {
     String::from_utf8(b.to_vec()).map_err(|_| Error::Corruption("non-UTF8 string".into()))
 }
 
-fn put_value(w: &mut Writer, v: &Value) {
-    match v {
-        Value::SmallInt(n) => {
-            w.u8(1).u16(*n as u16);
-        }
-        Value::Int(n) => {
-            w.u8(2).u32(*n as u32);
-        }
-        Value::BigInt(n) => {
-            w.u8(3).u64(*n as u64);
-        }
-        Value::Varchar(s) => {
-            w.u8(4).bytes(s.as_bytes());
-        }
-    }
-}
-
-fn get_value(r: &mut Reader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        1 => Value::SmallInt(r.u16()? as i16),
-        2 => Value::Int(r.u32()? as i32),
-        3 => Value::BigInt(r.u64()? as i64),
-        4 => Value::Varchar(get_str(r)?),
-        other => return Err(Error::Corruption(format!("unknown value tag {other}"))),
-    })
-}
-
 impl Reply {
     /// Append this reply to `out` as one frame.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -465,24 +446,6 @@ impl Reply {
                     None => w.u8(0),
                 };
                 w.u64(*affected);
-                put_str(w, message);
-            }),
-            Reply::Rows {
-                txn_open,
-                columns,
-                rows,
-                message,
-            } => put_frame(out, op::ROWS, |w| {
-                w.u8(*txn_open as u8).u16(columns.len() as u16);
-                for c in columns {
-                    put_str(w, c);
-                }
-                w.u32(rows.len() as u32);
-                for row in rows {
-                    for v in row {
-                        put_value(w, v);
-                    }
-                }
                 put_str(w, message);
             }),
             Reply::Error {
@@ -526,30 +489,6 @@ impl Reply {
                     message,
                 })
             }
-            op::ROWS => {
-                let txn_open = r.u8()? != 0;
-                let ncols = r.u16()? as usize;
-                let mut columns = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    columns.push(get_str(&mut r)?);
-                }
-                let nrows = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        row.push(get_value(&mut r)?);
-                    }
-                    rows.push(row);
-                }
-                let message = get_str(&mut r)?.into();
-                Ok(Reply::Rows {
-                    txn_open,
-                    columns,
-                    rows,
-                    message,
-                })
-            }
             op::ERROR => {
                 let txn_open = r.u8()? != 0;
                 let code = ErrorCode::from_u8(r.u8()?);
@@ -587,6 +526,186 @@ impl Reply {
                 Error::ServerBusy { retry_after_ms } => *retry_after_ms,
                 _ => None,
             },
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Result sets
+// ---------------------------------------------------------------------
+
+/// `ROWS` flag: another frame of the same result follows.
+pub const ROWS_MORE: u8 = 0x01;
+/// `ROWS` flag: this frame continues a result (no column names).
+pub const ROWS_CONT: u8 = 0x02;
+
+/// Offsets into a `ROWS` frame, from its length field.
+const AT_TXN_OPEN: usize = 5;
+const AT_FLAGS: usize = 6;
+
+/// Writes one result set as `ROWS` frames, each built in place in the
+/// buffer it is sent from: rows are appended as they are produced, and
+/// the frame's length, row count and flags are patched in when it is
+/// closed — [`RowsEncoder::end_chunk`] with more to come,
+/// [`RowsEncoder::finish`] for good. The caller decides when a frame has
+/// grown enough ([`RowsEncoder::frame_len`]) and may send and drain the
+/// closed frames between chunks; nothing here remembers an offset across
+/// `end_chunk`.
+pub struct RowsEncoder {
+    ncols: u16,
+    /// What frames closed before the statement ends say of the session:
+    /// its state when the statement began.
+    txn_open: bool,
+    /// The open frame: where it starts in the buffer, where its row
+    /// count goes, and the count so far.
+    open: Option<(usize, usize, u32)>,
+}
+
+impl RowsEncoder {
+    /// Open a result's first frame at the end of `out`.
+    pub fn begin(out: &mut Vec<u8>, txn_open: bool, columns: &[String]) -> RowsEncoder {
+        let mut enc = RowsEncoder {
+            ncols: columns.len() as u16,
+            txn_open,
+            open: None,
+        };
+        enc.open_frame(out, Some(columns));
+        enc
+    }
+
+    fn open_frame(&mut self, out: &mut Vec<u8>, columns: Option<&[String]>) {
+        let frame = out.len();
+        let mut w = Writer::from(std::mem::take(out));
+        let flags = if columns.is_some() { 0 } else { ROWS_CONT };
+        w.u32(0).u8(op::ROWS).u8(self.txn_open as u8).u8(flags);
+        w.u16(self.ncols);
+        for c in columns.unwrap_or_default() {
+            put_str(&mut w, c);
+        }
+        let count_at = w.len();
+        w.u32(0);
+        *out = w.finish();
+        self.open = Some((frame, count_at, 0));
+    }
+
+    /// Append one row, opening a continuation frame if the last one was
+    /// closed by [`Self::end_chunk`].
+    pub fn row(&mut self, out: &mut Vec<u8>, row: &[Value]) {
+        if self.open.is_none() {
+            self.open_frame(out, None);
+        }
+        let mut w = Writer::from(std::mem::take(out));
+        for v in row {
+            v.encode(&mut w);
+        }
+        *out = w.finish();
+        if let Some((_, _, nrows)) = &mut self.open {
+            *nrows += 1;
+        }
+    }
+
+    /// Bytes of the open frame so far (0 when none is open).
+    pub fn frame_len(&self, out: &[u8]) -> usize {
+        self.open.map_or(0, |(frame, _, _)| out.len() - frame)
+    }
+
+    /// Close the open frame as a chunk with more to follow.
+    pub fn end_chunk(&mut self, out: &mut [u8]) {
+        if let Some((frame, _, _)) = self.open {
+            out[frame + AT_FLAGS] |= ROWS_MORE;
+            self.close(out);
+        }
+    }
+
+    /// Close the result: the last frame carries `message` and the
+    /// session's final `txn_open`.
+    pub fn finish(mut self, out: &mut Vec<u8>, txn_open: bool, message: &str) {
+        if self.open.is_none() {
+            self.open_frame(out, None);
+        }
+        let mut w = Writer::from(std::mem::take(out));
+        put_str(&mut w, message);
+        *out = w.finish();
+        let (frame, _, _) = self.open.expect("a frame is open");
+        out[frame + AT_TXN_OPEN] = txn_open as u8;
+        self.close(out);
+    }
+
+    /// Drop the open frame: the statement failed, and an ERROR frame
+    /// goes where it stood. Frames already closed stay.
+    pub fn abandon(self, out: &mut Vec<u8>) {
+        if let Some((frame, _, _)) = self.open {
+            out.truncate(frame);
+        }
+    }
+
+    fn close(&mut self, out: &mut [u8]) {
+        let (frame, count_at, nrows) = self.open.take().expect("a frame is open");
+        let len = (out.len() - frame - 4) as u32;
+        out[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        out[count_at..count_at + 4].copy_from_slice(&nrows.to_le_bytes());
+    }
+}
+
+/// One `ROWS` frame being decoded: its envelope, then its rows one at a
+/// time into a row the caller reuses, then the message if it is the
+/// result's last frame.
+pub struct RowsFrame<'a> {
+    pub txn_open: bool,
+    /// Another frame of this result follows (this one has no message).
+    pub more: bool,
+    /// The column names, on the first frame of a result; `None` on a
+    /// continuation.
+    pub columns: Option<Vec<String>>,
+    ncols: usize,
+    /// Rows of this frame not yet read.
+    pub rows_left: usize,
+    r: Reader<'a>,
+}
+
+impl<'a> RowsFrame<'a> {
+    pub fn decode(payload: &'a [u8]) -> Result<RowsFrame<'a>> {
+        let mut r = Reader::new(payload);
+        let txn_open = r.u8()? != 0;
+        let flags = r.u8()?;
+        let ncols = r.u16()? as usize;
+        let columns = if flags & ROWS_CONT == 0 {
+            Some((0..ncols).map(|_| get_str(&mut r)).collect::<Result<_>>()?)
+        } else {
+            None
+        };
+        let rows_left = r.u32()? as usize;
+        Ok(RowsFrame {
+            txn_open,
+            more: flags & ROWS_MORE != 0,
+            columns,
+            ncols,
+            rows_left,
+            r,
+        })
+    }
+
+    /// Decode the next row over `row`; `false` once the frame has none
+    /// left.
+    pub fn next_row(&mut self, row: &mut Vec<Value>) -> Result<bool> {
+        if self.rows_left == 0 {
+            return Ok(false);
+        }
+        self.rows_left -= 1;
+        decode_values_into(&mut self.r, self.ncols, row)?;
+        Ok(true)
+    }
+
+    /// What follows the rows: the result's message on its last frame,
+    /// `None` on a frame with more to come.
+    pub fn message(mut self) -> Result<Option<String>> {
+        if self.rows_left != 0 {
+            return Err(Error::Corruption("ROWS frame has unread rows".into()));
+        }
+        if self.more {
+            Ok(None)
+        } else {
+            get_str(&mut self.r).map(Some)
         }
     }
 }
@@ -672,15 +791,6 @@ mod tests {
                 affected: 0,
                 message: "".into(),
             },
-            Reply::Rows {
-                txn_open: false,
-                columns: vec!["id".into(), "v".into()],
-                rows: vec![
-                    vec![Value::Int(1), Value::Varchar("a".into())],
-                    vec![Value::Int(-7), Value::Varchar(String::new())],
-                ],
-                message: "2 rows".into(),
-            },
             Reply::Error {
                 txn_open: true,
                 code: ErrorCode::Parse,
@@ -732,17 +842,109 @@ mod tests {
         assert_eq!(&extended[..legacy.len()], &legacy[..]);
     }
 
+    /// Every frame of `wire`, decoded: (flags-derived envelope, rows,
+    /// message).
+    #[allow(clippy::type_complexity)]
+    fn rows_frames(
+        wire: &[u8],
+    ) -> Vec<(
+        bool,
+        bool,
+        Option<Vec<String>>,
+        Vec<Vec<Value>>,
+        Option<String>,
+    )> {
+        let mut fb = FrameBuffer::new();
+        fb.extend(wire);
+        let mut out = Vec::new();
+        while let Some((op, payload)) = fb.take_frame(owned).unwrap() {
+            assert_eq!(op, op::ROWS);
+            let mut f = RowsFrame::decode(&payload).unwrap();
+            let (txn_open, more, columns) = (f.txn_open, f.more, f.columns.take());
+            let (mut row, mut rows) = (Vec::new(), Vec::new());
+            while f.next_row(&mut row).unwrap() {
+                rows.push(row.clone());
+            }
+            out.push((txn_open, more, columns, rows, f.message().unwrap()));
+        }
+        out
+    }
+
     #[test]
-    fn value_tags_cover_negative_integers() {
-        let mut w = Writer::new();
-        put_value(&mut w, &Value::SmallInt(-5));
-        put_value(&mut w, &Value::Int(-100_000));
-        put_value(&mut w, &Value::BigInt(i64::MIN));
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
-        assert_eq!(get_value(&mut r).unwrap(), Value::SmallInt(-5));
-        assert_eq!(get_value(&mut r).unwrap(), Value::Int(-100_000));
-        assert_eq!(get_value(&mut r).unwrap(), Value::BigInt(i64::MIN));
+    fn a_small_result_is_one_frame() {
+        let columns = vec!["id".to_string(), "v".to_string()];
+        let rows = [
+            vec![Value::Int(1), Value::Varchar("a".into())],
+            vec![Value::Int(-7), Value::Varchar(String::new())],
+            vec![Value::BigInt(i64::MIN), Value::SmallInt(-5)],
+        ];
+        let mut wire = vec![0xEE]; // bytes of an earlier reply stay put
+        let mut enc = RowsEncoder::begin(&mut wire, false, &columns);
+        for row in &rows {
+            enc.row(&mut wire, row);
+        }
+        enc.finish(&mut wire, true, "3 rows");
+        assert_eq!(wire[0], 0xEE);
+        assert_eq!(
+            rows_frames(&wire[1..]),
+            vec![(
+                true,
+                false,
+                Some(columns),
+                rows.to_vec(),
+                Some("3 rows".into())
+            )]
+        );
+    }
+
+    #[test]
+    fn chunks_carry_names_first_and_the_message_last() {
+        let columns = vec!["n".to_string()];
+        let mut wire = Vec::new();
+        let mut enc = RowsEncoder::begin(&mut wire, true, &columns);
+        enc.row(&mut wire, &[Value::Int(1)]);
+        enc.row(&mut wire, &[Value::Int(2)]);
+        assert!(enc.frame_len(&wire) > 0);
+        enc.end_chunk(&mut wire);
+        assert_eq!(enc.frame_len(&wire), 0);
+        // The sender may drain closed frames between chunks.
+        let first = std::mem::take(&mut wire);
+        enc.row(&mut wire, &[Value::Int(3)]);
+        enc.end_chunk(&mut wire);
+        // A result that ends on a chunk boundary closes with an empty
+        // frame for the message.
+        enc.finish(&mut wire, false, "3 rows");
+        let frames = [rows_frames(&first), rows_frames(&wire)].concat();
+        assert_eq!(
+            frames,
+            vec![
+                (
+                    true,
+                    true,
+                    Some(columns),
+                    vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+                    None
+                ),
+                (true, true, None, vec![vec![Value::Int(3)]], None),
+                (false, false, None, vec![], Some("3 rows".into())),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_abandoned_result_keeps_only_its_closed_frames() {
+        let mut wire = Vec::new();
+        let enc = RowsEncoder::begin(&mut wire, false, &["n".to_string()]);
+        enc.abandon(&mut wire);
+        assert!(wire.is_empty());
+        let mut enc = RowsEncoder::begin(&mut wire, false, &["n".to_string()]);
+        enc.row(&mut wire, &[Value::Int(1)]);
+        enc.end_chunk(&mut wire);
+        let closed = wire.len();
+        enc.row(&mut wire, &[Value::Int(2)]);
+        enc.abandon(&mut wire);
+        assert_eq!(wire.len(), closed);
+        assert_eq!(rows_frames(&wire).len(), 1);
     }
 
     #[test]

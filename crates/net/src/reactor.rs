@@ -43,7 +43,11 @@
 //! `try_lock` and skip; level-triggered polling retries.
 //!
 //! Backpressure is per session: a connection whose reply backlog passes
-//! [`OUT_CAP`] stops being read until the peer drains it. Idle sessions
+//! [`OUT_CAP`] stops being read until the peer drains it, and a result
+//! set larger than that is produced only as fast as the peer takes it —
+//! its rows are encoded into the backlog in [`ROW_CHUNK`]-sized frames
+//! and the scan pauses between frames, on its own thread, while the
+//! backlog is at the cap (`crate::server::Wire::drain`). Idle sessions
 //! are reaped from a coarse timer wheel advanced on the leader's tick —
 //! an abandoned transaction is rolled back (releasing its locks) within
 //! one tick of the deadline. `SUBSCRIBE_WAL` hands the socket off to a
@@ -67,7 +71,7 @@ use immortaldb_common::blocking::{self, Cause};
 use immortaldb_common::{Error, Result};
 
 use crate::proto::{FrameBuffer, Reply, Request, VERSION};
-use crate::server::{handle_request, ship_wal, ServerConfig};
+use crate::server::{handle_request, ship_wal, ServerConfig, Wire};
 use crate::sys::{self, Interest};
 
 const TOK_WAKER: u64 = 0;
@@ -75,8 +79,14 @@ const TOK_LISTENER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Reply bytes a connection may buffer before the loop stops reading
-/// from it (per-session backpressure ahead of the group-commit barrier).
-const OUT_CAP: usize = 4 * 1024 * 1024;
+/// from it (per-session backpressure ahead of the group-commit barrier)
+/// and a result set in mid-stream waits for the peer.
+pub(crate) const OUT_CAP: usize = 4 * 1024 * 1024;
+
+/// Bytes of rows after which a result set's frame is closed and its scan
+/// paused: what a scan holds of its result at a time, and with one row
+/// the most a `ROWS` frame carries.
+pub(crate) const ROW_CHUNK: usize = 64 * 1024;
 
 /// Max bytes read from one socket per readiness event (fairness bound).
 const READ_BURST: usize = 256 * 1024;
@@ -113,6 +123,10 @@ struct Conn {
 type ConnRef = Arc<Mutex<Conn>>;
 
 impl Conn {
+    fn flush(&mut self) -> std::io::Result<bool> {
+        flush_out(&self.stream, &mut self.out)
+    }
+
     /// What the poller should watch once the connection is back with the
     /// loop. Whatever only the leader can finish (close, subscription
     /// hand-off) asks for writability, which an idle socket reports at
@@ -132,13 +146,13 @@ impl Conn {
 
 /// Write as much of `out` as the socket accepts right now.
 /// `Ok(true)` = fully flushed, `Ok(false)` = kernel buffer full.
-fn flush_out(c: &mut Conn) -> std::io::Result<bool> {
+pub(crate) fn flush_out(mut stream: &TcpStream, out: &mut Vec<u8>) -> std::io::Result<bool> {
     let mut sent = 0;
     let res = loop {
-        if sent == c.out.len() {
+        if sent == out.len() {
             break Ok(true);
         }
-        match (&c.stream).write(&c.out[sent..]) {
+        match stream.write(&out[sent..]) {
             Ok(0) => break Err(std::io::Error::from(ErrorKind::WriteZero)),
             Ok(n) => sent += n,
             Err(e) if e.kind() == ErrorKind::WouldBlock => break Ok(false),
@@ -148,10 +162,10 @@ fn flush_out(c: &mut Conn) -> std::io::Result<bool> {
     };
     // Nothing moves on the usual full flush; only a full kernel buffer
     // pays for shifting the unsent tail down.
-    if sent == c.out.len() {
-        c.out.clear();
+    if sent == out.len() {
+        out.clear();
     } else {
-        c.out.drain(..sent);
+        out.drain(..sent);
     }
     res
 }
@@ -388,7 +402,7 @@ impl Server {
         let m = &sh.db.metrics().server;
         for (_, conn) in lp.into_iter().flat_map(|lp| lp.conns) {
             let mut c = conn.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = flush_out(&mut c);
+            let _ = c.flush();
             if let Some(mut txn) = c.txn.take() {
                 let _ = sh.db.rollback(&mut txn);
             }
@@ -418,9 +432,12 @@ fn serve_thread(sh: &Arc<Shared>) {
 /// back in. Closing and subscription hand-off are the leader's; the
 /// interest asked for brings the connection to its attention.
 fn rearm(sh: &Shared, mut c: MutexGuard<'_, Conn>) {
-    if flush_out(&mut c).is_err() {
+    if c.flush().is_err() {
         c.closing = true;
     }
+    // A result streamed to a slow reader may have taken any length of
+    // time: idleness counts from its end.
+    c.last_activity = Instant::now();
     sh.release();
     let (fd, token, want) = (c.stream.as_raw_fd(), c.token, c.desired_interest());
     c.interest = want;
@@ -439,11 +456,13 @@ fn rearm(sh: &Shared, mut c: MutexGuard<'_, Conn>) {
 /// session, appending replies to `out`: HELLO gating, version check,
 /// hostile-framing hangup, SUBSCRIBE_WAL interception. Each request is
 /// decoded where it lies in the frame buffer and answered straight into
-/// the output buffer.
+/// the output buffer — a result set row by row as its cursor moves, this
+/// thread waiting out a client slower than the scan.
 fn serve_buffered(sh: &Shared, c: &mut Conn) {
     let db = sh.db.as_ref();
     let m = &db.metrics().server;
     let Conn {
+        stream,
         frames,
         out,
         txn,
@@ -452,6 +471,13 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
         subscribe,
         ..
     } = c;
+    let mut wire = Wire {
+        out,
+        stream,
+        shutdown: &sh.shutdown,
+        cfg: &sh.cfg,
+        broken: false,
+    };
     let mut session = Session::attach(db, txn.take());
     let mut served = 0;
     while !*closing && subscribe.is_none() {
@@ -464,40 +490,43 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
                 *closing = true;
                 Reply::from_error(&e, txn_open)
             };
+            // `None`: the reply, a result set, is in the buffer already.
             let reply = match Request::decode(opcode, payload) {
-                Ok(Request::Hello { version }) if !*greeted => {
-                    if version == VERSION {
-                        *greeted = true;
-                        Reply::Ok {
-                            txn_open: false,
-                            ts: None,
-                            affected: 0,
-                            message: format!("immortaldb protocol {VERSION}").into(),
-                        }
-                    } else {
-                        refuse(
-                            Error::Sql(format!(
-                                "protocol version mismatch: client {version}, server {VERSION}"
-                            )),
-                            false,
-                        )
+                Ok(Request::Hello { version }) if !*greeted => Some(if version == VERSION {
+                    *greeted = true;
+                    Reply::Ok {
+                        txn_open: false,
+                        ts: None,
+                        affected: 0,
+                        message: format!("immortaldb protocol {VERSION}").into(),
                     }
+                } else {
+                    refuse(
+                        Error::Sql(format!(
+                            "protocol version mismatch: client {version}, server {VERSION}"
+                        )),
+                        false,
+                    )
+                }),
+                Ok(_) if !*greeted => {
+                    Some(refuse(Error::Sql("expected HELLO first".into()), false))
                 }
-                Ok(_) if !*greeted => refuse(Error::Sql("expected HELLO first".into()), false),
                 Ok(Request::SubscribeWal { from_lsn }) => {
                     // The connection leaves the loop: the leader hands the
                     // socket to a blocking shipper thread.
                     *subscribe = Some(from_lsn);
                     return;
                 }
-                Ok(req) => handle_request(db, &mut session, req),
-                Err(e) => refuse(e, session.in_transaction()),
+                Ok(req) => handle_request(db, &mut session, req, &mut wire),
+                Err(e) => Some(refuse(e, session.in_transaction())),
             };
             timer.stop();
-            if matches!(reply, Reply::Error { .. }) {
-                m.errors.inc();
+            if let Some(reply) = reply {
+                if matches!(reply, Reply::Error { .. }) {
+                    m.errors.inc();
+                }
+                reply.encode_into(wire.out);
             }
-            reply.encode_into(out);
             if holds_role() {
                 m.requests_inline.inc();
             }
@@ -507,6 +536,16 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
             Ok(None) => break,
             // Hostile framing: hang up without a reply.
             Err(_) => *closing = true,
+        }
+        if wire.broken {
+            // Mid-result, the socket failed or its peer stopped reading.
+            // Let go of what the session holds now, and shut the socket
+            // so the loop is told to close it even though it will never
+            // turn writable.
+            session.reset();
+            wire.out.clear();
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+            *closing = true;
         }
         served += 1;
         if served == INLINE_FRAMES && frames.has_complete_frame().unwrap_or(false) {
@@ -692,7 +731,7 @@ impl Loop {
             return Some(self); // reported before it left the poller
         }
         if ev.writable || (c.closing && ev.closed) {
-            match flush_out(&mut c) {
+            match c.flush() {
                 Ok(true) if c.closing || (c.eof && c.frames.buffered() == 0) => {
                     self.close_conn(&mut c);
                     return Some(self);
@@ -770,8 +809,7 @@ impl Loop {
             return Some(self);
         }
         let has_frame = c.frames.has_complete_frame().unwrap_or(false);
-        if flush_out(&mut c).is_err() || ((c.closing || (c.eof && !has_frame)) && c.out.is_empty())
-        {
+        if c.flush().is_err() || ((c.closing || (c.eof && !has_frame)) && c.out.is_empty()) {
             self.close_conn(&mut c);
         } else {
             let want = c.desired_interest();

@@ -1,17 +1,23 @@
 //! What the serving runtime ([`crate::reactor`]) is configured with and
 //! what it runs: [`ServerConfig`], request execution against a session
-//! ([`handle_request`]), the WAL-subscription shipper ([`ship_wal`]) and
-//! the one-frame refusal ([`shed`]).
+//! ([`handle_request`]) with its result rows encoded into the
+//! connection's output buffer as they are read ([`RowStream`]), the
+//! WAL-subscription shipper ([`ship_wal`]) and the one-frame refusal
+//! ([`shed`]).
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use immortaldb::{Database, Session};
-use immortaldb_common::{Error, Lsn, Result};
+use immortaldb::{Database, Flow, RowSink, Session, Value};
+use immortaldb_common::{blocking, Error, Lsn, Result};
+use immortaldb_obs::ServerMetrics;
 
-use crate::proto::{self, FrameBuffer, Reply, Request, WalBatch};
+use crate::proto::{self, FrameBuffer, Reply, Request, RowsEncoder, WalBatch};
+use crate::reactor::{flush_out, OUT_CAP, ROW_CHUNK};
+use crate::sys;
 
 /// Upper bound on the WAL bytes in one replication batch. Record
 /// boundaries are respected, so a single oversized record still ships
@@ -180,10 +186,122 @@ pub(crate) fn ship_wal(db: &Database, shutdown: &AtomicBool, stream: &TcpStream,
     }
 }
 
-/// Execute one request against the connection's session.
-pub(crate) fn handle_request(db: &Database, session: &mut Session<'_>, req: Request<'_>) -> Reply {
+/// The connection a reply is written to: its output buffer and, for a
+/// result that outgrows the buffer's cap, the socket to drain it into.
+pub(crate) struct Wire<'a> {
+    pub out: &'a mut Vec<u8>,
+    pub stream: &'a TcpStream,
+    pub shutdown: &'a AtomicBool,
+    pub cfg: &'a ServerConfig,
+    /// The socket failed, or its peer stopped reading, in the middle of a
+    /// result: nothing more can be said on this connection.
+    pub broken: bool,
+}
+
+impl Wire<'_> {
+    /// Between two chunks of a result: send what the socket takes, and
+    /// while the backlog is at [`OUT_CAP`], wait for it to take more —
+    /// for as long as an idle session is suffered, no longer. The caller
+    /// holds no latch; the loop is told before the first wait.
+    fn drain(&mut self, m: &ServerMetrics) -> Result<()> {
+        let drained = self.try_drain(m);
+        self.broken = drained.is_err();
+        Ok(drained?)
+    }
+
+    fn try_drain(&mut self, m: &ServerMetrics) -> io::Result<()> {
+        let mut waiting_since = None;
+        loop {
+            let before = self.out.len();
+            flush_out(self.stream, self.out)?;
+            if self.out.len() < OUT_CAP {
+                return Ok(());
+            }
+            let now = Instant::now();
+            if self.out.len() < before {
+                waiting_since = Some(now); // the peer is reading, slowly
+            }
+            let since = *waiting_since.get_or_insert_with(|| {
+                m.stream_stalls.inc();
+                blocking::about_to_block();
+                now
+            });
+            if now.duration_since(since) >= self.cfg.idle_timeout
+                || self.shutdown.load(Ordering::SeqCst)
+            {
+                return Err(io::Error::new(
+                    ErrorKind::TimedOut,
+                    "the client stopped reading a result in mid-stream",
+                ));
+            }
+            // A tick at a time, to notice a shutdown.
+            sys::wait_writable(self.stream.as_raw_fd(), self.cfg.tick)?;
+        }
+    }
+}
+
+/// The sink a statement's rows go into on their way to a client: each is
+/// encoded into the connection's output buffer as the cursor visits it,
+/// and every [`ROW_CHUNK`] bytes the frame is closed and the scan asked
+/// to pause while the buffer is drained. A result that fits one chunk is
+/// one frame, sent with whatever else the burst produced.
+struct RowStream<'a, 'w> {
+    wire: &'a mut Wire<'w>,
+    m: &'a ServerMetrics,
+    /// The session's state as the statement begins, for the frames that
+    /// leave before it ends.
+    txn_open: bool,
+    /// `None` until the statement names its columns: one that never does
+    /// returns no rows and is answered OK.
+    enc: Option<RowsEncoder>,
+    /// Rows encoded and not yet counted in `server.rows_streamed`.
+    rows: u64,
+}
+
+impl RowStream<'_, '_> {
+    /// Account for a frame about to be closed.
+    fn count_chunk(&mut self) {
+        self.m.row_chunks.inc();
+        self.m.rows_streamed.add(std::mem::take(&mut self.rows));
+    }
+}
+
+impl RowSink for RowStream<'_, '_> {
+    fn columns(&mut self, names: Vec<String>) -> Result<()> {
+        self.enc = Some(RowsEncoder::begin(self.wire.out, self.txn_open, &names));
+        Ok(())
+    }
+
+    fn row(&mut self, row: &mut Vec<Value>) -> Result<Flow> {
+        let enc = self.enc.as_mut().expect("columns come before rows");
+        enc.row(self.wire.out, row);
+        self.rows += 1;
+        Ok(if enc.frame_len(self.wire.out) < ROW_CHUNK {
+            Flow::Continue
+        } else {
+            Flow::Stop
+        })
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        if let Some(enc) = &mut self.enc {
+            enc.end_chunk(self.wire.out);
+            self.count_chunk();
+        }
+        self.wire.drain(self.m)
+    }
+}
+
+/// Execute one request against the connection's session. Returns the
+/// reply, or `None` once a result set has gone into `wire` as the reply.
+pub(crate) fn handle_request(
+    db: &Database,
+    session: &mut Session<'_>,
+    req: Request<'_>,
+    wire: &mut Wire<'_>,
+) -> Option<Reply> {
     let m = &db.metrics().server;
-    let result: Result<Reply> = (|| match req {
+    let result: Result<Option<Reply>> = (|| match req {
         Request::Hello { .. } => Err(Error::Sql("unexpected HELLO".into())),
         Request::Query(sql) => {
             let is_commit = session.in_transaction()
@@ -192,67 +310,79 @@ pub(crate) fn handle_request(db: &Database, session: &mut Session<'_>, req: Requ
                     .get(..6)
                     .is_some_and(|p| p.eq_ignore_ascii_case("COMMIT"));
             let timer = is_commit.then(|| m.commit_ns.start_timer());
-            let res = session.execute(&sql);
+            let mut rows = RowStream {
+                txn_open: session.in_transaction(),
+                wire: &mut *wire,
+                m,
+                enc: None,
+                rows: 0,
+            };
+            let res = session.execute_into(&sql, &mut rows);
             drop(timer);
-            let res = res?;
             let txn_open = session.in_transaction();
-            if res.columns.is_empty() {
-                Ok(Reply::Ok {
+            match (res, rows.enc.take()) {
+                (Ok(done), Some(enc)) => {
+                    rows.count_chunk();
+                    enc.finish(rows.wire.out, txn_open, &done.message);
+                    Ok(None) // the reply is in the buffer already
+                }
+                (Ok(done), None) => Ok(Some(Reply::Ok {
                     txn_open,
                     ts: None,
-                    affected: res.affected as u64,
-                    message: res.message.into(),
-                })
-            } else {
-                Ok(Reply::Rows {
-                    txn_open,
-                    columns: res.columns,
-                    rows: res.rows,
-                    message: res.message.into(),
-                })
+                    affected: done.affected as u64,
+                    message: done.message.into(),
+                })),
+                // The error goes where the open frame stood; the chunks
+                // sent before it are the client's to discard.
+                (Err(e), enc) => {
+                    if let Some(enc) = enc {
+                        enc.abandon(rows.wire.out);
+                    }
+                    Err(e)
+                }
             }
         }
         Request::Begin(iso) => {
             let snapshot = session.begin(iso)?;
-            Ok(Reply::Ok {
+            Ok(Some(Reply::Ok {
                 txn_open: true,
                 ts: Some(snapshot),
                 affected: 0,
                 message: "transaction started".into(),
-            })
+            }))
         }
         Request::BeginAsOf(target) => {
             let effective = match target {
                 proto::AsOfTarget::ClockMs(ms) => session.begin_as_of_ms(ms)?,
                 proto::AsOfTarget::Exact(ts) => session.begin_as_of_ts(ts)?,
             };
-            Ok(Reply::Ok {
+            Ok(Some(Reply::Ok {
                 txn_open: true,
                 ts: Some(effective),
                 affected: 0,
                 message: "historical transaction started".into(),
-            })
+            }))
         }
         Request::Commit => {
             let timer = m.commit_ns.start_timer();
             let ts = session.commit();
             drop(timer);
             let ts = ts?;
-            Ok(Reply::Ok {
+            Ok(Some(Reply::Ok {
                 txn_open: false,
                 ts: Some(ts),
                 affected: 0,
                 message: format!("committed at {}.{}", ts.ttime, ts.sn).into(),
-            })
+            }))
         }
         Request::Rollback => {
             session.rollback()?;
-            Ok(Reply::Ok {
+            Ok(Some(Reply::Ok {
                 txn_open: false,
                 ts: None,
                 affected: 0,
                 message: "rolled back".into(),
-            })
+            }))
         }
         // Subscriptions are intercepted by the serving loop (they take
         // over the whole connection); an ack outside one is a protocol
@@ -261,8 +391,72 @@ pub(crate) fn handle_request(db: &Database, session: &mut Session<'_>, req: Requ
             "replication frame outside a WAL subscription".into(),
         )),
     })();
-    match result {
-        Ok(reply) => reply,
-        Err(e) => Reply::from_error(&e, session.in_transaction()),
+    result.unwrap_or_else(|e| Some(Reply::from_error(&e, session.in_transaction())))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A result streamed at a peer that never reads: the backlog stops at
+    /// the cap plus the chunk being closed, the producer is held in
+    /// `flush`, and after an idle timeout without progress it is told the
+    /// connection is gone.
+    #[test]
+    fn the_backlog_of_an_unread_result_stops_at_the_cap_plus_one_chunk() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_peer, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let cfg = ServerConfig::new("unused")
+            .idle_timeout(Duration::from_millis(150))
+            .tick(Duration::from_millis(10));
+        let (shutdown, m) = (AtomicBool::new(false), ServerMetrics::default());
+        let mut out = Vec::new();
+        let mut wire = Wire {
+            out: &mut out,
+            stream: &stream,
+            shutdown: &shutdown,
+            cfg: &cfg,
+            broken: false,
+        };
+        let mut sink = RowStream {
+            wire: &mut wire,
+            m: &m,
+            txn_open: false,
+            enc: None,
+            rows: 0,
+        };
+        sink.columns(vec!["id".into(), "pad".into()]).unwrap();
+        let pad = "x".repeat(1_000);
+        let row_bytes = 5 + 5 + pad.len();
+        let (mut backlog, mut frames) = (0, 0);
+        let stopped = (0..).find_map(|i| {
+            let mut row = vec![Value::Int(i), Value::Varchar(pad.clone())];
+            match sink.row(&mut row) {
+                Ok(Flow::Stop) => {
+                    frames += 1;
+                    backlog = backlog.max(sink.wire.out.len());
+                    sink.flush().err()
+                }
+                Ok(_) => None,
+                Err(e) => Some(e),
+            }
+        });
+        match stopped {
+            Some(Error::Io(e)) => assert_eq!(e.kind(), ErrorKind::TimedOut),
+            other => panic!("expected the stall to time out, got {other:?}"),
+        }
+        // What the kernel took is gone from the backlog, so the stream ran
+        // well past the cap before it stalled — and never above this:
+        assert!(frames * ROW_CHUNK > 2 * OUT_CAP, "{frames} frames");
+        assert!(
+            backlog >= OUT_CAP && backlog <= OUT_CAP + ROW_CHUNK + row_bytes,
+            "backlog peaked at {backlog}"
+        );
+        assert!(wire.broken);
+        assert!(m.stream_stalls.get() >= 1);
+        assert_eq!(m.row_chunks.get(), frames as u64);
     }
 }

@@ -1,7 +1,8 @@
 //! Minimal readiness-polling layer for the serving loop: raw `epoll` on
-//! Linux, POSIX `poll` elsewhere on unix. Declared directly against the
-//! system C library — no external crate — because the loop needs
-//! exactly four calls and nothing else.
+//! Linux, POSIX `poll` elsewhere on unix, and `poll` on one descriptor
+//! for a thread waiting out a full socket ([`wait_writable`]). Declared
+//! directly against the system C library — no external crate — because
+//! the loop needs exactly five calls and nothing else.
 //!
 //! The [`Poller`] is level-triggered everywhere: an event keeps firing
 //! while the condition holds, so the loop may stop reading a socket
@@ -175,34 +176,66 @@ mod imp {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::*;
-    use std::collections::HashMap;
+/// POSIX `poll`, for waiting on one descriptor ([`wait_writable`]) and,
+/// off Linux, for the whole [`Poller`].
+mod posix {
     use std::os::raw::{c_int, c_short};
-    use std::sync::Mutex;
 
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
+    #[cfg(not(target_os = "linux"))]
+    pub const POLLIN: c_short = 0x001;
+    pub const POLLOUT: c_short = 0x004;
+    #[cfg(not(target_os = "linux"))]
+    pub const POLLERR: c_short = 0x008;
+    #[cfg(not(target_os = "linux"))]
+    pub const POLLHUP: c_short = 0x010;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
     }
 
     #[cfg(target_os = "macos")]
-    type Nfds = std::os::raw::c_uint;
+    pub type Nfds = std::os::raw::c_uint;
     #[cfg(not(target_os = "macos"))]
-    type Nfds = std::os::raw::c_ulong;
+    pub type Nfds = std::os::raw::c_ulong;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+        pub fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
     }
+}
+
+/// Block until `fd` accepts a write, fails or hangs up (the next write
+/// then says which), or `timeout` passes. For a thread that owns a
+/// connection outside the [`Poller`] and has reply bytes its socket would
+/// not take.
+pub fn wait_writable(fd: RawFd, timeout: Duration) -> io::Result<()> {
+    let mut pfd = posix::PollFd {
+        fd,
+        events: posix::POLLOUT,
+        revents: 0,
+    };
+    // Rounded up, so a wait shorter than a millisecond still waits.
+    let ms = timeout.as_millis().min(i32::MAX as u128 - 1) as i32 + 1;
+    // SAFETY: `pfd` is one valid `pollfd` for the duration of the call.
+    if unsafe { posix::poll(&mut pfd, 1, ms) } < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+#[cfg(all(unix, not(target_os = "linux")))]
+mod imp {
+    use super::posix::{poll, Nfds, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
+    use super::*;
+    use std::collections::HashMap;
+    use std::os::raw::c_int;
+    use std::sync::Mutex;
 
     /// `poll(2)` fallback: the interest table lives here instead of in
     /// the kernel, rebuilt into a `pollfd` array per wait. O(n) per call
@@ -365,6 +398,28 @@ mod tests {
             .unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
         p.delete(b.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn wait_writable_returns_on_room_hangup_or_timeout() {
+        let (a, b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        // Room: at once.
+        let t0 = std::time::Instant::now();
+        wait_writable(a.as_raw_fd(), Duration::from_secs(5)).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        // Full, peer not reading: the timeout.
+        let chunk = [0u8; 64 * 1024];
+        while (&a).write(&chunk).is_ok() {}
+        let t0 = std::time::Instant::now();
+        wait_writable(a.as_raw_fd(), Duration::from_millis(30)).unwrap();
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        // Peer gone: at once, and the write says so.
+        drop(b);
+        let t0 = std::time::Instant::now();
+        wait_writable(a.as_raw_fd(), Duration::from_secs(5)).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        assert!((&a).write(&chunk).is_err());
     }
 
     #[test]

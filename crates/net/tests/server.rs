@@ -1,9 +1,10 @@
 //! Integration tests for the wire-protocol server: round trips, typed
 //! errors, backpressure shedding, idle-session rollback, pipelining,
 //! graceful shutdown, the adversarial-client battery (slow loris,
-//! oversized frames, mid-frame disconnects), and the hand-off rules of
-//! the leader/followers loop (who executes, when the loop moves, what
-//! queues and what is shed).
+//! oversized frames, mid-frame disconnects), the hand-off rules of the
+//! leader/followers loop (who executes, when the loop moves, what queues
+//! and what is shed), and result sets streamed in chunks (any size, to
+//! readers that stall, vanish, or meet an error half way).
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -12,8 +13,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use immortaldb::{Database, DbConfig, Durability, Isolation, Session, Value};
+use immortaldb_chaos::FaultVfs;
 use immortaldb_common::{Error, ErrorCode, Timestamp};
-use immortaldb_net::proto::{FrameBuffer, Reply, Request, VERSION};
+use immortaldb_net::proto::{op, FrameBuffer, Reply, Request, RowsFrame, MAX_FRAME, VERSION};
 use immortaldb_net::{Client, Server, ServerConfig};
 
 /// Send one request on a raw connection.
@@ -54,6 +56,38 @@ fn stop(db: Arc<Database>, server: Server, dir: PathBuf) {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Bytes of `pad` in a row of `wide`: with the key, what a record holds.
+const WIDE: usize = 1_880;
+
+fn wide_pad(id: i32) -> String {
+    format!("{id:0>WIDE$}")
+}
+
+fn is_wide_row(row: &[Value], id: i32) -> bool {
+    matches!(row, [Value::Int(i), Value::Varchar(pad)] if *i == id && *pad == wide_pad(id))
+}
+
+/// `wide (id INT PRIMARY KEY, pad VARCHAR)` with ids `0..rows`, each row
+/// as large as a record gets, loaded in-process.
+fn load_wide(db: &Database, rows: i32) {
+    let ddl = format!("CREATE IMMORTAL TABLE wide (id INT PRIMARY KEY, pad VARCHAR({WIDE}))");
+    Session::new(db).execute(&ddl).unwrap();
+    for batch in (0..rows).collect::<Vec<_>>().chunks(500) {
+        let mut txn = db.begin(Isolation::Serializable);
+        let rows = batch
+            .iter()
+            .map(|&id| vec![Value::Int(id), Value::Varchar(wide_pad(id))])
+            .collect();
+        db.insert_rows(&mut txn, "wide", rows).unwrap();
+        db.commit(&mut txn).unwrap();
+    }
+}
+
+/// Enough of `wide` that its scan outgrows `MAX_FRAME`, and the server's
+/// output cap plus what the kernel buffers for a reader that is not
+/// reading, several times over.
+const HUGE: i32 = 9_500;
 
 /// A `server.*` / `wal.*` / `locks.*` value by its `SHOW STATS` name.
 fn stat(db: &Database, name: &str) -> u64 {
@@ -268,6 +302,21 @@ fn pipelined_requests_answer_in_order() {
 
     let r = c.query("SELECT id FROM t").unwrap();
     assert_eq!(r.rows.len(), N);
+
+    // Requests behind a result of several chunks wait their turn.
+    load_wide(&db, 200);
+    let chunks = stat(&db, "server.row_chunks");
+    c.send_query("SELECT * FROM wide").unwrap();
+    c.send_query("SELECT id FROM wide WHERE id = 7").unwrap();
+    c.send_query("INSERT INTO t VALUES (1000, 1000)").unwrap();
+    let wide = c.recv_response().unwrap();
+    assert_eq!(wide.rows.len(), 200);
+    assert_eq!(wide.message, "200 rows");
+    assert!(wide.rows.iter().zip(0..).all(|(r, i)| is_wide_row(r, i)));
+    assert!(stat(&db, "server.row_chunks") - chunks > 3);
+    assert_eq!(c.recv_response().unwrap().rows, vec![vec![Value::Int(7)]]);
+    assert_eq!(c.recv_response().unwrap().affected, 1);
+    assert_eq!(c.pending(), 0);
 
     drop(c);
     server.shutdown().unwrap();
@@ -946,4 +995,311 @@ fn blocked_requests_queue_then_shed_and_the_loop_stays_alive() {
         drop((reader, waiters, extra, holder));
         stop(db, server, dir);
     }
+}
+
+// ---------------------------------------------------------------------
+// Result sets in chunks.
+// ---------------------------------------------------------------------
+
+/// A raw connection past its handshake, with the buffer its frames are
+/// read through (one reply may be many frames, read back to back).
+fn raw_session(addr: std::net::SocketAddr) -> (TcpStream, FrameBuffer) {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    write_request(&mut raw, &Request::Hello { version: VERSION });
+    read_reply(&mut raw).unwrap();
+    (raw, FrameBuffer::new())
+}
+
+/// A result of any size crosses the wire: no frame of it is larger than
+/// a chunk and a row, whatever the whole comes to.
+#[test]
+fn a_result_larger_than_max_frame_arrives_in_bounded_frames() {
+    let (db, server, dir) = start_on("huge", ServerConfig::new("127.0.0.1:0"), |db| db);
+    let addr = server.local_addr();
+    load_wide(&db, HUGE);
+
+    // Frame by frame, on a raw connection.
+    let (mut raw, mut frames) = raw_session(addr);
+    write_request(&mut raw, &Request::Query("SELECT * FROM wide".into()));
+    let (mut total, mut next_id, mut row) = (0usize, 0, Vec::new());
+    let message = loop {
+        let message = frames
+            .read_frame(&mut raw, |opcode, payload| {
+                assert_eq!(opcode, op::ROWS);
+                assert!(
+                    payload.len() <= 64 * 1024 + WIDE + 64,
+                    "a frame of {} bytes",
+                    payload.len()
+                );
+                total += payload.len();
+                let mut frame = RowsFrame::decode(payload).unwrap();
+                assert_eq!(frame.columns.is_some(), next_id == 0);
+                while frame.next_row(&mut row).unwrap() {
+                    assert!(is_wide_row(&row, next_id), "row {next_id}: {:?}", row[0]);
+                    next_id += 1;
+                }
+                frame.message().unwrap()
+            })
+            .unwrap();
+        if let Some(message) = message {
+            break message;
+        }
+    };
+    assert_eq!((next_id, message.as_str()), (HUGE, "9500 rows"));
+    assert!(total > MAX_FRAME as usize, "only {total} bytes");
+
+    // Through the client: rows as they arrive, nothing collected…
+    let mut c = Client::connect(addr).unwrap();
+    let mut next_id = 0;
+    let streamed = c
+        .query_rows("SELECT * FROM wide", |row| {
+            assert!(is_wide_row(row, next_id));
+            next_id += 1;
+        })
+        .unwrap();
+    assert_eq!(next_id, HUGE);
+    assert_eq!(streamed.columns, ["id", "pad"]);
+    assert!(streamed.rows.is_empty());
+    // …and collected, against the in-process answer.
+    let sql = "SELECT pad, id FROM wide WHERE id >= 4000 AND id < 4100";
+    let collected = c.query(sql).unwrap();
+    let local = Session::new(&db).execute(sql).unwrap();
+    assert_eq!(collected.rows.len(), 100);
+    assert_eq!(
+        (collected.rows, collected.columns),
+        (local.rows, local.columns)
+    );
+    assert!(stat(&db, "server.rows_streamed") >= 2 * HUGE as u64 + 100);
+    assert!(stat(&db, "server.row_chunks") > 2 * (total / (64 * 1024 + WIDE)) as u64);
+
+    drop(c);
+    stop(db, server, dir);
+}
+
+/// A connection that asks for all of `wide` and reads none of it, holding
+/// a row lock in an open transaction of its own. Returns once the result
+/// has stalled against the output cap.
+fn stall_a_scan(db: &Database, addr: std::net::SocketAddr) -> (TcpStream, FrameBuffer) {
+    let (mut raw, frames) = raw_session(addr);
+    for req in [
+        Request::Begin(Isolation::Serializable),
+        Request::Query("UPDATE held SET v = 1 WHERE id = 1".into()),
+    ] {
+        write_request(&mut raw, &req);
+        read_reply(&mut raw).unwrap();
+    }
+    write_request(&mut raw, &Request::Query("SELECT * FROM wide".into()));
+    wait_for("the result to stall", || {
+        stat(db, "server.stream_stalls") > 0
+    });
+    (raw, frames)
+}
+
+fn start_stalling(name: &str, idle: Duration) -> (Arc<Database>, Server, PathBuf, Client) {
+    let cfg = ServerConfig::new("127.0.0.1:0")
+        .workers(2)
+        .idle_timeout(idle)
+        .tick(Duration::from_millis(20));
+    let (db, server, dir) = start_on(name, cfg, |db| db);
+    load_wide(&db, HUGE);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.query("CREATE IMMORTAL TABLE held (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    c.query("INSERT INTO held VALUES (1, 0)").unwrap();
+    (db, server, dir, c)
+}
+
+/// Backpressure: a reader that stops reading stops the scan — the server
+/// holds a bounded part of the result, not the rest of the table — and
+/// an idle timeout later it is gone: thread freed, transaction rolled
+/// back, locks released.
+#[test]
+fn a_reader_that_stops_is_dropped_at_the_idle_timeout() {
+    let idle = Duration::from_millis(600);
+    let (db, server, dir, mut c) = start_stalling("stalled", idle);
+    let (raw, _frames) = stall_a_scan(&db, server.local_addr());
+    let stalled = Instant::now();
+
+    // Paused, not finished: most of the table is still unread, and no
+    // more of it is being read.
+    let streamed = stat(&db, "server.rows_streamed");
+    assert!(streamed < HUGE as u64 * 2 / 3, "{streamed} rows buffered");
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(stat(&db, "server.rows_streamed"), streamed);
+    assert_eq!(stat(&db, "server.active_sessions"), 1);
+    // The loop is with another thread: other connections are served.
+    assert_eq!(
+        c.query("SELECT pad FROM wide WHERE id = 9000")
+            .unwrap()
+            .rows,
+        vec![vec![Value::Varchar(wide_pad(9000))]]
+    );
+
+    wait_for("the stalled session to be dropped", || {
+        stat(&db, "server.active_sessions") == 0
+    });
+    let waited = stalled.elapsed();
+    assert!(
+        waited + Duration::from_millis(150) >= idle && waited < idle * 3,
+        "dropped after {waited:?} of a {idle:?} timeout"
+    );
+    // Its lock went with it: no waiting for the row it had updated.
+    let waits = stat(&db, "locks.waits");
+    assert_eq!(
+        c.query("UPDATE held SET v = 2 WHERE id = 1")
+            .unwrap()
+            .affected,
+        1
+    );
+    assert_eq!(stat(&db, "locks.waits"), waits);
+    assert_eq!(
+        c.query("SELECT v FROM held").unwrap().rows,
+        vec![vec![Value::Int(2)]]
+    );
+    wait_for("the connection to be closed", || {
+        stat(&db, "server.open_connections") == 1
+    });
+
+    drop((raw, c));
+    stop(db, server, dir);
+}
+
+/// A reader that disappears in mid-result gets the same, at once.
+#[test]
+fn a_reader_that_disconnects_mid_result_is_dropped_at_once() {
+    let idle = Duration::from_secs(120);
+    let (db, server, dir, mut c) = start_stalling("vanished", idle);
+    let (raw, _frames) = stall_a_scan(&db, server.local_addr());
+    let vanished = Instant::now();
+    drop(raw);
+    wait_for("the session of the vanished reader to end", || {
+        stat(&db, "server.active_sessions") == 0
+    });
+    assert_eq!(
+        c.query("UPDATE held SET v = 2 WHERE id = 1")
+            .unwrap()
+            .affected,
+        1
+    );
+    assert!(
+        vanished.elapsed() < Duration::from_secs(5),
+        "took {:?}",
+        vanished.elapsed()
+    );
+    assert!(stat(&db, "server.rows_streamed") < HUGE as u64);
+    drop(c);
+    stop(db, server, dir);
+}
+
+/// An engine error after part of the result has left: the chunks sent
+/// stand, one ERROR frame ends the result, and the connection goes on.
+#[test]
+fn an_error_in_mid_result_ends_it_with_one_error_frame() {
+    let vfs = Arc::new(FaultVfs::wrap_std(7));
+    let faults = vfs.state();
+    // A pool far smaller than the table: the scan reads as it goes.
+    let cfg = ServerConfig::new("127.0.0.1:0").workers(2);
+    let (db, server, dir) = start_on("mid-error", cfg, |db| db.vfs(vfs).pool_pages(64));
+    load_wide(&db, HUGE);
+    let (mut raw, mut frames) = raw_session(server.local_addr());
+    write_request(&mut raw, &Request::Query("SELECT * FROM wide".into()));
+    wait_for("the result to stall", || {
+        stat(&db, "server.stream_stalls") > 0
+    });
+    // From here on every page read fails; reading lets the scan resume.
+    faults.set_error_rates(1.0, 0.0);
+    let (mut chunks, mut rows, mut row) = (0, 0, Vec::new());
+    let error = loop {
+        let end = frames
+            .read_frame(&mut raw, |opcode, payload| {
+                if opcode != op::ROWS {
+                    return Some(Reply::decode(opcode, payload).unwrap());
+                }
+                let mut frame = RowsFrame::decode(payload).unwrap();
+                assert!(frame.more, "the result cannot have completed");
+                while frame.next_row(&mut row).unwrap() {
+                    assert!(is_wide_row(&row, rows));
+                    rows += 1;
+                }
+                chunks += 1;
+                None
+            })
+            .unwrap();
+        if let Some(end) = end {
+            break end;
+        }
+    };
+    assert!(chunks > 0 && rows < HUGE, "{chunks} chunks, {rows} rows");
+    match error {
+        Reply::Error { code, txn_open, .. } => {
+            assert_eq!((code, txn_open), (ErrorCode::Io, false))
+        }
+        other => panic!("expected an ERROR frame, got {other:?}"),
+    }
+    // The same connection, with the disk back: a whole result.
+    faults.set_error_rates(0.0, 0.0);
+    write_request(
+        &mut raw,
+        &Request::Query("SELECT id FROM wide WHERE id = 9499".into()),
+    );
+    let answer = frames
+        .read_frame(&mut raw, |opcode, payload| {
+            assert_eq!(opcode, op::ROWS);
+            let mut frame = RowsFrame::decode(payload).unwrap();
+            assert!(frame.next_row(&mut row).unwrap());
+            frame.message().unwrap()
+        })
+        .unwrap();
+    assert_eq!(row, [Value::Int(9499)]);
+    assert_eq!(answer.as_deref(), Some("1 rows"));
+    stop(db, server, dir);
+}
+
+/// A split installs the pages it allocates without reading them back:
+/// a resident update stream that splits leaves never goes to disk and
+/// never gives the loop away.
+#[test]
+fn splits_of_resident_pages_read_nothing_and_stay_inline() {
+    let cfg = ServerConfig::new("127.0.0.1:0").workers(2);
+    let (db, server, dir) = start_on("resident-splits", cfg, |db| db);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v VARCHAR(210))")
+        .unwrap();
+    // Warm up: the first statements read the root and the timestamp
+    // table; the first splits grow the tree.
+    let filler = "x".repeat(200);
+    for i in 0..200 {
+        c.query(&format!("INSERT INTO t VALUES ({i}, '{filler}')"))
+            .unwrap();
+    }
+    let before = |name| stat(&db, name);
+    let (reads, requests, inline) = (
+        before("disk.reads"),
+        before("server.requests"),
+        before("server.requests_inline"),
+    );
+    let (time_splits, key_splits) = db.split_counts();
+    for round in 0..20 {
+        for i in 0..200 {
+            c.query(&format!(
+                "UPDATE t SET v = '{round}{filler}' WHERE id = {i}"
+            ))
+            .unwrap();
+        }
+    }
+    let (time_splits, key_splits) = (
+        db.split_counts().0 - time_splits,
+        db.split_counts().1 - key_splits,
+    );
+    assert!(
+        time_splits + key_splits > 50,
+        "{time_splits} + {key_splits}"
+    );
+    assert_eq!(stat(&db, "disk.reads"), reads, "a split read a page back");
+    assert_eq!(
+        stat(&db, "server.requests_inline") - inline,
+        stat(&db, "server.requests") - requests
+    );
+    drop(c);
+    stop(db, server, dir);
 }

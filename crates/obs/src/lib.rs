@@ -457,7 +457,8 @@ pub struct TemporalMetrics {
     pub diff_rows: Counter,
     /// Reads whose primary-key predicate reached the index cursor as a
     /// single key / as a key range / not at all (a whole-table walk
-    /// filtered afterwards). One of the three counts per read.
+    /// filtered afterwards). One of the three counts per cursor call: a
+    /// scan that resumes after a full chunk re-enters with a range.
     pub pushdown_point: Counter,
     pub pushdown_range: Counter,
     pub pushdown_none: Counter,
@@ -499,6 +500,14 @@ pub struct ServerMetrics {
     /// … because the same poll batch held other ready connections and a
     /// CPU was free to serve them in parallel.
     pub loop_handoffs_batch: Counter,
+    /// `ROWS` frames sent: one per result that fits a chunk, one per
+    /// chunk of a result that does not.
+    pub row_chunks: Counter,
+    /// Result rows encoded into connection output buffers.
+    pub rows_streamed: Counter,
+    /// Times a result in mid-stream waited for its socket to take more,
+    /// the connection's output backlog having reached its cap.
+    pub stream_stalls: Counter,
     /// Requests answered with an ERROR frame.
     pub errors: Counter,
     /// Open transactions rolled back by the idle-session timeout.

@@ -207,6 +207,9 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
             "server.loop_handoffs_batch".into(),
             m.server.loop_handoffs_batch.get(),
         ),
+        ("server.row_chunks".into(), m.server.row_chunks.get()),
+        ("server.rows_streamed".into(), m.server.rows_streamed.get()),
+        ("server.stream_stalls".into(), m.server.stream_stalls.get()),
         ("server.errors".into(), m.server.errors.get()),
         (
             "server.idle_rollbacks".into(),
@@ -402,6 +405,7 @@ mod tests {
         assert_eq!(s.get("faults.torn_writes"), Some(1));
         assert_eq!(s.get("server.connections.accepted"), Some(2));
         assert_eq!(s.get("server.loop_handoffs"), Some(0));
+        assert_eq!(s.get("server.row_chunks"), Some(0));
         assert_eq!(s.get("server.request_ns.count"), Some(1));
         assert_eq!(s.get("recovery.versions_restamped"), Some(3));
         assert_eq!(s.get("recovery.crash_recoveries"), Some(0));

@@ -12,6 +12,10 @@
 //!
 //! Thousands of mostly-idle connections share `--workers + 1` threads:
 //! `--workers` is how many requests may execute (and block) at once.
+//! A result set leaves in chunks as it is read, however large it is; a
+//! client that stops reading one holds its thread until it has been
+//! silent for `--idle-timeout-secs`, the same patience an idle session
+//! gets, and is then disconnected and rolled back.
 //!
 //! `--sentinel` arms the always-on isolation checker: every commit and
 //! snapshot read streams through a lock-free tap into an online checker

@@ -479,11 +479,16 @@ impl BufferPool {
         let frame = Arc::new(Frame::new(id, page, false));
         state.frames.insert(id, Arc::clone(&frame));
         drop(state);
+        self.grew();
+        Ok(frame)
+    }
+
+    /// A frame was added: evict what that puts the pool over capacity.
+    fn grew(&self) {
         let total = self.len.fetch_add(1, Ordering::Relaxed) + 1;
         if total > self.capacity {
             self.evict(total - self.capacity);
         }
-        Ok(frame)
     }
 
     /// [`Self::fetch`], but a page whose on-disk image fails CRC
@@ -586,6 +591,32 @@ impl BufferPool {
         state.frames.insert(id, Arc::clone(&frame));
         self.len.fetch_add(1, Ordering::Relaxed);
         Ok(frame)
+    }
+
+    /// Make `image`, logged at `lsn`, the cached (dirty) page of its id,
+    /// replacing what the pool holds and without reading what the disk
+    /// does: the caller has the whole new page, so the old one is of no
+    /// use. A split installs its images this way; taking the pages it has
+    /// just allocated through [`Self::fetch`] would miss, read the zero
+    /// page back, check its CRC and tell the serving loop the thread is
+    /// about to block.
+    pub fn install(&self, image: Page, lsn: Lsn) {
+        let id = image.page_id();
+        let shard = self.shard_for(id);
+        let mut state = self.lock_shard(shard);
+        if let Some(f) = state.frames.get(&id).map(Arc::clone) {
+            drop(state);
+            let mut g = f.write();
+            *g = image;
+            f.mark_dirty(lsn);
+            return;
+        }
+        let frame = Arc::new(Frame::new(id, image, false));
+        frame.mark_dirty(lsn);
+        state.frames.insert(id, Arc::clone(&frame));
+        drop(state);
+        // With `frame` still in hand, so the sweep cannot pick it.
+        self.grew();
     }
 
     /// Make sure `id` is allocated on disk (recovery may redo page images
@@ -720,6 +751,46 @@ mod tests {
         let f1 = pool.fetch(id).unwrap();
         let f2 = pool.fetch(id).unwrap();
         assert!(Arc::ptr_eq(&f1, &f2));
+        let _ = std::fs::remove_file(db);
+        let _ = std::fs::remove_file(wal);
+    }
+
+    #[test]
+    fn install_takes_the_image_and_reads_nothing() {
+        let (disk, _w, pool, db, wal) = setup("install", 8);
+        let image = |id: PageId, key: &[u8]| {
+            let mut p = Page::zeroed();
+            p.format(id, PageType::Leaf, 0, 0);
+            p.insert_sorted(key, b"v", 0).unwrap();
+            p
+        };
+        let key_of = |f: &FrameRef| {
+            let g = f.read();
+            g.rec_key(g.slot(0)).to_vec()
+        };
+        // A page just allocated: cached dirty, never read back.
+        let id = disk.allocate().unwrap();
+        pool.install(image(id, b"fresh"), Lsn(7));
+        let f = pool.fetch(id).unwrap();
+        assert_eq!(key_of(&f), b"fresh");
+        assert!(f.is_dirty());
+        assert_eq!(f.rec_lsn(), Lsn(7));
+        // Over a resident frame: the same frame, the new image.
+        pool.install(image(id, b"again"), Lsn(9));
+        assert_eq!(key_of(&f), b"again");
+        assert_eq!(f.rec_lsn(), Lsn(7), "dirty since the first install");
+        assert!(Arc::ptr_eq(&f, &pool.fetch(id).unwrap()));
+        drop(f);
+        // Installs count against the capacity like fetched pages do, and
+        // what is evicted comes back from disk as installed.
+        for _ in 0..24 {
+            let other = disk.allocate().unwrap();
+            pool.install(image(other, b"other"), Lsn(9));
+        }
+        assert!(pool.cached() <= 9, "{} frames cached", pool.cached());
+        assert_eq!(pool.metrics().disk.reads.get(), 0);
+        assert_eq!(key_of(&pool.fetch(id).unwrap()), b"again");
+        assert_eq!(pool.metrics().disk.reads.get(), 1);
         let _ = std::fs::remove_file(db);
         let _ = std::fs::remove_file(wal);
     }

@@ -1193,18 +1193,17 @@ impl TsbTree {
                 .collect(),
         };
         let lsn = self.wal.append(Tid::SYSTEM, NULL_LSN, &rec);
-        for image in images.iter_mut() {
+        for mut image in images {
             let id = image.page_id();
             image.set_page_lsn(lsn);
             if id == PageId(0) {
                 let g = meta_guard.as_mut().expect("meta image implies meta guard");
-                **g = image.clone();
+                **g = image;
                 meta_frame.mark_dirty(lsn);
             } else {
-                let frame = self.pool.fetch(id)?;
-                let mut g = frame.write();
-                *g = image.clone();
-                frame.mark_dirty(lsn);
+                // Not `fetch`: for the pages this split allocated that
+                // would read the zero page back from disk.
+                self.pool.install(image, lsn);
             }
         }
         if let Some(root_id) = new_root {

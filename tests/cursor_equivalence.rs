@@ -11,6 +11,12 @@
 //! chains, with the push-down visible in `temporal.pushdown_*`. The same
 //! boxes are re-checked after `compact_history` and inside a snapshot
 //! transaction holding uncommitted writes of its own.
+//!
+//! A second battery checks that a scan is *resumable*: forced to stop
+//! every `k` rows and re-enter the cursor after the last key it sent — as
+//! a result streamed to a client in chunks does — it yields exactly the
+//! one-shot sequence, also when a writer splits the scanned leaves in
+//! time and by key between two chunks.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -18,10 +24,10 @@ use std::sync::Arc;
 
 use immortaldb::row::encode_key;
 use immortaldb::{
-    Database, DbConfig, DiffRow, Isolation, PkBounds, Session, SimClock, TemporalVersion,
-    Transaction, Value,
+    Database, DbConfig, DiffRow, Flow, Isolation, PkBounds, RowSink, Session, SimClock,
+    TemporalVersion, Transaction, Value,
 };
-use immortaldb_common::Timestamp;
+use immortaldb_common::{Error, Result, Timestamp};
 use immortaldb_mobgen::{temporal_history, TemporalOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,7 +83,11 @@ fn build(tag: &str, using_tsb: bool, seed: u64, objects: u32, steps: u32) -> Fix
     let dir = std::env::temp_dir().join(format!("cursor-eq-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(SimClock::new(7_000_000));
-    let db = Arc::new(Database::open(DbConfig::new(&dir).clock(clock.clone())).unwrap());
+    let mut cfg = DbConfig::new(&dir).clock(clock.clone());
+    // Nothing here waits for a lock it can get: a writer held off by a
+    // scan's table lock should find out soon.
+    cfg.lock_timeout = std::time::Duration::from_millis(40);
+    let db = Arc::new(Database::open(cfg).unwrap());
     let ddl = format!(
         "CREATE IMMORTAL TABLE {TABLE} (Oid INT PRIMARY KEY, X INT, Y INT, Pad VARCHAR(200)){}",
         if using_tsb { " USING TSB" } else { "" }
@@ -538,4 +548,187 @@ fn tsb_keyed_window_prunes_rectangles_on_keys() {
         keyed > 0 && keyed * 4 < unkeyed,
         "keyed {keyed} vs whole-table {unkeyed} pages"
     );
+}
+
+// -- resumable scans ------------------------------------------------------------
+
+/// A sink that is full after every `k` rows, and runs `between` while the
+/// scan is paused — where the server writes a chunk to its socket.
+struct EveryK<'a> {
+    k: usize,
+    /// Rows until it is full again.
+    room: usize,
+    rows: Vec<Vec<Value>>,
+    flushes: usize,
+    between: &'a mut dyn FnMut(),
+}
+
+impl RowSink for EveryK<'_> {
+    fn columns(&mut self, _names: Vec<String>) -> Result<()> {
+        Ok(())
+    }
+
+    fn row(&mut self, row: &mut Vec<Value>) -> Result<Flow> {
+        // Copied, not taken: the next row is decoded over this one.
+        self.rows.push(row.clone());
+        self.room -= 1;
+        Ok(if self.room == 0 {
+            self.room = self.k;
+            Flow::Stop
+        } else {
+            Flow::Continue
+        })
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.flushes += 1;
+        (self.between)();
+        Ok(())
+    }
+}
+
+/// `sql` run to the end in one go, then again stopping every `k` rows
+/// with `between` run at every stop: the same rows in the same order.
+fn resumed_equals_one_shot(s: &mut Session<'_>, sql: &str, k: usize, between: &mut dyn FnMut()) {
+    let one_shot = s.execute(sql).unwrap();
+    let mut sink = EveryK {
+        k,
+        room: k,
+        rows: Vec::new(),
+        flushes: 0,
+        between,
+    };
+    let done = s.execute_into(sql, &mut sink).unwrap();
+    assert_eq!(sink.rows, one_shot.rows, "{sql}, stopping every {k}");
+    assert_eq!(done.message, one_shot.message);
+    assert_eq!(sink.flushes, one_shot.rows.len() / k, "{sql}");
+}
+
+/// A random primary-key predicate of every shape `Keys::random` has.
+fn random_predicate(rng: &mut StdRng) -> String {
+    let (lo, width) = (rng.gen_range(-3..OBJECTS as i32), rng.gen_range(0..25));
+    let (ge, le) = (
+        if rng.gen_range(0..2) == 0 { ">=" } else { ">" },
+        if rng.gen_range(0..2) == 0 { "<=" } else { "<" },
+    );
+    match rng.gen_range(0..6) {
+        0 => format!(" WHERE Oid = {lo}"),
+        1 => String::new(),
+        2 => format!(" WHERE Oid {le} {}", lo + width),
+        3 => format!(" WHERE Oid {ge} {lo}"),
+        // A bound the index cannot take goes along for the ride.
+        4 => format!(
+            " WHERE Oid {ge} {lo} AND Oid {le} {} AND X >= 0",
+            lo + width
+        ),
+        _ => format!(" WHERE Oid {ge} {lo} AND Oid {le} {}", lo + width),
+    }
+}
+
+fn resume_battery(tag: &str, using_tsb: bool, seed: u64) {
+    let mut fx = build(tag, using_tsb, seed, OBJECTS, STEPS);
+    let db = fx.db.clone();
+    let mut s = Session::new(&db);
+    let mut rng = StdRng::seed_from_u64(seed ^ 5);
+    let splits_before = db.split_counts();
+    // The writer: between two chunks it revives dead objects, moves live
+    // ones and adds new ones past the right edge, five to a commit, so
+    // the leaves under the scan fill up and split both ways.
+    let mut fresh = 1_000;
+    let mut write = |fx: &mut Fixture| {
+        let now = fx.state_at(*fx.stamps.last().unwrap());
+        let dead = (0..OBJECTS).filter(|o| !now.contains_key(&(*o as i32)));
+        let mut batch: Vec<TemporalOp> = dead
+            .take(2)
+            .map(|oid| TemporalOp::Insert { oid, x: 1, y: 1 })
+            .collect();
+        batch.push(TemporalOp::Insert {
+            oid: fresh,
+            x: 2,
+            y: 2,
+        });
+        fresh += 1;
+        let moved = now.keys().skip(fresh as usize % 7).step_by(9).take(2);
+        batch.extend(moved.map(|&oid| TemporalOp::Update {
+            oid: oid as u32,
+            x: fresh as i32,
+            y: 3,
+        }));
+        fx.commit(&batch);
+    };
+    for round in 0..24 {
+        let predicate = random_predicate(&mut rng);
+        let (_, lo, hi) = fx.random_box(&mut rng);
+        let select = format!("SELECT * FROM {TABLE}{predicate}");
+        // Every third round the scans run undisturbed; in the others the
+        // writer commits in the first few pauses of each scan.
+        let writing = round % 3 != 0;
+        for k in [1, 7, 64] {
+            let pauses = std::cell::Cell::new(0);
+            let mut between = || {
+                pauses.set(pauses.get() + 1);
+                if writing && pauses.get() <= 4 {
+                    write(&mut fx)
+                }
+            };
+            // The state at one instant.
+            s.begin_as_of_ts(lo).unwrap();
+            resumed_equals_one_shot(&mut s, &select, k, &mut between);
+            s.commit().unwrap();
+            // A snapshot, with a write of its own in it.
+            pauses.set(0);
+            s.begin(Isolation::Snapshot).unwrap();
+            let own = format!("UPDATE {TABLE} SET Y = -1 WHERE Oid = 30");
+            s.execute(&own).unwrap();
+            resumed_equals_one_shot(&mut s, &select, k, &mut between);
+            s.rollback().unwrap();
+            // A window of history.
+            pauses.set(0);
+            let window = format!(
+                "SELECT Oid, X FROM {TABLE} VERSIONS BETWEEN ms({}) AND ms({}){predicate}",
+                lo.ttime, hi.ttime
+            );
+            resumed_equals_one_shot(&mut s, &window, k, &mut between);
+        }
+    }
+    let (time_splits, key_splits) = db.split_counts();
+    assert!(
+        time_splits > splits_before.0 + 10 && key_splits > splits_before.1,
+        "the writer split too little: {splits_before:?} -> {:?}",
+        (time_splits, key_splits)
+    );
+
+    // Serializable: the scan's table lock is held from chunk to chunk, so
+    // a writer gets nowhere while the scan is paused — and through once
+    // it is over.
+    let select = format!("SELECT * FROM {TABLE}");
+    for k in [1, 7, 64] {
+        let mut refused = 0;
+        let mut between = || {
+            if refused == 0 {
+                let mut writer = db.begin(Isolation::Serializable);
+                let blocked = db.update_row(&mut writer, TABLE, row(1_000, 0, 0));
+                assert!(matches!(blocked, Err(Error::Deadlock(_))), "{blocked:?}");
+                db.rollback(&mut writer).unwrap();
+                refused += 1;
+            }
+        };
+        s.begin(Isolation::Serializable).unwrap();
+        resumed_equals_one_shot(&mut s, &select, k, &mut between);
+        s.commit().unwrap();
+        assert_eq!(refused, 1);
+    }
+    let mut writer = db.begin(Isolation::Serializable);
+    db.update_row(&mut writer, TABLE, row(1_000, 0, 0)).unwrap();
+    db.commit(&mut writer).unwrap();
+}
+
+#[test]
+fn chain_scans_resume_where_they_stopped() {
+    resume_battery("chain-resume", false, 31);
+}
+
+#[test]
+fn tsb_scans_resume_where_they_stopped() {
+    resume_battery("tsb-resume", true, 31);
 }
