@@ -111,7 +111,7 @@ pub struct UtilResult {
 }
 
 pub fn utilization_vs_threshold(quick: bool) -> Vec<UtilResult> {
-    use immortaldb_btree::{BTree, SplitTimeSource};
+    use immortaldb_btree::{BTree, SplitTimeSource, TemporalIndex};
     use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
     use immortaldb_storage::buffer::BufferPool;
     use immortaldb_storage::disk::DiskManager;
@@ -271,7 +271,7 @@ pub struct TsbResult {
 /// descends directly to the right historical page instead of walking the
 /// time-split page chain from the current page.
 pub fn tsb_index(quick: bool) -> TsbResult {
-    use immortaldb_btree::{BTree, SplitTimeSource};
+    use immortaldb_btree::{BTree, SplitTimeSource, TemporalIndex};
     use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
     use immortaldb_storage::buffer::BufferPool;
     use immortaldb_storage::disk::DiskManager;

@@ -7,7 +7,8 @@
 //!
 //! Figure runs additionally write machine-readable `BENCH_<figure>.json`
 //! artifacts (rows plus an engine metrics snapshot) to the working
-//! directory.
+//! directory. `temporal`, `history` and `read-scaling` also check their
+//! acceptance floors: the run exits non-zero if one is missed.
 
 use immortaldb_bench::{
     ablations, connections, fig5, fig6, group_commit, history, netbench, read_scaling, replbench,
@@ -40,6 +41,14 @@ fn main() {
         .collect();
     let what = if what.is_empty() { vec!["all"] } else { what };
     let wants = |name: &str| what.iter().any(|w| *w == name || *w == "all");
+    let mut missed: Vec<String> = Vec::new();
+    let mut floor = |verdict: Result<String, String>| match verdict {
+        Ok(line) => println!("{line}"),
+        Err(e) => {
+            eprintln!("floor missed: {e}");
+            missed.push(e);
+        }
+    };
 
     println!(
         "Immortal DB benchmark harness ({} mode)",
@@ -124,11 +133,13 @@ fn main() {
         let r = temporal::run(quick);
         temporal::report(&r);
         write_artifact("BENCH_temporal.json", &temporal::result_json(&r, quick));
+        floor(temporal::check(&r));
     }
     if wants("history") {
         let r = history::run(quick);
         history::report(&r);
         write_artifact("BENCH_history.json", &history::result_json(&r, quick));
+        floor(history::check(&r));
     }
     if wants("read-scaling") || wants("read_scaling") {
         let r = read_scaling::run(quick);
@@ -137,6 +148,7 @@ fn main() {
             "BENCH_read_scaling.json",
             &read_scaling::result_json(&r, quick),
         );
+        floor(read_scaling::check(&r));
     }
     if wants("a1") {
         let rows = ablations::eager_vs_lazy(quick);
@@ -157,5 +169,8 @@ fn main() {
     if wants("a5") {
         let r = ablations::snapshot_reads(quick);
         ablations::report_snapshot_reads(&r);
+    }
+    if !missed.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -15,7 +15,7 @@
 //!   reads).
 //!
 //! The artifact records page fetches for both; the walk must come out
-//! ≥5x cheaper.
+//! ≥5x cheaper ([`check`], the run's exit status).
 
 use std::sync::Arc;
 
@@ -177,6 +177,24 @@ pub fn report(r: &TemporalResult) {
         r.walk_pages,
         r.fetch_ratio()
     );
+}
+
+/// The acceptance floor: the walk returns versions and reads at least 5x
+/// fewer pages than the replay.
+pub fn check(r: &TemporalResult) -> Result<String, String> {
+    let ratio = r.fetch_ratio();
+    if r.versions == 0 {
+        Err("temporal sweep returned no versions".into())
+    } else if ratio < 5.0 {
+        Err(format!(
+            "range walk only {ratio:.1}x cheaper than AS OF replay"
+        ))
+    } else {
+        Ok(format!(
+            "temporal: walk {} fetches vs replay {} ({ratio:.1}x, floor 5x)",
+            r.walk_fetches, r.replay_fetches
+        ))
+    }
 }
 
 pub fn result_json(r: &TemporalResult, quick: bool) -> String {

@@ -18,14 +18,14 @@
 //!
 //! Every page the pass changes — rewritten chain pages and the
 //! [`PageType::Free`] images of merged-away pages — goes into a single
-//! [`LogRecord::PageImages`] record per leaf chain, so recovery and
-//! replicas replay the compaction byte-for-byte, and a torn multi-page
-//! write is repaired from the log like any other structure modification.
+//! `PageImages` record per leaf chain ([`crate::TreeCore::install`]), so
+//! recovery and replicas replay the compaction byte-for-byte, and a torn
+//! multi-page write is repaired from the log like any other structure
+//! modification.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use immortaldb_common::{PageId, Result, Tid, NULL_LSN, PAGE_SIZE};
-use immortaldb_storage::logrec::LogRecord;
+use immortaldb_common::{PageId, Result, PAGE_SIZE};
 use immortaldb_storage::page::{Page, PageType, HEADER_SIZE};
 use immortaldb_storage::version::{self, ChainVersion, PackCounts};
 
@@ -153,8 +153,8 @@ impl BTree {
         if !self.versioned {
             return Ok(stats);
         }
-        let _c = self.compacting.lock();
-        let _s = self.structure.write();
+        let _c = self.core.compacting.lock();
+        let _s = self.core.structure.write();
         let leaves = self.leaves_with_bounds()?;
 
         // Walk every chain once: count in-edges (a page referenced by two
@@ -165,7 +165,7 @@ impl BTree {
         for leaf in &leaves {
             let mut chain = Vec::new();
             let mut h = {
-                let f = self.pool.fetch(leaf.id)?;
+                let f = self.core.pool.fetch(leaf.id)?;
                 let g = f.read();
                 g.history_page()
             };
@@ -175,7 +175,7 @@ impl BTree {
                     break; // suffix already walked via a sibling leaf
                 }
                 chain.push(h);
-                let f = self.pool.fetch(h)?;
+                let f = self.core.pool.fetch(h)?;
                 h = f.read().history_page();
             }
             if !chain.is_empty() {
@@ -188,7 +188,7 @@ impl BTree {
             stats.add(self.compact_chain(&chain, &in_edges, &mut processed)?);
         }
 
-        let m = self.pool.metrics();
+        let m = self.core.pool.metrics();
         m.compaction.pages_rewritten.add(stats.pages_rewritten);
         m.compaction.pages_freed.add(stats.pages_freed);
         m.compaction.bytes_reclaimed.add(stats.bytes_reclaimed);
@@ -216,7 +216,7 @@ impl BTree {
                 break; // shared suffix: a sibling's pass already took it
             }
             let page = {
-                let f = self.pool.fetch(pid)?;
+                let f = self.core.pool.fetch(pid)?;
                 let g = f.read();
                 g.clone()
             };
@@ -235,7 +235,7 @@ impl BTree {
                 && !processed.contains(&chain[next])
             {
                 let q = {
-                    let f = self.pool.fetch(chain[next])?;
+                    let f = self.core.pool.fetch(chain[next])?;
                     let g = f.read();
                     g.clone()
                 };
@@ -285,23 +285,9 @@ impl BTree {
         }
         // One atomic multi-page image record per chain (same redo-only
         // nested-top-action shape as a split).
-        let rec = LogRecord::PageImages {
-            pages: images
-                .iter()
-                .map(|p| (p.page_id(), p.as_bytes().to_vec()))
-                .collect(),
-        };
-        let lsn = self.wal.append(Tid::SYSTEM, NULL_LSN, &rec);
-        for mut image in images {
-            let id = image.page_id();
-            image.set_page_lsn(lsn);
-            let frame = self.pool.fetch(id)?;
-            let mut g = frame.write();
-            *g = image;
-            frame.mark_dirty(lsn);
-        }
+        self.core.install(images, None)?;
         for id in freed {
-            self.pool.disk().free_page(id);
+            self.core.pool.disk().free_page(id);
         }
         Ok(stats)
     }
@@ -313,17 +299,17 @@ impl BTree {
         if !self.versioned {
             return Ok(out);
         }
-        let _s = self.structure.read();
+        let _s = self.core.structure.read();
         let leaves = self.leaves_with_bounds()?;
         let mut visited: HashSet<PageId> = HashSet::new();
         for leaf in &leaves {
             let mut h = {
-                let f = self.pool.fetch(leaf.id)?;
+                let f = self.core.pool.fetch(leaf.id)?;
                 let g = f.read();
                 g.history_page()
             };
             while h.is_valid() && visited.insert(h) {
-                let f = self.pool.fetch(h)?;
+                let f = self.core.pool.fetch(h)?;
                 let g = f.read();
                 out.history_pages += 1;
                 out.used_bytes += page_used_bytes(&g) as u64;

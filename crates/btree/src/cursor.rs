@@ -38,7 +38,18 @@ use immortaldb_storage::page::Page;
 use immortaldb_storage::version::ChainWalker;
 use immortaldb_storage::TimestampResolver;
 
-use crate::tree::HeadVersion;
+/// State of the newest (chain-head) version of a key — what snapshot
+/// isolation's first-committer-wins check needs to see.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HeadVersion {
+    /// No version of the key.
+    NotFound,
+    /// Newest version is TID-marked by a transaction the resolver does not
+    /// know to be committed (i.e. still active).
+    Uncommitted { tid: Tid, stub: bool },
+    /// Newest version is committed with this timestamp.
+    Committed { ts: Timestamp, stub: bool },
+}
 
 /// A range of index keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

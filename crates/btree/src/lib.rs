@@ -7,6 +7,13 @@
 //! still over the utilization threshold *T*, **key-split** like a
 //! conventional B+tree (§3.3 of the paper).
 //!
+//! The write half of that protocol — versioned writes, leaf splits,
+//! stamping, logging — is [`TreeCore`] plus [`TemporalIndex`], written
+//! once over a [`Routing`]; the chain B-tree ([`BTree`]) and the TSB-tree
+//! (crate `immortaldb-tsb`) supply only how current leaves are found and
+//! how splits are posted above them. Reads are the one key × time
+//! [`VersionCursor`] each index implements.
+//!
 //! The same tree type also serves unversioned (conventional) tables — the
 //! persistent timestamp table and the catalog included — with in-place
 //! updates and key splits only.
@@ -21,16 +28,20 @@ mod cursor;
 mod read;
 mod split;
 mod tree;
+mod tree_core;
 
 pub use compact::{
     pack_history_pages, page_has_tid_marked, page_used_bytes, CompactionStats, HistoryStats,
 };
 pub use cursor::{
-    visit_page, Flow, HistoryVersion, KeyRange, KeyVisitor, Query, RecordVisitor, ScanItem, Stamp,
-    TemporalVersion, Version, VersionBuffer, VersionCursor, Visitor,
+    visit_page, Flow, HeadVersion, HistoryVersion, KeyRange, KeyVisitor, Query, RecordVisitor,
+    ScanItem, Stamp, TemporalVersion, Version, VersionBuffer, VersionCursor, Visitor,
 };
 pub use read::StorageStats;
-pub use tree::{BTree, FixedSplitTime, HeadVersion, SplitTimeSource, MAX_RECORD};
+pub use tree::BTree;
+pub use tree_core::{
+    FixedSplitTime, LeafSplit, Routing, SplitTimeSource, TemporalIndex, TreeCore, MAX_RECORD,
+};
 
 #[cfg(test)]
 mod tests;

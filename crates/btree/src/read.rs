@@ -1,6 +1,5 @@
-//! Read paths: the key × time cursor of the page-chain index, current
-//! reads with the stamping read trigger, and the leaf enumeration that
-//! scans and maintenance share.
+//! Read paths: the key × time cursor of the page-chain index, and the
+//! leaf enumeration that scans and maintenance share.
 //!
 //! The cursor is the paper's §4.2 algorithm: descend the *current*
 //! B-tree by key; compare the requested time with the page's split time
@@ -11,10 +10,10 @@
 //! contain the version, and it needs only each page's header
 //! ([`immortaldb_storage::buffer::Frame::peek_header`]).
 
-use immortaldb_common::{PageId, Result, Tid, Timestamp};
+use immortaldb_common::{PageId, Result, Timestamp};
 use immortaldb_storage::buffer::FrameRef;
 use immortaldb_storage::page::PageType;
-use immortaldb_storage::version::{self, Visible};
+use immortaldb_storage::version;
 use immortaldb_storage::TimestampResolver;
 
 use crate::cursor::{
@@ -53,7 +52,7 @@ impl VersionCursor for BTree {
         visit: &mut Visitor<'_>,
     ) -> Result<()> {
         debug_assert!(self.versioned);
-        let _s = self.structure.read();
+        let _s = self.core.structure.read();
         if let Some(key) = q.keys.as_point() {
             let leaf = self.descend(key)?;
             self.walk_leaf(leaf, (&[], None), q, resolver, visit)?;
@@ -61,8 +60,8 @@ impl VersionCursor for BTree {
         }
         // Leaf by leaf, left to right, so a visitor that stops early has
         // paid for the leaves it saw and the descent to the first.
-        self.walk_leaves(self.root(), Vec::new(), None, &q.keys, &mut |span| {
-            let leaf = self.pool.fetch(span.id)?;
+        self.walk_leaves(self.core.root(), Vec::new(), None, &q.keys, &mut |span| {
+            let leaf = self.core.pool.fetch(span.id)?;
             let bounds = (span.low.as_slice(), span.upper.as_deref());
             self.walk_leaf(leaf, bounds, q, resolver, visit)
         })?;
@@ -71,100 +70,12 @@ impl VersionCursor for BTree {
 }
 
 impl BTree {
-    /// Read the current version of `key` as seen by `own_tid` (its own
-    /// uncommitted writes are visible). Opportunistically applies
-    /// timestamps when the chain head is a committed TID-marked record
-    /// (the paper's read trigger).
-    pub fn get_current(
-        &self,
-        key: &[u8],
-        own_tid: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>> {
-        debug_assert!(self.versioned);
-        let metrics = self.pool.metrics();
-        let _s = self.structure.read();
-        let frame = self.descend(key)?;
-        // Opportunistic stamping needs the write latch; check cheaply
-        // with an optimistic (latch-free) read first.
-        let needs_stamp = frame.read_optimistic(metrics, |g| match g.find_slot(key) {
-            Ok(i) => {
-                let off = g.slot(i);
-                g.rec_is_tid_marked(off)
-                    && Some(g.rec_tid(off)) != own_tid
-                    && resolver.resolve(g.rec_tid(off)).is_some()
-            }
-            Err(_) => false,
-        });
-        if needs_stamp {
-            let mut g = frame.write();
-            if let Ok(i) = g.find_slot(key) {
-                metrics
-                    .tree
-                    .version_chain_len
-                    .observe(version::chain_offsets(&g, i).len() as u64);
-                for (t, n) in version::stamp_chain(&mut g, i, resolver) {
-                    metrics.ts.stamps_read.add(n as u64);
-                    resolver.note_stamped(t, n);
-                }
-                frame.mark_dirty_unlogged();
-            }
-        }
-        Ok(frame.read_optimistic(metrics, |g| {
-            let Ok(i) = g.find_slot(key) else {
-                return None;
-            };
-            match version::visible_as_of(g, i, Timestamp::MAX, own_tid, resolver) {
-                Visible::Version(off) => Some(g.rec_data(off).to_vec()),
-                Visible::Deleted | Visible::NotHere => None,
-            }
-        }))
-    }
-
-    /// Eager-timestamping baseline: stamp all of `tid`'s versions in
-    /// `key`'s chain with `ts` and log the stamping (the cost lazy
-    /// timestamping avoids). Returns the new last LSN and the number of
-    /// versions stamped.
-    pub fn eager_stamp(
-        &self,
-        tid: Tid,
-        prev_lsn: immortaldb_common::Lsn,
-        key: &[u8],
-        ts: Timestamp,
-    ) -> Result<(immortaldb_common::Lsn, u32)> {
-        debug_assert!(self.versioned);
-        let _s = self.structure.read();
-        let frame = self.descend(key)?;
-        let mut g = frame.write();
-        let Ok(i) = g.find_slot(key) else {
-            return Ok((prev_lsn, 0));
-        };
-        let rec = immortaldb_storage::logrec::LogRecord::EagerStamp {
-            tree: self.tree_id,
-            page: frame.page_id(),
-            key: key.to_vec(),
-            ts,
-        };
-        let lsn = self.wal.append(tid, prev_lsn, &rec);
-        let mut n = 0u32;
-        for off in version::chain_offsets(&g, i) {
-            if g.rec_is_tid_marked(off) && g.rec_tid(off) == tid {
-                g.stamp_rec(off, ts);
-                n += 1;
-            }
-        }
-        self.pool.metrics().ts.stamps_eager.add(n as u64);
-        g.set_page_lsn(lsn);
-        frame.mark_dirty(lsn);
-        Ok((lsn, n))
-    }
-
     /// Snapshot-version GC: prune versions of `key` older than the oldest
     /// active snapshot (`watermark`). Unlogged physical reorganisation —
     /// see [`version::prune_chain`].
     pub fn prune_snapshot_versions(&self, key: &[u8], watermark: Timestamp) -> Result<usize> {
         debug_assert!(self.versioned);
-        let _s = self.structure.read();
+        let _s = self.core.structure.read();
         let frame = self.descend(key)?;
         let mut g = frame.write();
         let Ok(i) = g.find_slot(key) else {
@@ -196,7 +107,7 @@ impl BTree {
     /// chain.
     pub fn u_scan_in(&self, keys: &KeyRange<'_>, visit: &mut RecordVisitor<'_>) -> Result<()> {
         debug_assert!(!self.versioned);
-        let _s = self.structure.read();
+        let _s = self.core.structure.read();
         let mut frame = self.descend(keys.seek_key())?;
         loop {
             let g = frame.read();
@@ -219,7 +130,7 @@ impl BTree {
             if !next.is_valid() {
                 return Ok(());
             }
-            frame = self.pool.fetch(next)?;
+            frame = self.core.pool.fetch(next)?;
         }
     }
 
@@ -227,13 +138,13 @@ impl BTree {
     /// utilization-vs-threshold ablation (the §3.3 claim that a key-split
     /// threshold *T* yields single-time-slice utilization ≈ T·ln 2).
     pub fn storage_stats(&self) -> Result<StorageStats> {
-        let _s = self.structure.read();
+        let _s = self.core.structure.read();
         let leaves = self.leaves_with_bounds()?;
         let mut util_sum = 0.0;
         let mut slice_bytes = 0usize;
         let mut history = std::collections::HashSet::new();
         for leaf in &leaves {
-            let frame = self.pool.fetch(leaf.id)?;
+            let frame = self.core.pool.fetch(leaf.id)?;
             let g = frame.read();
             util_sum += g.utilization();
             // The "current time slice": the newest live version of each
@@ -249,7 +160,7 @@ impl BTree {
             // History pages are shared between sibling leaves after key
             // splits; dedup by page id.
             while hist.is_valid() && history.insert(hist) {
-                let hframe = self.pool.fetch(hist)?;
+                let hframe = self.core.pool.fetch(hist)?;
                 hist = hframe.read().history_page();
             }
         }
@@ -263,32 +174,6 @@ impl BTree {
         })
     }
 
-    /// Vacuum support (§2.2): stamp every committed TID-marked record in
-    /// every *current* leaf (historical pages never hold TID marks — only
-    /// committed, stamped versions move there). Returns the number of
-    /// records stamped. After the caller also checkpoints, no persistent
-    /// timestamp-table entry for a pre-existing transaction is needed any
-    /// more.
-    pub fn stamp_all(&self, resolver: &dyn TimestampResolver) -> Result<u64> {
-        let _s = self.structure.read();
-        let leaves = self.leaves_with_bounds()?;
-        let mut stamped = 0u64;
-        for leaf in leaves {
-            let frame = self.pool.fetch(leaf.id)?;
-            let mut g = frame.write();
-            let counts = version::stamp_committed(&mut g, resolver);
-            if !counts.is_empty() {
-                frame.mark_dirty_unlogged();
-            }
-            for (tid, n) in counts {
-                resolver.note_stamped(tid, n);
-                stamped += n as u64;
-            }
-        }
-        self.pool.metrics().ts.stamps_vacuum.add(stamped);
-        Ok(stamped)
-    }
-
     /// All current leaves, left to right.
     pub(crate) fn leaves_with_bounds(&self) -> Result<Vec<LeafSpan>> {
         self.leaves_in(&KeyRange::ALL)
@@ -298,7 +183,7 @@ impl BTree {
     /// left to right.
     fn leaves_in(&self, keys: &KeyRange<'_>) -> Result<Vec<LeafSpan>> {
         let mut out = Vec::new();
-        self.walk_leaves(self.root(), Vec::new(), None, keys, &mut |span| {
+        self.walk_leaves(self.core.root(), Vec::new(), None, keys, &mut |span| {
             out.push(span);
             Ok(Flow::Continue)
         })?;
@@ -308,7 +193,7 @@ impl BTree {
     /// Hand `visit` the leaves under `page_id` (which covers keys
     /// `[low, upper)`) whose key region can hold a key of `keys`, left to
     /// right, until it answers [`Flow::Stop`].
-    fn walk_leaves(
+    pub(crate) fn walk_leaves(
         &self,
         page_id: PageId,
         low: Vec<u8>,
@@ -316,7 +201,7 @@ impl BTree {
         keys: &KeyRange<'_>,
         visit: &mut dyn FnMut(LeafSpan) -> Result<Flow>,
     ) -> Result<Flow> {
-        let frame = self.pool.fetch(page_id)?;
+        let frame = self.core.pool.fetch(page_id)?;
         let g = frame.read();
         match g.page_type()? {
             PageType::Leaf => {
@@ -371,7 +256,7 @@ impl BTree {
         resolver: &dyn TimestampResolver,
         visit: &mut Visitor<'_>,
     ) -> Result<Flow> {
-        let metrics = self.pool.metrics();
+        let metrics = self.core.pool.metrics();
         let mut hdr = leaf.peek_header(metrics);
         // Uncommitted versions live ONLY in the current page (time splits
         // keep them there, case 4), so a reader that wants them consults
@@ -385,7 +270,7 @@ impl BTree {
                 break;
             }
             metrics.tree.asof_hops.inc();
-            let frame = self.pool.fetch(hist)?;
+            let frame = self.core.pool.fetch(hist)?;
             hdr = frame.peek_header(metrics);
             page = Some(frame);
         }
@@ -418,7 +303,7 @@ impl BTree {
                 break;
             }
             metrics.tree.asof_hops.inc();
-            page = Some(self.pool.fetch(hist)?);
+            page = Some(self.core.pool.fetch(hist)?);
         }
         buf.replay(q.lo, visit)
     }

@@ -12,8 +12,9 @@ use immortaldb_storage::disk::DiskManager;
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
-use crate::cursor::{KeyRange, VersionCursor};
-use crate::tree::{BTree, HeadVersion, SplitTimeSource};
+use crate::cursor::{HeadVersion, KeyRange, VersionCursor};
+use crate::tree::BTree;
+use crate::tree_core::{SplitTimeSource, TemporalIndex};
 
 /// Resolver + split-time source for tests: commits are registered
 /// explicitly; the split time is always greater than any registered
@@ -123,7 +124,7 @@ fn upd(tree: &BTree, env: &Env, tid: u64, key: &[u8], val: &[u8], at: Timestamp)
 fn create_open_roundtrip() {
     let env = Env::new("createopen");
     let t = env.tree(20, true);
-    let root = t.root();
+    let root = t.core.root();
     drop(t);
     let t2 = BTree::open(
         Arc::clone(&env.pool),
@@ -133,7 +134,7 @@ fn create_open_roundtrip() {
         Arc::clone(&env.auth) as Arc<dyn SplitTimeSource>,
     )
     .unwrap();
-    assert_eq!(t2.root(), root);
+    assert_eq!(t2.core.root(), root);
     assert!(BTree::open(
         Arc::clone(&env.pool),
         Arc::clone(&env.wal),
@@ -558,7 +559,7 @@ fn unversioned_crud_and_splits() {
 fn record_size_limit_enforced() {
     let env = Env::new("toolarge");
     let t = env.tree(20, true);
-    let huge = vec![0u8; crate::tree::MAX_RECORD + 1];
+    let huge = vec![0u8; crate::MAX_RECORD + 1];
     assert!(matches!(
         t.insert(Tid(1), NULL_LSN, b"k", &huge, env.auth.as_ref()),
         Err(immortaldb_common::Error::RecordTooLarge(_))

@@ -11,7 +11,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use immortaldb_btree::{
     BTree, CompactionStats, Flow, HeadVersion, HistoryStats, KeyRange, KeyVisitor, Query,
-    SplitTimeSource, TemporalVersion, VersionCursor,
+    SplitTimeSource, TemporalVersion,
 };
 use immortaldb_common::{
     blocking, Clock, Error, Lsn, PageId, Result, SystemClock, Tid, Timestamp, TreeId, NULL_LSN,
@@ -380,21 +380,16 @@ impl Database {
             let name = String::from_utf8(item.key.clone())
                 .map_err(|_| Error::Corruption("non-UTF8 table name".into()))?;
             let def = Arc::new(TableDef::decode(&name, &item.data)?);
-            let handle = match def.index {
-                IndexKind::Chain => TableIndex::Chain(Arc::new(BTree::open(
-                    Arc::clone(&pool),
-                    Arc::clone(&wal),
-                    def.tree,
-                    def.kind.is_versioned(),
-                    Arc::clone(&split_time),
-                )?)),
-                IndexKind::Tsb => TableIndex::Tsb(Arc::new(immortaldb_tsb::TsbTree::open(
-                    Arc::clone(&pool),
-                    Arc::clone(&wal),
-                    def.tree,
-                    Arc::clone(&split_time),
-                )?)),
-            };
+            let versioned = def.kind.is_versioned();
+            let handle = TableIndex::build(
+                def.index,
+                false,
+                &pool,
+                &wal,
+                def.tree,
+                versioned,
+                &split_time,
+            )?;
             trees.insert(def.tree, handle);
             max_tree = max_tree.max(def.tree.0 + 1);
             tables.insert(name, def);
@@ -631,21 +626,9 @@ impl Database {
             return Err(Error::Catalog(format!("table {name} already exists")));
         }
         let tree = TreeId(self.next_tree.fetch_add(1, Ordering::SeqCst));
-        let handle = match index {
-            IndexKind::Chain => TableIndex::Chain(Arc::new(BTree::create(
-                Arc::clone(&self.pool),
-                Arc::clone(&self.wal),
-                tree,
-                kind.is_versioned(),
-                Arc::clone(&self.split_time),
-            )?)),
-            IndexKind::Tsb => TableIndex::Tsb(Arc::new(immortaldb_tsb::TsbTree::create(
-                Arc::clone(&self.pool),
-                Arc::clone(&self.wal),
-                tree,
-                Arc::clone(&self.split_time),
-            )?)),
-        };
+        let (pool, wal, split_time) = (&self.pool, &self.wal, &self.split_time);
+        let versioned = kind.is_versioned();
+        let handle = TableIndex::build(index, true, pool, wal, tree, versioned, split_time)?;
         let def = Arc::new(TableDef {
             name: name.to_string(),
             tree,
@@ -679,13 +662,9 @@ impl Database {
         }
         // Swap in a fresh versioned tree under a new TreeId.
         let tree = TreeId(self.next_tree.fetch_add(1, Ordering::SeqCst));
-        let new_handle = TableIndex::Chain(Arc::new(BTree::create(
-            Arc::clone(&self.pool),
-            Arc::clone(&self.wal),
-            tree,
-            true,
-            Arc::clone(&self.split_time),
-        )?));
+        let (pool, wal, split_time) = (&self.pool, &self.wal, &self.split_time);
+        let new_handle =
+            TableIndex::build(IndexKind::Chain, true, pool, wal, tree, true, split_time)?;
         let new_def = Arc::new(TableDef {
             name: def.name.clone(),
             tree,
@@ -1050,8 +1029,8 @@ impl Database {
 
     /// Insert many full rows in one call (batched ingest). Rows are
     /// encoded, locked, sorted by key and handed to the index as one
-    /// batch; on a TSB table, runs landing on the same leaf are applied
-    /// under a single latch acquisition and dirty marking. Atomicity is
+    /// batch; runs landing on the same leaf are applied under a single
+    /// latch acquisition and dirty marking. Atomicity is
     /// the transaction's, as with per-row inserts: a mid-batch error
     /// (duplicate key, write conflict) leaves earlier rows applied and
     /// the caller rolls the transaction back.
@@ -1076,20 +1055,26 @@ impl Database {
         }
         self.ensure_begin_logged(txn);
         let handle = self.tree_handle(def.tree)?;
-        if def.kind.is_versioned() {
-            txn.last_lsn =
-                handle.insert_batch(txn.tid, txn.last_lsn, &encoded, self.resolver.as_ref())?;
-            for (key, data) in encoded {
-                self.tap_write(txn, def.tree, &key, &data);
-                self.note_write(txn, &def, key);
-            }
-        } else {
+        let applied = if def.kind.is_versioned() {
+            // Noted before the batch: a row the batch never reaches only
+            // over-counts pending stamps, which is safe, and the caller
+            // rolls back after an error.
             for (key, data) in &encoded {
-                txn.last_lsn = handle.u_insert(txn.tid, txn.last_lsn, key, data)?;
+                self.tap_write(txn, def.tree, key, data);
+                self.note_write(txn, &def, key.clone());
             }
-        }
+            let r = self.resolver.as_ref();
+            handle.insert_batch(txn.tid, &mut txn.last_lsn, &encoded, r)
+        } else {
+            encoded.iter().try_for_each(|(key, data)| {
+                txn.last_lsn = handle.u_insert(txn.tid, txn.last_lsn, key, data)?;
+                Ok(())
+            })
+        };
+        // Even after an error: rows before it are applied and logged, and
+        // a checkpoint taken before the rollback must cover them.
         self.active.lock().insert(txn.tid, txn.last_lsn);
-        Ok(())
+        applied
     }
 
     /// Replace the row with primary key `values[pk]` by `values`.
@@ -1343,7 +1328,12 @@ impl Database {
         Ok(())
     }
 
+    /// Count a read's push-down once per statement: a resumed scan's
+    /// later cursor calls are the same read.
     fn count_pushdown(&self, bounds: &PkBounds) {
+        if bounds.is_resumed() {
+            return;
+        }
         let m = &self.metrics().temporal;
         match bounds.pushdown() {
             Pushdown::Point => m.pushdown_point.inc(),
@@ -1703,21 +1693,10 @@ impl Database {
                     continue;
                 }
             }
-            let handle = match def.index {
-                IndexKind::Chain => TableIndex::Chain(Arc::new(BTree::open(
-                    Arc::clone(&self.pool),
-                    Arc::clone(&self.wal),
-                    def.tree,
-                    def.kind.is_versioned(),
-                    Arc::clone(&self.split_time),
-                )?)),
-                IndexKind::Tsb => TableIndex::Tsb(Arc::new(immortaldb_tsb::TsbTree::open(
-                    Arc::clone(&self.pool),
-                    Arc::clone(&self.wal),
-                    def.tree,
-                    Arc::clone(&self.split_time),
-                )?)),
-            };
+            let (pool, wal, split_time) = (&self.pool, &self.wal, &self.split_time);
+            let versioned = def.kind.is_versioned();
+            let handle =
+                TableIndex::build(def.index, false, pool, wal, def.tree, versioned, split_time)?;
             // Keep next_tree above everything the primary has allocated
             // (only relevant if this replica is ever promoted).
             self.next_tree.fetch_max(def.tree.0 + 1, Ordering::SeqCst);

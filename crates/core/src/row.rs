@@ -288,6 +288,9 @@ pub fn encode_key(v: &Value) -> Result<Vec<u8>> {
 pub struct PkBounds {
     lo: Bound<Vec<u8>>,
     hi: Bound<Vec<u8>>,
+    /// Set by [`PkBounds::resume_after`]: these bounds continue a read
+    /// that has already begun.
+    resumed: bool,
 }
 
 /// How much of a read's predicate reached the cursor.
@@ -304,6 +307,7 @@ impl PkBounds {
         PkBounds {
             lo: Bound::Unbounded,
             hi: Bound::Unbounded,
+            resumed: false,
         }
     }
 
@@ -366,6 +370,13 @@ impl PkBounds {
     /// stopped at `key` picks up again.
     pub fn resume_after(&mut self, key: Vec<u8>) {
         self.lo = Bound::Excluded(key);
+        self.resumed = true;
+    }
+
+    /// Whether these bounds pick up a read that stopped
+    /// ([`Self::resume_after`]) rather than start one.
+    pub fn is_resumed(&self) -> bool {
+        self.resumed
     }
 
     /// The borrowed form the index cursor takes.

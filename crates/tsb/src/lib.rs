@@ -29,8 +29,13 @@
 //!   harmless: it simply covers a wider key range than the index rectangle
 //!   that led to it).
 //!
-//! Logging reuses the storage layer's atomic multi-page image records,
-//! so TSB structure modifications recover exactly like the main tree's.
+//! Writes, the leaf phase of splits, stamping and logging are the main
+//! tree's, written once in [`immortaldb_btree::TreeCore`] and
+//! [`immortaldb_btree::TemporalIndex`]; this crate supplies the
+//! [`immortaldb_btree::Routing`] (temporal descent and rectangle
+//! posting), the cursor's rectangle walk, and in-place compaction. So
+//! TSB structure modifications log and recover exactly like the main
+//! tree's.
 
 mod tree;
 

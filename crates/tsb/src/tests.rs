@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use immortaldb_btree::{KeyRange, ScanItem, SplitTimeSource, VersionCursor};
+use immortaldb_btree::{
+    KeyRange, Routing, ScanItem, SplitTimeSource, TemporalIndex, VersionCursor,
+};
 use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
 use immortaldb_storage::disk::DiskManager;
@@ -136,7 +138,7 @@ fn open_reuses_root() {
     t.insert(Tid(1), NULL_LSN, b"k", b"v", env.auth.as_ref())
         .unwrap();
     env.auth.commit(Tid(1), ts(1, 0));
-    let root = t.root();
+    let root = t.core().root();
     drop(t);
     let t2 = TsbTree::open(
         Arc::clone(&env.pool),
@@ -145,7 +147,7 @@ fn open_reuses_root() {
         Arc::clone(&env.auth) as Arc<dyn SplitTimeSource>,
     )
     .unwrap();
-    assert_eq!(t2.root(), root);
+    assert_eq!(t2.core().root(), root);
     assert_eq!(
         t2.get_current(b"k", None, env.auth.as_ref()).unwrap(),
         Some(b"v".to_vec())

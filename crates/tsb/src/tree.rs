@@ -1,20 +1,17 @@
-//! TSB-tree implementation: structure, temporal descent, writes, splits.
+//! TSB-tree implementation: temporal descent, rectangle posting and
+//! index-node splits, the cursor walk, compaction.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
 
 use immortaldb_btree::{
     pack_history_pages, page_has_tid_marked, page_used_bytes, visit_page, CompactionStats, Flow,
-    HistoryStats, Query, SplitTimeSource, Version, VersionBuffer, VersionCursor, Visitor,
+    HistoryStats, LeafSplit, Query, Routing, SplitTimeSource, TreeCore, Version, VersionBuffer,
+    VersionCursor, Visitor,
 };
 use immortaldb_common::codec::{get_u32, get_u64, put_u32, put_u64};
-use immortaldb_common::{Error, Lsn, PageId, Result, Tid, Timestamp, TreeId, NULL_LSN};
+use immortaldb_common::{Error, PageId, Result, Timestamp, TreeId};
 use immortaldb_storage::buffer::{BufferPool, FrameRef};
-use immortaldb_storage::logrec::LogRecord;
-use immortaldb_storage::meta::MetaView;
 use immortaldb_storage::page::{Page, PageType, FLAG_HISTORICAL, FLAG_VERSIONED, REC_HDR};
 use immortaldb_storage::version;
 use immortaldb_storage::wal::Wal;
@@ -115,27 +112,16 @@ fn insert_entry(page: &mut Page, e: &Entry) -> Result<()> {
 }
 
 /// One step of a temporal descent.
-struct Step {
+pub struct Step {
     node: PageId,
     slot: usize,
     entry_t_low: Timestamp,
 }
 
-/// A disk-backed TSB-tree over versioned data pages. Like the main
-/// B-tree: exactly one handle per tree (the structure latch lives here).
+/// A disk-backed TSB-tree over versioned data pages: its routing by
+/// key-time rectangles over the shared [`TreeCore`].
 pub struct TsbTree {
-    tree_id: TreeId,
-    pool: Arc<BufferPool>,
-    wal: Arc<Wal>,
-    root: AtomicU32,
-    structure: RwLock<()>,
-    split_time: Arc<dyn SplitTimeSource>,
-    split_threshold: f64,
-    time_splits: AtomicU32,
-    key_splits: AtomicU32,
-    /// Serializes compaction passes; the pass itself additionally runs
-    /// under the structure write latch.
-    compacting: Mutex<()>,
+    core: TreeCore,
 }
 
 impl TsbTree {
@@ -145,37 +131,8 @@ impl TsbTree {
         tree_id: TreeId,
         split_time: Arc<dyn SplitTimeSource>,
     ) -> Result<TsbTree> {
-        let root_frame = pool.new_page(PageType::Leaf, FLAG_VERSIONED, 0)?;
-        let root_id = root_frame.page_id();
-        let meta_frame = pool.fetch(PageId(0))?;
-        let mut meta_g = meta_frame.write();
-        if MetaView::tree_root(&meta_g, tree_id).is_some() {
-            return Err(Error::Catalog(format!("{tree_id:?} already exists")));
-        }
-        let mut new_meta = meta_g.clone();
-        MetaView::set_tree_root(&mut new_meta, tree_id, root_id)?;
-        let root_g = root_frame.read();
-        let lsn = wal.append(
-            Tid::SYSTEM,
-            NULL_LSN,
-            &LogRecord::PageImages {
-                pages: vec![
-                    (root_id, root_g.as_bytes().to_vec()),
-                    (PageId(0), new_meta.as_bytes().to_vec()),
-                ],
-            },
-        );
-        drop(root_g);
-        new_meta.set_page_lsn(lsn);
-        *meta_g = new_meta;
-        meta_frame.mark_dirty(lsn);
-        drop(meta_g);
-        {
-            let mut g = root_frame.write();
-            g.set_page_lsn(lsn);
-        }
-        root_frame.mark_dirty(lsn);
-        Ok(Self::handle(pool, wal, tree_id, root_id, split_time))
+        let core = TreeCore::create(pool, wal, tree_id, FLAG_VERSIONED, split_time)?;
+        Ok(TsbTree { core })
     }
 
     pub fn open(
@@ -184,56 +141,14 @@ impl TsbTree {
         tree_id: TreeId,
         split_time: Arc<dyn SplitTimeSource>,
     ) -> Result<TsbTree> {
-        let meta_frame = pool.fetch(PageId(0))?;
-        let root = {
-            let g = meta_frame.read();
-            MetaView::tree_root(&g, tree_id)
-                .ok_or_else(|| Error::Catalog(format!("{tree_id:?} not found")))?
-        };
-        Ok(Self::handle(pool, wal, tree_id, root, split_time))
-    }
-
-    fn handle(
-        pool: Arc<BufferPool>,
-        wal: Arc<Wal>,
-        tree_id: TreeId,
-        root: PageId,
-        split_time: Arc<dyn SplitTimeSource>,
-    ) -> TsbTree {
-        TsbTree {
-            tree_id,
-            pool,
-            wal,
-            root: AtomicU32::new(root.0),
-            structure: RwLock::new(()),
-            split_time,
-            split_threshold: 0.7,
-            time_splits: AtomicU32::new(0),
-            key_splits: AtomicU32::new(0),
-            compacting: Mutex::new(()),
-        }
-    }
-
-    pub fn tree_id(&self) -> TreeId {
-        self.tree_id
-    }
-
-    pub fn root(&self) -> PageId {
-        PageId(self.root.load(Ordering::SeqCst))
-    }
-
-    /// `(time splits, key splits)` of data pages since this handle opened.
-    pub fn split_counts(&self) -> (u32, u32) {
-        (
-            self.time_splits.load(Ordering::Relaxed),
-            self.key_splits.load(Ordering::Relaxed),
-        )
+        let core = TreeCore::open(pool, wal, tree_id, split_time)?;
+        Ok(TsbTree { core })
     }
 
     /// Height of the tree (1 = root is a data page) and total index
     /// nodes reachable for current-time descents (diagnostics).
     pub fn height(&self) -> Result<u16> {
-        let frame = self.pool.fetch(self.root())?;
+        let frame = self.core.pool.fetch(self.core.root())?;
         let levels = frame.read().level() + 1;
         Ok(levels)
     }
@@ -259,11 +174,11 @@ impl TsbTree {
 
     /// Descend to the data page covering `(key, t)`, recording the path.
     fn descend(&self, key: &[u8], t: Timestamp) -> Result<(FrameRef, Vec<Step>)> {
-        let metrics = self.pool.metrics();
+        let metrics = self.core.pool.metrics();
         let mut steps = Vec::new();
-        let mut page_id = self.root();
+        let mut page_id = self.core.root();
         loop {
-            let frame = self.pool.fetch(page_id)?;
+            let frame = self.core.pool.fetch(page_id)?;
             // The header says whether this is the data page; only an
             // index node is worth the full optimistic copy (validate the
             // version counter around a latch-free copy; a racing split
@@ -296,18 +211,6 @@ impl TsbTree {
         }
     }
 
-    // -- reads ---------------------------------------------------------------
-
-    /// Current version of `key`.
-    pub fn get_current(
-        &self,
-        key: &[u8],
-        own_tid: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>> {
-        self.get_as_of(key, Timestamp::MAX, own_tid, resolver)
-    }
-
     /// The cursor for one key at one instant: one index descent to the
     /// page covering `(key, q.hi)`, no page-chain walk (the point of the
     /// TSB-tree).
@@ -318,7 +221,7 @@ impl TsbTree {
         resolver: &dyn TimestampResolver,
         visit: &mut Visitor<'_>,
     ) -> Result<()> {
-        let metrics = self.pool.metrics();
+        let metrics = self.core.pool.metrics();
         if q.uncommitted {
             // Uncommitted versions live only in the CURRENT data page
             // (time splits keep them there); a temporal descent at `hi`
@@ -367,8 +270,8 @@ impl TsbTree {
             /// Children to walk, each with its key region.
             Index(Vec<(PageId, Vec<u8>, Option<Vec<u8>>)>),
         }
-        let metrics = self.pool.metrics();
-        let frame = self.pool.fetch(page_id)?;
+        let metrics = self.core.pool.metrics();
+        let frame = self.core.pool.fetch(page_id)?;
         pages.insert(page_id);
         let node = frame.read_optimistic(metrics, |g| match g.page_type()? {
             PageType::Leaf => {
@@ -422,429 +325,13 @@ impl TsbTree {
         Ok(Flow::Continue)
     }
 
-    /// Eager-timestamping baseline support (mirrors `BTree::eager_stamp`):
-    /// stamp all of `tid`'s versions in `key`'s chain with `ts`, logged.
-    pub fn eager_stamp(
-        &self,
-        tid: Tid,
-        prev_lsn: Lsn,
-        key: &[u8],
-        ts: Timestamp,
-    ) -> Result<(Lsn, u32)> {
-        let _s = self.structure.read();
-        let (frame, _) = self.descend(key, Timestamp::MAX)?;
-        let mut g = frame.write();
-        let Ok(i) = g.find_slot(key) else {
-            return Ok((prev_lsn, 0));
-        };
-        let rec = LogRecord::EagerStamp {
-            tree: self.tree_id,
-            page: frame.page_id(),
-            key: key.to_vec(),
-            ts,
-        };
-        let lsn = self.wal.append(tid, prev_lsn, &rec);
-        let mut n = 0u32;
-        for off in version::chain_offsets(&g, i) {
-            if g.rec_is_tid_marked(off) && g.rec_tid(off) == tid {
-                g.stamp_rec(off, ts);
-                n += 1;
-            }
-        }
-        g.set_page_lsn(lsn);
-        frame.mark_dirty(lsn);
-        Ok((lsn, n))
-    }
-
-    /// Vacuum support: stamp every committed TID-marked record in every
-    /// current data page (reachable via open index entries). Returns the
-    /// number of records stamped.
-    pub fn stamp_all(&self, resolver: &dyn TimestampResolver) -> Result<u64> {
-        let _s = self.structure.read();
-        let mut stamped = 0u64;
-        let mut visited = std::collections::HashSet::new();
-        self.stamp_node(self.root(), resolver, &mut visited, &mut stamped)?;
-        Ok(stamped)
-    }
-
-    fn stamp_node(
-        &self,
-        page_id: PageId,
-        resolver: &dyn TimestampResolver,
-        visited: &mut std::collections::HashSet<PageId>,
-        stamped: &mut u64,
-    ) -> Result<()> {
-        if !visited.insert(page_id) {
-            return Ok(());
-        }
-        let frame = self.pool.fetch(page_id)?;
-        let g = frame.read();
-        match g.page_type()? {
-            PageType::Leaf => {
-                drop(g);
-                let mut g = frame.write();
-                let counts = version::stamp_committed(&mut g, resolver);
-                if !counts.is_empty() {
-                    frame.mark_dirty_unlogged();
-                }
-                for (tid, n) in counts {
-                    resolver.note_stamped(tid, n);
-                    *stamped += n as u64;
-                }
-                Ok(())
-            }
-            PageType::Index => {
-                // Only open entries can lead to pages with TID marks.
-                let children: Vec<PageId> = entries(&g)
-                    .into_iter()
-                    .filter(|e| e.is_open())
-                    .map(|e| e.child)
-                    .collect();
-                drop(g);
-                for child in children {
-                    self.stamp_node(child, resolver, visited, stamped)?;
-                }
-                Ok(())
-            }
-            other => Err(Error::Corruption(format!(
-                "vacuum hit {other:?} page {page_id:?}"
-            ))),
-        }
-    }
-
-    /// `TreeLocator` support: current leaf page for `key`.
-    pub fn locate_leaf_page(&self, key: &[u8]) -> Result<PageId> {
-        let _s = self.structure.read();
-        Ok(self.descend(key, Timestamp::MAX)?.0.page_id())
-    }
-
-    /// `TreeLocator` support: current leaf for `key` with at least
-    /// `space` free bytes, splitting as needed.
-    pub fn locate_leaf_page_for_insert(
-        &self,
-        key: &[u8],
-        space: usize,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<PageId> {
-        loop {
-            {
-                let _s = self.structure.read();
-                let (frame, _) = self.descend(key, Timestamp::MAX)?;
-                let g = frame.read();
-                if space <= g.total_free() {
-                    return Ok(frame.page_id());
-                }
-            }
-            self.split_for(key, space, resolver)?;
-        }
-    }
-
-    // -- writes --------------------------------------------------------------
-
-    pub fn insert(
-        &self,
-        tid: Tid,
-        prev_lsn: Lsn,
-        key: &[u8],
-        data: &[u8],
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Lsn> {
-        self.write(tid, prev_lsn, key, data, false, true, resolver)
-    }
-
-    pub fn update(
-        &self,
-        tid: Tid,
-        prev_lsn: Lsn,
-        key: &[u8],
-        data: &[u8],
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Lsn> {
-        self.write(tid, prev_lsn, key, data, false, false, resolver)
-    }
-
-    pub fn delete(
-        &self,
-        tid: Tid,
-        prev_lsn: Lsn,
-        key: &[u8],
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Lsn> {
-        self.write(tid, prev_lsn, key, &[], true, false, resolver)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn write(
-        &self,
-        tid: Tid,
-        prev_lsn: Lsn,
-        key: &[u8],
-        data: &[u8],
-        stub: bool,
-        is_insert: bool,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Lsn> {
-        if key.len() + data.len() > immortaldb_btree::MAX_RECORD {
-            return Err(Error::RecordTooLarge(key.len() + data.len()));
-        }
-        loop {
-            {
-                let _s = self.structure.read();
-                let (frame, _) = self.descend(key, Timestamp::MAX)?;
-                let mut g = frame.write();
-                match g.find_slot(key) {
-                    Ok(i) => {
-                        let head = g.slot(i);
-                        let head_live = if g.rec_is_tid_marked(head) {
-                            let owner = g.rec_tid(head);
-                            if owner != tid && resolver.resolve(owner).is_none() {
-                                return Err(Error::WriteConflict(tid));
-                            }
-                            !g.rec_is_stub(head)
-                        } else {
-                            !g.rec_is_stub(head)
-                        };
-                        if is_insert && head_live {
-                            return Err(Error::DuplicateKey);
-                        }
-                        if !is_insert && !head_live {
-                            return Err(Error::KeyNotFound);
-                        }
-                        for (t, n) in version::stamp_chain(&mut g, i, resolver) {
-                            resolver.note_stamped(t, n);
-                        }
-                    }
-                    Err(_) if is_insert => {}
-                    Err(_) => return Err(Error::KeyNotFound),
-                }
-                let rec = LogRecord::AddVersion {
-                    tree: self.tree_id,
-                    page: frame.page_id(),
-                    key: key.to_vec(),
-                    data: data.to_vec(),
-                    stub,
-                };
-                match version::add_version(&mut g, key, data, stub, tid) {
-                    Ok(_) => {
-                        let lsn = self.wal.append(tid, prev_lsn, &rec);
-                        g.set_page_lsn(lsn);
-                        frame.mark_dirty(lsn);
-                        return Ok(lsn);
-                    }
-                    Err(Error::PageFull) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            let need = REC_HDR + key.len() + data.len() + immortaldb_common::VERSION_TAIL + 2;
-            self.split_for(key, need, resolver)?;
-        }
-    }
-
-    /// Batched bulk insert: apply a run of key-ordered rows that land on
-    /// the same current data page under ONE write latch and one
-    /// dirty-page marking, instead of a latch/dirty round-trip per row.
-    /// Each row still gets its own `AddVersion` log record (same
-    /// `prev_lsn` chain as single-row inserts), so undo, CLRs and logical
-    /// replica replay are unchanged. Returns the last LSN appended.
-    ///
-    /// Rows are `(key, data)` inserts with the same conflict semantics as
-    /// [`TsbTree::insert`]; an error (e.g. `DuplicateKey`) aborts the
-    /// remainder of the batch — rows already applied stay, tied to `tid`,
-    /// and roll back with the transaction as usual.
-    pub fn insert_batch(
-        &self,
-        tid: Tid,
-        prev_lsn: Lsn,
-        rows: &[(Vec<u8>, Vec<u8>)],
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Lsn> {
-        for (key, data) in rows {
-            if key.len() + data.len() > immortaldb_btree::MAX_RECORD {
-                return Err(Error::RecordTooLarge(key.len() + data.len()));
-            }
-        }
-        let mut last_lsn = prev_lsn;
-        let mut i = 0;
-        while i < rows.len() {
-            let mut full_at: Option<usize> = None;
-            {
-                // Holding the structure latch across the run pins every
-                // key→leaf routing: the latch-free descents below cannot
-                // be invalidated by a concurrent split before the run is
-                // applied. Run discovery happens BEFORE the write latch is
-                // taken (descents read-latch the leaf they land on).
-                let _s = self.structure.read();
-                let (frame, _) = self.descend(&rows[i].0, Timestamp::MAX)?;
-                let leaf_id = frame.page_id();
-                let mut end = i + 1;
-                while end < rows.len() {
-                    let (f2, _) = self.descend(&rows[end].0, Timestamp::MAX)?;
-                    if f2.page_id() != leaf_id {
-                        break;
-                    }
-                    end += 1;
-                }
-                // Apply the whole run under one write latch.
-                let mut g = frame.write();
-                let mut first_in_run = true;
-                while i < end {
-                    let (key, data) = &rows[i];
-                    if let Ok(s) = g.find_slot(key) {
-                        let head = g.slot(s);
-                        let head_live = if g.rec_is_tid_marked(head) {
-                            let owner = g.rec_tid(head);
-                            if owner != tid && resolver.resolve(owner).is_none() {
-                                return Err(Error::WriteConflict(tid));
-                            }
-                            !g.rec_is_stub(head)
-                        } else {
-                            !g.rec_is_stub(head)
-                        };
-                        if head_live {
-                            return Err(Error::DuplicateKey);
-                        }
-                        for (t, n) in version::stamp_chain(&mut g, s, resolver) {
-                            resolver.note_stamped(t, n);
-                        }
-                    }
-                    match version::add_version(&mut g, key, data, false, tid) {
-                        Ok(_) => {
-                            let rec = LogRecord::AddVersion {
-                                tree: self.tree_id,
-                                page: leaf_id,
-                                key: key.clone(),
-                                data: data.clone(),
-                                stub: false,
-                            };
-                            last_lsn = self.wal.append(tid, last_lsn, &rec);
-                            if first_in_run {
-                                // Enter the dirty-page table with the run's
-                                // FIRST lsn so a concurrent checkpoint's
-                                // recLSN covers every record of the run.
-                                g.set_page_lsn(last_lsn);
-                                frame.mark_dirty(last_lsn);
-                                first_in_run = false;
-                            }
-                            i += 1;
-                        }
-                        Err(Error::PageFull) => {
-                            full_at = Some(i);
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                if !first_in_run {
-                    g.set_page_lsn(last_lsn);
-                    frame.mark_dirty(last_lsn);
-                }
-            }
-            if let Some(at) = full_at {
-                let (key, data) = &rows[at];
-                let need = REC_HDR + key.len() + data.len() + immortaldb_common::VERSION_TAIL + 2;
-                self.split_for(key, need, resolver)?;
-            }
-        }
-        Ok(last_lsn)
-    }
-
-    // -- splits ---------------------------------------------------------------
-
-    fn split_for(&self, key: &[u8], need: usize, resolver: &dyn TimestampResolver) -> Result<()> {
-        let _s = self.structure.write();
-        // Sample the split-time bound BEFORE the stamping pass below: a
-        // transaction still in flight while we stamp leaves TID-marked
-        // versions in the page, and sampling afterwards could observe it
-        // retired and lift the bound above its commit timestamp — the
-        // time split would then set the fresh page's start past versions
-        // that stay current (case 4), stranding them from every AS OF
-        // read at their commit time. Sampling first pins the bound at or
-        // below any commit the stamping pass can leave unstamped.
-        let mut split_ts = self.split_time.current_split_ts();
-        let max_safe_ts = self.split_time.max_safe_split_ts();
-        let (leaf_frame, steps) = self.descend(key, Timestamp::MAX)?;
-        let leaf_id = leaf_frame.page_id();
-        let mut leaf: Page = {
-            let mut g = leaf_frame.write();
-            if need <= g.total_free() {
-                return Ok(());
-            }
-            for (t, n) in version::stamp_committed(&mut g, resolver) {
-                resolver.note_stamped(t, n);
-            }
-            g.clone()
-        };
-        drop(leaf_frame);
-
-        let mut images: Vec<Page> = Vec::new();
-        let mut retime: Option<Timestamp> = None;
-        let mut adds: Vec<Entry> = Vec::new();
-        let parent_t_low = steps
-            .last()
-            .map(|s| s.entry_t_low)
-            .unwrap_or(Timestamp::ZERO);
-        let leaf_key_low = self.region_low(&steps)?;
-
-        // 1. time split (sheds history to a new historical page).
-        if split_ts <= leaf.start_ts() {
-            split_ts = Timestamp::new(leaf.start_ts().ttime, leaf.start_ts().sn + 1);
-        }
-        // Never split past the source's safe bound: an in-flight commit's
-        // TID-marked versions stay in the current page and must not end
-        // up below its start timestamp.
-        let safe = split_ts <= max_safe_ts;
-        if safe && version::time_split_gain(&leaf, split_ts) > 0 {
-            let hist_id = self.pool.disk().allocate()?;
-            let (hist, fresh, packed) = version::time_split(&leaf, split_ts, hist_id)?;
-            let m = self.pool.metrics();
-            m.version.anchors_written.add(packed.anchors);
-            m.version.deltas_written.add(packed.deltas);
-            images.push(hist);
-            adds.push(Entry {
-                key_low: leaf_key_low.clone(),
-                t_low: parent_t_low,
-                t_high: split_ts,
-                child: hist_id,
-            });
-            retime = Some(split_ts);
-            leaf = fresh;
-            // Per-tree counter kept (tests read it); the engine-wide
-            // registry aggregates across trees.
-            self.time_splits.fetch_add(1, Ordering::Relaxed);
-            self.pool.metrics().tree.time_splits.inc();
-        }
-        // 2. key split (still too full, or nothing historical to shed).
-        if leaf.utilization() > self.split_threshold || need > leaf.total_free() {
-            if leaf.slot_count() < 2 {
-                return Err(Error::RecordTooLarge(need));
-            }
-            let right_id = self.pool.disk().allocate()?;
-            let (l, r, sep) = version::key_split(&leaf, right_id)?;
-            adds.push(Entry {
-                key_low: sep,
-                t_low: retime.unwrap_or(parent_t_low),
-                t_high: Timestamp::MAX,
-                child: right_id,
-            });
-            images.push(r);
-            leaf = l;
-            self.key_splits.fetch_add(1, Ordering::Relaxed);
-            self.pool.metrics().tree.key_splits.inc();
-        }
-        images.push(leaf);
-
-        // 3. post upward, 4. log + install.
-        let new_root = self.post(steps, leaf_id, retime, adds, &mut images)?;
-        self.install(images, new_root)
-    }
-
     /// Low key of the region of the page the descent path ends at
     /// (the key of its entry in the parent; empty for the root).
     fn region_low(&self, steps: &[Step]) -> Result<Vec<u8>> {
         match steps.last() {
             None => Ok(Vec::new()),
             Some(s) => {
-                let frame = self.pool.fetch(s.node)?;
+                let frame = self.core.pool.fetch(s.node)?;
                 let g = frame.read();
                 Ok(g.rec_key(g.slot(s.slot)).to_vec())
             }
@@ -854,7 +341,7 @@ impl TsbTree {
     /// Apply `(retime, adds)` to the parent of `child`, splitting index
     /// nodes upward as needed. Every modified page image ends up in
     /// `images`.
-    fn post(
+    fn post_entries(
         &self,
         mut steps: Vec<Step>,
         mut child: PageId,
@@ -879,7 +366,7 @@ impl TsbTree {
                 .map(|s| s.entry_t_low)
                 .unwrap_or(Timestamp::ZERO);
 
-            let frame = self.pool.fetch(step.node)?;
+            let frame = self.core.pool.fetch(step.node)?;
             let mut node = frame.read().clone();
             drop(frame);
 
@@ -934,7 +421,7 @@ impl TsbTree {
 
     /// Create a new root above `child`, containing the (possibly retimed)
     /// entry for `child` plus `adds`. The meta-directory update happens in
-    /// [`Self::install`] under a held meta latch (root changes of
+    /// [`TreeCore::install`] under a held meta latch (root changes of
     /// different trees race on the shared meta page).
     fn grow_root(
         &self,
@@ -943,8 +430,8 @@ impl TsbTree {
         adds: Vec<Entry>,
         images: &mut Vec<Page>,
     ) -> Result<PageId> {
-        let new_root_id = self.pool.disk().allocate()?;
-        let child_level = self.page_level(images, child)?;
+        let new_root_id = self.core.pool.disk().allocate()?;
+        let child_level = self.core.page_level(images, child)?;
         let mut root = Page::zeroed();
         root.format(new_root_id, PageType::Index, 0, child_level + 1);
         let t_low = retime.unwrap_or(Timestamp::ZERO);
@@ -977,15 +464,6 @@ impl TsbTree {
         )))
     }
 
-    fn page_level(&self, images: &[Page], id: PageId) -> Result<u16> {
-        if let Some(p) = images.iter().find(|p| p.page_id() == id) {
-            return Ok(p.level());
-        }
-        let frame = self.pool.fetch(id)?;
-        let level = frame.read().level();
-        Ok(level)
-    }
-
     /// Split a full index node held in `halves.current`. Returns the
     /// entries to post one level up, plus the new `t_low` for this node's
     /// own entry if it time-split.
@@ -1012,8 +490,8 @@ impl TsbTree {
         let all = entries(&halves.current);
         let has_historical = all.iter().any(|e| !e.is_open());
         if has_historical {
-            let split_ts = self.split_time.current_split_ts();
-            let hist_id = self.pool.disk().allocate()?;
+            let split_ts = self.core.split_time.current_split_ts();
+            let hist_id = self.core.pool.disk().allocate()?;
             let node = &halves.current;
             let mut hist = Page::zeroed();
             hist.format(hist_id, PageType::Index, FLAG_HISTORICAL, node.level());
@@ -1042,7 +520,7 @@ impl TsbTree {
                 let node = &halves.current;
                 let split_at = open.len() / 2;
                 let sep = open[split_at].key_low.clone();
-                let right_id = self.pool.disk().allocate()?;
+                let right_id = self.core.pool.disk().allocate()?;
                 let mut right = Page::zeroed();
                 right.format(right_id, PageType::Index, node.flags(), node.level());
                 let mut left = Page::zeroed();
@@ -1075,24 +553,24 @@ impl TsbTree {
 
     // -- compaction -----------------------------------------------------------
 
-    /// Every data page reachable from the root (both current and
-    /// historical regions), deduplicated.
-    fn data_pages(&self) -> Result<Vec<PageId>> {
+    /// Every data page reachable from the root, deduplicated: both
+    /// current and historical regions, or only the current data pages
+    /// (those under open entries) when `current`.
+    fn data_pages(&self, current: bool) -> Result<Vec<PageId>> {
         let mut out = Vec::new();
         let mut seen: HashSet<PageId> = HashSet::new();
-        let mut stack = vec![self.root()];
+        let mut stack = vec![self.core.root()];
         while let Some(id) = stack.pop() {
             if !seen.insert(id) {
                 continue;
             }
-            let frame = self.pool.fetch(id)?;
+            let frame = self.core.pool.fetch(id)?;
             let g = frame.read();
             match g.page_type()? {
                 PageType::Leaf => out.push(id),
                 PageType::Index => {
-                    for e in entries(&g) {
-                        stack.push(e.child);
-                    }
+                    let open = |e: &Entry| !current || e.is_open();
+                    stack.extend(entries(&g).into_iter().filter(open).map(|e| e.child));
                 }
                 other => {
                     return Err(Error::Corruption(format!(
@@ -1112,13 +590,13 @@ impl TsbTree {
     /// long pass does not build one giant log record.
     pub fn compact_history(&self) -> Result<CompactionStats> {
         const BATCH: usize = 8;
-        let _c = self.compacting.lock();
-        let _s = self.structure.write();
+        let _c = self.core.compacting.lock();
+        let _s = self.core.structure.write();
         let mut stats = CompactionStats::default();
         let mut batch: Vec<Page> = Vec::new();
-        for pid in self.data_pages()? {
+        for pid in self.data_pages(false)? {
             let page = {
-                let f = self.pool.fetch(pid)?;
+                let f = self.core.pool.fetch(pid)?;
                 let g = f.read();
                 if !g.is_historical() {
                     continue;
@@ -1139,13 +617,13 @@ impl TsbTree {
             stats.counts.add(counts);
             batch.push(packed);
             if batch.len() >= BATCH {
-                self.install(std::mem::take(&mut batch), None)?;
+                self.core.install(std::mem::take(&mut batch), None)?;
             }
         }
         if !batch.is_empty() {
-            self.install(batch, None)?;
+            self.core.install(batch, None)?;
         }
-        let m = self.pool.metrics();
+        let m = self.core.pool.metrics();
         m.compaction.pages_rewritten.add(stats.pages_rewritten);
         m.compaction.bytes_reclaimed.add(stats.bytes_reclaimed);
         m.version.anchors_written.add(stats.counts.anchors);
@@ -1156,10 +634,10 @@ impl TsbTree {
     /// Measure the version store: every historical data page, its
     /// occupied bytes, and the versions stored there.
     pub fn history_stats(&self) -> Result<HistoryStats> {
-        let _s = self.structure.read();
+        let _s = self.core.structure.read();
         let mut out = HistoryStats::default();
-        for pid in self.data_pages()? {
-            let f = self.pool.fetch(pid)?;
+        for pid in self.data_pages(false)? {
+            let f = self.core.pool.fetch(pid)?;
             let g = f.read();
             if !g.is_historical() {
                 continue;
@@ -1172,44 +650,60 @@ impl TsbTree {
         }
         Ok(out)
     }
+}
 
-    fn install(&self, mut images: Vec<Page>, new_root: Option<PageId>) -> Result<()> {
-        // On a root change, mutate the live meta page under a write latch
-        // held from clone to write-back so concurrent root changes of
-        // other trees are not lost.
-        let meta_frame = self.pool.fetch(PageId(0))?;
-        let mut meta_guard = None;
-        if let Some(root_id) = new_root {
-            let g = meta_frame.write();
-            let mut meta = g.clone();
-            MetaView::set_tree_root(&mut meta, self.tree_id, root_id)?;
-            images.push(meta);
-            meta_guard = Some(g);
+impl Routing for TsbTree {
+    type Path = Vec<Step>;
+
+    fn core(&self) -> &TreeCore {
+        &self.core
+    }
+
+    fn current_leaf(&self, key: &[u8]) -> Result<FrameRef> {
+        Ok(self.descend(key, Timestamp::MAX)?.0)
+    }
+
+    fn split_path(&self, key: &[u8]) -> Result<(PageId, Vec<Step>)> {
+        let (leaf, steps) = self.descend(key, Timestamp::MAX)?;
+        Ok((leaf.page_id(), steps))
+    }
+
+    /// A data-page time split at `ts` retimes the leaf's entry to
+    /// `[ts, ∞)` and posts `(key_low, [old t_low, ts), hist)`; a key split
+    /// at `sep` posts `(sep, [t_low, ∞), right)`.
+    fn post(
+        &self,
+        steps: Vec<Step>,
+        split: LeafSplit,
+        images: &mut Vec<Page>,
+    ) -> Result<Option<PageId>> {
+        let parent_t_low = steps
+            .last()
+            .map(|s| s.entry_t_low)
+            .unwrap_or(Timestamp::ZERO);
+        let retime = split.time_split.map(|(ts, _)| ts);
+        let mut adds = Vec::new();
+        if let Some((split_ts, hist)) = split.time_split {
+            adds.push(Entry {
+                key_low: self.region_low(&steps)?,
+                t_low: parent_t_low,
+                t_high: split_ts,
+                child: hist,
+            });
         }
-        let rec = LogRecord::PageImages {
-            pages: images
-                .iter()
-                .map(|p| (p.page_id(), p.as_bytes().to_vec()))
-                .collect(),
-        };
-        let lsn = self.wal.append(Tid::SYSTEM, NULL_LSN, &rec);
-        for mut image in images {
-            let id = image.page_id();
-            image.set_page_lsn(lsn);
-            if id == PageId(0) {
-                let g = meta_guard.as_mut().expect("meta image implies meta guard");
-                **g = image;
-                meta_frame.mark_dirty(lsn);
-            } else {
-                // Not `fetch`: for the pages this split allocated that
-                // would read the zero page back from disk.
-                self.pool.install(image, lsn);
-            }
+        if let Some((sep, right)) = split.key_split {
+            adds.push(Entry {
+                key_low: sep,
+                t_low: retime.unwrap_or(parent_t_low),
+                t_high: Timestamp::MAX,
+                child: right,
+            });
         }
-        if let Some(root_id) = new_root {
-            self.root.store(root_id.0, Ordering::SeqCst);
-        }
-        Ok(())
+        self.post_entries(steps, split.leaf, retime, adds, images)
+    }
+
+    fn current_leaves(&self, visit: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
+        self.data_pages(true)?.into_iter().try_for_each(visit)
     }
 }
 
@@ -1220,7 +714,7 @@ impl VersionCursor for TsbTree {
         resolver: &dyn TimestampResolver,
         visit: &mut Visitor<'_>,
     ) -> Result<()> {
-        let _s = self.structure.read();
+        let _s = self.core.structure.read();
         if let (Some(key), true) = (q.keys.as_point(), q.is_instant()) {
             return self.walk_point(key, q, resolver, visit);
         }
@@ -1230,7 +724,14 @@ impl VersionCursor for TsbTree {
         // meets regions in key order, so it streams — unless uncommitted
         // versions are wanted and may sit in a second (current) page.
         if q.is_instant() && (!q.uncommitted || q.hi == Timestamp::MAX) {
-            self.walk_node(self.root(), root_region, q, resolver, &mut pages, visit)?;
+            self.walk_node(
+                self.core.root(),
+                root_region,
+                q,
+                resolver,
+                &mut pages,
+                visit,
+            )?;
             return Ok(());
         }
         // Otherwise several time slices hold versions of the same keys,
@@ -1238,7 +739,7 @@ impl VersionCursor for TsbTree {
         // order.
         let mut buf = VersionBuffer::default();
         self.walk_node(
-            self.root(),
+            self.core.root(),
             root_region,
             q,
             resolver,
@@ -1246,7 +747,7 @@ impl VersionCursor for TsbTree {
             &mut buf.collect(),
         )?;
         if !q.is_instant() {
-            let m = self.pool.metrics();
+            let m = self.core.pool.metrics();
             m.temporal.range_scan_pages.add(pages.len() as u64);
         }
         buf.replay(q.lo, visit)?;

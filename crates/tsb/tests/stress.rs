@@ -1,4 +1,4 @@
-use immortaldb_btree::{SplitTimeSource, VersionCursor};
+use immortaldb_btree::{SplitTimeSource, TemporalIndex, VersionCursor};
 use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
 use immortaldb_storage::disk::DiskManager;

@@ -82,8 +82,9 @@ impl Granted {
             .all(|(_, modes)| modes.iter().all(|m| m.compatible(mode)))
     }
 
-    fn grant(&mut self, tid: Tid, mode: LockMode) {
-        self.holders.entry(tid).or_default().insert(mode);
+    /// Grant `mode` to `tid`; false if it already held it.
+    fn grant(&mut self, tid: Tid, mode: LockMode) -> bool {
+        self.holders.entry(tid).or_default().insert(mode)
     }
 
     fn blockers(&self, tid: Tid, mode: LockMode) -> Vec<Tid> {
@@ -216,15 +217,19 @@ impl LockManager {
         loop {
             let granted = table.granted.entry(target.clone()).or_default();
             if granted.compatible(tid, mode) {
-                granted.grant(tid, mode);
+                // A re-request of a lock already held (a resumed scan's
+                // table lock) is no new acquisition.
+                if granted.grant(tid, mode) {
+                    let m = &self.metrics.locks;
+                    match mode {
+                        LockMode::IntentionShared => m.acquired_is.inc(),
+                        LockMode::IntentionExclusive => m.acquired_ix.inc(),
+                        LockMode::Shared => m.acquired_s.inc(),
+                        LockMode::Exclusive => m.acquired_x.inc(),
+                    }
+                }
                 table.waiting.remove(&tid);
                 table.held.entry(tid).or_default().insert(target);
-                match mode {
-                    LockMode::IntentionShared => self.metrics.locks.acquired_is.inc(),
-                    LockMode::IntentionExclusive => self.metrics.locks.acquired_ix.inc(),
-                    LockMode::Shared => self.metrics.locks.acquired_s.inc(),
-                    LockMode::Exclusive => self.metrics.locks.acquired_x.inc(),
-                }
                 observe_wait(wait_start);
                 return Ok(());
             }

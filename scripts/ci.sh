@@ -107,72 +107,28 @@ run_temporal() {
     echo "== temporal sweep (range walk vs per-timestamp AS OF replay) =="
     # Deep-history workload (100+ updates/object); the VERSIONS BETWEEN
     # range walk must read at least 5x fewer pages than replaying the
-    # window with one AS OF scan per commit tick.
+    # window with one AS OF scan per commit tick (the run's exit status).
     cargo run --release -q -p immortaldb-bench -- --quick temporal
-    python3 - <<'EOF'
-import json
-with open("BENCH_temporal.json") as f:
-    r = json.load(f)
-ratio = r["fetch_ratio"]
-assert r["versions"] > 0, "temporal sweep returned no versions"
-assert ratio >= 5.0, f"range walk only {ratio:.1f}x cheaper than AS OF replay"
-print(f"temporal: walk {r['walk_fetches']} fetches vs replay "
-      f"{r['replay_fetches']} ({ratio:.1f}x, floor 5x)")
-EOF
 }
 
 run_history() {
     echo "== history sweep (bytes/version + deep AS OF, before/after compaction) =="
     # Chain-depth sweep built with time-split packing off (the pre-delta
     # on-disk format); one compact_history pass must cut bytes/version
-    # by >= 2x at depth 100 without slowing deep AS OF reads down.
+    # by >= 2x at depth 100 without slowing deep AS OF reads down by more
+    # than 1.5x (the run's exit status).
     cargo run --release -q -p immortaldb-bench -- --quick history
-    python3 - <<'EOF'
-import json
-with open("BENCH_history.json") as f:
-    r = json.load(f)
-rows = {row["depth"]: row for row in r["rows"]}
-d = rows[100]
-assert d["versions"] > 0, "history sweep stored no versions"
-assert d["reduction"] >= 2.0, \
-    f"compaction only cut bytes/version {d['reduction']:.2f}x at depth 100 (floor 2x)"
-assert d["pages_rewritten"] > 0, "compaction pass rewrote nothing"
-# Latency floor is generous (1.5x, vs the 1.1x tracked in EXPERIMENTS.md)
-# because sub-10us reads on shared CI runners are noisy.
-assert d["latency_ratio"] <= 1.5, \
-    f"deep AS OF reads {d['latency_ratio']:.2f}x slower after compaction"
-print(f"history: {d['baseline_bpv']:.0f} -> {d['packed_bpv']:.0f} bytes/version "
-      f"({d['reduction']:.2f}x, floor 2x); AS OF latency ratio {d['latency_ratio']:.2f}")
-EOF
 }
 
 run_read_scaling() {
     echo "== read scaling (1/2/4/8 readers over deep history) =="
     # Sharded frame table + miss singleflight + optimistic page latching:
     # aggregate read throughput must scale with reader threads. The
-    # ≥1.5x floor at 4 readers only means anything with cores to scale
-    # onto, so it is gated on host parallelism; single-core runners still
-    # exercise the sweep and the artifact, and must not REGRESS at 1
-    # reader vs the recorded baseline semantics (speedup row 1 == 1.0).
+    # >=1.5x floor at 4 readers only means anything with cores to scale
+    # onto, so the run enforces it only when the host has >= 4 hardware
+    # threads; every host checks that the sweep dropped no reads (the
+    # run's exit status).
     cargo run --release -q -p immortaldb-bench -- --quick read-scaling
-    cores=$(nproc 2>/dev/null || echo 1)
-    python3 - "$cores" <<'EOF'
-import json, sys
-cores = int(sys.argv[1])
-with open("BENCH_read_scaling.json") as f:
-    r = json.load(f)
-rows = {row["readers"]: row for row in r["rows"]}
-assert rows[1]["speedup"] == 1.0, "1-reader row is the baseline"
-assert all(rows[n]["total_reads"] == n * r["ops_per_reader"] for n in rows), \
-    "sweep dropped reads"
-four = rows[4]["speedup"]
-if cores >= 4:
-    assert four >= 1.5, f"4-reader speedup {four:.2f}x below the 1.5x floor"
-    print(f"read-scaling: {four:.2f}x at 4 readers (floor 1.5x, {cores} cores)")
-else:
-    print(f"read-scaling: {four:.2f}x at 4 readers on {cores} core(s) — "
-          "floor waived (time-slicing, not latch behaviour)")
-EOF
 }
 
 case "$stage" in

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use immortaldb::{Database, DbConfig, Durability, Isolation, Session, SimClock, Value};
+use immortaldb::{Database, DbConfig, Durability, Error, Isolation, Session, SimClock, Value};
 use immortaldb_common::Timestamp;
 use immortaldb_net::{Client, Server, ServerConfig};
 use immortaldb_repl::{Replica, ReplicaConfig};
@@ -363,4 +363,156 @@ fn replica_serves_compacted_history() {
     replica_server.shutdown().unwrap();
     replica.stop();
     server.shutdown().unwrap();
+}
+
+// -- batched ingest -----------------------------------------------------------
+
+fn ingest_row(oid: i32) -> Vec<Value> {
+    vec![
+        Value::Int(oid),
+        Value::Int(0),
+        Value::Varchar(payload(oid, 0)),
+    ]
+}
+
+/// A fresh `deep` table, either index kind, and its clock.
+fn empty_table(tag: &str, using_tsb: bool) -> Fixture {
+    let dir = tempdir(tag);
+    let clock = Arc::new(SimClock::new(7_000_000));
+    let db = open_db(&dir, Arc::clone(&clock));
+    let ddl = format!(
+        "CREATE IMMORTAL TABLE deep (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160)){}",
+        if using_tsb { " USING TSB" } else { "" }
+    );
+    Session::new(&db).execute(&ddl).unwrap();
+    Fixture {
+        db: Some(db),
+        clock,
+        log: Vec::new(),
+        dir,
+    }
+}
+
+/// Twin databases, one loaded with `insert_rows` (batched) and one row by
+/// row with `insert_row`, then given the same updates: the batch must
+/// build the same tree — same splits, same version store, same answers.
+fn batched_ingest_matches_per_row(using_tsb: bool, tag: &str) {
+    const ROWS: i32 = 300;
+    // Both twins must split under the same packing setting.
+    let _gate = PACKING_GATE.lock().unwrap();
+    let twins: Vec<Fixture> = [true, false]
+        .into_iter()
+        .map(|batched| {
+            let mut f = empty_table(&format!("{tag}-{batched}"), using_tsb);
+            let db = Arc::clone(f.db());
+            let mut txn = db.begin(Isolation::Serializable);
+            if batched {
+                let rows = (0..ROWS).map(ingest_row).collect();
+                db.insert_rows(&mut txn, "deep", rows).unwrap();
+            } else {
+                for oid in 0..ROWS {
+                    db.insert_row(&mut txn, "deep", ingest_row(oid)).unwrap();
+                }
+            }
+            let ts = db.commit(&mut txn).unwrap();
+            f.log.extend((0..ROWS).map(|oid| (ts, oid, Some(0))));
+            for seq in 1..=200 {
+                f.clock.advance(20);
+                let oid = seq * 37 % ROWS;
+                let mut txn = db.begin(Isolation::Serializable);
+                let row = vec![
+                    Value::Int(oid),
+                    Value::Int(seq),
+                    Value::Varchar(payload(oid, seq)),
+                ];
+                db.update_row(&mut txn, "deep", row).unwrap();
+                f.log.push((db.commit(&mut txn).unwrap(), oid, Some(seq)));
+            }
+            f
+        })
+        .collect();
+    let (batched, per_row) = (twins[0].db(), twins[1].db());
+    let splits = batched.split_counts();
+    assert_eq!(splits, per_row.split_counts(), "{tag}: split counts");
+    assert!(splits.1 > 0, "{tag}: the load must key-split");
+    assert_eq!(
+        format!("{:?}", batched.history_stats().unwrap()),
+        format!("{:?}", per_row.history_stats().unwrap()),
+        "{tag}: version store"
+    );
+    let log = &twins[0].log;
+    assert_eq!(log, &twins[1].log, "{tag}: commit timestamps");
+    for (ts, _, _) in log.iter().step_by(10) {
+        let scan = |db: &Database| {
+            let mut txn = db.begin_as_of_ts(*ts);
+            let rows = db.scan_rows(&mut txn, "deep").unwrap();
+            db.rollback(&mut txn).unwrap();
+            rows
+        };
+        assert_eq!(scan(batched), scan(per_row), "{tag}: AS OF {ts:?}");
+    }
+    let (lo, hi) = (log[0].0, log.last().unwrap().0);
+    let window = |db: &Database| db.versions_between("deep", lo, hi).unwrap();
+    assert_eq!(window(batched), window(per_row), "{tag}: VERSIONS BETWEEN");
+    check_as_of(batched, log, tag);
+}
+
+#[test]
+fn chain_batched_ingest_matches_per_row() {
+    batched_ingest_matches_per_row(false, "ingest-chain");
+}
+
+#[test]
+fn tsb_batched_ingest_matches_per_row() {
+    batched_ingest_matches_per_row(true, "ingest-tsb");
+}
+
+/// A duplicate key part-way through a batch ends it with the rows before
+/// it applied (the transaction sees them) and the rest not; rolling back
+/// removes the applied ones, so a later batch can insert them again.
+fn batch_error_rolls_back(using_tsb: bool, tag: &str) {
+    let f = empty_table(tag, using_tsb);
+    let db = f.db();
+    let mut txn = db.begin(Isolation::Serializable);
+    db.insert_row(&mut txn, "deep", ingest_row(150)).unwrap();
+    db.commit(&mut txn).unwrap();
+
+    let get = |txn: &mut immortaldb::Transaction, oid: i32| {
+        db.get_row(txn, "deep", &Value::Int(oid)).unwrap()
+    };
+    let mut txn = db.begin(Isolation::Serializable);
+    let all = (0..300).map(ingest_row).collect();
+    let err = db.insert_rows(&mut txn, "deep", all).unwrap_err();
+    assert!(matches!(err, Error::DuplicateKey), "{tag}: {err:?}");
+    assert!(
+        get(&mut txn, 10).is_some(),
+        "{tag}: rows before the duplicate stay applied"
+    );
+    assert!(
+        get(&mut txn, 200).is_none(),
+        "{tag}: rows after it never were"
+    );
+    db.rollback(&mut txn).unwrap();
+
+    let mut txn = db.begin(Isolation::Serializable);
+    assert!(
+        get(&mut txn, 10).is_none(),
+        "{tag}: rollback removed the batch"
+    );
+    let again = (0..150).map(ingest_row).collect();
+    db.insert_rows(&mut txn, "deep", again).unwrap();
+    db.commit(&mut txn).unwrap();
+    let mut txn = db.begin(Isolation::Serializable);
+    assert_eq!(db.scan_rows(&mut txn, "deep").unwrap().len(), 151, "{tag}");
+    db.commit(&mut txn).unwrap();
+}
+
+#[test]
+fn chain_batch_error_rolls_back() {
+    batch_error_rolls_back(false, "dup-chain");
+}
+
+#[test]
+fn tsb_batch_error_rolls_back() {
+    batch_error_rolls_back(true, "dup-tsb");
 }

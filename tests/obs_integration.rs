@@ -1,7 +1,9 @@
 //! Workspace integration: the obs metrics subsystem observed end-to-end
 //! through `Database::metrics_snapshot()` and `SHOW STATS`.
 
-use immortaldb::{Database, DbConfig, Session, TimestampingMode, Value};
+use immortaldb::{
+    Database, DbConfig, Flow, Isolation, Result, RowSink, Session, TimestampingMode, Value,
+};
 
 struct Env {
     dir: std::path::PathBuf,
@@ -124,4 +126,124 @@ fn show_stats_surfaces_the_registry() {
     // Histogram-derived rows are present too.
     get("wal.fsync_ns.count");
     get("buffer.hit_rate_pct");
+}
+
+/// Every lazy-timestamping trigger of the paper fires on a TSB-indexed
+/// table exactly as on the chain index: the update trigger, the split,
+/// the serializable read, vacuum — and eager stamping in the baseline
+/// mode. Here the TSB table is the only versioned one, so every count
+/// below is its own.
+#[test]
+fn every_stamping_trigger_fires_on_a_tsb_table() {
+    let ddl = "CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT, pad VARCHAR(100)) USING TSB";
+    let row = |id: i32, v: i32| {
+        vec![
+            Value::Int(id),
+            Value::Int(v),
+            Value::Varchar("p".repeat(90)),
+        ]
+    };
+    let env = Env::new("tsb-stamps");
+    let db = env.open(TimestampingMode::Lazy);
+    Session::new(&db).execute(ddl).unwrap();
+    let autocommit = |f: &mut dyn FnMut(&mut immortaldb::Transaction)| {
+        let mut txn = db.begin(Isolation::Serializable);
+        f(&mut txn);
+        db.commit(&mut txn).unwrap();
+    };
+    for id in 0..40 {
+        autocommit(&mut |txn| db.insert_row(txn, "t", row(id, 0)).unwrap());
+    }
+    // Odd keys are only ever updated (each update stamps the version
+    // before it); even keys are read back after every update.
+    for round in 1..=20 {
+        for id in 0..40 {
+            autocommit(&mut |txn| db.update_row(txn, "t", row(id, round)).unwrap());
+            if id % 2 == 0 {
+                autocommit(&mut |txn| {
+                    let got = db.get_row(txn, "t", &Value::Int(id)).unwrap();
+                    assert_eq!(got.unwrap()[1], Value::Int(round));
+                });
+            }
+        }
+    }
+    assert!(db.split_counts().0 > 0, "the stream must time-split");
+    // The odd keys' newest versions are still TID-marked.
+    db.vacuum().unwrap();
+    let snap = db.metrics_snapshot();
+    for trigger in ["update", "time_split", "read", "vacuum"] {
+        let n = snap.get(&format!("ts.stamps.{trigger}")).unwrap();
+        assert!(n > 0, "ts.stamps.{trigger} never moved on a TSB table");
+    }
+    drop(db);
+
+    let env = Env::new("tsb-eager");
+    let db = env.open(TimestampingMode::Eager);
+    let mut s = Session::new(&db);
+    s.execute(ddl).unwrap();
+    s.execute("INSERT INTO t VALUES (1, 1, 'x')").unwrap();
+    s.execute("UPDATE t SET v = 2 WHERE id = 1").unwrap();
+    let eager = db.metrics_snapshot().get("ts.stamps.eager").unwrap();
+    assert!(eager >= 2, "eager commits stamp TSB versions: {eager}");
+}
+
+/// A sink that is full after every `k` rows.
+struct StopEvery {
+    k: usize,
+    rows: usize,
+    flushes: usize,
+}
+
+impl RowSink for StopEvery {
+    fn columns(&mut self, _names: Vec<String>) -> Result<()> {
+        Ok(())
+    }
+
+    fn row(&mut self, _row: &mut Vec<Value>) -> Result<Flow> {
+        self.rows += 1;
+        Ok(if self.rows.is_multiple_of(self.k) {
+            Flow::Stop
+        } else {
+            Flow::Continue
+        })
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+}
+
+/// A scan that resumes every few rows is still one read: its push-down
+/// and its table lock count once, not once per cursor re-entry.
+#[test]
+fn resumed_scan_counts_once_per_statement() {
+    let env = Env::new("resume-counts");
+    let db = env.open(TimestampingMode::Lazy);
+    load(&db, 50);
+    let counters = [
+        "temporal.pushdown_none",
+        "temporal.pushdown_range",
+        "temporal.pushdown_point",
+        "locks.acquired.s",
+    ];
+    let read = || counters.map(|c| db.metrics_snapshot().get(c).unwrap());
+    let now = db.now_ms();
+    for sql in [
+        "SELECT * FROM t".to_string(),
+        format!("SELECT * FROM t VERSIONS BETWEEN ms(0) AND ms({now})"),
+    ] {
+        let before = read();
+        let mut sink = StopEvery {
+            k: 7,
+            rows: 0,
+            flushes: 0,
+        };
+        // Autocommit: a serializable transaction of its own.
+        Session::new(&db).execute_into(&sql, &mut sink).unwrap();
+        assert!(sink.flushes >= 7, "{sql}: the scan must resume");
+        let moved: Vec<u64> = read().iter().zip(before).map(|(a, b)| a - b).collect();
+        let want_s = u64::from(!sql.contains("VERSIONS"));
+        assert_eq!(moved, [1, 0, 0, want_s], "{sql}: {counters:?}");
+    }
 }
