@@ -83,22 +83,21 @@ fn run_depth(depth: u32, keys: u32, reads: usize) -> DepthRow {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     // Small pool: deep history does not stay resident, so both read
-    // sweeps pay real page fetches.
+    // sweeps pay real page fetches. Time-split packing off: history pages
+    // keep full record images, exactly what the engine wrote before delta
+    // chains.
     let clock = Arc::new(SimClock::new(1_000_000));
     let db = Database::open(
         DbConfig::new(&dir)
             .pool_pages(64)
             .durability(Durability::Buffered)
-            .clock(clock.clone()),
+            .clock(clock.clone())
+            .history_packing(false),
     )
     .expect("open bench db");
     let mut s = Session::new(&db);
     s.execute("CREATE IMMORTAL TABLE Hist (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160))")
         .expect("create table");
-
-    // Build with time-split packing off: history pages keep full record
-    // images, exactly what the engine wrote before delta chains.
-    let was = immortaldb_storage::version::set_history_packing(false);
 
     let mut txn = db.begin(immortaldb::Isolation::Serializable);
     let rows: Vec<Vec<Value>> = (0..keys)
@@ -135,7 +134,6 @@ fn run_depth(depth: u32, keys: u32, reads: usize) -> DepthRow {
     // Stamp everything so the version store holds no TID-marked
     // records (compaction skips pages with in-flight versions).
     db.vacuum().expect("vacuum");
-    immortaldb_storage::version::set_history_packing(was);
 
     let before = db.history_stats().expect("history stats");
     let baseline_asof_us = asof_sweep(&db, &commits, reads);

@@ -84,6 +84,9 @@ pub struct TreeCore {
     /// utilization still exceeds this (default 0.7 → single-slice
     /// utilization ≈ T·ln2 ≈ 0.48).
     pub(crate) split_threshold: f64,
+    /// Whether a time split writes its history page delta-packed
+    /// (default on; the compactor packs regardless).
+    pub history_packing: bool,
     /// Per-tree split counters (tests read them); the engine-wide
     /// registry aggregates across trees.
     time_splits: AtomicU32,
@@ -164,6 +167,7 @@ impl TreeCore {
             root: AtomicU32::new(root.0),
             structure: RwLock::new(()),
             split_threshold: 0.7,
+            history_packing: true,
             split_time,
             time_splits: AtomicU32::new(0),
             key_splits: AtomicU32::new(0),
@@ -346,7 +350,8 @@ pub(crate) fn split_for<R: Routing>(
         // pipeline drains.
         if split_ts <= max_safe_ts && version::time_split_gain(&left, split_ts) > 0 {
             let hist_id = core.pool.disk().allocate()?;
-            let (hist, fresh, packed) = version::time_split(&left, split_ts, hist_id)?;
+            let (hist, fresh, packed) =
+                version::time_split(&left, split_ts, hist_id, core.history_packing)?;
             images.push(hist);
             left = fresh;
             split.time_split = Some((split_ts, hist_id));

@@ -369,18 +369,12 @@ impl Vfs for FaultVfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("immortal-fault-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
+    use crate::TempDir;
 
     #[test]
     fn rate_faults_fire_and_are_counted() {
-        let path = tmp("rates");
+        let dir = TempDir::new("fault");
+        let path = dir.path().join("rates");
         let vfs = FaultVfs::wrap_std(7);
         let state = vfs.state();
         state.set_error_rates(1.0, 1.0);
@@ -396,12 +390,12 @@ mod tests {
         f.read_exact_at(&mut buf, 0).unwrap();
         assert_eq!(&buf, b"payload");
         f.sync().unwrap();
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn cut_point_crash_takes_fs_offline_until_cleared() {
-        let path = tmp("cut");
+        let dir = TempDir::new("fault");
+        let path = dir.path().join("cut");
         let vfs = FaultVfs::wrap_std(7);
         let state = vfs.state();
         let f = vfs.open(&path).unwrap();
@@ -421,12 +415,12 @@ mod tests {
         f.read_exact_at(&mut buf, 0).unwrap();
         assert_eq!(&buf, b"before");
         assert_eq!(f.len().unwrap(), 7);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn torn_write_persists_only_a_prefix() {
-        let path = tmp("tear");
+        let dir = TempDir::new("fault");
+        let path = dir.path().join("fault-tear");
         let vfs = FaultVfs::wrap_std(7);
         let state = vfs.state();
         let f = vfs.open(&path).unwrap();
@@ -439,7 +433,6 @@ mod tests {
         f.read_exact_at(&mut buf, 0).unwrap();
         assert!(buf[..TEAR_PREFIX].iter().all(|&b| b == 0xBB));
         assert!(buf[TEAR_PREFIX..].iter().all(|&b| b == 0xAA));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -449,7 +442,8 @@ mod tests {
                 let vfs = FaultVfs::wrap_std(1234);
                 let state = vfs.state();
                 state.set_error_rates(0.3, 0.0);
-                let path = tmp("det");
+                let dir = TempDir::new("fault");
+                let path = dir.path().join("det");
                 let f = vfs.open(&path).unwrap();
                 f.write_all_at(b"abcdef", 0).unwrap();
                 let mut buf = [0u8; 6];

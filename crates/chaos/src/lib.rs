@@ -18,6 +18,10 @@
 //!   land in the middle of group-commit batches and the audit asserts
 //!   acked-implies-durable and all-or-nothing for unacknowledged
 //!   commits.
+//! * [`history`] — the test suite's one commit-history model
+//!   ([`History`]) and offline isolation check ([`replay`], through the
+//!   sentinel's own rule engine), plus [`TempDir`], the scratch directory
+//!   every test works in.
 //!
 //! ```text
 //! cargo run -p immortaldb-chaos --bin torture -- --seed 42 --ops 2000 --crashes 25
@@ -26,12 +30,17 @@
 //! [`Vfs`]: immortaldb_storage::vfs::Vfs
 
 pub mod fault;
+pub mod history;
 pub mod mt;
 pub mod torture;
 
 pub use fault::{FaultState, FaultVfs};
+pub use history::{replay, Access, Change, History, Mismatch, Row, TxnLog, Version};
 pub use mt::{run_mt, MtTortureConfig, MtTortureReport};
 pub use torture::{run, TortureConfig, TortureReport};
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use immortaldb::{ColType, Column, Schema};
 
@@ -52,4 +61,63 @@ pub fn kv_schema() -> Schema {
         0,
     )
     .expect("static schema is valid")
+}
+
+/// A fresh, empty directory under the system temp dir, removed with
+/// everything in it when the guard drops — also when the test holding it
+/// panics.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    pub fn new(tag: &str) -> TempDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("immortaldb-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create a scratch directory");
+        TempDir(dir)
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scratch_directories_go_even_when_their_test_panics() {
+        let dir = TempDir::new("guard");
+        let path = dir.path().to_path_buf();
+        std::fs::write(path.join("data"), b"x").unwrap();
+        drop(dir);
+        assert!(!path.exists(), "{path:?} survived its guard");
+
+        let mut path = PathBuf::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let dir = TempDir::new("guard-panic");
+            path = dir.path().to_path_buf();
+            std::fs::write(path.join("data"), b"x").unwrap();
+            panic!("a failing assertion");
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            !path.as_os_str().is_empty() && !path.exists(),
+            "{path:?} leaked"
+        );
+    }
 }

@@ -26,7 +26,6 @@
 //! writers' records inside shared batches (the interesting part).
 
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,6 +39,7 @@ use immortaldb_obs::MetricsRegistry;
 use immortaldb_storage::vfs::Vfs;
 
 use crate::fault::{FaultState, FaultVfs};
+use crate::TempDir;
 
 const TABLE: &str = "mt_torture_kv";
 
@@ -57,8 +57,6 @@ pub struct MtTortureConfig {
     pub txns_per_round: u32,
     /// Keys owned by each thread.
     pub keys_per_thread: i32,
-    /// Working directory; default is a per-seed temp dir.
-    pub dir: Option<PathBuf>,
     pub verbose: bool,
 }
 
@@ -70,7 +68,6 @@ impl MtTortureConfig {
             rounds: 6,
             txns_per_round: 60,
             keys_per_thread: 4,
-            dir: None,
             verbose: false,
         }
     }
@@ -139,15 +136,6 @@ struct WriterResult {
 /// Run the multi-writer torture workload; the returned report lists
 /// every invariant violation found (none = the pipeline survived).
 pub fn run_mt(cfg: MtTortureConfig) -> MtTortureReport {
-    let dir = cfg.dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "immortal-mt-torture-{}-{}",
-            cfg.seed,
-            std::process::id()
-        ))
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-
     let vfs = Arc::new(FaultVfs::wrap_std(cfg.seed));
     let state = vfs.state();
     let metrics = MetricsRegistry::new();
@@ -157,8 +145,8 @@ pub fn run_mt(cfg: MtTortureConfig) -> MtTortureReport {
 
     let mut h = MtHarness {
         rng: StdRng::seed_from_u64(cfg.seed ^ 0x6d74), // distinct stream from single-writer mode
+        dir: TempDir::new(&format!("mt-torture-{}", cfg.seed)),
         cfg,
-        dir: dir.clone(),
         clock: Arc::new(SimClock::new(1_000_000)),
         metrics,
         vfs,
@@ -167,13 +155,12 @@ pub fn run_mt(cfg: MtTortureConfig) -> MtTortureReport {
         report: MtTortureReport::default(),
     };
     h.drive();
-    let _ = std::fs::remove_dir_all(&dir);
     h.report
 }
 
 struct MtHarness {
     cfg: MtTortureConfig,
-    dir: PathBuf,
+    dir: TempDir,
     clock: Arc<SimClock>,
     metrics: MetricsRegistry,
     vfs: Arc<FaultVfs>,

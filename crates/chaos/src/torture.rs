@@ -8,9 +8,10 @@
 //!
 //! * every committed transaction's data is durable and every
 //!   uncommitted ("loser") transaction is fully rolled back;
-//! * each key's version history exactly matches a shadow model, with
-//!   strictly descending timestamps and no unstamped committed version
-//!   (post-crash timestamp repair through the PTT must converge);
+//! * each key's version history exactly matches the committed
+//!   [`History`](crate::History), with strictly descending timestamps
+//!   and no unstamped committed version (post-crash timestamp repair
+//!   through the PTT must converge);
 //! * `AS OF` queries at sampled commit timestamps return the same rows
 //!   before and after the crash;
 //! * the persistent timestamp table contains no entry for a transaction
@@ -23,8 +24,7 @@
 //! itself, requiring all-or-nothing: either every staged write is
 //! present at one shared timestamp or none is.
 
-use std::collections::{BTreeMap, HashSet};
-use std::path::PathBuf;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,6 +38,8 @@ use immortaldb_obs::MetricsRegistry;
 use immortaldb_storage::vfs::Vfs;
 
 use crate::fault::{FaultState, FaultVfs};
+use crate::history::{History, Mismatch, Row};
+use crate::TempDir;
 
 const TABLE: &str = "torture_kv";
 
@@ -61,8 +63,6 @@ pub struct TortureConfig {
     /// Log full page images on write-back so torn page writes are
     /// repairable; torn-write crashes are only scheduled when on.
     pub page_image_logging: bool,
-    /// Working directory; default is a per-seed temp dir.
-    pub dir: Option<PathBuf>,
     pub verbose: bool,
 }
 
@@ -77,7 +77,6 @@ impl TortureConfig {
             read_error_rate: 0.001,
             fsync_error_rate: 0.002,
             page_image_logging: true,
-            dir: None,
             verbose: false,
         }
     }
@@ -146,9 +145,12 @@ enum PendingKind {
     CommitAmbiguous,
 }
 
+/// A transaction's writes in order.
+type Staged = Vec<(i32, Row)>;
+
 struct Pending {
     tid: u64,
-    staged: Vec<(i32, Option<String>)>,
+    staged: Staged,
     kind: PendingKind,
 }
 
@@ -158,21 +160,16 @@ enum TxnEnd {
     Crashed(Pending),
 }
 
-/// One version as the shadow model sees it: commit timestamp plus the
-/// row's value (`None` = deletion stub).
-type Version = (Timestamp, Option<String>);
-
 struct Harness {
     cfg: TortureConfig,
-    dir: PathBuf,
+    dir: TempDir,
     clock: Arc<SimClock>,
     metrics: MetricsRegistry,
     vfs: Arc<FaultVfs>,
     state: Arc<FaultState>,
     rng: StdRng,
-    /// Shadow model: per key, committed versions in commit order.
-    model: BTreeMap<i32, Vec<Version>>,
-    commit_ts: Vec<Timestamp>,
+    /// Every committed version.
+    model: History,
     aborted_tids: HashSet<u64>,
     val_seq: u64,
     report: TortureReport,
@@ -181,15 +178,6 @@ struct Harness {
 /// Run a torture workload; the returned report lists every invariant
 /// violation found (none = the engine survived).
 pub fn run(cfg: TortureConfig) -> TortureReport {
-    let dir = cfg.dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "immortal-torture-{}-{}",
-            cfg.seed,
-            std::process::id()
-        ))
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-
     let vfs = Arc::new(FaultVfs::wrap_std(cfg.seed));
     let state = vfs.state();
     let metrics = MetricsRegistry::new();
@@ -199,20 +187,18 @@ pub fn run(cfg: TortureConfig) -> TortureReport {
 
     let mut h = Harness {
         rng: StdRng::seed_from_u64(cfg.seed),
+        dir: TempDir::new(&format!("torture-{}", cfg.seed)),
         cfg,
-        dir: dir.clone(),
         clock: Arc::new(SimClock::new(1_000_000)),
         metrics,
         vfs,
         state,
-        model: BTreeMap::new(),
-        commit_ts: Vec::new(),
+        model: History::default(),
         aborted_tids: HashSet::new(),
         val_seq: 0,
         report: TortureReport::default(),
     };
     h.drive();
-    let _ = std::fs::remove_dir_all(&dir);
     h.finish_report()
 }
 
@@ -238,20 +224,21 @@ impl Harness {
         self.report.violations.push(msg);
     }
 
-    fn next_val(&mut self) -> String {
+    /// A fresh row for `key`: every value written is unique.
+    fn next_row(&mut self, key: i32) -> Vec<Value> {
         self.val_seq += 1;
-        format!("v{}", self.val_seq)
+        vec![
+            Value::Int(key),
+            Value::Varchar(format!("v{}", self.val_seq)),
+        ]
     }
 
-    /// Committed-or-staged current value of a key.
-    fn live<'a>(&'a self, staged: &'a [(i32, Option<String>)], key: i32) -> Option<&'a String> {
-        if let Some((_, v)) = staged.iter().rev().find(|(k, _)| *k == key) {
-            return v.as_ref();
+    /// Whether `key` has a row, counting the writes staged so far.
+    fn exists(&self, staged: &Staged, key: i32) -> bool {
+        match staged.iter().rev().find(|(k, _)| *k == key) {
+            Some((_, row)) => row.is_some(),
+            None => self.model.row_at(key, Timestamp::MAX).is_some(),
         }
-        self.model
-            .get(&key)
-            .and_then(|versions| versions.last())
-            .and_then(|(_, v)| v.as_ref())
     }
 
     fn drive(&mut self) {
@@ -321,7 +308,7 @@ impl Harness {
         let mut txn = db.begin(Isolation::Serializable);
         let tid = txn.tid().0;
         let n_ops = (self.rng.gen_range(1..5u64)).min(budget);
-        let mut staged: Vec<(i32, Option<String>)> = Vec::new();
+        let mut staged = Staged::new();
         for _ in 0..n_ops {
             // Distinct keys per transaction keep the model one-version-
             // per-key-per-commit.
@@ -334,18 +321,17 @@ impl Harness {
             if staged.iter().any(|(k, _)| *k == key) {
                 break;
             }
-            let exists = self.live(&staged, key).is_some();
+            let exists = self.exists(&staged, key);
             let (val, res) = if exists && self.rng.gen_bool(0.25) {
                 (None, db.delete_row(&mut txn, TABLE, &Value::Int(key)))
             } else {
-                let v = self.next_val();
-                let row = vec![Value::Int(key), Value::Varchar(v.clone())];
+                let row = self.next_row(key);
                 let r = if exists {
-                    db.update_row(&mut txn, TABLE, row)
+                    db.update_row(&mut txn, TABLE, row.clone())
                 } else {
-                    db.insert_row(&mut txn, TABLE, row)
+                    db.insert_row(&mut txn, TABLE, row.clone())
                 };
-                (Some(v), r)
+                (Some(row), r)
             };
             self.report.ops_done += 1;
             match res {
@@ -404,7 +390,7 @@ impl Harness {
         }
         match db.commit(&mut txn) {
             Ok(ts) => {
-                self.apply_commit(ts, &staged);
+                self.apply_commit(ts, staged);
                 self.report.commits += 1;
                 TxnEnd::Committed
             }
@@ -424,17 +410,16 @@ impl Harness {
         }
     }
 
-    fn apply_commit(&mut self, ts: Timestamp, staged: &[(i32, Option<String>)]) {
-        if let Some(&last) = self.commit_ts.last() {
+    fn apply_commit(&mut self, ts: Timestamp, staged: Staged) {
+        if let Some(&last) = self.model.commits().last() {
             if ts <= last {
                 self.violation(format!(
                     "commit timestamp not monotone: {ts:?} after {last:?}"
                 ));
             }
         }
-        self.commit_ts.push(ts);
-        for (key, val) in staged {
-            self.model.entry(*key).or_default().push((ts, val.clone()));
+        for (key, row) in staged {
+            self.model.record(ts, key, row);
         }
     }
 
@@ -471,26 +456,22 @@ impl Harness {
                 self.report.txns += 1;
                 let mut txn = db.begin(Isolation::Serializable);
                 let tid = txn.tid().0;
-                let mut staged: Vec<(i32, Option<String>)> = Vec::new();
+                let mut staged = Staged::new();
                 for _ in 0..self.rng.gen_range(1..4u32) {
                     let key = self.rng.gen_range(0..self.cfg.keys);
                     if staged.iter().any(|(k, _)| *k == key) {
                         continue;
                     }
-                    let v = self.next_val();
-                    let row = vec![Value::Int(key), Value::Varchar(v.clone())];
-                    let res = if self.live(&staged, key).is_some() {
-                        db.update_row(&mut txn, TABLE, row)
+                    let row = self.next_row(key);
+                    let res = if self.exists(&staged, key) {
+                        db.update_row(&mut txn, TABLE, row.clone())
                     } else {
-                        db.insert_row(&mut txn, TABLE, row)
+                        db.insert_row(&mut txn, TABLE, row.clone())
                     };
                     self.report.ops_done += 1;
-                    match res {
-                        Ok(()) => staged.push((key, Some(v))),
-                        Err(_) => {
-                            staged.push((key, Some(v)));
-                            break;
-                        }
+                    staged.push((key, Some(row)));
+                    if res.is_err() {
+                        break;
                     }
                 }
                 if self.rng.gen_bool(0.5) {
@@ -545,7 +526,7 @@ impl Harness {
 
     /// Per staged key, the versions recovery left that the model does not
     /// know about (at most one expected: the pending transaction's).
-    fn new_versions(&mut self, db: &Database, key: i32) -> Option<Vec<Version>> {
+    fn new_versions(&mut self, db: &Database, key: i32) -> Option<Vec<(Timestamp, Row)>> {
         let hist = match db.history_rows(TABLE, &Value::Int(key)) {
             Ok(h) => h,
             Err(e) => {
@@ -553,11 +534,7 @@ impl Harness {
                 return None;
             }
         };
-        let known: HashSet<Timestamp> = self
-            .model
-            .get(&key)
-            .map(|v| v.iter().map(|(ts, _)| *ts).collect())
-            .unwrap_or_default();
+        let known: HashSet<Timestamp> = self.model.history_of(key).iter().map(|v| v.ts).collect();
         let mut out = Vec::new();
         for (ts, row) in hist {
             match ts {
@@ -565,9 +542,7 @@ impl Harness {
                     self.violation(format!("key {key}: unstamped version survived recovery"));
                     return None;
                 }
-                Some(ts) if !known.contains(&ts) => {
-                    out.push((ts, row.map(|r| r[1].to_string())));
-                }
+                Some(ts) if !known.contains(&ts) => out.push((ts, row)),
                 Some(_) => {}
             }
         }
@@ -575,10 +550,10 @@ impl Harness {
     }
 
     fn resolve_pending(&mut self, db: &Database, p: Pending) {
-        let mut per_key: Vec<(i32, Option<String>, Vec<Version>)> = Vec::new();
-        for (key, staged_val) in &p.staged {
-            match self.new_versions(db, *key) {
-                Some(new) => per_key.push((*key, staged_val.clone(), new)),
+        let mut per_key = Vec::new();
+        for (key, staged_row) in p.staged {
+            match self.new_versions(db, key) {
+                Some(new) => per_key.push((key, staged_row, new)),
                 None => return, // violation already recorded
             }
         }
@@ -612,9 +587,9 @@ impl Harness {
                     return;
                 }
                 // Committed: all keys must share one timestamp and carry
-                // the staged values.
+                // the staged rows.
                 let ts = per_key[0].2[0].0;
-                for (key, staged_val, new) in &per_key {
+                for (key, staged_row, new) in &per_key {
                     if new.len() != 1 || new[0].0 != ts {
                         self.violation(format!(
                             "tid {}: key {key} resolved to {new:?}, expected one \
@@ -623,121 +598,55 @@ impl Harness {
                         ));
                         return;
                     }
-                    if &new[0].1 != staged_val {
+                    if &new[0].1 != staged_row {
                         self.violation(format!(
-                            "tid {}: key {key} committed value {:?} != staged {:?}",
-                            p.tid, new[0].1, staged_val
+                            "tid {}: key {key} committed row {:?} != staged {:?}",
+                            p.tid, new[0].1, staged_row
                         ));
                         return;
                     }
                 }
-                let staged: Vec<(i32, Option<String>)> =
-                    per_key.into_iter().map(|(k, v, _)| (k, v)).collect();
-                self.apply_commit(ts, &staged);
+                let staged = per_key.into_iter().map(|(k, row, _)| (k, row)).collect();
+                self.apply_commit(ts, staged);
                 self.report.commits += 1;
             }
         }
     }
 
-    /// Full audit against the shadow model (fault layer disabled).
+    /// Full audit against the model (fault layer disabled).
     fn check_invariants(&mut self, db: &Database, label: &str) {
         // Current state and complete history of every key.
         for key in 0..self.cfg.keys {
-            let versions = self.model.get(&key).cloned().unwrap_or_default();
-            let expect_current = versions.last().and_then(|(_, v)| v.clone());
             let mut txn = db.begin(Isolation::Serializable);
-            match db.get_row(&mut txn, TABLE, &Value::Int(key)) {
-                Ok(row) => {
-                    let got = row.map(|r| r[1].to_string());
-                    if got != expect_current {
-                        self.violation(format!(
-                            "[{label}] key {key}: current {got:?} != model \
-                             {expect_current:?}"
-                        ));
-                    }
-                }
-                Err(e) => self.violation(format!("[{label}] get({key}) failed: {e}")),
-            }
+            let current = db.get_row(&mut txn, TABLE, &Value::Int(key));
             let _ = db.rollback(&mut txn);
-            match db.history_rows(TABLE, &Value::Int(key)) {
-                Ok(hist) => {
-                    if hist.len() != versions.len() {
-                        self.violation(format!(
-                            "[{label}] key {key}: history has {} versions, model {}",
-                            hist.len(),
-                            versions.len()
-                        ));
-                        continue;
-                    }
-                    let mut prev: Option<Timestamp> = None;
-                    for (i, (ts, row)) in hist.iter().enumerate() {
-                        let (want_ts, want_val) = &versions[versions.len() - 1 - i];
-                        match ts {
-                            None => self.violation(format!(
-                                "[{label}] key {key}: version {i} is unstamped"
-                            )),
-                            Some(ts) => {
-                                if let Some(p) = prev {
-                                    if *ts >= p {
-                                        self.violation(format!(
-                                            "[{label}] key {key}: timestamps not \
-                                             strictly descending"
-                                        ));
-                                    }
-                                }
-                                prev = Some(*ts);
-                                if ts != want_ts {
-                                    self.violation(format!(
-                                        "[{label}] key {key}: version {i} ts {ts:?} \
-                                         != model {want_ts:?}"
-                                    ));
-                                }
-                            }
-                        }
-                        let got_val = row.as_ref().map(|r| r[1].to_string());
-                        if &got_val != want_val {
-                            self.violation(format!(
-                                "[{label}] key {key}: version {i} value {got_val:?} \
-                                 != model {want_val:?}"
-                            ));
-                        }
-                    }
-                }
-                Err(e) => self.violation(format!("[{label}] history({key}) failed: {e}")),
+            let checked = match current {
+                Ok(row) => self.model.check_point(key, Timestamp::MAX, row.as_deref()),
+                Err(e) => Err(Mismatch(format!("get({key}) failed: {e}"))),
+            };
+            let listed = match db.history_rows(TABLE, &Value::Int(key)) {
+                Ok(hist) => self.model.check_history(key, &hist),
+                Err(e) => Err(Mismatch(format!("history({key}) failed: {e}"))),
+            };
+            for e in [checked, listed].into_iter().filter_map(Result::err) {
+                self.violation(format!("[{label}] {e}"));
             }
         }
 
         // AS OF queries at sampled commit timestamps reconstruct the
         // model state of that moment.
-        if !self.commit_ts.is_empty() {
+        let commits = self.model.commits().len();
+        if commits > 0 {
             for _ in 0..8usize {
-                let ts = self.commit_ts[self.rng.gen_range(0..self.commit_ts.len())];
+                let ts = self.model.commits()[self.rng.gen_range(0..commits)];
                 let mut txn = db.begin_as_of_ts(ts);
                 for key in 0..self.cfg.keys {
-                    let expect = self
-                        .model
-                        .get(&key)
-                        .map(|versions| {
-                            versions
-                                .iter()
-                                .rev()
-                                .find(|(vts, _)| *vts <= ts)
-                                .and_then(|(_, v)| v.clone())
-                        })
-                        .unwrap_or(None);
-                    match db.get_row(&mut txn, TABLE, &Value::Int(key)) {
-                        Ok(row) => {
-                            let got = row.map(|r| r[1].to_string());
-                            if got != expect {
-                                self.violation(format!(
-                                    "[{label}] AS OF {ts:?} key {key}: {got:?} != \
-                                     model {expect:?}"
-                                ));
-                            }
-                        }
-                        Err(e) => {
-                            self.violation(format!("[{label}] AS OF {ts:?} get({key}) failed: {e}"))
-                        }
+                    let checked = match db.get_row(&mut txn, TABLE, &Value::Int(key)) {
+                        Ok(row) => self.model.check_point(key, ts, row.as_deref()),
+                        Err(e) => Err(Mismatch(format!("AS OF {ts:?} get({key}) failed: {e}"))),
+                    };
+                    if let Err(e) = checked {
+                        self.violation(format!("[{label}] {e}"));
                     }
                 }
                 let _ = db.rollback(&mut txn);

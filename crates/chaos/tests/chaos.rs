@@ -6,25 +6,19 @@
 //! torn-page repair from logged full-page images.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
 use immortaldb::{Clock, Database, DbConfig, Durability, Isolation, SimClock, TableKind, Value};
 use immortaldb_chaos::fault::FaultVfs;
-use immortaldb_chaos::{kv_schema, run, TortureConfig};
+use immortaldb_chaos::{kv_schema, run, TempDir, TortureConfig};
 use immortaldb_obs::MetricsRegistry;
 use immortaldb_storage::vfs::Vfs;
 
 const TABLE: &str = "chaos_kv";
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("immortal-chaos-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn config(
-    dir: &PathBuf,
+    dir: &Path,
     clock: &Arc<SimClock>,
     metrics: &MetricsRegistry,
     pool_pages: usize,
@@ -42,12 +36,12 @@ fn config(
 /// `recovery.versions_restamped` counter must prove it happened.
 #[test]
 fn post_crash_timestamp_repair_restamps_versions() {
-    let dir = tmp_dir("restamp");
+    let dir = TempDir::new("chaos-restamp");
     let clock = Arc::new(SimClock::new(50_000));
     let metrics = MetricsRegistry::new();
 
     let commit_ts = {
-        let db = Database::open(config(&dir, &clock, &metrics, 8)).unwrap();
+        let db = Database::open(config(dir.path(), &clock, &metrics, 8)).unwrap();
         db.create_table(TABLE, kv_schema(), TableKind::Immortal)
             .unwrap();
         clock.advance(20);
@@ -73,7 +67,7 @@ fn post_crash_timestamp_repair_restamps_versions() {
         .snapshot()
         .get("recovery.versions_restamped")
         .unwrap();
-    let db = Database::open(config(&dir, &clock, &metrics, 8)).unwrap();
+    let db = Database::open(config(dir.path(), &clock, &metrics, 8)).unwrap();
     let snap = metrics.snapshot();
     assert!(
         snap.get("recovery.crash_recoveries").unwrap() >= 1,
@@ -93,8 +87,6 @@ fn post_crash_timestamp_repair_restamps_versions() {
         let row = hist[0].1.as_ref().expect("insert, not delete");
         assert_eq!(row[1].to_string(), format!("restamp-{k:04}"));
     }
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A data-page write torn mid-flush (prefix persisted, CRC now invalid)
@@ -102,7 +94,7 @@ fn post_crash_timestamp_repair_restamps_versions() {
 /// before the write, and the committed data underneath must survive.
 #[test]
 fn torn_data_page_write_is_repaired_from_logged_image() {
-    let dir = tmp_dir("torn");
+    let dir = TempDir::new("chaos-torn");
     let clock = Arc::new(SimClock::new(80_000));
     let metrics = MetricsRegistry::new();
     let fault = Arc::new(FaultVfs::wrap_std(9));
@@ -112,7 +104,7 @@ fn torn_data_page_write_is_repaired_from_logged_image() {
     let open = |pool: usize| {
         let vfs: Arc<dyn Vfs> = Arc::clone(&fault) as _;
         Database::open(
-            config(&dir, &clock, &metrics, pool)
+            config(dir.path(), &clock, &metrics, pool)
                 .vfs(vfs)
                 .page_image_logging(true),
         )
@@ -187,8 +179,6 @@ fn torn_data_page_write_is_repaired_from_logged_image() {
         assert_eq!(row[1].to_string(), committed[&k], "key {k}");
     }
     db.rollback(&mut txn).unwrap();
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A short torture run must pass, and two runs with the same seed must
@@ -196,11 +186,10 @@ fn torn_data_page_write_is_repaired_from_logged_image() {
 #[test]
 fn torture_smoke_is_deterministic() {
     let reports: Vec<_> = (0..2)
-        .map(|i| {
+        .map(|_| {
             let mut cfg = TortureConfig::new(5);
             cfg.ops = 150;
             cfg.crashes = 2;
-            cfg.dir = Some(tmp_dir(&format!("torture-det-{i}")));
             run(cfg)
         })
         .collect();
@@ -230,7 +219,7 @@ fn torture_smoke_is_deterministic() {
 /// later commits once fsyncs succeed again.
 #[test]
 fn failed_group_batch_acknowledges_no_committer() {
-    let dir = tmp_dir("gcfail");
+    let dir = TempDir::new("chaos-gcfail");
     let fault = Arc::new(FaultVfs::wrap_std(33));
     let state = fault.state();
     let metrics = MetricsRegistry::new();
@@ -302,6 +291,4 @@ fn failed_group_batch_acknowledges_no_committer() {
         .unwrap()
         .is_some());
     db.rollback(&mut reader).unwrap();
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,13 @@
 //! Always-on streaming isolation sentinel.
 //!
-//! The offline checker in `tests/isolation_check.rs` replays a recorded
-//! history after the fact; this crate runs the same timestamp-based
-//! argument *online*, while the engine serves traffic — the approach of
-//! "Online Timestamp-based Transactional Isolation Checking" (PAPERS.md,
-//! arXiv 2504.01477). The engine already exposes everything the check
-//! needs: begin snapshots, commit timestamps, and the bytes each
-//! operation read or wrote.
+//! This crate checks snapshot isolation *online*, while the engine serves
+//! traffic — the approach of "Online Timestamp-based Transactional
+//! Isolation Checking" (PAPERS.md, arXiv 2504.01477). The engine already
+//! exposes everything the check needs: begin snapshots, commit
+//! timestamps, and the bytes each operation read or wrote. Its rule
+//! engine, [`sentinel::Checker`], is also the only offline checker: a
+//! test that logged a run replays it as [`TxnEvent`]s through the same
+//! `Checker` (`immortaldb_chaos::replay`).
 //!
 //! Two halves:
 //!

@@ -78,6 +78,11 @@ pub struct DbConfig {
     /// visibility watermark for checker-state pruning. `None` (default)
     /// compiles the taps down to a branch on a never-set option.
     pub sentinel: Option<Arc<immortaldb_check::EventTap>>,
+    /// Write the history page of a time split delta-packed (default on).
+    /// Off leaves full version images behind, as an engine from before
+    /// delta chains did — the shape the compactor's packing win is
+    /// measured on. The compactor packs either way.
+    pub history_packing: bool,
 }
 
 impl DbConfig {
@@ -96,6 +101,7 @@ impl DbConfig {
             metrics: None,
             compaction: None,
             sentinel: None,
+            history_packing: true,
         }
     }
 
@@ -153,6 +159,11 @@ impl DbConfig {
         self.sentinel = Some(tap);
         self
     }
+
+    pub fn history_packing(mut self, on: bool) -> Self {
+        self.history_packing = on;
+        self
+    }
 }
 
 /// The database engine.
@@ -167,6 +178,8 @@ pub struct Database {
     horizon: Arc<CommitHorizon>,
     /// Horizon-aware split-time source shared by every tree.
     split_time: Arc<dyn SplitTimeSource>,
+    /// [`DbConfig::history_packing`], for every tree this engine opens.
+    history_packing: bool,
     pub(crate) vtt: Arc<Vtt>,
     pub(crate) ptt: Arc<Ptt>,
     pub(crate) resolver: Arc<TxnResolver>,
@@ -380,15 +393,13 @@ impl Database {
             let name = String::from_utf8(item.key.clone())
                 .map_err(|_| Error::Corruption("non-UTF8 table name".into()))?;
             let def = Arc::new(TableDef::decode(&name, &item.data)?);
-            let versioned = def.kind.is_versioned();
             let handle = TableIndex::build(
-                def.index,
+                &def,
                 false,
                 &pool,
                 &wal,
-                def.tree,
-                versioned,
                 &split_time,
+                config.history_packing,
             )?;
             trees.insert(def.tree, handle);
             max_tree = max_tree.max(def.tree.0 + 1);
@@ -404,6 +415,7 @@ impl Database {
             authority,
             horizon,
             split_time,
+            history_packing: config.history_packing,
             vtt,
             ptt,
             resolver,
@@ -626,9 +638,6 @@ impl Database {
             return Err(Error::Catalog(format!("table {name} already exists")));
         }
         let tree = TreeId(self.next_tree.fetch_add(1, Ordering::SeqCst));
-        let (pool, wal, split_time) = (&self.pool, &self.wal, &self.split_time);
-        let versioned = kind.is_versioned();
-        let handle = TableIndex::build(index, true, pool, wal, tree, versioned, split_time)?;
         let def = Arc::new(TableDef {
             name: name.to_string(),
             tree,
@@ -636,11 +645,18 @@ impl Database {
             index,
             schema,
         });
+        let handle = self.build_index(&def, true)?;
         self.catalog_tree
             .u_insert(Tid::SYSTEM, NULL_LSN, name.as_bytes(), &def.encode())?;
         self.trees.write().insert(tree, handle);
         tables.insert(name.to_string(), Arc::clone(&def));
         Ok(def)
+    }
+
+    /// Create (`create`) or open the index behind `def`.
+    fn build_index(&self, def: &TableDef, create: bool) -> Result<TableIndex> {
+        let (pool, wal, split_time) = (&self.pool, &self.wal, &self.split_time);
+        TableIndex::build(def, create, pool, wal, split_time, self.history_packing)
     }
 
     /// Enable snapshot versioning on an *empty* conventional table
@@ -662,9 +678,6 @@ impl Database {
         }
         // Swap in a fresh versioned tree under a new TreeId.
         let tree = TreeId(self.next_tree.fetch_add(1, Ordering::SeqCst));
-        let (pool, wal, split_time) = (&self.pool, &self.wal, &self.split_time);
-        let new_handle =
-            TableIndex::build(IndexKind::Chain, true, pool, wal, tree, true, split_time)?;
         let new_def = Arc::new(TableDef {
             name: def.name.clone(),
             tree,
@@ -672,6 +685,7 @@ impl Database {
             index: IndexKind::Chain,
             schema: def.schema.clone(),
         });
+        let new_handle = self.build_index(&new_def, true)?;
         self.catalog_tree
             .u_update(Tid::SYSTEM, NULL_LSN, name.as_bytes(), &new_def.encode())?;
         self.trees.write().insert(tree, new_handle);
@@ -1693,10 +1707,7 @@ impl Database {
                     continue;
                 }
             }
-            let (pool, wal, split_time) = (&self.pool, &self.wal, &self.split_time);
-            let versioned = def.kind.is_versioned();
-            let handle =
-                TableIndex::build(def.index, false, pool, wal, def.tree, versioned, split_time)?;
+            let handle = self.build_index(&def, false)?;
             // Keep next_tree above everything the primary has allocated
             // (only relevant if this replica is ever promoted).
             self.next_tree.fetch_max(def.tree.0 + 1, Ordering::SeqCst);

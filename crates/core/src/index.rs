@@ -14,10 +14,12 @@ use immortaldb_btree::{
     BTree, CompactionStats, HistoryStats, KeyRange, RecordVisitor, ScanItem, SplitTimeSource,
     TemporalIndex,
 };
-use immortaldb_common::{Error, Lsn, Result, Tid, Timestamp, TreeId};
+use immortaldb_common::{Error, Lsn, Result, Tid, Timestamp};
 use immortaldb_storage::buffer::BufferPool;
 use immortaldb_storage::wal::Wal;
 use immortaldb_tsb::TsbTree;
+
+use crate::catalog::TableDef;
 
 /// Which index structure backs a table (persisted in the catalog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,29 +49,34 @@ impl Deref for TableIndex {
 }
 
 impl TableIndex {
-    /// Create (`create`) or open the tree `tree` of `kind`.
+    /// Create (`create`) or open the tree behind `def`; its time splits
+    /// delta-pack their history pages when `history_packing` is on.
     pub(crate) fn build(
-        kind: IndexKind,
+        def: &TableDef,
         create: bool,
         pool: &Arc<BufferPool>,
         wal: &Arc<Wal>,
-        tree: TreeId,
-        versioned: bool,
         split_time: &Arc<dyn SplitTimeSource>,
+        history_packing: bool,
     ) -> Result<TableIndex> {
         let (pool, wal, split_time) = (Arc::clone(pool), Arc::clone(wal), Arc::clone(split_time));
-        Ok(match (kind, create) {
-            (IndexKind::Chain, true) => TableIndex::Chain(Arc::new(BTree::create(
-                pool, wal, tree, versioned, split_time,
-            )?)),
-            (IndexKind::Chain, false) => TableIndex::Chain(Arc::new(BTree::open(
-                pool, wal, tree, versioned, split_time,
-            )?)),
-            (IndexKind::Tsb, true) => {
-                TableIndex::Tsb(Arc::new(TsbTree::create(pool, wal, tree, split_time)?))
+        let (tree, versioned) = (def.tree, def.kind.is_versioned());
+        Ok(match def.index {
+            IndexKind::Chain => {
+                let t = if create {
+                    BTree::create(pool, wal, tree, versioned, split_time)
+                } else {
+                    BTree::open(pool, wal, tree, versioned, split_time)
+                }?;
+                TableIndex::Chain(Arc::new(t.with_history_packing(history_packing)))
             }
-            (IndexKind::Tsb, false) => {
-                TableIndex::Tsb(Arc::new(TsbTree::open(pool, wal, tree, split_time)?))
+            IndexKind::Tsb => {
+                let t = if create {
+                    TsbTree::create(pool, wal, tree, split_time)
+                } else {
+                    TsbTree::open(pool, wal, tree, split_time)
+                }?;
+                TableIndex::Tsb(Arc::new(t.with_history_packing(history_packing)))
             }
         })
     }

@@ -12,7 +12,6 @@
 //! * page key splits (whole chains move).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use immortaldb_common::{Error, PageId, Result, Tid, Timestamp, VERSION_TAIL};
 
@@ -33,21 +32,6 @@ use crate::TimestampResolver;
 /// version are stored as full images, so reconstructing any version folds
 /// at most `K - 1` deltas.
 pub const DELTA_ANCHOR_EVERY: usize = 8;
-
-static HISTORY_PACKING: AtomicBool = AtomicBool::new(true);
-
-/// Toggle delta-packing of the history side of time splits (process-wide;
-/// the history bench disables it to measure the unpacked baseline before
-/// compaction). Returns the previous setting. The compactor packs
-/// regardless of this switch.
-pub fn set_history_packing(on: bool) -> bool {
-    HISTORY_PACKING.swap(on, Ordering::SeqCst)
-}
-
-/// Whether time splits delta-pack the history page (default: on).
-pub fn history_packing() -> bool {
-    HISTORY_PACKING.load(Ordering::Relaxed)
-}
 
 /// Encode `new` as a delta against `base` (the next *newer* version):
 /// `[prefix:u16][suffix:u16][mid bytes]`, where the reconstruction is
@@ -533,14 +517,15 @@ pub fn time_split_gain(cur: &Page, split_ts: Timestamp) -> usize {
 /// current page, pack counts)` images. The history page receives the time
 /// range `[cur.start_ts, split_ts)` and inherits the old history pointer;
 /// the rebuilt current page covers `[split_ts, ∞)` and points at the new
-/// history page. When [`history_packing`] is on (the default) the history
-/// side is written delta-packed. The caller must have stamped all
-/// committed versions first ([`stamp_committed`]) and installs/logs both
-/// images atomically.
+/// history page. With `pack` (the engine's default, `DbConfig::
+/// history_packing`) the history side is written delta-packed. The caller
+/// must have stamped all committed versions first ([`stamp_committed`])
+/// and installs/logs both images atomically.
 pub fn time_split(
     cur: &Page,
     split_ts: Timestamp,
     hist_id: PageId,
+    pack: bool,
 ) -> Result<(Page, Page, PackCounts)> {
     debug_assert!(cur.is_versioned());
     debug_assert!(split_ts > cur.start_ts());
@@ -563,7 +548,6 @@ pub fn time_split(
     fresh.set_history_page(hist_id);
     fresh.set_next_leaf(cur.next_leaf());
 
-    let pack = history_packing();
     let mut counts = PackCounts::default();
     let pick_hist = |f| matches!(f, SplitFate::HistoryOnly | SplitFate::Both);
     for i in 0..cur.slot_count() {
@@ -884,7 +868,7 @@ mod tests {
         p.stamp_rec(c3, ts(200, 0));
 
         let split = ts(100, 0);
-        let (hist, cur, _) = time_split(&p, split, PageId(99)).unwrap();
+        let (hist, cur, _) = time_split(&p, split, PageId(99), true).unwrap();
 
         // History page: time range [0, 100).
         assert!(hist.is_historical());
@@ -930,7 +914,7 @@ mod tests {
         p.stamp_rec(o1, ts(20, 0));
         let o2 = add_version(&mut p, b"k", b"", true, Tid(2)).unwrap();
         p.stamp_rec(o2, ts(40, 0));
-        let (hist, cur, _) = time_split(&p, ts(100, 0), PageId(9)).unwrap();
+        let (hist, cur, _) = time_split(&p, ts(100, 0), PageId(9), true).unwrap();
         // Whole chain ended before the split: key vanishes from current.
         assert!(cur.find_slot(b"k").is_err());
         let h = hist.find_slot(b"k").unwrap();
@@ -945,7 +929,7 @@ mod tests {
         let o1 = add_version(&mut p, b"k", b"v1", false, Tid(1)).unwrap();
         p.stamp_rec(o1, ts(20, 0));
         add_version(&mut p, b"k", b"v2", false, Tid(7)).unwrap(); // uncommitted
-        let (hist, cur, _) = time_split(&p, ts(100, 0), PageId(9)).unwrap();
+        let (hist, cur, _) = time_split(&p, ts(100, 0), PageId(9), true).unwrap();
         let c = cur.find_slot(b"k").unwrap();
         let chain = chain_offsets(&cur, c);
         assert_eq!(chain.len(), 2);
@@ -1103,7 +1087,7 @@ mod tests {
             p.stamp_rec(o, ts(10 * (i as u64 + 1), 0));
         }
         let split = ts(10 * depth as u64 + 5, 0);
-        let (hist, cur, counts) = time_split(&p, split, PageId(40)).unwrap();
+        let (hist, cur, counts) = time_split(&p, split, PageId(40), true).unwrap();
         assert!(counts.deltas > 0, "large stable payloads must delta-pack");
         // History holds the full chain (newest spans the split -> Both);
         // the walker reproduces every payload.
@@ -1115,9 +1099,7 @@ mod tests {
             assert_eq!(v.data, big(5, (depth - 1 - idx) as u8));
         }
         // Packed history is denser than the unpacked current-page bytes.
-        let was = set_history_packing(false);
-        let (unpacked, _, c2) = time_split(&p, split, PageId(40)).unwrap();
-        set_history_packing(was);
+        let (unpacked, _, c2) = time_split(&p, split, PageId(40), false).unwrap();
         assert_eq!(c2, PackCounts::default());
         assert!(hist.free_lower() < unpacked.free_lower());
         // Current side keeps only the spanning newest version, full-image.

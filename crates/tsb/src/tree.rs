@@ -145,6 +145,13 @@ impl TsbTree {
         Ok(TsbTree { core })
     }
 
+    /// Whether time splits write their history pages delta-packed
+    /// (default on).
+    pub fn with_history_packing(mut self, on: bool) -> TsbTree {
+        self.core.history_packing = on;
+        self
+    }
+
     /// Height of the tree (1 = root is a data page) and total index
     /// nodes reachable for current-time descents (diagnostics).
     pub fn height(&self) -> Result<u16> {

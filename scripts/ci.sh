@@ -64,8 +64,20 @@ run_chaos() {
     echo "== chaos smoke (isolation checker, concurrent-readers mode) =="
     # Dedicated snapshot/AS OF reader threads race the writer workload
     # through the optimistic latch read path (DESIGN.md §11) while the
-    # offline timestamp checker audits every observation.
-    cargo test --release -q --test isolation_check isolation_checker_concurrent_readers
+    # replay through the sentinel's checker audits every observation. A
+    # name filter that matches nothing passes too, so the stage insists
+    # that exactly this one test ran.
+    local out
+    if ! out=$(cargo test --release -q --test isolation_check -- --exact \
+        isolation_checker_concurrent_readers 2>&1); then
+        echo "$out"
+        exit 1
+    fi
+    echo "$out"
+    if ! grep -q '^test result: ok\. 1 passed;' <<<"$out"; then
+        echo "chaos: isolation_checker_concurrent_readers did not run exactly once" >&2
+        exit 1
+    fi
 }
 
 run_serve() {

@@ -3,18 +3,20 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use immortaldb::{Database, DbConfig, Isolation, Session, Value};
+use immortaldb::{Database, DbConfig, Durability, Isolation, Session, Value};
+use immortaldb_chaos::TempDir;
 
-fn open(name: &str) -> (Arc<Database>, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("immortal-it-conc-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(Database::open(DbConfig::new(&dir)).unwrap());
-    (db, dir)
+/// A fresh engine in its own directory (which outlives it: declare the
+/// pair as `let (_dir, db)`).
+fn open(name: &str, durability: Durability) -> (TempDir, Arc<Database>) {
+    let dir = TempDir::new(&format!("conc-{name}"));
+    let db = Database::open(DbConfig::new(&dir).durability(durability)).unwrap();
+    (dir, Arc::new(db))
 }
 
 #[test]
 fn disjoint_writers_proceed_in_parallel() {
-    let (db, dir) = open("disjoint");
+    let (_dir, db) = open("disjoint", Durability::Buffered);
     {
         let mut s = Session::new(&db);
         s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
@@ -42,14 +44,11 @@ fn disjoint_writers_proceed_in_parallel() {
     let mut s = Session::new(&db);
     let res = s.execute("SELECT * FROM t").unwrap();
     assert_eq!(res.rows.len(), (threads * per_thread) as usize);
-    drop(s);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn contended_counter_under_serializable_locking() {
-    let (db, dir) = open("counter");
+    let (_dir, db) = open("counter", Durability::Buffered);
     {
         let mut s = Session::new(&db);
         s.execute("CREATE IMMORTAL TABLE c (id INT PRIMARY KEY, n BIGINT)")
@@ -109,14 +108,11 @@ fn contended_counter_under_serializable_locking() {
     // Every increment is a distinct version in history.
     let h = db.history_rows("c", &Value::Int(1)).unwrap();
     assert_eq!(h.len(), 1 + (threads * per_thread) as usize);
-    drop(s);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn snapshot_writers_on_same_key_obey_first_committer_wins() {
-    let (db, dir) = open("fcwthreads");
+    let (_dir, db) = open("fcwthreads", Durability::Buffered);
     {
         let mut s = Session::new(&db);
         s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
@@ -162,13 +158,11 @@ fn snapshot_writers_on_same_key_obey_first_committer_wins() {
     // aborted write left a version behind.
     let h = db.history_rows("t", &Value::Int(1)).unwrap();
     assert_eq!(h.len() as u64, 1 + n_commits);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn readers_never_block_under_snapshot_isolation() {
-    let (db, dir) = open("readnoblock");
+    let (_dir, db) = open("readnoblock", Durability::Buffered);
     {
         let mut s = Session::new(&db);
         s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
@@ -218,19 +212,6 @@ fn readers_never_block_under_snapshot_isolation() {
     }
     stop.store(1, Ordering::Relaxed);
     writer.join().unwrap();
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Open with fsync durability so the group-commit barrier is on the
-/// commit path (the default `open` is buffered and never batches).
-fn open_fsync(name: &str) -> (Arc<Database>, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("immortal-it-conc-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(
-        Database::open(DbConfig::new(&dir).durability(immortaldb::Durability::Fsync)).unwrap(),
-    );
-    (db, dir)
 }
 
 #[test]
@@ -239,7 +220,9 @@ fn as_of_readers_never_observe_half_a_batch() {
     // reader pinned at the visibility horizon must see both halves of
     // every pair equal — group commit must never expose a transaction's
     // first row without its second, no matter where the batch fsync cuts.
-    let (db, dir) = open_fsync("pairbatch");
+    // Fsync durability puts the group-commit barrier on the commit path
+    // (buffered commits never batch).
+    let (_dir, db) = open("pairbatch", Durability::Fsync);
     const PAIRS: i32 = 8;
     {
         let mut s = Session::new(&db);
@@ -295,8 +278,6 @@ fn as_of_readers_never_observe_half_a_batch() {
     for w in writers {
         w.join().unwrap();
     }
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -306,7 +287,7 @@ fn version_chains_stay_strictly_descending_under_load() {
     // chain's commit timestamps are strictly descending and fully
     // committed (no TID-marked residue, no duplicate or reordered
     // stamps).
-    let (db, dir) = open_fsync("descending");
+    let (_dir, db) = open("descending", Durability::Fsync);
     const KEYS: i32 = 6;
     {
         let mut s = Session::new(&db);
@@ -366,8 +347,6 @@ fn version_chains_stay_strictly_descending_under_load() {
     }
     // 8 threads x 25 commits, one version each, plus the seed inserts.
     assert_eq!(total_versions, (8 * 25 + KEYS) as usize);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -375,7 +354,7 @@ fn rollbacks_interleaved_with_pending_batches_do_not_wedge_commit() {
     // Aborting transactions append WAL records between the commit records
     // of a forming batch; their rollback must neither join nor stall the
     // barrier, and committers must keep draining.
-    let (db, dir) = open_fsync("abortmix");
+    let (_dir, db) = open("abortmix", Durability::Fsync);
     {
         let mut s = Session::new(&db);
         s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
@@ -415,6 +394,4 @@ fn rollbacks_interleaved_with_pending_batches_do_not_wedge_commit() {
     db.insert_row(&mut txn, "t", vec![Value::Int(99_999), Value::Int(7)])
         .unwrap();
     db.commit(&mut txn).unwrap();
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,12 +5,13 @@
 //! until leaves have time-split and key-split — sibling leaves then share
 //! the history pages carved off before their split. Random key × time
 //! boxes are checked three ways: the bounded read must equal (a) the
-//! answer recomputed from a shadow log of every commit and (b) the
+//! answer of the `History` every commit is recorded in and (b) the
 //! unbounded walk filtered afterwards; and (c) it must *cost what it
 //! touches* — `buffer.fetches` proportional to the covering leaves'
 //! chains, with the push-down visible in `temporal.pushdown_*`. The same
 //! boxes are re-checked after `compact_history` and inside a snapshot
-//! transaction holding uncommitted writes of its own.
+//! transaction holding uncommitted writes of its own; before any box,
+//! every committed version must be readable at its own timestamp.
 //!
 //! A second battery checks that a scan is *resumable*: forced to stop
 //! every `k` rows and re-enter the cursor after the last key it sent — as
@@ -19,7 +20,6 @@
 //! time and by key between two chunks.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use immortaldb::row::encode_key;
@@ -27,6 +27,7 @@ use immortaldb::{
     Database, DbConfig, DiffRow, Flow, Isolation, PkBounds, RowSink, Session, SimClock,
     TemporalVersion, Transaction, Value,
 };
+use immortaldb_chaos::{Change, History, TempDir, Version};
 use immortaldb_common::{Error, Result, Timestamp};
 use immortaldb_mobgen::{temporal_history, TemporalOp};
 use rand::rngs::StdRng;
@@ -36,24 +37,11 @@ const OBJECTS: u32 = 60;
 const STEPS: u32 = 2_400;
 const TABLE: &str = "obj";
 
-/// One committed change: `(commit ts, oid, Some((x, y)) | None = delete)`.
-type Log = Vec<(Timestamp, i32, Option<(i32, i32)>)>;
-/// A `VERSIONS BETWEEN` answer in result order: `(oid, commit ts, state)`.
-type Versions = Vec<(i32, Timestamp, Option<(i32, i32)>)>;
-
 struct Fixture {
     db: Arc<Database>,
     clock: Arc<SimClock>,
-    log: Log,
-    /// Every commit timestamp, ascending.
-    stamps: Vec<Timestamp>,
-    dir: std::path::PathBuf,
-}
-
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
+    history: History,
+    _dir: TempDir,
 }
 
 fn row(oid: i32, x: i32, y: i32) -> Vec<Value> {
@@ -68,22 +56,21 @@ fn row(oid: i32, x: i32, y: i32) -> Vec<Value> {
     ]
 }
 
-fn xy(row: &[Value]) -> (i32, (i32, i32)) {
-    match row {
-        [Value::Int(oid), Value::Int(x), Value::Int(y), _] => (*oid, (*x, *y)),
-        other => panic!("unexpected row {other:?}"),
+fn oid(row: &[Value]) -> i32 {
+    match row[0] {
+        Value::Int(oid) => oid,
+        ref other => panic!("unexpected key {other:?}"),
     }
 }
 
 fn build(tag: &str, using_tsb: bool, seed: u64, objects: u32, steps: u32) -> Fixture {
-    // Time splits leave history unpacked (every test of this binary says
-    // so, the switch being process-wide): the boxes then run over plain
-    // chains first and over delta-packed ones after `compact_history`.
-    immortaldb_storage::version::set_history_packing(false);
-    let dir = std::env::temp_dir().join(format!("cursor-eq-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new(&format!("cursor-eq-{tag}"));
     let clock = Arc::new(SimClock::new(7_000_000));
-    let mut cfg = DbConfig::new(&dir).clock(clock.clone());
+    // Time splits leave history unpacked: the boxes then run over plain
+    // chains first and over delta-packed ones after `compact_history`.
+    let mut cfg = DbConfig::new(&dir)
+        .clock(clock.clone())
+        .history_packing(false);
     // Nothing here waits for a lock it can get: a writer held off by a
     // scan's table lock should find out soon.
     cfg.lock_timeout = std::time::Duration::from_millis(40);
@@ -96,9 +83,8 @@ fn build(tag: &str, using_tsb: bool, seed: u64, objects: u32, steps: u32) -> Fix
     let mut fx = Fixture {
         db,
         clock,
-        log: Vec::new(),
-        stamps: Vec::new(),
-        dir,
+        history: History::default(),
+        _dir: dir,
     };
     // Transactions of up to five operations on distinct oids.
     let ops = temporal_history(seed, objects, steps);
@@ -124,28 +110,15 @@ impl Fixture {
         apply(db, &mut txn, batch);
         let ts = db.commit(&mut txn).unwrap();
         for op in batch {
-            self.log.push(match *op {
+            match *op {
                 TemporalOp::Insert { oid, x, y } | TemporalOp::Update { oid, x, y } => {
-                    (ts, oid as i32, Some((x, y)))
+                    let oid = oid as i32;
+                    self.history.record(ts, oid, Some(row(oid, x, y)))
                 }
-                TemporalOp::Delete { oid } => (ts, oid as i32, None),
-            });
-        }
-        self.stamps.push(ts);
-        self.clock.advance(20);
-    }
-
-    fn state_at(&self, ts: Timestamp) -> BTreeMap<i32, (i32, i32)> {
-        let mut m = BTreeMap::new();
-        for (cts, oid, val) in &self.log {
-            if *cts <= ts {
-                match val {
-                    Some(v) => m.insert(*oid, *v),
-                    None => m.remove(oid),
-                };
+                TemporalOp::Delete { oid } => self.history.record(ts, oid as i32, None),
             }
         }
-        m
+        self.clock.advance(20);
     }
 
     /// A random box: key bounds of every shape, a window between two
@@ -154,7 +127,8 @@ impl Fixture {
         let schema = &self.db.table(TABLE).unwrap().schema;
         let keys = Keys::random(schema, rng);
         let pick = |rng: &mut StdRng| {
-            let ts = self.stamps[rng.gen_range(0..self.stamps.len())];
+            let commits = self.history.commits();
+            let ts = commits[rng.gen_range(0..commits.len())];
             match rng.gen_range(0..4) {
                 0 => Timestamp::new(ts.ttime, ts.sn + 1),
                 1 if ts.sn > 0 => Timestamp::new(ts.ttime, ts.sn - 1),
@@ -222,14 +196,14 @@ impl Keys {
     }
 }
 
-fn rows_in(db: &Database, txn: &mut Transaction, keys: &Keys) -> Vec<(i32, (i32, i32))> {
-    let rows = db.scan_rows_in(txn, TABLE, &keys.0).unwrap();
-    rows.iter().map(|r| xy(r)).collect()
+fn rows_in(db: &Database, txn: &mut Transaction, keys: &Keys) -> Vec<Vec<Value>> {
+    db.scan_rows_in(txn, TABLE, &keys.0).unwrap()
 }
 
 /// One box, three oracles.
 fn check_box(fx: &Fixture, keys: &Keys, lo: Timestamp, hi: Timestamp, ctx: &str) {
-    let db = &fx.db;
+    let (db, h) = (&fx.db, &fx.history);
+    let holds = |oid| keys.holds(oid);
     // -- the window: VERSIONS BETWEEN and DIFF ------------------------------
     let bounded: Vec<TemporalVersion> = db.versions_between_in(TABLE, &keys.0, lo, hi).unwrap();
     let filtered: Vec<TemporalVersion> = db
@@ -239,29 +213,9 @@ fn check_box(fx: &Fixture, keys: &Keys, lo: Timestamp, hi: Timestamp, ctx: &str)
         .filter(|v| keys.holds_key(&v.key))
         .collect();
     assert_eq!(bounded, filtered, "{ctx}: versions vs filtered full walk");
-    let mut expect: Versions = fx
-        .log
-        .iter()
-        .filter(|(ts, oid, _)| *ts >= lo && *ts <= hi && keys.holds(*oid))
-        .map(|(ts, oid, v)| (*oid, *ts, *v))
-        .collect();
-    expect.sort();
     let schema = &db.table(TABLE).unwrap().schema;
-    let got: Versions = bounded
-        .iter()
-        .map(|v| {
-            let oid = match immortaldb::row::decode_key(&v.key).unwrap() {
-                Value::Int(oid) => oid,
-                other => panic!("{other:?}"),
-            };
-            let state = v
-                .data
-                .as_ref()
-                .map(|d| xy(&schema.decode_row(d).unwrap()).1);
-            (oid, v.ts, state)
-        })
-        .collect();
-    assert_eq!(got, expect, "{ctx}: versions vs shadow log");
+    let got: Vec<Version> = bounded.iter().map(|v| Version::decode(schema, v)).collect();
+    h.check_versions(lo, hi, holds, &got).expect(ctx);
 
     let bounded: Vec<DiffRow> = db.diff_table_in(TABLE, &keys.0, lo, hi).unwrap();
     let filtered: Vec<DiffRow> = db
@@ -271,46 +225,22 @@ fn check_box(fx: &Fixture, keys: &Keys, lo: Timestamp, hi: Timestamp, ctx: &str)
         .filter(|d| keys.holds_key(&d.key))
         .collect();
     assert_eq!(bounded, filtered, "{ctx}: diff vs filtered full fold");
-    let (then, now) = (fx.state_at(lo), fx.state_at(hi));
-    let changed = (-3..OBJECTS as i32 + 3)
-        .filter(|oid| keys.holds(*oid) && then.get(oid) != now.get(oid))
-        .count();
-    assert_eq!(bounded.len(), changed, "{ctx}: diff vs shadow states");
+    let got: Vec<Change> = bounded.iter().map(|d| Change::decode(schema, d)).collect();
+    h.check_diff(lo, hi, holds, &got).expect(ctx);
 
     // -- the instant: AS OF scans and point reads ---------------------------
     let mut txn = db.begin_as_of_ts(lo);
     let bounded = rows_in(db, &mut txn, keys);
-    let full = rows_in(db, &mut txn, &Keys(PkBounds::all()));
-    let filtered: Vec<_> = full
-        .iter()
-        .filter(|(oid, _)| keys.holds(*oid))
-        .copied()
-        .collect();
+    let mut filtered = rows_in(db, &mut txn, &Keys(PkBounds::all()));
+    filtered.retain(|r| keys.holds(oid(r)));
     assert_eq!(bounded, filtered, "{ctx}: AS OF scan vs filtered full scan");
-    let expect: Vec<_> = then
-        .iter()
-        .filter(|(oid, _)| keys.holds(**oid))
-        .map(|(o, v)| (*o, *v))
-        .collect();
-    assert_eq!(bounded, expect, "{ctx}: AS OF scan vs shadow state");
+    h.check_scan(lo, holds, &bounded).expect(ctx);
     db.commit(&mut txn).unwrap();
 
     // -- one key, all time: HISTORY OF ---------------------------------------
     let oid = (lo.ttime % (OBJECTS as u64 + 2)) as i32 - 1;
-    let history: Vec<_> = db
-        .history_rows(TABLE, &Value::Int(oid))
-        .unwrap()
-        .into_iter()
-        .map(|(ts, row)| (ts.expect("all committed"), row.map(|r| xy(&r).1)))
-        .collect();
-    let mut expect: Vec<_> = fx
-        .log
-        .iter()
-        .filter(|e| e.1 == oid)
-        .map(|e| (e.0, e.2))
-        .collect();
-    expect.reverse();
-    assert_eq!(history, expect, "{ctx}: history of {oid} vs shadow log");
+    let listing = db.history_rows(TABLE, &Value::Int(oid)).unwrap();
+    h.check_history(oid, &listing).expect(ctx);
 }
 
 fn check_boxes(fx: &Fixture, seed: u64, rounds: usize, phase: &str) {
@@ -325,12 +255,12 @@ fn check_boxes(fx: &Fixture, seed: u64, rounds: usize, phase: &str) {
 /// A snapshot transaction with uncommitted writes of its own, whose
 /// leaves time-split under it (its snapshot then predates their start,
 /// while its writes stay in them): bounded reads must still equal the
-/// filtered full scan and the shadow state overlaid with its writes.
+/// filtered full scan and the committed state overlaid with its writes.
 fn check_own_writes(fx: &mut Fixture, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let db = fx.db.clone();
     let mut snap = db.begin(Isolation::Snapshot);
-    let mut expect = fx.state_at(*fx.stamps.last().unwrap());
+    let mut expect = fx.history.state_at(Timestamp::MAX);
     let mut mine = Vec::new();
     for oid in (0..OBJECTS as i32).step_by(3) {
         let op = match (expect.contains_key(&oid), rng.gen_range(0..3)) {
@@ -348,7 +278,9 @@ fn check_own_writes(fx: &mut Fixture, seed: u64) {
         };
         match op {
             TemporalOp::Delete { .. } => expect.remove(&oid),
-            _ => expect.insert(oid, (-oid, if expect.contains_key(&oid) { 2 } else { 1 })),
+            TemporalOp::Insert { x, y, .. } | TemporalOp::Update { x, y, .. } => {
+                expect.insert(oid, row(oid, x, y))
+            }
         };
         mine.push(op);
     }
@@ -359,10 +291,8 @@ fn check_own_writes(fx: &mut Fixture, seed: u64) {
     while db.split_counts().0 < splits_before + 6 {
         let others: Vec<TemporalOp> = (0..OBJECTS)
             .filter(|oid| {
-                oid % 3 == 1
-                    && fx
-                        .state_at(*fx.stamps.last().unwrap())
-                        .contains_key(&(*oid as i32))
+                let alive = fx.history.row_at(*oid as i32, Timestamp::MAX).is_some();
+                oid % 3 == 1 && alive
             })
             .take(5)
             .map(|oid| TemporalOp::Update { oid, x, y: 9 })
@@ -373,21 +303,17 @@ fn check_own_writes(fx: &mut Fixture, seed: u64) {
     for round in 0..40 {
         let keys = Keys::random(&db.table(TABLE).unwrap().schema, &mut rng);
         let bounded = rows_in(&db, &mut snap, &keys);
-        let full = rows_in(&db, &mut snap, &Keys(PkBounds::all()));
-        let filtered: Vec<_> = full
-            .iter()
-            .filter(|(oid, _)| keys.holds(*oid))
-            .copied()
-            .collect();
+        let mut filtered = rows_in(&db, &mut snap, &Keys(PkBounds::all()));
+        filtered.retain(|r| keys.holds(oid(r)));
         assert_eq!(bounded, filtered, "own writes, box {round} {:?}", keys.0);
         let want: Vec<_> = expect
             .iter()
             .filter(|(oid, _)| keys.holds(**oid))
-            .map(|(o, v)| (*o, *v))
+            .map(|(_, r)| r.clone())
             .collect();
         assert_eq!(
             bounded, want,
-            "own writes vs shadow, box {round} {:?}",
+            "own writes vs the model, box {round} {:?}",
             keys.0
         );
     }
@@ -396,6 +322,9 @@ fn check_own_writes(fx: &mut Fixture, seed: u64) {
 
 fn battery(tag: &str, using_tsb: bool, seed: u64) {
     let mut fx = build(tag, using_tsb, seed, OBJECTS, STEPS);
+    fx.history
+        .check_own_timestamps(&fx.db, TABLE)
+        .expect("every version at its own commit timestamp");
     check_boxes(&fx, seed ^ 1, 60, "after splits");
     let stats = fx.db.compact_history().unwrap();
     assert!(stats.pages_rewritten > 0, "compaction must rewrite pages");
@@ -435,8 +364,9 @@ fn keyed_temporal_reads_cost_what_they_touch() {
     // Stamp everything so no read resolves a timestamp through PTT pages.
     db.vacuum().unwrap();
     let schema = db.table(TABLE).unwrap().schema.clone();
-    let oldest = fx.stamps[0];
-    let (lo, hi) = (fx.stamps[fx.stamps.len() / 2], *fx.stamps.last().unwrap());
+    let commits = fx.history.commits();
+    let oldest = commits[0];
+    let (lo, hi) = (commits[commits.len() / 2], *commits.last().unwrap());
     let point_read = |oid: i32, ts: Timestamp| {
         let mut txn = db.begin_as_of_ts(ts);
         let cost = fetch_cost(db, || {
@@ -498,7 +428,7 @@ fn keyed_temporal_reads_cost_what_they_touch() {
     assert_eq!(pushed("temporal.pushdown_range"), ranges + 1);
     let (full, all) = fetch_cost(db, || s.execute(&format!("SELECT * FROM {TABLE}")).unwrap());
     s.commit().unwrap();
-    let alive = fx.state_at(lo);
+    let alive = fx.history.state_at(lo);
     assert_eq!(
         r.rows.len(),
         range.clone().filter(|o| alive.contains_key(o)).count()
@@ -533,7 +463,8 @@ fn tsb_keyed_window_prunes_rectangles_on_keys() {
     let fx = build("tsb-cost", true, 21, 4 * OBJECTS, 3 * STEPS);
     let db = &fx.db;
     let schema = db.table(TABLE).unwrap().schema.clone();
-    let (lo, hi) = (fx.stamps[fx.stamps.len() / 2], *fx.stamps.last().unwrap());
+    let commits = fx.history.commits();
+    let (lo, hi) = (commits[commits.len() / 2], *commits.last().unwrap());
     let pages = || db.metrics().temporal.range_scan_pages.get();
     let key = PkBounds::point(&schema, &Value::Int(17)).unwrap();
     let before = pages();
@@ -636,7 +567,7 @@ fn resume_battery(tag: &str, using_tsb: bool, seed: u64) {
     // the leaves under the scan fill up and split both ways.
     let mut fresh = 1_000;
     let mut write = |fx: &mut Fixture| {
-        let now = fx.state_at(*fx.stamps.last().unwrap());
+        let now = fx.history.state_at(Timestamp::MAX);
         let dead = (0..OBJECTS).filter(|o| !now.contains_key(&(*o as i32)));
         let mut batch: Vec<TemporalOp> = dead
             .take(2)

@@ -1,20 +1,22 @@
-//! Deep-history shadow checker for delta-encoded version chains and the
-//! history compactor.
+//! Deep-history checker for delta-encoded version chains and the history
+//! compactor.
 //!
 //! A table is driven through hundreds of updates per key — deep version
 //! chains spanning many history pages, with mostly-stable payloads so
-//! delta encoding has something to exploit — while a shadow log records
-//! every commit's exact `(timestamp, key, value)`. AS OF point reads and
-//! `VERSIONS BETWEEN` are then checked against the shadow: after the
-//! build, after a synchronous `compact_history` pass, after a reopen
-//! that replays the compaction's page images from the log, and on a
-//! replica that applied the compacted primary's WAL. Both index kinds
-//! (chain and TSB) run the same battery.
+//! delta encoding has something to exploit — while a `History` records
+//! every commit's exact `(timestamp, key, row)`. AS OF point reads,
+//! `VERSIONS BETWEEN` and every version at its own commit timestamp are
+//! then checked against it: after the build, after a synchronous
+//! `compact_history` pass, after a reopen that replays the compaction's
+//! page images from the log, and on a replica that applied the compacted
+//! primary's WAL. Both index kinds (chain and TSB) run the same battery.
 
+use std::path::Path;
 use std::sync::Arc;
 
+use immortaldb::temporal::{window_hi, window_lo};
 use immortaldb::{Database, DbConfig, Durability, Error, Isolation, Session, SimClock, Value};
-use immortaldb_common::Timestamp;
+use immortaldb_chaos::{History, TempDir, Version};
 use immortaldb_net::{Client, Server, ServerConfig};
 use immortaldb_repl::{Replica, ReplicaConfig};
 
@@ -24,34 +26,27 @@ const ROUNDS: usize = 250;
 /// survive packing as anchors).
 const DELETED_KEY: i32 = 2;
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_nanos();
-    let dir = std::env::temp_dir().join(format!(
-        "history-compaction-{}-{tag}-{nanos}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Mostly-stable payload: a long constant pad with a small changing head.
 fn payload(oid: i32, seq: i32) -> String {
     format!("{seq:06}-{oid:02}-{}", "p".repeat(120))
 }
 
-/// One committed change: `(commit ts, oid, Some(seq) | None for delete)`.
-type Log = Vec<(Timestamp, i32, Option<i32>)>;
+/// The row of `oid` written in round `seq`.
+fn deep_row(oid: i32, seq: i32) -> Vec<Value> {
+    vec![
+        Value::Int(oid),
+        Value::Int(seq),
+        Value::Varchar(payload(oid, seq)),
+    ]
+}
 
 struct Fixture {
     /// `Option` so tests can close the engine (reopen scenarios) while
     /// the fixture keeps owning the directory.
     db: Option<Arc<Database>>,
     clock: Arc<SimClock>,
-    log: Log,
-    dir: std::path::PathBuf,
+    history: History,
+    dir: TempDir,
 }
 
 impl Fixture {
@@ -62,199 +57,116 @@ impl Fixture {
     /// Close the engine and recover from the files on disk.
     fn reopen(&mut self) {
         self.db = None;
-        self.db = Some(open_db(&self.dir, Arc::clone(&self.clock)));
+        self.db = Some(open_db(self.dir.path(), Arc::clone(&self.clock), true));
     }
 }
 
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        self.db = None;
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
-fn open_db(dir: &std::path::Path, clock: Arc<SimClock>) -> Arc<Database> {
+fn open_db(dir: &Path, clock: Arc<SimClock>, history_packing: bool) -> Arc<Database> {
     Arc::new(
         Database::open(
             DbConfig::new(dir)
                 .durability(Durability::Buffered)
-                .clock(clock),
+                .clock(clock)
+                .history_packing(history_packing),
         )
         .unwrap(),
     )
 }
 
-/// Build the deep history: a batched initial load, then `ROUNDS` rounds
-/// of single-key updates walking round-robin over the keys, one delete +
-/// re-insert for [`DELETED_KEY`] in the middle.
-fn build(tag: &str, using_tsb: bool) -> Fixture {
-    let dir = tempdir(tag);
+/// A fresh `deep` table, either index kind, and its clock.
+fn empty_table(tag: &str, using_tsb: bool, history_packing: bool) -> Fixture {
+    let dir = TempDir::new(&format!("history-compaction-{tag}"));
     let clock = Arc::new(SimClock::new(7_000_000));
-    let db = open_db(&dir, Arc::clone(&clock));
-    let mut s = Session::new(&db);
+    let db = open_db(dir.path(), Arc::clone(&clock), history_packing);
     let ddl = format!(
         "CREATE IMMORTAL TABLE deep (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160)){}",
         if using_tsb { " USING TSB" } else { "" }
     );
-    s.execute(&ddl).unwrap();
-
-    let mut log: Log = Vec::new();
-    // Initial load through the batched-ingest path.
-    let rows: Vec<Vec<Value>> = (0..KEYS)
-        .map(|oid| {
-            vec![
-                Value::Int(oid),
-                Value::Int(0),
-                Value::Varchar(payload(oid, 0)),
-            ]
-        })
-        .collect();
-    let mut txn = db.begin(Isolation::Serializable);
-    db.insert_rows(&mut txn, "deep", rows).unwrap();
-    let ts = db.commit(&mut txn).unwrap();
-    for oid in 0..KEYS {
-        log.push((ts, oid, Some(0)));
-    }
-    clock.advance(20);
-
-    for round in 1..=ROUNDS {
-        let oid = (round as i32) % KEYS;
-        let seq = round as i32;
-        let mut txn = db.begin(Isolation::Serializable);
-        if oid == DELETED_KEY && round == ROUNDS / 2 {
-            db.delete_row(&mut txn, "deep", &Value::Int(oid)).unwrap();
-            let ts = db.commit(&mut txn).unwrap();
-            log.push((ts, oid, None));
-        } else if oid == DELETED_KEY && round == ROUNDS / 2 + KEYS as usize {
-            db.insert_row(
-                &mut txn,
-                "deep",
-                vec![
-                    Value::Int(oid),
-                    Value::Int(seq),
-                    Value::Varchar(payload(oid, seq)),
-                ],
-            )
-            .unwrap();
-            let ts = db.commit(&mut txn).unwrap();
-            log.push((ts, oid, Some(seq)));
-        } else {
-            db.update_row(
-                &mut txn,
-                "deep",
-                vec![
-                    Value::Int(oid),
-                    Value::Int(seq),
-                    Value::Varchar(payload(oid, seq)),
-                ],
-            )
-            .unwrap();
-            let ts = db.commit(&mut txn).unwrap();
-            log.push((ts, oid, Some(seq)));
-        }
-        clock.advance(20);
-    }
+    Session::new(&db).execute(&ddl).unwrap();
     Fixture {
         db: Some(db),
         clock,
-        log,
+        history: History::default(),
         dir,
     }
 }
 
-/// Shadow answer for `key` AS OF `ts`: newest change at or below it.
-fn shadow_at(log: &Log, oid: i32, ts: Timestamp) -> Option<i32> {
-    log.iter()
-        .rfind(|(cts, k, _)| *k == oid && *cts <= ts)
-        .and_then(|(_, _, v)| *v)
+/// Build the deep history: a batched initial load, then `ROUNDS` rounds
+/// of single-key updates walking round-robin over the keys, one delete +
+/// re-insert for [`DELETED_KEY`] in the middle.
+fn build(tag: &str, using_tsb: bool, history_packing: bool) -> Fixture {
+    let mut f = empty_table(tag, using_tsb, history_packing);
+    let db = Arc::clone(f.db());
+    // Initial load through the batched-ingest path.
+    let mut txn = db.begin(Isolation::Serializable);
+    let rows = (0..KEYS).map(|oid| deep_row(oid, 0)).collect();
+    db.insert_rows(&mut txn, "deep", rows).unwrap();
+    let ts = db.commit(&mut txn).unwrap();
+    for oid in 0..KEYS {
+        f.history.record(ts, oid, Some(deep_row(oid, 0)));
+    }
+
+    for round in 1..=ROUNDS {
+        f.clock.advance(20);
+        let (oid, seq) = ((round as i32) % KEYS, round as i32);
+        let mut txn = db.begin(Isolation::Serializable);
+        let row = if oid == DELETED_KEY && round == ROUNDS / 2 {
+            db.delete_row(&mut txn, "deep", &Value::Int(oid)).unwrap();
+            None
+        } else if oid == DELETED_KEY && round == ROUNDS / 2 + KEYS as usize {
+            db.insert_row(&mut txn, "deep", deep_row(oid, seq)).unwrap();
+            Some(deep_row(oid, seq))
+        } else {
+            db.update_row(&mut txn, "deep", deep_row(oid, seq)).unwrap();
+            Some(deep_row(oid, seq))
+        };
+        f.history.record(db.commit(&mut txn).unwrap(), oid, row);
+    }
+    f
 }
 
-/// Check sampled AS OF point reads for every key against the shadow.
-fn check_as_of(db: &Database, log: &Log, label: &str) {
-    let step = (log.len() / 40).max(1);
-    for (i, (ts, _, _)) in log.iter().enumerate().step_by(step) {
+/// Sampled AS OF point reads of every key. Whole rows are compared, so
+/// every payload must reconstruct byte-exact through any delta chain.
+fn check_as_of(db: &Database, h: &History, label: &str) {
+    let step = (h.commits().len() / 40).max(1);
+    for ts in h.commits().iter().step_by(step) {
+        let mut txn = db.begin_as_of_ts(*ts);
         for oid in 0..KEYS {
-            let mut txn = db.begin_as_of_ts(*ts);
             let row = db.get_row(&mut txn, "deep", &Value::Int(oid)).unwrap();
-            db.rollback(&mut txn).unwrap();
-            let want = shadow_at(log, oid, *ts);
-            let got = row.map(|r| match r[1] {
-                Value::Int(seq) => seq,
-                ref other => panic!("bad Seq cell: {other:?}"),
-            });
-            assert_eq!(
-                got, want,
-                "{label}: AS OF {ts:?} (log index {i}) diverged for key {oid}"
-            );
-            if let Some(seq) = want {
-                // The payload must reconstruct byte-exact through any
-                // delta chain, not just the Seq column.
-                let mut txn = db.begin_as_of_ts(*ts);
-                let row = db.get_row(&mut txn, "deep", &Value::Int(oid)).unwrap();
-                db.rollback(&mut txn).unwrap();
-                match &row.unwrap()[2] {
-                    Value::Varchar(p) => assert_eq!(
-                        p,
-                        &payload(oid, seq),
-                        "{label}: payload mismatch AS OF {ts:?} key {oid}"
-                    ),
-                    other => panic!("bad Pad cell: {other:?}"),
-                }
-            }
+            h.check_point(oid, *ts, row.as_deref()).expect(label);
         }
+        db.rollback(&mut txn).unwrap();
     }
 }
 
-/// Check `VERSIONS BETWEEN` over a window against the shadow.
-fn check_versions_between(db: &Arc<Database>, log: &Log, label: &str) {
-    let lo = log[log.len() / 4].0;
-    let hi = log[3 * log.len() / 4].0;
-    let mut s = Session::new(db);
+/// `VERSIONS BETWEEN` over the middle half of the history.
+fn check_versions_between(db: &Database, h: &History, label: &str) {
+    let commits = h.commits();
+    let (lo, hi) = (commits[commits.len() / 4], commits[3 * commits.len() / 4]);
     let sql = format!(
         "SELECT * FROM deep VERSIONS BETWEEN ms({}) AND ms({})",
         lo.ttime, hi.ttime
     );
-    let got = s.execute(&sql).unwrap();
-    let mut want: Vec<(u64, i32, Option<i32>)> = log
-        .iter()
-        .filter(|(ts, _, _)| lo <= *ts && *ts <= hi)
-        .map(|(ts, oid, v)| (ts.ttime, *oid, *v))
-        .collect();
-    want.sort_by_key(|(ms, oid, _)| (*oid, *ms));
-    assert_eq!(
-        got.rows.len(),
-        want.len(),
-        "{label}: VERSIONS BETWEEN row count diverged"
-    );
-    for (row, (ms, oid, v)) in got.rows.iter().zip(&want) {
-        match (&row[0], &row[2], &row[3]) {
-            (Value::BigInt(got_ms), Value::Varchar(op), Value::Int(got_oid)) => {
-                assert_eq!(*got_ms as u64, *ms, "{label}: version ms diverged");
-                assert_eq!(got_oid, oid, "{label}: version key diverged");
-                let want_op = if v.is_some() { "WRITE" } else { "DELETE" };
-                assert_eq!(op, want_op, "{label}: version op diverged");
-            }
-            other => panic!("bad VERSIONS row head: {other:?}"),
-        }
-    }
+    let rows = Session::new(db).execute(&sql).unwrap().rows;
+    let got: Vec<Version> = rows.iter().map(|r| Version::from_sql(r)).collect();
+    h.check_versions(window_lo(lo.ttime), window_hi(hi.ttime), |_| true, &got)
+        .expect(label);
 }
 
-/// Serializes the batteries: they toggle the process-wide split-time
-/// packing switch and must not observe each other's setting.
-static PACKING_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// The checks every stage of the battery runs.
+fn check_all(f: &Fixture, label: &str) {
+    check_as_of(f.db(), &f.history, label);
+    check_versions_between(f.db(), &f.history, label);
+    f.history.check_own_timestamps(f.db(), "deep").expect(label);
+}
 
 fn run_battery(using_tsb: bool, tag: &str) {
-    let _gate = PACKING_GATE.lock().unwrap();
     // Build with split-time delta packing off: history pages land holding
     // full versions — the shape a pre-delta engine (or one upgraded in
     // place) leaves behind — so the compactor's packing win is
     // measurable for both index kinds, not just the chain merge.
-    let was = immortaldb_storage::version::set_history_packing(false);
-    let mut f = build(tag, using_tsb);
-    immortaldb_storage::version::set_history_packing(was);
-
-    check_as_of(f.db(), &f.log, "pre-compaction");
-    check_versions_between(f.db(), &f.log, "pre-compaction");
+    let mut f = build(tag, using_tsb, false);
+    check_all(&f, "pre-compaction");
     let before = f.db().history_stats().unwrap();
     assert!(
         before.history_pages > 3,
@@ -283,19 +195,17 @@ fn run_battery(using_tsb: bool, tag: &str) {
             "merging must shrink the page count: {before:?} -> {after:?}"
         );
     }
-    check_as_of(f.db(), &f.log, "post-compaction");
-    check_versions_between(f.db(), &f.log, "post-compaction");
+    check_all(&f, "post-compaction");
 
     // A second pass must be (close to) a no-op — idempotence.
     let again = f.db().compact_history().unwrap();
     assert_eq!(again.pages_freed, 0, "second pass freed pages: {again:?}");
-    check_as_of(f.db(), &f.log, "second-pass");
+    check_as_of(f.db(), &f.history, "second-pass");
 
     // Reopen: redo replays the compaction's page images from the log
     // (the pass never checkpointed, so its pages were never flushed).
     f.reopen();
-    check_as_of(f.db(), &f.log, "post-reopen");
-    check_versions_between(f.db(), &f.log, "post-reopen");
+    check_all(&f, "post-reopen");
     let reopened = f.db().history_stats().unwrap();
     assert_eq!(
         reopened.history_pages, after.history_pages,
@@ -317,7 +227,7 @@ fn deep_history_matches_shadow_tsb_index() {
 /// page-image records — must serve the same deep-history answers.
 #[test]
 fn replica_serves_compacted_history() {
-    let f = build("repl", false);
+    let f = build("repl", false, true);
     f.db().compact_history().unwrap();
 
     let server = Server::start(
@@ -326,8 +236,9 @@ fn replica_serves_compacted_history() {
     )
     .unwrap();
     let addr = server.local_addr().to_string();
-    let replica = Replica::start(ReplicaConfig::new(tempdir("repl-follower"), addr)).unwrap();
-    let last = f.log.last().unwrap().0;
+    let follower = TempDir::new("history-compaction-follower");
+    let replica = Replica::start(ReplicaConfig::new(follower.path(), addr)).unwrap();
+    let last = *f.history.commits().last().unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     while replica.db().visible_horizon() < last {
         assert!(
@@ -337,7 +248,7 @@ fn replica_serves_compacted_history() {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
 
-    check_as_of(replica.db(), &f.log, "replica");
+    check_as_of(replica.db(), &f.history, "replica");
 
     // And over the wire, a sampled AS OF transaction.
     let replica_server = Server::start(
@@ -346,19 +257,13 @@ fn replica_serves_compacted_history() {
     )
     .unwrap();
     let mut c = Client::connect(replica_server.local_addr().to_string()).unwrap();
-    let (mid_ts, _, _) = f.log[f.log.len() / 2];
-    c.query(&format!("BEGIN TRAN AS OF ms({})", mid_ts.ttime))
-        .unwrap();
+    let mid_ms = f.history.commits()[f.history.commits().len() / 2].ttime;
+    c.query(&format!("BEGIN TRAN AS OF ms({mid_ms})")).unwrap();
     let rows = c.query("SELECT * FROM deep WHERE Oid < 1000").unwrap();
     c.query("COMMIT TRAN").unwrap();
-    let want_live = (0..KEYS)
-        .filter(|oid| shadow_at(&f.log, *oid, mid_ts).is_some())
-        .count();
-    assert_eq!(
-        rows.rows.len(),
-        want_live,
-        "replica wire scan diverged from the shadow"
-    );
+    f.history
+        .check_scan(window_hi(mid_ms), |oid| oid < 1000, &rows.rows)
+        .expect("replica wire scan");
 
     replica_server.shutdown().unwrap();
     replica.stop();
@@ -367,66 +272,36 @@ fn replica_serves_compacted_history() {
 
 // -- batched ingest -----------------------------------------------------------
 
-fn ingest_row(oid: i32) -> Vec<Value> {
-    vec![
-        Value::Int(oid),
-        Value::Int(0),
-        Value::Varchar(payload(oid, 0)),
-    ]
-}
-
-/// A fresh `deep` table, either index kind, and its clock.
-fn empty_table(tag: &str, using_tsb: bool) -> Fixture {
-    let dir = tempdir(tag);
-    let clock = Arc::new(SimClock::new(7_000_000));
-    let db = open_db(&dir, Arc::clone(&clock));
-    let ddl = format!(
-        "CREATE IMMORTAL TABLE deep (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160)){}",
-        if using_tsb { " USING TSB" } else { "" }
-    );
-    Session::new(&db).execute(&ddl).unwrap();
-    Fixture {
-        db: Some(db),
-        clock,
-        log: Vec::new(),
-        dir,
-    }
-}
-
 /// Twin databases, one loaded with `insert_rows` (batched) and one row by
 /// row with `insert_row`, then given the same updates: the batch must
 /// build the same tree — same splits, same version store, same answers.
 fn batched_ingest_matches_per_row(using_tsb: bool, tag: &str) {
     const ROWS: i32 = 300;
-    // Both twins must split under the same packing setting.
-    let _gate = PACKING_GATE.lock().unwrap();
     let twins: Vec<Fixture> = [true, false]
         .into_iter()
         .map(|batched| {
-            let mut f = empty_table(&format!("{tag}-{batched}"), using_tsb);
+            let mut f = empty_table(&format!("{tag}-{batched}"), using_tsb, true);
             let db = Arc::clone(f.db());
             let mut txn = db.begin(Isolation::Serializable);
             if batched {
-                let rows = (0..ROWS).map(ingest_row).collect();
+                let rows = (0..ROWS).map(|oid| deep_row(oid, 0)).collect();
                 db.insert_rows(&mut txn, "deep", rows).unwrap();
             } else {
                 for oid in 0..ROWS {
-                    db.insert_row(&mut txn, "deep", ingest_row(oid)).unwrap();
+                    db.insert_row(&mut txn, "deep", deep_row(oid, 0)).unwrap();
                 }
             }
             let ts = db.commit(&mut txn).unwrap();
-            f.log.extend((0..ROWS).map(|oid| (ts, oid, Some(0))));
+            for oid in 0..ROWS {
+                f.history.record(ts, oid, Some(deep_row(oid, 0)));
+            }
             for seq in 1..=200 {
                 f.clock.advance(20);
                 let oid = seq * 37 % ROWS;
                 let mut txn = db.begin(Isolation::Serializable);
-                let row = vec![
-                    Value::Int(oid),
-                    Value::Int(seq),
-                    Value::Varchar(payload(oid, seq)),
-                ];
-                db.update_row(&mut txn, "deep", row).unwrap();
-                f.log.push((db.commit(&mut txn).unwrap(), oid, Some(seq)));
+                db.update_row(&mut txn, "deep", deep_row(oid, seq)).unwrap();
+                let ts = db.commit(&mut txn).unwrap();
+                f.history.record(ts, oid, Some(deep_row(oid, seq)));
             }
             f
         })
@@ -440,9 +315,9 @@ fn batched_ingest_matches_per_row(using_tsb: bool, tag: &str) {
         format!("{:?}", per_row.history_stats().unwrap()),
         "{tag}: version store"
     );
-    let log = &twins[0].log;
-    assert_eq!(log, &twins[1].log, "{tag}: commit timestamps");
-    for (ts, _, _) in log.iter().step_by(10) {
+    let h = &twins[0].history;
+    assert_eq!(h, &twins[1].history, "{tag}: commit timestamps");
+    for ts in h.commits().iter().step_by(10) {
         let scan = |db: &Database| {
             let mut txn = db.begin_as_of_ts(*ts);
             let rows = db.scan_rows(&mut txn, "deep").unwrap();
@@ -451,10 +326,10 @@ fn batched_ingest_matches_per_row(using_tsb: bool, tag: &str) {
         };
         assert_eq!(scan(batched), scan(per_row), "{tag}: AS OF {ts:?}");
     }
-    let (lo, hi) = (log[0].0, log.last().unwrap().0);
+    let (lo, hi) = (h.commits()[0], *h.commits().last().unwrap());
     let window = |db: &Database| db.versions_between("deep", lo, hi).unwrap();
     assert_eq!(window(batched), window(per_row), "{tag}: VERSIONS BETWEEN");
-    check_as_of(batched, log, tag);
+    check_as_of(batched, h, tag);
 }
 
 #[test]
@@ -471,17 +346,17 @@ fn tsb_batched_ingest_matches_per_row() {
 /// it applied (the transaction sees them) and the rest not; rolling back
 /// removes the applied ones, so a later batch can insert them again.
 fn batch_error_rolls_back(using_tsb: bool, tag: &str) {
-    let f = empty_table(tag, using_tsb);
+    let f = empty_table(tag, using_tsb, true);
     let db = f.db();
     let mut txn = db.begin(Isolation::Serializable);
-    db.insert_row(&mut txn, "deep", ingest_row(150)).unwrap();
+    db.insert_row(&mut txn, "deep", deep_row(150, 0)).unwrap();
     db.commit(&mut txn).unwrap();
 
     let get = |txn: &mut immortaldb::Transaction, oid: i32| {
         db.get_row(txn, "deep", &Value::Int(oid)).unwrap()
     };
     let mut txn = db.begin(Isolation::Serializable);
-    let all = (0..300).map(ingest_row).collect();
+    let all = (0..300).map(|oid| deep_row(oid, 0)).collect();
     let err = db.insert_rows(&mut txn, "deep", all).unwrap_err();
     assert!(matches!(err, Error::DuplicateKey), "{tag}: {err:?}");
     assert!(
@@ -499,7 +374,7 @@ fn batch_error_rolls_back(using_tsb: bool, tag: &str) {
         get(&mut txn, 10).is_none(),
         "{tag}: rollback removed the batch"
     );
-    let again = (0..150).map(ingest_row).collect();
+    let again = (0..150).map(|oid| deep_row(oid, 0)).collect();
     db.insert_rows(&mut txn, "deep", again).unwrap();
     db.commit(&mut txn).unwrap();
     let mut txn = db.begin(Isolation::Serializable);

@@ -1,21 +1,18 @@
-//! Online timestamp-based isolation checking (after arXiv:2504.01477):
-//! run a randomized concurrent workload, record every transaction's read
-//! and write sets together with its begin-snapshot and commit timestamp,
-//! then verify offline that the observed history is consistent with the
-//! timestamps the engine assigned:
+//! Timestamp-based isolation checking (after arXiv:2504.01477): run a
+//! randomized concurrent workload, log every transaction's reads and
+//! writes together with its begin snapshot and commit timestamp, then
+//! check the run afterwards:
 //!
-//! 1. **Write-write order** — per key, the committed values in the
-//!    engine's version chain must be exactly the logged committed writes
-//!    ordered by commit timestamp, timestamps strictly descending.
-//! 2. **Snapshot-read consistency** — every read must return the
+//! 1. **Version chains** — per key, the engine's version chain must be
+//!    exactly the logged committed writes (one `History`), timestamps
+//!    strictly descending.
+//! 2. **Snapshot isolation** — the log replays through the sentinel's own
+//!    rule engine (`immortaldb_chaos::replay`): every read returns the
 //!    transaction's own latest write to the key, or else the committed
-//!    value with the greatest commit timestamp at or below the
-//!    transaction's snapshot. Nothing else (no dirty, no half-batch, no
-//!    non-repeatable reads).
-//! 3. **Read-write (anti-dependency) order** — first-committer-wins: no
-//!    two committed snapshot transactions may both write a key when one's
-//!    commit falls between the other's snapshot and commit.
-//! 4. **PTT agreement** — the persistent timestamp table must map every
+//!    value with the greatest commit timestamp at or below its snapshot
+//!    (no dirty, no half-batch, no non-repeatable reads), and no two
+//!    committed snapshot writers of a key overlap (first-committer-wins).
+//! 3. **PTT agreement** — the persistent timestamp table must map every
 //!    committed writer to exactly the commit timestamp it returned.
 //!
 //! The workload runs with group commit on (several seeds) and off: the
@@ -23,11 +20,14 @@
 //! visibility in any way a timestamp checker can observe.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use immortaldb::{
-    Database, DbConfig, Durability, GroupCommitConfig, Isolation, Session, Timestamp, Value,
+    Database, DbConfig, Durability, GroupCommitConfig, Isolation, Session, Timestamp, Transaction,
+    Value,
 };
+use immortaldb_chaos::{replay, Access, Mismatch, TempDir, TxnLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,29 +36,24 @@ const KEYS: i32 = 16;
 const THREADS: u64 = 6;
 const COMMITS_PER_THREAD: usize = 40;
 
-#[derive(Debug, Clone)]
-enum Event {
-    /// Key and the value observed (`None` would mean "row missing").
-    Read(i32, Option<i64>),
-    /// Key and the (globally unique) value written.
-    Write(i32, i64),
+/// Read key `k` in `txn`: the value column it saw, logged.
+fn read(db: &Database, txn: &mut Transaction, k: i32) -> immortaldb::Result<Access> {
+    let row = db.get_row(txn, TABLE, &Value::Int(k))?;
+    Ok(Access::Read(k, row.map(|r| r[1].clone())))
 }
 
-#[derive(Debug)]
-struct TxnLog {
-    tid: u64,
-    snapshot: Timestamp,
-    commit_ts: Timestamp,
-    events: Vec<Event>,
-    // Debug ordering info: global sequence numbers around the txn.
-    seq_begin: u64,
-    seq_events: Vec<u64>,
-    seq_commit: u64,
-}
-
-fn open(name: &str, grouped: bool) -> (Arc<Database>, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("immortal-it-iso-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+/// Run the workload for one seed and check it.
+///
+/// `readers` adds that many dedicated read-only threads running
+/// concurrently with the writers: snapshot transactions doing multi-read
+/// batches plus `AS OF` transactions replaying a random already-logged
+/// commit timestamp. Their reads are logged like everyone else's (an
+/// `AS OF` transaction is logged with the pinned timestamp as its
+/// snapshot) and judged by the same snapshot-read rule. This drives the
+/// optimistic read path of DESIGN.md §11 underneath the timestamp
+/// checker.
+fn check_one(seed: u64, grouped: bool, readers: usize) -> Result<(), Mismatch> {
+    let dir = TempDir::new("iso");
     let db = Database::open(
         DbConfig::new(&dir)
             .durability(Durability::Fsync)
@@ -68,99 +63,68 @@ fn open(name: &str, grouped: bool) -> (Arc<Database>, std::path::PathBuf) {
             }),
     )
     .unwrap();
-    (Arc::new(db), dir)
-}
-
-/// Run the workload for one seed and return every violation found.
-///
-/// `readers` adds that many dedicated read-only threads running
-/// concurrently with the writers: snapshot transactions doing multi-read
-/// batches plus `AS OF` transactions replaying a random already-logged
-/// commit timestamp. Their reads are logged like everyone else's (an
-/// `AS OF` transaction is logged with the pinned timestamp as its
-/// snapshot) and verified by the same offline snapshot-read rule. This
-/// drives the optimistic read path of DESIGN.md §11 underneath the
-/// timestamp checker.
-fn check_one(seed: u64, grouped: bool, readers: usize) -> Vec<String> {
-    let (db, dir) = open(&format!("{seed}-{grouped}-{readers}"), grouped);
-    {
-        let mut s = Session::new(&db);
-        s.execute(&format!(
+    Session::new(&db)
+        .execute(&format!(
             "CREATE IMMORTAL TABLE {TABLE} (id INT PRIMARY KEY, v BIGINT)"
         ))
         .unwrap();
-    }
     // Seed every key with value 0 in one transaction; its commit acts as
     // the first committed write of each key.
-    let seed_ts = {
+    let seed_log = {
         let mut txn = db.begin(Isolation::Serializable);
-        for k in 0..KEYS {
-            db.insert_row(&mut txn, TABLE, vec![Value::Int(k), Value::BigInt(0)])
-                .unwrap();
+        let ops = (0..KEYS)
+            .map(|k| {
+                let row = vec![Value::Int(k), Value::BigInt(0)];
+                db.insert_row(&mut txn, TABLE, row).unwrap();
+                Access::Write(k, Value::BigInt(0))
+            })
+            .collect();
+        TxnLog {
+            tid: txn.tid().0,
+            snapshot: Timestamp::ZERO,
+            commit: db.commit(&mut txn).unwrap(),
+            ops,
         }
-        db.commit(&mut txn).unwrap()
     };
 
-    let logs: Arc<Mutex<Vec<TxnLog>>> = Arc::new(Mutex::new(Vec::new()));
-    let seq = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let writers_left = Arc::new(std::sync::atomic::AtomicU64::new(THREADS));
-    let reader_reads = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let logs: Mutex<Vec<TxnLog>> = Mutex::new(Vec::new());
+    let writers_left = AtomicU64::new(THREADS);
+    let reader_reads = AtomicU64::new(0);
     std::thread::scope(|scope| {
+        let (db, logs, writers_left, reader_reads) = (&db, &logs, &writers_left, &reader_reads);
         for r in 0..readers {
-            let db = Arc::clone(&db);
-            let logs = Arc::clone(&logs);
-            let seq = Arc::clone(&seq);
-            let writers_left = Arc::clone(&writers_left);
-            let reader_reads = Arc::clone(&reader_reads);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(7919).wrapping_add(r as u64));
-                while writers_left.load(std::sync::atomic::Ordering::Acquire) > 0 {
+                while writers_left.load(Ordering::Acquire) > 0 {
                     // A read-only snapshot transaction with a batch of
                     // point reads, logged like any writer transaction.
                     let mut txn = db.begin(Isolation::Snapshot);
-                    let seq_begin = seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    let mut events = Vec::new();
-                    let mut seq_events = Vec::new();
-                    for _ in 0..rng.gen_range(4..9) {
-                        let k = rng.gen_range(0..KEYS);
-                        let row = db.get_row(&mut txn, TABLE, &Value::Int(k)).unwrap();
-                        let v = row.map(|r| match r[1] {
-                            Value::BigInt(v) => v,
-                            ref other => panic!("bad value {other:?}"),
-                        });
-                        events.push(Event::Read(k, v));
-                        seq_events.push(seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst));
-                    }
-                    reader_reads
-                        .fetch_add(events.len() as u64, std::sync::atomic::Ordering::Relaxed);
-                    let snapshot = txn.snapshot();
-                    let tid = txn.tid().0;
-                    let ts = db.commit(&mut txn).unwrap();
-                    let seq_commit = seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    let ops: Vec<Access> = (0..rng.gen_range(4..9))
+                        .map(|_| read(db, &mut txn, rng.gen_range(0..KEYS)).unwrap())
+                        .collect();
+                    reader_reads.fetch_add(ops.len() as u64, Ordering::Relaxed);
+                    let (tid, snapshot) = (txn.tid().0, txn.snapshot());
+                    let commit = db.commit(&mut txn).unwrap();
                     logs.lock().unwrap().push(TxnLog {
                         tid,
                         snapshot,
-                        commit_ts: ts,
-                        events,
-                        seq_begin,
-                        seq_events,
-                        seq_commit,
+                        commit,
+                        ops,
                     });
 
                     // An AS OF replay pinned at a random commit timestamp
                     // observed so far; the pinned timestamp plays the role
-                    // of the snapshot in the offline read check. Only
-                    // timestamps at or below the snapshot watermark just
-                    // observed are eligible: commits complete out of
-                    // timestamp order under group commit, so a logged
-                    // timestamp above the watermark may still have
-                    // in-flight commits below it whose versions an AS OF
-                    // read cannot see yet.
+                    // of the snapshot. Only timestamps at or below the
+                    // snapshot watermark just observed are eligible:
+                    // commits complete out of timestamp order under group
+                    // commit, so a logged timestamp above the watermark
+                    // may still have in-flight commits below it whose
+                    // versions an AS OF read cannot see yet.
                     let as_of = {
                         let logs = logs.lock().unwrap();
                         let eligible: Vec<Timestamp> = logs
                             .iter()
-                            .map(|l| l.commit_ts)
+                            .map(|l| l.commit)
                             .filter(|ts| *ts <= snapshot)
                             .collect();
                         if eligible.is_empty() {
@@ -169,41 +133,22 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Vec<String> {
                         eligible[rng.gen_range(0..eligible.len())]
                     };
                     let mut txn = db.begin_as_of_ts(as_of);
-                    let seq_begin = seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    let mut events = Vec::new();
-                    let mut seq_events = Vec::new();
-                    for _ in 0..rng.gen_range(2..5) {
-                        let k = rng.gen_range(0..KEYS);
-                        let row = db.get_row(&mut txn, TABLE, &Value::Int(k)).unwrap();
-                        let v = row.map(|r| match r[1] {
-                            Value::BigInt(v) => v,
-                            ref other => panic!("bad value {other:?}"),
-                        });
-                        events.push(Event::Read(k, v));
-                        seq_events.push(seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst));
-                    }
-                    reader_reads
-                        .fetch_add(events.len() as u64, std::sync::atomic::Ordering::Relaxed);
+                    let ops: Vec<Access> = (0..rng.gen_range(2..5))
+                        .map(|_| read(db, &mut txn, rng.gen_range(0..KEYS)).unwrap())
+                        .collect();
+                    reader_reads.fetch_add(ops.len() as u64, Ordering::Relaxed);
                     let tid = txn.tid().0;
                     db.commit(&mut txn).unwrap();
-                    let seq_commit = seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     logs.lock().unwrap().push(TxnLog {
                         tid,
                         snapshot: as_of,
-                        commit_ts: as_of,
-                        events,
-                        seq_begin,
-                        seq_events,
-                        seq_commit,
+                        commit: as_of,
+                        ops,
                     });
                 }
             });
         }
         for t in 0..THREADS {
-            let db = Arc::clone(&db);
-            let logs = Arc::clone(&logs);
-            let seq = Arc::clone(&seq);
-            let writers_left = Arc::clone(&writers_left);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1009).wrapping_add(t));
                 // Monotone per thread so every write attempt carries a
@@ -218,67 +163,35 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Vec<String> {
                         "thread {t} cannot make progress"
                     );
                     let mut txn = db.begin(Isolation::Snapshot);
-                    let seq_begin = seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    let mut events = Vec::new();
-                    let mut seq_events = Vec::new();
-                    let n_ops = rng.gen_range(2..5);
-                    let mut failed = false;
-                    for _ in 0..n_ops {
+                    let mut ops = Vec::new();
+                    let done = (0..rng.gen_range(2..5)).try_for_each(|_| {
                         let k = rng.gen_range(0..KEYS);
                         if rng.gen_range(0..100) < 60 {
-                            match db.get_row(&mut txn, TABLE, &Value::Int(k)) {
-                                Ok(row) => {
-                                    let v = row.map(|r| match r[1] {
-                                        Value::BigInt(v) => v,
-                                        ref other => panic!("bad value {other:?}"),
-                                    });
-                                    events.push(Event::Read(k, v));
-                                    seq_events.push(
-                                        seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
-                                    );
-                                }
-                                Err(e) if e.is_transient() => {
-                                    failed = true;
-                                    break;
-                                }
-                                Err(e) => panic!("read failed: {e}"),
-                            }
+                            ops.push(read(db, &mut txn, k)?);
                         } else {
                             next_val += 1;
-                            let v = t as i64 * 1_000_000 + next_val;
-                            let row = vec![Value::Int(k), Value::BigInt(v)];
-                            match db.update_row(&mut txn, TABLE, row) {
-                                Ok(()) => {
-                                    events.push(Event::Write(k, v));
-                                    seq_events.push(
-                                        seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst),
-                                    );
-                                }
-                                Err(e) if e.is_transient() => {
-                                    failed = true;
-                                    break;
-                                }
-                                Err(e) => panic!("write failed: {e}"),
-                            }
+                            let v = Value::BigInt(t as i64 * 1_000_000 + next_val);
+                            db.update_row(&mut txn, TABLE, vec![Value::Int(k), v.clone()])?;
+                            ops.push(Access::Write(k, v));
                         }
+                        Ok::<_, immortaldb::Error>(())
+                    });
+                    match done {
+                        Ok(()) => {}
+                        Err(e) if e.is_transient() => {
+                            let _ = db.rollback(&mut txn);
+                            continue;
+                        }
+                        Err(e) => panic!("operation failed: {e}"),
                     }
-                    if failed {
-                        let _ = db.rollback(&mut txn);
-                        continue;
-                    }
-                    let snapshot = txn.snapshot();
-                    let tid = txn.tid().0;
+                    let (tid, snapshot) = (txn.tid().0, txn.snapshot());
                     match db.commit(&mut txn) {
-                        Ok(ts) => {
-                            let seq_commit = seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        Ok(commit) => {
                             logs.lock().unwrap().push(TxnLog {
                                 tid,
                                 snapshot,
-                                commit_ts: ts,
-                                events,
-                                seq_begin,
-                                seq_events,
-                                seq_commit,
+                                commit,
+                                ops,
                             });
                             committed += 1;
                         }
@@ -286,163 +199,29 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Vec<String> {
                         Err(e) => panic!("commit failed: {e}"),
                     }
                 }
-                writers_left.fetch_sub(1, std::sync::atomic::Ordering::Release);
+                writers_left.fetch_sub(1, Ordering::Release);
             });
         }
     });
     if readers > 0 {
         assert!(
-            reader_reads.load(std::sync::atomic::Ordering::Relaxed) > 0,
+            reader_reads.load(Ordering::Relaxed) > 0,
             "concurrent readers never read"
         );
     }
 
-    let logs = Arc::try_unwrap(logs).unwrap().into_inner().unwrap();
-    let mut violations = Vec::new();
+    // (2) Snapshot isolation, judged by the sentinel's rules.
+    let logs = logs.into_inner().unwrap();
+    let history = replay(&seed_log, &logs)?;
 
-    // Committed writes per key, and the writer of every committed value.
-    let mut writes_by_key: HashMap<i32, Vec<(Timestamp, i64)>> = HashMap::new();
+    // (1) The engine's version chains are the committed writes.
     for k in 0..KEYS {
-        writes_by_key.entry(k).or_default().push((seed_ts, 0));
-    }
-    for log in &logs {
-        // Only a transaction's LAST write to a key is a committed
-        // version; earlier ones were overwritten in place by itself.
-        let mut last: HashMap<i32, i64> = HashMap::new();
-        for ev in &log.events {
-            if let Event::Write(k, v) = ev {
-                last.insert(*k, *v);
-            }
-        }
-        for (k, v) in last {
-            writes_by_key.entry(k).or_default().push((log.commit_ts, v));
-        }
-    }
-    for list in writes_by_key.values_mut() {
-        list.sort();
+        history.check_history(k, &db.history_rows(TABLE, &Value::Int(k)).unwrap())?;
     }
 
-    // (1) WW order: the engine's version chains must equal the logged
-    // committed writes in commit-timestamp order, strictly descending.
-    for k in 0..KEYS {
-        let expect: Vec<(Timestamp, i64)> = writes_by_key[&k].iter().rev().copied().collect();
-        let history = db.history_rows(TABLE, &Value::Int(k)).unwrap();
-        let got: Vec<(Timestamp, i64)> = history
-            .iter()
-            .map(|(ts, row)| {
-                let ts = ts.expect("uncommitted version survived the workload");
-                let v = match row.as_ref().expect("unexpected deletion")[1] {
-                    Value::BigInt(v) => v,
-                    ref other => panic!("bad value {other:?}"),
-                };
-                (ts, v)
-            })
-            .collect();
-        for w in got.windows(2) {
-            if w[0].0 <= w[1].0 {
-                violations.push(format!(
-                    "key {k}: version chain timestamps not strictly descending: {:?} then {:?}",
-                    w[0], w[1]
-                ));
-            }
-        }
-        if got != expect {
-            violations.push(format!(
-                "key {k}: version chain {got:?} != committed writes by timestamp {expect:?}"
-            ));
-        }
-    }
-
-    // (2) Snapshot-read consistency: replay each transaction's events.
-    for log in &logs {
-        let mut own: HashMap<i32, i64> = HashMap::new();
-        for (ei, ev) in log.events.iter().enumerate() {
-            match ev {
-                Event::Write(k, v) => {
-                    own.insert(*k, *v);
-                }
-                Event::Read(k, observed) => {
-                    let expected = own.get(k).copied().or_else(|| {
-                        writes_by_key[k]
-                            .iter()
-                            .rev()
-                            .find(|(ts, _)| *ts <= log.snapshot)
-                            .map(|(_, v)| *v)
-                    });
-                    if *observed != expected {
-                        let ts_of = |v: Option<i64>| {
-                            v.and_then(|v| {
-                                writes_by_key[k]
-                                    .iter()
-                                    .find(|(_, w)| *w == v)
-                                    .map(|(ts, _)| *ts)
-                            })
-                        };
-                        let writer_of = |v: Option<i64>| {
-                            v.and_then(|v| {
-                                logs.iter().find(|l| {
-                                    l.events
-                                        .iter()
-                                        .any(|e| matches!(e, Event::Write(wk, wv) if *wk == *k && *wv == v))
-                                })
-                            })
-                        };
-                        let wdesc = |v: Option<i64>| {
-                            writer_of(v)
-                                .map(|w| {
-                                    format!(
-                                        "writer tid {} seq_begin {} seq_commit {}",
-                                        w.tid, w.seq_begin, w.seq_commit
-                                    )
-                                })
-                                .unwrap_or_else(|| "seed txn".to_string())
-                        };
-                        violations.push(format!(
-                            "txn {} (snapshot {:?}, commit {:?}, seq_begin {}, read seq {}): \
-                             read of key {k} observed {observed:?} (committed {:?}; {}), \
-                             expected {expected:?} (committed {:?}; {})",
-                            log.tid,
-                            log.snapshot,
-                            log.commit_ts,
-                            log.seq_begin,
-                            log.seq_events[ei],
-                            ts_of(*observed),
-                            wdesc(*observed),
-                            ts_of(expected),
-                            wdesc(expected)
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // (3) RW order / first-committer-wins: no committed write to a key I
-    // wrote may fall strictly between my snapshot and my commit.
-    for log in &logs {
-        let mine: Vec<i32> = log
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Write(k, _) => Some(*k),
-                _ => None,
-            })
-            .collect();
-        for k in mine {
-            for (ts, v) in &writes_by_key[&k] {
-                if *ts > log.snapshot && *ts < log.commit_ts {
-                    violations.push(format!(
-                        "txn {}: lost update on key {k}: foreign write {v} at {ts:?} inside \
-                         (snapshot {:?}, commit {:?})",
-                        log.tid, log.snapshot, log.commit_ts
-                    ));
-                }
-            }
-        }
-    }
-
-    // (4) PTT agreement: every committed writer's PTT row carries the
-    // timestamp the engine returned at commit.
+    // (3) PTT agreement: every committed writer's PTT row carries the
+    // timestamp the engine returned at commit. GC may legitimately have
+    // reclaimed a fully-stamped entry, so only a present one is judged.
     let ptt: HashMap<u64, Timestamp> = db
         .ptt_entries()
         .unwrap()
@@ -450,65 +229,41 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Vec<String> {
         .map(|(tid, ts)| (tid.0, ts))
         .collect();
     for log in &logs {
-        let wrote = log.events.iter().any(|e| matches!(e, Event::Write(..)));
-        if !wrote {
-            continue;
-        }
+        let wrote = log.ops.iter().any(|op| matches!(op, Access::Write(..)));
         match ptt.get(&log.tid) {
-            Some(ts) if *ts == log.commit_ts => {}
-            Some(ts) => violations.push(format!(
-                "txn {}: PTT timestamp {ts:?} != returned commit timestamp {:?}",
-                log.tid, log.commit_ts
-            )),
-            // GC may legitimately have reclaimed a fully-stamped entry;
-            // absence is only suspicious if nothing could have stamped it.
-            None => {}
+            Some(ts) if wrote && *ts != log.commit => {
+                return Err(Mismatch(format!(
+                    "txn {}: PTT timestamp {ts:?} != returned commit timestamp {:?}",
+                    log.tid, log.commit
+                )))
+            }
+            _ => {}
         }
     }
-
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    violations
+    Ok(())
 }
 
 #[test]
 fn isolation_checker_group_commit_enabled() {
     for seed in [11u64, 22, 33] {
-        let violations = check_one(seed, true, 0);
-        assert!(
-            violations.is_empty(),
-            "seed {seed} (grouped): {} violations:\n{}",
-            violations.len(),
-            violations.join("\n")
-        );
+        check_one(seed, true, 0).unwrap_or_else(|e| panic!("seed {seed} (grouped): {e}"));
     }
 }
 
 #[test]
 fn isolation_checker_per_commit_fsync() {
     for seed in [44u64, 55] {
-        let violations = check_one(seed, false, 0);
-        assert!(
-            violations.is_empty(),
-            "seed {seed} (per-commit): {} violations:\n{}",
-            violations.len(),
-            violations.join("\n")
-        );
+        check_one(seed, false, 0).unwrap_or_else(|e| panic!("seed {seed} (per-commit): {e}"));
     }
 }
 
 /// Concurrent-readers mode: dedicated snapshot/AS OF reader threads race
 /// the writer workload through the optimistic page-latch read path while
-/// the offline timestamp checker audits every observation.
+/// the replay audits every observation.
 #[test]
 fn isolation_checker_concurrent_readers() {
     for seed in [66u64, 77] {
-        let violations = check_one(seed, true, 3);
-        assert!(
-            violations.is_empty(),
-            "seed {seed} (concurrent readers): {} violations:\n{}",
-            violations.len(),
-            violations.join("\n")
-        );
+        check_one(seed, true, 3)
+            .unwrap_or_else(|e| panic!("seed {seed} (concurrent readers): {e}"));
     }
 }

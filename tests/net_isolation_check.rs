@@ -1,29 +1,28 @@
-//! The snapshot-isolation checker from `tests/isolation_check.rs`, run
-//! through the wire path: 8 concurrent TCP clients drive a randomized
-//! read/write workload against one `immortaldb-net` server, logging every
-//! transaction's events with the begin-snapshot and commit timestamps the
-//! protocol returns natively. The offline checks are the same:
+//! The isolation check of `tests/isolation_check.rs`, run through the wire
+//! path: 8 concurrent TCP clients drive a randomized read/write workload
+//! against one `immortaldb-net` server, logging what each transaction
+//! received over the wire together with the begin-snapshot and commit
+//! timestamps the protocol returns natively. The checks are the same:
 //!
-//! 1. **Write-write order** — per key, the engine's version chain must be
+//! 1. **Version chains** — per key, the engine's version chain must be
 //!    exactly the logged committed writes ordered by commit timestamp.
-//! 2. **Snapshot-read consistency** — every read over the wire must see
-//!    the transaction's own latest write or the newest committed value at
-//!    or below its snapshot.
-//! 3. **First-committer-wins** — no foreign committed write to a key I
-//!    wrote may land strictly between my snapshot and my commit.
+//! 2. **Snapshot isolation** — the log replays through the sentinel's
+//!    rule engine: every wire read saw the transaction's own latest write
+//!    or the newest committed value at or below its snapshot, and no
+//!    foreign committed write to a key a transaction wrote landed strictly
+//!    between its snapshot and its commit.
 //!
-//! (The embedded checker's fourth check, PTT agreement, needs engine
-//! transaction ids, which the protocol deliberately does not expose; it
-//! stays covered by the embedded test.)
+//! (The embedded check's PTT agreement needs engine transaction ids, which
+//! the protocol deliberately does not expose; it stays covered there.)
 //!
 //! Run grouped and per-commit: the leader/follower log-force barrier,
 //! now batching commits *across connections*, must stay invisible to a
 //! timestamp checker.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use immortaldb::{Database, DbConfig, Durability, GroupCommitConfig, Isolation, Timestamp, Value};
+use immortaldb_chaos::{replay, Access, Mismatch, TempDir, TxnLog};
 use immortaldb_net::{Client, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,26 +32,8 @@ const KEYS: i32 = 16;
 const CLIENTS: u64 = 8;
 const COMMITS_PER_CLIENT: usize = 25;
 
-#[derive(Debug, Clone)]
-enum Event {
-    Read(i32, Option<i64>),
-    Write(i32, i64),
-}
-
-#[derive(Debug)]
-struct TxnLog {
-    client: u64,
-    snapshot: Timestamp,
-    commit_ts: Timestamp,
-    events: Vec<Event>,
-}
-
-fn check_one(seed: u64, grouped: bool) -> Vec<String> {
-    let dir = std::env::temp_dir().join(format!(
-        "immortal-net-iso-{seed}-{grouped}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+fn check_one(seed: u64, grouped: bool) -> Result<(), Mismatch> {
+    let dir = TempDir::new("net-iso");
     let db = Arc::new(
         Database::open(
             DbConfig::new(&dir)
@@ -72,7 +53,7 @@ fn check_one(seed: u64, grouped: bool) -> Vec<String> {
     let addr = server.local_addr();
 
     // Set up and seed every key through the wire, then free the worker.
-    let seed_ts = {
+    let seed_log = {
         let mut admin = Client::connect(addr).unwrap();
         admin
             .query(&format!(
@@ -85,13 +66,20 @@ fn check_one(seed: u64, grouped: bool) -> Vec<String> {
                 .query(&format!("INSERT INTO {TABLE} VALUES ({k}, 0)"))
                 .unwrap();
         }
-        admin.commit().unwrap()
+        TxnLog {
+            tid: CLIENTS,
+            snapshot: Timestamp::ZERO,
+            commit: admin.commit().unwrap(),
+            ops: (0..KEYS)
+                .map(|k| Access::Write(k, Value::BigInt(0)))
+                .collect(),
+        }
     };
 
-    let logs: Arc<Mutex<Vec<TxnLog>>> = Arc::new(Mutex::new(Vec::new()));
+    let logs: Mutex<Vec<TxnLog>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for t in 0..CLIENTS {
-            let logs = Arc::clone(&logs);
+            let logs = &logs;
             scope.spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1009).wrapping_add(t));
@@ -105,55 +93,41 @@ fn check_one(seed: u64, grouped: bool) -> Vec<String> {
                         "client {t} cannot make progress"
                     );
                     let snapshot = c.begin(Isolation::Snapshot).unwrap();
-                    let mut events = Vec::new();
-                    let n_ops = rng.gen_range(2..5);
-                    let mut failed = false;
-                    for _ in 0..n_ops {
+                    let mut ops = Vec::new();
+                    let done = (0..rng.gen_range(2..5)).try_for_each(|_| {
                         let k = rng.gen_range(0..KEYS);
                         if rng.gen_range(0..100) < 60 {
-                            match c.query(&format!("SELECT v FROM {TABLE} WHERE id = {k}")) {
-                                Ok(resp) => {
-                                    let v = resp.rows.first().map(|r| match r[0] {
-                                        Value::BigInt(v) => v,
-                                        ref other => panic!("bad value {other:?}"),
-                                    });
-                                    events.push(Event::Read(k, v));
-                                }
-                                Err(e) if e.is_transient() => {
-                                    failed = true;
-                                    break;
-                                }
-                                Err(e) => panic!("read failed: {e}"),
-                            }
+                            let resp = c.query(&format!("SELECT v FROM {TABLE} WHERE id = {k}"))?;
+                            ops.push(Access::Read(k, resp.rows.first().map(|r| r[0].clone())));
                         } else {
                             next_val += 1;
                             let v = t as i64 * 1_000_000 + next_val;
-                            match c.query(&format!("UPDATE {TABLE} SET v = {v} WHERE id = {k}")) {
-                                Ok(_) => events.push(Event::Write(k, v)),
-                                Err(e) if e.is_transient() => {
-                                    failed = true;
-                                    break;
-                                }
-                                Err(e) => panic!("write failed: {e}"),
+                            c.query(&format!("UPDATE {TABLE} SET v = {v} WHERE id = {k}"))?;
+                            ops.push(Access::Write(k, Value::BigInt(v)));
+                        }
+                        Ok::<_, immortaldb::Error>(())
+                    });
+                    match done {
+                        Ok(()) => {}
+                        Err(e) if e.is_transient() => {
+                            // A transient failure dooms the transaction;
+                            // the server already rolled it back (ERROR
+                            // frames carry txn_open=false) but be
+                            // defensive.
+                            if c.in_transaction() {
+                                c.rollback().unwrap();
                             }
+                            continue;
                         }
-                    }
-                    if failed {
-                        // A transient failure dooms the transaction; the
-                        // server already rolled it back (ERROR frames
-                        // carry txn_open=false) but be defensive.
-                        if c.in_transaction() {
-                            c.rollback().unwrap();
-                        }
-                        continue;
+                        Err(e) => panic!("operation failed: {e}"),
                     }
                     match c.commit() {
-                        Ok(commit_ts) => {
+                        Ok(commit) => {
                             logs.lock().unwrap().push(TxnLog {
-                                client: t,
+                                tid: t,
                                 snapshot,
-                                commit_ts,
-                                events,
+                                commit,
+                                ops,
                             });
                             committed += 1;
                         }
@@ -164,138 +138,24 @@ fn check_one(seed: u64, grouped: bool) -> Vec<String> {
             });
         }
     });
-    let logs = Arc::try_unwrap(logs).unwrap().into_inner().unwrap();
+    let history = replay(&seed_log, &logs.into_inner().unwrap())?;
 
-    let mut violations = Vec::new();
-
-    // Committed writes per key, ordered by commit timestamp.
-    let mut writes_by_key: HashMap<i32, Vec<(Timestamp, i64)>> = HashMap::new();
+    // The engine's version chains, read directly (the server is idle now).
     for k in 0..KEYS {
-        writes_by_key.entry(k).or_default().push((seed_ts, 0));
+        history.check_history(k, &db.history_rows(TABLE, &Value::Int(k)).unwrap())?;
     }
-    for log in &logs {
-        let mut last: HashMap<i32, i64> = HashMap::new();
-        for ev in &log.events {
-            if let Event::Write(k, v) = ev {
-                last.insert(*k, *v);
-            }
-        }
-        for (k, v) in last {
-            writes_by_key.entry(k).or_default().push((log.commit_ts, v));
-        }
-    }
-    for list in writes_by_key.values_mut() {
-        list.sort();
-    }
-
-    // (1) WW order against the engine's version chains (read directly;
-    // the server is idle now).
-    for k in 0..KEYS {
-        let expect: Vec<(Timestamp, i64)> = writes_by_key[&k].iter().rev().copied().collect();
-        let history = db.history_rows(TABLE, &Value::Int(k)).unwrap();
-        let got: Vec<(Timestamp, i64)> = history
-            .iter()
-            .map(|(ts, row)| {
-                let ts = ts.expect("uncommitted version survived the workload");
-                let v = match row.as_ref().expect("unexpected deletion")[1] {
-                    Value::BigInt(v) => v,
-                    ref other => panic!("bad value {other:?}"),
-                };
-                (ts, v)
-            })
-            .collect();
-        for w in got.windows(2) {
-            if w[0].0 <= w[1].0 {
-                violations.push(format!(
-                    "key {k}: version chain timestamps not strictly descending: {:?} then {:?}",
-                    w[0], w[1]
-                ));
-            }
-        }
-        if got != expect {
-            violations.push(format!(
-                "key {k}: version chain {got:?} != committed writes by timestamp {expect:?}"
-            ));
-        }
-    }
-
-    // (2) Snapshot-read consistency: replay each transaction's events.
-    for log in &logs {
-        let mut own: HashMap<i32, i64> = HashMap::new();
-        for ev in &log.events {
-            match ev {
-                Event::Write(k, v) => {
-                    own.insert(*k, *v);
-                }
-                Event::Read(k, observed) => {
-                    let expected = own.get(k).copied().or_else(|| {
-                        writes_by_key[k]
-                            .iter()
-                            .rev()
-                            .find(|(ts, _)| *ts <= log.snapshot)
-                            .map(|(_, v)| *v)
-                    });
-                    if *observed != expected {
-                        violations.push(format!(
-                            "client {} (snapshot {:?}, commit {:?}): wire read of key {k} \
-                             observed {observed:?}, expected {expected:?}",
-                            log.client, log.snapshot, log.commit_ts
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // (3) First-committer-wins.
-    for log in &logs {
-        let mine: Vec<i32> = log
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Write(k, _) => Some(*k),
-                _ => None,
-            })
-            .collect();
-        for k in mine {
-            for (ts, v) in &writes_by_key[&k] {
-                if *ts > log.snapshot && *ts < log.commit_ts {
-                    violations.push(format!(
-                        "client {}: lost update on key {k}: foreign write {v} at {ts:?} inside \
-                         (snapshot {:?}, commit {:?})",
-                        log.client, log.snapshot, log.commit_ts
-                    ));
-                }
-            }
-        }
-    }
-
     server.shutdown().unwrap();
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    violations
+    Ok(())
 }
 
 #[test]
 fn wire_isolation_checker_group_commit_enabled() {
     for seed in [17u64, 29] {
-        let violations = check_one(seed, true);
-        assert!(
-            violations.is_empty(),
-            "seed {seed} (grouped): {} violations:\n{}",
-            violations.len(),
-            violations.join("\n")
-        );
+        check_one(seed, true).unwrap_or_else(|e| panic!("seed {seed} (grouped): {e}"));
     }
 }
 
 #[test]
 fn wire_isolation_checker_per_commit_fsync() {
-    let violations = check_one(41, false);
-    assert!(
-        violations.is_empty(),
-        "seed 41 (per-commit): {} violations:\n{}",
-        violations.len(),
-        violations.join("\n")
-    );
+    check_one(41, false).unwrap_or_else(|e| panic!("seed 41 (per-commit): {e}"));
 }

@@ -4,27 +4,21 @@
 use immortaldb::{
     Database, DbConfig, Flow, Isolation, Result, RowSink, Session, TimestampingMode, Value,
 };
+use immortaldb_chaos::TempDir;
 
 struct Env {
-    dir: std::path::PathBuf,
+    dir: TempDir,
 }
 
 impl Env {
     fn new(name: &str) -> Env {
-        let dir =
-            std::env::temp_dir().join(format!("immortal-it-obs-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Env { dir }
+        Env {
+            dir: TempDir::new(&format!("obs-{name}")),
+        }
     }
 
     fn open(&self, mode: TimestampingMode) -> Database {
         Database::open(DbConfig::new(&self.dir).timestamping(mode)).unwrap()
-    }
-}
-
-impl Drop for Env {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 

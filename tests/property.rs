@@ -1,22 +1,21 @@
-//! Property-based tests: the engine against an in-memory model database.
+//! Property-based tests: the engine against the commit history.
 //!
-//! The model records, per key, the full sequence of `(commit index,
-//! value-or-deleted)`; after replaying a random operation sequence, every
-//! AS OF point query and full scan on the engine must match the model at
-//! every captured instant — across time splits, key splits, rollbacks and
-//! checkpoints.
+//! A `History` records every committed `(timestamp, key, row-or-deleted)`;
+//! after replaying a random operation sequence, every AS OF point query
+//! and full scan on the engine must match it at every captured instant —
+//! across time splits, key splits, rollbacks and checkpoints.
 
 // The proptest shim's `ProptestConfig` happens to have exactly the fields
 // set below, making `..default()` redundant offline — but it is required
 // against the real crate.
 #![allow(clippy::needless_update)]
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use immortaldb::{Database, DbConfig, Isolation, SimClock, Timestamp, Value};
+use immortaldb_chaos::{History, TempDir};
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -55,9 +54,7 @@ proptest! {
         actions in proptest::collection::vec(action_strategy(), 30..120),
         seed in any::<u32>(),
     ) {
-        let dir = std::env::temp_dir().join(
-            format!("immortal-prop-{}-{seed}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("prop-{seed}"));
         let clock = Arc::new(SimClock::new(30_000_000));
         let db = Database::open(
             DbConfig::new(&dir).clock(Arc::clone(&clock) as Arc<dyn immortaldb::Clock>),
@@ -67,34 +64,34 @@ proptest! {
             s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)").unwrap();
         }
 
-        let mut state: HashMap<i32, i32> = HashMap::new();
-        let mut marks: Vec<(Timestamp, HashMap<i32, i32>)> = Vec::new();
+        let mut history = History::default();
+        let mut marks: Vec<Timestamp> = Vec::new();
         for action in &actions {
+            let exists = |h: &History, key: &i32| h.row_at(*key, Timestamp::MAX).is_some();
             match action {
                 Action::Put { key, value } => {
                     let mut txn = db.begin(Isolation::Serializable);
                     let row = vec![Value::Int(*key), Value::Int(*value)];
-                    if state.contains_key(key) {
-                        db.update_row(&mut txn, "t", row).unwrap();
+                    if exists(&history, key) {
+                        db.update_row(&mut txn, "t", row.clone()).unwrap();
                     } else {
-                        db.insert_row(&mut txn, "t", row).unwrap();
+                        db.insert_row(&mut txn, "t", row.clone()).unwrap();
                     }
-                    db.commit(&mut txn).unwrap();
-                    state.insert(*key, *value);
+                    history.record(db.commit(&mut txn).unwrap(), *key, Some(row));
                     clock.advance(20);
                 }
                 Action::Delete { key } => {
-                    if state.remove(key).is_some() {
+                    if exists(&history, key) {
                         let mut txn = db.begin(Isolation::Serializable);
                         db.delete_row(&mut txn, "t", &Value::Int(*key)).unwrap();
-                        db.commit(&mut txn).unwrap();
+                        history.record(db.commit(&mut txn).unwrap(), *key, None);
                         clock.advance(20);
                     }
                 }
                 Action::AbortedPut { key, value } => {
                     let mut txn = db.begin(Isolation::Serializable);
                     let row = vec![Value::Int(*key), Value::Int(*value)];
-                    if state.contains_key(key) {
+                    if exists(&history, key) {
                         db.update_row(&mut txn, "t", row).unwrap();
                     } else {
                         db.insert_row(&mut txn, "t", row).unwrap();
@@ -104,32 +101,24 @@ proptest! {
                 Action::Checkpoint => {
                     db.checkpoint().unwrap();
                 }
-                Action::Mark => {
-                    marks.push((db.latest_ts(), state.clone()));
-                }
+                Action::Mark => marks.push(db.latest_ts()),
             }
         }
-        marks.push((db.latest_ts(), state.clone()));
+        marks.push(db.latest_ts());
 
         // Validate every mark: point queries + scans.
-        for (ts, snapshot) in &marks {
-            let mut txn = db.begin_as_of_ts(*ts);
+        for ts in marks {
+            let mut txn = db.begin_as_of_ts(ts);
             for key in 0..24i32 {
                 let row = db.get_row(&mut txn, "t", &Value::Int(key)).unwrap();
-                let got = row.map(|r| match r[1] { Value::Int(v) => v, _ => unreachable!() });
-                prop_assert_eq!(got, snapshot.get(&key).copied(), "key {} at {:?}", key, ts);
+                let checked = history.check_point(key, ts, row.as_deref());
+                prop_assert!(checked.is_ok(), "{:?}", checked);
             }
             let rows = db.scan_rows(&mut txn, "t").unwrap();
-            prop_assert_eq!(rows.len(), snapshot.len());
-            for r in rows {
-                let k = r[0].as_i64().unwrap() as i32;
-                let v = r[1].as_i64().unwrap() as i32;
-                prop_assert_eq!(Some(&v), snapshot.get(&k));
-            }
+            let checked = history.check_scan(ts, |_| true, &rows);
+            prop_assert!(checked.is_ok(), "{:?}", checked);
             db.commit(&mut txn).unwrap();
         }
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

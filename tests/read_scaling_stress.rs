@@ -1,26 +1,25 @@
-//! Concurrent read-scaling stress with an exact commit-history shadow.
+//! Concurrent read-scaling stress against the exact commit history.
 //!
 //! N reader threads (mixed snapshot-current and `AS OF` point reads) run
 //! against M writer threads driving inserts, updates and deletes — deep
 //! version chains, leaf splits and (on the TSB index) time splits —
 //! while the optimistic page-latch protocol (DESIGN.md §11) serves the
-//! read side. Writers commit under a shadow mutex that appends every
-//! committed change to a `(timestamp, key, state)` log, so the log is
-//! always exactly the engine's commit history. Each read is verified
-//! against the state the shadow log implies for its timestamp: zero
-//! violations allowed, on two fixed seeds, for both index layouts.
+//! read side. Writers commit under a mutex that records every committed
+//! change in one `History`, so it is always exactly the engine's commit
+//! history. Each read is verified against the row that history implies
+//! for its timestamp: zero violations allowed, on two fixed seeds, for
+//! both index layouts.
 //!
 //! The runs also assert `latch.optimistic_retries > 0` — the protocol's
 //! conflict path must actually exercise under writer pressure (a hot-key
 //! phase tops up contention on machines where the main phase raced too
 //! cleanly).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use immortaldb::{Database, DbConfig, Durability, Isolation, Session, SimClock, Value};
-use immortaldb_common::Timestamp;
+use immortaldb::{Database, DbConfig, Durability, Isolation, Session, SimClock, Timestamp, Value};
+use immortaldb_chaos::{History, Row, TempDir};
 
 const WRITERS: usize = 2;
 const READERS: usize = 3;
@@ -29,22 +28,6 @@ const COMMITS_PER_WRITER: u32 = 250;
 /// writers are still running, so the mixed phase lasts the whole run).
 const MIN_READS: u32 = 600;
 
-/// One committed change: `(commit ts, oid, Some((x, y)) | None = delete)`.
-type Log = Vec<(Timestamp, i32, Option<(i32, i32)>)>;
-
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_nanos();
-    let dir = std::env::temp_dir().join(format!(
-        "read-scaling-stress-{}-{tag}-{nanos}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn xorshift(rng: &mut u64) -> u64 {
     *rng ^= *rng << 13;
     *rng ^= *rng >> 7;
@@ -52,41 +35,17 @@ fn xorshift(rng: &mut u64) -> u64 {
     *rng
 }
 
-/// Table state at `ts` per the shadow: fold every change at or below it.
-fn state_at(log: &Log, ts: Timestamp) -> BTreeMap<i32, (i32, i32)> {
-    let mut m = BTreeMap::new();
-    for (cts, oid, val) in log {
-        if *cts <= ts {
-            match val {
-                Some(xy) => {
-                    m.insert(*oid, *xy);
-                }
-                None => {
-                    m.remove(oid);
-                }
-            }
-        }
-    }
-    m
-}
-
-/// Latest state: fold the whole log (complete under the shadow lock).
-fn latest_state(log: &Log) -> BTreeMap<i32, (i32, i32)> {
-    state_at(log, Timestamp::MAX)
-}
-
-fn expect_row(oid: i32, xy: Option<(i32, i32)>) -> Option<Vec<Value>> {
-    xy.map(|(x, y)| vec![Value::Int(oid), Value::Int(x), Value::Int(y)])
+fn obj_row(oid: i32, x: i32, y: i32) -> Vec<Value> {
+    vec![Value::Int(oid), Value::Int(x), Value::Int(y)]
 }
 
 /// Writer `w` owns oids with `oid % WRITERS == w`, so Serializable
-/// writers never conflict with each other; every commit appends its
-/// changes to the shadow log under the shadow mutex, which makes the log
-/// exactly the commit history in timestamp order.
-#[allow(clippy::too_many_arguments)]
+/// writers never conflict with each other; every commit records its
+/// changes under the history mutex, which makes the history exactly the
+/// engine's commit history.
 fn writer(
     db: &Database,
-    shadow: &Mutex<Log>,
+    history: &Mutex<History>,
     clock: &SimClock,
     writers_left: &AtomicUsize,
     w: usize,
@@ -98,7 +57,7 @@ fn writer(
     for _ in 0..COMMITS_PER_WRITER {
         let nops = 1 + (xorshift(&mut rng) % 3) as usize;
         let mut txn = db.begin(Isolation::Serializable);
-        let mut pending: Vec<(i32, Option<(i32, i32)>)> = Vec::new();
+        let mut pending: Vec<(i32, Row)> = Vec::new();
         for _ in 0..nops {
             let roll = xorshift(&mut rng) % 10;
             if live.is_empty() || roll < 3 {
@@ -108,14 +67,9 @@ fn writer(
                     (xorshift(&mut rng) % 10_000) as i32,
                     (xorshift(&mut rng) % 10_000) as i32,
                 );
-                db.insert_row(
-                    &mut txn,
-                    "obj",
-                    vec![Value::Int(oid), Value::Int(x), Value::Int(y)],
-                )
-                .unwrap();
+                db.insert_row(&mut txn, "obj", obj_row(oid, x, y)).unwrap();
                 live.push(oid);
-                pending.push((oid, Some((x, y))));
+                pending.push((oid, Some(obj_row(oid, x, y))));
             } else {
                 let idx = (xorshift(&mut rng) % live.len() as u64) as usize;
                 let oid = live[idx];
@@ -131,22 +85,17 @@ fn writer(
                         (xorshift(&mut rng) % 10_000) as i32,
                         (xorshift(&mut rng) % 10_000) as i32,
                     );
-                    db.update_row(
-                        &mut txn,
-                        "obj",
-                        vec![Value::Int(oid), Value::Int(x), Value::Int(y)],
-                    )
-                    .unwrap();
-                    pending.push((oid, Some((x, y))));
+                    db.update_row(&mut txn, "obj", obj_row(oid, x, y)).unwrap();
+                    pending.push((oid, Some(obj_row(oid, x, y))));
                 }
             }
         }
-        // Commit and log atomically w.r.t. every other commit and every
-        // reader's expectation snapshot.
-        let mut log = shadow.lock().unwrap();
+        // Commit and record atomically w.r.t. every other commit and
+        // every reader's expectation.
+        let mut history = history.lock().unwrap();
         let ts = db.commit(&mut txn).unwrap();
-        for (oid, val) in pending {
-            log.push((ts, oid, val));
+        for (oid, row) in pending {
+            history.record(ts, oid, row);
         }
         clock.advance(20);
     }
@@ -154,13 +103,13 @@ fn writer(
 }
 
 /// Reader: alternates snapshot-current batches (transaction begun under
-/// the shadow lock, so its snapshot equals the folded log) with `AS OF`
-/// point reads at a random logged commit timestamp (history is
-/// immutable, so the expectation computed under the lock holds no matter
-/// what commits after).
+/// the history lock, so its snapshot covers exactly the recorded commits)
+/// with `AS OF` point reads at a random recorded commit timestamp
+/// (history is immutable, so the expectation computed under the lock
+/// holds no matter what commits after).
 fn reader(
     db: &Database,
-    shadow: &Mutex<Log>,
+    history: &Mutex<History>,
     writers_left: &AtomicUsize,
     violations: &Mutex<Vec<String>>,
     seed: u64,
@@ -171,23 +120,26 @@ fn reader(
     while verified < MIN_READS || writers_left.load(Ordering::Acquire) > 0 {
         // -- current reads under snapshot isolation ---------------------
         let (mut txn, picks) = {
-            let log = shadow.lock().unwrap();
-            if log.is_empty() {
+            let history = history.lock().unwrap();
+            let keys: Vec<i32> = history.keys().collect();
+            if keys.is_empty() {
                 continue;
             }
             let txn = db.begin(Isolation::Snapshot);
-            let state = latest_state(&log);
-            let picks: Vec<(i32, Option<(i32, i32)>)> = (0..8)
+            let picks: Vec<(i32, Row)> = (0..8)
                 .map(|_| {
-                    let oid = log[(xorshift(&mut rng) % log.len() as u64) as usize].1;
-                    (oid, state.get(&oid).copied())
+                    let oid = keys[(xorshift(&mut rng) % keys.len() as u64) as usize];
+                    (
+                        oid,
+                        history.row_at(oid, Timestamp::MAX).map(<[Value]>::to_vec),
+                    )
                 })
                 .collect();
             (txn, picks)
         };
         for (oid, want) in picks {
             let got = db.get_row(&mut txn, "obj", &Value::Int(oid)).unwrap();
-            if got != expect_row(oid, want) {
+            if got != want {
                 complain(format!(
                     "snapshot read oid {oid}: got {got:?}, want {want:?}"
                 ));
@@ -198,15 +150,15 @@ fn reader(
 
         // -- AS OF replay at a random commit timestamp ------------------
         let (ts, oid, want) = {
-            let log = shadow.lock().unwrap();
-            let ts = log[(xorshift(&mut rng) % log.len() as u64) as usize].0;
-            let oid = log[(xorshift(&mut rng) % log.len() as u64) as usize].1;
-            let want = state_at(&log, ts).get(&oid).copied();
-            (ts, oid, want)
+            let history = history.lock().unwrap();
+            let (commits, keys) = (history.commits(), history.keys().collect::<Vec<_>>());
+            let ts = commits[(xorshift(&mut rng) % commits.len() as u64) as usize];
+            let oid = keys[(xorshift(&mut rng) % keys.len() as u64) as usize];
+            (ts, oid, history.row_at(oid, ts).map(<[Value]>::to_vec))
         };
         let mut txn = db.begin_as_of_ts(ts);
         let got = db.get_row(&mut txn, "obj", &Value::Int(oid)).unwrap();
-        if got != expect_row(oid, want) {
+        if got != want {
             complain(format!(
                 "AS OF {ts:?} read oid {oid}: got {got:?}, want {want:?}"
             ));
@@ -260,7 +212,7 @@ fn ensure_retries(db: &Database) {
 }
 
 fn stress(tag: &str, using_tsb: bool, seed: u64) {
-    let dir = tempdir(tag);
+    let dir = TempDir::new(&format!("read-scaling-stress-{tag}"));
     let clock = Arc::new(SimClock::new(5_000_000));
     let db = Database::open(
         DbConfig::new(&dir)
@@ -275,31 +227,32 @@ fn stress(tag: &str, using_tsb: bool, seed: u64) {
     );
     s.execute(&ddl).unwrap();
 
-    let shadow: Mutex<Log> = Mutex::new(Vec::new());
+    let history: Mutex<History> = Mutex::new(History::default());
     let writers_left = AtomicUsize::new(WRITERS);
     let violations: Mutex<Vec<String>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let (db, shadow, clock, writers_left) = (&db, &shadow, &*clock, &writers_left);
-            scope.spawn(move || writer(db, shadow, clock, writers_left, w, seed));
+            let (db, history, clock, writers_left) = (&db, &history, &*clock, &writers_left);
+            scope.spawn(move || writer(db, history, clock, writers_left, w, seed));
         }
         for r in 0..READERS {
-            let (db, shadow, writers_left, violations) = (&db, &shadow, &writers_left, &violations);
+            let (db, history, writers_left, violations) =
+                (&db, &history, &writers_left, &violations);
             let rseed = seed ^ (0xABCD_0000 + r as u64);
-            scope.spawn(move || reader(db, shadow, writers_left, violations, rseed));
+            scope.spawn(move || reader(db, history, writers_left, violations, rseed));
         }
     });
 
     let violations = violations.into_inner().unwrap();
     assert!(
         violations.is_empty(),
-        "{} shadow-model violations ({tag}); first: {}",
+        "{} violations of the commit history ({tag}); first: {}",
         violations.len(),
         violations[0]
     );
-    let log = shadow.into_inner().unwrap();
+    let commits = history.into_inner().unwrap().commits().len();
     assert!(
-        log.len() as u32 >= WRITERS as u32 * COMMITS_PER_WRITER,
+        commits as u32 >= WRITERS as u32 * COMMITS_PER_WRITER,
         "writers under-committed"
     );
 
@@ -309,8 +262,6 @@ fn stress(tag: &str, using_tsb: bool, seed: u64) {
         retries > 0,
         "optimistic latch protocol never conflicted ({tag})"
     );
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -13,22 +13,13 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use immortaldb::{Database, DbConfig, Durability, Isolation, Value};
+use immortaldb_chaos::TempDir;
 use immortaldb_net::{Server, ServerConfig};
 use immortaldb_obs::MetricsRegistry;
 use immortaldb_repl::{Replica, ReplicaConfig};
-
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .as_nanos();
-    let dir = std::env::temp_dir().join(format!("repl-chaos-{}-{tag}-{nanos}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A dumb TCP proxy whose connections can all be severed on demand.
 struct ChaosProxy {
@@ -129,8 +120,9 @@ fn scan_sorted(db: &Database) -> Vec<Vec<Value>> {
 
 #[test]
 fn follower_survives_severed_streams_and_converges() {
+    let (primary_dir, replica_dir) = (TempDir::new("repl-chaos"), TempDir::new("repl-chaos"));
     let db = Arc::new(
-        Database::open(DbConfig::new(tempdir("primary")).durability(Durability::Buffered)).unwrap(),
+        Database::open(DbConfig::new(&primary_dir).durability(Durability::Buffered)).unwrap(),
     );
     let schema = immortaldb::Schema::new(
         vec![
@@ -158,7 +150,7 @@ fn follower_survives_severed_streams_and_converges() {
     // the reconnect counter is unambiguous.
     let metrics = MetricsRegistry::default();
     let replica = Replica::start(
-        ReplicaConfig::new(tempdir("replica"), proxy.addr.clone())
+        ReplicaConfig::new(replica_dir.path(), proxy.addr.clone())
             .backoff(Duration::from_millis(20), Duration::from_millis(200))
             .metrics(metrics.clone()),
     )

@@ -2,11 +2,10 @@
 //!
 //! A primary serves a write load over TCP while a replica follows over
 //! the replication frames and serves `BEGIN AS OF` reads over its own
-//! TCP endpoint. The writer keeps a ground-truth commit log (timestamp,
-//! key, value — single writer, so it is the exact serialization order);
-//! afterwards every replica read is replayed against it: the value seen
-//! for each key must be the newest committed write at or below the
-//! read's effective timestamp, with zero exceptions.
+//! TCP endpoint. The writer records every commit in a `History` (single
+//! writer, so it is the exact serialization order); afterwards every
+//! replica read is checked against it: the rows seen must be the state
+//! at the read's effective timestamp, with zero exceptions.
 //!
 //! The isolation sentinel is armed across BOTH engines through one
 //! shared event tap: the primary's commits and the replica's AS OF
@@ -25,22 +24,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use immortaldb::{Database, DbConfig, Durability, EventTap, Isolation, Sentinel, Value};
+use immortaldb_chaos::{History, TempDir};
 use immortaldb_common::{Error, ErrorCode, Timestamp};
 use immortaldb_net::{Client, Server, ServerConfig};
 use immortaldb_repl::{Replica, ReplicaConfig};
 
-const KEYS: i64 = 4;
+const KEYS: i32 = 4;
 const ROUNDS: usize = 60;
-
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .as_nanos();
-    let dir = std::env::temp_dir().join(format!("repl-reads-{}-{tag}-{nanos}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn now_ms() -> u64 {
     SystemTime::now()
@@ -54,9 +44,10 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
     // One tap shared by the primary and the replica engines; one checker
     // watching both sides of the replication boundary.
     let tap = EventTap::new(1 << 16);
+    let (primary_dir, replica_dir) = (TempDir::new("repl-reads"), TempDir::new("repl-reads"));
     let db = Arc::new(
         Database::open(
-            DbConfig::new(tempdir("primary"))
+            DbConfig::new(&primary_dir)
                 .durability(Durability::Buffered)
                 .sentinel(Arc::clone(&tap)),
         )
@@ -72,8 +63,8 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
         .query("CREATE IMMORTAL TABLE kv (k int PRIMARY KEY, v bigint)")
         .unwrap();
 
-    // Ground truth: (commit ts, key, value) in serialization order.
-    let history: Arc<Mutex<Vec<(Timestamp, i64, i64)>>> = Arc::new(Mutex::new(Vec::new()));
+    // Ground truth: every commit, in serialization order.
+    let history: Arc<Mutex<History>> = Arc::default();
     let done = Arc::new(AtomicBool::new(false));
 
     // A few rounds land before the replica exists, so bootstrap catch-up
@@ -85,7 +76,7 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
         std::thread::spawn(move || {
             let mut c = Client::connect(&addr).unwrap();
             for round in 0..ROUNDS {
-                let k = round as i64 % KEYS;
+                let k = round as i32 % KEYS;
                 let v = round as i64 * 10;
                 c.begin(Isolation::Serializable).unwrap();
                 let stmt = if round < KEYS as usize {
@@ -95,7 +86,8 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
                 };
                 c.query(&stmt).unwrap();
                 let ts = c.commit().unwrap();
-                history.lock().unwrap().push((ts, k, v));
+                let row = vec![Value::Int(k), Value::BigInt(v)];
+                history.lock().unwrap().record(ts, k, Some(row));
                 std::thread::sleep(Duration::from_millis(3));
             }
             done.store(true, Ordering::SeqCst);
@@ -105,7 +97,7 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
     // Give the writer a head start, then bootstrap the replica mid-load.
     std::thread::sleep(Duration::from_millis(60));
     let replica = Replica::start(
-        ReplicaConfig::new(tempdir("replica"), addr.clone()).sentinel(Arc::clone(&tap)),
+        ReplicaConfig::new(replica_dir.path(), addr.clone()).sentinel(Arc::clone(&tap)),
     )
     .unwrap();
     let replica_server = Server::start(
@@ -116,21 +108,13 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
     let replica_addr = replica_server.local_addr().to_string();
 
     // Replica reads during the load: (effective ts, rows seen).
-    let mut observations: Vec<(Timestamp, Vec<(i64, i64)>)> = Vec::new();
+    let mut observations: Vec<(Timestamp, Vec<Vec<Value>>)> = Vec::new();
     let mut reader = Client::connect(&replica_addr).unwrap();
     while !done.load(Ordering::SeqCst) {
         let effective = reader.begin_as_of_ms(now_ms()).unwrap();
         let resp = reader.query("SELECT * FROM kv").unwrap();
         reader.commit().unwrap();
-        let rows = resp
-            .rows
-            .iter()
-            .map(|r| match (&r[0], &r[1]) {
-                (Value::Int(k), Value::BigInt(v)) => (*k as i64, *v),
-                other => panic!("unexpected row {other:?}"),
-            })
-            .collect();
-        observations.push((effective, rows));
+        observations.push((effective, resp.rows));
         std::thread::sleep(Duration::from_millis(2));
     }
     writer.join().unwrap();
@@ -139,27 +123,14 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
         "no replica read ever observed data; the check never engaged"
     );
 
-    // Offline replay: each observation must equal the prefix of the
+    // Offline check: each observation must equal the state of the
     // commit history at its effective timestamp.
     let history = history.lock().unwrap();
     let mut violations = 0usize;
     for (effective, rows) in &observations {
-        let mut expected: std::collections::BTreeMap<i64, i64> = std::collections::BTreeMap::new();
-        for (ts, k, v) in history.iter() {
-            if ts <= effective {
-                expected.insert(*k, *v);
-            }
-        }
-        let mut seen: std::collections::BTreeMap<i64, i64> = std::collections::BTreeMap::new();
-        for (k, v) in rows {
-            seen.insert(*k, *v);
-        }
-        if seen != expected {
+        if let Err(e) = history.check_scan(*effective, |_| true, rows) {
             violations += 1;
-            eprintln!(
-                "violation at {}.{}: saw {seen:?}, expected {expected:?}",
-                effective.ttime, effective.sn
-            );
+            eprintln!("violation: {e}");
         }
     }
     assert_eq!(violations, 0, "replica AS OF reads diverged from history");

@@ -1,28 +1,14 @@
-//! `RESTORE TABLE … AS OF` against a shadow model.
+//! `RESTORE TABLE … AS OF` against the commit history.
 //!
-//! A scripted mutation history is applied in committed transactions
-//! while a shadow `BTreeMap` snapshot is captured after each commit.
-//! Restoring to any captured timestamp must reproduce that snapshot
-//! exactly — and, because the restore is ordinary stamped work, the
-//! pre-restore state must stay readable at its own timestamps (history
-//! is preserved, not rewritten).
-
-use std::collections::BTreeMap;
-use std::time::{SystemTime, UNIX_EPOCH};
+//! A scripted mutation history is applied in committed transactions and
+//! recorded in a `History`. Restoring to any commit timestamp must
+//! reproduce the state at that instant exactly — and, because the restore
+//! is ordinary stamped work, the pre-restore state must stay readable at
+//! its own timestamps (history is preserved, not rewritten).
 
 use immortaldb::{Database, DbConfig, Isolation, Session, TableKind, Value};
+use immortaldb_chaos::{History, TempDir};
 use immortaldb_common::Timestamp;
-
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .as_nanos();
-    let dir =
-        std::env::temp_dir().join(format!("restore-asof-{}-{tag}-{nanos}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn schema() -> immortaldb::Schema {
     immortaldb::Schema::new(
@@ -41,31 +27,26 @@ fn schema() -> immortaldb::Schema {
     .unwrap()
 }
 
-fn scan_map(db: &Database) -> BTreeMap<i32, i64> {
+fn row(id: i32, v: i64) -> Vec<Value> {
+    vec![Value::Int(id), Value::BigInt(v)]
+}
+
+/// The current rows of `t`.
+fn scan(db: &Database) -> Vec<Vec<Value>> {
     let mut txn = db.begin(Isolation::Serializable);
     let rows = db.scan_rows(&mut txn, "t").unwrap();
     db.commit(&mut txn).unwrap();
-    rows_to_map(rows)
-}
-
-fn rows_to_map(rows: Vec<Vec<Value>>) -> BTreeMap<i32, i64> {
-    rows.into_iter()
-        .map(|r| match (&r[0], &r[1]) {
-            (Value::Int(id), Value::BigInt(v)) => (*id, *v),
-            other => panic!("unexpected row {other:?}"),
-        })
-        .collect()
+    rows
 }
 
 #[test]
 fn restore_reproduces_every_shadow_snapshot() {
-    let db = Database::open(DbConfig::new(tempdir("shadow"))).unwrap();
+    let dir = TempDir::new("restore-as-of");
+    let db = Database::open(DbConfig::new(&dir)).unwrap();
     db.create_table("t", schema(), TableKind::Immortal).unwrap();
 
-    // Scripted history: each step is one committed transaction; the
-    // shadow map snapshot is captured with its commit timestamp.
-    let mut shadow: BTreeMap<i32, i64> = BTreeMap::new();
-    let mut snapshots: Vec<(Timestamp, BTreeMap<i32, i64>)> = Vec::new();
+    // Scripted history: each step is one committed transaction.
+    let mut history = History::default();
     #[derive(Clone)]
     enum Op {
         Ins(i32, i64),
@@ -82,38 +63,37 @@ fn restore_reproduces_every_shadow_snapshot() {
     ];
     for step in &script {
         let mut txn = db.begin(Isolation::Serializable);
+        let mut left = Vec::new();
         for op in step {
             match op {
                 Ins(id, v) => {
-                    db.insert_row(&mut txn, "t", vec![Value::Int(*id), Value::BigInt(*v)])
-                        .unwrap();
-                    shadow.insert(*id, *v);
+                    db.insert_row(&mut txn, "t", row(*id, *v)).unwrap();
+                    left.push((*id, Some(row(*id, *v))));
                 }
                 Upd(id, v) => {
-                    db.update_row(&mut txn, "t", vec![Value::Int(*id), Value::BigInt(*v)])
-                        .unwrap();
-                    shadow.insert(*id, *v);
+                    db.update_row(&mut txn, "t", row(*id, *v)).unwrap();
+                    left.push((*id, Some(row(*id, *v))));
                 }
                 Del(id) => {
                     db.delete_row(&mut txn, "t", &Value::Int(*id)).unwrap();
-                    shadow.remove(id);
+                    left.push((*id, None));
                 }
             }
         }
         let ts = db.commit(&mut txn).unwrap();
-        snapshots.push((ts, shadow.clone()));
+        for (id, row) in left {
+            history.record(ts, id, row);
+        }
     }
 
-    // Restore to every snapshot in turn (newest to oldest exercises both
+    // Restore to every commit in turn (newest to oldest exercises both
     // directions of the diff: re-inserts, un-deletes, value reverts).
-    for (ts, want) in snapshots.iter().rev() {
+    for ts in history.commits().iter().rev() {
         let (_changed, effective) = db.restore_table_as_of("t", *ts).unwrap();
         assert_eq!(effective, *ts, "timestamp was clamped unexpectedly");
-        assert_eq!(
-            &scan_map(&db),
-            want,
-            "restore to {ts:?} diverged from shadow"
-        );
+        history
+            .check_scan(*ts, |_| true, &scan(&db))
+            .unwrap_or_else(|e| panic!("restore to {ts:?}: {e}"));
     }
 
     // Restoring to the current horizon is a no-op.
@@ -121,17 +101,20 @@ fn restore_reproduces_every_shadow_snapshot() {
     assert_eq!(changed, 0, "idempotent restore still changed rows");
 
     // History preservation: the state right before the first restore
-    // (i.e. the last scripted snapshot) is still readable AS OF then.
-    let (last_ts, last_state) = snapshots.last().unwrap();
-    let mut txn = db.begin_as_of_ts(*last_ts);
-    let seen = rows_to_map(db.scan_rows(&mut txn, "t").unwrap());
+    // (i.e. after the last scripted commit) is still readable AS OF then.
+    let last = *history.commits().last().unwrap();
+    let mut txn = db.begin_as_of_ts(last);
+    let seen = db.scan_rows(&mut txn, "t").unwrap();
     db.commit(&mut txn).unwrap();
-    assert_eq!(&seen, last_state, "restore rewrote history");
+    history
+        .check_scan(last, |_| true, &seen)
+        .expect("restore rewrote history");
 }
 
 #[test]
 fn restore_error_paths_and_sql_surface() {
-    let db = Database::open(DbConfig::new(tempdir("sql"))).unwrap();
+    let dir = TempDir::new("restore-as-of-sql");
+    let db = Database::open(DbConfig::new(&dir)).unwrap();
     db.create_table("t", schema(), TableKind::Immortal).unwrap();
     db.create_table("plain", schema(), TableKind::Conventional)
         .unwrap();
@@ -168,8 +151,8 @@ fn restore_error_paths_and_sql_surface() {
         .unwrap();
     assert!(res.affected > 0);
     assert_eq!(
-        scan_map(&db),
-        BTreeMap::from([(1, 100), (2, 200)]),
+        scan(&db),
+        [row(1, 100), row(2, 200)],
         "SQL restore missed the pre-damage state"
     );
 }

@@ -3,19 +3,17 @@
 use std::sync::Arc;
 
 use immortaldb::{Database, DbConfig, Error, Isolation, Session, SimClock, Value};
+use immortaldb_chaos::TempDir;
 
 struct Env {
-    dir: std::path::PathBuf,
+    dir: TempDir,
     clock: Arc<SimClock>,
 }
 
 impl Env {
     fn new(name: &str) -> Env {
-        let dir =
-            std::env::temp_dir().join(format!("immortal-it-sql-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         Env {
-            dir,
+            dir: TempDir::new(&format!("sql-{name}")),
             clock: Arc::new(SimClock::new(10_000_000)),
         }
     }
@@ -29,12 +27,6 @@ impl Env {
 
     fn tick(&self) {
         self.clock.advance(20);
-    }
-}
-
-impl Drop for Env {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 

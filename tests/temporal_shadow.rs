@@ -2,19 +2,19 @@
 //!
 //! A deterministic history (inserts, multi-updates, deletes, re-inserts
 //! from `mobgen::temporal_history`) is replayed against the engine while
-//! a shadow model records every commit's exact `(timestamp, key, state)`.
+//! a `History` records every commit's exact `(timestamp, key, row)`.
 //! Afterwards `VERSIONS BETWEEN`, `DIFF TABLE`, and snapshot reads are
-//! checked against answers recomputed from the shadow log — zero
-//! mismatches allowed — on fixed seeds, for both the TSB index and the
-//! default version-chain index, with per-commit and grouped transactions,
-//! on the primary `Session` and over the wire.
+//! checked against it — zero mismatches allowed — on fixed seeds, for
+//! both the TSB index and the default version-chain index, with
+//! per-commit and grouped transactions, on the primary `Session` and over
+//! the wire.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use immortaldb::temporal::{window_hi, window_lo};
 use immortaldb::{Database, DbConfig, Durability, Isolation, Session, SimClock, Value};
-use immortaldb_common::{Error, ErrorCode, Timestamp};
+use immortaldb_chaos::{Change, History, TempDir, Version};
+use immortaldb_common::{Error, ErrorCode};
 use immortaldb_mobgen::{temporal_history, TemporalOp};
 use immortaldb_net::{Client, Server, ServerConfig};
 use immortaldb_repl::{Replica, ReplicaConfig};
@@ -22,39 +22,17 @@ use immortaldb_repl::{Replica, ReplicaConfig};
 const OBJECTS: u32 = 6;
 const STEPS: u32 = 240;
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_nanos();
-    let dir = std::env::temp_dir().join(format!(
-        "temporal-shadow-{}-{tag}-{nanos}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// One committed change: `(commit ts, oid, Some((x, y)) | None for delete)`.
-type Log = Vec<(Timestamp, i32, Option<(i32, i32)>)>;
-
 struct Fixture {
     db: Arc<Database>,
-    log: Log,
-    dir: std::path::PathBuf,
-}
-
-impl Drop for Fixture {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
+    history: History,
+    _dir: TempDir,
 }
 
 /// Replay `ops` in transactions of up to `batch` operations (flushing
 /// early if an oid repeats, so each key has at most one version per
 /// commit), advancing the simulated clock one 20 ms tick per commit.
 fn build(tag: &str, using_tsb: bool, seed: u64, batch: usize) -> Fixture {
-    let dir = tempdir(tag);
+    let dir = TempDir::new(&format!("temporal-shadow-{tag}"));
     let clock = Arc::new(SimClock::new(5_000_000));
     let db = Arc::new(
         Database::open(
@@ -72,7 +50,7 @@ fn build(tag: &str, using_tsb: bool, seed: u64, batch: usize) -> Fixture {
     s.execute(&ddl).unwrap();
 
     let ops = temporal_history(seed, OBJECTS, STEPS);
-    let mut log: Log = Vec::new();
+    let mut history = History::default();
     let mut i = 0;
     while i < ops.len() {
         let mut in_txn: Vec<TemporalOp> = Vec::new();
@@ -109,157 +87,40 @@ fn build(tag: &str, using_tsb: bool, seed: u64, batch: usize) -> Fixture {
         for op in &in_txn {
             match *op {
                 TemporalOp::Insert { oid, x, y } | TemporalOp::Update { oid, x, y } => {
-                    log.push((ts, oid as i32, Some((x, y))))
+                    let row = vec![Value::Int(oid as i32), Value::Int(x), Value::Int(y)];
+                    history.record(ts, oid as i32, Some(row))
                 }
-                TemporalOp::Delete { oid } => log.push((ts, oid as i32, None)),
+                TemporalOp::Delete { oid } => history.record(ts, oid as i32, None),
             }
         }
         clock.advance(20);
     }
-    Fixture { db, log, dir }
-}
-
-/// Table state at `ts` per the shadow: newest change at or below `ts`.
-fn state_at(log: &Log, ts: Timestamp) -> BTreeMap<i32, (i32, i32)> {
-    let mut m = BTreeMap::new();
-    for (cts, oid, val) in log {
-        if *cts <= ts {
-            match val {
-                Some(xy) => {
-                    m.insert(*oid, *xy);
-                }
-                None => {
-                    m.remove(oid);
-                }
-            }
-        }
+    Fixture {
+        db,
+        history,
+        _dir: dir,
     }
-    m
 }
 
-/// Expected `VERSIONS BETWEEN` rows: every change in `[lo, hi]`, sorted
-/// key-major then time, as `(ms, sn, op, oid, x, y)` with empty x/y on
-/// tombstones (mirroring the SQL projection).
-type VersionRow = (u64, u32, String, i32, String, String);
-
-fn expected_versions(log: &Log, lo: Timestamp, hi: Timestamp) -> Vec<VersionRow> {
-    let mut rows: Vec<_> = log
-        .iter()
-        .filter(|(ts, _, _)| lo <= *ts && *ts <= hi)
-        .collect();
-    rows.sort_by_key(|(ts, oid, _)| (*oid, *ts));
-    rows.iter()
-        .map(|(ts, oid, val)| match val {
-            Some((x, y)) => (
-                ts.ttime,
-                ts.sn,
-                "WRITE".to_string(),
-                *oid,
-                x.to_string(),
-                y.to_string(),
-            ),
-            None => (
-                ts.ttime,
-                ts.sn,
-                "DELETE".to_string(),
-                *oid,
-                String::new(),
-                String::new(),
-            ),
-        })
-        .collect()
+fn versions(rows: &[Vec<Value>]) -> Vec<Version> {
+    rows.iter().map(|r| Version::from_sql(r)).collect()
 }
 
-fn got_versions(rows: &[Vec<Value>]) -> Vec<VersionRow> {
-    rows.iter()
-        .map(|r| match (&r[0], &r[1], &r[2], &r[3], &r[4], &r[5]) {
-            (Value::BigInt(ms), Value::Int(sn), Value::Varchar(op), Value::Int(oid), x, y) => (
-                *ms as u64,
-                *sn as u32,
-                op.clone(),
-                *oid,
-                x.to_string(),
-                y.to_string(),
-            ),
-            other => panic!("bad VERSIONS row: {other:?}"),
-        })
-        .collect()
+fn changes(rows: &[Vec<Value>]) -> Vec<Change> {
+    rows.iter().map(|r| Change::from_sql(r)).collect()
 }
 
-/// Expected `DIFF` rows `(op, ts, oid, before, after)` sorted by key; the
-/// row timestamp is the newest change of the key at or below `t2`.
-type DiffRow = (
-    String,
-    u64,
-    u32,
-    i32,
-    Option<(i32, i32)>,
-    Option<(i32, i32)>,
-);
-
-fn expected_diff(log: &Log, t1: Timestamp, t2: Timestamp) -> Vec<DiffRow> {
-    let before = state_at(log, t1);
-    let after = state_at(log, t2);
-    let keys: std::collections::BTreeSet<i32> =
-        before.keys().chain(after.keys()).copied().collect();
-    let mut out = Vec::new();
-    for oid in keys {
-        let (b, a) = (before.get(&oid).copied(), after.get(&oid).copied());
-        let op = match (b, a) {
-            (None, Some(_)) => "INSERT",
-            (Some(_), None) => "DELETE",
-            (Some(x), Some(y)) if x != y => "UPDATE",
-            _ => continue,
-        };
-        let ts = log
-            .iter()
-            .filter(|(ts, k, _)| *k == oid && *ts <= t2)
-            .map(|(ts, _, _)| *ts)
-            .max()
-            .unwrap();
-        out.push((op.to_string(), ts.ttime, ts.sn, oid, b, a));
-    }
-    out
-}
-
-fn got_diff(rows: &[Vec<Value>]) -> Vec<DiffRow> {
-    let side = |cells: &[Value]| match cells {
-        [Value::Int(_), Value::Int(x), Value::Int(y)] => Some((*x, *y)),
-        [Value::Varchar(e), ..] if e.is_empty() => None,
-        other => panic!("bad DIFF side: {other:?}"),
-    };
-    let mut out: Vec<DiffRow> = rows
-        .iter()
-        .map(|r| {
-            let (op, ms, sn) = match (&r[0], &r[1], &r[2]) {
-                (Value::Varchar(op), Value::BigInt(ms), Value::Int(sn)) => {
-                    (op.clone(), *ms as u64, *sn as u32)
-                }
-                other => panic!("bad DIFF row head: {other:?}"),
-            };
-            let (b, a) = (side(&r[3..6]), side(&r[6..9]));
-            let oid = match (&r[3], &r[6]) {
-                (Value::Int(k), _) | (_, Value::Int(k)) => *k,
-                other => panic!("DIFF row lost its key: {other:?}"),
-            };
-            (op, ms, sn, oid, b, a)
-        })
-        .collect();
-    out.sort_by_key(|r| r.3);
-    out
-}
-
-/// Run the full battery of shadow checks through `query` (a closure so
-/// the same assertions run against a local Session and a wire client).
-fn check_against_shadow<F>(log: &Log, mut query: F)
+/// Run the full battery of checks through `query` (a closure so the same
+/// assertions run against a local Session and a wire client).
+fn check_against_history<F>(h: &History, mut query: F)
 where
     F: FnMut(&str) -> immortaldb::QueryResult,
 {
-    let times: Vec<Timestamp> = log.iter().map(|e| e.0).collect();
+    let times = h.commits();
     let span = (times[0].ttime, times[times.len() - 1].ttime);
     // Windows: whole history, a mid slice, a single tick, and an upper
-    // bound far past the horizon (the engine clamps it; the shadow sees
-    // the same rows because nothing committed out there).
+    // bound far past the horizon (the engine clamps it; the model has the
+    // same rows because nothing committed out there).
     let mid = (span.0 + span.1) / 2;
     let windows = [
         (span.0, span.1),
@@ -281,48 +142,32 @@ where
                 "LocationY"
             ]
         );
-        assert_eq!(
-            got_versions(&res.rows),
-            expected_versions(log, window_lo(a), window_hi(b)),
-            "VERSIONS BETWEEN ms({a}) AND ms({b}) diverged from the shadow"
-        );
+        h.check_versions(window_lo(a), window_hi(b), |_| true, &versions(&res.rows))
+            .expect(&sql);
 
         let sql = format!("DIFF TABLE obj BETWEEN ms({a}) AND ms({b})");
         let res = query(&sql);
-        assert_eq!(
-            got_diff(&res.rows),
-            expected_diff(log, window_hi(a), window_hi(b)),
-            "DIFF BETWEEN ms({a}) AND ms({b}) diverged from the shadow"
-        );
+        h.check_diff(window_hi(a), window_hi(b), |_| true, &changes(&res.rows))
+            .expect(&sql);
     }
 
-    // Snapshot pinned mid-history reads exactly the shadow state there,
-    // both via BEGIN AS OF SNAPSHOT and as a VERSIONS BETWEEN bound.
+    // Snapshot pinned mid-history reads exactly the state there, both via
+    // BEGIN AS OF SNAPSHOT and as a VERSIONS BETWEEN bound.
     query(&format!("CREATE SNAPSHOT mid AS OF ms({mid})"));
     query("BEGIN TRAN AS OF SNAPSHOT mid");
     let res = query("SELECT * FROM obj");
     query("COMMIT TRAN");
-    let got: BTreeMap<i32, (i32, i32)> = res
-        .rows
-        .iter()
-        .map(|r| match (&r[0], &r[1], &r[2]) {
-            (Value::Int(k), Value::Int(x), Value::Int(y)) => (*k, (*x, *y)),
-            other => panic!("bad row {other:?}"),
-        })
-        .collect();
-    assert_eq!(got, state_at(log, window_hi(mid)), "snapshot read diverged");
+    let snap_ts = window_hi(mid);
+    h.check_scan(snap_ts, |_| true, &res.rows)
+        .expect("snapshot read");
 
     let res = query(&format!(
         "SELECT * FROM obj VERSIONS BETWEEN SNAPSHOT mid AND ms({})",
         span.1
     ));
     // Snapshot bounds are exact (no tick-widening).
-    let snap_ts = window_hi(mid);
-    assert_eq!(
-        got_versions(&res.rows),
-        expected_versions(log, snap_ts, window_hi(span.1)),
-        "snapshot-bounded VERSIONS diverged"
-    );
+    h.check_versions(snap_ts, window_hi(span.1), |_| true, &versions(&res.rows))
+        .expect("snapshot-bounded VERSIONS");
 
     let res = query("SHOW SNAPSHOTS");
     assert!(
@@ -339,15 +184,9 @@ where
         "SELECT * FROM obj VERSIONS BETWEEN ms({}) AND ms({}) WHERE Oid = 3",
         span.0, span.1
     ));
-    let expected: Vec<VersionRow> = expected_versions(log, window_lo(span.0), window_hi(span.1))
-        .into_iter()
-        .filter(|r| r.3 == 3)
-        .collect();
-    assert_eq!(
-        got_versions(&res.rows),
-        expected,
-        "predicate filtering diverged"
-    );
+    let (lo, hi) = (window_lo(span.0), window_hi(span.1));
+    h.check_versions(lo, hi, |k| k == 3, &versions(&res.rows))
+        .expect("predicate filtering");
 }
 
 #[test]
@@ -359,7 +198,7 @@ fn versions_diff_and_snapshots_match_shadow_on_fixed_seeds() {
             let tag = format!("s{seed}-b{batch}-t{using_tsb}");
             let f = build(&tag, using_tsb, seed, batch);
             let mut session = Session::new(&f.db);
-            check_against_shadow(&f.log, |sql| {
+            check_against_history(&f.history, |sql| {
                 session
                     .execute(sql)
                     .unwrap_or_else(|e| panic!("{sql}: {e}"))
@@ -379,7 +218,7 @@ fn wire_results_match_shadow_and_errors_stay_typed() {
     let addr = server.local_addr().to_string();
     let mut c = Client::connect(&addr).unwrap();
 
-    check_against_shadow(&f.log, |sql| {
+    check_against_history(&f.history, |sql| {
         let resp = c.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
         immortaldb::QueryResult {
             columns: resp.columns,
@@ -438,8 +277,9 @@ fn replica_clamps_temporal_upper_bound_to_its_horizon() {
     .unwrap();
     let addr = server.local_addr().to_string();
 
-    let replica = Replica::start(ReplicaConfig::new(tempdir("replica"), addr)).unwrap();
-    let last = f.log.last().unwrap().0;
+    let replica_dir = TempDir::new("temporal-shadow-replica");
+    let replica = Replica::start(ReplicaConfig::new(replica_dir.path(), addr)).unwrap();
+    let last = *f.history.commits().last().unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
     while replica.db().visible_horizon() < last {
         assert!(
@@ -456,26 +296,23 @@ fn replica_clamps_temporal_upper_bound_to_its_horizon() {
     let mut c = Client::connect(replica_server.local_addr().to_string()).unwrap();
 
     // An upper bound far beyond the replication horizon must be clamped,
-    // not rejected, and the rows must match the shadow's full history.
-    let (a, b) = (f.log[0].0.ttime, last.ttime + 1_000_000_000);
+    // not rejected, and the rows must match the primary's full history.
+    let (a, b) = (f.history.commits()[0].ttime, last.ttime + 1_000_000_000);
     let resp = c
         .query(&format!(
             "SELECT * FROM obj VERSIONS BETWEEN ms({a}) AND ms({b})"
         ))
         .expect("replica rejected a past-horizon VERSIONS upper bound");
-    assert_eq!(
-        got_versions(&resp.rows),
-        expected_versions(&f.log, window_lo(a), window_hi(b)),
-        "replica VERSIONS diverged from the primary history"
-    );
+    let window = (window_lo(a), window_hi(b));
+    f.history
+        .check_versions(window.0, window.1, |_| true, &versions(&resp.rows))
+        .expect("replica VERSIONS against the primary history");
     let resp = c
         .query(&format!("DIFF TABLE obj BETWEEN ms({a}) AND ms({b})"))
         .expect("replica rejected a past-horizon DIFF upper bound");
-    assert_eq!(
-        got_diff(&resp.rows),
-        expected_diff(&f.log, window_hi(a), window_hi(b)),
-        "replica DIFF diverged from the primary history"
-    );
+    f.history
+        .check_diff(window_hi(a), window.1, |_| true, &changes(&resp.rows))
+        .expect("replica DIFF against the primary history");
 
     // Snapshots created on the primary replicate; creating one on the
     // replica is refused as read-only.
