@@ -65,6 +65,7 @@ impl Routing for BTree {
                 Err(Error::PageFull) => {
                     let pright_id = self.core.pool.disk().allocate()?;
                     let (mut pl, mut pr, psep) = index_key_split(&parent, pright_id)?;
+                    self.core.pool.metrics().tree.index_key_splits.inc();
                     let target = if sep.as_slice() < psep.as_slice() {
                         &mut pl
                     } else {

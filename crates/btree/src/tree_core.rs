@@ -43,21 +43,15 @@ use crate::cursor::VersionCursor;
 /// comfortably below a quarter page so key splits always succeed.
 pub const MAX_RECORD: usize = 1900;
 
-/// Provides the split time for page time splits: a timestamp strictly
-/// greater than every commit timestamp issued so far (the paper splits
-/// "using the current time"). Implemented by the timestamp authority.
+/// Provides the split time for page time splits: the paper splits "using
+/// the current time". It is also the bound a split may not exceed: a
+/// boundary above a commit timestamp that is issued but whose
+/// (TID-marked) versions must stay in the current page would hide those
+/// versions from readers between the commit timestamp and the page's new
+/// start. Implemented by the timestamp authority and, in the engine, by
+/// the commit horizon's clamp.
 pub trait SplitTimeSource: Send + Sync {
     fn current_split_ts(&self) -> Timestamp;
-
-    /// Upper bound a time split may use as its boundary. A split above
-    /// this value could cut below a commit timestamp that is already
-    /// issued but whose (TID-marked) versions must stay in the current
-    /// page — those versions would then be invisible to readers between
-    /// the commit timestamp and the page's new start. Sources that track
-    /// in-flight commits override this; the default imposes no bound.
-    fn max_safe_split_ts(&self) -> Timestamp {
-        Timestamp::MAX
-    }
 }
 
 /// A split-time source for unversioned trees and tests.
@@ -313,8 +307,7 @@ pub(crate) fn split_for<R: Routing>(
     // current (case 4), stranding them from every AS OF read at their
     // commit time. Sampling first pins the bound at or below any commit
     // the stamping pass can leave unstamped.
-    let desired_split_ts = core.split_time.current_split_ts();
-    let max_safe_ts = core.split_time.max_safe_split_ts();
+    let split_ts = core.split_time.current_split_ts();
     let (leaf, path) = r.split_path(key)?;
 
     // Work on a private copy; the frame is only mutated at install time.
@@ -339,27 +332,23 @@ pub(crate) fn split_for<R: Routing>(
         key_split: None,
     };
 
-    if left.is_versioned() {
-        let mut split_ts = desired_split_ts;
-        if split_ts <= left.start_ts() {
-            split_ts = bump(left.start_ts());
-        }
-        // Splitting past the safe bound would strand an in-flight commit's
-        // versions above the new page start; skip the time split this
-        // round (the key split below still makes room) and retry once the
-        // pipeline drains.
-        if split_ts <= max_safe_ts && version::time_split_gain(&left, split_ts) > 0 {
-            let hist_id = core.pool.disk().allocate()?;
-            let (hist, fresh, packed) =
-                version::time_split(&left, split_ts, hist_id, core.history_packing)?;
-            images.push(hist);
-            left = fresh;
-            split.time_split = Some((split_ts, hist_id));
-            core.time_splits.fetch_add(1, Ordering::Relaxed);
-            m.tree.time_splits.inc();
-            m.version.anchors_written.add(packed.anchors);
-            m.version.deltas_written.add(packed.deltas);
-        }
+    // The boundary is the bound itself: a leaf whose start has already
+    // reached it does not time-split this round (the key split below
+    // still makes room), and retries once the pipeline drains.
+    if left.is_versioned()
+        && split_ts > left.start_ts()
+        && version::time_split_gain(&left, split_ts) > 0
+    {
+        let hist_id = core.pool.disk().allocate()?;
+        let (hist, fresh, packed) =
+            version::time_split(&left, split_ts, hist_id, core.history_packing)?;
+        images.push(hist);
+        left = fresh;
+        split.time_split = Some((split_ts, hist_id));
+        core.time_splits.fetch_add(1, Ordering::Relaxed);
+        m.tree.time_splits.inc();
+        m.version.anchors_written.add(packed.anchors);
+        m.version.deltas_written.add(packed.deltas);
     }
 
     let over_threshold = left.is_versioned() && left.utilization() > core.split_threshold;
@@ -379,15 +368,6 @@ pub(crate) fn split_for<R: Routing>(
 
     let new_root = r.post(path, split, &mut images)?;
     core.install(images, new_root)
-}
-
-/// Strictly greater timestamp (for degenerate split-time collisions).
-fn bump(ts: Timestamp) -> Timestamp {
-    if ts.sn + 1 < immortaldb_common::time::SN_TID_MARK {
-        Timestamp::new(ts.ttime, ts.sn + 1)
-    } else {
-        Timestamp::new(ts.ttime + immortaldb_common::TICK_MS, 0)
-    }
 }
 
 /// Bytes a new version of `key` takes on a leaf: record, tail and slot.

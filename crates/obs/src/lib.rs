@@ -408,6 +408,10 @@ pub struct TreeMetrics {
     pub time_splits: Counter,
     /// Key splits (conventional B+tree splits).
     pub key_splits: Counter,
+    /// Index-node time splits (TSB: a historical index node carved off).
+    pub index_time_splits: Counter,
+    /// Index-node key splits (both indexes).
+    pub index_key_splits: Counter,
     /// History-page-chain hops taken by AS OF reads and scans.
     pub asof_hops: Counter,
     /// Version-chain length observed when a chain is stamped or read.

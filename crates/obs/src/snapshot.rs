@@ -128,6 +128,14 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
         ("ts.stamps.total".into(), m.ts.stamps_total()),
         ("tree.time_splits".into(), m.tree.time_splits.get()),
         ("tree.key_splits".into(), m.tree.key_splits.get()),
+        (
+            "tree.index_time_splits".into(),
+            m.tree.index_time_splits.get(),
+        ),
+        (
+            "tree.index_key_splits".into(),
+            m.tree.index_key_splits.get(),
+        ),
         ("tree.asof_hops".into(), m.tree.asof_hops.get()),
         ("version.delta_folds".into(), m.version.delta_folds.get()),
         (
@@ -400,6 +408,8 @@ mod tests {
         r.recovery.versions_restamped.add(3);
         r.server.connections_accepted.add(2);
         r.server.request_ns.observe(500);
+        r.tree.index_time_splits.add(2);
+        r.tree.index_key_splits.add(3);
         let s = r.snapshot();
         assert_eq!(s.get("buffer.fetches"), Some(10));
         assert_eq!(s.get("faults.torn_writes"), Some(1));
@@ -412,6 +422,8 @@ mod tests {
         assert_eq!(s.get("buffer.flush_errors"), Some(0));
         assert_eq!(s.get("wal.fsync_ns.count"), Some(1));
         assert_eq!(s.get("wal.fsync_ns.sum"), Some(1000));
+        assert_eq!(s.get("tree.index_time_splits"), Some(2));
+        assert_eq!(s.get("tree.index_key_splits"), Some(3));
         assert_eq!(s.get("no.such.metric"), None);
         assert!((s.buffer_hit_rate() - 0.9).abs() < 1e-9);
     }

@@ -1,7 +1,7 @@
 //! TSB-tree tests, including a model-based comparison against the main
 //! B-tree's page-chain implementation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -13,9 +13,11 @@ use immortaldb_btree::{
 use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
 use immortaldb_storage::disk::DiskManager;
+use immortaldb_storage::page::PageType;
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
+use crate::tree::entries;
 use crate::TsbTree;
 
 #[derive(Default)]
@@ -349,4 +351,64 @@ fn as_of_reads_avoid_page_chain_walks() {
             .unwrap(),
         Some(b"v0".to_vec())
     );
+}
+
+/// The TSB-tree's invariant, checked page by page once index nodes have
+/// time-split: a historical index node references only historical pages
+/// (so it never changes again), and every committed `(key, ts)` descends
+/// to a leaf that already covered `ts`.
+#[test]
+fn historical_index_nodes_reference_only_history() {
+    let env = Env::new("index-split");
+    let t = env.tree();
+    let keys: Vec<u64> = (0..400).collect();
+    let mut committed = Vec::new();
+    let mut step = 0;
+    for version in 0..50u8 {
+        for batch in keys.chunks(20) {
+            step += 1;
+            for &k in batch {
+                let (kb, val) = (key(k), [version; 60]);
+                if version == 0 {
+                    t.insert(Tid(step), NULL_LSN, &kb, &val, env.auth.as_ref())
+                } else {
+                    t.update(Tid(step), NULL_LSN, &kb, &val, env.auth.as_ref())
+                }
+                .unwrap();
+            }
+            env.auth.commit(Tid(step), ts(step, 0));
+            committed.extend(batch.iter().map(|&k| (k, ts(step, 0))));
+        }
+    }
+    let index_splits = env.pool.metrics().tree.index_time_splits.get();
+    assert!(index_splits > 0, "index nodes must time-split");
+
+    let mut stack = vec![t.core().root()];
+    let mut seen = HashSet::new();
+    while let Some(id) = stack.pop() {
+        if !seen.insert(id) {
+            continue;
+        }
+        let node = env.pool.fetch(id).unwrap().read().clone();
+        if node.page_type().unwrap() != PageType::Index {
+            continue;
+        }
+        for e in entries(&node) {
+            let historical = env.pool.fetch(e.child).unwrap().read().is_historical();
+            assert!(
+                historical || !node.is_historical(),
+                "historical index node {id:?} references current page {:?}",
+                e.child
+            );
+            stack.push(e.child);
+        }
+    }
+    for (k, at) in committed {
+        let (leaf, _) = t.descend(&key(k), at).unwrap();
+        let start = leaf.read().start_ts();
+        assert!(
+            start <= at,
+            "key {k} AS OF {at:?} reaches a leaf starting {start:?}"
+        );
+    }
 }

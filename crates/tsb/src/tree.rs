@@ -10,9 +10,11 @@ use immortaldb_btree::{
     VersionCursor, Visitor,
 };
 use immortaldb_common::codec::{get_u32, get_u64, put_u32, put_u64};
-use immortaldb_common::{Error, PageId, Result, Timestamp, TreeId};
+use immortaldb_common::{Error, PageId, Result, Timestamp, TreeId, PAGE_SIZE};
 use immortaldb_storage::buffer::{BufferPool, FrameRef};
-use immortaldb_storage::page::{Page, PageType, FLAG_HISTORICAL, FLAG_VERSIONED, REC_HDR};
+use immortaldb_storage::page::{
+    Page, PageType, FLAG_HISTORICAL, FLAG_VERSIONED, HEADER_SIZE, REC_HDR,
+};
 use immortaldb_storage::version;
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
@@ -35,11 +37,11 @@ fn encode_entry(t_low: Timestamp, t_high: Timestamp, child: PageId) -> [u8; ENTR
 /// A decoded index entry: the key-time rectangle `[key_low, next key_low)
 /// × [t_low, t_high)` and the page it points at.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Entry {
+pub(crate) struct Entry {
     key_low: Vec<u8>,
     t_low: Timestamp,
     t_high: Timestamp,
-    child: PageId,
+    pub(crate) child: PageId,
 }
 
 impl Entry {
@@ -49,6 +51,20 @@ impl Entry {
 
     fn encoded(&self) -> [u8; ENTRY_DATA] {
         encode_entry(self.t_low, self.t_high, self.child)
+    }
+
+    /// Bytes the entry takes on an index page: record and slot.
+    fn size(&self) -> usize {
+        REC_HDR + self.key_low.len() + ENTRY_DATA + 2
+    }
+
+    fn view(&self) -> EntryView<'_> {
+        EntryView {
+            key_low: &self.key_low,
+            t_low: self.t_low,
+            t_high: self.t_high,
+            child: self.child,
+        }
     }
 }
 
@@ -73,6 +89,18 @@ impl EntryView<'_> {
     fn overlaps_time(&self, other: &EntryView<'_>) -> bool {
         self.t_low < other.t_high && other.t_low < self.t_high
     }
+
+    /// Where the rectangle's key region ends, given the entries after it
+    /// in key order: where the next one over the same times begins.
+    /// Several time slices may share a boundary, and an older slice may
+    /// span boundaries that later key splits introduced. `None`: it runs
+    /// to the end of the node's own region.
+    fn key_end<'a>(&self, after: impl IntoIterator<Item = EntryView<'a>>) -> Option<&'a [u8]> {
+        after
+            .into_iter()
+            .find(|o| o.key_low > self.key_low && o.overlaps_time(self))
+            .map(|o| o.key_low)
+    }
 }
 
 fn view_entry(page: &Page, slot: usize) -> EntryView<'_> {
@@ -96,14 +124,14 @@ fn decode_entry(page: &Page, slot: usize) -> Entry {
     }
 }
 
-fn entries(page: &Page) -> Vec<Entry> {
+pub(crate) fn entries(page: &Page) -> Vec<Entry> {
     (0..page.slot_count())
         .map(|i| decode_entry(page, i))
         .collect()
 }
 
 fn insert_entry(page: &mut Page, e: &Entry) -> Result<()> {
-    let need = REC_HDR + e.key_low.len() + ENTRY_DATA + 2;
+    let need = e.size();
     if need > page.contiguous_free() && need <= page.total_free() {
         page.compact()?;
     }
@@ -180,7 +208,7 @@ impl TsbTree {
     }
 
     /// Descend to the data page covering `(key, t)`, recording the path.
-    fn descend(&self, key: &[u8], t: Timestamp) -> Result<(FrameRef, Vec<Step>)> {
+    pub(crate) fn descend(&self, key: &[u8], t: Timestamp) -> Result<(FrameRef, Vec<Step>)> {
         let metrics = self.core.pool.metrics();
         let mut steps = Vec::new();
         let mut page_id = self.core.root();
@@ -295,14 +323,7 @@ impl TsbTree {
                     if !wanted || q.keys.is_above(e.key_low) {
                         continue;
                     }
-                    // The rectangle ends where the next one over the same
-                    // times begins: several time slices may share a key
-                    // boundary, and an older slice may span boundaries
-                    // that later key splits introduced.
-                    let next_low = (i + 1..n)
-                        .map(|j| view_entry(g, j))
-                        .find(|o| o.key_low > e.key_low && o.overlaps_time(&e))
-                        .map(|o| o.key_low);
+                    let next_low = e.key_end((i + 1..n).map(|j| view_entry(g, j)));
                     let child_low = e.key_low.max(low);
                     let child_upper = match (next_low, upper) {
                         (Some(a), Some(b)) => Some(a.min(b)),
@@ -385,43 +406,22 @@ impl TsbTree {
                 put_u32(d, 8, new_t_low.sn);
             }
 
-            // Insert entries; split *proactively* above 85% utilization so
-            // that a time split's full history copy still has headroom for
-            // the (at most two) pending entries — each is ~40 bytes, far
-            // below the reserved 15%.
-            let mut halves = Halves {
-                current: node,
-                right: None,
-                right_sep: None,
-                hist: None,
-                hist_split_ts: None,
-            };
-            let mut next_retime: Option<Timestamp> = None;
-            let mut next_adds: Vec<Entry> = Vec::new();
-            if halves.current.utilization() > 0.85 {
-                let (posted, posted_retime) =
-                    self.split_index_node(&mut halves, node_t_low, &node_region_low)?;
-                next_adds.extend(posted);
-                next_retime = posted_retime;
+            // Split *proactively* above 85% utilization: below it the node
+            // has room for the (at most two) pending entries — each is ~40
+            // bytes, far below the reserved 15% — and above it they are
+            // routed into the halves with the node's own entries.
+            if node.utilization() <= 0.85 {
+                for e in adds.drain(..) {
+                    insert_entry(&mut node, &e)?;
+                }
+                images.push(node);
+                return Ok(None);
             }
-            for e in adds.drain(..) {
-                halves.insert(&e).map_err(|err| match err {
-                    Error::PageFull => {
-                        Error::Internal("index entry does not fit after proactive split".into())
-                    }
-                    other => other,
-                })?;
-            }
-            images.push(halves.current);
-            if let Some(r) = halves.right {
-                images.push(r);
-            }
-            if let Some(h) = halves.hist {
-                images.push(h);
-            }
+            let mut all = entries(&node);
+            all.append(&mut adds);
+            (adds, retime) =
+                self.split_index_node(&node, all, node_t_low, &node_region_low, images)?;
             child = step.node;
-            retime = next_retime;
-            adds = next_adds;
         }
         Ok(None)
     }
@@ -471,91 +471,95 @@ impl TsbTree {
         )))
     }
 
-    /// Split a full index node held in `halves.current`. Returns the
-    /// entries to post one level up, plus the new `t_low` for this node's
-    /// own entry if it time-split.
+    /// Split a full index node: `all` is every entry it must hold — those
+    /// on `node` after the pending retime, and the pending adds. One rule
+    /// routes them all: each entry goes to every half its rectangle
+    /// overlaps.
     ///
-    /// First an **index time split** at "now" when there is history to
-    /// shed — the historical index node receives *every* entry (it must
-    /// answer all queries for times before the split), the current node
-    /// keeps only open entries. Then, if the remaining node is still more
-    /// than half full (history-light nodes), a clean **key split** of the
-    /// open entries.
+    /// * **Time split** at `T`, the earliest start among the open entries,
+    ///   when `T` lies above the node's own start and some entry ends by
+    ///   it. The historical node takes the entries starting before `T` —
+    ///   closed ones only, so it references history alone and never
+    ///   changes again; the current node keeps those ending after `T`. A
+    ///   closed entry straddling `T` goes to both: its page is immutable.
+    /// * **Key split** at the median open boundary when the current node
+    ///   is still more than half full. Entries at or above it go right; a
+    ///   left entry whose key region runs past it is also copied right,
+    ///   starting there.
+    ///
+    /// Pushes every page it writes onto `images`; returns the entries to
+    /// post one level up, and the node's new `t_low` if it time-split.
     fn split_index_node(
         &self,
-        halves: &mut Halves,
+        node: &Page,
+        mut all: Vec<Entry>,
         node_t_low: Timestamp,
         node_region_low: &[u8],
+        images: &mut Vec<Page>,
     ) -> Result<(Vec<Entry>, Option<Timestamp>)> {
-        if halves.right.is_some() || halves.hist.is_some() {
-            return Err(Error::Internal(
-                "index node split twice in one posting".into(),
-            ));
-        }
+        let metrics = &self.core.pool.metrics().tree;
+        let page = |id: PageId, flags: u8, entries: &[Entry]| -> Result<Page> {
+            let mut p = Page::zeroed();
+            p.format(id, PageType::Index, flags, node.level());
+            entries.iter().try_for_each(|e| insert_entry(&mut p, e))?;
+            Ok(p)
+        };
+        all.sort_by(|a, b| a.key_low.cmp(&b.key_low));
         let mut posted = Vec::new();
-        let mut new_t_low = None;
-        let all = entries(&halves.current);
-        let has_historical = all.iter().any(|e| !e.is_open());
-        if has_historical {
-            let split_ts = self.core.split_time.current_split_ts();
+        let split_ts = (all.iter().filter(|e| e.is_open()).map(|e| e.t_low).min())
+            .filter(|&t| t > node_t_low && all.iter().any(|e| e.t_high <= t));
+        if let Some(t) = split_ts {
             let hist_id = self.core.pool.disk().allocate()?;
-            let node = &halves.current;
-            let mut hist = Page::zeroed();
-            hist.format(hist_id, PageType::Index, FLAG_HISTORICAL, node.level());
-            let mut fresh = Page::zeroed();
-            fresh.format(node.page_id(), PageType::Index, node.flags(), node.level());
-            for e in &all {
-                insert_entry(&mut hist, e)?;
-                if e.is_open() {
-                    insert_entry(&mut fresh, e)?;
-                }
-            }
-            halves.current = fresh;
-            halves.hist = Some(hist);
-            halves.hist_split_ts = Some(split_ts);
+            let old: Vec<Entry> = all.iter().filter(|e| e.t_low < t).cloned().collect();
+            images.push(page(hist_id, FLAG_HISTORICAL, &old)?);
+            all.retain(|e| e.t_high > t);
             posted.push(Entry {
                 key_low: node_region_low.to_vec(),
                 t_low: node_t_low,
-                t_high: split_ts,
+                t_high: t,
                 child: hist_id,
             });
-            new_t_low = Some(split_ts);
+            metrics.index_time_splits.inc();
         }
-        if halves.current.utilization() > 0.5 {
-            let open = entries(&halves.current);
-            if open.len() >= 2 {
-                let node = &halves.current;
-                let split_at = open.len() / 2;
-                let sep = open[split_at].key_low.clone();
-                let right_id = self.core.pool.disk().allocate()?;
-                let mut right = Page::zeroed();
-                right.format(right_id, PageType::Index, node.flags(), node.level());
-                let mut left = Page::zeroed();
-                left.format(node.page_id(), PageType::Index, node.flags(), node.level());
-                for (i, e) in open.iter().enumerate() {
-                    if i < split_at {
-                        insert_entry(&mut left, e)?;
-                    } else {
-                        insert_entry(&mut right, e)?;
-                    }
+        let open: Vec<&[u8]> = (all.iter().filter(|e| e.is_open()))
+            .map(|e| e.key_low.as_slice())
+            .collect();
+        let half_full = 2 * all.iter().map(Entry::size).sum::<usize>() > PAGE_SIZE - HEADER_SIZE;
+        let sep = (half_full && open.len() >= 2).then(|| open[open.len() / 2].to_vec());
+        if let Some(sep) = sep {
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            for (i, e) in all.iter().enumerate() {
+                if e.key_low >= sep {
+                    right.push(e.clone());
+                    continue;
                 }
-                halves.current = left;
-                halves.right = Some(right);
-                halves.right_sep = Some(sep.clone());
-                posted.push(Entry {
-                    key_low: sep,
-                    t_low: new_t_low.unwrap_or(node_t_low),
-                    t_high: Timestamp::MAX,
-                    child: right_id,
-                });
+                left.push(e.clone());
+                let end = e.view().key_end(all[i + 1..].iter().map(Entry::view));
+                if end.is_none_or(|end| end > sep.as_slice()) {
+                    right.push(Entry {
+                        key_low: sep.clone(),
+                        ..e.clone()
+                    });
+                }
             }
+            all = left;
+            let right_id = self.core.pool.disk().allocate()?;
+            images.push(page(right_id, node.flags(), &right)?);
+            posted.push(Entry {
+                key_low: sep,
+                t_low: split_ts.unwrap_or(node_t_low),
+                t_high: Timestamp::MAX,
+                child: right_id,
+            });
+            metrics.index_key_splits.inc();
         }
         if posted.is_empty() {
             return Err(Error::Internal(
                 "index node full but neither time nor key split possible".into(),
             ));
         }
-        Ok((posted, new_t_low))
+        images.push(page(node.page_id(), node.flags(), &all)?);
+        Ok((posted, split_ts))
     }
 
     // -- compaction -----------------------------------------------------------
@@ -759,49 +763,5 @@ impl VersionCursor for TsbTree {
         }
         buf.replay(q.lo, visit)?;
         Ok(())
-    }
-}
-
-/// A node mid-posting: it may have split into (current, right-by-key) or
-/// (current, historical-by-time). Entry routing after a split:
-///
-/// * key split: by separator comparison;
-/// * time split: *closed* entries (they only serve times before the split)
-///   go to the historical node, open entries to the current one.
-struct Halves {
-    current: Page,
-    right: Option<Page>,
-    right_sep: Option<Vec<u8>>,
-    hist: Option<Page>,
-    /// Time the historical node was split off at (it serves `t <` this).
-    hist_split_ts: Option<Timestamp>,
-}
-
-impl Halves {
-    fn insert(&mut self, e: &Entry) -> Result<()> {
-        // Closed entries serve only times before any time split: they
-        // belong in the historical node when one exists.
-        if !e.is_open() {
-            if let Some(hist) = self.hist.as_mut() {
-                return insert_entry(hist, e);
-            }
-        }
-        // An open entry whose range starts before the index time split
-        // must ALSO be visible to queries for those earlier times, which
-        // route through the historical node: duplicate it there (entries
-        // are immutable references, duplication is safe).
-        if e.is_open() {
-            if let (Some(hist), Some(hts)) = (self.hist.as_mut(), self.hist_split_ts) {
-                if e.t_low < hts {
-                    insert_entry(hist, e)?;
-                }
-            }
-        }
-        if let (Some(right), Some(sep)) = (self.right.as_mut(), self.right_sep.as_ref()) {
-            if e.key_low.as_slice() >= sep.as_slice() {
-                return insert_entry(right, e);
-            }
-        }
-        insert_entry(&mut self.current, e)
     }
 }

@@ -140,22 +140,13 @@ impl HorizonSplitSource {
     pub fn new(authority: Arc<TimestampAuthority>, horizon: Arc<CommitHorizon>) -> Self {
         HorizonSplitSource { authority, horizon }
     }
-
-    fn safe_split_ts(&self) -> Timestamp {
-        self.horizon.safe_split_ts(&self.authority)
-    }
 }
 
 impl SplitTimeSource for HorizonSplitSource {
+    /// If a page's start has already reached this bound, its time split
+    /// is skipped, never pushed above it.
     fn current_split_ts(&self) -> Timestamp {
-        self.safe_split_ts()
-    }
-
-    /// Same value as [`Self::current_split_ts`]: if a page's start forces
-    /// the split boundary above this, the split must be skipped, not
-    /// bumped.
-    fn max_safe_split_ts(&self) -> Timestamp {
-        self.safe_split_ts()
+        self.horizon.safe_split_ts(&self.authority)
     }
 }
 
@@ -209,7 +200,6 @@ mod tests {
         // In flight: clamped to the oldest issued-but-unretired commit.
         assert_eq!(h.min_in_flight(), Some(t1));
         assert_eq!(src.current_split_ts(), t1);
-        assert_eq!(src.max_safe_split_ts(), t1);
         h.retire(t1);
         assert_eq!(src.current_split_ts(), t2);
         h.retire(t2);

@@ -42,6 +42,21 @@ run_ledger() {
     # build, or an answer its oracle rejects, fails here and not in the
     # benchmark pipeline.
     cargo test --release --offline --manifest-path ledger/Cargo.toml
+    echo "== ledger (TSB AS OF point reads return every committed version) =="
+    # The reproducer is #[ignore]d in the benchmark's own tree; run it by
+    # name, and insist that it ran (a filter matching nothing passes too).
+    local out
+    if ! out=$(cargo test --release --offline --manifest-path ledger/Cargo.toml \
+        --test known_defects -- --ignored --exact \
+        tsb_as_of_point_reads_return_every_committed_version 2>&1); then
+        echo "$out"
+        exit 1
+    fi
+    echo "$out"
+    if ! grep -q '^test result: ok\. 1 passed;' <<<"$out"; then
+        echo "ledger: tsb_as_of_point_reads_return_every_committed_version did not run exactly once" >&2
+        exit 1
+    fi
 }
 
 run_chaos() {

@@ -18,6 +18,11 @@
 //! a result streamed to a client in chunks does — it yields exactly the
 //! one-shot sequence, also when a writer splits the scanned leaves in
 //! time and by key between two chunks.
+//!
+//! A third replays the shape at which TSB *index nodes* split in both
+//! dimensions (many keys, many commits to a clock tick): every version
+//! must be readable at its own timestamp there too, and `AS OF` scans
+//! must resume where they stopped.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -662,4 +667,93 @@ fn chain_scans_resume_where_they_stopped() {
 #[test]
 fn tsb_scans_resume_where_they_stopped() {
     resume_battery("tsb-resume", true, 31);
+}
+
+// -- index-node splits ----------------------------------------------------------
+
+/// 1,000 keys × 30 versions, 25 keys to a commit, the clock moving 20 ms
+/// every 64 commits (so most commits share a tick and differ in `sn`).
+/// On a TSB table this splits index nodes both in time and by key. The
+/// first version of each row carries a 150-byte pad: with narrow rows
+/// alone the 1,000 keys fit in ~10 current leaves, and no index node
+/// ever has enough open entries left after a time split to key-split.
+fn index_split_battery(tag: &str, using_tsb: bool) {
+    const T: &str = "T";
+    let dir = TempDir::new(&format!("cursor-eq-{tag}"));
+    let clock = Arc::new(SimClock::new(1_700_000_000_000));
+    let db = Database::open(DbConfig::new(&dir).clock(clock.clone())).unwrap();
+    let ddl = format!(
+        "CREATE IMMORTAL TABLE {T} (Oid INT PRIMARY KEY, X INT, Y INT, Pad VARCHAR(400)){}",
+        if using_tsb { " USING TSB" } else { "" }
+    );
+    Session::new(&db).execute(&ddl).unwrap();
+    let row = |k: i32, v: i32| {
+        let pad = if v == 0 {
+            format!("{k:0>150}")
+        } else {
+            String::new()
+        };
+        vec![
+            Value::Int(k),
+            Value::Int(v),
+            Value::Int(v),
+            Value::Varchar(pad),
+        ]
+    };
+    let keys: Vec<i32> = (0..1_000).collect();
+    let mut history = History::default();
+    let mut commit = |version: i32, batch: &[i32]| {
+        let mut txn = db.begin(Isolation::Serializable);
+        for &k in batch {
+            if version == 0 {
+                db.insert_row(&mut txn, T, row(k, version)).unwrap();
+            } else {
+                db.update_row(&mut txn, T, row(k, version)).unwrap();
+            }
+        }
+        let ts = db.commit(&mut txn).unwrap();
+        for &k in batch {
+            history.record(ts, k, Some(row(k, version)));
+        }
+    };
+    commit(0, &keys);
+    clock.advance(20);
+    for (i, (version, batch)) in (1..=30)
+        .flat_map(|v| keys.chunks(25).map(move |b| (v, b)))
+        .enumerate()
+    {
+        commit(version, batch);
+        if (i + 1) % 64 == 0 {
+            clock.advance(20);
+        }
+    }
+    if using_tsb {
+        let tree = &db.metrics().tree;
+        let splits = (tree.index_time_splits.get(), tree.index_key_splits.get());
+        assert!(
+            splits.0 > 0 && splits.1 > 0,
+            "index nodes must split both ways: {splits:?}"
+        );
+    }
+    history
+        .check_own_timestamps(&db, T)
+        .expect("every version at its own commit timestamp");
+    let mut s = Session::new(&db);
+    for &ts in history.commits().iter().step_by(97) {
+        for k in [1, 7, 64] {
+            s.begin_as_of_ts(ts).unwrap();
+            resumed_equals_one_shot(&mut s, &format!("SELECT * FROM {T}"), k, &mut || {});
+            s.commit().unwrap();
+        }
+    }
+}
+
+#[test]
+fn chain_index_split_shape_reads_every_version() {
+    index_split_battery("chain-index-split", false);
+}
+
+#[test]
+fn tsb_index_split_shape_reads_every_version() {
+    index_split_battery("tsb-index-split", true);
 }
