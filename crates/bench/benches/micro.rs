@@ -52,11 +52,11 @@ fn bench_reads(c: &mut Criterion) {
     for (i, e) in events.iter().enumerate() {
         bench.apply_event(e);
         if i == 200 * 5 {
-            early = Some(bench.db.latest_ts());
+            early = Some(bench.db.visible_horizon());
         }
     }
     let early = early.unwrap();
-    let now = bench.db.latest_ts();
+    let now = bench.db.visible_horizon();
 
     group.bench_function("current", |b| {
         let mut txn = bench.db.begin(Isolation::Snapshot);
@@ -106,7 +106,7 @@ fn bench_scans(c: &mut Criterion) {
     for (i, e) in events.iter().enumerate() {
         bench.apply_event(e);
         if i == 500 * 3 {
-            early = Some(bench.db.latest_ts());
+            early = Some(bench.db.visible_horizon());
         }
     }
     let early = early.unwrap();

@@ -490,7 +490,7 @@ pub fn snapshot_reads(quick: bool) -> SnapshotReadResult {
     for (i, e) in events.iter().enumerate() {
         bench.apply_event(e);
         if i >= keys as usize && (i + 1 - keys as usize).is_multiple_of(keys as usize) {
-            marks.push(bench.db.latest_ts());
+            marks.push(bench.db.visible_horizon());
         }
     }
     // Read 100 keys at "now", and at snapshots N rounds back.

@@ -87,11 +87,11 @@ fn run_config(config: Fig6Config) -> Fig6Series {
                 if updates_done == 0 {
                     // Not yet recorded: state just after all inserts. The
                     // first update already ran; use its predecessor tick.
-                    watermarks.push((0, bench.db.latest_ts()));
+                    watermarks.push((0, bench.db.visible_horizon()));
                 }
                 updates_done += 1;
                 while next_mark <= 10 && updates_done * 10 >= total_updates * next_mark as usize {
-                    watermarks.push((next_mark * 10, bench.db.latest_ts()));
+                    watermarks.push((next_mark * 10, bench.db.visible_horizon()));
                     next_mark += 1;
                 }
             }
@@ -99,7 +99,7 @@ fn run_config(config: Fig6Config) -> Fig6Series {
     }
 
     // Full-scan AS OF at each watermark (warm one scan first).
-    let mut txn = bench.db.begin_as_of_ts(bench.db.latest_ts());
+    let mut txn = bench.db.begin_as_of_ts(bench.db.visible_horizon());
     let _ = bench.db.scan_rows(&mut txn, "MovingObjects").unwrap();
     bench.db.commit(&mut txn).unwrap();
 

@@ -400,6 +400,10 @@ pub enum Access {
 pub struct TxnLog {
     /// Who ran it, for reports (the engine's tid where the client has it).
     pub tid: u64,
+    /// The client session that ran it, 0 for none (`AS OF` readers, whose
+    /// instant is their own choice). A session's logs must appear in the
+    /// order it ran them.
+    pub session: u64,
     /// The snapshot it read (the pinned instant of an `AS OF` reader).
     pub snapshot: Timestamp,
     /// Its commit timestamp; unused when it wrote nothing.
@@ -439,6 +443,7 @@ impl TxnLog {
         });
         TxnEvent {
             tid: self.tid,
+            session: self.session,
             si,
             snapshot: self.snapshot,
             commit: (!self.writes().is_empty()).then_some(self.commit),
@@ -457,19 +462,32 @@ impl TxnLog {
 /// `seed` (typically the transaction that loaded every key) goes first,
 /// as a serializable commit; then the writers in commit order, each
 /// read-only transaction at its snapshot after any writer of that
-/// timestamp. The run passes only with no violation, no read the checker
-/// could not judge, and every logged read judged.
+/// timestamp — but never ahead of an earlier transaction of its own
+/// session, so a snapshot that ran behind its session meets the session
+/// rule. The run passes only with no violation, no read the checker could
+/// not judge, and every logged read judged.
 pub fn replay(seed: &TxnLog, logs: &[TxnLog]) -> Result<History, Mismatch> {
-    let mut order: Vec<&TxnLog> = logs.iter().collect();
-    order.sort_by_key(|t| {
-        if t.writes().is_empty() {
-            (t.snapshot, 1)
-        } else {
-            (t.commit, 0)
-        }
-    });
+    let mut session_at = BTreeMap::new();
+    let mut order: Vec<_> = logs
+        .iter()
+        .map(|t| {
+            let mut at = if t.writes().is_empty() {
+                (t.snapshot, 1)
+            } else {
+                (t.commit, 0)
+            };
+            if t.session != 0 {
+                let prev = session_at.entry(t.session).or_insert(at);
+                at = at.max(*prev);
+                *prev = at;
+            }
+            (at, t)
+        })
+        .collect();
+    order.sort_by_key(|(at, _)| *at);
     let mut checker = Checker::new();
     let mut history = History::default();
+    let order = order.into_iter().map(|(_, t)| t);
     for (i, t) in std::iter::once(seed).chain(order).enumerate() {
         checker.process(&t.event(i > 0));
         for (key, value) in t.writes() {
@@ -632,6 +650,7 @@ mod tests {
     fn log(tid: u64, snapshot: u64, commit: u64, ops: Vec<Access>) -> TxnLog {
         TxnLog {
             tid,
+            session: 0,
             snapshot: ts(snapshot),
             commit: ts(commit),
             ops,
@@ -668,6 +687,14 @@ mod tests {
         assert!(err.0.contains("snapshot-read"), "{err}");
         // A read the checker cannot judge fails the run too.
         let unknown = log(5, 40, 45, vec![read(9, 1)]);
-        assert!(replay(&seed, &[w1, unknown]).is_err());
+        assert!(replay(&seed, &[w1.clone(), unknown]).is_err());
+        // A session that commits at 40 and then reads at 20: each read is
+        // right for its snapshot, but the snapshot ran behind the session.
+        let (mut w, mut behind) = (w1, log(6, 20, 20, vec![read(1, 0)]));
+        (w.session, behind.session) = (7, 7);
+        let err = replay(&seed, &[w.clone(), behind.clone()]).unwrap_err();
+        assert!(err.0.contains("[session]"), "{err}");
+        behind.session = 8;
+        replay(&seed, &[w, behind]).unwrap();
     }
 }

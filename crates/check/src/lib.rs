@@ -22,12 +22,13 @@
 //!   own latest write, else the newest committed version at or below its
 //!   snapshot), first-committer-wins (no foreign commit lands inside a
 //!   committed snapshot writer's `(snapshot, commit)` window for a key it
-//!   wrote), and no dirty reads (an observed value hash matching a rolled
-//!   back write is flagged).
+//!   wrote), no dirty reads (an observed value hash matching a rolled
+//!   back write is flagged), and the session rule (a snapshot never runs
+//!   behind its session's previous commit or snapshot).
 //!
 //! The ordering contract that makes online checking sound: the engine
-//! pushes a writer's commit event *before* `CommitHorizon::retire` makes
-//! its timestamp visible. Any reader whose snapshot covers that commit
+//! pushes a writer's commit event *before* `TimestampAuthority::retire`
+//! makes its timestamp visible. Any reader whose snapshot covers that commit
 //! therefore sampled its snapshot after the push, and (because ring slots
 //! are claimed with a single atomic ticket) enqueues its own event at a
 //! later ring position — so the checker, consuming in ring order, always
@@ -89,6 +90,9 @@ impl Op {
 #[derive(Debug, Clone)]
 pub struct TxnEvent {
     pub tid: u64,
+    /// The session that ran it, 0 for none. A session's events reach the
+    /// checker in the order it ran them.
+    pub session: u64,
     /// True for snapshot-isolation and AS OF transactions: reads were
     /// taken against `snapshot` and are validated; writes participate in
     /// first-committer-wins. Serializable transactions read the *current*
@@ -207,7 +211,7 @@ impl EventTap {
             if dif == 0 {
                 // Claim the ticket. AcqRel so that a push that
                 // happens-after another push (via engine synchronization,
-                // e.g. horizon retire → snapshot sample) always claims a
+                // e.g. timestamp retire → snapshot sample) always claims a
                 // later ticket — the ordering contract in the crate docs.
                 match self.tail.compare_exchange_weak(
                     pos,
@@ -289,6 +293,7 @@ mod tests {
     fn ev(tid: u64) -> TxnEvent {
         TxnEvent {
             tid,
+            session: 0,
             si: true,
             snapshot: Timestamp::ZERO,
             commit: None,

@@ -9,7 +9,9 @@
 //!   commit)` windows, kept until the watermark passes the commit so a
 //!   late-arriving sibling commit can still be checked against them;
 //! * `aborted` — value hashes of rolled-back writes (observing one is a
-//!   dirty read), cleared on each watermark advance.
+//!   dirty read), cleared on each watermark advance;
+//! * `sessions` — per session, the newest of its commits and snapshots
+//!   so far, dropped once the watermark passes it.
 //!
 //! Every rule errs on the side of *no false alarms*: reads that land
 //! where the checker has no committed knowledge (pre-arm rows, pruned
@@ -42,6 +44,10 @@ pub enum ViolationKind {
     FirstCommitterWins,
     /// A read observed a value hash recorded by a rolled-back write.
     DirtyRead,
+    /// A snapshot transaction's snapshot is below its session's previous
+    /// commit or previous snapshot (the session axiom of timestamp-based
+    /// SI, arXiv 2504.01477).
+    Session,
 }
 
 impl std::fmt::Display for ViolationKind {
@@ -51,6 +57,7 @@ impl std::fmt::Display for ViolationKind {
             ViolationKind::OwnWrite => "own-write",
             ViolationKind::FirstCommitterWins => "first-committer-wins",
             ViolationKind::DirtyRead => "dirty-read",
+            ViolationKind::Session => "session",
         })
     }
 }
@@ -143,6 +150,8 @@ impl KeyState {
 #[derive(Default)]
 pub struct Checker {
     keys: HashMap<u64, KeyState>,
+    /// Per session: the newest of its previous commits and snapshots.
+    sessions: HashMap<u64, Timestamp>,
     report: SentinelReport,
 }
 
@@ -166,6 +175,7 @@ impl Checker {
     /// Fold one transaction event into the state, checking as we go.
     pub fn process(&mut self, event: &TxnEvent) {
         self.report.events += 1;
+        self.check_session(event);
 
         // 1. Validate reads in execution order (snapshot/AS OF readers
         // only; serializable transactions read the locked current state,
@@ -180,6 +190,34 @@ impl Checker {
             (Some(ts), false) => self.apply_commit(event, ts),
             _ if event.aborted => self.apply_abort(event),
             _ => {} // read-only commit: nothing to fold
+        }
+    }
+
+    /// The session rule: what a session committed or read at is never
+    /// out of sight of its next snapshot.
+    fn check_session(&mut self, event: &TxnEvent) {
+        if event.session == 0 {
+            return;
+        }
+        let prev = self.sessions.entry(event.session).or_default();
+        let seen = *prev;
+        if event.si {
+            *prev = (*prev).max(event.snapshot);
+        }
+        if let Some(ts) = event.commit {
+            *prev = (*prev).max(ts);
+        }
+        if event.si && event.snapshot < seen {
+            let s = event.snapshot;
+            self.violation(
+                ViolationKind::Session,
+                event.tid,
+                0,
+                format!(
+                    "snapshot {}.{} of session {} is below its previous commit or snapshot {}.{}",
+                    s.ttime, s.sn, event.session, seen.ttime, seen.sn
+                ),
+            );
         }
     }
 
@@ -411,6 +449,9 @@ impl Checker {
             ks.aborted.clear();
             !ks.versions.is_empty() || !ks.intervals.is_empty()
         });
+        // A session whose newest commit and snapshot are at or below the
+        // watermark cannot begin a snapshot below them any more.
+        self.sessions.retain(|_, last| *last > watermark);
     }
 
     /// Note that the tap dropped events: the committed-version map may be
@@ -576,6 +617,7 @@ mod tests {
     ) -> TxnEvent {
         TxnEvent {
             tid,
+            session: 0,
             si: true,
             snapshot: snap,
             commit: Some(commit),
@@ -587,6 +629,7 @@ mod tests {
     fn reader(tid: u64, snap: Timestamp, ops: Vec<Op>) -> TxnEvent {
         TxnEvent {
             tid,
+            session: 0,
             si: true,
             snapshot: snap,
             commit: None,
@@ -637,6 +680,7 @@ mod tests {
         c.process(&commit_write(1, ts(0, 0), ts(20, 0), 7, 100));
         c.process(&TxnEvent {
             tid: 2,
+            session: 0,
             si: true,
             snapshot: ts(20, 0),
             commit: Some(ts(40, 0)),
@@ -704,6 +748,7 @@ mod tests {
         let mut c = Checker::new();
         c.process(&TxnEvent {
             tid: 1,
+            session: 0,
             si: true,
             snapshot: ts(0, 0),
             commit: None,
@@ -778,6 +823,41 @@ mod tests {
         // Fully-pruned keys disappear.
         c.prune(ts(200, 0));
         assert_eq!(c.tracked_keys(), 1); // newest version is always kept
+    }
+
+    #[test]
+    fn a_snapshot_behind_its_own_session_is_flagged() {
+        let in_session = |session: u64, mut e: TxnEvent| {
+            e.session = session;
+            e
+        };
+        let mut c = Checker::new();
+        // Session 1 commits at 40 (serializable autocommit), then begins a
+        // snapshot at 20: below its own acknowledged commit.
+        let mut autocommit = commit_write(1, ts(0, 0), ts(40, 0), 7, 100);
+        autocommit.si = false;
+        c.process(&in_session(1, autocommit));
+        c.process(&in_session(
+            1,
+            reader(2, ts(20, 0), vec![Op::ReadMiss { key: 7 }]),
+        ));
+        let r = c.report();
+        assert_eq!(r.violation_count, 1, "{:?}", r.violations);
+        assert_eq!(r.violations[0].kind, ViolationKind::Session);
+        // Snapshots run forwards within a session too.
+        c.process(&in_session(3, reader(3, ts(60, 0), vec![])));
+        c.process(&in_session(3, reader(4, ts(40, 0), vec![])));
+        assert_eq!(c.report().violation_count, 2);
+        // Another session, or none, may read wherever its snapshot lies.
+        c.process(&in_session(2, reader(5, ts(20, 0), vec![])));
+        c.process(&reader(6, ts(20, 0), vec![]));
+        assert_eq!(c.report().violation_count, 2);
+        // A session that keeps up passes, and the watermark forgets it.
+        c.process(&in_session(4, commit_write(7, ts(40, 0), ts(80, 0), 9, 1)));
+        c.process(&in_session(4, reader(8, ts(80, 0), vec![])));
+        assert_eq!(c.report().violation_count, 2);
+        c.prune(ts(80, 0));
+        assert!(c.sessions.is_empty());
     }
 
     #[test]

@@ -25,8 +25,7 @@ use immortaldb_storage::recovery::{self, TreeLocator};
 use immortaldb_storage::vfs::{std_fs, Vfs};
 use immortaldb_storage::wal::{Durability, GroupCommitConfig, Wal, WAL_START};
 use immortaldb_txn::{
-    CommitHorizon, HorizonSplitSource, LockManager, Ptt, PttGc, StampingFlushHook,
-    TimestampAuthority, TxnResolver, Vtt,
+    LockManager, Ptt, PttGc, StampingFlushHook, TimestampAuthority, TxnResolver, Vtt,
 };
 
 use crate::catalog::{snapshot_key, SnapshotDef, TableDef, TableKind, SNAPSHOT_KEY_PREFIX};
@@ -170,14 +169,9 @@ impl DbConfig {
 pub struct Database {
     pub(crate) pool: Arc<BufferPool>,
     pub(crate) wal: Arc<Wal>,
+    /// Commit timestamps, the snapshot boundary below every in-flight
+    /// commit, and (as every tree's split-time source) the split bound.
     pub(crate) authority: Arc<TimestampAuthority>,
-    /// Issued-but-not-yet-visible commit timestamps; snapshots are taken
-    /// below this boundary so they never straddle an in-flight group
-    /// commit, and time splits never cut above it (shared with every
-    /// tree's split-time source).
-    horizon: Arc<CommitHorizon>,
-    /// Horizon-aware split-time source shared by every tree.
-    split_time: Arc<dyn SplitTimeSource>,
     /// [`DbConfig::history_packing`], for every tree this engine opens.
     history_packing: bool,
     pub(crate) vtt: Arc<Vtt>,
@@ -195,6 +189,7 @@ pub struct Database {
     trees: Arc<RwLock<HashMap<TreeId, TableIndex>>>,
     next_tid: AtomicU64,
     next_tree: AtomicU32,
+    next_session: AtomicU64,
     /// Active-transaction table: tid → last LSN (for fuzzy checkpoints).
     active: Mutex<HashMap<Tid, Lsn>>,
     /// Active snapshot reads: snapshot timestamp → count (oldest bounds
@@ -292,7 +287,10 @@ impl Database {
             metrics.clone(),
         ));
         pool.set_page_image_logging(config.page_image_logging);
-        let authority = Arc::new(TimestampAuthority::new(Arc::clone(&config.clock)));
+        let authority = Arc::new(TimestampAuthority::new(
+            Arc::clone(&config.clock),
+            metrics.clone(),
+        ));
 
         if replica && wal.end_lsn() == WAL_START {
             return Err(Error::Internal(
@@ -333,14 +331,7 @@ impl Database {
         }
 
         let vtt = Arc::new(Vtt::new());
-        let horizon = Arc::new(CommitHorizon::new());
-        // Time splits must not cut above an issued-but-unretired commit
-        // timestamp (its TID-marked versions stay in the current page);
-        // the horizon-aware source clamps the split boundary accordingly.
-        let split_time: Arc<dyn SplitTimeSource> = Arc::new(HorizonSplitSource::new(
-            Arc::clone(&authority),
-            Arc::clone(&horizon),
-        ));
+        let split_time: Arc<dyn SplitTimeSource> = authority.clone();
         // A replica never *creates* system trees — creation appends log
         // records, and the replica's log must stay a byte prefix of the
         // primary's. The shipped prefix contains the primary's creation
@@ -413,8 +404,6 @@ impl Database {
             pool,
             wal,
             authority,
-            horizon,
-            split_time,
             history_packing: config.history_packing,
             vtt,
             ptt,
@@ -430,6 +419,7 @@ impl Database {
             trees: Arc::new(RwLock::new(trees)),
             next_tid: AtomicU64::new(next_tid),
             next_tree: AtomicU32::new(max_tree),
+            next_session: AtomicU64::new(1),
             active: Mutex::new(HashMap::new()),
             snapshots: Mutex::new(std::collections::BTreeMap::new()),
             asof_pins: Mutex::new(std::collections::BTreeMap::new()),
@@ -510,10 +500,6 @@ impl Database {
 
     // -- accessors ---------------------------------------------------------
 
-    pub fn authority(&self) -> &Arc<TimestampAuthority> {
-        &self.authority
-    }
-
     /// Engine-wide metrics registry (shared by every layer).
     pub fn metrics(&self) -> &MetricsRegistry {
         self.pool.metrics()
@@ -529,6 +515,11 @@ impl Database {
         self.sentinel.as_ref()
     }
 
+    /// A fresh SQL session id (never 0, which means "no session").
+    pub fn new_session_id(&self) -> u64 {
+        self.next_session.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Number of frame-table shards the buffer pool resolved to.
     pub fn pool_shards(&self) -> usize {
         self.pool.shard_count()
@@ -537,11 +528,6 @@ impl Database {
     /// Current wall-clock time (through the injected clock).
     pub fn now_ms(&self) -> u64 {
         self.authority.now_ms()
-    }
-
-    /// Latest issued commit timestamp.
-    pub fn latest_ts(&self) -> Timestamp {
-        self.authority.latest()
     }
 
     /// Persistent timestamp table size (experiments).
@@ -655,8 +641,9 @@ impl Database {
 
     /// Create (`create`) or open the index behind `def`.
     fn build_index(&self, def: &TableDef, create: bool) -> Result<TableIndex> {
-        let (pool, wal, split_time) = (&self.pool, &self.wal, &self.split_time);
-        TableIndex::build(def, create, pool, wal, split_time, self.history_packing)
+        let split_time: Arc<dyn SplitTimeSource> = self.authority.clone();
+        let (pool, wal) = (&self.pool, &self.wal);
+        TableIndex::build(def, create, pool, wal, &split_time, self.history_packing)
     }
 
     /// Enable snapshot versioning on an *empty* conventional table
@@ -762,25 +749,25 @@ impl Database {
     pub fn visible_horizon(&self) -> Timestamp {
         if self.replica {
             // Shipped Commit records arrive in *log* order, which is not
-            // timestamp order across the group-commit pipeline, so
-            // `authority.latest()` may name a commit whose smaller-ts
-            // sibling is still in flight on the primary. The replication
-            // horizon — sampled on the primary before the batch bytes —
-            // is the newest timestamp with no such gap.
+            // timestamp order across the group-commit pipeline, so the
+            // newest restored timestamp may name a commit whose
+            // smaller-ts sibling is still in flight on the primary. The
+            // replication horizon — sampled on the primary before the
+            // batch bytes — is the newest timestamp with no such gap.
             return *self.repl_horizon.lock();
         }
-        self.horizon.snapshot(&self.authority)
+        self.authority.snapshot()
     }
 
     /// Begin a read-write transaction.
     pub fn begin(&self, isolation: Isolation) -> Transaction {
         let tid = Tid(self.next_tid.fetch_add(1, Ordering::SeqCst));
         self.vtt.begin(tid);
-        // Snapshot below the commit-visibility horizon, *not* at
-        // `authority.latest()`: a timestamp issued to a commit still in
-        // the group-commit pipeline must stay invisible to this snapshot
-        // forever, or the same read would change mid-transaction. (On a
-        // replica `visible_horizon()` is the replication horizon.)
+        // Snapshot at the stable boundary, *not* at the newest issued
+        // timestamp: one issued to a commit still in the group-commit
+        // pipeline must stay invisible to this snapshot forever, or the
+        // same read would change mid-transaction. (On a replica
+        // `visible_horizon()` is the replication horizon.)
         let snapshot = self.visible_horizon();
         if isolation == Isolation::Snapshot {
             *self.snapshots.lock().entry(snapshot).or_insert(0) += 1;
@@ -850,19 +837,21 @@ impl Database {
             self.vtt.remove(txn.tid);
             return Ok(txn.snapshot);
         }
-        // Issue the commit timestamp through the horizon so concurrent
-        // `begin()`s keep their snapshots below us until we are visible.
-        let ts = self.horizon.issue(&self.authority);
+        // Issued in flight: concurrent `begin()`s keep their snapshots
+        // below us until we are visible.
+        let ts = self.authority.issue();
         match self.commit_inner(txn, ts) {
             Ok(()) => {
                 // Publish the commit event *before* retiring: any reader
-                // whose snapshot covers `ts` samples the horizon after
+                // whose snapshot covers `ts` samples the boundary after
                 // the retire, so its event lands later in ring order and
                 // the checker always knows this version first.
                 self.tap_event(txn, Some(ts), false);
-                // Visible (VTT entry made after the group fsync): let the
-                // horizon advance past us.
-                self.horizon.retire(ts);
+                // Visible (VTT entry made after the group fsync). Return
+                // only once the boundary covers us too, so the next
+                // snapshot anyone takes — this client's above all — sees
+                // the commit being acknowledged.
+                self.authority.acknowledge(ts);
                 Ok(ts)
             }
             Err(e) => {
@@ -870,13 +859,14 @@ impl Database {
                 // batch) must not leak locks or leave the transaction
                 // half-visible: roll it back like an abort. Retire the
                 // timestamp only afterwards — and unconditionally, or the
-                // horizon would wedge every future snapshot in the past.
+                // boundary would wedge every later snapshot in the past
+                // and every later commit's acknowledgement.
                 self.vtt.abort(txn.tid);
                 let _ = recovery::rollback_txn(&self.wal, &self.pool, self, txn.tid, txn.last_lsn);
                 self.vtt.remove(txn.tid);
                 self.tap_event(txn, None, true);
                 self.finish_bookkeeping(txn);
-                self.horizon.retire(ts);
+                self.authority.retire(ts);
                 Err(e)
             }
         }
@@ -954,6 +944,7 @@ impl Database {
             }
             tap.push(immortaldb_check::TxnEvent {
                 tid: txn.tid.0,
+                session: txn.session,
                 si: txn.isolation == Isolation::Snapshot,
                 snapshot: txn.snapshot,
                 commit,
@@ -1007,14 +998,12 @@ impl Database {
     }
 
     /// Oldest snapshot any active transaction may read (bounds
-    /// snapshot-version GC).
+    /// snapshot-version GC). With none active it is the boundary the next
+    /// `begin` would read at — not the newest issued timestamp, which may
+    /// still be in flight above it.
     pub fn oldest_snapshot(&self) -> Timestamp {
-        self.snapshots
-            .lock()
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.authority.latest())
+        let oldest = self.snapshots.lock().keys().next().copied();
+        oldest.unwrap_or_else(|| self.visible_horizon())
     }
 
     // -- DML ----------------------------------------------------------------

@@ -82,20 +82,33 @@ fn names(columns: &[&str]) -> Vec<String> {
 /// doomed (deadlock victim, write-write conflict).
 pub struct Session<'a> {
     db: &'a Database,
+    /// From [`Database::new_session_id`]; tags the transactions it begins.
+    id: u64,
     current: Option<Transaction>,
 }
 
 impl<'a> Session<'a> {
     pub fn new(db: &'a Database) -> Session<'a> {
-        Session { db, current: None }
+        Session::attach(db, db.new_session_id(), None)
     }
 
-    /// Rebuild a session around a previously detached transaction (see
+    /// Rebuild session `id` around a previously detached transaction (see
     /// [`Session::into_txn`]). The reactor server keeps each connection's
-    /// open transaction in the connection state machine and materializes
-    /// a `Session` only for the duration of one request dispatch.
-    pub fn attach(db: &'a Database, current: Option<Transaction>) -> Session<'a> {
-        Session { db, current }
+    /// session id and open transaction in the connection state machine
+    /// and materializes a `Session` only for the duration of one request
+    /// dispatch.
+    pub fn attach(db: &'a Database, id: u64, current: Option<Transaction>) -> Session<'a> {
+        Session { db, id, current }
+    }
+
+    /// Begin a read-write transaction tagged with this session, so the
+    /// sentinel can check that its snapshot never runs behind the
+    /// session's previous commit. AS OF readers stay untagged: their
+    /// instant is the client's to choose.
+    fn begin_tagged(&self, isolation: Isolation) -> Transaction {
+        let mut txn = self.db.begin(isolation);
+        txn.session = self.id;
+        txn
     }
 
     /// Detach the open transaction (if any) from this session without
@@ -121,7 +134,7 @@ impl<'a> Session<'a> {
         if self.current.is_some() {
             return Err(Error::Sql("transaction already open".into()));
         }
-        let txn = self.db.begin(isolation);
+        let txn = self.begin_tagged(isolation);
         let snapshot = txn.snapshot();
         self.current = Some(txn);
         Ok(snapshot)
@@ -334,7 +347,7 @@ impl<'a> Session<'a> {
     fn run_dml(&mut self, stmt: Statement, sink: &mut dyn RowSink) -> Result<Outcome> {
         let implicit = self.current.is_none();
         if implicit {
-            self.current = Some(self.db.begin(Isolation::Serializable));
+            self.current = Some(self.begin_tagged(Isolation::Serializable));
         }
         let mut txn = self.current.take().expect("transaction present");
         let result = self.exec_stmt(&mut txn, stmt, sink);

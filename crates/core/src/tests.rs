@@ -658,7 +658,7 @@ fn tsb_table_reopen_deep_history() {
                 s.execute(&stmt).unwrap();
                 env.tick();
             }
-            marks.push((round, db.latest_ts()));
+            marks.push((round, db.visible_horizon()));
         }
         db.close().unwrap();
     }
@@ -759,4 +759,117 @@ fn eager_mode_works_with_tsb_tables() {
     let h = s.execute("HISTORY OF t WHERE id = 1").unwrap();
     assert_eq!(h.rows.len(), 2);
     assert_ne!(h.rows[0][2], Value::Varchar("UNCOMMITTED".into()));
+}
+
+fn visibility_waits(db: &Database) -> u64 {
+    db.metrics_snapshot()
+        .get("ts.visibility_waits")
+        .unwrap_or(0)
+}
+
+/// Wait until `thread` has finished or the engine has counted `waits`
+/// commits waiting for a lower timestamp to become visible.
+fn until_done_or_waiting<T>(db: &Database, thread: &std::thread::ScopedJoinHandle<T>, waits: u64) {
+    while !thread.is_finished() && visibility_waits(db) < waits {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// A commit the server has acknowledged is inside every later snapshot.
+/// A timestamp held in flight — a slow group-commit batch — gates session
+/// A's autocommit `INSERT`, which must not return until the gate retires.
+/// After that, A's snapshot transaction finds its own row, and so do an
+/// `AS OF` its own commit timestamp and session B. The sentinel, armed
+/// throughout, must see no violation: without the wait its session rule
+/// flags A's snapshot, taken below A's acknowledged commit.
+#[test]
+fn an_acknowledged_commit_is_in_every_later_snapshot() {
+    let env = Env::new("ackvisible");
+    let tap = immortaldb_check::EventTap::new(1024);
+    let db = Database::open(env.config().sentinel(Arc::clone(&tap))).unwrap();
+    let mut b = Session::new(&db);
+    b.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    let gate = db.authority.issue();
+    let (acked_early, (updated, saw_own)) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            let mut a = Session::new(&db);
+            a.execute("INSERT INTO t VALUES (7, 0)").unwrap();
+            let own = db.history_rows("t", &Value::Int(7)).unwrap()[0].0.unwrap();
+            a.execute("BEGIN TRAN ISOLATION SNAPSHOT").unwrap();
+            let updated = a
+                .execute("UPDATE t SET v = 1 WHERE id = 7")
+                .unwrap()
+                .affected;
+            a.execute("COMMIT TRAN").unwrap();
+            let mut as_of = db.begin_as_of_ts(own);
+            let saw_own = db
+                .get_row(&mut as_of, "t", &Value::Int(7))
+                .unwrap()
+                .is_some();
+            db.commit(&mut as_of).unwrap();
+            (updated, saw_own)
+        });
+        until_done_or_waiting(&db, &a, 1);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let acked_early = a.is_finished();
+        db.authority.retire(gate);
+        (acked_early, a.join().unwrap())
+    });
+    let mut checker = immortaldb_check::sentinel::Checker::new();
+    while let Some(event) = tap.pop() {
+        checker.process(&event);
+    }
+    let report = checker.report();
+    assert_eq!(report.violation_count, 0, "{:?}", report.violations);
+    assert!(
+        !acked_early,
+        "INSERT acknowledged below an in-flight timestamp"
+    );
+    assert_eq!(updated, 1, "session A's snapshot missed its own INSERT");
+    assert!(saw_own, "AS OF its own commit timestamp missed the row");
+    assert!(visibility_waits(&db) >= 1);
+    b.execute("BEGIN TRAN ISOLATION SNAPSHOT").unwrap();
+    let rows = b.execute("SELECT v FROM t WHERE id = 7").unwrap().rows;
+    b.execute("COMMIT TRAN").unwrap();
+    assert_eq!(rows, vec![vec![Value::Int(1)]]);
+}
+
+/// Snapshot-version GC must not prune below a snapshot that has not begun
+/// yet. With a timestamp held in flight, v1 commits below it and two
+/// updates commit above it, each from its own thread; the second update
+/// prunes the chain. A snapshot begun now reads at the stable boundary,
+/// below the held timestamp, so it still needs v1.
+#[test]
+fn snapshot_version_gc_keeps_what_the_next_snapshot_reads() {
+    let env = Env::new("gcboundary");
+    let db = env.open();
+    let mut s = Session::new(&db);
+    s.execute("CREATE TABLE cache (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    s.execute("ALTER TABLE cache ENABLE SNAPSHOT").unwrap();
+    s.execute("INSERT INTO cache VALUES (1, 1)").unwrap();
+    let gate = db.authority.issue();
+    let db = &db;
+    let row = std::thread::scope(|scope| {
+        let writers: Vec<_> = (2..=3u64)
+            .map(|v| {
+                let w = scope.spawn(move || {
+                    let sql = format!("UPDATE cache SET v = {v} WHERE id = 1");
+                    Session::new(db).execute(&sql).map(|_| ())
+                });
+                until_done_or_waiting(db, &w, v - 1);
+                w
+            })
+            .collect();
+        let mut txn = db.begin(Isolation::Snapshot);
+        let row = db.get_row(&mut txn, "cache", &Value::Int(1)).unwrap();
+        db.commit(&mut txn).unwrap();
+        db.authority.retire(gate);
+        for w in writers {
+            w.join().unwrap().unwrap();
+        }
+        row
+    });
+    assert_eq!(row, Some(vec![Value::Int(1), Value::Int(1)]));
 }

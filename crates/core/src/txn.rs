@@ -55,6 +55,9 @@ pub struct Transaction {
     /// recorded only when the engine was opened with an event tap armed
     /// (empty and never pushed to otherwise).
     pub(crate) ops: Vec<immortaldb_check::Op>,
+    /// The SQL session that began it (0: none), for the sentinel's
+    /// session rule.
+    pub(crate) session: u64,
 }
 
 impl Transaction {
@@ -70,6 +73,7 @@ impl Transaction {
             touched: Vec::new(),
             finished: false,
             ops: Vec::new(),
+            session: 0,
         }
     }
 
@@ -85,6 +89,7 @@ impl Transaction {
             touched: Vec::new(),
             finished: false,
             ops: Vec::new(),
+            session: 0,
         }
     }
 

@@ -178,6 +178,29 @@ fn run() -> immortaldb_common::Result<()> {
         h.join().expect("load thread panicked")?;
     }
 
+    // The sentinel first: a read that went wrong is named at the read, not
+    // as the lost update the final check would show.
+    let report = sentinel.stop();
+    println!(
+        "serve-scale: sentinel checked {} events ({} reads, {} commits, {} unverifiable, {} dropped)",
+        report.events,
+        report.reads_checked,
+        report.commits_checked,
+        report.unverifiable,
+        report.dropped,
+    );
+    if report.violation_count != 0 {
+        return Err(Error::Internal(format!(
+            "sentinel confirmed {} isolation violations: {:?}",
+            report.violation_count, report.violations
+        )));
+    }
+    if report.events == 0 || report.reads_checked == 0 {
+        return Err(Error::Internal(
+            "sentinel was armed but checked nothing".into(),
+        ));
+    }
+
     let rss_kib = proc_status("VmRSS").unwrap_or(0);
     let threads = proc_status("Threads").unwrap_or(0);
     let snap = db.metrics_snapshot();
@@ -242,27 +265,6 @@ fn run() -> immortaldb_common::Result<()> {
                 "row {id}: expected v = {want}, found {v} — an update was lost"
             )));
         }
-    }
-
-    let report = sentinel.stop();
-    println!(
-        "serve-scale: sentinel checked {} events ({} reads, {} commits, {} unverifiable, {} dropped)",
-        report.events,
-        report.reads_checked,
-        report.commits_checked,
-        report.unverifiable,
-        report.dropped,
-    );
-    if report.violation_count != 0 {
-        return Err(Error::Internal(format!(
-            "sentinel confirmed {} isolation violations: {:?}",
-            report.violation_count, report.violations
-        )));
-    }
-    if report.events == 0 || report.reads_checked == 0 {
-        return Err(Error::Internal(
-            "sentinel was armed but checked nothing".into(),
-        ));
     }
 
     drop(idle);

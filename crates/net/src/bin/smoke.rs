@@ -112,23 +112,18 @@ fn run() -> immortaldb_common::Result<()> {
                         c.query(&format!("UPDATE smoke SET v = 'v1' WHERE id = {id}"))?;
                         c.commit()
                     })?;
-                    // AS OF read at the commit timestamp sees the update.
-                    // The engine clamps AS OF to the commit-visibility
-                    // horizon (snapshots never straddle an in-flight
-                    // group commit); the BEGIN_AS_OF reply carries the
-                    // effective timestamp, so wait the horizon out.
+                    // AS OF read at the commit timestamp sees the update:
+                    // an acknowledged commit is inside the visibility
+                    // horizon, so the AS OF instant is not clamped below it.
                     if i % 5 == 0 {
-                        let rows = loop {
-                            let eff = c.begin_as_of_ts(commit_ts)?;
-                            if eff < commit_ts {
-                                c.commit()?;
-                                thread::sleep(std::time::Duration::from_millis(5));
-                                continue;
-                            }
-                            let rows = c.query(&format!("SELECT v FROM smoke WHERE id = {id}"))?;
-                            c.commit()?;
-                            break rows;
-                        };
+                        let eff = c.begin_as_of_ts(commit_ts)?;
+                        if eff != commit_ts {
+                            return Err(Error::Internal(format!(
+                                "AS OF own commit {commit_ts:?} was clamped to {eff:?}"
+                            )));
+                        }
+                        let rows = c.query(&format!("SELECT v FROM smoke WHERE id = {id}"))?;
+                        c.commit()?;
                         if rows.rows != vec![vec![Value::Varchar("v1".into())]] {
                             return Err(Error::Internal(format!(
                                 "AS OF read at {commit_ts:?} saw {:?}",

@@ -106,6 +106,8 @@ struct Conn {
     frames: FrameBuffer,
     /// Unflushed reply bytes (encoded frames).
     out: Vec<u8>,
+    /// The connection's SQL session id (`Database::new_session_id`).
+    session: u64,
     /// Open transaction parked between requests.
     txn: Option<immortaldb::Transaction>,
     greeted: bool,
@@ -465,6 +467,7 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
         stream,
         frames,
         out,
+        session: id,
         txn,
         greeted,
         closing,
@@ -478,7 +481,7 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
         cfg: &sh.cfg,
         broken: false,
     };
-    let mut session = Session::attach(db, txn.take());
+    let mut session = Session::attach(db, *id, txn.take());
     let mut served = 0;
     while !*closing && subscribe.is_none() {
         let frame = frames.take_frame(|opcode, payload| {
@@ -696,6 +699,7 @@ impl Loop {
                 stream,
                 frames: FrameBuffer::new(),
                 out: Vec::new(),
+                session: self.sh.db.new_session_id(),
                 txn: None,
                 greeted: false,
                 last_activity: Instant::now(),

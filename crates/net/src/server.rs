@@ -106,7 +106,7 @@ pub(crate) fn shed(stream: TcpStream, retry_after_ms: Option<u32>) {
 ///
 /// Ordering is the whole correctness story: the visibility horizon is
 /// sampled *before* the log bytes. Commit records land in the log before
-/// `CommitHorizon::retire` makes their timestamp visible, so every
+/// `TimestampAuthority::retire` makes their timestamp visible, so every
 /// commit at or below a horizon sampled first is already inside the
 /// bytes read afterwards — the follower may safely serve `AS OF ts` for
 /// any `ts ≤` that horizon once the batch is applied. An empty batch is

@@ -380,6 +380,9 @@ pub struct TimestampMetrics {
     pub ptt_inserts: Counter,
     /// PTT records reclaimed by garbage collection.
     pub ptt_gc_deleted: Counter,
+    /// Commits that waited, before being acknowledged, for a lower
+    /// timestamp still in flight to retire.
+    pub visibility_waits: Counter,
     /// Versions stamped, by trigger.
     pub stamps_read: Counter,
     pub stamps_update: Counter,

@@ -119,6 +119,7 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
         ("ts.ptt_lookups".into(), m.ts.ptt_lookups.get()),
         ("ts.ptt_inserts".into(), m.ts.ptt_inserts.get()),
         ("ts.ptt_gc_deleted".into(), m.ts.ptt_gc_deleted.get()),
+        ("ts.visibility_waits".into(), m.ts.visibility_waits.get()),
         ("ts.stamps.read".into(), m.ts.stamps_read.get()),
         ("ts.stamps.update".into(), m.ts.stamps_update.get()),
         ("ts.stamps.flush".into(), m.ts.stamps_flush.get()),

@@ -2,10 +2,11 @@
 //!
 //! * [`clock`] — the timestamp authority: commit-time timestamps with
 //!   20 ms clock resolution extended by a sequence number, issued under a
-//!   mutex so timestamp order equals commit (serialization) order.
-//! * [`horizon`] — the commit-visibility horizon: tracks issued-but-not-
-//!   yet-visible commit timestamps so snapshots never straddle an
-//!   in-flight (group-committed) transaction.
+//!   mutex so timestamp order equals commit (serialization) order. The
+//!   same mutex tracks issued-but-not-yet-visible timestamps, so
+//!   snapshots never straddle an in-flight (group-committed) transaction,
+//!   time splits never cut above one, and a commit is acknowledged only
+//!   once every later snapshot sees it.
 //! * [`vtt`] — the volatile timestamp table: TID → timestamp cache with
 //!   the reference counts that track how many record versions still await
 //!   their timestamp.
@@ -20,14 +21,12 @@
 //!   isolation write locks.
 
 pub mod clock;
-pub mod horizon;
 pub mod locks;
 pub mod ptt;
 pub mod resolver;
 pub mod vtt;
 
 pub use clock::TimestampAuthority;
-pub use horizon::{CommitHorizon, HorizonSplitSource};
 pub use locks::{LockManager, LockMode, LockTarget};
 pub use ptt::Ptt;
 pub use resolver::{PttGc, StampingFlushHook, TxnResolver};

@@ -34,7 +34,7 @@ fn main() -> immortaldb::Result<()> {
     s.execute(
         "INSERT INTO accounts VALUES (1, 1000, 'alice'), (2, 500, 'bob'), (3, 250, 'carol')",
     )?;
-    let day0 = db.latest_ts();
+    let day0 = db.visible_horizon();
     println!("day 0: opened 3 accounts, total = 1750");
 
     // Day 1: alice pays bob 300 — atomically.
@@ -42,7 +42,7 @@ fn main() -> immortaldb::Result<()> {
     s.execute("UPDATE accounts SET balance = 700 WHERE id = 1")?;
     s.execute("UPDATE accounts SET balance = 800 WHERE id = 2")?;
     s.execute("COMMIT TRAN")?;
-    let day1 = db.latest_ts();
+    let day1 = db.visible_horizon();
     println!("day 1: alice -> bob 300");
 
     // Day 2: a mistaken transfer, rolled back before commit. Because the
@@ -52,7 +52,7 @@ fn main() -> immortaldb::Result<()> {
     s.execute("ROLLBACK TRAN")?;
     // ...and the real day-2 business: carol deposits 50.
     s.execute("UPDATE accounts SET balance = 300 WHERE id = 3")?;
-    let day2 = db.latest_ts();
+    let day2 = db.visible_horizon();
     println!("day 2: bad transfer rolled back; carol deposited 50");
 
     // The audit: total balances at each end-of-day snapshot.

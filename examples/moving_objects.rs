@@ -46,7 +46,7 @@ fn main() -> immortaldb::Result<()> {
         }
         db.commit(&mut txn)?;
         if i == events.len() / 2 {
-            mid_run = Some(db.latest_ts());
+            mid_run = Some(db.visible_horizon());
         }
     }
     let mid_run = mid_run.expect("events applied");

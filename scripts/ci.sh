@@ -117,8 +117,13 @@ run_serve_scale() {
     # and read online. Fails on any shed connection, any unanswered idle
     # connection, a serving-thread count other than workers + 1, a poll
     # loop that never changed hands (server.loop_handoffs = 0), unbounded
-    # RSS, or a single confirmed isolation violation.
-    cargo run --release -q -p immortaldb-net --bin serve-scale
+    # RSS, or a single confirmed isolation violation. Five runs of a few
+    # seconds each: the snapshot-behind-its-own-session defect this stage
+    # once caught showed in about one run of five to eight.
+    for run in 1 2 3 4 5; do
+        echo "-- serve-scale run $run of 5"
+        cargo run --release -q -p immortaldb-net --bin serve-scale
+    done
 }
 
 run_repl() {

@@ -81,6 +81,7 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Result<(), Mismatch> {
             .collect();
         TxnLog {
             tid: txn.tid().0,
+            session: 0,
             snapshot: Timestamp::ZERO,
             commit: db.commit(&mut txn).unwrap(),
             ops,
@@ -107,32 +108,23 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Result<(), Mismatch> {
                     let commit = db.commit(&mut txn).unwrap();
                     logs.lock().unwrap().push(TxnLog {
                         tid,
+                        session: THREADS + 1 + r as u64,
                         snapshot,
                         commit,
                         ops,
                     });
 
                     // An AS OF replay pinned at a random commit timestamp
-                    // observed so far; the pinned timestamp plays the role
-                    // of the snapshot. Only timestamps at or below the
-                    // snapshot watermark just observed are eligible:
-                    // commits complete out of timestamp order under group
-                    // commit, so a logged timestamp above the watermark
-                    // may still have in-flight commits below it whose
-                    // versions an AS OF read cannot see yet.
+                    // logged so far; the pinned timestamp plays the role
+                    // of the snapshot. Every logged commit was
+                    // acknowledged, so it is inside the visibility
+                    // horizon and the engine never clamps the pin.
                     let as_of = {
                         let logs = logs.lock().unwrap();
-                        let eligible: Vec<Timestamp> = logs
-                            .iter()
-                            .map(|l| l.commit)
-                            .filter(|ts| *ts <= snapshot)
-                            .collect();
-                        if eligible.is_empty() {
-                            continue;
-                        }
-                        eligible[rng.gen_range(0..eligible.len())]
+                        logs[rng.gen_range(0..logs.len())].commit
                     };
                     let mut txn = db.begin_as_of_ts(as_of);
+                    assert_eq!(txn.as_of(), Some(as_of), "AS OF an acknowledged commit");
                     let ops: Vec<Access> = (0..rng.gen_range(2..5))
                         .map(|_| read(db, &mut txn, rng.gen_range(0..KEYS)).unwrap())
                         .collect();
@@ -141,6 +133,7 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Result<(), Mismatch> {
                     db.commit(&mut txn).unwrap();
                     logs.lock().unwrap().push(TxnLog {
                         tid,
+                        session: 0,
                         snapshot: as_of,
                         commit: as_of,
                         ops,
@@ -189,6 +182,7 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Result<(), Mismatch> {
                         Ok(commit) => {
                             logs.lock().unwrap().push(TxnLog {
                                 tid,
+                                session: t + 1,
                                 snapshot,
                                 commit,
                                 ops,

@@ -68,6 +68,7 @@ fn check_one(seed: u64, grouped: bool) -> Result<(), Mismatch> {
         }
         TxnLog {
             tid: CLIENTS,
+            session: 0,
             snapshot: Timestamp::ZERO,
             commit: admin.commit().unwrap(),
             ops: (0..KEYS)
@@ -125,6 +126,7 @@ fn check_one(seed: u64, grouped: bool) -> Result<(), Mismatch> {
                         Ok(commit) => {
                             logs.lock().unwrap().push(TxnLog {
                                 tid: t,
+                                session: t + 1,
                                 snapshot,
                                 commit,
                                 ops,

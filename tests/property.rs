@@ -101,10 +101,10 @@ proptest! {
                 Action::Checkpoint => {
                     db.checkpoint().unwrap();
                 }
-                Action::Mark => marks.push(db.latest_ts()),
+                Action::Mark => marks.push(db.visible_horizon()),
             }
         }
-        marks.push(db.latest_ts());
+        marks.push(db.visible_horizon());
 
         // Validate every mark: point queries + scans.
         for ts in marks {

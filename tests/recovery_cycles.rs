@@ -177,7 +177,7 @@ fn as_of_correctness_across_restart_with_cold_cache() {
                 s.execute(&stmt).unwrap();
                 env.tick();
             }
-            marks.push((round, db.latest_ts()));
+            marks.push((round, db.visible_horizon()));
         }
         db.close().unwrap();
     }
