@@ -9,7 +9,7 @@
 
 use immortaldb_common::{Error, PageId, Result};
 use immortaldb_storage::buffer::FrameRef;
-use immortaldb_storage::page::{Page, PageType, REC_HDR};
+use immortaldb_storage::page::{Page, PageType};
 
 use crate::cursor::{Flow, KeyRange};
 use crate::tree::BTree;
@@ -56,10 +56,6 @@ impl Routing for BTree {
             };
             let parent_id = path[idx];
             let mut parent = self.core.pool.fetch(parent_id)?.read().clone();
-            let entry_need = REC_HDR + sep.len() + 4 + 2;
-            if entry_need > parent.contiguous_free() && entry_need <= parent.total_free() {
-                parent.compact()?;
-            }
             match parent.insert_sorted(&sep, &right_id.0.to_le_bytes(), 0) {
                 Ok(_) => images.push(parent),
                 Err(Error::PageFull) => {

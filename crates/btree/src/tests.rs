@@ -6,9 +6,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use immortaldb_common::{Result, Tid, Timestamp, TreeId, NULL_LSN};
+use immortaldb_common::{Lsn, PageId, Result, Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
 use immortaldb_storage::disk::DiskManager;
+use immortaldb_storage::logrec::LogRecord;
+use immortaldb_storage::page::{Page, PageType};
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
@@ -66,6 +68,10 @@ pub(crate) struct Env {
 
 impl Env {
     pub fn new(name: &str) -> Env {
+        Self::with_pool(name, 256)
+    }
+
+    pub fn with_pool(name: &str, pages: usize) -> Env {
         let mut db = std::env::temp_dir();
         db.push(format!("immortal-bt-{name}-{}.db", std::process::id()));
         let mut wal_path = std::env::temp_dir();
@@ -74,7 +80,7 @@ impl Env {
         let _ = std::fs::remove_file(&wal_path);
         let (disk, _) = DiskManager::open(&db).unwrap();
         let wal = Arc::new(Wal::open(&wal_path).unwrap());
-        let pool = Arc::new(BufferPool::new(Arc::new(disk), Arc::clone(&wal), 256));
+        let pool = Arc::new(BufferPool::new(Arc::new(disk), Arc::clone(&wal), pages));
         Env {
             pool,
             wal,
@@ -725,4 +731,61 @@ fn own_writes_survive_concurrent_time_split() {
 
 fn key_b(k: u64) -> [u8; 8] {
     immortaldb_common::codec::key_from_u64(k)
+}
+
+/// A split logs its page images and then installs them one by one; the
+/// first install, of the new history page, can evict. Were the split
+/// leaf's old frame the victim, its write-back would log (page-image
+/// logging is on) the image the split's record supersedes, after that
+/// record, and redo would end on the full pre-split leaf. The pool is
+/// kept over capacity and every other frame pinned, so every install of
+/// a new page evicts and the old leaf is the only possible victim.
+#[test]
+fn a_split_never_logs_the_image_it_supersedes() {
+    let env = Env::with_pool("splitpin", 8);
+    env.pool.set_page_image_logging(true);
+    let t = env.tree(31, true);
+    let leaf = t.core.root();
+    let _filler: Vec<_> = (0..8)
+        .map(|_| env.pool.new_page(PageType::Leaf, 0, 0).unwrap())
+        .collect();
+    let val = [7u8; 200];
+    let mut tid = 1;
+    put(&t, &env, tid, b"k", &val, ts(1, 0)).unwrap();
+    while t.split_counts() == (0, 0) {
+        let pins: Vec<_> = (0..env.pool.disk().num_pages())
+            .map(PageId)
+            .filter(|id| *id != leaf)
+            .filter_map(|id| env.pool.resident(id))
+            .collect();
+        tid += 1;
+        upd(&t, &env, tid, b"k", &val, ts(tid, 0)).unwrap();
+        drop(pins);
+    }
+    // No logged image may be older than a record already logged for its
+    // page (a split's fresh images carry page LSN 0 and are exempt).
+    let mut newest: HashMap<PageId, Lsn> = HashMap::new();
+    for e in env.wal.iter_from(Lsn(0)).unwrap() {
+        let e = e.unwrap();
+        match &e.record {
+            LogRecord::PageImages { pages } => {
+                for (id, bytes) in pages {
+                    let image = Page::from_bytes(bytes).unwrap();
+                    let before = newest.get(id).copied().unwrap_or(NULL_LSN);
+                    assert!(
+                        image.page_lsn() == NULL_LSN || image.page_lsn() >= before,
+                        "{id:?} logged at {:?} with page LSN {:?}, older than {before:?}",
+                        e.lsn,
+                        image.page_lsn()
+                    );
+                    newest.insert(*id, e.lsn);
+                }
+            }
+            rec => {
+                if let Some(id) = rec.target_page() {
+                    newest.insert(id, e.lsn);
+                }
+            }
+        }
+    }
 }

@@ -178,10 +178,6 @@ impl BTree {
                 if g.find_slot(key).is_ok() {
                     return Err(Error::DuplicateKey);
                 }
-                let need = REC_HDR + key.len() + data.len() + 2;
-                if need > g.contiguous_free() && need <= g.total_free() {
-                    g.compact()?;
-                }
                 match g.insert_sorted(key, data, 0) {
                     Ok(_) => {
                         let rec = LogRecord::InsertRecord {

@@ -210,6 +210,15 @@ impl TreeCore {
             images.push(meta);
             meta_guard = Some(g);
         }
+        // Pin the cached frames of the pages being replaced until each
+        // holds its new image. Installing a new page can evict; were an
+        // old frame the victim, its write-back would put the image this
+        // record supersedes on disk and, with page-image logging, into the
+        // log after the record, where redo would take it as the newest.
+        let _pins: Vec<FrameRef> = images
+            .iter()
+            .filter_map(|p| self.pool.resident(p.page_id()))
+            .collect();
         let rec = LogRecord::PageImages {
             pages: images
                 .iter()

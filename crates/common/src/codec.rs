@@ -240,35 +240,64 @@ pub fn u64_from_key(k: &[u8]) -> Result<u64> {
 }
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE) — table-driven, used to validate WAL records
+// CRC32 (IEEE) — slicing-by-16, validates pages, WAL records and the
+// master record
 // ---------------------------------------------------------------------
 
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, e) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table of the reflected
+/// IEEE polynomial; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, so sixteen lookups fold sixteen input bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// CRC32 (IEEE 802.3 polynomial) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        // Fold the running CRC into the block's first four bytes; each
+        // byte then looks up the table for its distance to the block end.
+        let mut x: [u8; 16] = b.try_into().expect("chunks_exact(16)");
+        for (xi, ci) in x.iter_mut().zip(c.to_le_bytes()) {
+            *xi ^= ci;
+        }
+        c = x
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (i, &byte)| acc ^ t[15 - i][byte as usize]);
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -353,6 +382,63 @@ mod tests {
         // Standard test vector: CRC32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC the kernel replaced, with its own runtime
+    /// table: the reference every stored checksum was written with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, e) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *e = c;
+        }
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic non-repeating bytes (xorshift), so no block of the
+    /// input is a copy of another.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_kernel_matches_bytewise_at_every_length_and_offset() {
+        let buf = noise(1024 + 16);
+        for offset in 0..16 {
+            for len in 0..=1024 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+        for len in [8192, 8192 + 7] {
+            let page = noise(len);
+            assert_eq!(crc32(&page), crc32_bytewise(&page), "length {len}");
+            let zero = vec![0u8; len];
+            assert_eq!(crc32(&zero), crc32_bytewise(&zero), "zeroed, length {len}");
+        }
     }
 
     #[test]

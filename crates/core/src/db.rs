@@ -767,11 +767,18 @@ impl Database {
         // timestamp: one issued to a commit still in the group-commit
         // pipeline must stay invisible to this snapshot forever, or the
         // same read would change mid-transaction. (On a replica
-        // `visible_horizon()` is the replication horizon.)
-        let snapshot = self.visible_horizon();
-        if isolation == Isolation::Snapshot {
-            *self.snapshots.lock().entry(snapshot).or_insert(0) += 1;
-        }
+        // `visible_horizon()` is the replication horizon.) An SI snapshot
+        // is sampled and registered under one `snapshots` lock, so a
+        // concurrent snapshot-version GC pass either sees it or bounded
+        // itself at a horizon no newer than it.
+        let snapshot = if isolation == Isolation::Snapshot {
+            let mut snaps = self.snapshots.lock();
+            let snapshot = self.visible_horizon();
+            *snaps.entry(snapshot).or_insert(0) += 1;
+            snapshot
+        } else {
+            self.visible_horizon()
+        };
         self.publish_watermark();
         Transaction::new(tid, isolation, snapshot)
     }
@@ -1000,10 +1007,15 @@ impl Database {
     /// Oldest snapshot any active transaction may read (bounds
     /// snapshot-version GC). With none active it is the boundary the next
     /// `begin` would read at — not the newest issued timestamp, which may
-    /// still be in flight above it.
+    /// still be in flight above it — sampled under the same lock `begin`
+    /// samples and registers under, so no later snapshot is below it.
     pub fn oldest_snapshot(&self) -> Timestamp {
-        let oldest = self.snapshots.lock().keys().next().copied();
-        oldest.unwrap_or_else(|| self.visible_horizon())
+        let snaps = self.snapshots.lock();
+        snaps
+            .keys()
+            .next()
+            .copied()
+            .unwrap_or_else(|| self.visible_horizon())
     }
 
     // -- DML ----------------------------------------------------------------

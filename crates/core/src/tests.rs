@@ -873,3 +873,71 @@ fn snapshot_version_gc_keeps_what_the_next_snapshot_reads() {
     });
     assert_eq!(row, Some(vec![Value::Int(1), Value::Int(1)]));
 }
+
+/// `begin` samples an SI snapshot and registers it for snapshot-version
+/// GC under one lock, and the GC bound's fallback is sampled under that
+/// lock too. Otherwise a writer's GC pass between the sample and the
+/// registration bounds itself by a newer horizon and prunes the version
+/// the new snapshot reads. Readers race one writer on a `SNAPSHOT`
+/// table; every read must return the version that governs at its
+/// snapshot.
+#[test]
+fn snapshots_begun_beside_version_gc_read_what_governs() {
+    const WRITES: i32 = 10_000;
+    let env = Env::new("begin-gc-race");
+    let db = env.open();
+    let mut s = Session::new(&db);
+    s.execute("CREATE TABLE cache (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    s.execute("ALTER TABLE cache ENABLE SNAPSHOT").unwrap();
+    let write = |v: i32| {
+        let mut txn = db.begin(Isolation::Serializable);
+        let row = vec![Value::Int(1), Value::Int(v)];
+        if v == 0 {
+            db.insert_row(&mut txn, "cache", row).unwrap();
+        } else {
+            db.update_row(&mut txn, "cache", row).unwrap();
+        }
+        (db.commit(&mut txn).unwrap(), v)
+    };
+    let first = write(0);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (commits, reads) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut reads = Vec::new();
+                    while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                        let mut txn = db.begin(Isolation::Snapshot);
+                        let row = db.get_row(&mut txn, "cache", &Value::Int(1)).unwrap();
+                        reads.push((txn.snapshot, row));
+                        db.commit(&mut txn).unwrap();
+                    }
+                    reads
+                })
+            })
+            .collect();
+        let mut commits = vec![first];
+        commits.extend((1..=WRITES).map(write));
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        let reads: Vec<_> = readers
+            .into_iter()
+            .flat_map(|r| r.join().unwrap())
+            .collect();
+        (commits, reads)
+    });
+    assert!(!reads.is_empty());
+    for (snapshot, row) in reads {
+        let governs = commits
+            .iter()
+            .filter(|(ts, _)| *ts <= snapshot)
+            .map(|(_, v)| *v)
+            .next_back()
+            .expect("the insert precedes every snapshot");
+        assert_eq!(
+            row,
+            Some(vec![Value::Int(1), Value::Int(governs)]),
+            "read at {snapshot:?}"
+        );
+    }
+}

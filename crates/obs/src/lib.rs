@@ -222,6 +222,9 @@ pub struct BufferMetrics {
     pub misses: Counter,
     /// Frames reclaimed by the eviction clock.
     pub evictions: Counter,
+    /// The part of `evictions` that reclaimed a history leaf (a
+    /// `FLAG_HISTORICAL` leaf, which the sweep takes first).
+    pub history_evictions: Counter,
     /// Dirty pages written back to disk.
     pub flushes: Counter,
     /// Write-backs that failed (WAL flush or page write error); the frame

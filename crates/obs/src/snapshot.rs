@@ -49,6 +49,10 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
         ("buffer.hits".into(), m.buffer.hits.get()),
         ("buffer.misses".into(), m.buffer.misses.get()),
         ("buffer.evictions".into(), m.buffer.evictions.get()),
+        (
+            "buffer.history_evictions".into(),
+            m.buffer.history_evictions.get(),
+        ),
         ("buffer.flushes".into(), m.buffer.flushes.get()),
         ("buffer.flush_errors".into(), m.buffer.flush_errors.get()),
         (

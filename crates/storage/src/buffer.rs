@@ -22,11 +22,18 @@
 //!   writer interleaved. Writers make the counter odd while they hold
 //!   the write latch and bump it even again on release.
 //!
-//! Eviction is a second-chance sweep over unreferenced frames across
-//! shards; dirty victims are written back, after (a) flushing the WAL up
-//! to the page LSN and (b) running the flush hook — which is how
-//! Immortal DB timestamps non-timestamped records of committed
-//! transactions "just before a cached page is flushed to disk" (§2.2).
+//! Eviction sweeps unreferenced frames across shards, **history leaves
+//! first**: an unpinned frame holding a `FLAG_HISTORICAL` leaf (the
+//! history page a time split moves old versions to) goes before any
+//! other frame, and second chance applies only among the others. A
+//! history leaf is immutable once split off, clean after its first
+//! write-back, and touched once by the chain walk that passes it; index
+//! nodes, historical ones included, and current leaves are the working
+//! set (DESIGN.md §11). Dirty victims are written back, after (a)
+//! flushing the WAL up to the page LSN and (b) running the flush hook —
+//! which is how Immortal DB timestamps non-timestamped records of
+//! committed transactions "just before a cached page is flushed to disk"
+//! (§2.2).
 
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
@@ -79,6 +86,13 @@ pub struct Frame {
     rec_lsn: AtomicU64,
     /// Second-chance bit for the eviction sweep.
     referenced: AtomicBool,
+    /// The image is a history leaf ([`is_history_leaf`]), so the sweep
+    /// takes this frame first. Set with the frame's first image and again
+    /// whenever a write latch on it is released.
+    history_leaf: AtomicBool,
+    /// Its shard's count of live history-leaf frames, kept in step with
+    /// `history_leaf` by [`Frame::set_class`].
+    history_leaves: Arc<AtomicUsize>,
 }
 
 // The UnsafeCell is only written under the exclusive latch; racy reads
@@ -86,6 +100,13 @@ pub struct Frame {
 // version counter validated it.
 unsafe impl Send for Frame {}
 unsafe impl Sync for Frame {}
+
+/// Whether `page` is a history leaf: a `FLAG_HISTORICAL` leaf, which the
+/// eviction sweep takes before any other frame. Historical index nodes
+/// (TSB) are not: AS OF descents into old time pass through them.
+fn is_history_leaf(page: &Page) -> bool {
+    page.is_historical() && matches!(page.page_type(), Ok(PageType::Leaf))
+}
 
 /// Shared handle to a cached page. Holding one pins the frame.
 pub type FrameRef = Arc<Frame>;
@@ -126,21 +147,48 @@ impl DerefMut for PageWriteGuard<'_> {
 
 impl Drop for PageWriteGuard<'_> {
     fn drop(&mut self) {
+        // The image may have been replaced (install, redo) or re-flagged.
+        self.frame.set_class(is_history_leaf(self));
         // Back to even: publish the writes to optimistic readers.
         self.frame.version.fetch_add(1, Ordering::Release);
     }
 }
 
+impl Drop for Frame {
+    fn drop(&mut self) {
+        self.set_class(false);
+    }
+}
+
 impl Frame {
-    fn new(id: PageId, page: Page, dirty: bool) -> Frame {
+    fn new(id: PageId, page: Page, dirty: bool, history_leaves: &Arc<AtomicUsize>) -> Frame {
+        let history_leaf = is_history_leaf(&page);
+        if history_leaf {
+            history_leaves.fetch_add(1, Ordering::Relaxed);
+        }
         Frame {
             id,
             latch: RwLock::new(()),
+            history_leaf: AtomicBool::new(history_leaf),
+            history_leaves: Arc::clone(history_leaves),
             page: UnsafeCell::new(page),
             version: AtomicU64::new(0),
             dirty: AtomicBool::new(dirty),
             rec_lsn: AtomicU64::new(0),
             referenced: AtomicBool::new(true),
+        }
+    }
+
+    /// Record whether the image is a history leaf. The caller has the
+    /// image to itself (a new or dying frame, or the write latch).
+    fn set_class(&self, history_leaf: bool) {
+        if self.history_leaf.load(Ordering::Relaxed) != history_leaf {
+            self.history_leaf.store(history_leaf, Ordering::Relaxed);
+            if history_leaf {
+                self.history_leaves.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.history_leaves.fetch_sub(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -287,6 +335,10 @@ struct Shard {
     state: Mutex<ShardState>,
     /// Signalled when an in-flight load completes (either way).
     loaded: Condvar,
+    /// Live frames of this shard holding a history leaf. The sweep's
+    /// history pass skips a shard with none instead of scanning it:
+    /// history leaves go first, so few stay resident.
+    history_leaves: Arc<AtomicUsize>,
 }
 
 impl Shard {
@@ -297,6 +349,7 @@ impl Shard {
                 inflight: HashSet::new(),
             }),
             loaded: Condvar::new(),
+            history_leaves: Arc::new(AtomicUsize::new(0)),
         }
     }
 }
@@ -476,7 +529,7 @@ impl BufferPool {
             // frame rather than shadowing it.
             return Ok(Arc::clone(f));
         }
-        let frame = Arc::new(Frame::new(id, page, false));
+        let frame = Arc::new(Frame::new(id, page, false, &shard.history_leaves));
         state.frames.insert(id, Arc::clone(&frame));
         drop(state);
         self.grew();
@@ -504,7 +557,7 @@ impl BufferPool {
                 if let Some(f) = state.frames.get(&id) {
                     return Ok((Arc::clone(f), false));
                 }
-                let frame = Arc::new(Frame::new(id, Page::zeroed(), false));
+                let frame = Arc::new(Frame::new(id, Page::zeroed(), false, &shard.history_leaves));
                 state.frames.insert(id, Arc::clone(&frame));
                 self.len.fetch_add(1, Ordering::Relaxed);
                 Ok((frame, true))
@@ -514,23 +567,33 @@ impl BufferPool {
     }
 
     /// Evict up to `want` frames: sweep shards starting at the clock
-    /// hand, picking unpinned second-chance victims, then write them
-    /// back WITHOUT any shard lock held — the flush hook resolves
-    /// timestamps through the PTT, which lives in this same pool, so
-    /// holding a shard mutex across write_back could self-deadlock on a
-    /// PTT page miss mapping to the same shard (and would serialize
-    /// fetches behind I/O).
+    /// hand, first for unpinned history leaves, then for other unpinned
+    /// frames with second chance, and write the victims back WITHOUT
+    /// any shard lock held — the flush hook resolves timestamps through
+    /// the PTT, which lives in this same pool, so holding a shard mutex
+    /// across write_back could self-deadlock on a PTT page miss mapping
+    /// to the same shard (and would serialize fetches behind I/O).
     fn evict(&self, want: usize) {
         let n = self.shards.len();
         let start = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut victims: Vec<FrameRef> = Vec::new();
-        for i in 0..n {
-            if victims.len() >= want {
-                break;
+        for history_leaves in [true, false] {
+            for i in 0..n {
+                if victims.len() >= want {
+                    break;
+                }
+                let shard = &self.shards[(start + i) % n];
+                if history_leaves && shard.history_leaves.load(Ordering::Relaxed) == 0 {
+                    continue;
+                }
+                let state = self.lock_shard(shard);
+                Self::pick_victims(
+                    &state.frames,
+                    history_leaves,
+                    want - victims.len(),
+                    &mut victims,
+                );
             }
-            let shard = &self.shards[(start + i) % n];
-            let mut state = self.lock_shard(shard);
-            Self::pick_victims(&mut state.frames, want - victims.len(), &mut victims);
         }
         for victim in victims {
             // The victim is still in its shard while we flush, so a
@@ -553,28 +616,40 @@ impl BufferPool {
                 state.frames.remove(&victim.id);
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 self.metrics.buffer.evictions.inc();
+                if victim.history_leaf.load(Ordering::Relaxed) {
+                    self.metrics.buffer.history_evictions.inc();
+                }
             }
         }
     }
 
-    /// Select up to `want` eviction victims from one shard (unpinned,
-    /// second-chance) into `out`. Must be called with the shard locked.
-    fn pick_victims(table: &mut HashMap<PageId, FrameRef>, want: usize, out: &mut Vec<FrameRef>) {
+    /// Select up to `want` unpinned victims of one class from one shard
+    /// into `out`. A history leaf goes at once; any other frame gets a
+    /// second chance when its referenced bit is set. Must be called with
+    /// the shard locked.
+    fn pick_victims(
+        table: &HashMap<PageId, FrameRef>,
+        history_leaves: bool,
+        want: usize,
+        out: &mut Vec<FrameRef>,
+    ) {
         let base = out.len();
         for pass in 0..2 {
             for frame in table.values() {
                 if out.len() - base >= want {
                     break;
                 }
-                if Arc::strong_count(frame) > 1 {
+                if Arc::strong_count(frame) > 1
+                    || frame.history_leaf.load(Ordering::Relaxed) != history_leaves
+                {
                     continue;
                 }
-                if pass == 0 && frame.referenced.swap(false, Ordering::Relaxed) {
+                if !history_leaves && pass == 0 && frame.referenced.swap(false, Ordering::Relaxed) {
                     continue;
                 }
                 out.push(Arc::clone(frame));
             }
-            if out.len() - base >= want {
+            if history_leaves || out.len() - base >= want {
                 break;
             }
         }
@@ -585,12 +660,19 @@ impl BufferPool {
         let id = self.disk.allocate()?;
         let mut page = Page::zeroed();
         page.format(id, ptype, flags, level);
-        let frame = Arc::new(Frame::new(id, page, true));
         let shard = self.shard_for(id);
+        let frame = Arc::new(Frame::new(id, page, true, &shard.history_leaves));
         let mut state = self.lock_shard(shard);
         state.frames.insert(id, Arc::clone(&frame));
         self.len.fetch_add(1, Ordering::Relaxed);
         Ok(frame)
+    }
+
+    /// The cached frame of `id`, pinned, if there is one; never reads the
+    /// disk.
+    pub fn resident(&self, id: PageId) -> Option<FrameRef> {
+        let state = self.lock_shard(self.shard_for(id));
+        state.frames.get(&id).map(Arc::clone)
     }
 
     /// Make `image`, logged at `lsn`, the cached (dirty) page of its id,
@@ -611,7 +693,7 @@ impl BufferPool {
             f.mark_dirty(lsn);
             return;
         }
-        let frame = Arc::new(Frame::new(id, image, false));
+        let frame = Arc::new(Frame::new(id, image, false, &shard.history_leaves));
         frame.mark_dirty(lsn);
         state.frames.insert(id, Arc::clone(&frame));
         drop(state);
@@ -722,7 +804,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::FLAG_VERSIONED;
+    use crate::page::{FLAG_HISTORICAL, FLAG_VERSIONED};
     use std::path::PathBuf;
 
     fn setup(
@@ -897,6 +979,170 @@ mod tests {
             let p = disk.read_page(*id).unwrap();
             assert_eq!(p.rec_key(p.slot(0)), &[i as u8]);
         }
+        let _ = std::fs::remove_file(db);
+        let _ = std::fs::remove_file(wal);
+    }
+
+    /// A clean leaf of the given flags, cached as a fresh frame.
+    fn clean_page(pool: &BufferPool, flags: u8) -> FrameRef {
+        let f = pool.new_page(PageType::Leaf, flags, 0).unwrap();
+        pool.write_back(&f).unwrap();
+        f
+    }
+
+    /// Install a brand-new page, which can push the pool over capacity.
+    fn install_new(disk: &DiskManager, pool: &BufferPool) -> PageId {
+        let id = disk.allocate().unwrap();
+        let mut p = Page::zeroed();
+        p.format(id, PageType::Leaf, 0, 0);
+        pool.install(p, Lsn(1));
+        id
+    }
+
+    fn history_leaves(pool: &BufferPool) -> usize {
+        let shards = pool.shards.iter();
+        shards
+            .map(|s| s.history_leaves.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    fn resident(pool: &BufferPool, id: PageId) -> bool {
+        pool.lock_shard(pool.shard_for(id)).frames.contains_key(&id)
+    }
+
+    #[test]
+    fn history_frames_are_evicted_before_current_ones() {
+        let (disk, _w, pool, db, wal) = setup("histfirst", 8);
+        let history: Vec<FrameRef> = (0..3)
+            .map(|_| clean_page(&pool, FLAG_VERSIONED | FLAG_HISTORICAL))
+            .collect();
+        let current: Vec<PageId> = (0..5)
+            .map(|_| clean_page(&pool, FLAG_VERSIONED).page_id())
+            .collect();
+        let pinned = Arc::clone(&history[0]);
+        let history: Vec<PageId> = history.into_iter().map(|f| f.page_id()).collect();
+        let m = pool.metrics();
+        // Two frames over: both unpinned history frames go, although
+        // every frame was referenced as recently as the others.
+        let fresh: Vec<PageId> = (0..2).map(|_| install_new(&disk, &pool)).collect();
+        assert_eq!(m.buffer.evictions.get(), 2);
+        assert_eq!(m.buffer.history_evictions.get(), 2);
+        for id in current.iter().chain(&fresh) {
+            assert!(resident(&pool, *id), "current page {id:?} was evicted");
+        }
+        // The pinned history frame is the only one left: the sweep falls
+        // back to current frames and leaves it where it is.
+        install_new(&disk, &pool);
+        assert_eq!(m.buffer.evictions.get(), 3);
+        assert_eq!(m.buffer.history_evictions.get(), 2);
+        assert!(Arc::ptr_eq(&pinned, &pool.fetch(history[0]).unwrap()));
+        assert!(!resident(&pool, history[1]) && !resident(&pool, history[2]));
+        let _ = std::fs::remove_file(db);
+        let _ = std::fs::remove_file(wal);
+    }
+
+    #[test]
+    fn historical_index_nodes_keep_second_chance() {
+        let (disk, _w, pool, db, wal) = setup("histindex", 8);
+        // A TSB historical index node: historical, but not a leaf.
+        let node = {
+            let f = pool.new_page(PageType::Index, FLAG_HISTORICAL, 1).unwrap();
+            pool.write_back(&f).unwrap();
+            f.page_id()
+        };
+        let leaf = clean_page(&pool, FLAG_VERSIONED | FLAG_HISTORICAL).page_id();
+        for _ in 0..6 {
+            clean_page(&pool, FLAG_VERSIONED);
+        }
+        let m = pool.metrics();
+        assert_eq!(history_leaves(&pool), 1);
+        install_new(&disk, &pool);
+        assert!(!resident(&pool, leaf) && resident(&pool, node));
+        assert_eq!(history_leaves(&pool), 0);
+        // The next victim comes from the second-chance sweep, which the
+        // index node joins like any current frame.
+        install_new(&disk, &pool);
+        assert_eq!(m.buffer.evictions.get(), 2);
+        assert_eq!(m.buffer.history_evictions.get(), 1);
+        let _ = std::fs::remove_file(db);
+        let _ = std::fs::remove_file(wal);
+    }
+
+    #[test]
+    fn an_image_written_in_place_takes_its_class() {
+        let (disk, _w, pool, db, wal) = setup("reclassify", 8);
+        // Redo of a time split's history page onto a page the disk never
+        // got: the frame starts as a zeroed current page.
+        let id = disk.allocate().unwrap();
+        let (f, _) = pool.fetch_or_reset(id).unwrap();
+        assert_eq!(history_leaves(&pool), 0);
+        f.write()
+            .format(id, PageType::Leaf, FLAG_VERSIONED | FLAG_HISTORICAL, 0);
+        assert_eq!(history_leaves(&pool), 1);
+        pool.write_back(&f).unwrap();
+        drop(f);
+        for _ in 0..7 {
+            clean_page(&pool, FLAG_VERSIONED);
+        }
+        install_new(&disk, &pool);
+        assert_eq!(pool.metrics().buffer.history_evictions.get(), 1);
+        assert!(!resident(&pool, id));
+        let _ = std::fs::remove_file(db);
+        let _ = std::fs::remove_file(wal);
+    }
+
+    #[test]
+    fn second_chance_applies_among_current_frames() {
+        let (disk, w, _pool, db, wal) = setup("secondchance", 8);
+        // One shard, so the sweep order is the one table's.
+        let pool = BufferPool::with_config(Arc::clone(&disk), w, 8, 1, MetricsRegistry::new());
+        let ids: Vec<PageId> = (0..8)
+            .map(|_| clean_page(&pool, FLAG_VERSIONED).page_id())
+            .collect();
+        // The first sweep clears every referenced bit and takes one frame.
+        install_new(&disk, &pool);
+        assert_eq!(pool.metrics().buffer.evictions.get(), 1);
+        let left: Vec<PageId> = ids.into_iter().filter(|id| resident(&pool, *id)).collect();
+        assert_eq!(left.len(), 7);
+        // Touch all but one: the untouched frame is the next victim.
+        let untouched = left[3];
+        for id in left.iter().filter(|id| **id != untouched) {
+            pool.fetch(*id).unwrap();
+        }
+        install_new(&disk, &pool);
+        assert_eq!(pool.metrics().buffer.evictions.get(), 2);
+        assert_eq!(pool.metrics().buffer.history_evictions.get(), 0);
+        for id in left.iter().filter(|id| **id != untouched) {
+            assert!(resident(&pool, *id), "referenced page {id:?} was evicted");
+        }
+        assert!(!resident(&pool, untouched));
+        let _ = std::fs::remove_file(db);
+        let _ = std::fs::remove_file(wal);
+    }
+
+    #[test]
+    fn a_dirty_history_frame_is_written_back_before_it_is_dropped() {
+        let (disk, _w, pool, db, wal) = setup("histdirty", 8);
+        let f = pool
+            .new_page(PageType::Leaf, FLAG_VERSIONED | FLAG_HISTORICAL, 0)
+            .unwrap();
+        let id = f.page_id();
+        {
+            let mut g = f.write();
+            g.insert_sorted(b"old", b"version", 0).unwrap();
+        }
+        f.mark_dirty(Lsn(0));
+        drop(f);
+        for _ in 0..7 {
+            clean_page(&pool, FLAG_VERSIONED);
+        }
+        let writes = pool.metrics().disk.writes.get();
+        install_new(&disk, &pool);
+        assert_eq!(pool.metrics().buffer.history_evictions.get(), 1);
+        assert_eq!(pool.metrics().disk.writes.get(), writes + 1);
+        let p = disk.read_page(id).unwrap();
+        assert!(p.is_historical());
+        assert_eq!(p.rec_data(p.slot(0)), b"version");
         let _ = std::fs::remove_file(db);
         let _ = std::fs::remove_file(wal);
     }

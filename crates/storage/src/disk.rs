@@ -336,16 +336,25 @@ mod tests {
             d.write_page(&p).unwrap();
             d.sync().unwrap();
         }
-        // Flip one byte in the middle of the stored record heap.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let off = id.file_offset(PAGE_SIZE) as usize + crate::page::HEADER_SIZE + 2;
-        bytes[off] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let (d, _) = DiskManager::open(&path).unwrap();
-        match d.read_page(id) {
-            Err(Error::Corruption(msg)) => assert!(msg.contains("CRC"), "{msg}"),
-            other => panic!("expected CRC corruption, got {other:?}"),
+        // Flip, one at a time, a header byte (the page flags), a byte in
+        // the middle of the page and its last byte: each must fail the
+        // CRC, and the image read back once the byte is restored.
+        let pristine = std::fs::read(&path).unwrap();
+        let base = id.file_offset(PAGE_SIZE) as usize;
+        for off in [1, PAGE_SIZE / 2, PAGE_SIZE - 1] {
+            let mut bytes = pristine.clone();
+            bytes[base + off] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            let (d, _) = DiskManager::open(&path).unwrap();
+            match d.read_page(id) {
+                Err(Error::Corruption(msg)) => assert!(msg.contains("CRC"), "{msg}"),
+                other => panic!("byte {off}: expected CRC corruption, got {other:?}"),
+            }
         }
+        std::fs::write(&path, &pristine).unwrap();
+        let (d, _) = DiskManager::open(&path).unwrap();
+        let p = d.read_page(id).unwrap();
+        assert_eq!(p.rec_data(p.slot(0)), b"v");
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -535,14 +535,22 @@ impl Page {
         Err(lo)
     }
 
-    /// Insert `(key, data)` keeping slots sorted. Fails with
-    /// [`Error::DuplicateKey`] if the key is present, [`Error::PageFull`]
-    /// if there is no room.
+    /// Insert `(key, data)` keeping slots sorted, compacting the heap
+    /// first when the record fits only by counting fragmented space. Fails
+    /// with [`Error::DuplicateKey`] if the key is present,
+    /// [`Error::PageFull`] if there is no room. Redo replays a logged
+    /// insert through this same call, so it compacts exactly where the
+    /// original insert did.
     pub fn insert_sorted(&mut self, key: &[u8], data: &[u8], rflags: u8) -> Result<usize> {
         let pos = match self.find_slot(key) {
             Ok(_) => return Err(Error::DuplicateKey),
             Err(pos) => pos,
         };
+        let tail = if self.is_versioned() { VERSION_TAIL } else { 0 };
+        let need = REC_HDR + key.len() + data.len() + tail + 2;
+        if need > self.contiguous_free() && need <= self.total_free() {
+            self.compact()?;
+        }
         let off = self.alloc_record(key, data, rflags, true)?;
         self.insert_slot(pos, off);
         Ok(off)
@@ -618,9 +626,6 @@ impl Page {
         self.set_rec_flags(off, rflags | RFLAG_DEAD);
         self.add_frag(size);
         self.remove_slot(i);
-        if need + 2 > self.contiguous_free() {
-            self.compact()?;
-        }
         match self.insert_sorted(key, data, rflags & !RFLAG_DEAD) {
             Ok(_) => Ok(()),
             Err(e) => {
@@ -836,6 +841,13 @@ mod tests {
             "8K page should hold at least 14 x 500B records, got {n}"
         );
         assert!(p.contiguous_free() < 510);
+        // A removed record leaves fragmented space only: the insert
+        // compacts into it instead of reporting a full page (redo replays
+        // an insert logged after such a removal through this same call).
+        p.remove_sorted(&0u32.to_be_bytes()).unwrap();
+        assert!(p.contiguous_free() < 510);
+        p.insert_sorted(&n.to_be_bytes(), &data, 0).unwrap();
+        assert_eq!(p.frag_space(), 0);
     }
 
     #[test]

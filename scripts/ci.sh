@@ -68,6 +68,18 @@ run_chaos() {
         cargo run --release -q -p immortaldb-chaos --bin torture -- \
             --seed "$seed" --ops 600 --crashes 8
     done
+    echo "== chaos smoke (minimum pool: history-first eviction under crashes) =="
+    # Eight frames (the pool's floor), 64 keys: nearly every victim is a
+    # history leaf, the sweep runs out of unpinned ones mid-transaction and
+    # falls back to current frames, and crashes land while both kinds are
+    # being written back and redone. Each shape once failed recovery with
+    # "page full": seed 42 at 2,000 ops (redo of an insert onto a
+    # fragmented leaf), seed 7 at 4,000 ops (a split's install evicting
+    # the leaf it was replacing, whose logged image redo then took).
+    cargo run --release -q -p immortaldb-chaos --bin torture -- \
+        --seed 42 --ops 2000 --crashes 8 --pool-pages 8 --keys 64
+    cargo run --release -q -p immortaldb-chaos --bin torture -- \
+        --seed 7 --ops 4000 --crashes 8 --pool-pages 8 --keys 64
     echo "== chaos smoke (multi-writer group-commit torture, fixed seeds) =="
     # Concurrent committers share group-commit batches; every round the
     # crash lands mid-batch and the audit asserts acked-implies-durable

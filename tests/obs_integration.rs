@@ -48,6 +48,7 @@ fn buffer_accounting_is_consistent() {
     let misses = snap.get("buffer.misses").unwrap();
     assert!(fetches > 0, "workload must touch the buffer pool");
     assert_eq!(fetches, hits + misses, "every fetch is a hit or a miss");
+    assert!(snap.get("buffer.history_evictions").unwrap() <= snap.get("buffer.evictions").unwrap());
     assert!(snap.get("wal.appends").unwrap() > 0);
     assert!(snap.get("wal.bytes").unwrap() > 0);
 }
@@ -120,6 +121,7 @@ fn show_stats_surfaces_the_registry() {
     // Histogram-derived rows are present too.
     get("wal.fsync_ns.count");
     get("buffer.hit_rate_pct");
+    get("buffer.history_evictions");
 }
 
 /// Every lazy-timestamping trigger of the paper fires on a TSB-indexed
