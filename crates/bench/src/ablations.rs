@@ -10,14 +10,77 @@
 //! * **A5** snapshot-read cost vs version age (§3.4: recent versions are
 //!   found in the current page).
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use immortaldb::Value;
-use immortaldb_btree::VersionCursor;
+use immortaldb_btree::{BTree, SplitTimeSource, TemporalIndex, VersionCursor};
+use immortaldb_chaos::TempDir;
+use immortaldb_common::codec::key_from_u64;
+use immortaldb_common::{Result, Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_mobgen::Generator;
+use immortaldb_storage::buffer::BufferPool;
+use immortaldb_storage::disk::DiskManager;
+use immortaldb_storage::wal::Wal;
+use immortaldb_storage::TimestampResolver;
+use immortaldb_tsb::TsbTree;
+use parking_lot::Mutex;
 
-use crate::harness::{print_table, time, BenchDb, Mode};
+use crate::harness::{time, BenchDb, Mode};
+use crate::report::{Cell, Report, Table};
+
+/// Commit registry doubling as resolver and split-time source, for the
+/// ablations that drive an index directly.
+#[derive(Default)]
+struct SimAuthority {
+    committed: Mutex<HashMap<Tid, Timestamp>>,
+    max: Mutex<Timestamp>,
+    issued: AtomicU64,
+}
+
+impl SimAuthority {
+    /// One transaction: `write` gets a fresh TID, which then commits one
+    /// 20 ms tick after the previous transaction.
+    fn txn<T>(&self, write: impl FnOnce(Tid) -> Result<T>) {
+        let tid = Tid(self.issued.fetch_add(1, Ordering::Relaxed) + 1);
+        write(tid).expect("write");
+        let ts = Timestamp::new(tid.0 * 20, 0);
+        self.committed.lock().insert(tid, ts);
+        *self.max.lock() = ts;
+    }
+
+    /// Just after the last commit: an AS OF time that sees all of it.
+    fn after_last(&self) -> Timestamp {
+        Timestamp::new(self.max.lock().ttime, 1)
+    }
+}
+
+impl TimestampResolver for SimAuthority {
+    fn resolve(&self, tid: Tid) -> Option<Timestamp> {
+        self.committed.lock().get(&tid).copied()
+    }
+}
+
+impl SplitTimeSource for SimAuthority {
+    fn current_split_ts(&self) -> Timestamp {
+        let m = *self.max.lock();
+        Timestamp::new(m.ttime + 20, 0)
+    }
+}
+
+/// A buffer pool of `pool_pages` frames over a fresh data file and log.
+fn scratch_pool(dir: &TempDir, pool_pages: usize) -> (Arc<BufferPool>, Arc<Wal>) {
+    let (disk, _) = DiskManager::open(dir.path().join("data.idb")).unwrap();
+    let wal = Arc::new(Wal::open(dir.path().join("wal.log")).unwrap());
+    let pool = Arc::new(BufferPool::new(
+        Arc::new(disk),
+        Arc::clone(&wal),
+        pool_pages,
+    ));
+    (pool, wal)
+}
 
 // ---------------------------------------------------------------------
 // A1: eager vs lazy timestamping
@@ -65,28 +128,26 @@ pub fn eager_vs_lazy(quick: bool) -> Vec<EagerLazyResult> {
         .collect()
 }
 
-pub fn report_eager_vs_lazy(rows: &[EagerLazyResult]) {
-    let table: Vec<Vec<String>> = rows
+pub fn report_eager_vs_lazy(rows: &[EagerLazyResult]) -> Report {
+    let cells = rows
         .iter()
         .map(|r| {
+            let overhead = (r.eager_log_bytes as f64 / r.lazy_log_bytes as f64 - 1.0) * 100.0;
             vec![
-                format!("{}", r.txns),
-                format!("{}", r.records_per_txn),
-                format!("{:.3}", r.lazy_s),
-                format!("{:.3}", r.eager_s),
-                format!("{:.1}", r.lazy_log_bytes as f64 / 1024.0),
-                format!("{:.1}", r.eager_log_bytes as f64 / 1024.0),
-                format!(
-                    "{:+.1}%",
-                    (r.eager_log_bytes as f64 / r.lazy_log_bytes as f64 - 1.0) * 100.0
-                ),
+                r.txns.into(),
+                r.records_per_txn.into(),
+                Cell::fixed(r.lazy_s, 3),
+                Cell::fixed(r.eager_s, 3),
+                Cell::fixed(r.lazy_log_bytes as f64 / 1024.0, 1),
+                Cell::fixed(r.eager_log_bytes as f64 / 1024.0, 1),
+                Cell::new(format!("{overhead:+.1}%"), overhead),
             ]
         })
         .collect();
-    print_table(
+    Report::default().table(Table::new(
         "A1: eager vs lazy timestamping (same workload, per-record stamping \
          logged vs one PTT row per txn)",
-        &[
+        [
             "txns",
             "rec/txn",
             "lazy (s)",
@@ -95,8 +156,8 @@ pub fn report_eager_vs_lazy(rows: &[EagerLazyResult]) {
             "eager log KiB",
             "log overhead",
         ],
-        &table,
-    );
+        cells,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -111,42 +172,6 @@ pub struct UtilResult {
 }
 
 pub fn utilization_vs_threshold(quick: bool) -> Vec<UtilResult> {
-    use immortaldb_btree::{BTree, SplitTimeSource, TemporalIndex};
-    use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
-    use immortaldb_storage::buffer::BufferPool;
-    use immortaldb_storage::disk::DiskManager;
-    use immortaldb_storage::wal::Wal;
-    use immortaldb_storage::TimestampResolver;
-    use parking_lot::Mutex;
-    use std::collections::HashMap;
-
-    /// Commit registry doubling as resolver + split-time source.
-    #[derive(Default)]
-    struct SimAuthority {
-        committed: Mutex<HashMap<Tid, Timestamp>>,
-        max: Mutex<Timestamp>,
-    }
-    impl SimAuthority {
-        fn commit(&self, tid: Tid, ts: Timestamp) {
-            self.committed.lock().insert(tid, ts);
-            let mut m = self.max.lock();
-            if ts > *m {
-                *m = ts;
-            }
-        }
-    }
-    impl TimestampResolver for SimAuthority {
-        fn resolve(&self, tid: Tid) -> Option<Timestamp> {
-            self.committed.lock().get(&tid).copied()
-        }
-    }
-    impl SplitTimeSource for SimAuthority {
-        fn current_split_ts(&self) -> Timestamp {
-            let m = *self.max.lock();
-            Timestamp::new(m.ttime + 20, 0)
-        }
-    }
-
     // The threshold only matters when the *current* data grows: a pure
     // update workload lets time splits shed everything historical and no
     // key split is ever needed. Grow the key population every round (a
@@ -156,16 +181,8 @@ pub fn utilization_vs_threshold(quick: bool) -> Vec<UtilResult> {
     [0.5f64, 0.6, 0.7, 0.8, 0.9]
         .iter()
         .map(|&threshold| {
-            let dir = std::env::temp_dir().join(format!(
-                "immortal-a3-{}-{}",
-                std::process::id(),
-                (threshold * 100.0) as u32
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let (disk, _) = DiskManager::open(dir.join("data.idb")).unwrap();
-            let wal = Arc::new(Wal::open(dir.join("wal.log")).unwrap());
-            let pool = Arc::new(BufferPool::new(Arc::new(disk), Arc::clone(&wal), 32 * 1024));
+            let dir = TempDir::new("bench-a3");
+            let (pool, wal) = scratch_pool(&dir, 32 * 1024);
             let auth = Arc::new(SimAuthority::default());
             let mut tree = BTree::create(
                 pool,
@@ -177,11 +194,6 @@ pub fn utilization_vs_threshold(quick: bool) -> Vec<UtilResult> {
             .unwrap();
             tree.set_split_threshold(threshold);
             let value = vec![7u8; 64];
-            let mut tid = 0u64;
-            let mut tick = 0u64;
-            let commit = |auth: &Arc<SimAuthority>, tid: u64, tick: u64| {
-                auth.commit(Tid(tid), Timestamp::new(tick * 20, 0));
-            };
             let mut population = 0u64;
             for round in 0..=rounds {
                 // Growth: 10% new keys per round.
@@ -190,36 +202,15 @@ pub fn utilization_vs_threshold(quick: bool) -> Vec<UtilResult> {
                 } else {
                     (population / 10).max(5)
                 };
-                for _ in 0..grow {
-                    tid += 1;
-                    tick += 1;
-                    tree.insert(
-                        Tid(tid),
-                        NULL_LSN,
-                        &immortaldb_common::codec::key_from_u64(population),
-                        &value,
-                        auth.as_ref(),
-                    )
-                    .unwrap();
-                    commit(&auth, tid, tick);
-                    population += 1;
+                for k in population..population + grow {
+                    auth.txn(|tid| tree.insert(tid, NULL_LSN, &key_from_u64(k), &value, &*auth));
                 }
+                population += grow;
                 for k in 0..population {
-                    tid += 1;
-                    tick += 1;
-                    tree.update(
-                        Tid(tid),
-                        NULL_LSN,
-                        &immortaldb_common::codec::key_from_u64(k),
-                        &value,
-                        auth.as_ref(),
-                    )
-                    .unwrap();
-                    commit(&auth, tid, tick);
+                    auth.txn(|tid| tree.update(tid, NULL_LSN, &key_from_u64(k), &value, &*auth));
                 }
             }
             let stats = tree.storage_stats().unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
             UtilResult {
                 threshold,
                 leaves: stats.current_leaves,
@@ -230,31 +221,31 @@ pub fn utilization_vs_threshold(quick: bool) -> Vec<UtilResult> {
         .collect()
 }
 
-pub fn report_utilization(rows: &[UtilResult]) {
-    let table: Vec<Vec<String>> = rows
+pub fn report_utilization(rows: &[UtilResult]) -> Report {
+    let cells = rows
         .iter()
         .map(|r| {
             vec![
-                format!("{:.2}", r.threshold),
-                format!("{}", r.leaves),
-                format!("{:.3}", r.slice_utilization),
-                format!("{:.3}", r.threshold * std::f64::consts::LN_2),
-                format!("{}", r.history_pages),
+                Cell::fixed(r.threshold, 2),
+                r.leaves.into(),
+                Cell::fixed(r.slice_utilization, 3),
+                Cell::fixed(r.threshold * std::f64::consts::LN_2, 3),
+                r.history_pages.into(),
             ]
         })
         .collect();
-    print_table(
+    Report::default().table(Table::new(
         "A3: current-slice utilization vs key-split threshold T \
          (paper: expected ~ T*ln2)",
-        &[
+        [
             "T",
             "current leaves",
             "measured util",
             "T*ln2",
             "history pages",
         ],
-        &table,
-    );
+        cells,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -271,50 +262,10 @@ pub struct TsbResult {
 /// descends directly to the right historical page instead of walking the
 /// time-split page chain from the current page.
 pub fn tsb_index(quick: bool) -> TsbResult {
-    use immortaldb_btree::{BTree, SplitTimeSource, TemporalIndex};
-    use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
-    use immortaldb_storage::buffer::BufferPool;
-    use immortaldb_storage::disk::DiskManager;
-    use immortaldb_storage::wal::Wal;
-    use immortaldb_storage::TimestampResolver;
-    use immortaldb_tsb::TsbTree;
-    use parking_lot::Mutex;
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    struct SimAuthority {
-        committed: Mutex<HashMap<Tid, Timestamp>>,
-        max: Mutex<Timestamp>,
-    }
-    impl SimAuthority {
-        fn commit(&self, tid: Tid, ts: Timestamp) {
-            self.committed.lock().insert(tid, ts);
-            let mut m = self.max.lock();
-            if ts > *m {
-                *m = ts;
-            }
-        }
-    }
-    impl TimestampResolver for SimAuthority {
-        fn resolve(&self, tid: Tid) -> Option<Timestamp> {
-            self.committed.lock().get(&tid).copied()
-        }
-    }
-    impl SplitTimeSource for SimAuthority {
-        fn current_split_ts(&self) -> Timestamp {
-            let m = *self.max.lock();
-            Timestamp::new(m.ttime + 20, 0)
-        }
-    }
-
-    let dir = std::env::temp_dir().join(format!("immortal-a2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let (disk, _) = DiskManager::open(dir.join("data.idb")).unwrap();
-    let wal = Arc::new(Wal::open(dir.join("wal.log")).unwrap());
+    let dir = TempDir::new("bench-a2");
     // Small pool: historical pages must not be resident (the regime where
     // chain walks hurt).
-    let pool = Arc::new(BufferPool::new(Arc::new(disk), Arc::clone(&wal), 96));
+    let (pool, wal) = scratch_pool(&dir, 96);
     let auth = Arc::new(SimAuthority::default());
     let btree = BTree::create(
         Arc::clone(&pool),
@@ -336,34 +287,27 @@ pub fn tsb_index(quick: bool) -> TsbResult {
     let keys = if quick { 100u64 } else { 200 };
     let rounds = if quick { 60u64 } else { 150 };
     let value = vec![5u8; 100];
-    let mut tid = 0u64;
-    let mut tick = 0u64;
+    let write_both = |tid: Tid, k: u64, insert: bool| -> Result<()> {
+        let key = key_from_u64(k);
+        for tree in [&btree as &dyn TemporalIndex, &tsb] {
+            if insert {
+                tree.insert(tid, NULL_LSN, &key, &value, &*auth)?;
+            } else {
+                tree.update(tid, NULL_LSN, &key, &value, &*auth)?;
+            }
+        }
+        Ok(())
+    };
     for k in 0..keys {
-        tid += 1;
-        tick += 1;
-        let kb = immortaldb_common::codec::key_from_u64(k);
-        btree
-            .insert(Tid(tid), NULL_LSN, &kb, &value, auth.as_ref())
-            .unwrap();
-        tsb.insert(Tid(tid), NULL_LSN, &kb, &value, auth.as_ref())
-            .unwrap();
-        auth.commit(Tid(tid), Timestamp::new(tick * 20, 0));
+        auth.txn(|tid| write_both(tid, k, true));
     }
-    let mut marks: Vec<(u32, Timestamp)> = vec![(0, Timestamp::new(tick * 20, 1))];
+    let mut marks: Vec<(u32, Timestamp)> = vec![(0, auth.after_last())];
     for r in 1..=rounds {
         for k in 0..keys {
-            tid += 1;
-            tick += 1;
-            let kb = immortaldb_common::codec::key_from_u64(k);
-            btree
-                .update(Tid(tid), NULL_LSN, &kb, &value, auth.as_ref())
-                .unwrap();
-            tsb.update(Tid(tid), NULL_LSN, &kb, &value, auth.as_ref())
-                .unwrap();
-            auth.commit(Tid(tid), Timestamp::new(tick * 20, 0));
+            auth.txn(|tid| write_both(tid, k, false));
         }
         if r * 10 % rounds == 0 {
-            marks.push(((r * 100 / rounds) as u32, Timestamp::new(tick * 20, 1)));
+            marks.push(((r * 100 / rounds) as u32, auth.after_last()));
         }
     }
 
@@ -372,8 +316,7 @@ pub fn tsb_index(quick: bool) -> TsbResult {
     let measure = |f: Probe, at: Timestamp| -> f64 {
         let t0 = Instant::now();
         for k in 0..probes {
-            let kb = immortaldb_common::codec::key_from_u64(k);
-            let _ = f(&kb, at);
+            let _ = f(&key_from_u64(k), at);
         }
         t0.elapsed().as_secs_f64() * 1e6 / probes as f64
     };
@@ -389,29 +332,28 @@ pub fn tsb_index(quick: bool) -> TsbResult {
         );
         points.push((*pct, chain_us, tsb_us));
     }
-    let _ = std::fs::remove_dir_all(&dir);
     TsbResult { points }
 }
 
-pub fn report_tsb(r: &TsbResult) {
-    let table: Vec<Vec<String>> = r
+pub fn report_tsb(r: &TsbResult) -> Report {
+    let cells = r
         .points
         .iter()
-        .map(|(pct, chain, tsb)| {
+        .map(|&(pct, chain, tsb)| {
             vec![
-                format!("{pct}%"),
-                format!("{chain:.1}"),
-                format!("{tsb:.1}"),
-                format!("{:.1}x", chain / tsb),
+                Cell::new(format!("{pct}%"), pct),
+                Cell::fixed(chain, 1),
+                Cell::fixed(tsb, 1),
+                Cell::new(format!("{:.1}x", chain / tsb), chain / tsb),
             ]
         })
         .collect();
-    print_table(
+    Report::default().table(Table::new(
         "A2: AS OF point reads — page-chain scan vs TSB-tree index \
          (0% = oldest history; paper §7.2 predicts the TSB column is flat)",
-        &["% of history", "chain us/read", "TSB us/read", "speedup"],
-        &table,
-    );
+        ["% of history", "chain us/read", "TSB us/read", "speedup"],
+        cells,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -457,18 +399,18 @@ pub fn ptt_gc(quick: bool) -> PttGcResult {
     }
 }
 
-pub fn report_ptt_gc(r: &PttGcResult) {
-    let table: Vec<Vec<String>> = r
+pub fn report_ptt_gc(r: &PttGcResult) -> Report {
+    let cells = r
         .samples
         .iter()
-        .map(|(n, a, b)| vec![format!("{n}"), format!("{a}"), format!("{b}")])
+        .map(|&(n, a, b)| vec![n.into(), a.into(), b.into()])
         .collect();
-    print_table(
+    Report::default().table(Table::new(
         "A4: persistent timestamp table size (entries) with vs without \
          incremental GC",
-        &["txns", "no GC", "checkpoint + GC"],
-        &table,
-    );
+        ["txns", "no GC", "checkpoint + GC"],
+        cells,
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -517,16 +459,16 @@ pub fn snapshot_reads(quick: bool) -> SnapshotReadResult {
     SnapshotReadResult { points }
 }
 
-pub fn report_snapshot_reads(r: &SnapshotReadResult) {
-    let table: Vec<Vec<String>> = r
+pub fn report_snapshot_reads(r: &SnapshotReadResult) -> Report {
+    let cells = r
         .points
         .iter()
-        .map(|(back, us)| vec![format!("{back}"), format!("{us:.1}")])
+        .map(|&(back, us)| vec![back.into(), Cell::fixed(us, 1)])
         .collect();
-    print_table(
+    Report::default().table(Table::new(
         "A5: point-read latency vs snapshot age (versions back): recent \
          versions live in the current page, older ones behind the history chain",
-        &["rounds back", "avg us/read"],
-        &table,
-    );
+        ["rounds back", "avg us/read"],
+        cells,
+    ))
 }

@@ -21,42 +21,38 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use immortaldb::{Database, DbConfig, Durability, EventTap, Sentinel, Session};
+use immortaldb_chaos::TempDir;
 use immortaldb_net::{Client, Server, ServerConfig};
 
-use crate::harness::print_table;
+use crate::harness::{summarize, timed_clients};
+use crate::json::Json;
+use crate::report::{Cell, Report, Table};
 
 /// `ServerConfig::workers` — fixed across fleet sizes.
 const SERVER_WORKERS: usize = 4;
 
-/// One measured configuration.
+/// One measured configuration: an idle fleet parked on the server while
+/// `active` clients commit.
 #[derive(Debug, Clone)]
-pub struct ConnRow {
-    pub conns: usize,
+pub struct FleetRun {
+    pub idle: usize,
     pub active: usize,
+    pub sentinel: bool,
     /// `Threads:` from /proc/self/status with the fleet parked
     /// (0 where procfs is unavailable).
     pub threads: u64,
     /// `VmRSS:` (KiB) with the fleet parked.
     pub rss_kib: u64,
     pub commits: u64,
-    pub secs: f64,
+    /// Commits per second over the measured window.
+    pub throughput: f64,
     pub p50_us: u64,
     pub p99_us: u64,
     /// `server.loop_handoffs_{wait,long,batch}` over the run.
     pub handoffs: [u64; 3],
-}
-
-impl ConnRow {
-    pub fn throughput(&self) -> f64 {
-        self.commits as f64 / self.secs
-    }
-}
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("immortal-bench-conns-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    /// Sentinel totals for an armed run (0 otherwise).
+    pub events_checked: u64,
+    pub violations: u64,
 }
 
 fn proc_status(field: &str) -> u64 {
@@ -70,127 +66,10 @@ fn proc_status(field: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    sorted_us[((sorted_us.len() - 1) as f64 * p).round() as usize]
-}
-
-fn run_one(conns: usize, commits_per_active: u64) -> ConnRow {
-    let cfg = ServerConfig::new("127.0.0.1:0")
-        .workers(SERVER_WORKERS)
-        .max_connections(conns + 16);
-    let active = (conns / 16).max(2); // ≤ 6.25% active, ≥ 90% idle
-    let dir = scratch_dir(&format!("fleet-{conns}"));
-    let db = Arc::new(
-        Database::open(
-            DbConfig::new(&dir)
-                .pool_pages(4 * 1024)
-                .durability(Durability::Fsync),
-        )
-        .expect("open bench db"),
-    );
-    {
-        let mut s = Session::new(&db);
-        s.execute("CREATE IMMORTAL TABLE Conns (Id INT PRIMARY KEY, V INT)")
-            .expect("create table");
-    }
-    let server = Server::start(Arc::clone(&db), cfg).expect("start server");
-    let addr = server.local_addr();
-
-    // Park the idle fleet, then sample what holding it costs.
-    let idle: Vec<Client> = (0..conns - active)
-        .map(|_| Client::connect(addr).expect("connect idle"))
-        .collect();
-    let threads = proc_status("Threads");
-    let rss_kib = proc_status("VmRSS");
-
-    // Commit load from the active minority.
-    let start = std::sync::Barrier::new(active + 1);
-    let (results, secs) = std::thread::scope(|scope| {
-        let start = &start;
-        let handles: Vec<_> = (0..active)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect active");
-                    let mut lat = Vec::with_capacity(commits_per_active as usize);
-                    start.wait();
-                    for i in 0..commits_per_active {
-                        let id = (w as u64 * commits_per_active + i) as i32;
-                        let t0 = Instant::now();
-                        c.query_with_backoff(&format!("INSERT INTO Conns VALUES ({id}, {w})"), 64)
-                            .expect("insert");
-                        lat.push(t0.elapsed().as_micros() as u64);
-                    }
-                    lat
-                })
-            })
-            .collect();
-        start.wait();
-        let t0 = Instant::now();
-        let results: Vec<Vec<u64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (results, t0.elapsed().as_secs_f64())
-    });
-
-    let mut latencies: Vec<u64> = results.into_iter().flatten().collect();
-    let commits = latencies.len() as u64;
-    latencies.sort_unstable();
-    let sm = &db.metrics().server;
-    let row = ConnRow {
-        handoffs: [
-            sm.loop_handoffs_wait.get(),
-            sm.loop_handoffs_long.get(),
-            sm.loop_handoffs_batch.get(),
-        ],
-        conns,
-        active,
-        threads,
-        rss_kib,
-        commits,
-        secs,
-        p50_us: percentile(&latencies, 0.50),
-        p99_us: percentile(&latencies, 0.99),
-    };
-
-    drop(idle);
-    server.shutdown().expect("shutdown");
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    row
-}
-
-/// The idle-fleet-tax experiment (PR 9's acceptance numbers): the
-/// server with 8 active commit clients, measured alone, with a
-/// 1016-connection idle fleet parked beside them, and with the fleet
-/// AND the isolation sentinel armed. The fleet must not tax the hot
-/// path (within 10%) and the sentinel must cost < 5%.
-#[derive(Debug, Clone)]
-pub struct IdleTaxRow {
-    pub label: &'static str,
-    pub idle: usize,
-    pub sentinel: bool,
-    pub commits: u64,
-    pub secs: f64,
-    pub p50_us: u64,
-    pub p99_us: u64,
-    /// Sentinel totals for the armed row (0 otherwise).
-    pub events_checked: u64,
-    pub violations: u64,
-}
-
-impl IdleTaxRow {
-    pub fn throughput(&self) -> f64 {
-        self.commits as f64 / self.secs
-    }
-}
-
-const TAX_ACTIVE: usize = 8;
-
-fn run_tax(label: &'static str, idle: usize, arm: bool, commits_per_active: u64) -> IdleTaxRow {
-    let dir = scratch_dir(&format!("tax-{idle}-{arm}"));
+fn run_one(idle: usize, active: usize, arm: bool, commits_per_active: u64) -> FleetRun {
+    let dir = TempDir::new("bench-conns");
     let tap = arm.then(|| EventTap::new(1 << 18));
-    let mut db_cfg = DbConfig::new(&dir)
+    let mut db_cfg = DbConfig::new(dir.path())
         .pool_pages(4 * 1024)
         .durability(Durability::Fsync);
     if let Some(tap) = &tap {
@@ -198,54 +77,46 @@ fn run_tax(label: &'static str, idle: usize, arm: bool, commits_per_active: u64)
     }
     let db = Arc::new(Database::open(db_cfg).expect("open bench db"));
     let sentinel = tap.map(|tap| Sentinel::spawn(tap, db.metrics().clone()));
-    {
-        let mut s = Session::new(&db);
-        s.execute("CREATE IMMORTAL TABLE Conns (Id INT PRIMARY KEY, V INT)")
-            .expect("create table");
-    }
+    Session::new(&db)
+        .execute("CREATE IMMORTAL TABLE Conns (Id INT PRIMARY KEY, V INT)")
+        .expect("create table");
     let server = Server::start(
         Arc::clone(&db),
         ServerConfig::new("127.0.0.1:0")
             .workers(SERVER_WORKERS)
-            .max_connections(idle + TAX_ACTIVE + 16),
+            .max_connections(idle + active + 16),
     )
     .expect("start server");
     let addr = server.local_addr();
 
+    // Park the idle fleet, then sample what holding it costs.
     let fleet: Vec<Client> = (0..idle)
         .map(|_| Client::connect(addr).expect("connect idle"))
         .collect();
+    let threads = proc_status("Threads");
+    let rss_kib = proc_status("VmRSS");
 
-    let start = std::sync::Barrier::new(TAX_ACTIVE + 1);
-    let (results, secs) = std::thread::scope(|scope| {
-        let start = &start;
-        let handles: Vec<_> = (0..TAX_ACTIVE)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect active");
-                    let mut lat = Vec::with_capacity(commits_per_active as usize);
-                    start.wait();
-                    for i in 0..commits_per_active {
-                        let id = (w as u64 * commits_per_active + i) as i32;
-                        let t0 = Instant::now();
-                        c.query_with_backoff(&format!("INSERT INTO Conns VALUES ({id}, {w})"), 64)
-                            .expect("insert");
-                        lat.push(t0.elapsed().as_micros() as u64);
-                    }
-                    lat
-                })
-            })
-            .collect();
+    // Commit load from the active clients.
+    let (latencies, secs) = timed_clients(active, |w, start| {
+        let mut c = Client::connect(addr).expect("connect active");
+        let mut lat = Vec::with_capacity(commits_per_active as usize);
         start.wait();
-        let t0 = Instant::now();
-        let results: Vec<Vec<u64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (results, t0.elapsed().as_secs_f64())
+        for i in 0..commits_per_active {
+            let id = (w as u64 * commits_per_active + i) as i32;
+            let t0 = Instant::now();
+            c.query_with_backoff(&format!("INSERT INTO Conns VALUES ({id}, {w})"), 64)
+                .expect("insert");
+            lat.push(t0.elapsed().as_micros() as u64);
+        }
+        lat
     });
-
-    let mut latencies: Vec<u64> = results.into_iter().flatten().collect();
-    let commits = latencies.len() as u64;
-    latencies.sort_unstable();
-    let (p50_us, p99_us) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
+    let (commits, p50_us, p99_us) = summarize(latencies.concat());
+    let sm = &db.metrics().server;
+    let handoffs = [
+        sm.loop_handoffs_wait.get(),
+        sm.loop_handoffs_long.get(),
+        sm.loop_handoffs_batch.get(),
+    ];
 
     drop(fleet);
     server.shutdown().expect("shutdown");
@@ -256,68 +127,88 @@ fn run_tax(label: &'static str, idle: usize, arm: bool, commits_per_active: u64)
         }
         None => (0, 0),
     };
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    IdleTaxRow {
-        label,
+    FleetRun {
         idle,
+        active,
         sentinel: arm,
+        threads,
+        rss_kib,
         commits,
-        secs,
+        throughput: commits as f64 / secs,
         p50_us,
         p99_us,
+        handoffs,
         events_checked,
         violations,
     }
 }
 
-pub fn idle_tax(quick: bool) -> Vec<IdleTaxRow> {
+/// The fleet sweep: 64 / 256 / 1024 connections, at most 6.25% of them
+/// (and at least 2) active.
+pub fn run(quick: bool) -> Vec<FleetRun> {
+    let per_active: u64 = if quick { 150 } else { 600 };
+    [64usize, 256, 1024]
+        .iter()
+        .map(|&conns| {
+            let active = (conns / 16).max(2);
+            run_one(conns - active, active, false, per_active)
+        })
+        .collect()
+}
+
+/// The idle-fleet-tax configurations: `(label, idle connections,
+/// sentinel armed)`, each beside 8 active commit clients.
+const TAX: [(&str, usize, bool); 3] = [
+    ("8 clients alone", 0, false),
+    ("+1016 idle conns", 1016, false),
+    ("+1016 idle, sentinel armed", 1016, true),
+];
+
+/// The idle-fleet-tax experiment: the
+/// server with 8 active commit clients, measured alone, with a
+/// 1016-connection idle fleet parked beside them, and with the fleet
+/// AND the isolation sentinel armed. The fleet must not tax the hot
+/// path (within 10%) and the sentinel must cost < 5%. One run per
+/// [`TAX`] row, in its order.
+pub fn idle_tax(quick: bool) -> Vec<FleetRun> {
     let per_active: u64 = if quick { 400 } else { 2000 };
     // Interleaved rounds, best-of-N per configuration: single runs on a
     // shared host carry +/- 25% noise and the host drifts over a sweep,
     // so configs run round-robin (drift hits all three equally) and the
     // best round approximates each configuration's capability.
     let reps = if quick { 2 } else { 3 };
-    let configs: [(&'static str, usize, bool); 3] = [
-        ("8 clients alone", 0, false),
-        ("+1016 idle conns", 1016, false),
-        ("+1016 idle, sentinel armed", 1016, true),
-    ];
-    let mut best: Vec<Option<IdleTaxRow>> = vec![None, None, None];
+    let mut best: Vec<Option<FleetRun>> = vec![None, None, None];
     for _ in 0..reps {
-        for (i, &(label, idle, arm)) in configs.iter().enumerate() {
-            let row = run_tax(label, idle, arm, per_active);
-            if best[i]
-                .as_ref()
-                .map(|b| row.throughput() > b.throughput())
-                .unwrap_or(true)
-            {
-                best[i] = Some(row);
+        for (best, &(_, idle, arm)) in best.iter_mut().zip(&TAX) {
+            let run = run_one(idle, 8, arm, per_active);
+            if best.as_ref().is_none_or(|b| run.throughput > b.throughput) {
+                *best = Some(run);
             }
         }
     }
     best.into_iter().map(|r| r.expect("one rep ran")).collect()
 }
 
-pub fn report_idle_tax(rows: &[IdleTaxRow]) {
-    let table: Vec<Vec<String>> = rows
+fn idle_tax_table(rows: &[FleetRun]) -> Table {
+    let cells = rows
         .iter()
-        .map(|r| {
+        .zip(TAX)
+        .map(|(r, (label, ..))| {
             vec![
-                r.label.to_string(),
-                r.idle.to_string(),
-                if r.sentinel { "yes" } else { "no" }.to_string(),
-                format!("{:.0}", r.throughput()),
-                r.p50_us.to_string(),
-                r.p99_us.to_string(),
-                r.events_checked.to_string(),
-                r.violations.to_string(),
+                label.into(),
+                r.idle.into(),
+                if r.sentinel { "yes" } else { "no" }.into(),
+                Cell::fixed(r.throughput, 0),
+                r.p50_us.into(),
+                r.p99_us.into(),
+                r.events_checked.into(),
+                r.violations.into(),
             ]
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "connections — idle-fleet tax on the hot path (8 active clients)",
-        &[
+        [
             "configuration",
             "idle",
             "sentinel",
@@ -327,71 +218,40 @@ pub fn report_idle_tax(rows: &[IdleTaxRow]) {
             "checked",
             "violations",
         ],
-        &table,
+        cells,
     );
-    if let [base, fleet, armed] = rows {
-        println!(
+    match rows {
+        [base, fleet, armed] => table.note(format!(
             "  idle-fleet tax: {:.1}% (acceptance: within 10%); sentinel overhead: {:.1}% \
              (acceptance: < 5%)",
-            (1.0 - fleet.throughput() / base.throughput()) * 100.0,
-            (1.0 - armed.throughput() / fleet.throughput()) * 100.0,
-        );
+            (1.0 - fleet.throughput / base.throughput) * 100.0,
+            (1.0 - armed.throughput / fleet.throughput) * 100.0,
+        )),
+        _ => table,
     }
 }
 
-pub fn idle_tax_json(rows: &[IdleTaxRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"label\":\"{}\",\"idle\":{},\"sentinel\":{},\"commits\":{},\
-                 \"secs\":{:.6},\"commits_per_sec\":{:.1},\"p50_us\":{},\"p99_us\":{},\
-                 \"events_checked\":{},\"violations\":{}}}",
-                r.label,
-                r.idle,
-                r.sentinel,
-                r.commits,
-                r.secs,
-                r.throughput(),
-                r.p50_us,
-                r.p99_us,
-                r.events_checked,
-                r.violations
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// The fleet sweep.
-pub fn run(quick: bool) -> Vec<ConnRow> {
-    let per_active: u64 = if quick { 150 } else { 600 };
-    [64usize, 256, 1024]
-        .iter()
-        .map(|&conns| run_one(conns, per_active))
-        .collect()
-}
-
-pub fn report(rows: &[ConnRow]) {
-    let table: Vec<Vec<String>> = rows
+/// The fleet sweep's table, then the idle-tax table.
+pub fn report(rows: &[FleetRun], tax: &[FleetRun]) -> Report {
+    let cells = rows
         .iter()
         .map(|r| {
             let [wait, long, batch] = r.handoffs;
             vec![
-                r.conns.to_string(),
-                r.active.to_string(),
-                r.threads.to_string(),
-                format!("{:.0}", r.rss_kib as f64 / 1024.0),
-                format!("{:.0}", r.throughput()),
-                r.p50_us.to_string(),
-                r.p99_us.to_string(),
-                format!("{wait}/{long}/{batch}"),
+                (r.idle + r.active).into(),
+                r.active.into(),
+                r.threads.into(),
+                Cell::fixed(r.rss_kib as f64 / 1024.0, 0),
+                Cell::fixed(r.throughput, 0),
+                r.p50_us.into(),
+                r.p99_us.into(),
+                Cell::new(format!("{wait}/{long}/{batch}"), Json::arr(r.handoffs)),
             ]
         })
         .collect();
-    print_table(
+    let fleet = Table::new(
         "connections — fleet scaling on a fixed thread budget",
-        &[
+        [
             "conns",
             "active",
             "threads",
@@ -401,33 +261,7 @@ pub fn report(rows: &[ConnRow]) {
             "p99 us",
             "handoffs wait/long/batch",
         ],
-        &table,
+        cells,
     );
-}
-
-pub fn rows_json(rows: &[ConnRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"conns\":{},\"active\":{},\"threads\":{},\
-                 \"rss_kib\":{},\"commits\":{},\"secs\":{:.6},\"commits_per_sec\":{:.1},\
-                 \"p50_us\":{},\"p99_us\":{},\"handoffs_wait\":{},\"handoffs_long\":{},\
-                 \"handoffs_batch\":{}}}",
-                r.conns,
-                r.active,
-                r.threads,
-                r.rss_kib,
-                r.commits,
-                r.secs,
-                r.throughput(),
-                r.p50_us,
-                r.p99_us,
-                r.handoffs[0],
-                r.handoffs[1],
-                r.handoffs[2]
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+    Report::default().table(fleet).table(idle_tax_table(tax))
 }

@@ -16,15 +16,12 @@ use immortaldb::Timestamp;
 use immortaldb_mobgen::{Generator, Op};
 use immortaldb_obs::MetricsSnapshot;
 
-use crate::harness::{print_table, BenchDb, Mode};
-
-pub struct Fig6Config {
-    pub inserts: u32,
-    pub updates_per_object: u32,
-}
+use crate::harness::{BenchDb, Mode};
+use crate::report::{Cell, Report, Table};
 
 pub struct Fig6Series {
-    pub config: Fig6Config,
+    pub inserts: u32,
+    pub updates_per_object: u32,
     /// `(percent of history, scan milliseconds, rows returned)` — percent
     /// counts from the start: 10 % = early history (deep in the page
     /// chains), 100 % = now.
@@ -34,45 +31,25 @@ pub struct Fig6Series {
     pub metrics: MetricsSnapshot,
 }
 
-pub const CONFIGS: [Fig6Config; 4] = [
-    Fig6Config {
-        inserts: 500,
-        updates_per_object: 72,
-    },
-    Fig6Config {
-        inserts: 1000,
-        updates_per_object: 36,
-    },
-    Fig6Config {
-        inserts: 2000,
-        updates_per_object: 18,
-    },
-    Fig6Config {
-        inserts: 4000,
-        updates_per_object: 9,
-    },
-];
+/// The paper's `(inserts, updates per object)` configurations: 36,000
+/// updates each. Quick runs halve the inserts.
+pub const CONFIGS: [(u32, u32); 4] = [(500, 72), (1000, 36), (2000, 18), (4000, 9)];
 
 pub fn run(quick: bool) -> Vec<Fig6Series> {
     let scale = if quick { 2 } else { 1 };
     CONFIGS
         .iter()
-        .map(|c| {
-            run_config(Fig6Config {
-                inserts: c.inserts / scale,
-                updates_per_object: c.updates_per_object,
-            })
-        })
+        .map(|&(inserts, updates)| run_config(inserts / scale, updates))
         .collect()
 }
 
-fn run_config(config: Fig6Config) -> Fig6Series {
+fn run_config(inserts: u32, updates_per_object: u32) -> Fig6Series {
     // A deliberately small buffer pool (512 KiB): like the paper's 256 MB
     // testbed, historical pages do not stay resident, so AS OF scans pay
     // real I/O for every time-split chain page they traverse.
     let bench = BenchDb::new_sized("fig6", Mode::Immortal, immortaldb::Durability::Buffered, 64);
-    let events = Generator::events_exact(0xF160, config.inserts, config.updates_per_object);
-    let total_updates = (config.inserts * config.updates_per_object) as usize;
+    let events = Generator::events_exact(0xF160, inserts, updates_per_object);
+    let total_updates = (inserts * updates_per_object) as usize;
 
     // Load, capturing the commit watermark right after the insert phase
     // (0% = the oldest queryable state) and after every 10% of updates.
@@ -81,19 +58,16 @@ fn run_config(config: Fig6Config) -> Fig6Series {
     let mut next_mark = 1u32;
     for e in &events {
         bench.apply_event(e);
-        match e.op {
-            Op::Insert { .. } => {}
-            Op::Update { .. } => {
-                if updates_done == 0 {
-                    // Not yet recorded: state just after all inserts. The
-                    // first update already ran; use its predecessor tick.
-                    watermarks.push((0, bench.db.visible_horizon()));
-                }
-                updates_done += 1;
-                while next_mark <= 10 && updates_done * 10 >= total_updates * next_mark as usize {
-                    watermarks.push((next_mark * 10, bench.db.visible_horizon()));
-                    next_mark += 1;
-                }
+        if let Op::Update { .. } = e.op {
+            if updates_done == 0 {
+                // Not yet recorded: state just after all inserts. The
+                // first update already ran; use its predecessor tick.
+                watermarks.push((0, bench.db.visible_horizon()));
+            }
+            updates_done += 1;
+            while next_mark <= 10 && updates_done * 10 >= total_updates * next_mark as usize {
+                watermarks.push((next_mark * 10, bench.db.visible_horizon()));
+                next_mark += 1;
             }
         }
     }
@@ -114,53 +88,39 @@ fn run_config(config: Fig6Config) -> Fig6Series {
     }
     let metrics = bench.db.metrics_snapshot();
     Fig6Series {
-        config,
+        inserts,
+        updates_per_object,
         points,
         metrics,
     }
 }
 
-/// Serialize one series as a JSON object (no trailing newline).
-pub fn series_json(s: &Fig6Series) -> String {
-    let points: Vec<String> = s
-        .points
-        .iter()
-        .map(|(pct, ms, rows)| format!("{{\"pct\":{pct},\"scan_ms\":{ms:.4},\"rows\":{rows}}}"))
-        .collect();
-    format!(
-        "{{\"inserts\":{},\"updates_per_object\":{},\"points\":[{}],\"metrics\":{}}}",
-        s.config.inserts,
-        s.config.updates_per_object,
-        points.join(","),
-        s.metrics.to_json()
-    )
-}
-
-pub fn report(series: &[Fig6Series]) {
-    let headers: Vec<String> = std::iter::once("% of history".to_string())
-        .chain(
-            series
-                .iter()
-                .map(|s| format!("{}x{} (ms)", s.config.inserts, s.config.updates_per_object)),
-        )
-        .collect();
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
+pub fn report(series: &[Fig6Series]) -> Report {
+    let label = |s: &Fig6Series| format!("{}x{}", s.inserts, s.updates_per_object);
+    let headers = std::iter::once("% of history".to_string())
+        .chain(series.iter().map(|s| format!("{} (ms)", label(s))));
     let npoints = series.iter().map(|s| s.points.len()).min().unwrap_or(0);
-    let rows: Vec<Vec<String>> = (0..npoints)
+    let rows = (0..npoints)
         .map(|i| {
-            std::iter::once(format!("{}%", series[0].points[i].0))
-                .chain(series.iter().map(|s| format!("{:.2}", s.points[i].1)))
+            let pct = series[0].points[i].0;
+            std::iter::once(Cell::new(format!("{pct}%"), pct))
+                .chain(series.iter().map(|s| Cell::fixed(s.points[i].1, 2)))
                 .collect()
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "Figure 6: full-scan AS OF latency vs depth of history \
          (0% = just after the inserts, 100% = now)",
-        &header_refs,
-        &rows,
-    );
-    println!(
+        headers,
+        rows,
+    )
+    .note(
         "expected shape: at 100% fewer-inserts configs are fastest (fewer rows); \
-         deep in history the ordering reverses (longer version/page chains)."
+         deep in history the ordering reverses (longer version/page chains).",
     );
+    let mut report = Report::default().table(table);
+    for s in series {
+        report = report.metrics(label(s), &s.metrics);
+    }
+    report
 }

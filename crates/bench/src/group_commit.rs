@@ -7,13 +7,11 @@
 //! amortizes one fsync over every committer that arrived during the
 //! previous sync.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Instant;
-
 use immortaldb::{Database, DbConfig, Durability, GroupCommitConfig, Isolation, Session, Value};
+use immortaldb_chaos::TempDir;
 
-use crate::harness::print_table;
+use crate::harness::timed_clients;
+use crate::report::{Cell, Report, Table};
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -21,31 +19,19 @@ pub struct GcRow {
     pub writers: usize,
     pub grouped: bool,
     pub commits: u64,
-    pub secs: f64,
+    /// Commits per second over the measured window.
+    pub throughput: f64,
     /// fsyncs issued during the measured window.
     pub fsyncs: u64,
-    /// Group batches synced (0 when grouping is disabled).
-    pub batches: u64,
     /// Mean committers per group batch (1.0 when grouping is disabled).
     pub mean_batch: f64,
 }
 
-impl GcRow {
-    pub fn throughput(&self) -> f64 {
-        self.commits as f64 / self.secs
-    }
-}
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("immortal-bench-gc-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn run_one(writers: usize, commits_per_writer: u64, grouped: bool) -> GcRow {
-    let dir = scratch_dir(&format!("{writers}-{grouped}"));
+/// A fresh fsync-durable database, group commit on or off, with an
+/// empty `Commits (Id INT PRIMARY KEY, V INT)` table.
+pub(crate) fn commit_db(dir: &TempDir, grouped: bool) -> Database {
     let db = Database::open(
-        DbConfig::new(&dir)
+        DbConfig::new(dir.path())
             .pool_pages(4 * 1024)
             .durability(Durability::Fsync)
             .group_commit(GroupCommitConfig {
@@ -54,68 +40,56 @@ fn run_one(writers: usize, commits_per_writer: u64, grouped: bool) -> GcRow {
             }),
     )
     .expect("open bench db");
-    let mut s = Session::new(&db);
-    s.execute("CREATE IMMORTAL TABLE Commits (Id INT PRIMARY KEY, V INT)")
+    Session::new(&db)
+        .execute("CREATE IMMORTAL TABLE Commits (Id INT PRIMARY KEY, V INT)")
         .expect("create table");
+    db
+}
 
-    let m = db.metrics().clone();
-    let fsyncs0 = m.wal.fsyncs.get();
-    let batches0 = m.wal.group_commits.get();
-    let batch_sum0 = m.wal.batch_size.snapshot().sum;
+/// The WAL's fsyncs, group batches and committers in those batches so far.
+pub(crate) fn wal_counters(db: &Database) -> [u64; 3] {
+    let wal = &db.metrics().wal;
+    let batched = wal.batch_size.snapshot().sum;
+    [wal.fsyncs.get(), wal.group_commits.get(), batched]
+}
 
-    let db = Arc::new(db);
-    let start = Barrier::new(writers + 1);
-    let committed = AtomicU64::new(0);
-    let t0;
-    let secs;
-    {
-        let db = &db;
-        let start = &start;
-        let committed = &committed;
-        t0 = std::thread::scope(|scope| {
-            for w in 0..writers {
-                scope.spawn(move || {
-                    start.wait();
-                    for i in 0..commits_per_writer {
-                        // Disjoint keys per writer: pure commit-path
-                        // contention, no lock conflicts.
-                        let id = (w as u64 * commits_per_writer + i) as i32;
-                        let mut txn = db.begin(Isolation::Serializable);
-                        db.insert_row(
-                            &mut txn,
-                            "Commits",
-                            vec![Value::Int(id), Value::Int(w as i32)],
-                        )
-                        .expect("insert");
-                        db.commit(&mut txn).expect("commit");
-                        committed.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            start.wait();
-            Instant::now()
-        });
-        secs = t0.elapsed().as_secs_f64();
-    }
-
-    let commits = committed.load(Ordering::Relaxed);
-    let fsyncs = m.wal.fsyncs.get() - fsyncs0;
-    let batches = m.wal.group_commits.get() - batches0;
-    let batch_sum = m.wal.batch_size.snapshot().sum - batch_sum0;
+/// Fsyncs and mean committers per group batch (1 without batching)
+/// since `before`.
+pub(crate) fn wal_since(db: &Database, before: [u64; 3]) -> (u64, f64) {
+    let [fsyncs, batches, batched] = wal_counters(db);
+    let (fsyncs, batches, batched) = (fsyncs - before[0], batches - before[1], batched - before[2]);
     let mean_batch = if batches > 0 {
-        batch_sum as f64 / batches as f64
+        batched as f64 / batches as f64
     } else {
         1.0
     };
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
+    (fsyncs, mean_batch)
+}
+
+fn run_one(writers: usize, commits_per_writer: u64, grouped: bool) -> GcRow {
+    let dir = TempDir::new("bench-gc");
+    let db = commit_db(&dir, grouped);
+    let before = wal_counters(&db);
+    let (_, secs) = timed_clients(writers, |w, start| {
+        start.wait();
+        for i in 0..commits_per_writer {
+            // Disjoint keys per writer: pure commit-path contention, no
+            // lock conflicts.
+            let id = (w as u64 * commits_per_writer + i) as i32;
+            let mut txn = db.begin(Isolation::Serializable);
+            let row = vec![Value::Int(id), Value::Int(w as i32)];
+            db.insert_row(&mut txn, "Commits", row).expect("insert");
+            db.commit(&mut txn).expect("commit");
+        }
+    });
+    let (fsyncs, mean_batch) = wal_since(&db, before);
+    let commits = writers as u64 * commits_per_writer;
     GcRow {
         writers,
         grouped,
         commits,
-        secs,
+        throughput: commits as f64 / secs,
         fsyncs,
-        batches,
         mean_batch,
     }
 }
@@ -132,23 +106,23 @@ pub fn run(quick: bool) -> Vec<GcRow> {
     rows
 }
 
-pub fn report(rows: &[GcRow]) {
-    let table: Vec<Vec<String>> = rows
+pub fn report(rows: &[GcRow]) -> Report {
+    let cells = rows
         .iter()
         .map(|r| {
             vec![
-                r.writers.to_string(),
-                if r.grouped { "grouped" } else { "per-commit" }.to_string(),
-                r.commits.to_string(),
-                format!("{:.0}", r.throughput()),
-                r.fsyncs.to_string(),
-                format!("{:.1}", r.mean_batch),
+                r.writers.into(),
+                if r.grouped { "grouped" } else { "per-commit" }.into(),
+                r.commits.into(),
+                Cell::fixed(r.throughput, 0),
+                r.fsyncs.into(),
+                Cell::fixed(r.mean_batch, 1),
             ]
         })
         .collect();
-    print_table(
+    let mut table = Table::new(
         "group commit — commit throughput (fsync durability)",
-        &[
+        [
             "writers",
             "mode",
             "commits",
@@ -156,40 +130,19 @@ pub fn report(rows: &[GcRow]) {
             "fsyncs",
             "mean batch",
         ],
-        &table,
+        cells,
     );
     for &w in &[1usize, 4, 8, 16] {
         let per = rows.iter().find(|r| r.writers == w && !r.grouped);
         let grp = rows.iter().find(|r| r.writers == w && r.grouped);
         if let (Some(p), Some(g)) = (per, grp) {
-            println!(
+            table = table.note(format!(
                 "  {w:>2} writers: {:.0} -> {:.0} commits/s ({:.2}x)",
-                p.throughput(),
-                g.throughput(),
-                g.throughput() / p.throughput()
-            );
+                p.throughput,
+                g.throughput,
+                g.throughput / p.throughput
+            ));
         }
     }
-}
-
-pub fn rows_json(rows: &[GcRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"writers\":{},\"grouped\":{},\"commits\":{},\"secs\":{:.6},\
-                 \"commits_per_sec\":{:.1},\"fsyncs\":{},\"group_commits\":{},\
-                 \"mean_batch\":{:.2}}}",
-                r.writers,
-                r.grouped,
-                r.commits,
-                r.secs,
-                r.throughput(),
-                r.fsyncs,
-                r.batches,
-                r.mean_batch
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+    Report::default().table(table)
 }

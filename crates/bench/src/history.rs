@@ -15,11 +15,12 @@
 //! run's exit status): at depth 100, compaction must cut bytes/version
 //! by ≥ 2x without an AS OF latency regression.
 
-use std::sync::Arc;
+use immortaldb::{Database, DbConfig, Timestamp, Value};
+use immortaldb_chaos::TempDir;
 
-use immortaldb::{Database, DbConfig, Durability, Session, SimClock, Timestamp, Value};
-
-use crate::harness::print_table;
+use crate::harness::sim_clock_db;
+use crate::json::Json;
+use crate::report::{Cell, Report, Table};
 
 pub struct DepthRow {
     pub depth: u32,
@@ -50,10 +51,16 @@ pub struct HistoryResult {
     pub rows: Vec<DepthRow>,
 }
 
-fn payload(seq: u32, oid: u32) -> String {
-    // Mostly-stable payload: only the leading counter changes between
-    // versions, so consecutive versions share a long common suffix.
-    format!("{seq:06}-{oid:02}-{}", "p".repeat(120))
+/// Key `oid`'s row at version `seq`. Mostly-stable payload: only the
+/// leading counter changes between versions, so consecutive versions
+/// share a long common suffix.
+fn row(seq: u32, oid: u32) -> Vec<Value> {
+    let pad = format!("{seq:06}-{oid:02}-{}", "p".repeat(120));
+    vec![
+        Value::Int(oid as i32),
+        Value::Int(seq as i32),
+        Value::Varchar(pad),
+    ]
 }
 
 /// Point-in-time reads sampled uniformly across the commit history;
@@ -73,42 +80,20 @@ fn asof_sweep(db: &Database, commits: &[(Timestamp, u32)], reads: usize) -> f64 
 }
 
 fn run_depth(depth: u32, keys: u32, reads: usize) -> DepthRow {
-    let dir = std::env::temp_dir().join(format!(
-        "immortal-bench-history-{depth}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .subsec_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("bench-history");
     // Small pool: deep history does not stay resident, so both read
     // sweeps pay real page fetches. Time-split packing off: history pages
     // keep full record images, exactly what the engine wrote before delta
     // chains.
-    let clock = Arc::new(SimClock::new(1_000_000));
-    let db = Database::open(
-        DbConfig::new(&dir)
+    let (db, clock) = sim_clock_db(
+        DbConfig::new(dir.path())
             .pool_pages(64)
-            .durability(Durability::Buffered)
-            .clock(clock.clone())
             .history_packing(false),
-    )
-    .expect("open bench db");
-    let mut s = Session::new(&db);
-    s.execute("CREATE IMMORTAL TABLE Hist (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160))")
-        .expect("create table");
+        "CREATE IMMORTAL TABLE Hist (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160))",
+    );
 
     let mut txn = db.begin(immortaldb::Isolation::Serializable);
-    let rows: Vec<Vec<Value>> = (0..keys)
-        .map(|oid| {
-            vec![
-                Value::Int(oid as i32),
-                Value::Int(0),
-                Value::Varchar(payload(0, oid)),
-            ]
-        })
-        .collect();
+    let rows = (0..keys).map(|oid| row(0, oid)).collect();
     db.insert_rows(&mut txn, "Hist", rows).expect("seed rows");
     let seed_ts = db.commit(&mut txn).expect("commit seed");
     clock.advance(20);
@@ -117,16 +102,8 @@ fn run_depth(depth: u32, keys: u32, reads: usize) -> DepthRow {
     for seq in 1..=depth {
         for oid in 0..keys {
             let mut txn = db.begin(immortaldb::Isolation::Serializable);
-            db.update_row(
-                &mut txn,
-                "Hist",
-                vec![
-                    Value::Int(oid as i32),
-                    Value::Int(seq as i32),
-                    Value::Varchar(payload(seq, oid)),
-                ],
-            )
-            .expect("update");
+            db.update_row(&mut txn, "Hist", row(seq, oid))
+                .expect("update");
             commits.push((db.commit(&mut txn).expect("commit"), oid));
             clock.advance(20);
         }
@@ -143,7 +120,7 @@ fn run_depth(depth: u32, keys: u32, reads: usize) -> DepthRow {
     let after = db.history_stats().expect("history stats");
     let packed_asof_us = asof_sweep(&db, &commits, reads);
 
-    let row = DepthRow {
+    DepthRow {
         depth,
         keys,
         versions: after.versions,
@@ -155,10 +132,7 @@ fn run_depth(depth: u32, keys: u32, reads: usize) -> DepthRow {
         pages_freed: stats.pages_freed,
         baseline_asof_us,
         packed_asof_us,
-    };
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    row
+    }
 }
 
 pub fn run(quick: bool) -> HistoryResult {
@@ -169,26 +143,29 @@ pub fn run(quick: bool) -> HistoryResult {
     HistoryResult { rows }
 }
 
-pub fn report(r: &HistoryResult) {
-    let rows: Vec<Vec<String>> = r
+pub fn report(r: &HistoryResult) -> Report {
+    let rows = r
         .rows
         .iter()
         .map(|d| {
             vec![
-                format!("{}", d.depth),
-                format!("{}", d.versions),
-                format!("{:.1}", d.baseline_bpv),
-                format!("{:.1}", d.packed_bpv),
-                format!("{:.2}x", d.reduction()),
-                format!("{} -> {}", d.baseline_pages, d.packed_pages),
-                format!("{:.1}", d.baseline_asof_us),
-                format!("{:.1}", d.packed_asof_us),
+                d.depth.into(),
+                d.versions.into(),
+                Cell::fixed(d.baseline_bpv, 1),
+                Cell::fixed(d.packed_bpv, 1),
+                Cell::new(format!("{:.2}x", d.reduction()), d.reduction()),
+                Cell::new(
+                    format!("{} -> {}", d.baseline_pages, d.packed_pages),
+                    Json::arr([d.baseline_pages, d.packed_pages]),
+                ),
+                Cell::fixed(d.baseline_asof_us, 1),
+                Cell::fixed(d.packed_asof_us, 1),
             ]
         })
         .collect();
-    print_table(
+    let mut table = Table::new(
         "History sweep: version-store size and deep AS OF reads, before/after compaction",
-        &[
+        [
             "depth",
             "versions",
             "bytes/ver",
@@ -198,18 +175,22 @@ pub fn report(r: &HistoryResult) {
             "as-of us",
             "packed us",
         ],
-        &rows,
+        rows,
     );
     for d in &r.rows {
-        println!(
+        table = table.note(format!(
             "depth {:>4}: {} pages rewritten, {} freed; latency ratio {:.2} \
              (acceptance at depth>=100: reduction >= 2x, no AS OF regression)",
             d.depth,
             d.pages_rewritten,
             d.pages_freed,
             d.latency_ratio()
-        );
+        ));
     }
+    Report::default()
+        .param("keys", r.rows.first().map(|d| d.keys))
+        .table(table)
+        .floor(check(r))
 }
 
 /// The acceptance floor at depth 100: one compaction pass cuts
@@ -242,38 +223,4 @@ pub fn check(r: &HistoryResult) -> Result<String, String> {
             d.baseline_bpv, d.packed_bpv
         ))
     }
-}
-
-pub fn result_json(r: &HistoryResult, quick: bool) -> String {
-    let rows: Vec<String> = r
-        .rows
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"depth\":{},\"keys\":{},\"versions\":{},\
-                 \"baseline_bpv\":{:.2},\"packed_bpv\":{:.2},\"reduction\":{:.2},\
-                 \"baseline_pages\":{},\"packed_pages\":{},\
-                 \"pages_rewritten\":{},\"pages_freed\":{},\
-                 \"baseline_asof_us\":{:.2},\"packed_asof_us\":{:.2},\
-                 \"latency_ratio\":{:.3}}}",
-                d.depth,
-                d.keys,
-                d.versions,
-                d.baseline_bpv,
-                d.packed_bpv,
-                d.reduction(),
-                d.baseline_pages,
-                d.packed_pages,
-                d.pages_rewritten,
-                d.pages_freed,
-                d.baseline_asof_us,
-                d.packed_asof_us,
-                d.latency_ratio()
-            )
-        })
-        .collect();
-    format!(
-        "{{\"figure\":\"history\",\"quick\":{quick},\"rows\":[{}]}}\n",
-        rows.join(",")
-    )
 }

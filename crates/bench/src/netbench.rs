@@ -10,13 +10,18 @@
 //! connections*, so multi-client throughput scales even though every
 //! commit is fsync-durable.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
-use immortaldb::{Database, DbConfig, Durability, GroupCommitConfig, Session, Value};
+use immortaldb::Value;
+use immortaldb_chaos::TempDir;
 use immortaldb_net::{Client, Server, ServerConfig};
 
-use crate::harness::print_table;
+use crate::group_commit::{commit_db, wal_counters, wal_since};
+use crate::harness::{now_ms, summarize, timed_clients};
+use crate::json::Json;
+use crate::report::{Cell, Report, Table};
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -24,25 +29,17 @@ pub struct NetRow {
     pub clients: usize,
     pub grouped: bool,
     pub commits: u64,
-    pub asof_reads: u64,
-    pub secs: f64,
+    /// Commits per second over the measured window.
+    pub throughput: f64,
     /// Client-observed commit (autocommit INSERT round-trip) latency.
     pub p50_us: u64,
     pub p99_us: u64,
     /// fsyncs issued during the measured window.
     pub fsyncs: u64,
-    /// Group batches synced (0 when grouping is disabled).
-    pub batches: u64,
     pub mean_batch: f64,
     /// `wal.group_commits` as reported by SHOW STATS *over the wire* —
     /// the batching is observable by any client.
-    pub group_commits_over_wire: i64,
-}
-
-impl NetRow {
-    pub fn throughput(&self) -> f64 {
-        self.commits as f64 / self.secs
-    }
+    pub group_commits_over_wire: Option<u64>,
 }
 
 /// Autocommit writes kept in flight per connection (see the pipelining
@@ -50,137 +47,55 @@ impl NetRow {
 /// reply.
 const PIPELINE_DEPTH: usize = 4;
 
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("immortal-bench-net-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_millis() as u64
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx]
-}
-
 fn run_one(clients: usize, commits_per_client: u64, grouped: bool) -> NetRow {
-    let dir = scratch_dir(&format!("{clients}-{grouped}"));
-    let db = Arc::new(
-        Database::open(
-            DbConfig::new(&dir)
-                .pool_pages(4 * 1024)
-                .durability(Durability::Fsync)
-                .group_commit(GroupCommitConfig {
-                    enabled: grouped,
-                    ..GroupCommitConfig::default()
-                }),
-        )
-        .expect("open bench db"),
-    );
-    {
-        let mut s = Session::new(&db);
-        s.execute("CREATE IMMORTAL TABLE Commits (Id INT PRIMARY KEY, V INT)")
-            .expect("create table");
-    }
+    let dir = TempDir::new("bench-net");
+    let db = Arc::new(commit_db(&dir, grouped));
     let server = Server::start(
         Arc::clone(&db),
         ServerConfig::new("127.0.0.1:0").workers(clients.max(1)),
     )
     .expect("start server");
     let addr = server.local_addr();
+    let before = wal_counters(&db);
 
-    let m = db.metrics().clone();
-    let fsyncs0 = m.wal.fsyncs.get();
-    let batches0 = m.wal.group_commits.get();
-    let batch_sum0 = m.wal.batch_size.snapshot().sum;
-
-    // Connect everyone before the clock starts.
-    let mut conns: Vec<Client> = (0..clients)
-        .map(|_| Client::connect(addr).expect("connect"))
-        .collect();
-
-    let start = std::sync::Barrier::new(clients + 1);
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut asof_total = 0u64;
-    let secs;
-    {
-        let start = &start;
-        let (results, elapsed): (Vec<(Vec<u64>, u64)>, f64) = std::thread::scope(|scope| {
-            let handles: Vec<_> = conns
-                .drain(..)
-                .enumerate()
-                .map(|(w, mut c)| {
-                    scope.spawn(move || {
-                        let mut lat = Vec::with_capacity(commits_per_client as usize);
-                        let mut asof = 0u64;
-                        // Keep a few writes in flight: the reply of one
-                        // commit overlaps the next request, so the worker
-                        // stays at the group-commit barrier instead of
-                        // idling a client round trip between commits.
-                        let mut sent: std::collections::VecDeque<Instant> =
-                            std::collections::VecDeque::new();
-                        start.wait();
-                        for i in 0..commits_per_client {
-                            let id = (w as u64 * commits_per_client + i) as i32;
-                            c.send_query(&format!("INSERT INTO Commits VALUES ({id}, {w})"))
-                                .expect("send insert");
-                            sent.push_back(Instant::now());
-                            while sent.len() >= PIPELINE_DEPTH {
-                                c.recv_response().expect("insert reply");
-                                lat.push(sent.pop_front().unwrap().elapsed().as_micros() as u64);
-                            }
-                            // Every 8th op, drain the pipeline and read
-                            // the recent past AS OF "now" (clamped to
-                            // the visibility horizon).
-                            if i % 8 == 7 {
-                                while let Some(t) = sent.pop_front() {
-                                    c.recv_response().expect("insert reply");
-                                    lat.push(t.elapsed().as_micros() as u64);
-                                }
-                                c.begin_as_of_ms(now_ms()).expect("begin as of");
-                                c.query(&format!("SELECT V FROM Commits WHERE Id = {id}"))
-                                    .expect("as of read");
-                                c.commit().expect("close as of");
-                                asof += 1;
-                            }
-                        }
-                        while let Some(t) = sent.pop_front() {
-                            c.recv_response().expect("insert reply");
-                            lat.push(t.elapsed().as_micros() as u64);
-                        }
-                        (lat, asof)
-                    })
-                })
-                .collect();
-            start.wait();
-            let t0 = Instant::now();
-            let results = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            (results, t0.elapsed().as_secs_f64())
-        });
-        secs = elapsed;
-        for (lat, asof) in results {
-            latencies.extend(lat);
-            asof_total += asof;
+    let (results, secs) = timed_clients(clients, |w, start| {
+        let mut c = Client::connect(addr).expect("connect");
+        let mut lat = Vec::with_capacity(commits_per_client as usize);
+        // Keep a few writes in flight: the reply of one commit overlaps
+        // the next request, so the worker stays at the group-commit
+        // barrier instead of idling a client round trip between commits.
+        let mut sent: VecDeque<Instant> = VecDeque::new();
+        start.wait();
+        for i in 0..commits_per_client {
+            let id = (w as u64 * commits_per_client + i) as i32;
+            c.send_query(&format!("INSERT INTO Commits VALUES ({id}, {w})"))
+                .expect("send insert");
+            sent.push_back(Instant::now());
+            while sent.len() >= PIPELINE_DEPTH {
+                c.recv_response().expect("insert reply");
+                lat.push(sent.pop_front().unwrap().elapsed().as_micros() as u64);
+            }
+            // Every 8th op, drain the pipeline and read the recent past
+            // AS OF "now" (clamped to the visibility horizon).
+            if i % 8 == 7 {
+                while let Some(t) = sent.pop_front() {
+                    c.recv_response().expect("insert reply");
+                    lat.push(t.elapsed().as_micros() as u64);
+                }
+                c.begin_as_of_ms(now_ms()).expect("begin as of");
+                c.query(&format!("SELECT V FROM Commits WHERE Id = {id}"))
+                    .expect("as of read");
+                c.commit().expect("close as of");
+            }
         }
-    }
-
-    let commits = latencies.len() as u64;
-    let fsyncs = m.wal.fsyncs.get() - fsyncs0;
-    let batches = m.wal.group_commits.get() - batches0;
-    let batch_sum = m.wal.batch_size.snapshot().sum - batch_sum0;
-    let mean_batch = if batches > 0 {
-        batch_sum as f64 / batches as f64
-    } else {
-        1.0
-    };
+        while let Some(t) = sent.pop_front() {
+            c.recv_response().expect("insert reply");
+            lat.push(t.elapsed().as_micros() as u64);
+        }
+        lat
+    });
+    let (fsyncs, mean_batch) = wal_since(&db, before);
+    let (commits, p50_us, p99_us) = summarize(results.concat());
 
     // The batching must be visible over the wire, not just in-process.
     let mut admin = Client::connect(addr).expect("connect admin");
@@ -189,30 +104,21 @@ fn run_one(clients: usize, commits_per_client: u64, grouped: bool) -> NetRow {
         .rows
         .iter()
         .find(|r| r[0] == Value::Varchar("wal.group_commits".into()))
-        .map(|r| match r[1] {
-            Value::BigInt(v) => v,
-            _ => -1,
-        })
-        .unwrap_or(-1);
+        .and_then(|r| match r[1] {
+            Value::BigInt(v) => u64::try_from(v).ok(),
+            _ => None,
+        });
     drop(admin);
 
-    latencies.sort_unstable();
-    let p50_us = percentile(&latencies, 0.50);
-    let p99_us = percentile(&latencies, 0.99);
-
     server.shutdown().expect("shutdown");
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
     NetRow {
         clients,
         grouped,
         commits,
-        asof_reads: asof_total,
-        secs,
+        throughput: commits as f64 / secs,
         p50_us,
         p99_us,
         fsyncs,
-        batches,
         mean_batch,
         group_commits_over_wire,
     }
@@ -230,25 +136,25 @@ pub fn run(quick: bool) -> Vec<NetRow> {
     rows
 }
 
-pub fn report(rows: &[NetRow]) {
-    let table: Vec<Vec<String>> = rows
+pub fn report(rows: &[NetRow]) -> Report {
+    let cells = rows
         .iter()
         .map(|r| {
             vec![
-                r.clients.to_string(),
-                if r.grouped { "grouped" } else { "per-commit" }.to_string(),
-                r.commits.to_string(),
-                format!("{:.0}", r.throughput()),
-                r.p50_us.to_string(),
-                r.p99_us.to_string(),
-                r.fsyncs.to_string(),
-                format!("{:.1}", r.mean_batch),
+                r.clients.into(),
+                if r.grouped { "grouped" } else { "per-commit" }.into(),
+                r.commits.into(),
+                Cell::fixed(r.throughput, 0),
+                r.p50_us.into(),
+                r.p99_us.into(),
+                r.fsyncs.into(),
+                Cell::fixed(r.mean_batch, 1),
             ]
         })
         .collect();
-    print_table(
+    let mut table = Table::new(
         "net — wire-protocol commit throughput (fsync durability)",
-        &[
+        [
             "clients",
             "mode",
             "commits",
@@ -258,44 +164,23 @@ pub fn report(rows: &[NetRow]) {
             "fsyncs",
             "mean batch",
         ],
-        &table,
+        cells,
     );
     let one = rows.iter().find(|r| r.clients == 1 && r.grouped);
     for &c in &[4usize, 8, 16] {
         let grp = rows.iter().find(|r| r.clients == c && r.grouped);
         if let (Some(base), Some(g)) = (one, grp) {
-            println!(
+            table = table.note(format!(
                 "  {c:>2} clients (grouped): {:.0} commits/s = {:.2}x of 1 client",
-                g.throughput(),
-                g.throughput() / base.throughput()
-            );
+                g.throughput,
+                g.throughput / base.throughput
+            ));
         }
     }
-}
-
-pub fn rows_json(rows: &[NetRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"clients\":{},\"grouped\":{},\"commits\":{},\"asof_reads\":{},\
-                 \"secs\":{:.6},\"commits_per_sec\":{:.1},\"p50_us\":{},\"p99_us\":{},\
-                 \"fsyncs\":{},\"group_commits\":{},\"mean_batch\":{:.2},\
-                 \"group_commits_over_wire\":{}}}",
-                r.clients,
-                r.grouped,
-                r.commits,
-                r.asof_reads,
-                r.secs,
-                r.throughput(),
-                r.p50_us,
-                r.p99_us,
-                r.fsyncs,
-                r.batches,
-                r.mean_batch,
-                r.group_commits_over_wire
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+    Report::default()
+        .param(
+            "group_commits_over_wire",
+            Json::arr(rows.iter().map(|r| r.group_commits_over_wire)),
+        )
+        .table(table)
 }

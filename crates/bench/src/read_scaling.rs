@@ -11,22 +11,25 @@
 //! timestamps from the load phase. The pool is sized so the working set
 //! is resident — the sweep measures latch/shard contention, not disk.
 //!
-//! The artifact (`BENCH_read_scaling.json`) records reads/s per thread
-//! count, speedup vs one reader, and the new concurrency counters
-//! (`latch.optimistic_reads`, `latch.optimistic_retries`,
-//! `buffer.shard_conflicts`, `buffer.singleflight_waits`). [`check`]
+//! The artifact (`BENCH_read-scaling.json`) records reads/s per thread
+//! count, speedup vs one reader, and the concurrency counters
+//! (`latch.optimistic_reads`, `latch.optimistic_retries` and
+//! `buffer.shard_conflicts` as columns, `latch.pessimistic_fallbacks` and
+//! `buffer.singleflight_waits` per row under `params`). [`check`]
 //! (the run's exit status) enforces a conservative ≥1.5x floor at 4
 //! readers only on multi-core runners —
 //! on a single hardware thread the sweep degenerates to time-slicing
 //! (the original experiment's mistake was reading that as a regression).
 
-use std::sync::Arc;
+use immortaldb::{Database, DbConfig, Isolation, Timestamp, Value};
 
-use immortaldb::{Database, DbConfig, Durability, Isolation, Session, SimClock, Timestamp, Value};
-use immortaldb_mobgen::{Generator, Op};
+use immortaldb_chaos::TempDir;
+use immortaldb_mobgen::Generator;
 use immortaldb_obs::MetricsSnapshot;
 
-use crate::harness::print_table;
+use crate::harness::{load_history, sim_clock_db, timed_clients, MOVING_OBJECTS};
+use crate::json::Json;
+use crate::report::{Cell, Report, Table};
 
 /// One thread-count point of the sweep.
 pub struct ScaleRow {
@@ -62,72 +65,38 @@ const BATCH: usize = 64;
 pub fn run(quick: bool) -> ScalingResult {
     let (objects, updates_per_object) = if quick { (64u32, 40u32) } else { (128, 80) };
     let ops_per_reader: u64 = if quick { 4_000 } else { 24_000 };
-    let dir = std::env::temp_dir().join(format!(
-        "immortal-bench-readscale-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .subsec_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("bench-readscale");
     // Pool large enough that the whole history stays resident: the sweep
     // isolates latch and shard-table behaviour, not disk bandwidth.
-    let clock = Arc::new(SimClock::new(1_000_000));
-    let db = Database::open(
-        DbConfig::new(&dir)
-            .pool_pages(8 * 1024)
-            .durability(Durability::Buffered)
-            .clock(clock.clone()),
-    )
-    .expect("open bench db");
-    let mut s = Session::new(&db);
-    s.execute(
-        "CREATE IMMORTAL TABLE MovingObjects \
-         (Oid INT PRIMARY KEY, LocationX INT, LocationY INT)",
-    )
-    .expect("create table");
+    let (db, clock) = sim_clock_db(
+        DbConfig::new(dir.path()).pool_pages(8 * 1024),
+        &format!("CREATE IMMORTAL TABLE {MOVING_OBJECTS}"),
+    );
 
     // Load phase: deep history with distinct commit timestamps.
     let events = Generator::events_exact(0x5CA1E, objects, updates_per_object);
-    let mut commit_ts: Vec<Timestamp> = Vec::with_capacity(events.len());
-    for e in &events {
-        let mut txn = db.begin(Isolation::Serializable);
-        let (oid, x, y) = match e.op {
-            Op::Insert { oid, x, y } | Op::Update { oid, x, y } => (oid, x, y),
-        };
-        let row = vec![Value::Int(oid as i32), Value::Int(x), Value::Int(y)];
-        match e.op {
-            Op::Insert { .. } => db
-                .insert_row(&mut txn, "MovingObjects", row)
-                .expect("insert"),
-            Op::Update { .. } => db
-                .update_row(&mut txn, "MovingObjects", row)
-                .expect("update"),
-        }
-        commit_ts.push(db.commit(&mut txn).expect("commit"));
-        clock.advance(20);
-    }
+    let commit_ts = load_history(&db, &clock, &events);
 
     let m = db.metrics();
+    let counters = || {
+        let (latch, buffer) = (&m.latch, &m.buffer);
+        [
+            latch.optimistic_reads.get(),
+            latch.optimistic_retries.get(),
+            latch.pessimistic_fallbacks.get(),
+            buffer.shard_conflicts.get(),
+            buffer.singleflight_waits.get(),
+        ]
+    };
     let mut rows: Vec<ScaleRow> = Vec::new();
     for readers in [1usize, 2, 4, 8] {
-        let o0 = m.latch.optimistic_reads.get();
-        let r0 = m.latch.optimistic_retries.get();
-        let p0 = m.latch.pessimistic_fallbacks.get();
-        let c0 = m.buffer.shard_conflicts.get();
-        let w0 = m.buffer.singleflight_waits.get();
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for worker in 0..readers {
-                let db = &db;
-                let commit_ts = &commit_ts;
-                scope.spawn(move || {
-                    reader_loop(db, commit_ts, objects, ops_per_reader, worker as u64);
-                });
-            }
+        let before = counters();
+        let (_, elapsed_s) = timed_clients(readers, |w, start| {
+            start.wait();
+            reader_loop(&db, &commit_ts, objects, ops_per_reader, w as u64)
         });
-        let elapsed_s = t0.elapsed().as_secs_f64();
+        let after = counters();
+        let delta = |i: usize| after[i] - before[i];
         let total_reads = ops_per_reader * readers as u64;
         let reads_per_s = total_reads as f64 / elapsed_s;
         let speedup = rows
@@ -140,15 +109,15 @@ pub fn run(quick: bool) -> ScalingResult {
             elapsed_s,
             reads_per_s,
             speedup,
-            optimistic_reads: m.latch.optimistic_reads.get() - o0,
-            optimistic_retries: m.latch.optimistic_retries.get() - r0,
-            pessimistic_fallbacks: m.latch.pessimistic_fallbacks.get() - p0,
-            shard_conflicts: m.buffer.shard_conflicts.get() - c0,
-            singleflight_waits: m.buffer.singleflight_waits.get() - w0,
+            optimistic_reads: delta(0),
+            optimistic_retries: delta(1),
+            pessimistic_fallbacks: delta(2),
+            shard_conflicts: delta(3),
+            singleflight_waits: delta(4),
         });
     }
 
-    let result = ScalingResult {
+    ScalingResult {
         objects,
         updates_per_object,
         ops_per_reader,
@@ -158,10 +127,7 @@ pub fn run(quick: bool) -> ScalingResult {
             .unwrap_or(1),
         rows,
         metrics: db.metrics_snapshot(),
-    };
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+    }
 }
 
 /// One reader thread: alternating batches of current-time point reads
@@ -203,27 +169,27 @@ fn reader_loop(db: &Database, commit_ts: &[Timestamp], objects: u32, ops: u64, s
     db.commit(&mut cur).expect("commit snapshot txn");
 }
 
-pub fn report(r: &ScalingResult) {
-    let rows: Vec<Vec<String>> = r
+pub fn report(r: &ScalingResult) -> Report {
+    let rows = r
         .rows
         .iter()
         .map(|row| {
             vec![
-                format!("{}", row.readers),
-                format!("{:.0}", row.reads_per_s),
-                format!("{:.2}x", row.speedup),
-                format!("{}", row.optimistic_reads),
-                format!("{}", row.optimistic_retries),
-                format!("{}", row.shard_conflicts),
+                row.readers.into(),
+                Cell::fixed(row.reads_per_s, 0),
+                Cell::new(format!("{:.2}x", row.speedup), row.speedup),
+                row.optimistic_reads.into(),
+                row.optimistic_retries.into(),
+                row.shard_conflicts.into(),
             ]
         })
         .collect();
-    print_table(
-        &format!(
+    let table = Table::new(
+        format!(
             "Read scaling: {} objects x {} updates, {} reads/thread, {} shards, {} cores",
             r.objects, r.updates_per_object, r.ops_per_reader, r.shards, r.cores
         ),
-        &[
+        [
             "readers",
             "reads/s",
             "speedup",
@@ -231,15 +197,32 @@ pub fn report(r: &ScalingResult) {
             "opt retries",
             "shard conflicts",
         ],
-        &rows,
+        rows,
     );
-    if r.cores < 4 {
-        println!(
+    let table = if r.cores < 4 {
+        table.note(format!(
             "note: only {} hardware thread(s) — speedup reflects time-slicing, \
              not the latch protocol; the CI floor applies on multi-core runners only",
             r.cores
-        );
-    }
+        ))
+    } else {
+        table
+    };
+    let per_row = |f: fn(&ScaleRow) -> u64| Json::arr(r.rows.iter().map(f));
+    Report::default()
+        .param("objects", r.objects)
+        .param("updates_per_object", r.updates_per_object)
+        .param("ops_per_reader", r.ops_per_reader)
+        .param("shards", r.shards)
+        .param("cores", r.cores)
+        .param(
+            "pessimistic_fallbacks",
+            per_row(|row| row.pessimistic_fallbacks),
+        )
+        .param("singleflight_waits", per_row(|row| row.singleflight_waits))
+        .table(table)
+        .metrics("run", &r.metrics)
+        .floor(check(r))
 }
 
 /// The sweep's floor: no read is dropped, and with at least four
@@ -271,45 +254,4 @@ pub fn check(r: &ScalingResult) -> Result<String, String> {
             "read-scaling: {four:.2}x at 4 readers (floor 1.5x, {cores} cores)"
         )),
     }
-}
-
-pub fn rows_json(rows: &[ScaleRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"readers\":{},\"total_reads\":{},\"elapsed_s\":{:.6},\
-                 \"reads_per_s\":{:.1},\"speedup\":{:.4},\
-                 \"optimistic_reads\":{},\"optimistic_retries\":{},\
-                 \"pessimistic_fallbacks\":{},\"shard_conflicts\":{},\
-                 \"singleflight_waits\":{}}}",
-                r.readers,
-                r.total_reads,
-                r.elapsed_s,
-                r.reads_per_s,
-                r.speedup,
-                r.optimistic_reads,
-                r.optimistic_retries,
-                r.pessimistic_fallbacks,
-                r.shard_conflicts,
-                r.singleflight_waits
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-pub fn result_json(r: &ScalingResult, quick: bool) -> String {
-    format!(
-        "{{\"figure\":\"read_scaling\",\"quick\":{quick},\"objects\":{},\
-         \"updates_per_object\":{},\"ops_per_reader\":{},\"shards\":{},\
-         \"cores\":{},\"rows\":{},\"metrics\":{}}}\n",
-        r.objects,
-        r.updates_per_object,
-        r.ops_per_reader,
-        r.shards,
-        r.cores,
-        rows_json(&r.rows),
-        r.metrics.to_json()
-    )
 }

@@ -18,13 +18,15 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use immortaldb::{Database, DbConfig, Durability, Session};
+use immortaldb_chaos::TempDir;
 use immortaldb_net::{Client, Server, ServerConfig};
 use immortaldb_repl::{Replica, ReplicaConfig};
 
-use crate::harness::print_table;
+use crate::harness::{now_ms, summarize, timed_clients};
+use crate::report::{Cell, Report, Table};
 
 const ROWS: i64 = 256;
 
@@ -35,46 +37,19 @@ pub struct ReplRow {
     /// Total readers (a fixed pool per read endpoint).
     pub readers: usize,
     pub reads: u64,
-    pub secs: f64,
+    /// Reads per second over the measured window.
+    pub throughput: f64,
     pub p50_us: u64,
     pub p99_us: u64,
     /// Writes the primary absorbed during the measured window.
     pub writes: u64,
 }
 
-impl ReplRow {
-    pub fn throughput(&self) -> f64 {
-        self.reads as f64 / self.secs
-    }
-}
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("immortal-bench-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_millis() as u64
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx]
-}
-
 fn run_one(replicas: usize, readers_per_endpoint: usize, reads_per_reader: u64) -> ReplRow {
-    let dir = scratch_dir(&format!("{replicas}r"));
+    let dir = TempDir::new("bench-repl");
     let db = Arc::new(
         Database::open(
-            DbConfig::new(&dir)
+            DbConfig::new(dir.path())
                 .pool_pages(4 * 1024)
                 .durability(Durability::Buffered),
         )
@@ -100,14 +75,14 @@ fn run_one(replicas: usize, readers_per_endpoint: usize, reads_per_reader: u64) 
     .expect("start primary server");
     let primary_addr = server.local_addr().to_string();
 
+    let replica_dirs: Vec<TempDir> = (0..replicas)
+        .map(|_| TempDir::new("bench-replica"))
+        .collect();
     let mut followers = Vec::new();
     let mut endpoints = Vec::new();
-    for i in 0..replicas {
-        let r = Replica::start(ReplicaConfig::new(
-            scratch_dir(&format!("{replicas}r-replica{i}")),
-            primary_addr.clone(),
-        ))
-        .expect("start replica");
+    for dir in &replica_dirs {
+        let r = Replica::start(ReplicaConfig::new(dir.path(), primary_addr.clone()))
+            .expect("start replica");
         let srv = Server::start(
             Arc::clone(r.db()),
             ServerConfig::new("127.0.0.1:0").workers(readers_per_endpoint),
@@ -141,65 +116,43 @@ fn run_one(replicas: usize, readers_per_endpoint: usize, reads_per_reader: u64) 
         })
     };
 
-    // Connect the per-endpoint reader pools before the clock starts.
-    let mut conns: Vec<Client> = (0..readers)
-        .map(|r| Client::connect(&endpoints[r % endpoints.len()]).expect("reader connect"))
-        .collect();
-    let start = std::sync::Barrier::new(readers + 1);
-    let (results, secs): (Vec<Vec<u64>>, f64) = std::thread::scope(|scope| {
-        let start = &start;
-        let handles: Vec<_> = conns
-            .drain(..)
-            .enumerate()
-            .map(|(w, mut c)| {
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(reads_per_reader as usize);
-                    start.wait();
-                    for i in 0..reads_per_reader {
-                        let k = (w as u64 * 31 + i) as i64 % ROWS;
-                        let t0 = Instant::now();
-                        c.begin_as_of_ms(now_ms()).expect("begin as of");
-                        // A full historical scan plus a point read: enough
-                        // server-side work per request that the endpoint's
-                        // capacity — not the client round trip — is what
-                        // the sweep measures.
-                        c.query("SELECT * FROM kv").expect("as of scan");
-                        c.query(&format!("SELECT * FROM kv WHERE k = {k}"))
-                            .expect("as of read");
-                        c.commit().expect("close as of");
-                        lat.push(t0.elapsed().as_micros() as u64);
-                    }
-                    lat
-                })
-            })
-            .collect();
+    // Each reader connects to its endpoint before the clock starts.
+    let (results, secs) = timed_clients(readers, |w, start| {
+        let mut c = Client::connect(&endpoints[w % endpoints.len()]).expect("reader connect");
+        let mut lat = Vec::with_capacity(reads_per_reader as usize);
         start.wait();
-        let t0 = Instant::now();
-        let results = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (results, t0.elapsed().as_secs_f64())
+        for i in 0..reads_per_reader {
+            let k = (w as u64 * 31 + i) as i64 % ROWS;
+            let t0 = Instant::now();
+            c.begin_as_of_ms(now_ms()).expect("begin as of");
+            // A full historical scan plus a point read: enough
+            // server-side work per request that the endpoint's
+            // capacity — not the client round trip — is what
+            // the sweep measures.
+            c.query("SELECT * FROM kv").expect("as of scan");
+            c.query(&format!("SELECT * FROM kv WHERE k = {k}"))
+                .expect("as of read");
+            c.commit().expect("close as of");
+            lat.push(t0.elapsed().as_micros() as u64);
+        }
+        lat
     });
 
     stop.store(true, Ordering::Relaxed);
     let writes = writer.join().expect("writer join");
 
-    let mut latencies: Vec<u64> = results.into_iter().flatten().collect();
-    latencies.sort_unstable();
-    let reads = latencies.len() as u64;
-    let p50_us = percentile(&latencies, 0.50);
-    let p99_us = percentile(&latencies, 0.99);
+    let (reads, p50_us, p99_us) = summarize(results.concat());
 
     for (r, srv) in followers {
         srv.shutdown().expect("replica server shutdown");
         r.stop();
     }
     server.shutdown().expect("primary shutdown");
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
     ReplRow {
         replicas,
         readers,
         reads,
-        secs,
+        throughput: reads as f64 / secs,
         p50_us,
         p99_us,
         writes,
@@ -218,24 +171,24 @@ pub fn run(quick: bool) -> Vec<ReplRow> {
         .collect()
 }
 
-pub fn report(rows: &[ReplRow]) {
-    let table: Vec<Vec<String>> = rows
+pub fn report(rows: &[ReplRow]) -> Report {
+    let cells = rows
         .iter()
         .map(|r| {
             vec![
-                r.replicas.to_string(),
-                r.readers.to_string(),
-                r.reads.to_string(),
-                format!("{:.0}", r.throughput()),
-                r.p50_us.to_string(),
-                r.p99_us.to_string(),
-                r.writes.to_string(),
+                r.replicas.into(),
+                r.readers.into(),
+                r.reads.into(),
+                Cell::fixed(r.throughput, 0),
+                r.p50_us.into(),
+                r.p99_us.into(),
+                r.writes.into(),
             ]
         })
         .collect();
-    print_table(
+    let table = Table::new(
         "repl — AS OF read fan-out across WAL-shipped replicas",
-        &[
+        [
             "replicas",
             "readers",
             "reads",
@@ -244,37 +197,16 @@ pub fn report(rows: &[ReplRow]) {
             "p99 us",
             "writes absorbed",
         ],
-        &table,
+        cells,
     );
-    if let (Some(one), Some(two)) = (
-        rows.iter().find(|r| r.replicas == 1),
-        rows.iter().find(|r| r.replicas == 2),
-    ) {
-        println!(
+    let one = rows.iter().find(|r| r.replicas == 1);
+    let table = match (one, rows.iter().find(|r| r.replicas == 2)) {
+        (Some(one), Some(two)) => table.note(format!(
             "  2 replicas: {:.0} reads/s = {:.2}x of 1 replica",
-            two.throughput(),
-            two.throughput() / one.throughput()
-        );
-    }
-}
-
-pub fn rows_json(rows: &[ReplRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"replicas\":{},\"readers\":{},\"reads\":{},\"secs\":{:.6},\
-                 \"reads_per_sec\":{:.1},\"p50_us\":{},\"p99_us\":{},\"writes\":{}}}",
-                r.replicas,
-                r.readers,
-                r.reads,
-                r.secs,
-                r.throughput(),
-                r.p50_us,
-                r.p99_us,
-                r.writes
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+            two.throughput,
+            two.throughput / one.throughput
+        )),
+        _ => table,
+    };
+    Report::default().table(table)
 }

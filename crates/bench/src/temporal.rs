@@ -17,13 +17,14 @@
 //! The artifact records page fetches for both; the walk must come out
 //! ≥5x cheaper ([`check`], the run's exit status).
 
-use std::sync::Arc;
+use immortaldb::{DbConfig, Timestamp};
 
-use immortaldb::{Database, DbConfig, Durability, Isolation, Session, SimClock, Timestamp, Value};
-use immortaldb_mobgen::{Generator, Op};
+use immortaldb_chaos::TempDir;
+use immortaldb_mobgen::Generator;
 use immortaldb_obs::MetricsSnapshot;
 
-use crate::harness::print_table;
+use crate::harness::{load_history, sim_clock_db, MOVING_OBJECTS};
+use crate::report::{Cell, Report, Table};
 
 pub struct TemporalResult {
     pub objects: u32,
@@ -50,53 +51,18 @@ impl TemporalResult {
 
 pub fn run(quick: bool) -> TemporalResult {
     let (objects, updates_per_object) = if quick { (100, 100) } else { (200, 120) };
-    let dir = std::env::temp_dir().join(format!(
-        "immortal-bench-temporal-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .subsec_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("bench-temporal");
     // Small pool (512 KiB): historical pages are not resident, every
     // page the two strategies touch is a real fetch. SimClock advances
     // one tick per commit so commit times are dense and distinct.
-    let clock = Arc::new(SimClock::new(1_000_000));
-    let db = Database::open(
-        DbConfig::new(&dir)
-            .pool_pages(64)
-            .durability(Durability::Buffered)
-            .clock(clock.clone()),
-    )
-    .expect("open bench db");
-    let mut s = Session::new(&db);
-    s.execute(
-        "CREATE IMMORTAL TABLE MovingObjects \
-         (Oid INT PRIMARY KEY, LocationX INT, LocationY INT) USING TSB",
-    )
-    .expect("create table");
+    let (db, clock) = sim_clock_db(
+        DbConfig::new(dir.path()).pool_pages(64),
+        &format!("CREATE IMMORTAL TABLE {MOVING_OBJECTS} USING TSB"),
+    );
 
     // Load phase, recording every commit timestamp.
     let events = Generator::events_exact(0x7E3A, objects, updates_per_object);
-    let mut commit_ts: Vec<Timestamp> = Vec::with_capacity(events.len());
-    for e in &events {
-        let mut txn = db.begin(Isolation::Serializable);
-        let (oid, x, y) = match e.op {
-            Op::Insert { oid, x, y } | Op::Update { oid, x, y } => (oid, x, y),
-        };
-        let row = vec![Value::Int(oid as i32), Value::Int(x), Value::Int(y)];
-        match e.op {
-            Op::Insert { .. } => db
-                .insert_row(&mut txn, "MovingObjects", row)
-                .expect("insert"),
-            Op::Update { .. } => db
-                .update_row(&mut txn, "MovingObjects", row)
-                .expect("update"),
-        }
-        commit_ts.push(db.commit(&mut txn).expect("commit"));
-        clock.advance(20);
-    }
+    let commit_ts = load_history(&db, &clock, &events);
 
     // Measured window: the middle ~2% of history — deep enough that its
     // pages are long since evicted, small enough that per-tick replay
@@ -133,7 +99,7 @@ pub fn run(quick: bool) -> TemporalResult {
     let replay_ms = t1.elapsed().as_secs_f64() * 1e3;
     let replay_fetches = m.buffer.fetches.get() - f1;
 
-    let result = TemporalResult {
+    TemporalResult {
         objects,
         updates_per_object,
         window_commits: window,
@@ -144,39 +110,46 @@ pub fn run(quick: bool) -> TemporalResult {
         walk_ms,
         replay_ms,
         metrics: db.metrics_snapshot(),
-    };
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
+    }
 }
 
-pub fn report(r: &TemporalResult) {
+pub fn report(r: &TemporalResult) -> Report {
     let rows = vec![
         vec![
-            "VERSIONS BETWEEN range walk".to_string(),
-            format!("{}", r.walk_fetches),
-            format!("{:.2}", r.walk_ms),
+            "VERSIONS BETWEEN range walk".into(),
+            r.walk_fetches.into(),
+            Cell::fixed(r.walk_ms, 2),
         ],
         vec![
-            format!("AS OF replay x{}", r.window_commits),
-            format!("{}", r.replay_fetches),
-            format!("{:.2}", r.replay_ms),
+            format!("AS OF replay x{}", r.window_commits).into(),
+            r.replay_fetches.into(),
+            Cell::fixed(r.replay_ms, 2),
         ],
     ];
-    print_table(
-        &format!(
+    let table = Table::new(
+        format!(
             "Temporal sweep: {} objects x {} updates, {}-commit window, {} versions",
             r.objects, r.updates_per_object, r.window_commits, r.versions
         ),
-        &["strategy", "page fetches", "ms"],
-        &rows,
-    );
-    println!(
+        ["strategy", "page fetches", "ms"],
+        rows,
+    )
+    .note(format!(
         "range walk visited {} distinct TSB pages; replay fetched {:.1}x more pages \
          (acceptance floor: 5x)",
         r.walk_pages,
         r.fetch_ratio()
-    );
+    ));
+    Report::default()
+        .param("objects", r.objects)
+        .param("updates_per_object", r.updates_per_object)
+        .param("window_commits", r.window_commits)
+        .param("versions", r.versions)
+        .param("walk_pages", r.walk_pages)
+        .param("fetch_ratio", r.fetch_ratio())
+        .table(table)
+        .metrics("run", &r.metrics)
+        .floor(check(r))
 }
 
 /// The acceptance floor: the walk returns versions and reads at least 5x
@@ -195,25 +168,4 @@ pub fn check(r: &TemporalResult) -> Result<String, String> {
             r.walk_fetches, r.replay_fetches
         ))
     }
-}
-
-pub fn result_json(r: &TemporalResult, quick: bool) -> String {
-    format!(
-        "{{\"figure\":\"temporal\",\"quick\":{quick},\"objects\":{},\
-         \"updates_per_object\":{},\"window_commits\":{},\"versions\":{},\
-         \"walk_fetches\":{},\"replay_fetches\":{},\"walk_pages\":{},\
-         \"fetch_ratio\":{:.2},\"walk_ms\":{:.4},\"replay_ms\":{:.4},\
-         \"metrics\":{}}}\n",
-        r.objects,
-        r.updates_per_object,
-        r.window_commits,
-        r.versions,
-        r.walk_fetches,
-        r.replay_fetches,
-        r.walk_pages,
-        r.fetch_ratio(),
-        r.walk_ms,
-        r.replay_ms,
-        r.metrics.to_json()
-    )
 }

@@ -1,7 +1,6 @@
-//! Point-in-time snapshots of the metric tree, with stable names and
-//! text / JSON rendering. JSON is hand-rolled — the crate is
-//! dependency-free and the value space is only integers, floats and
-//! strings.
+//! Point-in-time snapshots of the metric tree, with stable names and a
+//! text rendering. The fields are public, so a consumer that wants
+//! another format (the bench's JSON artifacts) serializes them itself.
 
 use crate::MetricsRegistry;
 
@@ -360,42 +359,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// JSON object: scalars as integers, `buffer.hit_rate` as a float,
-    /// histograms as objects with a bucket array.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, value) in &self.scalars {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{name}\":{value}"));
-        }
-        out.push_str(&format!(
-            ",\"buffer.hit_rate\":{:.6}",
-            self.buffer_hit_rate()
-        ));
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                ",\"{name}\":{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.1},\"buckets\":[",
-                h.count,
-                h.sum,
-                h.max,
-                h.mean()
-            ));
-            for (i, (bound, n)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{bound},{n}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -448,7 +411,7 @@ mod tests {
         assert_eq!(s.get("repl.bytes_shipped"), Some(0));
         assert_eq!(s.get("repl.horizon_ms"), Some(12_345));
         assert_eq!(s.get("repl.applied_lsn"), Some(512));
-        assert!(s.to_json().contains("\"repl.reconnects\":0"));
+        assert_eq!(s.get("repl.reconnects"), Some(0));
     }
 
     #[test]
@@ -542,17 +505,12 @@ mod tests {
     }
 
     #[test]
-    fn text_and_json_render() {
+    fn text_renders() {
         let r = MetricsRegistry::new();
         r.locks.acquired_x.add(3);
         r.locks.wait_ns.observe(5);
         let s = r.snapshot();
         let text = s.to_text();
         assert!(text.contains("locks.acquired.x"));
-        let json = s.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"locks.acquired.x\":3"));
-        assert!(json.contains("\"locks.wait_ns\":{\"count\":1"));
-        assert!(json.contains("\"buckets\":[[8,1]]"));
     }
 }
