@@ -34,10 +34,7 @@ pub(crate) fn commit_db(dir: &TempDir, grouped: bool) -> Database {
         DbConfig::new(dir.path())
             .pool_pages(4 * 1024)
             .durability(Durability::Fsync)
-            .group_commit(GroupCommitConfig {
-                enabled: grouped,
-                ..GroupCommitConfig::default()
-            }),
+            .group_commit(GroupCommitConfig { enabled: grouped }),
     )
     .expect("open bench db");
     Session::new(&db)

@@ -26,7 +26,7 @@
 //! |---|---|---|---|
 //! | [`get_as_of`](VersionCursor::get_as_of) | one | instant | first governing version, stop |
 //! | [`scan_as_of`](VersionCursor::scan_as_of) / `scan_current` | range | instant / `MAX` | first governing version per key |
-//! | [`versions_by_key`](VersionCursor::versions_by_key) / `versions_between` | range | window | collect per key / all |
+//! | [`versions_by_key`](VersionCursor::versions_by_key) | range | window | collect per key |
 //! | [`history_of`](VersionCursor::history_of) | one | all time, uncommitted | collect |
 //! | [`head_version`](VersionCursor::head_version) | one | `MAX`, uncommitted | first version, stop |
 
@@ -228,7 +228,7 @@ pub struct HistoryVersion {
 }
 
 /// One committed version emitted by a time-range scan
-/// (`versions_between`). Uncommitted versions never appear.
+/// (`versions_by_key`). Uncommitted versions never appear.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemporalVersion {
     pub key: Vec<u8>,
@@ -307,25 +307,9 @@ pub trait VersionCursor {
 
     /// Every committed version of `keys` with a timestamp in `(lo, hi]`
     /// plus each key's state at `lo` (its newest version at or below
-    /// `lo`, the *base*): key-ascending, oldest first within a key.
-    fn versions_between(
-        &self,
-        keys: KeyRange<'_>,
-        lo: Timestamp,
-        hi: Timestamp,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<TemporalVersion>> {
-        let mut out = Vec::new();
-        self.versions_by_key(keys, lo, hi, resolver, &mut |group| {
-            out.append(group);
-            Ok(Flow::Continue)
-        })?;
-        Ok(out)
-    }
-
-    /// [`Self::versions_between`] one key at a time: `visit` is handed
-    /// each key's versions (oldest first, base included) and may take
-    /// them; [`Flow::Stop`] ends the walk after that key.
+    /// `lo`, the *base*), one key at a time, key-ascending: `visit` is
+    /// handed each key's versions (oldest first, base included) and may
+    /// take them; [`Flow::Stop`] ends the walk after that key.
     fn versions_by_key(
         &self,
         keys: KeyRange<'_>,

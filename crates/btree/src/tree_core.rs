@@ -138,13 +138,9 @@ impl TreeCore {
         tree_id: TreeId,
         split_time: Arc<dyn SplitTimeSource>,
     ) -> Result<TreeCore> {
-        let root = {
-            let meta_frame = pool.fetch(PageId(0))?;
-            let g = meta_frame.read();
-            MetaView::tree_root(&g, tree_id)
-                .ok_or_else(|| Error::Catalog(format!("{tree_id:?} not found")))?
-        };
-        Ok(Self::handle(pool, wal, tree_id, root, split_time))
+        let core = Self::handle(pool, wal, tree_id, PageId(0), split_time);
+        core.reload_root()?;
+        Ok(core)
     }
 
     fn handle(
@@ -175,6 +171,17 @@ impl TreeCore {
 
     pub fn root(&self) -> PageId {
         PageId(self.root.load(Ordering::SeqCst))
+    }
+
+    /// Re-read the root from the meta page. A replica's redo installs the
+    /// root splits its primary made without going through
+    /// [`Self::install`], so its handles pick the new root up here.
+    pub fn reload_root(&self) -> Result<()> {
+        let meta = self.pool.fetch(PageId(0))?;
+        let root = MetaView::tree_root(&meta.read(), self.tree_id)
+            .ok_or_else(|| Error::Catalog(format!("{:?} not found", self.tree_id)))?;
+        self.root.store(root.0, Ordering::SeqCst);
+        Ok(())
     }
 
     /// `(time splits, key splits)` of leaves since this handle was built.
@@ -528,6 +535,9 @@ pub trait TemporalIndex: VersionCursor + Send + Sync {
     /// `(time splits, key splits)` of leaves since this handle was built.
     fn split_counts(&self) -> (u32, u32);
 
+    /// Follow a root change that redo installed ([`TreeCore::reload_root`]).
+    fn reload_root(&self) -> Result<()>;
+
     /// Insert a new record version (§3.2). Fails with
     /// [`Error::DuplicateKey`] if a live (non-deleted) committed or own
     /// version exists. Returns the LSN of the logged operation for the
@@ -623,6 +633,10 @@ impl<R: Routing + VersionCursor> TemporalIndex for R {
 
     fn split_counts(&self) -> (u32, u32) {
         self.core().split_counts()
+    }
+
+    fn reload_root(&self) -> Result<()> {
+        self.core().reload_root()
     }
 
     fn insert(

@@ -10,8 +10,8 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use immortaldb_btree::{
-    BTree, CompactionStats, Flow, HeadVersion, HistoryStats, KeyRange, KeyVisitor, Query,
-    SplitTimeSource, TemporalVersion,
+    BTree, CompactionStats, Flow, HeadVersion, HistoryStats, KeyVisitor, Query, SplitTimeSource,
+    TemporalVersion,
 };
 use immortaldb_common::{
     blocking, Clock, Error, Lsn, PageId, Result, SystemClock, Tid, Timestamp, TreeId, NULL_LSN,
@@ -239,6 +239,11 @@ fn compaction_pass(trees: &[TableIndex], metrics: &MetricsRegistry) -> Result<Co
     Ok(stats)
 }
 
+/// Keys a statement that writes many (`UPDATE`, `DELETE`, `RESTORE
+/// TABLE`) gathers per cursor walk, and writes before it walks on: the
+/// most rows such a statement holds at once.
+pub const WRITE_CHUNK: usize = 128;
+
 /// Base of the TID range replicas hand to their (read-only) local
 /// transactions, far above anything a primary will ever assign — a
 /// replica reader's VTT entry must never shadow a shipped transaction's
@@ -365,39 +370,13 @@ impl Database {
         ));
         pool.set_flush_hook(Arc::new(StampingFlushHook::new(Arc::clone(&resolver))));
 
-        // Load the catalog and open one tree handle per table.
-        let mut tables = HashMap::new();
+        // The system trees; the catalog's tables join them below.
         let mut trees: HashMap<TreeId, TableIndex> = HashMap::new();
         trees.insert(TreeId::PTT, TableIndex::Chain(Arc::clone(ptt.tree())));
         trees.insert(
             TreeId::CATALOG,
             TableIndex::Chain(Arc::clone(&catalog_tree)),
         );
-        let mut max_tree = TreeId::FIRST_USER.0;
-        let mut named_snapshots = HashMap::new();
-        for item in catalog_tree.u_scan()? {
-            if item.key.first() == Some(&SNAPSHOT_KEY_PREFIX) {
-                let snap = SnapshotDef::decode(&item.data)?;
-                named_snapshots.insert(snap.name.clone(), snap);
-                continue;
-            }
-            let name = String::from_utf8(item.key.clone())
-                .map_err(|_| Error::Corruption("non-UTF8 table name".into()))?;
-            let def = Arc::new(TableDef::decode(&name, &item.data)?);
-            let handle = TableIndex::build(
-                &def,
-                false,
-                &pool,
-                &wal,
-                &split_time,
-                config.history_packing,
-            )?;
-            trees.insert(def.tree, handle);
-            max_tree = max_tree.max(def.tree.0 + 1);
-            tables.insert(name, def);
-        }
-
-        metrics.temporal.snapshots.set(named_snapshots.len() as u64);
 
         let gc = PttGc::new(Arc::clone(&vtt), Arc::clone(&ptt));
         let db = Database {
@@ -414,11 +393,11 @@ impl Database {
                 metrics.clone(),
             )),
             catalog_tree,
-            tables: RwLock::new(tables),
-            named_snapshots: RwLock::new(named_snapshots),
+            tables: RwLock::new(HashMap::new()),
+            named_snapshots: RwLock::new(HashMap::new()),
             trees: Arc::new(RwLock::new(trees)),
             next_tid: AtomicU64::new(next_tid),
-            next_tree: AtomicU32::new(max_tree),
+            next_tree: AtomicU32::new(TreeId::FIRST_USER.0),
             next_session: AtomicU64::new(1),
             active: Mutex::new(HashMap::new()),
             snapshots: Mutex::new(std::collections::BTreeMap::new()),
@@ -432,6 +411,8 @@ impl Database {
             compactor: None,
             recovered_losers: 0,
         };
+        // Open one tree handle per table the catalog holds.
+        db.refresh_catalog()?;
 
         if replica {
             // No undo: transactions open at the end of the shipped prefix
@@ -1216,7 +1197,7 @@ impl Database {
         let def = self.table(table)?;
         let bounds = PkBounds::point(&def.schema, pk)?;
         let mut row = None;
-        self.visit_table_rows(txn, &def, &bounds, &mut |_, r| {
+        self.visit_rows(txn, &def, &bounds, &mut |_, r| {
             row = Some(std::mem::take(r));
             Ok(Flow::Continue)
         })?;
@@ -1224,28 +1205,18 @@ impl Database {
     }
 
     /// Full-table scan (current, snapshot, or AS OF depending on the
-    /// transaction).
+    /// transaction), collected.
     pub fn scan_rows(&self, txn: &mut Transaction, table: &str) -> Result<Vec<Vec<Value>>> {
-        self.scan_rows_in(txn, table, &PkBounds::all())
-    }
-
-    /// The rows of `table` visible to `txn` whose primary key lies in
-    /// `bounds`, key-ordered.
-    pub fn scan_rows_in(
-        &self,
-        txn: &mut Transaction,
-        table: &str,
-        bounds: &PkBounds,
-    ) -> Result<Vec<Vec<Value>>> {
+        let def = self.table(table)?;
         let mut rows = Vec::new();
-        self.visit_rows(txn, table, bounds, &mut |_, r| {
+        self.visit_rows(txn, &def, &PkBounds::all(), &mut |_, r| {
             rows.push(std::mem::take(r));
             Ok(Flow::Continue)
         })?;
         Ok(rows)
     }
 
-    /// Feed `visit` every row of `table` visible to `txn` (current,
+    /// Feed `visit` every row of `def` visible to `txn` (current,
     /// snapshot, or AS OF depending on the transaction) whose primary key
     /// lies in `bounds`, key-ordered, until it answers [`Flow::Stop`].
     /// Each record is decoded where the index cursor stands on it, into
@@ -1256,17 +1227,6 @@ impl Database {
     /// [`PkBounds::resume_after`] the last key it saw — the transaction's
     /// snapshot, AS OF instant or scan lock make the two calls one scan.
     pub fn visit_rows(
-        &self,
-        txn: &mut Transaction,
-        table: &str,
-        bounds: &PkBounds,
-        visit: &mut RowVisitor<'_>,
-    ) -> Result<()> {
-        let def = self.table(table)?;
-        self.visit_table_rows(txn, &def, bounds, visit)
-    }
-
-    pub(crate) fn visit_table_rows(
         &self,
         txn: &mut Transaction,
         def: &TableDef,
@@ -1392,47 +1352,40 @@ impl Database {
             .collect()
     }
 
-    /// `SELECT … VERSIONS BETWEEN`: every committed version of `table`
-    /// whose timestamp falls in `[lo, hi]`, key-ascending then
-    /// timestamp-ascending, delete tombstones included.
+    /// Every committed version of `table` whose timestamp falls in
+    /// `[lo, hi]`, key-ascending then timestamp-ascending, delete
+    /// tombstones included: `SELECT … VERSIONS BETWEEN`, collected.
     pub fn versions_between(
         &self,
         table: &str,
         lo: Timestamp,
         hi: Timestamp,
     ) -> Result<Vec<TemporalVersion>> {
-        self.versions_between_in(table, &PkBounds::all(), lo, hi)
-    }
-
-    /// [`Self::versions_between`] for the primary keys in `bounds` only.
-    /// Executes as one key × time cursor walk: the TSB-tree prunes its
-    /// rectangles on both dimensions, the chain index reads only the
-    /// covering leaves' chain pages that intersect the window. It is not
-    /// a replay of per-timestamp AS OF lookups, and its cost does not
-    /// depend on the keys outside `bounds`.
-    pub fn versions_between_in(
-        &self,
-        table: &str,
-        bounds: &PkBounds,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> Result<Vec<TemporalVersion>> {
         let (def, lo, hi) = self.temporal_window(table, lo, hi)?;
+        let returned = &self.metrics().temporal.versions_returned;
         let mut out = Vec::new();
-        self.visit_versions(&def, bounds, lo, hi, &mut |group| {
+        self.visit_versions(&def, &PkBounds::all(), lo, hi, &mut |group| {
+            group.retain(|v| v.ts >= lo);
+            returned.add(group.len() as u64);
             out.append(group);
             Ok(Flow::Continue)
         })?;
         Ok(out)
     }
 
-    /// The streaming form of [`Self::versions_between_in`], over a window
-    /// [`Self::temporal_window`] has already clamped: `visit` gets the
-    /// window's versions one key at a time (oldest first; it may take
-    /// them) until it answers [`Flow::Stop`], and resumes like
-    /// [`Self::visit_rows`]. The window is resolved once per statement,
-    /// not here, because the horizon it is clamped to moves.
-    pub(crate) fn visit_versions(
+    /// The temporal walk behind `VERSIONS BETWEEN`, `DIFF TABLE` and
+    /// `RESTORE TABLE`, over a window [`Self::temporal_window`] has
+    /// already clamped: `visit` gets the versions of `bounds` one key at a
+    /// time, oldest first (it may take them), until it answers
+    /// [`Flow::Stop`], and resumes like [`Self::visit_rows`]. A key's
+    /// group starts with its *base*, its state at `lo`, when it has one;
+    /// the base lies inside the window only if it committed at `lo`
+    /// itself. Executes as one key × time cursor walk: the TSB-tree
+    /// prunes its rectangles on both dimensions, the chain index reads
+    /// only the covering leaves' chain pages that intersect the window.
+    /// The window is resolved once per statement, not here, because the
+    /// horizon it is clamped to moves.
+    pub fn visit_versions(
         &self,
         def: &TableDef,
         bounds: &PkBounds,
@@ -1442,58 +1395,7 @@ impl Database {
     ) -> Result<()> {
         self.count_pushdown(bounds);
         let handle = self.tree_handle(def.tree)?;
-        let keys = bounds.as_range();
-        handle.versions_by_key(keys, lo, hi, self.resolver.as_ref(), &mut |group| {
-            // The walk carries each key's state at `lo` (DIFF's before-
-            // state); it is in the window only if it committed at `lo`.
-            group.retain(|v| v.ts >= lo);
-            if group.is_empty() {
-                return Ok(Flow::Continue);
-            }
-            let m = &self.metrics().temporal;
-            m.versions_returned.add(group.len() as u64);
-            visit(group)
-        })
-    }
-
-    /// `DIFF TABLE … BETWEEN t1 AND t2`: the net change set between the
-    /// table's states at the two instants, folded from the same cursor
-    /// walk `VERSIONS BETWEEN` uses.
-    pub fn diff_table(&self, table: &str, t1: Timestamp, t2: Timestamp) -> Result<Vec<DiffRow>> {
-        self.diff_table_in(table, &PkBounds::all(), t1, t2)
-    }
-
-    /// [`Self::diff_table`] for the primary keys in `bounds` only.
-    pub fn diff_table_in(
-        &self,
-        table: &str,
-        bounds: &PkBounds,
-        t1: Timestamp,
-        t2: Timestamp,
-    ) -> Result<Vec<DiffRow>> {
-        let (versions, t1) = self.window_versions(table, bounds, t1, t2)?;
-        let out = temporal::fold_diff(&versions, t1);
-        self.metrics().temporal.diff_rows.add(out.len() as u64);
-        Ok(out)
-    }
-
-    /// The cursor walk behind the temporal read surface: the versions of
-    /// `bounds` committed in `(lo, hi]` plus each key's state at `lo`,
-    /// after [`Self::temporal_window`] validated and clamped the window.
-    /// Also returns the effective `lo`.
-    fn window_versions(
-        &self,
-        table: &str,
-        bounds: &PkBounds,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> Result<(Vec<TemporalVersion>, Timestamp)> {
-        let (def, lo, hi) = self.temporal_window(table, lo, hi)?;
-        self.count_pushdown(bounds);
-        let handle = self.tree_handle(def.tree)?;
-        let versions =
-            handle.versions_between(bounds.as_range(), lo, hi, self.resolver.as_ref())?;
-        Ok((versions, lo))
+        handle.versions_by_key(bounds.as_range(), lo, hi, self.resolver.as_ref(), visit)
     }
 
     /// Shared validation for the temporal read surface: the table must
@@ -1501,7 +1403,7 @@ impl Database {
     /// to the visibility horizon — on a replica that is the replication
     /// horizon, so a follower answers from the history it has instead
     /// of erroring, mirroring `BEGIN TRAN AS OF` clamping.
-    pub(crate) fn temporal_window(
+    pub fn temporal_window(
         &self,
         table: &str,
         lo: Timestamp,
@@ -1676,6 +1578,11 @@ impl Database {
                 }
                 records += 1;
             }
+            // Redo bypasses the trees' own root bookkeeping: re-read every
+            // root (the catalog's too) before anything descends from one.
+            for handle in self.trees.read().values() {
+                handle.reload_root()?;
+            }
             self.refresh_catalog()?;
             let metrics = self.metrics();
             metrics.repl.records_applied.add(records);
@@ -1687,9 +1594,10 @@ impl Database {
         Ok(records)
     }
 
-    /// Pick up tables the primary created (or converted with
-    /// `ENABLE SNAPSHOT`) since the catalog was last scanned, opening
-    /// local tree handles for them.
+    /// Load the catalog: open a tree handle for every table not open yet
+    /// (at open, all of them; on a replica, those the primary created or
+    /// converted with `ENABLE SNAPSHOT` since the last scan), and read the
+    /// named snapshots afresh.
     fn refresh_catalog(&self) -> Result<()> {
         // Rebuilt from scratch each refresh: a snapshot the primary
         // dropped must disappear here too.
@@ -1709,8 +1617,8 @@ impl Database {
                 }
             }
             let handle = self.build_index(&def, false)?;
-            // Keep next_tree above everything the primary has allocated
-            // (only relevant if this replica is ever promoted).
+            // Keep next_tree above every tree allocated (on a replica:
+            // by the primary, which matters if it is ever promoted).
             self.next_tree.fetch_max(def.tree.0 + 1, Ordering::SeqCst);
             self.trees.write().insert(def.tree, handle);
             self.tables.write().insert(name, def);
@@ -1755,35 +1663,51 @@ impl Database {
         as_of: Timestamp,
     ) -> Result<usize> {
         self.ensure_writable(txn)?;
-        let handle = self.tree_handle(def.tree)?;
-        // Whole-table lock: the diff and the writes must see one state.
+        // Whole-table lock: the walks and the writes must see one state.
         self.locks.lock_scan(txn.tid, def.tree)?;
-        // Restoring is undoing the net change since `as_of`: one window
-        // walk from then to now, folded like DIFF, applied in reverse.
-        let versions = handle.versions_between(
-            KeyRange::ALL,
-            as_of,
-            Timestamp::MAX,
-            self.resolver.as_ref(),
-        )?;
-        let changes = temporal::fold_diff(&versions, as_of);
-        for change in &changes {
-            match &change.before {
-                None => {
-                    let pk = crate::row::decode_key(&change.key)?;
-                    self.delete_row(txn, &def.name, &pk)?;
-                }
-                Some(then) => {
-                    let values = def.schema.decode_row(then)?;
-                    if change.op == DiffOp::Delete {
-                        self.insert_row(txn, &def.name, values)?;
-                    } else {
-                        self.update_row(txn, &def.name, values)?;
+        // Restoring is undoing the net change since `as_of`: a window
+        // walk from then to now, folded like DIFF, applied in reverse
+        // one chunk of keys at a time. The walk reads committed versions
+        // only, so the restore's own writes never feed it back.
+        let mut n = 0;
+        let mut changes: Vec<DiffRow> = Vec::new();
+        PkBounds::all().chunked(|bounds| {
+            self.visit_versions(def, bounds, as_of, Timestamp::MAX, &mut |group| {
+                if let Some(change) = temporal::fold_diff(std::mem::take(group), as_of) {
+                    changes.push(change);
+                    if changes.len() == WRITE_CHUNK {
+                        return Ok(Flow::Stop);
                     }
+                }
+                Ok(Flow::Continue)
+            })?;
+            let last = (changes.len() == WRITE_CHUNK).then(|| changes[WRITE_CHUNK - 1].key.clone());
+            n += changes.len();
+            for change in changes.drain(..) {
+                self.undo_change(txn, def, change)?;
+            }
+            Ok(last)
+        })?;
+        Ok(n)
+    }
+
+    /// Put one key back into the state a [`DiffRow`] found it in at its
+    /// earlier instant.
+    fn undo_change(&self, txn: &mut Transaction, def: &TableDef, change: DiffRow) -> Result<()> {
+        match change.before {
+            None => {
+                let pk = crate::row::decode_key(&change.key)?;
+                self.delete_row(txn, &def.name, &pk)
+            }
+            Some(then) => {
+                let values = def.schema.decode_row(&then)?;
+                if change.op == DiffOp::Delete {
+                    self.insert_row(txn, &def.name, values)
+                } else {
+                    self.update_row(txn, &def.name, values)
                 }
             }
         }
-        Ok(changes.len())
     }
 
     /// Flush everything and fsync (clean shutdown).

@@ -373,6 +373,22 @@ impl PkBounds {
         self.resumed = true;
     }
 
+    /// The one driver of a statement over many keys: `chunk` walks the
+    /// index cursor from these bounds until its consumer is full, acts on
+    /// what the walk gathered once the cursor has returned — so with no
+    /// latch held — and answers the last key walked if it stopped there.
+    /// The next walk resumes after that key, so no statement holds more
+    /// than one chunk of its result or write set.
+    pub(crate) fn chunked(
+        mut self,
+        mut chunk: impl FnMut(&PkBounds) -> Result<Option<Vec<u8>>>,
+    ) -> Result<()> {
+        while let Some(last) = chunk(&self)? {
+            self.resume_after(last);
+        }
+        Ok(())
+    }
+
     /// Whether these bounds pick up a read that stopped
     /// ([`Self::resume_after`]) rather than start one.
     pub fn is_resumed(&self) -> bool {

@@ -10,8 +10,10 @@ pub mod plan;
 use immortaldb_btree::{Flow, TemporalVersion};
 use immortaldb_common::{blocking, Error, Result, Timestamp};
 
-use crate::db::Database;
+use crate::catalog::TableDef;
+use crate::db::{Database, WRITE_CHUNK};
 use crate::row::{Column, PkBounds, Pushdown, RowSink, Schema, Value};
+use crate::temporal;
 use crate::txn::{Isolation, Transaction};
 
 use ast::{AsOfSpec, Predicate, Statement};
@@ -394,9 +396,7 @@ impl<'a> Session<'a> {
                 predicate,
             } => {
                 let def = self.db.table(&table)?;
-                let matching = self.matching_rows(txn, &table, &predicate)?;
-                let mut n = 0usize;
-                for mut row in matching {
+                let n = self.write_matching(txn, &def, &predicate, |txn, mut row| {
                     for (col, val) in &sets {
                         let idx = def.schema.col_index(col)?;
                         if idx == def.schema.pk {
@@ -404,19 +404,15 @@ impl<'a> Session<'a> {
                         }
                         row[idx] = val.coerce(def.schema.columns[idx].ctype)?;
                     }
-                    self.db.update_row(txn, &table, row)?;
-                    n += 1;
-                }
+                    self.db.update_row(txn, &table, row)
+                })?;
                 Ok(Outcome::affected(n, format!("{n} rows updated")))
             }
             Statement::Delete { table, predicate } => {
                 let def = self.db.table(&table)?;
-                let matching = self.matching_rows(txn, &table, &predicate)?;
-                let mut n = 0usize;
-                for row in matching {
-                    self.db.delete_row(txn, &table, &row[def.schema.pk])?;
-                    n += 1;
-                }
+                let n = self.write_matching(txn, &def, &predicate, |txn, row| {
+                    self.db.delete_row(txn, &table, &row[def.schema.pk])
+                })?;
                 Ok(Outcome::affected(n, format!("{n} rows deleted")))
             }
             Statement::Select {
@@ -426,38 +422,36 @@ impl<'a> Session<'a> {
             } => {
                 let def = self.db.table(&table)?;
                 let filter = Filter::compile(&def.schema, &predicate)?;
-                let mut bounds = read_bounds(filter.pk_bounds(&def.schema)?);
+                let bounds = read_bounds(filter.pk_bounds(&def.schema)?);
                 let (names, idxs) = projection(&def.schema, columns)?;
                 sink.columns(names)?;
                 let mut n = 0usize;
                 let mut projected = Vec::new();
-                loop {
-                    // One cursor call sends rows until the sink is full;
-                    // the next starts after the key that one got to.
-                    let mut stopped_at = None;
-                    self.db
-                        .visit_table_rows(txn, &def, &bounds, &mut |key, row| {
-                            if !filter.matches(row) {
-                                return Ok(Flow::Continue);
+                bounds.chunked(|bounds| {
+                    let mut stopped = None;
+                    self.db.visit_rows(txn, &def, bounds, &mut |key, row| {
+                        if !filter.matches(row) {
+                            return Ok(Flow::Continue);
+                        }
+                        n += 1;
+                        let flow = match &idxs {
+                            None => sink.row(row)?,
+                            Some(idxs) => {
+                                projected.clear();
+                                projected.extend(idxs.iter().map(|&i| row[i].clone()));
+                                sink.row(&mut projected)?
                             }
-                            n += 1;
-                            let flow = match &idxs {
-                                None => sink.row(row)?,
-                                Some(idxs) => {
-                                    projected.clear();
-                                    projected.extend(idxs.iter().map(|&i| row[i].clone()));
-                                    sink.row(&mut projected)?
-                                }
-                            };
-                            if flow == Flow::Stop {
-                                stopped_at = Some(key.to_vec());
-                            }
-                            Ok(flow)
-                        })?;
-                    let Some(last) = stopped_at else { break };
-                    sink.flush()?;
-                    bounds.resume_after(last);
-                }
+                        };
+                        if flow == Flow::Stop {
+                            stopped = Some(key.to_vec());
+                        }
+                        Ok(flow)
+                    })?;
+                    if stopped.is_some() {
+                        sink.flush()?;
+                    }
+                    Ok(stopped)
+                })?;
                 Ok(Outcome::message(format!("{n} rows")))
             }
             Statement::History { table, pk } => {
@@ -503,57 +497,62 @@ impl<'a> Session<'a> {
                 // must not see it move.
                 let (def, lo, hi) = self.db.temporal_window(&table, lo, hi)?;
                 let filter = Filter::compile(&def.schema, &predicate)?;
-                let mut bounds = read_bounds(filter.pk_bounds(&def.schema)?);
+                let bounds = read_bounds(filter.pk_bounds(&def.schema)?);
                 let (selected, idxs) = projection(&def.schema, columns)?;
                 let idxs = idxs.unwrap_or_else(|| (0..def.schema.columns.len()).collect());
                 let mut cols = names(&["_commit_ms", "_commit_sn", "_op"]);
                 cols.extend(selected);
                 sink.columns(cols)?;
+                let returned = &self.db.metrics().temporal.versions_returned;
                 let mut n = 0usize;
                 let mut send = |sink: &mut dyn RowSink, v: &KeyVersion| -> Result<Flow> {
                     n += 1;
                     sink.row(&mut v.result_row(&def.schema, &idxs)?)
                 };
-                loop {
-                    // Like SELECT, except that a sink filling up in the
-                    // middle of a key leaves that key's remaining
-                    // versions to be sent once the cursor has returned.
+                bounds.chunked(|bounds| {
+                    // A sink filling up in the middle of a key leaves that
+                    // key's remaining versions to be sent once the cursor
+                    // has returned.
                     let mut stopped = None;
-                    self.db
-                        .visit_versions(&def, &bounds, lo, hi, &mut |group| {
-                            // A key matches when any live version of it
-                            // inside the window satisfies the predicate;
-                            // every version of a matching key (tombstones
-                            // included) is then returned.
-                            let mut matched = filter.is_empty();
-                            let mut versions = Vec::with_capacity(group.len());
-                            for v in group.drain(..) {
-                                let v = KeyVersion::decode(&def.schema, v)?;
-                                matched =
-                                    matched || v.row.as_ref().is_some_and(|r| filter.matches(r));
-                                versions.push(v);
+                    self.db.visit_versions(&def, bounds, lo, hi, &mut |group| {
+                        // The key's base is in the window only if it
+                        // committed at `lo`.
+                        group.retain(|v| v.ts >= lo);
+                        // A key matches when any live version of it
+                        // inside the window satisfies the predicate;
+                        // every version of a matching key (tombstones
+                        // included) is then returned.
+                        let mut matched = filter.is_empty();
+                        let mut versions = Vec::with_capacity(group.len());
+                        for v in group.drain(..) {
+                            let v = KeyVersion::decode(&def.schema, v)?;
+                            matched = matched || v.row.as_ref().is_some_and(|r| filter.matches(r));
+                            versions.push(v);
+                        }
+                        if !matched {
+                            return Ok(Flow::Continue);
+                        }
+                        returned.add(versions.len() as u64);
+                        let mut versions = versions.into_iter();
+                        while let Some(v) = versions.next() {
+                            if send(sink, &v)? == Flow::Stop {
+                                stopped = Some((v.key, versions.collect::<Vec<_>>()));
+                                return Ok(Flow::Stop);
                             }
-                            if !matched {
-                                return Ok(Flow::Continue);
-                            }
-                            let mut versions = versions.into_iter();
-                            while let Some(v) = versions.next() {
-                                if send(sink, &v)? == Flow::Stop {
-                                    stopped = Some((v.key, versions.collect::<Vec<_>>()));
-                                    return Ok(Flow::Stop);
-                                }
-                            }
-                            Ok(Flow::Continue)
-                        })?;
-                    let Some((key, rest)) = stopped else { break };
+                        }
+                        Ok(Flow::Continue)
+                    })?;
+                    let Some((key, rest)) = stopped else {
+                        return Ok(None);
+                    };
                     sink.flush()?;
                     for v in &rest {
                         if send(sink, v)? == Flow::Stop {
                             sink.flush()?;
                         }
                     }
-                    bounds.resume_after(key);
-                }
+                    Ok(Some(key))
+                })?;
                 Ok(Outcome::message(format!("{n} versions")))
             }
             Statement::DiffTable {
@@ -562,13 +561,12 @@ impl<'a> Session<'a> {
                 t2,
                 predicate,
             } => {
-                let def = self.db.table(&table)?;
                 let a = self.point_ts(&t1)?;
                 let b = self.point_ts(&t2)?;
+                let (def, a, b) = self.db.temporal_window(&table, a, b)?;
                 let bounds = read_bounds(
                     Filter::compile(&def.schema, &predicate)?.pk_bounds_only(&def.schema)?,
                 );
-                let diff = self.db.diff_table_in(&table, &bounds, a, b)?;
                 let mut cols = names(&["_op", "_commit_ms", "_commit_sn"]);
                 for c in &def.schema.columns {
                     cols.push(format!("old_{}", c.name));
@@ -578,48 +576,83 @@ impl<'a> Session<'a> {
                 }
                 sink.columns(cols)?;
                 let ncols = def.schema.columns.len();
-                let n = diff.len();
-                for d in diff {
-                    let mut out = vec![
-                        Value::Varchar(d.op.name().into()),
-                        Value::BigInt(d.ts.ttime as i64),
-                        Value::Int(d.ts.sn as i32),
-                    ];
-                    for side in [&d.before, &d.after] {
-                        match side {
-                            Some(data) => out.extend(def.schema.decode_row(data)?),
-                            None => out.extend((0..ncols).map(|_| Value::Varchar(String::new()))),
+                let mut n = 0usize;
+                let mut out = Vec::new();
+                bounds.chunked(|bounds| {
+                    // Each key's group, base included, folds into at most
+                    // one change where the cursor stands on it.
+                    let mut stopped = None;
+                    self.db.visit_versions(&def, bounds, a, b, &mut |group| {
+                        let Some(d) = temporal::fold_diff(std::mem::take(group), a) else {
+                            return Ok(Flow::Continue);
+                        };
+                        n += 1;
+                        out.clear();
+                        out.push(Value::Varchar(d.op.name().into()));
+                        out.push(Value::BigInt(d.ts.ttime as i64));
+                        out.push(Value::Int(d.ts.sn as i32));
+                        for side in [&d.before, &d.after] {
+                            match side {
+                                Some(data) => out.extend(def.schema.decode_row(data)?),
+                                None => {
+                                    out.extend((0..ncols).map(|_| Value::Varchar(String::new())))
+                                }
+                            }
                         }
+                        let flow = sink.row(&mut out)?;
+                        if flow == Flow::Stop {
+                            stopped = Some(d.key);
+                        }
+                        Ok(flow)
+                    })?;
+                    if stopped.is_some() {
+                        sink.flush()?;
                     }
-                    put(sink, out)?;
-                }
+                    Ok(stopped)
+                })?;
+                self.db.metrics().temporal.diff_rows.add(n as u64);
                 Ok(Outcome::message(format!("{n} changes")))
             }
             other => Err(Error::Sql(format!("not a DML statement: {other:?}"))),
         }
     }
 
-    /// Rows of `table` visible to `txn` that satisfy `predicate`. The
-    /// predicate's primary-key bounds go to the index cursor, so the read
-    /// touches only those keys; the rest is evaluated on each row.
-    fn matching_rows(
+    /// Apply `write` to every row of `def` visible to `txn` that satisfies
+    /// `predicate`, [`WRITE_CHUNK`] rows at a time: the predicate's
+    /// primary-key bounds go to the index cursor, the rest is evaluated
+    /// on each row, and the rows one walk gathered are written once it
+    /// has returned. The next walk resumes after the last of them, so a
+    /// row is never met twice. Returns the rows written.
+    fn write_matching(
         &self,
         txn: &mut Transaction,
-        table: &str,
+        def: &TableDef,
         predicate: &Predicate,
-    ) -> Result<Vec<Vec<Value>>> {
-        let def = self.db.table(table)?;
+        mut write: impl FnMut(&mut Transaction, Vec<Value>) -> Result<()>,
+    ) -> Result<usize> {
         let filter = Filter::compile(&def.schema, predicate)?;
-        let bounds = read_bounds(filter.pk_bounds(&def.schema)?);
-        let mut out = Vec::new();
-        self.db
-            .visit_table_rows(txn, &def, &bounds, &mut |_, row| {
-                if filter.matches(row) {
-                    out.push(std::mem::take(row));
+        let mut n = 0;
+        let mut rows = Vec::new();
+        read_bounds(filter.pk_bounds(&def.schema)?).chunked(|bounds| {
+            let mut last = None;
+            self.db.visit_rows(txn, def, bounds, &mut |key, row| {
+                if !filter.matches(row) {
+                    return Ok(Flow::Continue);
                 }
-                Ok(Flow::Continue)
+                rows.push(std::mem::take(row));
+                if rows.len() < WRITE_CHUNK {
+                    return Ok(Flow::Continue);
+                }
+                last = Some(key.to_vec());
+                Ok(Flow::Stop)
             })?;
-        Ok(out)
+            n += rows.len();
+            for row in rows.drain(..) {
+                write(txn, row)?;
+            }
+            Ok(last)
+        })?;
+        Ok(n)
     }
 }
 

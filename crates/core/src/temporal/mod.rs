@@ -1,13 +1,14 @@
 //! Temporal query subsystem: the window-bound semantics shared by
-//! `VERSIONS BETWEEN` and `DIFF TABLE`, and the fold that turns one
-//! version-range walk into a net change set.
+//! `VERSIONS BETWEEN` and `DIFF TABLE`, and the fold that turns one key's
+//! versions in a window into its net change.
 //!
 //! Both query shapes execute as a **single** walk of the index's key ×
-//! time cursor ([`immortaldb_btree::VersionCursor::versions_between`]):
-//! the TSB-tree prunes its key-time rectangles against the window and
-//! the key bounds; the page-chain B+tree reads, for the leaves covering
-//! the keys, the chain pages whose time range meets the window. Neither
-//! replays per-timestamp `AS OF` point lookups.
+//! time cursor ([`immortaldb_btree::VersionCursor::versions_by_key`]),
+//! handed one key's versions at a time: the TSB-tree prunes its key-time
+//! rectangles against the window and the key bounds; the page-chain
+//! B+tree reads, for the leaves covering the keys, the chain pages whose
+//! time range meets the window. Neither replays per-timestamp `AS OF`
+//! point lookups, and neither holds more than one key region's versions.
 //!
 //! Window semantics (DESIGN.md §10):
 //!
@@ -71,64 +72,37 @@ pub struct DiffRow {
     pub after: Option<Vec<u8>>,
 }
 
-/// Fold the output of a `versions_between(t1, t2)` walk (key-ascending,
-/// timestamp-ascending within key, per-key base versions included) into
-/// the net change set between the states at `t1` and `t2`. Keys whose
-/// two states are byte-identical are omitted.
-pub fn fold_diff(versions: &[TemporalVersion], t1: Timestamp) -> Vec<DiffRow> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < versions.len() {
-        let mut j = i;
-        while j < versions.len() && versions[j].key == versions[i].key {
-            j += 1;
-        }
-        let group = &versions[i..j];
-        i = j;
-        // State at t1: newest version at or below it. State at t2: the
-        // group's last version (the walk returns nothing above t2).
-        let before = group.iter().rev().find(|v| v.ts <= t1);
-        let after = group.last().expect("key group is non-empty");
-        if let Some(b) = before {
-            if std::ptr::eq(b, after) {
-                continue; // no version in the window: unchanged
-            }
-        }
-        let before_data = before.and_then(|v| v.data.as_ref());
-        let row = match (before_data, after.data.as_ref()) {
-            (None, Some(a)) => DiffRow {
-                key: after.key.clone(),
-                op: DiffOp::Insert,
-                ts: after.ts,
-                before: None,
-                after: Some(a.clone()),
-            },
-            (Some(b), None) => DiffRow {
-                key: after.key.clone(),
-                op: DiffOp::Delete,
-                ts: after.ts,
-                before: Some(b.clone()),
-                after: None,
-            },
-            (Some(b), Some(a)) => {
-                if b == a {
-                    continue; // changed and changed back
-                }
-                DiffRow {
-                    key: after.key.clone(),
-                    op: DiffOp::Update,
-                    ts: after.ts,
-                    before: Some(b.clone()),
-                    after: Some(a.clone()),
-                }
-            }
-            // Absent at both points (e.g. inserted and deleted inside
-            // the window): no net change.
-            (None, None) => continue,
-        };
-        out.push(row);
+/// Fold one key's group of a `versions_by_key(t1, t2)` walk — oldest
+/// first, the key's base version (its state at `t1`) included — into the
+/// key's net change between its states at `t1` and `t2`: `None` when the
+/// two are byte-identical.
+pub fn fold_diff(mut group: Vec<TemporalVersion>, t1: Timestamp) -> Option<DiffRow> {
+    // State at t2: the group's last version (the walk returns nothing
+    // above t2). State at t1: the newest version at or below it.
+    let after = group.pop()?;
+    if after.ts <= t1 {
+        return None; // no version in the window: unchanged
     }
-    out
+    let before = group
+        .into_iter()
+        .rev()
+        .find(|v| v.ts <= t1)
+        .and_then(|v| v.data);
+    let op = match (&before, &after.data) {
+        (None, Some(_)) => DiffOp::Insert,
+        (Some(_), None) => DiffOp::Delete,
+        (Some(b), Some(a)) if b != a => DiffOp::Update,
+        // Changed and changed back, or absent at both points (e.g.
+        // inserted and deleted inside the window): no net change.
+        _ => return None,
+    };
+    Some(DiffRow {
+        key: after.key,
+        op,
+        ts: after.ts,
+        before,
+        after: after.data,
+    })
 }
 
 #[cfg(test)]
@@ -154,6 +128,21 @@ mod tests {
         assert!(Timestamp::new(40, 123) > lo && Timestamp::new(40, 123) < hi);
     }
 
+    /// The walk's versions, cut into key groups and folded one by one.
+    fn diff(versions: Vec<TemporalVersion>, t1: Timestamp) -> Vec<DiffRow> {
+        let mut groups: Vec<Vec<TemporalVersion>> = Vec::new();
+        for v in versions {
+            match groups.last_mut() {
+                Some(g) if g[0].key == v.key => g.push(v),
+                _ => groups.push(vec![v]),
+            }
+        }
+        groups
+            .into_iter()
+            .filter_map(|g| fold_diff(g, t1))
+            .collect()
+    }
+
     #[test]
     fn diff_classifies_insert_update_delete() {
         let t1 = Timestamp::new(100, 0);
@@ -173,7 +162,7 @@ mod tests {
             v(5, 110, Some("w")),
             v(5, 160, None),
         ];
-        let diff = fold_diff(&versions, t1);
+        let diff = diff(versions, t1);
         assert_eq!(diff.len(), 3);
         assert_eq!(diff[0].op, DiffOp::Update);
         assert_eq!(diff[0].before.as_deref(), Some(b"a".as_ref()));
@@ -193,7 +182,7 @@ mod tests {
             v(1, 120, Some("b")),
             v(1, 140, Some("a")),
         ];
-        assert!(fold_diff(&versions, t1).is_empty());
+        assert!(diff(versions, t1).is_empty());
     }
 
     #[test]
@@ -201,6 +190,6 @@ mod tests {
         // Dead at t1 (tombstone base), still dead at t2.
         let t1 = Timestamp::new(100, 0);
         let versions = vec![v(1, 80, None), v(1, 120, Some("a")), v(1, 140, None)];
-        assert!(fold_diff(&versions, t1).is_empty());
+        assert!(diff(versions, t1).is_empty());
     }
 }

@@ -279,7 +279,8 @@ pub struct WalMetrics {
     /// Committers covered per group-commit batch.
     pub batch_size: Histogram,
     /// Time a group-commit leader spent gathering stragglers, in
-    /// nanoseconds (only recorded when `max_wait` > 0).
+    /// nanoseconds. A leader never waits for followers, so this stays
+    /// empty; it stays registered because reports read it by name.
     pub leader_waits_ns: Histogram,
     /// End of log: the LSN one past the last appended record.
     pub end_lsn: Gauge,

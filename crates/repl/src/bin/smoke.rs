@@ -9,8 +9,10 @@
 //! * writes against a replica are rejected with the typed READ_ONLY code;
 //! * both replicas converge to the primary's exact state within a
 //!   bounded time once writers stop;
-//! * `RESTORE TABLE … AS OF` on the primary returns the table to a
-//!   shadow-copied earlier state, and the restore itself replicates.
+//! * `RESTORE TABLE … AS OF` on the primary returns a table to a
+//!   shadow-copied earlier state — also one wider than a restore chunk,
+//!   after a chunked `UPDATE` and `DELETE` — and the restore itself
+//!   replicates.
 //!
 //! Exits non-zero (panics) on any violation; prints `SMOKE PASS` at the
 //! end so the CI log is greppable.
@@ -19,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use immortaldb::{Database, DbConfig, Durability, Value};
+use immortaldb::{Database, DbConfig, Durability, Value, WRITE_CHUNK};
 use immortaldb_common::{Error, ErrorCode, Timestamp};
 use immortaldb_net::{Client, Response, Server, ServerConfig};
 use immortaldb_repl::{Replica, ReplicaConfig};
@@ -257,24 +259,46 @@ fn main() {
     println!("replica write rejected with READ_ONLY over the wire");
 
     // -- RESTORE TABLE ... AS OF round trip --------------------------------
-    let shadow = primary_rows; // state at `last` (writers are done)
+    // `wide` holds more rows than one restore chunk: its restore writes
+    // several chunks between the walks of its window.
+    let wide_rows = 3 * WRITE_CHUNK + 10;
+    pc.query("CREATE IMMORTAL TABLE wide (id int PRIMARY KEY, v bigint)")
+        .unwrap();
+    let values: Vec<String> = (0..wide_rows).map(|i| format!("({i}, {i})")).collect();
+    pc.query(&format!("INSERT INTO wide VALUES {}", values.join(", ")))
+        .unwrap();
+    let shadow = [
+        primary_rows, // state at `last` (writers are done)
+        sorted_rows(pc.query("SELECT * FROM wide").unwrap()),
+    ];
     let restore_ms = now_ms();
     std::thread::sleep(Duration::from_millis(50)); // clear the 20ms tick
     pc.query("UPDATE accounts SET balance = 0 WHERE id = 0")
         .unwrap();
     pc.query("DELETE FROM accounts WHERE id = 1").unwrap();
     pc.query("INSERT INTO accounts VALUES (999, 123)").unwrap();
-    let res = pc
-        .query(&format!("RESTORE TABLE accounts AS OF ms({restore_ms})"))
+    pc.query("UPDATE wide SET v = -1").unwrap();
+    pc.query(&format!("DELETE FROM wide WHERE id >= {}", wide_rows / 2))
         .unwrap();
-    println!("restore: {}", res.message);
-    assert!(res.affected > 0, "restore changed nothing");
-    let restored = sorted_rows(pc.query("SELECT * FROM accounts").unwrap());
-    assert_eq!(
-        restored, shadow,
-        "restore did not reproduce the shadow state"
-    );
-    println!("RESTORE TABLE reproduced the shadow-copied state");
+    for (table, shadow) in ["accounts", "wide"].iter().zip(&shadow) {
+        let res = pc
+            .query(&format!("RESTORE TABLE {table} AS OF ms({restore_ms})"))
+            .unwrap();
+        println!("restore: {}", res.message);
+        assert!(res.affected > 0, "restore of {table} changed nothing");
+        if *table == "wide" {
+            assert_eq!(
+                res.affected, wide_rows as u64,
+                "restore of wide missed rows"
+            );
+        }
+        let restored = sorted_rows(pc.query(&format!("SELECT * FROM {table}")).unwrap());
+        assert_eq!(
+            &restored, shadow,
+            "restore did not reproduce the shadow state of {table}"
+        );
+    }
+    println!("RESTORE TABLE reproduced the shadow-copied state of both tables");
 
     // The restore is ordinary logged work: replicas must converge to it.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -282,7 +306,10 @@ fn main() {
         let mut c = Client::connect(addr).unwrap();
         loop {
             c.begin_as_of_ms(now_ms()).unwrap();
-            let rows = sorted_rows(c.query("SELECT * FROM accounts").unwrap());
+            let rows = [
+                sorted_rows(c.query("SELECT * FROM accounts").unwrap()),
+                sorted_rows(c.query("SELECT * FROM wide").unwrap()),
+            ];
             c.commit().unwrap();
             if rows == shadow {
                 continue 'replicas;

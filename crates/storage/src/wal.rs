@@ -14,9 +14,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use immortaldb_common::codec::crc32;
 use immortaldb_common::{blocking, Error, Lsn, Result, Tid};
@@ -46,39 +45,29 @@ pub enum Durability {
     Fsync,
 }
 
-/// Group-commit tuning for [`Wal::commit_durable`].
+/// Group-commit setting for [`Wal::commit_durable`].
 ///
 /// With group commit enabled, concurrent committers share fsyncs through
 /// a leader/follower barrier: the first committer to reach the barrier
 /// becomes the leader and syncs once for everyone queued behind it.
-/// Batches form naturally while a sync is in flight — committers that
-/// arrive during the leader's fsync pile up and are covered by the next
-/// leader's single sync.
+/// Batches form while a sync is in flight — committers that arrive during
+/// the leader's fsync pile up and are covered by the next leader's single
+/// sync — so a lone committer never waits for company.
 #[derive(Clone, Copy, Debug)]
 pub struct GroupCommitConfig {
     pub enabled: bool,
-    /// Stop gathering early once this many committers are at the barrier.
-    /// Only bounds the explicit gather wait; a single write+fsync always
-    /// covers the whole buffer regardless.
-    pub max_batch: usize,
-    /// How long a leader waits for stragglers before syncing. Zero (the
-    /// default) means sync immediately and rely on in-flight-sync
-    /// piggybacking, which adds no latency for a lone committer.
-    pub max_wait: Duration,
 }
 
 impl Default for GroupCommitConfig {
     fn default() -> Self {
-        GroupCommitConfig {
-            enabled: true,
-            max_batch: 64,
-            max_wait: Duration::ZERO,
-        }
+        GroupCommitConfig { enabled: true }
     }
 }
 
 struct WalInner {
-    /// File offset where the in-memory buffer begins (== durable length).
+    /// File offset where the in-memory buffer begins: the length written
+    /// to the file, which is durable only once a sync has covered it
+    /// (under `Durability::Buffered` that waits for a checkpoint).
     buf_start: u64,
     buf: Vec<u8>,
 }
@@ -87,13 +76,9 @@ struct WalInner {
 struct GroupInner {
     /// Highest LSN known fsynced by a group leader.
     durable: u64,
-    /// A leader currently owns the sync (holds the barrier lock while
-    /// writing + fsyncing, so this is only observed `true` by threads
-    /// that slipped in during a leader's condvar gather wait).
+    /// A leader currently owns the sync (it writes and fsyncs with the
+    /// barrier unlocked; this keeps the sync single-flight).
     leader_active: bool,
-    /// Followers parked on `done` (used by a gathering leader to size its
-    /// batch against `max_batch`).
-    parked: usize,
     /// A leader's failed sync attempt: `(attempted end LSN, error)`.
     /// Every committer whose records the attempt covered must see the
     /// error — no one in a failed batch is acknowledged. Cleared once a
@@ -103,8 +88,6 @@ struct GroupInner {
 
 struct GroupBarrier {
     inner: Mutex<GroupInner>,
-    /// Signalled by arriving followers; wakes a gathering leader.
-    arrivals: Condvar,
     /// Signalled when a sync attempt (success or failure) completes.
     done: Condvar,
 }
@@ -125,7 +108,7 @@ pub struct Wal {
     durable_lsn: AtomicU64,
     /// Committers currently inside `commit_durable` (sizes batches for
     /// the `wal.batch_size` metric; includes threads still blocked on the
-    /// barrier mutex, which `GroupInner::parked` cannot see).
+    /// barrier mutex).
     commit_waiters: AtomicU64,
     group_cfg: GroupCommitConfig,
     group: GroupBarrier,
@@ -194,10 +177,8 @@ impl Wal {
                 inner: Mutex::new(GroupInner {
                     durable: 0,
                     leader_active: false,
-                    parked: 0,
                     failed: None,
                 }),
-                arrivals: Condvar::new(),
                 done: Condvar::new(),
             },
             metrics,
@@ -277,15 +258,8 @@ impl Wal {
         if durability == Durability::Fsync {
             blocking::about_to_block();
         }
-        let mut inner = self.inner.lock();
-        if !inner.buf.is_empty() {
-            let start = inner.buf_start;
-            self.file.write_all_at(&inner.buf, start)?;
-            inner.buf_start += inner.buf.len() as u64;
-            inner.buf.clear();
-            let start = inner.buf_start;
-            self.written_lsn.store(start, Ordering::SeqCst);
-        }
+        // Held through the sync: no append lands between write and fsync.
+        let _inner = self.write_buffer()?;
         if durability == Durability::Fsync {
             self.metrics.wal.fsyncs.inc();
             let _timer = self.metrics.wal.fsync_ns.start_timer();
@@ -294,13 +268,12 @@ impl Wal {
         Ok(())
     }
 
-    /// Write the buffer out without fsyncing and without holding the
-    /// buffer lock any longer than the write itself. Returns the covered
-    /// LSN: everything below it is in the file once this call returns.
-    /// Unlike [`Self::flush`], a group leader can fsync *after* this
-    /// returns while new appends proceed — that overlap is what lets the
-    /// next batch form during the current batch's fsync.
-    fn write_buffer(&self) -> Result<Lsn> {
+    /// Write the buffer out without fsyncing, and return the buffer
+    /// lock: everything below its `buf_start` is in the file. A group
+    /// leader drops the lock and fsyncs while new appends proceed — that
+    /// overlap is what lets the next batch form during the current
+    /// batch's fsync; [`Self::flush`] syncs with it held.
+    fn write_buffer(&self) -> Result<MutexGuard<'_, WalInner>> {
         let mut inner = self.inner.lock();
         if !inner.buf.is_empty() {
             let start = inner.buf_start;
@@ -310,7 +283,7 @@ impl Wal {
             let start = inner.buf_start;
             self.written_lsn.store(start, Ordering::SeqCst);
         }
-        Ok(Lsn(inner.buf_start))
+        Ok(inner)
     }
 
     /// Highest LSN known durable (fsynced) through the group-commit path.
@@ -367,29 +340,6 @@ impl Wal {
             if !g.leader_active {
                 // Become the leader for the next batch.
                 g.leader_active = true;
-                let cfg = self.group_cfg;
-                if cfg.max_wait > Duration::ZERO {
-                    // Gather: give stragglers a bounded window to join
-                    // (the condvar wait releases the barrier lock so
-                    // they can park).
-                    let timer = self.metrics.wal.leader_waits_ns.start_timer();
-                    let deadline = Instant::now() + cfg.max_wait;
-                    while g.parked + 1 < cfg.max_batch {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        if self
-                            .group
-                            .arrivals
-                            .wait_for(&mut g, deadline - now)
-                            .timed_out()
-                        {
-                            break;
-                        }
-                    }
-                    drop(timer);
-                }
                 let batch = self.commit_waiters.load(Ordering::SeqCst).max(1);
                 // Sync with the barrier UNLOCKED: committers arriving
                 // during the fsync append their records and park, forming
@@ -397,7 +347,7 @@ impl Wal {
                 // sync drain without waiting on us. `leader_active` keeps
                 // the sync single-flight.
                 drop(g);
-                let res = match self.write_buffer() {
+                let res = match self.write_buffer().map(|inner| Lsn(inner.buf_start)) {
                     Ok(covered) => {
                         self.metrics.wal.fsyncs.inc();
                         let timer = self.metrics.wal.fsync_ns.start_timer();
@@ -439,10 +389,7 @@ impl Wal {
                 // Loop to observe the outcome exactly like a follower
                 // would (our own records were covered by the attempt).
             } else {
-                g.parked += 1;
-                self.group.arrivals.notify_one();
                 self.group.done.wait(&mut g);
-                g.parked -= 1;
             }
         }
     }
@@ -802,16 +749,11 @@ mod tests {
 
     #[test]
     fn group_commit_batches_under_contention() {
-        // 8 committer threads with a gather window: far fewer fsyncs
-        // than commits, and at least one multi-committer batch.
+        // 8 committer threads on the default config: far fewer fsyncs
+        // than commits, and at least one multi-committer batch — formed
+        // by committers that arrive while a leader's fsync is in flight.
         let path = tmp("gcbatch");
-        let mut wal = Wal::open(&path).unwrap();
-        wal.set_group_commit(GroupCommitConfig {
-            enabled: true,
-            max_batch: 8,
-            max_wait: Duration::from_millis(10),
-        });
-        let wal = std::sync::Arc::new(wal);
+        let wal = std::sync::Arc::new(Wal::open(&path).unwrap());
         let threads: u64 = 8;
         let per: u64 = 25;
         std::thread::scope(|s| {
@@ -842,45 +784,19 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_max_wait_flushes_singleton_batch() {
-        // A lone committer with a gather window must not wait for
-        // followers that never come: the max-wait timeout fires and the
-        // batch of one syncs.
-        let path = tmp("gcsingle");
-        let mut wal = Wal::open(&path).unwrap();
-        let wait = Duration::from_millis(20);
-        wal.set_group_commit(GroupCommitConfig {
-            enabled: true,
-            max_batch: 64,
-            max_wait: wait,
-        });
-        let upto = past(&wal, 1);
-        let t0 = std::time::Instant::now();
-        wal.commit_durable(upto, Durability::Fsync).unwrap();
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(15),
-            "leader skipped the gather window: {elapsed:?}"
-        );
-        assert!(wal.durable_lsn() >= upto);
-        let m = wal.metrics();
-        assert_eq!(m.wal.group_commits.get(), 1);
-        assert_eq!(m.wal.batch_size.snapshot().max, 1);
-        assert_eq!(m.wal.leader_waits_ns.snapshot().count, 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn group_commit_zero_wait_adds_no_latency_for_lone_committer() {
-        // The default config (max_wait = 0) must behave like a plain
-        // fsync for a single committer: no gather stall.
+    fn group_commit_adds_no_latency_for_lone_committer() {
+        // A single committer behaves like a plain fsync: there is no
+        // window in which a leader waits for followers.
         let path = tmp("gczero");
         let wal = Wal::open(&path).unwrap();
         assert!(wal.group_commit().enabled);
         let upto = past(&wal, 1);
         wal.commit_durable(upto, Durability::Fsync).unwrap();
         assert!(wal.durable_lsn() >= upto);
-        assert_eq!(wal.metrics().wal.leader_waits_ns.snapshot().count, 0);
+        let m = wal.metrics();
+        assert_eq!(m.wal.group_commits.get(), 1);
+        assert_eq!(m.wal.batch_size.snapshot().max, 1);
+        assert_eq!(m.wal.leader_waits_ns.snapshot().count, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -888,10 +804,7 @@ mod tests {
     fn group_commit_disabled_falls_back_to_per_commit_fsync() {
         let path = tmp("gcoff");
         let mut wal = Wal::open(&path).unwrap();
-        wal.set_group_commit(GroupCommitConfig {
-            enabled: false,
-            ..GroupCommitConfig::default()
-        });
+        wal.set_group_commit(GroupCommitConfig { enabled: false });
         for i in 0..5 {
             let upto = past(&wal, i);
             wal.commit_durable(upto, Durability::Fsync).unwrap();

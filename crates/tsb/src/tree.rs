@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use immortaldb_btree::{
     pack_history_pages, page_has_tid_marked, page_used_bytes, visit_page, CompactionStats, Flow,
-    HistoryStats, LeafSplit, Query, Routing, SplitTimeSource, TreeCore, Version, VersionBuffer,
-    VersionCursor, Visitor,
+    HistoryStats, KeyRange, LeafSplit, Query, Routing, SplitTimeSource, TreeCore, Version,
+    VersionBuffer, VersionCursor, Visitor,
 };
 use immortaldb_common::codec::{get_u32, get_u64, put_u32, put_u64};
 use immortaldb_common::{Error, PageId, Result, Timestamp, TreeId, PAGE_SIZE};
@@ -122,6 +122,43 @@ fn decode_entry(page: &Page, slot: usize) -> Entry {
         t_high: v.t_high,
         child: v.child,
     }
+}
+
+/// A key region `[low, upper)`: `low` empty / `upper` `None` is
+/// unbounded.
+type Region<'a> = (&'a [u8], Option<&'a [u8]>);
+
+/// A child to walk and its key region.
+type Child = (PageId, Vec<u8>, Option<Vec<u8>>);
+
+/// The children of index node `page` (which covers `[low, upper)`) whose
+/// entry is `wanted` and whose key region can hold a key of `keys`, in
+/// key order, each with that region clipped to the node's.
+fn children(
+    page: &Page,
+    (low, upper): Region<'_>,
+    keys: &KeyRange<'_>,
+    wanted: impl Fn(&EntryView<'_>) -> bool,
+) -> Vec<Child> {
+    let n = page.slot_count();
+    let mut out = Vec::new();
+    for i in 0..n {
+        let e = view_entry(page, i);
+        if !wanted(&e) || keys.is_above(e.key_low) {
+            continue;
+        }
+        let next_low = e.key_end((i + 1..n).map(|j| view_entry(page, j)));
+        let child_low = e.key_low.max(low);
+        let child_upper = match (next_low, upper) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let empty = child_upper.is_some_and(|up| up <= child_low);
+        if !empty && keys.overlaps(child_low, child_upper) {
+            out.push((e.child, child_low.to_vec(), child_upper.map(<[u8]>::to_vec)));
+        }
+    }
+    out
 }
 
 pub(crate) fn entries(page: &Page) -> Vec<Entry> {
@@ -288,13 +325,14 @@ impl TsbTree {
 
     /// The cursor's rectangle walk: visit the data pages under `page_id`
     /// whose key-time rectangle meets `q`, each read through the key
-    /// region `[low, upper)` its index entry spans. Open rectangles are
-    /// also followed when uncommitted versions are wanted. Visited pages
-    /// are collected in `pages` (feeds `tsb.range_scan_pages`).
+    /// region `[low, upper)` its index entry spans, clipped to the region
+    /// the walk is called for. Open rectangles are also followed when
+    /// uncommitted versions are wanted. Visited pages are collected in
+    /// `pages` (feeds `tsb.range_scan_pages`).
     fn walk_node(
         &self,
         page_id: PageId,
-        (low, upper): (&[u8], Option<&[u8]>),
+        (low, upper): Region<'_>,
         q: &Query<'_>,
         resolver: &dyn TimestampResolver,
         pages: &mut HashSet<PageId>,
@@ -302,8 +340,7 @@ impl TsbTree {
     ) -> Result<Flow> {
         enum Node {
             Leaf(Flow),
-            /// Children to walk, each with its key region.
-            Index(Vec<(PageId, Vec<u8>, Option<Vec<u8>>)>),
+            Index(Vec<Child>),
         }
         let metrics = self.core.pool.metrics();
         let frame = self.core.pool.fetch(page_id)?;
@@ -313,29 +350,9 @@ impl TsbTree {
                 let committed = g.start_ts() <= q.hi;
                 visit_page(g, q, (low, upper), committed, resolver, metrics, visit).map(Node::Leaf)
             }
-            PageType::Index => {
-                let n = g.slot_count();
-                let mut children = Vec::new();
-                for i in 0..n {
-                    let e = view_entry(g, i);
-                    let wanted =
-                        e.meets(q.lo, q.hi) || (q.uncommitted && e.t_high == Timestamp::MAX);
-                    if !wanted || q.keys.is_above(e.key_low) {
-                        continue;
-                    }
-                    let next_low = e.key_end((i + 1..n).map(|j| view_entry(g, j)));
-                    let child_low = e.key_low.max(low);
-                    let child_upper = match (next_low, upper) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (a, b) => a.or(b),
-                    };
-                    if q.keys.overlaps(child_low, child_upper) {
-                        let upper = child_upper.map(<[u8]>::to_vec);
-                        children.push((e.child, child_low.to_vec(), upper));
-                    }
-                }
-                Ok(Node::Index(children))
-            }
+            PageType::Index => Ok(Node::Index(children(g, (low, upper), &q.keys, |e| {
+                e.meets(q.lo, q.hi) || (q.uncommitted && e.t_high == Timestamp::MAX)
+            }))),
             other => Err(Error::Corruption(format!(
                 "TSB walk hit {other:?} page {page_id:?}"
             ))),
@@ -347,6 +364,46 @@ impl TsbTree {
         for (child, low, upper) in children {
             let bounds = (low.as_slice(), upper.as_deref());
             if self.walk_node(child, bounds, q, resolver, pages, visit)? == Flow::Stop {
+                return Ok(Flow::Stop);
+            }
+        }
+        Ok(Flow::Continue)
+    }
+
+    /// Hand `visit` the key region of every current data page under
+    /// `page_id` (which covers `[low, upper)`) that can hold a key of
+    /// `keys`, in key order, until it answers [`Flow::Stop`]. Reads index
+    /// nodes only: a node's level says when its children are data pages.
+    fn current_regions(
+        &self,
+        page_id: PageId,
+        (low, upper): Region<'_>,
+        keys: &KeyRange<'_>,
+        visit: &mut dyn FnMut(Region<'_>) -> Result<Flow>,
+    ) -> Result<Flow> {
+        let metrics = self.core.pool.metrics();
+        let frame = self.core.pool.fetch(page_id)?;
+        let node = frame.read_optimistic(metrics, |g| match g.page_type()? {
+            PageType::Leaf => Ok(None),
+            PageType::Index => Ok(Some((
+                g.level(),
+                children(g, (low, upper), keys, |e| e.t_high == Timestamp::MAX),
+            ))),
+            other => Err(Error::Corruption(format!(
+                "TSB walk hit {other:?} page {page_id:?}"
+            ))),
+        })?;
+        let Some((level, children)) = node else {
+            return visit((low, upper)); // the root is the only data page
+        };
+        for (child, low, upper) in children {
+            let region = (low.as_slice(), upper.as_deref());
+            let flow = if level == 1 {
+                visit(region)?
+            } else {
+                self.current_regions(child, region, keys, visit)?
+            };
+            if flow == Flow::Stop {
                 return Ok(Flow::Stop);
             }
         }
@@ -729,39 +786,30 @@ impl VersionCursor for TsbTree {
         if let (Some(key), true) = (q.keys.as_point(), q.is_instant()) {
             return self.walk_point(key, q, resolver, visit);
         }
-        let root_region = (&[][..], None);
+        let (root, root_region) = (self.core.root(), (&[][..], None));
         let mut pages = HashSet::new();
         // An instant is answered by one page per key region and the walk
         // meets regions in key order, so it streams — unless uncommitted
         // versions are wanted and may sit in a second (current) page.
         if q.is_instant() && (!q.uncommitted || q.hi == Timestamp::MAX) {
-            self.walk_node(
-                self.core.root(),
-                root_region,
-                q,
-                resolver,
-                &mut pages,
-                visit,
-            )?;
+            self.walk_node(root, root_region, q, resolver, &mut pages, visit)?;
             return Ok(());
         }
         // Otherwise several time slices hold versions of the same keys,
-        // in regions that need not line up: gather, then replay in cursor
-        // order.
-        let mut buf = VersionBuffer::default();
-        self.walk_node(
-            self.core.root(),
-            root_region,
-            q,
-            resolver,
-            &mut pages,
-            &mut buf.collect(),
-        )?;
+        // in regions that need not line up. Gather them one current key
+        // region at a time — every page of the box read through that
+        // region — and replay each in cursor order before the next, so a
+        // visitor that stops (and resumes after its last key) has paid
+        // for the regions it saw, not for the rest of the box.
+        self.current_regions(root, root_region, &q.keys, &mut |region| {
+            let mut buf = VersionBuffer::default();
+            self.walk_node(root, region, q, resolver, &mut pages, &mut buf.collect())?;
+            buf.replay(q.lo, visit)
+        })?;
         if !q.is_instant() {
             let m = self.core.pool.metrics();
             m.temporal.range_scan_pages.add(pages.len() as u64);
         }
-        buf.replay(q.lo, visit)?;
         Ok(())
     }
 }

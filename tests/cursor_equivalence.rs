@@ -17,7 +17,11 @@
 //! every `k` rows and re-enter the cursor after the last key it sent — as
 //! a result streamed to a client in chunks does — it yields exactly the
 //! one-shot sequence, also when a writer splits the scanned leaves in
-//! time and by key between two chunks.
+//! time and by key between two chunks. That holds for `SELECT`, `VERSIONS
+//! BETWEEN` and `DIFF` alike, and the two temporal statements *stream*:
+//! their first pause comes before they have spent the `buffer.fetches` of
+//! the whole run. Resuming is also cheap: over 25 chunks a window costs
+//! at most twice the fetches of one walk.
 //!
 //! A third replays the shape at which TSB *index nodes* split in both
 //! dimensions (many keys, many commits to a clock tick): every version
@@ -28,6 +32,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use immortaldb::row::encode_key;
+use immortaldb::temporal::fold_diff;
 use immortaldb::{
     Database, DbConfig, DiffRow, Flow, Isolation, PkBounds, RowSink, Session, SimClock,
     TemporalVersion, Transaction, Value,
@@ -202,7 +207,34 @@ impl Keys {
 }
 
 fn rows_in(db: &Database, txn: &mut Transaction, keys: &Keys) -> Vec<Vec<Value>> {
-    db.scan_rows_in(txn, TABLE, &keys.0).unwrap()
+    let mut rows = Vec::new();
+    let def = db.table(TABLE).unwrap();
+    db.visit_rows(txn, &def, &keys.0, &mut |_, row| {
+        rows.push(std::mem::take(row));
+        Ok(Flow::Continue)
+    })
+    .unwrap();
+    rows
+}
+
+/// The window `[lo, hi]` of `keys` as `VERSIONS BETWEEN` and `DIFF` see
+/// it, from one walk of the engine's temporal cursor: the versions inside
+/// the window, and each key's group folded into its net change.
+fn window_in(
+    db: &Database,
+    keys: &PkBounds,
+    lo: Timestamp,
+    hi: Timestamp,
+) -> (Vec<TemporalVersion>, Vec<DiffRow>) {
+    let (def, lo, hi) = db.temporal_window(TABLE, lo, hi).unwrap();
+    let (mut versions, mut diff) = (Vec::new(), Vec::new());
+    db.visit_versions(&def, keys, lo, hi, &mut |group| {
+        versions.extend(group.iter().filter(|v| v.ts >= lo).cloned());
+        diff.extend(fold_diff(std::mem::take(group), lo));
+        Ok(Flow::Continue)
+    })
+    .unwrap();
+    (versions, diff)
 }
 
 /// One box, three oracles.
@@ -210,27 +242,28 @@ fn check_box(fx: &Fixture, keys: &Keys, lo: Timestamp, hi: Timestamp, ctx: &str)
     let (db, h) = (&fx.db, &fx.history);
     let holds = |oid| keys.holds(oid);
     // -- the window: VERSIONS BETWEEN and DIFF ------------------------------
-    let bounded: Vec<TemporalVersion> = db.versions_between_in(TABLE, &keys.0, lo, hi).unwrap();
-    let filtered: Vec<TemporalVersion> = db
-        .versions_between(TABLE, lo, hi)
-        .unwrap()
-        .into_iter()
-        .filter(|v| keys.holds_key(&v.key))
-        .collect();
-    assert_eq!(bounded, filtered, "{ctx}: versions vs filtered full walk");
+    let (versions, diff) = window_in(db, &keys.0, lo, hi);
+    let (mut all_versions, mut all_diff) = window_in(db, &PkBounds::all(), lo, hi);
+    assert_eq!(
+        all_versions,
+        db.versions_between(TABLE, lo, hi).unwrap(),
+        "{ctx}: the walk vs the collected window"
+    );
+    all_versions.retain(|v| keys.holds_key(&v.key));
+    assert_eq!(
+        versions, all_versions,
+        "{ctx}: versions vs filtered full walk"
+    );
     let schema = &db.table(TABLE).unwrap().schema;
-    let got: Vec<Version> = bounded.iter().map(|v| Version::decode(schema, v)).collect();
+    let got: Vec<Version> = versions
+        .iter()
+        .map(|v| Version::decode(schema, v))
+        .collect();
     h.check_versions(lo, hi, holds, &got).expect(ctx);
 
-    let bounded: Vec<DiffRow> = db.diff_table_in(TABLE, &keys.0, lo, hi).unwrap();
-    let filtered: Vec<DiffRow> = db
-        .diff_table(TABLE, lo, hi)
-        .unwrap()
-        .into_iter()
-        .filter(|d| keys.holds_key(&d.key))
-        .collect();
-    assert_eq!(bounded, filtered, "{ctx}: diff vs filtered full fold");
-    let got: Vec<Change> = bounded.iter().map(|d| Change::decode(schema, d)).collect();
+    all_diff.retain(|d| keys.holds_key(&d.key));
+    assert_eq!(diff, all_diff, "{ctx}: diff vs filtered full fold");
+    let got: Vec<Change> = diff.iter().map(|d| Change::decode(schema, d)).collect();
     h.check_diff(lo, hi, holds, &got).expect(ctx);
 
     // -- the instant: AS OF scans and point reads ---------------------------
@@ -395,7 +428,7 @@ fn keyed_temporal_reads_cost_what_they_touch() {
         pushed("temporal.pushdown_point"),
         pushed("temporal.pushdown_none"),
     );
-    let (keyed, versions) = fetch_cost(db, || db.versions_between_in(TABLE, &key, lo, hi).unwrap());
+    let (keyed, (versions, _)) = fetch_cost(db, || window_in(db, &key, lo, hi));
     assert!(!versions.is_empty());
     assert!(
         keyed <= whole_chain,
@@ -473,10 +506,7 @@ fn tsb_keyed_window_prunes_rectangles_on_keys() {
     let pages = || db.metrics().temporal.range_scan_pages.get();
     let key = PkBounds::point(&schema, &Value::Int(17)).unwrap();
     let before = pages();
-    assert!(!db
-        .versions_between_in(TABLE, &key, lo, hi)
-        .unwrap()
-        .is_empty());
+    assert!(!window_in(db, &key, lo, hi).0.is_empty());
     let keyed = pages() - before;
     db.versions_between(TABLE, lo, hi).unwrap();
     let unkeyed = pages() - before - keyed;
@@ -538,6 +568,36 @@ fn resumed_equals_one_shot(s: &mut Session<'_>, sql: &str, k: usize, between: &m
     assert_eq!(sink.rows, one_shot.rows, "{sql}, stopping every {k}");
     assert_eq!(done.message, one_shot.message);
     assert_eq!(sink.flushes, one_shot.rows.len() / k, "{sql}");
+}
+
+/// Run `sql` whole, then again stopping every `k` rows: the first pause
+/// must come before the statement has spent the `buffer.fetches` of the
+/// whole run — it sends rows as its walk finds them instead of reading
+/// its whole result first.
+fn pauses_before_reading_everything(s: &mut Session<'_>, db: &Database, sql: &str, k: usize) {
+    let (whole, one_shot) = fetch_cost(db, || s.execute(sql).unwrap());
+    assert!(one_shot.rows.len() > 2 * k, "{sql}: too few rows to pause");
+    let first_pause = std::cell::Cell::new(None);
+    let mut between = || {
+        if first_pause.get().is_none() {
+            first_pause.set(Some(fetches(db)));
+        }
+    };
+    let mut sink = EveryK {
+        k,
+        room: k,
+        rows: Vec::new(),
+        flushes: 0,
+        between: &mut between,
+    };
+    let start = fetches(db);
+    s.execute_into(sql, &mut sink).unwrap();
+    assert_eq!(sink.rows, one_shot.rows, "{sql}");
+    let before_pause = first_pause.get().expect("the sink filled up") - start;
+    assert!(
+        before_pause < whole,
+        "{sql}: {before_pause} fetches before the first pause, {whole} for the whole run"
+    );
 }
 
 /// A random primary-key predicate of every shape `Keys::random` has.
@@ -625,7 +685,33 @@ fn resume_battery(tag: &str, using_tsb: bool, seed: u64) {
                 lo.ttime, hi.ttime
             );
             resumed_equals_one_shot(&mut s, &window, k, &mut between);
+            // The net change between two instants, which takes only
+            // primary-key conditions.
+            pauses.set(0);
+            let diff = format!(
+                "DIFF TABLE {TABLE} BETWEEN ms({}) AND ms({}){}",
+                lo.ttime,
+                hi.ttime,
+                predicate.replace(" AND X >= 0", "")
+            );
+            resumed_equals_one_shot(&mut s, &diff, k, &mut between);
         }
+    }
+    // Both temporal statements stream: over a window that changes keys
+    // everywhere, the first chunk leaves before the whole walk is read.
+    let commits = fx.history.commits();
+    let (lo, hi) = (commits[commits.len() / 4], *commits.last().unwrap());
+    for sql in [
+        format!(
+            "DIFF TABLE {TABLE} BETWEEN ms({}) AND ms({})",
+            lo.ttime, hi.ttime
+        ),
+        format!(
+            "SELECT * FROM {TABLE} VERSIONS BETWEEN ms({}) AND ms({})",
+            lo.ttime, hi.ttime
+        ),
+    ] {
+        pauses_before_reading_everything(&mut s, &db, &sql, 7);
     }
     let (time_splits, key_splits) = db.split_counts();
     assert!(
@@ -667,6 +753,90 @@ fn chain_scans_resume_where_they_stopped() {
 #[test]
 fn tsb_scans_resume_where_they_stopped() {
     resume_battery("tsb-resume", true, 31);
+}
+
+// -- the cost of resuming -------------------------------------------------------
+
+/// A window statement stopped every 64 rows costs at most twice the
+/// `buffer.fetches` of one uninterrupted walk: a resumed walk re-reads
+/// the key region it stopped in, not the rest of the box. 1,600 padded
+/// keys, inserted and then updated four times, 50 keys to a commit and
+/// a tick per commit; `VERSIONS BETWEEN` covers one update round and
+/// `DIFF` two, so each returns 1,600 rows — 25 chunks.
+fn resume_cost_battery(tag: &str, using_tsb: bool) {
+    const T: &str = "T";
+    const KEYS: i32 = 1_600;
+    let dir = TempDir::new(&format!("cursor-eq-{tag}"));
+    let clock = Arc::new(SimClock::new(1_700_000_000_000));
+    let db = Database::open(DbConfig::new(&dir).clock(clock.clone())).unwrap();
+    let ddl = format!(
+        "CREATE IMMORTAL TABLE {T} (Oid INT PRIMARY KEY, V INT, Pad VARCHAR(200)){}",
+        if using_tsb { " USING TSB" } else { "" }
+    );
+    Session::new(&db).execute(&ddl).unwrap();
+    let keys: Vec<i32> = (0..KEYS).collect();
+    let mut rounds = Vec::new();
+    for v in 0..5 {
+        let mut commits = Vec::new();
+        for batch in keys.chunks(50) {
+            let mut txn = db.begin(Isolation::Serializable);
+            for &k in batch {
+                let row = vec![
+                    Value::Int(k),
+                    Value::Int(v),
+                    Value::Varchar(format!("{k:0>150}")),
+                ];
+                if v == 0 {
+                    db.insert_row(&mut txn, T, row).unwrap();
+                } else {
+                    db.update_row(&mut txn, T, row).unwrap();
+                }
+            }
+            commits.push(db.commit(&mut txn).unwrap());
+            clock.advance(20);
+        }
+        rounds.push(commits);
+    }
+    let end = |round: &Vec<Timestamp>| round.last().unwrap().ttime;
+    let (v_lo, v_hi) = (rounds[3][0].ttime, end(&rounds[3]));
+    let (d_lo, d_hi) = (end(&rounds[2]), end(&rounds[4]));
+    let mut s = Session::new(&db);
+    for sql in [
+        format!("SELECT * FROM {T} VERSIONS BETWEEN ms({v_lo}) AND ms({v_hi})"),
+        format!("DIFF TABLE {T} BETWEEN ms({d_lo}) AND ms({d_hi})"),
+    ] {
+        let (whole, one_shot) = fetch_cost(&db, || s.execute(&sql).unwrap());
+        let mut sink = EveryK {
+            k: 64,
+            room: 64,
+            rows: Vec::new(),
+            flushes: 0,
+            between: &mut || {},
+        };
+        let (resumed, _) = fetch_cost(&db, || s.execute_into(&sql, &mut sink).unwrap());
+        assert_eq!(sink.rows, one_shot.rows, "{sql}");
+        assert!(sink.flushes >= 20, "{sql}: only {} chunks", sink.flushes);
+        let ratio = resumed as f64 / whole as f64;
+        eprintln!(
+            "{tag}: {sql}: {} chunks, {resumed} fetches resumed vs {whole} in one walk ({ratio:.2}x)",
+            sink.flushes + 1
+        );
+        assert!(
+            resumed <= 2 * whole,
+            "{sql}: {resumed} fetches over {} chunks vs {whole} in one walk",
+            sink.flushes + 1
+        );
+    }
+}
+
+#[test]
+fn tsb_resumed_windows_cost_at_most_twice_one_walk() {
+    resume_cost_battery("tsb-resume-cost", true);
+}
+
+#[test]
+fn chain_resumed_windows_cost_at_most_twice_one_walk() {
+    resume_cost_battery("chain-resume-cost", false);
 }
 
 // -- index-node splits ----------------------------------------------------------

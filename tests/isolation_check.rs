@@ -57,10 +57,7 @@ fn check_one(seed: u64, grouped: bool, readers: usize) -> Result<(), Mismatch> {
     let db = Database::open(
         DbConfig::new(&dir)
             .durability(Durability::Fsync)
-            .group_commit(GroupCommitConfig {
-                enabled: grouped,
-                ..GroupCommitConfig::default()
-            }),
+            .group_commit(GroupCommitConfig { enabled: grouped }),
     )
     .unwrap();
     Session::new(&db)

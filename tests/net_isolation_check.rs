@@ -38,10 +38,7 @@ fn check_one(seed: u64, grouped: bool) -> Result<(), Mismatch> {
         Database::open(
             DbConfig::new(&dir)
                 .durability(Durability::Fsync)
-                .group_commit(GroupCommitConfig {
-                    enabled: grouped,
-                    ..GroupCommitConfig::default()
-                }),
+                .group_commit(GroupCommitConfig { enabled: grouped }),
         )
         .unwrap(),
     );

@@ -6,7 +6,11 @@
 //! is ordinary stamped work, the pre-restore state must stay readable at
 //! its own timestamps (history is preserved, not rewritten).
 
-use immortaldb::{Database, DbConfig, Isolation, Session, TableKind, Value};
+use std::collections::{BTreeMap, BTreeSet};
+
+use immortaldb::{
+    Database, DbConfig, IndexKind, Isolation, Session, TableKind, Value, WRITE_CHUNK,
+};
 use immortaldb_chaos::{History, TempDir};
 use immortaldb_common::Timestamp;
 
@@ -155,4 +159,76 @@ fn restore_error_paths_and_sql_surface() {
         [row(1, 100), row(2, 200)],
         "SQL restore missed the pre-damage state"
     );
+}
+
+/// `RESTORE TABLE` undoes the change since its instant `WRITE_CHUNK` keys
+/// at a time. On a table several chunks wide, on both indexes, every
+/// restore must reproduce the state at its instant and report exactly
+/// the keys it changed.
+fn restore_over_chunks(tag: &str, index: IndexKind) {
+    let dir = TempDir::new(tag);
+    let db = Database::open(DbConfig::new(&dir)).unwrap();
+    db.create_table_with("t", schema(), TableKind::Immortal, index)
+        .unwrap();
+    let keys = 3 * WRITE_CHUNK as i32 + 21;
+    let mut history = History::default();
+    // Each step is one transaction: `Some(v)` writes the key, `None`
+    // deletes it.
+    let steps: Vec<Vec<(i32, Option<i64>)>> = vec![
+        (0..keys).map(|k| (k, Some(k as i64))).collect(),
+        (0..keys)
+            .step_by(2)
+            .map(|k| (k, Some(-(k as i64))))
+            .collect(),
+        (0..keys).step_by(3).map(|k| (k, None)).collect(),
+        (0..keys + 60)
+            .filter(|k| k % 5 == 0 || *k >= keys)
+            .map(|k| (k, Some(1_000 + k as i64)))
+            .collect(),
+    ];
+    for step in &steps {
+        let mut txn = db.begin(Isolation::Serializable);
+        let live = history.state_at(Timestamp::MAX);
+        for &(k, v) in step {
+            match v {
+                Some(v) if live.contains_key(&k) => db.update_row(&mut txn, "t", row(k, v)),
+                Some(v) => db.insert_row(&mut txn, "t", row(k, v)),
+                None => db.delete_row(&mut txn, "t", &Value::Int(k)),
+            }
+            .unwrap();
+        }
+        let ts = db.commit(&mut txn).unwrap();
+        for &(k, v) in step {
+            history.record(ts, k, v.map(|v| row(k, v)));
+        }
+    }
+    let by_key = |rows: Vec<Vec<Value>>| -> BTreeMap<Value, Vec<Value>> {
+        rows.into_iter().map(|r| (r[0].clone(), r)).collect()
+    };
+    for ts in history.commits().iter().rev() {
+        let before = by_key(scan(&db));
+        let (changed, _) = db.restore_table_as_of("t", *ts).unwrap();
+        let after = scan(&db);
+        history
+            .check_scan(*ts, |_| true, &after)
+            .unwrap_or_else(|e| panic!("{tag}: restore to {ts:?}: {e}"));
+        let after = by_key(after);
+        let keys: BTreeSet<&Value> = before.keys().chain(after.keys()).collect();
+        let expect = keys.iter().filter(|k| before.get(k) != after.get(k));
+        assert_eq!(
+            changed,
+            expect.count(),
+            "{tag}: rows changed restoring to {ts:?}"
+        );
+    }
+}
+
+#[test]
+fn restore_spans_many_chunks_on_the_chain_index() {
+    restore_over_chunks("restore-chunks-chain", IndexKind::Chain);
+}
+
+#[test]
+fn restore_spans_many_chunks_on_the_tsb_index() {
+    restore_over_chunks("restore-chunks-tsb", IndexKind::Tsb);
 }

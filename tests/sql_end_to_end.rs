@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use immortaldb::{Database, DbConfig, Error, Isolation, Session, SimClock, Value};
+use immortaldb::{
+    Database, DbConfig, Error, Isolation, Session, SimClock, Timestamp, Value, WRITE_CHUNK,
+};
 use immortaldb_chaos::TempDir;
 
 struct Env {
@@ -234,4 +236,72 @@ fn large_workload_with_checkpoints_and_reopen() {
     // Deep history still intact after checkpoints + restart.
     let h = db.history_rows("t", &Value::Int(42)).unwrap();
     assert_eq!(h.len(), 6);
+}
+
+/// `UPDATE` and `DELETE` with no predicate write `WRITE_CHUNK` rows per
+/// cursor walk: over several chunks they must leave exactly the state —
+/// and the history — that writing the same rows one by one leaves, under
+/// both isolation levels.
+#[test]
+fn chunked_update_and_delete_match_row_by_row() {
+    let env = Env::new("chunked-writes");
+    let db = env.open();
+    let n = 2 * WRITE_CHUNK as i32 + 37;
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|k| vec![Value::Int(k), Value::Int(k), Value::Int(0)])
+        .collect();
+    let scan = |table: &str| {
+        let mut txn = db.begin(Isolation::Serializable);
+        let rows = db.scan_rows(&mut txn, table).unwrap();
+        db.commit(&mut txn).unwrap();
+        rows
+    };
+    // Every version ever written, without its commit time.
+    let versions = |table: &str| -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+        let all = db.versions_between(table, Timestamp::ZERO, Timestamp::MAX);
+        all.unwrap().into_iter().map(|v| (v.key, v.data)).collect()
+    };
+    for (i, iso) in [Isolation::Serializable, Isolation::Snapshot]
+        .into_iter()
+        .enumerate()
+    {
+        let (chunked, by_row) = (format!("chunked{i}"), format!("by_row{i}"));
+        let mut s = Session::new(&db);
+        for t in [&chunked, &by_row] {
+            s.execute(&format!(
+                "CREATE IMMORTAL TABLE {t} (id INT PRIMARY KEY, v INT, w INT)"
+            ))
+            .unwrap();
+            let mut txn = db.begin(Isolation::Serializable);
+            db.insert_rows(&mut txn, t, rows.clone()).unwrap();
+            db.commit(&mut txn).unwrap();
+        }
+        env.tick();
+
+        s.begin(iso).unwrap();
+        let updated = s.execute(&format!("UPDATE {chunked} SET w = 7")).unwrap();
+        s.commit().unwrap();
+        assert_eq!(updated.affected, n as usize);
+        let mut txn = db.begin(iso);
+        for mut row in db.scan_rows(&mut txn, &by_row).unwrap() {
+            row[2] = Value::Int(7);
+            db.update_row(&mut txn, &by_row, row).unwrap();
+        }
+        db.commit(&mut txn).unwrap();
+        assert_eq!(scan(&chunked), scan(&by_row), "{iso:?} UPDATE");
+        env.tick();
+
+        s.begin(iso).unwrap();
+        let deleted = s.execute(&format!("DELETE FROM {chunked}")).unwrap();
+        s.commit().unwrap();
+        assert_eq!(deleted.affected, n as usize);
+        let mut txn = db.begin(iso);
+        for row in db.scan_rows(&mut txn, &by_row).unwrap() {
+            db.delete_row(&mut txn, &by_row, &row[0]).unwrap();
+        }
+        db.commit(&mut txn).unwrap();
+        assert!(scan(&chunked).is_empty(), "{iso:?} DELETE left rows");
+        assert_eq!(versions(&chunked), versions(&by_row), "{iso:?} history");
+        assert_eq!(versions(&chunked).len(), 3 * n as usize);
+    }
 }
