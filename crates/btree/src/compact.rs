@@ -1,13 +1,25 @@
-//! Background history compaction: rewrite cold historical pages with
-//! delta-packed version chains and merge under-filled chain neighbours,
-//! returning emptied pages to the disk manager's free list.
+//! The version store after the time split: the one walk over it, and
+//! the chain index's merge pass.
 //!
-//! History pages are immutable to the rest of the engine (time splits
-//! only ever *create* them), so the compactor is the single writer. A
-//! pass runs under the tree's structure **write** latch — the same
-//! exclusion splits use — so no reader can be mid-hop on a page the pass
-//! merges away, and every key→page routing it observes is stable. Two
-//! further rules keep merging safe:
+//! A time split writes its history page once, delta-packed
+//! ([`version::time_split`]). [`walk_history`] reaches every such page
+//! from the current leaves down history pointers, once each; it measures
+//! the store ([`HistoryStats`]) on either index and hands the chain
+//! compactor its chains and referrer counts.
+//!
+//! A packed page often fills only part of a page — the deeper and the
+//! more alike a key's versions, the less — so on the chain index the
+//! consecutive pages of one leaf's chain can share a page; the compactor
+//! merges them and frees the rest. The TSB-tree has no pass: its index
+//! entries address history pages by id, so there is nothing it could
+//! merge.
+//!
+//! History pages are immutable to the rest of the engine, so the
+//! compactor is their single writer. A pass runs under the tree's
+//! structure **write** latch — the same exclusion splits use — so no
+//! reader can be mid-hop on a page the pass merges away, and every
+//! key→page routing it observes is stable. Two further rules keep
+//! merging safe:
 //!
 //! * an older chain page `Q` is merged into its newer neighbour `P` only
 //!   when `Q` has exactly ONE referrer (key splits make sibling leaves
@@ -23,24 +35,26 @@
 //! multi-page write is repaired from the log like any other structure
 //! modification.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-use immortaldb_common::{PageId, Result, PAGE_SIZE};
-use immortaldb_storage::page::{Page, PageType, HEADER_SIZE};
-use immortaldb_storage::version::{self, ChainVersion, PackCounts};
+use immortaldb_common::{PageId, Result, PAGE_SIZE, VERSION_TAIL};
+use immortaldb_storage::page::{Page, PageType, HEADER_SIZE, REC_HDR};
+use immortaldb_storage::version::{self, ChainVersion, ChainWalker, PackCounts};
 
 use crate::tree::BTree;
+use crate::tree_core::Routing;
 
 /// What one compaction pass over a tree did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompactionStats {
-    /// Historical pages rewritten (in place or as merge survivors).
+    /// Historical pages rewritten (merge survivors, or pages written
+    /// before time splits packed).
     pub pages_rewritten: u64,
     /// Historical pages emptied by merging and freed.
     pub pages_freed: u64,
-    /// Bytes of page occupancy reclaimed (packing + merging).
+    /// Bytes of page occupancy reclaimed.
     pub bytes_reclaimed: u64,
-    /// Full / delta records written while packing.
+    /// Full / delta records written while repacking.
     pub counts: PackCounts,
 }
 
@@ -62,6 +76,11 @@ pub struct HistoryStats {
     pub versions: u64,
     /// Bytes occupied on those pages (records + slots, not headers).
     pub used_bytes: u64,
+    /// Bytes the same versions would occupy as full records, written the
+    /// way a current page holds them: header, key, whole payload and
+    /// tail on every record, plus one slot per chain. The baseline delta
+    /// packing is measured against.
+    pub full_record_bytes: u64,
 }
 
 impl HistoryStats {
@@ -69,6 +88,24 @@ impl HistoryStats {
         self.history_pages += other.history_pages;
         self.versions += other.versions;
         self.used_bytes += other.used_bytes;
+        self.full_record_bytes += other.full_record_bytes;
+    }
+
+    /// Count one historical page.
+    pub fn add_page(&mut self, p: &Page) -> Result<()> {
+        self.history_pages += 1;
+        self.used_bytes += page_used_bytes(p) as u64;
+        for i in 0..p.slot_count() {
+            let key_len = p.rec_key(p.slot(i)).len();
+            self.full_record_bytes += 2;
+            let mut w = ChainWalker::new(p, i);
+            while w.step()?.is_some() {
+                self.versions += 1;
+                self.full_record_bytes +=
+                    (REC_HDR + key_len + w.data().len() + VERSION_TAIL) as u64;
+            }
+        }
+        Ok(())
     }
 
     /// Mean occupied bytes per stored version (0 when empty).
@@ -81,8 +118,52 @@ impl HistoryStats {
     }
 }
 
+/// The history reachable from a tree's current leaves.
+#[derive(Debug, Default)]
+pub struct HistoryWalk {
+    /// One chain per current leaf that has history, newest page first,
+    /// cut where it joins a chain an earlier leaf already reached (key
+    /// splits make sibling leaves share the pages carved off before).
+    pub chains: Vec<Vec<PageId>>,
+    /// Per historical page, how many pages point at it: current leaves
+    /// and newer history pages.
+    pub referrers: HashMap<PageId, u32>,
+}
+
+/// Walk every historical page reachable from `r`'s current leaves down
+/// history pointers, handing each to `visit` once, the first time it is
+/// reached. The caller holds the structure latch.
+pub fn walk_history<R: Routing + ?Sized>(
+    r: &R,
+    visit: &mut dyn FnMut(&Page) -> Result<()>,
+) -> Result<HistoryWalk> {
+    let pool = &r.core().pool;
+    let mut walk = HistoryWalk::default();
+    r.current_leaves(&mut |leaf| {
+        let mut chain = Vec::new();
+        let mut h = pool.fetch(leaf)?.read().history_page();
+        while h.is_valid() {
+            let seen = walk.referrers.entry(h).or_default();
+            *seen += 1;
+            if *seen > 1 {
+                break;
+            }
+            chain.push(h);
+            let frame = pool.fetch(h)?;
+            let g = frame.read();
+            visit(&g)?;
+            h = g.history_page();
+        }
+        if !chain.is_empty() {
+            walk.chains.push(chain);
+        }
+        Ok(())
+    })?;
+    Ok(walk)
+}
+
 /// Occupied bytes of a page: records plus slot array, headers excluded.
-pub fn page_used_bytes(p: &Page) -> usize {
+fn page_used_bytes(p: &Page) -> usize {
     PAGE_SIZE - HEADER_SIZE - p.total_free()
 }
 
@@ -90,7 +171,7 @@ pub fn page_used_bytes(p: &Page) -> usize {
 /// pages never should — time splits move only stamped committed
 /// versions — but an unexpected one makes the page ineligible rather
 /// than corrupting a timestamp.
-pub fn page_has_tid_marked(p: &Page) -> bool {
+fn page_has_tid_marked(p: &Page) -> bool {
     for i in 0..p.slot_count() {
         for off in version::chain_offsets(p, i) {
             if p.rec_is_tid_marked(off) {
@@ -106,7 +187,7 @@ pub fn page_has_tid_marked(p: &Page) -> bool {
 /// the same key concatenate across pages; the boundary version a time
 /// split copied into both pages is deduplicated by timestamp. Fails with
 /// `PageFull` when the combined content does not fit.
-pub fn pack_history_pages(srcs: &[&Page], id: PageId) -> Result<(Page, PackCounts)> {
+fn pack_history_pages(srcs: &[&Page], id: PageId) -> Result<(Page, PackCounts)> {
     let newest = srcs[0];
     let oldest = srcs[srcs.len() - 1];
     let mut chains: BTreeMap<Vec<u8>, Vec<ChainVersion>> = BTreeMap::new();
@@ -143,11 +224,11 @@ pub fn pack_history_pages(srcs: &[&Page], id: PageId) -> Result<(Page, PackCount
 }
 
 impl BTree {
-    /// Compact this tree's history chains: rewrite every reachable
-    /// historical page delta-packed and merge single-referrer older
-    /// pages into their newer neighbours, freeing the emptied pages.
-    /// Runs under the structure write latch; concurrent reads and writes
-    /// wait for the pass, exactly as they do for a split.
+    /// Compact this tree's history chains: merge single-referrer older
+    /// pages into their newer neighbours, repacking the survivor, and
+    /// free the emptied pages. Runs under the structure write latch;
+    /// concurrent reads and writes wait for the pass, exactly as they do
+    /// for a split.
     pub fn compact_history(&self) -> Result<CompactionStats> {
         let mut stats = CompactionStats::default();
         if !self.versioned {
@@ -155,37 +236,9 @@ impl BTree {
         }
         let _c = self.core.compacting.lock();
         let _s = self.core.structure.write();
-        let leaves = self.leaves_with_bounds()?;
-
-        // Walk every chain once: count in-edges (a page referenced by two
-        // sibling leaves after a key split must survive with its id).
-        let mut in_edges: HashMap<PageId, u32> = HashMap::new();
-        let mut chains: Vec<Vec<PageId>> = Vec::new();
-        let mut visited: HashSet<PageId> = HashSet::new();
-        for leaf in &leaves {
-            let mut chain = Vec::new();
-            let mut h = {
-                let f = self.core.pool.fetch(leaf.id)?;
-                let g = f.read();
-                g.history_page()
-            };
-            while h.is_valid() {
-                *in_edges.entry(h).or_default() += 1;
-                if !visited.insert(h) {
-                    break; // suffix already walked via a sibling leaf
-                }
-                chain.push(h);
-                let f = self.core.pool.fetch(h)?;
-                h = f.read().history_page();
-            }
-            if !chain.is_empty() {
-                chains.push(chain);
-            }
-        }
-
-        let mut processed: HashSet<PageId> = HashSet::new();
-        for chain in chains {
-            stats.add(self.compact_chain(&chain, &in_edges, &mut processed)?);
+        let walk = walk_history(self, &mut |_| Ok(()))?;
+        for chain in &walk.chains {
+            stats.add(self.compact_chain(chain, &walk.referrers)?);
         }
 
         let m = self.core.pool.metrics();
@@ -197,13 +250,14 @@ impl BTree {
         Ok(stats)
     }
 
-    /// Compact one leaf's history chain (newest page first). Caller holds
-    /// the structure write latch and the compacting mutex.
+    /// Compact one leaf's history chain (newest page first). Chains of
+    /// one walk are disjoint, and a page another chain reaches too has
+    /// two referrers, so it is never absorbed. Caller holds the structure
+    /// write latch and the compacting mutex.
     fn compact_chain(
         &self,
         chain: &[PageId],
-        in_edges: &HashMap<PageId, u32>,
-        processed: &mut HashSet<PageId>,
+        referrers: &HashMap<PageId, u32>,
     ) -> Result<CompactionStats> {
         let mut stats = CompactionStats::default();
         let mut images: Vec<Page> = Vec::new();
@@ -212,9 +266,6 @@ impl BTree {
         let mut idx = 0;
         while idx < chain.len() {
             let pid = chain[idx];
-            if !processed.insert(pid) {
-                break; // shared suffix: a sibling's pass already took it
-            }
             let page = {
                 let f = self.core.pool.fetch(pid)?;
                 let g = f.read();
@@ -230,10 +281,7 @@ impl BTree {
             // Greedily pull in older single-referrer neighbours while the
             // combined content still fits in one page.
             let mut next = idx + 1;
-            while next < chain.len()
-                && in_edges.get(&chain[next]).copied().unwrap_or(0) == 1
-                && !processed.contains(&chain[next])
-            {
+            while next < chain.len() && referrers.get(&chain[next]).copied().unwrap_or(0) == 1 {
                 let q = {
                     let f = self.core.pool.fetch(chain[next])?;
                     let g = f.read();
@@ -271,7 +319,6 @@ impl BTree {
             stats.counts.add(counts);
             images.push(packed);
             for p in chain[idx + 1..next].iter() {
-                processed.insert(*p);
                 let mut free = Page::zeroed();
                 free.format(*p, PageType::Free, 0, 0);
                 images.push(free);
@@ -290,35 +337,5 @@ impl BTree {
             self.core.pool.disk().free_page(id);
         }
         Ok(stats)
-    }
-
-    /// Measure the version store: every historical page reachable from a
-    /// current leaf, its occupied bytes, and the versions stored there.
-    pub fn history_stats(&self) -> Result<HistoryStats> {
-        let mut out = HistoryStats::default();
-        if !self.versioned {
-            return Ok(out);
-        }
-        let _s = self.core.structure.read();
-        let leaves = self.leaves_with_bounds()?;
-        let mut visited: HashSet<PageId> = HashSet::new();
-        for leaf in &leaves {
-            let mut h = {
-                let f = self.core.pool.fetch(leaf.id)?;
-                let g = f.read();
-                g.history_page()
-            };
-            while h.is_valid() && visited.insert(h) {
-                let f = self.core.pool.fetch(h)?;
-                let g = f.read();
-                out.history_pages += 1;
-                out.used_bytes += page_used_bytes(&g) as u64;
-                for i in 0..g.slot_count() {
-                    out.versions += version::chain_offsets(&g, i).len() as u64;
-                }
-                h = g.history_page();
-            }
-        }
-        Ok(out)
     }
 }

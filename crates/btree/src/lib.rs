@@ -30,9 +30,7 @@ mod split;
 mod tree;
 mod tree_core;
 
-pub use compact::{
-    pack_history_pages, page_has_tid_marked, page_used_bytes, CompactionStats, HistoryStats,
-};
+pub use compact::{walk_history, CompactionStats, HistoryStats, HistoryWalk};
 pub use cursor::{
     visit_page, Flow, HeadVersion, HistoryVersion, KeyRange, KeyVisitor, Query, RecordVisitor,
     ScanItem, Stamp, TemporalVersion, Version, VersionBuffer, VersionCursor, Visitor,

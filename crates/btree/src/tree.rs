@@ -60,13 +60,6 @@ impl BTree {
         self.core.split_threshold = t.clamp(0.3, 0.95);
     }
 
-    /// Whether time splits write their history pages delta-packed
-    /// (default on).
-    pub fn with_history_packing(mut self, on: bool) -> BTree {
-        self.core.history_packing = on;
-        self
-    }
-
     // -- descent ---------------------------------------------------------
 
     /// Child pointer stored in an index-page record.

@@ -37,6 +37,7 @@ use immortaldb_storage::version::{self, Visible};
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
+use crate::compact::{walk_history, HistoryStats};
 use crate::cursor::VersionCursor;
 
 /// Largest key+data payload a single record may carry. Keeps every record
@@ -78,9 +79,6 @@ pub struct TreeCore {
     /// utilization still exceeds this (default 0.7 → single-slice
     /// utilization ≈ T·ln2 ≈ 0.48).
     pub(crate) split_threshold: f64,
-    /// Whether a time split writes its history page delta-packed
-    /// (default on; the compactor packs regardless).
-    pub history_packing: bool,
     /// Per-tree split counters (tests read them); the engine-wide
     /// registry aggregates across trees.
     time_splits: AtomicU32,
@@ -157,7 +155,6 @@ impl TreeCore {
             root: AtomicU32::new(root.0),
             structure: RwLock::new(()),
             split_threshold: 0.7,
-            history_packing: true,
             split_time,
             time_splits: AtomicU32::new(0),
             key_splits: AtomicU32::new(0),
@@ -356,8 +353,7 @@ pub(crate) fn split_for<R: Routing>(
         && version::time_split_gain(&left, split_ts) > 0
     {
         let hist_id = core.pool.disk().allocate()?;
-        let (hist, fresh, packed) =
-            version::time_split(&left, split_ts, hist_id, core.history_packing)?;
+        let (hist, fresh, packed) = version::time_split(&left, split_ts, hist_id)?;
         images.push(hist);
         left = fresh;
         split.time_split = Some((split_ts, hist_id));
@@ -613,6 +609,10 @@ pub trait TemporalIndex: VersionCursor + Send + Sync {
     /// more.
     fn stamp_all(&self, resolver: &dyn TimestampResolver) -> Result<u64>;
 
+    /// Shape of the version store: every historical page reachable from
+    /// a current leaf, counted once ([`walk_history`]).
+    fn history_shape(&self) -> Result<HistoryStats>;
+
     /// `TreeLocator` support: current leaf page for `key`.
     fn locate_leaf_page(&self, key: &[u8]) -> Result<PageId>;
 
@@ -785,6 +785,13 @@ impl<R: Routing + VersionCursor> TemporalIndex for R {
         })?;
         core.pool.metrics().ts.stamps_vacuum.add(stamped);
         Ok(stamped)
+    }
+
+    fn history_shape(&self) -> Result<HistoryStats> {
+        let _s = self.core().structure.read();
+        let mut shape = HistoryStats::default();
+        walk_history(self, &mut |p| shape.add_page(p))?;
+        Ok(shape)
     }
 
     fn locate_leaf_page(&self, key: &[u8]) -> Result<PageId> {

@@ -40,9 +40,6 @@ pub struct DbConfig {
     pub dir: PathBuf,
     /// Buffer pool capacity in pages.
     pub pool_pages: usize,
-    /// Buffer-pool frame-table shards (rounded up to a power of two);
-    /// 0 picks an automatic count from the host's parallelism.
-    pub pool_shards: usize,
     /// Commit durability (fsync vs OS-buffered).
     pub durability: Durability,
     /// Group-commit barrier tuning (leader/follower shared fsyncs at
@@ -77,11 +74,6 @@ pub struct DbConfig {
     /// visibility watermark for checker-state pruning. `None` (default)
     /// compiles the taps down to a branch on a never-set option.
     pub sentinel: Option<Arc<immortaldb_check::EventTap>>,
-    /// Write the history page of a time split delta-packed (default on).
-    /// Off leaves full version images behind, as an engine from before
-    /// delta chains did — the shape the compactor's packing win is
-    /// measured on. The compactor packs either way.
-    pub history_packing: bool,
 }
 
 impl DbConfig {
@@ -89,7 +81,6 @@ impl DbConfig {
         DbConfig {
             dir: dir.as_ref().to_path_buf(),
             pool_pages: 1024,
-            pool_shards: 0,
             durability: Durability::Buffered,
             group_commit: GroupCommitConfig::default(),
             timestamping: TimestampingMode::Lazy,
@@ -100,7 +91,6 @@ impl DbConfig {
             metrics: None,
             compaction: None,
             sentinel: None,
-            history_packing: true,
         }
     }
 
@@ -111,11 +101,6 @@ impl DbConfig {
 
     pub fn pool_pages(mut self, n: usize) -> Self {
         self.pool_pages = n;
-        self
-    }
-
-    pub fn pool_shards(mut self, n: usize) -> Self {
-        self.pool_shards = n;
         self
     }
 
@@ -158,11 +143,6 @@ impl DbConfig {
         self.sentinel = Some(tap);
         self
     }
-
-    pub fn history_packing(mut self, on: bool) -> Self {
-        self.history_packing = on;
-        self
-    }
 }
 
 /// The database engine.
@@ -172,8 +152,6 @@ pub struct Database {
     /// Commit timestamps, the snapshot boundary below every in-flight
     /// commit, and (as every tree's split-time source) the split bound.
     pub(crate) authority: Arc<TimestampAuthority>,
-    /// [`DbConfig::history_packing`], for every tree this engine opens.
-    history_packing: bool,
     pub(crate) vtt: Arc<Vtt>,
     pub(crate) ptt: Arc<Ptt>,
     pub(crate) resolver: Arc<TxnResolver>,
@@ -229,7 +207,7 @@ fn compaction_pass(trees: &[TableIndex], metrics: &MetricsRegistry) -> Result<Co
     let mut shape = HistoryStats::default();
     for t in trees {
         stats.add(t.compact_history()?);
-        shape.add(t.history_stats()?);
+        shape.add(t.history_shape()?);
     }
     metrics.compaction.runs.inc();
     metrics
@@ -288,7 +266,7 @@ impl Database {
             Arc::clone(&disk),
             Arc::clone(&wal),
             config.pool_pages,
-            config.pool_shards,
+            0, // frame-table shards from the host's parallelism
             metrics.clone(),
         ));
         pool.set_page_image_logging(config.page_image_logging);
@@ -383,7 +361,6 @@ impl Database {
             pool,
             wal,
             authority,
-            history_packing: config.history_packing,
             vtt,
             ptt,
             resolver,
@@ -624,7 +601,7 @@ impl Database {
     fn build_index(&self, def: &TableDef, create: bool) -> Result<TableIndex> {
         let split_time: Arc<dyn SplitTimeSource> = self.authority.clone();
         let (pool, wal) = (&self.pool, &self.wal);
-        TableIndex::build(def, create, pool, wal, &split_time, self.history_packing)
+        TableIndex::build(def, create, pool, wal, &split_time)
     }
 
     /// Enable snapshot versioning on an *empty* conventional table
@@ -1498,12 +1475,12 @@ impl Database {
         Ok(reclaimed)
     }
 
-    /// Run one history-compaction pass over every table now: rewrite
-    /// historical pages delta-packed, merge single-referrer chain pages
-    /// (chain indexes), and free emptied pages. The background thread
-    /// (see [`DbConfig::compaction_interval`]) runs this same pass on its
-    /// timer; this is the synchronous entry point for maintenance and
-    /// tests. Returns the aggregate stats.
+    /// Run one history-compaction pass over every table now: merge
+    /// single-referrer history pages of chain-indexed tables and free the
+    /// emptied pages (TSB tables have nothing to merge). The background
+    /// thread (see [`DbConfig::compaction_interval`]) runs this same pass
+    /// on its timer; this is the synchronous entry point for maintenance
+    /// and tests. Returns the aggregate stats.
     pub fn compact_history(&self) -> Result<CompactionStats> {
         if self.replica {
             return Err(Error::ReplicaReadOnly);
@@ -1514,12 +1491,12 @@ impl Database {
     }
 
     /// Aggregate version-store shape across every table (historical
-    /// pages, versions stored, occupied bytes).
+    /// pages, versions stored, occupied bytes, full-record bytes).
     pub fn history_stats(&self) -> Result<HistoryStats> {
         let mut out = HistoryStats::default();
         let handles: Vec<TableIndex> = self.trees.read().values().cloned().collect();
         for t in &handles {
-            out.add(t.history_stats()?);
+            out.add(t.history_shape()?);
         }
         Ok(out)
     }

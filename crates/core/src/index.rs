@@ -11,8 +11,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use immortaldb_btree::{
-    BTree, CompactionStats, HistoryStats, KeyRange, RecordVisitor, ScanItem, SplitTimeSource,
-    TemporalIndex,
+    BTree, CompactionStats, KeyRange, RecordVisitor, ScanItem, SplitTimeSource, TemporalIndex,
 };
 use immortaldb_common::{Error, Lsn, Result, Tid, Timestamp};
 use immortaldb_storage::buffer::BufferPool;
@@ -49,15 +48,13 @@ impl Deref for TableIndex {
 }
 
 impl TableIndex {
-    /// Create (`create`) or open the tree behind `def`; its time splits
-    /// delta-pack their history pages when `history_packing` is on.
+    /// Create (`create`) or open the tree behind `def`.
     pub(crate) fn build(
         def: &TableDef,
         create: bool,
         pool: &Arc<BufferPool>,
         wal: &Arc<Wal>,
         split_time: &Arc<dyn SplitTimeSource>,
-        history_packing: bool,
     ) -> Result<TableIndex> {
         let (pool, wal, split_time) = (Arc::clone(pool), Arc::clone(wal), Arc::clone(split_time));
         let (tree, versioned) = (def.tree, def.kind.is_versioned());
@@ -68,7 +65,7 @@ impl TableIndex {
                 } else {
                     BTree::open(pool, wal, tree, versioned, split_time)
                 }?;
-                TableIndex::Chain(Arc::new(t.with_history_packing(history_packing)))
+                TableIndex::Chain(Arc::new(t))
             }
             IndexKind::Tsb => {
                 let t = if create {
@@ -76,7 +73,7 @@ impl TableIndex {
                 } else {
                     TsbTree::open(pool, wal, tree, split_time)
                 }?;
-                TableIndex::Tsb(Arc::new(t.with_history_packing(history_packing)))
+                TableIndex::Tsb(Arc::new(t))
             }
         })
     }
@@ -105,19 +102,13 @@ impl TableIndex {
 
     // -- history compaction ---------------------------------------------------
 
-    /// One compaction pass over this table's historical pages.
+    /// One compaction pass over this table's historical pages. A TSB
+    /// table has nothing to merge: its index entries address history
+    /// pages by id.
     pub fn compact_history(&self) -> Result<CompactionStats> {
         match self {
             TableIndex::Chain(t) => t.compact_history(),
-            TableIndex::Tsb(t) => t.compact_history(),
-        }
-    }
-
-    /// Shape of this table's version store.
-    pub fn history_stats(&self) -> Result<HistoryStats> {
-        match self {
-            TableIndex::Chain(t) => t.history_stats(),
-            TableIndex::Tsb(t) => t.history_stats(),
+            TableIndex::Tsb(_) => Ok(CompactionStats::default()),
         }
     }
 

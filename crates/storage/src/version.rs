@@ -517,15 +517,14 @@ pub fn time_split_gain(cur: &Page, split_ts: Timestamp) -> usize {
 /// current page, pack counts)` images. The history page receives the time
 /// range `[cur.start_ts, split_ts)` and inherits the old history pointer;
 /// the rebuilt current page covers `[split_ts, ∞)` and points at the new
-/// history page. With `pack` (the engine's default, `DbConfig::
-/// history_packing`) the history side is written delta-packed. The caller
-/// must have stamped all committed versions first ([`stamp_committed`])
-/// and installs/logs both images atomically.
+/// history page. The history side is written once, here, delta-packed;
+/// nothing rewrites it afterwards except a chain merge. The caller must
+/// have stamped all committed versions first ([`stamp_committed`]) and
+/// installs/logs both images atomically.
 pub fn time_split(
     cur: &Page,
     split_ts: Timestamp,
     hist_id: PageId,
-    pack: bool,
 ) -> Result<(Page, Page, PackCounts)> {
     debug_assert!(cur.is_versioned());
     debug_assert!(split_ts > cur.start_ts());
@@ -549,33 +548,28 @@ pub fn time_split(
     fresh.set_next_leaf(cur.next_leaf());
 
     let mut counts = PackCounts::default();
-    let pick_hist = |f| matches!(f, SplitFate::HistoryOnly | SplitFate::Both);
     for i in 0..cur.slot_count() {
         let chain = chain_offsets(cur, i);
         let fates = chain_fates(cur, &chain, split_ts);
         copy_chain(cur, &chain, &fates, &mut fresh, |f| {
             matches!(f, SplitFate::CurrentOnly | SplitFate::Both)
         })?;
-        if pack {
-            // Current pages never hold deltas, so the picked records are
-            // already materialized.
-            let vers: Vec<ChainVersion> = chain
-                .iter()
-                .enumerate()
-                .filter(|&(idx, _)| pick_hist(fates[idx]))
-                .map(|(_, &off)| ChainVersion {
-                    data: cur.rec_data(off).to_vec(),
-                    flags: cur.rec_flags(off),
-                    ttime: cur.rec_ttime(off),
-                    sn: cur.rec_sn(off),
-                })
-                .collect();
-            if !vers.is_empty() {
-                let key = cur.rec_key(chain[0]).to_vec();
-                counts.add(pack_chain_into(&mut hist, &key, &vers)?);
-            }
-        } else {
-            copy_chain(cur, &chain, &fates, &mut hist, pick_hist)?;
+        // Current pages never hold deltas, so the picked records are
+        // already materialized.
+        let vers: Vec<ChainVersion> = chain
+            .iter()
+            .zip(&fates)
+            .filter(|&(_, f)| matches!(f, SplitFate::HistoryOnly | SplitFate::Both))
+            .map(|(&off, _)| ChainVersion {
+                data: cur.rec_data(off).to_vec(),
+                flags: cur.rec_flags(off),
+                ttime: cur.rec_ttime(off),
+                sn: cur.rec_sn(off),
+            })
+            .collect();
+        if !vers.is_empty() {
+            let key = cur.rec_key(chain[0]).to_vec();
+            counts.add(pack_chain_into(&mut hist, &key, &vers)?);
         }
     }
     Ok((hist, fresh, counts))
@@ -616,9 +610,8 @@ fn copy_chain(
             Ok(_) => return Err(Error::Internal("duplicate slot during split copy".into())),
             Err(pos) => pos,
         };
-        // We allocated the record without a slot when first_new was taken
-        // above with need_slot=true... insert_slot is private; emulate via
-        // insert_at? The record is already in the heap; add the slot.
+        // `alloc_record` reserved room for the head's slot; add it now
+        // that the chain is linked.
         dst.add_slot_for(pos, head);
     }
     Ok(())
@@ -868,7 +861,7 @@ mod tests {
         p.stamp_rec(c3, ts(200, 0));
 
         let split = ts(100, 0);
-        let (hist, cur, _) = time_split(&p, split, PageId(99), true).unwrap();
+        let (hist, cur, _) = time_split(&p, split, PageId(99)).unwrap();
 
         // History page: time range [0, 100).
         assert!(hist.is_historical());
@@ -914,7 +907,7 @@ mod tests {
         p.stamp_rec(o1, ts(20, 0));
         let o2 = add_version(&mut p, b"k", b"", true, Tid(2)).unwrap();
         p.stamp_rec(o2, ts(40, 0));
-        let (hist, cur, _) = time_split(&p, ts(100, 0), PageId(9), true).unwrap();
+        let (hist, cur, _) = time_split(&p, ts(100, 0), PageId(9)).unwrap();
         // Whole chain ended before the split: key vanishes from current.
         assert!(cur.find_slot(b"k").is_err());
         let h = hist.find_slot(b"k").unwrap();
@@ -929,7 +922,7 @@ mod tests {
         let o1 = add_version(&mut p, b"k", b"v1", false, Tid(1)).unwrap();
         p.stamp_rec(o1, ts(20, 0));
         add_version(&mut p, b"k", b"v2", false, Tid(7)).unwrap(); // uncommitted
-        let (hist, cur, _) = time_split(&p, ts(100, 0), PageId(9), true).unwrap();
+        let (hist, cur, _) = time_split(&p, ts(100, 0), PageId(9)).unwrap();
         let c = cur.find_slot(b"k").unwrap();
         let chain = chain_offsets(&cur, c);
         assert_eq!(chain.len(), 2);
@@ -1087,7 +1080,7 @@ mod tests {
             p.stamp_rec(o, ts(10 * (i as u64 + 1), 0));
         }
         let split = ts(10 * depth as u64 + 5, 0);
-        let (hist, cur, counts) = time_split(&p, split, PageId(40), true).unwrap();
+        let (hist, cur, counts) = time_split(&p, split, PageId(40)).unwrap();
         assert!(counts.deltas > 0, "large stable payloads must delta-pack");
         // History holds the full chain (newest spans the split -> Both);
         // the walker reproduces every payload.
@@ -1098,10 +1091,9 @@ mod tests {
         for (idx, v) in vers.iter().enumerate() {
             assert_eq!(v.data, big(5, (depth - 1 - idx) as u8));
         }
-        // Packed history is denser than the unpacked current-page bytes.
-        let (unpacked, _, c2) = time_split(&p, split, PageId(40), false).unwrap();
-        assert_eq!(c2, PackCounts::default());
-        assert!(hist.free_lower() < unpacked.free_lower());
+        // Packed history is denser than the same versions were on the
+        // source page, where every record is a full image.
+        assert!(hist.free_lower() < p.free_lower());
         // Current side keeps only the spanning newest version, full-image.
         let ci = cur.find_slot(b"obj").unwrap();
         assert_eq!(chain_offsets(&cur, ci).len(), 1);

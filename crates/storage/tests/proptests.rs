@@ -152,7 +152,7 @@ proptest! {
         if split_ts <= page.start_ts() {
             return Ok(());
         }
-        let (hist, cur, _) = version::time_split(&page, split_ts, PageId(99), true).unwrap();
+        let (hist, cur, _) = version::time_split(&page, split_ts, PageId(99)).unwrap();
 
         // Probe every (key, tick) instant against the pre-split truth.
         for probe_tick in 0..12u64 {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use immortaldb_btree::{
-    KeyRange, Routing, ScanItem, SplitTimeSource, TemporalIndex, VersionCursor,
+    walk_history, KeyRange, Routing, ScanItem, SplitTimeSource, TemporalIndex, VersionCursor,
 };
 use immortaldb_common::{Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
@@ -356,7 +356,9 @@ fn as_of_reads_avoid_page_chain_walks() {
 /// The TSB-tree's invariant, checked page by page once index nodes have
 /// time-split: a historical index node references only historical pages
 /// (so it never changes again), and every committed `(key, ts)` descends
-/// to a leaf that already covered `ts`.
+/// to a leaf that already covered `ts`. The history pages the index
+/// references are exactly those the history walk reaches from the
+/// current leaves, so that walk measures the whole store.
 #[test]
 fn historical_index_nodes_reference_only_history() {
     let env = Env::new("index-split");
@@ -385,6 +387,7 @@ fn historical_index_nodes_reference_only_history() {
 
     let mut stack = vec![t.core().root()];
     let mut seen = HashSet::new();
+    let mut indexed_history = HashSet::new();
     while let Some(id) = stack.pop() {
         if !seen.insert(id) {
             continue;
@@ -394,15 +397,33 @@ fn historical_index_nodes_reference_only_history() {
             continue;
         }
         for e in entries(&node) {
-            let historical = env.pool.fetch(e.child).unwrap().read().is_historical();
+            let child = env.pool.fetch(e.child).unwrap().read().clone();
             assert!(
-                historical || !node.is_historical(),
+                child.is_historical() || !node.is_historical(),
                 "historical index node {id:?} references current page {:?}",
                 e.child
             );
+            if child.is_historical() && child.page_type().unwrap() == PageType::Leaf {
+                indexed_history.insert(e.child);
+            }
             stack.push(e.child);
         }
     }
+    let mut walked = HashSet::new();
+    walk_history(&t, &mut |p| {
+        assert!(
+            walked.insert(p.page_id()),
+            "walk reached {:?} twice",
+            p.page_id()
+        );
+        Ok(())
+    })
+    .unwrap();
+    assert!(!walked.is_empty(), "history pages must exist");
+    assert_eq!(
+        walked, indexed_history,
+        "the history walk must reach exactly the history pages the index references"
+    );
     for (k, at) in committed {
         let (leaf, _) = t.descend(&key(k), at).unwrap();
         let start = leaf.read().start_ts();

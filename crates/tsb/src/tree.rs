@@ -1,12 +1,11 @@
 //! TSB-tree implementation: temporal descent, rectangle posting and
-//! index-node splits, the cursor walk, compaction.
+//! index-node splits, the cursor walk.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use immortaldb_btree::{
-    pack_history_pages, page_has_tid_marked, page_used_bytes, visit_page, CompactionStats, Flow,
-    HistoryStats, KeyRange, LeafSplit, Query, Routing, SplitTimeSource, TreeCore, Version,
+    visit_page, Flow, KeyRange, LeafSplit, Query, Routing, SplitTimeSource, TreeCore, Version,
     VersionBuffer, VersionCursor, Visitor,
 };
 use immortaldb_common::codec::{get_u32, get_u64, put_u32, put_u64};
@@ -15,7 +14,6 @@ use immortaldb_storage::buffer::{BufferPool, FrameRef};
 use immortaldb_storage::page::{
     Page, PageType, FLAG_HISTORICAL, FLAG_VERSIONED, HEADER_SIZE, REC_HDR,
 };
-use immortaldb_storage::version;
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
@@ -210,15 +208,7 @@ impl TsbTree {
         Ok(TsbTree { core })
     }
 
-    /// Whether time splits write their history pages delta-packed
-    /// (default on).
-    pub fn with_history_packing(mut self, on: bool) -> TsbTree {
-        self.core.history_packing = on;
-        self
-    }
-
-    /// Height of the tree (1 = root is a data page) and total index
-    /// nodes reachable for current-time descents (diagnostics).
+    /// Height of the tree (1 = root is a data page).
     pub fn height(&self) -> Result<u16> {
         let frame = self.core.pool.fetch(self.core.root())?;
         let levels = frame.read().level() + 1;
@@ -618,106 +608,6 @@ impl TsbTree {
         images.push(page(node.page_id(), node.flags(), &all)?);
         Ok((posted, split_ts))
     }
-
-    // -- compaction -----------------------------------------------------------
-
-    /// Every data page reachable from the root, deduplicated: both
-    /// current and historical regions, or only the current data pages
-    /// (those under open entries) when `current`.
-    fn data_pages(&self, current: bool) -> Result<Vec<PageId>> {
-        let mut out = Vec::new();
-        let mut seen: HashSet<PageId> = HashSet::new();
-        let mut stack = vec![self.core.root()];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let frame = self.core.pool.fetch(id)?;
-            let g = frame.read();
-            match g.page_type()? {
-                PageType::Leaf => out.push(id),
-                PageType::Index => {
-                    let open = |e: &Entry| !current || e.is_open();
-                    stack.extend(entries(&g).into_iter().filter(open).map(|e| e.child));
-                }
-                other => {
-                    return Err(Error::Corruption(format!(
-                        "TSB walk hit {other:?} page {id:?}"
-                    )))
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Rewrite every historical data page delta-packed, in place. Unlike
-    /// the chain B-tree, TSB index entries address historical pages by
-    /// id, so pages keep their identity and are never merged or freed —
-    /// the win is the packing itself. Runs under the structure write
-    /// latch; rewrites are logged as `PageImages` in small batches so a
-    /// long pass does not build one giant log record.
-    pub fn compact_history(&self) -> Result<CompactionStats> {
-        const BATCH: usize = 8;
-        let _c = self.core.compacting.lock();
-        let _s = self.core.structure.write();
-        let mut stats = CompactionStats::default();
-        let mut batch: Vec<Page> = Vec::new();
-        for pid in self.data_pages(false)? {
-            let page = {
-                let f = self.core.pool.fetch(pid)?;
-                let g = f.read();
-                if !g.is_historical() {
-                    continue;
-                }
-                g.clone()
-            };
-            if page_has_tid_marked(&page) {
-                continue;
-            }
-            let before = page_used_bytes(&page);
-            let (packed, counts) = pack_history_pages(&[&page], pid)?;
-            let after = page_used_bytes(&packed);
-            if after >= before {
-                continue;
-            }
-            stats.pages_rewritten += 1;
-            stats.bytes_reclaimed += (before - after) as u64;
-            stats.counts.add(counts);
-            batch.push(packed);
-            if batch.len() >= BATCH {
-                self.core.install(std::mem::take(&mut batch), None)?;
-            }
-        }
-        if !batch.is_empty() {
-            self.core.install(batch, None)?;
-        }
-        let m = self.core.pool.metrics();
-        m.compaction.pages_rewritten.add(stats.pages_rewritten);
-        m.compaction.bytes_reclaimed.add(stats.bytes_reclaimed);
-        m.version.anchors_written.add(stats.counts.anchors);
-        m.version.deltas_written.add(stats.counts.deltas);
-        Ok(stats)
-    }
-
-    /// Measure the version store: every historical data page, its
-    /// occupied bytes, and the versions stored there.
-    pub fn history_stats(&self) -> Result<HistoryStats> {
-        let _s = self.core.structure.read();
-        let mut out = HistoryStats::default();
-        for pid in self.data_pages(false)? {
-            let f = self.core.pool.fetch(pid)?;
-            let g = f.read();
-            if !g.is_historical() {
-                continue;
-            }
-            out.history_pages += 1;
-            out.used_bytes += page_used_bytes(&g) as u64;
-            for i in 0..g.slot_count() {
-                out.versions += version::chain_offsets(&g, i).len() as u64;
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl Routing for TsbTree {
@@ -770,8 +660,33 @@ impl Routing for TsbTree {
         self.post_entries(steps, split.leaf, retime, adds, images)
     }
 
+    /// The data pages under open entries, each once.
     fn current_leaves(&self, visit: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
-        self.data_pages(true)?.into_iter().try_for_each(visit)
+        let mut leaves = Vec::new();
+        let mut seen: HashSet<PageId> = HashSet::new();
+        let mut stack = vec![self.core.root()];
+        while let Some(id) = stack.pop() {
+            if !seen.insert(id) {
+                continue;
+            }
+            let frame = self.core.pool.fetch(id)?;
+            let g = frame.read();
+            match g.page_type()? {
+                PageType::Leaf => leaves.push(id),
+                PageType::Index => stack.extend(
+                    entries(&g)
+                        .into_iter()
+                        .filter(Entry::is_open)
+                        .map(|e| e.child),
+                ),
+                other => {
+                    return Err(Error::Corruption(format!(
+                        "TSB walk hit {other:?} page {id:?}"
+                    )))
+                }
+            }
+        }
+        leaves.into_iter().try_for_each(visit)
     }
 }
 

@@ -157,10 +157,12 @@ run_temporal() {
 
 run_history() {
     echo "== history sweep (bytes/version + deep AS OF, before/after compaction) =="
-    # Chain-depth sweep built with time-split packing off (the pre-delta
-    # on-disk format); one compact_history pass must cut bytes/version
-    # by >= 2x at depth 100 without slowing deep AS OF reads down by more
-    # than 1.5x (the run's exit status).
+    # Chain-depth sweep; time splits pack history as they write it and
+    # one compact_history pass merges chain pages. At depth 100 the
+    # merged store must take <= half the bytes/version of the same
+    # versions as full records, the pass must rewrite pages, and deep
+    # AS OF reads must not slow down by more than 1.5x across it (the
+    # run's exit status).
     cargo run --release -q -p immortaldb-bench -- --quick history
 }
 

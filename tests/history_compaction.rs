@@ -57,27 +57,26 @@ impl Fixture {
     /// Close the engine and recover from the files on disk.
     fn reopen(&mut self) {
         self.db = None;
-        self.db = Some(open_db(self.dir.path(), Arc::clone(&self.clock), true));
+        self.db = Some(open_db(self.dir.path(), Arc::clone(&self.clock)));
     }
 }
 
-fn open_db(dir: &Path, clock: Arc<SimClock>, history_packing: bool) -> Arc<Database> {
+fn open_db(dir: &Path, clock: Arc<SimClock>) -> Arc<Database> {
     Arc::new(
         Database::open(
             DbConfig::new(dir)
                 .durability(Durability::Buffered)
-                .clock(clock)
-                .history_packing(history_packing),
+                .clock(clock),
         )
         .unwrap(),
     )
 }
 
 /// A fresh `deep` table, either index kind, and its clock.
-fn empty_table(tag: &str, using_tsb: bool, history_packing: bool) -> Fixture {
+fn empty_table(tag: &str, using_tsb: bool) -> Fixture {
     let dir = TempDir::new(&format!("history-compaction-{tag}"));
     let clock = Arc::new(SimClock::new(7_000_000));
-    let db = open_db(dir.path(), Arc::clone(&clock), history_packing);
+    let db = open_db(dir.path(), Arc::clone(&clock));
     let ddl = format!(
         "CREATE IMMORTAL TABLE deep (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160)){}",
         if using_tsb { " USING TSB" } else { "" }
@@ -94,8 +93,8 @@ fn empty_table(tag: &str, using_tsb: bool, history_packing: bool) -> Fixture {
 /// Build the deep history: a batched initial load, then `ROUNDS` rounds
 /// of single-key updates walking round-robin over the keys, one delete +
 /// re-insert for [`DELETED_KEY`] in the middle.
-fn build(tag: &str, using_tsb: bool, history_packing: bool) -> Fixture {
-    let mut f = empty_table(tag, using_tsb, history_packing);
+fn build(tag: &str, using_tsb: bool) -> Fixture {
+    let mut f = empty_table(tag, using_tsb);
     let db = Arc::clone(f.db());
     // Initial load through the batched-ingest path.
     let mut txn = db.begin(Isolation::Serializable);
@@ -161,31 +160,28 @@ fn check_all(f: &Fixture, label: &str) {
 }
 
 fn run_battery(using_tsb: bool, tag: &str) {
-    // Build with split-time delta packing off: history pages land holding
-    // full versions — the shape a pre-delta engine (or one upgraded in
-    // place) leaves behind — so the compactor's packing win is
-    // measurable for both index kinds, not just the chain merge.
-    let mut f = build(tag, using_tsb, false);
+    // Time splits write every history page delta-packed, once.
+    let mut f = build(tag, using_tsb);
     check_all(&f, "pre-compaction");
     let before = f.db().history_stats().unwrap();
     assert!(
         before.history_pages > 3,
         "build must produce deep history, got {before:?}"
     );
+    assert!(
+        before.used_bytes as f64 <= 0.7 * before.full_record_bytes as f64,
+        "history must be packed well below full records: {before:?}"
+    );
 
-    // Synchronous compaction pass: must reclaim something (merging for
-    // the chain index, packing for both) and must not change any answer.
+    // Synchronous compaction pass: the chain index merges under-filled
+    // chain pages; a TSB table has nothing to merge. Either way no
+    // answer may change.
     let stats = f.db().compact_history().unwrap();
-    assert!(
-        stats.pages_rewritten > 0,
-        "compaction found nothing to rewrite: {stats:?}"
-    );
     let after = f.db().history_stats().unwrap();
-    assert!(
-        after.bytes_per_version() < 0.7 * before.bytes_per_version(),
-        "delta packing must shrink bytes/version substantially: {before:?} -> {after:?}"
-    );
-    if !using_tsb {
+    if using_tsb {
+        assert_eq!(stats.pages_rewritten, 0, "TSB pages are never rewritten");
+        assert_eq!(after.history_pages, before.history_pages);
+    } else {
         assert!(
             stats.pages_freed > 0,
             "chain compaction must merge under-filled chain pages: {stats:?}"
@@ -193,6 +189,10 @@ fn run_battery(using_tsb: bool, tag: &str) {
         assert!(
             after.history_pages < before.history_pages,
             "merging must shrink the page count: {before:?} -> {after:?}"
+        );
+        assert!(
+            after.bytes_per_version() <= before.bytes_per_version(),
+            "merging must not grow bytes/version: {before:?} -> {after:?}"
         );
     }
     check_all(&f, "post-compaction");
@@ -227,7 +227,7 @@ fn deep_history_matches_shadow_tsb_index() {
 /// page-image records — must serve the same deep-history answers.
 #[test]
 fn replica_serves_compacted_history() {
-    let f = build("repl", false, true);
+    let f = build("repl", false);
     f.db().compact_history().unwrap();
 
     let server = Server::start(
@@ -280,7 +280,7 @@ fn batched_ingest_matches_per_row(using_tsb: bool, tag: &str) {
     let twins: Vec<Fixture> = [true, false]
         .into_iter()
         .map(|batched| {
-            let mut f = empty_table(&format!("{tag}-{batched}"), using_tsb, true);
+            let mut f = empty_table(&format!("{tag}-{batched}"), using_tsb);
             let db = Arc::clone(f.db());
             let mut txn = db.begin(Isolation::Serializable);
             if batched {
@@ -346,7 +346,7 @@ fn tsb_batched_ingest_matches_per_row() {
 /// it applied (the transaction sees them) and the rest not; rolling back
 /// removes the applied ones, so a later batch can insert them again.
 fn batch_error_rolls_back(using_tsb: bool, tag: &str) {
-    let f = empty_table(tag, using_tsb, true);
+    let f = empty_table(tag, using_tsb);
     let db = f.db();
     let mut txn = db.begin(Isolation::Serializable);
     db.insert_row(&mut txn, "deep", deep_row(150, 0)).unwrap();
