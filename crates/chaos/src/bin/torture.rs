@@ -2,17 +2,17 @@
 //!
 //! ```text
 //! cargo run -p immortaldb-chaos --bin torture -- --seed 42 --ops 2000 --crashes 25
-//! cargo run -p immortaldb-chaos --bin torture -- --threads 4 --seed 42 --rounds 6
+//! cargo run -p immortaldb-chaos --bin torture -- --threads 4 --seed 42 --keys 16
 //! ```
 //!
-//! With `--threads N` the harness switches to the multi-writer mode:
-//! N concurrent committers share group-commit batches and every crash
-//! cuts mid-batch. Exits non-zero if any recovery invariant was
-//! violated.
+//! With `--threads N`, N writers on disjoint key ranges share
+//! group-commit batches, so crashes cut mid-batch; the crash schedule and
+//! the audit are the same as for one writer. Exits non-zero if any
+//! recovery invariant was violated.
 
 use std::process::ExitCode;
 
-use immortaldb_chaos::{run, run_mt, MtTortureConfig, TortureConfig};
+use immortaldb_chaos::{run, TortureConfig};
 
 const USAGE: &str = "\
 torture — deterministic crash-recovery torture harness for Immortal DB
@@ -22,21 +22,15 @@ USAGE:
 
 OPTIONS:
     --seed <u64>              RNG seed for workload and fault schedule [default: 42]
-    --ops <n>                 transactions to attempt [default: 500]
+    --ops <n>                 workload operations across the run [default: 500]
     --crashes <n>             scheduled crash/recover episodes [default: 5]
     --keys <n>                distinct primary keys in play [default: 24]
     --pool-pages <n>          buffer pool capacity in pages [default: 16]
+    --threads <n>             concurrent writers on disjoint key ranges [default: 1]
     --read-error-rate <f64>   transient read fault probability [default: 0.001]
     --fsync-error-rate <f64>  fsync fault probability [default: 0.002]
     --no-page-images          disable page-image logging (also disables torn writes)
     --verbose                 narrate episodes as they happen
-
-MULTI-WRITER MODE (group-commit batches crashed mid-flight):
-    --threads <n>             concurrent writer threads; selects this mode
-    --rounds <n>              crash/recover rounds [default: 6]
-    --txns-per-round <n>      commit attempts per thread per round [default: 60]
-    --keys-per-thread <n>     keys owned by each writer [default: 4]
-
     -h, --help                print this help
 ";
 
@@ -46,56 +40,36 @@ fn parse<T: std::str::FromStr>(flag: &str, val: Option<String>) -> Result<T, Str
         .map_err(|_| format!("{flag}: invalid value {raw:?}"))
 }
 
-enum Mode {
-    Single(TortureConfig),
-    Multi(MtTortureConfig),
-}
-
-fn parse_args() -> Result<Option<Mode>, String> {
+fn parse_args() -> Result<Option<TortureConfig>, String> {
     let mut args = std::env::args().skip(1);
     let mut cfg = TortureConfig::new(42);
-    let mut mt = MtTortureConfig::new(42);
-    let mut threads: Option<usize> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => {
-                cfg.seed = parse("--seed", args.next())?;
-                mt.seed = cfg.seed;
-            }
+            "--seed" => cfg.seed = parse("--seed", args.next())?,
             "--ops" => cfg.ops = parse("--ops", args.next())?,
             "--crashes" => cfg.crashes = parse("--crashes", args.next())?,
             "--keys" => cfg.keys = parse("--keys", args.next())?,
             "--pool-pages" => cfg.pool_pages = parse("--pool-pages", args.next())?,
+            "--threads" => cfg.threads = parse("--threads", args.next())?,
             "--read-error-rate" => cfg.read_error_rate = parse("--read-error-rate", args.next())?,
             "--fsync-error-rate" => {
                 cfg.fsync_error_rate = parse("--fsync-error-rate", args.next())?
             }
             "--no-page-images" => cfg.page_image_logging = false,
-            "--verbose" => {
-                cfg.verbose = true;
-                mt.verbose = true;
-            }
-            "--threads" => threads = Some(parse("--threads", args.next())?),
-            "--rounds" => mt.rounds = parse("--rounds", args.next())?,
-            "--txns-per-round" => mt.txns_per_round = parse("--txns-per-round", args.next())?,
-            "--keys-per-thread" => mt.keys_per_thread = parse("--keys-per-thread", args.next())?,
+            "--verbose" => cfg.verbose = true,
             "-h" | "--help" => return Ok(None),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    match threads {
-        Some(n) if n >= 1 => {
-            mt.threads = n;
-            Ok(Some(Mode::Multi(mt)))
-        }
-        Some(_) => Err("--threads must be at least 1".into()),
-        None => Ok(Some(Mode::Single(cfg))),
+    if cfg.threads == 0 || cfg.keys < cfg.threads as i32 {
+        return Err("--threads must be at least 1 and at most --keys".into());
     }
+    Ok(Some(cfg))
 }
 
 fn main() -> ExitCode {
-    let mode = match parse_args() {
-        Ok(Some(mode)) => mode,
+    let cfg = match parse_args() {
+        Ok(Some(cfg)) => cfg,
         Ok(None) => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -105,33 +79,26 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    let (passed, violations) = match mode {
-        Mode::Single(cfg) => {
-            println!(
-                "torture: seed={} ops={} crashes={} keys={} pool_pages={} page_images={}",
-                cfg.seed, cfg.ops, cfg.crashes, cfg.keys, cfg.pool_pages, cfg.page_image_logging
-            );
-            let report = run(cfg);
-            println!("{report}");
-            (report.passed(), report.violations.len())
-        }
-        Mode::Multi(cfg) => {
-            println!(
-                "torture (multi-writer): seed={} threads={} rounds={} txns_per_round={} \
-                 keys_per_thread={}",
-                cfg.seed, cfg.threads, cfg.rounds, cfg.txns_per_round, cfg.keys_per_thread
-            );
-            let report = run_mt(cfg);
-            println!("{report}");
-            (report.passed(), report.violations.len())
-        }
-    };
-    if passed {
+    println!(
+        "torture: seed={} ops={} crashes={} keys={} pool_pages={} threads={} page_images={}",
+        cfg.seed,
+        cfg.ops,
+        cfg.crashes,
+        cfg.keys,
+        cfg.pool_pages,
+        cfg.threads,
+        cfg.page_image_logging
+    );
+    let report = run(cfg);
+    println!("{report}");
+    if report.passed() {
         println!("RESULT: PASS (zero invariant violations)");
         ExitCode::SUCCESS
     } else {
-        eprintln!("RESULT: FAIL ({violations} invariant violations)");
+        eprintln!(
+            "RESULT: FAIL ({} invariant violations)",
+            report.violations.len()
+        );
         ExitCode::FAILURE
     }
 }

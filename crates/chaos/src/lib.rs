@@ -3,21 +3,18 @@
 //! Deterministic fault injection and crash-recovery torture for the
 //! Immortal DB engine.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! * [`fault::FaultVfs`] — wraps the storage crate's [`Vfs`] seam and
 //!   injects seeded, counted faults: torn page writes, truncated WAL
 //!   appends, fsync failures, transient read errors and "crash after
 //!   operation N" cut-points.
-//! * [`torture`] — a randomized multi-transaction workload that crashes
-//!   the engine at those cut-points, reopens it through full ARIES
-//!   recovery and audits every invariant transaction-time support
+//! * [`torture`] — a randomized multi-transaction workload, run by one
+//!   writer or (`threads`) several sharing group-commit batches, that
+//!   crashes the engine at those cut-points, reopens it through full
+//!   ARIES recovery and audits every invariant transaction-time support
 //!   promises (durability, rollback, timestamp repair through the PTT,
-//!   `AS OF` stability across crashes).
-//! * [`mt`] — the multi-writer variant (`torture --threads N`): crashes
-//!   land in the middle of group-commit batches and the audit asserts
-//!   acked-implies-durable and all-or-nothing for unacknowledged
-//!   commits.
+//!   `AS OF` stability across crashes, no TID handed out twice).
 //! * [`history`] — the test suite's one commit-history model
 //!   ([`History`]) and offline isolation check ([`replay`], through the
 //!   sentinel's own rule engine), plus [`TempDir`], the scratch directory
@@ -25,18 +22,17 @@
 //!
 //! ```text
 //! cargo run -p immortaldb-chaos --bin torture -- --seed 42 --ops 2000 --crashes 25
+//! cargo run -p immortaldb-chaos --bin torture -- --threads 4 --seed 42 --keys 16
 //! ```
 //!
 //! [`Vfs`]: immortaldb_storage::vfs::Vfs
 
 pub mod fault;
 pub mod history;
-pub mod mt;
 pub mod torture;
 
 pub use fault::{FaultState, FaultVfs};
 pub use history::{replay, Access, Change, History, Mismatch, Row, TxnLog, Version};
-pub use mt::{run_mt, MtTortureConfig, MtTortureReport};
 pub use torture::{run, TortureConfig, TortureReport};
 
 use std::path::{Path, PathBuf};

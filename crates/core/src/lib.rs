@@ -56,7 +56,7 @@ pub mod txn;
 mod tests;
 
 pub use catalog::{SnapshotDef, TableDef, TableKind};
-pub use db::{Database, DbConfig, WRITE_CHUNK};
+pub use db::{Database, DbConfig, TID_BLOCK, WRITE_CHUNK};
 pub use index::{IndexKind, TableIndex};
 pub use row::{ColType, Column, PkBounds, RowSink, Schema, Value};
 pub use sql::{Outcome, QueryResult, Session};

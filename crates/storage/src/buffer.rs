@@ -717,8 +717,10 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Write a frame's page to disk if dirty (WAL rule + flush hook).
-    fn write_back(&self, frame: &Frame) -> Result<()> {
+    /// Write a frame's page to disk if dirty (WAL rule + flush hook). The
+    /// frame stays cached; the caller syncs the data file if it needs the
+    /// page durable.
+    pub fn write_back(&self, frame: &Frame) -> Result<()> {
         if !frame.is_dirty() {
             return Ok(());
         }

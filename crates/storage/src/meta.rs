@@ -2,9 +2,10 @@
 //!
 //! The meta page holds the tree directory — the stable `TreeId -> root
 //! PageId` mapping that lets logical undo re-descend a tree even after its
-//! root has moved — plus high-water marks (max assigned TID, last issued
-//! timestamp) persisted at checkpoints so identifier monotonicity survives
-//! restarts.
+//! root has moved — plus high-water marks persisted so identifier
+//! monotonicity survives restarts: the TID reservation (no TID at or below
+//! it is reissued) and the last issued timestamp, as of the last
+//! checkpoint.
 //!
 //! The meta page travels through the buffer pool like any other page, and
 //! structure modifications that change roots include its image in their

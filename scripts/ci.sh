@@ -80,13 +80,17 @@ run_chaos() {
         --seed 42 --ops 2000 --crashes 8 --pool-pages 8 --keys 64
     cargo run --release -q -p immortaldb-chaos --bin torture -- \
         --seed 7 --ops 4000 --crashes 8 --pool-pages 8 --keys 64
-    echo "== chaos smoke (multi-writer group-commit torture, fixed seeds) =="
-    # Concurrent committers share group-commit batches; every round the
-    # crash lands mid-batch and the audit asserts acked-implies-durable
-    # and all-or-nothing recovery of unacknowledged commits.
+    echo "== chaos smoke (four writers sharing group-commit batches, fixed seeds) =="
+    # The same harness with four writers on disjoint key ranges: crashes
+    # cut group-commit batches mid-flight (the report's
+    # commits_per_group_fsync is above 1), and every recovery gets the
+    # full audit — exact per-key history, AS OF stability, the PTT check,
+    # all-or-nothing resolution of failed commits, rolled-back losers,
+    # and no TID handed out twice. Each run acknowledges about 340
+    # commits.
     for seed in 42 7; do
         cargo run --release -q -p immortaldb-chaos --bin torture -- \
-            --threads 4 --seed "$seed" --rounds 6
+            --threads 4 --seed "$seed" --keys 16 --pool-pages 32 --crashes 6 --ops 1000
     done
     echo "== chaos smoke (isolation checker, concurrent-readers mode) =="
     # Dedicated snapshot/AS OF reader threads race the writer workload

@@ -1,10 +1,15 @@
 //! Workspace integration: repeated crash/recovery cycles, checkpoint
-//! interplay, and PTT garbage collection across restarts.
+//! interplay, PTT garbage collection and TID reservation across
+//! restarts, and a short run of the torture harness with four writers.
 
 use std::sync::Arc;
 
-use immortaldb::{Database, DbConfig, Isolation, Session, SimClock, Value};
-use immortaldb_chaos::TempDir;
+use immortaldb::{
+    Database, DbConfig, Durability, Isolation, Session, SimClock, TableKind, Timestamp, Value,
+    TID_BLOCK,
+};
+use immortaldb_chaos::{kv_schema, run, FaultVfs, TempDir, TortureConfig};
+use immortaldb_storage::vfs::Vfs;
 
 struct Env {
     dir: TempDir,
@@ -26,9 +31,132 @@ impl Env {
         .unwrap()
     }
 
+    /// Open through `vfs`, acknowledging commits only once they are
+    /// fsynced: a crash of the fault layer then loses exactly the log
+    /// buffer's uncommitted tail.
+    fn open_on(&self, vfs: &Arc<FaultVfs>) -> Database {
+        Database::open(
+            DbConfig::new(&self.dir)
+                .clock(Arc::clone(&self.clock) as Arc<dyn immortaldb::Clock>)
+                .durability(Durability::Fsync)
+                .vfs(Arc::clone(vfs) as Arc<dyn Vfs>),
+        )
+        .unwrap()
+    }
+
     fn tick(&self) {
         self.clock.advance(20);
     }
+}
+
+/// Commit row `k` in its own transaction; returns its TID.
+fn commit_row(db: &Database, k: i32) -> u64 {
+    let mut txn = db.begin(Isolation::Serializable);
+    db.insert_row(
+        &mut txn,
+        "kv",
+        vec![Value::Int(k), Value::Varchar(format!("v{k}"))],
+    )
+    .unwrap();
+    db.commit(&mut txn).unwrap();
+    txn.tid().0
+}
+
+/// Stage an insert of row `k` and abandon the transaction with its log
+/// records still in the log buffer; returns its TID.
+fn stage_loser(db: &Database, k: i32) -> u64 {
+    let mut txn = db.begin(Isolation::Serializable);
+    db.insert_row(
+        &mut txn,
+        "kv",
+        vec![Value::Int(k), Value::Varchar("loser".into())],
+    )
+    .unwrap();
+    txn.tid().0
+}
+
+/// Kill the file system under `db`, drop it, and bring the files back.
+fn crash(db: Database, vfs: &FaultVfs) {
+    vfs.state().force_crash();
+    drop(db);
+    vfs.state().clear_crash();
+}
+
+#[test]
+fn a_crashed_losers_tid_is_not_reissued() {
+    // A loser whose records never left the log buffer leaves no trace in
+    // the log. Recovery restarts TIDs above the meta page's reservation,
+    // not above the newest TID the log shows, so the next transaction
+    // cannot take the loser's TID.
+    let env = Env::new("tid-reissue");
+    let vfs = Arc::new(FaultVfs::wrap_std(1));
+    let db = env.open_on(&vfs);
+    db.create_table("kv", kv_schema(), TableKind::Immortal)
+        .unwrap();
+    commit_row(&db, 1);
+    let loser = stage_loser(&db, 2);
+    crash(db, &vfs);
+
+    let db = env.open_on(&vfs);
+    let next = db.begin(Isolation::Serializable).tid().0;
+    assert_ne!(next, loser, "the loser's TID was handed out again");
+    let mut txn = db.begin(Isolation::Serializable);
+    assert!(db
+        .get_row(&mut txn, "kv", &Value::Int(1))
+        .unwrap()
+        .is_some());
+    assert!(db
+        .get_row(&mut txn, "kv", &Value::Int(2))
+        .unwrap()
+        .is_none());
+}
+
+#[test]
+fn tid_reservation_extends_mid_run() {
+    // Burn a whole block of TIDs past what the open reserved, so the
+    // next writer must extend the reservation before it logs. A loser
+    // after that writer is then covered, although the log's newest TID
+    // is the writer's, one below it.
+    let env = Env::new("tid-extend");
+    let vfs = Arc::new(FaultVfs::wrap_std(2));
+    let db = env.open_on(&vfs);
+    db.create_table("kv", kv_schema(), TableKind::Immortal)
+        .unwrap();
+    let first = commit_row(&db, 1);
+    while db.begin_as_of_ts(Timestamp::ZERO).tid().0 <= first + TID_BLOCK {}
+    env.tick();
+    let writer = commit_row(&db, 2);
+    let loser = stage_loser(&db, 3);
+    assert!(writer > first + TID_BLOCK && loser > writer);
+    crash(db, &vfs);
+
+    let db = env.open_on(&vfs);
+    let next = db.begin(Isolation::Serializable).tid().0;
+    assert!(next > loser, "TID {next} handed out after loser {loser}");
+    env.tick();
+    commit_row(&db, 4);
+    let mut txn = db.begin(Isolation::Serializable);
+    for (k, present) in [(1, true), (2, true), (3, false), (4, true)] {
+        let row = db.get_row(&mut txn, "kv", &Value::Int(k)).unwrap();
+        assert_eq!(row.is_some(), present, "row {k}");
+    }
+}
+
+#[test]
+fn four_writers_survive_crashes_mid_batch() {
+    // The torture harness with four writers on disjoint key ranges: the
+    // full audit after every crash, and more than one committer per
+    // group fsync, so the crashes cut batches.
+    let mut cfg = TortureConfig::new(42);
+    cfg.threads = 4;
+    cfg.keys = 16;
+    cfg.pool_pages = 32;
+    cfg.ops = 300;
+    cfg.crashes = 3;
+    let report = run(cfg);
+    assert!(report.passed(), "{report}");
+    assert!(report.commits > 0 && report.crashes >= 2, "{report}");
+    assert!(report.commits_per_group_fsync > 1.0, "{report}");
 }
 
 #[test]
