@@ -67,7 +67,7 @@ fn run_one(replicas: usize, readers_per_endpoint: usize, reads_per_reader: u64) 
         s.execute("COMMIT").expect("commit seed");
     }
     // Primary workers: one per potential local reader, plus the writer
-    // connection and one WAL-ship stream per replica.
+    // connection and one per replica, whose shipping steps run on them.
     let server = Server::start(
         Arc::clone(&db),
         ServerConfig::new("127.0.0.1:0").workers(readers_per_endpoint + replicas + 2),

@@ -49,4 +49,4 @@ pub mod sys;
 pub use client::{Client, Response, WalSubscription};
 #[cfg(unix)]
 pub use reactor::Server;
-pub use server::ServerConfig;
+pub use server::{ServerConfig, SHED_RETRY_MS};

@@ -50,14 +50,17 @@
 //! backlog is at the cap (`crate::server::Wire::drain`). Idle sessions
 //! are reaped from a coarse timer wheel advanced on the leader's tick —
 //! an abandoned transaction is rolled back (releasing its locks) within
-//! one tick of the deadline. `SUBSCRIBE_WAL` hands the socket off to a
-//! dedicated blocking shipper thread, since replication is a long-lived
-//! push stream that would otherwise squat a thread.
+//! one tick of the deadline. A `SUBSCRIBE_WAL` connection is a result
+//! that never ends: each of its turns is one shipping step
+//! ([`Subscription::ship`]) run like a request, when its last batch has
+//! left, when an ack arrives, and on every tick once it has caught up —
+//! so a replica costs no thread, goes at its own reader's pace, and meets
+//! the idle rule and shutdown like any other connection.
 
 #![cfg(unix)]
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -71,7 +74,7 @@ use immortaldb_common::blocking::{self, Cause};
 use immortaldb_common::{Error, Result};
 
 use crate::proto::{FrameBuffer, Reply, Request, VERSION};
-use crate::server::{handle_request, ship_wal, ServerConfig, Wire};
+use crate::server::{busy, handle_request, ServerConfig, Subscription, Wire};
 use crate::sys::{self, Interest};
 
 const TOK_WAKER: u64 = 0;
@@ -116,8 +119,8 @@ struct Conn {
     closing: bool,
     /// Peer sent FIN: serve what is buffered, then close.
     eof: bool,
-    /// Set by SUBSCRIBE_WAL: the leader hands off to a shipper thread.
-    subscribe: Option<u64>,
+    /// Set by SUBSCRIBE_WAL: from then on the connection ships the log.
+    sub: Option<Subscription>,
     /// The poller registration; `Interest::None` = not registered.
     interest: Interest,
 }
@@ -130,11 +133,12 @@ impl Conn {
     }
 
     /// What the poller should watch once the connection is back with the
-    /// loop. Whatever only the leader can finish (close, subscription
-    /// hand-off) asks for writability, which an idle socket reports at
+    /// loop. Whatever only the leader can finish (close, a subscription's
+    /// next batch) asks for writability, which an idle socket reports at
     /// once.
     fn desired_interest(&self) -> Interest {
-        if self.closing || self.eof || self.subscribe.is_some() {
+        let shipping = self.sub.as_ref().is_some_and(|s| !s.caught_up());
+        if self.closing || self.eof || (shipping && self.out.is_empty()) {
             Interest::Write
         } else if self.out.is_empty() {
             Interest::Read
@@ -219,8 +223,6 @@ struct Shared {
     parked: AtomicUsize,
     /// Connections with requests executing or queued (admission gauge).
     inflight: AtomicUsize,
-    /// WAL shipper threads spawned from SUBSCRIBE_WAL hand-offs.
-    shippers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 enum Work {
@@ -349,7 +351,6 @@ impl Server {
             turn_cv: Condvar::new(),
             parked: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
-            shippers: Mutex::new(Vec::new()),
         });
         let lp = Loop::new(Arc::clone(&shared), listener);
         shared.turn.lock().expect("turn mutex").role = Some(lp);
@@ -395,9 +396,6 @@ impl Server {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        for s in sh.shippers.lock().expect("shippers mutex").drain(..) {
-            let _ = s.join();
-        }
         // Abandon whatever connections remain: locks and uncommitted
         // versions must not outlive the server.
         let lp = sh.turn.lock().expect("turn mutex").role.take();
@@ -431,8 +429,8 @@ fn serve_thread(sh: &Arc<Shared>) {
 
 /// A thread that does not hold the poll role is done with `c`, which is
 /// out of the poller: flush what the socket takes and put the connection
-/// back in. Closing and subscription hand-off are the leader's; the
-/// interest asked for brings the connection to its attention.
+/// back in. Closing is the leader's; the interest asked for brings the
+/// connection to its attention.
 fn rearm(sh: &Shared, mut c: MutexGuard<'_, Conn>) {
     if c.flush().is_err() {
         c.closing = true;
@@ -459,9 +457,16 @@ fn rearm(sh: &Shared, mut c: MutexGuard<'_, Conn>) {
 /// hostile-framing hangup, SUBSCRIBE_WAL interception. Each request is
 /// decoded where it lies in the frame buffer and answered straight into
 /// the output buffer — a result set row by row as its cursor moves, this
-/// thread waiting out a client slower than the scan.
+/// thread waiting out a client slower than the scan. A subscription's
+/// turn is one shipping step instead.
 fn serve_buffered(sh: &Shared, c: &mut Conn) {
     let db = sh.db.as_ref();
+    if let Some(sub) = &mut c.sub {
+        if sub.ship(db, &mut c.frames, &mut c.out).is_err() {
+            c.closing = true;
+        }
+        return;
+    }
     let m = &db.metrics().server;
     let Conn {
         stream,
@@ -471,7 +476,7 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
         txn,
         greeted,
         closing,
-        subscribe,
+        sub,
         ..
     } = c;
     let mut wire = Wire {
@@ -483,7 +488,7 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
     };
     let mut session = Session::attach(db, *id, txn.take());
     let mut served = 0;
-    while !*closing && subscribe.is_none() {
+    while !*closing && sub.is_none() {
         let frame = frames.take_frame(|opcode, payload| {
             m.requests.inc();
             let timer = m.request_ns.start_timer();
@@ -515,9 +520,9 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
                     Some(refuse(Error::Sql("expected HELLO first".into()), false))
                 }
                 Ok(Request::SubscribeWal { from_lsn }) => {
-                    // The connection leaves the loop: the leader hands the
-                    // socket to a blocking shipper thread.
-                    *subscribe = Some(from_lsn);
+                    // The first batch is the next turn's, so the leader
+                    // sees the subscription before it ships anything.
+                    *sub = Some(Subscription::new(from_lsn));
                     return;
                 }
                 Ok(req) => handle_request(db, &mut session, req, &mut wire),
@@ -595,6 +600,8 @@ struct Loop {
     sh: Arc<Shared>,
     listener: TcpListener,
     conns: HashMap<u64, ConnRef>,
+    /// The subscriptions among `conns`: the only connections a tick visits.
+    subs: HashSet<u64>,
     next_token: u64,
     wheel: TimerWheel,
     idle_ticks: usize,
@@ -618,6 +625,7 @@ impl Loop {
             sh,
             listener,
             conns: HashMap::new(),
+            subs: HashSet::new(),
             next_token: FIRST_CONN_TOKEN,
             events: Vec::new(),
             scratch: vec![0; READ_CHUNK],
@@ -659,6 +667,7 @@ impl Loop {
             let now = Instant::now();
             while now >= self.next_tick {
                 self.advance_timers();
+                self.tick_subscriptions();
                 self.next_tick += self.sh.cfg.tick;
             }
         }
@@ -674,12 +683,16 @@ impl Loop {
             };
             let m = &self.sh.db.metrics().server;
             m.connections_accepted.inc();
-            if self.conns.len() >= self.sh.cfg.max_connections {
-                m.shed_connections.inc();
-                crate::server::shed(stream, Some(self.sh.cfg.shed_retry_ms));
+            if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            if stream.set_nonblocking(true).is_err() {
+            if self.conns.len() >= self.sh.cfg.max_connections {
+                // One frame, which a fresh socket takes whole; dropping
+                // the stream closes it.
+                m.shed_connections.inc();
+                let mut frame = Vec::new();
+                busy(false).encode_into(&mut frame);
+                let _ = flush_out(&stream, &mut frame);
                 continue;
             }
             // Replies must not sit in Nagle's buffer waiting for ACKs.
@@ -705,7 +718,7 @@ impl Loop {
                 last_activity: Instant::now(),
                 closing: false,
                 eof: false,
-                subscribe: None,
+                sub: None,
                 interest: Interest::Read,
             }));
             self.conns.insert(token, conn);
@@ -735,7 +748,13 @@ impl Loop {
             return Some(self); // reported before it left the poller
         }
         if ev.writable || (c.closing && ev.closed) {
-            match c.flush() {
+            // A backlog the peer takes from is not idle.
+            let unsent = c.out.len();
+            let flushed = c.flush();
+            if c.out.len() < unsent {
+                c.last_activity = Instant::now();
+            }
+            match flushed {
                 Ok(true) if c.closing || (c.eof && c.frames.buffered() == 0) => {
                     self.close_conn(&mut c);
                     return Some(self);
@@ -783,7 +802,7 @@ impl Loop {
     }
 
     /// Decide the fate of a connection the leader holds: run or shed its
-    /// requests, hand it to a shipper, close it, or update its interest.
+    /// requests or its shipping step, close it, or update its interest.
     fn settle(
         mut self: Box<Self>,
         conn: &ConnRef,
@@ -798,21 +817,30 @@ impl Loop {
                 return Some(self);
             }
         };
-        if has_frame && !c.closing && c.subscribe.is_none() {
-            if self.sh.inflight.load(Ordering::SeqCst) >= self.sh.max_inflight() {
-                self.shed_requests(&mut c);
-            } else {
+        let due = match c.sub {
+            None => has_frame,
+            // Acks to take, or room for the next batch.
+            Some(_) => {
+                self.subs.insert(c.token);
+                !c.eof && (has_frame || c.out.is_empty())
+            }
+        };
+        if due && !c.closing {
+            if self.sh.inflight.load(Ordering::SeqCst) < self.sh.max_inflight() {
                 (self, c) = self.run(conn, c, more_ready)?;
                 if c.interest == Interest::None {
                     return Some(self); // queued: a finishing thread has it
                 }
+            } else if c.sub.is_none() {
+                self.shed_requests(&mut c);
+            } else {
+                // A subscription over the cap waits for the next tick.
+                arm(&self.sh.poller, &mut c, Interest::Read);
+                return Some(self);
             }
         }
-        if let Some(from_lsn) = c.subscribe.take() {
-            self.hand_off_subscription(&mut c, from_lsn);
-            return Some(self);
-        }
-        let has_frame = c.frames.has_complete_frame().unwrap_or(false);
+        // A subscriber that hangs up has nothing more to say.
+        let has_frame = c.sub.is_none() && c.frames.has_complete_frame().unwrap_or(false);
         if c.flush().is_err() || ((c.closing || (c.eof && !has_frame)) && c.out.is_empty()) {
             self.close_conn(&mut c);
         } else {
@@ -881,8 +909,7 @@ impl Loop {
     /// (with the retry hint) without decoding or scheduling anything.
     fn shed_requests(&self, c: &mut Conn) {
         let m = &self.sh.db.metrics().server;
-        let retry_after_ms = Some(self.sh.cfg.shed_retry_ms);
-        let busy = Reply::from_error(&Error::ServerBusy { retry_after_ms }, c.txn.is_some());
+        let busy = busy(c.txn.is_some());
         loop {
             match c.frames.take_frame(|_, _| ()) {
                 Ok(Some(())) => {
@@ -898,42 +925,11 @@ impl Loop {
         }
     }
 
-    /// Move a SUBSCRIBE_WAL connection out of the loop onto a dedicated
-    /// blocking shipper thread.
-    fn hand_off_subscription(&mut self, c: &mut Conn, from_lsn: u64) {
-        self.conns.remove(&c.token);
-        arm(&self.sh.poller, c, Interest::None);
-        let m = &self.sh.db.metrics().server;
-        m.open_connections.set(self.conns.len() as u64);
-        // The shipper owns a dup; the loop's descriptor closes with the
-        // connection, once the caller lets go of it.
-        let Ok(stream) = c.stream.try_clone() else {
-            m.connections_closed.inc();
-            return;
-        };
-        if stream.set_nonblocking(false).is_err()
-            || stream.set_read_timeout(Some(self.sh.cfg.tick)).is_err()
-        {
-            m.connections_closed.inc();
-            return;
-        }
-        let sh = Arc::clone(&self.sh);
-        let handle = thread::Builder::new()
-            .name(format!("imdb-shipper-{}", c.token))
-            .spawn(move || {
-                ship_wal(sh.db.as_ref(), &sh.shutdown, &stream, from_lsn);
-                sh.db.metrics().server.connections_closed.inc();
-            });
-        match handle {
-            Ok(h) => self.sh.shippers.lock().expect("shippers mutex").push(h),
-            Err(_) => m.connections_closed.inc(),
-        }
-    }
-
     /// Forget a connection the leader holds; the socket closes when the
     /// caller lets go of it.
     fn close_conn(&mut self, c: &mut Conn) {
         self.conns.remove(&c.token);
+        self.subs.remove(&c.token);
         arm(&self.sh.poller, c, Interest::None);
         if let Some(mut txn) = c.txn.take() {
             let _ = self.sh.db.rollback(&mut txn);
@@ -941,6 +937,18 @@ impl Loop {
         let m = &self.sh.db.metrics().server;
         m.connections_closed.inc();
         m.open_connections.set(self.conns.len() as u64);
+    }
+
+    /// Each tick, a caught-up subscription looks again for new log and a
+    /// moved horizon: asking for writability brings it to the next poll.
+    fn tick_subscriptions(&mut self) {
+        for conn in self.subs.iter().filter_map(|t| self.conns.get(t)) {
+            if let Ok(mut c) = conn.try_lock() {
+                if c.interest == Interest::Read {
+                    arm(&self.sh.poller, &mut c, Interest::Write);
+                }
+            }
+        }
     }
 
     /// One tick: expire due timers. Deadlines are lazy — a timer firing

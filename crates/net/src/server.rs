@@ -1,18 +1,19 @@
 //! What the serving runtime ([`crate::reactor`]) is configured with and
 //! what it runs: [`ServerConfig`], request execution against a session
 //! ([`handle_request`]) with its result rows encoded into the
-//! connection's output buffer as they are read ([`RowStream`]), the
-//! WAL-subscription shipper ([`ship_wal`]) and the one-frame refusal
-//! ([`shed`]).
+//! connection's output buffer as they are read ([`RowStream`]), a WAL
+//! subscription's shipping step ([`Subscription::ship`]) and the
+//! SERVER_BUSY refusal ([`busy`]). None of it knows about threads, and
+//! none of it writes to a socket but through [`flush_out`].
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use immortaldb::{Database, Flow, RowSink, Session, Value};
-use immortaldb_common::{blocking, Error, Lsn, Result};
+use immortaldb_common::{blocking, Error, Lsn, Result, Timestamp};
 use immortaldb_obs::ServerMetrics;
 
 use crate::proto::{self, FrameBuffer, Reply, Request, RowsEncoder, WalBatch};
@@ -30,8 +31,8 @@ pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
     /// Requests that may execute (and so block) at once. The server runs
-    /// `workers + 1` threads: one always holds the poll loop.
-    /// Connections can far exceed it.
+    /// `workers + 1` threads, whatever the number of connections and
+    /// replicas: one always holds the poll loop.
     pub workers: usize,
     /// Open-connection cap; accepts beyond it are shed with one
     /// SERVER_BUSY frame (`server.shed_connections`).
@@ -40,8 +41,6 @@ pub struct ServerConfig {
     /// requests beyond it are answered SERVER_BUSY without being decoded
     /// (`server.shed_requests`). `0` = auto (`workers * 16`).
     pub max_inflight: usize,
-    /// Back-off hint carried in SERVER_BUSY replies (`retry_after_ms`).
-    pub shed_retry_ms: u32,
     /// Sessions idle longer than this are rolled back and disconnected.
     pub idle_timeout: Duration,
     /// Granularity of the idle-session timer wheel.
@@ -55,7 +54,6 @@ impl ServerConfig {
             workers: 8,
             max_connections: 4096,
             max_inflight: 0,
-            shed_retry_ms: 25,
             idle_timeout: Duration::from_secs(300),
             tick: Duration::from_millis(25),
         }
@@ -76,11 +74,6 @@ impl ServerConfig {
         self
     }
 
-    pub fn shed_retry_ms(mut self, ms: u32) -> Self {
-        self.shed_retry_ms = ms;
-        self
-    }
-
     pub fn idle_timeout(mut self, d: Duration) -> Self {
         self.idle_timeout = d;
         self
@@ -92,97 +85,95 @@ impl ServerConfig {
     }
 }
 
-/// Tell an overflowing connection to go away, politely and in one frame
-/// carrying the back-off hint.
-pub(crate) fn shed(stream: TcpStream, retry_after_ms: Option<u32>) {
-    let mut frame = Vec::new();
-    Reply::from_error(&Error::ServerBusy { retry_after_ms }, false).encode_into(&mut frame);
-    let _ = (&stream).write_all(&frame);
-    // Dropping the stream closes it.
+/// The back-off hint every SERVER_BUSY reply carries (`retry_after_ms`).
+pub const SHED_RETRY_MS: u32 = 25;
+
+/// The SERVER_BUSY reply, with the back-off hint.
+pub(crate) fn busy(txn_open: bool) -> Reply {
+    let retry_after_ms = Some(SHED_RETRY_MS);
+    Reply::from_error(&Error::ServerBusy { retry_after_ms }, txn_open)
 }
 
-/// Stream WAL batches to a subscribed replica until it disconnects or
-/// the server shuts down.
-///
-/// Ordering is the whole correctness story: the visibility horizon is
-/// sampled *before* the log bytes. Commit records land in the log before
-/// `TimestampAuthority::retire` makes their timestamp visible, so every
-/// commit at or below a horizon sampled first is already inside the
-/// bytes read afterwards — the follower may safely serve `AS OF ts` for
-/// any `ts ≤` that horizon once the batch is applied. An empty batch is
-/// still sent when only the horizon moved (the idle-primary heartbeat).
-/// Runs on a shipper thread of its own, on a blocking socket.
-pub(crate) fn ship_wal(db: &Database, shutdown: &AtomicBool, stream: &TcpStream, from_lsn: u64) {
-    let m = &db.metrics().repl;
-    let mut from = from_lsn;
-    let mut last_horizon = None;
-    // An empty batch is the explicit "caught up" signal (bootstrap stops
-    // on it); send exactly one per catch-up, then only when the horizon
-    // moves again.
-    let mut caught_up_signalled = false;
-    let mut acks = FrameBuffer::new();
-    let mut chunk = [0u8; 4 * 1024];
-    let mut frame = Vec::new();
-    let mut reader = stream;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
+/// Where a WAL subscription stands: a connection whose result never ends,
+/// served on the loop one [`Self::ship`] step at a time.
+pub(crate) struct Subscription {
+    /// The next LSN to ship.
+    from: u64,
+    /// The horizon of the last batch if it was empty, `None` while log is
+    /// left to ship. An empty batch is the explicit "caught up" signal
+    /// (bootstrap stops on it): one is sent per catch-up, then one only
+    /// when the horizon moves again.
+    caught_up_at: Option<Timestamp>,
+}
+
+impl Subscription {
+    pub fn new(from: u64) -> Subscription {
+        Subscription {
+            from,
+            caught_up_at: None,
+        }
+    }
+
+    /// All of the log has shipped and been announced: only a tick or an
+    /// ack brings the subscription back to [`Self::ship`].
+    pub fn caught_up(&self) -> bool {
+        self.caught_up_at.is_some()
+    }
+
+    /// One shipping step: take the subscriber's acks from `frames`, then,
+    /// if the last batch has left `out`, encode the next one into it.
+    /// An error closes the connection.
+    ///
+    /// Ordering is the whole correctness story: the visibility horizon is
+    /// sampled *before* the log bytes. Commit records land in the log
+    /// before `TimestampAuthority::retire` makes their timestamp visible,
+    /// so every commit at or below a horizon sampled first is already
+    /// inside the bytes read afterwards — the follower may safely serve
+    /// `AS OF ts` for any `ts ≤` that horizon once the batch is applied.
+    /// An empty batch is still sent when only the horizon moved (the
+    /// idle-primary heartbeat).
+    pub fn ship(
+        &mut self,
+        db: &Database,
+        frames: &mut FrameBuffer,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        // Acks are informational; anything else on a subscribed
+        // connection is a protocol error.
+        while let Some(ack) = frames.take_frame(|opcode, payload| {
+            matches!(
+                Request::decode(opcode, payload),
+                Ok(Request::ReplAck { .. })
+            )
+        })? {
+            if !ack {
+                return Err(Error::Sql("only REPL_ACK may follow SUBSCRIBE_WAL".into()));
+            }
+        }
+        // One batch in hand at a time: the subscriber's pace is the
+        // shipper's.
+        if !out.is_empty() {
+            return Ok(());
         }
         let horizon = db.visible_horizon();
-        let (bytes, next) = match db.wal().read_raw(Lsn(from), SHIP_BATCH_BYTES) {
-            Ok(r) => r,
-            Err(_) => return,
-        };
-        let send_now = if bytes.is_empty() {
-            let due = last_horizon != Some(horizon) || !caught_up_signalled;
-            caught_up_signalled = true;
-            due
-        } else {
-            caught_up_signalled = false;
-            true
-        };
-        if send_now {
-            let batch = WalBatch {
-                start_lsn: from,
-                horizon,
-                bytes,
-            };
-            frame.clear();
-            batch.encode_into(&mut frame);
-            if (&*stream).write_all(&frame).is_err() {
-                return;
-            }
-            m.batches_shipped.inc();
-            // The payload: the frame less its length and opcode.
-            m.bytes_shipped.add(frame.len() as u64 - 5);
-            last_horizon = Some(horizon);
-            from = next.0;
+        let (bytes, next) = db.wal().read_raw(Lsn(self.from), SHIP_BATCH_BYTES)?;
+        if bytes.is_empty() && self.caught_up_at == Some(horizon) {
+            return Ok(());
         }
-        // One tick on the socket: pick up acks, notice disconnects, and
-        // pace the catch-up loop when there is nothing new to ship.
-        match reader.read(&mut chunk) {
-            Ok(0) => return, // subscriber went away
-            Ok(n) => {
-                acks.extend(&chunk[..n]);
-                // Acks are informational; anything else on a subscribed
-                // connection is a protocol error.
-                loop {
-                    match acks.take_frame(|opcode, payload| {
-                        matches!(
-                            Request::decode(opcode, payload),
-                            Ok(Request::ReplAck { .. })
-                        )
-                    }) {
-                        Ok(Some(true)) => {}
-                        Ok(None) => break,
-                        Ok(Some(false)) | Err(_) => return,
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
+        self.caught_up_at = bytes.is_empty().then_some(horizon);
+        WalBatch {
+            // Not `from`: the log's first record may lie past it.
+            start_lsn: next.0 - bytes.len() as u64,
+            horizon,
+            bytes,
         }
+        .encode_into(out);
+        let m = &db.metrics().repl;
+        m.batches_shipped.inc();
+        // The payload: the frame less its length and opcode.
+        m.bytes_shipped.add(out.len() as u64 - 5);
+        self.from = next.0;
+        Ok(())
     }
 }
 

@@ -3,10 +3,11 @@
 //! graceful shutdown, the adversarial-client battery (slow loris,
 //! oversized frames, mid-frame disconnects), the hand-off rules of the
 //! leader/followers loop (who executes, when the loop moves, what queues
-//! and what is shed), and result sets streamed in chunks (any size, to
-//! readers that stall, vanish, or meet an error half way).
+//! and what is shed), result sets streamed in chunks (any size, to
+//! readers that stall, vanish, or meet an error half way), and WAL
+//! subscriptions served on the loop.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -15,8 +16,10 @@ use std::time::{Duration, Instant};
 use immortaldb::{Database, DbConfig, Durability, Isolation, Session, Value};
 use immortaldb_chaos::FaultVfs;
 use immortaldb_common::{Error, ErrorCode, Timestamp};
-use immortaldb_net::proto::{op, FrameBuffer, Reply, Request, RowsFrame, MAX_FRAME, VERSION};
-use immortaldb_net::{Client, Server, ServerConfig};
+use immortaldb_net::proto::{
+    op, FrameBuffer, Reply, Request, RowsFrame, WalBatch, MAX_FRAME, VERSION,
+};
+use immortaldb_net::{Client, Server, ServerConfig, SHED_RETRY_MS};
 
 /// Send one request on a raw connection.
 fn write_request(raw: &mut TcpStream, req: &Request<'_>) {
@@ -104,6 +107,22 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// Poll until `value` has not changed for `quiet`. Returns it and when it
+/// last changed.
+fn held_still(what: &str, quiet: Duration, value: impl Fn() -> u64) -> (u64, Instant) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (mut last, mut since) = (value(), Instant::now());
+    while since.elapsed() < quiet {
+        assert!(Instant::now() < deadline, "{what} never held still");
+        std::thread::sleep(Duration::from_millis(2));
+        let now = value();
+        if now != last {
+            (last, since) = (now, Instant::now());
+        }
+    }
+    (last, since)
 }
 
 #[test]
@@ -196,9 +215,7 @@ fn parse_errors_carry_code_and_offset() {
 fn reactor_sheds_connections_over_cap_with_retry_hint() {
     let (db, server, dir) = start(
         "busy-reactor",
-        ServerConfig::new("127.0.0.1:0")
-            .max_connections(1)
-            .shed_retry_ms(7),
+        ServerConfig::new("127.0.0.1:0").max_connections(1),
     );
     let addr = server.local_addr();
 
@@ -207,7 +224,11 @@ fn reactor_sheds_connections_over_cap_with_retry_hint() {
 
     match Client::connect(addr) {
         Err(Error::ServerBusy { retry_after_ms }) => {
-            assert_eq!(retry_after_ms, Some(7), "hint must be the configured one");
+            assert_eq!(
+                retry_after_ms,
+                Some(SHED_RETRY_MS),
+                "the shed carries the hint"
+            );
         }
         Err(e) => panic!("expected SERVER_BUSY, got error {e}"),
         Ok(_) => panic!("expected SERVER_BUSY, got a connection"),
@@ -905,8 +926,7 @@ fn blocked_requests_queue_then_shed_and_the_loop_stays_alive() {
             &format!("blocked-{workers}"),
             ServerConfig::new("127.0.0.1:0")
                 .workers(workers)
-                .max_inflight(workers + 1)
-                .shed_retry_ms(3),
+                .max_inflight(workers + 1),
             |db| db.durability(Durability::Buffered),
         );
         let addr = server.local_addr();
@@ -964,7 +984,9 @@ fn blocked_requests_queue_then_shed_and_the_loop_stays_alive() {
         // …and past `max_inflight` the loop answers by itself, at once.
         let shed = stat(&db, "server.shed_requests");
         match extra.query("SELECT v FROM t WHERE id = 2") {
-            Err(Error::ServerBusy { retry_after_ms }) => assert_eq!(retry_after_ms, Some(3)),
+            Err(Error::ServerBusy { retry_after_ms }) => {
+                assert_eq!(retry_after_ms, Some(SHED_RETRY_MS))
+            }
             other => panic!("expected SERVER_BUSY from the loop, got {other:?}"),
         }
         assert_eq!(stat(&db, "server.shed_requests"), shed + 1);
@@ -1118,11 +1140,16 @@ fn a_reader_that_stops_is_dropped_at_the_idle_timeout() {
     let idle = Duration::from_millis(600);
     let (db, server, dir, mut c) = start_stalling("stalled", idle);
     let (raw, _frames) = stall_a_scan(&db, server.local_addr());
-    let stalled = Instant::now();
+    // At the first stall the socket may still be taking bytes (on
+    // loopback the last window update comes some 45 ms later, a delayed
+    // ACK): wait until the stream holds for five ticks, and count from its
+    // last move, as the server's idle clock restarts on progress.
+    let (streamed, stalled) = held_still("the stream", Duration::from_millis(5 * 20), || {
+        stat(&db, "server.rows_streamed")
+    });
 
     // Paused, not finished: most of the table is still unread, and no
     // more of it is being read.
-    let streamed = stat(&db, "server.rows_streamed");
     assert!(streamed < HUGE as u64 * 2 / 3, "{streamed} rows buffered");
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(stat(&db, "server.rows_streamed"), streamed);
@@ -1302,4 +1329,215 @@ fn splits_of_resident_pages_read_nothing_and_stay_inline() {
     );
     drop(c);
     stop(db, server, dir);
+}
+
+// ---------------------------------------------------------------------
+// WAL subscriptions.
+// ---------------------------------------------------------------------
+
+/// A raw connection past its handshake that has asked for the log from
+/// `from_lsn`.
+fn raw_subscription(addr: std::net::SocketAddr, from_lsn: u64) -> (TcpStream, FrameBuffer) {
+    let (mut raw, frames) = raw_session(addr);
+    write_request(&mut raw, &Request::SubscribeWal { from_lsn });
+    (raw, frames)
+}
+
+fn next_batch(raw: &mut TcpStream, frames: &mut FrameBuffer) -> std::io::Result<WalBatch> {
+    frames
+        .read_frame(raw, WalBatch::decode)
+        .map(|batch| batch.unwrap())
+}
+
+/// The batches a subscriber is sent for one commit at `ts`, acking each,
+/// up to the empty "caught up" batch whose horizon covers it.
+fn batches_for(raw: &mut TcpStream, frames: &mut FrameBuffer, ts: Timestamp) -> Vec<WalBatch> {
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut batches: Vec<WalBatch> = Vec::new();
+    while batches
+        .last()
+        .is_none_or(|b| !b.bytes.is_empty() || b.horizon < ts)
+    {
+        let batch = next_batch(raw, frames).unwrap();
+        let applied_lsn = batch.next_lsn();
+        write_request(raw, &Request::ReplAck { applied_lsn });
+        batches.push(batch);
+    }
+    batches
+}
+
+/// Nothing arrives on `raw` for `quiet`.
+fn assert_silent(raw: &mut TcpStream, frames: &mut FrameBuffer, quiet: Duration) {
+    raw.set_read_timeout(Some(quiet)).unwrap();
+    match next_batch(raw, frames) {
+        Err(e) => assert!(
+            matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{e}"
+        ),
+        Ok(batch) => panic!("unexpected batch {batch:?}"),
+    }
+}
+
+fn commit_one(s: &mut Session<'_>, id: i32) -> Timestamp {
+    s.begin(Isolation::Serializable).unwrap();
+    s.execute(&format!("INSERT INTO t VALUES ({id}, {id})"))
+        .unwrap();
+    s.commit().unwrap()
+}
+
+/// The protocol, served on the loop: the log up to one empty "caught up"
+/// batch, then per commit its records and one empty batch whose horizon
+/// covers it, and nothing while the primary is idle; acks are taken, any
+/// other request ends the stream; and the connection is counted like any
+/// other.
+#[test]
+fn a_subscription_ships_each_commit_and_takes_only_acks() {
+    let tick = Duration::from_millis(20);
+    let cfg = ServerConfig::new("127.0.0.1:0").workers(2).tick(tick);
+    let (db, server, dir) = start_on("subscription", cfg, |db| db);
+    let addr = server.local_addr();
+    let mut s = Session::new(&db);
+    s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    let ts = commit_one(&mut s, 0);
+
+    let (mut raw, mut frames) = raw_subscription(addr, 0);
+    let mut next_lsn: Option<u64> = None;
+    let next_lsn = loop {
+        let batch = next_batch(&mut raw, &mut frames).unwrap();
+        // Each batch starts where the last ended, the first at the log's
+        // first record.
+        assert_eq!(batch.start_lsn, next_lsn.unwrap_or(8));
+        next_lsn = Some(batch.next_lsn());
+        if batch.bytes.is_empty() {
+            assert!(batch.horizon >= ts);
+            break batch.next_lsn();
+        }
+    };
+    assert_eq!(next_lsn, db.wal().end_lsn().0, "caught up short of the end");
+    assert_silent(&mut raw, &mut frames, 3 * tick);
+    assert_eq!(stat(&db, "server.open_connections"), 1);
+
+    let mut next_lsn = next_lsn;
+    for id in 1..=3 {
+        let ts = commit_one(&mut s, id);
+        // Its records, then one empty batch. The records may come in two
+        // batches and the horizon may lag a batch behind them if a step
+        // falls between two of the commit's appends or before it is
+        // visible; either way every byte comes once, in order.
+        let batches = batches_for(&mut raw, &mut frames, ts);
+        assert!(batches.len() <= 4, "{batches:?}");
+        assert!(!batches[0].bytes.is_empty());
+        for batch in batches.iter().filter(|b| !b.bytes.is_empty()) {
+            assert_eq!(batch.start_lsn, next_lsn);
+            next_lsn = batch.next_lsn();
+        }
+        assert_eq!(next_lsn, db.wal().end_lsn().0);
+        assert_silent(&mut raw, &mut frames, 3 * tick);
+    }
+
+    // Anything but an ack ends the subscription, without a reply.
+    let closed = db.metrics().server.connections_closed.get();
+    write_request(&mut raw, &Request::Query("SELECT * FROM t".into()));
+    wait_for("the subscription to close", || {
+        db.metrics().server.connections_closed.get() == closed + 1
+    });
+    assert_eq!(stat(&db, "server.open_connections"), 0);
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert!(next_batch(&mut raw, &mut frames).is_err());
+
+    // A subscriber that hangs up is closed, once.
+    let (mut raw, mut frames) = raw_subscription(addr, next_lsn);
+    assert!(next_batch(&mut raw, &mut frames).unwrap().bytes.is_empty());
+    assert_eq!(stat(&db, "server.open_connections"), 1);
+    drop(raw);
+    wait_for("the hung-up subscription to close", || {
+        db.metrics().server.connections_closed.get() == closed + 2
+    });
+    assert_eq!(stat(&db, "server.open_connections"), 0);
+    drop(s);
+    stop(db, server, dir);
+}
+
+/// A caught-up subscription is never idle; one whose batch stops moving
+/// is closed an idle timeout after it stopped.
+#[test]
+fn subscriptions_meet_the_idle_rule() {
+    let idle = Duration::from_millis(200);
+    let cfg = ServerConfig::new("127.0.0.1:0")
+        .workers(2)
+        .idle_timeout(idle)
+        .tick(Duration::from_millis(20));
+    let (db, server, dir) = start_on("subscription-idle", cfg, |db| db);
+    let addr = server.local_addr();
+    load_wide(&db, HUGE);
+    let mut s = Session::new(&db);
+    s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    let subscribed = Instant::now();
+    let (mut caught_up, mut frames) = raw_subscription(addr, db.wal().end_lsn().0);
+    assert!(next_batch(&mut caught_up, &mut frames)
+        .unwrap()
+        .bytes
+        .is_empty());
+
+    // A subscriber of the whole log that reads none of it.
+    let (stalled_raw, _) = raw_subscription(addr, 0);
+    wait_for("shipping to start", || stat(&db, "repl.bytes_shipped") > 0);
+    let (_, stalled) = held_still("the shipping", Duration::from_millis(100), || {
+        stat(&db, "repl.bytes_shipped")
+    });
+    wait_for("the stalled subscriber to be closed", || {
+        stat(&db, "server.open_connections") == 1
+    });
+    let waited = stalled.elapsed();
+    assert!(
+        waited + Duration::from_millis(150) >= idle && waited < idle * 3,
+        "closed after {waited:?} of a {idle:?} timeout"
+    );
+
+    // Three idle timeouts on, the caught-up one is still there.
+    std::thread::sleep((idle * 3).saturating_sub(subscribed.elapsed()));
+    let ts = commit_one(&mut s, 1);
+    assert!(!batches_for(&mut caught_up, &mut frames, ts)[0]
+        .bytes
+        .is_empty());
+    assert_eq!(stat(&db, "server.open_connections"), 1);
+    drop((stalled_raw, caught_up, s));
+    stop(db, server, dir);
+}
+
+/// A subscriber that stops reading holds one batch of the primary's and
+/// nothing else: the log stops shipping to it, other clients are served,
+/// and shutdown closes it like any other connection.
+#[test]
+fn a_stalled_subscriber_stops_no_one() {
+    let cfg = ServerConfig::new("127.0.0.1:0").workers(2);
+    let (db, server, dir) = start_on("stalled-subscriber", cfg, |db| db);
+    let addr = server.local_addr();
+    load_wide(&db, HUGE);
+    let (raw, _frames) = raw_subscription(addr, 0);
+    wait_for("shipping to start", || stat(&db, "repl.bytes_shipped") > 0);
+    let (shipped, _) = held_still("the shipping", Duration::from_millis(100), || {
+        stat(&db, "repl.bytes_shipped")
+    });
+    assert!(shipped < db.wal().end_lsn().0, "{shipped} bytes shipped");
+
+    let mut c = Client::connect(addr).unwrap();
+    assert_eq!(
+        c.query("SELECT pad FROM wide WHERE id = 9000")
+            .unwrap()
+            .rows,
+        vec![vec![Value::Varchar(wide_pad(9000))]]
+    );
+    drop(c);
+
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.shutdown()));
+    stopped
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown waited on the stalled subscriber")
+        .unwrap();
+    drop((raw, db));
+    let _ = std::fs::remove_dir_all(&dir);
 }

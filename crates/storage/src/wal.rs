@@ -429,11 +429,17 @@ impl Wal {
     /// `max_bytes` of *complete* records (always at least one whole
     /// record when any exists, so a record larger than the budget still
     /// ships) together with the LSN just past them. An empty slice with
-    /// `next == from` means the subscriber is caught up.
+    /// `next == from` means the subscriber is caught up. Announces its
+    /// file reads through [`blocking::about_to_block`]; a caught-up call
+    /// reads nothing and does not.
     pub fn read_raw(&self, from: Lsn, max_bytes: usize) -> Result<(Vec<u8>, Lsn)> {
         self.flush(Durability::Buffered)?;
         let end = self.file.len()?;
         let start = from.0.max(WAL_START.0);
+        if start + FRAME_HDR <= end {
+            // There is log to read, and reading it may wait on the disk.
+            blocking::about_to_block();
+        }
         let mut pos = start;
         while pos + FRAME_HDR <= end {
             let mut hdr = [0u8; 8];
