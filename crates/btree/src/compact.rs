@@ -15,7 +15,8 @@
 //! merge.
 //!
 //! History pages are immutable to the rest of the engine, so the
-//! compactor is their single writer. A pass runs under the tree's
+//! compactor is their single writer, and the one pass that must clear
+//! the chain directory ([`crate::chain_dir`]). A pass runs under the tree's
 //! structure **write** latch — the same exclusion splits use — so no
 //! reader can be mid-hop on a page the pass merges away, and every
 //! key→page routing it observes is stable. Two further rules keep
@@ -239,6 +240,11 @@ impl BTree {
         let walk = walk_history(self, &mut |_| Ok(()))?;
         for chain in &walk.chains {
             stats.add(self.compact_chain(chain, &walk.referrers)?);
+        }
+        if stats.pages_rewritten > 0 {
+            // Merged pages changed their time ranges and freed ids will
+            // be reused: no directory entry may name them.
+            self.core.chains.clear();
         }
 
         let m = self.core.pool.metrics();

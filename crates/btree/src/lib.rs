@@ -23,6 +23,7 @@
 //! buffer pool. This favours simplicity and matches the single-writer
 //! experiments of the paper; latch crabbing would be the next step.
 
+mod chain_dir;
 mod compact;
 mod cursor;
 mod read;

@@ -4,18 +4,22 @@
 //! The cursor is the paper's §4.2 algorithm: descend the *current*
 //! B-tree by key; compare the requested time with the page's split time
 //! (its `start_ts`). If the request is later, the answer is in the
-//! current page's version chains; otherwise follow the history-page
-//! chain back to the page whose `[start_ts, end_ts)` range contains the
-//! request — the split-time check is what lets us skip pages that cannot
-//! contain the version, and it needs only each page's header
-//! ([`immortaldb_storage::buffer::Frame::peek_header`]).
+//! current page's version chains; otherwise it is on the history page
+//! whose `[start_ts, end_ts)` range contains the request. The paper walks
+//! the history-page chain back to that page; here the chain directory
+//! ([`crate::chain_dir`]) names it, so a point read fetches one history
+//! page however deep it reaches. A leaf the directory knows nothing of
+//! walks the chain by header peek
+//! ([`immortaldb_storage::buffer::Frame::peek_header`]) down to the page
+//! that answers, as the paper does, and records what it walked.
 
 use immortaldb_common::{PageId, Result, Timestamp};
 use immortaldb_storage::buffer::FrameRef;
-use immortaldb_storage::page::PageType;
+use immortaldb_storage::page::{PageHeader, PageType};
 use immortaldb_storage::version;
 use immortaldb_storage::TimestampResolver;
 
+use crate::chain_dir::{ChainEntry, Seek};
 use crate::cursor::{
     visit_page, Flow, KeyRange, Query, RecordVisitor, ScanItem, VersionBuffer, VersionCursor,
     Visitor,
@@ -245,9 +249,10 @@ impl BTree {
     }
 
     /// The cursor over one leaf's history chain, for the keys of
-    /// `bounds`. Seeks by header peek to the newest page whose time
-    /// range reaches `q.hi`, then reads pages until one reaches back to
-    /// `q.lo`: the pages whose `[start_ts, end_ts)` intersect the window.
+    /// `bounds`. Seeks to the newest page whose time range reaches
+    /// `q.hi` ([`Self::seek_history`]), then reads pages until one
+    /// reaches back to `q.lo`: the pages whose `[start_ts, end_ts)`
+    /// intersect the window.
     fn walk_leaf(
         &self,
         leaf: FrameRef,
@@ -257,23 +262,19 @@ impl BTree {
         visit: &mut Visitor<'_>,
     ) -> Result<Flow> {
         let metrics = self.core.pool.metrics();
-        let mut hdr = leaf.peek_header(metrics);
+        let leaf_hdr = leaf.peek_header(metrics);
         // Uncommitted versions live ONLY in the current page (time splits
         // keep them there, case 4), so a reader that wants them consults
         // the leaf even when the window lies wholly in its history.
-        let leaf_for_uncommitted = q.uncommitted && q.hi < hdr.start_ts();
-        let mut page = Some(leaf.clone());
-        while q.hi < hdr.start_ts() {
-            let hist = hdr.history_page();
-            if !hist.is_valid() {
-                page = None; // the window precedes all recorded history
-                break;
+        let leaf_for_uncommitted = q.uncommitted && q.hi < leaf_hdr.start_ts();
+        let (mut page, hdr) = if q.hi < leaf_hdr.start_ts() {
+            match self.seek_history(leaf.page_id(), &leaf_hdr, q.hi)? {
+                Some((frame, hdr)) => (Some(frame), hdr),
+                None => (None, leaf_hdr), // the window precedes all recorded history
             }
-            metrics.tree.asof_hops.inc();
-            let frame = self.core.pool.fetch(hist)?;
-            hdr = frame.peek_header(metrics);
-            page = Some(frame);
-        }
+        } else {
+            (Some(leaf.clone()), leaf_hdr)
+        };
         // One page answers (every instant read, and a window a single
         // page spans): stream from it. `hdr` is stable under the
         // structure latch — only splits and compaction rewrite headers.
@@ -306,5 +307,76 @@ impl BTree {
             page = Some(self.core.pool.fetch(hist)?);
         }
         buf.replay(q.lo, visit)
+    }
+
+    /// The history page below `leaf` (header `leaf_hdr`) that answers
+    /// time `t`, older than the leaf's `start_ts`: the newest page that
+    /// starts at or before `t`, and its header; `None` when every page
+    /// starts after `t`. The chain directory names the page, so a read
+    /// fetches that page alone; a leaf with no entry, a time the entry
+    /// does not reach yet, and an entry whose page no longer fits it walk
+    /// ([`Self::walk_chain`]).
+    fn seek_history(
+        &self,
+        leaf: PageId,
+        leaf_hdr: &PageHeader,
+        t: Timestamp,
+    ) -> Result<Option<(FrameRef, PageHeader)>> {
+        let (head, above) = (leaf_hdr.history_page(), leaf_hdr.start_ts());
+        if !head.is_valid() {
+            return Ok(None);
+        }
+        let metrics = self.core.pool.metrics();
+        match self.core.chains.seek(leaf, head, above, t) {
+            Seek::Page(start, id) => {
+                metrics.tree.asof_hops.inc();
+                let frame = self.core.pool.fetch(id)?;
+                let hdr = frame.peek_header(metrics);
+                if matches!(hdr.page_type(), Ok(PageType::Leaf))
+                    && hdr.start_ts() == start
+                    && t < hdr.end_ts()
+                {
+                    return Ok(Some((frame, hdr)));
+                }
+                self.core.chains.remove(leaf);
+            }
+            Seek::BeforeHistory => return Ok(None),
+            Seek::Walk => {}
+        }
+        self.walk_chain(leaf, head, above, t)
+    }
+
+    /// Walk `leaf`'s history chain by header peeks down to the page that
+    /// answers `t` — from where its directory entry ends, or from `head`
+    /// — and record the pages walked in the entry.
+    fn walk_chain(
+        &self,
+        leaf: PageId,
+        head: PageId,
+        above: Timestamp,
+        t: Timestamp,
+    ) -> Result<Option<(FrameRef, PageHeader)>> {
+        let metrics = self.core.pool.metrics();
+        metrics.tree.chain_dir_builds.inc();
+        let (mut pages, mut next, epoch) = self.core.chains.resume(leaf, head, above);
+        let mut found = None;
+        while found.is_none() && next.is_valid() {
+            metrics.tree.asof_hops.inc();
+            let frame = self.core.pool.fetch(next)?;
+            let hdr = frame.peek_header(metrics);
+            pages.push((hdr.start_ts(), next));
+            next = hdr.history_page();
+            if hdr.start_ts() <= t {
+                found = Some((frame, hdr));
+            }
+        }
+        let entry = ChainEntry {
+            head,
+            above,
+            pages: pages.into(),
+            rest: next,
+        };
+        self.core.chains.insert(leaf, entry, epoch);
+        Ok(found)
     }
 }

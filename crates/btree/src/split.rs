@@ -38,6 +38,37 @@ impl Routing for BTree {
         split: LeafSplit,
         images: &mut Vec<Page>,
     ) -> Result<Option<PageId>> {
+        // The chain directory learns the split's page here, where its
+        // start and successor are at hand.
+        let time_split = split.time_split.map(|(above, hist)| {
+            let page = images.iter().find(|p| p.page_id() == hist);
+            let page = page.expect("the history page is among the images");
+            (hist, page.start_ts(), page.history_page(), above)
+        });
+        let right = split.key_split.as_ref().map(|(_, id)| *id);
+        let leaf = split.leaf;
+        let new_root = self.post_separator(path, split, images)?;
+        self.core.chains.split(leaf, time_split, right);
+        Ok(new_root)
+    }
+
+    fn current_leaves(&self, visit: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
+        let root = self.core.root();
+        self.walk_leaves(root, Vec::new(), None, &KeyRange::ALL, &mut |span| {
+            visit(span.id).map(|()| Flow::Continue)
+        })?;
+        Ok(())
+    }
+}
+
+impl BTree {
+    /// Post a key split's separator into the ancestors on `path`.
+    fn post_separator(
+        &self,
+        path: Vec<PageId>,
+        split: LeafSplit,
+        images: &mut Vec<Page>,
+    ) -> Result<Option<PageId>> {
         // Walk ancestors bottom-up. `path` is root..leaf.
         let mut pending = split.key_split;
         let mut level = path.len().checked_sub(2);
@@ -78,14 +109,6 @@ impl Routing for BTree {
             }
         }
         Ok(None)
-    }
-
-    fn current_leaves(&self, visit: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
-        let root = self.core.root();
-        self.walk_leaves(root, Vec::new(), None, &KeyRange::ALL, &mut |span| {
-            visit(span.id).map(|()| Flow::Continue)
-        })?;
-        Ok(())
     }
 }
 

@@ -37,6 +37,7 @@ use immortaldb_storage::version::{self, Visible};
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
+use crate::chain_dir::ChainDirectory;
 use crate::compact::{walk_history, HistoryStats};
 use crate::cursor::VersionCursor;
 
@@ -86,6 +87,9 @@ pub struct TreeCore {
     /// Serializes history-compaction passes over this tree (the
     /// background compactor vs explicit `compact_history` calls).
     pub compacting: Mutex<()>,
+    /// Where each current leaf's history pages lie in time (chain index
+    /// only; see [`crate::chain_dir`]).
+    pub(crate) chains: ChainDirectory,
 }
 
 impl TreeCore {
@@ -159,6 +163,7 @@ impl TreeCore {
             time_splits: AtomicU32::new(0),
             key_splits: AtomicU32::new(0),
             compacting: Mutex::new(()),
+            chains: ChainDirectory::default(),
         }
     }
 
@@ -172,12 +177,15 @@ impl TreeCore {
 
     /// Re-read the root from the meta page. A replica's redo installs the
     /// root splits its primary made without going through
-    /// [`Self::install`], so its handles pick the new root up here.
+    /// [`Self::install`], so its handles pick the new root up here. Redo
+    /// may also have installed a compaction's page images, so the chain
+    /// directory starts over.
     pub fn reload_root(&self) -> Result<()> {
         let meta = self.pool.fetch(PageId(0))?;
         let root = MetaView::tree_root(&meta.read(), self.tree_id)
             .ok_or_else(|| Error::Catalog(format!("{:?} not found", self.tree_id)))?;
         self.root.store(root.0, Ordering::SeqCst);
+        self.chains.clear();
         Ok(())
     }
 

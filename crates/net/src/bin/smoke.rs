@@ -116,14 +116,15 @@ fn run() -> immortaldb_common::Result<()> {
                     // an acknowledged commit is inside the visibility
                     // horizon, so the AS OF instant is not clamped below it.
                     if i % 5 == 0 {
-                        let eff = c.begin_as_of_ts(commit_ts)?;
-                        if eff != commit_ts {
+                        c.begin_as_of_ts(commit_ts)?;
+                        let rows = c.query(&format!("SELECT v FROM smoke WHERE id = {id}"))?;
+                        c.commit()?;
+                        let eff = c.snapshot();
+                        if eff != Some(commit_ts) {
                             return Err(Error::Internal(format!(
                                 "AS OF own commit {commit_ts:?} was clamped to {eff:?}"
                             )));
                         }
-                        let rows = c.query(&format!("SELECT v FROM smoke WHERE id = {id}"))?;
-                        c.commit()?;
                         if rows.rows != vec![vec![Value::Varchar("v1".into())]] {
                             return Err(Error::Internal(format!(
                                 "AS OF read at {commit_ts:?} saw {:?}",

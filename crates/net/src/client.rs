@@ -4,10 +4,21 @@
 //! [`Client::query`] runs one statement per round trip — or
 //! [`Client::query_rows`], which hands each row of the result over as it
 //! is decoded instead of collecting them — and the typed
-//! [`Client::begin`] / [`Client::commit`] / [`Client::rollback`] /
-//! [`Client::begin_as_of_ms`] calls return real timestamps instead of
-//! parsing messages. [`Client::query_as_of`] is a whole historical read —
-//! begin, statement, commit — in one round trip. For pipelining,
+//! [`Client::commit`] returns the real commit timestamp instead of a
+//! message to parse.
+//!
+//! BEGIN is deferred, as pgjdbc does it: [`Client::begin`],
+//! [`Client::begin_as_of_ts`] and [`Client::begin_as_of_ms`] send
+//! nothing, and the BEGIN frame leaves in the same `write` as the
+//! transaction's first request, so a transaction costs one round trip
+//! less. Its reply is read first: a BEGIN that failed is the error the
+//! first request returns, and [`Client::snapshot`] holds the begin
+//! snapshot once it succeeded. Every statement sent while a transaction
+//! is open, or begun here, goes out as QUERY_IN_TXN, which the server
+//! refuses unless the session holds a transaction: a statement behind a
+//! BEGIN that was shed never runs as autocommit. [`Client::query_as_of`]
+//! is a whole historical read — begin, statement, commit — in one round
+//! trip. For pipelining,
 //! [`Client::send_query`] writes a request without waiting and
 //! [`Client::recv_response`] collects the replies in order — the server
 //! executes pipelined requests back-to-back, letting group commit batch
@@ -69,7 +80,16 @@ pub struct Client {
     /// The frames of the call in hand, encoded here and sent in one
     /// `write`; reused across requests.
     outbox: Vec<u8>,
+    /// The session holds a transaction, or one was begun here whose
+    /// BEGIN has not been answered: statements go out as QUERY_IN_TXN.
     txn_open: bool,
+    /// A BEGIN not yet sent: it leaves with the next request.
+    deferred_begin: Option<Request<'static>>,
+    /// A BEGIN was sent and the next reply is its.
+    begin_unanswered: bool,
+    /// The last BEGIN's snapshot (effective time for AS OF), once its
+    /// reply has arrived.
+    snapshot: Option<Timestamp>,
     /// Requests sent but not yet answered (pipelining depth).
     in_flight: usize,
 }
@@ -85,6 +105,9 @@ impl Client {
             row: Vec::new(),
             outbox: Vec::new(),
             txn_open: false,
+            deferred_begin: None,
+            begin_unanswered: false,
+            snapshot: None,
             in_flight: 0,
         };
         client.send(&Request::Hello { version: VERSION })?;
@@ -92,9 +115,17 @@ impl Client {
         Ok(client)
     }
 
-    /// Whether the server reports an open transaction on this session.
+    /// Whether the server reports an open transaction on this session,
+    /// or one was begun here whose BEGIN has not been answered yet.
     pub fn in_transaction(&self) -> bool {
         self.txn_open
+    }
+
+    /// The begin snapshot of the last transaction begun here (for an AS
+    /// OF transaction, its effective, horizon-clamped time), once the
+    /// server has answered its BEGIN; `None` before that.
+    pub fn snapshot(&self) -> Option<Timestamp> {
+        self.snapshot
     }
 
     /// Execute one SQL statement and wait for its result.
@@ -113,70 +144,90 @@ impl Client {
         self.recv_into(&mut on_row)
     }
 
-    /// Begin an explicit transaction; returns its begin snapshot.
-    pub fn begin(&mut self, isolation: Isolation) -> Result<Timestamp> {
-        self.round_trip_ts(&Request::Begin(isolation))
+    /// Begin an explicit transaction. Nothing is sent: the BEGIN leaves
+    /// with the next request, and [`Client::snapshot`] holds the begin
+    /// snapshot once that request has been answered.
+    pub fn begin(&mut self, isolation: Isolation) -> Result<()> {
+        self.defer_begin(Request::Begin(isolation))
     }
 
-    /// Begin a read-only AS OF transaction from epoch milliseconds;
-    /// returns the effective (horizon-clamped) timestamp.
-    pub fn begin_as_of_ms(&mut self, ms: u64) -> Result<Timestamp> {
-        self.round_trip_ts(&Request::BeginAsOf(AsOfTarget::ClockMs(ms)))
+    /// Begin a read-only AS OF transaction from epoch milliseconds,
+    /// deferred like [`Client::begin`]; [`Client::snapshot`] gives the
+    /// effective (horizon-clamped) timestamp.
+    pub fn begin_as_of_ms(&mut self, ms: u64) -> Result<()> {
+        self.defer_begin(Request::BeginAsOf(AsOfTarget::ClockMs(ms)))
     }
 
     /// Begin a read-only AS OF transaction at an exact timestamp, e.g.
-    /// one returned by [`Client::commit`].
-    pub fn begin_as_of_ts(&mut self, ts: Timestamp) -> Result<Timestamp> {
-        self.round_trip_ts(&Request::BeginAsOf(AsOfTarget::Exact(ts)))
+    /// one returned by [`Client::commit`], deferred like
+    /// [`Client::begin`].
+    pub fn begin_as_of_ts(&mut self, ts: Timestamp) -> Result<()> {
+        self.defer_begin(Request::BeginAsOf(AsOfTarget::Exact(ts)))
+    }
+
+    fn defer_begin(&mut self, begin: Request<'static>) -> Result<()> {
+        if self.txn_open {
+            return Err(Error::Sql("transaction already open".into()));
+        }
+        self.deferred_begin = Some(begin);
+        self.txn_open = true;
+        self.snapshot = None;
+        Ok(())
     }
 
     /// Commit the open transaction; returns its commit timestamp.
     pub fn commit(&mut self) -> Result<Timestamp> {
-        self.round_trip_ts(&Request::Commit)
+        self.send(&Request::Commit)?;
+        let resp = self.recv_response()?;
+        resp.ts
+            .ok_or_else(|| Error::Corruption("server reply missing timestamp".into()))
     }
 
     /// Run one statement `AS OF ts` as a read-only transaction of its own,
-    /// in a single round trip: BEGIN_AS_OF, QUERY and COMMIT leave in one
-    /// `write` and the server answers the three back to back. Returns the
-    /// statement's result with `ts` set to the effective timestamp (`ts`
-    /// clamped to the server's visibility horizon). The first error among
-    /// the three replies is returned; either way no transaction is left
-    /// open. Refused while a transaction is open, since the frames would
-    /// run inside it and commit it. `sql` must be a read: if the server
-    /// refuses the BEGIN (SERVER_BUSY), the statement still arrives and
-    /// runs against the current state.
+    /// in a single round trip: the deferred BEGIN_AS_OF, the statement and
+    /// COMMIT leave in one `write` and the server answers the three back
+    /// to back. Returns the statement's result with `ts` set to the
+    /// effective timestamp (`ts` clamped to the server's visibility
+    /// horizon). The first error among the three replies is returned;
+    /// either way no transaction is left open. Refused while a
+    /// transaction is open, since the frames would run inside it and
+    /// commit it.
     pub fn query_as_of(&mut self, ts: Timestamp, sql: &str) -> Result<Response> {
         if self.txn_open {
             return Err(Error::Sql(
                 "query_as_of needs a session with no open transaction".into(),
             ));
         }
-        self.send_all(&[
-            Request::BeginAsOf(AsOfTarget::Exact(ts)),
-            Request::Query(sql.into()),
-            Request::Commit,
-        ])?;
-        let begun = self.recv_response();
+        self.begin_as_of_ts(ts)?;
+        self.send_all(&[Request::QueryInTxn(sql.into()), Request::Commit])?;
         let rows = self.recv_response();
         let committed = self.recv_response();
-        let effective = begun?.ts;
         let mut rows = rows?;
         committed?;
-        rows.ts = effective;
+        rows.ts = self.snapshot;
         Ok(rows)
     }
 
-    /// Roll back the open transaction.
+    /// Roll back the open transaction. One whose BEGIN was never sent
+    /// is dropped here, with nothing sent.
     pub fn rollback(&mut self) -> Result<()> {
+        if self.deferred_begin.take().is_some() {
+            self.txn_open = false;
+            return Ok(());
+        }
         self.send(&Request::Rollback)?;
         self.recv_response().map(|_| ())
     }
 
-    /// Send a QUERY without waiting for the reply (pipelining). Pair
+    /// Send a statement without waiting for the reply (pipelining). Pair
     /// each call with one [`Client::recv_response`]; replies arrive in
-    /// request order.
+    /// request order. Inside a transaction it goes as QUERY_IN_TXN.
     pub fn send_query(&mut self, sql: &str) -> Result<()> {
-        self.send(&Request::Query(sql.into()))
+        if self.txn_open {
+            self.send(&Request::QueryInTxn(sql.into()))
+        } else {
+            self.send(&Request::Query(sql.into()))
+        }
     }
 
     /// Receive the next pending response, its rows collected. Error
@@ -190,8 +241,25 @@ impl Client {
     }
 
     /// Receive the next pending response, passing the rows of a result
-    /// set to `rows` frame by frame as its chunks arrive.
+    /// set to `rows` frame by frame as its chunks arrive. The reply of a
+    /// BEGIN that left with the request comes first: if the BEGIN
+    /// failed, its error is returned in place of the request's result,
+    /// which is read and dropped (the server refused or shed it).
     fn recv_into(&mut self, rows: &mut impl RowTarget) -> Result<Response> {
+        if std::mem::take(&mut self.begin_unanswered) {
+            match self.recv_reply(&mut Vec::new()) {
+                Ok(begun) => self.snapshot = begun.ts,
+                Err(e) => {
+                    self.recv_reply(&mut |_: &[Value]| {}).ok();
+                    return Err(e);
+                }
+            }
+        }
+        self.recv_reply(rows)
+    }
+
+    /// Receive one reply.
+    fn recv_reply(&mut self, rows: &mut impl RowTarget) -> Result<Response> {
         // The column names, once the first frame of a result has come.
         let mut columns: Option<Vec<String>> = None;
         let row = &mut self.row;
@@ -277,9 +345,15 @@ impl Client {
         let mut fallback_ms = 10u64;
         let mut attempt = 0;
         loop {
+            // A shed BEGIN is sent again with the statement.
+            let begin = self.deferred_begin.clone();
             match self.query(sql) {
                 Err(Error::ServerBusy { retry_after_ms }) if attempt < max_retries => {
                     attempt += 1;
+                    if begin.is_some() && !self.txn_open {
+                        self.deferred_begin = begin;
+                        self.txn_open = true;
+                    }
                     let wait = match retry_after_ms {
                         Some(ms) => u64::from(ms),
                         None => {
@@ -295,31 +369,31 @@ impl Client {
         }
     }
 
-    /// Responses still owed by the server (sent-but-unreceived queries).
+    /// Responses still owed by the server (sent-but-unreceived queries;
+    /// a BEGIN sent with one is part of its response).
     pub fn pending(&self) -> usize {
-        self.in_flight
+        self.in_flight - usize::from(self.begin_unanswered)
     }
 
     fn send(&mut self, req: &Request<'_>) -> Result<()> {
         self.send_all(std::slice::from_ref(req))
     }
 
-    /// Send `reqs` in one `write`; each is owed one reply, in order.
+    /// Send `reqs` in one `write`, behind a deferred BEGIN if there is
+    /// one; each is owed one reply, in order.
     fn send_all(&mut self, reqs: &[Request<'_>]) -> Result<()> {
         self.outbox.clear();
+        let begin = self.deferred_begin.take();
+        if let Some(begin) = &begin {
+            begin.encode_into(&mut self.outbox);
+        }
         for req in reqs {
             req.encode_into(&mut self.outbox);
         }
         self.stream.write_all(&self.outbox)?;
-        self.in_flight += reqs.len();
+        self.begin_unanswered |= begin.is_some();
+        self.in_flight += reqs.len() + usize::from(begin.is_some());
         Ok(())
-    }
-
-    fn round_trip_ts(&mut self, req: &Request<'_>) -> Result<Timestamp> {
-        self.send(req)?;
-        let resp = self.recv_response()?;
-        resp.ts
-            .ok_or_else(|| Error::Corruption("server reply missing timestamp".into()))
     }
 
     /// Switch this connection into a WAL subscription starting at

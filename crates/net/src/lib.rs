@@ -6,7 +6,8 @@
 //!
 //! * [`proto`] — a small length-prefixed binary protocol: every frame is
 //!   `u32 len | u8 opcode | payload`, with request opcodes for HELLO,
-//!   QUERY, BEGIN, BEGIN AS OF, COMMIT and ROLLBACK and response opcodes
+//!   QUERY, QUERY_IN_TXN (refused outside a transaction), BEGIN, BEGIN
+//!   AS OF, COMMIT and ROLLBACK and response opcodes
 //!   OK, ROWS and ERROR. ERROR frames carry the engine's stable
 //!   [`ErrorCode`](immortaldb_common::ErrorCode) plus the byte offset of
 //!   parse errors, never matched-on strings.
@@ -27,7 +28,8 @@
 //!   group commit batches across connections. [`server`] holds the
 //!   configuration and the request execution the loop calls.
 //! * [`client`] — [`Client`]: connect/handshake, `query()` with typed row
-//!   decoding, native BEGIN/COMMIT/ROLLBACK returning real
+//!   decoding, native BEGIN (deferred: it leaves with the transaction's
+//!   first request) / COMMIT / ROLLBACK with real
 //!   [`Timestamp`](immortaldb_common::Timestamp)s, and a split
 //!   `send_query()`/`recv_response()` pair for pipelining.
 //! * Replication frames — SUBSCRIBE_WAL flips a connection into a

@@ -18,6 +18,14 @@
 //! | 04 | BEGIN_AS_OF | `u8` kind (0 = clock ms, 1 = exact) + `u64` ms/ttime + `u32` sn |
 //! | 05 | COMMIT      | empty |
 //! | 06 | ROLLBACK    | empty |
+//! | 07 | QUERY_IN_TXN | SQL text, as QUERY |
+//!
+//! QUERY_IN_TXN (version 3) is a QUERY that expects the session to hold a
+//! transaction: on a session with none, the server refuses it without
+//! running it. A client sends every statement it believes runs inside a
+//! transaction this way, so a statement pipelined behind a BEGIN that was
+//! shed or refused never runs as autocommit — also when TCP delivers the
+//! two frames in separate reads.
 //!
 //! Replication (a SUBSCRIBE_WAL upgrades the connection into a one-way
 //! log stream; only REPL_ACK frames flow back):
@@ -67,7 +75,7 @@ use immortaldb_common::{Error, ErrorCode, Result, Timestamp};
 /// Handshake magic: first bytes of every HELLO payload.
 pub const MAGIC: &[u8; 4] = b"IMDB";
 /// Protocol version spoken by this build.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 /// Upper bound on a frame's `len` field; anything larger is a corrupt or
 /// hostile stream and the connection is dropped.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -80,6 +88,7 @@ pub mod op {
     pub const BEGIN_AS_OF: u8 = 0x04;
     pub const COMMIT: u8 = 0x05;
     pub const ROLLBACK: u8 = 0x06;
+    pub const QUERY_IN_TXN: u8 = 0x07;
 
     pub const SUBSCRIBE_WAL: u8 = 0x10;
     pub const REPL_ACK: u8 = 0x11;
@@ -228,6 +237,8 @@ pub enum Request<'a> {
         version: u16,
     },
     Query(Cow<'a, str>),
+    /// A QUERY refused unless the session holds a transaction.
+    QueryInTxn(Cow<'a, str>),
     Begin(Isolation),
     BeginAsOf(AsOfTarget),
     Commit,
@@ -252,6 +263,9 @@ impl<'a> Request<'a> {
                 w.raw(MAGIC).u16(*version);
             }),
             Request::Query(sql) => put_frame(out, op::QUERY, |w| {
+                w.raw(sql.as_bytes());
+            }),
+            Request::QueryInTxn(sql) => put_frame(out, op::QUERY_IN_TXN, |w| {
                 w.raw(sql.as_bytes());
             }),
             Request::Begin(iso) => put_frame(out, op::BEGIN, |w| {
@@ -291,10 +305,14 @@ impl<'a> Request<'a> {
                 let version = r.u16()?;
                 Ok(Request::Hello { version })
             }
-            op::QUERY => {
+            op::QUERY | op::QUERY_IN_TXN => {
                 let sql = std::str::from_utf8(payload)
                     .map_err(|_| Error::Corruption("QUERY payload is not UTF-8".into()))?;
-                Ok(Request::Query(Cow::Borrowed(sql)))
+                Ok(if opcode == op::QUERY {
+                    Request::Query(Cow::Borrowed(sql))
+                } else {
+                    Request::QueryInTxn(Cow::Borrowed(sql))
+                })
             }
             op::BEGIN => {
                 let mut r = Reader::new(payload);
@@ -732,6 +750,7 @@ mod tests {
         for req in [
             Request::Hello { version: VERSION },
             Request::Query("SELECT * FROM t WHERE a = 'x y'".into()),
+            Request::QueryInTxn("UPDATE t SET v = 1 WHERE id = 2".into()),
             Request::Begin(Isolation::Serializable),
             Request::Begin(Isolation::Snapshot),
             Request::BeginAsOf(AsOfTarget::ClockMs(123_456)),

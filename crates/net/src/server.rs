@@ -294,7 +294,12 @@ pub(crate) fn handle_request(
     let m = &db.metrics().server;
     let result: Result<Option<Reply>> = (|| match req {
         Request::Hello { .. } => Err(Error::Sql("unexpected HELLO".into())),
-        Request::Query(sql) => {
+        // Sent behind a BEGIN that was shed or refused: running it would
+        // make it autocommit.
+        Request::QueryInTxn(_) if !session.in_transaction() => Err(Error::Sql(
+            "no open transaction: a statement sent for one was not run".into(),
+        )),
+        Request::Query(sql) | Request::QueryInTxn(sql) => {
             let is_commit = session.in_transaction()
                 && sql
                     .trim_start()

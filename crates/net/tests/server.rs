@@ -137,8 +137,9 @@ fn wire_round_trip_with_as_of() {
     assert_eq!(r.affected, 1);
 
     // Typed transaction surface returns real timestamps.
-    let snap = c.begin(Isolation::Serializable).unwrap();
+    c.begin(Isolation::Serializable).unwrap();
     c.query("UPDATE t SET v = 'new' WHERE id = 1").unwrap();
+    let snap = c.snapshot().expect("the BEGIN left with the UPDATE");
     assert!(c.in_transaction());
     let commit_ts = c.commit().unwrap();
     assert!(!c.in_transaction());
@@ -150,9 +151,10 @@ fn wire_round_trip_with_as_of() {
 
     // ...while an AS OF transaction pinned at the update's begin
     // snapshot (before its commit timestamp) sees the old version.
-    let eff = c.begin_as_of_ts(snap).unwrap();
-    assert!(eff < commit_ts);
+    c.begin_as_of_ts(snap).unwrap();
     let old = c.query("SELECT v FROM t WHERE id = 1").unwrap();
+    let eff = c.snapshot().unwrap();
+    assert!(eff < commit_ts);
     c.commit().unwrap();
     assert_eq!(old.rows, vec![vec![Value::Varchar("old".into())]]);
 
@@ -655,8 +657,9 @@ fn query_as_of_is_one_round_trip_and_leaves_no_transaction() {
     c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v VARCHAR(8))")
         .unwrap();
     c.query("INSERT INTO t VALUES (1, 'old')").unwrap();
-    let before = c.begin(Isolation::Serializable).unwrap();
+    c.begin(Isolation::Serializable).unwrap();
     c.query("UPDATE t SET v = 'new' WHERE id = 1").unwrap();
+    let before = c.snapshot().unwrap();
     let updated = c.commit().unwrap();
 
     // Happy path: three frames, three replies, the row as of then.
@@ -707,6 +710,165 @@ fn query_as_of_is_one_round_trip_and_leaves_no_transaction() {
     c.rollback().unwrap();
 
     drop(c);
+    stop(db, server, dir);
+}
+
+// ---------------------------------------------------------------------
+// Deferred BEGIN: the BEGIN leaves with the transaction's first request.
+// ---------------------------------------------------------------------
+
+/// The begin snapshot arrives with the first statement's reply; a
+/// rollback of a BEGIN never sent sends nothing.
+#[test]
+fn a_deferred_begin_reports_its_snapshot_with_the_first_reply() {
+    let (db, server, dir) = start("deferred-begin", ServerConfig::new("127.0.0.1:0"));
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    c.query("INSERT INTO t VALUES (1, 0)").unwrap();
+
+    let requests = stat(&db, "server.requests");
+    c.begin(Isolation::Serializable).unwrap();
+    assert!(c.in_transaction());
+    assert_eq!(c.snapshot(), None, "nothing has been sent");
+    c.rollback().unwrap();
+    assert!(!c.in_transaction());
+    assert_eq!(stat(&db, "server.requests"), requests, "nothing was sent");
+
+    // BEGIN and UPDATE in one write, two replies read for one call.
+    c.begin(Isolation::Serializable).unwrap();
+    assert_eq!(c.snapshot(), None);
+    assert_eq!(
+        c.query("UPDATE t SET v = 1 WHERE id = 1").unwrap().affected,
+        1
+    );
+    assert_eq!(stat(&db, "server.requests"), requests + 2);
+    assert_eq!(c.pending(), 0);
+    let snapshot = c.snapshot().expect("the BEGIN was answered");
+    let committed = c.commit().unwrap();
+    assert!(committed >= snapshot, "{committed:?} < {snapshot:?}");
+    assert_eq!(c.snapshot(), Some(snapshot));
+
+    // A second BEGIN before the first is used is refused here.
+    c.begin(Isolation::Snapshot).unwrap();
+    assert!(matches!(c.begin(Isolation::Snapshot), Err(Error::Sql(_))));
+    c.rollback().unwrap();
+
+    drop(c);
+    stop(db, server, dir);
+}
+
+/// A statement marked for a transaction never runs outside one: the
+/// server refuses it on a session with none, and runs it once one is
+/// open.
+#[test]
+fn a_statement_marked_for_a_transaction_is_refused_without_one() {
+    let (db, server, dir) = start("marked-query", ServerConfig::new("127.0.0.1:0"));
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    write_request(&mut raw, &Request::Hello { version: VERSION });
+    read_reply(&mut raw).unwrap();
+    let insert = |raw: &mut TcpStream, id: i32| {
+        let sql = format!("INSERT INTO t VALUES ({id}, {id})");
+        write_request(raw, &Request::QueryInTxn(sql.into()));
+        let (op, payload) = read_reply(raw).unwrap();
+        Reply::decode(op, &payload).unwrap()
+    };
+    match insert(&mut raw, 5) {
+        Reply::Error {
+            txn_open, message, ..
+        } => {
+            assert!(!txn_open);
+            assert!(message.contains("no open transaction"), "{message}");
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert!(c
+        .query("SELECT v FROM t WHERE id = 5")
+        .unwrap()
+        .rows
+        .is_empty());
+
+    // Inside a transaction the same frame runs.
+    write_request(&mut raw, &Request::Begin(Isolation::Serializable));
+    read_reply(&mut raw).unwrap();
+    assert!(matches!(
+        insert(&mut raw, 6),
+        Reply::Ok { txn_open: true, .. }
+    ));
+    write_request(&mut raw, &Request::Commit);
+    read_reply(&mut raw).unwrap();
+    assert_eq!(
+        c.query("SELECT v FROM t WHERE id = 6").unwrap().rows,
+        vec![vec![Value::Int(6)]]
+    );
+
+    drop((c, raw));
+    stop(db, server, dir);
+}
+
+/// A BEGIN shed with the statement behind it: the call returns the
+/// BEGIN's SERVER_BUSY, no transaction is open, and the statement did
+/// not run as autocommit.
+#[test]
+fn a_shed_begin_takes_its_statement_with_it() {
+    let (db, server, dir) = start_on(
+        "shed-begin",
+        ServerConfig::new("127.0.0.1:0").workers(1).max_inflight(2),
+        |db| db.durability(Durability::Buffered),
+    );
+    let addr = server.local_addr();
+    let mut reader = Client::connect(addr).unwrap();
+    reader
+        .query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    let mut waiter = Client::connect(addr).unwrap();
+    let mut extra = Client::connect(addr).unwrap();
+
+    // Fill the in-flight cap: one request parked on a lock the
+    // in-process holder keeps, one queued behind it.
+    let mut holder = Session::new(&db);
+    holder.begin(Isolation::Serializable).unwrap();
+    holder.execute("INSERT INTO t VALUES (10, 0)").unwrap();
+    let waits = stat(&db, "locks.waits");
+    waiter
+        .send_query("UPDATE t SET v = 5 WHERE id = 10")
+        .unwrap();
+    wait_for("the waiter to park", || stat(&db, "locks.waits") > waits);
+    reader.send_query("SELECT v FROM t WHERE id = 10").unwrap();
+    wait_for("the read to queue", || {
+        stat(&db, "server.ready_queue_depth") == 1
+    });
+
+    extra.begin(Isolation::Serializable).unwrap();
+    match extra.query("INSERT INTO t VALUES (77, 7)") {
+        Err(Error::ServerBusy { .. }) => {}
+        other => panic!("expected SERVER_BUSY, got {other:?}"),
+    }
+    assert!(!extra.in_transaction());
+    assert_eq!(extra.pending(), 0);
+
+    holder.commit().unwrap();
+    assert_eq!(waiter.recv_response().unwrap().affected, 1);
+    reader.recv_response().unwrap();
+    assert!(reader
+        .query("SELECT v FROM t WHERE id = 77")
+        .unwrap()
+        .rows
+        .is_empty());
+    // The session is whole: the next transaction runs.
+    extra.begin(Isolation::Serializable).unwrap();
+    extra.query("INSERT INTO t VALUES (77, 7)").unwrap();
+    extra.commit().unwrap();
+    assert_eq!(
+        reader.query("SELECT v FROM t WHERE id = 77").unwrap().rows,
+        vec![vec![Value::Int(7)]]
+    );
+
+    drop((reader, waiter, extra, holder));
     stop(db, server, dir);
 }
 
@@ -893,8 +1055,15 @@ fn only_waits_and_long_statements_move_the_loop() {
             c.query(&format!("INSERT INTO t VALUES ({i}, '{filler}')"))
                 .unwrap();
         }
-        let before = (handoffs(&db), stat(&db, "buffer.misses"));
+        // Read by read: one that waited on the disk did not finish on
+        // the loop. The leader hands the loop on before it waits; a
+        // follower that took the read from the ready queue never held it.
+        let mut cold = 0;
         for i in (0..2_000).step_by(97) {
+            let (misses, inline) = (
+                stat(&db, "buffer.misses"),
+                stat(&db, "server.requests_inline"),
+            );
             assert_eq!(
                 c.query(&format!("SELECT id FROM t WHERE id = {i}"))
                     .unwrap()
@@ -902,15 +1071,16 @@ fn only_waits_and_long_statements_move_the_loop() {
                     .len(),
                 1
             );
+            if stat(&db, "buffer.misses") > misses {
+                cold += 1;
+                assert_eq!(
+                    stat(&db, "server.requests_inline"),
+                    inline,
+                    "read {i} waited on the disk and finished on the loop"
+                );
+            }
         }
-        assert!(
-            stat(&db, "buffer.misses") > before.1,
-            "the reads never left the pool"
-        );
-        assert!(
-            handoffs(&db).0 > before.0 .0,
-            "a page miss did not move the loop"
-        );
+        assert!(cold > 0, "the reads never left the pool");
         drop(c);
         stop(db, server, dir);
     }

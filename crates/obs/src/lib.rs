@@ -419,8 +419,12 @@ pub struct TreeMetrics {
     pub index_time_splits: Counter,
     /// Index-node key splits (both indexes).
     pub index_key_splits: Counter,
-    /// History-page-chain hops taken by AS OF reads and scans.
+    /// History pages fetched by AS OF reads and scans below the current
+    /// leaf: the page the chain directory names, the pages a window reads
+    /// down to its low end, and every page a directory build walks.
     pub asof_hops: Counter,
+    /// Chain-directory builds: header walks down a leaf's history chain.
+    pub chain_dir_builds: Counter,
     /// Version-chain length observed when a chain is stamped or read.
     pub version_chain_len: Histogram,
 }

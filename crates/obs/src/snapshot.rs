@@ -141,6 +141,10 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
             m.tree.index_key_splits.get(),
         ),
         ("tree.asof_hops".into(), m.tree.asof_hops.get()),
+        (
+            "tree.chain_dir_builds".into(),
+            m.tree.chain_dir_builds.get(),
+        ),
         ("version.delta_folds".into(), m.version.delta_folds.get()),
         (
             "version.deltas_written".into(),

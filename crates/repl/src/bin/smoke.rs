@@ -182,8 +182,9 @@ fn main() {
             let mut c = Client::connect(&addr).unwrap();
             let mut checked = 0usize;
             for _ in 0..READS_PER_REPLICA {
-                let effective = c.begin_as_of_ms(now_ms()).unwrap();
+                c.begin_as_of_ms(now_ms()).unwrap();
                 let resp = c.query("SELECT * FROM accounts").unwrap();
+                let effective = c.snapshot().expect("the BEGIN was answered");
                 c.commit().unwrap();
                 // Before the seed commit is visible the table is empty;
                 // any later horizon must show a conserved total.

@@ -165,8 +165,10 @@ run_history() {
     # one compact_history pass merges chain pages. At depth 100 the
     # merged store must take <= half the bytes/version of the same
     # versions as full records, the pass must rewrite pages, and deep
-    # AS OF reads must not slow down by more than 1.5x across it (the
-    # run's exit status).
+    # AS OF reads must not slow down by more than 1.5x across it; at
+    # every depth a warm AS OF read fetches at most 2 history pages
+    # (tree.asof_hops), before and after the pass (the run's exit
+    # status).
     cargo run --release -q -p immortaldb-bench -- --quick history
 }
 

@@ -437,14 +437,21 @@ fn keyed_temporal_reads_cost_what_they_touch() {
     };
     let pushed = |name: &str| db.metrics_snapshot().get(name).unwrap();
 
-    // A point read at the oldest time walks its leaf's whole chain: the
-    // descent plus one fetch per chain page.
+    // A single-key window over all of history reads its leaf's whole
+    // chain: the descent plus one fetch per chain page.
     let oid = 17;
-    let whole_chain = point_read(oid, oldest);
+    let key = PkBounds::point(&schema, &Value::Int(oid)).unwrap();
+    let (whole_chain, _) = fetch_cost(db, || window_in(db, &key, oldest, hi));
     assert!(whole_chain > 8, "deep history expected, got {whole_chain}");
+    // A point read at the oldest time fetches only the page the chain
+    // directory names, not the chain above it.
+    let oldest_point = point_read(oid, oldest);
+    assert!(
+        oldest_point * 2 < whole_chain,
+        "point read at the oldest time: {oldest_point} fetches, chain {whole_chain}"
+    );
 
     // Single-key VERSIONS BETWEEN over half the history: within that.
-    let key = PkBounds::point(&schema, &Value::Int(oid)).unwrap();
     let (points, nones) = (
         pushed("temporal.pushdown_point"),
         pushed("temporal.pushdown_none"),

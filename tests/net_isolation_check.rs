@@ -90,7 +90,7 @@ fn check_one(seed: u64, grouped: bool) -> Result<(), Mismatch> {
                         attempts < COMMITS_PER_CLIENT * 100,
                         "client {t} cannot make progress"
                     );
-                    let snapshot = c.begin(Isolation::Snapshot).unwrap();
+                    c.begin(Isolation::Snapshot).unwrap();
                     let mut ops = Vec::new();
                     let done = (0..rng.gen_range(2..5)).try_for_each(|_| {
                         let k = rng.gen_range(0..KEYS);
@@ -119,6 +119,8 @@ fn check_one(seed: u64, grouped: bool) -> Result<(), Mismatch> {
                         }
                         Err(e) => panic!("operation failed: {e}"),
                     }
+                    // The BEGIN left with the first statement.
+                    let snapshot = c.snapshot().expect("the BEGIN was answered");
                     match c.commit() {
                         Ok(commit) => {
                             logs.lock().unwrap().push(TxnLog {

@@ -112,8 +112,9 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
     let mut observations: Vec<(Timestamp, Vec<Vec<Value>>)> = Vec::new();
     let mut reader = Client::connect(&replica_addr).unwrap();
     while !done.load(Ordering::SeqCst) {
-        let effective = reader.begin_as_of_ms(now_ms()).unwrap();
+        reader.begin_as_of_ms(now_ms()).unwrap();
         let resp = reader.query("SELECT * FROM kv").unwrap();
+        let effective = reader.snapshot().expect("the BEGIN was answered");
         reader.commit().unwrap();
         observations.push((effective, resp.rows));
         std::thread::sleep(Duration::from_millis(2));
