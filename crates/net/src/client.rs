@@ -7,8 +7,7 @@
 //! [`Client::commit`] returns the real commit timestamp instead of a
 //! message to parse.
 //!
-//! BEGIN is deferred, as pgjdbc does it: [`Client::begin`],
-//! [`Client::begin_as_of_ts`] and [`Client::begin_as_of_ms`] send
+//! BEGIN is deferred, as pgjdbc does it: [`Client::begin`] sends
 //! nothing, and the BEGIN frame leaves in the same `write` as the
 //! transaction's first request, so a transaction costs one round trip
 //! less. Its reply is read first: a BEGIN that failed is the error the
@@ -16,14 +15,24 @@
 //! snapshot once it succeeded. Every statement sent while a transaction
 //! is open, or begun here, goes out as QUERY_IN_TXN, which the server
 //! refuses unless the session holds a transaction: a statement behind a
-//! BEGIN that was shed never runs as autocommit. [`Client::query_as_of`]
-//! is a whole historical read — begin, statement, commit — in one round
-//! trip. For pipelining,
+//! BEGIN that was shed never runs as autocommit.
+//!
+//! A read-only AS OF transaction is held here, not by the server: an
+//! `AS OF t` answer never changes, so the transaction is its timestamp.
+//! [`Client::begin_as_of_ts`] and [`Client::begin_as_of_ms`] record the
+//! target, each statement leaves as one self-contained QUERY_AS_OF
+//! frame, and [`Client::commit`] and [`Client::rollback`] send nothing.
+//! The first answer says the instant the target came to (the server
+//! clamps a target past its visibility horizon), and every later
+//! statement asks for that instant exactly; until it is known, a second
+//! statement is refused here rather than sent. [`Client::query_as_of`]
+//! is a whole historical read in one frame. For pipelining,
 //! [`Client::send_query`] writes a request without waiting and
 //! [`Client::recv_response`] collects the replies in order — the server
 //! executes pipelined requests back-to-back, letting group commit batch
 //! across connections.
 
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -40,7 +49,8 @@ pub struct Response {
     pub rows: Vec<Vec<Value>>,
     pub affected: u64,
     pub message: String,
-    /// Commit timestamp (COMMIT) or begin snapshot (BEGIN variants).
+    /// Commit timestamp (COMMIT), or the instant a statement of an AS OF
+    /// transaction ran at.
     pub ts: Option<Timestamp>,
 }
 
@@ -70,6 +80,20 @@ impl RowTarget for Vec<Vec<Value>> {
     }
 }
 
+/// What a reply still owed answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owed {
+    /// A BEGIN that left with the request behind it: its reply comes
+    /// first and is part of that request's response.
+    Begin,
+    /// A request of the session: its reply says whether the session
+    /// holds a transaction.
+    Session,
+    /// A statement of an AS OF transaction: its reply says the instant it
+    /// ran at.
+    AsOf,
+}
+
 /// One connection to an `immortaldb-server`.
 pub struct Client {
     stream: TcpStream,
@@ -84,14 +108,16 @@ pub struct Client {
     /// BEGIN has not been answered: statements go out as QUERY_IN_TXN.
     txn_open: bool,
     /// A BEGIN not yet sent: it leaves with the next request.
-    deferred_begin: Option<Request<'static>>,
-    /// A BEGIN was sent and the next reply is its.
-    begin_unanswered: bool,
-    /// The last BEGIN's snapshot (effective time for AS OF), once its
-    /// reply has arrived.
+    deferred_begin: Option<Isolation>,
+    /// The AS OF transaction held here: what its statements ask for —
+    /// the target it was begun at, then the instant the first answer
+    /// named, exactly.
+    as_of: Option<AsOfTarget>,
+    /// The last BEGIN's snapshot, or the instant of the AS OF
+    /// transaction, once a reply has said it.
     snapshot: Option<Timestamp>,
-    /// Requests sent but not yet answered (pipelining depth).
-    in_flight: usize,
+    /// The replies owed, oldest first (pipelining depth).
+    owed: VecDeque<Owed>,
 }
 
 impl Client {
@@ -106,24 +132,27 @@ impl Client {
             outbox: Vec::new(),
             txn_open: false,
             deferred_begin: None,
-            begin_unanswered: false,
+            as_of: None,
             snapshot: None,
-            in_flight: 0,
+            owed: VecDeque::new(),
         };
-        client.send(&Request::Hello { version: VERSION })?;
+        client.send(&Request::Hello { version: VERSION }, Owed::Session)?;
         client.recv_response()?;
         Ok(client)
     }
 
-    /// Whether the server reports an open transaction on this session,
-    /// or one was begun here whose BEGIN has not been answered yet.
+    /// Whether a transaction is open: the server reports one on this
+    /// session, one was begun here whose BEGIN has not been answered, or
+    /// an AS OF transaction is held here.
     pub fn in_transaction(&self) -> bool {
-        self.txn_open
+        self.txn_open || self.as_of.is_some()
     }
 
-    /// The begin snapshot of the last transaction begun here (for an AS
-    /// OF transaction, its effective, horizon-clamped time), once the
-    /// server has answered its BEGIN; `None` before that.
+    /// The begin snapshot of the last transaction begun here, once the
+    /// server has answered its BEGIN; for an AS OF transaction, the
+    /// instant its statements read at (the target, clamped to the
+    /// server's visibility horizon), once one has been answered. `None`
+    /// before that.
     pub fn snapshot(&self) -> Option<Timestamp> {
         self.snapshot
     }
@@ -148,85 +177,111 @@ impl Client {
     /// with the next request, and [`Client::snapshot`] holds the begin
     /// snapshot once that request has been answered.
     pub fn begin(&mut self, isolation: Isolation) -> Result<()> {
-        self.defer_begin(Request::Begin(isolation))
-    }
-
-    /// Begin a read-only AS OF transaction from epoch milliseconds,
-    /// deferred like [`Client::begin`]; [`Client::snapshot`] gives the
-    /// effective (horizon-clamped) timestamp.
-    pub fn begin_as_of_ms(&mut self, ms: u64) -> Result<()> {
-        self.defer_begin(Request::BeginAsOf(AsOfTarget::ClockMs(ms)))
-    }
-
-    /// Begin a read-only AS OF transaction at an exact timestamp, e.g.
-    /// one returned by [`Client::commit`], deferred like
-    /// [`Client::begin`].
-    pub fn begin_as_of_ts(&mut self, ts: Timestamp) -> Result<()> {
-        self.defer_begin(Request::BeginAsOf(AsOfTarget::Exact(ts)))
-    }
-
-    fn defer_begin(&mut self, begin: Request<'static>) -> Result<()> {
-        if self.txn_open {
-            return Err(Error::Sql("transaction already open".into()));
-        }
-        self.deferred_begin = Some(begin);
+        self.refuse_if_open()?;
+        self.deferred_begin = Some(isolation);
         self.txn_open = true;
         self.snapshot = None;
         Ok(())
     }
 
-    /// Commit the open transaction; returns its commit timestamp.
-    pub fn commit(&mut self) -> Result<Timestamp> {
-        self.send(&Request::Commit)?;
-        let resp = self.recv_response()?;
-        resp.ts
-            .ok_or_else(|| Error::Corruption("server reply missing timestamp".into()))
+    /// Begin a read-only AS OF transaction from epoch milliseconds, held
+    /// here: nothing is sent. [`Client::snapshot`] gives the effective
+    /// (horizon-clamped) timestamp once a statement has been answered.
+    pub fn begin_as_of_ms(&mut self, ms: u64) -> Result<()> {
+        self.begin_as_of(AsOfTarget::ClockMs(ms))
     }
 
-    /// Run one statement `AS OF ts` as a read-only transaction of its own,
-    /// in a single round trip: the deferred BEGIN_AS_OF, the statement and
-    /// COMMIT leave in one `write` and the server answers the three back
-    /// to back. Returns the statement's result with `ts` set to the
-    /// effective timestamp (`ts` clamped to the server's visibility
-    /// horizon). The first error among the three replies is returned;
-    /// either way no transaction is left open. Refused while a
-    /// transaction is open, since the frames would run inside it and
-    /// commit it.
-    pub fn query_as_of(&mut self, ts: Timestamp, sql: &str) -> Result<Response> {
-        if self.txn_open {
+    /// Begin a read-only AS OF transaction at an exact timestamp, e.g.
+    /// one returned by [`Client::commit`], held here like
+    /// [`Client::begin_as_of_ms`].
+    pub fn begin_as_of_ts(&mut self, ts: Timestamp) -> Result<()> {
+        self.begin_as_of(AsOfTarget::Exact(ts))
+    }
+
+    fn begin_as_of(&mut self, target: AsOfTarget) -> Result<()> {
+        self.refuse_if_open()?;
+        // Its answer would name the instant of this one.
+        if self.owed.contains(&Owed::AsOf) {
             return Err(Error::Sql(
-                "query_as_of needs a session with no open transaction".into(),
+                "a statement of the last AS OF transaction is still unanswered".into(),
             ));
         }
-        self.begin_as_of_ts(ts)?;
-        self.send_all(&[Request::QueryInTxn(sql.into()), Request::Commit])?;
-        let rows = self.recv_response();
-        let committed = self.recv_response();
-        let mut rows = rows?;
-        committed?;
-        rows.ts = self.snapshot;
-        Ok(rows)
+        self.as_of = Some(target);
+        self.snapshot = None;
+        Ok(())
     }
 
-    /// Roll back the open transaction. One whose BEGIN was never sent
-    /// is dropped here, with nothing sent.
+    fn refuse_if_open(&self) -> Result<()> {
+        if self.in_transaction() {
+            return Err(Error::Sql("transaction already open".into()));
+        }
+        Ok(())
+    }
+
+    /// Commit the open transaction; returns its commit timestamp. An AS
+    /// OF transaction sends nothing and returns its instant — unless no
+    /// statement has been answered yet, when one round trip asks the
+    /// server what the target comes to.
+    pub fn commit(&mut self) -> Result<Timestamp> {
+        let ts = if self.as_of.is_some() {
+            if self.snapshot.is_none() {
+                self.query("COMMIT")?;
+            }
+            self.as_of = None;
+            self.snapshot
+        } else {
+            self.send(&Request::Commit, Owed::Session)?;
+            self.recv_response()?.ts
+        };
+        ts.ok_or_else(|| Error::Corruption("server reply missing timestamp".into()))
+    }
+
+    /// Run one statement `AS OF ts` as a read-only transaction of its own:
+    /// one QUERY_AS_OF frame, one reply. Returns the statement's result
+    /// with `ts` set to the effective timestamp (`ts` clamped to the
+    /// server's visibility horizon); either way no transaction is left
+    /// open. Refused while a transaction is open.
+    pub fn query_as_of(&mut self, ts: Timestamp, sql: &str) -> Result<Response> {
+        self.begin_as_of_ts(ts)?;
+        let rows = self.query(sql);
+        self.as_of = None;
+        rows
+    }
+
+    /// Roll back the open transaction. An AS OF transaction, or one whose
+    /// BEGIN was never sent, is dropped here, with nothing sent.
     pub fn rollback(&mut self) -> Result<()> {
+        if self.as_of.take().is_some() {
+            return Ok(());
+        }
         if self.deferred_begin.take().is_some() {
             self.txn_open = false;
             return Ok(());
         }
-        self.send(&Request::Rollback)?;
+        self.send(&Request::Rollback, Owed::Session)?;
         self.recv_response().map(|_| ())
     }
 
     /// Send a statement without waiting for the reply (pipelining). Pair
     /// each call with one [`Client::recv_response`]; replies arrive in
-    /// request order. Inside a transaction it goes as QUERY_IN_TXN.
+    /// request order. Inside a transaction it goes as QUERY_IN_TXN, inside
+    /// an AS OF transaction as QUERY_AS_OF — refused while the first
+    /// statement of one is unanswered, since until then its instant is
+    /// not known and a second statement could run at another.
     pub fn send_query(&mut self, sql: &str) -> Result<()> {
-        if self.txn_open {
-            self.send(&Request::QueryInTxn(sql.into()))
+        if let Some(target) = self.as_of {
+            if self.snapshot.is_none() && self.owed.contains(&Owed::AsOf) {
+                return Err(Error::Sql(
+                    "an AS OF transaction's first statement is unanswered: \
+                     its instant is not known yet"
+                        .into(),
+                ));
+            }
+            self.send(&Request::QueryAsOf(target, sql.into()), Owed::AsOf)
+        } else if self.txn_open {
+            self.send(&Request::QueryInTxn(sql.into()), Owed::Session)
         } else {
-            self.send(&Request::Query(sql.into()))
+            self.send(&Request::Query(sql.into()), Owed::Session)
         }
     }
 
@@ -246,7 +301,7 @@ impl Client {
     /// failed, its error is returned in place of the request's result,
     /// which is read and dropped (the server refused or shed it).
     fn recv_into(&mut self, rows: &mut impl RowTarget) -> Result<Response> {
-        if std::mem::take(&mut self.begin_unanswered) {
+        if self.owed.front() == Some(&Owed::Begin) {
             match self.recv_reply(&mut Vec::new()) {
                 Ok(begun) => self.snapshot = begun.ts,
                 Err(e) => {
@@ -288,9 +343,9 @@ impl Client {
                     }
                     // The last frame ends the reply the way an OK does.
                     let txn_open = frame.txn_open;
-                    Ok(frame.message()?.map(|message| Reply::Ok {
+                    Ok(frame.end()?.map(|(message, ts)| Reply::Ok {
                         txn_open,
-                        ts: None,
+                        ts,
                         affected: 0,
                         message: message.into(),
                     }))
@@ -299,7 +354,7 @@ impl Client {
                 break reply;
             }
         };
-        self.in_flight = self.in_flight.saturating_sub(1);
+        let as_of = self.owed.pop_front() == Some(Owed::AsOf);
         match reply {
             Reply::Ok {
                 txn_open,
@@ -307,7 +362,14 @@ impl Client {
                 affected,
                 message,
             } => {
-                self.txn_open = txn_open;
+                if !as_of {
+                    self.txn_open = txn_open;
+                } else if self.as_of.is_some() {
+                    // Later statements read at this instant, exactly; a
+                    // COMMIT or ROLLBACK sent as SQL text ended it.
+                    self.snapshot = ts;
+                    self.as_of = ts.filter(|_| txn_open).map(AsOfTarget::Exact);
+                }
                 Ok(Response {
                     columns: columns.unwrap_or_default(),
                     rows: Vec::new(),
@@ -323,7 +385,11 @@ impl Client {
                 message,
                 retry_after_ms,
             } => {
-                self.txn_open = txn_open;
+                // A failed AS OF statement ends nothing: the transaction
+                // is held here.
+                if !as_of {
+                    self.txn_open = txn_open;
+                }
                 if code == ErrorCode::Busy {
                     Err(Error::ServerBusy { retry_after_ms })
                 } else {
@@ -346,7 +412,7 @@ impl Client {
         let mut attempt = 0;
         loop {
             // A shed BEGIN is sent again with the statement.
-            let begin = self.deferred_begin.clone();
+            let begin = self.deferred_begin;
             match self.query(sql) {
                 Err(Error::ServerBusy { retry_after_ms }) if attempt < max_retries => {
                     attempt += 1;
@@ -372,27 +438,23 @@ impl Client {
     /// Responses still owed by the server (sent-but-unreceived queries;
     /// a BEGIN sent with one is part of its response).
     pub fn pending(&self) -> usize {
-        self.in_flight - usize::from(self.begin_unanswered)
+        self.owed.iter().filter(|o| **o != Owed::Begin).count()
     }
 
-    fn send(&mut self, req: &Request<'_>) -> Result<()> {
-        self.send_all(std::slice::from_ref(req))
-    }
-
-    /// Send `reqs` in one `write`, behind a deferred BEGIN if there is
+    /// Send `req` in one `write`, behind a deferred BEGIN if there is
     /// one; each is owed one reply, in order.
-    fn send_all(&mut self, reqs: &[Request<'_>]) -> Result<()> {
+    fn send(&mut self, req: &Request<'_>, owed: Owed) -> Result<()> {
         self.outbox.clear();
         let begin = self.deferred_begin.take();
-        if let Some(begin) = &begin {
-            begin.encode_into(&mut self.outbox);
+        if let Some(isolation) = begin {
+            Request::Begin(isolation).encode_into(&mut self.outbox);
         }
-        for req in reqs {
-            req.encode_into(&mut self.outbox);
-        }
+        req.encode_into(&mut self.outbox);
         self.stream.write_all(&self.outbox)?;
-        self.begin_unanswered |= begin.is_some();
-        self.in_flight += reqs.len() + usize::from(begin.is_some());
+        if begin.is_some() {
+            self.owed.push_back(Owed::Begin);
+        }
+        self.owed.push_back(owed);
         Ok(())
     }
 
@@ -401,7 +463,7 @@ impl Client {
     /// server pushes [`WalBatch`] frames; ordinary requests are no longer
     /// possible, so the `Client` is consumed.
     pub fn subscribe_wal(mut self, from_lsn: u64) -> Result<WalSubscription> {
-        self.send(&Request::SubscribeWal { from_lsn })?;
+        self.send(&Request::SubscribeWal { from_lsn }, Owed::Session)?;
         Ok(WalSubscription {
             stream: self.stream,
             inbox: self.inbox,

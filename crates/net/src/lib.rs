@@ -6,16 +6,17 @@
 //!
 //! * [`proto`] — a small length-prefixed binary protocol: every frame is
 //!   `u32 len | u8 opcode | payload`, with request opcodes for HELLO,
-//!   QUERY, QUERY_IN_TXN (refused outside a transaction), BEGIN, BEGIN
-//!   AS OF, COMMIT and ROLLBACK and response opcodes
-//!   OK, ROWS and ERROR. ERROR frames carry the engine's stable
+//!   QUERY, QUERY_IN_TXN (refused outside a transaction), QUERY_AS_OF (a
+//!   statement with its AS OF target), BEGIN, COMMIT and ROLLBACK and
+//!   response opcodes OK, ROWS and ERROR. ERROR frames carry the engine's stable
 //!   [`ErrorCode`](immortaldb_common::ErrorCode) plus the byte offset of
 //!   parse errors, never matched-on strings.
 //! * [`reactor`] — [`Server`]: a TCP server owning one
-//!   [`Database`](immortaldb::Database), on unix targets. Each
-//!   connection gets a session wrapping the SQL
-//!   [`Session`](immortaldb::Session) (one open transaction, explicit or
-//!   autocommit; AS OF sessions route through `Database::begin_as_of_ts`).
+//!   [`Database`](immortaldb::Database), on Linux. Each connection gets
+//!   a session wrapping the SQL [`Session`](immortaldb::Session) (one
+//!   open transaction, explicit or autocommit; a QUERY_AS_OF runs in a
+//!   read-only transaction of its own, through
+//!   `Database::begin_as_of_ts`).
 //!   `workers + 1` threads share one readiness loop ([`sys`]) in the
 //!   leader/followers pattern: a request executes on the thread that
 //!   read it, and the loop moves to a parked thread when that request is
@@ -30,8 +31,10 @@
 //! * [`client`] — [`Client`]: connect/handshake, `query()` with typed row
 //!   decoding, native BEGIN (deferred: it leaves with the transaction's
 //!   first request) / COMMIT / ROLLBACK with real
-//!   [`Timestamp`](immortaldb_common::Timestamp)s, and a split
-//!   `send_query()`/`recv_response()` pair for pipelining.
+//!   [`Timestamp`](immortaldb_common::Timestamp)s, AS OF transactions
+//!   held as a timestamp on the client (each statement one QUERY_AS_OF
+//!   frame), and a split `send_query()`/`recv_response()` pair for
+//!   pipelining.
 //! * Replication frames — SUBSCRIBE_WAL flips a connection into a
 //!   server-push stream of WAL_BATCH frames (raw log bytes plus the
 //!   primary's visibility horizon); `crates/repl` builds read replicas
@@ -40,15 +43,15 @@
 //! Server-side traffic is observable via the engine registry's `server.*`
 //! metrics (`SHOW STATS` works over the wire, too).
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("immortaldb-net runs on Linux only: its serving loop is built on epoll");
+
 pub mod client;
 pub mod proto;
-#[cfg(unix)]
 pub mod reactor;
 pub mod server;
-#[cfg(unix)]
 pub mod sys;
 
 pub use client::{Client, Response, WalSubscription};
-#[cfg(unix)]
 pub use reactor::Server;
 pub use server::{ServerConfig, SHED_RETRY_MS};

@@ -15,7 +15,7 @@
 //! | 01 | HELLO       | `"IMDB"` + `u16 version` |
 //! | 02 | QUERY       | SQL text (raw UTF-8, rest of frame) |
 //! | 03 | BEGIN       | `u8` isolation (0 = serializable, 1 = snapshot) |
-//! | 04 | BEGIN_AS_OF | `u8` kind (0 = clock ms, 1 = exact) + `u64` ms/ttime + `u32` sn |
+//! | 04 | QUERY_AS_OF | `u8` kind (0 = clock ms, 1 = exact) + `u64` ms/ttime + `u32` sn + SQL text, as QUERY |
 //! | 05 | COMMIT      | empty |
 //! | 06 | ROLLBACK    | empty |
 //! | 07 | QUERY_IN_TXN | SQL text, as QUERY |
@@ -26,6 +26,17 @@
 //! transaction this way, so a statement pipelined behind a BEGIN that was
 //! shed or refused never runs as autocommit — also when TCP delivers the
 //! two frames in separate reads.
+//!
+//! QUERY_AS_OF (version 4) is one statement of a read-only AS OF
+//! transaction, self-contained: the server runs it in a read-only
+//! transaction of its own at the target (clamped to the visibility
+//! horizon) and keeps nothing once it is answered. An `AS OF t` answer
+//! never changes, so the transaction is the target, which the client
+//! holds. Its reply carries the effective timestamp — an OK through
+//! `has_ts`, a result set in its last ROWS frame — and `txn_open` says
+//! whether the statement left the transaction going (a `COMMIT` or
+//! `ROLLBACK` sent as its SQL text ends it). A session holding a
+//! transaction refuses it.
 //!
 //! Replication (a SUBSCRIBE_WAL upgrades the connection into a one-way
 //! log stream; only REPL_ACK frames flow back):
@@ -42,17 +53,18 @@
 //! | op | name  | payload |
 //! |----|-------|---------|
 //! | 80 | OK    | `u8 txn_open` + `u8 has_ts` \[+ `u64 ttime` + `u32 sn`\] + `u64 affected` + `str message` |
-//! | 81 | ROWS  | `u8 txn_open` + `u8 flags` + `u16 ncols` \[+ cols\] + `u32 nrows` + rows \[+ `str message`\] |
+//! | 81 | ROWS  | `u8 txn_open` + `u8 flags` + `u16 ncols` \[+ cols\] + `u32 nrows` + rows \[+ `str message` + `u8 has_ts` \[+ `u64 ttime` + `u32 sn`\]\] |
 //! | 82 | ERROR | `u8 txn_open` + `u8 code` + `u8 has_offset` \[+ `u32 offset`\] + `str message` \[+ `u8 has_retry` + `u32 retry_after_ms`\] |
 //!
 //! A result set is one or more ROWS frames (version 2). `flags` bit 0
 //! ([`ROWS_MORE`]) says another frame of the same result follows; bit 1
 //! ([`ROWS_CONT`]) says this frame continues one. The first frame (no
 //! `ROWS_CONT`) carries the column names, the last (no `ROWS_MORE`) the
-//! message and the session's final `txn_open`; a result that fits one
-//! chunk is one frame with `flags = 0`. The server closes a frame once it
-//! holds a chunk's worth of rows, so no frame outgrows a chunk by more
-//! than a row and a result of any size stays under [`MAX_FRAME`]. A
+//! message, the session's final `txn_open` and (version 4) the instant a
+//! QUERY_AS_OF ran at; a result that fits one chunk is one frame with
+//! `flags = 0`. The server closes a frame once it holds a chunk's worth
+//! of rows, so no frame outgrows a chunk by more than a row and a result
+//! of any size stays under [`MAX_FRAME`]. A
 //! statement that fails after frames have left ends its result with an
 //! ERROR frame where the next ROWS frame would have been.
 //!
@@ -75,7 +87,7 @@ use immortaldb_common::{Error, ErrorCode, Result, Timestamp};
 /// Handshake magic: first bytes of every HELLO payload.
 pub const MAGIC: &[u8; 4] = b"IMDB";
 /// Protocol version spoken by this build.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 /// Upper bound on a frame's `len` field; anything larger is a corrupt or
 /// hostile stream and the connection is dropped.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -85,7 +97,7 @@ pub mod op {
     pub const HELLO: u8 = 0x01;
     pub const QUERY: u8 = 0x02;
     pub const BEGIN: u8 = 0x03;
-    pub const BEGIN_AS_OF: u8 = 0x04;
+    pub const QUERY_AS_OF: u8 = 0x04;
     pub const COMMIT: u8 = 0x05;
     pub const ROLLBACK: u8 = 0x06;
     pub const QUERY_IN_TXN: u8 = 0x07;
@@ -219,7 +231,7 @@ impl FrameBuffer {
 // Requests
 // ---------------------------------------------------------------------
 
-/// The AS OF target of a `BEGIN_AS_OF` request.
+/// The AS OF target of a `QUERY_AS_OF` request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsOfTarget {
     /// Wall-clock milliseconds; the server quantizes to the 20 ms tick
@@ -240,7 +252,9 @@ pub enum Request<'a> {
     /// A QUERY refused unless the session holds a transaction.
     QueryInTxn(Cow<'a, str>),
     Begin(Isolation),
-    BeginAsOf(AsOfTarget),
+    /// One statement of a read-only AS OF transaction, run at the target
+    /// in a read-only transaction of its own.
+    QueryAsOf(AsOfTarget, Cow<'a, str>),
     Commit,
     Rollback,
     /// Upgrade this connection into a WAL-shipping stream starting at
@@ -274,11 +288,12 @@ impl<'a> Request<'a> {
                     Isolation::Snapshot => 1,
                 });
             }),
-            Request::BeginAsOf(target) => put_frame(out, op::BEGIN_AS_OF, |w| {
+            Request::QueryAsOf(target, sql) => put_frame(out, op::QUERY_AS_OF, |w| {
                 match target {
                     AsOfTarget::ClockMs(ms) => w.u8(0).u64(*ms).u32(0),
                     AsOfTarget::Exact(ts) => w.u8(1).u64(ts.ttime).u32(ts.sn),
                 };
+                w.raw(sql.as_bytes());
             }),
             Request::Commit => put_frame(out, op::COMMIT, |_| {}),
             Request::Rollback => put_frame(out, op::ROLLBACK, |_| {}),
@@ -305,15 +320,8 @@ impl<'a> Request<'a> {
                 let version = r.u16()?;
                 Ok(Request::Hello { version })
             }
-            op::QUERY | op::QUERY_IN_TXN => {
-                let sql = std::str::from_utf8(payload)
-                    .map_err(|_| Error::Corruption("QUERY payload is not UTF-8".into()))?;
-                Ok(if opcode == op::QUERY {
-                    Request::Query(Cow::Borrowed(sql))
-                } else {
-                    Request::QueryInTxn(Cow::Borrowed(sql))
-                })
-            }
+            op::QUERY => Ok(Request::Query(sql(payload)?)),
+            op::QUERY_IN_TXN => Ok(Request::QueryInTxn(sql(payload)?)),
             op::BEGIN => {
                 let mut r = Reader::new(payload);
                 let iso = match r.u8()? {
@@ -323,16 +331,18 @@ impl<'a> Request<'a> {
                 };
                 Ok(Request::Begin(iso))
             }
-            op::BEGIN_AS_OF => {
+            op::QUERY_AS_OF => {
                 let mut r = Reader::new(payload);
                 let kind = r.u8()?;
                 let t = r.u64()?;
                 let sn = r.u32()?;
-                match kind {
-                    0 => Ok(Request::BeginAsOf(AsOfTarget::ClockMs(t))),
-                    1 => Ok(Request::BeginAsOf(AsOfTarget::Exact(Timestamp::new(t, sn)))),
-                    other => Err(Error::Corruption(format!("bad AS OF kind {other}"))),
-                }
+                let target = match kind {
+                    0 => AsOfTarget::ClockMs(t),
+                    1 => AsOfTarget::Exact(Timestamp::new(t, sn)),
+                    other => return Err(Error::Corruption(format!("bad AS OF kind {other}"))),
+                };
+                let text = r.raw(r.remaining())?;
+                Ok(Request::QueryAsOf(target, sql(text)?))
             }
             op::COMMIT => Ok(Request::Commit),
             op::ROLLBACK => Ok(Request::Rollback),
@@ -351,6 +361,13 @@ impl<'a> Request<'a> {
             ))),
         }
     }
+}
+
+/// The SQL text of a statement frame: the rest of it, borrowed.
+fn sql(payload: &[u8]) -> Result<Cow<'_, str>> {
+    std::str::from_utf8(payload)
+        .map(Cow::Borrowed)
+        .map_err(|_| Error::Corruption("statement is not UTF-8".into()))
 }
 
 // ---------------------------------------------------------------------
@@ -420,7 +437,8 @@ impl WalBatch {
 pub enum Reply {
     Ok {
         txn_open: bool,
-        /// Commit timestamp (COMMIT) or begin snapshot (BEGIN variants).
+        /// Commit timestamp (COMMIT), begin snapshot (BEGIN) or the
+        /// instant a QUERY_AS_OF ran at.
         ts: Option<Timestamp>,
         affected: u64,
         /// Constant for most replies, so not a `String` built per reply.
@@ -448,6 +466,22 @@ fn get_str(r: &mut Reader<'_>) -> Result<String> {
     String::from_utf8(b.to_vec()).map_err(|_| Error::Corruption("non-UTF8 string".into()))
 }
 
+/// `u8 has_ts` [+ `u64 ttime` + `u32 sn`].
+fn put_ts(w: &mut Writer, ts: Option<Timestamp>) {
+    match ts {
+        Some(ts) => w.u8(1).u64(ts.ttime).u32(ts.sn),
+        None => w.u8(0),
+    };
+}
+
+fn get_ts(r: &mut Reader<'_>) -> Result<Option<Timestamp>> {
+    Ok(if r.u8()? != 0 {
+        Some(Timestamp::new(r.u64()?, r.u32()?))
+    } else {
+        None
+    })
+}
+
 impl Reply {
     /// Append this reply to `out` as one frame.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -459,10 +493,7 @@ impl Reply {
                 message,
             } => put_frame(out, op::OK, |w| {
                 w.u8(*txn_open as u8);
-                match ts {
-                    Some(ts) => w.u8(1).u64(ts.ttime).u32(ts.sn),
-                    None => w.u8(0),
-                };
+                put_ts(w, *ts);
                 w.u64(*affected);
                 put_str(w, message);
             }),
@@ -493,11 +524,7 @@ impl Reply {
         match opcode {
             op::OK => {
                 let txn_open = r.u8()? != 0;
-                let ts = if r.u8()? != 0 {
-                    Some(Timestamp::new(r.u64()?, r.u32()?))
-                } else {
-                    None
-                };
+                let ts = get_ts(&mut r)?;
                 let affected = r.u64()?;
                 let message = get_str(&mut r)?.into();
                 Ok(Reply::Ok {
@@ -635,14 +662,21 @@ impl RowsEncoder {
         }
     }
 
-    /// Close the result: the last frame carries `message` and the
-    /// session's final `txn_open`.
-    pub fn finish(mut self, out: &mut Vec<u8>, txn_open: bool, message: &str) {
+    /// Close the result: the last frame carries `message`, `ts` (the
+    /// instant a QUERY_AS_OF ran at) and the session's final `txn_open`.
+    pub fn finish(
+        mut self,
+        out: &mut Vec<u8>,
+        txn_open: bool,
+        ts: Option<Timestamp>,
+        message: &str,
+    ) {
         if self.open.is_none() {
             self.open_frame(out, None);
         }
         let mut w = Writer::from(std::mem::take(out));
         put_str(&mut w, message);
+        put_ts(&mut w, ts);
         *out = w.finish();
         let (frame, _, _) = self.open.expect("a frame is open");
         out[frame + AT_TXN_OPEN] = txn_open as u8;
@@ -666,8 +700,8 @@ impl RowsEncoder {
 }
 
 /// One `ROWS` frame being decoded: its envelope, then its rows one at a
-/// time into a row the caller reuses, then the message if it is the
-/// result's last frame.
+/// time into a row the caller reuses, then the message and timestamp if
+/// it is the result's last frame.
 pub struct RowsFrame<'a> {
     pub txn_open: bool,
     /// Another frame of this result follows (this one has no message).
@@ -714,17 +748,17 @@ impl<'a> RowsFrame<'a> {
         Ok(true)
     }
 
-    /// What follows the rows: the result's message on its last frame,
-    /// `None` on a frame with more to come.
-    pub fn message(mut self) -> Result<Option<String>> {
+    /// What follows the rows: the result's message and timestamp on its
+    /// last frame, `None` on a frame with more to come.
+    pub fn end(mut self) -> Result<Option<(String, Option<Timestamp>)>> {
         if self.rows_left != 0 {
             return Err(Error::Corruption("ROWS frame has unread rows".into()));
         }
         if self.more {
-            Ok(None)
-        } else {
-            get_str(&mut self.r).map(Some)
+            return Ok(None);
         }
+        let message = get_str(&mut self.r)?;
+        Ok(Some((message, get_ts(&mut self.r)?)))
     }
 }
 
@@ -753,8 +787,12 @@ mod tests {
             Request::QueryInTxn("UPDATE t SET v = 1 WHERE id = 2".into()),
             Request::Begin(Isolation::Serializable),
             Request::Begin(Isolation::Snapshot),
-            Request::BeginAsOf(AsOfTarget::ClockMs(123_456)),
-            Request::BeginAsOf(AsOfTarget::Exact(Timestamp::new(1000, 7))),
+            Request::QueryAsOf(AsOfTarget::ClockMs(123_456), "SELECT v FROM t".into()),
+            Request::QueryAsOf(
+                AsOfTarget::Exact(Timestamp::new(1000, 7)),
+                "SELECT * FROM t WHERE a = 'é'".into(),
+            ),
+            Request::QueryAsOf(AsOfTarget::Exact(Timestamp::new(1, 0)), "".into()),
             Request::Commit,
             Request::Rollback,
             Request::SubscribeWal { from_lsn: 8 },
@@ -766,6 +804,30 @@ mod tests {
             req.encode_into(&mut wire);
             let (op, payload) = sole_frame(&wire);
             assert_eq!(Request::decode(op, &payload).unwrap(), req);
+        }
+    }
+
+    /// A QUERY_AS_OF whose kind byte is unknown, whose payload stops
+    /// inside the 13-byte target, or whose SQL is not UTF-8 is corrupt.
+    #[test]
+    fn a_malformed_query_as_of_is_corruption() {
+        let payload = |kind: u8, sql: &[u8]| {
+            let mut w = Writer::new();
+            w.u8(kind).u64(1000).u32(7).raw(sql);
+            w.finish()
+        };
+        let good = payload(1, b"SELECT 1");
+        assert!(Request::decode(op::QUERY_AS_OF, &good).is_ok());
+        for bad in [
+            payload(2, b"SELECT 1"),
+            good[..12].to_vec(),
+            Vec::new(),
+            payload(0, &[b'S', 0xff, 0xfe]),
+        ] {
+            match Request::decode(op::QUERY_AS_OF, &bad) {
+                Err(Error::Corruption(_)) => {}
+                other => panic!("{bad:?} decoded to {other:?}"),
+            }
         }
     }
 
@@ -862,7 +924,7 @@ mod tests {
     }
 
     /// Every frame of `wire`, decoded: (flags-derived envelope, rows,
-    /// message).
+    /// message and timestamp).
     #[allow(clippy::type_complexity)]
     fn rows_frames(
         wire: &[u8],
@@ -871,7 +933,7 @@ mod tests {
         bool,
         Option<Vec<String>>,
         Vec<Vec<Value>>,
-        Option<String>,
+        Option<(String, Option<Timestamp>)>,
     )> {
         let mut fb = FrameBuffer::new();
         fb.extend(wire);
@@ -884,7 +946,7 @@ mod tests {
             while f.next_row(&mut row).unwrap() {
                 rows.push(row.clone());
             }
-            out.push((txn_open, more, columns, rows, f.message().unwrap()));
+            out.push((txn_open, more, columns, rows, f.end().unwrap()));
         }
         out
     }
@@ -902,7 +964,8 @@ mod tests {
         for row in &rows {
             enc.row(&mut wire, row);
         }
-        enc.finish(&mut wire, true, "3 rows");
+        let ts = Timestamp::new(2000, 3);
+        enc.finish(&mut wire, true, Some(ts), "3 rows");
         assert_eq!(wire[0], 0xEE);
         assert_eq!(
             rows_frames(&wire[1..]),
@@ -911,7 +974,7 @@ mod tests {
                 false,
                 Some(columns),
                 rows.to_vec(),
-                Some("3 rows".into())
+                Some(("3 rows".into(), Some(ts)))
             )]
         );
     }
@@ -932,7 +995,7 @@ mod tests {
         enc.end_chunk(&mut wire);
         // A result that ends on a chunk boundary closes with an empty
         // frame for the message.
-        enc.finish(&mut wire, false, "3 rows");
+        enc.finish(&mut wire, false, None, "3 rows");
         let frames = [rows_frames(&first), rows_frames(&wire)].concat();
         assert_eq!(
             frames,
@@ -945,7 +1008,7 @@ mod tests {
                     None
                 ),
                 (true, true, None, vec![vec![Value::Int(3)]], None),
-                (false, false, None, vec![], Some("3 rows".into())),
+                (false, false, None, vec![], Some(("3 rows".into(), None))),
             ]
         );
     }

@@ -57,8 +57,6 @@
 //! so a replica costs no thread, goes at its own reader's pace, and meets
 //! the idle rule and shutdown like any other connection.
 
-#![cfg(unix)]
-
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};

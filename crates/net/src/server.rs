@@ -299,44 +299,21 @@ pub(crate) fn handle_request(
         Request::QueryInTxn(_) if !session.in_transaction() => Err(Error::Sql(
             "no open transaction: a statement sent for one was not run".into(),
         )),
-        Request::Query(sql) | Request::QueryInTxn(sql) => {
-            let is_commit = session.in_transaction()
-                && sql
-                    .trim_start()
-                    .get(..6)
-                    .is_some_and(|p| p.eq_ignore_ascii_case("COMMIT"));
-            let timer = is_commit.then(|| m.commit_ns.start_timer());
-            let mut rows = RowStream {
-                txn_open: session.in_transaction(),
-                wire: &mut *wire,
-                m,
-                enc: None,
-                rows: 0,
+        Request::Query(sql) | Request::QueryInTxn(sql) => statement(session, &sql, None, wire, m),
+        // The client holds the AS OF transaction: each statement gets a
+        // read-only one of its own at the target (refused if the session
+        // holds one already), ended once it is answered.
+        Request::QueryAsOf(target, sql) => {
+            let at = match target {
+                proto::AsOfTarget::ClockMs(ms) => session.begin_as_of_ms(ms)?,
+                proto::AsOfTarget::Exact(ts) => session.begin_as_of_ts(ts)?,
             };
-            let res = session.execute_into(&sql, &mut rows);
-            drop(timer);
-            let txn_open = session.in_transaction();
-            match (res, rows.enc.take()) {
-                (Ok(done), Some(enc)) => {
-                    rows.count_chunk();
-                    enc.finish(rows.wire.out, txn_open, &done.message);
-                    Ok(None) // the reply is in the buffer already
-                }
-                (Ok(done), None) => Ok(Some(Reply::Ok {
-                    txn_open,
-                    ts: None,
-                    affected: done.affected as u64,
-                    message: done.message.into(),
-                })),
-                // The error goes where the open frame stood; the chunks
-                // sent before it are the client's to discard.
-                (Err(e), enc) => {
-                    if let Some(enc) = enc {
-                        enc.abandon(rows.wire.out);
-                    }
-                    Err(e)
-                }
+            let reply = statement(session, &sql, Some(at), wire, m);
+            if session.in_transaction() {
+                // Read-only: nothing to log, so nothing that can fail.
+                let _ = session.commit();
             }
+            reply
         }
         Request::Begin(iso) => {
             let snapshot = session.begin(iso)?;
@@ -345,18 +322,6 @@ pub(crate) fn handle_request(
                 ts: Some(snapshot),
                 affected: 0,
                 message: "transaction started".into(),
-            }))
-        }
-        Request::BeginAsOf(target) => {
-            let effective = match target {
-                proto::AsOfTarget::ClockMs(ms) => session.begin_as_of_ms(ms)?,
-                proto::AsOfTarget::Exact(ts) => session.begin_as_of_ts(ts)?,
-            };
-            Ok(Some(Reply::Ok {
-                txn_open: true,
-                ts: Some(effective),
-                affected: 0,
-                message: "historical transaction started".into(),
             }))
         }
         Request::Commit => {
@@ -388,6 +353,55 @@ pub(crate) fn handle_request(
         )),
     })();
     result.unwrap_or_else(|e| Some(Reply::from_error(&e, session.in_transaction())))
+}
+
+/// Run one SQL statement, its rows streamed into `wire` as the reply;
+/// otherwise the reply is returned. `at`, the instant a QUERY_AS_OF runs
+/// at, goes back with the answer.
+fn statement(
+    session: &mut Session<'_>,
+    sql: &str,
+    at: Option<Timestamp>,
+    wire: &mut Wire<'_>,
+    m: &ServerMetrics,
+) -> Result<Option<Reply>> {
+    let is_commit = session.in_transaction()
+        && sql
+            .trim_start()
+            .get(..6)
+            .is_some_and(|p| p.eq_ignore_ascii_case("COMMIT"));
+    let timer = is_commit.then(|| m.commit_ns.start_timer());
+    let mut rows = RowStream {
+        txn_open: session.in_transaction(),
+        wire,
+        m,
+        enc: None,
+        rows: 0,
+    };
+    let res = session.execute_into(sql, &mut rows);
+    drop(timer);
+    let txn_open = session.in_transaction();
+    match (res, rows.enc.take()) {
+        (Ok(done), Some(enc)) => {
+            rows.count_chunk();
+            enc.finish(rows.wire.out, txn_open, at, &done.message);
+            Ok(None) // the reply is in the buffer already
+        }
+        (Ok(done), None) => Ok(Some(Reply::Ok {
+            txn_open,
+            ts: at,
+            affected: done.affected as u64,
+            message: done.message.into(),
+        })),
+        // The error goes where the open frame stood; the chunks sent
+        // before it are the client's to discard.
+        (Err(e), enc) => {
+            if let Some(enc) = enc {
+                enc.abandon(rows.wire.out);
+            }
+            Err(e)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,18 @@
-//! Minimal readiness-polling layer for the serving loop: raw `epoll` on
-//! Linux, POSIX `poll` elsewhere on unix, and `poll` on one descriptor
-//! for a thread waiting out a full socket ([`wait_writable`]). Declared
-//! directly against the system C library — no external crate — because
-//! the loop needs exactly five calls and nothing else.
+//! Minimal readiness-polling layer for the serving loop: raw `epoll`,
+//! and `poll` on one descriptor for a thread waiting out a full socket
+//! ([`wait_writable`]). Declared directly against the system C library —
+//! no external crate — because the loop needs exactly five calls and
+//! nothing else.
 //!
-//! The [`Poller`] is level-triggered everywhere: an event keeps firing
-//! while the condition holds, so the loop may stop reading a socket
-//! mid-burst (fairness, backpressure) or drop the rest of a batch, and
-//! pick it up on the next wait. One thread at a time waits on a
+//! The [`Poller`] is level-triggered: an event keeps firing while the
+//! condition holds, so the loop may stop reading a socket mid-burst
+//! (fairness, backpressure) or drop the rest of a batch, and pick it up
+//! on the next wait. One thread at a time waits on a
 //! `Poller` (the loop's leader); any thread may change registrations.
 //! The [`Waker`] pipe registered with it gets the leader out of a wait.
 
 use std::io;
+use std::os::raw::{c_int, c_short, c_ulong};
 use std::os::unix::io::RawFd;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -38,172 +39,130 @@ pub struct Event {
     pub closed: bool,
 }
 
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::*;
-    use std::os::raw::c_int;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
 
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLL_CLOEXEC: c_int = 0o2000000;
 
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
+/// Mirrors glibc's `struct epoll_event`, which is packed on x86_64
+/// (a 12-byte struct) and naturally aligned elsewhere.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-    /// Mirrors glibc's `struct epoll_event`, which is packed on x86_64
-    /// (a 12-byte struct) and naturally aligned elsewhere.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn close(fd: c_int) -> c_int;
+}
+
+fn mask(interest: Interest) -> u32 {
+    let m = match interest {
+        Interest::None => 0,
+        Interest::Read => EPOLLIN,
+        Interest::Write => EPOLLOUT,
+        Interest::Both => EPOLLIN | EPOLLOUT,
+    };
+    // RDHUP lets a half-closed peer surface as `closed` instead of a
+    // read returning 0 much later.
+    m | EPOLLRDHUP
+}
+
+pub struct Poller {
+    epfd: RawFd,
+}
+
+impl Poller {
+    pub fn new() -> io::Result<Poller> {
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller { epfd })
     }
 
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let m = match interest {
-            Interest::None => 0,
-            Interest::Read => EPOLLIN,
-            Interest::Write => EPOLLOUT,
-            Interest::Both => EPOLLIN | EPOLLOUT,
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: mask(interest),
+            data: token,
         };
-        // RDHUP lets a half-closed peer surface as `closed` instead of a
-        // read returning 0 much later.
-        m | EPOLLRDHUP
+        let arg = if op == EPOLL_CTL_DEL {
+            std::ptr::null_mut()
+        } else {
+            &mut ev as *mut EpollEvent
+        };
+        if unsafe { epoll_ctl(self.epfd, op, fd, arg) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
-    pub struct Poller {
-        epfd: RawFd,
+    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller { epfd })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            let arg = if op == EPOLL_CTL_DEL {
-                std::ptr::null_mut()
-            } else {
-                &mut ev as *mut EpollEvent
-            };
-            if unsafe { epoll_ctl(self.epfd, op, fd, arg) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::None)
-        }
-
-        /// Wait for readiness, up to `timeout` (`None` = forever).
-        /// Clears and refills `out`.
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            out.clear();
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
-            let ms: c_int = match timeout {
-                None => -1,
-                // Round up so a 0 < t < 1ms deadline never busy-spins.
-                Some(t) => {
-                    t.as_millis().min(i32::MAX as u128) as c_int
-                        + if t.subsec_nanos() % 1_000_000 != 0 {
-                            1
-                        } else {
-                            0
-                        }
-                }
-            };
-            let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for ev in buf.iter().take(n as usize) {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    readable: bits & EPOLLIN != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    closed: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(())
-        }
+    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.epfd);
+    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::None)
+    }
+
+    /// Wait for readiness, up to `timeout` (`None` = forever).
+    /// Clears and refills `out`.
+    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        out.clear();
+        let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
+        let ms: c_int = match timeout {
+            None => -1,
+            // Round up so a 0 < t < 1ms deadline never busy-spins.
+            Some(t) => {
+                t.as_millis().min(i32::MAX as u128) as c_int
+                    + if t.subsec_nanos() % 1_000_000 != 0 {
+                        1
+                    } else {
+                        0
+                    }
             }
+        };
+        let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, ms) };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
+            }
+            return Err(e);
         }
+        for ev in buf.iter().take(n as usize) {
+            let bits = ev.events;
+            out.push(Event {
+                token: ev.data,
+                readable: bits & EPOLLIN != 0,
+                writable: bits & EPOLLOUT != 0,
+                closed: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+            });
+        }
+        Ok(())
     }
 }
 
-/// POSIX `poll`, for waiting on one descriptor ([`wait_writable`]) and,
-/// off Linux, for the whole [`Poller`].
-mod posix {
-    use std::os::raw::{c_int, c_short};
-
-    #[cfg(not(target_os = "linux"))]
-    pub const POLLIN: c_short = 0x001;
-    pub const POLLOUT: c_short = 0x004;
-    #[cfg(not(target_os = "linux"))]
-    pub const POLLERR: c_short = 0x008;
-    #[cfg(not(target_os = "linux"))]
-    pub const POLLHUP: c_short = 0x010;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: c_short,
-        pub revents: c_short,
-    }
-
-    #[cfg(target_os = "macos")]
-    pub type Nfds = std::os::raw::c_uint;
-    #[cfg(not(target_os = "macos"))]
-    pub type Nfds = std::os::raw::c_ulong;
-
-    extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+impl Drop for Poller {
+    fn drop(&mut self) {
+        unsafe {
+            close(self.epfd);
+        }
     }
 }
 
@@ -212,15 +171,26 @@ mod posix {
 /// connection outside the [`Poller`] and has reply bytes its socket would
 /// not take.
 pub fn wait_writable(fd: RawFd, timeout: Duration) -> io::Result<()> {
-    let mut pfd = posix::PollFd {
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    const POLLOUT: c_short = 0x004;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+    let mut pfd = PollFd {
         fd,
-        events: posix::POLLOUT,
+        events: POLLOUT,
         revents: 0,
     };
     // Rounded up, so a wait shorter than a millisecond still waits.
     let ms = timeout.as_millis().min(i32::MAX as u128 - 1) as i32 + 1;
     // SAFETY: `pfd` is one valid `pollfd` for the duration of the call.
-    if unsafe { posix::poll(&mut pfd, 1, ms) } < 0 {
+    if unsafe { poll(&mut pfd, 1, ms) } < 0 {
         let e = io::Error::last_os_error();
         if e.kind() != io::ErrorKind::Interrupted {
             return Err(e);
@@ -228,94 +198,6 @@ pub fn wait_writable(fd: RawFd, timeout: Duration) -> io::Result<()> {
     }
     Ok(())
 }
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::posix::{poll, Nfds, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
-    use super::*;
-    use std::collections::HashMap;
-    use std::os::raw::c_int;
-    use std::sync::Mutex;
-
-    /// `poll(2)` fallback: the interest table lives here instead of in
-    /// the kernel, rebuilt into a `pollfd` array per wait. O(n) per call
-    /// but portable; the Linux build never uses it.
-    pub struct Poller {
-        regs: Mutex<HashMap<RawFd, (u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                regs: Mutex::new(HashMap::new()),
-            })
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.regs.lock().unwrap().insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.regs.lock().unwrap().insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            self.regs.lock().unwrap().remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            out.clear();
-            let snapshot: Vec<(RawFd, u64, Interest)> = self
-                .regs
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(fd, (t, i))| (*fd, *t, *i))
-                .collect();
-            let mut fds: Vec<PollFd> = snapshot
-                .iter()
-                .map(|(fd, _, i)| PollFd {
-                    fd: *fd,
-                    events: match i {
-                        Interest::None => 0,
-                        Interest::Read => POLLIN,
-                        Interest::Write => POLLOUT,
-                        Interest::Both => POLLIN | POLLOUT,
-                    },
-                    revents: 0,
-                })
-                .collect();
-            let ms: c_int = match timeout {
-                None => -1,
-                Some(t) => t.as_millis().min(i32::MAX as u128) as c_int + 1,
-            };
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for (pf, (_, token, _)) in fds.iter().zip(snapshot.iter()) {
-                if pf.revents != 0 {
-                    out.push(Event {
-                        token: *token,
-                        readable: pf.revents & POLLIN != 0,
-                        writable: pf.revents & POLLOUT != 0,
-                        closed: pf.revents & (POLLERR | POLLHUP) != 0,
-                    });
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-pub use imp::Poller;
 
 /// Cross-thread wake-up for a [`Poller`]: a socketpair whose read end is
 /// registered like any connection. `wake` writes one byte; the waiting

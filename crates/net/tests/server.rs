@@ -17,7 +17,7 @@ use immortaldb::{Database, DbConfig, Durability, Isolation, Session, Value};
 use immortaldb_chaos::FaultVfs;
 use immortaldb_common::{Error, ErrorCode, Timestamp};
 use immortaldb_net::proto::{
-    op, FrameBuffer, Reply, Request, RowsFrame, WalBatch, MAX_FRAME, VERSION,
+    op, AsOfTarget, FrameBuffer, Reply, Request, RowsFrame, WalBatch, MAX_FRAME, VERSION,
 };
 use immortaldb_net::{Client, Server, ServerConfig, SHED_RETRY_MS};
 
@@ -662,7 +662,7 @@ fn query_as_of_is_one_round_trip_and_leaves_no_transaction() {
     let before = c.snapshot().unwrap();
     let updated = c.commit().unwrap();
 
-    // Happy path: three frames, three replies, the row as of then.
+    // Happy path: one frame, one reply, the row as of then.
     let requests = stat(&db, "server.requests");
     let r = c
         .query_as_of(before, "SELECT v FROM t WHERE id = 1")
@@ -670,11 +670,11 @@ fn query_as_of_is_one_round_trip_and_leaves_no_transaction() {
     assert_eq!(r.rows, vec![vec![Value::Varchar("old".into())]]);
     assert_eq!(r.ts, Some(before));
     assert!(!c.in_transaction());
-    assert_eq!(stat(&db, "server.requests"), requests + 3);
+    assert_eq!(stat(&db, "server.requests"), requests + 1);
     assert_eq!(c.pending(), 0);
 
-    // A parse error in the middle frame is the error returned, and the
-    // COMMIT behind it still closes the transaction the BEGIN opened.
+    // A parse error is the error returned, and no transaction is left
+    // open.
     match c.query_as_of(before, "SELECT v FORM t") {
         Err(Error::Remote { code, offset, .. }) => {
             assert_eq!(code, ErrorCode::Parse);
@@ -699,8 +699,7 @@ fn query_as_of_is_one_round_trip_and_leaves_no_transaction() {
     assert!(updated <= effective && effective < future, "{effective:?}");
     assert_eq!(r.rows, vec![vec![Value::Varchar("new".into())]]);
 
-    // Inside an open transaction the three frames would run in it, and
-    // commit it: refused before anything is sent.
+    // Inside an open transaction: refused before anything is sent.
     c.begin(Isolation::Serializable).unwrap();
     assert!(matches!(
         c.query_as_of(before, "SELECT v FROM t"),
@@ -708,6 +707,171 @@ fn query_as_of_is_one_round_trip_and_leaves_no_transaction() {
     ));
     assert!(c.in_transaction());
     c.rollback().unwrap();
+
+    drop(c);
+    stop(db, server, dir);
+}
+
+fn now_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .unwrap()
+        .as_millis() as u64
+}
+
+/// An AS OF transaction is a timestamp the client holds: each statement
+/// is one request and begin, commit and rollback are none; every
+/// statement answers at the instant the first one named, commits landing
+/// in between unseen; and the server keeps nothing of it between
+/// statements, so the idle reaper finds nothing to roll back.
+#[test]
+fn a_client_held_as_of_transaction_is_one_instant_and_holds_nothing() {
+    let idle = Duration::from_millis(400);
+    let cfg = ServerConfig::new("127.0.0.1:0")
+        .idle_timeout(idle)
+        .tick(Duration::from_millis(20));
+    let (db, server, dir) = start_on("client-held-as-of", cfg, |db| {
+        db.durability(Durability::Buffered)
+    });
+    let addr = server.local_addr();
+    let mut w = Client::connect(addr).unwrap();
+    w.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    w.query("INSERT INTO t VALUES (1, 0)").unwrap();
+    let mut version = 0;
+    let bump = |w: &mut Client, version: &mut i32| {
+        *version += 1;
+        w.query(&format!("UPDATE t SET v = {version} WHERE id = 1"))
+            .unwrap();
+    };
+    let requests = || stat(&db, "server.requests");
+    let future = || Timestamp::new(db.visible_horizon().ttime + 3_600_000, 0);
+    let read = "SELECT v FROM t WHERE id = 1";
+    let mut c = Client::connect(addr).unwrap();
+
+    // A future exact target (clamped to the horizon), then the clock now.
+    for from_clock in [false, true] {
+        bump(&mut w, &mut version);
+        let r = requests();
+        if from_clock {
+            c.begin_as_of_ms(now_ms()).unwrap();
+        } else {
+            c.begin_as_of_ts(future()).unwrap();
+        }
+        assert!(c.in_transaction());
+        assert_eq!(c.snapshot(), None);
+        assert_eq!(requests(), r, "begin sent nothing");
+
+        let first = c.query(read).unwrap();
+        assert_eq!(requests(), r + 1);
+        let at = first.ts.expect("the answer names its instant");
+        assert_eq!(c.snapshot(), Some(at));
+        assert_eq!(first.rows, vec![vec![Value::Int(version)]]);
+
+        bump(&mut w, &mut version);
+        let r = requests();
+        let empty = c.query("SELECT v FROM t WHERE id = 99").unwrap();
+        assert!(empty.rows.is_empty());
+        assert_eq!(empty.ts, Some(at));
+        bump(&mut w, &mut version);
+        let again = c.query(read).unwrap();
+        assert_eq!((&again.rows, again.ts), (&first.rows, Some(at)));
+        assert_eq!(requests(), r + 3, "two statements and one update");
+
+        let r = requests();
+        assert_eq!(c.commit().unwrap(), at);
+        assert!(!c.in_transaction());
+        c.begin_as_of_ts(at).unwrap();
+        assert_eq!(c.query(read).unwrap().rows, first.rows);
+        c.rollback().unwrap();
+        assert!(!c.in_transaction());
+        assert_eq!(requests(), r + 1, "one statement, no commit or rollback");
+    }
+
+    // A COMMIT sent as SQL text ends the transaction, at its instant.
+    c.begin_as_of_ts(future()).unwrap();
+    let at = c.query(read).unwrap().ts.unwrap();
+    bump(&mut w, &mut version);
+    assert_eq!(c.query("COMMIT").unwrap().ts, Some(at));
+    assert!(!c.in_transaction());
+    assert_eq!(c.query(read).unwrap().rows, vec![vec![Value::Int(version)]]);
+
+    // A write is refused, leaves no row, and ends nothing.
+    c.begin_as_of_ts(at).unwrap();
+    match c.query("INSERT INTO t VALUES (7, 7)") {
+        Err(Error::Remote { code, .. }) => assert_eq!(code, ErrorCode::ReadOnly),
+        other => panic!("a write in an AS OF transaction: {other:?}"),
+    }
+    assert!(c.in_transaction());
+    assert_eq!(c.query(read).unwrap().ts, Some(at));
+    c.rollback().unwrap();
+    assert!(w
+        .query("SELECT v FROM t WHERE id = 7")
+        .unwrap()
+        .rows
+        .is_empty());
+
+    // Committed before any statement: one round trip says the instant.
+    let (r, horizon, target) = (requests(), db.visible_horizon(), future());
+    c.begin_as_of_ts(target).unwrap();
+    let at = c.commit().unwrap();
+    assert_eq!(requests(), r + 1);
+    assert!(horizon <= at && at < target, "{at:?}");
+
+    // Pipelined: until the first answer names the instant, nothing more
+    // is sent — a second statement could run at a later horizon.
+    c.begin_as_of_ts(future()).unwrap();
+    let r = requests();
+    c.send_query(read).unwrap();
+    assert!(matches!(c.send_query(read), Err(Error::Sql(_))));
+    assert!(matches!(c.commit(), Err(Error::Sql(_))));
+    let first = c.recv_response().unwrap();
+    let at = first.ts.unwrap();
+    assert_eq!(requests(), r + 1);
+    // Then statements pipeline, all at that instant.
+    bump(&mut w, &mut version);
+    c.send_query(read).unwrap();
+    c.send_query(read).unwrap();
+    for _ in 0..2 {
+        let next = c.recv_response().unwrap();
+        assert_eq!((&next.rows, next.ts), (&first.rows, Some(at)));
+    }
+    // Committed with a statement unanswered: its answer must not name
+    // the instant of the next AS OF transaction, so none begins yet.
+    c.send_query(read).unwrap();
+    assert_eq!(c.commit().unwrap(), at);
+    assert!(matches!(c.begin_as_of_ts(at), Err(Error::Sql(_))));
+    assert_eq!(c.recv_response().unwrap().ts, Some(at));
+    assert!(!c.in_transaction());
+    assert_eq!(c.pending(), 0);
+
+    // Open for twice the idle timeout, used within it: the connection
+    // stays and every statement answers at the first one's instant.
+    let rollbacks = stat(&db, "server.idle_rollbacks");
+    c.begin_as_of_ms(now_ms()).unwrap();
+    let first = c.query(read).unwrap();
+    let at = first.ts.unwrap();
+    let opened = Instant::now();
+    while opened.elapsed() < idle * 2 {
+        std::thread::sleep(idle / 4);
+        bump(&mut w, &mut version);
+        let next = c.query(read).unwrap();
+        assert_eq!((&next.rows, next.ts), (&first.rows, Some(at)));
+    }
+    // Left idle past the timeout, the connection is closed, as every
+    // idle one is; but the server held no transaction for it, so none is
+    // rolled back, and the instant goes on from a new connection.
+    wait_for("the idle connections to close", || {
+        stat(&db, "server.open_connections") == 0
+    });
+    assert_eq!(stat(&db, "server.idle_rollbacks"), rollbacks);
+    assert!(c.in_transaction());
+    c.rollback().unwrap();
+    let mut c = Client::connect(addr).unwrap();
+    c.begin_as_of_ts(at).unwrap();
+    let next = c.query(read).unwrap();
+    assert_eq!((&next.rows, next.ts), (&first.rows, Some(at)));
+    assert_eq!(c.commit().unwrap(), at);
 
     drop(c);
     stop(db, server, dir);
@@ -798,6 +962,17 @@ fn a_statement_marked_for_a_transaction_is_refused_without_one() {
     assert!(matches!(
         insert(&mut raw, 6),
         Reply::Ok { txn_open: true, .. }
+    ));
+    // A statement for an AS OF transaction is refused in it, and the
+    // transaction goes on.
+    write_request(
+        &mut raw,
+        &Request::QueryAsOf(AsOfTarget::Exact(Timestamp::ZERO), "SELECT v FROM t".into()),
+    );
+    let (op, payload) = read_reply(&mut raw).unwrap();
+    assert!(matches!(
+        Reply::decode(op, &payload).unwrap(),
+        Reply::Error { txn_open: true, .. }
     ));
     write_request(&mut raw, &Request::Commit);
     read_reply(&mut raw).unwrap();
@@ -1230,7 +1405,7 @@ fn a_result_larger_than_max_frame_arrives_in_bounded_frames() {
                     assert!(is_wide_row(&row, next_id), "row {next_id}: {:?}", row[0]);
                     next_id += 1;
                 }
-                frame.message().unwrap()
+                frame.end().unwrap().map(|(message, _)| message)
             })
             .unwrap();
         if let Some(message) = message {
@@ -1308,7 +1483,7 @@ fn start_stalling(name: &str, idle: Duration) -> (Arc<Database>, Server, PathBuf
 #[test]
 fn a_reader_that_stops_is_dropped_at_the_idle_timeout() {
     let idle = Duration::from_millis(600);
-    let (db, server, dir, mut c) = start_stalling("stalled", idle);
+    let (db, server, dir, c) = start_stalling("stalled", idle);
     let (raw, _frames) = stall_a_scan(&db, server.local_addr());
     // At the first stall the socket may still be taking bytes (on
     // loopback the last window update comes some 45 ms later, a delayed
@@ -1324,7 +1499,11 @@ fn a_reader_that_stops_is_dropped_at_the_idle_timeout() {
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(stat(&db, "server.rows_streamed"), streamed);
     assert_eq!(stat(&db, "server.active_sessions"), 1);
-    // The loop is with another thread: other connections are served.
+    // The loop is with another thread: other connections are served. A
+    // fresh one, as the setup's may have idled out while the scan
+    // stalled.
+    drop(c);
+    let mut c = Client::connect(server.local_addr()).unwrap();
     assert_eq!(
         c.query("SELECT pad FROM wide WHERE id = 9000")
             .unwrap()
@@ -1444,11 +1623,11 @@ fn an_error_in_mid_result_ends_it_with_one_error_frame() {
             assert_eq!(opcode, op::ROWS);
             let mut frame = RowsFrame::decode(payload).unwrap();
             assert!(frame.next_row(&mut row).unwrap());
-            frame.message().unwrap()
+            frame.end().unwrap()
         })
         .unwrap();
     assert_eq!(row, [Value::Int(9499)]);
-    assert_eq!(answer.as_deref(), Some("1 rows"));
+    assert_eq!(answer, Some(("1 rows".into(), None)));
     stop(db, server, dir);
 }
 

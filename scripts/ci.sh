@@ -164,8 +164,10 @@ run_history() {
     # Chain-depth sweep; time splits pack history as they write it and
     # one compact_history pass merges chain pages. At depth 100 the
     # merged store must take <= half the bytes/version of the same
-    # versions as full records, the pass must rewrite pages, and deep
-    # AS OF reads must not slow down by more than 1.5x across it; at
+    # versions as full records, the pass must rewrite pages, and the
+    # median deep AS OF read (25 passes of reads, each timed on its own,
+    # so that one preemption or a short slow spell does not decide it)
+    # must not slow down by more than 1.5x across it; at
     # every depth a warm AS OF read fetches at most 2 history pages
     # (tree.asof_hops), before and after the pass (the run's exit
     # status).
