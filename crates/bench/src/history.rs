@@ -14,9 +14,12 @@
 //! The artifact records, per depth, the bytes/version of the version
 //! store, and the median per-read latency and history pages fetched
 //! (`tree.asof_hops`) of point-in-time lookups sampled across the whole
-//! history, before and after the merge pass. Each sweep follows one
-//! warming read of every key, so a leaf's chain directory entry exists
-//! before it is timed; the pass clears the directory. Acceptance
+//! history, before and after the merge pass. The history is built twice,
+//! identically, and only the second copy is compacted; the timed passes
+//! alternate between the two copies, so a slow spell of a shared host
+//! falls on both sides of the ratio alike. Each copy is warmed by one
+//! read of every key first, so a leaf's chain directory entry exists
+//! before it is timed (the pass clears the directory). Acceptance
 //! ([`check`], the run's exit status): at depth 100, the merged store
 //! must take ≤ half the full-record bytes/version, the pass must rewrite
 //! pages, and it must not regress AS OF latency; at every depth, a warm
@@ -86,72 +89,113 @@ fn asof_read(db: &Database, ts: Timestamp, oid: u32) {
     assert!(row.is_some(), "AS OF read at {ts:?} found nothing");
 }
 
-/// Passes over the sampled reads in one sweep. A read takes a
-/// microsecond or two, so one pass lasts a fraction of a millisecond,
-/// which a slow spell of a shared host can cover whole; many passes span
-/// milliseconds.
+/// Timed passes over the sampled reads, per copy of the history. A read
+/// takes a microsecond or two, so one pass lasts a fraction of a
+/// millisecond, which a slow spell of a shared host can cover whole;
+/// many passes, alternating between the copies, span milliseconds.
 const PASSES: usize = 25;
 
-/// One warming read of every key at the oldest commit, then [`PASSES`]
-/// passes of point-in-time reads sampled uniformly across the commit
-/// history; returns the median µs/read and history pages fetched per
-/// read. Each read is timed on its own: one preemption would move a mean
-/// of them many times over, and the median does not see it.
-fn asof_sweep(db: &Database, commits: &[(Timestamp, u32)], keys: u32, reads: usize) -> (f64, f64) {
-    for oid in 0..keys {
-        asof_read(db, commits[0].0, oid);
+/// One copy of a depth's history: its database and the `(commit,
+/// key)` of every version written.
+struct Copy {
+    _dir: TempDir,
+    db: Database,
+    commits: Vec<(Timestamp, u32)>,
+}
+
+impl Copy {
+    /// Every key updated `depth` times, one commit per update.
+    fn build(depth: u32, keys: u32) -> Copy {
+        let dir = TempDir::new("bench-history");
+        // Small pool: deep history does not stay resident, so both read
+        // sweeps pay real page fetches.
+        let (db, clock) = sim_clock_db(
+            DbConfig::new(dir.path()).pool_pages(64),
+            "CREATE IMMORTAL TABLE Hist (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160))",
+        );
+        let mut txn = db.begin(immortaldb::Isolation::Serializable);
+        let rows = (0..keys).map(|oid| row(0, oid)).collect();
+        db.insert_rows(&mut txn, "Hist", rows).expect("seed rows");
+        let seed_ts = db.commit(&mut txn).expect("commit seed");
+        clock.advance(20);
+
+        let mut commits: Vec<(Timestamp, u32)> = (0..keys).map(|oid| (seed_ts, oid)).collect();
+        for seq in 1..=depth {
+            for oid in 0..keys {
+                let mut txn = db.begin(immortaldb::Isolation::Serializable);
+                db.update_row(&mut txn, "Hist", row(seq, oid))
+                    .expect("update");
+                commits.push((db.commit(&mut txn).expect("commit"), oid));
+                clock.advance(20);
+            }
+        }
+        // Stamp everything so the version store holds no TID-marked
+        // records (compaction skips pages with in-flight versions).
+        db.vacuum().expect("vacuum");
+        Copy {
+            _dir: dir,
+            db,
+            commits,
+        }
     }
-    let hops = || db.metrics_snapshot().get("tree.asof_hops").unwrap_or(0);
-    let before = hops();
-    let mut us: Vec<f64> = (0..PASSES * reads)
-        .map(|n| {
-            let i = n % reads;
-            let (ts, oid) = commits[i * (commits.len() - 1) / (reads - 1).max(1)];
+
+    /// One warming read of every key at the oldest commit.
+    fn warm(&self, keys: u32) {
+        for oid in 0..keys {
+            asof_read(&self.db, self.commits[0].0, oid);
+        }
+    }
+
+    fn hops(&self) -> u64 {
+        self.db
+            .metrics_snapshot()
+            .get("tree.asof_hops")
+            .unwrap_or(0)
+    }
+
+    /// One pass of `reads` point-in-time reads sampled uniformly across
+    /// the commit history, each timed on its own into `us`: one
+    /// preemption would move a mean of them many times over, and the
+    /// median does not see it.
+    fn pass(&self, reads: usize, us: &mut Vec<f64>) {
+        for i in 0..reads {
+            let (ts, oid) = self.commits[i * (self.commits.len() - 1) / (reads - 1).max(1)];
             let t0 = std::time::Instant::now();
-            asof_read(db, ts, oid);
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    us.sort_by(f64::total_cmp);
-    (us[us.len() / 2], (hops() - before) as f64 / us.len() as f64)
+            asof_read(&self.db, ts, oid);
+            us.push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+}
+
+/// [`PASSES`] timed passes over each copy, alternating which goes first;
+/// returns, per copy, the median µs/read and history pages fetched per
+/// read.
+fn asof_sweeps(copies: [&Copy; 2], keys: u32, reads: usize) -> [(f64, f64); 2] {
+    for c in copies {
+        c.warm(keys);
+    }
+    let hops = copies.map(Copy::hops);
+    let mut us = [Vec::new(), Vec::new()];
+    for pass in 0..PASSES {
+        for side in [pass % 2, 1 - pass % 2] {
+            copies[side].pass(reads, &mut us[side]);
+        }
+    }
+    [0, 1].map(|side| {
+        let us = &mut us[side];
+        us.sort_by(f64::total_cmp);
+        let pages = (copies[side].hops() - hops[side]) as f64 / us.len() as f64;
+        (us[us.len() / 2], pages)
+    })
 }
 
 fn run_depth(depth: u32, keys: u32, reads: usize) -> DepthRow {
-    let dir = TempDir::new("bench-history");
-    // Small pool: deep history does not stay resident, so both read
-    // sweeps pay real page fetches.
-    let (db, clock) = sim_clock_db(
-        DbConfig::new(dir.path()).pool_pages(64),
-        "CREATE IMMORTAL TABLE Hist (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160))",
-    );
-
-    let mut txn = db.begin(immortaldb::Isolation::Serializable);
-    let rows = (0..keys).map(|oid| row(0, oid)).collect();
-    db.insert_rows(&mut txn, "Hist", rows).expect("seed rows");
-    let seed_ts = db.commit(&mut txn).expect("commit seed");
-    clock.advance(20);
-
-    let mut commits: Vec<(Timestamp, u32)> = (0..keys).map(|oid| (seed_ts, oid)).collect();
-    for seq in 1..=depth {
-        for oid in 0..keys {
-            let mut txn = db.begin(immortaldb::Isolation::Serializable);
-            db.update_row(&mut txn, "Hist", row(seq, oid))
-                .expect("update");
-            commits.push((db.commit(&mut txn).expect("commit"), oid));
-            clock.advance(20);
-        }
-    }
-    // Stamp everything so the version store holds no TID-marked
-    // records (compaction skips pages with in-flight versions).
-    db.vacuum().expect("vacuum");
-
-    let before = db.history_stats().expect("history stats");
-    let (split_asof_us, split_pages_per_read) = asof_sweep(&db, &commits, keys, reads);
-
-    let stats = db.compact_history().expect("compact");
-
-    let after = db.history_stats().expect("history stats");
-    let (merged_asof_us, merged_pages_per_read) = asof_sweep(&db, &commits, keys, reads);
+    let (split, merged) = (Copy::build(depth, keys), Copy::build(depth, keys));
+    let before = split.db.history_stats().expect("history stats");
+    let stats = merged.db.compact_history().expect("compact");
+    let after = merged.db.history_stats().expect("history stats");
+    let [(split_asof_us, split_pages_per_read), (merged_asof_us, merged_pages_per_read)] =
+        asof_sweeps([&split, &merged], keys, reads);
 
     DepthRow {
         depth,

@@ -39,7 +39,7 @@ use immortaldb_storage::TimestampResolver;
 
 use crate::chain_dir::ChainDirectory;
 use crate::compact::{walk_history, HistoryStats};
-use crate::cursor::VersionCursor;
+use crate::cursor::{Flow, RecordVisitor, VersionCursor};
 
 /// Largest key+data payload a single record may carry. Keeps every record
 /// comfortably below a quarter page so key splits always succeed.
@@ -600,7 +600,24 @@ pub trait TemporalIndex: VersionCursor + Send + Sync {
         key: &[u8],
         own_tid: Option<Tid>,
         resolver: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>>;
+    ) -> Result<Option<Vec<u8>>> {
+        let mut out = None;
+        self.visit_current(key, own_tid, resolver, &mut |_, data| {
+            out = Some(data.to_vec());
+            Ok(Flow::Stop)
+        })?;
+        Ok(out)
+    }
+
+    /// [`Self::get_current`] handing the image, borrowed from the page,
+    /// to `visit` (not called when the key has no current row).
+    fn visit_current(
+        &self,
+        key: &[u8],
+        own_tid: Option<Tid>,
+        resolver: &dyn TimestampResolver,
+        visit: &mut RecordVisitor<'_>,
+    ) -> Result<()>;
 
     /// Eager-timestamping baseline: stamp all of `tid`'s versions in
     /// `key`'s chain with `ts` and log the stamping (the cost lazy
@@ -696,12 +713,13 @@ impl<R: Routing + VersionCursor> TemporalIndex for R {
         write_rows(self, tid, last_lsn, &rows, Op::Insert, resolver)
     }
 
-    fn get_current(
+    fn visit_current(
         &self,
         key: &[u8],
         own_tid: Option<Tid>,
         resolver: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>> {
+        visit: &mut RecordVisitor<'_>,
+    ) -> Result<()> {
         let core = self.core();
         let metrics = core.pool.metrics();
         let _s = core.structure.read();
@@ -731,13 +749,15 @@ impl<R: Routing + VersionCursor> TemporalIndex for R {
                 frame.mark_dirty_unlogged();
             }
         }
-        Ok(frame.read_optimistic(metrics, |g| {
-            let i = g.find_slot(key).ok()?;
+        frame.read_optimistic(metrics, |g| {
+            let Ok(i) = g.find_slot(key) else {
+                return Ok(());
+            };
             match version::visible_as_of(g, i, Timestamp::MAX, own_tid, resolver) {
-                Visible::Version(off) => Some(g.rec_data(off).to_vec()),
-                Visible::Deleted | Visible::NotHere => None,
+                Visible::Version(off) => visit(key, g.rec_data(off)).map(drop),
+                Visible::Deleted | Visible::NotHere => Ok(()),
             }
-        }))
+        })
     }
 
     fn eager_stamp(

@@ -126,10 +126,6 @@ impl TableIndex {
         self.chain()?.u_delete(tid, prev, key)
     }
 
-    pub fn u_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.chain()?.u_get(key)
-    }
-
     pub fn u_scan(&self) -> Result<Vec<ScanItem>> {
         self.chain()?.u_scan()
     }

@@ -157,11 +157,9 @@ impl Schema {
 
     /// Encode the full row image (stored as the record data).
     pub fn encode_row(&self, values: &[Value]) -> Vec<u8> {
-        let mut w = Writer::new();
-        for v in values {
-            v.encode(&mut w);
-        }
-        w.finish()
+        let mut out = Vec::new();
+        encode_values(&mut out, values);
+        out
     }
 
     /// Decode a row image.
@@ -174,10 +172,54 @@ impl Schema {
     /// Decode a row image over `out` (see [`decode_values_into`]): a scan
     /// decodes every record into one scratch row.
     pub fn decode_row_into(&self, data: &[u8], out: &mut Vec<Value>) -> Result<()> {
-        let mut r = Reader::new(data);
-        decode_values_into(&mut r, self.columns.len(), out)?;
+        decode_image_into(data, self.columns.len(), out)
+    }
+
+    /// Check, without decoding or allocating, that `image` is a row of
+    /// this table: one tagged value of each column's type, in column
+    /// order, every length within the image and every string UTF-8, and
+    /// no byte after the last. An image that passes decodes; the engine
+    /// checks every stored image it hands on undecoded.
+    pub fn check_image(&self, image: &[u8]) -> Result<()> {
+        let mut r = Reader::new(image);
+        for c in &self.columns {
+            match (r.u8()?, c.ctype) {
+                (1, ColType::SmallInt) => r.raw(2).map(drop)?,
+                (2, ColType::Int) => r.raw(4).map(drop)?,
+                (3, ColType::BigInt) => r.raw(8).map(drop)?,
+                (4, ColType::Varchar(_)) => {
+                    std::str::from_utf8(r.bytes()?)
+                        .map_err(|_| Error::Corruption("non-UTF8 varchar".into()))?;
+                }
+                (t, ctype) => {
+                    return Err(Error::Corruption(format!(
+                        "bad value tag {t} for {ctype} column {}",
+                        c.name
+                    )))
+                }
+            }
+        }
         r.expect_end()
     }
+}
+
+/// Decode an image of `n` tagged values — a stored row, or a result row
+/// as a [`RowSink`] is handed it — over `out`, the previous row of the
+/// same shape or empty (see [`decode_values_into`]); bytes left over are
+/// corruption.
+pub fn decode_image_into(image: &[u8], n: usize, out: &mut Vec<Value>) -> Result<()> {
+    let mut r = Reader::new(image);
+    decode_values_into(&mut r, n, out)?;
+    r.expect_end()
+}
+
+/// Append the tagged form of `values` to `out`: a result row's image.
+pub fn encode_values<'v>(out: &mut Vec<u8>, values: impl IntoIterator<Item = &'v Value>) {
+    let mut w = Writer::from(std::mem::take(out));
+    for v in values {
+        v.encode(&mut w);
+    }
+    *out = w.finish();
 }
 
 impl Value {
@@ -227,26 +269,23 @@ pub fn decode_values_into(r: &mut Reader<'_>, n: usize, out: &mut Vec<Value>) ->
     Ok(())
 }
 
-/// Visitor of a scan's rows ([`crate::Database::visit_rows`]): the index
-/// key and the row, decoded into a scratch row the visitor may take.
-pub type RowVisitor<'v> = dyn FnMut(&[u8], &mut Vec<Value>) -> Result<Flow> + 'v;
-
 /// Where a row-returning statement writes its result: the column names
-/// once, then every row as it is produced, out of one scratch row the
-/// producer decodes into — so nothing is collected unless the sink
+/// once, then every row as it is produced, as its image — the tagged
+/// values of [`Value::encode`], the form rows are stored in and cross the
+/// wire in. A `SELECT *` row is the stored image itself, straight from
+/// the page the cursor read; a sink that wants values decodes
+/// ([`decode_image_into`]). Nothing is collected unless the sink
 /// collects. The engine calls a sink with no latch held except inside
 /// [`RowSink::row`], which must therefore not block.
 pub trait RowSink {
     /// The result's column names; called once, before the first row.
     fn columns(&mut self, names: Vec<String>) -> Result<()>;
 
-    /// One result row. A sink that keeps rows takes this one
-    /// (`std::mem::take`); one that encodes or counts them leaves it, and
-    /// the producer decodes the next row over it. [`Flow::Stop`] says the
-    /// sink is full: this row is in, and the producer calls
+    /// One result row's image, borrowed for the call. [`Flow::Stop`]
+    /// says the sink is full: this row is in, and the producer calls
     /// [`RowSink::flush`] — from where it holds no latch — before the
     /// next one.
-    fn row(&mut self, row: &mut Vec<Value>) -> Result<Flow>;
+    fn row(&mut self, image: &[u8]) -> Result<Flow>;
 
     /// Make room after a [`Flow::Stop`]; this is where a sink may wait.
     fn flush(&mut self) -> Result<()> {
@@ -487,6 +526,50 @@ mod tests {
         ];
         let enc = s.encode_row(&row);
         assert_eq!(s.decode_row(&enc).unwrap(), row);
+    }
+
+    #[test]
+    fn check_image_accepts_rows_and_rejects_what_would_not_decode() {
+        let s = schema();
+        let row = |name: &str| {
+            s.encode_row(&[
+                Value::SmallInt(-3),
+                Value::Int(40_000),
+                Value::Varchar(name.into()),
+            ])
+        };
+        for name in ["", "ascii", "żółć 日本"] {
+            s.check_image(&row(name)).unwrap();
+        }
+        let good = row("abc");
+        let is_corruption =
+            |image: &[u8]| matches!(s.check_image(image), Err(Error::Corruption(_)));
+        // A bad tag, and a valid tag of another column's type.
+        let mut bad = good.clone();
+        bad[0] = 9;
+        assert!(is_corruption(&bad));
+        bad[0] = 2;
+        assert!(is_corruption(&bad));
+        // Truncated: inside a fixed-size value, inside a string, and
+        // before the last column.
+        assert!(is_corruption(&good[..2]));
+        assert!(is_corruption(&good[..good.len() - 1]));
+        assert!(is_corruption(&good[..3 + 5]));
+        assert!(is_corruption(&[]));
+        // A byte after the last column.
+        let mut long = good.clone();
+        long.push(0);
+        assert!(is_corruption(&long));
+        // Text that is not UTF-8.
+        let mut text = good.clone();
+        let last = text.len() - 1;
+        text[last] = 0xFF;
+        assert!(is_corruption(&text));
+        // What passes decodes.
+        assert_eq!(
+            s.decode_row(&good).unwrap()[2],
+            Value::Varchar("abc".into())
+        );
     }
 
     #[test]

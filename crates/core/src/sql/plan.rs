@@ -5,8 +5,11 @@
 //! Push-down rules: every `pk = v`, `pk < v`, `pk <= v`, `pk > v`,
 //! `pk >= v` condition tightens the bounds (`=` pins the key; several
 //! conditions intersect); `pk <> v` and conditions on other columns do
-//! not. The *whole* predicate is still evaluated on each row the cursor
-//! yields, so the bounds only ever have to be sound, not complete.
+//! not, and form the *residual* each row the cursor yields is tested
+//! against ([`Filter::plan`]). The bounds enforce their conditions
+//! exactly — a literal is coerced to the key column's type before it is
+//! encoded, and memcomparable key bytes order like the values — so a row
+//! that needs no residual test needs no decoding either.
 
 use std::cmp::Ordering;
 
@@ -47,19 +50,24 @@ impl Filter {
     pub fn pk_bounds(&self, schema: &Schema) -> Result<PkBounds> {
         let mut bounds = PkBounds::all();
         for (idx, op, rhs) in &self.0 {
-            let (ord, inclusive) = match op {
-                CmpOp::Eq => (Ordering::Equal, true),
-                CmpOp::Lt => (Ordering::Less, false),
-                CmpOp::Le => (Ordering::Less, true),
-                CmpOp::Gt => (Ordering::Greater, false),
-                CmpOp::Ge => (Ordering::Greater, true),
-                CmpOp::Ne => continue,
-            };
-            if *idx == schema.pk {
+            if let Some((ord, inclusive)) = key_bound(schema, *idx, *op) {
                 bounds.tighten(schema, ord, inclusive, rhs)?;
             }
         }
         Ok(bounds)
+    }
+
+    /// The primary-key bounds this predicate implies, and its residual:
+    /// the conditions those bounds do not enforce, to be tested on each
+    /// row the cursor yields.
+    pub fn plan(self, schema: &Schema) -> Result<(PkBounds, Filter)> {
+        let bounds = self.pk_bounds(schema)?;
+        let residual = self
+            .0
+            .into_iter()
+            .filter(|(idx, op, _)| key_bound(schema, *idx, *op).is_none())
+            .collect();
+        Ok((bounds, Filter(residual)))
     }
 
     /// Bounds of a predicate that must consist of primary-key bounds
@@ -76,6 +84,23 @@ impl Filter {
             ));
         }
         self.pk_bounds(schema)
+    }
+}
+
+/// How a condition on column `idx` bounds the primary key — the side
+/// ([`PkBounds::tighten`]'s `ord`) and whether the value itself is in —
+/// or `None` when it does not.
+fn key_bound(schema: &Schema, idx: usize, op: CmpOp) -> Option<(Ordering, bool)> {
+    if idx != schema.pk {
+        return None;
+    }
+    match op {
+        CmpOp::Eq => Some((Ordering::Equal, true)),
+        CmpOp::Lt => Some((Ordering::Less, false)),
+        CmpOp::Le => Some((Ordering::Less, true)),
+        CmpOp::Gt => Some((Ordering::Greater, false)),
+        CmpOp::Ge => Some((Ordering::Greater, true)),
+        CmpOp::Ne => None,
     }
 }
 
@@ -135,6 +160,33 @@ mod tests {
         // Negative keys order below positive ones in key bytes too.
         let r = bounds(&vec![cond("Oid", CmpOp::Lt, 0)]);
         assert!(r.as_range().contains(&key(-5)) && !r.as_range().contains(&key(0)));
+    }
+
+    #[test]
+    fn the_residual_keeps_exactly_what_the_bounds_do_not_enforce() {
+        let s = schema();
+        let plan = |p: &Predicate| {
+            let (bounds, residual) = Filter::compile(&s, p).unwrap().plan(&s).unwrap();
+            (bounds.pushdown(), residual.0.len())
+        };
+        assert_eq!(plan(&vec![]), (Pushdown::None, 0));
+        assert_eq!(plan(&vec![cond("Oid", CmpOp::Eq, 7)]), (Pushdown::Point, 0));
+        assert_eq!(
+            plan(&vec![cond("Oid", CmpOp::Ge, 1), cond("oid", CmpOp::Lt, 9)]),
+            (Pushdown::Range, 0)
+        );
+        assert_eq!(plan(&vec![cond("Oid", CmpOp::Ne, 7)]), (Pushdown::None, 1));
+        assert_eq!(
+            plan(&vec![cond("X", CmpOp::Eq, 1), cond("Oid", CmpOp::Gt, 3)]),
+            (Pushdown::Range, 1)
+        );
+        // What stays is tested on the row's values, not on its key.
+        let (_, residual) = Filter::compile(&s, &vec![cond("X", CmpOp::Le, 5)])
+            .unwrap()
+            .plan(&s)
+            .unwrap();
+        assert!(residual.matches(&[Value::Int(100), Value::Int(5)]));
+        assert!(!residual.matches(&[Value::Int(1), Value::Int(6)]));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Opens a fresh store, starts the wire server on an ephemeral port,
 //! drives a mixed workload from several concurrent `net::Client`s
 //! (autocommit writes, explicit transactions, AS OF reads, a parse error
-//! checking the byte offset, a scan streamed in several chunks and checked
-//! against the in-process answer), shuts the server down gracefully, then
+//! checking the byte offset, a scan streamed in several chunks, none of
+//! its rows decoded on the server, and checked against the in-process
+//! answer), shuts the server down gracefully, then
 //! reopens the store and verifies the shutdown was clean: recovery must
 //! replay nothing (`recovery.crash_recoveries` stays 0) and the data must
 //! survive.
@@ -189,15 +190,20 @@ fn run() -> immortaldb_common::Result<()> {
         .map(|id| format!("({id}, '{id:x>1800}')"))
         .collect();
     admin.query(&format!("INSERT INTO wide VALUES {}", values.join(", ")))?;
-    let chunks = |db: &Database| db.metrics_snapshot().get("server.row_chunks").unwrap_or(0);
-    let chunks_before = chunks(&db);
+    let stat = |db: &Database, name: &str| db.metrics_snapshot().get(name).unwrap_or(0);
+    let (chunks_before, decoded_before) = (
+        stat(&db, "server.row_chunks"),
+        stat(&db, "sql.rows_decoded"),
+    );
     let mut streamed = start;
     admin.query_rows("SELECT * FROM wide", |row| streamed = fold(streamed, row))?;
-    let chunks = chunks(&db) - chunks_before;
+    let chunks = stat(&db, "server.row_chunks") - chunks_before;
+    let decoded = stat(&db, "sql.rows_decoded") - decoded_before;
     let local = Session::new(&db).execute("SELECT * FROM wide")?;
     let expected = local.rows.iter().fold(start, |acc, row| fold(acc, row));
     println!(
-        "net-smoke: {} rows streamed in {chunks} chunks, checksum {:016x}",
+        "net-smoke: {} rows streamed in {chunks} chunks, {decoded} decoded on the server, \
+         checksum {:016x}",
         streamed.0, streamed.1
     );
     if streamed != expected || streamed.0 != WIDE_ROWS as u64 {
@@ -208,6 +214,13 @@ fn run() -> immortaldb_common::Result<()> {
     if chunks <= 1 {
         return Err(Error::Internal(format!(
             "a {}-row scan of wide rows left in {chunks} chunk(s)",
+            streamed.0
+        )));
+    }
+    // Rows leave as they are stored: the server decoded none of them.
+    if decoded != 0 {
+        return Err(Error::Internal(format!(
+            "the server decoded {decoded} rows of a {}-row SELECT *",
             streamed.0
         )));
     }

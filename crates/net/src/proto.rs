@@ -75,6 +75,8 @@
 //!
 //! Row values are tagged ([`Value::encode`]): `1` SMALLINT (`i16`),
 //! `2` INT (`i32`), `3` BIGINT (`i64`), `4` VARCHAR (`u32 len + bytes`).
+//! That is also the form the engine stores a row in, so a row the server
+//! sends whole is its stored image, copied from the page into the frame.
 
 use std::borrow::Cow;
 use std::io::{self, Read};
@@ -633,17 +635,14 @@ impl RowsEncoder {
         self.open = Some((frame, count_at, 0));
     }
 
-    /// Append one row, opening a continuation frame if the last one was
-    /// closed by [`Self::end_chunk`].
-    pub fn row(&mut self, out: &mut Vec<u8>, row: &[Value]) {
+    /// Append one row's image — its values' tagged forms, back to back
+    /// ([`immortaldb::RowSink::row`]) — opening a continuation frame if
+    /// the last one was closed by [`Self::end_chunk`].
+    pub fn row(&mut self, out: &mut Vec<u8>, image: &[u8]) {
         if self.open.is_none() {
             self.open_frame(out, None);
         }
-        let mut w = Writer::from(std::mem::take(out));
-        for v in row {
-            v.encode(&mut w);
-        }
-        *out = w.finish();
+        out.extend_from_slice(image);
         if let Some((_, _, nrows)) = &mut self.open {
             *nrows += 1;
         }
@@ -923,6 +922,12 @@ mod tests {
         assert_eq!(&extended[..legacy.len()], &legacy[..]);
     }
 
+    fn image(row: &[Value]) -> Vec<u8> {
+        let mut out = Vec::new();
+        immortaldb::row::encode_values(&mut out, row);
+        out
+    }
+
     /// Every frame of `wire`, decoded: (flags-derived envelope, rows,
     /// message and timestamp).
     #[allow(clippy::type_complexity)]
@@ -962,7 +967,7 @@ mod tests {
         let mut wire = vec![0xEE]; // bytes of an earlier reply stay put
         let mut enc = RowsEncoder::begin(&mut wire, false, &columns);
         for row in &rows {
-            enc.row(&mut wire, row);
+            enc.row(&mut wire, &image(row));
         }
         let ts = Timestamp::new(2000, 3);
         enc.finish(&mut wire, true, Some(ts), "3 rows");
@@ -984,14 +989,14 @@ mod tests {
         let columns = vec!["n".to_string()];
         let mut wire = Vec::new();
         let mut enc = RowsEncoder::begin(&mut wire, true, &columns);
-        enc.row(&mut wire, &[Value::Int(1)]);
-        enc.row(&mut wire, &[Value::Int(2)]);
+        enc.row(&mut wire, &image(&[Value::Int(1)]));
+        enc.row(&mut wire, &image(&[Value::Int(2)]));
         assert!(enc.frame_len(&wire) > 0);
         enc.end_chunk(&mut wire);
         assert_eq!(enc.frame_len(&wire), 0);
         // The sender may drain closed frames between chunks.
         let first = std::mem::take(&mut wire);
-        enc.row(&mut wire, &[Value::Int(3)]);
+        enc.row(&mut wire, &image(&[Value::Int(3)]));
         enc.end_chunk(&mut wire);
         // A result that ends on a chunk boundary closes with an empty
         // frame for the message.
@@ -1020,10 +1025,10 @@ mod tests {
         enc.abandon(&mut wire);
         assert!(wire.is_empty());
         let mut enc = RowsEncoder::begin(&mut wire, false, &["n".to_string()]);
-        enc.row(&mut wire, &[Value::Int(1)]);
+        enc.row(&mut wire, &image(&[Value::Int(1)]));
         enc.end_chunk(&mut wire);
         let closed = wire.len();
-        enc.row(&mut wire, &[Value::Int(2)]);
+        enc.row(&mut wire, &image(&[Value::Int(2)]));
         enc.abandon(&mut wire);
         assert_eq!(wire.len(), closed);
         assert_eq!(rows_frames(&wire).len(), 1);

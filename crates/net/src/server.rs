@@ -12,7 +12,7 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use immortaldb::{Database, Flow, RowSink, Session, Value};
+use immortaldb::{Database, Flow, RowSink, Session};
 use immortaldb_common::{blocking, Error, Lsn, Result, Timestamp};
 use immortaldb_obs::ServerMetrics;
 
@@ -231,8 +231,10 @@ impl Wire<'_> {
     }
 }
 
-/// The sink a statement's rows go into on their way to a client: each is
-/// encoded into the connection's output buffer as the cursor visits it,
+/// The sink a statement's rows go into on their way to a client: each
+/// row's image — for a whole stored row, the bytes the cursor found on
+/// the page — is appended to the connection's output buffer as the
+/// cursor visits it,
 /// and every [`ROW_CHUNK`] bytes the frame is closed and the scan asked
 /// to pause while the buffer is drained. A result that fits one chunk is
 /// one frame, sent with whatever else the burst produced.
@@ -263,9 +265,9 @@ impl RowSink for RowStream<'_, '_> {
         Ok(())
     }
 
-    fn row(&mut self, row: &mut Vec<Value>) -> Result<Flow> {
+    fn row(&mut self, image: &[u8]) -> Result<Flow> {
         let enc = self.enc.as_mut().expect("columns come before rows");
-        enc.row(self.wire.out, row);
+        enc.row(self.wire.out, image);
         self.rows += 1;
         Ok(if enc.frame_len(self.wire.out) < ROW_CHUNK {
             Flow::Continue
@@ -407,6 +409,8 @@ fn statement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use immortaldb::row::encode_values;
+    use immortaldb::Value;
     use std::net::TcpListener;
 
     /// A result streamed at a peer that never reads: the backlog stops at
@@ -443,8 +447,9 @@ mod tests {
         let row_bytes = 5 + 5 + pad.len();
         let (mut backlog, mut frames) = (0, 0);
         let stopped = (0..).find_map(|i| {
-            let mut row = vec![Value::Int(i), Value::Varchar(pad.clone())];
-            match sink.row(&mut row) {
+            let mut image = Vec::new();
+            encode_values(&mut image, &[Value::Int(i), Value::Varchar(pad.clone())]);
+            match sink.row(&image) {
                 Ok(Flow::Stop) => {
                     frames += 1;
                     backlog = backlog.max(sink.wire.out.len());

@@ -1890,3 +1890,156 @@ fn a_stalled_subscriber_stops_no_one() {
     drop((raw, db));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `mix`: one column of each type, text empty, ASCII or multi-byte
+/// UTF-8, `n` rows loaded in-process.
+fn load_mix(db: &Database, n: i32) -> Timestamp {
+    let ddl = "CREATE IMMORTAL TABLE mix \
+               (id INT PRIMARY KEY, s SMALLINT, b BIGINT, txt VARCHAR(64))";
+    Session::new(db).execute(ddl).unwrap();
+    let mut txn = db.begin(Isolation::Serializable);
+    let rows = (0..n)
+        .map(|id| {
+            let txt = match id % 3 {
+                0 => String::new(),
+                1 => format!("żółć-{id}-日本語"),
+                _ => format!("{id:0>40}"),
+            };
+            vec![
+                Value::Int(id),
+                Value::SmallInt((id % 7) as i16),
+                Value::BigInt(i64::from(id) * -1_000_000_007),
+                Value::Varchar(txt),
+            ]
+        })
+        .collect();
+    db.insert_rows(&mut txn, "mix", rows).unwrap();
+    db.commit(&mut txn).unwrap()
+}
+
+/// Every row-returning statement answers over the wire exactly what
+/// `Session::execute` answers in process — now that the server ships a
+/// `SELECT *` row as the bytes it found on the page, a temporal row as
+/// its lead columns followed by the stored image, and decodes only to
+/// test a residual or to project — current and `AS OF`, for a result
+/// well past one chunk.
+#[test]
+fn rows_leave_as_stored_bytes() {
+    let (db, server, dir) = start_on("stored-bytes", ServerConfig::new("127.0.0.1:0"), |db| db);
+    let n = 3_000;
+    load_mix(&db, n);
+    // Ticks are 20 ms: `mid` lies between the load and the changes.
+    std::thread::sleep(Duration::from_millis(25));
+    let mid = db.now_ms();
+    std::thread::sleep(Duration::from_millis(25));
+    let mut s = Session::new(&db);
+    s.execute("UPDATE mix SET txt = 'ünïcode-ändert', b = 7 WHERE id < 300")
+        .unwrap();
+    s.execute("DELETE FROM mix WHERE id >= 2900").unwrap();
+    s.execute("INSERT INTO mix VALUES (5000, 3, -1, '')")
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(25));
+    let end = db.now_ms();
+    let at = Timestamp::as_of_clock(mid);
+
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let versions = format!("SELECT * FROM mix VERSIONS BETWEEN ms(0) AND ms({end})");
+    let statements = [
+        "SELECT * FROM mix".to_string(),
+        "SELECT * FROM mix WHERE id = 42".to_string(),
+        "SELECT * FROM mix WHERE id >= 100 AND id < 2950".to_string(),
+        "SELECT * FROM mix WHERE s = 3".to_string(),
+        "SELECT txt, id, b FROM mix WHERE id < 2000".to_string(),
+        versions.clone(),
+        format!("{versions} WHERE s = 3"),
+        format!("SELECT b, id FROM mix VERSIONS BETWEEN ms({mid}) AND ms({end}) WHERE id > 2800"),
+        format!("DIFF TABLE mix BETWEEN ms({mid}) AND ms({end})"),
+        "HISTORY OF mix WHERE id = 7".to_string(),
+        "HISTORY OF mix WHERE id = 2950".to_string(),
+    ];
+    let big = 64 * 1024;
+    let mut chunked = 0;
+    for sql in &statements {
+        for as_of in [false, true] {
+            let before = stat(&db, "server.row_chunks");
+            let (wire, local) = if as_of {
+                let wire = c.query_as_of(at, sql).unwrap();
+                s.begin_as_of_ts(at).unwrap();
+                let local = s.execute(sql).unwrap();
+                s.commit().unwrap();
+                (wire, local)
+            } else {
+                (c.query(sql).unwrap(), s.execute(sql).unwrap())
+            };
+            assert!(
+                !local.rows.is_empty(),
+                "{sql} (as of: {as_of}) answers nothing"
+            );
+            assert_eq!(wire.columns, local.columns, "{sql} (as of: {as_of})");
+            assert_eq!(wire.rows, local.rows, "{sql} (as of: {as_of})");
+            assert_eq!(wire.message, local.message, "{sql} (as of: {as_of})");
+            let bytes: usize = local
+                .rows
+                .iter()
+                .flatten()
+                .map(|v| 5 + v.to_string().len())
+                .sum();
+            if bytes > big {
+                assert!(
+                    stat(&db, "server.row_chunks") - before > 1,
+                    "{sql}: one chunk"
+                );
+                chunked += 1;
+            }
+        }
+    }
+    assert!(chunked >= 6, "only {chunked} results spanned chunks");
+    drop(c);
+    stop(db, server, dir);
+}
+
+/// `sql.rows_decoded` counts the stored rows turned into values: none
+/// for a `SELECT *` the primary-key bounds answer whole — a full scan, a
+/// point, a range — shipped over the wire, one per row a residual
+/// predicate tests, and one per row `Session::execute` collects.
+#[test]
+fn a_wire_select_star_decodes_no_row() {
+    let (db, server, dir) = start_on("rows-decoded", ServerConfig::new("127.0.0.1:0"), |db| db);
+    let n = 1_000;
+    load_mix(&db, n);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let decoded = |sql: &str, c: &mut Client| {
+        let before = stat(&db, "sql.rows_decoded");
+        let rows = c.query(sql).unwrap().rows.len();
+        (rows, stat(&db, "sql.rows_decoded") - before)
+    };
+    assert_eq!(decoded("SELECT * FROM mix", &mut c), (1_000, 0));
+    assert_eq!(decoded("SELECT * FROM mix WHERE id = 500", &mut c), (1, 0));
+    assert_eq!(
+        decoded("SELECT * FROM mix WHERE id >= 100 AND id < 300", &mut c),
+        (200, 0)
+    );
+    let at = Timestamp::MAX;
+    let before = stat(&db, "sql.rows_decoded");
+    assert_eq!(
+        c.query_as_of(at, "SELECT * FROM mix").unwrap().rows.len(),
+        1_000
+    );
+    assert_eq!(stat(&db, "sql.rows_decoded"), before);
+    // A residual is tested on every row the bounds let through.
+    assert_eq!(
+        decoded("SELECT * FROM mix WHERE s = 3", &mut c),
+        (143, 1_000)
+    );
+    assert_eq!(
+        decoded("SELECT * FROM mix WHERE id < 70 AND s = 3", &mut c),
+        (10, 70)
+    );
+    // In process, the collector decodes what it returns.
+    let before = stat(&db, "sql.rows_decoded");
+    let rows = Session::new(&db).execute("SELECT * FROM mix").unwrap().rows;
+    assert_eq!(rows.len(), 1_000);
+    assert_eq!(stat(&db, "sql.rows_decoded") - before, 1_000);
+    drop(c);
+    stop(db, server, dir);
+}

@@ -481,6 +481,18 @@ pub struct TemporalMetrics {
     pub snapshots: Gauge,
 }
 
+/// SQL executor instruments.
+#[derive(Debug, Default)]
+pub struct SqlMetrics {
+    /// Row images decoded into values: by a residual predicate, a
+    /// projection, an UPDATE/DELETE/RESTORE write set, or a collecting
+    /// reader (`Database::get_row` and friends, and `Session::execute`,
+    /// which decodes every row it returns, `SHOW` rows included). A
+    /// `SELECT *` the primary-key bounds answer whole ships its rows
+    /// undecoded.
+    pub rows_decoded: Counter,
+}
+
 /// Wire-protocol server instruments (populated by `crates/net`; always
 /// zero in embedded use).
 #[derive(Debug, Default)]
@@ -574,6 +586,7 @@ pub struct Metrics {
     pub server: ServerMetrics,
     pub repl: ReplMetrics,
     pub temporal: TemporalMetrics,
+    pub sql: SqlMetrics,
     pub latch: LatchMetrics,
     pub disk: DiskMetrics,
     pub version: VersionMetrics,

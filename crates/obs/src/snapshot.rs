@@ -260,6 +260,7 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
             m.temporal.pushdown_none.get(),
         ),
         ("catalog.snapshots".into(), m.temporal.snapshots.get()),
+        ("sql.rows_decoded".into(), m.sql.rows_decoded.get()),
         ("check.events".into(), m.check.events.get()),
         ("check.dropped".into(), m.check.dropped_gauge.get()),
         (
@@ -428,7 +429,9 @@ mod tests {
         r.temporal.pushdown_point.add(3);
         r.temporal.pushdown_range.add(2);
         r.temporal.pushdown_none.inc();
+        r.sql.rows_decoded.add(5);
         let s = r.snapshot();
+        assert_eq!(s.get("sql.rows_decoded"), Some(5));
         assert_eq!(s.get("temporal.pushdown_point"), Some(3));
         assert_eq!(s.get("temporal.pushdown_range"), Some(2));
         assert_eq!(s.get("temporal.pushdown_none"), Some(1));

@@ -96,6 +96,45 @@ impl PageType {
     }
 }
 
+/// One record of a versioned page with its version tail
+/// ([`Page::rec_version`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RecVersion<'a> {
+    /// Heap offset of the record.
+    pub off: usize,
+    pub flags: u8,
+    /// The stored data: a full image, or a delta payload
+    /// ([`RecVersion::is_delta`]).
+    pub data: &'a [u8],
+    /// Heap offset of the next older version (0 = none).
+    pub vp: usize,
+    /// Raw tail fields (see [`Page::rec_ttime`] / [`Page::rec_sn`]).
+    pub ttime: u64,
+    pub sn: u32,
+}
+
+impl RecVersion<'_> {
+    pub fn is_stub(&self) -> bool {
+        self.flags & RFLAG_DELETE_STUB != 0
+    }
+
+    pub fn is_delta(&self) -> bool {
+        self.flags & RFLAG_DELTA != 0
+    }
+
+    /// The commit timestamp, or the TID of a version not yet stamped.
+    pub fn stamp(&self) -> std::result::Result<Timestamp, Tid> {
+        if self.sn == SN_TID_MARK {
+            Err(Tid(self.ttime))
+        } else {
+            Ok(Timestamp {
+                ttime: self.ttime,
+                sn: self.sn,
+            })
+        }
+    }
+}
+
 fn ts_at(bytes: &[u8], ttime_off: usize, sn_off: usize) -> Timestamp {
     Timestamp {
         ttime: get_u64(bytes, ttime_off),
@@ -411,6 +450,21 @@ impl Page {
     fn tail_off(&self, off: usize) -> usize {
         debug_assert!(self.is_versioned(), "version tail on unversioned page");
         off + REC_HDR + self.rec_key_len(off) + self.rec_data_len(off)
+    }
+
+    /// The version at `off` as a chain walk reads it: flags, data and
+    /// version tail, its lengths read once.
+    pub fn rec_version(&self, off: usize) -> RecVersion<'_> {
+        let data = off + REC_HDR + self.rec_key_len(off);
+        let t = data + self.rec_data_len(off);
+        RecVersion {
+            off,
+            flags: self.rec_flags(off),
+            data: &self.bytes[data..t],
+            vp: get_u16(&self.bytes[..], t) as usize,
+            ttime: get_u64(&self.bytes[..], t + 2),
+            sn: get_u32(&self.bytes[..], t + 10),
+        }
     }
 
     /// Version pointer: heap offset of the previous version of this record

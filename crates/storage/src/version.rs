@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use immortaldb_common::{Error, PageId, Result, Tid, Timestamp, VERSION_TAIL};
 
-use crate::page::{Page, FLAG_HISTORICAL, RFLAG_DELETE_STUB, RFLAG_DELTA};
+use crate::page::{Page, RecVersion, FLAG_HISTORICAL, RFLAG_DELETE_STUB, RFLAG_DELTA};
 use crate::TimestampResolver;
 
 // -- delta-encoded history chains --------------------------------------
@@ -58,6 +58,14 @@ pub fn encode_delta(base: &[u8], new: &[u8]) -> Vec<u8> {
 /// Reconstruct a version from its delta payload and the materialized data
 /// of the next newer chain version.
 pub fn apply_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    apply_delta_into(base, delta, &mut out)?;
+    Ok(out)
+}
+
+/// [`apply_delta`] over `out`, which it clears first: a walk folding
+/// many versions reuses one buffer.
+pub fn apply_delta_into(base: &[u8], delta: &[u8], out: &mut Vec<u8>) -> Result<()> {
     if delta.len() < 4 {
         return Err(Error::Corruption(
             "delta payload shorter than header".into(),
@@ -71,66 +79,87 @@ pub fn apply_delta(base: &[u8], delta: &[u8]) -> Result<Vec<u8>> {
             base.len()
         )));
     }
-    let mid = &delta[4..];
-    let mut out = Vec::with_capacity(prefix + mid.len() + suffix);
+    out.clear();
     out.extend_from_slice(&base[..prefix]);
-    out.extend_from_slice(mid);
+    out.extend_from_slice(&delta[4..]);
     out.extend_from_slice(&base[base.len() - suffix..]);
-    Ok(out)
+    Ok(())
 }
 
 /// Cursor over one version chain (newest first) that materializes each
 /// version's data incrementally, folding deltas from the nearest newer
 /// anchor as it walks. Amortized O(1) fold work per step; a full record
-/// is served straight from the page, never copied.
+/// is served straight from the page, never copied. Folds alternate
+/// between two buffers the walker owns, and [`Self::restart`] keeps them,
+/// so one walker over a page's chains allocates only while they grow.
 pub struct ChainWalker<'a> {
     page: &'a Page,
     next: Option<usize>,
-    /// Heap offset of the current version when it is a full record;
-    /// `None` when its data is the folded image in `folded`.
-    full: Option<usize>,
+    /// The current version's data when it is stored whole; `None` when it
+    /// is the folded image in `folded`.
+    full: Option<&'a [u8]>,
     folded: Vec<u8>,
+    /// Where the next fold is written, then swapped with `folded`.
+    spare: Vec<u8>,
     /// Number of delta folds performed so far (feeds `version.delta_folds`).
     pub folds: u64,
 }
 
 impl<'a> ChainWalker<'a> {
     pub fn new(page: &'a Page, slot_i: usize) -> ChainWalker<'a> {
+        let mut walker = ChainWalker::idle(page);
+        walker.restart(slot_i);
+        walker
+    }
+
+    /// A walker of `page` standing on no chain yet: [`Self::restart`] it
+    /// on each chain to walk.
+    pub fn idle(page: &'a Page) -> ChainWalker<'a> {
         ChainWalker {
             page,
-            next: Some(page.slot(slot_i)),
+            next: None,
             full: None,
             folded: Vec::new(),
+            spare: Vec::new(),
             folds: 0,
         }
     }
 
-    /// Advance to the next (older) version and return its heap offset, or
-    /// `None` at the end of the chain. After a `Some` return,
-    /// [`Self::data`] is that version's materialized data.
-    pub fn step(&mut self) -> Result<Option<usize>> {
+    /// Walk the chain at slot `slot_i` next, from its head.
+    pub fn restart(&mut self, slot_i: usize) {
+        self.next = Some(self.page.slot(slot_i));
+        self.full = None;
+        self.folded.clear();
+    }
+
+    /// Advance to the next (older) version and return it, its header and
+    /// tail read once, or `None` at the end of the chain. After a `Some`
+    /// return, [`Self::data`] is that version's materialized data.
+    pub fn step(&mut self) -> Result<Option<RecVersion<'a>>> {
         let Some(off) = self.next else {
             return Ok(None);
         };
-        if self.page.rec_is_delta(off) {
-            self.folded = apply_delta(self.data(), self.page.rec_data(off))?;
+        let rec = self.page.rec_version(off);
+        if rec.is_delta() {
+            let base = match self.full {
+                Some(data) => data,
+                None => &self.folded,
+            };
+            apply_delta_into(base, rec.data, &mut self.spare)?;
+            std::mem::swap(&mut self.folded, &mut self.spare);
             self.full = None;
             self.folds += 1;
         } else {
-            self.full = Some(off);
+            self.full = Some(rec.data);
         }
-        let vp = self.page.rec_vp(off);
-        self.next = if vp == 0 { None } else { Some(vp) };
-        Ok(Some(off))
+        self.next = (rec.vp != 0).then_some(rec.vp);
+        Ok(Some(rec))
     }
 
     /// Materialized data of the version most recently returned by
     /// [`Self::step`].
     pub fn data(&self) -> &[u8] {
-        match self.full {
-            Some(off) => self.page.rec_data(off),
-            None => &self.folded,
-        }
+        self.full.unwrap_or(&self.folded)
     }
 }
 
@@ -218,12 +247,12 @@ pub fn pack_chain_into(dst: &mut Page, key: &[u8], vers: &[ChainVersion]) -> Res
 pub fn materialize_chain(page: &Page, i: usize) -> Result<(Vec<ChainVersion>, u64)> {
     let mut out = Vec::new();
     let mut w = ChainWalker::new(page, i);
-    while let Some(off) = w.step()? {
+    while let Some(rec) = w.step()? {
         out.push(ChainVersion {
             data: w.data().to_vec(),
-            flags: page.rec_flags(off),
-            ttime: page.rec_ttime(off),
-            sn: page.rec_sn(off),
+            flags: rec.flags,
+            ttime: rec.ttime,
+            sn: rec.sn,
         });
     }
     Ok((out, w.folds))
@@ -1036,7 +1065,8 @@ mod tests {
         let i = hist.find_slot(b"key").unwrap();
         let mut w = ChainWalker::new(&hist, i);
         let mut seen = 0usize;
-        while let Some(off) = w.step().unwrap() {
+        while let Some(rec) = w.step().unwrap() {
+            let off = rec.off;
             assert_eq!(w.data(), &big(9, seen as u8)[..], "version {seen}");
             assert_eq!(hist.rec_ttime(off), 1000 - seen as u64);
             if hist.rec_is_delta(off) {

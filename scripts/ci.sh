@@ -115,8 +115,9 @@ run_serve() {
     echo "== serve smoke (wire server: mixed workload, graceful shutdown, clean reopen) =="
     # Ephemeral port, 4 concurrent net::Client workers doing autocommit
     # writes, explicit transactions and AS OF reads; a scan of wide rows
-    # that must leave in more than one ROWS chunk (server.row_chunks) and
-    # match the in-process answer by count and checksum; then a graceful
+    # that must leave in more than one ROWS chunk (server.row_chunks), as
+    # stored (no row decoded on the server: sql.rows_decoded), and match
+    # the in-process answer by count and checksum; then a graceful
     # shutdown and a reopen that must NOT count as a crash recovery.
     cargo run --release -q -p immortaldb-net --bin net-smoke
     echo "== serve smoke, workers(1): two serving threads, the tightest case for the hand-off rules =="

@@ -32,7 +32,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use immortaldb::row::encode_key;
+use immortaldb::row::{decode_image_into, encode_key};
 use immortaldb::temporal::fold_diff;
 use immortaldb::{
     Database, DbConfig, DiffRow, Flow, Isolation, PkBounds, RowSink, Session, SimClock,
@@ -206,8 +206,8 @@ impl Keys {
 fn rows_in(db: &Database, txn: &mut Transaction, keys: &Keys) -> Vec<Vec<Value>> {
     let mut rows = Vec::new();
     let def = db.table(TABLE).unwrap();
-    db.visit_rows(txn, &def, &keys.0, &mut |_, row| {
-        rows.push(std::mem::take(row));
+    db.visit_rows(txn, &def, &keys.0, |_, image| {
+        rows.push(def.schema.decode_row(image)?);
         Ok(Flow::Continue)
     })
     .unwrap();
@@ -552,19 +552,22 @@ struct EveryK<'a> {
     k: usize,
     /// Rows until it is full again.
     room: usize,
+    ncols: usize,
     rows: Vec<Vec<Value>>,
     flushes: usize,
     between: &'a mut dyn FnMut(),
 }
 
 impl RowSink for EveryK<'_> {
-    fn columns(&mut self, _names: Vec<String>) -> Result<()> {
+    fn columns(&mut self, names: Vec<String>) -> Result<()> {
+        self.ncols = names.len();
         Ok(())
     }
 
-    fn row(&mut self, row: &mut Vec<Value>) -> Result<Flow> {
-        // Copied, not taken: the next row is decoded over this one.
-        self.rows.push(row.clone());
+    fn row(&mut self, image: &[u8]) -> Result<Flow> {
+        let mut row = Vec::new();
+        decode_image_into(image, self.ncols, &mut row)?;
+        self.rows.push(row);
         self.room -= 1;
         Ok(if self.room == 0 {
             self.room = self.k;
@@ -588,6 +591,7 @@ fn resumed_equals_one_shot(s: &mut Session<'_>, sql: &str, k: usize, between: &m
     let mut sink = EveryK {
         k,
         room: k,
+        ncols: 0,
         rows: Vec::new(),
         flushes: 0,
         between,
@@ -614,6 +618,7 @@ fn pauses_before_reading_everything(s: &mut Session<'_>, db: &Database, sql: &st
     let mut sink = EveryK {
         k,
         room: k,
+        ncols: 0,
         rows: Vec::new(),
         flushes: 0,
         between: &mut between,
@@ -837,6 +842,7 @@ fn resume_cost_battery(tag: &str, using_tsb: bool) {
         let mut sink = EveryK {
             k: 64,
             room: 64,
+            ncols: 0,
             rows: Vec::new(),
             flushes: 0,
             between: &mut || {},

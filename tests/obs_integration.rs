@@ -195,7 +195,7 @@ impl RowSink for StopEvery {
         Ok(())
     }
 
-    fn row(&mut self, _row: &mut Vec<Value>) -> Result<Flow> {
+    fn row(&mut self, _image: &[u8]) -> Result<Flow> {
         self.rows += 1;
         Ok(if self.rows.is_multiple_of(self.k) {
             Flow::Stop
