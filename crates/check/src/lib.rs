@@ -172,7 +172,11 @@ pub struct EventTap {
     watermark: Mutex<Timestamp>,
 }
 
+// SAFETY: a slot's `UnsafeCell` is written only by the producer whose
+// ticket claim owns it and read only by the single consumer after the
+// slot's `seq` published it (`push`, `pop`).
 unsafe impl Send for EventTap {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for EventTap {}
 
 impl EventTap {

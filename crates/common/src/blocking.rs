@@ -3,8 +3,10 @@
 //! A thread that multiplexes other work (the wire server's poll-loop
 //! leader, `crates/net/src/reactor.rs`) installs a hook with
 //! [`set_thread_hook`]; the engine calls [`about_to_block`] just before it
-//! parks or does blocking I/O, and [`about_to_run_long`] before work
-//! whose length grows with the data. The hook must not block and must
+//! parks or does I/O that waits for a device, and [`about_to_run_long`]
+//! before work whose length grows with the data. A read the OS page
+//! cache answers is not a wait: the buffer pool asks for a page without
+//! waiting first, and signals only when the device is needed. The hook must not block and must
 //! not call back into the engine: call sites may hold an engine latch.
 //! On every other thread both calls are a thread-local load and a branch.
 //!
@@ -16,7 +18,7 @@ use std::cell::Cell;
 /// Why the calling thread is about to stop making progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cause {
-    /// It will park or wait for I/O.
+    /// It will park or wait for a device.
     Wait,
     /// It will run for a time that grows with the data it touches.
     Long,
@@ -38,7 +40,7 @@ fn signal(cause: Cause) {
     }
 }
 
-/// The calling thread is about to park or wait for I/O.
+/// The calling thread is about to park or wait for a device.
 #[inline]
 pub fn about_to_block() {
     signal(Cause::Wait);

@@ -26,7 +26,12 @@
 //! clamps a target past its visibility horizon), and every later
 //! statement asks for that instant exactly; until it is known, a second
 //! statement is refused here rather than sent. [`Client::query_as_of`]
-//! is a whole historical read in one frame. For pipelining,
+//! is a whole historical read in one frame. The server holds nothing for
+//! such a transaction, so its idle reaper may close the connection while
+//! the client still holds the instant: a statement of it that finds the
+//! connection closed before any row arrived is sent once more on a new
+//! connection, if no other reply is owed. It answers the same, read-only
+//! at a fixed instant. No other statement is ever sent twice. For pipelining,
 //! [`Client::send_query`] writes a request without waiting and
 //! [`Client::recv_response`] collects the replies in order — the server
 //! executes pipelined requests back-to-back, letting group commit batch
@@ -34,7 +39,7 @@
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use immortaldb::{Isolation, Value};
@@ -68,6 +73,23 @@ impl<F: FnMut(&[Value])> RowTarget for F {
     }
 }
 
+/// Counting: the rows handed on to the target inside.
+struct Counted<'a, T> {
+    target: &'a mut T,
+    rows: usize,
+}
+
+impl<T: RowTarget> RowTarget for Counted<'_, T> {
+    fn expect(&mut self, n: usize) {
+        self.target.expect(n);
+    }
+
+    fn row(&mut self, row: &mut Vec<Value>) {
+        self.rows += 1;
+        self.target.row(row);
+    }
+}
+
 /// Collecting: room is reserved a frame ahead and each row is kept as
 /// decoded, at its exact size.
 impl RowTarget for Vec<Vec<Value>> {
@@ -97,6 +119,8 @@ enum Owed {
 /// One connection to an `immortaldb-server`.
 pub struct Client {
     stream: TcpStream,
+    /// The server's address, for a reconnect.
+    peer: SocketAddr,
     /// Bytes received and not yet decoded; reused across replies.
     inbox: FrameBuffer,
     /// The row being decoded; reused across rows.
@@ -126,6 +150,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let mut client = Client {
+            peer: stream.peer_addr()?,
             stream,
             inbox: FrameBuffer::new(),
             row: Vec::new(),
@@ -159,8 +184,10 @@ impl Client {
 
     /// Execute one SQL statement and wait for its result.
     pub fn query(&mut self, sql: &str) -> Result<Response> {
-        self.send_query(sql)?;
-        self.recv_response()
+        let mut rows = Vec::new();
+        let mut resp = self.exchange(sql, &mut rows)?;
+        resp.rows = rows;
+        Ok(resp)
     }
 
     /// Execute one SQL statement, handing `on_row` each row of its result
@@ -169,8 +196,42 @@ impl Client {
     /// rows. If the statement fails after rows have been handed over, the
     /// error is returned all the same.
     pub fn query_rows(&mut self, sql: &str, mut on_row: impl FnMut(&[Value])) -> Result<Response> {
-        self.send_query(sql)?;
-        self.recv_into(&mut on_row)
+        self.exchange(sql, &mut on_row)
+    }
+
+    /// Send `sql` and receive its reply. A statement of the AS OF
+    /// transaction held here, sent with no other reply owed, that finds
+    /// the connection closed before a row of its answer arrived is sent
+    /// once more on a new connection: the server held nothing for it.
+    fn exchange(&mut self, sql: &str, rows: &mut impl RowTarget) -> Result<Response> {
+        let resendable = self.as_of.is_some() && self.owed.is_empty();
+        let mut counted = Counted {
+            target: &mut *rows,
+            rows: 0,
+        };
+        let first = self
+            .send_query(sql)
+            .and_then(|()| self.recv_into(&mut counted));
+        match first {
+            Err(Error::Io(e)) if resendable && counted.rows == 0 && closed(&e) => {
+                self.reconnect()?;
+                self.send_query(sql)?;
+                self.recv_into(rows)
+            }
+            other => other,
+        }
+    }
+
+    /// A new connection and HELLO in place of one the server closed. The
+    /// AS OF transaction held here goes on over it.
+    fn reconnect(&mut self) -> Result<()> {
+        let stream = TcpStream::connect(self.peer)?;
+        stream.set_nodelay(true)?;
+        self.stream = stream;
+        self.inbox = FrameBuffer::new();
+        self.owed.clear();
+        self.send(&Request::Hello { version: VERSION }, Owed::Session)?;
+        self.recv_response().map(|_| ())
     }
 
     /// Begin an explicit transaction. Nothing is sent: the BEGIN leaves
@@ -469,6 +530,15 @@ impl Client {
             inbox: self.inbox,
         })
     }
+}
+
+/// Whether `e` says the peer closed the connection.
+fn closed(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::*;
+    matches!(
+        e.kind(),
+        UnexpectedEof | ConnectionReset | ConnectionAborted | BrokenPipe
+    )
 }
 
 /// The receiving end of a WAL subscription (see [`Client::subscribe_wal`]).

@@ -14,7 +14,8 @@
 //!
 //! * **the request is about to wait or run long.** The engine says so
 //!   through [`immortaldb_common::blocking`] (lock wait, group-commit
-//!   barrier, fsync, page miss, scan, checkpoint, …) and
+//!   barrier, fsync, a page miss the OS page cache cannot serve, scan,
+//!   checkpoint, …) and
 //!   [`on_engine_signal`] gives the role away before the thread parks.
 //!   A pipelined burst longer than [`INLINE_FRAMES`] counts as long.
 //! * **the poll batch holds other ready connections and a CPU is free**

@@ -85,6 +85,7 @@ pub struct Poller {
 
 impl Poller {
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: takes no pointer; a failure is the negative return.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -102,6 +103,8 @@ impl Poller {
         } else {
             &mut ev as *mut EpollEvent
         };
+        // SAFETY: `arg` is null (DEL) or points at `ev`, which outlives
+        // the call; `epfd` is this poller's open descriptor.
         if unsafe { epoll_ctl(self.epfd, op, fd, arg) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -137,6 +140,8 @@ impl Poller {
                     }
             }
         };
+        // SAFETY: the kernel writes at most `buf.len()` events into `buf`,
+        // a local array that outlives the call.
         let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, ms) };
         if n < 0 {
             let e = io::Error::last_os_error();
@@ -160,6 +165,7 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: the poller owns `epfd` and closes it exactly once, here.
         unsafe {
             close(self.epfd);
         }

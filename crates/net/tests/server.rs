@@ -858,22 +858,43 @@ fn a_client_held_as_of_transaction_is_one_instant_and_holds_nothing() {
         let next = c.query(read).unwrap();
         assert_eq!((&next.rows, next.ts), (&first.rows, Some(at)));
     }
-    // Left idle past the timeout, the connection is closed, as every
-    // idle one is; but the server held no transaction for it, so none is
-    // rolled back, and the instant goes on from a new connection.
+    // Held for twice the idle timeout with no statement: the connection
+    // is closed, as every idle one is, but the server held no
+    // transaction for it, so none is rolled back. The next statement
+    // finds the connection closed, is sent again on a new one, and
+    // answers at the same instant with the same rows.
+    let held = Instant::now();
     wait_for("the idle connections to close", || {
         stat(&db, "server.open_connections") == 0
     });
+    std::thread::sleep((idle * 2).saturating_sub(held.elapsed()));
     assert_eq!(stat(&db, "server.idle_rollbacks"), rollbacks);
     assert!(c.in_transaction());
-    c.rollback().unwrap();
-    let mut c = Client::connect(addr).unwrap();
-    c.begin_as_of_ts(at).unwrap();
+    // An autocommit statement is never sent again: the writer's fails.
+    assert!(matches!(w.query(read), Err(Error::Io(_))));
+    let mut w = Client::connect(addr).unwrap();
+    bump(&mut w, &mut version);
+    let accepted = stat(&db, "server.connections.accepted");
     let next = c.query(read).unwrap();
     assert_eq!((&next.rows, next.ts), (&first.rows, Some(at)));
+    assert_eq!(stat(&db, "server.connections.accepted"), accepted + 1);
     assert_eq!(c.commit().unwrap(), at);
+    assert_eq!(c.query(read).unwrap().rows, vec![vec![Value::Int(version)]]);
 
-    drop(c);
+    // A write transaction idle past the timeout is rolled back with its
+    // connection, and its next statement surfaces the I/O error: it is
+    // not sent again, and its write never lands.
+    let mut t = Client::connect(addr).unwrap();
+    t.begin(Isolation::Serializable).unwrap();
+    t.query("UPDATE t SET v = -1 WHERE id = 1").unwrap();
+    wait_for("the idle transaction to be rolled back", || {
+        stat(&db, "server.idle_rollbacks") > rollbacks
+    });
+    assert!(matches!(t.query(read), Err(Error::Io(_))));
+    let mut w = Client::connect(addr).unwrap();
+    assert_eq!(w.query(read).unwrap().rows, vec![vec![Value::Int(version)]]);
+
+    drop((c, t, w));
     stop(db, server, dir);
 }
 
@@ -1152,7 +1173,8 @@ fn group_commit_batches_across_connections() {
 }
 
 /// (iii) The loop changes hands when the code says a request will wait or
-/// run long, and only then: resident point statements all run inline.
+/// run long, and only then: resident point statements all run inline,
+/// and so does a cold one whose pages the OS page cache holds.
 #[test]
 fn only_waits_and_long_statements_move_the_loop() {
     for workers in [1, 4] {
@@ -1216,49 +1238,118 @@ fn only_waits_and_long_statements_move_the_loop() {
         drop(c);
         stop(db, server, dir);
 
-        // A table many times the pool: a cold point read waits for disk.
-        let (db, server, dir) = start_on(
-            &format!("spill-{workers}"),
-            ServerConfig::new("127.0.0.1:0").workers(workers),
-            |db| db.durability(Durability::Buffered).pool_pages(16),
-        );
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v VARCHAR(200))")
-            .unwrap();
-        let filler = "x".repeat(200);
-        for i in 0..2_000 {
-            c.query(&format!("INSERT INTO t VALUES ({i}, '{filler}')"))
-                .unwrap();
-        }
-        // Read by read: one that waited on the disk did not finish on
-        // the loop. The leader hands the loop on before it waits; a
-        // follower that took the read from the ready queue never held it.
-        let mut cold = 0;
-        for i in (0..2_000).step_by(97) {
-            let (misses, inline) = (
-                stat(&db, "buffer.misses"),
-                stat(&db, "server.requests_inline"),
-            );
+        // A table many times the pool, whose pages the OS page cache
+        // holds: a cold point read is a read, not a wait, and stays on
+        // the loop.
+        let reads = cold_point_reads(&format!("cached-{workers}"), workers, |db| db);
+        let mut served = 0;
+        for read in reads.iter().filter(|r| r.writes == 0) {
             assert_eq!(
-                c.query(&format!("SELECT id FROM t WHERE id = {i}"))
-                    .unwrap()
-                    .rows
-                    .len(),
-                1
+                read.cached, read.misses,
+                "read {}: the page cache held the table, yet a miss waited",
+                read.id
             );
-            if stat(&db, "buffer.misses") > misses {
-                cold += 1;
-                assert_eq!(
-                    stat(&db, "server.requests_inline"),
-                    inline,
-                    "read {i} waited on the disk and finished on the loop"
-                );
-            }
+            assert!(
+                read.inline && read.waits == 0,
+                "{read:?}: a miss the page cache served moved the loop"
+            );
+            served += 1;
         }
-        assert!(cold > 0, "the reads never left the pool");
-        drop(c);
-        stop(db, server, dir);
+        assert!(served > 0, "every cold read also wrote a page back");
     }
+}
+
+/// (iii, cont.) A miss that needs the device still hands the loop on:
+/// behind a VFS whose `read_cached_at` always declines (`FaultVfs`, with
+/// no fault set), every miss is a wait, and a read that waited on the
+/// disk did not finish on the loop. The leader hands the loop on before
+/// it waits; a follower that took the read from the ready queue never
+/// held it.
+#[test]
+fn a_miss_that_needs_the_device_moves_the_loop() {
+    for workers in [1, 4] {
+        let vfs = Arc::new(FaultVfs::wrap_std(workers as u64));
+        let reads = cold_point_reads(&format!("device-{workers}"), workers, |db| db.vfs(vfs));
+        for read in &reads {
+            assert_eq!(read.cached, 0, "read {}: {read:?}", read.id);
+            assert!(
+                !read.inline,
+                "read {}: waited on the disk and finished on the loop",
+                read.id
+            );
+        }
+    }
+}
+
+/// What one cold point read did: the pool misses it took, how many of
+/// them the OS page cache answered, whether it ran start to finish on
+/// the thread holding the loop, the loop hand-offs it caused for a wait,
+/// and the dirty pages its evictions wrote back (a write-back waits).
+#[derive(Debug)]
+struct ColdRead {
+    id: i32,
+    misses: u64,
+    cached: u64,
+    inline: bool,
+    waits: u64,
+    writes: u64,
+}
+
+/// Point reads, one at a time, over a table many times a 16-page pool,
+/// loaded over the wire and checkpointed, so that nearly every page is
+/// clean (the timestamp table's collection after the checkpoint dirties
+/// a few); the reads that missed the pool. Asserts that some did.
+fn cold_point_reads(
+    name: &str,
+    workers: usize,
+    db_cfg: impl FnOnce(DbConfig) -> DbConfig,
+) -> Vec<ColdRead> {
+    let (db, server, dir) = start_on(
+        name,
+        ServerConfig::new("127.0.0.1:0").workers(workers),
+        |db| db_cfg(db.durability(Durability::Buffered).pool_pages(16)),
+    );
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.query("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v VARCHAR(200))")
+        .unwrap();
+    let filler = "x".repeat(200);
+    for i in 0..2_000 {
+        c.query(&format!("INSERT INTO t VALUES ({i}, '{filler}')"))
+            .unwrap();
+    }
+    c.query("CHECKPOINT").unwrap();
+    let counters = |db: &Database| {
+        [
+            "buffer.misses",
+            "buffer.misses_cached",
+            "server.requests_inline",
+            "server.loop_handoffs_wait",
+            "buffer.flushes",
+        ]
+        .map(|name| stat(db, name))
+    };
+    let mut cold = Vec::new();
+    for id in (0..2_000).step_by(97) {
+        let before = counters(&db);
+        let rows = c.query(&format!("SELECT id FROM t WHERE id = {id}"));
+        assert_eq!(rows.unwrap().rows, vec![vec![Value::Int(id)]]);
+        let after = counters(&db);
+        let [misses, cached, inline, waits, writes] = [0, 1, 2, 3, 4].map(|i| after[i] - before[i]);
+        if misses > 0 {
+            cold.push(ColdRead {
+                id,
+                misses,
+                cached,
+                inline: inline == 1,
+                waits,
+                writes,
+            });
+        }
+    }
+    assert!(!cold.is_empty(), "the reads never left the pool");
+    drop(c);
+    stop(db, server, dir);
+    cold
 }
 
 /// (iv) `workers` requests may block at once and the loop stays alive:

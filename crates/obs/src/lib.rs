@@ -220,6 +220,9 @@ pub struct BufferMetrics {
     pub hits: Counter,
     /// Fetches that had to read the page from disk.
     pub misses: Counter,
+    /// The part of `misses` the OS page cache answered without a wait
+    /// for the device (`RWF_NOWAIT`), so the fetch signalled no wait.
+    pub misses_cached: Counter,
     /// Frames reclaimed by the eviction clock.
     pub evictions: Counter,
     /// The part of `evictions` that reclaimed a history leaf (a

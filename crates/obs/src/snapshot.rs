@@ -47,6 +47,7 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
         ("buffer.fetches".into(), m.buffer.fetches.get()),
         ("buffer.hits".into(), m.buffer.hits.get()),
         ("buffer.misses".into(), m.buffer.misses.get()),
+        ("buffer.misses_cached".into(), m.buffer.misses_cached.get()),
         ("buffer.evictions".into(), m.buffer.evictions.get()),
         (
             "buffer.history_evictions".into(),
@@ -468,6 +469,7 @@ mod tests {
     #[test]
     fn latch_and_disk_metrics_have_stable_names() {
         let r = MetricsRegistry::new();
+        r.buffer.misses_cached.add(6);
         r.buffer.shard_conflicts.add(4);
         r.buffer.singleflight_waits.add(3);
         r.latch.optimistic_reads.add(100);
@@ -476,6 +478,7 @@ mod tests {
         r.disk.reads.add(8);
         r.disk.writes.add(2);
         let s = r.snapshot();
+        assert_eq!(s.get("buffer.misses_cached"), Some(6));
         assert_eq!(s.get("buffer.shard_conflicts"), Some(4));
         assert_eq!(s.get("buffer.singleflight_waits"), Some(3));
         assert_eq!(s.get("latch.optimistic_reads"), Some(100));

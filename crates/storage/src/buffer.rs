@@ -95,10 +95,12 @@ pub struct Frame {
     history_leaves: Arc<AtomicUsize>,
 }
 
-// The UnsafeCell is only written under the exclusive latch; racy reads
-// happen only in `try_copy`, whose callers use the copy only after the
-// version counter validated it.
+// SAFETY: the UnsafeCell is only written under the exclusive latch (or
+// through `&mut Frame` before the frame is shared); racy reads happen
+// only in `try_copy`, whose callers use the copy only after the version
+// counter validated it.
 unsafe impl Send for Frame {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for Frame {}
 
 /// Whether `page` is a history leaf: a `FLAG_HISTORICAL` leaf, which the
@@ -120,6 +122,8 @@ pub struct PageReadGuard<'a> {
 impl Deref for PageReadGuard<'_> {
     type Target = Page;
     fn deref(&self) -> &Page {
+        // SAFETY: the guard holds the shared latch, so no writer mutates
+        // the image while this borrow lives.
         unsafe { &*self.frame.page.get() }
     }
 }
@@ -135,12 +139,16 @@ pub struct PageWriteGuard<'a> {
 impl Deref for PageWriteGuard<'_> {
     type Target = Page;
     fn deref(&self) -> &Page {
+        // SAFETY: the guard holds the exclusive latch; the only mutable
+        // borrow it hands out needs `&mut self`, so none is live here.
         unsafe { &*self.frame.page.get() }
     }
 }
 
 impl DerefMut for PageWriteGuard<'_> {
     fn deref_mut(&mut self) -> &mut Page {
+        // SAFETY: the guard holds the exclusive latch, and `&mut self`
+        // makes this the only borrow of the image through it.
         unsafe { &mut *self.frame.page.get() }
     }
 }
@@ -522,23 +530,39 @@ impl BufferPool {
         drop(state);
         self.metrics.buffer.misses.inc();
         self.metrics.disk.reads.inc();
-        blocking::about_to_block();
-        let loaded = self.disk.read_page(id);
+        let loaded = self.load(id, shard);
         let mut state = self.lock_shard(shard);
         state.inflight.remove(&id);
         shard.loaded.notify_all();
         // On error, waiters woken by the notify find neither frame nor
         // token and retry their own load, surfacing their own error.
-        let page = loaded?;
+        let frame = loaded?;
         if let Some(f) = state.frames.get(&id) {
             // Raced with fetch_or_reset / new_page; reuse the resident
             // frame rather than shadowing it.
             return Ok(Arc::clone(f));
         }
-        let frame = Arc::new(Frame::new(id, page, false, &shard.history_leaves));
         state.frames.insert(id, Arc::clone(&frame));
         drop(state);
         self.grew();
+        Ok(frame)
+    }
+
+    /// Read page `id` from disk straight into a new frame's image. The
+    /// page cache is asked first, and only a read that needs the device
+    /// signals [`blocking::about_to_block`]: a serving loop keeps a miss
+    /// the OS answers from memory (DESIGN.md §11).
+    fn load(&self, id: PageId, shard: &Shard) -> Result<FrameRef> {
+        let mut frame = Arc::new(Frame::new(id, Page::zeroed(), false, &shard.history_leaves));
+        let page = Arc::get_mut(&mut frame).expect("unshared").page.get_mut();
+        if self.disk.read_cached_into(id, page)? {
+            self.metrics.buffer.misses_cached.inc();
+        } else {
+            blocking::about_to_block();
+            self.disk.read_into(id, page)?;
+        }
+        let history_leaf = is_history_leaf(page);
+        frame.set_class(history_leaf);
         Ok(frame)
     }
 

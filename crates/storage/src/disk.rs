@@ -110,21 +110,49 @@ impl DiskManager {
 
     /// Read a page image from disk, verifying its CRC.
     pub fn read_page(&self, id: PageId) -> Result<Page> {
+        let mut page = Page::zeroed();
+        self.read_into(id, &mut page)?;
+        Ok(page)
+    }
+
+    /// Read page `id` into `page`, waiting for the device if it must, and
+    /// verify its CRC.
+    pub fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
+        let offset = self.offset_of(id)?;
+        self.file.read_exact_at(page.as_bytes_mut(), offset)?;
+        Self::verify(id, page)
+    }
+
+    /// [`Self::read_into`] if the OS page cache holds the whole image;
+    /// `Ok(false)` (and `page` unspecified) if reading it would wait for
+    /// the device, or the VFS cannot tell. A cached image that fails its
+    /// CRC is [`Error::Corruption`], as on the blocking path.
+    pub fn read_cached_into(&self, id: PageId, page: &mut Page) -> Result<bool> {
+        let offset = self.offset_of(id)?;
+        if !self.file.read_cached_at(page.as_bytes_mut(), offset) {
+            return Ok(false);
+        }
+        Self::verify(id, page).map(|()| true)
+    }
+
+    /// The file offset of an allocated page.
+    fn offset_of(&self, id: PageId) -> Result<u64> {
         if id.0 >= self.num_pages() {
             return Err(Error::Corruption(format!(
                 "read of unallocated page {id:?} (file has {} pages)",
                 self.num_pages()
             )));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.file
-            .read_exact_at(&mut buf, id.file_offset(PAGE_SIZE))?;
-        if !page::verify_image_crc(&mut buf) {
+        Ok(id.file_offset(PAGE_SIZE))
+    }
+
+    fn verify(id: PageId, page: &mut Page) -> Result<()> {
+        if !page::verify_image_crc(page.as_bytes_mut()) {
             return Err(Error::Corruption(format!(
                 "page {id:?} failed CRC verification (torn or corrupt write)"
             )));
         }
-        Page::from_bytes(&buf)
+        Ok(())
     }
 
     /// Write a page image to disk, stamping its CRC (no fsync; see
@@ -336,25 +364,38 @@ mod tests {
             d.write_page(&p).unwrap();
             d.sync().unwrap();
         }
-        // Flip, one at a time, a header byte (the page flags), a byte in
-        // the middle of the page and its last byte: each must fail the
-        // CRC, and the image read back once the byte is restored.
+        // Flip, one at a time, one bit of the first byte, of either side
+        // of the first 64-byte block the checksum folds, of the middle
+        // of the page and of its last byte: each must fail the CRC on
+        // the cached read and on the blocking one, and the image read
+        // back once the byte is restored.
         let pristine = std::fs::read(&path).unwrap();
         let base = id.file_offset(PAGE_SIZE) as usize;
-        for off in [1, PAGE_SIZE / 2, PAGE_SIZE - 1] {
+        for off in [0, 63, 64, 4096, PAGE_SIZE - 1] {
             let mut bytes = pristine.clone();
-            bytes[base + off] ^= 0xFF;
+            bytes[base + off] ^= 0x10;
             std::fs::write(&path, &bytes).unwrap();
             let (d, _) = DiskManager::open(&path).unwrap();
-            match d.read_page(id) {
+            let mut page = Page::zeroed();
+            // Just written, so the page cache holds it.
+            match d.read_cached_into(id, &mut page) {
                 Err(Error::Corruption(msg)) => assert!(msg.contains("CRC"), "{msg}"),
-                other => panic!("byte {off}: expected CRC corruption, got {other:?}"),
+                Ok(false) if !cfg!(target_os = "linux") => {}
+                other => panic!("byte {off}, cached: expected CRC corruption, got {other:?}"),
+            }
+            match d.read_into(id, &mut page) {
+                Err(Error::Corruption(msg)) => assert!(msg.contains("CRC"), "{msg}"),
+                other => panic!("byte {off}, blocking: expected CRC corruption, got {other:?}"),
             }
         }
         std::fs::write(&path, &pristine).unwrap();
         let (d, _) = DiskManager::open(&path).unwrap();
         let p = d.read_page(id).unwrap();
         assert_eq!(p.rec_data(p.slot(0)), b"v");
+        let mut cached = Page::zeroed();
+        if d.read_cached_into(id, &mut cached).unwrap() {
+            assert_eq!(cached.as_bytes(), p.as_bytes());
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

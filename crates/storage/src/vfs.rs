@@ -10,12 +10,14 @@
 //!
 //! The trait surface is deliberately tiny and positional (`pread`/
 //! `pwrite` style): no seek state, so one handle can serve concurrent
-//! readers and the writer.
+//! readers and the writer. [`VfsFile::read_cached_at`] is the one read
+//! that may decline: it answers only from what the OS already holds.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use immortaldb_common::Result;
@@ -24,6 +26,14 @@ use immortaldb_common::Result;
 pub trait VfsFile: Send + Sync {
     /// Read exactly `buf.len()` bytes at `offset`.
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> Result<()>;
+    /// Fill `buf` from `offset` only if that needs no wait for the
+    /// device (the OS page cache holds every byte); `false` says nothing
+    /// about the bytes, and the caller takes [`Self::read_exact_at`].
+    /// The default always declines, so a wrapping VFS keeps every read
+    /// on the path it instruments.
+    fn read_cached_at(&self, _buf: &mut [u8], _offset: u64) -> bool {
+        false
+    }
     /// Write all of `data` at `offset`.
     fn write_all_at(&self, data: &[u8], offset: u64) -> Result<()>;
     /// Flush file contents to stable storage (`fdatasync`).
@@ -60,12 +70,29 @@ pub struct StdFs;
 /// A [`VfsFile`] over a real `std::fs::File`.
 pub struct StdFile {
     file: File,
+    /// The kernel refused `RWF_NOWAIT` on this file once: every later
+    /// [`VfsFile::read_cached_at`] declines without asking.
+    nowait_unsupported: AtomicBool,
 }
 
 impl VfsFile for StdFile {
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> Result<()> {
         self.file.read_exact_at(buf, offset)?;
         Ok(())
+    }
+
+    fn read_cached_at(&self, buf: &mut [u8], offset: u64) -> bool {
+        if self.nowait_unsupported.load(Ordering::Relaxed) {
+            return false;
+        }
+        match nowait::pread(&self.file, buf, offset) {
+            Ok(n) => n == buf.len(),
+            Err(nowait::Refusal::NotCached) => false,
+            Err(nowait::Refusal::Unsupported) => {
+                self.nowait_unsupported.store(true, Ordering::Relaxed);
+                false
+            }
+        }
     }
 
     fn write_all_at(&self, data: &[u8], offset: u64) -> Result<()> {
@@ -96,7 +123,10 @@ impl Vfs for StdFs {
             .create(true)
             .truncate(false)
             .open(path)?;
-        Ok(Arc::new(StdFile { file }))
+        Ok(Arc::new(StdFile {
+            file,
+            nowait_unsupported: AtomicBool::new(false),
+        }))
     }
 
     fn read_file(&self, path: &Path) -> Result<Option<Vec<u8>>> {
@@ -128,6 +158,71 @@ impl Vfs for StdFs {
 
     fn exists(&self, path: &Path) -> bool {
         path.exists()
+    }
+}
+
+/// `preadv2(…, RWF_NOWAIT)`: a positioned read that returns what the
+/// page cache holds instead of waiting for the device. Declared directly
+/// against the system C library, as the serving loop declares `epoll`.
+mod nowait {
+    use std::fs::File;
+
+    /// Why a read did not answer.
+    pub enum Refusal {
+        /// Some byte was not cached (`EAGAIN`), or another error, which
+        /// the blocking read then meets and reports: this read declines,
+        /// the next may not.
+        NotCached,
+        /// The kernel or file system has no `RWF_NOWAIT` (`EOPNOTSUPP`,
+        /// `EINVAL`, `ENOSYS`): no read on this file will answer.
+        Unsupported,
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    pub fn pread(file: &File, buf: &mut [u8], offset: u64) -> Result<usize, Refusal> {
+        use std::os::raw::{c_int, c_void};
+        use std::os::unix::io::AsRawFd;
+
+        /// `struct iovec`.
+        #[repr(C)]
+        struct IoVec {
+            base: *mut c_void,
+            len: usize,
+        }
+        const RWF_NOWAIT: c_int = 0x0000_0008;
+        const EINVAL: i32 = 22;
+        const ENOSYS: i32 = 38;
+        const EOPNOTSUPP: i32 = 95;
+        extern "C" {
+            fn preadv2(
+                fd: c_int,
+                iov: *const IoVec,
+                iovcnt: c_int,
+                offset: i64,
+                flags: c_int,
+            ) -> isize;
+        }
+
+        let iov = IoVec {
+            base: buf.as_mut_ptr().cast(),
+            len: buf.len(),
+        };
+        // SAFETY: `iov` describes `buf`, which is valid for writes of
+        // `buf.len()` bytes and borrowed mutably for the whole call; the
+        // descriptor is `file`'s, open for as long as the borrow lasts.
+        let n = unsafe { preadv2(file.as_raw_fd(), &iov, 1, offset as i64, RWF_NOWAIT) };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        match std::io::Error::last_os_error().raw_os_error() {
+            Some(EOPNOTSUPP | EINVAL | ENOSYS) => Err(Refusal::Unsupported),
+            _ => Err(Refusal::NotCached),
+        }
+    }
+
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+    pub fn pread(_file: &File, _buf: &mut [u8], _offset: u64) -> Result<usize, Refusal> {
+        Err(Refusal::Unsupported)
     }
 }
 
@@ -165,6 +260,24 @@ mod tests {
         f.sync().unwrap();
         fs.remove_file(&path).unwrap();
         assert!(!fs.exists(&path));
+    }
+
+    #[test]
+    fn cached_read_fills_only_from_the_page_cache() {
+        let path = tmp("cached");
+        let fs = StdFs;
+        let f = fs.open(&path).unwrap();
+        f.write_all_at(b"hello world", 0).unwrap();
+        // Just written, so cached: the read answers, byte for byte.
+        let mut buf = [0u8; 5];
+        if cfg!(target_os = "linux") {
+            assert!(f.read_cached_at(&mut buf, 6));
+            assert_eq!(&buf, b"world");
+        }
+        // Past the end is short: declined, as an uncached read is.
+        let mut past = [0u8; 8];
+        assert!(!f.read_cached_at(&mut past, 8));
+        fs.remove_file(&path).unwrap();
     }
 
     #[test]
