@@ -36,11 +36,11 @@
 //! multi-page write is repaired from the log like any other structure
 //! modification.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use immortaldb_common::{PageId, Result, PAGE_SIZE, VERSION_TAIL};
 use immortaldb_storage::page::{Page, PageType, HEADER_SIZE, REC_HDR};
-use immortaldb_storage::version::{self, ChainVersion, ChainWalker, PackCounts};
+use immortaldb_storage::version::{self, ChainPacker, ChainWalker, PackCounts};
 
 use crate::tree::BTree;
 use crate::tree_core::Routing;
@@ -191,37 +191,44 @@ fn page_has_tid_marked(p: &Page) -> bool {
 fn pack_history_pages(srcs: &[&Page], id: PageId) -> Result<(Page, PackCounts)> {
     let newest = srcs[0];
     let oldest = srcs[srcs.len() - 1];
-    let mut chains: BTreeMap<Vec<u8>, Vec<ChainVersion>> = BTreeMap::new();
-    for p in srcs {
-        for i in 0..p.slot_count() {
-            let key = p.rec_key(p.slot(i)).to_vec();
-            let (vers, _) = version::materialize_chain(p, i)?;
-            let chain = chains.entry(key).or_default();
-            for v in vers {
-                // Chains are newest-first and timestamps strictly
-                // decrease, so a spanning duplicate can only collide with
-                // the version appended immediately before it.
-                if chain
-                    .last()
-                    .is_some_and(|l| l.ttime == v.ttime && l.sn == v.sn)
-                {
-                    continue;
-                }
-                chain.push(v);
-            }
-        }
-    }
     let mut dst = Page::zeroed();
     dst.format(id, PageType::Leaf, newest.flags(), 0);
     dst.set_start_ts(oldest.start_ts());
     dst.set_end_ts(newest.end_ts());
     dst.set_history_page(oldest.history_page());
     dst.set_next_leaf(newest.next_leaf());
-    let mut counts = PackCounts::default();
-    for (key, vers) in &chains {
-        counts.add(version::pack_chain_into(&mut dst, key, vers)?);
+    // Every chain of every page, ordered by key, then by page (newest
+    // first): the pieces of one key's chain, in its order.
+    let mut pieces: Vec<(&[u8], usize, usize)> = srcs
+        .iter()
+        .enumerate()
+        .flat_map(|(p, page)| {
+            (0..page.slot_count()).map(move |i| (page.rec_key(page.slot(i)), p, i))
+        })
+        .collect();
+    pieces.sort_unstable();
+    let mut walkers: Vec<ChainWalker> = srcs.iter().map(|p| ChainWalker::idle(p)).collect();
+    let mut packer = ChainPacker::default();
+    let mut last_stamp = None;
+    for (n, &(key, p, i)) in pieces.iter().enumerate() {
+        if n > 0 && pieces[n - 1].0 != key {
+            packer.finish(&mut dst)?;
+            last_stamp = None;
+        }
+        let w = &mut walkers[p];
+        w.restart(i);
+        while let Some(rec) = w.step()? {
+            // Chains are newest-first and timestamps strictly decrease,
+            // so a spanning duplicate can only collide with the version
+            // packed immediately before it.
+            if last_stamp.replace((rec.ttime, rec.sn)) == Some((rec.ttime, rec.sn)) {
+                continue;
+            }
+            packer.push(&mut dst, key, w.data(), rec.flags, rec.ttime, rec.sn)?;
+        }
     }
-    Ok((dst, counts))
+    packer.finish(&mut dst)?;
+    Ok((dst, packer.counts))
 }
 
 impl BTree {

@@ -176,8 +176,8 @@ impl BTree {
                         let rec = LogRecord::InsertRecord {
                             tree: self.core.tree_id(),
                             page: frame.page_id(),
-                            key: key.to_vec(),
-                            data: data.to_vec(),
+                            key,
+                            data,
                         };
                         return Ok(self.log(&frame, &mut g, tid, prev_lsn, &rec));
                     }
@@ -206,9 +206,9 @@ impl BTree {
                         let rec = LogRecord::UpdateRecord {
                             tree: self.core.tree_id(),
                             page: frame.page_id(),
-                            key: key.to_vec(),
-                            old,
-                            new: data.to_vec(),
+                            key,
+                            old: &old,
+                            new: data,
                         };
                         return Ok(self.log(&frame, &mut g, tid, prev_lsn, &rec));
                     }
@@ -233,14 +233,21 @@ impl BTree {
         let rec = LogRecord::DeleteRecord {
             tree: self.core.tree_id(),
             page: frame.page_id(),
-            key: key.to_vec(),
-            old,
+            key,
+            old: &old,
         };
         Ok(self.log(&frame, &mut g, tid, prev_lsn, &rec))
     }
 
     /// Append `rec` for the change just made to the latched leaf `g`.
-    fn log(&self, frame: &FrameRef, g: &mut Page, tid: Tid, prev_lsn: Lsn, rec: &LogRecord) -> Lsn {
+    fn log(
+        &self,
+        frame: &FrameRef,
+        g: &mut Page,
+        tid: Tid,
+        prev_lsn: Lsn,
+        rec: &LogRecord<&[u8]>,
+    ) -> Lsn {
         let lsn = self.core.wal.append(tid, prev_lsn, rec);
         g.set_page_lsn(lsn);
         frame.mark_dirty(lsn);

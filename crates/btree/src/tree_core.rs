@@ -118,8 +118,8 @@ impl TreeCore {
             NULL_LSN,
             &LogRecord::PageImages {
                 pages: vec![
-                    (root_id, root_g.as_bytes().to_vec()),
-                    (PageId(0), new_meta.as_bytes().to_vec()),
+                    (root_id, root_g.as_bytes()),
+                    (PageId(0), new_meta.as_bytes()),
                 ],
             },
         );
@@ -232,10 +232,7 @@ impl TreeCore {
             .filter_map(|p| self.pool.resident(p.page_id()))
             .collect();
         let rec = LogRecord::PageImages {
-            pages: images
-                .iter()
-                .map(|p| (p.page_id(), p.as_bytes().to_vec()))
-                .collect(),
+            pages: images.iter().map(|p| (p.page_id(), p.as_bytes())).collect(),
         };
         let lsn = self.wal.append(Tid::SYSTEM, NULL_LSN, &rec);
         for mut image in images {
@@ -339,10 +336,8 @@ pub(crate) fn split_for<R: Routing>(
             return Ok(()); // a concurrent split already made room
         }
         if g.is_versioned() {
-            for (t, n) in version::stamp_committed(&mut g, resolver) {
-                m.ts.stamps_time_split.add(n as u64);
-                resolver.note_stamped(t, n);
-            }
+            let stamped = version::stamp_committed(&mut g, resolver);
+            m.ts.stamps_time_split.add(stamped);
         }
         g.clone()
     };
@@ -430,10 +425,8 @@ fn push_version(
                 (Op::Update | Op::Delete, false) => return Err(Error::KeyNotFound),
                 _ => {}
             }
-            for (t, n) in version::stamp_chain(g, i, resolver) {
-                metrics.ts.stamps_update.add(n as u64);
-                resolver.note_stamped(t, n);
-            }
+            let stamped = version::stamp_chain(g, i, resolver);
+            metrics.ts.stamps_update.add(stamped);
         }
         Err(_) if op != Op::Insert => return Err(Error::KeyNotFound),
         Err(_) => {}
@@ -497,8 +490,8 @@ fn write_rows<R: Routing>(
                         let rec = LogRecord::AddVersion {
                             tree: core.tree_id,
                             page: frame.page_id(),
-                            key: key.to_vec(),
-                            data: data.to_vec(),
+                            key,
+                            data,
                             stub: op == Op::Delete,
                         };
                         *last_lsn = core.wal.append(tid, *last_lsn, &rec);
@@ -738,14 +731,10 @@ impl<R: Routing + VersionCursor> TemporalIndex for R {
         if needs_stamp {
             let mut g = frame.write();
             if let Ok(i) = g.find_slot(key) {
-                metrics
-                    .tree
-                    .version_chain_len
-                    .observe(version::chain_offsets(&g, i).len() as u64);
-                for (t, n) in version::stamp_chain(&mut g, i, resolver) {
-                    metrics.ts.stamps_read.add(n as u64);
-                    resolver.note_stamped(t, n);
-                }
+                let len = version::chain(&g, i).count();
+                metrics.tree.version_chain_len.observe(len as u64);
+                let stamped = version::stamp_chain(&mut g, i, resolver);
+                metrics.ts.stamps_read.add(stamped);
                 frame.mark_dirty_unlogged();
             }
         }
@@ -777,7 +766,7 @@ impl<R: Routing + VersionCursor> TemporalIndex for R {
         let rec = LogRecord::EagerStamp {
             tree: core.tree_id,
             page: frame.page_id(),
-            key: key.to_vec(),
+            key,
             ts,
         };
         let lsn = core.wal.append(tid, prev_lsn, &rec);
@@ -801,14 +790,11 @@ impl<R: Routing + VersionCursor> TemporalIndex for R {
         self.current_leaves(&mut |id| {
             let frame = core.pool.fetch(id)?;
             let mut g = frame.write();
-            let counts = version::stamp_committed(&mut g, resolver);
-            if !counts.is_empty() {
+            let n = version::stamp_committed(&mut g, resolver);
+            if n > 0 {
                 frame.mark_dirty_unlogged();
             }
-            for (tid, n) in counts {
-                resolver.note_stamped(tid, n);
-                stamped += n as u64;
-            }
+            stamped += n;
             Ok(())
         })?;
         core.pool.metrics().ts.stamps_vacuum.add(stamped);

@@ -1069,7 +1069,7 @@ impl Database {
     pub fn insert_row(&self, txn: &mut Transaction, table: &str, values: Vec<Value>) -> Result<()> {
         let def = self.table(table)?;
         self.ensure_writable(txn)?;
-        let values = def.schema.check_row(&values)?;
+        let values = def.schema.check_row(values)?;
         let key = def.schema.key_of_row(&values)?;
         let data = def.schema.encode_row(&values);
         self.locks.lock_write(txn.tid, def.tree, &key)?;
@@ -1079,7 +1079,7 @@ impl Database {
             txn.last_lsn =
                 handle.insert(txn.tid, txn.last_lsn, &key, &data, self.resolver.as_ref())?;
             self.tap_write(txn, def.tree, &key, &data);
-            self.note_write(txn, &def, key);
+            self.note_write(txn, &def, &key);
         } else {
             txn.last_lsn = handle.u_insert(txn.tid, txn.last_lsn, &key, &data)?;
         }
@@ -1104,7 +1104,7 @@ impl Database {
         self.ensure_writable(txn)?;
         let mut encoded: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(rows.len());
         for values in rows {
-            let values = def.schema.check_row(&values)?;
+            let values = def.schema.check_row(values)?;
             let key = def.schema.key_of_row(&values)?;
             let data = def.schema.encode_row(&values);
             encoded.push((key, data));
@@ -1121,7 +1121,7 @@ impl Database {
             // rolls back after an error.
             for (key, data) in &encoded {
                 self.tap_write(txn, def.tree, key, data);
-                self.note_write(txn, &def, key.clone());
+                self.note_write(txn, &def, key);
             }
             let r = self.resolver.as_ref();
             handle.insert_batch(txn.tid, &mut txn.last_lsn, &encoded, r)
@@ -1141,7 +1141,7 @@ impl Database {
     pub fn update_row(&self, txn: &mut Transaction, table: &str, values: Vec<Value>) -> Result<()> {
         let def = self.table(table)?;
         self.ensure_writable(txn)?;
-        let values = def.schema.check_row(&values)?;
+        let values = def.schema.check_row(values)?;
         let key = def.schema.key_of_row(&values)?;
         let data = def.schema.encode_row(&values);
         self.locks.lock_write(txn.tid, def.tree, &key)?;
@@ -1152,7 +1152,7 @@ impl Database {
             txn.last_lsn =
                 handle.update(txn.tid, txn.last_lsn, &key, &data, self.resolver.as_ref())?;
             self.tap_write(txn, def.tree, &key, &data);
-            self.note_write(txn, &def, key.clone());
+            self.note_write(txn, &def, &key);
             if def.kind == TableKind::SnapshotEnabled {
                 handle.prune_snapshot_versions(&key, self.oldest_snapshot())?;
             }
@@ -1180,7 +1180,7 @@ impl Database {
                     key: immortaldb_check::hash_key(def.tree.0, &key),
                 });
             }
-            self.note_write(txn, &def, key);
+            self.note_write(txn, &def, &key);
         } else {
             txn.last_lsn = handle.u_delete(txn.tid, txn.last_lsn, &key)?;
         }
@@ -1216,14 +1216,14 @@ impl Database {
         }
     }
 
-    fn note_write(&self, txn: &mut Transaction, def: &TableDef, key: Vec<u8>) {
+    fn note_write(&self, txn: &mut Transaction, def: &TableDef, key: &[u8]) {
         txn.writes += 1;
         self.vtt.add_pending(txn.tid, 1);
         if def.kind == TableKind::Immortal {
             txn.wrote_immortal = true;
         }
         if self.timestamping == TimestampingMode::Eager {
-            txn.touched.push((def.tree, key));
+            txn.touched.push((def.tree, key.to_vec()));
         }
     }
 
@@ -1494,8 +1494,10 @@ impl Database {
 
     /// Take a checkpoint: persist watermarks, flush dirty pages (which
     /// also applies pending timestamps), log the checkpoint, then run PTT
-    /// garbage collection against the new redo-scan-start LSN. Returns the
-    /// number of PTT entries reclaimed.
+    /// garbage collection against the new redo-scan-start LSN, which
+    /// writes back the timestamp-table leaves it changed: the checkpoint
+    /// leaves no page dirty that it dirtied itself. Returns the number of
+    /// PTT entries reclaimed.
     pub fn checkpoint(&self) -> Result<usize> {
         if self.replica {
             // A checkpoint appends log records and rewrites the meta

@@ -135,7 +135,7 @@ impl Schema {
     }
 
     /// Validate a full row against this schema, coercing literals.
-    pub fn check_row(&self, values: &[Value]) -> Result<Vec<Value>> {
+    pub fn check_row(&self, mut values: Vec<Value>) -> Result<Vec<Value>> {
         if values.len() != self.columns.len() {
             return Err(Error::Sql(format!(
                 "expected {} values, got {}",
@@ -143,11 +143,10 @@ impl Schema {
                 values.len()
             )));
         }
-        values
-            .iter()
-            .zip(&self.columns)
-            .map(|(v, c)| v.coerce(c.ctype))
-            .collect()
+        for (v, c) in values.iter_mut().zip(&self.columns) {
+            *v = v.coerce(c.ctype)?;
+        }
+        Ok(values)
     }
 
     /// Memcomparable key bytes for the row's primary key.
@@ -157,7 +156,8 @@ impl Schema {
 
     /// Encode the full row image (stored as the record data).
     pub fn encode_row(&self, values: &[Value]) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Room for an integer row, grown once for strings.
+        let mut out = Vec::with_capacity(16 * values.len());
         encode_values(&mut out, values);
         out
     }
@@ -628,7 +628,7 @@ mod tests {
     fn check_row_coerces_and_rejects() {
         let s = schema();
         let ok = s
-            .check_row(&[
+            .check_row(vec![
                 Value::BigInt(7),
                 Value::BigInt(3),
                 Value::Varchar("x".into()),
@@ -636,16 +636,16 @@ mod tests {
             .unwrap();
         assert_eq!(ok[0], Value::SmallInt(7));
         assert_eq!(ok[1], Value::Int(3));
-        assert!(s.check_row(&[Value::BigInt(7)]).is_err());
+        assert!(s.check_row(vec![Value::BigInt(7)]).is_err());
         assert!(s
-            .check_row(&[
+            .check_row(vec![
                 Value::BigInt(1 << 40), // overflows smallint
                 Value::BigInt(3),
                 Value::Varchar("x".into()),
             ])
             .is_err());
         assert!(s
-            .check_row(&[
+            .check_row(vec![
                 Value::BigInt(1),
                 Value::BigInt(3),
                 Value::Varchar("a string that is way past twenty characters".into()),

@@ -765,7 +765,7 @@ impl BufferPool {
                 Tid::SYSTEM,
                 NULL_LSN,
                 &LogRecord::PageImages {
-                    pages: vec![(frame.id, guard.as_bytes().to_vec())],
+                    pages: vec![(frame.id, guard.as_bytes())],
                 },
             );
             self.wal.flush(Durability::Buffered)?;

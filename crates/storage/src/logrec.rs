@@ -6,13 +6,18 @@
 //! modifications (time splits, key splits, root changes) are logged as a
 //! single atomic [`LogRecord::PageImages`] record — a redo-only nested top
 //! action. Timestamp application is *never* logged (§2.2 of the paper).
+//!
+//! A record's byte strings are a type parameter: the log writes records
+//! that borrow them from the caller (`LogRecord<&[u8]>`, encoded once,
+//! straight into the log buffer by [`LogRecord::encode_into`]) and reads
+//! back records that own them (`LogRecord`, i.e. `LogRecord<Vec<u8>>`).
 
 use immortaldb_common::codec::{Reader, Writer};
 use immortaldb_common::{Error, Lsn, PageId, Result, Tid, Timestamp, TreeId};
 
-/// A decoded log record body. The WAL framing adds `(lsn, tid, prev_lsn)`.
+/// A log record body. The WAL framing adds `(lsn, tid, prev_lsn)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
+pub enum LogRecord<B = Vec<u8>> {
     /// Transaction start.
     Begin,
     /// Transaction commit, carrying the commit timestamp chosen by the
@@ -27,44 +32,44 @@ pub enum LogRecord {
     AddVersion {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
-        data: Vec<u8>,
+        key: B,
+        data: B,
         stub: bool,
     },
     /// CLR compensating [`LogRecord::AddVersion`]: redo re-pops.
     ClrPopVersion {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
+        key: B,
         undo_next: Lsn,
     },
     /// Insert on an unversioned (conventional) leaf. Undo = delete.
     InsertRecord {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
-        data: Vec<u8>,
+        key: B,
+        data: B,
     },
     /// In-place update on an unversioned leaf. Undo = restore `old`.
     UpdateRecord {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
-        old: Vec<u8>,
-        new: Vec<u8>,
+        key: B,
+        old: B,
+        new: B,
     },
     /// Delete on an unversioned leaf. Undo = re-insert `old`.
     DeleteRecord {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
-        old: Vec<u8>,
+        key: B,
+        old: B,
     },
     /// CLR compensating [`LogRecord::InsertRecord`].
     ClrDeleteRecord {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
+        key: B,
         undo_next: Lsn,
     },
     /// CLR compensating [`LogRecord::UpdateRecord`] (restores the old
@@ -72,16 +77,16 @@ pub enum LogRecord {
     ClrUpdateRecord {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
-        data: Vec<u8>,
+        key: B,
+        data: B,
         undo_next: Lsn,
     },
     /// CLR compensating [`LogRecord::DeleteRecord`] (re-inserts).
     ClrInsertRecord {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
-        data: Vec<u8>,
+        key: B,
+        data: B,
         undo_next: Lsn,
     },
     /// Eager-timestamping baseline (§2.2): stamp all of `tid`'s versions
@@ -91,12 +96,12 @@ pub enum LogRecord {
     EagerStamp {
         tree: TreeId,
         page: PageId,
-        key: Vec<u8>,
+        key: B,
         ts: Timestamp,
     },
     /// Atomic multi-page after-images for structure modifications.
     /// Redo-only; never undone (nested top action).
-    PageImages { pages: Vec<(PageId, Vec<u8>)> },
+    PageImages { pages: Vec<(PageId, B)> },
     /// Fuzzy checkpoint start marker.
     CheckpointBegin,
     /// Fuzzy checkpoint end: active-transaction table and dirty-page table
@@ -124,7 +129,7 @@ const K_CKPT_BEGIN: u8 = 14;
 const K_CKPT_END: u8 = 15;
 const K_EAGER_STAMP: u8 = 16;
 
-impl LogRecord {
+impl<B> LogRecord<B> {
     /// The page this record's redo applies to, if page-oriented.
     pub fn target_page(&self) -> Option<PageId> {
         match self {
@@ -162,9 +167,12 @@ impl LogRecord {
             _ => None,
         }
     }
+}
 
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+impl<B: AsRef<[u8]>> LogRecord<B> {
+    /// Append the encoded record to `w` (the log appends each record
+    /// this way, once, into its buffer).
+    pub fn encode_into(&self, w: &mut Writer) {
         match self {
             LogRecord::Begin => {
                 w.u8(K_BEGIN);
@@ -189,8 +197,8 @@ impl LogRecord {
                     .u32(tree.0)
                     .u32(page.0)
                     .u8(*stub as u8)
-                    .bytes(key)
-                    .bytes(data);
+                    .bytes(key.as_ref())
+                    .bytes(data.as_ref());
             }
             LogRecord::ClrPopVersion {
                 tree,
@@ -202,7 +210,7 @@ impl LogRecord {
                     .u32(tree.0)
                     .u32(page.0)
                     .u64(undo_next.0)
-                    .bytes(key);
+                    .bytes(key.as_ref());
             }
             LogRecord::InsertRecord {
                 tree,
@@ -213,8 +221,8 @@ impl LogRecord {
                 w.u8(K_INSERT)
                     .u32(tree.0)
                     .u32(page.0)
-                    .bytes(key)
-                    .bytes(data);
+                    .bytes(key.as_ref())
+                    .bytes(data.as_ref());
             }
             LogRecord::UpdateRecord {
                 tree,
@@ -226,9 +234,9 @@ impl LogRecord {
                 w.u8(K_UPDATE)
                     .u32(tree.0)
                     .u32(page.0)
-                    .bytes(key)
-                    .bytes(old)
-                    .bytes(new);
+                    .bytes(key.as_ref())
+                    .bytes(old.as_ref())
+                    .bytes(new.as_ref());
             }
             LogRecord::DeleteRecord {
                 tree,
@@ -236,7 +244,11 @@ impl LogRecord {
                 key,
                 old,
             } => {
-                w.u8(K_DELETE).u32(tree.0).u32(page.0).bytes(key).bytes(old);
+                w.u8(K_DELETE)
+                    .u32(tree.0)
+                    .u32(page.0)
+                    .bytes(key.as_ref())
+                    .bytes(old.as_ref());
             }
             LogRecord::ClrDeleteRecord {
                 tree,
@@ -248,7 +260,7 @@ impl LogRecord {
                     .u32(tree.0)
                     .u32(page.0)
                     .u64(undo_next.0)
-                    .bytes(key);
+                    .bytes(key.as_ref());
             }
             LogRecord::ClrUpdateRecord {
                 tree,
@@ -261,8 +273,8 @@ impl LogRecord {
                     .u32(tree.0)
                     .u32(page.0)
                     .u64(undo_next.0)
-                    .bytes(key)
-                    .bytes(data);
+                    .bytes(key.as_ref())
+                    .bytes(data.as_ref());
             }
             LogRecord::ClrInsertRecord {
                 tree,
@@ -275,8 +287,8 @@ impl LogRecord {
                     .u32(tree.0)
                     .u32(page.0)
                     .u64(undo_next.0)
-                    .bytes(key)
-                    .bytes(data);
+                    .bytes(key.as_ref())
+                    .bytes(data.as_ref());
             }
             LogRecord::EagerStamp {
                 tree,
@@ -289,12 +301,12 @@ impl LogRecord {
                     .u32(page.0)
                     .u64(ts.ttime)
                     .u32(ts.sn)
-                    .bytes(key);
+                    .bytes(key.as_ref());
             }
             LogRecord::PageImages { pages } => {
                 w.u8(K_PAGE_IMAGES).u32(pages.len() as u32);
                 for (id, img) in pages {
-                    w.u32(id.0).bytes(img);
+                    w.u32(id.0).bytes(img.as_ref());
                 }
             }
             LogRecord::CheckpointBegin => {
@@ -311,9 +323,10 @@ impl LogRecord {
                 }
             }
         }
-        w.finish()
     }
+}
 
+impl LogRecord {
     pub fn decode(buf: &[u8]) -> Result<LogRecord> {
         let mut r = Reader::new(buf);
         let kind = r.u8()?;
@@ -427,9 +440,14 @@ impl LogRecord {
 mod tests {
     use super::*;
 
+    fn encode(rec: &LogRecord) -> Vec<u8> {
+        let mut w = Writer::new();
+        rec.encode_into(&mut w);
+        w.finish()
+    }
+
     fn roundtrip(rec: LogRecord) {
-        let enc = rec.encode();
-        let dec = LogRecord::decode(&enc).unwrap();
+        let dec = LogRecord::decode(&encode(&rec)).unwrap();
         assert_eq!(rec, dec);
     }
 
@@ -514,14 +532,14 @@ mod tests {
         assert!(LogRecord::decode(&[200]).is_err());
         assert!(LogRecord::decode(&[]).is_err());
         // Trailing bytes rejected.
-        let mut enc = LogRecord::Begin.encode();
+        let mut enc = encode(&LogRecord::Begin);
         enc.push(0);
         assert!(LogRecord::decode(&enc).is_err());
     }
 
     #[test]
     fn clr_classification() {
-        let clr = LogRecord::ClrPopVersion {
+        let clr: LogRecord = LogRecord::ClrPopVersion {
             tree: TreeId(1),
             page: PageId(1),
             key: vec![],
@@ -529,8 +547,8 @@ mod tests {
         };
         assert!(clr.is_clr());
         assert_eq!(clr.undo_next(), Some(Lsn(7)));
-        assert!(!LogRecord::Begin.is_clr());
-        assert_eq!(LogRecord::Begin.undo_next(), None);
+        assert!(!LogRecord::<&[u8]>::Begin.is_clr());
+        assert_eq!(LogRecord::<&[u8]>::Begin.undo_next(), None);
     }
 
     #[test]
@@ -543,9 +561,9 @@ mod tests {
             stub: false,
         };
         assert_eq!(rec.target_page(), Some(PageId(8)));
-        assert_eq!(LogRecord::CheckpointBegin.target_page(), None);
+        assert_eq!(LogRecord::<&[u8]>::CheckpointBegin.target_page(), None);
         // PageImages applies to many pages; handled specially.
-        let imgs = LogRecord::PageImages { pages: vec![] };
+        let imgs: LogRecord = LogRecord::PageImages { pages: vec![] };
         assert_eq!(imgs.target_page(), None);
     }
 }

@@ -442,7 +442,7 @@ fn undo_one(
             let clr = LogRecord::ClrPopVersion {
                 tree: *tree,
                 page: page_id,
-                key: key.clone(),
+                key: &key[..],
                 undo_next: e.prev_lsn,
             };
             let lsn = wal.append(e.tid, prev, &clr);
@@ -458,7 +458,7 @@ fn undo_one(
             let clr = LogRecord::ClrDeleteRecord {
                 tree: *tree,
                 page: page_id,
-                key: key.clone(),
+                key: &key[..],
                 undo_next: e.prev_lsn,
             };
             let lsn = wal.append(e.tid, prev, &clr);
@@ -475,8 +475,8 @@ fn undo_one(
             let clr = LogRecord::ClrUpdateRecord {
                 tree: *tree,
                 page: page_id,
-                key: key.clone(),
-                data: old.clone(),
+                key: &key[..],
+                data: &old[..],
                 undo_next: e.prev_lsn,
             };
             let lsn = wal.append(e.tid, prev, &clr);
@@ -493,8 +493,8 @@ fn undo_one(
             let clr = LogRecord::ClrInsertRecord {
                 tree: *tree,
                 page: page_id,
-                key: key.clone(),
-                data: old.clone(),
+                key: &key[..],
+                data: &old[..],
                 undo_next: e.prev_lsn,
             };
             let lsn = wal.append(e.tid, prev, &clr);
@@ -716,8 +716,8 @@ mod tests {
             &LogRecord::AddVersion {
                 tree: TreeId(5),
                 page: PageId(3),
-                key: b"k".to_vec(),
-                data: b"v".to_vec(),
+                key: &b"k"[..],
+                data: &b"v"[..],
                 stub: false,
             },
         );
@@ -746,8 +746,8 @@ mod tests {
         let rec1 = LogRecord::AddVersion {
             tree: TreeId(5),
             page: page_id,
-            key: b"a".to_vec(),
-            data: b"va".to_vec(),
+            key: &b"a"[..],
+            data: &b"va"[..],
             stub: false,
         };
         let l1 = f.wal.append(t1, b1, &rec1);
@@ -763,8 +763,8 @@ mod tests {
         let rec2 = LogRecord::AddVersion {
             tree: TreeId(5),
             page: page_id,
-            key: b"b".to_vec(),
-            data: b"vb".to_vec(),
+            key: &b"b"[..],
+            data: &b"vb"[..],
             stub: false,
         };
         f.wal.append(t2, b2, &rec2);
@@ -811,8 +811,8 @@ mod tests {
             &LogRecord::AddVersion {
                 tree: TreeId(5),
                 page: page_id,
-                key: b"a".to_vec(),
-                data: b"va".to_vec(),
+                key: &b"a"[..],
+                data: &b"va"[..],
                 stub: false,
             },
         );
@@ -859,10 +859,7 @@ mod tests {
             Tid::SYSTEM,
             NULL_LSN,
             &LogRecord::PageImages {
-                pages: vec![
-                    (id1, img1.as_bytes().to_vec()),
-                    (id2, img2.as_bytes().to_vec()),
-                ],
+                pages: vec![(id1, img1.as_bytes()), (id2, img2.as_bytes())],
             },
         );
         let f = f.crash_and_reopen();
@@ -889,8 +886,8 @@ mod tests {
                 let rec = LogRecord::AddVersion {
                     tree: TreeId(5),
                     page: page_id,
-                    key: k.to_vec(),
-                    data: v.to_vec(),
+                    key: &k[..],
+                    data: &v[..],
                     stub: false,
                 };
                 last = f.wal.append(t1, last, &rec);
@@ -950,16 +947,16 @@ mod tests {
         let r1 = LogRecord::AddVersion {
             tree: TreeId(5),
             page: page_id,
-            key: b"a".to_vec(),
-            data: b"1".to_vec(),
+            key: &b"a"[..],
+            data: &b"1"[..],
             stub: false,
         };
         let l1 = f.wal.append(t, b, &r1);
         let r2 = LogRecord::AddVersion {
             tree: TreeId(5),
             page: page_id,
-            key: b"b".to_vec(),
-            data: b"2".to_vec(),
+            key: &b"b"[..],
+            data: &b"2"[..],
             stub: false,
         };
         let l2 = f.wal.append(t, l1, &r2);
@@ -971,7 +968,7 @@ mod tests {
             &LogRecord::ClrPopVersion {
                 tree: TreeId(5),
                 page: page_id,
-                key: b"b".to_vec(),
+                key: &b"b"[..],
                 undo_next: l1,
             },
         );
@@ -1046,8 +1043,8 @@ mod checkpoint_race_tests {
             &LogRecord::AddVersion {
                 tree: TreeId(5),
                 page: page_id,
-                key: b"k".to_vec(),
-                data: b"v".to_vec(),
+                key: &b"k"[..],
+                data: &b"v"[..],
                 stub: false,
             },
         );
@@ -1094,8 +1091,8 @@ mod checkpoint_race_tests {
             &LogRecord::AddVersion {
                 tree: TreeId(5),
                 page: page_id,
-                key: b"k2".to_vec(),
-                data: b"v".to_vec(),
+                key: &b"k2"[..],
+                data: &b"v"[..],
                 stub: false,
             },
         );

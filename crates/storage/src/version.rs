@@ -10,8 +10,10 @@
 //! * lazy timestamp application (stage IV of the protocol, unlogged),
 //! * **page time splits** — the four-case version partition of Fig. 3,
 //! * page key splits (whole chains move).
-
-use std::collections::HashMap;
+//!
+//! A chain is walked in place ([`chain`]) and packed onto a history page
+//! version by version ([`ChainPacker`]), straight from the bytes where
+//! they lie, so a split allocates no buffer per key or per version.
 
 use immortaldb_common::{Error, PageId, Result, Tid, Timestamp, VERSION_TAIL};
 
@@ -37,6 +39,14 @@ pub const DELTA_ANCHOR_EVERY: usize = 8;
 /// `[prefix:u16][suffix:u16][mid bytes]`, where the reconstruction is
 /// `base[..prefix] ++ mid ++ base[base_len-suffix..]`.
 pub fn encode_delta(base: &[u8], new: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_delta_into(base, new, &mut out);
+    out
+}
+
+/// [`encode_delta`] over `out`, which it clears first: a packing pass
+/// reuses one buffer for every delta.
+pub fn encode_delta_into(base: &[u8], new: &[u8], out: &mut Vec<u8>) {
     let shorter = base.len().min(new.len());
     let mut prefix = 0usize;
     while prefix < shorter && base[prefix] == new[prefix] {
@@ -47,12 +57,10 @@ pub fn encode_delta(base: &[u8], new: &[u8]) -> Vec<u8> {
     while suffix < max_suffix && base[base.len() - 1 - suffix] == new[new.len() - 1 - suffix] {
         suffix += 1;
     }
-    let mid = &new[prefix..new.len() - suffix];
-    let mut out = Vec::with_capacity(4 + mid.len());
+    out.clear();
     out.extend_from_slice(&(prefix as u16).to_be_bytes());
     out.extend_from_slice(&(suffix as u16).to_be_bytes());
-    out.extend_from_slice(mid);
-    out
+    out.extend_from_slice(&new[prefix..new.len() - suffix]);
 }
 
 /// Reconstruct a version from its delta payload and the materialized data
@@ -163,17 +171,6 @@ impl<'a> ChainWalker<'a> {
     }
 }
 
-/// One fully materialized version, carried between pages during packing.
-/// The tail is raw `(Ttime, SN)` bytes — committed stamp or TID mark
-/// alike, copied verbatim.
-#[derive(Clone)]
-pub struct ChainVersion {
-    pub data: Vec<u8>,
-    pub flags: u8,
-    pub ttime: u64,
-    pub sn: u32,
-}
-
 /// Records written by a packing pass, split by encoding.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PackCounts {
@@ -188,74 +185,85 @@ impl PackCounts {
     }
 }
 
-/// Append one whole chain (newest first, already materialized) to `dst`
-/// in delta-packed form: the head and every [`DELTA_ANCHOR_EVERY`]-th
-/// version are full anchors, the rest become deltas against their newer
-/// neighbour when that is actually smaller. Only the head carries the key;
-/// stubs are never delta-encoded. Adds the slot for the head.
-pub fn pack_chain_into(dst: &mut Page, key: &[u8], vers: &[ChainVersion]) -> Result<PackCounts> {
-    debug_assert!(dst.is_versioned());
-    let mut counts = PackCounts::default();
-    let mut prev_new: Option<usize> = None;
-    let mut head: Option<usize> = None;
-    for (idx, v) in vers.iter().enumerate() {
-        let is_head = idx == 0;
-        let stub = v.flags & RFLAG_DELETE_STUB != 0;
-        let mut enc = Vec::new();
-        let mut use_delta = false;
-        if !is_head && idx % DELTA_ANCHOR_EVERY != 0 && !stub {
-            enc = encode_delta(&vers[idx - 1].data, &v.data);
-            use_delta = enc.len() < v.data.len();
-        }
-        let dead_mask = !(crate::page::RFLAG_DEAD | RFLAG_DELTA);
-        let off = if use_delta {
-            dst.alloc_record(&[], &enc, (v.flags & dead_mask) | RFLAG_DELTA, is_head)?
-        } else {
-            let k: &[u8] = if is_head { key } else { &[] };
-            dst.alloc_record(k, &v.data, v.flags & dead_mask, is_head)?
-        };
-        dst.set_rec_tail_raw(off, v.ttime, v.sn);
-        dst.set_rec_vp(off, 0);
-        if use_delta {
-            counts.deltas += 1;
-        } else {
-            counts.anchors += 1;
-        }
-        match prev_new {
-            None => head = Some(off),
-            Some(p) => dst.set_rec_vp(p, off),
-        }
-        prev_new = Some(off);
-    }
-    if let Some(h) = head {
-        let pos = match dst.find_slot(key) {
-            Ok(_) => {
-                return Err(Error::Internal(
-                    "duplicate slot while packing a chain".into(),
-                ))
-            }
-            Err(pos) => pos,
-        };
-        dst.add_slot_for(pos, h);
-    }
-    Ok(counts)
+/// Packs whole chains onto a page in delta form, one version at a time,
+/// newest first, taking each version's bytes from wherever they lie: a
+/// time split's current page, a compaction's [`ChainWalker`]. The head
+/// and every [`DELTA_ANCHOR_EVERY`]-th version are full anchors, the rest
+/// deltas against their newer neighbour when that is actually smaller.
+/// Only the head carries the key; stubs are never delta-encoded. The
+/// newer neighbour's bytes and the delta being built live in buffers the
+/// packer reuses for every version and chain.
+#[derive(Default)]
+pub struct ChainPacker {
+    newer: Vec<u8>,
+    delta: Vec<u8>,
+    /// Versions of the open chain so far, and its head and last records.
+    len: usize,
+    head: usize,
+    last: usize,
+    /// Records written so far, by encoding.
+    pub counts: PackCounts,
 }
 
-/// Materialize every version of the chain at slot `i`, newest first
-/// (folding deltas as needed). The building block of the compactor's
-/// page rewrites.
-pub fn materialize_chain(page: &Page, i: usize) -> Result<(Vec<ChainVersion>, u64)> {
-    let mut out = Vec::new();
-    let mut w = ChainWalker::new(page, i);
-    while let Some(rec) = w.step()? {
-        out.push(ChainVersion {
-            data: w.data().to_vec(),
-            flags: rec.flags,
-            ttime: rec.ttime,
-            sn: rec.sn,
-        });
+impl ChainPacker {
+    /// Append the next (older) version of the open chain to `dst`; the
+    /// first version opens a chain of `key`. The tail is raw `(Ttime,
+    /// SN)` bytes — committed stamp or TID mark alike, copied verbatim.
+    pub fn push(
+        &mut self,
+        dst: &mut Page,
+        key: &[u8],
+        data: &[u8],
+        flags: u8,
+        ttime: u64,
+        sn: u32,
+    ) -> Result<()> {
+        debug_assert!(dst.is_versioned());
+        let head = self.len == 0;
+        let flags = flags & !(crate::page::RFLAG_DEAD | RFLAG_DELTA);
+        // The head and every K-th version are anchors; a stub is never a
+        // delta; any other version is one when that is smaller.
+        let delta =
+            !self.len.is_multiple_of(DELTA_ANCHOR_EVERY) && flags & RFLAG_DELETE_STUB == 0 && {
+                encode_delta_into(&self.newer, data, &mut self.delta);
+                self.delta.len() < data.len()
+            };
+        let off = if delta {
+            dst.alloc_record(&[], &self.delta, flags | RFLAG_DELTA, false)?
+        } else {
+            dst.alloc_record(if head { key } else { &[] }, data, flags, head)?
+        };
+        dst.set_rec_tail_raw(off, ttime, sn);
+        dst.set_rec_vp(off, 0);
+        if delta {
+            self.counts.deltas += 1;
+        } else {
+            self.counts.anchors += 1;
+        }
+        if head {
+            self.head = off;
+        } else {
+            dst.set_rec_vp(self.last, off);
+        }
+        (self.last, self.len) = (off, self.len + 1);
+        self.newer.clear();
+        self.newer.extend_from_slice(data);
+        Ok(())
     }
-    Ok((out, w.folds))
+
+    /// Close the open chain, if any: add its head's slot to `dst`.
+    pub fn finish(&mut self, dst: &mut Page) -> Result<()> {
+        if std::mem::take(&mut self.len) == 0 {
+            return Ok(());
+        }
+        let Err(pos) = dst.find_slot(dst.rec_key(self.head)) else {
+            return Err(Error::Internal(
+                "duplicate slot while packing a chain".into(),
+            ));
+        };
+        dst.add_slot_for(pos, self.head);
+        Ok(())
+    }
 }
 
 /// Push a new version for `key` onto the page: a plain insert if the key
@@ -322,19 +330,21 @@ pub fn pop_newest(page: &mut Page, key: &[u8], tid: Tid) -> Result<()> {
     Ok(())
 }
 
+/// The version after `off` in its chain (its older neighbour), if any.
+fn older(page: &Page, off: usize) -> Option<usize> {
+    let vp = page.rec_vp(off);
+    (vp != 0).then_some(vp)
+}
+
+/// The version offsets of the chain anchored at slot `i`, newest first,
+/// read as the walk goes.
+pub fn chain(page: &Page, i: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors(Some(page.slot(i)), move |&off| older(page, off))
+}
+
 /// All version offsets of the chain anchored at slot `i`, newest first.
 pub fn chain_offsets(page: &Page, i: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut off = page.slot(i);
-    loop {
-        out.push(off);
-        let vp = page.rec_vp(off);
-        if vp == 0 {
-            break;
-        }
-        off = vp;
-    }
-    out
+    chain(page, i).collect()
 }
 
 /// Outcome of a visibility walk along one chain.
@@ -401,42 +411,77 @@ fn classify(page: &Page, off: usize) -> Visible {
 
 /// Apply timestamps to every TID-marked record of a committed transaction
 /// in this page (triggers: page flush, time split, opportunistic access).
-/// Returns how many records of each transaction were stamped so the
-/// caller can decrement the volatile reference counts. This mutation is
+/// The resolver hears how many records of each transaction were stamped
+/// ([`TimestampResolver::note_stamped`], which drives the volatile
+/// reference counts); returns how many were in all. This mutation is
 /// deliberately unlogged (§2.2): durability comes from the
 /// flush-before-GC rule.
-pub fn stamp_committed(page: &mut Page, resolver: &dyn TimestampResolver) -> Vec<(Tid, u32)> {
+pub fn stamp_committed(page: &mut Page, resolver: &dyn TimestampResolver) -> u64 {
     debug_assert!(page.is_versioned());
-    let mut counts: HashMap<Tid, u32> = HashMap::new();
+    let mut stamper = Stamper::new(resolver);
     for i in 0..page.slot_count() {
-        for off in chain_offsets(page, i) {
-            if page.rec_is_tid_marked(off) {
-                let tid = page.rec_tid(off);
-                if let Some(ts) = resolver.resolve(tid) {
-                    page.stamp_rec(off, ts);
-                    *counts.entry(tid).or_insert(0) += 1;
-                }
-            }
-        }
+        stamper.chain(page, i);
     }
-    counts.into_iter().collect()
+    stamper.finish()
 }
 
 /// Stamp the chain for a single key (the paper's update trigger: "when we
 /// update a non-timestamped version of a record with a later version, all
-/// existing versions must be committed, and we timestamp them all").
-pub fn stamp_chain(page: &mut Page, i: usize, resolver: &dyn TimestampResolver) -> Vec<(Tid, u32)> {
-    let mut counts: HashMap<Tid, u32> = HashMap::new();
-    for off in chain_offsets(page, i) {
-        if page.rec_is_tid_marked(off) {
+/// existing versions must be committed, and we timestamp them all"), as
+/// [`stamp_committed`] does a page.
+pub fn stamp_chain(page: &mut Page, i: usize, resolver: &dyn TimestampResolver) -> u64 {
+    let mut stamper = Stamper::new(resolver);
+    stamper.chain(page, i);
+    stamper.finish()
+}
+
+/// Stamps the committed TID-marked versions a walk meets, telling the
+/// resolver once per run of one transaction's versions.
+struct Stamper<'r> {
+    resolver: &'r dyn TimestampResolver,
+    run: Option<(Tid, u32)>,
+    stamped: u64,
+}
+
+impl<'r> Stamper<'r> {
+    fn new(resolver: &'r dyn TimestampResolver) -> Stamper<'r> {
+        Stamper {
+            resolver,
+            run: None,
+            stamped: 0,
+        }
+    }
+
+    fn chain(&mut self, page: &mut Page, i: usize) {
+        let mut next = Some(page.slot(i));
+        while let Some(off) = next {
+            next = older(page, off);
+            if !page.rec_is_tid_marked(off) {
+                continue;
+            }
             let tid = page.rec_tid(off);
-            if let Some(ts) = resolver.resolve(tid) {
-                page.stamp_rec(off, ts);
-                *counts.entry(tid).or_insert(0) += 1;
+            let Some(ts) = self.resolver.resolve(tid) else {
+                continue;
+            };
+            page.stamp_rec(off, ts);
+            self.stamped += 1;
+            match &mut self.run {
+                Some((t, n)) if *t == tid => *n += 1,
+                run => {
+                    if let Some((t, n)) = run.replace((tid, 1)) {
+                        self.resolver.note_stamped(t, n);
+                    }
+                }
             }
         }
     }
-    counts.into_iter().collect()
+
+    fn finish(self) -> u64 {
+        if let Some((t, n)) = self.run {
+            self.resolver.note_stamped(t, n);
+        }
+        self.stamped
+    }
 }
 
 /// Garbage-collect snapshot versions (§3, "Snapshots"): drop versions of
@@ -482,25 +527,25 @@ enum SplitFate {
     CurrentOnly,
 }
 
-/// Compute the fate of each version in the chain (offsets newest-first)
-/// for a time split at `split_ts`, per the four cases of Fig. 3 plus the
+/// The chain at slot `i` with each version's fate in a time split at
+/// `split_ts`, newest first, per the four cases of Fig. 3 plus the
 /// delete-stub rule. All committed versions must already be stamped.
-fn chain_fates(page: &Page, chain: &[usize], split_ts: Timestamp) -> Vec<SplitFate> {
-    // end[i] = start of the next newer *effective* version. Uncommitted
-    // versions have no timestamp yet and do not close their predecessor's
-    // lifetime.
-    let mut fates = vec![SplitFate::CurrentOnly; chain.len()];
-    let mut next_newer_start: Option<Timestamp> = None; // lifetime end bound
-    for (idx, &off) in chain.iter().enumerate() {
+fn fates(
+    page: &Page,
+    i: usize,
+    split_ts: Timestamp,
+) -> impl Iterator<Item = (usize, SplitFate)> + '_ {
+    // The start of the next newer *effective* version ends a lifetime.
+    // Uncommitted versions have no timestamp yet and end nothing.
+    let mut next_newer_start: Option<Timestamp> = None;
+    chain(page, i).map(move |off| {
         if page.rec_is_tid_marked(off) {
             // Case 4: uncommitted versions remain in the current page.
-            fates[idx] = SplitFate::CurrentOnly;
-            continue;
+            return (off, SplitFate::CurrentOnly);
         }
         let start = page.rec_timestamp(off);
-        let end = next_newer_start.unwrap_or(Timestamp::MAX);
-        let stub = page.rec_is_stub(off);
-        fates[idx] = if stub {
+        let end = next_newer_start.replace(start).unwrap_or(Timestamp::MAX);
+        let fate = if page.rec_is_stub(off) {
             if start < split_ts {
                 // Stubs earlier than the split time move to history: their
                 // purpose is to end the prior version there. They are
@@ -519,9 +564,8 @@ fn chain_fates(page: &Page, chain: &[usize], split_ts: Timestamp) -> Vec<SplitFa
             // Case 3: born at/after the split.
             SplitFate::CurrentOnly
         };
-        next_newer_start = Some(start);
-    }
-    fates
+        (off, fate)
+    })
 }
 
 /// Bytes a time split at `split_ts` would free from the current page
@@ -529,17 +573,12 @@ fn chain_fates(page: &Page, chain: &[usize], split_ts: Timestamp) -> Vec<SplitFa
 /// split is worthwhile or the page should go straight to a key split
 /// (insert-heavy pages may have nothing historical to shed).
 pub fn time_split_gain(cur: &Page, split_ts: Timestamp) -> usize {
-    let mut gain = 0usize;
-    for i in 0..cur.slot_count() {
-        let chain = chain_offsets(cur, i);
-        let fates = chain_fates(cur, &chain, split_ts);
-        for (idx, &off) in chain.iter().enumerate() {
-            if fates[idx] == SplitFate::HistoryOnly {
-                gain += cur.rec_size(off);
-            }
-        }
-    }
-    gain + cur.frag_space()
+    let shed: usize = (0..cur.slot_count())
+        .flat_map(|i| fates(cur, i, split_ts))
+        .filter(|&(_, fate)| fate == SplitFate::HistoryOnly)
+        .map(|(off, _)| cur.rec_size(off))
+        .sum();
+    shed + cur.frag_space()
 }
 
 /// Time-split `cur` at `split_ts` (§3.3): returns `(history page, new
@@ -576,66 +615,44 @@ pub fn time_split(
     fresh.set_history_page(hist_id);
     fresh.set_next_leaf(cur.next_leaf());
 
-    let mut counts = PackCounts::default();
+    let mut packer = ChainPacker::default();
     for i in 0..cur.slot_count() {
-        let chain = chain_offsets(cur, i);
-        let fates = chain_fates(cur, &chain, split_ts);
-        copy_chain(cur, &chain, &fates, &mut fresh, |f| {
-            matches!(f, SplitFate::CurrentOnly | SplitFate::Both)
-        })?;
-        // Current pages never hold deltas, so the picked records are
-        // already materialized.
-        let vers: Vec<ChainVersion> = chain
-            .iter()
-            .zip(&fates)
-            .filter(|&(_, f)| matches!(f, SplitFate::HistoryOnly | SplitFate::Both))
-            .map(|(&off, _)| ChainVersion {
-                data: cur.rec_data(off).to_vec(),
-                flags: cur.rec_flags(off),
-                ttime: cur.rec_ttime(off),
-                sn: cur.rec_sn(off),
-            })
-            .collect();
-        if !vers.is_empty() {
-            let key = cur.rec_key(chain[0]).to_vec();
-            counts.add(pack_chain_into(&mut hist, &key, &vers)?);
+        let stays = fates(cur, i, split_ts).filter(|&(_, f)| f != SplitFate::HistoryOnly);
+        copy_chain(cur, stays.map(|(off, _)| off), &mut fresh)?;
+        // Current pages never hold deltas (and every version carries the
+        // key), so each version the history page takes is whole here.
+        for (off, _) in fates(cur, i, split_ts).filter(|&(_, f)| f != SplitFate::CurrentOnly) {
+            let (key, data) = (cur.rec_key(off), cur.rec_data(off));
+            let (flags, ttime, sn) = (cur.rec_flags(off), cur.rec_ttime(off), cur.rec_sn(off));
+            packer.push(&mut hist, key, data, flags, ttime, sn)?;
         }
+        packer.finish(&mut hist)?;
     }
-    Ok((hist, fresh, counts))
+    Ok((hist, fresh, packer.counts))
 }
 
-/// Copy the subset of `chain` selected by `pick` into `dst`, preserving
-/// newest-first order and relinking VPs.
-fn copy_chain(
-    src: &Page,
-    chain: &[usize],
-    fates: &[SplitFate],
-    dst: &mut Page,
-    pick: impl Fn(SplitFate) -> bool,
-) -> Result<()> {
+/// Copy the versions `offs` of one chain of `src` (newest first) into
+/// `dst`, preserving their order and relinking VPs.
+fn copy_chain(src: &Page, offs: impl Iterator<Item = usize>, dst: &mut Page) -> Result<()> {
     let mut prev_new: Option<usize> = None;
-    let mut first_new: Option<usize> = None;
-    for (idx, &off) in chain.iter().enumerate() {
-        if !pick(fates[idx]) {
-            continue;
-        }
+    let mut first: Option<(usize, usize)> = None;
+    for off in offs {
         let new_off = dst.alloc_record(
             src.rec_key(off),
             src.rec_data(off),
             src.rec_flags(off),
-            first_new.is_none(),
+            first.is_none(),
         )?;
         // Copy Ttime + SN verbatim (committed stamps or TID marks).
         copy_tail(src, off, dst, new_off);
         match prev_new {
-            None => first_new = Some(new_off),
+            None => first = Some((off, new_off)),
             Some(p) => dst.set_rec_vp(p, new_off),
         }
         prev_new = Some(new_off);
     }
-    if let Some(head) = first_new {
-        let key = dst.rec_key(head).to_vec();
-        let pos = match dst.find_slot(&key) {
+    if let Some((src_head, head)) = first {
+        let pos = match dst.find_slot(src.rec_key(src_head)) {
             Ok(_) => return Err(Error::Internal("duplicate slot during split copy".into())),
             Err(pos) => pos,
         };
@@ -668,7 +685,7 @@ pub fn key_split(cur: &Page, right_id: PageId) -> Result<(Page, Page, Vec<u8>)> 
     let chain_bytes: Vec<usize> = (0..n)
         .map(|i| {
             if cur.is_versioned() {
-                chain_offsets(cur, i).iter().map(|&o| cur.rec_size(o)).sum()
+                chain(cur, i).map(|o| cur.rec_size(o)).sum()
             } else {
                 cur.rec_size(cur.slot(i))
             }
@@ -702,9 +719,7 @@ pub fn key_split(cur: &Page, right_id: PageId) -> Result<(Page, Page, Vec<u8>)> 
     for i in 0..n {
         let dst = if i < split_at { &mut left } else { &mut right };
         if cur.is_versioned() {
-            let chain = chain_offsets(cur, i);
-            let fates = vec![SplitFate::Both; chain.len()];
-            copy_chain(cur, &chain, &fates, dst, |_| true)?;
+            copy_chain(cur, chain(cur, i), dst)?;
         } else {
             let off = cur.slot(i);
             dst.insert_sorted(cur.rec_key(off), cur.rec_data(off), cur.rec_flags(off))?;
@@ -720,10 +735,14 @@ mod tests {
     use crate::page::{PageType, FLAG_VERSIONED};
     use std::collections::HashMap as Map;
 
-    struct MapResolver(Map<u64, Timestamp>);
+    /// Resolves from a map; keeps what it was told was stamped.
+    struct MapResolver(Map<u64, Timestamp>, std::sync::Mutex<Vec<(Tid, u32)>>);
     impl TimestampResolver for MapResolver {
         fn resolve(&self, tid: Tid) -> Option<Timestamp> {
             self.0.get(&tid.0).copied()
+        }
+        fn note_stamped(&self, tid: Tid, n: u32) {
+            self.1.lock().unwrap().push((tid, n));
         }
     }
 
@@ -782,7 +801,7 @@ mod tests {
         p.stamp_rec(o2, ts(40, 0));
         let o3 = add_version(&mut p, b"a", b"v3", false, Tid(3)).unwrap();
         p.stamp_rec(o3, ts(60, 0));
-        let r = MapResolver(Map::new());
+        let r = MapResolver(Map::new(), Default::default());
         assert_eq!(
             visible_as_of(&p, 0, ts(60, 5), None, &r),
             Visible::Version(o3)
@@ -808,8 +827,8 @@ mod tests {
         let o1 = add_version(&mut p, b"a", b"v1", false, Tid(1)).unwrap();
         p.stamp_rec(o1, ts(20, 0));
         let o2 = add_version(&mut p, b"a", b"v2", false, Tid(5)).unwrap();
-        let r = MapResolver(Map::new()); // Tid(5) still active
-                                         // Other readers skip the uncommitted version.
+        let r = MapResolver(Map::new(), Default::default()); // Tid(5) still active
+                                                             // Other readers skip the uncommitted version.
         assert_eq!(
             visible_as_of(&p, 0, Timestamp::MAX, None, &r),
             Visible::Version(o1)
@@ -822,7 +841,7 @@ mod tests {
         // Once committed (resolver knows), it becomes visible to all.
         let mut m = Map::new();
         m.insert(5, ts(40, 0));
-        let r = MapResolver(m);
+        let r = MapResolver(m, Default::default());
         assert_eq!(
             visible_as_of(&p, 0, Timestamp::MAX, None, &r),
             Visible::Version(o2)
@@ -840,7 +859,7 @@ mod tests {
         p.stamp_rec(o1, ts(20, 0));
         let o2 = add_version(&mut p, b"a", b"", true, Tid(2)).unwrap();
         p.stamp_rec(o2, ts(40, 0));
-        let r = MapResolver(Map::new());
+        let r = MapResolver(Map::new(), Default::default());
         assert_eq!(visible_as_of(&p, 0, ts(50, 0), None, &r), Visible::Deleted);
         assert_eq!(
             visible_as_of(&p, 0, ts(30, 0), None, &r),
@@ -857,10 +876,9 @@ mod tests {
         let mut m = Map::new();
         m.insert(1, ts(20, 0));
         // Tid(2) not yet committed.
-        let counts = stamp_committed(&mut p, &MapResolver(m));
-        let mut counts: Vec<_> = counts;
-        counts.sort();
-        assert_eq!(counts, vec![(Tid(1), 2)]);
+        let resolver = MapResolver(m, Default::default());
+        assert_eq!(stamp_committed(&mut p, &resolver), 2);
+        assert_eq!(*resolver.1.lock().unwrap(), vec![(Tid(1), 2)]);
         // a and b stamped, c still TID-marked.
         let oa = p.slot(p.find_slot(b"a").unwrap());
         assert_eq!(p.rec_timestamp(oa), ts(20, 0));
@@ -1028,6 +1046,33 @@ mod tests {
         assert!(apply_delta(b"x", &[0]).is_err());
     }
 
+    /// Pack `datas` (newest first, each stamped `ttime(i)`) as one chain
+    /// of `key` onto `dst`.
+    fn pack(
+        dst: &mut Page,
+        key: &[u8],
+        datas: &[Vec<u8>],
+        ttime: impl Fn(usize) -> u64,
+    ) -> PackCounts {
+        let mut packer = ChainPacker::default();
+        for (i, data) in datas.iter().enumerate() {
+            packer.push(dst, key, data, 0, ttime(i), 0).unwrap();
+        }
+        packer.finish(dst).unwrap();
+        packer.counts
+    }
+
+    /// Every version's bytes of the chain at slot `i`, newest first, and
+    /// the delta folds the walk took.
+    fn unpack(page: &Page, i: usize) -> (Vec<Vec<u8>>, u64) {
+        let mut w = ChainWalker::new(page, i);
+        let mut out = Vec::new();
+        while w.step().unwrap().is_some() {
+            out.push(w.data().to_vec());
+        }
+        (out, w.folds)
+    }
+
     fn big(val: u8, tag: u8) -> Vec<u8> {
         // 120 mostly-stable bytes with a small mutating tail — the shape
         // delta encoding exists for.
@@ -1040,14 +1085,7 @@ mod tests {
     #[test]
     fn pack_chain_writes_deltas_and_anchors_every_k() {
         let depth = 2 * DELTA_ANCHOR_EVERY + 3;
-        let vers: Vec<ChainVersion> = (0..depth)
-            .map(|i| ChainVersion {
-                data: big(9, i as u8),
-                flags: 0,
-                ttime: 1000 - i as u64,
-                sn: 0,
-            })
-            .collect();
+        let vers: Vec<Vec<u8>> = (0..depth).map(|i| big(9, i as u8)).collect();
         let mut hist = Page::zeroed();
         hist.format(
             PageId(3),
@@ -1055,7 +1093,7 @@ mod tests {
             FLAG_VERSIONED | FLAG_HISTORICAL,
             0,
         );
-        let counts = pack_chain_into(&mut hist, b"key", &vers).unwrap();
+        let counts = pack(&mut hist, b"key", &vers, |i| 1000 - i as u64);
         // Head + one anchor per K boundary; everything else deltas.
         let expect_anchors = 1 + (depth - 1) / DELTA_ANCHOR_EVERY;
         assert_eq!(counts.anchors as usize, expect_anchors);
@@ -1080,14 +1118,8 @@ mod tests {
 
     #[test]
     fn pack_falls_back_to_full_when_delta_not_smaller() {
-        let vers: Vec<ChainVersion> = (0..3)
-            .map(|i| ChainVersion {
-                data: vec![i as u8; 2], // tiny values: 4-byte delta header loses
-                flags: 0,
-                ttime: 100 - i as u64,
-                sn: 0,
-            })
-            .collect();
+        // Tiny values: the 4-byte delta header loses.
+        let vers: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8; 2]).collect();
         let mut hist = Page::zeroed();
         hist.format(
             PageId(3),
@@ -1095,7 +1127,7 @@ mod tests {
             FLAG_VERSIONED | FLAG_HISTORICAL,
             0,
         );
-        let counts = pack_chain_into(&mut hist, b"k", &vers).unwrap();
+        let counts = pack(&mut hist, b"k", &vers, |i| 100 - i as u64);
         assert_eq!(counts.deltas, 0);
         assert_eq!(counts.anchors, 3);
     }
@@ -1115,11 +1147,11 @@ mod tests {
         // History holds the full chain (newest spans the split -> Both);
         // the walker reproduces every payload.
         let hi = hist.find_slot(b"obj").unwrap();
-        let (vers, folds) = materialize_chain(&hist, hi).unwrap();
+        let (vers, folds) = unpack(&hist, hi);
         assert_eq!(vers.len(), depth);
         assert!(folds > 0);
         for (idx, v) in vers.iter().enumerate() {
-            assert_eq!(v.data, big(5, (depth - 1 - idx) as u8));
+            assert_eq!(v, &big(5, (depth - 1 - idx) as u8));
         }
         // Packed history is denser than the same versions were on the
         // source page, where every record is a full image.
@@ -1133,14 +1165,7 @@ mod tests {
     #[test]
     fn page_compact_preserves_packed_chains() {
         let depth = 10;
-        let vers: Vec<ChainVersion> = (0..depth)
-            .map(|i| ChainVersion {
-                data: big(1, i as u8),
-                flags: 0,
-                ttime: 500 - i as u64,
-                sn: 0,
-            })
-            .collect();
+        let vers: Vec<Vec<u8>> = (0..depth).map(|i| big(1, i as u8)).collect();
         let mut hist = Page::zeroed();
         hist.format(
             PageId(3),
@@ -1148,7 +1173,7 @@ mod tests {
             FLAG_VERSIONED | FLAG_HISTORICAL,
             0,
         );
-        pack_chain_into(&mut hist, b"a", &vers).unwrap();
+        pack(&mut hist, b"a", &vers, |i| 500 - i as u64);
         // A dead sibling chain gives compact() something to reclaim.
         let o = add_version(&mut hist, b"zz", b"junk", false, Tid(1)).unwrap();
         hist.stamp_rec(o, ts(1, 0));
@@ -1157,11 +1182,8 @@ mod tests {
         hist.compact().unwrap();
 
         let i = hist.find_slot(b"a").unwrap();
-        let (out, _) = materialize_chain(&hist, i).unwrap();
-        assert_eq!(out.len(), depth);
-        for (idx, v) in out.iter().enumerate() {
-            assert_eq!(v.data, big(1, idx as u8));
-        }
+        let (out, _) = unpack(&hist, i);
+        assert_eq!(out, vers);
     }
 
     #[test]

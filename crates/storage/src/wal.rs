@@ -7,9 +7,10 @@
 //! A torn tail (zero length, truncated body, CRC mismatch) cleanly ends
 //! the scan.
 //!
-//! Appends accumulate in an in-memory buffer; [`Wal::flush`] writes (and
-//! optionally fsyncs) it. The buffer pool calls [`Wal::flush_to`] before
-//! writing any page, enforcing the WAL rule.
+//! Appends accumulate in an in-memory buffer, each record encoded once,
+//! straight into it; [`Wal::flush`] writes (and optionally fsyncs) it.
+//! The buffer pool calls [`Wal::flush_to`] before writing any page,
+//! enforcing the WAL rule.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use immortaldb_common::codec::crc32;
+use immortaldb_common::codec::{crc32, Writer};
 use immortaldb_common::{blocking, Error, Lsn, Result, Tid};
 use immortaldb_obs::MetricsRegistry;
 
@@ -214,26 +215,25 @@ impl Wal {
 
     /// Append a record; returns its LSN. The record is buffered — call
     /// [`Self::flush`] (or let the buffer pool's WAL-rule flush do it) to
-    /// make it durable.
-    pub fn append(&self, tid: Tid, prev_lsn: Lsn, record: &LogRecord) -> Lsn {
-        let mut body = Vec::with_capacity(BODY_HDR + 32);
-        body.extend_from_slice(&tid.0.to_le_bytes());
-        body.extend_from_slice(&prev_lsn.0.to_le_bytes());
-        body.extend_from_slice(&record.encode());
-        let crc = crc32(&body);
-        self.metrics.wal.appends.inc();
-        self.metrics.wal.bytes.add(FRAME_HDR + body.len() as u64);
+    /// make it durable. It is encoded once, into the buffer: the frame
+    /// header is reserved, the body written after it, and the header
+    /// filled in from the body in place.
+    pub fn append(&self, tid: Tid, prev_lsn: Lsn, record: &LogRecord<&[u8]>) -> Lsn {
         let mut inner = self.inner.lock();
-        let lsn = Lsn(inner.buf_start + inner.buf.len() as u64);
-        inner
-            .buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        inner.buf.extend_from_slice(&crc.to_le_bytes());
-        inner.buf.extend_from_slice(&body);
-        self.metrics
-            .wal
-            .end_lsn
-            .set(inner.buf_start + inner.buf.len() as u64);
+        let at = inner.buf.len();
+        let lsn = Lsn(inner.buf_start + at as u64);
+        let mut w = Writer::from(std::mem::take(&mut inner.buf));
+        w.raw(&[0; FRAME_HDR as usize]).u64(tid.0).u64(prev_lsn.0);
+        record.encode_into(&mut w);
+        inner.buf = w.finish();
+        let body = &inner.buf[at + FRAME_HDR as usize..];
+        let (len, crc) = (body.len() as u32, crc32(body));
+        inner.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        inner.buf[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+        let end = inner.buf_start + inner.buf.len() as u64;
+        self.metrics.wal.appends.inc();
+        self.metrics.wal.bytes.add(end - lsn.0);
+        self.metrics.wal.end_lsn.set(end);
         lsn
     }
 
@@ -597,8 +597,8 @@ mod tests {
             &LogRecord::AddVersion {
                 tree: TreeId(5),
                 page: PageId(3),
-                key: b"k".to_vec(),
-                data: b"v".to_vec(),
+                key: b"k",
+                data: b"v",
                 stub: false,
             },
         );

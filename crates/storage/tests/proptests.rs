@@ -272,27 +272,23 @@ proptest! {
         payloads in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 1..120), 1..20),
     ) {
-        use immortaldb_storage::version::ChainVersion;
         // Newest-first chain with strictly decreasing timestamps.
         let n = payloads.len() as u64;
-        let vers: Vec<ChainVersion> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ChainVersion {
-                data: p.clone(),
-                flags: 0,
-                ttime: (n - i as u64) * 10,
-                sn: 0,
-            })
-            .collect();
         let mut page = Page::zeroed();
         page.format(PageId(9), PageType::Leaf, FLAG_VERSIONED, 0);
-        version::pack_chain_into(&mut page, b"key", &vers).unwrap();
-        let (back, _) = version::materialize_chain(&page, 0).unwrap();
-        prop_assert_eq!(back.len(), vers.len());
-        for (a, b) in back.iter().zip(vers.iter()) {
-            prop_assert_eq!(&a.data, &b.data);
-            prop_assert_eq!(a.ttime, b.ttime);
+        let mut packer = version::ChainPacker::default();
+        for (i, p) in payloads.iter().enumerate() {
+            let ttime = (n - i as u64) * 10;
+            packer.push(&mut page, b"key", p, 0, ttime, 0).unwrap();
         }
+        packer.finish(&mut page).unwrap();
+        let mut walker = version::ChainWalker::new(&page, 0);
+        let mut back = 0;
+        while let Some(rec) = walker.step().unwrap() {
+            prop_assert_eq!(walker.data(), &payloads[back][..]);
+            prop_assert_eq!(rec.ttime, (n - back as u64) * 10);
+            back += 1;
+        }
+        prop_assert_eq!(back, payloads.len());
     }
 }

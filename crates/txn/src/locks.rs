@@ -6,22 +6,19 @@
 //! snapshot-isolation transactions take IX + X(key) on writes only, reads
 //! go to versions. Locks are held to transaction end.
 //!
-//! A blocked request first checks the wait-for graph for a cycle (the
-//! requester aborts as the victim) and otherwise waits with a timeout
-//! backstop.
-//!
-//! The lock table is split into [`LOCK_SHARDS`] independently-latched
-//! shards (fibonacci-hashed by target) so concurrent transactions
-//! touching different keys do not serialize on one mutex; contended
-//! shard acquisitions are counted in `locks.shard_conflicts`. Deadlock
-//! detection is the one cross-shard operation: the would-be waiter
-//! releases its shard, takes every shard in index order, and walks the
-//! combined wait-for graph. Release is not: the manager remembers which
-//! shards a transaction touched and visits only those.
+//! A request hashes its target once: the top bits pick one of
+//! [`LOCK_SHARDS`] latched shards (contended latches count in
+//! `locks.shard_conflicts`), whose table the hash keys, with a short
+//! `(holder, mode)` list per target. A transaction lists what it asked
+//! for, which release visits shard by shard, and its table modes, whose
+//! re-request (a write's IX after its first) skips the shard. A blocked
+//! request checks the wait-for graph over every shard — the one
+//! cross-shard operation — for a cycle (the requester aborts as the
+//! victim), and otherwise waits with a timeout backstop.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -64,45 +61,60 @@ pub enum LockTarget {
     Key(TreeId, Vec<u8>),
 }
 
-#[derive(Default)]
-struct Granted {
-    /// Modes held per transaction (a transaction may hold several).
-    holders: HashMap<Tid, HashSet<LockMode>>,
+/// A target (tree, key or `None` for the table) and its hash, computed
+/// once per request; the shard tables hash it as that one word.
+#[derive(Clone, PartialEq, Eq)]
+struct Hashed(u64, TreeId, Option<Arc<[u8]>>);
+
+/// Hash keys drawn once per process: clients must not aim the hashes.
+static TARGET_HASH: OnceLock<RandomState> = OnceLock::new();
+
+impl Hashed {
+    fn new(tree: TreeId, key: Option<&[u8]>) -> Hashed {
+        let state = TARGET_HASH.get_or_init(RandomState::new);
+        Hashed(state.hash_one((tree, key)), tree, key.map(Arc::from))
+    }
+
+    /// Its shard: the hash's top bits.
+    fn shard(&self) -> usize {
+        (self.0 >> (u64::BITS - LOCK_SHARDS.trailing_zeros())) as usize
+    }
 }
 
-impl Granted {
-    fn is_free(&self) -> bool {
-        self.holders.is_empty()
+impl Hash for Hashed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0);
     }
+}
 
-    fn compatible(&self, tid: Tid, mode: LockMode) -> bool {
-        self.holders
-            .iter()
-            .filter(|(t, _)| **t != tid)
-            .all(|(_, modes)| modes.iter().all(|m| m.compatible(mode)))
-    }
+/// Hasher of one-word keys (a target's hash, a TID): a fibonacci spread.
+#[derive(Default)]
+struct Spread(u64);
 
-    /// Grant `mode` to `tid`; false if it already held it.
-    fn grant(&mut self, tid: Tid, mode: LockMode) -> bool {
-        self.holders.entry(tid).or_default().insert(mode)
+impl Hasher for Spread {
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = u64::from_ne_bytes(bytes.try_into().expect("keys hash as one u64"));
+    }
+}
 
-    fn blockers(&self, tid: Tid, mode: LockMode) -> Vec<Tid> {
-        self.holders
-            .iter()
-            .filter(|(t, modes)| **t != tid && modes.iter().any(|m| !m.compatible(mode)))
-            .map(|(t, _)| *t)
-            .collect()
-    }
+type SpreadMap<K, V> = HashMap<K, V, BuildHasherDefault<Spread>>;
+
+/// Does a holder other than `tid` hold a mode that conflicts with `mode`?
+fn blocked(holders: &[(Tid, LockMode)], tid: Tid, mode: LockMode) -> bool {
+    holders
+        .iter()
+        .any(|&(t, m)| t != tid && !m.compatible(mode))
 }
 
 #[derive(Default)]
 struct LockTable {
-    granted: HashMap<LockTarget, Granted>,
+    /// Per locked target, each mode each holder holds.
+    granted: SpreadMap<Hashed, Vec<(Tid, LockMode)>>,
     /// What each blocked transaction is waiting for.
-    waiting: HashMap<Tid, (LockTarget, LockMode)>,
-    /// Targets held per transaction (for release-all).
-    held: HashMap<Tid, HashSet<LockTarget>>,
+    waiting: SpreadMap<Tid, (Hashed, LockMode)>,
 }
 
 /// Number of lock-table shards (power of two).
@@ -114,18 +126,20 @@ struct Shard {
     cond: Condvar,
 }
 
+/// What one transaction asked for: every target it locked or waited for
+/// (release visits these), and the table modes it holds.
+#[derive(Default)]
+struct Held(Vec<Hashed>, Vec<(TreeId, LockMode)>);
+
 /// The lock manager.
 pub struct LockManager {
     shards: Vec<Shard>,
-    /// Per transaction, a bit for every shard it holds a lock or waits
-    /// in, so release visits only those. Split by TID like the lock
-    /// table is by target: a transaction only ever meets its own entry.
-    touched: Vec<Mutex<HashMap<Tid, u16>>>,
+    /// Each transaction's [`Held`], split by TID like the lock table is
+    /// by target: a transaction only ever meets its own entry.
+    held: Vec<Mutex<SpreadMap<Tid, Held>>>,
     timeout: Duration,
     metrics: MetricsRegistry,
 }
-
-const _: () = assert!(LOCK_SHARDS <= u16::BITS as usize);
 
 impl Default for LockManager {
     fn default() -> Self {
@@ -143,21 +157,14 @@ impl LockManager {
     pub fn with_metrics(timeout: Duration, metrics: MetricsRegistry) -> LockManager {
         LockManager {
             shards: (0..LOCK_SHARDS).map(|_| Shard::default()).collect(),
-            touched: (0..LOCK_SHARDS).map(|_| Mutex::default()).collect(),
+            held: (0..LOCK_SHARDS).map(|_| Mutex::default()).collect(),
             timeout,
             metrics,
         }
     }
 
-    fn touched_by(&self, tid: Tid) -> &Mutex<HashMap<Tid, u16>> {
-        &self.touched[tid.0 as usize & (LOCK_SHARDS - 1)]
-    }
-
-    /// Shard index of a target: fibonacci-spread hash, top bits.
-    fn shard_of(target: &LockTarget) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        target.hash(&mut h);
-        (h.finish().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (LOCK_SHARDS - 1)
+    fn held_by(&self, tid: Tid) -> &Mutex<SpreadMap<Tid, Held>> {
+        &self.held[tid.0 as usize & (LOCK_SHARDS - 1)]
     }
 
     /// Walk the combined wait-for graph for a cycle through `tid`. Takes
@@ -165,27 +172,23 @@ impl LockManager {
     /// graph is a consistent snapshot even when the cycle spans shards.
     fn detect_deadlock(&self, tid: Tid) -> bool {
         let guards: Vec<_> = self.shards.iter().map(|s| s.table.lock()).collect();
-        let Some((target, mode)) = guards.iter().find_map(|g| g.waiting.get(&tid)) else {
-            return false;
-        };
-        let blockers = |t: Tid, target: &LockTarget, mode: LockMode| -> Vec<Tid> {
-            guards[Self::shard_of(target)]
-                .granted
-                .get(target)
-                .map(|g| g.blockers(t, mode))
-                .unwrap_or_default()
-        };
-        let mut stack = blockers(tid, target, *mode);
-        let mut seen: HashSet<Tid> = HashSet::new();
+        let (mut stack, mut seen) = (vec![tid], HashSet::new());
         while let Some(t) = stack.pop() {
-            if t == tid {
-                return true;
-            }
-            if !seen.insert(t) {
+            // Who blocks `t`, if it waits.
+            let Some((target, mode)) = guards.iter().find_map(|g| g.waiting.get(&t)) else {
                 continue;
-            }
-            if let Some((wt, wm)) = guards.iter().find_map(|g| g.waiting.get(&t)) {
-                stack.extend(blockers(t, wt, *wm));
+            };
+            let holders = guards[target.shard()].granted.get(target);
+            for &(b, m) in holders.into_iter().flatten() {
+                if b == t || m.compatible(*mode) {
+                    continue;
+                }
+                if b == tid {
+                    return true;
+                }
+                if seen.insert(b) {
+                    stack.push(b);
+                }
             }
         }
         false
@@ -195,65 +198,71 @@ impl LockManager {
     /// Returns [`Error::Deadlock`] (requester as victim) on a wait-for
     /// cycle or timeout.
     pub fn lock(&self, tid: Tid, target: LockTarget, mode: LockMode) -> Result<()> {
+        match &target {
+            LockTarget::Table(tree) => self.acquire(tid, *tree, None, mode),
+            LockTarget::Key(tree, key) => self.acquire(tid, *tree, Some(key), mode),
+        }
+    }
+
+    fn acquire(&self, tid: Tid, tree: TreeId, key: Option<&[u8]>, mode: LockMode) -> Result<()> {
+        let mut held = self.held_by(tid).lock();
+        let mine = held.entry(tid).or_default();
+        if key.is_none() && mine.1.contains(&(tree, mode)) {
+            return Ok(());
+        }
+        let target = Hashed::new(tree, key);
+        mine.0.push(target.clone());
+        drop(held);
         let mut wait_start: Option<Instant> = None;
         let observe_wait = |start: Option<Instant>| {
-            if let Some(t0) = start {
-                self.metrics
-                    .locks
-                    .wait_ns
-                    .observe(t0.elapsed().as_nanos() as u64);
+            if let Some(ns) = start.map(|t0| t0.elapsed().as_nanos() as u64) {
+                self.metrics.locks.wait_ns.observe(ns);
             }
         };
-        let shard_idx = Self::shard_of(&target);
-        *self.touched_by(tid).lock().entry(tid).or_default() |= 1 << shard_idx;
-        let shard = &self.shards[shard_idx];
-        let mut table = match shard.table.try_lock() {
-            Some(g) => g,
-            None => {
-                self.metrics.locks.shard_conflicts.inc();
-                shard.table.lock()
-            }
-        };
+        let shard = &self.shards[target.shard()];
+        let mut table = shard.table.try_lock().unwrap_or_else(|| {
+            self.metrics.locks.shard_conflicts.inc();
+            shard.table.lock()
+        });
+        let mut detected = false;
         loop {
-            let granted = table.granted.entry(target.clone()).or_default();
-            if granted.compatible(tid, mode) {
-                // A re-request of a lock already held (a resumed scan's
-                // table lock) is no new acquisition.
-                if granted.grant(tid, mode) {
+            let holders = table.granted.entry(target.clone()).or_default();
+            if !blocked(holders, tid, mode) {
+                // A re-request of a lock already held (a key read twice)
+                // is no new acquisition.
+                let new = !holders.contains(&(tid, mode));
+                if new {
+                    holders.push((tid, mode));
                     let m = &self.metrics.locks;
-                    match mode {
-                        LockMode::IntentionShared => m.acquired_is.inc(),
-                        LockMode::IntentionExclusive => m.acquired_ix.inc(),
-                        LockMode::Shared => m.acquired_s.inc(),
-                        LockMode::Exclusive => m.acquired_x.inc(),
-                    }
+                    [&m.acquired_is, &m.acquired_ix, &m.acquired_s, &m.acquired_x][mode as usize]
+                        .inc();
                 }
                 table.waiting.remove(&tid);
-                table.held.entry(tid).or_default().insert(target);
+                drop(table);
+                if new && key.is_none() {
+                    let mut held = self.held_by(tid).lock();
+                    held.entry(tid).or_default().1.push((tree, mode));
+                }
                 observe_wait(wait_start);
                 return Ok(());
             }
-            // Blocked. Publish the wait edge, then detect with the shard
-            // released (detection takes every shard in index order).
-            table.waiting.insert(tid, (target.clone(), mode));
-            drop(table);
-            if self.detect_deadlock(tid) {
-                shard.table.lock().waiting.remove(&tid);
-                self.metrics.locks.deadlocks.inc();
-                observe_wait(wait_start);
-                return Err(Error::Deadlock(tid));
-            }
-            table = shard.table.lock();
-            // The holder may have released while we were detecting — the
-            // loop head re-checks under the re-taken shard latch before
-            // the condvar wait, so the wakeup cannot be lost.
-            if table
-                .granted
-                .get(&target)
-                .is_none_or(|g| g.compatible(tid, mode))
-            {
+            if !detected {
+                // Blocked. Publish the wait edge and detect with the shard
+                // released. A release meanwhile is not lost: the loop head
+                // re-checks under the re-taken latch before it waits.
+                table.waiting.insert(tid, (target.clone(), mode));
+                drop(table);
+                if self.detect_deadlock(tid) {
+                    shard.table.lock().waiting.remove(&tid);
+                    self.metrics.locks.deadlocks.inc();
+                    observe_wait(wait_start);
+                    return Err(Error::Deadlock(tid));
+                }
+                table = shard.table.lock();
+                detected = true;
                 continue;
             }
+            detected = false;
             if wait_start.is_none() {
                 wait_start = Some(Instant::now());
                 self.metrics.locks.waits.inc();
@@ -271,47 +280,42 @@ impl LockManager {
 
     /// IS(table) + S(key): serializable point read.
     pub fn lock_read(&self, tid: Tid, tree: TreeId, key: &[u8]) -> Result<()> {
-        self.lock(tid, LockTarget::Table(tree), LockMode::IntentionShared)?;
-        self.lock(tid, LockTarget::Key(tree, key.to_vec()), LockMode::Shared)
+        self.acquire(tid, tree, None, LockMode::IntentionShared)?;
+        self.acquire(tid, tree, Some(key), LockMode::Shared)
     }
 
     /// IX(table) + X(key): any write.
     pub fn lock_write(&self, tid: Tid, tree: TreeId, key: &[u8]) -> Result<()> {
-        self.lock(tid, LockTarget::Table(tree), LockMode::IntentionExclusive)?;
-        self.lock(
-            tid,
-            LockTarget::Key(tree, key.to_vec()),
-            LockMode::Exclusive,
-        )
+        self.acquire(tid, tree, None, LockMode::IntentionExclusive)?;
+        self.acquire(tid, tree, Some(key), LockMode::Exclusive)
     }
 
     /// S(table): serializable scan (phantom protection).
     pub fn lock_scan(&self, tid: Tid, tree: TreeId) -> Result<()> {
-        self.lock(tid, LockTarget::Table(tree), LockMode::Shared)
+        self.acquire(tid, tree, None, LockMode::Shared)
     }
 
     /// Release every lock of `tid` and wake who waits for them. Visits
-    /// only the shards the transaction holds or waits in, and notifies a
-    /// shard only when someone is parked there: a transaction that never
-    /// took a lock (every AS OF read) touches no shard and makes no
-    /// system call.
+    /// each shard it locked or waited in once, notifying only one where
+    /// someone is parked: a transaction that never took a lock (every AS
+    /// OF read) touches no shard and makes no system call.
     pub fn release_all(&self, tid: Tid) {
-        let mut mask = self.touched_by(tid).lock().remove(&tid).unwrap_or(0);
-        while mask != 0 {
-            let shard = &self.shards[mask.trailing_zeros() as usize];
-            mask &= mask - 1;
+        let Some(mut held) = self.held_by(tid).lock().remove(&tid) else {
+            return;
+        };
+        // Sorted by hash, the targets group by shard.
+        held.0.sort_unstable_by_key(|t| t.0);
+        for run in held.0.chunk_by(|a, b| a.shard() == b.shard()) {
+            let shard = &self.shards[run[0].shard()];
             let mut table = shard.table.lock();
-            if let Some(targets) = table.held.remove(&tid) {
-                for target in targets {
-                    if let Some(g) = table.granted.get_mut(&target) {
-                        g.holders.remove(&tid);
-                        if g.is_free() {
-                            table.granted.remove(&target);
-                        }
+            for target in run {
+                if let Some(holders) = table.granted.get_mut(target) {
+                    holders.retain(|h| h.0 != tid);
+                    if holders.is_empty() {
+                        table.granted.remove(target);
                     }
                 }
             }
-            table.waiting.remove(&tid);
             // A parked waiter published its wait edge under this latch
             // before parking, so an empty map means nobody to wake.
             let parked = !table.waiting.is_empty();
@@ -328,11 +332,6 @@ impl LockManager {
             .iter()
             .map(|s| s.table.lock().granted.len())
             .sum()
-    }
-
-    /// Number of lock-table shards (diagnostics).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 }
 
@@ -353,6 +352,16 @@ mod tests {
 
     fn key(k: &[u8]) -> LockTarget {
         LockTarget::Key(TREE, k.to_vec())
+    }
+
+    impl LockManager {
+        fn shard_of(target: &LockTarget) -> usize {
+            let (tree, key) = match target {
+                LockTarget::Table(tree) => (*tree, None),
+                LockTarget::Key(tree, key) => (*tree, Some(&key[..])),
+            };
+            Hashed::new(tree, key).shard()
+        }
     }
 
     #[test]
@@ -571,5 +580,150 @@ mod tests {
         lm.release_all(t(1));
         lm.release_all(t(2));
         lm.release_all(t(3));
+    }
+
+    /// A small deterministic generator for the model test.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Seeded random `lock` / `release_all` sequences over 8 TIDs, 2 trees
+    /// and 6 keys against a plain model of the table: a request is granted
+    /// exactly when every other holder's modes are compatible with it, a
+    /// re-request of a held mode is no new acquisition, a refused request
+    /// leaves nothing behind, and `locked_targets()` always counts the
+    /// model's locked targets, back to 0 once every TID released.
+    #[test]
+    fn random_sequences_match_a_reference_model() {
+        use LockMode::*;
+        let modes = [IntentionShared, IntentionExclusive, Shared, Exclusive];
+        for seed in 1..=25u64 {
+            // Refused requests time out at once: one thread cannot wait
+            // for itself.
+            let lm = LockManager::new(Duration::ZERO);
+            let mut model: HashMap<LockTarget, HashSet<(Tid, LockMode)>> = HashMap::new();
+            let (mut acquired, mut refused) = ([0u64; 4], 0u64);
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for _ in 0..400 {
+                let tid = t(1 + next(&mut rng) % 8);
+                if next(&mut rng).is_multiple_of(8) {
+                    lm.release_all(tid);
+                    for grants in model.values_mut() {
+                        grants.retain(|g| g.0 != tid);
+                    }
+                } else {
+                    let tree = TreeId(1 + (next(&mut rng) % 2) as u32);
+                    let target = match next(&mut rng) % 7 {
+                        6 => LockTarget::Table(tree),
+                        k => LockTarget::Key(tree, vec![k as u8]),
+                    };
+                    let mode = modes[(next(&mut rng) % 4) as usize];
+                    let grants = model.entry(target.clone()).or_default();
+                    let ok = grants.iter().all(|&(h, m)| h == tid || m.compatible(mode));
+                    let r = lm.lock(tid, target, mode);
+                    assert_eq!(r.is_ok(), ok, "seed {seed}: {tid:?} {mode:?}");
+                    if !ok {
+                        refused += 1;
+                    } else if grants.insert((tid, mode)) {
+                        acquired[mode as usize] += 1;
+                    }
+                }
+                model.retain(|_, grants| !grants.is_empty());
+                assert_eq!(lm.locked_targets(), model.len(), "seed {seed}");
+            }
+            for tid in 1..=8 {
+                lm.release_all(t(tid));
+            }
+            assert_eq!(lm.locked_targets(), 0);
+            let m = &lm.metrics.locks;
+            let counted = [&m.acquired_is, &m.acquired_ix, &m.acquired_s, &m.acquired_x];
+            assert_eq!(counted.map(|c| c.get()), acquired, "seed {seed}");
+            assert_eq!(m.timeouts.get(), refused);
+            assert_eq!(m.waits.get(), refused);
+            assert_eq!(m.deadlocks.get(), 0);
+        }
+    }
+
+    /// Six threads on overlapping keys. First each pair locks two keys of
+    /// its own in opposite orders (a barrier between the two requests
+    /// makes the cycle certain), then, once every pair is done, every
+    /// thread runs transactions over the same six keys in random orders
+    /// and modes. The wait-for check
+    /// must pick victims, no request may run into the timeout backstop (a
+    /// lost wake-up would), and X must exclude every other holder.
+    #[test]
+    fn overlapping_writers_find_victims_and_lose_no_wakeup() {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Barrier;
+        const THREADS: u64 = 6;
+        const WRITER: u64 = 1_000;
+        let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
+        // Per key: 1,000 per X holder plus 1 per S holder.
+        let inside: Vec<AtomicU64> = (0..6).map(|_| AtomicU64::new(0)).collect();
+        let pairs: Vec<Barrier> = (0..THREADS / 2).map(|_| Barrier::new(2)).collect();
+        // No one starts the shared phase while a pair still waits at its
+        // barrier, a wait the lock manager cannot see.
+        let all = Barrier::new(THREADS as usize);
+        let victims = AtomicU64::new(0);
+        thread::scope(|s| {
+            for i in 0..THREADS {
+                let (lm, inside, pairs, all, victims) = (&lm, &inside, &pairs, &all, &victims);
+                s.spawn(move || {
+                    let pair = i / 2;
+                    let (first, second) = (key(&[2 * pair as u8]), key(&[2 * pair as u8 + 1]));
+                    let (first, second) = if i % 2 == 0 {
+                        (first, second)
+                    } else {
+                        (second, first)
+                    };
+                    let tid = t(1 + i);
+                    lm.lock(tid, first, LockMode::Exclusive).unwrap();
+                    pairs[pair as usize].wait();
+                    if lm.lock(tid, second, LockMode::Exclusive).is_err() {
+                        victims.fetch_add(1, Ordering::SeqCst);
+                    }
+                    lm.release_all(tid);
+                    all.wait();
+
+                    let mut rng = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    for n in 1..=300u64 {
+                        let tid = t(n * THREADS + 1 + i);
+                        let mut order: Vec<u8> = (0..6).collect();
+                        for j in (1..order.len()).rev() {
+                            order.swap(j, (next(&mut rng) % (j as u64 + 1)) as usize);
+                        }
+                        let mut mine = Vec::new();
+                        for &k in &order[..2 + (next(&mut rng) % 2) as usize] {
+                            let (mode, weight) = match next(&mut rng) % 2 {
+                                0 => (LockMode::Shared, 1),
+                                _ => (LockMode::Exclusive, WRITER),
+                            };
+                            if lm.lock(tid, key(&[k]), mode).is_err() {
+                                victims.fetch_add(1, Ordering::SeqCst);
+                                break;
+                            }
+                            let before = inside[k as usize].fetch_add(weight, Ordering::SeqCst);
+                            assert!(
+                                before == 0 || (weight == 1 && before < WRITER),
+                                "key {k}: {mode:?} granted beside {before}"
+                            );
+                            mine.push((k, weight));
+                        }
+                        for (k, weight) in mine {
+                            inside[k as usize].fetch_sub(weight, Ordering::SeqCst);
+                        }
+                        lm.release_all(tid);
+                    }
+                });
+            }
+        });
+        let m = &lm.metrics.locks;
+        assert_eq!(m.timeouts.get(), 0, "a waiter missed its wake-up");
+        assert!(victims.load(Ordering::SeqCst) >= THREADS / 2);
+        assert_eq!(m.deadlocks.get(), victims.load(Ordering::SeqCst));
+        assert_eq!(lm.locked_targets(), 0);
     }
 }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use immortaldb_btree::{BTree, SplitTimeSource};
+use immortaldb_btree::{BTree, Routing, SplitTimeSource, TemporalIndex};
 use immortaldb_common::codec::{key_from_u64, u64_from_key, Reader, Writer};
 use immortaldb_common::{Error, Lsn, Result, Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
@@ -91,6 +91,24 @@ impl Ptt {
             Err(Error::KeyNotFound) => Ok(()),
             Err(e) => Err(e),
         }
+    }
+
+    /// Write back, where dirty, the leaves that hold (or held) `tids`'
+    /// entries. A checkpoint collects entries after its flush; left
+    /// dirty, their leaves would be written back by the evictions of
+    /// later reads, each of which would wait for it.
+    pub fn write_back(&self, tids: &[Tid]) -> Result<()> {
+        let mut leaves = tids
+            .iter()
+            .map(|t| self.tree.locate_leaf_page(&key_from_u64(t.0)))
+            .collect::<Result<Vec<_>>>()?;
+        leaves.sort_unstable();
+        leaves.dedup();
+        let pool = &self.tree.core().pool;
+        for frame in leaves.into_iter().filter_map(|id| pool.resident(id)) {
+            pool.write_back(&frame)?;
+        }
+        Ok(())
     }
 
     /// Number of live entries (drives the PTT-growth experiment).

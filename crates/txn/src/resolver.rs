@@ -112,10 +112,8 @@ impl FlushHook for StampingFlushHook {
         ) {
             return;
         }
-        for (tid, n) in version::stamp_committed(page, self.resolver.as_ref()) {
-            self.resolver.metrics().ts.stamps_flush.add(n as u64);
-            self.resolver.note_stamped(tid, n);
-        }
+        let stamped = version::stamp_committed(page, self.resolver.as_ref());
+        self.resolver.metrics().ts.stamps_flush.add(stamped);
     }
 }
 
@@ -134,18 +132,22 @@ impl PttGc {
         PttGc { vtt, ptt }
     }
 
-    /// Run one GC pass; returns how many PTT entries were reclaimed.
+    /// Run one GC pass; returns how many PTT entries were reclaimed. The
+    /// timestamp-table leaves it changed are written back before it
+    /// returns ([`Ptt::write_back`]): the pass runs after a checkpoint's
+    /// flush, and its deletes are logged, so the WAL rule holds.
     pub fn collect(&self, redo_scan_start: immortaldb_common::Lsn) -> Result<usize> {
-        let mut reclaimed = 0usize;
+        let mut reclaimed = Vec::new();
         for (tid, in_ptt) in self.vtt.gc_candidates(redo_scan_start) {
             if in_ptt {
                 self.ptt.delete(tid)?;
-                reclaimed += 1;
+                reclaimed.push(tid);
             }
             self.vtt.remove(tid);
         }
         self.vtt.drop_completed_snapshot_entries();
-        Ok(reclaimed)
+        self.ptt.write_back(&reclaimed)?;
+        Ok(reclaimed.len())
     }
 }
 

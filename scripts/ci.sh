@@ -109,6 +109,22 @@ run_chaos() {
         echo "chaos: isolation_checker_concurrent_readers did not run exactly once" >&2
         exit 1
     fi
+    echo "== chaos smoke (lock table under contention) =="
+    # Six threads lock overlapping keys in opposite orders and random
+    # modes: the wait-for check must pick victims, no waiter may miss its
+    # wake-up (a request that reaches the timeout backstop fails the
+    # test), and X must exclude every other holder. By exact name, and
+    # the stage insists that exactly this one test ran.
+    if ! out=$(cargo test --release -q -p immortaldb-txn --lib -- --exact \
+        locks::tests::overlapping_writers_find_victims_and_lose_no_wakeup 2>&1); then
+        echo "$out"
+        exit 1
+    fi
+    echo "$out"
+    if ! grep -q '^test result: ok\. 1 passed;' <<<"$out"; then
+        echo "chaos: overlapping_writers_find_victims_and_lose_no_wakeup did not run exactly once" >&2
+        exit 1
+    fi
 }
 
 run_serve() {
