@@ -2,8 +2,9 @@
 //!
 //! * **A1** eager vs lazy timestamping — the §2.2 argument: eager delays
 //!   commit and logs every stamping; lazy pays one PTT write per txn.
-//! * **A2** TSB-tree vs page-chain scan for AS OF queries (§7.2): see
-//!   [`crate::ablations::tsb_index`].
+//! * **A2** AS OF point-read cost vs how far back it reaches (§7.2), on
+//!   the page chain with its chain directory: see
+//!   [`crate::ablations::chain_as_of`].
 //! * **A3** storage utilization vs key-split threshold *T* (§3.3's
 //!   T·ln 2 claim).
 //! * **A4** PTT growth with vs without incremental GC (§2.2).
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use immortaldb::Value;
-use immortaldb_btree::{BTree, SplitTimeSource, TemporalIndex, VersionCursor};
+use immortaldb_btree::{BTree, SplitTimeSource};
 use immortaldb_chaos::TempDir;
 use immortaldb_common::codec::key_from_u64;
 use immortaldb_common::{Result, Tid, Timestamp, TreeId, NULL_LSN};
@@ -25,7 +26,6 @@ use immortaldb_storage::buffer::BufferPool;
 use immortaldb_storage::disk::DiskManager;
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
-use immortaldb_tsb::TsbTree;
 use parking_lot::Mutex;
 
 use crate::harness::{time, BenchDb, Mode};
@@ -249,30 +249,29 @@ pub fn report_utilization(rows: &[UtilResult]) -> Report {
 }
 
 // ---------------------------------------------------------------------
-// A2: TSB-tree vs page-chain traversal for AS OF point reads
+// A2: AS OF point reads vs how far back they reach
 // ---------------------------------------------------------------------
 
-pub struct TsbResult {
-    /// `(percent of history, chain first read us, chain us/read, TSB
-    /// us/read)`. The first read follows a cleared chain directory, so it
-    /// walks its leaf's chain; the others find their page in the
-    /// directory.
-    pub points: Vec<(u32, f64, f64, f64)>,
+pub struct A2Result {
+    /// `(percent of history, first read us, warm us/read)`. The first
+    /// read follows a cleared chain directory (as at open), so it walks
+    /// its leaf's chain; warm reads find their page in the directory.
+    pub points: Vec<(u32, f64, f64)>,
 }
 
-/// §7.2's prediction: with the TSB-tree, AS OF performance becomes
-/// independent of how far back the query reaches, because the index
-/// descends directly to the right historical page instead of walking the
-/// time-split page chain from the current page. The chain index now
-/// does the same through its chain directory, once a leaf's chain has
-/// been walked (or recorded by its splits).
-pub fn tsb_index(quick: bool) -> TsbResult {
+/// §7.2's prediction was that AS OF performance becomes independent of
+/// how far back the query reaches "once we implement the TSB-tree",
+/// because the index then descends directly to the right historical page
+/// instead of walking the time-split page chain from the current page.
+/// The chain directory does the same for the page chain, once a leaf's
+/// chain has been walked (or recorded by its splits).
+pub fn chain_as_of(quick: bool) -> A2Result {
     let dir = TempDir::new("bench-a2");
     // Small pool: historical pages must not be resident (the regime where
     // chain walks hurt).
     let (pool, wal) = scratch_pool(&dir, 96);
     let auth = Arc::new(SimAuthority::default());
-    let btree = BTree::create(
+    let tree = BTree::create(
         Arc::clone(&pool),
         Arc::clone(&wal),
         TreeId(60),
@@ -280,36 +279,18 @@ pub fn tsb_index(quick: bool) -> TsbResult {
         Arc::clone(&auth) as Arc<dyn SplitTimeSource>,
     )
     .unwrap();
-    let tsb = TsbTree::create(
-        Arc::clone(&pool),
-        Arc::clone(&wal),
-        TreeId(61),
-        Arc::clone(&auth) as Arc<dyn SplitTimeSource>,
-    )
-    .unwrap();
 
-    // Identical workload into both trees: `keys` keys, `rounds` updates.
+    // `keys` keys, `rounds` updates of each.
     let keys = if quick { 100u64 } else { 200 };
     let rounds = if quick { 60u64 } else { 150 };
     let value = vec![5u8; 100];
-    let write_both = |tid: Tid, k: u64, insert: bool| -> Result<()> {
-        let key = key_from_u64(k);
-        for tree in [&btree as &dyn TemporalIndex, &tsb] {
-            if insert {
-                tree.insert(tid, NULL_LSN, &key, &value, &*auth)?;
-            } else {
-                tree.update(tid, NULL_LSN, &key, &value, &*auth)?;
-            }
-        }
-        Ok(())
-    };
     for k in 0..keys {
-        auth.txn(|tid| write_both(tid, k, true));
+        auth.txn(|tid| tree.insert(tid, NULL_LSN, &key_from_u64(k), &value, &*auth));
     }
     let mut marks: Vec<(u32, Timestamp)> = vec![(0, auth.after_last())];
     for r in 1..=rounds {
         for k in 0..keys {
-            auth.txn(|tid| write_both(tid, k, false));
+            auth.txn(|tid| tree.update(tid, NULL_LSN, &key_from_u64(k), &value, &*auth));
         }
         if r * 10 % rounds == 0 {
             marks.push(((r * 100 / rounds) as u32, auth.after_last()));
@@ -317,59 +298,48 @@ pub fn tsb_index(quick: bool) -> TsbResult {
     }
 
     let probes = keys.min(100);
-    type Probe<'a> = &'a dyn Fn(&[u8], Timestamp) -> Option<Vec<u8>>;
-    let measure = |f: Probe, at: Timestamp| -> f64 {
+    let read = |k: u64, t| {
+        tree.get_as_of(&key_from_u64(k), t, None, auth.as_ref())
+            .unwrap()
+    };
+    let measure = |at: Timestamp| -> f64 {
         let t0 = Instant::now();
         for k in 0..probes {
-            let _ = f(&key_from_u64(k), at);
+            let _ = read(k, at);
         }
         t0.elapsed().as_secs_f64() * 1e6 / probes as f64
     };
-    let chain = |k: &[u8], t| btree.get_as_of(k, t, None, auth.as_ref()).unwrap();
     let mut points = Vec::new();
     for (pct, at) in &marks {
         // Cleared (as at open), the directory is rebuilt by the first
         // read of each leaf: time one such read, then warm every leaf.
-        btree.reload_root().unwrap();
+        tree.reload_root().unwrap();
         let t0 = Instant::now();
-        let _ = chain(&key_from_u64(0), *at);
+        let _ = read(0, *at);
         let first_us = t0.elapsed().as_secs_f64() * 1e6;
-        measure(&chain, *at);
-        let chain_us = measure(&chain, *at);
-        let tsb_us = measure(
-            &|k, t| tsb.get_as_of(k, t, None, auth.as_ref()).unwrap(),
-            *at,
-        );
-        points.push((*pct, first_us, chain_us, tsb_us));
+        measure(*at);
+        points.push((*pct, first_us, measure(*at)));
     }
-    TsbResult { points }
+    A2Result { points }
 }
 
-pub fn report_tsb(r: &TsbResult) -> Report {
+pub fn report_a2(r: &A2Result) -> Report {
     let cells = r
         .points
         .iter()
-        .map(|&(pct, first, chain, tsb)| {
+        .map(|&(pct, first, warm)| {
             vec![
                 Cell::new(format!("{pct}%"), pct),
                 Cell::fixed(first, 1),
-                Cell::fixed(chain, 1),
-                Cell::fixed(tsb, 1),
-                Cell::new(format!("{:.1}x", chain / tsb), chain / tsb),
+                Cell::fixed(warm, 1),
             ]
         })
         .collect();
     Report::default().table(Table::new(
-        "A2: AS OF point reads — page-chain index (first read walks the chain, \
-         then the chain directory names the page) vs TSB-tree index \
-         (0% = oldest history; paper §7.2 predicts the TSB column is flat)",
-        [
-            "% of history",
-            "chain first read us",
-            "chain us/read",
-            "TSB us/read",
-            "speedup",
-        ],
+        "A2: AS OF point reads on the page chain — the first read after the chain \
+         directory is cleared walks its leaf's chain, then the directory names the page \
+         (0% = oldest history; paper §7.2 predicts a flat warm column)",
+        ["% of history", "first read us", "warm us/read"],
         cells,
     ))
 }

@@ -36,7 +36,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("a1", |q| {
         ablations::report_eager_vs_lazy(&ablations::eager_vs_lazy(q))
     }),
-    ("a2", |q| ablations::report_tsb(&ablations::tsb_index(q))),
+    ("a2", |q| ablations::report_a2(&ablations::chain_as_of(q))),
     ("a3", |q| {
         ablations::report_utilization(&ablations::utilization_vs_threshold(q))
     }),

@@ -4,15 +4,13 @@
 //! A time split writes its history page once, delta-packed
 //! ([`version::time_split`]). [`walk_history`] reaches every such page
 //! from the current leaves down history pointers, once each; it measures
-//! the store ([`HistoryStats`]) on either index and hands the chain
-//! compactor its chains and referrer counts.
+//! the store ([`HistoryStats`]) and hands the compactor its chains and
+//! referrer counts.
 //!
 //! A packed page often fills only part of a page — the deeper and the
-//! more alike a key's versions, the less — so on the chain index the
-//! consecutive pages of one leaf's chain can share a page; the compactor
-//! merges them and frees the rest. The TSB-tree has no pass: its index
-//! entries address history pages by id, so there is nothing it could
-//! merge.
+//! more alike a key's versions, the less — so the consecutive pages of
+//! one leaf's chain can share a page; the compactor merges them and frees
+//! the rest.
 //!
 //! History pages are immutable to the rest of the engine, so the
 //! compactor is their single writer, and the one pass that must clear
@@ -31,7 +29,7 @@
 //!
 //! Every page the pass changes — rewritten chain pages and the
 //! [`PageType::Free`] images of merged-away pages — goes into a single
-//! `PageImages` record per leaf chain ([`crate::TreeCore::install`]), so
+//! `PageImages` record per leaf chain ([`BTree::install`]), so
 //! recovery and replicas replay the compaction byte-for-byte, and a torn
 //! multi-page write is repaired from the log like any other structure
 //! modification.
@@ -43,7 +41,6 @@ use immortaldb_storage::page::{Page, PageType, HEADER_SIZE, REC_HDR};
 use immortaldb_storage::version::{self, ChainPacker, ChainWalker, PackCounts};
 
 use crate::tree::BTree;
-use crate::tree_core::Routing;
 
 /// What one compaction pass over a tree did.
 #[derive(Debug, Clone, Copy, Default)]
@@ -121,7 +118,7 @@ impl HistoryStats {
 
 /// The history reachable from a tree's current leaves.
 #[derive(Debug, Default)]
-pub struct HistoryWalk {
+pub(crate) struct HistoryWalk {
     /// One chain per current leaf that has history, newest page first,
     /// cut where it joins a chain an earlier leaf already reached (key
     /// splits make sibling leaves share the pages carved off before).
@@ -131,16 +128,16 @@ pub struct HistoryWalk {
     pub referrers: HashMap<PageId, u32>,
 }
 
-/// Walk every historical page reachable from `r`'s current leaves down
+/// Walk every historical page reachable from `tree`'s current leaves down
 /// history pointers, handing each to `visit` once, the first time it is
 /// reached. The caller holds the structure latch.
-pub fn walk_history<R: Routing + ?Sized>(
-    r: &R,
+pub(crate) fn walk_history(
+    tree: &BTree,
     visit: &mut dyn FnMut(&Page) -> Result<()>,
 ) -> Result<HistoryWalk> {
-    let pool = &r.core().pool;
+    let pool = &tree.pool;
     let mut walk = HistoryWalk::default();
-    r.current_leaves(&mut |leaf| {
+    tree.current_leaves(&mut |leaf| {
         let mut chain = Vec::new();
         let mut h = pool.fetch(leaf)?.read().history_page();
         while h.is_valid() {
@@ -242,8 +239,8 @@ impl BTree {
         if !self.versioned {
             return Ok(stats);
         }
-        let _c = self.core.compacting.lock();
-        let _s = self.core.structure.write();
+        let _c = self.compacting.lock();
+        let _s = self.structure.write();
         let walk = walk_history(self, &mut |_| Ok(()))?;
         for chain in &walk.chains {
             stats.add(self.compact_chain(chain, &walk.referrers)?);
@@ -251,10 +248,10 @@ impl BTree {
         if stats.pages_rewritten > 0 {
             // Merged pages changed their time ranges and freed ids will
             // be reused: no directory entry may name them.
-            self.core.chains.clear();
+            self.chains.clear();
         }
 
-        let m = self.core.pool.metrics();
+        let m = self.pool.metrics();
         m.compaction.pages_rewritten.add(stats.pages_rewritten);
         m.compaction.pages_freed.add(stats.pages_freed);
         m.compaction.bytes_reclaimed.add(stats.bytes_reclaimed);
@@ -280,7 +277,7 @@ impl BTree {
         while idx < chain.len() {
             let pid = chain[idx];
             let page = {
-                let f = self.core.pool.fetch(pid)?;
+                let f = self.pool.fetch(pid)?;
                 let g = f.read();
                 g.clone()
             };
@@ -296,7 +293,7 @@ impl BTree {
             let mut next = idx + 1;
             while next < chain.len() && referrers.get(&chain[next]).copied().unwrap_or(0) == 1 {
                 let q = {
-                    let f = self.core.pool.fetch(chain[next])?;
+                    let f = self.pool.fetch(chain[next])?;
                     let g = f.read();
                     g.clone()
                 };
@@ -345,9 +342,9 @@ impl BTree {
         }
         // One atomic multi-page image record per chain (same redo-only
         // nested-top-action shape as a split).
-        self.core.install(images, None)?;
+        self.install(images, None)?;
         for id in freed {
-            self.core.pool.disk().free_page(id);
+            self.pool.disk().free_page(id);
         }
         Ok(stats)
     }

@@ -1,8 +1,8 @@
-//! The one read primitive of a versioned index: a cursor over a key
+//! The one read primitive of a versioned tree: a cursor over a key
 //! range × time range, and the classic read entry points as adapters
 //! over it.
 //!
-//! **Contract.** [`VersionCursor::cursor`] visits, for every key of
+//! **Contract.** [`BTree::cursor`] visits, for every key of
 //! `q.keys` in ascending order, that key's versions newest first:
 //!
 //! * committed versions with a commit timestamp `<= q.hi`, down to and
@@ -19,17 +19,17 @@
 //! leaves on both sides of its boundary are deduplicated, and of several
 //! versions one transaction wrote to a key only the newest is seen. The
 //! visitor steers with [`Flow`]. Work is proportional to what the box
-//! touches: an index descends to the low key and reads only pages whose
+//! touches: the cursor descends to the low key and reads only pages whose
 //! key range and `[start_ts, end_ts)` intersect it.
 //!
 //! | adapter | keys | time | visitor |
 //! |---|---|---|---|
-//! | [`rows_at`](VersionCursor::rows_at) | range | instant | governing image per key |
-//! | [`get_as_of`](VersionCursor::get_as_of) | one | instant | `rows_at`, stop |
-//! | [`scan_as_of`](VersionCursor::scan_as_of) / `scan_current` | range | instant / `MAX` | `rows_at`, collect |
-//! | [`versions_by_key`](VersionCursor::versions_by_key) | range | window | collect per key |
-//! | [`history_of`](VersionCursor::history_of) | one | all time, uncommitted | collect |
-//! | [`head_version`](VersionCursor::head_version) | one | `MAX`, uncommitted | first version, stop |
+//! | [`rows_at`](BTree::rows_at) | range | instant | governing image per key |
+//! | [`get_as_of`](BTree::get_as_of) | one | instant | `rows_at`, stop |
+//! | [`scan_as_of`](BTree::scan_as_of) / `scan_current` | range | instant / `MAX` | `rows_at`, collect |
+//! | [`versions_by_key`](BTree::versions_by_key) | range | window | collect per key |
+//! | [`history_of`](BTree::history_of) | one | all time, uncommitted | collect |
+//! | [`head_version`](BTree::head_version) | one | `MAX`, uncommitted | first version, stop |
 
 use std::ops::Bound;
 
@@ -38,6 +38,8 @@ use immortaldb_obs::MetricsRegistry;
 use immortaldb_storage::page::Page;
 use immortaldb_storage::version::ChainWalker;
 use immortaldb_storage::TimestampResolver;
+
+use crate::tree::BTree;
 
 /// State of the newest (chain-head) version of a key — what snapshot
 /// isolation's first-committer-wins check needs to see.
@@ -204,11 +206,11 @@ pub enum Flow {
 pub type Visitor<'v> = dyn FnMut(&Version<'_>) -> Result<Flow> + 'v;
 
 /// Visitor of one key's versions at a time, oldest first
-/// ([`VersionCursor::versions_by_key`]); it may take them.
+/// ([`BTree::versions_by_key`]); it may take them.
 pub type KeyVisitor<'v> = dyn FnMut(&mut Vec<TemporalVersion>) -> Result<Flow> + 'v;
 
 /// Visitor of `(key, data)` records: an unversioned tree's, or the rows
-/// an instant read finds ([`VersionCursor::rows_at`]).
+/// an instant read finds ([`BTree::rows_at`]).
 pub type RecordVisitor<'v> = dyn FnMut(&[u8], &[u8]) -> Result<Flow> + 'v;
 
 /// One row produced by a scan.
@@ -240,22 +242,14 @@ pub struct TemporalVersion {
     pub data: Option<Vec<u8>>,
 }
 
-/// A versioned index readable through one cursor. Implementors provide
-/// [`cursor`](Self::cursor); every other read is an adapter over it.
-pub trait VersionCursor {
-    /// Walk `q` (see the module docs for the contract).
-    fn cursor(
-        &self,
-        q: &Query<'_>,
-        resolver: &dyn TimestampResolver,
-        visit: &mut Visitor<'_>,
-    ) -> Result<()>;
-
+/// The reads of a versioned tree, each an adapter over
+/// [`cursor`](BTree::cursor).
+impl BTree {
     /// The rows of `keys` as they stand at `at` for a reader that also
     /// sees `own`'s uncommitted writes, key-ordered: each key's governing
     /// version, unless it is a delete stub, handed to `visit` as `(key,
     /// image)` until it answers [`Flow::Stop`].
-    fn rows_at(
+    pub fn rows_at(
         &self,
         keys: KeyRange<'_>,
         at: Timestamp,
@@ -277,7 +271,7 @@ pub trait VersionCursor {
     /// Version of `key` current AS OF `as_of`. Historical queries pass
     /// `own = None`; snapshot-isolation reads pass their TID so their own
     /// uncommitted writes stay visible.
-    fn get_as_of(
+    pub fn get_as_of(
         &self,
         key: &[u8],
         as_of: Timestamp,
@@ -299,7 +293,7 @@ pub trait VersionCursor {
     }
 
     /// The rows of `keys` alive AS OF `as_of`, key-ordered.
-    fn scan_as_of(
+    pub fn scan_as_of(
         &self,
         keys: KeyRange<'_>,
         as_of: Timestamp,
@@ -318,7 +312,7 @@ pub trait VersionCursor {
     }
 
     /// The current rows of `keys` as `own` sees them.
-    fn scan_current(
+    pub fn scan_current(
         &self,
         keys: KeyRange<'_>,
         own: Option<Tid>,
@@ -332,7 +326,7 @@ pub trait VersionCursor {
     /// `lo`, the *base*), one key at a time, key-ascending: `visit` is
     /// handed each key's versions (oldest first, base included) and may
     /// take them; [`Flow::Stop`] ends the walk after that key.
-    fn versions_by_key(
+    pub fn versions_by_key(
         &self,
         keys: KeyRange<'_>,
         lo: Timestamp,
@@ -372,7 +366,7 @@ pub trait VersionCursor {
 
     /// Complete version history of `key`, newest first, uncommitted
     /// versions included.
-    fn history_of(
+    pub fn history_of(
         &self,
         key: &[u8],
         resolver: &dyn TimestampResolver,
@@ -401,7 +395,11 @@ pub trait VersionCursor {
 
     /// State of the newest version of `key` — what snapshot isolation's
     /// first-committer-wins check needs to see.
-    fn head_version(&self, key: &[u8], resolver: &dyn TimestampResolver) -> Result<HeadVersion> {
+    pub fn head_version(
+        &self,
+        key: &[u8],
+        resolver: &dyn TimestampResolver,
+    ) -> Result<HeadVersion> {
         let mut out = HeadVersion::NotFound;
         let q = Query {
             keys: KeyRange::point(key),
@@ -426,7 +424,7 @@ pub trait VersionCursor {
 /// for: history pages are shared between the leaves a key split made).
 /// With `committed == false` only uncommitted versions are visited — the
 /// page lies after the window and is consulted for them alone.
-pub fn visit_page(
+pub(crate) fn visit_page(
     page: &Page,
     q: &Query<'_>,
     (low, upper): (&[u8], Option<&[u8]>),
@@ -490,7 +488,7 @@ pub fn visit_page(
 /// and each is key-ordered, so page order is not (key, time) order, and
 /// a version spanning a time split sits in both neighbours.
 #[derive(Default)]
-pub struct VersionBuffer {
+pub(crate) struct VersionBuffer {
     versions: Vec<(Vec<u8>, Stamp, Option<Vec<u8>>)>,
 }
 

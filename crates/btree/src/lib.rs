@@ -7,12 +7,10 @@
 //! still over the utilization threshold *T*, **key-split** like a
 //! conventional B+tree (§3.3 of the paper).
 //!
-//! The write half of that protocol — versioned writes, leaf splits,
-//! stamping, logging — is [`TreeCore`] plus [`TemporalIndex`], written
-//! once over a [`Routing`]; the chain B-tree ([`BTree`]) and the TSB-tree
-//! (crate `immortaldb-tsb`) supply only how current leaves are found and
-//! how splits are posted above them. Reads are the one key × time
-//! [`VersionCursor`] each index implements.
+//! Every table is one [`BTree`]. Its write half — versioned writes, leaf
+//! splits, stamping, logging — is in `write.rs`; its reads are one
+//! key × time cursor ([`BTree::cursor`]) and adapters over it. An `AS OF` read descends the current tree by key, then the chain
+//! directory names the history page that answers (§4.2).
 //!
 //! The same tree type also serves unversioned (conventional) tables — the
 //! persistent timestamp table and the catalog included — with in-place
@@ -29,18 +27,16 @@ mod cursor;
 mod read;
 mod split;
 mod tree;
-mod tree_core;
+mod write;
 
-pub use compact::{walk_history, CompactionStats, HistoryStats, HistoryWalk};
+pub use compact::{CompactionStats, HistoryStats};
 pub use cursor::{
-    visit_page, Flow, HeadVersion, HistoryVersion, KeyRange, KeyVisitor, Query, RecordVisitor,
-    ScanItem, Stamp, TemporalVersion, Version, VersionBuffer, VersionCursor, Visitor,
+    Flow, HeadVersion, HistoryVersion, KeyRange, KeyVisitor, Query, RecordVisitor, ScanItem, Stamp,
+    TemporalVersion, Version, Visitor,
 };
 pub use read::StorageStats;
 pub use tree::BTree;
-pub use tree_core::{
-    FixedSplitTime, LeafSplit, Routing, SplitTimeSource, TemporalIndex, TreeCore, MAX_RECORD,
-};
+pub use write::{FixedSplitTime, SplitTimeSource, MAX_RECORD};
 
 #[cfg(test)]
 mod tests;

@@ -21,8 +21,7 @@ use immortaldb_storage::TimestampResolver;
 
 use crate::chain_dir::{ChainEntry, Seek};
 use crate::cursor::{
-    visit_page, Flow, KeyRange, Query, RecordVisitor, ScanItem, VersionBuffer, VersionCursor,
-    Visitor,
+    visit_page, Flow, KeyRange, Query, RecordVisitor, ScanItem, VersionBuffer, Visitor,
 };
 use crate::tree::BTree;
 
@@ -48,15 +47,16 @@ pub(crate) struct LeafSpan {
     pub upper: Option<Vec<u8>>,
 }
 
-impl VersionCursor for BTree {
-    fn cursor(
+impl BTree {
+    /// Walk `q` (see [`crate::cursor`] for the contract).
+    pub fn cursor(
         &self,
         q: &Query<'_>,
         resolver: &dyn TimestampResolver,
         visit: &mut Visitor<'_>,
     ) -> Result<()> {
         debug_assert!(self.versioned);
-        let _s = self.core.structure.read();
+        let _s = self.structure.read();
         if let Some(key) = q.keys.as_point() {
             let leaf = self.descend(key)?;
             self.walk_leaf(leaf, (&[], None), q, resolver, visit)?;
@@ -64,22 +64,20 @@ impl VersionCursor for BTree {
         }
         // Leaf by leaf, left to right, so a visitor that stops early has
         // paid for the leaves it saw and the descent to the first.
-        self.walk_leaves(self.core.root(), Vec::new(), None, &q.keys, &mut |span| {
-            let leaf = self.core.pool.fetch(span.id)?;
+        self.walk_leaves(self.root(), Vec::new(), None, &q.keys, &mut |span| {
+            let leaf = self.pool.fetch(span.id)?;
             let bounds = (span.low.as_slice(), span.upper.as_deref());
             self.walk_leaf(leaf, bounds, q, resolver, visit)
         })?;
         Ok(())
     }
-}
 
-impl BTree {
     /// Snapshot-version GC: prune versions of `key` older than the oldest
     /// active snapshot (`watermark`). Unlogged physical reorganisation —
     /// see [`version::prune_chain`].
     pub fn prune_snapshot_versions(&self, key: &[u8], watermark: Timestamp) -> Result<usize> {
         debug_assert!(self.versioned);
-        let _s = self.core.structure.read();
+        let _s = self.structure.read();
         let frame = self.descend(key)?;
         let mut g = frame.write();
         let Ok(i) = g.find_slot(key) else {
@@ -111,7 +109,7 @@ impl BTree {
     /// chain.
     pub fn u_scan_in(&self, keys: &KeyRange<'_>, visit: &mut RecordVisitor<'_>) -> Result<()> {
         debug_assert!(!self.versioned);
-        let _s = self.core.structure.read();
+        let _s = self.structure.read();
         let mut frame = self.descend(keys.seek_key())?;
         loop {
             let g = frame.read();
@@ -135,7 +133,7 @@ impl BTree {
             if !next.is_valid() || keys.as_point().is_some() {
                 return Ok(());
             }
-            frame = self.core.pool.fetch(next)?;
+            frame = self.pool.fetch(next)?;
         }
     }
 
@@ -143,13 +141,13 @@ impl BTree {
     /// utilization-vs-threshold ablation (the §3.3 claim that a key-split
     /// threshold *T* yields single-time-slice utilization ≈ T·ln 2).
     pub fn storage_stats(&self) -> Result<StorageStats> {
-        let _s = self.core.structure.read();
+        let _s = self.structure.read();
         let leaves = self.leaves_with_bounds()?;
         let mut util_sum = 0.0;
         let mut slice_bytes = 0usize;
         let mut history = std::collections::HashSet::new();
         for leaf in &leaves {
-            let frame = self.core.pool.fetch(leaf.id)?;
+            let frame = self.pool.fetch(leaf.id)?;
             let g = frame.read();
             util_sum += g.utilization();
             // The "current time slice": the newest live version of each
@@ -165,7 +163,7 @@ impl BTree {
             // History pages are shared between sibling leaves after key
             // splits; dedup by page id.
             while hist.is_valid() && history.insert(hist) {
-                let hframe = self.core.pool.fetch(hist)?;
+                let hframe = self.pool.fetch(hist)?;
                 hist = hframe.read().history_page();
             }
         }
@@ -188,7 +186,7 @@ impl BTree {
     /// left to right.
     fn leaves_in(&self, keys: &KeyRange<'_>) -> Result<Vec<LeafSpan>> {
         let mut out = Vec::new();
-        self.walk_leaves(self.core.root(), Vec::new(), None, keys, &mut |span| {
+        self.walk_leaves(self.root(), Vec::new(), None, keys, &mut |span| {
             out.push(span);
             Ok(Flow::Continue)
         })?;
@@ -206,7 +204,7 @@ impl BTree {
         keys: &KeyRange<'_>,
         visit: &mut dyn FnMut(LeafSpan) -> Result<Flow>,
     ) -> Result<Flow> {
-        let frame = self.core.pool.fetch(page_id)?;
+        let frame = self.pool.fetch(page_id)?;
         let g = frame.read();
         match g.page_type()? {
             PageType::Leaf => {
@@ -262,7 +260,7 @@ impl BTree {
         resolver: &dyn TimestampResolver,
         visit: &mut Visitor<'_>,
     ) -> Result<Flow> {
-        let metrics = self.core.pool.metrics();
+        let metrics = self.pool.metrics();
         let leaf_hdr = leaf.peek_header(metrics);
         // Uncommitted versions live ONLY in the current page (time splits
         // keep them there, case 4), so a reader that wants them consults
@@ -305,7 +303,7 @@ impl BTree {
                 break;
             }
             metrics.tree.asof_hops.inc();
-            page = Some(self.core.pool.fetch(hist)?);
+            page = Some(self.pool.fetch(hist)?);
         }
         buf.replay(q.lo, visit)
     }
@@ -327,11 +325,11 @@ impl BTree {
         if !head.is_valid() {
             return Ok(None);
         }
-        let metrics = self.core.pool.metrics();
-        match self.core.chains.seek(leaf, head, above, t) {
+        let metrics = self.pool.metrics();
+        match self.chains.seek(leaf, head, above, t) {
             Seek::Page(start, id) => {
                 metrics.tree.asof_hops.inc();
-                let frame = self.core.pool.fetch(id)?;
+                let frame = self.pool.fetch(id)?;
                 let hdr = frame.peek_header(metrics);
                 if matches!(hdr.page_type(), Ok(PageType::Leaf))
                     && hdr.start_ts() == start
@@ -339,7 +337,7 @@ impl BTree {
                 {
                     return Ok(Some((frame, hdr)));
                 }
-                self.core.chains.remove(leaf);
+                self.chains.remove(leaf);
             }
             Seek::BeforeHistory => return Ok(None),
             Seek::Walk => {}
@@ -357,13 +355,13 @@ impl BTree {
         above: Timestamp,
         t: Timestamp,
     ) -> Result<Option<(FrameRef, PageHeader)>> {
-        let metrics = self.core.pool.metrics();
+        let metrics = self.pool.metrics();
         metrics.tree.chain_dir_builds.inc();
-        let (mut pages, mut next, epoch) = self.core.chains.resume(leaf, head, above);
+        let (mut pages, mut next, epoch) = self.chains.resume(leaf, head, above);
         let mut found = None;
         while found.is_none() && next.is_valid() {
             metrics.tree.asof_hops.inc();
-            let frame = self.core.pool.fetch(next)?;
+            let frame = self.pool.fetch(next)?;
             let hdr = frame.peek_header(metrics);
             pages.push((hdr.start_ts(), next));
             next = hdr.history_page();
@@ -377,7 +375,7 @@ impl BTree {
             pages: pages.into(),
             rest: next,
         };
-        self.core.chains.insert(leaf, entry, epoch);
+        self.chains.insert(leaf, entry, epoch);
         Ok(found)
     }
 }

@@ -1,38 +1,26 @@
-//! The chain B-tree's routing: descent by key, and separator posting.
+//! Posting a split above its leaf, and the leaf enumeration maintenance
+//! walks.
 //!
 //! A time split needs nothing from the ancestors — the leaf keeps its
 //! page id and reaches the new history page through its own history
 //! pointer — so posting a [`LeafSplit`] is a key split's separator going
 //! into the parent, as a conventional B+tree would (recursively, growing
 //! a new root when needed). The leaf phase of the split is
-//! [`crate::tree_core`]'s.
+//! [`crate::write`]'s.
 
 use immortaldb_common::{Error, PageId, Result};
-use immortaldb_storage::buffer::FrameRef;
 use immortaldb_storage::page::{Page, PageType};
 
 use crate::cursor::{Flow, KeyRange};
 use crate::tree::BTree;
-use crate::tree_core::{LeafSplit, Routing, TreeCore};
+use crate::write::LeafSplit;
 
-impl Routing for BTree {
-    /// Root..leaf page ids.
-    type Path = Vec<PageId>;
-
-    fn core(&self) -> &TreeCore {
-        &self.core
-    }
-
-    fn current_leaf(&self, key: &[u8]) -> Result<FrameRef> {
-        self.descend(key)
-    }
-
-    fn split_path(&self, key: &[u8]) -> Result<(PageId, Vec<PageId>)> {
-        let path = self.descend_path(key)?;
-        Ok((*path.last().expect("descent path never empty"), path))
-    }
-
-    fn post(
+impl BTree {
+    /// Record `split` in the ancestors on `path` (root..leaf page ids),
+    /// pushing every page image that changes onto `images`; returns the
+    /// new root if the tree grew. The caller holds the structure write
+    /// latch.
+    pub(crate) fn post(
         &self,
         path: Vec<PageId>,
         split: LeafSplit,
@@ -48,20 +36,20 @@ impl Routing for BTree {
         let right = split.key_split.as_ref().map(|(_, id)| *id);
         let leaf = split.leaf;
         let new_root = self.post_separator(path, split, images)?;
-        self.core.chains.split(leaf, time_split, right);
+        self.chains.split(leaf, time_split, right);
         Ok(new_root)
     }
 
-    fn current_leaves(&self, visit: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
-        let root = self.core.root();
+    /// Hand `visit` every current leaf, once. The caller holds the
+    /// structure latch.
+    pub(crate) fn current_leaves(&self, visit: &mut dyn FnMut(PageId) -> Result<()>) -> Result<()> {
+        let root = self.root();
         self.walk_leaves(root, Vec::new(), None, &KeyRange::ALL, &mut |span| {
             visit(span.id).map(|()| Flow::Continue)
         })?;
         Ok(())
     }
-}
 
-impl BTree {
     /// Post a key split's separator into the ancestors on `path`.
     fn post_separator(
         &self,
@@ -76,8 +64,8 @@ impl BTree {
         while let Some((sep, right_id)) = pending.take() {
             let Some(idx) = level else {
                 // Split reached the (old) root: grow the tree.
-                let new_root_id = self.core.pool.disk().allocate()?;
-                let child_level = self.core.page_level(images, child_left_id)?;
+                let new_root_id = self.pool.disk().allocate()?;
+                let child_level = self.page_level(images, child_left_id)?;
                 let mut root = Page::zeroed();
                 root.format(new_root_id, PageType::Index, 0, child_level + 1);
                 root.insert_sorted(b"", &child_left_id.0.to_le_bytes(), 0)?;
@@ -86,13 +74,13 @@ impl BTree {
                 return Ok(Some(new_root_id));
             };
             let parent_id = path[idx];
-            let mut parent = self.core.pool.fetch(parent_id)?.read().clone();
+            let mut parent = self.pool.fetch(parent_id)?.read().clone();
             match parent.insert_sorted(&sep, &right_id.0.to_le_bytes(), 0) {
                 Ok(_) => images.push(parent),
                 Err(Error::PageFull) => {
-                    let pright_id = self.core.pool.disk().allocate()?;
+                    let pright_id = self.pool.disk().allocate()?;
                     let (mut pl, mut pr, psep) = index_key_split(&parent, pright_id)?;
-                    self.core.pool.metrics().tree.index_key_splits.inc();
+                    self.pool.metrics().tree.index_key_splits.inc();
                     let target = if sep.as_slice() < psep.as_slice() {
                         &mut pl
                     } else {

@@ -14,9 +14,9 @@ use immortaldb_storage::page::{Page, PageType};
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
-use crate::cursor::{HeadVersion, KeyRange, VersionCursor};
+use crate::cursor::{HeadVersion, KeyRange};
 use crate::tree::BTree;
-use crate::tree_core::{SplitTimeSource, TemporalIndex};
+use crate::write::SplitTimeSource;
 
 /// Resolver + split-time source for tests: commits are registered
 /// explicitly; the split time is always greater than any registered
@@ -130,7 +130,7 @@ fn upd(tree: &BTree, env: &Env, tid: u64, key: &[u8], val: &[u8], at: Timestamp)
 fn create_open_roundtrip() {
     let env = Env::new("createopen");
     let t = env.tree(20, true);
-    let root = t.core.root();
+    let root = t.root();
     drop(t);
     let t2 = BTree::open(
         Arc::clone(&env.pool),
@@ -140,7 +140,7 @@ fn create_open_roundtrip() {
         Arc::clone(&env.auth) as Arc<dyn SplitTimeSource>,
     )
     .unwrap();
-    assert_eq!(t2.core.root(), root);
+    assert_eq!(t2.root(), root);
     assert!(BTree::open(
         Arc::clone(&env.pool),
         Arc::clone(&env.wal),
@@ -745,7 +745,7 @@ fn a_split_never_logs_the_image_it_supersedes() {
     let env = Env::with_pool("splitpin", 8);
     env.pool.set_page_image_logging(true);
     let t = env.tree(31, true);
-    let leaf = t.core.root();
+    let leaf = t.root();
     let _filler: Vec<_> = (0..8)
         .map(|_| env.pool.new_page(PageType::Leaf, 0, 0).unwrap())
         .collect();

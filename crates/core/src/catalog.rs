@@ -10,7 +10,6 @@
 use immortaldb_common::codec::{Reader, Writer};
 use immortaldb_common::{Error, Result, Timestamp, TreeId};
 
-use crate::index::IndexKind;
 use crate::row::{ColType, Column, Schema};
 
 /// How a table treats versions (the `IMMORTAL` keyword / snapshot
@@ -55,19 +54,20 @@ pub struct TableDef {
     pub name: String,
     pub tree: TreeId,
     pub kind: TableKind,
-    /// Index structure backing the table (page-chain B+tree or TSB-tree).
-    pub index: IndexKind,
     pub schema: Schema,
 }
+
+/// The index byte of a catalog entry. Every table is page-chain indexed;
+/// `2` named the TSB-tree, which was removed, so an entry holding it
+/// cannot be opened.
+const CHAIN_INDEX: u8 = 1;
+const REMOVED_TSB_INDEX: u8 = 2;
 
 impl TableDef {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u8(self.kind.to_u8())
-            .u8(match self.index {
-                IndexKind::Chain => 1,
-                IndexKind::Tsb => 2,
-            })
+            .u8(CHAIN_INDEX)
             .u32(self.tree.0)
             .u16(self.schema.pk as u16)
             .u16(self.schema.columns.len() as u16);
@@ -94,11 +94,16 @@ impl TableDef {
     pub fn decode(name: &str, data: &[u8]) -> Result<TableDef> {
         let mut r = Reader::new(data);
         let kind = TableKind::from_u8(r.u8()?)?;
-        let index = match r.u8()? {
-            1 => IndexKind::Chain,
-            2 => IndexKind::Tsb,
+        match r.u8()? {
+            CHAIN_INDEX => {}
+            REMOVED_TSB_INDEX => {
+                return Err(Error::Catalog(format!(
+                    "table {name} is on the TSB-tree index, which was removed; \
+                     only page-chain tables can be opened"
+                )))
+            }
             other => return Err(Error::Corruption(format!("bad index kind {other}"))),
-        };
+        }
         let tree = TreeId(r.u32()?);
         let pk = r.u16()? as usize;
         let ncols = r.u16()? as usize;
@@ -120,7 +125,6 @@ impl TableDef {
             name: name.to_string(),
             tree,
             kind,
-            index,
             schema: Schema::new(columns, pk)?,
         })
     }
@@ -203,7 +207,6 @@ mod tests {
             name: "MovingObjects".into(),
             tree: TreeId(17),
             kind: TableKind::Immortal,
-            index: IndexKind::Tsb,
             schema: Schema::new(
                 vec![
                     Column {
@@ -224,8 +227,23 @@ mod tests {
             .unwrap(),
         };
         let enc = def.encode();
+        assert_eq!(
+            enc[1], CHAIN_INDEX,
+            "the index byte a chain table always had"
+        );
         let dec = TableDef::decode("MovingObjects", &enc).unwrap();
         assert_eq!(def, dec);
+
+        // An entry written for a TSB table names the removal.
+        let mut tsb = enc;
+        tsb[1] = REMOVED_TSB_INDEX;
+        let err = TableDef::decode("MovingObjects", &tsb).unwrap_err();
+        assert!(matches!(err, Error::Catalog(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains("TSB-tree index, which was removed"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -29,7 +29,6 @@ use immortaldb_txn::{
 };
 
 use crate::catalog::{snapshot_key, SnapshotDef, TableDef, TableKind, SNAPSHOT_KEY_PREFIX};
-use crate::index::{IndexKind, TableIndex};
 use crate::row::{PkBounds, Pushdown, Schema, Value};
 use crate::temporal::{self, DiffOp, DiffRow};
 use crate::txn::{Isolation, TimestampingMode, Transaction};
@@ -164,7 +163,7 @@ pub struct Database {
     named_snapshots: RwLock<HashMap<String, SnapshotDef>>,
     /// Tree registry, shared with the background compactor thread (which
     /// holds its own `Arc` so it can snapshot the handles each pass).
-    trees: Arc<RwLock<HashMap<TreeId, TableIndex>>>,
+    trees: Arc<RwLock<HashMap<TreeId, Arc<BTree>>>>,
     next_tid: AtomicU64,
     /// The durable TID reservation: the meta page's max TID as last
     /// synced. No TID at or below it is handed out again after a crash.
@@ -204,13 +203,24 @@ pub struct Database {
     pub recovered_losers: usize,
 }
 
-/// One history-compaction pass over a set of tree handles, recording the
-/// pass counter and refreshing the `version.bytes_per_version` gauge
-/// (fixed-point, ×100) from the post-pass store shape.
-fn compaction_pass(trees: &[TableIndex], metrics: &MetricsRegistry) -> Result<CompactionStats> {
+/// One history-compaction pass over every registered tree, in tree-id
+/// order so that the log a pass writes does not follow hash order,
+/// recording the pass counter and refreshing the
+/// `version.bytes_per_version` gauge (fixed-point, ×100) from the
+/// post-pass store shape.
+fn compaction_pass(
+    trees: &RwLock<HashMap<TreeId, Arc<BTree>>>,
+    metrics: &MetricsRegistry,
+) -> Result<CompactionStats> {
+    let mut trees: Vec<(TreeId, Arc<BTree>)> = trees
+        .read()
+        .iter()
+        .map(|(id, t)| (*id, Arc::clone(t)))
+        .collect();
+    trees.sort_unstable_by_key(|(id, _)| *id);
     let mut stats = CompactionStats::default();
     let mut shape = HistoryStats::default();
-    for t in trees {
+    for (_, t) in &trees {
         stats.add(t.compact_history()?);
         shape.add(t.history_shape()?);
     }
@@ -397,12 +407,9 @@ impl Database {
         pool.set_flush_hook(Arc::new(StampingFlushHook::new(Arc::clone(&resolver))));
 
         // The system trees; the catalog's tables join them below.
-        let mut trees: HashMap<TreeId, TableIndex> = HashMap::new();
-        trees.insert(TreeId::PTT, TableIndex::Chain(Arc::clone(ptt.tree())));
-        trees.insert(
-            TreeId::CATALOG,
-            TableIndex::Chain(Arc::clone(&catalog_tree)),
-        );
+        let mut trees: HashMap<TreeId, Arc<BTree>> = HashMap::new();
+        trees.insert(TreeId::PTT, Arc::clone(ptt.tree()));
+        trees.insert(TreeId::CATALOG, Arc::clone(&catalog_tree));
 
         let gc = PttGc::new(Arc::clone(&vtt), Arc::clone(&ptt));
         let db = Database {
@@ -497,8 +504,7 @@ impl Database {
                         break;
                     }
                     drop(stopped);
-                    let handles: Vec<TableIndex> = trees.read().values().cloned().collect();
-                    let _ = compaction_pass(&handles, &metrics);
+                    let _ = compaction_pass(&trees, &metrics);
                 }
             })
             .expect("spawn compactor thread");
@@ -572,7 +578,7 @@ impl Database {
         (t, k)
     }
 
-    pub(crate) fn tree_handle(&self, tree: TreeId) -> Result<TableIndex> {
+    pub(crate) fn tree_handle(&self, tree: TreeId) -> Result<Arc<BTree>> {
         self.trees
             .read()
             .get(&tree)
@@ -598,8 +604,8 @@ impl Database {
 
     // -- DDL ---------------------------------------------------------------
 
-    /// Create a table (`CREATE [IMMORTAL] TABLE`) on the default
-    /// page-chain index. DDL is not transactional: it is logged as system
+    /// Create a table (`CREATE [IMMORTAL] TABLE`) on a page-chain
+    /// B+tree of its own. DDL is not transactional: it is logged as system
     /// actions and survives crashes, but cannot be rolled back.
     pub fn create_table(
         &self,
@@ -607,25 +613,8 @@ impl Database {
         schema: Schema,
         kind: TableKind,
     ) -> Result<Arc<TableDef>> {
-        self.create_table_with(name, schema, kind, IndexKind::Chain)
-    }
-
-    /// Create a table on an explicit index structure
-    /// (`CREATE IMMORTAL TABLE … USING TSB` selects the TSB-tree).
-    pub fn create_table_with(
-        &self,
-        name: &str,
-        schema: Schema,
-        kind: TableKind,
-        index: IndexKind,
-    ) -> Result<Arc<TableDef>> {
         if self.replica {
             return Err(Error::ReplicaReadOnly);
-        }
-        if index == IndexKind::Tsb && kind != TableKind::Immortal {
-            return Err(Error::Catalog(
-                "the TSB-tree index requires an IMMORTAL table".into(),
-            ));
         }
         let mut tables = self.tables.write();
         if tables.contains_key(name) {
@@ -636,7 +625,6 @@ impl Database {
             name: name.to_string(),
             tree,
             kind,
-            index,
             schema,
         });
         let handle = self.build_index(&def, true)?;
@@ -647,11 +635,17 @@ impl Database {
         Ok(def)
     }
 
-    /// Create (`create`) or open the index behind `def`.
-    fn build_index(&self, def: &TableDef, create: bool) -> Result<TableIndex> {
+    /// Create (`create`) or open the tree behind `def`.
+    fn build_index(&self, def: &TableDef, create: bool) -> Result<Arc<BTree>> {
         let split_time: Arc<dyn SplitTimeSource> = self.authority.clone();
-        let (pool, wal) = (&self.pool, &self.wal);
-        TableIndex::build(def, create, pool, wal, &split_time)
+        let (pool, wal) = (Arc::clone(&self.pool), Arc::clone(&self.wal));
+        let (tree, versioned) = (def.tree, def.kind.is_versioned());
+        let tree = if create {
+            BTree::create(pool, wal, tree, versioned, split_time)
+        } else {
+            BTree::open(pool, wal, tree, versioned, split_time)
+        }?;
+        Ok(Arc::new(tree))
     }
 
     /// Enable snapshot versioning on an *empty* conventional table
@@ -677,7 +671,6 @@ impl Database {
             name: def.name.clone(),
             tree,
             kind: TableKind::SnapshotEnabled,
-            index: IndexKind::Chain,
             schema: def.schema.clone(),
         });
         let new_handle = self.build_index(&new_def, true)?;
@@ -1233,7 +1226,7 @@ impl Database {
     fn check_first_committer(
         &self,
         txn: &Transaction,
-        handle: &TableIndex,
+        handle: &Arc<BTree>,
         key: &[u8],
     ) -> Result<()> {
         if txn.isolation != Isolation::Snapshot {
@@ -1447,9 +1440,8 @@ impl Database {
     /// [`Flow::Stop`], and resumes like [`Self::visit_rows`]. A key's
     /// group starts with its *base*, its state at `lo`, when it has one;
     /// the base lies inside the window only if it committed at `lo`
-    /// itself. Executes as one key × time cursor walk: the TSB-tree
-    /// prunes its rectangles on both dimensions, the chain index reads
-    /// only the covering leaves' chain pages that intersect the window.
+    /// itself. Executes as one key × time cursor walk, which reads only
+    /// the covering leaves' chain pages that intersect the window.
     /// The window is resolved once per statement, not here, because the
     /// horizon it is clamped to moves.
     pub fn visit_versions(
@@ -1515,13 +1507,14 @@ impl Database {
             drop(g);
             meta.mark_dirty_unlogged();
         }
-        let att: Vec<(Tid, Lsn)> = self
+        let mut att: Vec<(Tid, Lsn)> = self
             .active
             .lock()
             .iter()
             .filter(|(_, l)| !l.is_null())
             .map(|(t, l)| (*t, *l))
             .collect();
+        att.sort_unstable();
         let redo_scan_start = recovery::checkpoint(&self.wal, &self.pool, att)?;
         self.tids_reserved.fetch_max(reserved, Ordering::SeqCst);
         let reclaimed = self.gc.collect(redo_scan_start)?;
@@ -1569,8 +1562,8 @@ impl Database {
     }
 
     /// Run one history-compaction pass over every table now: merge
-    /// single-referrer history pages of chain-indexed tables and free the
-    /// emptied pages (TSB tables have nothing to merge). The background
+    /// single-referrer history pages and free the emptied pages. The
+    /// background
     /// thread (see [`DbConfig::compaction_interval`]) runs this same pass
     /// on its timer; this is the synchronous entry point for maintenance
     /// and tests. Returns the aggregate stats.
@@ -1579,15 +1572,14 @@ impl Database {
             return Err(Error::ReplicaReadOnly);
         }
         blocking::about_to_run_long();
-        let handles: Vec<TableIndex> = self.trees.read().values().cloned().collect();
-        compaction_pass(&handles, self.metrics())
+        compaction_pass(&self.trees, self.metrics())
     }
 
     /// Aggregate version-store shape across every table (historical
     /// pages, versions stored, occupied bytes, full-record bytes).
     pub fn history_stats(&self) -> Result<HistoryStats> {
         let mut out = HistoryStats::default();
-        let handles: Vec<TableIndex> = self.trees.read().values().cloned().collect();
+        let handles: Vec<Arc<BTree>> = self.trees.read().values().cloned().collect();
         for t in &handles {
             out.add(t.history_shape()?);
         }

@@ -46,7 +46,6 @@
 
 pub mod catalog;
 pub mod db;
-pub mod index;
 pub mod row;
 pub mod sql;
 pub mod temporal;
@@ -57,7 +56,6 @@ mod tests;
 
 pub use catalog::{SnapshotDef, TableDef, TableKind};
 pub use db::{Database, DbConfig, TID_BLOCK, WRITE_CHUNK};
-pub use index::{IndexKind, TableIndex};
 pub use row::{ColType, Column, PkBounds, RowSink, Schema, Value};
 pub use sql::{Outcome, QueryResult, Session};
 pub use temporal::{DiffOp, DiffRow};

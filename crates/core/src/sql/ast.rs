@@ -1,7 +1,6 @@
 //! Abstract syntax of the SQL dialect.
 
 use crate::catalog::TableKind;
-use crate::index::IndexKind;
 use crate::row::{ColType, Value};
 use crate::txn::Isolation;
 
@@ -58,8 +57,6 @@ pub enum Statement {
     CreateTable {
         name: String,
         kind: TableKind,
-        /// Index structure (`USING TSB` selects the TSB-tree).
-        index: IndexKind,
         columns: Vec<(String, ColType)>,
         /// Column marked PRIMARY KEY.
         pk: usize,

@@ -268,7 +268,6 @@ impl<'a> Session<'a> {
             Statement::CreateTable {
                 name,
                 kind,
-                index,
                 columns,
                 pk,
             } => {
@@ -279,7 +278,7 @@ impl<'a> Session<'a> {
                         .collect(),
                     pk,
                 )?;
-                self.db.create_table_with(&name, schema, kind, index)?;
+                self.db.create_table(&name, schema, kind)?;
                 Ok(Outcome::message(format!("table {name} created")))
             }
             Statement::AlterEnableSnapshot { table } => {

@@ -4,7 +4,6 @@
 //!
 //! ```sql
 //! CREATE [IMMORTAL] TABLE t (col TYPE [PRIMARY KEY], ...) [ON [PRIMARY]]
-//!                                                          [USING TSB | USING CHAIN]
 //! ALTER TABLE t ENABLE SNAPSHOT
 //! BEGIN TRAN [AS OF "M/D/YYYY HH:MM:SS" | AS OF ms(N)]
 //!            [ISOLATION SNAPSHOT | ISOLATION SERIALIZABLE]
@@ -29,7 +28,6 @@
 use immortaldb_common::{Error, Result};
 
 use crate::catalog::TableKind;
-use crate::index::IndexKind;
 use crate::row::{ColType, Value};
 use crate::txn::Isolation;
 
@@ -235,23 +233,15 @@ impl Parser {
         if self.eat_kw("ON") {
             let _ = self.ident()?;
         }
-        // Optional index selection: USING TSB (the §7.2 temporal index)
-        // or USING CHAIN (the default page-chain B+tree).
-        let mut index = IndexKind::Chain;
         if self.eat_kw("USING") {
-            index = if self.eat_kw("TSB") {
-                IndexKind::Tsb
-            } else if self.eat_kw("CHAIN") {
-                IndexKind::Chain
-            } else {
-                return Err(self.err("USING expects TSB or CHAIN"));
-            };
+            return Err(self.err_prev(
+                "USING: the TSB-tree index was removed; every table uses the page-chain index",
+            ));
         }
         let pk = pk.ok_or_else(|| self.err("a PRIMARY KEY column is required"))?;
         Ok(Statement::CreateTable {
             name,
             kind,
-            index,
             columns,
             pk,
         })
@@ -552,7 +542,6 @@ mod tests {
             Statement::CreateTable {
                 name: "MovingObjects".into(),
                 kind: TableKind::Immortal,
-                index: IndexKind::Chain,
                 columns: vec![
                     ("Oid".into(), ColType::SmallInt),
                     ("LocationX".into(), ColType::Int),
@@ -787,6 +776,22 @@ mod tests {
         match Parser::parse("CHECKPOINT now") {
             Err(e) => assert_eq!(e.parse_offset(), Some(11), "{e}"),
             Ok(s) => panic!("parsed {s:?}"),
+        }
+    }
+
+    #[test]
+    fn using_an_index_names_the_removal_at_its_offset() {
+        for sql in [
+            "CREATE IMMORTAL TABLE t (a int PRIMARY KEY) USING TSB",
+            "CREATE IMMORTAL TABLE t (a int PRIMARY KEY) using chain",
+        ] {
+            match Parser::parse(sql) {
+                Err(e) => {
+                    assert_eq!(e.parse_offset(), Some(44), "{e}");
+                    assert!(e.to_string().contains("TSB-tree index was removed"), "{e}");
+                }
+                Ok(s) => panic!("parsed {s:?}"),
+            }
         }
     }
 

@@ -3,12 +3,11 @@
 //! versions in a window into its net change.
 //!
 //! Both query shapes execute as a **single** walk of the index's key ×
-//! time cursor ([`immortaldb_btree::VersionCursor::versions_by_key`]),
-//! handed one key's versions at a time: the TSB-tree prunes its key-time
-//! rectangles against the window and the key bounds; the page-chain
-//! B+tree reads, for the leaves covering the keys, the chain pages whose
-//! time range meets the window. Neither replays per-timestamp `AS OF`
-//! point lookups, and neither holds more than one key region's versions.
+//! time cursor ([`immortaldb_btree::BTree::versions_by_key`]), handed one
+//! key's versions at a time: for the leaves covering the keys, the
+//! page-chain B+tree reads the chain pages whose time range meets the
+//! window. Neither replays per-timestamp `AS OF` point lookups, nor holds
+//! more than one key region's versions.
 //!
 //! Window semantics (DESIGN.md §10):
 //!

@@ -566,87 +566,13 @@ fn multi_statement_transaction_spanning_tables() {
 }
 
 #[test]
-fn tsb_indexed_table_end_to_end() {
-    let env = Env::new("tsbtable");
-    let db = env.open();
-    let mut s = Session::new(&db);
-    s.execute("CREATE IMMORTAL TABLE tracked (id INT PRIMARY KEY, v INT) USING TSB")
-        .unwrap();
-    assert_eq!(
-        db.table("tracked").unwrap().index,
-        crate::index::IndexKind::Tsb
-    );
-    for i in 0..30 {
-        s.execute(&format!("INSERT INTO tracked VALUES ({i}, 0)"))
-            .unwrap();
-        env.tick();
-    }
-    let t_mid = db.now_ms();
-    env.tick();
-    for round in 1..=4 {
-        for i in 0..30 {
-            s.execute(&format!("UPDATE tracked SET v = {round} WHERE id = {i}"))
-                .unwrap();
-            env.tick();
-        }
-    }
-    // Current state via the TSB index.
-    let res = s.execute("SELECT * FROM tracked WHERE id < 5").unwrap();
-    assert_eq!(res.rows.len(), 5);
-    assert!(res.rows.iter().all(|r| r[1] == Value::Int(4)));
-    // AS OF descends the TSB index directly.
-    s.execute(&format!("BEGIN TRAN AS OF ms({t_mid})")).unwrap();
-    let res = s.execute("SELECT * FROM tracked").unwrap();
-    s.execute("COMMIT").unwrap();
-    assert_eq!(res.rows.len(), 30);
-    assert!(res.rows.iter().all(|r| r[1] == Value::Int(0)));
-    // Time travel per record.
-    let h = s.execute("HISTORY OF tracked WHERE id = 7").unwrap();
-    assert_eq!(h.rows.len(), 5, "insert + 4 updates");
-    // TSB requires IMMORTAL.
-    assert!(s
-        .execute("CREATE TABLE plainplain (id INT PRIMARY KEY) USING TSB")
-        .is_err());
-}
-
-#[test]
-fn tsb_table_survives_crash_recovery() {
-    let env = Env::new("tsbcrash");
-    {
-        let db = env.open();
-        let mut s = Session::new(&db);
-        s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT) USING TSB")
-            .unwrap();
-        s.execute("INSERT INTO t VALUES (1, 10)").unwrap();
-        env.tick();
-        s.execute("UPDATE t SET v = 20 WHERE id = 1").unwrap();
-        env.tick();
-        let mut loser = db.begin(Isolation::Serializable);
-        db.update_row(&mut loser, "t", vec![Value::Int(1), Value::Int(-1)])
-            .unwrap();
-        db.insert_row(&mut loser, "t", vec![Value::Int(2), Value::Int(5)])
-            .unwrap();
-        db.force_log().unwrap();
-        std::mem::forget(loser);
-    }
-    let db = env.open();
-    assert_eq!(db.recovered_losers, 1);
-    let mut s = Session::new(&db);
-    let res = s.execute("SELECT * FROM t").unwrap();
-    assert_eq!(res.rows.len(), 1);
-    assert_eq!(res.rows[0][1], Value::Int(20));
-    let h = s.execute("HISTORY OF t WHERE id = 1").unwrap();
-    assert_eq!(h.rows.len(), 2, "committed history intact via TSB index");
-}
-
-#[test]
-fn tsb_table_reopen_deep_history() {
-    let env = Env::new("tsbreopen");
+fn reopen_reads_deep_history_as_of() {
+    let env = Env::new("deepreopen");
     let mut marks = Vec::new();
     {
         let db = env.open();
         let mut s = Session::new(&db);
-        s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT, pad VARCHAR(48)) USING TSB")
+        s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT, pad VARCHAR(48))")
             .unwrap();
         for round in 0..8 {
             for id in 0..60 {
@@ -740,25 +666,6 @@ fn vacuum_spares_concurrently_active_transactions() {
     db.checkpoint().unwrap();
     db.checkpoint().unwrap();
     assert_eq!(db.ptt_len().unwrap(), 0);
-}
-
-#[test]
-fn eager_mode_works_with_tsb_tables() {
-    let env = Env::new("eagertsb");
-    let db = Database::open(env.config().timestamping(TimestampingMode::Eager)).unwrap();
-    let mut s = Session::new(&db);
-    s.execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT) USING TSB")
-        .unwrap();
-    s.execute("INSERT INTO t VALUES (1, 10)").unwrap();
-    env.tick();
-    s.execute("UPDATE t SET v = 20 WHERE id = 1").unwrap();
-    // Versions are stamped at commit: no PTT entries at all.
-    assert_eq!(db.ptt_len().unwrap(), 0);
-    let res = s.execute("SELECT v FROM t WHERE id = 1").unwrap();
-    assert_eq!(res.rows[0][0], Value::Int(20));
-    let h = s.execute("HISTORY OF t WHERE id = 1").unwrap();
-    assert_eq!(h.rows.len(), 2);
-    assert_ne!(h.rows[0][2], Value::Varchar("UNCOMMITTED".into()));
 }
 
 fn visibility_waits(db: &Database) -> u64 {

@@ -242,7 +242,7 @@ pub struct BufferMetrics {
 }
 
 /// Page-latch instruments (optimistic version-counter reads on the
-/// B+tree / TSB-tree read paths).
+/// B+tree read paths).
 #[derive(Debug, Default)]
 pub struct LatchMetrics {
     /// Page reads served by the optimistic (latch-free) protocol: the
@@ -418,9 +418,7 @@ pub struct TreeMetrics {
     pub time_splits: Counter,
     /// Key splits (conventional B+tree splits).
     pub key_splits: Counter,
-    /// Index-node time splits (TSB: a historical index node carved off).
-    pub index_time_splits: Counter,
-    /// Index-node key splits (both indexes).
+    /// Index-node key splits.
     pub index_key_splits: Counter,
     /// History pages fetched by AS OF reads and scans below the current
     /// leaf: the page the chain directory names, the pages a window reads
@@ -466,9 +464,6 @@ pub struct CompactionMetrics {
 /// named snapshots).
 #[derive(Debug, Default)]
 pub struct TemporalMetrics {
-    /// Pages visited by TSB-tree time-window walks (index + leaf +
-    /// history pages, each counted once per walk).
-    pub range_scan_pages: Counter,
     /// Versions emitted by VERSIONS BETWEEN queries.
     pub versions_returned: Counter,
     /// Net change rows emitted by DIFF queries.

@@ -134,10 +134,6 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
         ("tree.time_splits".into(), m.tree.time_splits.get()),
         ("tree.key_splits".into(), m.tree.key_splits.get()),
         (
-            "tree.index_time_splits".into(),
-            m.tree.index_time_splits.get(),
-        ),
-        (
             "tree.index_key_splits".into(),
             m.tree.index_key_splits.get(),
         ),
@@ -239,10 +235,6 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
         ("repl.reconnects".into(), m.repl.reconnects.get()),
         ("repl.horizon_ms".into(), m.repl.horizon_ms.get()),
         ("repl.applied_lsn".into(), m.repl.applied_lsn.get()),
-        (
-            "tsb.range_scan_pages".into(),
-            m.temporal.range_scan_pages.get(),
-        ),
         (
             "temporal.versions_returned".into(),
             m.temporal.versions_returned.get(),
@@ -382,7 +374,6 @@ mod tests {
         r.recovery.versions_restamped.add(3);
         r.server.connections_accepted.add(2);
         r.server.request_ns.observe(500);
-        r.tree.index_time_splits.add(2);
         r.tree.index_key_splits.add(3);
         let s = r.snapshot();
         assert_eq!(s.get("buffer.fetches"), Some(10));
@@ -396,7 +387,6 @@ mod tests {
         assert_eq!(s.get("buffer.flush_errors"), Some(0));
         assert_eq!(s.get("wal.fsync_ns.count"), Some(1));
         assert_eq!(s.get("wal.fsync_ns.sum"), Some(1000));
-        assert_eq!(s.get("tree.index_time_splits"), Some(2));
         assert_eq!(s.get("tree.index_key_splits"), Some(3));
         assert_eq!(s.get("no.such.metric"), None);
         assert!((s.buffer_hit_rate() - 0.9).abs() < 1e-9);
@@ -423,7 +413,6 @@ mod tests {
     #[test]
     fn temporal_metrics_have_stable_names() {
         let r = MetricsRegistry::new();
-        r.temporal.range_scan_pages.add(12);
         r.temporal.versions_returned.add(40);
         r.temporal.diff_rows.add(7);
         r.temporal.snapshots.set(2);
@@ -436,7 +425,6 @@ mod tests {
         assert_eq!(s.get("temporal.pushdown_point"), Some(3));
         assert_eq!(s.get("temporal.pushdown_range"), Some(2));
         assert_eq!(s.get("temporal.pushdown_none"), Some(1));
-        assert_eq!(s.get("tsb.range_scan_pages"), Some(12));
         assert_eq!(s.get("temporal.versions_returned"), Some(40));
         assert_eq!(s.get("temporal.diff_rows"), Some(7));
         assert_eq!(s.get("catalog.snapshots"), Some(2));

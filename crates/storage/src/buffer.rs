@@ -28,8 +28,7 @@
 //! other frame, and second chance applies only among the others. A
 //! history leaf is immutable once split off, clean after its first
 //! write-back, and touched once by the chain walk that passes it; index
-//! nodes, historical ones included, and current leaves are the working
-//! set (DESIGN.md §11). Dirty victims are written back, after (a)
+//! nodes and current leaves are the working set (DESIGN.md §11). Dirty victims are written back, after (a)
 //! flushing the WAL up to the page LSN and (b) running the flush hook —
 //! which is how Immortal DB timestamps non-timestamped records of
 //! committed transactions "just before a cached page is flushed to disk"
@@ -103,11 +102,11 @@ unsafe impl Send for Frame {}
 // SAFETY: as for `Send`.
 unsafe impl Sync for Frame {}
 
-/// Whether `page` is a history leaf: a `FLAG_HISTORICAL` leaf, which the
-/// eviction sweep takes before any other frame. Historical index nodes
-/// (TSB) are not: AS OF descents into old time pass through them.
+/// Whether `page` is a history leaf (`FLAG_HISTORICAL`; only a time
+/// split's history pages carry it), which the eviction sweep takes
+/// before any other frame.
 fn is_history_leaf(page: &Page) -> bool {
-    page.is_historical() && matches!(page.page_type(), Ok(PageType::Leaf))
+    page.is_historical()
 }
 
 /// Shared handle to a cached page. Holding one pins the frame.
@@ -796,8 +795,8 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Current dirty-page table: `(page, recLSN)` pairs, for fuzzy
-    /// checkpoint records.
+    /// Current dirty-page table: `(page, recLSN)` pairs in page order,
+    /// for fuzzy checkpoint records.
     pub fn dirty_page_table(&self) -> Vec<(PageId, Lsn)> {
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -810,6 +809,7 @@ impl BufferPool {
                     .map(|f| (f.id, f.rec_lsn())),
             );
         }
+        out.sort_unstable();
         out
     }
 
@@ -1069,33 +1069,6 @@ mod tests {
         assert_eq!(m.buffer.history_evictions.get(), 2);
         assert!(Arc::ptr_eq(&pinned, &pool.fetch(history[0]).unwrap()));
         assert!(!resident(&pool, history[1]) && !resident(&pool, history[2]));
-        let _ = std::fs::remove_file(db);
-        let _ = std::fs::remove_file(wal);
-    }
-
-    #[test]
-    fn historical_index_nodes_keep_second_chance() {
-        let (disk, _w, pool, db, wal) = setup("histindex", 8);
-        // A TSB historical index node: historical, but not a leaf.
-        let node = {
-            let f = pool.new_page(PageType::Index, FLAG_HISTORICAL, 1).unwrap();
-            pool.write_back(&f).unwrap();
-            f.page_id()
-        };
-        let leaf = clean_page(&pool, FLAG_VERSIONED | FLAG_HISTORICAL).page_id();
-        for _ in 0..6 {
-            clean_page(&pool, FLAG_VERSIONED);
-        }
-        let m = pool.metrics();
-        assert_eq!(history_leaves(&pool), 1);
-        install_new(&disk, &pool);
-        assert!(!resident(&pool, leaf) && resident(&pool, node));
-        assert_eq!(history_leaves(&pool), 0);
-        // The next victim comes from the second-chance sweep, which the
-        // index node joins like any current frame.
-        install_new(&disk, &pool);
-        assert_eq!(m.buffer.evictions.get(), 2);
-        assert_eq!(m.buffer.history_evictions.get(), 1);
         let _ = std::fs::remove_file(db);
         let _ = std::fs::remove_file(wal);
     }

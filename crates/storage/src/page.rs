@@ -610,18 +610,6 @@ impl Page {
         Ok(off)
     }
 
-    /// Insert `(key, data)` keeping slots sorted, *allowing duplicate
-    /// keys* (TSB-tree index nodes hold several time-slice entries per
-    /// key boundary). A duplicate is inserted before its equals.
-    pub fn insert_sorted_dup(&mut self, key: &[u8], data: &[u8], rflags: u8) -> Result<usize> {
-        let pos = match self.find_slot(key) {
-            Ok(pos) | Err(pos) => pos,
-        };
-        let off = self.alloc_record(key, data, rflags, true)?;
-        self.insert_slot(pos, off);
-        Ok(off)
-    }
-
     /// Remove the record at slot `i` (marks the record dead and drops the
     /// slot).
     pub fn remove_record_at(&mut self, i: usize) {

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use immortaldb_btree::{BTree, Routing, SplitTimeSource, TemporalIndex};
+use immortaldb_btree::{BTree, SplitTimeSource};
 use immortaldb_common::codec::{key_from_u64, u64_from_key, Reader, Writer};
 use immortaldb_common::{Error, Lsn, Result, Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
@@ -104,7 +104,7 @@ impl Ptt {
             .collect::<Result<Vec<_>>>()?;
         leaves.sort_unstable();
         leaves.dedup();
-        let pool = &self.tree.core().pool;
+        let pool = self.tree.pool();
         for frame in leaves.into_iter().filter_map(|id| pool.resident(id)) {
             pool.write_back(&frame)?;
         }

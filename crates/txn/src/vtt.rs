@@ -160,10 +160,12 @@ impl Vtt {
     /// the LSN the *next* record would get — so equality means stamping
     /// completed before the record at `redo_scan_start` existed, and the
     /// checkpoint that produced that scan-start has flushed the stamped
-    /// pages.) Returns `(tid, had PTT entry)` pairs; the caller deletes
-    /// the PTT rows and then calls [`Self::remove`].
+    /// pages.) Returns `(tid, had PTT entry)` pairs in TID order, so the
+    /// PTT deletes the caller logs do not follow hash order; the caller
+    /// deletes the PTT rows and then calls [`Self::remove`].
     pub fn gc_candidates(&self, redo_scan_start: Lsn) -> Vec<(Tid, bool)> {
-        self.entries
+        let mut out: Vec<(Tid, bool)> = self
+            .entries
             .lock()
             .iter()
             .filter(|(_, e)| {
@@ -172,7 +174,9 @@ impl Vtt {
                     && e.stable_lsn.map(|l| l <= redo_scan_start).unwrap_or(false)
             })
             .map(|(tid, e)| (*tid, e.in_ptt))
-            .collect()
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Snapshot transactions can be dropped as soon as their count hits

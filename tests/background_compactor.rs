@@ -1,5 +1,5 @@
 //! The background history compactor (`DbConfig::compaction_interval`)
-//! beside a writer and an `AS OF` reader, on both indexes.
+//! beside a writer and an `AS OF` reader.
 //!
 //! The compactor wakes every 5 ms and rewrites history pages while a
 //! writer commits padded rows (so leaves time-split and history pages
@@ -37,15 +37,13 @@ struct Read {
     point: Option<Vec<Value>>,
 }
 
-fn compactor_beside_writer_and_reader(tag: &str, using_tsb: bool) {
+fn compactor_beside_writer_and_reader(tag: &str) {
     let dir = TempDir::new(tag);
     let db = Arc::new(
         Database::open(DbConfig::new(&dir).compaction_interval(Duration::from_millis(5))).unwrap(),
     );
-    let ddl = format!(
-        "CREATE IMMORTAL TABLE {TABLE} (id INT PRIMARY KEY, v INT, pad VARCHAR(200)){}",
-        if using_tsb { " USING TSB" } else { "" }
-    );
+    let ddl =
+        format!("CREATE IMMORTAL TABLE {TABLE} (id INT PRIMARY KEY, v INT, pad VARCHAR(200))");
     Session::new(&db).execute(&ddl).unwrap();
     let history = Arc::new(Mutex::new(History::default()));
 
@@ -143,10 +141,5 @@ fn writer_done(history: &Mutex<History>) -> bool {
 
 #[test]
 fn background_compactor_on_the_chain_index() {
-    compactor_beside_writer_and_reader("compactor-chain", false);
-}
-
-#[test]
-fn background_compactor_on_the_tsb_index() {
-    compactor_beside_writer_and_reader("compactor-tsb", true);
+    compactor_beside_writer_and_reader("compactor-chain");
 }

@@ -1,4 +1,4 @@
-//! The key × time cursor against brute force, on both indexes.
+//! The key × time cursor against brute force.
 //!
 //! A deterministic history with deletes and re-inserts
 //! (`mobgen::temporal_history`, rows padded so pages fill) is replayed
@@ -8,11 +8,11 @@
 //! answer of the `History` every commit is recorded in and (b) the
 //! unbounded walk filtered afterwards; and (c) it must *cost what it
 //! touches* — `buffer.fetches` proportional to the covering leaves'
-//! chains, with the push-down visible in `temporal.pushdown_*`. On the
-//! chain index the boxes are re-checked after `compact_history` has
-//! merged history pages, and on both inside a snapshot transaction
-//! holding uncommitted writes of its own; before any box, every committed
-//! version must be readable at its own timestamp.
+//! chains, with the push-down visible in `temporal.pushdown_*`. The
+//! boxes are re-checked after `compact_history` has merged history pages,
+//! and inside a snapshot transaction holding uncommitted writes of its
+//! own; before any box, every committed version must be readable at its
+//! own timestamp.
 //!
 //! A second battery checks that a scan is *resumable*: forced to stop
 //! every `k` rows and re-enter the cursor after the last key it sent — as
@@ -24,10 +24,9 @@
 //! the whole run. Resuming is also cheap: over 25 chunks a window costs
 //! at most twice the fetches of one walk.
 //!
-//! A third replays the shape at which TSB *index nodes* split in both
-//! dimensions (many keys, many commits to a clock tick): every version
-//! must be readable at its own timestamp there too, and `AS OF` scans
-//! must resume where they stopped.
+//! A third replays a shape with many keys and many commits to a clock
+//! tick: every version must be readable at its own timestamp there too,
+//! and `AS OF` scans must resume where they stopped.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -74,7 +73,7 @@ fn oid(row: &[Value]) -> i32 {
     }
 }
 
-fn build(tag: &str, using_tsb: bool, seed: u64, objects: u32, steps: u32) -> Fixture {
+fn build(tag: &str, seed: u64, objects: u32, steps: u32) -> Fixture {
     let dir = TempDir::new(&format!("cursor-eq-{tag}"));
     let clock = Arc::new(SimClock::new(7_000_000));
     let mut cfg = DbConfig::new(&dir).clock(clock.clone());
@@ -83,8 +82,7 @@ fn build(tag: &str, using_tsb: bool, seed: u64, objects: u32, steps: u32) -> Fix
     cfg.lock_timeout = std::time::Duration::from_millis(40);
     let db = Arc::new(Database::open(cfg).unwrap());
     let ddl = format!(
-        "CREATE IMMORTAL TABLE {TABLE} (Oid INT PRIMARY KEY, X INT, Y INT, Pad VARCHAR(200)){}",
-        if using_tsb { " USING TSB" } else { "" }
+        "CREATE IMMORTAL TABLE {TABLE} (Oid INT PRIMARY KEY, X INT, Y INT, Pad VARCHAR(200))"
     );
     Session::new(&db).execute(&ddl).unwrap();
     let mut fx = Fixture {
@@ -355,16 +353,14 @@ fn check_own_writes(fx: &mut Fixture, seed: u64) {
     db.rollback(&mut snap).unwrap();
 }
 
-fn battery(tag: &str, using_tsb: bool, seed: u64) {
-    let mut fx = build(tag, using_tsb, seed, OBJECTS, STEPS);
+fn battery(tag: &str, seed: u64) {
+    let mut fx = build(tag, seed, OBJECTS, STEPS);
     fx.history
         .check_own_timestamps(&fx.db, TABLE)
         .expect("every version at its own commit timestamp");
     check_boxes(&fx, seed ^ 1, 60, "after splits");
-    if !using_tsb {
-        merge_history(&mut fx);
-        check_boxes(&fx, seed ^ 2, 60, "after compact_history");
-    }
+    merge_history(&mut fx);
+    check_boxes(&fx, seed ^ 2, 60, "after compact_history");
     check_own_writes(&mut fx, seed ^ 3);
 }
 
@@ -393,14 +389,8 @@ fn merge_history(fx: &mut Fixture) {
 
 #[test]
 fn chain_cursor_equals_brute_force() {
-    battery("chain-a", false, 11);
-    battery("chain-b", false, 12);
-}
-
-#[test]
-fn tsb_cursor_equals_brute_force() {
-    battery("tsb-a", true, 11);
-    battery("tsb-b", true, 12);
+    battery("chain-a", 11);
+    battery("chain-b", 12);
 }
 
 // -- cost what you touch ------------------------------------------------------
@@ -418,7 +408,7 @@ fn fetch_cost<R>(db: &Database, f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn keyed_temporal_reads_cost_what_they_touch() {
-    let fx = build("cost", false, 21, 4 * OBJECTS, 3 * STEPS);
+    let fx = build("cost", 21, 4 * OBJECTS, 3 * STEPS);
     let db = &fx.db;
     // Stamp everything so no read resolves a timestamp through PTT pages.
     db.vacuum().unwrap();
@@ -522,26 +512,6 @@ fn keyed_temporal_reads_cost_what_they_touch() {
     s.execute(&format!("UPDATE {TABLE} SET Y = 6 WHERE X = 123456"))
         .unwrap();
     assert_eq!(pushed("temporal.pushdown_none"), nones + 1);
-}
-
-#[test]
-fn tsb_keyed_window_prunes_rectangles_on_keys() {
-    let fx = build("tsb-cost", true, 21, 4 * OBJECTS, 3 * STEPS);
-    let db = &fx.db;
-    let schema = db.table(TABLE).unwrap().schema.clone();
-    let commits = fx.history.commits();
-    let (lo, hi) = (commits[commits.len() / 2], *commits.last().unwrap());
-    let pages = || db.metrics().temporal.range_scan_pages.get();
-    let key = PkBounds::point(&schema, &Value::Int(17)).unwrap();
-    let before = pages();
-    assert!(!window_in(db, &key, lo, hi).0.is_empty());
-    let keyed = pages() - before;
-    db.versions_between(TABLE, lo, hi).unwrap();
-    let unkeyed = pages() - before - keyed;
-    assert!(
-        keyed > 0 && keyed * 4 < unkeyed,
-        "keyed {keyed} vs whole-table {unkeyed} pages"
-    );
 }
 
 // -- resumable scans ------------------------------------------------------------
@@ -654,8 +624,8 @@ fn random_predicate(rng: &mut StdRng) -> String {
     }
 }
 
-fn resume_battery(tag: &str, using_tsb: bool, seed: u64) {
-    let mut fx = build(tag, using_tsb, seed, OBJECTS, STEPS);
+fn resume_battery(tag: &str, seed: u64) {
+    let mut fx = build(tag, seed, OBJECTS, STEPS);
     let db = fx.db.clone();
     let mut s = Session::new(&db);
     let mut rng = StdRng::seed_from_u64(seed ^ 5);
@@ -780,12 +750,7 @@ fn resume_battery(tag: &str, using_tsb: bool, seed: u64) {
 
 #[test]
 fn chain_scans_resume_where_they_stopped() {
-    resume_battery("chain-resume", false, 31);
-}
-
-#[test]
-fn tsb_scans_resume_where_they_stopped() {
-    resume_battery("tsb-resume", true, 31);
+    resume_battery("chain-resume", 31);
 }
 
 // -- the cost of resuming -------------------------------------------------------
@@ -796,16 +761,13 @@ fn tsb_scans_resume_where_they_stopped() {
 /// keys, inserted and then updated four times, 50 keys to a commit and
 /// a tick per commit; `VERSIONS BETWEEN` covers one update round and
 /// `DIFF` two, so each returns 1,600 rows — 25 chunks.
-fn resume_cost_battery(tag: &str, using_tsb: bool) {
+fn resume_cost_battery(tag: &str) {
     const T: &str = "T";
     const KEYS: i32 = 1_600;
     let dir = TempDir::new(&format!("cursor-eq-{tag}"));
     let clock = Arc::new(SimClock::new(1_700_000_000_000));
     let db = Database::open(DbConfig::new(&dir).clock(clock.clone())).unwrap();
-    let ddl = format!(
-        "CREATE IMMORTAL TABLE {T} (Oid INT PRIMARY KEY, V INT, Pad VARCHAR(200)){}",
-        if using_tsb { " USING TSB" } else { "" }
-    );
+    let ddl = format!("CREATE IMMORTAL TABLE {T} (Oid INT PRIMARY KEY, V INT, Pad VARCHAR(200))");
     Session::new(&db).execute(&ddl).unwrap();
     let keys: Vec<i32> = (0..KEYS).collect();
     let mut rounds = Vec::new();
@@ -864,32 +826,23 @@ fn resume_cost_battery(tag: &str, using_tsb: bool) {
 }
 
 #[test]
-fn tsb_resumed_windows_cost_at_most_twice_one_walk() {
-    resume_cost_battery("tsb-resume-cost", true);
-}
-
-#[test]
 fn chain_resumed_windows_cost_at_most_twice_one_walk() {
-    resume_cost_battery("chain-resume-cost", false);
+    resume_cost_battery("chain-resume-cost");
 }
 
 // -- index-node splits ----------------------------------------------------------
 
 /// 1,000 keys × 30 versions, 25 keys to a commit, the clock moving 20 ms
 /// every 64 commits (so most commits share a tick and differ in `sn`).
-/// On a TSB table this splits index nodes both in time and by key. The
-/// first version of each row carries a 150-byte pad: with narrow rows
-/// alone the 1,000 keys fit in ~10 current leaves, and no index node
-/// ever has enough open entries left after a time split to key-split.
-fn index_split_battery(tag: &str, using_tsb: bool) {
+/// The first version of each row carries a 150-byte pad, so the 1,000
+/// keys spread over many current leaves.
+fn index_split_battery(tag: &str) {
     const T: &str = "T";
     let dir = TempDir::new(&format!("cursor-eq-{tag}"));
     let clock = Arc::new(SimClock::new(1_700_000_000_000));
     let db = Database::open(DbConfig::new(&dir).clock(clock.clone())).unwrap();
-    let ddl = format!(
-        "CREATE IMMORTAL TABLE {T} (Oid INT PRIMARY KEY, X INT, Y INT, Pad VARCHAR(400)){}",
-        if using_tsb { " USING TSB" } else { "" }
-    );
+    let ddl =
+        format!("CREATE IMMORTAL TABLE {T} (Oid INT PRIMARY KEY, X INT, Y INT, Pad VARCHAR(400))");
     Session::new(&db).execute(&ddl).unwrap();
     let row = |k: i32, v: i32| {
         let pad = if v == 0 {
@@ -931,14 +884,6 @@ fn index_split_battery(tag: &str, using_tsb: bool) {
             clock.advance(20);
         }
     }
-    if using_tsb {
-        let tree = &db.metrics().tree;
-        let splits = (tree.index_time_splits.get(), tree.index_key_splits.get());
-        assert!(
-            splits.0 > 0 && splits.1 > 0,
-            "index nodes must split both ways: {splits:?}"
-        );
-    }
     history
         .check_own_timestamps(&db, T)
         .expect("every version at its own commit timestamp");
@@ -954,10 +899,5 @@ fn index_split_battery(tag: &str, using_tsb: bool) {
 
 #[test]
 fn chain_index_split_shape_reads_every_version() {
-    index_split_battery("chain-index-split", false);
-}
-
-#[test]
-fn tsb_index_split_shape_reads_every_version() {
-    index_split_battery("tsb-index-split", true);
+    index_split_battery("chain-index-split");
 }

@@ -9,7 +9,7 @@
 //! then checked against it: after the build, after a synchronous
 //! `compact_history` pass, after a reopen that replays the compaction's
 //! page images from the log, and on a replica that applied the compacted
-//! primary's WAL. Both index kinds (chain and TSB) run the same battery.
+//! primary's WAL.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -72,16 +72,14 @@ fn open_db(dir: &Path, clock: Arc<SimClock>) -> Arc<Database> {
     )
 }
 
-/// A fresh `deep` table, either index kind, and its clock.
-fn empty_table(tag: &str, using_tsb: bool) -> Fixture {
+/// A fresh `deep` table and its clock.
+fn empty_table(tag: &str) -> Fixture {
     let dir = TempDir::new(&format!("history-compaction-{tag}"));
     let clock = Arc::new(SimClock::new(7_000_000));
     let db = open_db(dir.path(), Arc::clone(&clock));
-    let ddl = format!(
-        "CREATE IMMORTAL TABLE deep (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160)){}",
-        if using_tsb { " USING TSB" } else { "" }
-    );
-    Session::new(&db).execute(&ddl).unwrap();
+    Session::new(&db)
+        .execute("CREATE IMMORTAL TABLE deep (Oid INT PRIMARY KEY, Seq INT, Pad VARCHAR(160))")
+        .unwrap();
     Fixture {
         db: Some(db),
         clock,
@@ -93,8 +91,8 @@ fn empty_table(tag: &str, using_tsb: bool) -> Fixture {
 /// Build the deep history: a batched initial load, then `ROUNDS` rounds
 /// of single-key updates walking round-robin over the keys, one delete +
 /// re-insert for [`DELETED_KEY`] in the middle.
-fn build(tag: &str, using_tsb: bool) -> Fixture {
-    let mut f = empty_table(tag, using_tsb);
+fn build(tag: &str) -> Fixture {
+    let mut f = empty_table(tag);
     let db = Arc::clone(f.db());
     // Initial load through the batched-ingest path.
     let mut txn = db.begin(Isolation::Serializable);
@@ -159,9 +157,9 @@ fn check_all(f: &Fixture, label: &str) {
     f.history.check_own_timestamps(f.db(), "deep").expect(label);
 }
 
-fn run_battery(using_tsb: bool, tag: &str) {
+fn run_battery(tag: &str) {
     // Time splits write every history page delta-packed, once.
-    let mut f = build(tag, using_tsb);
+    let mut f = build(tag);
     check_all(&f, "pre-compaction");
     let before = f.db().history_stats().unwrap();
     assert!(
@@ -173,28 +171,22 @@ fn run_battery(using_tsb: bool, tag: &str) {
         "history must be packed well below full records: {before:?}"
     );
 
-    // Synchronous compaction pass: the chain index merges under-filled
-    // chain pages; a TSB table has nothing to merge. Either way no
-    // answer may change.
+    // Synchronous compaction pass: under-filled chain pages merge, and
+    // no answer may change.
     let stats = f.db().compact_history().unwrap();
     let after = f.db().history_stats().unwrap();
-    if using_tsb {
-        assert_eq!(stats.pages_rewritten, 0, "TSB pages are never rewritten");
-        assert_eq!(after.history_pages, before.history_pages);
-    } else {
-        assert!(
-            stats.pages_freed > 0,
-            "chain compaction must merge under-filled chain pages: {stats:?}"
-        );
-        assert!(
-            after.history_pages < before.history_pages,
-            "merging must shrink the page count: {before:?} -> {after:?}"
-        );
-        assert!(
-            after.bytes_per_version() <= before.bytes_per_version(),
-            "merging must not grow bytes/version: {before:?} -> {after:?}"
-        );
-    }
+    assert!(
+        stats.pages_freed > 0,
+        "chain compaction must merge under-filled chain pages: {stats:?}"
+    );
+    assert!(
+        after.history_pages < before.history_pages,
+        "merging must shrink the page count: {before:?} -> {after:?}"
+    );
+    assert!(
+        after.bytes_per_version() <= before.bytes_per_version(),
+        "merging must not grow bytes/version: {before:?} -> {after:?}"
+    );
     check_all(&f, "post-compaction");
 
     // A second pass must be (close to) a no-op — idempotence.
@@ -215,19 +207,14 @@ fn run_battery(using_tsb: bool, tag: &str) {
 
 #[test]
 fn deep_history_matches_shadow_chain_index() {
-    run_battery(false, "chain");
-}
-
-#[test]
-fn deep_history_matches_shadow_tsb_index() {
-    run_battery(true, "tsb");
+    run_battery("chain");
 }
 
 /// A replica that applies the primary's WAL — including the compaction's
 /// page-image records — must serve the same deep-history answers.
 #[test]
 fn replica_serves_compacted_history() {
-    let f = build("repl", false);
+    let f = build("repl");
     f.db().compact_history().unwrap();
 
     let server = Server::start(
@@ -275,12 +262,12 @@ fn replica_serves_compacted_history() {
 /// Twin databases, one loaded with `insert_rows` (batched) and one row by
 /// row with `insert_row`, then given the same updates: the batch must
 /// build the same tree — same splits, same version store, same answers.
-fn batched_ingest_matches_per_row(using_tsb: bool, tag: &str) {
+fn batched_ingest_matches_per_row(tag: &str) {
     const ROWS: i32 = 300;
     let twins: Vec<Fixture> = [true, false]
         .into_iter()
         .map(|batched| {
-            let mut f = empty_table(&format!("{tag}-{batched}"), using_tsb);
+            let mut f = empty_table(&format!("{tag}-{batched}"));
             let db = Arc::clone(f.db());
             let mut txn = db.begin(Isolation::Serializable);
             if batched {
@@ -334,19 +321,14 @@ fn batched_ingest_matches_per_row(using_tsb: bool, tag: &str) {
 
 #[test]
 fn chain_batched_ingest_matches_per_row() {
-    batched_ingest_matches_per_row(false, "ingest-chain");
-}
-
-#[test]
-fn tsb_batched_ingest_matches_per_row() {
-    batched_ingest_matches_per_row(true, "ingest-tsb");
+    batched_ingest_matches_per_row("ingest-chain");
 }
 
 /// A duplicate key part-way through a batch ends it with the rows before
 /// it applied (the transaction sees them) and the rest not; rolling back
 /// removes the applied ones, so a later batch can insert them again.
-fn batch_error_rolls_back(using_tsb: bool, tag: &str) {
-    let f = empty_table(tag, using_tsb);
+fn batch_error_rolls_back(tag: &str) {
+    let f = empty_table(tag);
     let db = f.db();
     let mut txn = db.begin(Isolation::Serializable);
     db.insert_row(&mut txn, "deep", deep_row(150, 0)).unwrap();
@@ -384,10 +366,5 @@ fn batch_error_rolls_back(using_tsb: bool, tag: &str) {
 
 #[test]
 fn chain_batch_error_rolls_back() {
-    batch_error_rolls_back(false, "dup-chain");
-}
-
-#[test]
-fn tsb_batch_error_rolls_back() {
-    batch_error_rolls_back(true, "dup-tsb");
+    batch_error_rolls_back("dup-chain");
 }

@@ -124,14 +124,13 @@ fn show_stats_surfaces_the_registry() {
     get("buffer.history_evictions");
 }
 
-/// Every lazy-timestamping trigger of the paper fires on a TSB-indexed
-/// table exactly as on the chain index: the update trigger, the split,
-/// the serializable read, vacuum — and eager stamping in the baseline
-/// mode. Here the TSB table is the only versioned one, so every count
-/// below is its own.
+/// Every lazy-timestamping trigger of the paper fires on an immortal
+/// table: the update trigger, the split, the serializable read, vacuum —
+/// and eager stamping in the baseline mode. Here the table is the only
+/// versioned one, so every count below is its own.
 #[test]
-fn every_stamping_trigger_fires_on_a_tsb_table() {
-    let ddl = "CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT, pad VARCHAR(100)) USING TSB";
+fn every_stamping_trigger_fires_on_an_immortal_table() {
+    let ddl = "CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v INT, pad VARCHAR(100))";
     let row = |id: i32, v: i32| {
         vec![
             Value::Int(id),
@@ -139,7 +138,7 @@ fn every_stamping_trigger_fires_on_a_tsb_table() {
             Value::Varchar("p".repeat(90)),
         ]
     };
-    let env = Env::new("tsb-stamps");
+    let env = Env::new("stamps");
     let db = env.open(TimestampingMode::Lazy);
     Session::new(&db).execute(ddl).unwrap();
     let autocommit = |f: &mut dyn FnMut(&mut immortaldb::Transaction)| {
@@ -169,18 +168,18 @@ fn every_stamping_trigger_fires_on_a_tsb_table() {
     let snap = db.metrics_snapshot();
     for trigger in ["update", "time_split", "read", "vacuum"] {
         let n = snap.get(&format!("ts.stamps.{trigger}")).unwrap();
-        assert!(n > 0, "ts.stamps.{trigger} never moved on a TSB table");
+        assert!(n > 0, "ts.stamps.{trigger} never moved");
     }
     drop(db);
 
-    let env = Env::new("tsb-eager");
+    let env = Env::new("stamps-eager");
     let db = env.open(TimestampingMode::Eager);
     let mut s = Session::new(&db);
     s.execute(ddl).unwrap();
     s.execute("INSERT INTO t VALUES (1, 1, 'x')").unwrap();
     s.execute("UPDATE t SET v = 2 WHERE id = 1").unwrap();
     let eager = db.metrics_snapshot().get("ts.stamps.eager").unwrap();
-    assert!(eager >= 2, "eager commits stamp TSB versions: {eager}");
+    assert!(eager >= 2, "eager commits stamp their versions: {eager}");
 }
 
 /// A sink that is full after every `k` rows.

@@ -2,13 +2,12 @@
 //!
 //! N reader threads (mixed snapshot-current and `AS OF` point reads) run
 //! against M writer threads driving inserts, updates and deletes — deep
-//! version chains, leaf splits and (on the TSB index) time splits —
+//! version chains, leaf splits and time splits —
 //! while the optimistic page-latch protocol (DESIGN.md §11) serves the
 //! read side. Writers commit under a mutex that records every committed
 //! change in one `History`, so it is always exactly the engine's commit
 //! history. Each read is verified against the row that history implies
-//! for its timestamp: zero violations allowed, on two fixed seeds, for
-//! both index layouts.
+//! for its timestamp: zero violations allowed, on two fixed seeds.
 //!
 //! The runs also assert `latch.optimistic_retries > 0` — the protocol's
 //! conflict path must actually exercise under writer pressure (a hot-key
@@ -211,7 +210,7 @@ fn ensure_retries(db: &Database) {
     }
 }
 
-fn stress(tag: &str, using_tsb: bool, seed: u64) {
+fn stress(tag: &str, seed: u64) {
     let dir = TempDir::new(&format!("read-scaling-stress-{tag}"));
     let clock = Arc::new(SimClock::new(5_000_000));
     let db = Database::open(
@@ -221,11 +220,8 @@ fn stress(tag: &str, using_tsb: bool, seed: u64) {
     )
     .unwrap();
     let mut s = Session::new(&db);
-    let ddl = format!(
-        "CREATE IMMORTAL TABLE obj (Oid INT PRIMARY KEY, LocationX INT, LocationY INT){}",
-        if using_tsb { " USING TSB" } else { "" }
-    );
-    s.execute(&ddl).unwrap();
+    s.execute("CREATE IMMORTAL TABLE obj (Oid INT PRIMARY KEY, LocationX INT, LocationY INT)")
+        .unwrap();
 
     let history: Mutex<History> = Mutex::new(History::default());
     let writers_left = AtomicUsize::new(WRITERS);
@@ -266,20 +262,10 @@ fn stress(tag: &str, using_tsb: bool, seed: u64) {
 
 #[test]
 fn read_scaling_stress_chain_seed1() {
-    stress("chain1", false, 0xDEC0_DE01);
+    stress("chain1", 0xDEC0_DE01);
 }
 
 #[test]
 fn read_scaling_stress_chain_seed2() {
-    stress("chain2", false, 0x0DDB_A117);
-}
-
-#[test]
-fn read_scaling_stress_tsb_seed1() {
-    stress("tsb1", true, 0xDEC0_DE01);
-}
-
-#[test]
-fn read_scaling_stress_tsb_seed2() {
-    stress("tsb2", true, 0x0DDB_A117);
+    stress("chain2", 0x0DDB_A117);
 }

@@ -184,46 +184,42 @@ fn replica_as_of_reads_match_the_primary_commit_history() {
 /// root and see only that page's keys.
 #[test]
 fn replica_follows_root_splits_of_tables_it_has_open() {
-    for using_tsb in [false, true] {
-        let (primary_dir, replica_dir) = (TempDir::new("repl-root"), TempDir::new("repl-root"));
-        let primary = Database::open(DbConfig::new(&primary_dir)).unwrap();
-        let ddl = format!(
-            "CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v BIGINT){}",
-            if using_tsb { " USING TSB" } else { "" }
-        );
-        Session::new(&primary).execute(&ddl).unwrap();
-        // Bootstrap: the replica starts from the primary's log as it is
-        // now, with the table created and its root a single leaf.
-        let (bytes, shipped) = primary.wal().read_raw(WAL_START, usize::MAX).unwrap();
-        Wal::open(replica_dir.path().join("wal.log"))
-            .unwrap()
-            .append_raw(WAL_START, &bytes)
+    let (primary_dir, replica_dir) = (TempDir::new("repl-root"), TempDir::new("repl-root"));
+    let primary = Database::open(DbConfig::new(&primary_dir)).unwrap();
+    Session::new(&primary)
+        .execute("CREATE IMMORTAL TABLE t (id INT PRIMARY KEY, v BIGINT)")
+        .unwrap();
+    // Bootstrap: the replica starts from the primary's log as it is
+    // now, with the table created and its root a single leaf.
+    let (bytes, shipped) = primary.wal().read_raw(WAL_START, usize::MAX).unwrap();
+    Wal::open(replica_dir.path().join("wal.log"))
+        .unwrap()
+        .append_raw(WAL_START, &bytes)
+        .unwrap();
+    let replica = Database::open_replica(DbConfig::new(&replica_dir)).unwrap();
+    let mut s = Session::new(&primary);
+    for batch in (0..2_000).collect::<Vec<i32>>().chunks(100) {
+        let values: Vec<String> = batch.iter().map(|k| format!("({k}, {k})")).collect();
+        s.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
             .unwrap();
-        let replica = Database::open_replica(DbConfig::new(&replica_dir)).unwrap();
-        let mut s = Session::new(&primary);
-        for batch in (0..2_000).collect::<Vec<i32>>().chunks(100) {
-            let values: Vec<String> = batch.iter().map(|k| format!("({k}, {k})")).collect();
-            s.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
-                .unwrap();
-        }
-        assert!(primary.split_counts().1 > 0, "the root never split");
-        let (bytes, _) = primary.wal().read_raw(shipped, usize::MAX).unwrap();
-        replica
-            .replica_apply(shipped, &bytes, primary.visible_horizon())
-            .unwrap();
-        let scan = |db: &Database| {
-            let mut txn = db.begin_as_of_ts(Timestamp::MAX);
-            let rows = db.scan_rows(&mut txn, "t").unwrap();
-            db.commit(&mut txn).unwrap();
-            rows
-        };
-        let (want, got) = (scan(&primary), scan(&replica));
-        assert_eq!(want.len(), 2_000);
-        assert!(
-            got == want,
-            "TSB {using_tsb}: the replica scanned {} of {} rows",
-            got.len(),
-            want.len()
-        );
     }
+    assert!(primary.split_counts().1 > 0, "the root never split");
+    let (bytes, _) = primary.wal().read_raw(shipped, usize::MAX).unwrap();
+    replica
+        .replica_apply(shipped, &bytes, primary.visible_horizon())
+        .unwrap();
+    let scan = |db: &Database| {
+        let mut txn = db.begin_as_of_ts(Timestamp::MAX);
+        let rows = db.scan_rows(&mut txn, "t").unwrap();
+        db.commit(&mut txn).unwrap();
+        rows
+    };
+    let (want, got) = (scan(&primary), scan(&replica));
+    assert_eq!(want.len(), 2_000);
+    assert!(
+        got == want,
+        "the replica scanned {} of {} rows",
+        got.len(),
+        want.len()
+    );
 }

@@ -8,9 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use immortaldb::{
-    Database, DbConfig, IndexKind, Isolation, Session, TableKind, Value, WRITE_CHUNK,
-};
+use immortaldb::{Database, DbConfig, Isolation, Session, TableKind, Value, WRITE_CHUNK};
 use immortaldb_chaos::{History, TempDir};
 use immortaldb_common::Timestamp;
 
@@ -162,14 +160,13 @@ fn restore_error_paths_and_sql_surface() {
 }
 
 /// `RESTORE TABLE` undoes the change since its instant `WRITE_CHUNK` keys
-/// at a time. On a table several chunks wide, on both indexes, every
-/// restore must reproduce the state at its instant and report exactly
-/// the keys it changed.
-fn restore_over_chunks(tag: &str, index: IndexKind) {
+/// at a time. On a table several chunks wide, every restore must
+/// reproduce the state at its instant and report exactly the keys it
+/// changed.
+fn restore_over_chunks(tag: &str) {
     let dir = TempDir::new(tag);
     let db = Database::open(DbConfig::new(&dir)).unwrap();
-    db.create_table_with("t", schema(), TableKind::Immortal, index)
-        .unwrap();
+    db.create_table("t", schema(), TableKind::Immortal).unwrap();
     let keys = 3 * WRITE_CHUNK as i32 + 21;
     let mut history = History::default();
     // Each step is one transaction: `Some(v)` writes the key, `None`
@@ -225,10 +222,5 @@ fn restore_over_chunks(tag: &str, index: IndexKind) {
 
 #[test]
 fn restore_spans_many_chunks_on_the_chain_index() {
-    restore_over_chunks("restore-chunks-chain", IndexKind::Chain);
-}
-
-#[test]
-fn restore_spans_many_chunks_on_the_tsb_index() {
-    restore_over_chunks("restore-chunks-tsb", IndexKind::Tsb);
+    restore_over_chunks("restore-chunks-chain");
 }

@@ -4,8 +4,7 @@
 //! from `mobgen::temporal_history`) is replayed against the engine while
 //! a `History` records every commit's exact `(timestamp, key, row)`.
 //! Afterwards `VERSIONS BETWEEN`, `DIFF TABLE`, and snapshot reads are
-//! checked against it — zero mismatches allowed — on fixed seeds, for
-//! both the TSB index and the default version-chain index, with
+//! checked against it — zero mismatches allowed — on fixed seeds, with
 //! per-commit and grouped transactions, on the primary `Session` and over
 //! the wire.
 
@@ -31,7 +30,7 @@ struct Fixture {
 /// Replay `ops` in transactions of up to `batch` operations (flushing
 /// early if an oid repeats, so each key has at most one version per
 /// commit), advancing the simulated clock one 20 ms tick per commit.
-fn build(tag: &str, using_tsb: bool, seed: u64, batch: usize) -> Fixture {
+fn build(tag: &str, seed: u64, batch: usize) -> Fixture {
     let dir = TempDir::new(&format!("temporal-shadow-{tag}"));
     let clock = Arc::new(SimClock::new(5_000_000));
     let db = Arc::new(
@@ -43,11 +42,8 @@ fn build(tag: &str, using_tsb: bool, seed: u64, batch: usize) -> Fixture {
         .unwrap(),
     );
     let mut s = Session::new(&db);
-    let ddl = format!(
-        "CREATE IMMORTAL TABLE obj (Oid INT PRIMARY KEY, LocationX INT, LocationY INT){}",
-        if using_tsb { " USING TSB" } else { "" }
-    );
-    s.execute(&ddl).unwrap();
+    s.execute("CREATE IMMORTAL TABLE obj (Oid INT PRIMARY KEY, LocationX INT, LocationY INT)")
+        .unwrap();
 
     let ops = temporal_history(seed, OBJECTS, STEPS);
     let mut history = History::default();
@@ -191,25 +187,22 @@ where
 
 #[test]
 fn versions_diff_and_snapshots_match_shadow_on_fixed_seeds() {
-    // (seed, grouped batch size) × (TSB, version-chain) — per-commit
-    // histories and grouped transactions both replayed.
+    // (seed, grouped batch size) — per-commit histories and grouped
+    // transactions both replayed.
     for (seed, batch) in [(0xA11CE, 1), (0xB0B, 3)] {
-        for using_tsb in [true, false] {
-            let tag = format!("s{seed}-b{batch}-t{using_tsb}");
-            let f = build(&tag, using_tsb, seed, batch);
-            let mut session = Session::new(&f.db);
-            check_against_history(&f.history, |sql| {
-                session
-                    .execute(sql)
-                    .unwrap_or_else(|e| panic!("{sql}: {e}"))
-            });
-        }
+        let f = build(&format!("s{seed}-b{batch}"), seed, batch);
+        let mut session = Session::new(&f.db);
+        check_against_history(&f.history, |sql| {
+            session
+                .execute(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"))
+        });
     }
 }
 
 #[test]
 fn wire_results_match_shadow_and_errors_stay_typed() {
-    let f = build("wire", true, 0xA11CE, 1);
+    let f = build("wire", 0xA11CE, 1);
     let server = Server::start(
         Arc::clone(&f.db),
         ServerConfig::new("127.0.0.1:0").workers(2),
@@ -269,7 +262,7 @@ fn wire_results_match_shadow_and_errors_stay_typed() {
 
 #[test]
 fn replica_clamps_temporal_upper_bound_to_its_horizon() {
-    let f = build("repl-clamp", true, 0xB0B, 1);
+    let f = build("repl-clamp", 0xB0B, 1);
     let server = Server::start(
         Arc::clone(&f.db),
         ServerConfig::new("127.0.0.1:0").workers(2),
