@@ -255,7 +255,8 @@ pub fn report_utilization(rows: &[UtilResult]) -> Report {
 pub struct A2Result {
     /// `(percent of history, first read us, warm us/read)`. The first
     /// read follows a cleared chain directory (as at open), so it walks
-    /// its leaf's chain; warm reads find their page in the directory.
+    /// its leaf's chain; warm reads find their page in the directory,
+    /// and their column is the median of [`A2_PASSES`] timed passes.
     pub points: Vec<(u32, f64, f64)>,
 }
 
@@ -265,6 +266,10 @@ pub struct A2Result {
 /// instead of walking the time-split page chain from the current page.
 /// The chain directory does the same for the page chain, once a leaf's
 /// chain has been walked (or recorded by its splits).
+/// Timed passes of warm reads per A2 mark; the warm column is their
+/// median.
+const A2_PASSES: usize = 5;
+
 pub fn chain_as_of(quick: bool) -> A2Result {
     let dir = TempDir::new("bench-a2");
     // Small pool: historical pages must not be resident (the regime where
@@ -318,7 +323,11 @@ pub fn chain_as_of(quick: bool) -> A2Result {
         let _ = read(0, *at);
         let first_us = t0.elapsed().as_secs_f64() * 1e6;
         measure(*at);
-        points.push((*pct, first_us, measure(*at)));
+        // A pass is ~100 µs: one preemption moves its mean several
+        // times over, and the median pass does not see it.
+        let mut passes: Vec<f64> = (0..A2_PASSES).map(|_| measure(*at)).collect();
+        passes.sort_by(f64::total_cmp);
+        points.push((*pct, first_us, passes[A2_PASSES / 2]));
     }
     A2Result { points }
 }

@@ -15,6 +15,7 @@ pub mod group_commit;
 pub mod harness;
 pub mod history;
 pub mod json;
+pub mod log_sync;
 pub mod netbench;
 pub mod read_scaling;
 pub mod replbench;

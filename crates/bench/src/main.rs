@@ -2,7 +2,7 @@
 //! plus the ablations.
 //!
 //! ```text
-//! immortaldb-bench [--quick] [fig5|fig6|gc|net|connections|repl|temporal|history|read-scaling|a1|a2|a3|a4|a5|all]...
+//! immortaldb-bench [--quick] [fig5|fig6|gc|logsync|net|connections|repl|temporal|history|read-scaling|a1|a2|a3|a4|a5|all]...
 //! ```
 //!
 //! No experiment named means `all`. Each experiment prints its report and
@@ -12,8 +12,8 @@
 //! `--quick` nor an experiment fails the run before anything starts.
 
 use immortaldb_bench::{
-    ablations, connections, fig5, fig6, group_commit, history, netbench, read_scaling, replbench,
-    temporal, Report,
+    ablations, connections, fig5, fig6, group_commit, history, log_sync, netbench, read_scaling,
+    replbench, temporal, Report,
 };
 
 type Experiment = (&'static str, fn(bool) -> Report);
@@ -23,6 +23,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("fig5", |q| fig5::report(&fig5::run(q))),
     ("fig6", |q| fig6::report(&fig6::run(q))),
     ("gc", |q| group_commit::report(&group_commit::run(q))),
+    ("logsync", |q| log_sync::report(&log_sync::run(q))),
     ("net", |q| netbench::report(&netbench::run(q))),
     ("connections", |q| {
         connections::report(&connections::run(q), &connections::idle_tax(q))

@@ -12,8 +12,11 @@ use std::sync::Arc;
 use immortaldb::{Clock, Database, DbConfig, Durability, Isolation, SimClock, TableKind, Value};
 use immortaldb_chaos::fault::FaultVfs;
 use immortaldb_chaos::{kv_schema, run, TempDir, TortureConfig};
+use immortaldb_common::{Lsn, Tid, NULL_LSN};
 use immortaldb_obs::MetricsRegistry;
+use immortaldb_storage::logrec::LogRecord;
 use immortaldb_storage::vfs::Vfs;
+use immortaldb_storage::wal::Wal;
 
 const TABLE: &str = "chaos_kv";
 
@@ -291,4 +294,58 @@ fn failed_group_batch_acknowledges_no_committer() {
         .unwrap()
         .is_some());
     db.rollback(&mut reader).unwrap();
+}
+
+/// The first commit sync of a fresh log writes its chunk of zeros ahead
+/// and then fails its fsync: every record that sync's write covered
+/// fails to commit, no new sync is tried for them, and the next commit
+/// syncs into the room the failed one wrote, with its LSNs continuing.
+#[test]
+fn a_failed_sync_right_after_an_extension_fails_its_batch_only() {
+    let dir = TempDir::new("chaos-extfail");
+    let fault = Arc::new(FaultVfs::wrap_std(57));
+    let state = fault.state();
+    let metrics = MetricsRegistry::new();
+    state.set_metrics(metrics.clone());
+    let path = dir.path().join("wal.log");
+    let wal = Wal::open_with(fault as Arc<dyn Vfs>, &path, metrics.clone()).unwrap();
+    let a1 = wal.append(Tid(1), NULL_LSN, &LogRecord::Begin);
+    let a2 = wal.append(Tid(2), NULL_LSN, &LogRecord::Begin);
+    let batch_end = wal.end_lsn();
+
+    state.set_error_rates(0.0, 1.0);
+    state.enable();
+    assert!(wal
+        .commit_durable(Lsn(a1.0 + 1), Durability::Fsync)
+        .is_err());
+    assert_eq!(metrics.wal.extensions.get(), 1, "the sync extended first");
+    assert_eq!(metrics.faults.fsync_errors.get(), 1);
+    // The other record the failed sync covered fails with it.
+    assert!(wal.commit_durable(batch_end, Durability::Fsync).is_err());
+    assert_eq!(metrics.wal.fsyncs.get(), 1);
+    assert_eq!(wal.durable_lsn(), NULL_LSN);
+    state.disable();
+
+    let b = wal.append(Tid(3), NULL_LSN, &LogRecord::Begin);
+    assert_eq!(b, batch_end);
+    wal.commit_durable(Lsn(b.0 + 1), Durability::Fsync).unwrap();
+    assert!(wal.durable_lsn() > b);
+    assert_eq!(
+        metrics.wal.extensions.get(),
+        1,
+        "the next sync reused the room"
+    );
+    let end = wal.end_lsn();
+    drop(wal);
+
+    let len = std::fs::metadata(&path).unwrap().len();
+    assert!(len > end.0, "the zeros stay until a clean close or reopen");
+    let wal = Wal::open(&path).unwrap();
+    assert_eq!(wal.end_lsn(), end);
+    let lsns: Vec<_> = wal
+        .iter_from(NULL_LSN)
+        .unwrap()
+        .map(|e| e.unwrap().lsn)
+        .collect();
+    assert_eq!(lsns, [a1, a2, b]);
 }

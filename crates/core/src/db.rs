@@ -1065,7 +1065,7 @@ impl Database {
         let values = def.schema.check_row(values)?;
         let key = def.schema.key_of_row(&values)?;
         let data = def.schema.encode_row(&values);
-        self.locks.lock_write(txn.tid, def.tree, &key)?;
+        self.locks.lock_write(txn.tid, def.tree, Arc::clone(&key))?;
         self.ensure_begin_logged(txn)?;
         let handle = self.tree_handle(def.tree)?;
         if def.kind.is_versioned() {
@@ -1098,13 +1098,13 @@ impl Database {
         let mut encoded: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(rows.len());
         for values in rows {
             let values = def.schema.check_row(values)?;
-            let key = def.schema.key_of_row(&values)?;
+            let key = crate::row::encode_key(&values[def.schema.pk])?;
             let data = def.schema.encode_row(&values);
             encoded.push((key, data));
         }
         encoded.sort_by(|a, b| a.0.cmp(&b.0));
         for (key, _) in &encoded {
-            self.locks.lock_write(txn.tid, def.tree, key)?;
+            self.locks.lock_write(txn.tid, def.tree, key[..].into())?;
         }
         self.ensure_begin_logged(txn)?;
         let handle = self.tree_handle(def.tree)?;
@@ -1137,7 +1137,7 @@ impl Database {
         let values = def.schema.check_row(values)?;
         let key = def.schema.key_of_row(&values)?;
         let data = def.schema.encode_row(&values);
-        self.locks.lock_write(txn.tid, def.tree, &key)?;
+        self.locks.lock_write(txn.tid, def.tree, Arc::clone(&key))?;
         self.ensure_begin_logged(txn)?;
         let handle = self.tree_handle(def.tree)?;
         if def.kind.is_versioned() {
@@ -1161,8 +1161,8 @@ impl Database {
         let def = self.table(table)?;
         self.ensure_writable(txn)?;
         let pk = pk.coerce(def.schema.columns[def.schema.pk].ctype)?;
-        let key = crate::row::encode_key(&pk)?;
-        self.locks.lock_write(txn.tid, def.tree, &key)?;
+        let key = crate::row::encode_shared_key(&pk)?;
+        self.locks.lock_write(txn.tid, def.tree, Arc::clone(&key))?;
         self.ensure_begin_logged(txn)?;
         let handle = self.tree_handle(def.tree)?;
         if def.kind.is_versioned() {
@@ -1772,10 +1772,11 @@ impl Database {
         }
     }
 
-    /// Flush everything and fsync (clean shutdown).
+    /// Flush everything and fsync (clean shutdown), then cut the log
+    /// file at the log's end: a closed `wal.log` holds its records only.
     pub fn close(&self) -> Result<()> {
         self.checkpoint()?;
-        Ok(())
+        self.wal.trim_tail()
     }
 
     /// Force the buffered log to disk without a checkpoint (log force).

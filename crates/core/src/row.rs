@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use immortaldb_btree::{Flow, KeyRange};
 use immortaldb_common::codec::{Reader, Writer};
@@ -149,9 +150,10 @@ impl Schema {
         Ok(values)
     }
 
-    /// Memcomparable key bytes for the row's primary key.
-    pub fn key_of_row(&self, values: &[Value]) -> Result<Vec<u8>> {
-        encode_key(&values[self.pk])
+    /// Memcomparable key bytes for the row's primary key, in one shared
+    /// allocation (see [`encode_shared_key`]).
+    pub fn key_of_row(&self, values: &[Value]) -> Result<Arc<[u8]>> {
+        encode_shared_key(&values[self.pk])
     }
 
     /// Encode the full row image (stored as the record data).
@@ -297,26 +299,30 @@ pub trait RowSink {
 /// an order-preserving byte string. The tag keeps differently typed keys
 /// from comparing as equal byte strings.
 pub fn encode_key(v: &Value) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(10);
-    match v {
-        Value::SmallInt(x) => {
-            out.push(1);
-            out.extend_from_slice(&((*x as u16) ^ 0x8000).to_be_bytes());
-        }
-        Value::Int(x) => {
-            out.push(2);
-            out.extend_from_slice(&((*x as u32) ^ 0x8000_0000).to_be_bytes());
-        }
-        Value::BigInt(x) => {
-            out.push(3);
-            out.extend_from_slice(&((*x as u64) ^ (1 << 63)).to_be_bytes());
-        }
-        Value::Varchar(s) => {
-            out.push(4);
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-    Ok(out)
+    let (head, n, tail) = key_parts(v);
+    Ok([&head[..n], tail].concat())
+}
+
+/// [`encode_key`] into one shared allocation: a write hands it to the
+/// lock table, which keeps it, and lends it to the index.
+pub fn encode_shared_key(v: &Value) -> Result<Arc<[u8]>> {
+    let (head, n, tail) = key_parts(v);
+    Ok(head[..n].iter().chain(tail).copied().collect())
+}
+
+/// A key's encoding in two parts: the tag and any fixed-width body (the
+/// first `n` bytes of the array), then a string's bytes.
+fn key_parts(v: &Value) -> ([u8; 9], usize, &[u8]) {
+    let mut head = [0u8; 9];
+    let (tag, body, tail): (u8, &[u8], &[u8]) = match v {
+        Value::SmallInt(x) => (1, &((*x as u16) ^ 0x8000).to_be_bytes(), &[]),
+        Value::Int(x) => (2, &((*x as u32) ^ 0x8000_0000).to_be_bytes(), &[]),
+        Value::BigInt(x) => (3, &((*x as u64) ^ (1 << 63)).to_be_bytes(), &[]),
+        Value::Varchar(s) => (4, &[], s.as_bytes()),
+    };
+    head[0] = tag;
+    head[1..=body.len()].copy_from_slice(body);
+    (head, 1 + body.len(), tail)
 }
 
 /// Bounds on a table's primary key, in memcomparable key bytes: what a

@@ -277,6 +277,9 @@ pub struct WalMetrics {
     pub fsyncs: Counter,
     /// Latency of each fsync, in nanoseconds.
     pub fsync_ns: Histogram,
+    /// Chunks of zeros a commit sync wrote ahead of the log's end, so
+    /// that later commit syncs overwrite instead of growing the file.
+    pub extensions: Counter,
     /// Group-commit batches synced (one leader fsync each).
     pub group_commits: Counter,
     /// Committers covered per group-commit batch.

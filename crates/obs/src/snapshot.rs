@@ -80,6 +80,7 @@ pub fn take(reg: &MetricsRegistry) -> MetricsSnapshot {
         ("wal.appends".into(), m.wal.appends.get()),
         ("wal.bytes".into(), m.wal.bytes.get()),
         ("wal.fsyncs".into(), m.wal.fsyncs.get()),
+        ("wal.extensions".into(), m.wal.extensions.get()),
         ("wal.group_commits".into(), m.wal.group_commits.get()),
         ("wal.end_lsn".into(), m.wal.end_lsn.get()),
         ("wal.durable_lsn".into(), m.wal.durable_lsn.get()),

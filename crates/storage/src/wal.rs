@@ -11,6 +11,11 @@
 //! straight into it; [`Wal::flush`] writes (and optionally fsyncs) it.
 //! The buffer pool calls [`Wal::flush_to`] before writing any page,
 //! enforcing the WAL rule.
+//!
+//! The log ends at the written LSN, not at the file's length: the
+//! commit sync keeps a chunk of zeros ahead of the records (see
+//! `EXTEND_CHUNK`), which a zero length field ends like any torn tail,
+//! open cuts off and a clean close ([`Wal::trim_tail`]) truncates.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,6 +39,14 @@ const BODY_HDR: usize = 16;
 const WAL_MAGIC: &[u8; 8] = b"IMDBWAL1";
 /// First valid record LSN.
 pub const WAL_START: Lsn = Lsn(8);
+/// Zeros the commit sync keeps written ahead of the log's end. A sync
+/// that only overwrites blocks the file already holds changes neither
+/// its size nor its block map, so its `fdatasync` needs no file-system
+/// journal commit; one that appends needs one on every commit. Once
+/// less than half a chunk is left, a commit sync writes the next chunk.
+const EXTEND_CHUNK: usize = 1 << 20;
+/// The chunk's source, so that an extension allocates nothing.
+static ZEROS: [u8; EXTEND_CHUNK] = [0; EXTEND_CHUNK];
 
 /// Durability level applied when flushing the log at commit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,6 +84,10 @@ struct WalInner {
     /// (under `Durability::Buffered` that waits for a checkpoint).
     buf_start: u64,
     buf: Vec<u8>,
+    /// End of the file's zero-filled room for the log: the end of the
+    /// last extension, or the log's end at open. At or below `buf_start`
+    /// once the log outgrew it (or never extended).
+    owned_end: u64,
 }
 
 /// Shared state of the commit barrier, guarded by `GroupBarrier::inner`.
@@ -169,6 +186,7 @@ impl Wal {
             inner: Mutex::new(WalInner {
                 buf_start: end,
                 buf: Vec::with_capacity(64 * 1024),
+                owned_end: end,
             }),
             written_lsn: AtomicU64::new(end),
             durable_lsn: AtomicU64::new(0),
@@ -261,11 +279,16 @@ impl Wal {
         // Held through the sync: no append lands between write and fsync.
         let _inner = self.write_buffer()?;
         if durability == Durability::Fsync {
-            self.metrics.wal.fsyncs.inc();
-            let _timer = self.metrics.wal.fsync_ns.start_timer();
-            self.file.sync()?;
+            self.sync_file()?;
         }
         Ok(())
+    }
+
+    /// One fsync of the log file, counted and timed.
+    fn sync_file(&self) -> Result<()> {
+        self.metrics.wal.fsyncs.inc();
+        let _timer = self.metrics.wal.fsync_ns.start_timer();
+        self.file.sync()
     }
 
     /// Write the buffer out without fsyncing, and return the buffer
@@ -284,6 +307,44 @@ impl Wal {
             self.written_lsn.store(start, Ordering::SeqCst);
         }
         Ok(inner)
+    }
+
+    /// [`Self::write_buffer`] for a commit sync: once less than half of
+    /// [`EXTEND_CHUNK`] of zero-filled room is left past the written
+    /// end, the next chunk of zeros goes strictly past it, so the sync
+    /// that follows makes them durable and the syncs after it only
+    /// overwrite. A write that outran the room by more than half a chunk
+    /// (a bulk load's commit) grows the file whatever follows it, and
+    /// zeros behind it would only double its flush: it takes the file's
+    /// new end as the room's, and the next commit sync extends. A failed
+    /// extension fails no commit by itself: it is retried by the next
+    /// commit sync, and a fault it meant reaches the sync that follows.
+    fn write_buffer_ahead(&self) -> Result<MutexGuard<'_, WalInner>> {
+        const HALF: u64 = EXTEND_CHUNK as u64 / 2;
+        let mut inner = self.write_buffer()?;
+        if inner.owned_end + HALF < inner.buf_start {
+            inner.owned_end = inner.buf_start;
+        } else if inner.owned_end < inner.buf_start + HALF {
+            let at = inner.owned_end.max(inner.buf_start);
+            if self.file.write_all_at(&ZEROS, at).is_ok() {
+                inner.owned_end = at + EXTEND_CHUNK as u64;
+                self.metrics.wal.extensions.inc();
+            }
+        }
+        Ok(inner)
+    }
+
+    /// Write the buffer out and cut the file at the log's end, dropping
+    /// the zeros the commit sync wrote ahead: a cleanly closed log is
+    /// its records and nothing after them. Anything appended later
+    /// extends the file again.
+    pub fn trim_tail(&self) -> Result<()> {
+        let mut inner = self.write_buffer()?;
+        if inner.owned_end > inner.buf_start {
+            self.file.set_len(inner.buf_start)?;
+            inner.owned_end = inner.buf_start;
+        }
+        Ok(())
     }
 
     /// Highest LSN known durable (fsynced) through the group-commit path.
@@ -306,7 +367,9 @@ impl Wal {
             return self.flush(Durability::Buffered);
         }
         if !self.group_cfg.enabled {
-            return self.flush(Durability::Fsync);
+            blocking::about_to_block();
+            let _inner = self.write_buffer_ahead()?;
+            return self.sync_file();
         }
         // Fast path: a leader already synced past us.
         if self.durable_lsn.load(Ordering::SeqCst) >= upto.0 {
@@ -347,13 +410,9 @@ impl Wal {
                 // sync drain without waiting on us. `leader_active` keeps
                 // the sync single-flight.
                 drop(g);
-                let res = match self.write_buffer().map(|inner| Lsn(inner.buf_start)) {
+                let res = match self.write_buffer_ahead().map(|inner| Lsn(inner.buf_start)) {
                     Ok(covered) => {
-                        self.metrics.wal.fsyncs.inc();
-                        let timer = self.metrics.wal.fsync_ns.start_timer();
-                        let sync = self.file.sync();
-                        drop(timer);
-                        match sync {
+                        match self.sync_file() {
                             Ok(()) => Ok(covered),
                             // Failed fsync: exactly the records the write
                             // covered were attempted and are not durable.
@@ -403,16 +462,15 @@ impl Wal {
         self.flush(Durability::Buffered)
     }
 
-    /// Iterate over all complete records starting at `from` (file only:
-    /// call [`Self::flush`] first if buffered records must be visible).
+    /// Iterate over all complete records starting at `from`, up to the
+    /// log's end when called (it writes the buffer out first).
     pub fn iter_from(&self, from: Lsn) -> Result<WalIter> {
         // Make sure everything appended so far is scannable.
         self.flush(Durability::Buffered)?;
-        let len = self.file.len()?;
         Ok(WalIter {
             file: Arc::clone(&self.file),
             pos: from.0.max(WAL_START.0),
-            end: len,
+            end: self.written_lsn().0,
         })
     }
 
@@ -429,12 +487,14 @@ impl Wal {
     /// `max_bytes` of *complete* records (always at least one whole
     /// record when any exists, so a record larger than the budget still
     /// ships) together with the LSN just past them. An empty slice with
-    /// `next == from` means the subscriber is caught up. Announces its
-    /// file reads through [`blocking::about_to_block`]; a caught-up call
-    /// reads nothing and does not.
+    /// `next == from` means the subscriber is caught up. Bounded by the
+    /// written LSN, never the file's length: past it lie zeros, or a
+    /// record still being written. Announces its file reads through
+    /// [`blocking::about_to_block`]; a caught-up call reads nothing and
+    /// does not.
     pub fn read_raw(&self, from: Lsn, max_bytes: usize) -> Result<(Vec<u8>, Lsn)> {
         self.flush(Durability::Buffered)?;
-        let end = self.file.len()?;
+        let end = self.written_lsn().0;
         let start = from.0.max(WAL_START.0);
         if start + FRAME_HDR <= end {
             // There is log to read, and reading it may wait on the disk.
@@ -854,7 +914,7 @@ mod tests {
         let l4 = wal.append(Tid(2), l3, &LogRecord::Abort);
         wal.flush(Durability::Buffered).unwrap();
         // Resume exactly where the last scan stopped: a fresh iterator
-        // (iter_from snapshots the file length) sees only the new records.
+        // (iter_from snapshots the log's end) sees only the new records.
         let resumed: Vec<_> = wal
             .iter_from(last_end)
             .unwrap()
@@ -961,6 +1021,203 @@ mod tests {
         assert_eq!(wal.metrics().wal.fsyncs.get(), 0);
         let n = wal.iter_from(Lsn(0)).unwrap().count();
         assert_eq!(n, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_killed_log_with_a_zero_tail_reopens_at_its_last_whole_record() {
+        let path = tmp("zerotail");
+        let wal = Wal::open(&path).unwrap();
+        let l1 = wal.append(Tid(1), Lsn(0), &LogRecord::Begin);
+        let upto = past(&wal, 2);
+        wal.commit_durable(upto, Durability::Fsync).unwrap();
+        assert_eq!(wal.metrics().wal.extensions.get(), 1);
+        let end = wal.written_lsn();
+        let len = |p: &PathBuf| std::fs::metadata(p).unwrap().len();
+        assert_eq!(len(&path), end.0 + EXTEND_CHUNK as u64);
+        // Killed mid-write: a record's header and the start of its body
+        // landed inside the zeros, the rest of it did not.
+        let torn = LogRecord::AddVersion {
+            tree: TreeId(5),
+            page: PageId(3),
+            key: &b"key"[..],
+            data: &[0xAB; 64][..],
+            stub: false,
+        };
+        let torn_at = wal.append(Tid(3), Lsn(0), &torn);
+        let frame = wal.inner.lock().buf.clone();
+        assert_eq!(frame.len() as u64, wal.end_lsn().0 - torn_at.0);
+        wal.file.write_all_at(&frame[..40], torn_at.0).unwrap();
+        drop(wal);
+
+        let wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.end_lsn(), end, "reopened past the last whole record");
+        assert_eq!(len(&path), end.0, "open cuts the zeros and the torn record");
+        let lsns: Vec<_> = wal
+            .iter_from(Lsn(0))
+            .unwrap()
+            .map(|e| e.unwrap().lsn)
+            .collect();
+        assert_eq!(lsns, [l1, Lsn(upto.0 - 1)]);
+        // LSNs continue where the whole records end, and the first
+        // commit sync extends again.
+        let next = wal.append(Tid(4), Lsn(0), &LogRecord::Abort);
+        assert_eq!(next, end);
+        wal.commit_durable(Lsn(next.0 + 1), Durability::Fsync)
+            .unwrap();
+        assert_eq!(wal.metrics().wal.extensions.get(), 1);
+        let entries: Vec<_> = wal.iter_from(Lsn(0)).unwrap().map(|e| e.unwrap()).collect();
+        assert_eq!(entries.len(), 3);
+        assert_eq!(entries[2].lsn, next);
+        assert_eq!(entries[2].record, LogRecord::Abort);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn commit_syncs_extend_by_chunks_and_trim_cuts_the_zeros() {
+        let path = tmp("extend");
+        let wal = Wal::open(&path).unwrap();
+        let image = [0x5Au8; immortaldb_common::PAGE_SIZE];
+        let record = LogRecord::PageImages {
+            pages: vec![(PageId(7), &image[..])],
+        };
+        let len = |p: &PathBuf| std::fs::metadata(p).unwrap().len();
+        // Buffered flushes and log forces never extend.
+        wal.append(Tid(1), Lsn(0), &record);
+        wal.flush(Durability::Buffered).unwrap();
+        wal.flush(Durability::Fsync).unwrap();
+        assert_eq!(wal.metrics().wal.extensions.get(), 0);
+        assert_eq!(len(&path), wal.written_lsn().0);
+        // Commit syncs keep between half a chunk and a chunk and a half
+        // of zeros ahead of the written end.
+        for i in 0..300 {
+            let lsn = wal.append(Tid(2), Lsn(0), &record);
+            wal.commit_durable(Lsn(lsn.0 + 1), Durability::Fsync)
+                .unwrap();
+            let (written, file) = (wal.written_lsn().0, len(&path));
+            let ahead = file - written;
+            assert!(
+                ahead >= EXTEND_CHUNK as u64 / 2 && ahead <= 3 * EXTEND_CHUNK as u64 / 2,
+                "commit {i}: {ahead} bytes ahead"
+            );
+        }
+        let logged = wal.written_lsn().0 - WAL_START.0;
+        let chunks = wal.metrics().wal.extensions.get();
+        assert!(
+            chunks >= 2 && chunks <= 1 + logged / EXTEND_CHUNK as u64,
+            "{chunks} extensions"
+        );
+        // A bulk commit that outruns the room grows the file and writes
+        // no zeros behind itself; the next small commit sync extends.
+        let mut upto = Lsn(0);
+        for _ in 0..300 {
+            upto = Lsn(wal.append(Tid(3), Lsn(0), &record).0 + 1);
+        }
+        wal.commit_durable(upto, Durability::Fsync).unwrap();
+        assert_eq!(wal.metrics().wal.extensions.get(), chunks);
+        assert_eq!(len(&path), wal.written_lsn().0);
+        let upto = past(&wal, 4);
+        wal.commit_durable(upto, Durability::Fsync).unwrap();
+        assert_eq!(wal.metrics().wal.extensions.get(), chunks + 1);
+        assert_eq!(len(&path), wal.written_lsn().0 + EXTEND_CHUNK as u64);
+        wal.trim_tail().unwrap();
+        assert_eq!(len(&path), wal.end_lsn().0);
+        assert_eq!(wal.iter_from(Lsn(0)).unwrap().count(), 602);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Parse `bytes` as whole log frames: every length field non-zero,
+    /// every CRC valid, the last frame ending at the last byte. Returns
+    /// how many there are.
+    fn whole_frames(bytes: &[u8]) -> usize {
+        let (mut pos, mut n) = (0, 0);
+        while pos < bytes.len() {
+            let hdr = &bytes[pos..pos + FRAME_HDR as usize];
+            let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
+            let crc = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
+            assert!(len > 0, "a zero length field shipped at {pos}");
+            let body = &bytes[pos + FRAME_HDR as usize..pos + FRAME_HDR as usize + len];
+            assert_eq!(crc32(body), crc, "a torn record shipped at {pos}");
+            pos += FRAME_HDR as usize + len;
+            n += 1;
+        }
+        assert_eq!(pos, bytes.len(), "a batch ends inside a frame");
+        n
+    }
+
+    #[test]
+    fn concurrent_shipping_reads_stop_at_the_written_lsn() {
+        // A shipper reading beside a committer that appends page images:
+        // past the written LSN lie zeros or a record still being
+        // written, and neither may ship.
+        let path = tmp("shipping");
+        let wal = Wal::open(&path).unwrap();
+        let upto = past(&wal, 1);
+        wal.commit_durable(upto, Durability::Fsync).unwrap();
+        // First, a whole frame whose write is still in flight: its bytes
+        // are in the file, the written LSN has not moved over them.
+        let end = wal.written_lsn();
+        let lsn = wal.append(Tid(2), Lsn(0), &LogRecord::Abort);
+        assert_eq!(lsn, end);
+        let frame = std::mem::take(&mut wal.inner.lock().buf);
+        wal.file.write_all_at(&frame, end.0).unwrap();
+        assert_eq!(wal.read_raw(end, 1 << 20).unwrap(), (vec![], end));
+        assert_eq!(wal.iter_from(end).unwrap().count(), 0);
+        // The write returns.
+        wal.inner.lock().buf = frame.clone();
+        wal.flush(Durability::Buffered).unwrap();
+        assert_eq!(
+            wal.read_raw(end, 1 << 20).unwrap(),
+            (frame, wal.written_lsn())
+        );
+
+        const RECORDS: usize = 400;
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut image = [0u8; immortaldb_common::PAGE_SIZE];
+                for i in 0..RECORDS {
+                    image.fill(i as u8 | 1);
+                    let record = LogRecord::PageImages {
+                        pages: (0..4).map(|p| (PageId(p), &image[..])).collect(),
+                    };
+                    let lsn = wal.append(Tid(i as u64), Lsn(0), &record);
+                    if i % 8 == 0 {
+                        wal.commit_durable(Lsn(lsn.0 + 1), Durability::Fsync)
+                            .unwrap();
+                    } else {
+                        wal.flush(Durability::Buffered).unwrap();
+                    }
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let (mut shipped, mut iterated) = (0, 0);
+            let (mut raw_from, mut iter_from) = (end, end);
+            loop {
+                let finished = done.load(Ordering::SeqCst);
+                let (bytes, next) = wal.read_raw(raw_from, 1 << 20).unwrap();
+                assert!(next <= wal.written_lsn(), "shipped past the written LSN");
+                assert_eq!(next.0 - raw_from.0, bytes.len() as u64);
+                shipped += whole_frames(&bytes);
+                raw_from = next;
+                for e in wal.iter_from(iter_from).unwrap() {
+                    let e = e.unwrap();
+                    assert_eq!(e.lsn, iter_from, "the scan skipped a record");
+                    iter_from = e.next_lsn;
+                    iterated += 1;
+                }
+                assert!(
+                    iter_from <= wal.written_lsn(),
+                    "scanned past the written LSN"
+                );
+                if finished && raw_from == wal.written_lsn() {
+                    break;
+                }
+            }
+            assert_eq!(shipped, RECORDS + 1);
+            assert_eq!(iterated, RECORDS + 1);
+        });
+        assert!(wal.metrics().wal.extensions.get() >= 2);
         std::fs::remove_file(&path).unwrap();
     }
 }

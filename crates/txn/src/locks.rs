@@ -70,9 +70,9 @@ struct Hashed(u64, TreeId, Option<Arc<[u8]>>);
 static TARGET_HASH: OnceLock<RandomState> = OnceLock::new();
 
 impl Hashed {
-    fn new(tree: TreeId, key: Option<&[u8]>) -> Hashed {
+    fn new(tree: TreeId, key: Option<Arc<[u8]>>) -> Hashed {
         let state = TARGET_HASH.get_or_init(RandomState::new);
-        Hashed(state.hash_one((tree, key)), tree, key.map(Arc::from))
+        Hashed(state.hash_one((tree, key.as_deref())), tree, key)
     }
 
     /// Its shard: the hash's top bits.
@@ -198,13 +198,19 @@ impl LockManager {
     /// Returns [`Error::Deadlock`] (requester as victim) on a wait-for
     /// cycle or timeout.
     pub fn lock(&self, tid: Tid, target: LockTarget, mode: LockMode) -> Result<()> {
-        match &target {
-            LockTarget::Table(tree) => self.acquire(tid, *tree, None, mode),
-            LockTarget::Key(tree, key) => self.acquire(tid, *tree, Some(key), mode),
+        match target {
+            LockTarget::Table(tree) => self.acquire(tid, tree, None, mode),
+            LockTarget::Key(tree, key) => self.acquire(tid, tree, Some(key.into()), mode),
         }
     }
 
-    fn acquire(&self, tid: Tid, tree: TreeId, key: Option<&[u8]>, mode: LockMode) -> Result<()> {
+    fn acquire(
+        &self,
+        tid: Tid,
+        tree: TreeId,
+        key: Option<Arc<[u8]>>,
+        mode: LockMode,
+    ) -> Result<()> {
         let mut held = self.held_by(tid).lock();
         let mine = held.entry(tid).or_default();
         if key.is_none() && mine.1.contains(&(tree, mode)) {
@@ -239,7 +245,7 @@ impl LockManager {
                 }
                 table.waiting.remove(&tid);
                 drop(table);
-                if new && key.is_none() {
+                if new && target.2.is_none() {
                     let mut held = self.held_by(tid).lock();
                     held.entry(tid).or_default().1.push((tree, mode));
                 }
@@ -281,11 +287,13 @@ impl LockManager {
     /// IS(table) + S(key): serializable point read.
     pub fn lock_read(&self, tid: Tid, tree: TreeId, key: &[u8]) -> Result<()> {
         self.acquire(tid, tree, None, LockMode::IntentionShared)?;
-        self.acquire(tid, tree, Some(key), LockMode::Shared)
+        self.acquire(tid, tree, Some(key.into()), LockMode::Shared)
     }
 
-    /// IX(table) + X(key): any write.
-    pub fn lock_write(&self, tid: Tid, tree: TreeId, key: &[u8]) -> Result<()> {
+    /// IX(table) + X(key): any write. The lock table keeps `key`: a
+    /// writer that builds its key as an `Arc` shares it, and the request
+    /// copies nothing.
+    pub fn lock_write(&self, tid: Tid, tree: TreeId, key: Arc<[u8]>) -> Result<()> {
         self.acquire(tid, tree, None, LockMode::IntentionExclusive)?;
         self.acquire(tid, tree, Some(key), LockMode::Exclusive)
     }
@@ -358,7 +366,7 @@ mod tests {
         fn shard_of(target: &LockTarget) -> usize {
             let (tree, key) = match target {
                 LockTarget::Table(tree) => (*tree, None),
-                LockTarget::Key(tree, key) => (*tree, Some(&key[..])),
+                LockTarget::Key(tree, key) => (*tree, Some(key[..].into())),
             };
             Hashed::new(tree, key).shard()
         }
@@ -391,8 +399,8 @@ mod tests {
     #[test]
     fn writers_do_not_block_each_other_at_table_level() {
         let lm = LockManager::default();
-        lm.lock_write(t(1), TREE, b"a").unwrap();
-        lm.lock_write(t(2), TREE, b"b").unwrap(); // IX+IX compatible
+        lm.lock_write(t(1), TREE, b"a"[..].into()).unwrap();
+        lm.lock_write(t(2), TREE, b"b"[..].into()).unwrap(); // IX+IX compatible
         lm.release_all(t(1));
         lm.release_all(t(2));
     }
@@ -403,13 +411,13 @@ mod tests {
         lm.lock_scan(t(1), TREE).unwrap();
         // IX on the table is incompatible with the scan's S.
         assert!(matches!(
-            lm.lock_write(t(2), TREE, b"k"),
+            lm.lock_write(t(2), TREE, b"k"[..].into()),
             Err(Error::Deadlock(_))
         ));
         lm.release_all(t(1));
         lm.release_all(t(2));
         // And the other direction.
-        lm.lock_write(t(3), TREE, b"k").unwrap();
+        lm.lock_write(t(3), TREE, b"k"[..].into()).unwrap();
         assert!(matches!(lm.lock_scan(t(4), TREE), Err(Error::Deadlock(_))));
         lm.release_all(t(3));
         lm.release_all(t(4));
@@ -418,7 +426,7 @@ mod tests {
     #[test]
     fn point_read_coexists_with_writer_on_other_key() {
         let lm = LockManager::default();
-        lm.lock_write(t(1), TREE, b"a").unwrap();
+        lm.lock_write(t(1), TREE, b"a"[..].into()).unwrap();
         lm.lock_read(t(2), TREE, b"b").unwrap(); // IS+IX at table, keys differ
         lm.release_all(t(1));
         lm.release_all(t(2));

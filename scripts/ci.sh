@@ -110,6 +110,22 @@ run_chaos() {
         echo "chaos: overlapping_writers_find_victims_and_lose_no_wakeup did not run exactly once" >&2
         exit 1
     fi
+    echo "== chaos smoke (log shipping beside a committer) =="
+    # A shipper's read_raw and iter_from race a thread appending page
+    # images under commit syncs that write zeros ahead of the log: no
+    # read may return a byte past the written LSN, and every shipped
+    # batch must be whole, CRC-valid frames. By exact name, and the
+    # stage insists that exactly this one test ran.
+    if ! out=$(cargo test --release -q -p immortaldb-storage --lib -- --exact \
+        wal::tests::concurrent_shipping_reads_stop_at_the_written_lsn 2>&1); then
+        echo "$out"
+        exit 1
+    fi
+    echo "$out"
+    if ! grep -q '^test result: ok\. 1 passed;' <<<"$out"; then
+        echo "chaos: concurrent_shipping_reads_stop_at_the_written_lsn did not run exactly once" >&2
+        exit 1
+    fi
 }
 
 run_serve() {

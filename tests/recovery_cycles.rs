@@ -354,3 +354,39 @@ fn drop_without_close_preserves_ddl_and_commits() {
         assert_eq!(row[1], Value::Int(id * 7));
     }
 }
+
+/// Durable commits keep zeros written ahead of the log's end; a clean
+/// close cuts them, so a closed `wal.log` is its records and nothing
+/// else, and it reopens with every commit.
+#[test]
+fn a_clean_close_cuts_the_log_at_its_end() {
+    let env = Env::new("close-trim");
+    let log = env.dir.path().join("wal.log");
+    let len = || std::fs::metadata(&log).unwrap().len();
+    let db = Database::open(
+        DbConfig::new(&env.dir)
+            .clock(Arc::clone(&env.clock) as Arc<dyn immortaldb::Clock>)
+            .durability(Durability::Fsync),
+    )
+    .unwrap();
+    db.create_table("kv", kv_schema(), TableKind::Immortal)
+        .unwrap();
+    for k in 0..20 {
+        env.tick();
+        commit_row(&db, k);
+    }
+    assert!(len() > db.wal().end_lsn().0, "no zeros ahead of the log");
+    db.close().unwrap();
+    assert_eq!(len(), db.wal().end_lsn().0);
+    drop(db);
+    let db = env.open();
+    assert_eq!(len(), db.wal().end_lsn().0);
+    let mut txn = db.begin(Isolation::Snapshot);
+    for k in 0..20 {
+        assert!(db
+            .get_row(&mut txn, "kv", &Value::Int(k))
+            .unwrap()
+            .is_some());
+    }
+    db.rollback(&mut txn).unwrap();
+}

@@ -75,8 +75,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// At most this many allocations per set-up-shaped update, averaged over
-/// whole rounds (time splits included).
-const UPDATE_BUDGET: f64 = 12.0;
+/// whole rounds (time splits included). It measures 4.41: the key is
+/// built once, in the allocation the lock table keeps (5.41 when the
+/// lock table copied it).
+const UPDATE_BUDGET: f64 = 5.0;
 
 const KEYS: i32 = 500;
 const BATCH: usize = 25;
