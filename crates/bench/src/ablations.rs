@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use immortaldb::Value;
-use immortaldb_btree::{BTree, SplitTimeSource};
+use immortaldb_btree::{BTree, Flow, KeyRange, SplitTimeSource};
 use immortaldb_chaos::TempDir;
 use immortaldb_common::codec::key_from_u64;
 use immortaldb_common::{Result, Tid, Timestamp, TreeId, NULL_LSN};
@@ -256,7 +256,7 @@ pub struct A2Result {
     /// `(percent of history, first read us, warm us/read)`. The first
     /// read follows a cleared chain directory (as at open), so it walks
     /// its leaf's chain; warm reads find their page in the directory,
-    /// and their column is the median of [`A2_PASSES`] timed passes.
+    /// and their column is the median of `A2_PASSES` timed passes.
     pub points: Vec<(u32, f64, f64)>,
 }
 
@@ -304,8 +304,20 @@ pub fn chain_as_of(quick: bool) -> A2Result {
 
     let probes = keys.min(100);
     let read = |k: u64, t| {
-        tree.get_as_of(&key_from_u64(k), t, None, auth.as_ref())
-            .unwrap()
+        let mut len = 0;
+        let key = key_from_u64(k);
+        tree.rows_at(
+            KeyRange::point(&key),
+            t,
+            None,
+            auth.as_ref(),
+            &mut |_, row| {
+                len = row.len();
+                Ok(Flow::Stop)
+            },
+        )
+        .unwrap();
+        len
     };
     let measure = |at: Timestamp| -> f64 {
         let t0 = Instant::now();

@@ -169,7 +169,7 @@ const TAX: [(&str, usize, bool); 3] = [
 /// 1016-connection idle fleet parked beside them, and with the fleet
 /// AND the isolation sentinel armed. The fleet must not tax the hot
 /// path (within 10%) and the sentinel must cost < 5%. One run per
-/// [`TAX`] row, in its order.
+/// `TAX` row, in its order.
 pub fn idle_tax(quick: bool) -> Vec<FleetRun> {
     let per_active: u64 = if quick { 400 } else { 2000 };
     // Interleaved rounds, best-of-N per configuration: single runs on a

@@ -288,7 +288,7 @@ const MAX_PAGES_PER_READ: f64 = 2.0;
 /// and it slows the median deep AS OF read by at most 1.5x (generous,
 /// because sub-10 µs reads on shared CI runners are noisy). At every
 /// depth, before and after the pass, a warm read fetches at most
-/// [`MAX_PAGES_PER_READ`] history pages.
+/// `MAX_PAGES_PER_READ` history pages.
 pub fn check(r: &HistoryResult) -> Result<String, String> {
     for d in &r.rows {
         let pages = d.split_pages_per_read.max(d.merged_pages_per_read);

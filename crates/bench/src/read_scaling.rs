@@ -131,8 +131,9 @@ pub fn run(quick: bool) -> ScalingResult {
 }
 
 /// One reader thread: alternating batches of current-time point reads
-/// (snapshot isolation, latch-free `get_as_of` at the snapshot) and
-/// AS OF replay at a random commit timestamp from the load phase.
+/// (snapshot isolation: a latch-free `get_row`, the cursor's instant
+/// read at the snapshot) and AS OF replay at a random commit timestamp
+/// from the load phase.
 fn reader_loop(db: &Database, commit_ts: &[Timestamp], objects: u32, ops: u64, seed: u64) {
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut next = || {

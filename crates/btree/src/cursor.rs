@@ -25,18 +25,19 @@
 //! | adapter | keys | time | visitor |
 //! |---|---|---|---|
 //! | [`rows_at`](BTree::rows_at) | range | instant | governing image per key |
-//! | [`get_as_of`](BTree::get_as_of) | one | instant | `rows_at`, stop |
-//! | [`scan_as_of`](BTree::scan_as_of) / `scan_current` | range | instant / `MAX` | `rows_at`, collect |
-//! | [`versions_by_key`](BTree::versions_by_key) | range | window | collect per key |
-//! | [`history_of`](BTree::history_of) | one | all time, uncommitted | collect |
+//! | [`versions_by_key`](BTree::versions_by_key) | range | window | one key's group |
 //! | [`head_version`](BTree::head_version) | one | `MAX`, uncommitted | first version, stop |
+//!
+//! A visitor sees every version borrowed, from the page (or buffer) it
+//! sits in. Versions that must outlive one page read go into a
+//! [`VersionBuf`], the one buffer that keeps them: a byte arena and
+//! fixed-size entries, cleared between uses and never freed.
 
 use std::ops::Bound;
 
 use immortaldb_common::{Result, Tid, Timestamp};
-use immortaldb_obs::MetricsRegistry;
 use immortaldb_storage::page::Page;
-use immortaldb_storage::version::ChainWalker;
+use immortaldb_storage::version::{ChainWalker, FoldBuffers};
 use immortaldb_storage::TimestampResolver;
 
 use crate::tree::BTree;
@@ -157,10 +158,6 @@ impl<'a> Query<'a> {
             uncommitted: false,
         }
     }
-
-    pub fn is_instant(&self) -> bool {
-        self.lo == self.hi
-    }
 }
 
 /// When a version took (or will take) effect.
@@ -190,6 +187,14 @@ impl Version<'_> {
             Stamp::Uncommitted(tid) => Some(tid) == own,
         }
     }
+
+    /// The commit timestamp; `None` while the writer has not committed.
+    pub fn ts(&self) -> Option<Timestamp> {
+        match self.stamp {
+            Stamp::Committed(ts) => Some(ts),
+            Stamp::Uncommitted(_) => None,
+        }
+    }
 }
 
 /// A visitor's verdict after each version.
@@ -206,40 +211,143 @@ pub enum Flow {
 pub type Visitor<'v> = dyn FnMut(&Version<'_>) -> Result<Flow> + 'v;
 
 /// Visitor of one key's versions at a time, oldest first
-/// ([`BTree::versions_by_key`]); it may take them.
-pub type KeyVisitor<'v> = dyn FnMut(&mut Vec<TemporalVersion>) -> Result<Flow> + 'v;
+/// ([`BTree::versions_by_key`]), borrowed from the group's buffer.
+pub type KeyVisitor<'v> = dyn FnMut(&VersionBuf) -> Result<Flow> + 'v;
 
 /// Visitor of `(key, data)` records: an unversioned tree's, or the rows
 /// an instant read finds ([`BTree::rows_at`]).
 pub type RecordVisitor<'v> = dyn FnMut(&[u8], &[u8]) -> Result<Flow> + 'v;
 
-/// One row produced by a scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanItem {
-    pub key: Vec<u8>,
-    pub data: Vec<u8>,
+/// Versions kept past the page read that found them: their bytes in one
+/// arena, each version a fixed-size entry of where its key and data lie.
+/// [`Self::clear`] keeps both allocations, so a buffer reused from one
+/// group (or page, or statement) to the next allocates only while it
+/// grows. Consecutive versions of one key share one copy of it.
+#[derive(Debug, Default)]
+pub struct VersionBuf {
+    bytes: Vec<u8>,
+    entries: Vec<Entry>,
 }
 
-/// One entry of a record's version history (newest first).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryVersion {
-    /// Commit timestamp; `None` while the owning transaction is active.
-    pub ts: Option<Timestamp>,
-    /// TID for uncommitted versions.
-    pub tid: Option<Tid>,
-    /// `None` marks a delete stub.
-    pub data: Option<Vec<u8>>,
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// `bytes[key.0..key.1]`.
+    key: (usize, usize),
+    stamp: Stamp,
+    /// `bytes[data.0..data.1]`; `None` marks a delete stub.
+    data: Option<(usize, usize)>,
 }
 
-/// One committed version emitted by a time-range scan
-/// (`versions_by_key`). Uncommitted versions never appear.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TemporalVersion {
-    pub key: Vec<u8>,
-    /// Commit timestamp of this version.
-    pub ts: Timestamp,
-    /// `None` marks a delete tombstone.
-    pub data: Option<Vec<u8>>,
+impl VersionBuf {
+    /// Keep a copy of `v`.
+    pub fn push(&mut self, v: &Version<'_>) {
+        let key = match self.entries.last() {
+            Some(last) if self.slice(last.key) == v.key => last.key,
+            _ => self.append(v.key),
+        };
+        let data = v.data.map(|d| self.append(d));
+        self.entries.push(Entry {
+            key,
+            stamp: v.stamp,
+            data,
+        });
+    }
+
+    fn append(&mut self, b: &[u8]) -> (usize, usize) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(b);
+        (start, self.bytes.len())
+    }
+
+    fn slice(&self, (start, end): (usize, usize)) -> &[u8] {
+        &self.bytes[start..end]
+    }
+
+    fn get(&self, e: &Entry) -> Version<'_> {
+        Version {
+            key: self.slice(e.key),
+            stamp: e.stamp,
+            data: e.data.map(|d| self.slice(d)),
+        }
+    }
+
+    /// A visitor that keeps everything it is shown.
+    pub fn collect(&mut self) -> impl FnMut(&Version<'_>) -> Result<Flow> + '_ {
+        |v| {
+            self.push(v);
+            Ok(Flow::Continue)
+        }
+    }
+
+    /// The versions, in the order they were pushed.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = Version<'_>> + ExactSizeIterator {
+        self.entries.iter().map(|e| self.get(e))
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Forget every version, keeping the memory.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.entries.clear();
+    }
+
+    /// Versions gathered from several pages of one key region, replayed
+    /// to `visit` in cursor order, each key cut off below its state at
+    /// `lo` as the contract demands; the buffer is left empty. Pages
+    /// arrive newest first and each is key-ordered, so page order is not
+    /// (key, time) order, and a version spanning a time split sits in
+    /// both neighbours.
+    pub(crate) fn replay(&mut self, lo: Timestamp, visit: &mut Visitor<'_>) -> Result<Flow> {
+        // Uncommitted first, then newest committed first. The sort is
+        // stable, so a transaction's several uncommitted versions of one
+        // key keep their chain (newest-first) order.
+        let rank = |s: &Stamp| match s {
+            Stamp::Uncommitted(_) => Timestamp::MAX,
+            Stamp::Committed(ts) => *ts,
+        };
+        let VersionBuf { bytes, entries } = self;
+        let key = |e: &Entry| &bytes[e.key.0..e.key.1];
+        entries.sort_by(|a, b| key(a).cmp(key(b)).then(rank(&b.stamp).cmp(&rank(&a.stamp))));
+        entries.dedup_by(|a, b| {
+            a.stamp == b.stamp && matches!(a.stamp, Stamp::Committed(_)) && key(a) == key(b)
+        });
+        let mut skip: Option<&[u8]> = None;
+        let mut flow = Flow::Continue;
+        for e in &self.entries {
+            let v = self.get(e);
+            if skip == Some(v.key) {
+                continue;
+            }
+            let at_base = matches!(v.stamp, Stamp::Committed(ts) if ts <= lo);
+            match visit(&v)? {
+                Flow::Stop => {
+                    flow = Flow::Stop;
+                    break;
+                }
+                Flow::NextKey => skip = Some(v.key),
+                Flow::Continue if at_base => skip = Some(v.key),
+                Flow::Continue => {}
+            }
+        }
+        self.clear();
+        Ok(flow)
+    }
+}
+
+/// What one cursor walk reuses from page to page and leaf to leaf: the
+/// chain walker's fold buffers (which count the walk's folds) and the
+/// multi-page gather.
+#[derive(Default)]
+pub(crate) struct WalkScratch {
+    pub fold_bufs: FoldBuffers,
+    pub gather: VersionBuf,
 }
 
 /// The reads of a versioned tree, each an adapter over
@@ -268,64 +376,11 @@ impl BTree {
         })
     }
 
-    /// Version of `key` current AS OF `as_of`. Historical queries pass
-    /// `own = None`; snapshot-isolation reads pass their TID so their own
-    /// uncommitted writes stay visible.
-    pub fn get_as_of(
-        &self,
-        key: &[u8],
-        as_of: Timestamp,
-        own: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>> {
-        let mut out = None;
-        self.rows_at(
-            KeyRange::point(key),
-            as_of,
-            own,
-            resolver,
-            &mut |_, data| {
-                out = Some(data.to_vec());
-                Ok(Flow::Stop)
-            },
-        )?;
-        Ok(out)
-    }
-
-    /// The rows of `keys` alive AS OF `as_of`, key-ordered.
-    pub fn scan_as_of(
-        &self,
-        keys: KeyRange<'_>,
-        as_of: Timestamp,
-        own: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<ScanItem>> {
-        let mut out = Vec::new();
-        self.rows_at(keys, as_of, own, resolver, &mut |key, data| {
-            out.push(ScanItem {
-                key: key.to_vec(),
-                data: data.to_vec(),
-            });
-            Ok(Flow::Continue)
-        })?;
-        Ok(out)
-    }
-
-    /// The current rows of `keys` as `own` sees them.
-    pub fn scan_current(
-        &self,
-        keys: KeyRange<'_>,
-        own: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<ScanItem>> {
-        self.scan_as_of(keys, Timestamp::MAX, own, resolver)
-    }
-
     /// Every committed version of `keys` with a timestamp in `(lo, hi]`
     /// plus each key's state at `lo` (its newest version at or below
     /// `lo`, the *base*), one key at a time, key-ascending: `visit` is
-    /// handed each key's versions (oldest first, base included) and may
-    /// take them; [`Flow::Stop`] ends the walk after that key.
+    /// lent each key's group (oldest first, base included);
+    /// [`Flow::Stop`] ends the walk after that key.
     pub fn versions_by_key(
         &self,
         keys: KeyRange<'_>,
@@ -334,27 +389,26 @@ impl BTree {
         resolver: &dyn TimestampResolver,
         visit: &mut KeyVisitor<'_>,
     ) -> Result<()> {
-        let mut group: Vec<TemporalVersion> = Vec::new();
-        let mut close = |group: &mut Vec<TemporalVersion>| {
-            group.reverse();
+        let mut group = VersionBuf::default();
+        let mut close = |group: &mut VersionBuf| {
+            group.entries.reverse();
             let flow = visit(group);
             group.clear();
             flow
         };
         let mut stopped = false;
         self.cursor(&Query::window(keys, lo, hi), resolver, &mut |v| {
-            if group.last().is_some_and(|last| last.key != v.key)
+            if group
+                .iter()
+                .next_back()
+                .is_some_and(|last| last.key != v.key)
                 && close(&mut group)? == Flow::Stop
             {
                 stopped = true;
                 return Ok(Flow::Stop);
             }
-            if let Stamp::Committed(ts) = v.stamp {
-                group.push(TemporalVersion {
-                    key: v.key.to_vec(),
-                    ts,
-                    data: v.data.map(<[u8]>::to_vec),
-                });
+            if let Stamp::Committed(_) = v.stamp {
+                group.push(v);
             }
             Ok(Flow::Continue)
         })?;
@@ -362,35 +416,6 @@ impl BTree {
             close(&mut group)?;
         }
         Ok(())
-    }
-
-    /// Complete version history of `key`, newest first, uncommitted
-    /// versions included.
-    pub fn history_of(
-        &self,
-        key: &[u8],
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Vec<HistoryVersion>> {
-        let mut out = Vec::new();
-        let q = Query {
-            keys: KeyRange::point(key),
-            lo: Timestamp::ZERO,
-            hi: Timestamp::MAX,
-            uncommitted: true,
-        };
-        self.cursor(&q, resolver, &mut |v| {
-            let (ts, tid) = match v.stamp {
-                Stamp::Committed(ts) => (Some(ts), None),
-                Stamp::Uncommitted(tid) => (None, Some(tid)),
-            };
-            out.push(HistoryVersion {
-                ts,
-                tid,
-                data: v.data.map(<[u8]>::to_vec),
-            });
-            Ok(Flow::Continue)
-        })?;
-        Ok(out)
     }
 
     /// State of the newest version of `key` — what snapshot isolation's
@@ -430,13 +455,13 @@ pub(crate) fn visit_page(
     (low, upper): (&[u8], Option<&[u8]>),
     committed: bool,
     resolver: &dyn TimestampResolver,
-    metrics: &MetricsRegistry,
+    fold_bufs: &mut FoldBuffers,
     visit: &mut Visitor<'_>,
 ) -> Result<Flow> {
     let seek = low.max(q.keys.seek_key());
     let first = page.find_slot(seek).unwrap_or_else(|pos| pos);
-    // One walker for the page: its fold buffers serve every chain.
-    let mut walker = ChainWalker::idle(page);
+    // One walker for the page, folding in the walk's buffers.
+    let mut walker = ChainWalker::reusing(page, std::mem::take(fold_bufs));
     let mut flow = Flow::Continue;
     for i in first..page.slot_count() {
         let key = page.rec_key(page.slot(i));
@@ -473,67 +498,10 @@ pub(crate) fn visit_page(
             break;
         }
     }
-    if walker.folds > 0 {
-        metrics.version.delta_folds.add(walker.folds);
-    }
+    *fold_bufs = walker.into_buffers();
     Ok(if flow == Flow::Stop {
         Flow::Stop
     } else {
         Flow::Continue
     })
-}
-
-/// Versions gathered from several pages of one key region, to be put in
-/// cursor order before the visitor sees them: pages arrive newest first
-/// and each is key-ordered, so page order is not (key, time) order, and
-/// a version spanning a time split sits in both neighbours.
-#[derive(Default)]
-pub(crate) struct VersionBuffer {
-    versions: Vec<(Vec<u8>, Stamp, Option<Vec<u8>>)>,
-}
-
-impl VersionBuffer {
-    /// A visitor that files everything it is shown.
-    pub fn collect(&mut self) -> impl FnMut(&Version<'_>) -> Result<Flow> + '_ {
-        |v| {
-            self.versions
-                .push((v.key.to_vec(), v.stamp, v.data.map(<[u8]>::to_vec)));
-            Ok(Flow::Continue)
-        }
-    }
-
-    /// Replay to `visit` in cursor order, each key cut off below its
-    /// state at `lo` as the contract demands.
-    pub fn replay(mut self, lo: Timestamp, visit: &mut Visitor<'_>) -> Result<Flow> {
-        // Uncommitted first, then newest committed first. The sort is
-        // stable, so a transaction's several uncommitted versions of one
-        // key keep their chain (newest-first) order.
-        let rank = |s: &Stamp| match s {
-            Stamp::Uncommitted(_) => Timestamp::MAX,
-            Stamp::Committed(ts) => *ts,
-        };
-        self.versions
-            .sort_by(|a, b| a.0.cmp(&b.0).then(rank(&b.1).cmp(&rank(&a.1))));
-        self.versions
-            .dedup_by(|a, b| a.0 == b.0 && a.1 == b.1 && matches!(a.1, Stamp::Committed(_)));
-        let mut skip: Option<&[u8]> = None;
-        for (key, stamp, data) in &self.versions {
-            if skip == Some(key.as_slice()) {
-                continue;
-            }
-            let flow = visit(&Version {
-                key,
-                stamp: *stamp,
-                data: data.as_deref(),
-            })?;
-            let at_base = matches!(stamp, Stamp::Committed(ts) if *ts <= lo);
-            match flow {
-                Flow::Stop => return Ok(Flow::Stop),
-                Flow::NextKey => skip = Some(key),
-                Flow::Continue if at_base => skip = Some(key),
-                Flow::Continue => {}
-            }
-        }
-        Ok(Flow::Continue)
-    }
 }

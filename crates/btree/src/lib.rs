@@ -31,8 +31,8 @@ mod write;
 
 pub use compact::{CompactionStats, HistoryStats};
 pub use cursor::{
-    Flow, HeadVersion, HistoryVersion, KeyRange, KeyVisitor, Query, RecordVisitor, ScanItem, Stamp,
-    TemporalVersion, Version, Visitor,
+    Flow, HeadVersion, KeyRange, KeyVisitor, Query, RecordVisitor, Stamp, Version, VersionBuf,
+    Visitor,
 };
 pub use read::StorageStats;
 pub use tree::BTree;

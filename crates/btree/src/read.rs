@@ -20,9 +20,7 @@ use immortaldb_storage::version;
 use immortaldb_storage::TimestampResolver;
 
 use crate::chain_dir::{ChainEntry, Seek};
-use crate::cursor::{
-    visit_page, Flow, KeyRange, Query, RecordVisitor, ScanItem, VersionBuffer, Visitor,
-};
+use crate::cursor::{visit_page, Flow, KeyRange, Query, RecordVisitor, Visitor, WalkScratch};
 use crate::tree::BTree;
 
 /// Storage shape of a versioned tree (see [`BTree::storage_stats`]).
@@ -48,7 +46,7 @@ pub(crate) struct LeafSpan {
 }
 
 impl BTree {
-    /// Walk `q` (see [`crate::cursor`] for the contract).
+    /// Walk `q` by the contract at the top of `cursor.rs`.
     pub fn cursor(
         &self,
         q: &Query<'_>,
@@ -57,18 +55,23 @@ impl BTree {
     ) -> Result<()> {
         debug_assert!(self.versioned);
         let _s = self.structure.read();
+        let mut scratch = WalkScratch::default();
         if let Some(key) = q.keys.as_point() {
             let leaf = self.descend(key)?;
-            self.walk_leaf(leaf, (&[], None), q, resolver, visit)?;
-            return Ok(());
+            self.walk_leaf(leaf, (&[], None), q, resolver, &mut scratch, visit)?;
+        } else {
+            // Leaf by leaf, left to right, so a visitor that stops early
+            // has paid for the leaves it saw and the descent to the first.
+            self.walk_leaves(self.root(), Vec::new(), None, &q.keys, &mut |span| {
+                let leaf = self.pool.fetch(span.id)?;
+                let bounds = (span.low.as_slice(), span.upper.as_deref());
+                self.walk_leaf(leaf, bounds, q, resolver, &mut scratch, visit)
+            })?;
         }
-        // Leaf by leaf, left to right, so a visitor that stops early has
-        // paid for the leaves it saw and the descent to the first.
-        self.walk_leaves(self.root(), Vec::new(), None, &q.keys, &mut |span| {
-            let leaf = self.pool.fetch(span.id)?;
-            let bounds = (span.low.as_slice(), span.upper.as_deref());
-            self.walk_leaf(leaf, bounds, q, resolver, visit)
-        })?;
+        let folds = scratch.fold_bufs.folds;
+        if folds > 0 {
+            self.pool.metrics().version.delta_folds.add(folds);
+        }
         Ok(())
     }
 
@@ -88,19 +91,6 @@ impl BTree {
             frame.mark_dirty_unlogged();
         }
         Ok(n)
-    }
-
-    /// Scan a conventional (unversioned) table.
-    pub fn u_scan(&self) -> Result<Vec<ScanItem>> {
-        let mut out = Vec::new();
-        self.u_scan_in(&KeyRange::ALL, &mut |key, data| {
-            out.push(ScanItem {
-                key: key.to_vec(),
-                data: data.to_vec(),
-            });
-            Ok(Flow::Continue)
-        })?;
-        Ok(out)
     }
 
     /// Feed `visit` the `(key, data)` records of a conventional table
@@ -258,6 +248,7 @@ impl BTree {
         bounds: (&[u8], Option<&[u8]>),
         q: &Query<'_>,
         resolver: &dyn TimestampResolver,
+        scratch: &mut WalkScratch,
         visit: &mut Visitor<'_>,
     ) -> Result<Flow> {
         let metrics = self.pool.metrics();
@@ -278,34 +269,36 @@ impl BTree {
         // page spans): stream from it. `hdr` is stable under the
         // structure latch — only splits and compaction rewrite headers.
         let reaches_lo = hdr.start_ts() <= q.lo || !hdr.history_page().is_valid();
+        let WalkScratch { fold_bufs, gather } = scratch;
         match &page {
             Some(frame) if reaches_lo && !leaf_for_uncommitted => {
                 return frame.read_optimistic(metrics, |g| {
-                    visit_page(g, q, bounds, true, resolver, metrics, visit)
+                    visit_page(g, q, bounds, true, resolver, fold_bufs, visit)
                 });
             }
             _ => {}
         }
         // Several pages hold versions of the same keys: gather, then
         // replay in cursor order.
-        let mut buf = VersionBuffer::default();
+        let mut page_of = |frame: &FrameRef, committed: bool| {
+            frame.read_optimistic(metrics, |g| {
+                let mut keep = gather.collect();
+                visit_page(g, q, bounds, committed, resolver, fold_bufs, &mut keep)
+                    .map(|_| (g.start_ts(), g.history_page()))
+            })
+        };
         if leaf_for_uncommitted {
-            leaf.read_optimistic(metrics, |g| {
-                visit_page(g, q, bounds, false, resolver, metrics, &mut buf.collect())
-            })?;
+            page_of(&leaf, false)?;
         }
         while let Some(frame) = page {
-            let (start, hist) = frame.read_optimistic(metrics, |g| {
-                visit_page(g, q, bounds, true, resolver, metrics, &mut buf.collect())
-                    .map(|_| (g.start_ts(), g.history_page()))
-            })?;
+            let (start, hist) = page_of(&frame, true)?;
             if start <= q.lo || !hist.is_valid() {
                 break;
             }
             metrics.tree.asof_hops.inc();
             page = Some(self.pool.fetch(hist)?);
         }
-        buf.replay(q.lo, visit)
+        gather.replay(q.lo, visit)
     }
 
     /// The history page below `leaf` (header `leaf_hdr`) that answers

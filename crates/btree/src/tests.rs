@@ -14,7 +14,7 @@ use immortaldb_storage::page::{Page, PageType};
 use immortaldb_storage::wal::Wal;
 use immortaldb_storage::TimestampResolver;
 
-use crate::cursor::{HeadVersion, KeyRange};
+use crate::cursor::{Flow, HeadVersion, KeyRange, Query};
 use crate::tree::BTree;
 use crate::write::SplitTimeSource;
 
@@ -109,6 +109,104 @@ impl Drop for Env {
     }
 }
 
+/// A record a read found, copied out of the page.
+struct Row {
+    key: Vec<u8>,
+    data: Vec<u8>,
+}
+
+/// The rows of `keys` as they stand at `at` for `own`, copied.
+fn scan_as_of(
+    t: &BTree,
+    keys: KeyRange<'_>,
+    at: Timestamp,
+    own: Option<Tid>,
+    resolver: &dyn TimestampResolver,
+) -> Result<Vec<Row>> {
+    let mut out = Vec::new();
+    t.rows_at(keys, at, own, resolver, &mut |key, data| {
+        out.push(Row {
+            key: key.to_vec(),
+            data: data.to_vec(),
+        });
+        Ok(Flow::Continue)
+    })?;
+    Ok(out)
+}
+
+fn scan_current(
+    t: &BTree,
+    keys: KeyRange<'_>,
+    own: Option<Tid>,
+    resolver: &dyn TimestampResolver,
+) -> Result<Vec<Row>> {
+    scan_as_of(t, keys, Timestamp::MAX, own, resolver)
+}
+
+fn get_as_of(
+    t: &BTree,
+    key: &[u8],
+    at: Timestamp,
+    own: Option<Tid>,
+    resolver: &dyn TimestampResolver,
+) -> Result<Option<Vec<u8>>> {
+    let rows = scan_as_of(t, KeyRange::point(key), at, own, resolver)?;
+    Ok(rows.into_iter().next().map(|r| r.data))
+}
+
+/// The current image of `key` as `own` sees it, copied.
+fn get_current(
+    t: &BTree,
+    key: &[u8],
+    own: Option<Tid>,
+    resolver: &dyn TimestampResolver,
+) -> Result<Option<Vec<u8>>> {
+    let mut out = None;
+    t.visit_current(key, own, resolver, &mut |_, data| {
+        out = Some(data.to_vec());
+        Ok(Flow::Stop)
+    })?;
+    Ok(out)
+}
+
+/// Every record of an unversioned tree, copied.
+fn u_scan(t: &BTree) -> Result<Vec<Row>> {
+    let mut out = Vec::new();
+    t.u_scan_in(&KeyRange::ALL, &mut |key, data| {
+        out.push(Row {
+            key: key.to_vec(),
+            data: data.to_vec(),
+        });
+        Ok(Flow::Continue)
+    })?;
+    Ok(out)
+}
+
+/// One version of a key's history, copied.
+struct Past {
+    ts: Option<Timestamp>,
+    data: Option<Vec<u8>>,
+}
+
+/// Every version of `key`, newest first, uncommitted ones included.
+fn history_of(t: &BTree, key: &[u8], resolver: &dyn TimestampResolver) -> Result<Vec<Past>> {
+    let mut out = Vec::new();
+    let q = Query {
+        keys: KeyRange::point(key),
+        lo: Timestamp::ZERO,
+        hi: Timestamp::MAX,
+        uncommitted: true,
+    };
+    t.cursor(&q, resolver, &mut |v| {
+        out.push(Past {
+            ts: v.ts(),
+            data: v.data.map(<[u8]>::to_vec),
+        });
+        Ok(Flow::Continue)
+    })?;
+    Ok(out)
+}
+
 fn ts(t: u64, sn: u32) -> Timestamp {
     Timestamp::new(t * immortaldb_common::TICK_MS, sn)
 }
@@ -157,47 +255,45 @@ fn insert_get_update_delete_cycle() {
     let t = env.tree(20, true);
     put(&t, &env, 1, b"k", b"v1", ts(1, 0)).unwrap();
     assert_eq!(
-        t.get_current(b"k", None, env.auth.as_ref()).unwrap(),
+        get_current(&t, b"k", None, env.auth.as_ref()).unwrap(),
         Some(b"v1".to_vec())
     );
     upd(&t, &env, 2, b"k", b"v2", ts(2, 0)).unwrap();
     assert_eq!(
-        t.get_current(b"k", None, env.auth.as_ref()).unwrap(),
+        get_current(&t, b"k", None, env.auth.as_ref()).unwrap(),
         Some(b"v2".to_vec())
     );
     t.delete(Tid(3), NULL_LSN, b"k", env.auth.as_ref()).unwrap();
     env.auth.commit(Tid(3), ts(3, 0));
-    assert_eq!(t.get_current(b"k", None, env.auth.as_ref()).unwrap(), None);
+    assert_eq!(
+        get_current(&t, b"k", None, env.auth.as_ref()).unwrap(),
+        None
+    );
     // AS OF still sees every state.
     assert_eq!(
-        t.get_as_of(b"k", ts(1, 5), None, env.auth.as_ref())
-            .unwrap(),
+        get_as_of(&t, b"k", ts(1, 5), None, env.auth.as_ref()).unwrap(),
         Some(b"v1".to_vec())
     );
     assert_eq!(
-        t.get_as_of(b"k", ts(2, 5), None, env.auth.as_ref())
-            .unwrap(),
+        get_as_of(&t, b"k", ts(2, 5), None, env.auth.as_ref()).unwrap(),
         Some(b"v2".to_vec())
     );
     assert_eq!(
-        t.get_as_of(b"k", ts(3, 5), None, env.auth.as_ref())
-            .unwrap(),
+        get_as_of(&t, b"k", ts(3, 5), None, env.auth.as_ref()).unwrap(),
         None
     );
     assert_eq!(
-        t.get_as_of(b"k", ts(0, 5), None, env.auth.as_ref())
-            .unwrap(),
+        get_as_of(&t, b"k", ts(0, 5), None, env.auth.as_ref()).unwrap(),
         None
     );
     // Re-insert after delete chains onto the stub.
     put(&t, &env, 4, b"k", b"v3", ts(4, 0)).unwrap();
     assert_eq!(
-        t.get_current(b"k", None, env.auth.as_ref()).unwrap(),
+        get_current(&t, b"k", None, env.auth.as_ref()).unwrap(),
         Some(b"v3".to_vec())
     );
     assert_eq!(
-        t.get_as_of(b"k", ts(3, 5), None, env.auth.as_ref())
-            .unwrap(),
+        get_as_of(&t, b"k", ts(3, 5), None, env.auth.as_ref()).unwrap(),
         None
     );
 }
@@ -228,14 +324,15 @@ fn own_uncommitted_writes_visible_only_to_owner() {
     t.insert(Tid(7), NULL_LSN, b"k", b"mine", env.auth.as_ref())
         .unwrap();
     assert_eq!(
-        t.get_current(b"k", Some(Tid(7)), env.auth.as_ref())
-            .unwrap(),
+        get_current(&t, b"k", Some(Tid(7)), env.auth.as_ref()).unwrap(),
         Some(b"mine".to_vec())
     );
-    assert_eq!(t.get_current(b"k", None, env.auth.as_ref()).unwrap(), None);
     assert_eq!(
-        t.get_current(b"k", Some(Tid(9)), env.auth.as_ref())
-            .unwrap(),
+        get_current(&t, b"k", None, env.auth.as_ref()).unwrap(),
+        None
+    );
+    assert_eq!(
+        get_current(&t, b"k", Some(Tid(9)), env.auth.as_ref()).unwrap(),
         None
     );
 }
@@ -279,9 +376,7 @@ fn key_splits_preserve_order_and_content() {
     }
     let (_, key_splits) = t.split_counts();
     assert!(key_splits > 0, "expected key splits for 300 x 300B records");
-    let items = t
-        .scan_current(KeyRange::ALL, None, env.auth.as_ref())
-        .unwrap();
+    let items = scan_current(&t, KeyRange::ALL, None, env.auth.as_ref()).unwrap();
     assert_eq!(items.len(), n as usize);
     for w in items.windows(2) {
         assert!(w[0].key < w[1].key, "scan must be key-ordered");
@@ -289,7 +384,7 @@ fn key_splits_preserve_order_and_content() {
     for i in 0..n {
         let key = immortaldb_common::codec::key_from_u64(i);
         assert_eq!(
-            t.get_current(&key, None, env.auth.as_ref()).unwrap(),
+            get_current(&t, &key, None, env.auth.as_ref()).unwrap(),
             Some(val.clone())
         );
     }
@@ -312,13 +407,11 @@ fn time_splits_keep_full_history_queryable() {
     // Every historical state is still reachable.
     for r in [0u64, 1, 5, 50, 137, 399, 400] {
         let expect = format!("v{r}");
-        let got = t
-            .get_as_of(key, ts(r + 1, 5), None, env.auth.as_ref())
-            .unwrap();
+        let got = get_as_of(&t, key, ts(r + 1, 5), None, env.auth.as_ref()).unwrap();
         assert_eq!(got, Some(expect.into_bytes()), "as of round {r}");
     }
     assert_eq!(
-        t.get_as_of(key, ts(0, 5), None, env.auth.as_ref()).unwrap(),
+        get_as_of(&t, key, ts(0, 5), None, env.auth.as_ref()).unwrap(),
         None
     );
 }
@@ -353,24 +446,18 @@ fn scan_as_of_reconstructs_past_states() {
         .unwrap();
     }
     // As of time 15.5: keys 0..=14 exist with "a" values.
-    let items = t
-        .scan_as_of(KeyRange::ALL, ts(15, 5), None, env.auth.as_ref())
-        .unwrap();
+    let items = scan_as_of(&t, KeyRange::ALL, ts(15, 5), None, env.auth.as_ref()).unwrap();
     assert_eq!(items.len(), 15);
     for (i, item) in items.iter().enumerate() {
         assert_eq!(item.data, format!("a{i}").into_bytes());
     }
     // As of time 114.5: all 30 keys, first 15 updated.
-    let items = t
-        .scan_as_of(KeyRange::ALL, ts(114, 5), None, env.auth.as_ref())
-        .unwrap();
+    let items = scan_as_of(&t, KeyRange::ALL, ts(114, 5), None, env.auth.as_ref()).unwrap();
     assert_eq!(items.len(), 30);
     assert_eq!(items[14].data, b"b14".to_vec());
     assert_eq!(items[15].data, b"a15".to_vec());
     // Current state: all "b".
-    let items = t
-        .scan_current(KeyRange::ALL, None, env.auth.as_ref())
-        .unwrap();
+    let items = scan_current(&t, KeyRange::ALL, None, env.auth.as_ref()).unwrap();
     assert_eq!(items.len(), 30);
     assert!(items
         .iter()
@@ -429,14 +516,14 @@ fn scan_as_of_with_shared_history_after_key_splits() {
     );
     // As of the end of the insert phase: every key with its "i" value,
     // exactly once.
-    let items = t
-        .scan_as_of(
-            KeyRange::ALL,
-            ts(t_after_insert, 5),
-            None,
-            env.auth.as_ref(),
-        )
-        .unwrap();
+    let items = scan_as_of(
+        &t,
+        KeyRange::ALL,
+        ts(t_after_insert, 5),
+        None,
+        env.auth.as_ref(),
+    )
+    .unwrap();
     assert_eq!(items.len(), n as usize);
     let mut seen = std::collections::HashSet::new();
     for (i, item) in items.iter().enumerate() {
@@ -445,9 +532,7 @@ fn scan_as_of_with_shared_history_after_key_splits() {
     }
     // As of round-3 completion.
     let t_round3 = t_after_insert + 4 * n;
-    let items = t
-        .scan_as_of(KeyRange::ALL, ts(t_round3, 5), None, env.auth.as_ref())
-        .unwrap();
+    let items = scan_as_of(&t, KeyRange::ALL, ts(t_round3, 5), None, env.auth.as_ref()).unwrap();
     assert_eq!(items.len(), n as usize);
     for (i, item) in items.iter().enumerate() {
         assert_eq!(item.data, format!("u3-{i}-{pad}").into_bytes());
@@ -462,7 +547,7 @@ fn history_of_lists_all_versions_newest_first() {
     upd(&t, &env, 2, b"k", b"v2", ts(2, 0)).unwrap();
     t.delete(Tid(3), NULL_LSN, b"k", env.auth.as_ref()).unwrap();
     env.auth.commit(Tid(3), ts(3, 0));
-    let h = t.history_of(b"k", env.auth.as_ref()).unwrap();
+    let h = history_of(&t, b"k", env.auth.as_ref()).unwrap();
     assert_eq!(h.len(), 3);
     assert_eq!(h[0].data, None); // stub
     assert_eq!(h[1].data, Some(b"v2".to_vec()));
@@ -489,7 +574,7 @@ fn history_of_dedups_spanning_versions_across_splits() {
     }
     let (tsplits, _) = t.split_counts();
     assert!(tsplits >= 2, "got {tsplits} time splits");
-    let h = t.history_of(b"k", env.auth.as_ref()).unwrap();
+    let h = history_of(&t, b"k", env.auth.as_ref()).unwrap();
     assert_eq!(
         h.len(),
         601,
@@ -521,10 +606,10 @@ fn read_trigger_stamps_chain_head() {
     t.insert(Tid(1), NULL_LSN, b"k", b"v1", env.auth.as_ref())
         .unwrap();
     env.auth.commit(Tid(1), ts(1, 0));
-    let _ = t.get_current(b"k", None, env.auth.as_ref()).unwrap();
+    let _ = get_current(&t, b"k", None, env.auth.as_ref()).unwrap();
     assert_eq!(env.auth.stamped_count(Tid(1)), 1);
     // Second read does not re-stamp.
-    let _ = t.get_current(b"k", None, env.auth.as_ref()).unwrap();
+    let _ = get_current(&t, b"k", None, env.auth.as_ref()).unwrap();
     assert_eq!(env.auth.stamped_count(Tid(1)), 1);
 }
 
@@ -545,7 +630,7 @@ fn unversioned_crud_and_splits() {
     t.u_delete(Tid(1), NULL_LSN, &key).unwrap();
     assert_eq!(t.u_get(&key).unwrap(), None);
     assert_eq!(t.u_count().unwrap(), 399);
-    let items = t.u_scan().unwrap();
+    let items = u_scan(&t).unwrap();
     assert_eq!(items.len(), 399);
     for w in items.windows(2) {
         assert!(w[0].key < w[1].key);
@@ -652,13 +737,11 @@ fn model_check_as_of_queries() {
         // Point queries for every key in the keyspace.
         for k in 0..keyspace {
             let key = immortaldb_common::codec::key_from_u64(k);
-            let got = t.get_as_of(&key, as_of, None, env.auth.as_ref()).unwrap();
+            let got = get_as_of(&t, &key, as_of, None, env.auth.as_ref()).unwrap();
             assert_eq!(got.as_ref(), snap.get(&k), "key {k} as of step {step}");
         }
         // Full scan must equal the model exactly.
-        let items = t
-            .scan_as_of(KeyRange::ALL, as_of, None, env.auth.as_ref())
-            .unwrap();
+        let items = scan_as_of(&t, KeyRange::ALL, as_of, None, env.auth.as_ref()).unwrap();
         assert_eq!(items.len(), snap.len(), "scan size as of step {step}");
         for item in items {
             let k = immortaldb_common::codec::u64_from_key(&item.key).unwrap();
@@ -711,14 +794,17 @@ fn own_writes_survive_concurrent_time_split() {
     let (tsplits, _) = t.split_counts();
     assert!(tsplits > 0, "workload must force a time split");
     // Read-your-own-writes at the old snapshot.
-    let got = t
-        .get_as_of(&key_b(3), snapshot, Some(Tid(500)), env.auth.as_ref())
-        .unwrap();
+    let got = get_as_of(&t, &key_b(3), snapshot, Some(Tid(500)), env.auth.as_ref()).unwrap();
     assert_eq!(got, Some(b"mine".to_vec()), "own write visible after split");
     // And through a scan.
-    let items = t
-        .scan_as_of(KeyRange::ALL, snapshot, Some(Tid(500)), env.auth.as_ref())
-        .unwrap();
+    let items = scan_as_of(
+        &t,
+        KeyRange::ALL,
+        snapshot,
+        Some(Tid(500)),
+        env.auth.as_ref(),
+    )
+    .unwrap();
     let mine = items
         .iter()
         .find(|i| i.key == key_b(3))

@@ -139,7 +139,7 @@ impl BTree {
 
     /// Re-read the root from the meta page. A replica's redo installs the
     /// root splits its primary made without going through
-    /// [`Self::install`], so its handles pick the new root up here. Redo
+    /// `install`, so its handles pick the new root up here. Redo
     /// may also have installed a compaction's page images, so the chain
     /// directory starts over.
     pub fn reload_root(&self) -> Result<()> {

@@ -24,7 +24,7 @@ use immortaldb_storage::version::{self, Visible};
 use immortaldb_storage::TimestampResolver;
 
 use crate::compact::{walk_history, HistoryStats};
-use crate::cursor::{Flow, RecordVisitor};
+use crate::cursor::RecordVisitor;
 use crate::tree::BTree;
 
 /// Largest key+data payload a single record may carry. Keeps every record
@@ -290,7 +290,7 @@ fn write_rows(
 /// The versioned operations: writes with the update trigger, batched
 /// ingest, current reads with the read trigger, eager and vacuum
 /// stamping, and the leaf lookups recovery needs. Reads at other times go
-/// through the key × time cursor ([`crate::cursor`]).
+/// through the key × time cursor ([`BTree::cursor`]).
 impl BTree {
     /// Insert a new record version (§3.2). Fails with
     /// [`Error::DuplicateKey`] if a live (non-deleted) committed or own
@@ -355,27 +355,12 @@ impl BTree {
         write_rows(self, tid, last_lsn, &rows, Op::Insert, resolver)
     }
 
-    /// Read the current version of `key` as seen by `own_tid` (its own
-    /// uncommitted writes are visible). Opportunistically applies
-    /// timestamps when the chain head is a committed TID-marked record
-    /// (the paper's read trigger); every other read goes through the
-    /// cursor, which never stamps.
-    pub fn get_current(
-        &self,
-        key: &[u8],
-        own_tid: Option<Tid>,
-        resolver: &dyn TimestampResolver,
-    ) -> Result<Option<Vec<u8>>> {
-        let mut out = None;
-        self.visit_current(key, own_tid, resolver, &mut |_, data| {
-            out = Some(data.to_vec());
-            Ok(Flow::Stop)
-        })?;
-        Ok(out)
-    }
-
-    /// [`Self::get_current`] handing the image, borrowed from the page,
-    /// to `visit` (not called when the key has no current row).
+    /// Hand `visit` the current version of `key` as seen by `own_tid`
+    /// (its own uncommitted writes are visible), borrowed from the page;
+    /// it is not called when the key has no current row.
+    /// Opportunistically applies timestamps when the chain head is a
+    /// committed TID-marked record (the paper's read trigger); every
+    /// other read goes through the cursor, which never stamps.
     pub fn visit_current(
         &self,
         key: &[u8],
@@ -479,7 +464,7 @@ impl BTree {
     }
 
     /// Shape of the version store: every historical page reachable from
-    /// a current leaf, counted once ([`walk_history`]).
+    /// a current leaf, counted once (`walk_history`).
     pub fn history_shape(&self) -> Result<HistoryStats> {
         let _s = self.structure.read();
         let mut shape = HistoryStats::default();

@@ -10,9 +10,9 @@
 //! * every committed transaction's data is durable and every
 //!   uncommitted ("loser") transaction is fully rolled back;
 //! * each key's version history exactly matches the committed
-//!   [`History`](crate::History), with strictly descending timestamps
-//!   and no unstamped committed version (post-crash timestamp repair
-//!   through the PTT must converge);
+//!   [`History`], with strictly descending timestamps and no unstamped
+//!   committed version (post-crash timestamp repair through the PTT
+//!   must converge);
 //! * `AS OF` queries at sampled commit timestamps return the same rows
 //!   before and after the crash;
 //! * the persistent timestamp table contains no entry for a transaction

@@ -10,8 +10,8 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use immortaldb_btree::{
-    BTree, CompactionStats, Flow, HeadVersion, HistoryStats, HistoryVersion, KeyVisitor,
-    SplitTimeSource, TemporalVersion,
+    BTree, CompactionStats, Flow, HeadVersion, HistoryStats, KeyRange, KeyVisitor, Query,
+    SplitTimeSource, VersionBuf,
 };
 use immortaldb_common::{
     blocking, Clock, Error, Lsn, PageId, Result, SystemClock, Tid, Timestamp, TreeId, NULL_LSN,
@@ -30,7 +30,7 @@ use immortaldb_txn::{
 
 use crate::catalog::{snapshot_key, SnapshotDef, TableDef, TableKind, SNAPSHOT_KEY_PREFIX};
 use crate::row::{PkBounds, Pushdown, Schema, Value};
-use crate::temporal::{self, DiffOp, DiffRow};
+use crate::temporal::{self, DiffOp, DiffRow, TemporalVersion};
 use crate::txn::{Isolation, TimestampingMode, Transaction};
 
 /// Engine configuration.
@@ -1386,30 +1386,38 @@ impl Database {
         table: &str,
         pk: &Value,
     ) -> Result<Vec<(Option<Timestamp>, Option<Vec<Value>>)>> {
-        let (def, history) = self.history_images(table, pk)?;
+        let mut history = VersionBuf::default();
+        let def = self.history_into(table, pk, &mut history)?;
         let mut decoder = self.row_decoder(&def.schema);
         history
-            .into_iter()
-            .map(|v| Ok((v.ts, v.data.map(|d| decoder.decode(&d)).transpose()?)))
+            .iter()
+            .map(|v| Ok((v.ts(), v.data.map(|d| decoder.decode(d)).transpose()?)))
             .collect()
     }
 
-    /// [`Self::history_rows`] with each version's stored image, undecoded
-    /// (`HISTORY OF`).
-    pub(crate) fn history_images(
+    /// Gather a row's complete version history into `history` (cleared
+    /// first), newest first, uncommitted versions included, its images
+    /// undecoded: what `HISTORY OF` sends once every latch is released.
+    pub(crate) fn history_into(
         &self,
         table: &str,
         pk: &Value,
-    ) -> Result<(Arc<TableDef>, Vec<HistoryVersion>)> {
+        history: &mut VersionBuf,
+    ) -> Result<Arc<TableDef>> {
         let def = self.table(table)?;
         self.check_as_of_allowed(&def)?;
         let bounds = PkBounds::point(&def.schema, pk)?;
         self.count_pushdown(&bounds);
-        let key = bounds.as_range().as_point().expect("point bounds");
-        let history = self
-            .tree_handle(def.tree)?
-            .history_of(key, self.resolver.as_ref())?;
-        Ok((def, history))
+        let q = Query {
+            keys: bounds.as_range(),
+            lo: Timestamp::ZERO,
+            hi: Timestamp::MAX,
+            uncommitted: true,
+        };
+        history.clear();
+        self.tree_handle(def.tree)?
+            .cursor(&q, self.resolver.as_ref(), &mut history.collect())?;
+        Ok(def)
     }
 
     /// Every committed version of `table` whose timestamp falls in
@@ -1425,9 +1433,9 @@ impl Database {
         let returned = &self.metrics().temporal.versions_returned;
         let mut out = Vec::new();
         self.visit_versions(&def, &PkBounds::all(), lo, hi, &mut |group| {
-            group.retain(|v| v.ts >= lo);
-            returned.add(group.len() as u64);
-            out.append(group);
+            let before = out.len();
+            out.extend(group.iter().filter_map(|v| TemporalVersion::within(&v, lo)));
+            returned.add((out.len() - before) as u64);
             Ok(Flow::Continue)
         })?;
         Ok(out)
@@ -1435,8 +1443,8 @@ impl Database {
 
     /// The temporal walk behind `VERSIONS BETWEEN`, `DIFF TABLE` and
     /// `RESTORE TABLE`, over a window [`Self::temporal_window`] has
-    /// already clamped: `visit` gets the versions of `bounds` one key at a
-    /// time, oldest first (it may take them), until it answers
+    /// already clamped: `visit` is lent the versions of `bounds` one key
+    /// at a time, oldest first, until it answers
     /// [`Flow::Stop`], and resumes like [`Self::visit_rows`]. A key's
     /// group starts with its *base*, its state at `lo`, when it has one;
     /// the base lies inside the window only if it committed at `lo`
@@ -1663,16 +1671,22 @@ impl Database {
     fn refresh_catalog(&self) -> Result<()> {
         // Rebuilt from scratch each refresh: a snapshot the primary
         // dropped must disappear here too.
-        let mut named_snapshots = HashMap::new();
-        for item in self.catalog_tree.u_scan()? {
-            if item.key.first() == Some(&SNAPSHOT_KEY_PREFIX) {
-                let snap = SnapshotDef::decode(&item.data)?;
-                named_snapshots.insert(snap.name.clone(), snap);
-                continue;
-            }
-            let name = String::from_utf8(item.key.clone())
-                .map_err(|_| Error::Corruption("non-UTF8 table name".into()))?;
-            let def = Arc::new(TableDef::decode(&name, &item.data)?);
+        let (mut named_snapshots, mut defs) = (HashMap::new(), Vec::new());
+        self.catalog_tree
+            .u_scan_in(&KeyRange::ALL, &mut |key, data| {
+                if key.first() == Some(&SNAPSHOT_KEY_PREFIX) {
+                    let snap = SnapshotDef::decode(data)?;
+                    named_snapshots.insert(snap.name.clone(), snap);
+                } else {
+                    let name = String::from_utf8(key.to_vec())
+                        .map_err(|_| Error::Corruption("non-UTF8 table name".into()))?;
+                    defs.push(Arc::new(TableDef::decode(&name, data)?));
+                }
+                Ok(Flow::Continue)
+            })?;
+        // Opened once the catalog's latches are released.
+        for def in defs {
+            let name = def.name.clone();
             if let Some(existing) = self.tables.read().get(&name) {
                 if existing.tree == def.tree {
                     continue;
@@ -1735,7 +1749,7 @@ impl Database {
         let mut changes: Vec<DiffRow> = Vec::new();
         PkBounds::all().chunked(|bounds| {
             self.visit_versions(def, bounds, as_of, Timestamp::MAX, &mut |group| {
-                if let Some(change) = temporal::fold_diff(std::mem::take(group), as_of) {
+                if let Some(change) = temporal::fold_diff(group, as_of) {
                     changes.push(change);
                     if changes.len() == WRITE_CHUNK {
                         return Ok(Flow::Stop);

@@ -58,11 +58,11 @@ pub use catalog::{SnapshotDef, TableDef, TableKind};
 pub use db::{Database, DbConfig, TID_BLOCK, WRITE_CHUNK};
 pub use row::{ColType, Column, PkBounds, RowSink, Schema, Value};
 pub use sql::{Outcome, QueryResult, Session};
-pub use temporal::{DiffOp, DiffRow};
+pub use temporal::{DiffOp, DiffRow, TemporalVersion};
 pub use txn::{Isolation, TimestampingMode, Transaction};
 
 // Re-exports for downstream crates (benches, examples).
-pub use immortaldb_btree::{CompactionStats, Flow, HistoryStats, TemporalVersion};
+pub use immortaldb_btree::{CompactionStats, Flow, HistoryStats};
 pub use immortaldb_check::{EventTap, Sentinel, SentinelReport};
 pub use immortaldb_common::{Clock, Error, ErrorCode, Result, SimClock, SystemClock, Timestamp};
 pub use immortaldb_storage::wal::{Durability, GroupCommitConfig};

@@ -7,7 +7,7 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 
-use immortaldb_btree::{Flow, TemporalVersion};
+use immortaldb_btree::{Flow, Stamp, Version, VersionBuf};
 use immortaldb_common::{blocking, Error, Result, Timestamp};
 
 use crate::catalog::TableDef;
@@ -477,34 +477,24 @@ impl<'a> Session<'a> {
                 Ok(Outcome::message(format!("{n} rows")))
             }
             Statement::History { table, pk } => {
-                let (def, history) = self.db.history_images(&table, &pk)?;
+                let mut history = VersionBuf::default();
+                let def = self.db.history_into(&table, &pk, &mut history)?;
                 let mut columns = names(&["_commit_ms", "_commit_sn", "_op"]);
                 columns.extend(def.schema.columns.iter().map(|c| c.name.clone()));
                 sink.columns(columns)?;
-                let n = history.len();
                 let nothing = vec![empty(); def.schema.columns.len()];
+                let ops = ops();
                 let mut out = Vec::new();
-                for v in history {
+                for v in history.iter() {
                     out.clear();
-                    let op = if v.data.is_some() { "WRITE" } else { "DELETE" };
-                    match v.ts {
-                        Some(t) => encode_values(&mut out, &version_lead(t, op)),
-                        None => encode_values(
-                            &mut out,
-                            &[
-                                Value::BigInt(-1),
-                                Value::Int(-1),
-                                Value::Varchar("UNCOMMITTED".into()),
-                            ],
-                        ),
-                    }
-                    match &v.data {
+                    version_lead(&mut out, &v, &ops);
+                    match v.data {
                         Some(image) => append_image(&mut out, &def.schema, image)?,
                         None => encode_values(&mut out, &nothing),
                     }
                     put(sink, &out)?;
                 }
-                Ok(Outcome::message(format!("{n} versions")))
+                Ok(Outcome::message(format!("{} versions", history.len())))
             }
             Statement::VersionsBetween {
                 table,
@@ -529,57 +519,60 @@ impl<'a> Session<'a> {
                 let mut n = 0usize;
                 let (mut row, mut out) = (Vec::new(), Vec::new());
                 let mut projector = self.db.row_decoder(&def.schema);
-                let mut send = |sink: &mut dyn RowSink, v: &TemporalVersion| -> Result<Flow> {
+                let ops = ops();
+                let mut send = |sink: &mut dyn RowSink, v: &Version<'_>| -> Result<Flow> {
                     n += 1;
                     out.clear();
+                    version_lead(&mut out, v, &ops);
                     version_row(&mut out, &mut projector, idxs.as_deref(), v, &mut row)?;
                     sink.row(&out)
                 };
                 let (mut tested, mut tester) = (Vec::new(), self.db.row_decoder(&def.schema));
+                // The versions of a key the sink filled up in the middle
+                // of, to be sent once the cursor has returned.
+                let mut rest = VersionBuf::default();
                 bounds.chunked(|bounds| {
-                    // A sink filling up in the middle of a key leaves that
-                    // key's remaining versions to be sent once the cursor
-                    // has returned.
                     let mut stopped = None;
                     self.db.visit_versions(&def, bounds, lo, hi, &mut |group| {
                         // The key's base is in the window only if it
                         // committed at `lo`.
-                        group.retain(|v| v.ts >= lo);
+                        let in_window = || group.iter().filter(|v| v.ts() >= Some(lo));
                         // A key matches when any live version of it
                         // inside the window satisfies the residual; every
                         // version of a matching key (tombstones included)
                         // is then returned.
                         let mut matched = residual.is_empty();
-                        for image in group.iter().filter_map(|v| v.data.as_deref()) {
+                        for image in in_window().filter_map(|v| v.data) {
                             if matched {
                                 break;
                             }
                             tester.decode_into(image, &mut tested)?;
                             matched = residual.matches(&tested);
                         }
-                        if !matched || group.is_empty() {
+                        if !matched {
                             return Ok(Flow::Continue);
                         }
-                        returned.add(group.len() as u64);
-                        let mut versions = group.drain(..);
+                        returned.add(in_window().count() as u64);
+                        let mut versions = in_window();
                         while let Some(v) = versions.next() {
                             if send(sink, &v)? == Flow::Stop {
-                                stopped = Some((v.key, versions.collect::<Vec<_>>()));
+                                rest.clear();
+                                versions.for_each(|v| rest.push(&v));
+                                stopped = Some(v.key.to_vec());
                                 return Ok(Flow::Stop);
                             }
                         }
                         Ok(Flow::Continue)
                     })?;
-                    let Some((key, rest)) = stopped else {
-                        return Ok(None);
-                    };
-                    sink.flush()?;
-                    for v in &rest {
-                        if send(sink, v)? == Flow::Stop {
-                            sink.flush()?;
+                    if stopped.is_some() {
+                        sink.flush()?;
+                        for v in rest.iter() {
+                            if send(sink, &v)? == Flow::Stop {
+                                sink.flush()?;
+                            }
                         }
                     }
-                    Ok(Some(key))
+                    Ok(stopped)
                 })?;
                 Ok(Outcome::message(format!("{n} versions")))
             }
@@ -611,7 +604,7 @@ impl<'a> Session<'a> {
                     // one change where the cursor stands on it.
                     let mut stopped = None;
                     self.db.visit_versions(&def, bounds, a, b, &mut |group| {
-                        let Some(d) = temporal::fold_diff(std::mem::take(group), a) else {
+                        let Some(d) = temporal::fold_diff(group, a) else {
                             return Ok(Flow::Continue);
                         };
                         n += 1;
@@ -687,13 +680,21 @@ impl<'a> Session<'a> {
     }
 }
 
-/// The three columns that lead a `VERSIONS BETWEEN` / `HISTORY OF` row.
-fn version_lead(ts: Timestamp, op: &str) -> Vec<Value> {
-    vec![
-        Value::BigInt(ts.ttime as i64),
-        Value::Int(ts.sn as i32),
-        Value::Varchar(op.into()),
-    ]
+/// The `_op` values of a version row, `WRITE`, `DELETE` and
+/// `UNCOMMITTED`, made once per statement so that a row makes none.
+fn ops() -> [Value; 3] {
+    ["WRITE", "DELETE", "UNCOMMITTED"].map(|op| Value::Varchar(op.into()))
+}
+
+/// Append the three columns that lead a `VERSIONS BETWEEN` / `HISTORY
+/// OF` row: commit time (`-1`s for an uncommitted version) and operation.
+fn version_lead(out: &mut Vec<u8>, v: &Version<'_>, [write, delete, uncommitted]: &[Value; 3]) {
+    let (ms, sn, op) = match (v.stamp, v.data) {
+        (Stamp::Uncommitted(_), _) => (-1, -1, uncommitted),
+        (Stamp::Committed(t), Some(_)) => (t.ttime as i64, t.sn as i32, write),
+        (Stamp::Committed(t), None) => (t.ttime as i64, t.sn as i32, delete),
+    };
+    encode_values(out, [&Value::BigInt(ms), &Value::Int(sn), op]);
 }
 
 /// A stored image appended to a result row: checked to be a row of the
@@ -710,21 +711,19 @@ fn empty() -> Value {
     Value::Varchar(String::new())
 }
 
-/// Append a `VERSIONS BETWEEN` row: commit time and operation, then the
-/// version's columns `idxs` — all of them, as stored, for `None`; a
-/// projection decodes the image into `row` first. A tombstone has no
-/// image, so its primary key comes from the index key and every other
-/// column is empty: the row still says *what* was deleted.
+/// Append the columns `idxs` of a `VERSIONS BETWEEN` row — all of them,
+/// as stored, for `None`; a projection decodes the image into `row`
+/// first. A tombstone has no image, so its primary key comes from the
+/// index key and every other column is empty: the row still says *what*
+/// was deleted.
 fn version_row(
     out: &mut Vec<u8>,
     decoder: &mut RowDecoder<'_>,
     idxs: Option<&[usize]>,
-    v: &TemporalVersion,
+    v: &Version<'_>,
     row: &mut Vec<Value>,
 ) -> Result<()> {
-    let op = if v.data.is_some() { "WRITE" } else { "DELETE" };
-    encode_values(out, &version_lead(v.ts, op));
-    match (&v.data, idxs) {
+    match (v.data, idxs) {
         (Some(image), None) => append_image(out, decoder.schema(), image)?,
         (Some(image), Some(idxs)) => {
             decoder.decode_into(image, row)?;
@@ -732,7 +731,7 @@ fn version_row(
         }
         (None, idxs) => {
             let schema = decoder.schema();
-            let (pk, empty) = (decode_key(&v.key)?, empty());
+            let (pk, empty) = (decode_key(v.key)?, empty());
             let value = |k: usize| if k == schema.pk { &pk } else { &empty };
             match idxs {
                 Some(idxs) => encode_values(out, idxs.iter().map(|&k| value(k))),

@@ -3,7 +3,7 @@
 //! versions in a window into its net change.
 //!
 //! Both query shapes execute as a **single** walk of the index's key ×
-//! time cursor ([`immortaldb_btree::BTree::versions_by_key`]), handed one
+//! time cursor ([`immortaldb_btree::BTree::versions_by_key`]), lent one
 //! key's versions at a time: for the leaves covering the keys, the
 //! page-chain B+tree reads the chain pages whose time range meets the
 //! window. Neither replays per-timestamp `AS OF` point lookups, nor holds
@@ -20,7 +20,7 @@
 //!   states *at* the two instants (each resolved like `BEGIN TRAN AS
 //!   OF`), so a row changed and changed back reports nothing.
 
-use immortaldb_btree::TemporalVersion;
+use immortaldb_btree::{Version, VersionBuf};
 use immortaldb_common::time::quantize;
 use immortaldb_common::Timestamp;
 
@@ -71,23 +71,46 @@ pub struct DiffRow {
     pub after: Option<Vec<u8>>,
 }
 
+/// One committed version, copied out of the walk: an item of
+/// [`Database::versions_between`](crate::Database::versions_between), the
+/// collecting form of `VERSIONS BETWEEN`. Every other temporal read lends
+/// its versions instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TemporalVersion {
+    pub key: Vec<u8>,
+    /// Commit timestamp of this version.
+    pub ts: Timestamp,
+    /// `None` marks a delete tombstone.
+    pub data: Option<Vec<u8>>,
+}
+
+impl TemporalVersion {
+    /// A copy of `v` when it committed at or after `lo`.
+    pub fn within(v: &Version<'_>, lo: Timestamp) -> Option<TemporalVersion> {
+        let ts = v.ts().filter(|&ts| ts >= lo)?;
+        Some(TemporalVersion {
+            key: v.key.to_vec(),
+            ts,
+            data: v.data.map(<[u8]>::to_vec),
+        })
+    }
+}
+
 /// Fold one key's group of a `versions_by_key(t1, t2)` walk — oldest
 /// first, the key's base version (its state at `t1`) included — into the
 /// key's net change between its states at `t1` and `t2`: `None` when the
 /// two are byte-identical.
-pub fn fold_diff(mut group: Vec<TemporalVersion>, t1: Timestamp) -> Option<DiffRow> {
+pub fn fold_diff(group: &VersionBuf, t1: Timestamp) -> Option<DiffRow> {
     // State at t2: the group's last version (the walk returns nothing
     // above t2). State at t1: the newest version at or below it.
-    let after = group.pop()?;
-    if after.ts <= t1 {
-        return None; // no version in the window: unchanged
-    }
+    let after = group.iter().next_back()?;
+    let ts = after.ts().filter(|&ts| ts > t1)?; // none in the window: unchanged
     let before = group
-        .into_iter()
+        .iter()
         .rev()
-        .find(|v| v.ts <= t1)
+        .find(|v| v.ts().is_some_and(|ts| ts <= t1))
         .and_then(|v| v.data);
-    let op = match (&before, &after.data) {
+    let op = match (before, after.data) {
         (None, Some(_)) => DiffOp::Insert,
         (Some(_), None) => DiffOp::Delete,
         (Some(b), Some(a)) if b != a => DiffOp::Update,
@@ -96,23 +119,24 @@ pub fn fold_diff(mut group: Vec<TemporalVersion>, t1: Timestamp) -> Option<DiffR
         _ => return None,
     };
     Some(DiffRow {
-        key: after.key,
+        key: after.key.to_vec(),
         op,
-        ts: after.ts,
-        before,
-        after: after.data,
+        ts,
+        before: before.map(<[u8]>::to_vec),
+        after: after.data.map(<[u8]>::to_vec),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use immortaldb_btree::Stamp;
 
-    fn v(key: u8, ms: u64, data: Option<&str>) -> TemporalVersion {
-        TemporalVersion {
-            key: vec![key],
-            ts: Timestamp::new(ms, 0),
-            data: data.map(|s| s.as_bytes().to_vec()),
+    fn v(key: &'static [u8], ms: u64, data: Option<&'static str>) -> Version<'static> {
+        Version {
+            key,
+            stamp: Stamp::Committed(Timestamp::new(ms, 0)),
+            data: data.map(str::as_bytes),
         }
     }
 
@@ -128,18 +152,16 @@ mod tests {
     }
 
     /// The walk's versions, cut into key groups and folded one by one.
-    fn diff(versions: Vec<TemporalVersion>, t1: Timestamp) -> Vec<DiffRow> {
-        let mut groups: Vec<Vec<TemporalVersion>> = Vec::new();
-        for v in versions {
-            match groups.last_mut() {
-                Some(g) if g[0].key == v.key => g.push(v),
-                _ => groups.push(vec![v]),
+    fn diff(versions: Vec<Version<'_>>, t1: Timestamp) -> Vec<DiffRow> {
+        let (mut out, mut group) = (Vec::new(), VersionBuf::default());
+        for (i, v) in versions.iter().enumerate() {
+            group.push(v);
+            if versions.get(i + 1).is_none_or(|next| next.key != v.key) {
+                out.extend(fold_diff(&group, t1));
+                group.clear();
             }
         }
-        groups
-            .into_iter()
-            .filter_map(|g| fold_diff(g, t1))
-            .collect()
+        out
     }
 
     #[test]
@@ -147,19 +169,19 @@ mod tests {
         let t1 = Timestamp::new(100, 0);
         let versions = vec![
             // key 1: existed at t1, updated twice in the window → UPDATE
-            v(1, 80, Some("a")),
-            v(1, 120, Some("b")),
-            v(1, 140, Some("c")),
+            v(b"1", 80, Some("a")),
+            v(b"1", 120, Some("b")),
+            v(b"1", 140, Some("c")),
             // key 2: born in the window → INSERT
-            v(2, 130, Some("x")),
+            v(b"2", 130, Some("x")),
             // key 3: existed at t1, deleted in the window → DELETE
-            v(3, 90, Some("y")),
-            v(3, 150, None),
+            v(b"3", 90, Some("y")),
+            v(b"3", 150, None),
             // key 4: unchanged (base only) → omitted
-            v(4, 70, Some("z")),
+            v(b"4", 70, Some("z")),
             // key 5: inserted and deleted inside the window → omitted
-            v(5, 110, Some("w")),
-            v(5, 160, None),
+            v(b"5", 110, Some("w")),
+            v(b"5", 160, None),
         ];
         let diff = diff(versions, t1);
         assert_eq!(diff.len(), 3);
@@ -177,9 +199,9 @@ mod tests {
     fn diff_omits_change_and_change_back() {
         let t1 = Timestamp::new(100, 0);
         let versions = vec![
-            v(1, 80, Some("a")),
-            v(1, 120, Some("b")),
-            v(1, 140, Some("a")),
+            v(b"1", 80, Some("a")),
+            v(b"1", 120, Some("b")),
+            v(b"1", 140, Some("a")),
         ];
         assert!(diff(versions, t1).is_empty());
     }
@@ -188,7 +210,11 @@ mod tests {
     fn diff_sees_redelete_of_a_dead_key_as_nothing() {
         // Dead at t1 (tombstone base), still dead at t2.
         let t1 = Timestamp::new(100, 0);
-        let versions = vec![v(1, 80, None), v(1, 120, Some("a")), v(1, 140, None)];
+        let versions = vec![
+            v(b"1", 80, None),
+            v(b"1", 120, Some("a")),
+            v(b"1", 140, None),
+        ];
         assert!(diff(versions, t1).is_empty());
     }
 }

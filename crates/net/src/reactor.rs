@@ -3,7 +3,7 @@
 //! `workers + 1` identical threads share one poll loop. Exactly one of
 //! them, the *leader*, holds the poll role at a time: it waits for
 //! readiness, reads a ready connection, serves every buffered frame
-//! through [`serve_buffered`] **itself**, writes the reply and goes back
+//! through `serve_buffered` **itself**, writes the reply and goes back
 //! to waiting. A request never moves to another thread; only the *loop*
 //! does. A resident point statement therefore costs three system calls
 //! (`epoll_wait`, `read`, `write`), no wake-up and no `epoll_ctl`.
@@ -16,15 +16,15 @@
 //!   through [`immortaldb_common::blocking`] (lock wait, group-commit
 //!   barrier, fsync, a page miss the OS page cache cannot serve, scan,
 //!   checkpoint, …) and
-//!   [`on_engine_signal`] gives the role away before the thread parks.
-//!   A pipelined burst longer than [`INLINE_FRAMES`] counts as long.
+//!   `on_engine_signal` gives the role away before the thread parks.
+//!   A pipelined burst longer than `INLINE_FRAMES` counts as long.
 //! * **the poll batch holds other ready connections and a CPU is free**
 //!   to serve them in parallel (`threads − parked < CPUs`): the role goes
 //!   on *before* the request runs. On one CPU this never fires; on more
 //!   it keeps short requests from serialising onto one core.
 //!
 //! Either way the old leader finishes its request as a follower, puts the
-//! connection back into the poller itself ([`rearm`]) and parks; the rest
+//! connection back into the poller itself (`rearm`) and parks; the rest
 //! of its poll batch is dropped — the poller is level-triggered, so the
 //! new leader is told again.
 //!
@@ -44,16 +44,16 @@
 //! `try_lock` and skip; level-triggered polling retries.
 //!
 //! Backpressure is per session: a connection whose reply backlog passes
-//! [`OUT_CAP`] stops being read until the peer drains it, and a result
+//! `OUT_CAP` stops being read until the peer drains it, and a result
 //! set larger than that is produced only as fast as the peer takes it —
-//! its rows are encoded into the backlog in [`ROW_CHUNK`]-sized frames
+//! its rows are encoded into the backlog in `ROW_CHUNK`-sized frames
 //! and the scan pauses between frames, on its own thread, while the
 //! backlog is at the cap (`crate::server::Wire::drain`). Idle sessions
 //! are reaped from a coarse timer wheel advanced on the leader's tick —
 //! an abandoned transaction is rolled back (releasing its locks) within
 //! one tick of the deadline. A `SUBSCRIBE_WAL` connection is a result
 //! that never ends: each of its turns is one shipping step
-//! ([`Subscription::ship`]) run like a request, when its last batch has
+//! (`Subscription::ship`) run like a request, when its last batch has
 //! left, when an ack arrives, and on every tick once it has caught up —
 //! so a replica costs no thread, goes at its own reader's pace, and meets
 //! the idle rule and shutdown like any other connection.
@@ -276,7 +276,7 @@ impl Shared {
 
 thread_local! {
     /// The poll role, kept here while its holder serves a request inline
-    /// so that [`on_engine_signal`] can give it away from inside the
+    /// so that `on_engine_signal` can give it away from inside the
     /// engine. Empty on a thread that does not hold the role.
     static HELD: Cell<Option<Box<Loop>>> = const { Cell::new(None) };
 }

@@ -1,10 +1,10 @@
 //! What the serving runtime ([`crate::reactor`]) is configured with and
 //! what it runs: [`ServerConfig`], request execution against a session
-//! ([`handle_request`]) with its result rows encoded into the
-//! connection's output buffer as they are read ([`RowStream`]), a WAL
-//! subscription's shipping step ([`Subscription::ship`]) and the
-//! SERVER_BUSY refusal ([`busy`]). None of it knows about threads, and
-//! none of it writes to a socket but through [`flush_out`].
+//! (`handle_request`) with its result rows encoded into the
+//! connection's output buffer as they are read (`RowStream`), a WAL
+//! subscription's shipping step (`Subscription::ship`) and the
+//! SERVER_BUSY refusal (`busy`). None of it knows about threads, and
+//! none of it writes to a socket but through `flush_out`.
 
 use std::io::{self, ErrorKind};
 use std::net::TcpStream;

@@ -74,6 +74,13 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Set to `v` unless the gauge already reads more: a high-water mark
+    /// that racing writers cannot move back.
+    #[inline]
+    pub fn raise(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -290,7 +297,7 @@ pub struct WalMetrics {
     pub leader_waits_ns: Histogram,
     /// End of log: the LSN one past the last appended record.
     pub end_lsn: Gauge,
-    /// Highest LSN known fsynced through the group-commit path.
+    /// Highest LSN known fsynced, by any successful sync of the log.
     pub durable_lsn: Gauge,
 }
 

@@ -94,23 +94,33 @@ pub fn apply_delta_into(base: &[u8], delta: &[u8], out: &mut Vec<u8>) -> Result<
     Ok(())
 }
 
+/// The two buffers a [`ChainWalker`] folds deltas in, and a count of
+/// the folds. A reader of several pages keeps one set and lends it to
+/// each page's walker ([`ChainWalker::reusing`]), so that the whole walk
+/// allocates only while the pair grows and counts its folds in one place.
+#[derive(Default)]
+pub struct FoldBuffers {
+    folded: Vec<u8>,
+    /// Where the next fold is written, then swapped with `folded`.
+    spare: Vec<u8>,
+    /// Delta folds performed in these buffers so far (feeds
+    /// `version.delta_folds`).
+    pub folds: u64,
+}
+
 /// Cursor over one version chain (newest first) that materializes each
 /// version's data incrementally, folding deltas from the nearest newer
 /// anchor as it walks. Amortized O(1) fold work per step; a full record
 /// is served straight from the page, never copied. Folds alternate
-/// between two buffers the walker owns, and [`Self::restart`] keeps them,
-/// so one walker over a page's chains allocates only while they grow.
+/// between the two [`FoldBuffers`], and [`Self::restart`] keeps them, so
+/// one walker over a page's chains allocates only while they grow.
 pub struct ChainWalker<'a> {
     page: &'a Page,
     next: Option<usize>,
     /// The current version's data when it is stored whole; `None` when it
-    /// is the folded image in `folded`.
+    /// is the folded image in `bufs.folded`.
     full: Option<&'a [u8]>,
-    folded: Vec<u8>,
-    /// Where the next fold is written, then swapped with `folded`.
-    spare: Vec<u8>,
-    /// Number of delta folds performed so far (feeds `version.delta_folds`).
-    pub folds: u64,
+    bufs: FoldBuffers,
 }
 
 impl<'a> ChainWalker<'a> {
@@ -123,21 +133,30 @@ impl<'a> ChainWalker<'a> {
     /// A walker of `page` standing on no chain yet: [`Self::restart`] it
     /// on each chain to walk.
     pub fn idle(page: &'a Page) -> ChainWalker<'a> {
+        ChainWalker::reusing(page, FoldBuffers::default())
+    }
+
+    /// [`Self::idle`], folding in `bufs`; [`Self::into_buffers`] hands
+    /// them back for the next page.
+    pub fn reusing(page: &'a Page, bufs: FoldBuffers) -> ChainWalker<'a> {
         ChainWalker {
             page,
             next: None,
             full: None,
-            folded: Vec::new(),
-            spare: Vec::new(),
-            folds: 0,
+            bufs,
         }
+    }
+
+    /// The fold buffers, for the walker of the next page.
+    pub fn into_buffers(self) -> FoldBuffers {
+        self.bufs
     }
 
     /// Walk the chain at slot `slot_i` next, from its head.
     pub fn restart(&mut self, slot_i: usize) {
         self.next = Some(self.page.slot(slot_i));
         self.full = None;
-        self.folded.clear();
+        self.bufs.folded.clear();
     }
 
     /// Advance to the next (older) version and return it, its header and
@@ -149,14 +168,15 @@ impl<'a> ChainWalker<'a> {
         };
         let rec = self.page.rec_version(off);
         if rec.is_delta() {
+            let bufs = &mut self.bufs;
             let base = match self.full {
                 Some(data) => data,
-                None => &self.folded,
+                None => &bufs.folded,
             };
-            apply_delta_into(base, rec.data, &mut self.spare)?;
-            std::mem::swap(&mut self.folded, &mut self.spare);
+            apply_delta_into(base, rec.data, &mut bufs.spare)?;
+            std::mem::swap(&mut bufs.folded, &mut bufs.spare);
+            bufs.folds += 1;
             self.full = None;
-            self.folds += 1;
         } else {
             self.full = Some(rec.data);
         }
@@ -164,10 +184,15 @@ impl<'a> ChainWalker<'a> {
         Ok(Some(rec))
     }
 
+    /// Delta folds performed in the walker's buffers so far.
+    pub fn folds(&self) -> u64 {
+        self.bufs.folds
+    }
+
     /// Materialized data of the version most recently returned by
     /// [`Self::step`].
     pub fn data(&self) -> &[u8] {
-        self.full.unwrap_or(&self.folded)
+        self.full.unwrap_or(&self.bufs.folded)
     }
 }
 
@@ -1070,7 +1095,7 @@ mod tests {
         while w.step().unwrap().is_some() {
             out.push(w.data().to_vec());
         }
-        (out, w.folds)
+        (out, w.folds())
     }
 
     fn big(val: u8, tag: u8) -> Vec<u8> {
@@ -1113,7 +1138,7 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, depth);
-        assert_eq!(w.folds as usize, depth - expect_anchors);
+        assert_eq!(w.folds() as usize, depth - expect_anchors);
     }
 
     #[test]

@@ -92,8 +92,6 @@ struct WalInner {
 
 /// Shared state of the commit barrier, guarded by `GroupBarrier::inner`.
 struct GroupInner {
-    /// Highest LSN known fsynced by a group leader.
-    durable: u64,
     /// A leader currently owns the sync (it writes and fsyncs with the
     /// barrier unlocked; this keeps the sync single-flight).
     leader_active: bool,
@@ -121,8 +119,8 @@ pub struct Wal {
     /// Highest LSN guaranteed written to the file (not necessarily
     /// fsynced).
     written_lsn: AtomicU64,
-    /// Highest LSN known fsynced via the group-commit path (fast-path
-    /// mirror of `GroupInner::durable`).
+    /// Highest LSN known fsynced, by whichever sync of the log
+    /// ([`Wal::sync_file`]) covered it.
     durable_lsn: AtomicU64,
     /// Committers currently inside `commit_durable` (sizes batches for
     /// the `wal.batch_size` metric; includes threads still blocked on the
@@ -194,7 +192,6 @@ impl Wal {
             group_cfg: GroupCommitConfig::default(),
             group: GroupBarrier {
                 inner: Mutex::new(GroupInner {
-                    durable: 0,
                     leader_active: false,
                     failed: None,
                 }),
@@ -277,18 +274,23 @@ impl Wal {
             blocking::about_to_block();
         }
         // Held through the sync: no append lands between write and fsync.
-        let _inner = self.write_buffer()?;
+        let inner = self.write_buffer()?;
         if durability == Durability::Fsync {
-            self.sync_file()?;
+            self.sync_file(Lsn(inner.buf_start))?;
         }
         Ok(())
     }
 
-    /// One fsync of the log file, counted and timed.
-    fn sync_file(&self) -> Result<()> {
+    /// One fsync of the log file, counted and timed, after everything
+    /// below `covered` was written: the one place [`Self::durable_lsn`]
+    /// advances, and only when the sync succeeds.
+    fn sync_file(&self, covered: Lsn) -> Result<()> {
         self.metrics.wal.fsyncs.inc();
         let _timer = self.metrics.wal.fsync_ns.start_timer();
-        self.file.sync()
+        self.file.sync()?;
+        self.durable_lsn.fetch_max(covered.0, Ordering::SeqCst);
+        self.metrics.wal.durable_lsn.raise(covered.0);
+        Ok(())
     }
 
     /// Write the buffer out without fsyncing, and return the buffer
@@ -347,7 +349,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Highest LSN known durable (fsynced) through the group-commit path.
+    /// Highest LSN known durable: covered by a successful fsync of the
+    /// log, a commit's, a group leader's or a [`Self::flush`]'s.
     pub fn durable_lsn(&self) -> Lsn {
         Lsn(self.durable_lsn.load(Ordering::SeqCst))
     }
@@ -368,8 +371,8 @@ impl Wal {
         }
         if !self.group_cfg.enabled {
             blocking::about_to_block();
-            let _inner = self.write_buffer_ahead()?;
-            return self.sync_file();
+            let inner = self.write_buffer_ahead()?;
+            return self.sync_file(Lsn(inner.buf_start));
         }
         // Fast path: a leader already synced past us.
         if self.durable_lsn.load(Ordering::SeqCst) >= upto.0 {
@@ -397,7 +400,7 @@ impl Wal {
                     ))));
                 }
             }
-            if g.durable >= upto.0 {
+            if self.durable_lsn().0 >= upto.0 {
                 return Ok(());
             }
             if !g.leader_active {
@@ -412,12 +415,9 @@ impl Wal {
                 drop(g);
                 let res = match self.write_buffer_ahead().map(|inner| Lsn(inner.buf_start)) {
                     Ok(covered) => {
-                        match self.sync_file() {
-                            Ok(()) => Ok(covered),
-                            // Failed fsync: exactly the records the write
-                            // covered were attempted and are not durable.
-                            Err(e) => Err((covered.0, e)),
-                        }
+                        // Failed fsync: exactly the records the write
+                        // covered were attempted and are not durable.
+                        self.sync_file(covered).map_err(|e| (covered.0, e))
                     }
                     // Failed write: the buffer (everything appended so
                     // far) stays queued; treat it all as attempted.
@@ -425,12 +425,9 @@ impl Wal {
                 };
                 g = self.group.inner.lock();
                 match res {
-                    Ok(covered) => {
-                        g.durable = g.durable.max(covered.0);
-                        self.durable_lsn.store(g.durable, Ordering::SeqCst);
-                        self.metrics.wal.durable_lsn.set(g.durable);
+                    Ok(()) => {
                         if let Some((attempted, _)) = g.failed {
-                            if attempted <= g.durable {
+                            if attempted <= self.durable_lsn().0 {
                                 g.failed = None;
                             }
                         }
@@ -440,7 +437,7 @@ impl Wal {
                     Err((attempted, e)) => {
                         // No committer whose records the attempt covered
                         // may be acknowledged: all-or-nothing per batch.
-                        g.failed = Some((attempted.max(g.durable), e.to_string()));
+                        g.failed = Some((attempted.max(self.durable_lsn().0), e.to_string()));
                     }
                 }
                 g.leader_active = false;
@@ -878,6 +875,28 @@ mod tests {
         let m = wal.metrics();
         assert_eq!(m.wal.fsyncs.get(), 5);
         assert_eq!(m.wal.group_commits.get(), 0);
+        // Each commit's own sync moved the durable LSN and its gauge.
+        assert_eq!(wal.durable_lsn(), wal.end_lsn());
+        assert_eq!(m.wal.durable_lsn.get(), wal.end_lsn().0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_forced_flush_moves_the_durable_lsn_and_a_buffered_one_does_not() {
+        let path = tmp("flushdurable");
+        let wal = Wal::open(&path).unwrap();
+        let m = wal.metrics().clone();
+        past(&wal, 0);
+        wal.flush(Durability::Buffered).unwrap();
+        assert_eq!(wal.durable_lsn(), Lsn(0));
+        assert_eq!(m.wal.durable_lsn.get(), 0);
+        wal.flush(Durability::Fsync).unwrap();
+        assert_eq!(wal.durable_lsn(), wal.end_lsn());
+        assert_eq!(m.wal.durable_lsn.get(), wal.end_lsn().0);
+        // A commit the forced flush already covered syncs nothing more.
+        let upto = wal.end_lsn();
+        wal.commit_durable(upto, Durability::Fsync).unwrap();
+        assert_eq!(m.wal.fsyncs.get(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 

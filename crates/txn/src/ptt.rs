@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use immortaldb_btree::{BTree, SplitTimeSource};
+use immortaldb_btree::{BTree, Flow, KeyRange, SplitTimeSource};
 use immortaldb_common::codec::{key_from_u64, u64_from_key, Reader, Writer};
 use immortaldb_common::{Error, Lsn, Result, Tid, Timestamp, TreeId, NULL_LSN};
 use immortaldb_storage::buffer::BufferPool;
@@ -122,11 +122,12 @@ impl Ptt {
 
     /// All entries, ascending by TID (diagnostics / tests).
     pub fn entries(&self) -> Result<Vec<(Tid, Timestamp)>> {
-        self.tree
-            .u_scan()?
-            .into_iter()
-            .map(|item| Ok((Tid(u64_from_key(&item.key)?), decode_ts(&item.data)?)))
-            .collect()
+        let mut out = Vec::new();
+        self.tree.u_scan_in(&KeyRange::ALL, &mut |key, data| {
+            out.push((Tid(u64_from_key(key)?), decode_ts(data)?));
+            Ok(Flow::Continue)
+        })?;
+        Ok(out)
     }
 }
 

@@ -24,6 +24,8 @@ run_fmt() {
 run_clippy() {
     echo "== clippy =="
     cargo clippy --workspace --all-targets -- -D warnings -W clippy::undocumented_unsafe_blocks
+    echo "== rustdoc (a doc link to a removed or private name fails) =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 run_test() {

@@ -19,10 +19,10 @@
 //! a result streamed to a client in chunks does — it yields exactly the
 //! one-shot sequence, also when a writer splits the scanned leaves in
 //! time and by key between two chunks. That holds for `SELECT`, `VERSIONS
-//! BETWEEN` and `DIFF` alike, and the two temporal statements *stream*:
-//! their first pause comes before they have spent the `buffer.fetches` of
-//! the whole run. Resuming is also cheap: over 25 chunks a window costs
-//! at most twice the fetches of one walk.
+//! BETWEEN`, `DIFF` and `HISTORY OF` alike, and the two window
+//! statements *stream*: their first pause comes before they have spent
+//! the `buffer.fetches` of the whole run. Resuming is also cheap: over 25
+//! chunks a window costs at most twice the fetches of one walk.
 //!
 //! A third replays a shape with many keys and many commits to a clock
 //! tick: every version must be readable at its own timestamp there too,
@@ -224,8 +224,8 @@ fn window_in(
     let (def, lo, hi) = db.temporal_window(TABLE, lo, hi).unwrap();
     let (mut versions, mut diff) = (Vec::new(), Vec::new());
     db.visit_versions(&def, keys, lo, hi, &mut |group| {
-        versions.extend(group.iter().filter(|v| v.ts >= lo).cloned());
-        diff.extend(fold_diff(std::mem::take(group), lo));
+        versions.extend(group.iter().filter_map(|v| TemporalVersion::within(&v, lo)));
+        diff.extend(fold_diff(group, lo));
         Ok(Flow::Continue)
     })
     .unwrap();
@@ -655,6 +655,20 @@ fn resume_battery(tag: &str, seed: u64) {
         }));
         fx.commit(&batch);
     };
+    // HISTORY OF pauses on a key with more versions than the largest k.
+    let deep = 7;
+    while fx.history.history_of(deep).len() <= 64 {
+        let n = fx.history.history_of(deep).len() as i32;
+        let (x, y) = (n, -n);
+        let alive = fx.history.state_at(Timestamp::MAX).contains_key(&deep);
+        let oid = deep as u32;
+        fx.commit(&[if alive {
+            TemporalOp::Update { oid, x, y }
+        } else {
+            TemporalOp::Insert { oid, x, y }
+        }]);
+    }
+    let history = format!("HISTORY OF {TABLE} WHERE Oid = {deep}");
     for round in 0..24 {
         let predicate = random_predicate(&mut rng);
         let (_, lo, hi) = fx.random_box(&mut rng);
@@ -698,6 +712,9 @@ fn resume_battery(tag: &str, seed: u64) {
                 predicate.replace(" AND X >= 0", "")
             );
             resumed_equals_one_shot(&mut s, &diff, k, &mut between);
+            // One key's every version, newest first.
+            pauses.set(0);
+            resumed_equals_one_shot(&mut s, &history, k, &mut between);
         }
     }
     // Both temporal statements stream: over a window that changes keys

@@ -1,4 +1,5 @@
-//! Allocation budget of the versioned write path.
+//! Allocation budgets of the versioned write path and the temporal read
+//! path.
 //!
 //! A counting global allocator counts the heap allocations the test's
 //! own thread makes while it runs the measured calls (other threads, the
@@ -9,13 +10,21 @@
 //!   time splits included — stays within [`UPDATE_BUDGET`] allocations
 //!   per update;
 //! * a log append of an `AddVersion` record, once the log buffer has
-//!   grown, allocates nothing: the record is encoded straight into it.
+//!   grown, allocates nothing: the record is encoded straight into it;
+//! * a keyed `VERSIONS BETWEEN` and a `HISTORY OF`, streamed to a sink
+//!   that keeps nothing, allocate per statement, not per version: their
+//!   counts at about 100 versions of the key exceed those at about 50 by
+//!   at most [`DEEPER_BUDGET`]. A 500-row `AS OF` scan stays within
+//!   [`SCAN_BUDGET`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use immortaldb::{Database, DbConfig, Isolation, Session, SimClock, Value};
+use immortaldb::{
+    Clock, Database, DbConfig, Flow, Isolation, Result, RowSink, Session, SimClock, Timestamp,
+    Value,
+};
 use immortaldb_chaos::TempDir;
 use immortaldb_common::{Lsn, PageId, Tid, TreeId};
 use immortaldb_storage::logrec::LogRecord;
@@ -176,4 +185,141 @@ fn a_steady_state_log_append_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "1,000 appends allocated {allocs} times");
+}
+
+/// How many more allocations a keyed temporal statement may make over
+/// about 100 versions of its key than over about 50. Each version once
+/// cost about ten (a copy of it, its lead columns and its row), which
+/// made that rise about 500; the walk's reused buffers grow by doubling,
+/// a few times.
+const DEEPER_BUDGET: u64 = 8;
+
+/// Allocations of one 500-row `AS OF` scan statement, parsing included,
+/// whatever the depth. It measures 26; it made 40 while the versions of a
+/// leaf whose answer spans several history pages were copied one by one.
+const SCAN_BUDGET: u64 = 30;
+
+/// A sink that keeps nothing.
+struct Discard;
+
+impl RowSink for Discard {
+    fn columns(&mut self, _: Vec<String>) -> Result<()> {
+        Ok(())
+    }
+
+    fn row(&mut self, _: &[u8]) -> Result<Flow> {
+        Ok(Flow::Continue)
+    }
+}
+
+/// One statement's cost, the mean of a few runs after a warm-up run:
+/// allocations, then `buffer.fetches` and `version.delta_folds`.
+fn statement_cost(db: &Database, as_of: Option<Timestamp>, sql: &str) -> (u64, f64, f64) {
+    const RUNS: u64 = 4;
+    let mut s = Session::new(db);
+    let mut run = || {
+        if let Some(t) = as_of {
+            s.begin_as_of_ts(t).unwrap();
+        }
+        s.execute_into(sql, &mut Discard).unwrap();
+        if as_of.is_some() {
+            s.commit().unwrap();
+        }
+    };
+    run();
+    let counters = |db: &Database| {
+        let snap = db.metrics_snapshot();
+        let get = |name| snap.get(name).unwrap() as f64;
+        (get("buffer.fetches"), get("version.delta_folds"))
+    };
+    let before = counters(db);
+    let (allocs, ()) = allocations(|| {
+        for _ in 0..RUNS {
+            run();
+        }
+    });
+    let after = counters(db);
+    let per = |a: f64, b: f64| (b - a) / RUNS as f64;
+    (
+        allocs / RUNS,
+        per(before.0, after.0),
+        per(before.1, after.1),
+    )
+}
+
+#[test]
+fn keyed_temporal_reads_allocate_per_statement_not_per_version() {
+    let dir = TempDir::new("read-allocs");
+    let start = 1_700_000_000_000;
+    let clock = Arc::new(SimClock::new(start));
+    let db = Database::open(DbConfig::new(&dir).clock(clock.clone())).unwrap();
+    Session::new(&db)
+        .execute("CREATE IMMORTAL TABLE MovingObjects (Oid INT PRIMARY KEY, LocationX INT, LocationY INT)")
+        .unwrap();
+    let keys: Vec<i32> = (0..KEYS).collect();
+    let mut txn = db.begin(Isolation::Serializable);
+    db.insert_rows(
+        &mut txn,
+        "MovingObjects",
+        keys.iter().map(|&k| row(k, 0)).collect(),
+    )
+    .unwrap();
+    db.commit(&mut txn).unwrap();
+    clock.advance(20);
+    let statements = |db: &Database, depth: i32| {
+        let now = clock.now_ms();
+        // Half-way back through the history every key has.
+        let mid = db.visible_horizon();
+        let mid = Timestamp::new(mid.ttime - (depth as u64 / 2) * 20, 0);
+        [
+            (
+                "VERSIONS BETWEEN",
+                None,
+                format!(
+                    "SELECT * FROM MovingObjects VERSIONS BETWEEN ms({start}) AND ms({now}) \
+                     WHERE Oid = 250"
+                ),
+            ),
+            (
+                "HISTORY OF",
+                None,
+                "HISTORY OF MovingObjects WHERE Oid = 250".to_string(),
+            ),
+            (
+                "AS OF scan",
+                Some(mid),
+                "SELECT * FROM MovingObjects".to_string(),
+            ),
+        ]
+        .map(|(name, as_of, sql)| {
+            let (allocs, fetches, folds) = statement_cost(db, as_of, &sql);
+            println!(
+                "depth {depth:>3} {name:<16}: {allocs:>5} allocations, \
+                 {fetches:>6.1} buffer fetches, {folds:>6.1} delta folds"
+            );
+            allocs
+        })
+    };
+    let mut depth = 1;
+    let mut deepen = |to: i32| {
+        while depth < to {
+            round(&db, &clock, &keys, depth);
+            depth += 1;
+        }
+    };
+    deepen(50);
+    let shallow = statements(&db, 50);
+    deepen(100);
+    let deep = statements(&db, 100);
+    for (i, name) in ["VERSIONS BETWEEN", "HISTORY OF"].iter().enumerate() {
+        assert!(
+            deep[i] <= shallow[i] + DEEPER_BUDGET,
+            "{name}: {} allocations at depth 50, {} at depth 100",
+            shallow[i],
+            deep[i]
+        );
+    }
+    for allocs in [shallow[2], deep[2]] {
+        assert!(allocs <= SCAN_BUDGET, "AS OF scan: {allocs} allocations");
+    }
 }
