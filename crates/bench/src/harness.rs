@@ -167,3 +167,50 @@ pub(crate) fn now_ms() -> u64 {
         .unwrap_or_default()
         .as_millis() as u64
 }
+
+/// The CPU mask a [`pin_to_one_cpu`] replaced; dropping it puts it back.
+pub(crate) struct Pinned {
+    #[cfg(target_os = "linux")]
+    mask: [u64; 16],
+}
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+}
+
+/// Confine the calling thread, and every thread it starts from now on,
+/// to the first CPU it may run on, as the ledger confines itself: a
+/// server and its clients then share one CPU, and what a request costs
+/// does not drift with how often it hops between CPUs. `None` when the
+/// mask could not be set.
+#[cfg(target_os = "linux")]
+pub(crate) fn pin_to_one_cpu() -> Option<Pinned> {
+    let mut mask = [0u64; 16];
+    let size = std::mem::size_of_val(&mask);
+    // SAFETY: the kernel writes at most `size` bytes into `mask`; pid 0
+    // names the calling thread.
+    if unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } != 0 {
+        return None;
+    }
+    let word = mask.iter().position(|w| *w != 0)?;
+    let mut one = [0u64; 16];
+    one[word] = 1 << mask[word].trailing_zeros();
+    // SAFETY: the kernel reads `size` bytes of `one`.
+    (unsafe { sched_setaffinity(0, size, one.as_ptr()) } == 0).then_some(Pinned { mask })
+}
+
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn pin_to_one_cpu() -> Option<Pinned> {
+    None
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for Pinned {
+    fn drop(&mut self) {
+        let size = std::mem::size_of_val(&self.mask);
+        // SAFETY: the kernel reads `size` bytes of the saved mask.
+        unsafe { sched_setaffinity(0, size, self.mask.as_ptr()) };
+    }
+}

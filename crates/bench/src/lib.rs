@@ -20,6 +20,7 @@ pub mod netbench;
 pub mod read_scaling;
 pub mod replbench;
 pub mod report;
+pub mod scan;
 pub mod temporal;
 
 pub use harness::{BenchDb, Mode};

@@ -2,7 +2,7 @@
 //! plus the ablations.
 //!
 //! ```text
-//! immortaldb-bench [--quick] [fig5|fig6|gc|logsync|net|connections|repl|temporal|history|read-scaling|a1|a2|a3|a4|a5|all]...
+//! immortaldb-bench [--quick] [fig5|fig6|gc|logsync|net|connections|repl|temporal|history|read-scaling|a1|a2|a3|a4|a5|scan|all]...
 //! ```
 //!
 //! No experiment named means `all`. Each experiment prints its report and
@@ -13,7 +13,7 @@
 
 use immortaldb_bench::{
     ablations, connections, fig5, fig6, group_commit, history, log_sync, netbench, read_scaling,
-    replbench, temporal, Report,
+    replbench, scan, temporal, Report,
 };
 
 type Experiment = (&'static str, fn(bool) -> Report);
@@ -45,6 +45,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("a5", |q| {
         ablations::report_snapshot_reads(&ablations::snapshot_reads(q))
     }),
+    ("scan", |q| scan::report(&scan::run(q))),
 ];
 
 /// `--quick`, and the experiments the arguments name, in registry order.

@@ -33,7 +33,7 @@
 //! [`VersionBuf`], the one buffer that keeps them: a byte arena and
 //! fixed-size entries, cleared between uses and never freed.
 
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 
 use immortaldb_common::{Result, Tid, Timestamp};
 use immortaldb_storage::page::Page;
@@ -208,8 +208,6 @@ pub enum Flow {
     Stop,
 }
 
-pub type Visitor<'v> = dyn FnMut(&Version<'_>) -> Result<Flow> + 'v;
-
 /// Visitor of one key's versions at a time, oldest first
 /// ([`BTree::versions_by_key`]), borrowed from the group's buffer.
 pub type KeyVisitor<'v> = dyn FnMut(&VersionBuf) -> Result<Flow> + 'v;
@@ -304,7 +302,10 @@ impl VersionBuf {
     /// arrive newest first and each is key-ordered, so page order is not
     /// (key, time) order, and a version spanning a time split sits in
     /// both neighbours.
-    pub(crate) fn replay(&mut self, lo: Timestamp, visit: &mut Visitor<'_>) -> Result<Flow> {
+    pub(crate) fn replay<V>(&mut self, lo: Timestamp, visit: &mut V) -> Result<Flow>
+    where
+        V: FnMut(&Version<'_>) -> Result<Flow> + ?Sized,
+    {
         // Uncommitted first, then newest committed first. The sort is
         // stable, so a transaction's several uncommitted versions of one
         // key keep their chain (newest-first) order.
@@ -357,14 +358,17 @@ impl BTree {
     /// sees `own`'s uncommitted writes, key-ordered: each key's governing
     /// version, unless it is a delete stub, handed to `visit` as `(key,
     /// image)` until it answers [`Flow::Stop`].
-    pub fn rows_at(
+    pub fn rows_at<V>(
         &self,
         keys: KeyRange<'_>,
         at: Timestamp,
         own: Option<Tid>,
         resolver: &dyn TimestampResolver,
-        visit: &mut RecordVisitor<'_>,
-    ) -> Result<()> {
+        visit: &mut V,
+    ) -> Result<()>
+    where
+        V: FnMut(&[u8], &[u8]) -> Result<Flow> + ?Sized,
+    {
         self.cursor(&Query::instant(keys, at, own), resolver, &mut |v| {
             if !v.governs(own) {
                 return Ok(Flow::Continue);
@@ -444,33 +448,48 @@ impl BTree {
     }
 }
 
+/// The slots of `page` whose keys lie in `keys` and in `[low, upper)`:
+/// bounded by binary searches once per page rather than by comparing
+/// every key with both ends of both ranges, which cost a scan a `memcmp`
+/// call per row. Keys are sorted and distinct, so only the first slot can
+/// sit on an excluded low bound.
+fn slots_in(page: &Page, keys: &KeyRange<'_>, low: &[u8], upper: Option<&[u8]>) -> Range<usize> {
+    let at = |key: &[u8]| page.find_slot(key).unwrap_or_else(|pos| pos);
+    let mut first = at(low.max(keys.seek_key()));
+    if first < page.slot_count() && keys.is_below(page.rec_key(page.slot(first))) {
+        first += 1;
+    }
+    let mut end = upper.map_or(page.slot_count(), at);
+    match keys.hi {
+        Bound::Included(hi) => end = end.min(page.find_slot(hi).map_or_else(|pos| pos, |i| i + 1)),
+        Bound::Excluded(hi) => end = end.min(at(hi)),
+        Bound::Unbounded => {}
+    }
+    first..end.max(first)
+}
+
 /// Visit the versions of one data page that `q` asks for, restricted to
 /// the keys of `[low, upper)` (the key region the page is being read
 /// for: history pages are shared between the leaves a key split made).
 /// With `committed == false` only uncommitted versions are visited — the
 /// page lies after the window and is consulted for them alone.
-pub(crate) fn visit_page(
+pub(crate) fn visit_page<V>(
     page: &Page,
     q: &Query<'_>,
     (low, upper): (&[u8], Option<&[u8]>),
     committed: bool,
     resolver: &dyn TimestampResolver,
     fold_bufs: &mut FoldBuffers,
-    visit: &mut Visitor<'_>,
-) -> Result<Flow> {
-    let seek = low.max(q.keys.seek_key());
-    let first = page.find_slot(seek).unwrap_or_else(|pos| pos);
+    visit: &mut V,
+) -> Result<Flow>
+where
+    V: FnMut(&Version<'_>) -> Result<Flow> + ?Sized,
+{
     // One walker for the page, folding in the walk's buffers.
     let mut walker = ChainWalker::reusing(page, std::mem::take(fold_bufs));
     let mut flow = Flow::Continue;
-    for i in first..page.slot_count() {
+    for i in slots_in(page, &q.keys, low, upper) {
         let key = page.rec_key(page.slot(i));
-        if upper.is_some_and(|up| key >= up) || q.keys.is_above(key) {
-            break;
-        }
-        if q.keys.is_below(key) {
-            continue; // an excluded low bound
-        }
         walker.restart(i);
         flow = Flow::Continue;
         let mut last_ts = None;

@@ -32,7 +32,6 @@ mod write;
 pub use compact::{CompactionStats, HistoryStats};
 pub use cursor::{
     Flow, HeadVersion, KeyRange, KeyVisitor, Query, RecordVisitor, Stamp, Version, VersionBuf,
-    Visitor,
 };
 pub use read::StorageStats;
 pub use tree::BTree;

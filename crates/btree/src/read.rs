@@ -20,7 +20,7 @@ use immortaldb_storage::version;
 use immortaldb_storage::TimestampResolver;
 
 use crate::chain_dir::{ChainEntry, Seek};
-use crate::cursor::{visit_page, Flow, KeyRange, Query, RecordVisitor, Visitor, WalkScratch};
+use crate::cursor::{visit_page, Flow, KeyRange, Query, RecordVisitor, Version, WalkScratch};
 use crate::tree::BTree;
 
 /// Storage shape of a versioned tree (see [`BTree::storage_stats`]).
@@ -46,13 +46,18 @@ pub(crate) struct LeafSpan {
 }
 
 impl BTree {
-    /// Walk `q` by the contract at the top of `cursor.rs`.
-    pub fn cursor(
+    /// Walk `q` by the contract at the top of `cursor.rs`. The visitor
+    /// is a type parameter, not a trait object, so each version reaches
+    /// it, and through it an adapter's visitor, by direct calls.
+    pub fn cursor<V>(
         &self,
         q: &Query<'_>,
         resolver: &dyn TimestampResolver,
-        visit: &mut Visitor<'_>,
-    ) -> Result<()> {
+        visit: &mut V,
+    ) -> Result<()>
+    where
+        V: FnMut(&Version<'_>) -> Result<Flow> + ?Sized,
+    {
         debug_assert!(self.versioned);
         let _s = self.structure.read();
         let mut scratch = WalkScratch::default();
@@ -242,15 +247,18 @@ impl BTree {
     /// `q.hi` ([`Self::seek_history`]), then reads pages until one
     /// reaches back to `q.lo`: the pages whose `[start_ts, end_ts)`
     /// intersect the window.
-    fn walk_leaf(
+    fn walk_leaf<V>(
         &self,
         leaf: FrameRef,
         bounds: (&[u8], Option<&[u8]>),
         q: &Query<'_>,
         resolver: &dyn TimestampResolver,
         scratch: &mut WalkScratch,
-        visit: &mut Visitor<'_>,
-    ) -> Result<Flow> {
+        visit: &mut V,
+    ) -> Result<Flow>
+    where
+        V: FnMut(&Version<'_>) -> Result<Flow> + ?Sized,
+    {
         let metrics = self.pool.metrics();
         let leaf_hdr = leaf.peek_header(metrics);
         // Uncommitted versions live ONLY in the current page (time splits

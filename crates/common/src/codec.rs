@@ -143,17 +143,8 @@ impl<'a> Reader<'a> {
                 self.pos += n;
                 Ok(s)
             }
-            None => Err(self.truncated(n)),
+            None => Err(truncated(n, self.pos, self.buf.len())),
         }
-    }
-
-    #[cold]
-    fn truncated(&self, n: usize) -> Error {
-        Error::Corruption(format!(
-            "truncated payload: need {n} bytes at offset {} of {}",
-            self.pos,
-            self.buf.len()
-        ))
     }
 
     #[inline]
@@ -192,16 +183,36 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The bytes not yet read: where a decoder that indexes the bytes
+    /// itself takes over from the reader.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// Asserts the whole payload was consumed — catches format drift.
     pub fn expect_end(&self) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(Error::Corruption(format!(
-                "{} unconsumed payload bytes",
-                self.remaining()
-            )));
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(unconsumed(n)),
         }
-        Ok(())
     }
+}
+
+/// The error of a read that wanted `need` bytes at offset `at` of a
+/// `len`-byte payload: what [`Reader`] returns, and what a decoder that
+/// indexes the bytes itself returns in its place.
+#[cold]
+pub fn truncated(need: usize, at: usize, len: usize) -> Error {
+    Error::Corruption(format!(
+        "truncated payload: need {need} bytes at offset {at} of {len}"
+    ))
+}
+
+/// The error of a payload with `n` bytes after its last field
+/// ([`Reader::expect_end`]).
+#[cold]
+pub fn unconsumed(n: usize) -> Error {
+    Error::Corruption(format!("{n} unconsumed payload bytes"))
 }
 
 // ---------------------------------------------------------------------

@@ -524,11 +524,6 @@ impl Database {
         self.pool.metrics().snapshot()
     }
 
-    /// The armed sentinel event tap, if any (see [`DbConfig::sentinel`]).
-    pub fn sentinel_tap(&self) -> Option<&Arc<immortaldb_check::EventTap>> {
-        self.sentinel.as_ref()
-    }
-
     /// A fresh SQL session id (never 0, which means "no session").
     pub fn new_session_id(&self) -> u64 {
         self.next_session.fetch_add(1, Ordering::Relaxed)
@@ -553,11 +548,6 @@ impl Database {
     /// invariant checks: only committed transactions may appear here).
     pub fn ptt_entries(&self) -> Result<Vec<(Tid, Timestamp)>> {
         self.ptt.entries()
-    }
-
-    /// Volatile timestamp table size (experiments).
-    pub fn vtt_len(&self) -> usize {
-        self.vtt.len()
     }
 
     /// Bytes written to the log so far (experiments).
@@ -593,13 +583,6 @@ impl Database {
             .get(name)
             .cloned()
             .ok_or_else(|| Error::Catalog(format!("unknown table {name}")))
-    }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
-        names.sort();
-        names
     }
 
     // -- DDL ---------------------------------------------------------------
@@ -1323,10 +1306,12 @@ impl Database {
                 (Timestamp::MAX, Some(txn.tid))
             }
         };
-        // Snapshot-governed reads feed the sentinel; serializable reads
-        // observe the locked current state, which the begin snapshot says
-        // nothing about.
-        let tapped = versioned && (txn.as_of.is_some() || txn.isolation == Isolation::Snapshot);
+        // Snapshot-governed reads feed the sentinel, when one is armed;
+        // serializable reads observe the locked current state, which the
+        // begin snapshot says nothing about.
+        let tapped = self.sentinel.is_some()
+            && versioned
+            && (txn.as_of.is_some() || txn.isolation == Isolation::Snapshot);
         let mut found = false;
         let mut emit = |key: &[u8], image: &[u8]| -> Result<Flow> {
             found = true;
@@ -1602,11 +1587,6 @@ impl Database {
         &self.wal
     }
 
-    /// True when this engine was opened with [`Self::open_replica`].
-    pub fn is_replica(&self) -> bool {
-        self.replica
-    }
-
     /// Current replication horizon (== [`Self::visible_horizon`] on a
     /// replica; `Timestamp::ZERO` on a primary).
     pub fn replication_horizon(&self) -> Timestamp {
@@ -1830,17 +1810,5 @@ impl TreeLocator for Database {
     fn locate_leaf_for_insert(&self, tree: TreeId, key: &[u8], space: usize) -> Result<PageId> {
         self.tree_handle(tree)?
             .locate_leaf_page_for_insert(key, space, self.resolver.as_ref())
-    }
-}
-
-impl Database {
-    /// VTT lifecycle state of a transaction (diagnostics and tests).
-    pub fn vtt_state(&self, tid: u64) -> Option<immortaldb_txn::TxnState> {
-        self.vtt.state(Tid(tid))
-    }
-
-    /// Remaining unstamped versions of a transaction (diagnostics).
-    pub fn vtt_pending(&self, tid: u64) -> Option<u64> {
-        self.vtt.pending(Tid(tid))
     }
 }

@@ -5,7 +5,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use immortaldb_btree::{Flow, KeyRange};
-use immortaldb_common::codec::{Reader, Writer};
+use immortaldb_common::codec::{truncated, unconsumed, Writer};
 use immortaldb_common::{Error, Result};
 
 /// Column types of the SQL dialect (matching the paper's example schema:
@@ -17,6 +17,26 @@ pub enum ColType {
     BigInt,
     /// Bounded variable-length string.
     Varchar(u16),
+}
+
+/// The tag a value's tagged form starts with ([`Value::encode`]).
+const SMALLINT: u8 = 1;
+const INT: u8 = 2;
+const BIGINT: u8 = 3;
+const VARCHAR: u8 = 4;
+
+impl ColType {
+    /// The tag this column's values are stored under, and the bytes that
+    /// follow it in a fixed-width value (0 for a VARCHAR, whose length
+    /// is stored).
+    fn layout(self) -> (u8, u8) {
+        match self {
+            ColType::SmallInt => (SMALLINT, 2),
+            ColType::Int => (INT, 4),
+            ColType::BigInt => (BIGINT, 8),
+            ColType::Varchar(_) => (VARCHAR, 0),
+        }
+    }
 }
 
 impl fmt::Display for ColType {
@@ -40,15 +60,6 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn type_of(&self) -> ColType {
-        match self {
-            Value::SmallInt(_) => ColType::SmallInt,
-            Value::Int(_) => ColType::Int,
-            Value::BigInt(_) => ColType::BigInt,
-            Value::Varchar(s) => ColType::Varchar(s.len() as u16),
-        }
-    }
-
     /// Integer view (for predicate evaluation and generators).
     pub fn as_i64(&self) -> Option<i64> {
         match self {
@@ -104,12 +115,16 @@ pub struct Column {
     pub ctype: ColType,
 }
 
-/// Table schema: columns plus the (single-column) primary key.
+/// Table schema: columns plus the (single-column) primary key. Built
+/// only by [`Schema::new`], which derives the tag table from `columns`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     pub columns: Vec<Column>,
     /// Index into `columns` of the primary key.
     pub pk: usize,
+    /// Each column's value tag and fixed width ([`ColType::layout`]),
+    /// in column order: what [`Schema::check_image`] expects to find.
+    tags: Box<[(u8, u8)]>,
 }
 
 impl Schema {
@@ -125,7 +140,8 @@ impl Schema {
         if names.windows(2).any(|w| w[0] == w[1]) {
             return Err(Error::Sql("duplicate column name".into()));
         }
-        Ok(Schema { columns, pk })
+        let tags = columns.iter().map(|c| c.ctype.layout()).collect();
+        Ok(Schema { columns, pk, tags })
     }
 
     pub fn col_index(&self, name: &str) -> Result<usize> {
@@ -181,27 +197,35 @@ impl Schema {
     /// this table: one tagged value of each column's type, in column
     /// order, every length within the image and every string UTF-8, and
     /// no byte after the last. An image that passes decodes; the engine
-    /// checks every stored image it hands on undecoded.
+    /// checks every stored image it hands on undecoded. One pass over the
+    /// tag table; the errors are those of [`decode_image_into`], and a
+    /// tag of the wrong type names its column.
     pub fn check_image(&self, image: &[u8]) -> Result<()> {
-        let mut r = Reader::new(image);
-        for c in &self.columns {
-            match (r.u8()?, c.ctype) {
-                (1, ColType::SmallInt) => r.raw(2).map(drop)?,
-                (2, ColType::Int) => r.raw(4).map(drop)?,
-                (3, ColType::BigInt) => r.raw(8).map(drop)?,
-                (4, ColType::Varchar(_)) => {
-                    std::str::from_utf8(r.bytes()?)
-                        .map_err(|_| Error::Corruption("non-UTF8 varchar".into()))?;
-                }
-                (t, ctype) => {
-                    return Err(Error::Corruption(format!(
-                        "bad value tag {t} for {ctype} column {}",
-                        c.name
-                    )))
-                }
+        let mut at = 0;
+        for (i, &(tag, width)) in self.tags.iter().enumerate() {
+            match image.get(at) {
+                Some(&t) if t == tag => at += 1,
+                Some(&t) => return Err(self.bad_tag(t, i)),
+                None => return Err(truncated(1, at, image.len())),
             }
+            at = match width {
+                0 => text(image, at)?.1,
+                w => take(image, at, w as usize)?.1,
+            };
         }
-        r.expect_end()
+        match image.len() - at {
+            0 => Ok(()),
+            n => Err(unconsumed(n)),
+        }
+    }
+
+    #[cold]
+    fn bad_tag(&self, t: u8, i: usize) -> Error {
+        let c = &self.columns[i];
+        Error::Corruption(format!(
+            "bad value tag {t} for {} column {}",
+            c.ctype, c.name
+        ))
     }
 }
 
@@ -210,9 +234,10 @@ impl Schema {
 /// same shape or empty (see [`decode_values_into`]); bytes left over are
 /// corruption.
 pub fn decode_image_into(image: &[u8], n: usize, out: &mut Vec<Value>) -> Result<()> {
-    let mut r = Reader::new(image);
-    decode_values_into(&mut r, n, out)?;
-    r.expect_end()
+    match image.len() - decode_values_into(image, n, out)? {
+        0 => Ok(()),
+        left => Err(unconsumed(left)),
+    }
 }
 
 /// Append the tagged form of `values` to `out`: a result row's image.
@@ -231,44 +256,99 @@ impl Value {
     /// in and rows cross the wire in.
     pub fn encode(&self, w: &mut Writer) {
         match self {
-            Value::SmallInt(x) => w.u8(1).u16(*x as u16),
-            Value::Int(x) => w.u8(2).u32(*x as u32),
-            Value::BigInt(x) => w.u8(3).u64(*x as u64),
-            Value::Varchar(s) => w.u8(4).bytes(s.as_bytes()),
+            Value::SmallInt(x) => w.u8(SMALLINT).u16(*x as u16),
+            Value::Int(x) => w.u8(INT).u32(*x as u32),
+            Value::BigInt(x) => w.u8(BIGINT).u64(*x as u64),
+            Value::Varchar(s) => w.u8(VARCHAR).bytes(s.as_bytes()),
         };
     }
 }
 
-/// Decode `n` tagged values (see [`Value::encode`]) over `out` — the
-/// previous row of the same shape, or empty — so that decoding a run of
-/// rows into one scratch row allocates nothing for integers and reuses
-/// the buffer of each string it replaces.
-pub fn decode_values_into(r: &mut Reader<'_>, n: usize, out: &mut Vec<Value>) -> Result<()> {
+/// Decode the first `n` tagged values (see [`Value::encode`]) of `buf`
+/// over `out` — the previous row of the same shape, or empty — and
+/// answer how many bytes they took. Decoding a run of rows into one
+/// scratch row allocates nothing for integers and reuses the buffer of
+/// each string it replaces; decoding into an empty row allocates it at
+/// its exact size. One pass, indexing `buf` directly.
+pub fn decode_values_into(buf: &[u8], n: usize, out: &mut Vec<Value>) -> Result<usize> {
     out.truncate(n);
     out.reserve_exact(n - out.len());
+    let mut at = 0;
     for i in 0..n {
-        let value = match r.u8()? {
-            1 => Value::SmallInt(r.u16()? as i16),
-            2 => Value::Int(r.u32()? as i32),
-            3 => Value::BigInt(r.u64()? as i64),
-            4 => {
-                let text = std::str::from_utf8(r.bytes()?)
-                    .map_err(|_| Error::Corruption("non-UTF8 varchar".into()))?;
+        let Some(&tag) = buf.get(at) else {
+            return Err(truncated(1, at, buf.len()));
+        };
+        let value = match tag {
+            SMALLINT => {
+                let (b, end) = take(buf, at + 1, 2)?;
+                at = end;
+                Value::SmallInt(i16::from_le_bytes([b[0], b[1]]))
+            }
+            INT => {
+                let (b, end) = take(buf, at + 1, 4)?;
+                at = end;
+                Value::Int(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            }
+            BIGINT => {
+                let (b, end) = take(buf, at + 1, 8)?;
+                at = end;
+                let mut le = [0u8; 8];
+                le.copy_from_slice(b);
+                Value::BigInt(i64::from_le_bytes(le))
+            }
+            VARCHAR => {
+                let (s, end) = text(buf, at + 1)?;
+                at = end;
                 if let Some(Value::Varchar(old)) = out.get_mut(i) {
                     old.clear();
-                    old.push_str(text);
+                    old.push_str(s);
                     continue;
                 }
-                Value::Varchar(text.to_owned())
+                Value::Varchar(s.to_owned())
             }
-            t => return Err(Error::Corruption(format!("bad value tag {t}"))),
+            t => return Err(bad_value_tag(t)),
         };
         match out.get_mut(i) {
             Some(slot) => *slot = value,
             None => out.push(value),
         }
     }
-    Ok(())
+    Ok(at)
+}
+
+/// The `n` bytes of `buf` at `at`, and where they end.
+#[inline(always)]
+fn take(buf: &[u8], at: usize, n: usize) -> Result<(&[u8], usize)> {
+    match buf.get(at..).and_then(|rest| rest.get(..n)) {
+        Some(b) => Ok((b, at + n)),
+        None => Err(truncated(n, at, buf.len())),
+    }
+}
+
+/// The text of the VARCHAR whose length prefix is at `at`, and where it
+/// ends.
+#[inline(always)]
+fn text(buf: &[u8], at: usize) -> Result<(&str, usize)> {
+    let (len, at) = take(buf, at, 4)?;
+    let (bytes, end) = take(
+        buf,
+        at,
+        u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize,
+    )?;
+    match std::str::from_utf8(bytes) {
+        Ok(s) => Ok((s, end)),
+        Err(_) => Err(not_utf8()),
+    }
+}
+
+#[cold]
+fn bad_value_tag(t: u8) -> Error {
+    Error::Corruption(format!("bad value tag {t}"))
+}
+
+#[cold]
+fn not_utf8() -> Error {
+    Error::Corruption("non-UTF8 varchar".into())
 }
 
 /// Where a row-returning statement writes its result: the column names

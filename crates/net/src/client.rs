@@ -59,46 +59,49 @@ pub struct Response {
     pub ts: Option<Timestamp>,
 }
 
-/// Where the rows of a reply go as they are decoded, each out of one
-/// row the decoder reuses unless the target takes it.
+/// Where the rows of a reply go as they are decoded.
 trait RowTarget {
-    /// `n` rows are about to arrive (one frame's worth).
-    fn expect(&mut self, _n: usize) {}
-    fn row(&mut self, row: &mut Vec<Value>);
+    /// Decode the rows left in `frame` and take them, each decoded over
+    /// `row` unless the target keeps rows of its own.
+    fn take(&mut self, frame: &mut RowsFrame<'_>, row: &mut Vec<Value>) -> Result<()>;
 }
 
+/// Handing on: every row is decoded over the one `row` and lent.
 impl<F: FnMut(&[Value])> RowTarget for F {
-    fn row(&mut self, row: &mut Vec<Value>) {
-        self(row)
+    fn take(&mut self, frame: &mut RowsFrame<'_>, row: &mut Vec<Value>) -> Result<()> {
+        while frame.next_row(row)? {
+            self(row);
+        }
+        Ok(())
     }
 }
 
-/// Counting: the rows handed on to the target inside.
+/// Counting: the rows the target inside took.
 struct Counted<'a, T> {
     target: &'a mut T,
     rows: usize,
 }
 
 impl<T: RowTarget> RowTarget for Counted<'_, T> {
-    fn expect(&mut self, n: usize) {
-        self.target.expect(n);
-    }
-
-    fn row(&mut self, row: &mut Vec<Value>) {
-        self.rows += 1;
-        self.target.row(row);
+    fn take(&mut self, frame: &mut RowsFrame<'_>, row: &mut Vec<Value>) -> Result<()> {
+        let before = frame.rows_left;
+        let taken = self.target.take(frame, row);
+        self.rows += before - frame.rows_left;
+        taken
     }
 }
 
-/// Collecting: room is reserved a frame ahead and each row is kept as
-/// decoded, at its exact size.
+/// Collecting: room is reserved a frame ahead, and each row is decoded
+/// straight into its own allocation, made at its exact size.
 impl RowTarget for Vec<Vec<Value>> {
-    fn expect(&mut self, n: usize) {
-        self.reserve(n);
-    }
-
-    fn row(&mut self, row: &mut Vec<Value>) {
-        self.push(std::mem::take(row));
+    fn take(&mut self, frame: &mut RowsFrame<'_>, _: &mut Vec<Value>) -> Result<()> {
+        self.reserve(frame.rows_left);
+        while frame.rows_left > 0 {
+            let mut row = Vec::with_capacity(frame.ncols());
+            frame.next_row(&mut row)?;
+            self.push(row);
+        }
+        Ok(())
     }
 }
 
@@ -123,7 +126,8 @@ pub struct Client {
     peer: SocketAddr,
     /// Bytes received and not yet decoded; reused across replies.
     inbox: FrameBuffer,
-    /// The row being decoded; reused across rows.
+    /// The row a result is decoded over for a target that keeps no rows;
+    /// reused across rows.
     row: Vec<Value>,
     /// The frames of the call in hand, encoded here and sent in one
     /// `write`; reused across requests.
@@ -398,10 +402,7 @@ impl Client {
                         (None, Some(_)) => {}
                         _ => return Err(Error::Corruption("ROWS frame out of sequence".into())),
                     }
-                    rows.expect(frame.rows_left);
-                    while frame.next_row(row)? {
-                        rows.row(row);
-                    }
+                    rows.take(&mut frame, row)?;
                     // The last frame ends the reply the way an OK does.
                     let txn_open = frame.txn_open;
                     Ok(frame.end()?.map(|(message, ts)| Reply::Ok {

@@ -711,7 +711,8 @@ pub struct RowsFrame<'a> {
     ncols: usize,
     /// Rows of this frame not yet read.
     pub rows_left: usize,
-    r: Reader<'a>,
+    /// The bytes after the rows read so far.
+    rest: &'a [u8],
 }
 
 impl<'a> RowsFrame<'a> {
@@ -732,8 +733,13 @@ impl<'a> RowsFrame<'a> {
             columns,
             ncols,
             rows_left,
-            r,
+            rest: r.rest(),
         })
+    }
+
+    /// Values in each row.
+    pub fn ncols(&self) -> usize {
+        self.ncols
     }
 
     /// Decode the next row over `row`; `false` once the frame has none
@@ -743,21 +749,23 @@ impl<'a> RowsFrame<'a> {
             return Ok(false);
         }
         self.rows_left -= 1;
-        decode_values_into(&mut self.r, self.ncols, row)?;
+        let used = decode_values_into(self.rest, self.ncols, row)?;
+        self.rest = &self.rest[used..];
         Ok(true)
     }
 
     /// What follows the rows: the result's message and timestamp on its
     /// last frame, `None` on a frame with more to come.
-    pub fn end(mut self) -> Result<Option<(String, Option<Timestamp>)>> {
+    pub fn end(self) -> Result<Option<(String, Option<Timestamp>)>> {
         if self.rows_left != 0 {
             return Err(Error::Corruption("ROWS frame has unread rows".into()));
         }
         if self.more {
             return Ok(None);
         }
-        let message = get_str(&mut self.r)?;
-        Ok(Some((message, get_ts(&mut self.r)?)))
+        let mut r = Reader::new(self.rest);
+        let message = get_str(&mut r)?;
+        Ok(Some((message, get_ts(&mut r)?)))
     }
 }
 

@@ -114,15 +114,18 @@ pub struct RecVersion<'a> {
 }
 
 impl RecVersion<'_> {
+    #[inline]
     pub fn is_stub(&self) -> bool {
         self.flags & RFLAG_DELETE_STUB != 0
     }
 
+    #[inline]
     pub fn is_delta(&self) -> bool {
         self.flags & RFLAG_DELTA != 0
     }
 
     /// The commit timestamp, or the TID of a version not yet stamped.
+    #[inline]
     pub fn stamp(&self) -> std::result::Result<Timestamp, Tid> {
         if self.sn == SN_TID_MARK {
             Err(Tid(self.ttime))
@@ -269,6 +272,7 @@ impl Page {
         put_u64(&mut self.bytes[..], OFF_LSN, lsn.0);
     }
 
+    #[inline]
     pub fn slot_count(&self) -> usize {
         get_u16(&self.bytes[..], OFF_SLOT_COUNT) as usize
     }
@@ -345,6 +349,7 @@ impl Page {
     // -- slot array -------------------------------------------------------
 
     /// Heap offset stored in slot `i`.
+    #[inline]
     pub fn slot(&self, i: usize) -> usize {
         debug_assert!(i < self.slot_count());
         get_u16(&self.bytes[..], PAGE_SIZE - 2 * (i + 1)) as usize
@@ -405,14 +410,17 @@ impl Page {
 
     // -- record access ----------------------------------------------------
 
+    #[inline]
     fn rec_key_len(&self, off: usize) -> usize {
         get_u16(&self.bytes[..], off) as usize
     }
 
+    #[inline]
     fn rec_data_len(&self, off: usize) -> usize {
         get_u16(&self.bytes[..], off + 2) as usize
     }
 
+    #[inline]
     pub fn rec_flags(&self, off: usize) -> u8 {
         self.bytes[off + 4]
     }
@@ -429,11 +437,13 @@ impl Page {
         self.rec_flags(off) & RFLAG_DELTA != 0
     }
 
+    #[inline]
     pub fn rec_key(&self, off: usize) -> &[u8] {
         let kl = self.rec_key_len(off);
         &self.bytes[off + REC_HDR..off + REC_HDR + kl]
     }
 
+    #[inline]
     pub fn rec_data(&self, off: usize) -> &[u8] {
         let kl = self.rec_key_len(off);
         let dl = self.rec_data_len(off);
@@ -453,7 +463,10 @@ impl Page {
     }
 
     /// The version at `off` as a chain walk reads it: flags, data and
-    /// version tail, its lengths read once.
+    /// version tail, its lengths read once. Inlined, like the accessors
+    /// under it, into the walk of another crate: returned through memory
+    /// instead, a version cost the cursor a store-forwarding stall.
+    #[inline(always)]
     pub fn rec_version(&self, off: usize) -> RecVersion<'_> {
         let data = off + REC_HDR + self.rec_key_len(off);
         let t = data + self.rec_data_len(off);
