@@ -33,8 +33,8 @@ use std::time::Instant;
 
 use immortaldb::row::PkBounds;
 use immortaldb::{
-    Database, DbConfig, Durability, Flow, Isolation, Result, RowSink, Session, SimClock, Timestamp,
-    Value,
+    Database, DbConfig, Durability, Flow, Isolation, Result, RowSink, Session, SimClock, Step,
+    Timestamp, Value,
 };
 use immortaldb_chaos::TempDir;
 use immortaldb_net::proto::{RowsEncoder, RowsFrame};
@@ -152,7 +152,9 @@ pub fn run(quick: bool) -> ScanLayers {
         });
         timed(2, &mut || {
             let mut sink = Discard(0);
-            session.execute_into(SCAN, &mut sink).expect("execute_into");
+            let Ok(Step::Done(_)) = session.execute_into(SCAN, &mut sink) else {
+                panic!("execute_into");
+            };
             sink.0
         });
         timed(3, &mut || {

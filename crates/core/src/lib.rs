@@ -57,7 +57,7 @@ mod tests;
 pub use catalog::{SnapshotDef, TableDef, TableKind};
 pub use db::{Database, DbConfig, TID_BLOCK, WRITE_CHUNK};
 pub use row::{ColType, Column, PkBounds, RowSink, Schema, Value};
-pub use sql::{Outcome, QueryResult, Session};
+pub use sql::{Outcome, Paused, QueryResult, Session, Step};
 pub use temporal::{DiffOp, DiffRow, TemporalVersion};
 pub use txn::{Isolation, TimestampingMode, Transaction};
 

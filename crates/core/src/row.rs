@@ -357,22 +357,18 @@ fn not_utf8() -> Error {
 /// wire in. A `SELECT *` row is the stored image itself, straight from
 /// the page the cursor read; a sink that wants values decodes
 /// ([`decode_image_into`]). Nothing is collected unless the sink
-/// collects. The engine calls a sink with no latch held except inside
-/// [`RowSink::row`], which must therefore not block.
+/// collects. [`RowSink::row`] is called inside the index cursor, with
+/// latches held, so a sink never blocks.
 pub trait RowSink {
     /// The result's column names; called once, before the first row.
     fn columns(&mut self, names: Vec<String>) -> Result<()>;
 
     /// One result row's image, borrowed for the call. [`Flow::Stop`]
-    /// says the sink is full: this row is in, and the producer calls
-    /// [`RowSink::flush`] — from where it holds no latch — before the
-    /// next one.
+    /// says the sink is full: this row is in, and the statement's step
+    /// ends — a walk returns [`crate::Step::Paused`], to be resumed once
+    /// the sink has room. A result that is in memory whole before its
+    /// first row is sent (`HISTORY OF`, `SHOW`) is written whole.
     fn row(&mut self, image: &[u8]) -> Result<Flow>;
-
-    /// Make room after a [`Flow::Stop`]; this is where a sink may wait.
-    fn flush(&mut self) -> Result<()> {
-        Ok(())
-    }
 }
 
 /// Memcomparable encoding of a single (key) value: a type tag followed by
@@ -498,12 +494,12 @@ impl PkBounds {
         self.resumed = true;
     }
 
-    /// The one driver of a statement over many keys: `chunk` walks the
-    /// index cursor from these bounds until its consumer is full, acts on
-    /// what the walk gathered once the cursor has returned — so with no
-    /// latch held — and answers the last key walked if it stopped there.
-    /// The next walk resumes after that key, so no statement holds more
-    /// than one chunk of its result or write set.
+    /// The walk of a write over many keys: `chunk` walks the index
+    /// cursor from these bounds until its write set is full, writes it
+    /// once the cursor has returned — so with no latch held — and answers
+    /// the last key walked if it stopped there. The next walk resumes
+    /// after that key, so no statement holds more than one chunk of its
+    /// write set.
     pub(crate) fn chunked(
         mut self,
         mut chunk: impl FnMut(&PkBounds) -> Result<Option<Vec<u8>>>,

@@ -7,6 +7,8 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 
+use std::sync::Arc;
+
 use immortaldb_btree::{Flow, Stamp, Version, VersionBuf};
 use immortaldb_common::{blocking, Error, Result, Timestamp};
 
@@ -72,20 +74,85 @@ impl Outcome {
     }
 }
 
-/// Hand a sink one row of a result that is already in memory: a sink that
-/// fills up is flushed on the spot, the caller holding no latch.
-fn put(sink: &mut dyn RowSink, image: &[u8]) -> Result<()> {
-    if sink.row(image)? == Flow::Stop {
-        sink.flush()?;
-    }
-    Ok(())
+/// Where a statement stands after [`Session::execute_into`] or
+/// [`Session::resume`].
+#[must_use = "a paused statement holds its transaction until it is resumed or abandoned"]
+pub enum Step {
+    Done(Outcome),
+    /// Its sink answered [`Flow::Stop`] in the middle of a walk.
+    Paused(Paused),
 }
 
-/// [`put`] of a row of values.
+/// A row-returning statement its sink stopped, between two walks: no
+/// latch held, nothing read ahead. [`Session::resume`] takes its next
+/// step on the session it began on, which runs nothing else in between;
+/// [`Paused::abandon`] ends it. It owns the transaction it began itself
+/// (autocommit, or one handed over with [`Session::hand_txn_to`]); an
+/// explicit transaction stays the session's.
+pub struct Paused {
+    scan: Box<Scan>,
+    own: Option<Transaction>,
+}
+
+impl Paused {
+    /// Drop the statement, rolling back the transaction it owns.
+    pub fn abandon(self, db: &Database) {
+        if let Some(mut txn) = self.own {
+            let _ = db.rollback(&mut txn);
+        }
+    }
+}
+
+/// A row-returning statement's walk over a table's keys: what its next
+/// step needs.
+struct Scan {
+    kind: ScanKind,
+    def: Arc<TableDef>,
+    /// After a pause, resumed after the last key sent.
+    bounds: PkBounds,
+    residual: Filter,
+    /// The columns sent, `None` for all.
+    idxs: Option<Vec<usize>>,
+    /// The `VERSIONS BETWEEN` or `DIFF` window, clamped to the horizon
+    /// once: the steps of one result must not see it move.
+    window: (Timestamp, Timestamp),
+    /// Rows, versions or changes sent so far.
+    sent: usize,
+    /// The versions of the key a `VERSIONS BETWEEN` step stopped in the
+    /// middle of, and how many of them later steps have sent.
+    rest: VersionBuf,
+    rest_sent: usize,
+}
+
+enum ScanKind {
+    Rows,
+    Versions,
+    Diff,
+}
+
+impl Scan {
+    fn new(kind: ScanKind, def: Arc<TableDef>, bounds: PkBounds, residual: Filter) -> Scan {
+        Scan {
+            kind,
+            def,
+            bounds,
+            residual,
+            idxs: None,
+            window: (Timestamp::ZERO, Timestamp::MAX),
+            sent: 0,
+            rest: VersionBuf::default(),
+            rest_sent: 0,
+        }
+    }
+}
+
+/// Hand a sink one row of values of a result that is already in memory:
+/// such a result is written whole, whatever the sink answers.
 fn put_values(sink: &mut dyn RowSink, row: &[Value]) -> Result<()> {
     let mut image = Vec::new();
     encode_values(&mut image, row);
-    put(sink, &image)
+    sink.row(&image)?;
+    Ok(())
 }
 
 fn names(columns: &[&str]) -> Vec<String> {
@@ -194,8 +261,7 @@ impl<'a> Session<'a> {
     }
 
     /// Abandon the session: roll back any open transaction, releasing its
-    /// locks and versions. Used by the server for disconnects, idle
-    /// timeouts and shutdown; a no-op outside a transaction.
+    /// locks and versions; a no-op outside a transaction.
     pub fn reset(&mut self) {
         if let Some(mut txn) = self.current.take() {
             let _ = self.db.rollback(&mut txn);
@@ -228,7 +294,9 @@ impl<'a> Session<'a> {
     /// [`Session::execute_into`] for callers that want the rows in hand.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
         let mut result = QueryResult::default();
-        let Outcome { affected, message } = self.execute_into(sql, &mut result)?;
+        let Step::Done(Outcome { affected, message }) = self.execute_into(sql, &mut result)? else {
+            unreachable!("a collecting sink is never full");
+        };
         let decoded = &self.db.metrics().sql.rows_decoded;
         decoded.add(result.rows.len() as u64);
         result.affected = affected;
@@ -238,12 +306,12 @@ impl<'a> Session<'a> {
 
     /// Execute one statement, writing the rows it returns (if it returns
     /// any: then `sink` is given the column names first) to `sink` as
-    /// they are read. A scan the sink stops is picked up after a
-    /// [`RowSink::flush`] made with no latch held, at the key after the
+    /// they are read. A walk the sink stops with [`Flow::Stop`] ends the
+    /// step: the statement comes back [`Step::Paused`], with no latch
+    /// held, and [`Session::resume`] picks it up at the key after the
     /// last one sent, so neither side holds the result whole.
-    pub fn execute_into(&mut self, sql: &str, sink: &mut dyn RowSink) -> Result<Outcome> {
-        let stmt = Parser::parse(sql)?;
-        match stmt {
+    pub fn execute_into(&mut self, sql: &str, sink: &mut dyn RowSink) -> Result<Step> {
+        let outcome = match Parser::parse(sql)? {
             Statement::Begin { as_of, isolation } => {
                 match as_of {
                     Some(spec) => {
@@ -252,18 +320,15 @@ impl<'a> Session<'a> {
                     }
                     None => self.begin(isolation)?,
                 };
-                Ok(Outcome::message("transaction started"))
+                Outcome::message("transaction started")
             }
             Statement::Commit => {
                 let ts = self.commit()?;
-                Ok(Outcome::message(format!(
-                    "committed at {}.{}",
-                    ts.ttime, ts.sn
-                )))
+                Outcome::message(format!("committed at {}.{}", ts.ttime, ts.sn))
             }
             Statement::Rollback => {
                 self.rollback()?;
-                Ok(Outcome::message("rolled back"))
+                Outcome::message("rolled back")
             }
             Statement::CreateTable {
                 name,
@@ -279,13 +344,11 @@ impl<'a> Session<'a> {
                     pk,
                 )?;
                 self.db.create_table(&name, schema, kind)?;
-                Ok(Outcome::message(format!("table {name} created")))
+                Outcome::message(format!("table {name} created"))
             }
             Statement::AlterEnableSnapshot { table } => {
                 self.db.enable_snapshot(&table)?;
-                Ok(Outcome::message(format!(
-                    "snapshot versioning enabled on {table}"
-                )))
+                Outcome::message(format!("snapshot versioning enabled on {table}"))
             }
             Statement::RestoreTable { table, as_of } => {
                 if self.current.is_some() {
@@ -296,37 +359,37 @@ impl<'a> Session<'a> {
                 }
                 let restore_ts = self.point_ts(&as_of)?;
                 let (n, ts) = self.db.restore_table_as_of(&table, restore_ts)?;
-                Ok(Outcome::affected(
+                Outcome::affected(
                     n,
                     format!(
                         "restored {table} to {}.{} ({n} rows changed)",
                         ts.ttime, ts.sn
                     ),
-                ))
+                )
             }
             Statement::Checkpoint => {
                 let reclaimed = self.db.checkpoint()?;
-                Ok(Outcome::message(format!(
+                Outcome::message(format!(
                     "checkpoint complete, {reclaimed} PTT entries reclaimed"
-                )))
+                ))
             }
             Statement::Vacuum => {
                 let reclaimed = self.db.vacuum()?;
-                Ok(Outcome::message(format!(
+                Outcome::message(format!(
                     "vacuum complete, {reclaimed} PTT entries reclaimed"
-                )))
+                ))
             }
             Statement::CreateSnapshot { name, as_of } => {
                 let ts = as_of.map(|s| self.point_ts(&s)).transpose()?;
                 let def = self.db.create_named_snapshot(&name, ts)?;
-                Ok(Outcome::message(format!(
+                Outcome::message(format!(
                     "snapshot {name} created at {}.{}",
                     def.ts.ttime, def.ts.sn
-                )))
+                ))
             }
             Statement::DropSnapshot { name } => {
                 self.db.drop_named_snapshot(&name)?;
-                Ok(Outcome::message(format!("snapshot {name} dropped")))
+                Outcome::message(format!("snapshot {name} dropped"))
             }
             Statement::ShowSnapshots => {
                 let snapshots = self.db.list_snapshots();
@@ -340,7 +403,7 @@ impl<'a> Session<'a> {
                     ];
                     put_values(sink, &row)?;
                 }
-                Ok(Outcome::message(format!("{} snapshots", snapshots.len())))
+                Outcome::message(format!("{} snapshots", snapshots.len()))
             }
             Statement::ShowStats => {
                 let entries = self.db.metrics_snapshot().entries();
@@ -349,40 +412,65 @@ impl<'a> Session<'a> {
                 for (name, value) in entries {
                     put_values(sink, &[Value::Varchar(name), Value::BigInt(value as i64)])?;
                 }
-                Ok(Outcome::message(format!("{n} metrics")))
+                Outcome::message(format!("{n} metrics"))
             }
-            dml => self.run_dml(dml, sink),
-        }
+            dml => return self.run_dml(dml, sink),
+        };
+        Ok(Step::Done(outcome))
     }
 
     /// Run a DML/query statement, autocommitting when no explicit
     /// transaction is open, and rolling back doomed transactions.
-    fn run_dml(&mut self, stmt: Statement, sink: &mut dyn RowSink) -> Result<Outcome> {
-        let implicit = self.current.is_none();
-        if implicit {
-            self.current = Some(self.begin_tagged(Isolation::Serializable));
-        }
-        let mut txn = self.current.take().expect("transaction present");
-        let result = self.exec_stmt(&mut txn, stmt, sink);
-        match result {
-            Ok(res) => {
-                if implicit {
-                    self.db.commit(&mut txn)?;
-                } else {
-                    self.current = Some(txn);
-                }
-                Ok(res)
+    fn run_dml(&mut self, stmt: Statement, sink: &mut dyn RowSink) -> Result<Step> {
+        let own = self.current.is_none();
+        let mut txn = self
+            .current
+            .take()
+            .unwrap_or_else(|| self.begin_tagged(Isolation::Serializable));
+        let step = self.exec_stmt(&mut txn, stmt, sink);
+        self.settle(txn, own, step)
+    }
+
+    /// Take a paused statement's next step into `sink`, which is handed
+    /// rows only: the columns went to the sink of its first step.
+    pub fn resume(&mut self, paused: Paused, sink: &mut dyn RowSink) -> Result<Step> {
+        let own = paused.own.is_some();
+        let txn = paused.own.or_else(|| self.current.take());
+        let mut txn = txn.ok_or_else(|| Error::Sql("no open transaction".into()))?;
+        let step = self.walk(&mut txn, *paused.scan, sink);
+        self.settle(txn, own, step)
+    }
+
+    /// Make the session's transaction the paused statement's own, ended
+    /// with it: a statement that runs in a transaction of its own begun
+    /// by the caller (the wire's `QUERY_AS_OF`).
+    pub fn hand_txn_to(&mut self, paused: &mut Paused) {
+        paused.own = paused.own.take().or(self.current.take());
+    }
+
+    /// Where a step under `txn` leaves it. A statement's `own`
+    /// transaction commits once the statement is done and goes with it
+    /// while it is paused; an explicit one stays the session's. A
+    /// transient failure dooms either, and it is rolled back so its locks
+    /// and versions disappear; other errors keep an explicit transaction
+    /// open.
+    fn settle(&mut self, mut txn: Transaction, own: bool, step: Result<Step>) -> Result<Step> {
+        match step {
+            Ok(Step::Paused(mut paused)) if own => {
+                paused.own = Some(txn);
+                Ok(Step::Paused(paused))
             }
-            Err(e) => {
-                // A transient failure dooms the transaction; roll it back
-                // so its locks and versions disappear. Other errors keep
-                // an explicit transaction open.
-                if implicit || e.is_transient() {
-                    let _ = self.db.rollback(&mut txn);
-                } else {
-                    self.current = Some(txn);
-                }
+            Ok(done) if own => {
+                self.db.commit(&mut txn)?;
+                Ok(done)
+            }
+            Err(e) if own || e.is_transient() => {
+                let _ = self.db.rollback(&mut txn);
                 Err(e)
+            }
+            step => {
+                self.current = Some(txn);
+                step
             }
         }
     }
@@ -392,14 +480,15 @@ impl<'a> Session<'a> {
         txn: &mut Transaction,
         stmt: Statement,
         sink: &mut dyn RowSink,
-    ) -> Result<Outcome> {
+    ) -> Result<Step> {
+        let done = |outcome| Ok(Step::Done(outcome));
         match stmt {
             Statement::Insert { table, rows } => {
                 let n = rows.len();
                 for row in rows {
                     self.db.insert_row(txn, &table, row)?;
                 }
-                Ok(Outcome::affected(n, format!("{n} rows inserted")))
+                done(Outcome::affected(n, format!("{n} rows inserted")))
             }
             Statement::Update {
                 table,
@@ -417,14 +506,14 @@ impl<'a> Session<'a> {
                     }
                     self.db.update_row(txn, &table, row)
                 })?;
-                Ok(Outcome::affected(n, format!("{n} rows updated")))
+                done(Outcome::affected(n, format!("{n} rows updated")))
             }
             Statement::Delete { table, predicate } => {
                 let def = self.db.table(&table)?;
                 let n = self.write_matching(txn, &def, &predicate, |txn, row| {
                     self.db.delete_row(txn, &table, &row[def.schema.pk])
                 })?;
-                Ok(Outcome::affected(n, format!("{n} rows deleted")))
+                done(Outcome::affected(n, format!("{n} rows deleted")))
             }
             Statement::Select {
                 table,
@@ -434,47 +523,10 @@ impl<'a> Session<'a> {
                 let def = self.db.table(&table)?;
                 let (bounds, residual) =
                     Filter::compile(&def.schema, &predicate)?.plan(&def.schema)?;
-                let bounds = read_bounds(bounds);
                 let (names, idxs) = projection(&def.schema, columns)?;
                 sink.columns(names)?;
-                // A row the bounds answer whole leaves as it is stored,
-                // checked to be a row of the table; only a residual test
-                // or a projection needs its values.
-                let decode = !residual.is_empty() || idxs.is_some();
-                let mut decoder = self.db.row_decoder(&def.schema);
-                let mut n = 0usize;
-                let (mut row, mut projected) = (Vec::new(), Vec::new());
-                bounds.chunked(|bounds| {
-                    let mut stopped = None;
-                    self.db.visit_rows(txn, &def, bounds, |key, image| {
-                        if decode {
-                            decoder.decode_into(image, &mut row)?;
-                            if !residual.matches(&row) {
-                                return Ok(Flow::Continue);
-                            }
-                        } else {
-                            def.schema.check_image(image)?;
-                        }
-                        n += 1;
-                        let flow = match &idxs {
-                            None => sink.row(image)?,
-                            Some(idxs) => {
-                                projected.clear();
-                                encode_values(&mut projected, idxs.iter().map(|&i| &row[i]));
-                                sink.row(&projected)?
-                            }
-                        };
-                        if flow == Flow::Stop {
-                            stopped = Some(key.to_vec());
-                        }
-                        Ok(flow)
-                    })?;
-                    if stopped.is_some() {
-                        sink.flush()?;
-                    }
-                    Ok(stopped)
-                })?;
-                Ok(Outcome::message(format!("{n} rows")))
+                let scan = Scan::new(ScanKind::Rows, def, bounds, residual);
+                self.walk(txn, Scan { idxs, ..scan }, sink)
             }
             Statement::History { table, pk } => {
                 let mut history = VersionBuf::default();
@@ -485,6 +537,8 @@ impl<'a> Session<'a> {
                 let nothing = vec![empty(); def.schema.columns.len()];
                 let ops = ops();
                 let mut out = Vec::new();
+                // In memory whole before the first row is sent: written
+                // whole.
                 for v in history.iter() {
                     out.clear();
                     version_lead(&mut out, &v, &ops);
@@ -492,9 +546,9 @@ impl<'a> Session<'a> {
                         Some(image) => append_image(&mut out, &def.schema, image)?,
                         None => encode_values(&mut out, &nothing),
                     }
-                    put(sink, &out)?;
+                    sink.row(&out)?;
                 }
-                Ok(Outcome::message(format!("{} versions", history.len())))
+                done(Outcome::message(format!("{} versions", history.len())))
             }
             Statement::VersionsBetween {
                 table,
@@ -505,76 +559,24 @@ impl<'a> Session<'a> {
             } => {
                 let lo = self.window_lo_ts(&t1)?;
                 let hi = self.point_ts(&t2)?;
-                // Clamped to the horizon once: the chunks of one result
-                // must not see it move.
                 let (def, lo, hi) = self.db.temporal_window(&table, lo, hi)?;
                 let (bounds, residual) =
                     Filter::compile(&def.schema, &predicate)?.plan(&def.schema)?;
-                let bounds = read_bounds(bounds);
                 let (selected, idxs) = projection(&def.schema, columns)?;
                 let mut cols = names(&["_commit_ms", "_commit_sn", "_op"]);
                 cols.extend(selected);
                 sink.columns(cols)?;
-                let returned = &self.db.metrics().temporal.versions_returned;
-                let mut n = 0usize;
-                let (mut row, mut out) = (Vec::new(), Vec::new());
-                let mut projector = self.db.row_decoder(&def.schema);
-                let ops = ops();
-                let mut send = |sink: &mut dyn RowSink, v: &Version<'_>| -> Result<Flow> {
-                    n += 1;
-                    out.clear();
-                    version_lead(&mut out, v, &ops);
-                    version_row(&mut out, &mut projector, idxs.as_deref(), v, &mut row)?;
-                    sink.row(&out)
-                };
-                let (mut tested, mut tester) = (Vec::new(), self.db.row_decoder(&def.schema));
-                // The versions of a key the sink filled up in the middle
-                // of, to be sent once the cursor has returned.
-                let mut rest = VersionBuf::default();
-                bounds.chunked(|bounds| {
-                    let mut stopped = None;
-                    self.db.visit_versions(&def, bounds, lo, hi, &mut |group| {
-                        // The key's base is in the window only if it
-                        // committed at `lo`.
-                        let in_window = || group.iter().filter(|v| v.ts() >= Some(lo));
-                        // A key matches when any live version of it
-                        // inside the window satisfies the residual; every
-                        // version of a matching key (tombstones included)
-                        // is then returned.
-                        let mut matched = residual.is_empty();
-                        for image in in_window().filter_map(|v| v.data) {
-                            if matched {
-                                break;
-                            }
-                            tester.decode_into(image, &mut tested)?;
-                            matched = residual.matches(&tested);
-                        }
-                        if !matched {
-                            return Ok(Flow::Continue);
-                        }
-                        returned.add(in_window().count() as u64);
-                        let mut versions = in_window();
-                        while let Some(v) = versions.next() {
-                            if send(sink, &v)? == Flow::Stop {
-                                rest.clear();
-                                versions.for_each(|v| rest.push(&v));
-                                stopped = Some(v.key.to_vec());
-                                return Ok(Flow::Stop);
-                            }
-                        }
-                        Ok(Flow::Continue)
-                    })?;
-                    if stopped.is_some() {
-                        sink.flush()?;
-                        for v in rest.iter() {
-                            if send(sink, &v)? == Flow::Stop {
-                                sink.flush()?;
-                            }
-                        }
-                    }
-                    Ok(stopped)
-                })?;
-                Ok(Outcome::message(format!("{n} versions")))
+                let scan = Scan::new(ScanKind::Versions, def, bounds, residual);
+                let window = (lo, hi);
+                self.walk(
+                    txn,
+                    Scan {
+                        idxs,
+                        window,
+                        ..scan
+                    },
+                    sink,
+                )
             }
             Statement::DiffTable {
                 table,
@@ -585,9 +587,8 @@ impl<'a> Session<'a> {
                 let a = self.point_ts(&t1)?;
                 let b = self.point_ts(&t2)?;
                 let (def, a, b) = self.db.temporal_window(&table, a, b)?;
-                let bounds = read_bounds(
-                    Filter::compile(&def.schema, &predicate)?.pk_bounds_only(&def.schema)?,
-                );
+                let filter = Filter::compile(&def.schema, &predicate)?;
+                let bounds = filter.pk_bounds_only(&def.schema)?;
                 let mut cols = names(&["_op", "_commit_ms", "_commit_sn"]);
                 for c in &def.schema.columns {
                     cols.push(format!("old_{}", c.name));
@@ -596,47 +597,167 @@ impl<'a> Session<'a> {
                     cols.push(format!("new_{}", c.name));
                 }
                 sink.columns(cols)?;
-                let nothing = vec![empty(); def.schema.columns.len()];
-                let mut n = 0usize;
-                let mut out = Vec::new();
-                bounds.chunked(|bounds| {
-                    // Each key's group, base included, folds into at most
-                    // one change where the cursor stands on it.
-                    let mut stopped = None;
-                    self.db.visit_versions(&def, bounds, a, b, &mut |group| {
-                        let Some(d) = temporal::fold_diff(group, a) else {
-                            return Ok(Flow::Continue);
-                        };
-                        n += 1;
-                        out.clear();
-                        let lead = [
-                            Value::Varchar(d.op.name().into()),
-                            Value::BigInt(d.ts.ttime as i64),
-                            Value::Int(d.ts.sn as i32),
-                        ];
-                        encode_values(&mut out, &lead);
-                        for side in [&d.before, &d.after] {
-                            match side {
-                                Some(image) => append_image(&mut out, &def.schema, image)?,
-                                None => encode_values(&mut out, &nothing),
-                            }
-                        }
-                        let flow = sink.row(&out)?;
-                        if flow == Flow::Stop {
-                            stopped = Some(d.key);
-                        }
-                        Ok(flow)
-                    })?;
-                    if stopped.is_some() {
-                        sink.flush()?;
-                    }
-                    Ok(stopped)
-                })?;
-                self.db.metrics().temporal.diff_rows.add(n as u64);
-                Ok(Outcome::message(format!("{n} changes")))
+                let scan = Scan::new(ScanKind::Diff, def, bounds, Filter::default());
+                self.walk(
+                    txn,
+                    Scan {
+                        window: (a, b),
+                        ..scan
+                    },
+                    sink,
+                )
             }
             other => Err(Error::Sql(format!("not a DML statement: {other:?}"))),
         }
+    }
+
+    /// One step of a row-returning statement: one walk of the index
+    /// cursor from the scan's bounds, until it ends or the sink stops it.
+    fn walk(&self, txn: &mut Transaction, mut scan: Scan, sink: &mut dyn RowSink) -> Result<Step> {
+        let Scan {
+            kind,
+            def,
+            bounds,
+            residual,
+            idxs,
+            window: (lo, hi),
+            sent,
+            rest,
+            rest_sent,
+        } = &mut scan;
+        let (lo, hi) = (*lo, *hi);
+        read_bounds(bounds);
+        let (mut row, mut out) = (Vec::new(), Vec::new());
+        let mut stopped = None;
+        match kind {
+            ScanKind::Rows => {
+                // A row the bounds answer whole leaves as it is stored,
+                // checked to be a row of the table; only a residual test
+                // or a projection needs its values.
+                let decode = !residual.is_empty() || idxs.is_some();
+                let mut decoder = self.db.row_decoder(&def.schema);
+                self.db.visit_rows(txn, def, bounds, |key, image| {
+                    if decode {
+                        decoder.decode_into(image, &mut row)?;
+                        if !residual.matches(&row) {
+                            return Ok(Flow::Continue);
+                        }
+                    } else {
+                        def.schema.check_image(image)?;
+                    }
+                    *sent += 1;
+                    let flow = match idxs {
+                        None => sink.row(image)?,
+                        Some(idxs) => {
+                            out.clear();
+                            encode_values(&mut out, idxs.iter().map(|&i| &row[i]));
+                            sink.row(&out)?
+                        }
+                    };
+                    if flow == Flow::Stop {
+                        stopped = Some(key.to_vec());
+                    }
+                    Ok(flow)
+                })?;
+            }
+            ScanKind::Versions => 'versions: {
+                let returned = &self.db.metrics().temporal.versions_returned;
+                let mut projector = self.db.row_decoder(&def.schema);
+                let ops = ops();
+                let mut send = |sink: &mut dyn RowSink, v: &Version<'_>| -> Result<Flow> {
+                    *sent += 1;
+                    out.clear();
+                    version_lead(&mut out, v, &ops);
+                    version_row(&mut out, &mut projector, idxs.as_deref(), v, &mut row)?;
+                    sink.row(&out)
+                };
+                // First what is left of the key the last step stopped in,
+                // which the bounds have been resumed after already.
+                for v in rest.iter().skip(*rest_sent) {
+                    *rest_sent += 1;
+                    if send(sink, &v)? == Flow::Stop {
+                        stopped = Some(v.key.to_vec());
+                        break 'versions;
+                    }
+                }
+                let (mut tested, mut tester) = (Vec::new(), self.db.row_decoder(&def.schema));
+                self.db.visit_versions(def, bounds, lo, hi, &mut |group| {
+                    // The key's base is in the window only if it
+                    // committed at `lo`.
+                    let in_window = || group.iter().filter(|v| v.ts() >= Some(lo));
+                    // A key matches when any live version of it inside
+                    // the window satisfies the residual; every version of
+                    // a matching key (tombstones included) is then
+                    // returned.
+                    let mut matched = residual.is_empty();
+                    for image in in_window().filter_map(|v| v.data) {
+                        if matched {
+                            break;
+                        }
+                        tester.decode_into(image, &mut tested)?;
+                        matched = residual.matches(&tested);
+                    }
+                    if !matched {
+                        return Ok(Flow::Continue);
+                    }
+                    returned.add(in_window().count() as u64);
+                    let mut versions = in_window();
+                    while let Some(v) = versions.next() {
+                        if send(sink, &v)? == Flow::Stop {
+                            rest.clear();
+                            versions.for_each(|v| rest.push(&v));
+                            *rest_sent = 0;
+                            stopped = Some(v.key.to_vec());
+                            return Ok(Flow::Stop);
+                        }
+                    }
+                    Ok(Flow::Continue)
+                })?;
+            }
+            ScanKind::Diff => {
+                let nothing = vec![empty(); def.schema.columns.len()];
+                // Each key's group, base included, folds into at most one
+                // change where the cursor stands on it.
+                self.db.visit_versions(def, bounds, lo, hi, &mut |group| {
+                    let Some(d) = temporal::fold_diff(group, lo) else {
+                        return Ok(Flow::Continue);
+                    };
+                    *sent += 1;
+                    out.clear();
+                    let lead = [
+                        Value::Varchar(d.op.name().into()),
+                        Value::BigInt(d.ts.ttime as i64),
+                        Value::Int(d.ts.sn as i32),
+                    ];
+                    encode_values(&mut out, &lead);
+                    for side in [&d.before, &d.after] {
+                        match side {
+                            Some(image) => append_image(&mut out, &def.schema, image)?,
+                            None => encode_values(&mut out, &nothing),
+                        }
+                    }
+                    let flow = sink.row(&out)?;
+                    if flow == Flow::Stop {
+                        stopped = Some(d.key);
+                    }
+                    Ok(flow)
+                })?;
+            }
+        }
+        if let Some(key) = stopped {
+            scan.bounds.resume_after(key);
+            let scan = Box::new(scan);
+            return Ok(Step::Paused(Paused { scan, own: None }));
+        }
+        let n = scan.sent;
+        Ok(Step::Done(Outcome::message(match scan.kind {
+            ScanKind::Rows => format!("{n} rows"),
+            ScanKind::Versions => format!("{n} versions"),
+            ScanKind::Diff => {
+                self.db.metrics().temporal.diff_rows.add(n as u64);
+                format!("{n} changes")
+            }
+        })))
     }
 
     /// Apply `write` to every row of `def` visible to `txn` that satisfies
@@ -656,7 +777,8 @@ impl<'a> Session<'a> {
         let (bounds, residual) = Filter::compile(&def.schema, predicate)?.plan(&def.schema)?;
         let mut n = 0;
         let (mut rows, mut decoder) = (Vec::new(), self.db.row_decoder(&def.schema));
-        read_bounds(bounds).chunked(|bounds| {
+        read_bounds(&bounds);
+        bounds.chunked(|bounds| {
             let mut last = None;
             self.db.visit_rows(txn, def, bounds, |key, image| {
                 let row = decoder.decode(image)?;
@@ -742,14 +864,13 @@ fn version_row(
     Ok(())
 }
 
-/// The bounds a statement is about to read under. Anything wider than a
-/// single key costs what the table holds, not what the statement says, so
-/// a thread with other work to look after is told first.
-fn read_bounds(bounds: PkBounds) -> PkBounds {
+/// The bounds a walk is about to read under. Anything wider than a single
+/// key costs what the table holds, not what the statement says, so a
+/// thread with other work to look after is told first.
+fn read_bounds(bounds: &PkBounds) {
     if bounds.pushdown() != Pushdown::Point {
         blocking::about_to_run_long();
     }
-    bounds
 }
 
 /// Output column names of a select list, and the schema positions to

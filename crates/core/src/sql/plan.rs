@@ -20,6 +20,7 @@ use crate::row::{PkBounds, Schema, Value};
 
 /// A predicate resolved against a schema: column positions looked up and
 /// literals coerced to the column types, once.
+#[derive(Default)]
 pub struct Filter(Vec<(usize, CmpOp, Value)>);
 
 impl Filter {

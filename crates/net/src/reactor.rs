@@ -44,19 +44,21 @@
 //! `try_lock` and skip; level-triggered polling retries.
 //!
 //! Backpressure is per session: a connection whose reply backlog passes
-//! `OUT_CAP` stops being read until the peer drains it, and a result
-//! set larger than that is produced only as fast as the peer takes it —
-//! its rows are encoded into the backlog in `ROW_CHUNK`-sized frames
-//! and the scan pauses between frames, on its own thread, while the
-//! backlog is at the cap (`crate::server::Wire::drain`). Idle sessions
-//! are reaped from a coarse timer wheel advanced on the leader's tick —
-//! an abandoned transaction is rolled back (releasing its locks) within
-//! one tick of the deadline. A `SUBSCRIBE_WAL` connection is a result
-//! that never ends: each of its turns is one shipping step
-//! (`Subscription::ship`) run like a request, when its last batch has
-//! left, when an ack arrives, and on every tick once it has caught up —
-//! so a replica costs no thread, goes at its own reader's pace, and meets
-//! the idle rule and shutdown like any other connection.
+//! `OUT_CAP` stops being read until the peer drains it. A result set is
+//! a statement taken in `ROW_CHUNK`-sized steps, the next one at once
+//! while the backlog is under the cap; at the cap the connection keeps
+//! the paused statement (`Conn::result`, `crate::server::stream`) and
+//! reads no request behind it, the thread returns, and a writability
+//! turn takes the next step. Idle sessions are reaped from a coarse
+//! timer wheel advanced on the leader's tick: within one tick of the
+//! deadline what a connection holds — a transaction, a paused result, a
+//! subscription — is rolled back and the connection closed. A
+//! `SUBSCRIBE_WAL` connection is a result that never ends: each of its
+//! turns is one shipping step (`Subscription::ship`) run like a request,
+//! when its last batch has left, when an ack arrives, and on every tick
+//! once it has caught up — so a replica costs no thread, goes at its own
+//! reader's pace, and meets the idle rule and shutdown like any other
+//! connection.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -73,7 +75,7 @@ use immortaldb_common::blocking::{self, Cause};
 use immortaldb_common::{Error, Result};
 
 use crate::proto::{FrameBuffer, Reply, Request, VERSION};
-use crate::server::{busy, handle_request, ServerConfig, Subscription, Wire};
+use crate::server::{busy, handle_request, stream, ServerConfig, Streaming, Subscription};
 use crate::sys::{self, Interest};
 
 const TOK_WAKER: u64 = 0;
@@ -82,12 +84,12 @@ const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Reply bytes a connection may buffer before the loop stops reading
 /// from it (per-session backpressure ahead of the group-commit barrier)
-/// and a result set in mid-stream waits for the peer.
+/// and a result set in mid-stream pauses for the peer.
 pub(crate) const OUT_CAP: usize = 4 * 1024 * 1024;
 
-/// Bytes of rows after which a result set's frame is closed and its scan
-/// paused: what a scan holds of its result at a time, and with one row
-/// the most a `ROWS` frame carries.
+/// Bytes of rows after which a result set's frame is closed and its
+/// statement's step ends: what a scan holds of its result at a time, and
+/// with one row the most a `ROWS` frame carries.
 pub(crate) const ROW_CHUNK: usize = 64 * 1024;
 
 /// Max bytes read from one socket per readiness event (fairness bound).
@@ -120,6 +122,8 @@ struct Conn {
     eof: bool,
     /// Set by SUBSCRIBE_WAL: from then on the connection ships the log.
     sub: Option<Subscription>,
+    /// A result paused for its reader; it holds an admission.
+    result: Option<Streaming>,
     /// The poller registration; `Interest::None` = not registered.
     interest: Interest,
 }
@@ -133,11 +137,11 @@ impl Conn {
 
     /// What the poller should watch once the connection is back with the
     /// loop. Whatever only the leader can finish (close, a subscription's
-    /// next batch) asks for writability, which an idle socket reports at
-    /// once.
+    /// next batch, a paused result's next step) asks for writability,
+    /// which an idle socket reports at once.
     fn desired_interest(&self) -> Interest {
         let shipping = self.sub.as_ref().is_some_and(|s| !s.caught_up());
-        if self.closing || self.eof || (shipping && self.out.is_empty()) {
+        if self.closing || self.eof || self.result.is_some() || (shipping && self.out.is_empty()) {
             Interest::Write
         } else if self.out.is_empty() {
             Interest::Read
@@ -397,17 +401,13 @@ impl Server {
         }
         // Abandon whatever connections remain: locks and uncommitted
         // versions must not outlive the server.
-        let lp = sh.turn.lock().expect("turn mutex").role.take();
-        let m = &sh.db.metrics().server;
-        for (_, conn) in lp.into_iter().flat_map(|lp| lp.conns) {
-            let mut c = conn.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = c.flush();
-            if let Some(mut txn) = c.txn.take() {
-                let _ = sh.db.rollback(&mut txn);
+        if let Some(mut lp) = sh.turn.lock().expect("turn mutex").role.take() {
+            for conn in std::mem::take(&mut lp.conns).into_values() {
+                let mut c = conn.lock().unwrap_or_else(|e| e.into_inner());
+                let _ = c.flush();
+                lp.close_conn(&mut c);
             }
-            m.connections_closed.inc();
         }
-        m.open_connections.set(0);
         sh.db.close()
     }
 }
@@ -434,8 +434,8 @@ fn rearm(sh: &Shared, mut c: MutexGuard<'_, Conn>) {
     if c.flush().is_err() {
         c.closing = true;
     }
-    // A result streamed to a slow reader may have taken any length of
-    // time: idleness counts from its end.
+    // A turn may have taken any length of time: idleness counts from its
+    // end.
     c.last_activity = Instant::now();
     sh.release();
     let (fd, token, want) = (c.stream.as_raw_fd(), c.token, c.desired_interest());
@@ -455,9 +455,11 @@ fn rearm(sh: &Shared, mut c: MutexGuard<'_, Conn>) {
 /// session, appending replies to `out`: HELLO gating, version check,
 /// hostile-framing hangup, SUBSCRIBE_WAL interception. Each request is
 /// decoded where it lies in the frame buffer and answered straight into
-/// the output buffer — a result set row by row as its cursor moves, this
-/// thread waiting out a client slower than the scan. A subscription's
-/// turn is one shipping step instead.
+/// the output buffer — a result set row by row as its cursor moves. A
+/// result whose reader falls behind pauses and stays with the connection
+/// (`Conn::result`, holding the admission of the turn that paused it),
+/// and the frames behind it wait; a turn that finds one resumes it
+/// first. A subscription's turn is one shipping step instead.
 fn serve_buffered(sh: &Shared, c: &mut Conn) {
     let db = sh.db.as_ref();
     if let Some(sub) = &mut c.sub {
@@ -468,7 +470,7 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
     }
     let m = &db.metrics().server;
     let Conn {
-        stream,
+        stream: socket,
         frames,
         out,
         session: id,
@@ -476,18 +478,25 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
         greeted,
         closing,
         sub,
+        result,
         ..
     } = c;
-    let mut wire = Wire {
-        out,
-        stream,
-        shutdown: &sh.shutdown,
-        cfg: &sh.cfg,
-        broken: false,
-    };
+    if result.is_some() {
+        sh.release(); // this turn's admission covers it now
+    }
     let mut session = Session::attach(db, *id, txn.take());
     let mut served = 0;
-    while !*closing && sub.is_none() {
+    loop {
+        if let Some(paused) = result.take() {
+            match stream(db, &mut session, socket, out, paused) {
+                Ok(paused) => *result = paused,
+                // The reader is gone in mid-result.
+                Err(_) => *closing = true,
+            }
+        }
+        if *closing || sub.is_some() || result.is_some() {
+            break;
+        }
         let frame = frames.take_frame(|opcode, payload| {
             m.requests.inc();
             let timer = m.request_ns.start_timer();
@@ -497,7 +506,7 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
                 *closing = true;
                 Reply::from_error(&e, txn_open)
             };
-            // `None`: the reply, a result set, is in the buffer already.
+            // `None`: the reply, a result set, is in the buffer (in part if paused).
             let reply = match Request::decode(opcode, payload) {
                 Ok(Request::Hello { version }) if !*greeted => Some(if version == VERSION {
                     *greeted = true;
@@ -524,7 +533,7 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
                     *sub = Some(Subscription::new(from_lsn));
                     return;
                 }
-                Ok(req) => handle_request(db, &mut session, req, &mut wire),
+                Ok(req) => handle_request(db, &mut session, req, out, result),
                 Err(e) => Some(refuse(e, session.in_transaction())),
             };
             timer.stop();
@@ -532,7 +541,7 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
                 if matches!(reply, Reply::Error { .. }) {
                     m.errors.inc();
                 }
-                reply.encode_into(wire.out);
+                reply.encode_into(out);
             }
             if holds_role() {
                 m.requests_inline.inc();
@@ -544,20 +553,13 @@ fn serve_buffered(sh: &Shared, c: &mut Conn) {
             // Hostile framing: hang up without a reply.
             Err(_) => *closing = true,
         }
-        if wire.broken {
-            // Mid-result, the socket failed or its peer stopped reading.
-            // Let go of what the session holds now, and shut the socket
-            // so the loop is told to close it even though it will never
-            // turn writable.
-            session.reset();
-            wire.out.clear();
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            *closing = true;
-        }
         served += 1;
         if served == INLINE_FRAMES && frames.has_complete_frame().unwrap_or(false) {
             on_engine_signal(Cause::Long);
         }
+    }
+    if result.is_some() {
+        sh.admit();
     }
     *txn = session.into_txn();
 }
@@ -718,6 +720,7 @@ impl Loop {
                 closing: false,
                 eof: false,
                 sub: None,
+                result: None,
                 interest: Interest::Read,
             }));
             self.conns.insert(token, conn);
@@ -753,8 +756,9 @@ impl Loop {
             if c.out.len() < unsent {
                 c.last_activity = Instant::now();
             }
+            let done = c.eof && c.frames.buffered() == 0 && c.result.is_none();
             match flushed {
-                Ok(true) if c.closing || (c.eof && c.frames.buffered() == 0) => {
+                Ok(true) if c.closing || done => {
                     self.close_conn(&mut c);
                     return Some(self);
                 }
@@ -816,16 +820,20 @@ impl Loop {
                 return Some(self);
             }
         };
-        let due = match c.sub {
-            None => has_frame,
+        let due = match (&c.sub, &c.result) {
             // Acks to take, or room for the next batch.
-            Some(_) => {
+            (Some(_), _) => {
                 self.subs.insert(c.token);
                 !c.eof && (has_frame || c.out.is_empty())
             }
+            // Room for the next chunk; the requests behind it wait.
+            (None, Some(_)) => c.out.len() < OUT_CAP,
+            (None, None) => has_frame,
         };
         if due && !c.closing {
-            if self.sh.inflight.load(Ordering::SeqCst) < self.sh.max_inflight() {
+            // A paused result holds its admission already.
+            let admitted = c.result.is_some();
+            if admitted || self.sh.inflight.load(Ordering::SeqCst) < self.sh.max_inflight() {
                 (self, c) = self.run(conn, c, more_ready)?;
                 if c.interest == Interest::None {
                     return Some(self); // queued: a finishing thread has it
@@ -839,8 +847,9 @@ impl Loop {
             }
         }
         // A subscriber that hangs up has nothing more to say.
-        let has_frame = c.sub.is_none() && c.frames.has_complete_frame().unwrap_or(false);
-        if c.flush().is_err() || ((c.closing || (c.eof && !has_frame)) && c.out.is_empty()) {
+        let more = c.result.is_some()
+            || (c.sub.is_none() && c.frames.has_complete_frame().unwrap_or(false));
+        if c.flush().is_err() || ((c.closing || (c.eof && !more)) && c.out.is_empty()) {
             self.close_conn(&mut c);
         } else {
             let want = c.desired_interest();
@@ -924,14 +933,19 @@ impl Loop {
         }
     }
 
-    /// Forget a connection the leader holds; the socket closes when the
-    /// caller lets go of it.
+    /// Forget a connection the leader holds, rolling back what it holds:
+    /// its transaction, and a paused result with its admission and its
+    /// own transaction. The socket closes when the caller lets go of it.
     fn close_conn(&mut self, c: &mut Conn) {
         self.conns.remove(&c.token);
         self.subs.remove(&c.token);
         arm(&self.sh.poller, c, Interest::None);
         if let Some(mut txn) = c.txn.take() {
             let _ = self.sh.db.rollback(&mut txn);
+        }
+        if let Some(result) = c.result.take() {
+            result.paused.abandon(&self.sh.db);
+            self.sh.release();
         }
         let m = &self.sh.db.metrics().server;
         m.connections_closed.inc();
@@ -971,7 +985,7 @@ impl Loop {
             };
             let idle = c.last_activity.elapsed();
             if idle >= idle_timeout {
-                if c.txn.is_some() {
+                if c.txn.is_some() || c.result.is_some() {
                     self.sh.db.metrics().server.idle_rollbacks.inc();
                 }
                 self.close_conn(&mut c);

@@ -1,24 +1,22 @@
 //! What the serving runtime ([`crate::reactor`]) is configured with and
 //! what it runs: [`ServerConfig`], request execution against a session
 //! (`handle_request`) with its result rows encoded into the
-//! connection's output buffer as they are read (`RowStream`), a WAL
-//! subscription's shipping step (`Subscription::ship`) and the
-//! SERVER_BUSY refusal (`busy`). None of it knows about threads, and
-//! none of it writes to a socket but through `flush_out`.
+//! connection's output buffer as they are read (`RowStream`) and taken
+//! in steps while the socket takes them (`stream`), a WAL subscription's
+//! shipping step (`Subscription::ship`) and the SERVER_BUSY refusal
+//! (`busy`). None of it knows about threads or waits for a socket, and
+//! none of it writes to one but through `flush_out`.
 
-use std::io::{self, ErrorKind};
+use std::io;
 use std::net::TcpStream;
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use immortaldb::{Database, Flow, RowSink, Session};
-use immortaldb_common::{blocking, Error, Lsn, Result, Timestamp};
+use immortaldb::{Database, Flow, Paused, RowSink, Session, Step};
+use immortaldb_common::{Error, Lsn, Result, Timestamp};
 use immortaldb_obs::ServerMetrics;
 
 use crate::proto::{self, FrameBuffer, Reply, Request, RowsEncoder, WalBatch};
 use crate::reactor::{flush_out, OUT_CAP, ROW_CHUNK};
-use crate::sys;
 
 /// Upper bound on the WAL bytes in one replication batch. Record
 /// boundaries are respected, so a single oversized record still ships
@@ -177,81 +175,77 @@ impl Subscription {
     }
 }
 
-/// The connection a reply is written to: its output buffer and, for a
-/// result that outgrows the buffer's cap, the socket to drain it into.
-pub(crate) struct Wire<'a> {
-    pub out: &'a mut Vec<u8>,
-    pub stream: &'a TcpStream,
-    pub shutdown: &'a AtomicBool,
-    pub cfg: &'a ServerConfig,
-    /// The socket failed, or its peer stopped reading, in the middle of a
-    /// result: nothing more can be said on this connection.
-    pub broken: bool,
+/// A result set in mid-stream: its statement, paused after a chunk, and
+/// its frames. The connection holds it from one step to the next, and
+/// reads no request behind it until it has ended.
+pub(crate) struct Streaming {
+    pub paused: Paused,
+    frames: Frames,
 }
 
-impl Wire<'_> {
-    /// Between two chunks of a result: send what the socket takes, and
-    /// while the backlog is at [`OUT_CAP`], wait for it to take more —
-    /// for as long as an idle session is suffered, no longer. The caller
-    /// holds no latch; the loop is told before the first wait.
-    fn drain(&mut self, m: &ServerMetrics) -> Result<()> {
-        let drained = self.try_drain(m);
-        self.broken = drained.is_err();
-        Ok(drained?)
-    }
+/// What a result set's frames are encoded with, from its statement's
+/// first step to its last.
+struct Frames {
+    /// The session's state as the statement began, for every frame.
+    txn_open: bool,
+    /// The instant a QUERY_AS_OF runs at, for the last frame.
+    at: Option<Timestamp>,
+    /// `None` until the statement names its columns: one that never does
+    /// returns no rows and is answered OK.
+    enc: Option<RowsEncoder>,
+}
 
-    fn try_drain(&mut self, m: &ServerMetrics) -> io::Result<()> {
-        let mut waiting_since = None;
-        loop {
-            let before = self.out.len();
-            flush_out(self.stream, self.out)?;
-            if self.out.len() < OUT_CAP {
-                return Ok(());
-            }
-            let now = Instant::now();
-            if self.out.len() < before {
-                waiting_since = Some(now); // the peer is reading, slowly
-            }
-            let since = *waiting_since.get_or_insert_with(|| {
-                m.stream_stalls.inc();
-                blocking::about_to_block();
-                now
-            });
-            if now.duration_since(since) >= self.cfg.idle_timeout
-                || self.shutdown.load(Ordering::SeqCst)
-            {
-                return Err(io::Error::new(
-                    ErrorKind::TimedOut,
-                    "the client stopped reading a result in mid-stream",
-                ));
-            }
-            // A tick at a time, to notice a shutdown.
-            sys::wait_writable(self.stream.as_raw_fd(), self.cfg.tick)?;
+/// Take a result's steps on this thread while the socket takes them:
+/// returns the result, paused, once its reader is behind (the connection
+/// holds it until the socket has room; no thread waits for that), `None`
+/// once it has ended. A socket that fails ends it.
+pub(crate) fn stream(
+    db: &Database,
+    session: &mut Session<'_>,
+    socket: &TcpStream,
+    out: &mut Vec<u8>,
+    mut result: Streaming,
+) -> io::Result<Option<Streaming>> {
+    let m = &db.metrics().server;
+    loop {
+        if let Err(e) = flush_out(socket, out) {
+            result.paused.abandon(db);
+            return Err(e);
         }
+        if out.len() >= OUT_CAP {
+            m.stream_stalls.inc();
+            return Ok(Some(result));
+        }
+        let (Streaming { paused, frames }, mut next) = (result, None);
+        let resumed = step(session, out, m, frames, &mut next, |s, sink| {
+            s.resume(paused, sink)
+        });
+        if let Err(e) = resumed {
+            m.errors.inc();
+            Reply::from_error(&e, session.in_transaction()).encode_into(out);
+        }
+        let Some(next) = next else {
+            return Ok(None);
+        };
+        result = next;
     }
 }
 
 /// The sink a statement's rows go into on their way to a client: each
 /// row's image — for a whole stored row, the bytes the cursor found on
 /// the page — is appended to the connection's output buffer as the
-/// cursor visits it,
-/// and every [`ROW_CHUNK`] bytes the frame is closed and the scan asked
-/// to pause while the buffer is drained. A result that fits one chunk is
-/// one frame, sent with whatever else the burst produced.
-struct RowStream<'a, 'w> {
-    wire: &'a mut Wire<'w>,
+/// cursor visits it, and every [`ROW_CHUNK`] bytes the frame is closed
+/// and the statement's step ended. A result that fits one chunk is one
+/// frame, sent with whatever else the burst produced.
+struct RowStream<'a> {
+    out: &'a mut Vec<u8>,
     m: &'a ServerMetrics,
-    /// The session's state as the statement begins, for the frames that
-    /// leave before it ends.
-    txn_open: bool,
-    /// `None` until the statement names its columns: one that never does
-    /// returns no rows and is answered OK.
-    enc: Option<RowsEncoder>,
+    frames: &'a mut Frames,
     /// Rows encoded and not yet counted in `server.rows_streamed`.
     rows: u64,
 }
 
-impl RowStream<'_, '_> {
+impl RowStream<'_> {
     /// Account for a frame about to be closed.
     fn count_chunk(&mut self) {
         self.m.row_chunks.inc();
@@ -259,49 +253,94 @@ impl RowStream<'_, '_> {
     }
 }
 
-impl RowSink for RowStream<'_, '_> {
+impl RowSink for RowStream<'_> {
     fn columns(&mut self, names: Vec<String>) -> Result<()> {
-        self.enc = Some(RowsEncoder::begin(self.wire.out, self.txn_open, &names));
+        self.frames.enc = Some(RowsEncoder::begin(self.out, self.frames.txn_open, &names));
         Ok(())
     }
 
     fn row(&mut self, image: &[u8]) -> Result<Flow> {
-        let enc = self.enc.as_mut().expect("columns come before rows");
-        enc.row(self.wire.out, image);
+        let enc = self.frames.enc.as_mut().expect("columns come before rows");
+        enc.row(self.out, image);
         self.rows += 1;
-        Ok(if enc.frame_len(self.wire.out) < ROW_CHUNK {
-            Flow::Continue
-        } else {
-            Flow::Stop
-        })
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if let Some(enc) = &mut self.enc {
-            enc.end_chunk(self.wire.out);
-            self.count_chunk();
+        if enc.frame_len(self.out) < ROW_CHUNK {
+            return Ok(Flow::Continue);
         }
-        self.wire.drain(self.m)
+        enc.end_chunk(self.out);
+        self.count_chunk();
+        Ok(Flow::Stop)
+    }
+}
+
+/// One step of a statement: `run` it into a sink that encodes its rows
+/// into `out` as `frames`. Returns the reply of a statement that returned
+/// no rows; the reply of one that did is in `out`, whole or, if it
+/// paused, in part, the rest to come from `result`.
+fn step<'s>(
+    session: &mut Session<'s>,
+    out: &mut Vec<u8>,
+    m: &ServerMetrics,
+    mut frames: Frames,
+    result: &mut Option<Streaming>,
+    run: impl FnOnce(&mut Session<'s>, &mut dyn RowSink) -> Result<Step>,
+) -> Result<Option<Reply>> {
+    let mut rows = RowStream {
+        out,
+        m,
+        frames: &mut frames,
+        rows: 0,
+    };
+    match run(session, &mut rows) {
+        Ok(Step::Paused(paused)) => {
+            *result = Some(Streaming { paused, frames });
+            Ok(None)
+        }
+        Ok(Step::Done(done)) => match rows.frames.enc.take() {
+            Some(enc) => {
+                rows.count_chunk();
+                let Frames { txn_open, at, .. } = *rows.frames;
+                enc.finish(rows.out, txn_open, at, &done.message);
+                Ok(None)
+            }
+            None => Ok(Some(Reply::Ok {
+                txn_open: session.in_transaction(),
+                ts: frames.at,
+                affected: done.affected as u64,
+                message: done.message.into(),
+            })),
+        },
+        // The error goes where the open frame stood; the chunks sent
+        // before it are the client's to discard.
+        Err(e) => {
+            if let Some(enc) = rows.frames.enc.take() {
+                enc.abandon(rows.out);
+            }
+            Err(e)
+        }
     }
 }
 
 /// Execute one request against the connection's session. Returns the
-/// reply, or `None` once a result set has gone into `wire` as the reply.
+/// reply, or `None` once a result set has gone into `out` as the reply —
+/// whole, or in part with the rest to come from `result`.
 pub(crate) fn handle_request(
     db: &Database,
     session: &mut Session<'_>,
     req: Request<'_>,
-    wire: &mut Wire<'_>,
+    out: &mut Vec<u8>,
+    result: &mut Option<Streaming>,
 ) -> Option<Reply> {
     let m = &db.metrics().server;
-    let result: Result<Option<Reply>> = (|| match req {
+    let reply: Result<Option<Reply>> = (|| match req {
         Request::Hello { .. } => Err(Error::Sql("unexpected HELLO".into())),
         // Sent behind a BEGIN that was shed or refused: running it would
         // make it autocommit.
         Request::QueryInTxn(_) if !session.in_transaction() => Err(Error::Sql(
             "no open transaction: a statement sent for one was not run".into(),
         )),
-        Request::Query(sql) | Request::QueryInTxn(sql) => statement(session, &sql, None, wire, m),
+        Request::Query(sql) | Request::QueryInTxn(sql) => {
+            statement(session, &sql, None, out, m, result)
+        }
         // The client holds the AS OF transaction: each statement gets a
         // read-only one of its own at the target (refused if the session
         // holds one already), ended once it is answered.
@@ -310,8 +349,11 @@ pub(crate) fn handle_request(
                 proto::AsOfTarget::ClockMs(ms) => session.begin_as_of_ms(ms)?,
                 proto::AsOfTarget::Exact(ts) => session.begin_as_of_ts(ts)?,
             };
-            let reply = statement(session, &sql, Some(at), wire, m);
-            if session.in_transaction() {
+            let reply = statement(session, &sql, Some(at), out, m, result);
+            if let Some(result) = result {
+                // A result in mid-stream takes it along.
+                session.hand_txn_to(&mut result.paused);
+            } else if session.in_transaction() {
                 // Read-only: nothing to log, so nothing that can fail.
                 let _ = session.commit();
             }
@@ -354,124 +396,107 @@ pub(crate) fn handle_request(
             "replication frame outside a WAL subscription".into(),
         )),
     })();
-    result.unwrap_or_else(|e| Some(Reply::from_error(&e, session.in_transaction())))
+    reply.unwrap_or_else(|e| Some(Reply::from_error(&e, session.in_transaction())))
 }
 
-/// Run one SQL statement, its rows streamed into `wire` as the reply;
-/// otherwise the reply is returned. `at`, the instant a QUERY_AS_OF runs
-/// at, goes back with the answer.
+/// Run one SQL statement's first step, its rows streamed into `out`.
+/// `at`, the instant a QUERY_AS_OF runs at, goes back with the answer.
 fn statement(
     session: &mut Session<'_>,
     sql: &str,
     at: Option<Timestamp>,
-    wire: &mut Wire<'_>,
+    out: &mut Vec<u8>,
     m: &ServerMetrics,
+    result: &mut Option<Streaming>,
 ) -> Result<Option<Reply>> {
     let is_commit = session.in_transaction()
         && sql
             .trim_start()
             .get(..6)
             .is_some_and(|p| p.eq_ignore_ascii_case("COMMIT"));
-    let timer = is_commit.then(|| m.commit_ns.start_timer());
-    let mut rows = RowStream {
-        txn_open: session.in_transaction(),
-        wire,
-        m,
-        enc: None,
-        rows: 0,
-    };
-    let res = session.execute_into(sql, &mut rows);
-    drop(timer);
+    let _timer = is_commit.then(|| m.commit_ns.start_timer());
     let txn_open = session.in_transaction();
-    match (res, rows.enc.take()) {
-        (Ok(done), Some(enc)) => {
-            rows.count_chunk();
-            enc.finish(rows.wire.out, txn_open, at, &done.message);
-            Ok(None) // the reply is in the buffer already
-        }
-        (Ok(done), None) => Ok(Some(Reply::Ok {
-            txn_open,
-            ts: at,
-            affected: done.affected as u64,
-            message: done.message.into(),
-        })),
-        // The error goes where the open frame stood; the chunks sent
-        // before it are the client's to discard.
-        (Err(e), enc) => {
-            if let Some(enc) = enc {
-                enc.abandon(rows.wire.out);
-            }
-            Err(e)
-        }
-    }
+    let frames = Frames {
+        txn_open,
+        at,
+        enc: None,
+    };
+    step(session, out, m, frames, result, |s, sink| {
+        s.execute_into(sql, sink)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use immortaldb::row::encode_values;
-    use immortaldb::Value;
+    use immortaldb::{DbConfig, Isolation, Value};
+    use immortaldb_chaos::TempDir;
     use std::net::TcpListener;
 
     /// A result streamed at a peer that never reads: the backlog stops at
-    /// the cap plus the chunk being closed, the producer is held in
-    /// `flush`, and after an idle timeout without progress it is told the
-    /// connection is gone.
+    /// the cap plus the chunk being closed, and there the statement
+    /// pauses and the thread returns, the paused result in hand — turn
+    /// after turn.
     #[test]
     fn the_backlog_of_an_unread_result_stops_at_the_cap_plus_one_chunk() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (_peer, _) = listener.accept().unwrap();
-        stream.set_nonblocking(true).unwrap();
-        let cfg = ServerConfig::new("unused")
-            .idle_timeout(Duration::from_millis(150))
-            .tick(Duration::from_millis(10));
-        let (shutdown, m) = (AtomicBool::new(false), ServerMetrics::default());
-        let mut out = Vec::new();
-        let mut wire = Wire {
-            out: &mut out,
-            stream: &stream,
-            shutdown: &shutdown,
-            cfg: &cfg,
-            broken: false,
-        };
-        let mut sink = RowStream {
-            wire: &mut wire,
-            m: &m,
-            txn_open: false,
-            enc: None,
-            rows: 0,
-        };
-        sink.columns(vec!["id".into(), "pad".into()]).unwrap();
+        let dir = TempDir::new("unread-result");
+        let db = Database::open(DbConfig::new(&dir)).unwrap();
         let pad = "x".repeat(1_000);
         let row_bytes = 5 + 5 + pad.len();
-        let (mut backlog, mut frames) = (0, 0);
-        let stopped = (0..).find_map(|i| {
-            let mut image = Vec::new();
-            encode_values(&mut image, &[Value::Int(i), Value::Varchar(pad.clone())]);
-            match sink.row(&image) {
-                Ok(Flow::Stop) => {
-                    frames += 1;
-                    backlog = backlog.max(sink.wire.out.len());
-                    sink.flush().err()
-                }
-                Ok(_) => None,
-                Err(e) => Some(e),
-            }
-        });
-        match stopped {
-            Some(Error::Io(e)) => assert_eq!(e.kind(), ErrorKind::TimedOut),
-            other => panic!("expected the stall to time out, got {other:?}"),
+        // 32 MB: the cap and what the kernel buffers, several times over.
+        Session::new(&db)
+            .execute("CREATE TABLE t (id INT PRIMARY KEY, pad VARCHAR(1000))")
+            .unwrap();
+        for ids in (0..32_000).collect::<Vec<_>>().chunks(1_000) {
+            let mut txn = db.begin(Isolation::Serializable);
+            let rows = ids
+                .iter()
+                .map(|&id| vec![Value::Int(id), Value::Varchar(pad.clone())])
+                .collect();
+            db.insert_rows(&mut txn, "t", rows).unwrap();
+            db.commit(&mut txn).unwrap();
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let socket = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_peer, _) = listener.accept().unwrap();
+        socket.set_nonblocking(true).unwrap();
+        let m = &db.metrics().server;
+        let (mut session, mut out) = (Session::new(&db), Vec::new());
+        let mut result = None;
+        statement(
+            &mut session,
+            "SELECT * FROM t",
+            None,
+            &mut out,
+            m,
+            &mut result,
+        )
+        .unwrap();
+        let result = result.expect("a result larger than its first chunk");
+        // Turn after turn, as the loop would take them once the socket
+        // has room, until the kernel takes no more: each returns at once,
+        // the result paused again.
+        let (mut result, mut backlog, mut frames) = (result, 0, 0);
+        let mut still = 0;
+        while still < 5 {
+            result = stream(&db, &mut session, &socket, &mut out, result)
+                .unwrap()
+                .expect("the result paused");
+            backlog = backlog.max(out.len());
+            let moved = m.row_chunks.get() as usize;
+            still = if moved == frames { still + 1 } else { 0 };
+            frames = moved;
+            std::thread::sleep(Duration::from_millis(20));
         }
         // What the kernel took is gone from the backlog, so the stream ran
-        // well past the cap before it stalled — and never above this:
+        // well past the cap — and never above this:
         assert!(frames * ROW_CHUNK > 2 * OUT_CAP, "{frames} frames");
         assert!(
             backlog >= OUT_CAP && backlog <= OUT_CAP + ROW_CHUNK + row_bytes,
             "backlog peaked at {backlog}"
         );
-        assert!(wire.broken);
         assert!(m.stream_stalls.get() >= 1);
-        assert_eq!(m.row_chunks.get(), frames as u64);
+        result.paused.abandon(&db);
+        db.close().unwrap();
     }
 }

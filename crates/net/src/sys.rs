@@ -1,8 +1,6 @@
-//! Minimal readiness-polling layer for the serving loop: raw `epoll`,
-//! and `poll` on one descriptor for a thread waiting out a full socket
-//! ([`wait_writable`]). Declared directly against the system C library —
-//! no external crate — because the loop needs exactly five calls and
-//! nothing else.
+//! Minimal readiness-polling layer for the serving loop: raw `epoll`.
+//! Declared directly against the system C library — no external crate —
+//! because the loop needs exactly four calls and nothing else.
 //!
 //! The [`Poller`] is level-triggered: an event keeps firing while the
 //! condition holds, so the loop may stop reading a socket mid-burst
@@ -12,7 +10,7 @@
 //! The [`Waker`] pipe registered with it gets the leader out of a wait.
 
 use std::io;
-use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::raw::c_int;
 use std::os::unix::io::RawFd;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -172,39 +170,6 @@ impl Drop for Poller {
     }
 }
 
-/// Block until `fd` accepts a write, fails or hangs up (the next write
-/// then says which), or `timeout` passes. For a thread that owns a
-/// connection outside the [`Poller`] and has reply bytes its socket would
-/// not take.
-pub fn wait_writable(fd: RawFd, timeout: Duration) -> io::Result<()> {
-    /// `struct pollfd`.
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-    const POLLOUT: c_short = 0x004;
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    }
-    let mut pfd = PollFd {
-        fd,
-        events: POLLOUT,
-        revents: 0,
-    };
-    // Rounded up, so a wait shorter than a millisecond still waits.
-    let ms = timeout.as_millis().min(i32::MAX as u128 - 1) as i32 + 1;
-    // SAFETY: `pfd` is one valid `pollfd` for the duration of the call.
-    if unsafe { poll(&mut pfd, 1, ms) } < 0 {
-        let e = io::Error::last_os_error();
-        if e.kind() != io::ErrorKind::Interrupted {
-            return Err(e);
-        }
-    }
-    Ok(())
-}
-
 /// Cross-thread wake-up for a [`Poller`]: a socketpair whose read end is
 /// registered like any connection. `wake` writes one byte; the waiting
 /// thread drains on readability. Writes into a full pipe are dropped — a wake
@@ -286,28 +251,6 @@ mod tests {
             .unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
         p.delete(b.as_raw_fd()).unwrap();
-    }
-
-    #[test]
-    fn wait_writable_returns_on_room_hangup_or_timeout() {
-        let (a, b) = UnixStream::pair().unwrap();
-        a.set_nonblocking(true).unwrap();
-        // Room: at once.
-        let t0 = std::time::Instant::now();
-        wait_writable(a.as_raw_fd(), Duration::from_secs(5)).unwrap();
-        assert!(t0.elapsed() < Duration::from_secs(1));
-        // Full, peer not reading: the timeout.
-        let chunk = [0u8; 64 * 1024];
-        while (&a).write(&chunk).is_ok() {}
-        let t0 = std::time::Instant::now();
-        wait_writable(a.as_raw_fd(), Duration::from_millis(30)).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(30));
-        // Peer gone: at once, and the write says so.
-        drop(b);
-        let t0 = std::time::Instant::now();
-        wait_writable(a.as_raw_fd(), Duration::from_secs(5)).unwrap();
-        assert!(t0.elapsed() < Duration::from_secs(1));
-        assert!((&a).write(&chunk).is_err());
     }
 
     #[test]

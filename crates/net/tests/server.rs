@@ -1750,6 +1750,149 @@ fn an_error_in_mid_result_ends_it_with_one_error_frame() {
     stop(db, server, dir);
 }
 
+/// One whole result read from a raw connection, frame by frame: its rows
+/// and its message.
+fn read_result(raw: &mut TcpStream, frames: &mut FrameBuffer) -> (Vec<Vec<Value>>, String) {
+    let (mut rows, mut row) = (Vec::new(), Vec::new());
+    loop {
+        let end = frames
+            .read_frame(raw, |opcode, payload| {
+                assert_eq!(opcode, op::ROWS);
+                let mut frame = RowsFrame::decode(payload).unwrap();
+                while frame.next_row(&mut row).unwrap() {
+                    rows.push(row.clone());
+                }
+                frame.end().unwrap()
+            })
+            .unwrap();
+        if let Some((message, _)) = end {
+            return (rows, message);
+        }
+    }
+}
+
+/// Readers that stop reading hold paused statements, not threads: with
+/// one to `2 × workers + 1` of them stalled — past every serving thread —
+/// a fresh client is answered at once, and each reader, once it reads,
+/// gets its whole result in key order.
+#[test]
+fn stalled_readers_stop_no_one() {
+    let workers = 2;
+    let cfg = ServerConfig::new("127.0.0.1:0")
+        .workers(workers)
+        .idle_timeout(Duration::from_secs(60))
+        .tick(Duration::from_millis(20));
+    let (db, server, dir) = start_on("stalled-readers", cfg, |db| db);
+    let addr = server.local_addr();
+    load_wide(&db, HUGE);
+    let mut stalled = Vec::new();
+    for n in 1..=2 * workers + 1 {
+        let stalls = stat(&db, "server.stream_stalls");
+        let (mut raw, frames) = raw_session(addr);
+        write_request(&mut raw, &Request::Query("SELECT * FROM wide".into()));
+        wait_for("the result to stall", || {
+            stat(&db, "server.stream_stalls") > stalls
+        });
+        held_still("the streams", Duration::from_millis(100), || {
+            stat(&db, "server.rows_streamed")
+        });
+        stalled.push((raw, frames));
+        // On a thread of its own, so that a client left waiting fails
+        // the test instead of hanging it.
+        let (answered, answer) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let asked = Instant::now();
+            let mut c = Client::connect(addr).unwrap();
+            let rows = c
+                .query("SELECT pad FROM wide WHERE id = 9000")
+                .unwrap()
+                .rows;
+            answered.send((rows, asked.elapsed()))
+        });
+        let (rows, took) = answer
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{n} stalled readers: a fresh client was not answered"));
+        assert_eq!(rows, vec![vec![Value::Varchar(wide_pad(9000))]]);
+        assert!(
+            took < Duration::from_millis(100),
+            "{n} stalled readers: a fresh client was answered after {took:?}"
+        );
+    }
+    let one_shot = Session::new(&db).execute("SELECT * FROM wide").unwrap();
+    for (i, (mut raw, mut frames)) in stalled.into_iter().enumerate() {
+        let (rows, message) = read_result(&mut raw, &mut frames);
+        assert_eq!(message, "9500 rows", "reader {i}");
+        assert!(rows == one_shot.rows, "reader {i}: not the one-shot rows");
+    }
+    stop(db, server, dir);
+}
+
+/// Shutdown with a reader stopped in mid-result: no thread waits for the
+/// reader, so it returns within a few ticks, rolls back the reader's
+/// transaction and leaves a store that reopens without crash recovery.
+#[test]
+fn shutdown_does_not_wait_for_a_stalled_reader() {
+    let (db, server, dir, mut c) = start_stalling("stalled-shutdown", Duration::from_secs(120));
+    // Nothing left for the close to write back but the stall's own.
+    c.query("CHECKPOINT").unwrap();
+    drop(c);
+    let (raw, _frames) = stall_a_scan(&db, server.local_addr());
+    let asked = Instant::now();
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.shutdown()));
+    stopped
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown waited on the stalled reader")
+        .unwrap();
+    let took = asked.elapsed();
+    assert!(
+        took < Duration::from_millis(10 * 20),
+        "shutdown took {took:?}"
+    );
+    drop((raw, db));
+
+    let db = Database::open(DbConfig::new(&dir)).unwrap();
+    assert_eq!(
+        db.metrics_snapshot().get("recovery.crash_recoveries"),
+        Some(0)
+    );
+    let mut s = Session::new(&db);
+    let held = s.execute("SELECT v FROM held").unwrap().rows;
+    assert_eq!(
+        held,
+        vec![vec![Value::Int(0)]],
+        "the reader's update was rolled back"
+    );
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request pipelined behind a result that paused for its reader waits
+/// in the frame buffer: it is answered after the result's last frame.
+#[test]
+fn a_request_behind_a_paused_result_is_answered_after_it() {
+    let cfg = ServerConfig::new("127.0.0.1:0").workers(2);
+    let (db, server, dir) = start_on("behind-paused", cfg, |db| db);
+    load_wide(&db, HUGE);
+    let (mut raw, mut frames) = raw_session(server.local_addr());
+    let mut burst = Vec::new();
+    Request::Query("SELECT * FROM wide".into()).encode_into(&mut burst);
+    Request::Query("SELECT id FROM wide WHERE id = 7".into()).encode_into(&mut burst);
+    raw.write_all(&burst).unwrap();
+    wait_for("the result to pause", || {
+        stat(&db, "server.stream_stalls") > 0
+    });
+    let (rows, message) = read_result(&mut raw, &mut frames);
+    assert_eq!((rows.len(), message.as_str()), (HUGE as usize, "9500 rows"));
+    assert!(rows.iter().zip(0..).all(|(r, i)| is_wide_row(r, i)));
+    let (rows, message) = read_result(&mut raw, &mut frames);
+    assert_eq!(
+        (rows, message.as_str()),
+        (vec![vec![Value::Int(7)]], "1 rows")
+    );
+    stop(db, server, dir);
+}
+
 /// A split installs the pages it allocates without reading them back:
 /// a resident update stream that splits leaves never goes to disk and
 /// never gives the loop away.

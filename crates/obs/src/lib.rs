@@ -516,7 +516,8 @@ pub struct ServerMetrics {
     pub shed_requests: Counter,
     /// Connections currently open (idle or active).
     pub open_connections: Gauge,
-    /// Connections with requests executing or queued for a thread.
+    /// Connections with requests executing or queued for a thread, or
+    /// with a result paused for its reader.
     pub active_sessions: Gauge,
     /// Connections with buffered requests waiting for a thread to finish
     /// (every other thread was executing when they arrived).
@@ -540,8 +541,9 @@ pub struct ServerMetrics {
     pub row_chunks: Counter,
     /// Result rows encoded into connection output buffers.
     pub rows_streamed: Counter,
-    /// Times a result in mid-stream waited for its socket to take more,
-    /// the connection's output backlog having reached its cap.
+    /// Times a result in mid-stream paused for its socket to take more,
+    /// the connection's output backlog having reached its cap: the
+    /// connection holds the paused statement and its thread returns.
     pub stream_stalls: Counter,
     /// Requests answered with an ERROR frame.
     pub errors: Counter,

@@ -203,18 +203,13 @@ pub fn redo(wal: &Wal, pool: &BufferPool, analysis: &Analysis, redo_start: Lsn) 
         match &e.record {
             LogRecord::PageImages { pages } => {
                 for (id, img) in pages {
-                    pool.ensure_allocated(*id)?;
-                    let (frame, was_reset) = pool.fetch_or_reset(*id)?;
-                    if was_reset {
-                        metrics.recovery.torn_pages_repaired.inc();
-                    }
-                    let mut g = frame.write();
-                    if g.page_lsn() < e.lsn {
-                        let fresh = crate::page::Page::from_bytes(img)?;
-                        *g = fresh;
-                        g.set_page_lsn(e.lsn);
-                        frame.mark_dirty(e.lsn);
-                        applied += 1;
+                    match apply_to_page(pool, *id, e.lsn, Change::Image(img))? {
+                        PageStep::Skipped => {}
+                        PageStep::Repaired => {
+                            metrics.recovery.torn_pages_repaired.inc();
+                            applied += 1;
+                        }
+                        _ => applied += 1,
                     }
                     torn.remove(id);
                 }
@@ -227,26 +222,16 @@ pub fn redo(wal: &Wal, pool: &BufferPool, analysis: &Analysis, redo_start: Lsn) 
                     Some(rec_lsn) if e.lsn >= *rec_lsn => {}
                     _ => continue,
                 }
-                pool.ensure_allocated(page_id)?;
-                let frame = match pool.fetch(page_id) {
-                    Ok(f) => f,
-                    Err(Error::Corruption(_)) => {
-                        // Torn on disk: its logical records are skipped —
-                        // the full-page image that must follow contains
-                        // their effects.
+                match apply_to_page(pool, page_id, e.lsn, Change::Record(&e))? {
+                    PageStep::Skipped => {}
+                    // Torn on disk: its logical records are skipped — the
+                    // full-page image that must follow contains their
+                    // effects.
+                    PageStep::Torn(_) => {
                         torn.insert(page_id);
-                        continue;
                     }
-                    Err(e) => return Err(e),
-                };
-                let mut g = frame.write();
-                if g.page_lsn() >= e.lsn {
-                    continue;
+                    _ => applied += 1,
                 }
-                apply_redo(&mut g, &e)?;
-                g.set_page_lsn(e.lsn);
-                frame.mark_dirty(e.lsn);
-                applied += 1;
             }
         }
     }
@@ -257,6 +242,54 @@ pub fn redo(wal: &Wal, pool: &BufferPool, analysis: &Analysis, redo_start: Lsn) 
         )));
     }
     Ok(applied)
+}
+
+/// One logged change to one page: its whole image, or a page record.
+enum Change<'a> {
+    Image(&'a [u8]),
+    Record(&'a WalEntry),
+}
+
+/// What [`apply_to_page`] did.
+enum PageStep {
+    /// The page's LSN says the change is there already.
+    Skipped,
+    Applied,
+    /// The page's stored bytes were torn, and the image replaced them.
+    Repaired,
+    /// The page's stored bytes are torn: a record cannot apply to them.
+    Torn(Error),
+}
+
+/// The one page-apply step of redo and of a replica's apply: make sure
+/// the page is allocated, fetch it (an image takes the place of a torn
+/// one), take its write latch and, unless the page's LSN is at `lsn`
+/// already, apply `change` and set the LSN and the dirty mark.
+fn apply_to_page(pool: &BufferPool, id: PageId, lsn: Lsn, change: Change<'_>) -> Result<PageStep> {
+    pool.ensure_allocated(id)?;
+    let (frame, reset) = match change {
+        Change::Image(_) => pool.fetch_or_reset(id)?,
+        Change::Record(_) => match pool.fetch(id) {
+            Ok(frame) => (frame, false),
+            Err(e @ Error::Corruption(_)) => return Ok(PageStep::Torn(e)),
+            Err(e) => return Err(e),
+        },
+    };
+    let mut g = frame.write();
+    if g.page_lsn() >= lsn {
+        return Ok(PageStep::Skipped);
+    }
+    match change {
+        Change::Image(img) => *g = crate::page::Page::from_bytes(img)?,
+        Change::Record(e) => apply_redo(&mut g, e)?,
+    }
+    g.set_page_lsn(lsn);
+    frame.mark_dirty(lsn);
+    Ok(if reset {
+        PageStep::Repaired
+    } else {
+        PageStep::Applied
+    })
 }
 
 /// Apply a page-oriented record's redo action.
@@ -321,15 +354,8 @@ pub fn apply_entry(pool: &BufferPool, e: &WalEntry) -> Result<bool> {
         LogRecord::PageImages { pages } => {
             let mut applied = false;
             for (id, img) in pages {
-                pool.ensure_allocated(*id)?;
-                let (frame, _) = pool.fetch_or_reset(*id)?;
-                let mut g = frame.write();
-                if g.page_lsn() < e.lsn {
-                    *g = crate::page::Page::from_bytes(img)?;
-                    g.set_page_lsn(e.lsn);
-                    frame.mark_dirty(e.lsn);
-                    applied = true;
-                }
+                let step = apply_to_page(pool, *id, e.lsn, Change::Image(img))?;
+                applied |= !matches!(step, PageStep::Skipped);
             }
             Ok(applied)
         }
@@ -337,16 +363,11 @@ pub fn apply_entry(pool: &BufferPool, e: &WalEntry) -> Result<bool> {
             let Some(page_id) = rec.target_page() else {
                 return Ok(false);
             };
-            pool.ensure_allocated(page_id)?;
-            let frame = pool.fetch(page_id)?;
-            let mut g = frame.write();
-            if g.page_lsn() >= e.lsn {
-                return Ok(false);
+            match apply_to_page(pool, page_id, e.lsn, Change::Record(e))? {
+                PageStep::Skipped => Ok(false),
+                PageStep::Torn(e) => Err(e),
+                _ => Ok(true),
             }
-            apply_redo(&mut g, e)?;
-            g.set_page_lsn(e.lsn);
-            frame.mark_dirty(e.lsn);
-            Ok(true)
         }
     }
 }

@@ -150,6 +150,22 @@ run_serve() {
     # One request may execute while the other thread polls and queues the
     # rest. A loop that stalls here fails as a timeout, not as a hang.
     SMOKE_WORKERS=1 timeout 300 cargo run --release -q -p immortaldb-net --bin net-smoke
+    echo "== serve: stalled readers hold paused statements, not threads =="
+    # One to 2 x workers + 1 raw sessions each ask for an 18 MB result and
+    # read none of it; a fresh client must be answered within 100 ms every
+    # time, and each reader then gets its whole result. By exact name, and
+    # the stage insists that exactly this one test ran.
+    local out
+    if ! out=$(cargo test --release -q -p immortaldb-net --test server -- --exact \
+        stalled_readers_stop_no_one 2>&1); then
+        echo "$out"
+        exit 1
+    fi
+    echo "$out"
+    if ! grep -q '^test result: ok\. 1 passed;' <<<"$out"; then
+        echo "serve: stalled_readers_stop_no_one did not run exactly once" >&2
+        exit 1
+    fi
 }
 
 run_serve_scale() {

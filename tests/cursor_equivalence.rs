@@ -34,8 +34,8 @@ use std::sync::Arc;
 use immortaldb::row::{decode_image_into, encode_key};
 use immortaldb::temporal::fold_diff;
 use immortaldb::{
-    Database, DbConfig, DiffRow, Flow, Isolation, PkBounds, RowSink, Session, SimClock,
-    TemporalVersion, Transaction, Value,
+    Database, DbConfig, DiffRow, Flow, Isolation, Outcome, PkBounds, RowSink, Session, SimClock,
+    Step, TemporalVersion, Transaction, Value,
 };
 use immortaldb_chaos::{Change, History, TempDir, Version};
 use immortaldb_common::{Error, Result, Timestamp};
@@ -516,19 +516,16 @@ fn keyed_temporal_reads_cost_what_they_touch() {
 
 // -- resumable scans ------------------------------------------------------------
 
-/// A sink that is full after every `k` rows, and runs `between` while the
-/// scan is paused — where the server writes a chunk to its socket.
-struct EveryK<'a> {
+/// A sink that is full after every `k` rows.
+struct EveryK {
     k: usize,
     /// Rows until it is full again.
     room: usize,
     ncols: usize,
     rows: Vec<Vec<Value>>,
-    flushes: usize,
-    between: &'a mut dyn FnMut(),
 }
 
-impl RowSink for EveryK<'_> {
+impl RowSink for EveryK {
     fn columns(&mut self, names: Vec<String>) -> Result<()> {
         self.ncols = names.len();
         Ok(())
@@ -546,11 +543,35 @@ impl RowSink for EveryK<'_> {
             Flow::Continue
         })
     }
+}
 
-    fn flush(&mut self) -> Result<()> {
-        self.flushes += 1;
-        (self.between)();
-        Ok(())
+/// Run `sql` to its end into a sink that is full every `k` rows, one
+/// step at a time, with `between` run at every pause — where the server
+/// writes a chunk to its socket. Returns the rows, the outcome and the
+/// number of pauses.
+fn in_steps(
+    s: &mut Session<'_>,
+    sql: &str,
+    k: usize,
+    between: &mut dyn FnMut(),
+) -> (Vec<Vec<Value>>, Outcome, usize) {
+    let mut sink = EveryK {
+        k,
+        room: k,
+        ncols: 0,
+        rows: Vec::new(),
+    };
+    let mut step = s.execute_into(sql, &mut sink).unwrap();
+    let mut pauses = 0;
+    loop {
+        match step {
+            Step::Done(done) => return (sink.rows, done, pauses),
+            Step::Paused(paused) => {
+                pauses += 1;
+                between();
+                step = s.resume(paused, &mut sink).unwrap();
+            }
+        }
     }
 }
 
@@ -558,18 +579,10 @@ impl RowSink for EveryK<'_> {
 /// with `between` run at every stop: the same rows in the same order.
 fn resumed_equals_one_shot(s: &mut Session<'_>, sql: &str, k: usize, between: &mut dyn FnMut()) {
     let one_shot = s.execute(sql).unwrap();
-    let mut sink = EveryK {
-        k,
-        room: k,
-        ncols: 0,
-        rows: Vec::new(),
-        flushes: 0,
-        between,
-    };
-    let done = s.execute_into(sql, &mut sink).unwrap();
-    assert_eq!(sink.rows, one_shot.rows, "{sql}, stopping every {k}");
+    let (rows, done, pauses) = in_steps(s, sql, k, between);
+    assert_eq!(rows, one_shot.rows, "{sql}, stopping every {k}");
     assert_eq!(done.message, one_shot.message);
-    assert_eq!(sink.flushes, one_shot.rows.len() / k, "{sql}");
+    assert_eq!(pauses, one_shot.rows.len() / k, "{sql}");
 }
 
 /// Run `sql` whole, then again stopping every `k` rows: the first pause
@@ -585,17 +598,9 @@ fn pauses_before_reading_everything(s: &mut Session<'_>, db: &Database, sql: &st
             first_pause.set(Some(fetches(db)));
         }
     };
-    let mut sink = EveryK {
-        k,
-        room: k,
-        ncols: 0,
-        rows: Vec::new(),
-        flushes: 0,
-        between: &mut between,
-    };
     let start = fetches(db);
-    s.execute_into(sql, &mut sink).unwrap();
-    assert_eq!(sink.rows, one_shot.rows, "{sql}");
+    let (rows, _, _) = in_steps(s, sql, k, &mut between);
+    assert_eq!(rows, one_shot.rows, "{sql}");
     let before_pause = first_pause.get().expect("the sink filled up") - start;
     assert!(
         before_pause < whole,
@@ -655,7 +660,8 @@ fn resume_battery(tag: &str, seed: u64) {
         }));
         fx.commit(&batch);
     };
-    // HISTORY OF pauses on a key with more versions than the largest k.
+    // HISTORY OF meets a full sink on a key with more versions than the
+    // largest k.
     let deep = 7;
     while fx.history.history_of(deep).len() <= 64 {
         let n = fx.history.history_of(deep).len() as i32;
@@ -712,9 +718,13 @@ fn resume_battery(tag: &str, seed: u64) {
                 predicate.replace(" AND X >= 0", "")
             );
             resumed_equals_one_shot(&mut s, &diff, k, &mut between);
-            // One key's every version, newest first.
+            // One key's every version, newest first: in memory whole
+            // before its first row is sent, so written whole, whatever
+            // the sink answers.
             pauses.set(0);
-            resumed_equals_one_shot(&mut s, &history, k, &mut between);
+            let (rows, _, paused) = in_steps(&mut s, &history, k, &mut between);
+            assert_eq!(rows, s.execute(&history).unwrap().rows, "{history}");
+            assert_eq!(paused, 0, "{history}");
         }
     }
     // Both temporal statements stream: over a window that changes keys
@@ -818,26 +828,19 @@ fn resume_cost_battery(tag: &str) {
         format!("DIFF TABLE {T} BETWEEN ms({d_lo}) AND ms({d_hi})"),
     ] {
         let (whole, one_shot) = fetch_cost(&db, || s.execute(&sql).unwrap());
-        let mut sink = EveryK {
-            k: 64,
-            room: 64,
-            ncols: 0,
-            rows: Vec::new(),
-            flushes: 0,
-            between: &mut || {},
-        };
-        let (resumed, _) = fetch_cost(&db, || s.execute_into(&sql, &mut sink).unwrap());
-        assert_eq!(sink.rows, one_shot.rows, "{sql}");
-        assert!(sink.flushes >= 20, "{sql}: only {} chunks", sink.flushes);
+        let (resumed, (rows, _, pauses)) =
+            fetch_cost(&db, || in_steps(&mut s, &sql, 64, &mut || {}));
+        assert_eq!(rows, one_shot.rows, "{sql}");
+        assert!(pauses >= 20, "{sql}: only {pauses} chunks");
         let ratio = resumed as f64 / whole as f64;
         eprintln!(
             "{tag}: {sql}: {} chunks, {resumed} fetches resumed vs {whole} in one walk ({ratio:.2}x)",
-            sink.flushes + 1
+            pauses + 1
         );
         assert!(
             resumed <= 2 * whole,
             "{sql}: {resumed} fetches over {} chunks vs {whole} in one walk",
-            sink.flushes + 1
+            pauses + 1
         );
     }
 }

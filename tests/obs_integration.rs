@@ -2,7 +2,7 @@
 //! through `Database::metrics_snapshot()` and `SHOW STATS`.
 
 use immortaldb::{
-    Database, DbConfig, Flow, Isolation, Result, RowSink, Session, TimestampingMode, Value,
+    Database, DbConfig, Flow, Isolation, Result, RowSink, Session, Step, TimestampingMode, Value,
 };
 use immortaldb_chaos::TempDir;
 
@@ -186,7 +186,6 @@ fn every_stamping_trigger_fires_on_an_immortal_table() {
 struct StopEvery {
     k: usize,
     rows: usize,
-    flushes: usize,
 }
 
 impl RowSink for StopEvery {
@@ -201,11 +200,6 @@ impl RowSink for StopEvery {
         } else {
             Flow::Continue
         })
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.flushes += 1;
-        Ok(())
     }
 }
 
@@ -229,14 +223,17 @@ fn resumed_scan_counts_once_per_statement() {
         format!("SELECT * FROM t VERSIONS BETWEEN ms(0) AND ms({now})"),
     ] {
         let before = read();
-        let mut sink = StopEvery {
-            k: 7,
-            rows: 0,
-            flushes: 0,
-        };
-        // Autocommit: a serializable transaction of its own.
-        Session::new(&db).execute_into(&sql, &mut sink).unwrap();
-        assert!(sink.flushes >= 7, "{sql}: the scan must resume");
+        let mut sink = StopEvery { k: 7, rows: 0 };
+        // Autocommit: a serializable transaction of its own, held by the
+        // paused statement from step to step.
+        let mut s = Session::new(&db);
+        let mut step = s.execute_into(&sql, &mut sink).unwrap();
+        let mut resumes = 0;
+        while let Step::Paused(paused) = step {
+            resumes += 1;
+            step = s.resume(paused, &mut sink).unwrap();
+        }
+        assert!(resumes >= 7, "{sql}: the scan must resume");
         let moved: Vec<u64> = read().iter().zip(before).map(|(a, b)| a - b).collect();
         let want_s = u64::from(!sql.contains("VERSIONS"));
         assert_eq!(moved, [1, 0, 0, want_s], "{sql}: {counters:?}");

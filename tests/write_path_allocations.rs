@@ -22,8 +22,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use immortaldb::{
-    Clock, Database, DbConfig, Flow, Isolation, Result, RowSink, Session, SimClock, Timestamp,
-    Value,
+    Clock, Database, DbConfig, Flow, Isolation, Result, RowSink, Session, SimClock, Step,
+    Timestamp, Value,
 };
 use immortaldb_chaos::TempDir;
 use immortaldb_common::{Lsn, PageId, Tid, TreeId};
@@ -221,7 +221,9 @@ fn statement_cost(db: &Database, as_of: Option<Timestamp>, sql: &str) -> (u64, f
         if let Some(t) = as_of {
             s.begin_as_of_ts(t).unwrap();
         }
-        s.execute_into(sql, &mut Discard).unwrap();
+        let Step::Done(_) = s.execute_into(sql, &mut Discard).unwrap() else {
+            unreachable!("a sink that never stops");
+        };
         if as_of.is_some() {
             s.commit().unwrap();
         }
